@@ -7,7 +7,7 @@ GO ?= go
 VERSION ?= $(shell git describe --always --dirty 2>/dev/null || echo dev)
 LDFLAGS = -X repro/internal/obs.Version=$(VERSION)
 
-.PHONY: build test race short bench bench-smoke cover fmt vet fuzz-smoke obs-smoke crash-smoke shard-smoke
+.PHONY: build test race short bench-check cover fmt vet fuzz-smoke obs-smoke crash-smoke shard-smoke
 
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
@@ -21,17 +21,12 @@ short:
 race:
 	$(GO) test -race -short -shuffle=on ./...
 
-# bench writes the machine-readable perf snapshot for this PR series:
-# photons/sec and allocs/photon for the layered and voxel kernels, jobs/sec
-# for the multi-job service registry, and the telemetry on/off A/B.
-# Compare against the committed BENCH_pr*.json trajectory.
-bench:
-	$(GO) run ./cmd/mcbench -out BENCH_pr10.json
-
-# bench-smoke is the CI bitrot guard: tiny budgets, noisy numbers, proves
-# the harness still runs.
-bench-smoke:
-	$(GO) run ./cmd/mcbench -quick -out bench-smoke.json
+# bench-check vets and tests the nested benchmark module (bench/, its own
+# go.mod with `replace repro => ../`). The root's build and tests never
+# compile it, so without this a root refactor can break a bench import
+# unnoticed. Running the benchmark itself is `bash bench/run.sh`.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # obs-smoke boots a real mcqueue + mcworker pair, submits a job with curl
 # and asserts the debug surface (/readyz, /metrics series, the per-job

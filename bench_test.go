@@ -232,15 +232,17 @@ func BenchmarkTallyMerge(b *testing.B) {
 	}
 }
 
-// BenchmarkProtocolResult measures gob encode+decode of a realistic chunk
-// result (tally with a 50³ grid) — the per-chunk wire cost.
+// BenchmarkProtocolResult measures envelope encode+decode of a realistic
+// chunk result (a one-chunk batch whose tally carries a 50³ grid) — the
+// per-chunk wire cost.
 func BenchmarkProtocolResult(b *testing.B) {
 	tally, err := phomc.Run(phomc.Fig4Config(50, 40), 2000, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	msg := &protocol.Message{Type: protocol.MsgTaskResult,
-		Result: &protocol.TaskResult{ChunkID: 1, Tally: tally}}
+	msg := &protocol.Message{Type: protocol.MsgResultBatch,
+		Batch: &protocol.ResultBatch{Groups: []protocol.BatchGroup{
+			{Chunks: []int{1}, TallyData: mc.AppendTally(nil, tally)}}}}
 
 	var buf bytes.Buffer
 	enc := gob.NewEncoder(&buf)
@@ -274,19 +276,19 @@ func codecBenchTally(b *testing.B) *mc.Tally {
 // BenchmarkTallyEncodeGob vs BenchmarkTallyEncodeCompact (and the decode
 // pair below) compare the two tally codecs on the same chunk result:
 // ns/op, bytes/result (reported metric) and allocs. The compact codec is
-// what ResultBatch frames carry; gob remains for checkpoints.
+// what ResultBatch frames and journal snapshots carry; gob is the
+// reference it is measured against.
 func BenchmarkTallyEncodeGob(b *testing.B) {
 	tally := codecBenchTally(b)
-	var codec mc.GobTallyCodec
 	b.ReportAllocs()
 	b.ResetTimer()
 	var n int
 	for i := 0; i < b.N; i++ {
-		blob, err := codec.EncodeTally(tally)
-		if err != nil {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(tally); err != nil {
 			b.Fatal(err)
 		}
-		n = len(blob)
+		n = buf.Len()
 	}
 	b.ReportMetric(float64(n), "bytes/result")
 }
@@ -303,15 +305,16 @@ func BenchmarkTallyEncodeCompact(b *testing.B) {
 }
 
 func BenchmarkTallyDecodeGob(b *testing.B) {
-	var codec mc.GobTallyCodec
-	blob, err := codec.EncodeTally(codecBenchTally(b))
-	if err != nil {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(codecBenchTally(b)); err != nil {
 		b.Fatal(err)
 	}
+	blob := buf.Bytes()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := codec.DecodeTally(blob); err != nil {
+		var out mc.Tally
+		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&out); err != nil {
 			b.Fatal(err)
 		}
 	}

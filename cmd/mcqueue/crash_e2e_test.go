@@ -72,11 +72,11 @@ type queueProc struct {
 // segments, 8 KiB compaction trigger, snapshot every 2 chunks) so every
 // crashpoint is reachable within one small job. crashEnv arms a
 // fault-injection crashpoint in the child; nil runs it clean.
-func startQueue(t *testing.T, fleetAddr, httpAddr, walDir, ckptDir string, crashEnv []string) *queueProc {
+func startQueue(t *testing.T, fleetAddr, httpAddr, walDir string, crashEnv []string) *queueProc {
 	t.Helper()
 	cmd := exec.Command(mcqueueBin,
 		"-addr", fleetAddr, "-http", httpAddr,
-		"-wal-dir", walDir, "-checkpoint-dir", ckptDir,
+		"-wal-dir", walDir,
 		"-wal-fsync", "interval",
 		"-wal-segment-bytes", "2048",
 		"-wal-compact-bytes", "8192",
@@ -273,7 +273,7 @@ func TestCrashChaosEndToEnd(t *testing.T) {
 
 	// Baseline: same binary, same WAL geometry, never interrupted.
 	baseFleet, baseHTTP := freeAddr(t), freeAddr(t)
-	base := startQueue(t, baseFleet, baseHTTP, t.TempDir(), t.TempDir(), nil)
+	base := startQueue(t, baseFleet, baseHTTP, t.TempDir(), nil)
 	waitReady(t, baseHTTP, base)
 	startWorker(t, baseFleet)
 	baseID, err := submitJob(t, baseHTTP)
@@ -297,8 +297,8 @@ func TestCrashChaosEndToEnd(t *testing.T) {
 	for _, pt := range points {
 		t.Run(pt.point, func(t *testing.T) {
 			fleetAddr, httpAddr := freeAddr(t), freeAddr(t)
-			walDir, ckptDir := t.TempDir(), t.TempDir()
-			crashed := startQueue(t, fleetAddr, httpAddr, walDir, ckptDir, []string{
+			walDir := t.TempDir()
+			crashed := startQueue(t, fleetAddr, httpAddr, walDir, []string{
 				fault.EnvPoint + "=" + pt.point,
 				fault.EnvAfter + "=" + fmt.Sprint(pt.after),
 			})
@@ -319,7 +319,7 @@ func TestCrashChaosEndToEnd(t *testing.T) {
 			}
 
 			// Restart, disarmed, on the same journal and ports.
-			restarted := startQueue(t, fleetAddr, httpAddr, walDir, ckptDir, nil)
+			restarted := startQueue(t, fleetAddr, httpAddr, walDir, nil)
 			waitReady(t, httpAddr, restarted)
 			if replayed := metricValue(t, httpAddr, "wal_replay_records_total"); replayed <= 0 {
 				t.Fatalf("restart replayed %v journal records, want > 0", replayed)

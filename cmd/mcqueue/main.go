@@ -32,8 +32,8 @@
 // timing spans). cmd/mctop renders /fleet and /stats as a live terminal
 // dashboard. The API listener additionally carries the debug surface —
 // GET /metrics (Prometheus text exposition), GET /healthz, GET /readyz
-// (ready once the fleet listener is up and checkpoint resume has
-// finished) and net/http/pprof under /debug/pprof/ — unless -debug-addr
+// (ready once the journal has been replayed and the fleet listener is up)
+// and net/http/pprof under /debug/pprof/ — unless -debug-addr
 // moves it to its own listener.
 // Logging is structured (-log-format text|json); -v only lowers the level
 // to debug, never changes destination or format. -max-active-jobs sheds
@@ -59,20 +59,16 @@
 // and when -tenants is given without an explicit -policy the scheduler
 // upgrades from fair to tenant-fair (two-level tenant→job fair queueing).
 //
-// On SIGINT/SIGTERM in-flight HTTP requests are drained, then every
-// unfinished job is checkpointed into -checkpoint-dir before exit, and
-// those checkpoints are resumed automatically on the next start, so an
-// operator Ctrl-C never loses work.
-//
-// -wal-dir additionally arms the crash-durable journal: every accepted
-// job, reduced chunk batch, amortized tally snapshot, finalize and
-// cancel is write-ahead logged, and on start the journal is replayed —
-// before /readyz flips — so even a kill -9, OOM kill or power cut
-// replays instead of losing accepted jobs. -wal-fsync picks the
-// always/interval/none fsync policy (a process kill loses nothing under
-// any of them; the policy prices power loss), and the SIGTERM
-// checkpoint pass doubles as a final journal compaction. See DESIGN.md
-// "Durability".
+// Durability is one mechanism, on by default: the write-ahead journal in
+// -wal-dir (default mcqueue-wal; empty disables it). Every accepted job,
+// reduced chunk batch, amortized tally snapshot, finalize and cancel is
+// logged, and on start the journal is replayed — before /readyz flips —
+// so a Ctrl-C, kill -9, OOM kill or power cut replays instead of losing
+// accepted jobs. -wal-fsync picks the always/interval/none fsync policy
+// (a process kill loses nothing under any of them; the policy prices
+// power loss). On SIGINT/SIGTERM in-flight HTTP requests are drained and
+// the journal is compacted to one snapshot per retained job, then closed.
+// See DESIGN.md "Durability".
 //
 // As a shard: -lease-file arms flock-based failover. The process blocks
 // until it exclusively holds the lease file, so a standby started with
@@ -88,17 +84,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log/slog"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
 	"repro/internal/cli"
-	"repro/internal/distsys"
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/wal"
@@ -126,10 +119,11 @@ func main() {
 		"per-job lifecycle event ring capacity (0: 512 default, negative: disable tracing)")
 	spanEvents := fs.Int("span-events", 0,
 		"per-job chunk span ring capacity (0: 512 default, negative: disable span recording)")
-	ckptDir := fs.String("checkpoint-dir", "mcqueue-ckpt",
-		"directory for shutdown checkpoints (resumed on next start)")
-	walDir := fs.String("wal-dir", "",
-		"write-ahead journal directory; crashes (kill -9, OOM, power) replay instead of losing accepted jobs (empty: disabled)")
+	// Parsed and ignored: bench/proctree still passes it, and this change
+	// may not edit bench/. Remove it with the next benchmark change.
+	fs.String("checkpoint-dir", "", "ignored (the journal in -wal-dir is the only persistence)")
+	walDir := fs.String("wal-dir", "mcqueue-wal",
+		"write-ahead journal directory; shutdowns and crashes (kill -9, OOM, power) replay instead of losing accepted jobs (empty: disabled)")
 	walFsync := fs.String("wal-fsync", "interval",
 		"journal fsync policy: always, interval, none")
 	walSegBytes := fs.Int64("wal-segment-bytes", 0,
@@ -190,9 +184,7 @@ func main() {
 	}
 
 	oreg := obs.NewRegistry()
-	ready := obs.NewReadiness("fleet-listener", "checkpoint-resume", "wal-replay")
-	ckpt := oreg.CounterVec("mcqueue_checkpoint_total",
-		"Checkpoint operations by kind and outcome.", "op", "outcome")
+	ready := obs.NewReadiness("fleet-listener", "wal-replay")
 
 	// Open the journal before the registry exists: its records must be
 	// replayed into the registry before any listener accepts traffic, and
@@ -243,10 +235,6 @@ func main() {
 		Journal:          journal,
 	})
 
-	// Journal replay first: it reconstructs everything up to the crash,
-	// including jobs a SIGTERM checkpoint pass never saw. The legacy
-	// checkpoint resume after it dedups naturally — an identical live job
-	// coalesces by content key.
 	if journal != nil {
 		replayed, err := journal.Replay(reg, walReplay.Records)
 		if err != nil {
@@ -257,12 +245,6 @@ func main() {
 		}
 	}
 	ready.Set("wal-replay", true)
-
-	resumed := resumeCheckpoints(reg, *ckptDir, logger, ckpt)
-	ready.Set("checkpoint-resume", true)
-	if resumed > 0 {
-		logger.Info("resumed checkpointed jobs", "jobs", resumed, "dir", *ckptDir)
-	}
 
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -296,16 +278,15 @@ func main() {
 		"policy", policy.Name())
 
 	// On SIGINT/SIGTERM the signal goroutine only drains the HTTP
-	// listeners; the final checkpoint pass runs in main, after srv.Serve
-	// has returned ErrServerClosed AND the drain has finished — Serve
-	// returns the instant Shutdown begins, so checkpointing from the
-	// goroutine would race main's exit and lose the pass entirely. No
-	// submission is half-processed when the snapshot is cut (the API is
-	// drained first), but worker connections on the fleet listener keep
-	// reducing result batches while checkpoints are written: each job's
+	// listeners; the final compaction runs in main, after srv.Serve has
+	// returned ErrServerClosed AND the drain has finished — Serve returns
+	// the instant Shutdown begins, so compacting from the goroutine would
+	// race main's exit. No submission is half-processed when the snapshots
+	// are cut (the API is drained first), but worker connections on the
+	// fleet listener keep reducing result batches meanwhile: each job's
 	// snapshot is internally consistent, not fleet-quiesced, and a
 	// reduction landing after its job's snapshot is simply recomputed on
-	// resume.
+	// replay.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	drained := make(chan struct{})
@@ -330,11 +311,9 @@ func main() {
 		fatal(err)
 	}
 	<-drained
-	saved, failed := saveCheckpoints(reg, *ckptDir, logger, ckpt)
-	logger.Info("checkpointed active jobs", "saved", saved, "dir", *ckptDir)
-	// With a journal the SIGTERM pass is a final compaction, not the only
-	// durability: the log shrinks to one snapshot per retained job, so the
-	// next boot replays a minimal record set.
+	// The journal already holds everything; the final compaction shrinks it
+	// to one snapshot per retained job, so the next boot replays a minimal
+	// record set.
 	if journal != nil {
 		if err := reg.CompactJournal(); err != nil {
 			logger.Error("final journal compaction failed", "err", err)
@@ -346,77 +325,6 @@ func main() {
 			logger.Error("journal close failed", "err", err)
 		}
 	}
-	if failed > 0 {
-		logger.Error("some jobs could not be checkpointed", "failed", failed)
-		os.Exit(1)
-	}
-}
-
-// saveCheckpoints snapshots every queued/running job into dir and returns
-// how many were written and how many failed.
-func saveCheckpoints(reg *service.Registry, dir string, logger *slog.Logger, ckpt *obs.CounterVec) (saved, failed int) {
-	for _, st := range reg.List() {
-		if st.State != service.StateQueued.String() && st.State != service.StateRunning.String() {
-			continue
-		}
-		j := reg.Get(st.ID)
-		if j == nil {
-			continue
-		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			logger.Warn("checkpoint dir unavailable", "dir", dir, "err", err)
-			ckpt.With("save", "error").Inc()
-			failed++
-			continue
-		}
-		path := filepath.Join(dir, st.IDHex+".ckpt")
-		if err := distsys.FromSnapshot(j.Snapshot()).Save(path); err != nil {
-			logger.Warn("checkpoint save failed", "job", st.IDHex, "err", err)
-			ckpt.With("save", "error").Inc()
-			failed++
-			continue
-		}
-		ckpt.With("save", "ok").Inc()
-		saved++
-	}
-	return saved, failed
-}
-
-// resumeCheckpoints reloads every *.ckpt in dir into the registry. A
-// checkpoint file is kept on disk until its job finishes — mcqueue has no
-// periodic checkpointing, so deleting it at resume time would lose all
-// recorded progress to a crash that never reaches the signal handler.
-func resumeCheckpoints(reg *service.Registry, dir string, logger *slog.Logger, ckpt *obs.CounterVec) int {
-	paths, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
-	if err != nil || len(paths) == 0 {
-		return 0
-	}
-	n := 0
-	for _, path := range paths {
-		cp, err := distsys.LoadCheckpoint(path)
-		if err != nil {
-			logger.Warn("skipping unreadable checkpoint", "path", path, "err", err)
-			ckpt.With("resume", "error").Inc()
-			continue
-		}
-		// The checkpoint carries the job's own ChunkTimeout (zero means the
-		// submitter disabled reassignment on purpose; dead workers still
-		// requeue on disconnect).
-		snap := cp.Snapshot()
-		job, err := reg.SubmitSnapshot(snap)
-		if err != nil {
-			logger.Warn("checkpoint resume failed", "path", path, "err", err)
-			ckpt.With("resume", "error").Inc()
-			continue
-		}
-		go func(path string) {
-			<-job.Done()
-			os.Remove(path)
-		}(path)
-		ckpt.With("resume", "ok").Inc()
-		n++
-	}
-	return n
 }
 
 func fatal(err error) {

@@ -8,6 +8,13 @@
 //	mcworker -addr localhost:9876 -name pc1
 //	mcworker -addr localhost:9876 -name pc2
 //
+// The job is write-ahead journaled into -journal (default
+// mcserver-journal; empty disables), so neither Ctrl-C nor kill -9 loses
+// reduced work: restart with the same job flags and the same -journal and
+// the server replays it, recomputes only the chunks that were in flight,
+// and finishes with the tally an uninterrupted run prints. A journal
+// holding a different job is refused; completion removes it.
+//
 // -debug-addr starts an HTTP debug listener serving GET /metrics
 // (Prometheus text exposition of the service-plane counters), GET
 // /healthz, GET /readyz and net/http/pprof. Logging is structured
@@ -42,9 +49,8 @@ func main() {
 	seed := fs.Uint64("seed", 1, "master RNG seed")
 	timeout := fs.Duration("chunk-timeout", 5*time.Minute,
 		"reassign a chunk if no result arrives in this window")
-	ckptPath := fs.String("checkpoint", "",
-		"periodically save a resumable job snapshot to this file")
-	resume := fs.Bool("resume", false, "resume the job from -checkpoint instead of starting fresh")
+	journalDir := fs.String("journal", "mcserver-journal",
+		"write-ahead journal directory: a restart with the same job flags resumes from it, completion removes it (empty: disabled)")
 	var lf cli.LogFlags
 	lf.Register(fs)
 	fs.Parse(os.Args[1:])
@@ -58,45 +64,31 @@ func main() {
 		fatal(err)
 	}
 
+	// Bind before touching the journal: a port clash must not leave a
+	// journaled job behind for the corrected command line to trip over.
+	l, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fatal(err)
+	}
 	oreg := obs.NewRegistry()
 	ready := obs.NewReadiness("fleet-listener")
-	opts := distsys.JobOptions{
+	dm, err := distsys.NewDataManager(distsys.JobOptions{
 		Spec:         spec,
 		TotalPhotons: *photons,
 		ChunkPhotons: *chunk,
 		Seed:         *seed,
 		ChunkTimeout: *timeout,
+		JournalDir:   *journalDir,
 		Obs:          oreg,
 		Logger:       logger,
-	}
-
-	var dm *distsys.DataManager
-	if *resume {
-		if *ckptPath == "" {
-			fatal(fmt.Errorf("-resume requires -checkpoint"))
-		}
-		cp, err := distsys.LoadCheckpoint(*ckptPath)
-		if err != nil {
-			fatal(err)
-		}
-		dm, err = distsys.Resume(cp, opts)
-		if err != nil {
-			fatal(err)
-		}
-		done, total := dm.Progress()
-		fmt.Printf("resumed job from %s: %d/%d chunks already reduced\n",
-			*ckptPath, done, total)
-	} else {
-		dm, err = distsys.NewDataManager(opts)
-		if err != nil {
-			fatal(err)
-		}
-	}
-
-	l, err := net.Listen("tcp", *addr)
+	})
 	if err != nil {
 		fatal(err)
 	}
+	if done, total := dm.Progress(); done > 0 {
+		fmt.Printf("resumed job from %s: %d/%d chunks already reduced\n", *journalDir, done, total)
+	}
+
 	ready.Set("fleet-listener", true)
 	var debugSrv *http.Server
 	if *debugAddr != "" {
@@ -113,10 +105,10 @@ func main() {
 	fmt.Printf("datamanager listening on %s — %d photons in %d chunks\n",
 		l.Addr(), *photons, dm.NumChunks())
 
-	// A final checkpoint on SIGINT/SIGTERM: an operator Ctrl-C never loses
-	// a long job, even when periodic checkpointing was not requested. The
-	// debug listener is drained first so a scrape in flight is not cut off
-	// mid-body.
+	// SIGINT/SIGTERM compacts and closes the journal — it already holds
+	// every reduced batch, so this only shortens the next start's replay.
+	// The debug listener is drained first so a scrape in flight is not cut
+	// off mid-body.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
@@ -126,17 +118,15 @@ func main() {
 			debugSrv.Shutdown(ctx)
 			cancel()
 		}
-		path := *ckptPath
-		if path == "" {
-			path = "mcserver.ckpt"
-		}
-		if err := dm.Checkpoint().Save(path); err != nil {
-			logger.Error("final checkpoint failed", "err", err)
+		if err := dm.Close(); err != nil {
+			logger.Error("journal close failed", "err", err)
 			os.Exit(1)
 		}
-		done, total := dm.Progress()
-		fmt.Printf("\nmcserver: %v — %d/%d chunks checkpointed to %s "+
-			"(resume with -resume -checkpoint %s)\n", s, done, total, path, path)
+		if *journalDir != "" {
+			done, total := dm.Progress()
+			fmt.Printf("\nmcserver: %v — %d/%d chunks journaled in %s (rerun the same command to resume)\n",
+				s, done, total, *journalDir)
+		}
 		os.Exit(0)
 	}()
 
@@ -150,11 +140,6 @@ func main() {
 			case <-tick.C:
 				done, total := dm.Progress()
 				fmt.Printf("progress: %d/%d chunks\n", done, total)
-				if *ckptPath != "" {
-					if err := dm.Checkpoint().Save(*ckptPath); err != nil {
-						logger.Warn("periodic checkpoint failed", "err", err)
-					}
-				}
 			}
 		}
 	}()

@@ -20,21 +20,7 @@ type (
 	WorkerOptions = distsys.WorkerOptions
 	// WorkerStats summarise one worker session.
 	WorkerStats = distsys.WorkerStats
-	// JobCheckpoint is a resumable snapshot of a running job.
-	JobCheckpoint = distsys.Checkpoint
 )
-
-// LoadCheckpoint reads a job checkpoint saved by DataManager.Checkpoint.
-func LoadCheckpoint(path string) (*JobCheckpoint, error) {
-	return distsys.LoadCheckpoint(path)
-}
-
-// ResumeJob rebuilds a DataManager from a checkpoint; already-reduced
-// chunks stay reduced and the completed job is bit-identical to an
-// uninterrupted one.
-func ResumeJob(cp *JobCheckpoint, opts JobOptions) (*DataManager, error) {
-	return distsys.Resume(cp, opts)
-}
 
 // NewSpec packages a model, source spec and detector spec into the
 // serialisable Spec a DataManager distributes to its workers.
@@ -42,7 +28,11 @@ func NewSpec(model *Model, src SourceSpec, det DetectorSpec) *Spec {
 	return mc.NewSpec(model, src, det)
 }
 
-// NewDataManager prepares a distributed job.
+// NewDataManager prepares a distributed job. With JobOptions.JournalDir
+// set the job is write-ahead journaled there, and a manager started on a
+// directory that already holds the same unfinished job resumes it:
+// already-reduced chunks stay reduced and the completed tally is
+// bit-identical to an uninterrupted run's.
 func NewDataManager(opts JobOptions) (*DataManager, error) {
 	return distsys.NewDataManager(opts)
 }

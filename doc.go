@@ -58,13 +58,12 @@
 //	// curl :8080/stats            → fleet/queue/cache health
 //
 // mcserver remains the single-job CLI (a one-job registry that drains its
-// fleet on completion); both binaries checkpoint on Ctrl-C so a long job
-// is never lost.
+// fleet on completion).
 //
 // # Crash durability
 //
-// mcqueue survives more than polite deaths: started with -wal-dir, it
-// writes every control-plane transition (job accepted, chunk batches
+// Both binaries persist through one mechanism, on by default. mcqueue
+// (-wal-dir, default mcqueue-wal) writes every control-plane transition (job accepted, chunk batches
 // reduced, amortized tally snapshots, finalize, cancel) to a segmented,
 // CRC32C-framed write-ahead journal (internal/wal) before serving it.
 // After a SIGKILL, OOM-kill or power cut, the restart replays the
@@ -77,7 +76,11 @@
 // the journal to a snapshot, and a fault-injection harness
 // (internal/fault, TestCrashChaosEndToEnd, make crash-smoke) proves the
 // contract by SIGKILLing the real binary at armed crashpoints inside the
-// journal's append, rotation and compaction windows.
+// journal's append, rotation and compaction windows. mcserver (-journal)
+// and a DataManager given JobOptions.JournalDir journal their one job the
+// same way: rerun with the same job and directory and it resumes by
+// itself, a directory holding another job is refused, completion removes
+// it.
 //
 // # Adaptive precision
 //
@@ -107,8 +110,10 @@
 //
 // # Result plane
 //
-// The distributed result path (protocol v3) is engineered so that fleet
-// throughput tracks kernel throughput rather than per-chunk bookkeeping:
+// The distributed result path (protocol v3's batches — since v5 the only
+// result frame, a batch of one chunk being the single-result case) is
+// engineered so that fleet throughput tracks kernel throughput rather
+// than per-chunk bookkeeping:
 // workers compute each chunk across a job-defined fan of jump-separated
 // sub-streams on all their cores (RunStreamFan — the tally depends on the
 // fan width, never on the core count), pre-reduce consecutive chunk

@@ -155,29 +155,27 @@ func TestFacadeAnalysisSurface(t *testing.T) {
 	}
 }
 
-// TestFacadeDistributedSurface covers ServeJob and checkpoint re-exports.
+// TestFacadeDistributedSurface covers the DataManager re-exports: a
+// journaled manager closed mid-job and a second one resuming it from the
+// same directory.
 func TestFacadeDistributedSurface(t *testing.T) {
 	spec := phomc.NewSpec(
 		phomc.HomogeneousSlab("slab", phomc.TransportProperties(1.9, 0.9, 0.018, 1.4), 5),
 		phomc.SourceSpec{Kind: "pencil"},
 		phomc.DetectorSpec{Kind: "annulus", RMin: 1, RMax: 4},
 	)
-	dm, err := phomc.NewDataManager(phomc.JobOptions{
+	opts := phomc.JobOptions{
 		Spec: spec, TotalPhotons: 600, ChunkPhotons: 200, Seed: 5,
-	})
+		JournalDir: filepath.Join(t.TempDir(), "journal"),
+	}
+	dm, err := phomc.NewDataManager(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp := dm.Checkpoint()
-	path := filepath.Join(t.TempDir(), "job.ckpt")
-	if err := cp.Save(path); err != nil {
+	if err := dm.Close(); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := phomc.LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dm2, err := phomc.ResumeJob(loaded, phomc.JobOptions{})
+	dm2, err := phomc.NewDataManager(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -284,15 +284,13 @@ func TestDuplicateResultIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	result := &protocol.Message{Type: protocol.MsgTaskResult, Result: &protocol.TaskResult{
-		JobID: assign.JobID, ChunkID: assign.ChunkID, Tally: tally,
-	}}
+	result := oneChunkResult(assign.JobID, assign.ChunkID, tally)
 	send(result)
-	if ack := recv().Ack; ack.Duplicate {
+	if ack := recv().BatchAck.Acks[0]; ack.Duplicate {
 		t.Fatal("first delivery flagged duplicate")
 	}
 	send(result) // replay the same chunk
-	if ack := recv().Ack; !ack.Duplicate {
+	if ack := recv().BatchAck.Acks[0]; !ack.Duplicate {
 		t.Fatal("replayed result not flagged duplicate")
 	}
 
@@ -303,9 +301,7 @@ func TestDuplicateResultIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	send(&protocol.Message{Type: protocol.MsgTaskResult, Result: &protocol.TaskResult{
-		JobID: assign2.JobID, ChunkID: assign2.ChunkID, Tally: tally2,
-	}})
+	send(oneChunkResult(assign2.JobID, assign2.ChunkID, tally2))
 	recv() // ack
 
 	res, err := dm.Wait(30 * time.Second)
@@ -318,6 +314,14 @@ func TestDuplicateResultIgnored(t *testing.T) {
 	if res.Duplicates != 1 {
 		t.Fatalf("duplicates recorded %d, want 1", res.Duplicates)
 	}
+}
+
+// oneChunkResult is the single-result frame: a standalone batch covering
+// one chunk, acked by a one-entry BatchAck.
+func oneChunkResult(jobID uint64, chunk int, tally *mc.Tally) *protocol.Message {
+	return &protocol.Message{Type: protocol.MsgResultBatch, Batch: &protocol.ResultBatch{
+		Groups: []protocol.BatchGroup{{JobID: jobID, Chunks: []int{chunk}, TallyData: mc.AppendTally(nil, tally)}},
+	}}
 }
 
 // TestForgedJobIDRejected drives the protocol by hand and delivers results
@@ -369,10 +373,8 @@ func TestForgedJobIDRejected(t *testing.T) {
 	}
 
 	// A result with a forged JobID must be rejected, not reduced.
-	send(&protocol.Message{Type: protocol.MsgTaskResult, Result: &protocol.TaskResult{
-		JobID: assign.JobID ^ 0xdeadbeef, ChunkID: assign.ChunkID, Tally: tally,
-	}})
-	if ack := recv().Ack; !ack.Rejected {
+	send(oneChunkResult(assign.JobID^0xdeadbeef, assign.ChunkID, tally))
+	if ack := recv().BatchAck.Acks[0]; !ack.Rejected {
 		t.Fatal("forged JobID not rejected")
 	}
 	// So must a result for a chunk this session was never assigned.
@@ -381,10 +383,8 @@ func TestForgedJobIDRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	send(&protocol.Message{Type: protocol.MsgTaskResult, Result: &protocol.TaskResult{
-		JobID: assign.JobID, ChunkID: otherChunk, Tally: otherTally,
-	}})
-	if ack := recv().Ack; !ack.Rejected {
+	send(oneChunkResult(assign.JobID, otherChunk, otherTally))
+	if ack := recv().BatchAck.Acks[0]; !ack.Rejected {
 		t.Fatal("result for unassigned chunk not rejected")
 	}
 	if done, _ := dm.Progress(); done != 0 {

@@ -18,19 +18,31 @@
 // pre-reduced per job into a batch buffer, and flushed as one ResultBatch
 // (compact-codec tallies) riding the next task request — with the
 // buffered chunks advertised as Holding so the server keeps their
-// assignments alive, and per-chunk acks preserving the rejection and
-// duplicate semantics of the single-result path.
+// assignments alive, and per-chunk acks carrying each chunk's rejection
+// or duplicate verdict.
+//
+// A DataManager given a JournalDir survives its own death: the job's
+// accept record, reduced batches and tally snapshots are written ahead to
+// the service journal there, and a manager restarted on the same
+// directory replays it and continues the job. Because every chunk is tied
+// to its RNG stream, the resumed job produces exactly the tally the
+// uninterrupted job would have.
 package distsys
 
 import (
+	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"net"
+	"os"
+	"sync"
 	"time"
 
 	"repro/internal/mc"
 	"repro/internal/obs"
 	"repro/internal/service"
+	"repro/internal/wal"
 )
 
 // JobOptions configure a distributed simulation job.
@@ -46,6 +58,13 @@ type JobOptions struct {
 	// (non-dedicated clients may slow down or vanish). Zero disables
 	// reassignment.
 	ChunkTimeout time.Duration
+	// JournalDir, when set, holds the job's write-ahead journal. A new
+	// manager replays whatever it finds there: an unfinished job with the
+	// same content key (spec, photons, chunking, seed) continues where it
+	// stopped — keeping its journaled ChunkTimeout — and a journal holding
+	// any other job is refused. Completion removes the directory. Empty
+	// means the job lives only in memory.
+	JournalDir string
 	// Obs receives the underlying registry's service-plane metrics; nil
 	// instruments into a private registry.
 	Obs *obs.Registry
@@ -64,27 +83,103 @@ type Result = service.Result
 type DataManager struct {
 	reg *service.Registry
 	job *service.Job
+	log *slog.Logger
+
+	journal     *service.Journal // nil without a JournalDir
+	journalDir  string
+	journalOnce sync.Once
 }
 
-// NewDataManager validates the job and prepares the chunk queue.
+// NewDataManager validates the job and prepares the chunk queue — or, when
+// opts.JournalDir already holds this job, restores its reduced chunks and
+// queues only the rest.
 func NewDataManager(opts JobOptions) (*DataManager, error) {
-	reg := service.New(service.Options{
+	dm := &DataManager{log: opts.Logger, journalDir: opts.JournalDir}
+	if dm.log == nil {
+		dm.log = obs.NopLogger()
+	}
+	var journaled []wal.Record
+	if opts.JournalDir != "" {
+		wlog, replay, err := wal.Open(wal.Options{Dir: opts.JournalDir, Obs: opts.Obs, Logger: opts.Logger})
+		if err != nil {
+			return nil, fmt.Errorf("distsys: open journal: %w", err)
+		}
+		// One job, chunks worth seconds of compute each: snapshot after
+		// every reduced batch, so a kill recomputes only what was in flight.
+		dm.journal = service.NewJournal(wlog, service.JournalOptions{SnapshotEvery: 1, Logger: opts.Logger})
+		journaled = replay.Records
+	}
+	dm.reg = service.New(service.Options{
 		DrainOnEmpty: true,
 		CacheSize:    -1, // a one-shot job has nothing to deduplicate against
 		Obs:          opts.Obs,
 		Logger:       opts.Logger,
+		Journal:      dm.journal,
 	})
-	out, err := reg.Submit(service.JobSpec{
+	var err error
+	dm.job, err = dm.adopt(service.JobSpec{
 		Spec:         opts.Spec,
 		TotalPhotons: opts.TotalPhotons,
 		ChunkPhotons: opts.ChunkPhotons,
 		Seed:         opts.Seed,
 		ChunkTimeout: opts.ChunkTimeout,
-	})
+	}, journaled)
+	if err != nil {
+		dm.journal.Close()
+		return nil, err
+	}
+	return dm, nil
+}
+
+// adopt replays the journal and returns the job this manager serves: the
+// replayed one when it is the requested job, a fresh submission when the
+// journal is empty.
+func (dm *DataManager) adopt(spec service.JobSpec, records []wal.Record) (*service.Job, error) {
+	if _, err := dm.journal.Replay(dm.reg, records); err != nil {
+		return nil, fmt.Errorf("distsys: replay journal: %w", err)
+	}
+	restored := dm.reg.List()
+	if len(restored) == 0 {
+		out, err := dm.reg.Submit(spec)
+		if err != nil {
+			return nil, err
+		}
+		return out.Job, nil
+	}
+	want := spec // RoutingKeys normalizes in place
+	key, _, err := service.RoutingKeys(&want, 0)
 	if err != nil {
 		return nil, err
 	}
-	return &DataManager{reg: reg, job: out.Job}, nil
+	if len(restored) != 1 || restored[0].ID != service.KeyID(key) {
+		return nil, fmt.Errorf("distsys: journal %s holds a different job (%s, %d photons in %d-photon chunks); "+
+			"rerun it with its original parameters or remove the directory",
+			dm.journalDir, restored[0].IDHex, restored[0].TotalPhotons, restored[0].ChunkPhotons)
+	}
+	return dm.reg.Get(restored[0].ID), nil
+}
+
+// Close makes the journal ready for the next manager — compacted to the
+// job's latest snapshot, then closed — and is what a server calls on
+// SIGINT/SIGTERM before exiting with the job unfinished. It is a no-op
+// without a JournalDir or after the job completed.
+func (dm *DataManager) Close() error { return dm.closeJournal(false) }
+
+// closeJournal closes the journal once; remove deletes it instead of
+// compacting it (the job is done, there is nothing left to resume).
+func (dm *DataManager) closeJournal(remove bool) error {
+	if dm.journal == nil {
+		return nil
+	}
+	var err error
+	dm.journalOnce.Do(func() {
+		if remove {
+			err = errors.Join(dm.journal.Close(), os.RemoveAll(dm.journalDir))
+		} else {
+			err = errors.Join(dm.reg.CompactJournal(), dm.journal.Close())
+		}
+	})
+	return err
 }
 
 // NumChunks returns the total number of work units.
@@ -102,9 +197,19 @@ func (dm *DataManager) HandleConn(rw io.ReadWriteCloser) error { return dm.reg.H
 func (dm *DataManager) Done() <-chan struct{} { return dm.job.Done() }
 
 // Wait blocks until the job completes or the timeout elapses (zero waits
-// forever), then returns the reduced result.
+// forever), then returns the reduced result. Completion removes the
+// journal: a finished job has nothing left to resume.
 func (dm *DataManager) Wait(timeout time.Duration) (*Result, error) {
-	return dm.job.Wait(timeout)
+	res, err := dm.job.Wait(timeout)
+	if err != nil {
+		return nil, err
+	}
+	if err := dm.closeJournal(true); err != nil {
+		// The tally is complete either way; a leftover journal replays to
+		// this same finished job on the next start.
+		dm.log.Warn("journal not removed", "dir", dm.journalDir, "err", err)
+	}
+	return res, nil
 }
 
 // Progress returns the number of reduced chunks (for status displays).

@@ -2,6 +2,7 @@ package distsys
 
 import (
 	"net"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -9,13 +10,15 @@ import (
 
 // TestWorkerReconnectAcrossServerRestart is the reconnect e2e: a worker
 // under WorkLoop survives its server dying mid-job — the listener and
-// every live connection are torn down, the job is resumed from a
-// checkpoint on a fresh manager at the same address, and the same worker
+// every live connection are torn down, the job is resumed from its
+// journal by a fresh manager at the same address, and the same worker
 // process finishes it through exponential-backoff redials.
 func TestWorkerReconnectAcrossServerRestart(t *testing.T) {
-	dmA, err := NewDataManager(JobOptions{
+	opts := JobOptions{
 		Spec: quickSpec(), TotalPhotons: 1000, ChunkPhotons: 100, Seed: 41,
-	})
+		JournalDir: filepath.Join(t.TempDir(), "journal"),
+	}
+	dmA, err := NewDataManager(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,15 +71,18 @@ func TestWorkerReconnectAcrossServerRestart(t *testing.T) {
 	}
 	mu.Unlock()
 
-	// Restart: resume the job from a checkpoint on the same address. The
+	// Restart: resume the job from its journal on the same address. The
 	// worker's in-flight dials fail and back off until the port returns.
-	cp := dmA.Checkpoint()
-	if len(cp.Completed) < 3 {
-		t.Fatalf("checkpoint has %d chunks, want >= 3", len(cp.Completed))
+	if err := dmA.Close(); err != nil {
+		t.Fatal(err)
 	}
-	dmB, err := Resume(cp, JobOptions{})
+	dmB, err := NewDataManager(opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	resumedAt, _ := dmB.Progress()
+	if resumedAt < 3 {
+		t.Fatalf("journal resumed at %d chunks, want >= 3", resumedAt)
 	}
 	var ln2 net.Listener
 	for i := 0; ; i++ {
@@ -112,7 +118,7 @@ func TestWorkerReconnectAcrossServerRestart(t *testing.T) {
 		if lr.err != nil {
 			t.Fatalf("WorkLoop exited with error: %v", lr.err)
 		}
-		if want := dmA.NumChunks() - len(cp.Completed); lr.stats.Chunks < want {
+		if want := dmA.NumChunks() - resumedAt; lr.stats.Chunks < want {
 			t.Fatalf("worker reduced %d chunks after restart, want >= %d", lr.stats.Chunks, want)
 		}
 	case <-time.After(30 * time.Second):

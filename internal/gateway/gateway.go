@@ -30,6 +30,7 @@
 package gateway
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -214,89 +215,22 @@ func (g *Gateway) Register(mux *http.ServeMux) {
 	mux.HandleFunc("GET /tenants", g.tenants)
 }
 
-type apiError struct {
-	Error string `json:"error"`
-	State string `json:"state,omitempty"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(body)
-}
-
-// writeShed maps an admission refusal to the same 429 + Retry-After the
-// shards produce.
-func writeShed(w http.ResponseWriter, err error, v service.AdmissionVerdict) {
-	secs := int64((v.RetryAfter + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	writeJSON(w, http.StatusTooManyRequests, apiError{Error: err.Error()})
-}
-
 func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
-	limit := g.maxBody
-	if limit == 0 {
-		limit = service.DefaultMaxBodyBytes
-	}
-	r := req.Body
-	if limit > 0 {
-		r = http.MaxBytesReader(w, req.Body, limit)
-	}
-	raw, err := io.ReadAll(r)
-	if err != nil {
+	spec, raw, ok := service.ReadSubmission(w, req, g.maxBody)
+	if !ok {
 		g.met.invalid.Inc()
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				apiError{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("bad request body: %v", err)})
 		return
 	}
-	dec := json.NewDecoder(strings.NewReader(string(raw)))
-	dec.DisallowUnknownFields()
-	var body service.JobRequest
-	if err := dec.Decode(&body); err != nil {
-		g.met.invalid.Inc()
-		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("bad request body: %v", err)})
-		return
-	}
-	tenant := strings.TrimSpace(req.Header.Get(service.TenantHeader))
-	if tenant == "" {
-		tenant = strings.TrimSpace(body.Tenant)
-	}
-	if len(tenant) > service.MaxTenantNameLen {
-		g.met.invalid.Inc()
-		writeJSON(w, http.StatusBadRequest,
-			apiError{Error: fmt.Sprintf("tenant name longer than %d bytes", service.MaxTenantNameLen)})
-		return
-	}
+	tenant := spec.Tenant // as sent; normalization below fills the default
 
 	// The same normalize-and-hash the owning shard will run: the key is a
 	// pure function of the request, so gateway and shard always agree.
-	spec := service.JobSpec{
-		Spec:         body.Spec,
-		TotalPhotons: body.Photons,
-		ChunkPhotons: body.ChunkPhotons,
-		Seed:         body.Seed,
-		Fan:          body.Fan,
-		Target:       body.Target,
-		ChunkTimeout: body.ChunkTimeout,
-		Priority:     body.Priority,
-		Weight:       body.Weight,
-		Label:        body.Label,
-		Tenant:       tenant,
-	}
 	key, pkey, err := service.RoutingKeys(&spec, g.maxTarget)
 	if err != nil {
 		// Deterministically malformed: the client's fault, no shard would
 		// accept it either — do not route, do not retry.
 		g.met.invalid.Inc()
-		writeJSON(w, http.StatusUnprocessableEntity, apiError{Error: err.Error()})
+		service.WriteJSON(w, http.StatusUnprocessableEntity, service.APIError{Error: err.Error()})
 		return
 	}
 
@@ -313,7 +247,7 @@ func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
 		if g.admission != nil {
 			if v := g.admission.Admit(tenant, 0); !v.OK {
 				g.met.sheds.Inc()
-				writeShed(w, shedErr(tenant, v), v)
+				service.WriteShed(w, shedErr(tenant, v))
 				return
 			}
 		}
@@ -337,7 +271,7 @@ func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
 		g.mu.Unlock()
 		g.met.cacheHits.With(index).Inc()
 		g.log.Info("submission served from gateway tier", "job", m.idHex, "index", index)
-		writeJSON(w, http.StatusOK, service.JobAccepted{
+		service.WriteJSON(w, http.StatusOK, service.JobAccepted{
 			ID: m.idHex, State: service.StateDone.String(), Cached: true,
 		})
 		return
@@ -349,7 +283,7 @@ func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
 	if g.admission != nil {
 		if v := g.admission.Admit(tenant, spec.AdmissionPhotons()); !v.OK {
 			g.met.sheds.Inc()
-			writeShed(w, shedErr(tenant, v), v)
+			service.WriteShed(w, shedErr(tenant, v))
 			return
 		}
 	}
@@ -357,7 +291,7 @@ func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
 	shard := service.ShardOfKey(key, len(g.shards))
 	status, hdr, respBody, err := g.doShard(shard, func(base string) (*http.Request, error) {
 		preq, err := http.NewRequestWithContext(req.Context(), http.MethodPost,
-			base+"/jobs", strings.NewReader(string(raw)))
+			base+"/jobs", bytes.NewReader(raw))
 		if err != nil {
 			return nil, err
 		}
@@ -368,8 +302,8 @@ func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
 		return preq, nil
 	})
 	if err != nil {
-		writeJSON(w, http.StatusBadGateway,
-			apiError{Error: fmt.Sprintf("shard %d unavailable: %v", shard, err)})
+		service.WriteJSON(w, http.StatusBadGateway,
+			service.APIError{Error: fmt.Sprintf("shard %d unavailable: %v", shard, err)})
 		return
 	}
 	g.met.submissions.With(strconv.Itoa(shard)).Inc()
@@ -384,7 +318,7 @@ func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
 	copyResponse(w, status, hdr, respBody)
 }
 
-func shedErr(tenant string, v service.AdmissionVerdict) error {
+func shedErr(tenant string, v service.AdmissionVerdict) *service.ShedError {
 	return &service.ShedError{
 		Tenant: tenant, Reason: v.Reason, RetryAfter: v.RetryAfter, Detail: v.Detail,
 	}
@@ -409,7 +343,7 @@ func (g *Gateway) rememberRoute(id uint64, info routeInfo) {
 func (g *Gateway) proxyJob(w http.ResponseWriter, req *http.Request) {
 	id, err := strconv.ParseUint(req.PathValue("id"), 16, 64)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("bad job id: %v", err)})
+		service.WriteJSON(w, http.StatusBadRequest, service.APIError{Error: fmt.Sprintf("bad job id: %v", err)})
 		return
 	}
 	g.mu.Lock()
@@ -428,8 +362,8 @@ func (g *Gateway) proxyJob(w http.ResponseWriter, req *http.Request) {
 		return http.NewRequestWithContext(req.Context(), req.Method, base+url, nil)
 	})
 	if err != nil {
-		writeJSON(w, http.StatusBadGateway,
-			apiError{Error: fmt.Sprintf("shard %d unavailable: %v", shard, err)})
+		service.WriteJSON(w, http.StatusBadGateway,
+			service.APIError{Error: fmt.Sprintf("shard %d unavailable: %v", shard, err)})
 		return
 	}
 	g.met.proxies.With(strconv.Itoa(shard)).Inc()
@@ -463,10 +397,10 @@ func (g *Gateway) fillCache(id uint64, respBody []byte) {
 func (g *Gateway) serveMinted(w http.ResponseWriter, req *http.Request, m *mintedJob) {
 	switch {
 	case req.Method == http.MethodDelete:
-		writeJSON(w, http.StatusConflict,
-			apiError{Error: "job already done", State: service.StateDone.String()})
+		service.WriteJSON(w, http.StatusConflict,
+			service.APIError{Error: "job already done", State: service.StateDone.String()})
 	case strings.HasSuffix(req.URL.Path, "/result"):
-		writeJSON(w, http.StatusOK, service.JobResultBody{
+		service.WriteJSON(w, http.StatusOK, service.JobResultBody{
 			ID: m.idHex, CacheHit: true,
 			Target: m.target, TargetMet: m.targetMet,
 			Elapsed: m.res.elapsed, Tally: m.res.tally,
@@ -478,9 +412,9 @@ func (g *Gateway) serveMinted(w http.ResponseWriter, req *http.Request, m *minte
 		if strings.HasSuffix(req.URL.Path, "/spans") {
 			kind = "spans"
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"id": m.idHex, kind: []any{}})
+		service.WriteJSON(w, http.StatusOK, map[string]any{"id": m.idHex, kind: []any{}})
 	default:
-		writeJSON(w, http.StatusOK, service.JobStatus{
+		service.WriteJSON(w, http.StatusOK, service.JobStatus{
 			IDHex: m.idHex, Tenant: m.tenant,
 			State: service.StateDone.String(), CacheHit: true,
 			TotalPhotons: m.res.tally.Launched,
@@ -574,10 +508,10 @@ func (g *Gateway) list(w http.ResponseWriter, _ *http.Request) {
 		all = append(all, v...)
 	})
 	if up == 0 {
-		writeJSON(w, http.StatusBadGateway, apiError{Error: "no shard reachable"})
+		service.WriteJSON(w, http.StatusBadGateway, service.APIError{Error: "no shard reachable"})
 		return
 	}
-	writeJSON(w, http.StatusOK, all)
+	service.WriteJSON(w, http.StatusOK, all)
 }
 
 // statsBody is the gateway's /stats: the familiar per-registry snapshot
@@ -629,59 +563,47 @@ func (g *Gateway) stats(w http.ResponseWriter, _ *http.Request) {
 		}
 	})
 	if up == 0 {
-		writeJSON(w, http.StatusBadGateway, apiError{Error: "no shard reachable"})
+		service.WriteJSON(w, http.StatusBadGateway, service.APIError{Error: "no shard reachable"})
 		return
 	}
 	if g.admission != nil {
 		agg.Admission = g.admission.Name()
 	}
-	writeJSON(w, http.StatusOK, statsBody{Stats: agg, Shards: len(g.shards), ShardsUp: up})
-}
-
-// fleetView mirrors the shards' GET /fleet body.
-type fleetView struct {
-	Workers []service.SessionStatus `json:"workers"`
-	Tenants []service.TenantStatus  `json:"tenants,omitempty"`
+	service.WriteJSON(w, http.StatusOK, statsBody{Stats: agg, Shards: len(g.shards), ShardsUp: up})
 }
 
 func (g *Gateway) fleet(w http.ResponseWriter, _ *http.Request) {
-	var agg fleetView
+	var agg service.FleetBody
 	byName := map[string]*service.TenantStatus{}
-	up := eachShard(g, "/fleet", func(_ int, v fleetView) {
+	up := eachShard(g, "/fleet", func(_ int, v service.FleetBody) {
 		agg.Workers = append(agg.Workers, v.Workers...)
 		mergeTenants(byName, v.Tenants)
 	})
 	if up == 0 {
-		writeJSON(w, http.StatusBadGateway, apiError{Error: "no shard reachable"})
+		service.WriteJSON(w, http.StatusBadGateway, service.APIError{Error: "no shard reachable"})
 		return
 	}
 	agg.Tenants = g.overlayLevels(byName)
-	writeJSON(w, http.StatusOK, agg)
-}
-
-// tenantsView mirrors the shards' GET /tenants body.
-type tenantsView struct {
-	Admission string                 `json:"admission"`
-	Tenants   []service.TenantStatus `json:"tenants"`
+	service.WriteJSON(w, http.StatusOK, agg)
 }
 
 func (g *Gateway) tenants(w http.ResponseWriter, _ *http.Request) {
 	byName := map[string]*service.TenantStatus{}
 	admission := ""
-	up := eachShard(g, "/tenants", func(_ int, v tenantsView) {
+	up := eachShard(g, "/tenants", func(_ int, v service.TenantsBody) {
 		if admission == "" {
 			admission = v.Admission
 		}
 		mergeTenants(byName, v.Tenants)
 	})
 	if up == 0 {
-		writeJSON(w, http.StatusBadGateway, apiError{Error: "no shard reachable"})
+		service.WriteJSON(w, http.StatusBadGateway, service.APIError{Error: "no shard reachable"})
 		return
 	}
 	if g.admission != nil {
 		admission = g.admission.Name()
 	}
-	writeJSON(w, http.StatusOK, tenantsView{
+	service.WriteJSON(w, http.StatusOK, service.TenantsBody{
 		Admission: admission, Tenants: g.overlayLevels(byName),
 	})
 }

@@ -205,7 +205,7 @@ func TestGatewayRoutesAndCompletes(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("GET /fleet: %d", code)
 	}
-	var fl fleetView
+	var fl service.FleetBody
 	if err := json.Unmarshal([]byte(raw), &fl); err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +485,7 @@ func TestGatewayTenantFairnessAcrossShards(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("GET /tenants: %d", code)
 	}
-	var tens tenantsView
+	var tens service.TenantsBody
 	if err := json.Unmarshal([]byte(tenRaw), &tens); err != nil {
 		t.Fatal(err)
 	}

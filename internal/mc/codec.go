@@ -1,9 +1,7 @@
 package mc
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math"
 
@@ -23,55 +21,13 @@ const TallyCodecVersion = 1
 // byte-identically to version 1.
 const TallyCodecVersionMoments = 2
 
-// TallyCodec serialises tallies. The distributed result plane uses the
-// compact codec; checkpoints and the content-addressed cache key stay on
-// encoding/gob (GobTallyCodec / plain gob of the enclosing structs), so
-// their on-disk formats are untouched by wire-format evolution.
-type TallyCodec interface {
-	EncodeTally(t *Tally) ([]byte, error)
-	DecodeTally(data []byte) (*Tally, error)
-}
-
-// CompactTallyCodec is the hand-rolled binary tally codec used on the wire:
-// a version byte, varint-coded integers, raw little-endian float64 bits,
-// and zero-run sparse coding for the slice payloads (per-region arrays,
+// The compact codec is the hand-rolled binary tally format used on the
+// wire and in journal snapshots (AppendTally / DecodeTally): a version
+// byte, varint-coded integers, raw little-endian float64 bits, and
+// zero-run sparse coding for the slice payloads (per-region arrays,
 // scoring grids, histograms), which are mostly zero for a single chunk.
 // Encoding is exact — float64 bit patterns round-trip unchanged — so a
 // decoded chunk tally merges to bit-identical results.
-type CompactTallyCodec struct{}
-
-// EncodeTally implements TallyCodec.
-func (CompactTallyCodec) EncodeTally(t *Tally) ([]byte, error) {
-	return AppendTally(nil, t), nil
-}
-
-// DecodeTally implements TallyCodec.
-func (CompactTallyCodec) DecodeTally(data []byte) (*Tally, error) {
-	return DecodeTally(data)
-}
-
-// GobTallyCodec adapts encoding/gob to the TallyCodec interface — the
-// reference codec the compact format is benchmarked against, and the
-// serialisation checkpoints keep using.
-type GobTallyCodec struct{}
-
-// EncodeTally implements TallyCodec.
-func (GobTallyCodec) EncodeTally(t *Tally) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(t); err != nil {
-		return nil, fmt.Errorf("mc: gob tally encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeTally implements TallyCodec.
-func (GobTallyCodec) DecodeTally(data []byte) (*Tally, error) {
-	t := new(Tally)
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(t); err != nil {
-		return nil, fmt.Errorf("mc: gob tally decode: %w", err)
-	}
-	return t, nil
-}
 
 // Optional-section presence flags (bit positions in the flags varint).
 // tallyHasMoments is only valid in version-2 frames.

@@ -2,6 +2,7 @@ package mc_test
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"runtime"
 	"testing"
@@ -23,6 +24,16 @@ func tallyJSON(t *testing.T, tally *mc.Tally) []byte {
 	return blob
 }
 
+// gobTally is the reference encoding the compact codec is sized against.
+func gobTally(t *testing.T, tally *mc.Tally) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(tally); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestCompactCodecRoundTripGolden round-trips every golden-scenario tally
 // through the compact codec and requires bit-exact equality — the wire
 // format must never perturb a result, or the distributed reduction would
@@ -34,12 +45,8 @@ func TestCompactCodecRoundTripGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var codec mc.CompactTallyCodec
-			blob, err := codec.EncodeTally(tally)
-			if err != nil {
-				t.Fatal(err)
-			}
-			back, err := codec.DecodeTally(blob)
+			blob := mc.AppendTally(nil, tally)
+			back, err := mc.DecodeTally(blob)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,11 +65,7 @@ func TestCompactCodecRoundTripGolden(t *testing.T) {
 
 			// The mostly-zero payloads are what the sparse runs exist for;
 			// the compact frame must beat gob on every committed scenario.
-			gobBlob, err := mc.GobTallyCodec{}.EncodeTally(tally)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(blob) >= len(gobBlob) {
+			if gobBlob := gobTally(t, tally); len(blob) >= len(gobBlob) {
 				t.Errorf("compact %dB not smaller than gob %dB", len(blob), len(gobBlob))
 			}
 		})
@@ -99,6 +102,51 @@ func TestCompactCodecEmptyAndDense(t *testing.T) {
 	}
 	if !bytes.Equal(tallyJSON(t, dense), tallyJSON(t, back)) {
 		t.Fatal("dense tally did not round trip")
+	}
+}
+
+// TestTallyClone pins Clone to an exact, fully independent copy for the
+// three tally shapes the service clones (scalar, grid-bearing, moments):
+// the clone encodes to the same bytes, and mutating every slice, grid,
+// histogram and moment of the clone leaves the original's bytes unchanged.
+func TestTallyClone(t *testing.T) {
+	head := tissue.AdultHead()
+	for name, cfg := range map[string]*mc.Config{
+		"scalar": {Model: head, Detector: detector.Annulus{RMin: 10, RMax: 30}},
+		"grid": {Model: head, Detector: detector.Annulus{RMin: 10, RMax: 30},
+			AbsGrid:  &mc.GridSpec{N: 6, Edge: 20},
+			PathGrid: &mc.GridSpec{N: 5, Edge: 16},
+			PathHist: &mc.HistSpec{Min: 0, Max: 400, Bins: 32},
+			Radial:   &mc.HistSpec{Min: 0, Max: 50, Bins: 25}},
+		"moments": {Model: head, TrackMoments: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			orig, err := mc.Run(cfg, 600, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := mc.AppendTally(nil, orig)
+			clone := orig.Clone()
+			if !bytes.Equal(mc.AppendTally(nil, clone), want) {
+				t.Fatal("clone does not encode to the original's bytes")
+			}
+			clone.Launched++
+			clone.LayerAbsorbed[0]++
+			clone.LayerReached[0]++
+			clone.LayerEnteredWeight[1]++
+			if clone.AbsGrid != nil {
+				clone.AbsGrid.Data[0]++
+				clone.PathGrid.Data[0]++
+				clone.PathHist.Counts[0]++
+				clone.Radial.Counts[0]++
+			}
+			if clone.Moments != nil {
+				clone.Moments.Diffuse.Add(1, 1)
+			}
+			if !bytes.Equal(mc.AppendTally(nil, orig), want) {
+				t.Fatal("mutating the clone changed the original")
+			}
+		})
 	}
 }
 

@@ -33,7 +33,7 @@ type Spec struct {
 	// TrackMoments enables chunk-level second-moment tracking
 	// (Config.TrackMoments); precision-targeted jobs force it on. As a
 	// zero-default bool it is omitted from legacy gob encodings, so
-	// existing cache keys and checkpoints are unchanged.
+	// existing cache keys and journal accept records are unchanged.
 	TrackMoments bool `json:",omitempty"`
 }
 

@@ -73,8 +73,8 @@ type Tally struct {
 	// Moments, when Config.TrackMoments is set, carries the chunk-level
 	// second moments of the headline observables — the uncertainty
 	// estimate behind precision-targeted jobs. Nil on the legacy path,
-	// which keeps every pre-moment encoding (gob checkpoints, compact
-	// wire frames, golden JSON) byte-identical.
+	// which keeps every pre-moment encoding (compact wire frames,
+	// journal snapshots, golden JSON) byte-identical.
 	Moments *Moments `json:",omitempty"`
 }
 
@@ -187,23 +187,46 @@ func (t *Tally) Merge(o *Tally) error {
 	}
 	if o.PathHist != nil {
 		if t.PathHist == nil {
-			h := *o.PathHist
-			h.Counts = append([]float64(nil), o.PathHist.Counts...)
-			t.PathHist = &h
+			t.PathHist = o.PathHist.Clone()
 		} else if err := t.PathHist.Merge(o.PathHist); err != nil {
 			return err
 		}
 	}
 	if o.Radial != nil {
 		if t.Radial == nil {
-			h := *o.Radial
-			h.Counts = append([]float64(nil), o.Radial.Counts...)
-			t.Radial = &h
+			t.Radial = o.Radial.Clone()
 		} else if err := t.Radial.Merge(o.Radial); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// Clone returns a deep copy of the tally: the copy shares no slice, grid,
+// histogram or moment storage with t, and encodes (AppendTally) to the
+// same bytes.
+func (t *Tally) Clone() *Tally {
+	cp := *t
+	cp.LayerAbsorbed = append([]float64(nil), t.LayerAbsorbed...)
+	cp.LayerReached = append([]int64(nil), t.LayerReached...)
+	cp.LayerEnteredWeight = append([]float64(nil), t.LayerEnteredWeight...)
+	if t.AbsGrid != nil {
+		cp.AbsGrid = t.AbsGrid.Clone()
+	}
+	if t.PathGrid != nil {
+		cp.PathGrid = t.PathGrid.Clone()
+	}
+	if t.PathHist != nil {
+		cp.PathHist = t.PathHist.Clone()
+	}
+	if t.Radial != nil {
+		cp.Radial = t.Radial.Clone()
+	}
+	if t.Moments != nil {
+		m := *t.Moments
+		cp.Moments = &m
+	}
+	return &cp
 }
 
 // RadialReflectance converts the exit-radius histogram into R(ρ) in mm⁻²

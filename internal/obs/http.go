@@ -13,7 +13,7 @@ import (
 // Readiness is a set of named readiness conditions; the /readyz probe is
 // ready only when every condition has been set true. Conditions start
 // false, so a daemon is unready until each startup stage (listener bound,
-// checkpoint resume finished, session established) reports in.
+// journal replayed, session established) reports in.
 type Readiness struct {
 	mu    sync.Mutex
 	conds map[string]bool

@@ -15,7 +15,7 @@ const (
 	// EvCacheHit records a submission served from cache; Detail names the
 	// index that hit ("exact" or "physics").
 	EvCacheHit
-	// EvResumed records a job restored from a checkpoint snapshot.
+	// EvResumed records a job restored from a journal snapshot.
 	EvResumed
 	// EvChunkGranted records one chunk handed to a worker.
 	EvChunkGranted

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/gob"
 	"flag"
 	"io"
 	"os"
@@ -80,8 +81,6 @@ func seedMessages(tb testing.TB) []*Message {
 			JobID: 9, ChunkID: 4, Stream: 4, Photons: 1000,
 			Job: &Job{ID: 9, Spec: *spec, Seed: 77, Streams: 8, Fan: 4},
 		}},
-		{Type: MsgTaskResult, Result: &TaskResult{JobID: 9, ChunkID: 4, Elapsed: time.Second, Tally: tally}},
-		{Type: MsgResultAck, Ack: &ResultAck{JobID: 9, ChunkID: 4, Duplicate: true, Reason: "dup"}},
 		{Type: MsgNoWork, NoWork: &NoWork{Done: true, RetryIn: time.Minute}},
 		{Type: MsgError, Error: &Error{Msg: "boom"}},
 		// Protocol v3 frames: a standalone multi-job batch, a task request
@@ -153,7 +152,7 @@ func FuzzDecodeMessage(f *testing.F) {
 			if err != nil {
 				return
 			}
-			if m.Type < MsgHello || m.Type > MsgBatchAck {
+			if m.Type < MsgHello || m.Type > MsgBatchAck || m.Type == 5 || m.Type == 6 {
 				t.Fatalf("Recv accepted invalid type %d", int(m.Type))
 			}
 			if m.Request != nil {
@@ -267,14 +266,41 @@ func TestRecvRejectsOversizedKnownJobs(t *testing.T) {
 	}
 }
 
-// TestRecvRejectsInvalidType covers the type-range validation.
+// TestRecvRejectsInvalidType covers the type validation: out of range, and
+// the reserved wire numbers 5 and 6 of the v4 single-result frames.
 func TestRecvRejectsInvalidType(t *testing.T) {
-	for _, typ := range []MsgType{0, MsgBatchAck + 1, -3} {
+	for _, typ := range []MsgType{0, MsgBatchAck + 1, -3, 5, 6} {
 		data := encodeMessages(t, &Message{Type: typ})
 		c := NewConn(readCloser{bytes.NewReader(data)})
 		if _, err := c.Recv(); err == nil {
 			t.Fatalf("type %d accepted", int(typ))
 		}
+	}
+}
+
+// TestRecvRejectsV4ResultFrame feeds Recv a single-result frame exactly as
+// a v4 peer gob-encodes it — an envelope still carrying the Result field
+// this version's Message no longer has. It must be refused as an invalid
+// type, not decoded into an empty envelope and acted on.
+func TestRecvRejectsV4ResultFrame(t *testing.T) {
+	type v4Result struct {
+		JobID   uint64
+		ChunkID int
+		Tally   *mc.Tally
+	}
+	type v4Message struct {
+		Type   MsgType
+		Result *v4Result
+	}
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(&v4Message{Type: 5,
+		Result: &v4Result{JobID: 9, ChunkID: 4, Tally: &mc.Tally{Launched: 50}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewConn(readCloser{bytes.NewReader(buf.Bytes())})
+	if m, err := c.Recv(); err == nil {
+		t.Fatalf("v4 single-result frame accepted as %v", m.Type)
 	}
 }
 

@@ -56,6 +56,9 @@ func TestConnMetricsAccounting(t *testing.T) {
 	}
 	var sent, recv uint64
 	for mt := MsgHello; mt <= MsgBatchAck; mt++ {
+		if !mt.valid() {
+			continue // reserved wire numbers have no counters
+		}
 		sent += sm.sendBytes[mt].Value()
 		recv += rm.recvBytes[mt].Value()
 		if sm.recvBytes[mt].Value() != 0 || rm.sendBytes[mt].Value() != 0 {

@@ -36,7 +36,13 @@ import (
 // with their moment accumulators (mc tally codec version 2). A v3 worker
 // would reject the open-ended stream indices and strip the moments, so
 // the handshake requires v4.
-const Version = 4
+//
+// Version 5 removed the single-result frames (one chunk tally and its
+// standalone ack, wire types 5 and 6): a ResultBatch of one chunk is the
+// single-result path. The numbers stay reserved so every surviving type
+// keeps its value, and a v4 peer is refused at the handshake rather than
+// mid-session when its first single-result frame arrives.
+const Version = 5
 
 // MsgType discriminates the envelope.
 type MsgType int
@@ -50,10 +56,11 @@ const (
 	MsgTaskRequest
 	// MsgTaskAssign hands a chunk to the worker.
 	MsgTaskAssign
-	// MsgTaskResult returns a computed chunk tally.
-	MsgTaskResult
-	// MsgResultAck confirms a result was accepted (or deduplicated).
-	MsgResultAck
+	// reserved5 and reserved6 hold the wire numbers of the v4
+	// single-result frames so later types keep their values; Recv rejects
+	// them.
+	reserved5
+	reserved6
 	// MsgNoWork tells a worker there is nothing to do right now.
 	MsgNoWork
 	// MsgError reports a fatal protocol or job error.
@@ -63,6 +70,12 @@ const (
 	// MsgBatchAck acknowledges a batch with one ResultAck per chunk.
 	MsgBatchAck
 )
+
+// valid reports whether t names a live message type: in range and not one
+// of the reserved v4 numbers.
+func (t MsgType) valid() bool {
+	return t >= MsgHello && t <= MsgBatchAck && t != reserved5 && t != reserved6
+}
 
 // String implements fmt.Stringer.
 func (t MsgType) String() string {
@@ -75,10 +88,6 @@ func (t MsgType) String() string {
 		return "task-request"
 	case MsgTaskAssign:
 		return "task-assign"
-	case MsgTaskResult:
-		return "task-result"
-	case MsgResultAck:
-		return "result-ack"
 	case MsgNoWork:
 		return "no-work"
 	case MsgError:
@@ -228,16 +237,6 @@ type ChunkGrant struct {
 // Extra); Recv rejects larger frames.
 const MaxGrantChunks = 64
 
-// TaskResult returns a chunk's partial tally. Since protocol v3 the
-// batched ResultBatch is the workers' primary result path; TaskResult
-// remains for single-result callers and tests.
-type TaskResult struct {
-	JobID   uint64
-	ChunkID int
-	Elapsed time.Duration
-	Tally   *mc.Tally
-}
-
 // MaxBatchChunks bounds the total chunks covered by one ResultBatch;
 // larger frames are malformed or hostile and rejected by Recv before the
 // registry allocates per-chunk bookkeeping.
@@ -277,21 +276,19 @@ func (b *ResultBatch) NumChunks() int {
 }
 
 // BatchAck acknowledges a ResultBatch with exactly one ResultAck per
-// covered chunk, in batch order — the per-chunk duplicate/rejected
-// semantics of the single-result path are unchanged by batching.
+// covered chunk, in batch order.
 type BatchAck struct {
 	Acks []ResultAck
 }
 
-// ResultAck confirms receipt of a result. Duplicate reports (e.g. after a
+// ResultAck is one chunk's verdict inside a BatchAck. Duplicate reports (e.g. after a
 // timeout-triggered reassignment races the original worker) are acked with
 // Duplicate=true and discarded by the reducer. Rejected reports that the
 // result did not match any current assignment — a stale worker from a
 // previous run, a cancelled job, or a forged JobID — and was not reduced;
 // the session stays open so the worker can request fresh work.
 type ResultAck struct {
-	// JobID disambiguates acks inside a multi-job BatchAck; single-result
-	// acks set it too.
+	// JobID disambiguates acks inside a multi-job BatchAck.
 	JobID     uint64
 	ChunkID   int
 	Duplicate bool
@@ -322,8 +319,6 @@ type Message struct {
 	Welcome  *Welcome
 	Request  *TaskRequest
 	Assign   *TaskAssign
-	Result   *TaskResult
-	Ack      *ResultAck
 	NoWork   *NoWork
 	Error    *Error
 	Batch    *ResultBatch
@@ -356,6 +351,9 @@ func NewConnMetrics(reg *obs.Registry, subsystem string) *ConnMetrics {
 		"Protocol bytes by direction and message type.", "dir", "type")
 	m := &ConnMetrics{}
 	for t := MsgHello; t <= MsgBatchAck; t++ {
+		if !t.valid() {
+			continue
+		}
 		m.sendFrames[t] = frames.With("send", t.String())
 		m.recvFrames[t] = frames.With("recv", t.String())
 		m.sendBytes[t] = bytes.With("send", t.String())
@@ -428,7 +426,7 @@ func (c *Conn) Send(m *Message) error {
 	if err := c.bw.Flush(); err != nil {
 		return fmt.Errorf("protocol: send %v: %w", m.Type, err)
 	}
-	if c.met != nil && m.Type >= MsgHello && m.Type <= MsgBatchAck {
+	if c.met != nil && m.Type.valid() {
 		c.met.sendFrames[m.Type].Inc()
 		c.met.sendBytes[m.Type].Add(c.cw.n - before)
 	}
@@ -436,7 +434,7 @@ func (c *Conn) Send(m *Message) error {
 }
 
 // Recv decodes the next message and validates its envelope: a missing
-// type, an out-of-range type, an oversized KnownJobs/Holding advertisement
+// type, an out-of-range or reserved type, an oversized KnownJobs/Holding advertisement
 // or an oversized batch are protocol errors, not panics or unbounded
 // allocations further up the stack.
 func (c *Conn) Recv() (*Message, error) {
@@ -445,7 +443,7 @@ func (c *Conn) Recv() (*Message, error) {
 	if err := c.dec.Decode(&m); err != nil {
 		return nil, err
 	}
-	if m.Type < MsgHello || m.Type > MsgBatchAck {
+	if !m.Type.valid() {
 		return nil, fmt.Errorf("protocol: message with invalid type %d", int(m.Type))
 	}
 	if c.met != nil {

@@ -109,15 +109,18 @@ func TestTallyRoundTripPreservesEverything(t *testing.T) {
 	defer c1.Close()
 	defer c2.Close()
 	go func() {
-		c1.Send(&Message{Type: MsgTaskResult, Result: &TaskResult{
-			JobID: 1, ChunkID: 3, Elapsed: 5 * time.Second, Tally: tally,
-		}})
+		c1.Send(&Message{Type: MsgResultBatch, Batch: &ResultBatch{Groups: []BatchGroup{{
+			JobID: 1, Chunks: []int{3}, Elapsed: 5 * time.Second, TallyData: mc.AppendTally(nil, tally),
+		}}}})
 	}()
 	m, err := c2.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := m.Result.Tally
+	got, err := mc.DecodeTally(m.Batch.Groups[0].TallyData)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.Launched != tally.Launched ||
 		got.AbsorbedWeight != tally.AbsorbedWeight ||
 		got.DetectedWeight != tally.DetectedWeight ||
@@ -291,7 +294,7 @@ func TestRecvOnClosedConn(t *testing.T) {
 
 func TestMsgTypeStrings(t *testing.T) {
 	types := []MsgType{MsgHello, MsgWelcome, MsgTaskRequest, MsgTaskAssign,
-		MsgTaskResult, MsgResultAck, MsgNoWork, MsgError, MsgResultBatch,
+		reserved5, reserved6, MsgNoWork, MsgError, MsgResultBatch,
 		MsgBatchAck, MsgType(42)}
 	for _, ty := range types {
 		if ty.String() == "" {

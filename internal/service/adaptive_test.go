@@ -409,10 +409,10 @@ func TestNormalizePrecisionDefaults(t *testing.T) {
 	}
 }
 
-// TestPrecisionCheckpointResume round-trips an in-flight precision job
-// through Snapshot/SubmitSnapshot: completed chunks stay reduced, the
+// TestPrecisionSnapshotResume round-trips an in-flight precision job
+// through its journal snapshot and SubmitSnapshot: completed chunks stay reduced, the
 // estimate is restored, and the resumed job can still finish.
-func TestPrecisionCheckpointResume(t *testing.T) {
+func TestPrecisionSnapshotResume(t *testing.T) {
 	reg := New(Options{})
 	startWorkers(t, reg, 2)
 	spec := targetSpec(7)
@@ -425,7 +425,7 @@ func TestPrecisionCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := out.Job.Snapshot()
+	snap := snapshotOf(t, out.Job)
 	if snap.NChunks == 0 || snap.Tally.Moments == nil {
 		t.Fatalf("snapshot lost the precision state: %d chunks", snap.NChunks)
 	}

@@ -151,7 +151,7 @@ type TenantLevel struct {
 // authoritatively under its lock, so implementations must be cheap and
 // goroutine-safe. Cache hits and coalesced submissions are consulted with
 // zero photon cost (Admit(tenant, 0) — one job token, no quota spend);
-// checkpoint resumes and journal replay are never consulted.
+// journal replay is never consulted.
 type AdmissionPolicy interface {
 	Name() string
 	// Probe reports whether a submission costing photons would be admitted

@@ -103,8 +103,8 @@ func PhysicsKeyOf(spec *mc.Spec, chunkPhotons int64, seed uint64, fan int) (Key,
 // cache is a bounded FIFO-evicting map from job key to completed tally,
 // plus a physics-keyed side index serving meets-or-exceeds precision
 // lookups (one entry per physics key: the deepest — most photons — stored
-// run of that decomposition). It carries its own lock so the
-// gob-round-trip tally clones in get/put never stall the registry mutex
+// run of that decomposition). It carries its own lock so the tally clones
+// in get/put (a megabyte for a 50³ grid) never stall the registry mutex
 // (and with it the whole fleet).
 type cache struct {
 	mu      sync.Mutex
@@ -155,13 +155,13 @@ func (c *cache) getCounted(k Key, recordMiss bool) *mc.Tally {
 		return nil
 	}
 	c.hits++
-	return cloneTally(t)
+	return t.Clone()
 }
 
 // put stores a deep copy of a pre-cloned tally: the live tally is also
 // handed to Wait callers, who are free to Merge into it; the cache entry
-// must not alias it. Callers clone before put so the expensive gob round
-// trip can happen outside any lock they hold.
+// must not alias it. Callers clone before put so the copy can happen
+// outside any lock they hold.
 func (c *cache) put(k Key, clone *mc.Tally) {
 	if c == nil || clone == nil {
 		return
@@ -218,7 +218,7 @@ func (c *cache) getMeeting(pk Key, tgt *mc.Target) *mc.Tally {
 		return nil
 	}
 	c.hits++
-	return cloneTally(t)
+	return t.Clone()
 }
 
 // stats snapshots the entry count and hit/miss counters.

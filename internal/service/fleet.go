@@ -21,7 +21,7 @@ type session struct {
 	mflops    float64
 	remote    string // transport remote address ("" for in-memory pipes)
 	connected time.Time
-	lastSeen  time.Time // last TaskRequest or result from this connection
+	lastSeen  time.Time // last TaskRequest or result batch from this connection
 	// assigned is the set of chunks this session owns: the one it is
 	// computing plus any it has computed but not yet flushed (protocol v3
 	// workers batch results). An entry lives until its result is reduced,
@@ -164,14 +164,6 @@ func (r *Registry) HandleConn(rw io.ReadWriteCloser) error {
 			}
 			ack := &protocol.BatchAck{Acks: r.reduceBatch(sess, msg.Batch, &scratch)}
 			if err := pc.Send(&protocol.Message{Type: protocol.MsgBatchAck, BatchAck: ack}); err != nil {
-				return err
-			}
-		case protocol.MsgTaskResult:
-			if msg.Result == nil || msg.Result.Tally == nil {
-				return fmt.Errorf("service: empty result from %q", sess.name)
-			}
-			ack := r.handleResult(sess, msg.Result)
-			if err := pc.Send(&protocol.Message{Type: protocol.MsgResultAck, Ack: ack}); err != nil {
 				return err
 			}
 		default:
@@ -508,15 +500,6 @@ func (r *Registry) rejectGroup(sess *session, g *protocol.BatchGroup, reason str
 	return acks
 }
 
-// handleResult routes a single returned tally to its job — the
-// pre-batching result path, still spoken by tests and single-result
-// clients. It shares the reduction machinery (and its exactly-once
-// guarantees) with the batched path.
-func (r *Registry) handleResult(sess *session, res *protocol.TaskResult) *protocol.ResultAck {
-	acks := r.reduceGroup(sess, res.JobID, []int{res.ChunkID}, res.Tally, res.Elapsed, nil)
-	return &acks[0]
-}
-
 // spanSeed is the server-side half of one chunk's span, captured at claim
 // time (phase 1) while the chunk's outstanding entry still exists, and
 // joined with compute/reduce durations at publish time (phase 3).
@@ -687,8 +670,8 @@ func (r *Registry) reduceGroup(sess *session, jobID uint64, chunks []int, tally 
 	r.mu.Unlock()
 
 	// Phase 2: merge off the registry lock. redMu serialises merges into
-	// this job's tally and orders before the registry lock (Snapshot takes
-	// them in the same order).
+	// this job's tally and orders before the registry lock (the journal's
+	// snapshotRecord takes them in the same order).
 	j.redMu.Lock()
 	// Re-check liveness now that the reduction lock is held: a cancel —
 	// or another batch meeting the job's precision target — may have

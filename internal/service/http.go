@@ -1,9 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -92,7 +94,8 @@ type JobResultBody struct {
 	Tally     *mc.Tally `json:"tally"`
 }
 
-type apiError struct {
+// APIError is the body of every non-2xx answer.
+type APIError struct {
 	Error string `json:"error"`
 	State string `json:"state,omitempty"`
 }
@@ -119,62 +122,84 @@ func (a *API) Register(mux *http.ServeMux) {
 	mux.HandleFunc("GET /tenants", a.tenants)
 }
 
-func writeJSON(w http.ResponseWriter, code int, body any) {
+// WriteJSON answers with a JSON body — the one response renderer of the
+// job API, shared with the gateway tier in front of it.
+func WriteJSON(w http.ResponseWriter, code int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(body)
 }
 
+// WriteShed answers a refused submission: 429 with the moment a retry
+// could succeed — the token bucket's refill time, or a queue-depth-scaled
+// wait for the active-job cap — rounded up to whole seconds.
+func WriteShed(w http.ResponseWriter, shed *ShedError) {
+	secs := int64((shed.RetryAfter + time.Second - 1) / time.Second)
+	if secs < 1 {
+		secs = 1
+	}
+	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+	WriteJSON(w, http.StatusTooManyRequests, APIError{Error: shed.Error()})
+}
+
 func (a *API) jobFromPath(w http.ResponseWriter, req *http.Request) *Job {
 	id, err := strconv.ParseUint(req.PathValue("id"), 16, 64)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("bad job id: %v", err)})
+		WriteJSON(w, http.StatusBadRequest, APIError{Error: fmt.Sprintf("bad job id: %v", err)})
 		return nil
 	}
 	j := a.reg.Get(id)
 	if j == nil {
-		writeJSON(w, http.StatusNotFound, apiError{Error: fmt.Sprintf("no job %016x", id)})
+		WriteJSON(w, http.StatusNotFound, APIError{Error: fmt.Sprintf("no job %016x", id)})
 		return nil
 	}
 	return j
 }
 
-func (a *API) submit(w http.ResponseWriter, req *http.Request) {
+// ReadSubmission is the POST /jobs ingress, the same for a shard and for
+// a gateway in front of it: cap the body (0 means DefaultMaxBodyBytes,
+// negative disables the cap), decode it strictly, resolve the tenant
+// (header over body field) and map the request onto a JobSpec. raw is the
+// body as received, for a proxy to forward. On any failure the 4xx has
+// been written and ok is false.
+func ReadSubmission(w http.ResponseWriter, req *http.Request, maxBody int64) (spec JobSpec, raw []byte, ok bool) {
+	fail := func(code int, format string, args ...any) (JobSpec, []byte, bool) {
+		WriteJSON(w, code, APIError{Error: fmt.Sprintf(format, args...)})
+		return JobSpec{}, nil, false
+	}
 	// Bound the body before touching it: a multi-GB "spec" must die at the
-	// reader, not after the decoder has buffered it into memory.
-	limit := a.MaxBodyBytes
-	if limit == 0 {
-		limit = DefaultMaxBodyBytes
+	// reader, not after it has been buffered into memory.
+	if maxBody == 0 {
+		maxBody = DefaultMaxBodyBytes
 	}
 	r := req.Body
-	if limit > 0 {
-		r = http.MaxBytesReader(w, req.Body, limit)
+	if maxBody > 0 {
+		r = http.MaxBytesReader(w, req.Body, maxBody)
 	}
-	dec := json.NewDecoder(r)
+	raw, err := io.ReadAll(r)
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return fail(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+		}
+		return fail(http.StatusBadRequest, "bad request body: %v", err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
 	// A typoed field ("prioirty", "photon") must fail loudly, not submit a
 	// silently-defaulted job.
 	dec.DisallowUnknownFields()
 	var body JobRequest
 	if err := dec.Decode(&body); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				apiError{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("bad request body: %v", err)})
-		return
+		return fail(http.StatusBadRequest, "bad request body: %v", err)
 	}
 	tenant := strings.TrimSpace(req.Header.Get(TenantHeader))
 	if tenant == "" {
 		tenant = strings.TrimSpace(body.Tenant)
 	}
 	if len(tenant) > MaxTenantNameLen {
-		writeJSON(w, http.StatusBadRequest,
-			apiError{Error: fmt.Sprintf("tenant name longer than %d bytes", MaxTenantNameLen)})
-		return
+		return fail(http.StatusBadRequest, "tenant name longer than %d bytes", MaxTenantNameLen)
 	}
-	out, err := a.reg.Submit(JobSpec{
+	return JobSpec{
 		Spec:         body.Spec,
 		TotalPhotons: body.Photons,
 		ChunkPhotons: body.ChunkPhotons,
@@ -186,30 +211,31 @@ func (a *API) submit(w http.ResponseWriter, req *http.Request) {
 		Weight:       body.Weight,
 		Label:        body.Label,
 		Tenant:       tenant,
-	})
+	}, raw, true
+}
+
+func (a *API) submit(w http.ResponseWriter, req *http.Request) {
+	spec, _, ok := ReadSubmission(w, req, a.MaxBodyBytes)
+	if !ok {
+		return
+	}
+	out, err := a.reg.Submit(spec)
 	if err != nil {
 		var shed *ShedError
 		if errors.As(err, &shed) {
-			// Load shedding, not a malformed job: tell the client when a
-			// retry could succeed — the token bucket's refill time, or a
-			// queue-depth-scaled wait for the active-job cap.
-			secs := int64((shed.RetryAfter + time.Second - 1) / time.Second)
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-			writeJSON(w, http.StatusTooManyRequests, apiError{Error: err.Error()})
+			// Load shedding, not a malformed job.
+			WriteShed(w, shed)
 			return
 		}
 		if IsInvalid(err) {
 			// The submission itself is malformed: the client's fault, and
 			// deterministic — a gateway must not retry it on another shard.
-			writeJSON(w, http.StatusUnprocessableEntity, apiError{Error: err.Error()})
+			WriteJSON(w, http.StatusUnprocessableEntity, APIError{Error: err.Error()})
 			return
 		}
 		// Everything else (a Spec.Build failure, internal wiring) is the
 		// service's own problem: a 503 a routing tier may retry elsewhere.
-		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: err.Error()})
+		WriteJSON(w, http.StatusServiceUnavailable, APIError{Error: err.Error()})
 		return
 	}
 	st := out.Job.Status()
@@ -217,7 +243,7 @@ func (a *API) submit(w http.ResponseWriter, req *http.Request) {
 	if out.Cached || out.Coalesced {
 		code = http.StatusOK
 	}
-	writeJSON(w, code, JobAccepted{
+	WriteJSON(w, code, JobAccepted{
 		ID:        st.IDHex,
 		State:     st.State,
 		Cached:    out.Cached,
@@ -226,7 +252,7 @@ func (a *API) submit(w http.ResponseWriter, req *http.Request) {
 }
 
 func (a *API) list(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, a.reg.List())
+	WriteJSON(w, http.StatusOK, a.reg.List())
 }
 
 func (a *API) status(w http.ResponseWriter, req *http.Request) {
@@ -234,7 +260,7 @@ func (a *API) status(w http.ResponseWriter, req *http.Request) {
 	if j == nil {
 		return
 	}
-	writeJSON(w, http.StatusOK, j.Status())
+	WriteJSON(w, http.StatusOK, j.Status())
 }
 
 func (a *API) result(w http.ResponseWriter, req *http.Request) {
@@ -247,10 +273,10 @@ func (a *API) result(w http.ResponseWriter, req *http.Request) {
 	case StateDone.String():
 		res, err := j.Wait(time.Second) // already done; returns immediately
 		if err != nil {
-			writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
+			WriteJSON(w, http.StatusInternalServerError, APIError{Error: err.Error()})
 			return
 		}
-		writeJSON(w, http.StatusOK, JobResultBody{
+		WriteJSON(w, http.StatusOK, JobResultBody{
 			ID:        st.IDHex,
 			CacheHit:  res.CacheHit,
 			Target:    res.Target,
@@ -259,9 +285,9 @@ func (a *API) result(w http.ResponseWriter, req *http.Request) {
 			Tally:     res.Tally,
 		})
 	case StateCanceled.String():
-		writeJSON(w, http.StatusGone, apiError{Error: "job canceled", State: st.State})
+		WriteJSON(w, http.StatusGone, APIError{Error: "job canceled", State: st.State})
 	default:
-		writeJSON(w, http.StatusAccepted, apiError{Error: "job not finished", State: st.State})
+		WriteJSON(w, http.StatusAccepted, APIError{Error: "job not finished", State: st.State})
 	}
 }
 
@@ -296,7 +322,7 @@ func (a *API) events(w http.ResponseWriter, req *http.Request) {
 	if s := q.Get("kind"); s != "" {
 		k, ok := obs.ParseEventKind(s)
 		if !ok {
-			writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("unknown event kind %q", s)})
+			WriteJSON(w, http.StatusBadRequest, APIError{Error: fmt.Sprintf("unknown event kind %q", s)})
 			return
 		}
 		wantKind = k
@@ -305,7 +331,7 @@ func (a *API) events(w http.ResponseWriter, req *http.Request) {
 	if s := q.Get("since"); s != "" {
 		t, err := time.Parse(time.RFC3339Nano, s)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("bad since time: %v", err)})
+			WriteJSON(w, http.StatusBadRequest, APIError{Error: fmt.Sprintf("bad since time: %v", err)})
 			return
 		}
 		since = t
@@ -336,7 +362,7 @@ func (a *API) events(w http.ResponseWriter, req *http.Request) {
 		}
 		body.Events = append(body.Events, eb)
 	}
-	writeJSON(w, http.StatusOK, body)
+	WriteJSON(w, http.StatusOK, body)
 }
 
 // spanBody is the JSON view of one per-chunk span; segment durations are
@@ -381,27 +407,27 @@ func (a *API) spans(w http.ResponseWriter, req *http.Request) {
 			ReduceSeconds:  s.Reduce.Seconds(),
 		})
 	}
-	writeJSON(w, http.StatusOK, body)
+	WriteJSON(w, http.StatusOK, body)
 }
 
-// fleetBody is the GET /fleet response.
-type fleetBody struct {
+// FleetBody is the GET /fleet response.
+type FleetBody struct {
 	Workers []SessionStatus `json:"workers"`
 	Tenants []TenantStatus  `json:"tenants,omitempty"`
 }
 
 func (a *API) fleet(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, fleetBody{Workers: a.reg.Fleet(), Tenants: a.reg.Tenants()})
+	WriteJSON(w, http.StatusOK, FleetBody{Workers: a.reg.Fleet(), Tenants: a.reg.Tenants()})
 }
 
-// tenantsBody is the GET /tenants response.
-type tenantsBody struct {
+// TenantsBody is the GET /tenants response.
+type TenantsBody struct {
 	Admission string         `json:"admission"`
 	Tenants   []TenantStatus `json:"tenants"`
 }
 
 func (a *API) tenants(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, tenantsBody{
+	WriteJSON(w, http.StatusOK, TenantsBody{
 		Admission: a.reg.admission.Name(),
 		Tenants:   a.reg.Tenants(),
 	})
@@ -413,12 +439,12 @@ func (a *API) cancel(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if err := a.reg.Cancel(j.ID()); err != nil {
-		writeJSON(w, http.StatusConflict, apiError{Error: err.Error()})
+		WriteJSON(w, http.StatusConflict, APIError{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, j.Status())
+	WriteJSON(w, http.StatusOK, j.Status())
 }
 
 func (a *API) stats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, a.reg.Stats())
+	WriteJSON(w, http.StatusOK, a.reg.Stats())
 }

@@ -276,13 +276,13 @@ func TestHTTPTenantFloodEndToEnd(t *testing.T) {
 		t.Fatalf("stats alice rollup %+v", a)
 	}
 
-	var fb fleetBody
+	var fb FleetBody
 	getJSON(t, ts.URL+"/fleet", &fb)
 	if len(fb.Tenants) == 0 {
 		t.Fatal("fleet body carries no tenant rollup")
 	}
 
-	var tens tenantsBody
+	var tens TenantsBody
 	if code := getJSON(t, ts.URL+"/tenants", &tens); code != http.StatusOK {
 		t.Fatalf("GET /tenants: http %d", code)
 	}

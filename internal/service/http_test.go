@@ -11,7 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/detector"
 	"repro/internal/mc"
+	"repro/internal/source"
+	"repro/internal/tissue"
 )
 
 // postJob submits a job over the HTTP API and returns the response.
@@ -62,6 +65,35 @@ func waitDone(t *testing.T, ts *httptest.Server, id string) JobStatus {
 	}
 	t.Fatalf("job %s did not finish", id)
 	return JobStatus{}
+}
+
+// TestHTTPSubmitsThePapersHeadModel: tissue.AdultHead — semi-infinite
+// white matter and all — is submittable over POST /jobs, and the JSON form
+// that makes it so does not move its content key: the HTTP job gets the
+// very ID an in-process KeyOf of the same model derives.
+func TestHTTPSubmitsThePapersHeadModel(t *testing.T) {
+	reg := New(Options{})
+	ts := httptest.NewServer(NewAPI(reg).Handler())
+	defer ts.Close()
+
+	head := func() *mc.Spec {
+		return mc.NewSpec(tissue.AdultHead(),
+			source.Spec{Kind: source.KindPencil},
+			detector.Spec{Kind: detector.KindAnnulus, RMin: 10, RMax: 30})
+	}
+	acc, code := postJob(t, ts, JobRequest{Spec: head(), Photons: 400, ChunkPhotons: 100, Seed: 3})
+	if code != http.StatusCreated {
+		t.Fatalf("submit AdultHead: http %d %+v", code, acc)
+	}
+	key, err := KeyOf(head(), 400, 100, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("%016x", KeyID(key)); acc.ID != want {
+		t.Fatalf("HTTP job ID %s, in-process key derives %s", acc.ID, want)
+	}
+	startWorkers(t, reg, 1)
+	waitDone(t, ts, acc.ID)
 }
 
 // TestHTTPConcurrentJobsEndToEnd is the PR acceptance test: two concurrent
@@ -161,7 +193,7 @@ func TestHTTPCancelAndErrors(t *testing.T) {
 	}
 
 	// Result before completion → 202.
-	var e apiError
+	var e APIError
 	if code := getJSON(t, ts.URL+"/jobs/"+acc.ID+"/result", &e); code != http.StatusAccepted {
 		t.Fatalf("early result: http %d", code)
 	}

@@ -107,7 +107,7 @@ func TestSpanJoinAndFleetProfile(t *testing.T) {
 
 	// The same profile over HTTP, and the spans with seconds-valued
 	// segments.
-	var fb fleetBody
+	var fb FleetBody
 	if code := getJSON(t, ts.URL+"/fleet", &fb); code != http.StatusOK {
 		t.Fatalf("GET /fleet: http %d", code)
 	}

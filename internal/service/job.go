@@ -1,8 +1,6 @@
 package service
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"sort"
@@ -124,8 +122,8 @@ type chunkState struct {
 // per-job redMu so the fleet's dispatch lock is never held across a
 // (potentially grid-sized) Merge. Lock order is redMu before the registry
 // lock — reducers take redMu, merge, then re-enter the registry lock to
-// publish completion; Snapshot takes both in the same order to read a
-// merge-consistent (completed set, tally) pair.
+// publish completion; the journal's snapshotRecord takes both in the same
+// order to read a merge-consistent (completed set, tally) pair.
 type Job struct {
 	reg *Registry
 
@@ -506,51 +504,12 @@ func (j *Job) reclaimExpiredLocked(now time.Time) {
 	}
 }
 
-// Snapshot is a serialisable view of a job's reduction state, sufficient
-// to resume it in a fresh registry (the checkpoint payload).
+// Snapshot is a job's resumable reduction state — what journal replay
+// folds a job's accept and snapshot records into and hands to
+// SubmitSnapshot.
 type Snapshot struct {
 	Spec      JobSpec
 	NChunks   int
 	Completed []int // sorted chunk ids already reduced
 	Tally     *mc.Tally
-}
-
-// Snapshot captures the job's current reduction state. Chunks in flight
-// are not part of the snapshot and will be recomputed on resume.
-//
-// The per-job reduction lock is taken first (the lock order reducers use),
-// so the snapshot never observes a chunk whose merge has landed in the
-// tally without its completion mark, or vice versa — either would
-// double-count or drop the chunk on resume. Only the gob *encode* of the
-// tally runs under the locks (it must see a merge-consistent view); the
-// decode half of the deep copy happens after release, so periodic
-// checkpointing of a large-tally job holds the fleet's dispatch lock for
-// roughly half the clone cost.
-func (j *Job) Snapshot() *Snapshot {
-	j.redMu.Lock()
-	j.reg.mu.Lock()
-	snap := &Snapshot{
-		Spec:    j.spec,
-		NChunks: j.nChunks,
-	}
-	spec := *j.spec.Spec // keep the snapshot independent of the live job
-	snap.Spec.Spec = &spec
-	for id := 0; id < j.nChunks; id++ {
-		if j.completed[id] {
-			snap.Completed = append(snap.Completed, id)
-		}
-	}
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(j.tally)
-	j.reg.mu.Unlock()
-	j.redMu.Unlock()
-	if err != nil {
-		panic(fmt.Sprintf("service: snapshot tally encode: %v", err))
-	}
-	var tally mc.Tally
-	if err := gob.NewDecoder(&buf).Decode(&tally); err != nil {
-		panic(fmt.Sprintf("service: snapshot tally decode: %v", err))
-	}
-	snap.Tally = &tally
-	return snap
 }

@@ -21,12 +21,12 @@ import (
 // over a wal.Log that records every control-plane transition — job
 // accepted, chunk batches reduced, amortized tally snapshots, finalize,
 // cancel — so a restarted mcqueue replays its way back to the exact job
-// set a SIGKILL interrupted, rather than depending on the polite-death
-// SIGTERM checkpoint pass.
+// set a SIGKILL interrupted. It is the only persistence: a polite SIGTERM
+// merely compacts it first.
 //
 // The write policy is availability over durability-at-any-cost: an
-// append failure is logged and the registry keeps serving (the journal
-// degrades to the checkpoint behaviour it subsumes), and appends happen
+// append failure is logged and the registry keeps serving (what a later
+// crash can replay degrades, never what is being served), and appends happen
 // off the registry and reduction locks, so the fleet's hot path never
 // waits on storage. What replay restores is therefore bounded by the
 // fsync policy — and by the snapshot cadence, since chunk tallies are
@@ -209,11 +209,9 @@ func decodeSnapshotRec(data []byte) (Key, snapParts, error) {
 // snapshotRecord encodes a job's current resumable state directly from
 // the live job under its reduction + registry locks (the order reducers
 // use), so the record never observes a merge without its completion mark
-// or vice versa. Encoding in place — rather than materialising a
-// Snapshot deep copy first, as the checkpoint path does — matters: the
-// journal snapshots on the reduction path, and the deep copy's gob
-// round-trip tripled its cost.
-func (jl *Journal) snapshotRecord(j *Job, final bool) []byte {
+// or vice versa. The tally is encoded in place, not copied first: the
+// journal snapshots on the reduction path.
+func snapshotRecord(j *Job, final bool) []byte {
 	j.redMu.Lock()
 	j.reg.mu.Lock()
 	defer j.redMu.Unlock()
@@ -421,7 +419,7 @@ func (jl *Journal) chunksReduced(r *Registry, j *Job, chunks []int, finished boo
 
 // snapshot journals the job's current resumable state.
 func (jl *Journal) snapshot(j *Job, final bool) {
-	jl.appendRaw(wal.RecSnapshot, jl.snapshotRecord(j, final))
+	jl.appendRaw(wal.RecSnapshot, snapshotRecord(j, final))
 }
 
 // finalized journals a job's completion: its final snapshot (replay
@@ -460,9 +458,9 @@ func acceptedSpec(j *Job) JobSpec {
 	return spec
 }
 
-// resumed journals a job restored from a legacy checkpoint (or replay
-// itself) so the journal is self-contained going forward. The accept
-// record must precede the snapshot: snapshots carry no spec.
+// resumed re-journals a job restored by replay so the journal is
+// self-contained going forward. The accept record must precede the
+// snapshot: snapshots carry no spec.
 func (jl *Journal) resumed(j *Job, complete bool) {
 	if jl == nil {
 		return
@@ -531,7 +529,7 @@ func (jl *Journal) compact(r *Registry) error {
 		// snapshot — replay makes it born-Done either way. The gathered
 		// state only decides whether to add the finalize mark.
 		recs = append(recs, wal.Record{Type: wal.RecSnapshot,
-			Data: jl.snapshotRecord(j, states[i] == StateDone)})
+			Data: snapshotRecord(j, states[i] == StateDone)})
 		if states[i] == StateDone {
 			recs = append(recs, wal.Record{Type: wal.RecJobFinalized, Data: appendKeyRec(j.key)})
 		}

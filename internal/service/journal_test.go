@@ -40,6 +40,19 @@ func replayInto(t *testing.T, dir string, o Options) (*Registry, *wal.Log, int) 
 	return reg, wl, restored
 }
 
+// snapshotOf cuts a job's resumable state the way replay sees it: the
+// journal's own snapshot record decoded back, plus the accept record's
+// spec.
+func snapshotOf(t *testing.T, j *Job) *Snapshot {
+	t.Helper()
+	_, parts, err := decodeSnapshotRec(snapshotRecord(j, false))
+	if err != nil {
+		t.Fatalf("snapshot record: %v", err)
+	}
+	return &Snapshot{Spec: acceptedSpec(j), NChunks: parts.nChunks,
+		Completed: parts.completed, Tally: parts.tally}
+}
+
 // workChunks runs the minimal per-chunk worker loop until n chunks are
 // accepted, then disconnects — the mid-run crash shape the journal tests
 // need. It mirrors workClient but with a chunk budget.
@@ -57,6 +70,7 @@ func workChunks(rw net.Conn, n int) error {
 		cfg     *mc.Config
 		seed    uint64
 		streams int
+		fan     int
 	}
 	jobs := map[uint64]*rt{}
 	for done := 0; done < n; {
@@ -80,15 +94,15 @@ func workChunks(rw net.Conn, n int) error {
 				if err != nil {
 					return err
 				}
-				r = &rt{cfg: cfg, seed: a.Job.Seed, streams: a.Job.Streams}
+				r = &rt{cfg: cfg, seed: a.Job.Seed, streams: a.Job.Streams, fan: a.Job.Fan}
 				jobs[a.JobID] = r
 			}
-			tally, err := mc.RunStream(r.cfg, a.Photons, r.seed, a.Stream, r.streams)
+			tally, err := mc.RunStreamFan(r.cfg, a.Photons, r.seed, a.Stream, r.streams, r.fan)
 			if err != nil {
 				return err
 			}
-			if err := pc.Send(&protocol.Message{Type: protocol.MsgTaskResult,
-				Result: &protocol.TaskResult{JobID: a.JobID, ChunkID: a.ChunkID, Tally: tally}}); err != nil {
+			if err := pc.Send(&protocol.Message{Type: protocol.MsgResultBatch,
+				Batch: oneChunkBatch(a.JobID, a.ChunkID, tally)}); err != nil {
 				return err
 			}
 			if _, err := pc.Recv(); err != nil {
@@ -169,70 +183,107 @@ func TestJournalReplayResumesAcceptedJob(t *testing.T) {
 	}
 }
 
-// TestJournalCrashMidRunByteIdenticalTally is the PR's durability
-// acceptance property: kill the registry mid-job, replay from the last
-// amortized snapshot, recompute the lost tail, and the final tally is
-// byte-for-byte the uninterrupted run's. Single worker + per-chunk
-// results make the merge order deterministic (grants pop descending), so
-// "identical" here means identical float fold — not just close.
+// TestJournalCrashMidRunByteIdenticalTally is the durability acceptance
+// property, for every job shape the journal carries — fixed-count, fanned
+// (the fan width must survive the accept record, or the resumed chunks
+// decompose into different sub-streams) and precision-targeted (open-ended
+// chunk space, moments in the snapshot tally): kill the registry mid-job,
+// replay from the last amortized snapshot, recompute the lost tail, and
+// the final tally is byte-for-byte the uninterrupted run's. Single worker
+// + per-chunk results make the merge order deterministic, so "identical"
+// here means identical float fold — not just close.
 func TestJournalCrashMidRunByteIdenticalTally(t *testing.T) {
-	spec := slabSpec(4)
-	js := JobSpec{Spec: spec, TotalPhotons: 2000, ChunkPhotons: 250, Seed: 13}
+	for name, js := range map[string]JobSpec{
+		"fixed-count": {Spec: slabSpec(4), TotalPhotons: 2000, ChunkPhotons: 250, Seed: 13},
+		"fanned":      {Spec: slabSpec(4), TotalPhotons: 2000, ChunkPhotons: 250, Seed: 13, Fan: 3},
+		// The default 16-chunk floor keeps the job running well past the kill.
+		"precision-target": {Spec: targetSpec(4), ChunkPhotons: 250, Seed: 13,
+			Target: &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.05}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			// Baseline: the same job on an unjournaled registry, one
+			// worker, never interrupted.
+			base := New(Options{})
+			outBase, err := base.Submit(js)
+			if err != nil {
+				t.Fatal(err)
+			}
+			startWorkers(t, base, 1)
+			resBase, err := outBase.Job.Wait(60 * time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			baseBytes := tallyBytes(t, resBase.Tally)
 
-	// Baseline: the same job on an unjournaled registry, one worker,
-	// never interrupted.
-	base := New(Options{})
-	outBase, err := base.Submit(js)
-	if err != nil {
-		t.Fatal(err)
-	}
-	startWorkers(t, base, 1)
-	resBase, err := outBase.Job.Wait(60 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseBytes := tallyBytes(t, resBase.Tally)
+			// Crash run: snapshot every 2 reduced chunks, kill after 5.
+			dir := t.TempDir()
+			regA, wlA, _ := journaledRegistry(t, dir, 2, Options{})
+			outA, err := regA.Submit(js)
+			if err != nil {
+				t.Fatal(err)
+			}
+			server, client := net.Pipe()
+			go regA.HandleConn(server)
+			if err := workChunks(client, 5); err != nil {
+				t.Fatalf("partial worker: %v", err)
+			}
+			client.Close()
+			if done, _ := outA.Job.Progress(); done != 5 {
+				t.Fatalf("crash run completed %d chunks, want 5", done)
+			}
+			wlA.Close() // SIGKILL
 
-	// Crash run: snapshot every 2 reduced chunks, kill after 5 of 8.
-	dir := t.TempDir()
-	regA, wlA, _ := journaledRegistry(t, dir, 2, Options{})
-	outA, err := regA.Submit(js)
-	if err != nil {
-		t.Fatal(err)
+			regB, wlB, restored := replayInto(t, dir, Options{})
+			defer wlB.Close()
+			if restored != 1 {
+				t.Fatalf("replay restored %d jobs, want 1", restored)
+			}
+			j := regB.Get(outA.Job.ID())
+			if j == nil {
+				t.Fatal("mid-run job not replayed")
+			}
+			// The 5th chunk landed after the last snapshot: its chunk record
+			// is a progress marker only, so replay resumes from 4 completed
+			// and the 5th recomputes (chunk tallies are pure functions of
+			// the stream).
+			if done, _ := j.Progress(); done != 4 {
+				t.Fatalf("resumed at %d chunks, want 4 (last snapshot)", done)
+			}
+			startWorkers(t, regB, 1)
+			res, err := j.Wait(60 * time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Tally.Launched != resBase.Tally.Launched {
+				t.Fatalf("resumed run launched %d photons, uninterrupted %d",
+					res.Tally.Launched, resBase.Tally.Launched)
+			}
+			if !bytes.Equal(tallyBytes(t, res.Tally), baseBytes) {
+				t.Fatal("resumed tally is not byte-identical to the uninterrupted run")
+			}
+		})
 	}
-	server, client := net.Pipe()
-	go regA.HandleConn(server)
-	if err := workChunks(client, 5); err != nil {
-		t.Fatalf("partial worker: %v", err)
-	}
-	client.Close()
-	if done, _ := outA.Job.Progress(); done != 5 {
-		t.Fatalf("crash run completed %d chunks, want 5", done)
-	}
-	wlA.Close() // SIGKILL
+}
 
-	regB, wlB, restored := replayInto(t, dir, Options{})
-	defer wlB.Close()
-	if restored != 1 {
-		t.Fatalf("replay restored %d jobs, want 1", restored)
-	}
-	j := regB.Get(outA.Job.ID())
-	if j == nil {
-		t.Fatal("mid-run job not replayed")
-	}
-	// The 5th chunk landed after the last snapshot: its chunk record is a
-	// progress marker only, so replay resumes from 4 completed and the
-	// 5th recomputes (chunk tallies are pure functions of the stream).
-	if done, total := j.Progress(); done != 4 || total != 8 {
-		t.Fatalf("resumed at %d/%d chunks, want 4/8 (last snapshot)", done, total)
-	}
-	startWorkers(t, regB, 1)
-	res, err := j.Wait(60 * time.Second)
+// TestSnapshotRejectsOutOfRangeChunk: a snapshot naming a completed chunk
+// the job does not have is refused at both layers — the record decoder
+// (what a corrupt journal hits) and SubmitSnapshot (what replay calls).
+func TestSnapshotRejectsOutOfRangeChunk(t *testing.T) {
+	reg := New(Options{})
+	out, err := reg.Submit(JobSpec{Spec: slabSpec(5), TotalPhotons: 300, ChunkPhotons: 100, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(tallyBytes(t, res.Tally), baseBytes) {
-		t.Fatal("resumed tally is not byte-identical to the uninterrupted run")
+	snap := snapshotOf(t, out.Job)
+	snap.Completed = append(snap.Completed, 999)
+	if _, err := New(Options{}).SubmitSnapshot(snap); err == nil {
+		t.Fatal("snapshot with an out-of-range completed chunk accepted")
+	}
+
+	// key · flags 0 · 3 chunks · 1 completed · chunk id 3
+	rec := append(appendKeyRec(out.Job.key), 0, 3, 1, 3)
+	if _, _, err := decodeSnapshotRec(rec); err == nil {
+		t.Fatal("snapshot record with an out-of-range chunk id decoded")
 	}
 }
 

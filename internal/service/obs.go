@@ -61,9 +61,9 @@ type svcMetrics struct {
 func newServiceMetrics(reg *obs.Registry, r *Registry) *svcMetrics {
 	m := &svcMetrics{
 		jobsSubmitted: reg.Counter("service_jobs_submitted_total",
-			"Jobs accepted as fresh work (cache hits, coalesced submissions and checkpoint resumes excluded)."),
+			"Jobs accepted as fresh work (cache hits, coalesced submissions and snapshot resumes excluded)."),
 		jobsResumed: reg.Counter("service_jobs_resumed_total",
-			"Jobs restored from checkpoints (admission-exempt submissions)."),
+			"Jobs restored from journal snapshots (admission-exempt submissions)."),
 		jobsReplayed: reg.Counter("service_jobs_replayed_total",
 			"Jobs restored by write-ahead journal replay after a restart."),
 		jobsCoalesced: reg.Counter("service_jobs_coalesced_total",

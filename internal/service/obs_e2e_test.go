@@ -252,7 +252,7 @@ func TestObsShedOverCapacity(t *testing.T) {
 }
 
 // TestObsResumeNotCountedAsSubmit pins the resume-accounting fix: a
-// checkpointed job restored via SubmitSnapshot moves the dedicated resumed
+// journaled job restored via SubmitSnapshot moves the dedicated resumed
 // counter, never the submitted one, and the scraped series agree with the
 // Stats rollup — per tenant included.
 func TestObsResumeNotCountedAsSubmit(t *testing.T) {
@@ -263,7 +263,7 @@ func TestObsResumeNotCountedAsSubmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := out.Job.Snapshot()
+	snap := snapshotOf(t, out.Job)
 
 	reg, ts := obsServer(t, Options{})
 	if _, err := reg.SubmitSnapshot(snap); err != nil {

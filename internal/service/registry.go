@@ -39,7 +39,7 @@ type Registry struct {
 	batches        int64 // worker result batches reduced
 	merges         int64 // tally merges into job tallies (≤ chunks: pre-reduction)
 	submitted      int64 // fresh jobs accepted (cache hits / coalesced excluded)
-	resumed        int64 // jobs restored from checkpoints
+	resumed        int64 // jobs restored from journal snapshots
 	replayed       int64 // jobs restored by journal replay (subset of the above two)
 
 	// Dispatch scratch buffers, reused under mu so the per-request
@@ -364,9 +364,9 @@ func keysOf(spec *JobSpec) (key, pkey Key, err error) {
 	return key, pkey, nil
 }
 
-// SubmitSnapshot resumes a checkpointed job: already reduced chunks stay
-// reduced and only the rest are queued. A fully complete snapshot yields a
-// job born Done.
+// SubmitSnapshot resumes a job from its journaled snapshot: already
+// reduced chunks stay reduced and only the rest are queued. A fully
+// complete snapshot yields a job born Done.
 func (r *Registry) SubmitSnapshot(snap *Snapshot) (*Job, error) {
 	spec := snap.Spec
 	if err := spec.normalize(r.opts.MaxTargetPhotons); err != nil {
@@ -408,7 +408,7 @@ func (r *Registry) SubmitSnapshot(snap *Snapshot) (*Job, error) {
 			j.nCompleted++
 		}
 	}
-	j.tally = cloneTally(snap.Tally)
+	j.tally = snap.Tally.Clone()
 	j.publishEstimate(j.tally)
 	pending := j.pending[:0]
 	for _, id := range j.pending {
@@ -430,8 +430,8 @@ func (r *Registry) SubmitSnapshot(snap *Snapshot) (*Job, error) {
 		j.state = StateDone
 		j.finishedAt = time.Now()
 		close(j.finished)
-		r.cache.put(key, cloneTally(j.tally))
-		r.cache.putPhysics(pkey, cloneTally(j.tally))
+		r.cache.put(key, j.tally.Clone())
+		r.cache.putPhysics(pkey, j.tally.Clone())
 	}
 
 	r.mu.Lock()
@@ -441,7 +441,7 @@ func (r *Registry) SubmitSnapshot(snap *Snapshot) (*Job, error) {
 	}
 	r.registerLocked(j)
 	// Resumes are admission-exempt (the work was admitted before the
-	// checkpoint) but they are submissions: count them, or the scraped
+	// restart) but they are submissions: count them, or the scraped
 	// series disagree with Stats after every restart.
 	r.resumed++
 	j.tstats.resumed++
@@ -458,7 +458,7 @@ func (r *Registry) SubmitSnapshot(snap *Snapshot) (*Job, error) {
 	}
 	r.mu.Unlock()
 	// Re-journal the restored job so the log is self-contained from here
-	// on, whether it came from a legacy checkpoint or from replay itself.
+	// on.
 	r.journal.resumed(j, complete)
 	return j, nil
 }
@@ -601,7 +601,7 @@ func (r *Registry) removeActiveLocked(j *Job) {
 // and, when the tally carries moments, the physics index that serves
 // meets-or-exceeds precision lookups — and releases its waiters.
 func (r *Registry) sealJob(j *Job) {
-	clone := cloneTally(j.tally)
+	clone := j.tally.Clone()
 	r.cache.put(j.key, clone)
 	r.cache.putPhysics(j.pkey, clone)
 	close(j.finished)

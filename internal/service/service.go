@@ -14,7 +14,7 @@
 // kernel throughput rather than per-chunk wire bookkeeping.
 //
 // Completed tallies land in a content-addressed result cache keyed by the
-// canonical gob encoding of (Spec, TotalPhotons, ChunkPhotons, Seed) —
+// canonical encoding of (Spec, TotalPhotons, ChunkPhotons, Seed) —
 // plus the Fan width when one is set, since a fanned chunk decomposes into
 // different sub-streams — the exact tuple that determines a reproducible
 // result. A duplicate submission returns instantly without assigning a
@@ -29,8 +29,8 @@
 // ShedErrors the HTTP layer turns into 429s with a computed Retry-After.
 // Cache hits and coalesced submissions still debit one job-rate token —
 // a resubmission is a submission — but are exempt from the photon quota
-// and the active-jobs cap (they add no new simulation work); checkpoint
-// resumes and journal replay bypass admission entirely.
+// and the active-jobs cap (they add no new simulation work); journal
+// replay bypasses admission entirely.
 //
 // The same content keys shard the control plane: RoutingKeys derives a
 // submission's key without a Registry, ShardOfKey maps it onto one of N
@@ -50,8 +50,6 @@
 package service
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"log/slog"
 	"time"
@@ -255,18 +253,4 @@ func (s *JobSpec) numChunks() int {
 		return 0
 	}
 	return int((s.TotalPhotons + s.ChunkPhotons - 1) / s.ChunkPhotons)
-}
-
-// cloneTally deep-copies a tally via a gob round trip (tallies are plain
-// data, so this is exact).
-func cloneTally(t *mc.Tally) *mc.Tally {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(t); err != nil {
-		panic(fmt.Sprintf("service: clone tally encode: %v", err))
-	}
-	var out mc.Tally
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		panic(fmt.Sprintf("service: clone tally decode: %v", err))
-	}
-	return &out
 }

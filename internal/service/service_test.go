@@ -77,8 +77,21 @@ func startWorkers(t *testing.T, reg *Registry, n int) {
 	}
 }
 
-// workClient is a minimal v2 worker loop (mirrors distsys.Work, which
-// lives above this package in the import graph).
+// oneChunkBatch is the single-result path: a batch covering one chunk.
+func oneChunkBatch(jobID uint64, chunk int, tally *mc.Tally) *protocol.ResultBatch {
+	return &protocol.ResultBatch{Groups: []protocol.BatchGroup{{
+		JobID: jobID, Chunks: []int{chunk}, TallyData: mc.AppendTally(nil, tally),
+	}}}
+}
+
+// reduceOne delivers one chunk's tally through the production batch
+// reducer and returns that chunk's ack.
+func reduceOne(reg *Registry, sess *session, a *protocol.TaskAssign, tally *mc.Tally) protocol.ResultAck {
+	return reg.reduceBatch(sess, oneChunkBatch(a.JobID, a.ChunkID, tally), &mc.Tally{})[0]
+}
+
+// workClient is a minimal one-chunk-per-round-trip worker loop (mirrors
+// distsys.Work, which lives above this package in the import graph).
 func workClient(rw net.Conn, name string) (int, error) {
 	pc := protocol.NewConn(rw)
 	defer pc.Close()
@@ -93,6 +106,7 @@ func workClient(rw net.Conn, name string) (int, error) {
 		cfg     *mc.Config
 		seed    uint64
 		streams int
+		fan     int
 	}
 	jobs := map[uint64]*rt{}
 	chunks := 0
@@ -117,15 +131,15 @@ func workClient(rw net.Conn, name string) (int, error) {
 				if err != nil {
 					return chunks, err
 				}
-				r = &rt{cfg: cfg, seed: a.Job.Seed, streams: a.Job.Streams}
+				r = &rt{cfg: cfg, seed: a.Job.Seed, streams: a.Job.Streams, fan: a.Job.Fan}
 				jobs[a.JobID] = r
 			}
-			tally, err := mc.RunStream(r.cfg, a.Photons, r.seed, a.Stream, r.streams)
+			tally, err := mc.RunStreamFan(r.cfg, a.Photons, r.seed, a.Stream, r.streams, r.fan)
 			if err != nil {
 				return chunks, err
 			}
-			if err := pc.Send(&protocol.Message{Type: protocol.MsgTaskResult,
-				Result: &protocol.TaskResult{JobID: a.JobID, ChunkID: a.ChunkID, Tally: tally}}); err != nil {
+			if err := pc.Send(&protocol.Message{Type: protocol.MsgResultBatch,
+				Batch: oneChunkBatch(a.JobID, a.ChunkID, tally)}); err != nil {
 				return chunks, err
 			}
 			if _, err := pc.Recv(); err != nil {
@@ -630,9 +644,7 @@ func TestAbandonedAssignmentRequeued(t *testing.T) {
 
 	// An unmergeable tally must also requeue the chunk (and count as a
 	// rejection), so a malformed result cannot wedge the job.
-	ack := reg.handleResult(sess, &protocol.TaskResult{
-		JobID: j.ID(), ChunkID: second.ChunkID, Tally: &mc.Tally{},
-	})
+	ack := reduceOne(reg, sess, second, &mc.Tally{})
 	if !ack.Rejected {
 		t.Fatal("unmergeable tally not rejected")
 	}
@@ -665,12 +677,12 @@ func TestLateResultAfterReclaimDoesNotRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunkTally := func(a *protocol.TaskAssign) *protocol.TaskResult {
+	chunkTally := func(a *protocol.TaskAssign) *mc.Tally {
 		tt, err := mc.RunStream(cfg, a.Photons, 14, a.Stream, j.NumChunks())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return &protocol.TaskResult{JobID: a.JobID, ChunkID: a.ChunkID, Tally: tt}
+		return tt
 	}
 	newSess := func(id uint64) *session {
 		s := &session{id: id, name: fmt.Sprintf("s%d", id), knownJobs: map[uint64]bool{}}
@@ -691,7 +703,7 @@ func TestLateResultAfterReclaimDoesNotRecompute(t *testing.T) {
 
 	// The original workers deliver late; both must still be reduced (they
 	// computed the right streams) and must clean up the requeued copies.
-	if ack := reg.handleResult(s1, chunkTally(a1)); ack.Rejected || ack.Duplicate {
+	if ack := reduceOne(reg, s1, a1, chunkTally(a1)); ack.Rejected || ack.Duplicate {
 		t.Fatalf("late result 1 not reduced: %+v", ack)
 	}
 	reg.mu.Lock()
@@ -701,10 +713,10 @@ func TestLateResultAfterReclaimDoesNotRecompute(t *testing.T) {
 		}
 	}
 	reg.mu.Unlock()
-	if ack := reg.handleResult(s2, chunkTally(a2)); ack.Rejected || ack.Duplicate {
+	if ack := reduceOne(reg, s2, a2, chunkTally(a2)); ack.Rejected || ack.Duplicate {
 		t.Fatalf("late result 2 not reduced: %+v", ack)
 	}
-	if ack := reg.handleResult(s3, chunkTally(a3)); !ack.Duplicate {
+	if ack := reduceOne(reg, s3, a3, chunkTally(a3)); !ack.Duplicate {
 		t.Fatalf("redundant reassigned result not a duplicate: %+v", ack)
 	}
 
@@ -776,8 +788,7 @@ func TestPartiallyStaleBatchRequeued(t *testing.T) {
 		// test only needs *some* overlap, so track which one s2 got.
 		t.Logf("s2 recomputes chunk %d", a3.ChunkID)
 	}
-	if ack := reg.handleResult(s2, &protocol.TaskResult{
-		JobID: a3.JobID, ChunkID: a3.ChunkID, Tally: chunkTally(a3)}); ack.Rejected || ack.Duplicate {
+	if ack := reduceOne(reg, s2, a3, chunkTally(a3)); ack.Rejected || ack.Duplicate {
 		t.Fatalf("s2 recompute not reduced: %+v", ack)
 	}
 
@@ -831,8 +842,7 @@ func TestPartiallyStaleBatchRequeued(t *testing.T) {
 			break
 		}
 		a := m.Assign
-		if ack := reg.handleResult(s2, &protocol.TaskResult{
-			JobID: a.JobID, ChunkID: a.ChunkID, Tally: chunkTally(a)}); ack.Rejected {
+		if ack := reduceOne(reg, s2, a, chunkTally(a)); ack.Rejected {
 			t.Fatalf("honest recompute rejected: %+v", ack)
 		}
 	}
@@ -949,41 +959,44 @@ func TestBatchGroupRepeatedChunkRejected(t *testing.T) {
 	}
 }
 
-// TestV2WorkerRejectedGracefully pins the version gate: a protocol v2
-// worker connecting to the v3 service gets a clear error message and a
-// closed session — no hang, no silent protocol confusion.
-func TestV2WorkerRejectedGracefully(t *testing.T) {
-	reg := New(Options{})
-	server, client := net.Pipe()
-	done := make(chan error, 1)
-	go func() { done <- reg.HandleConn(server) }()
+// TestOldWorkerRejectedGracefully pins the version gate: a worker speaking
+// an older protocol — v2, or the v4 that still had single-result frames —
+// gets a clear error message at the handshake and a closed session: no
+// hang, no mid-session failure on its first unknown frame.
+func TestOldWorkerRejectedGracefully(t *testing.T) {
+	for _, version := range []int{2, 4} {
+		reg := New(Options{})
+		server, client := net.Pipe()
+		done := make(chan error, 1)
+		go func() { done <- reg.HandleConn(server) }()
 
-	pc := protocol.NewConn(client)
-	defer pc.Close()
-	if err := pc.Send(&protocol.Message{Type: protocol.MsgHello,
-		Hello: &protocol.Hello{Version: 2, Name: "legacy"}}); err != nil {
-		t.Fatal(err)
-	}
-	reply, err := pc.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Type != protocol.MsgError || reply.Error == nil {
-		t.Fatalf("v2 hello answered with %v, want a protocol error", reply.Type)
-	}
-	if !strings.Contains(reply.Error.Msg, "version mismatch") {
-		t.Fatalf("unclear rejection message: %q", reply.Error.Msg)
-	}
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("server treated the v2 worker as accepted")
+		pc := protocol.NewConn(client)
+		defer pc.Close()
+		if err := pc.Send(&protocol.Message{Type: protocol.MsgHello,
+			Hello: &protocol.Hello{Version: version, Name: "legacy"}}); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("server hung on a v2 worker")
-	}
-	if _, err := pc.Recv(); err == nil {
-		t.Fatal("session left open after version rejection")
+		reply, err := pc.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reply.Type != protocol.MsgError || reply.Error == nil {
+			t.Fatalf("v%d hello answered with %v, want a protocol error", version, reply.Type)
+		}
+		if !strings.Contains(reply.Error.Msg, "version mismatch") {
+			t.Fatalf("unclear rejection message: %q", reply.Error.Msg)
+		}
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("server treated the v%d worker as accepted", version)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("server hung on a v%d worker", version)
+		}
+		if _, err := pc.Recv(); err == nil {
+			t.Fatal("session left open after version rejection")
+		}
 	}
 }
 
@@ -1007,7 +1020,7 @@ func TestCachePutIsolatedFromCallerMutation(t *testing.T) {
 	launched := res.Tally.Launched
 	// Caller mutates its copy (self-merge is rejected by mc.Tally, so fold
 	// in a clone to double every accumulator).
-	if err := res.Tally.Merge(cloneTally(res.Tally)); err != nil {
+	if err := res.Tally.Merge(res.Tally.Clone()); err != nil {
 		t.Fatal(err)
 	}
 	dup, err := reg.Submit(JobSpec{Spec: slabSpec(5), TotalPhotons: 200, ChunkPhotons: 100, Seed: 12})

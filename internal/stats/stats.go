@@ -107,6 +107,13 @@ func NewHistogram(min, max float64, n int) *Histogram {
 	return &Histogram{Min: min, Max: max, Counts: make([]float64, n)}
 }
 
+// Clone returns a deep copy of the histogram.
+func (h *Histogram) Clone() *Histogram {
+	cp := *h
+	cp.Counts = append([]float64(nil), h.Counts...)
+	return &cp
+}
+
 // Add accumulates weight w at value x.
 func (h *Histogram) Add(x, w float64) {
 	switch {

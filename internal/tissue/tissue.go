@@ -4,6 +4,8 @@
 package tissue
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 
@@ -16,6 +18,52 @@ type Layer struct {
 	Name      string
 	Props     optics.Properties
 	Thickness float64
+}
+
+// layerJSON is Layer's JSON form. encoding/json refuses infinities, which
+// made the paper's own semi-infinite head model unsubmittable over HTTP;
+// an infinite thickness travels as the string "+Inf" instead, every finite
+// one as the plain number it always was.
+type layerJSON struct {
+	Name      string
+	Props     optics.Properties
+	Thickness thicknessJSON
+}
+
+type thicknessJSON float64
+
+func (t thicknessJSON) MarshalJSON() ([]byte, error) {
+	if math.IsInf(float64(t), 1) {
+		return []byte(`"+Inf"`), nil
+	}
+	return json.Marshal(float64(t))
+}
+
+func (t *thicknessJSON) UnmarshalJSON(data []byte) error {
+	if string(data) == `"+Inf"` {
+		*t = thicknessJSON(math.Inf(1))
+		return nil
+	}
+	return json.Unmarshal(data, (*float64)(t))
+}
+
+// MarshalJSON implements json.Marshaler.
+func (l Layer) MarshalJSON() ([]byte, error) {
+	return json.Marshal(layerJSON{l.Name, l.Props, thicknessJSON(l.Thickness)})
+}
+
+// UnmarshalJSON implements json.Unmarshaler. Unknown fields are refused:
+// a custom unmarshaler does not inherit the caller's
+// DisallowUnknownFields, and the job API relies on it to reject typos.
+func (l *Layer) UnmarshalJSON(data []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var v layerJSON
+	if err := dec.Decode(&v); err != nil {
+		return err
+	}
+	*l = Layer{v.Name, v.Props, float64(v.Thickness)}
+	return nil
 }
 
 // Model is a stack of layers. Layer 0 starts at z = 0 and the stack extends

@@ -1,7 +1,9 @@
 package tissue
 
 import (
+	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/optics"
@@ -157,5 +159,47 @@ func TestHomogeneousWhiteMatter(t *testing.T) {
 	}
 	if got := m.Layers[0].Props.MuSPrime(); math.Abs(got-9.1) > 1e-9 {
 		t.Fatalf("white matter µs′ = %g", got)
+	}
+}
+
+// TestLayerJSON pins Layer's JSON form: the semi-infinite layer of the
+// paper's head model round-trips as "+Inf" (encoding/json alone refuses
+// it), a finite thickness is still the plain number it always was, and a
+// typoed field is refused even though Layer decodes itself.
+func TestLayerJSON(t *testing.T) {
+	blob, err := json.Marshal(AdultHead())
+	if err != nil {
+		t.Fatalf("AdultHead does not marshal: %v", err)
+	}
+	var back Model
+	if err := json.Unmarshal(blob, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&back, AdultHead()) {
+		t.Fatalf("AdultHead changed in transit:\n%s", blob)
+	}
+	if !math.IsInf(back.Layers[4].Thickness, 1) {
+		t.Fatalf("white matter thickness %g, want +Inf", back.Layers[4].Thickness)
+	}
+
+	finite, err := json.Marshal(Layer{Name: "scalp", Props: ScalpProps, Thickness: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type plain Layer // Layer's fields without its methods: the default encoding
+	want, err := json.Marshal(plain{Name: "scalp", Props: ScalpProps, Thickness: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(finite) != string(want) {
+		t.Fatalf("finite layer encodes as %s, want the default %s", finite, want)
+	}
+
+	var l Layer
+	if err := json.Unmarshal([]byte(`{"Name":"x","Thicknes":3}`), &l); err == nil {
+		t.Fatal("typoed layer field accepted")
+	}
+	if _, err := json.Marshal(Layer{Thickness: math.Inf(-1)}); err == nil {
+		t.Fatal("-Inf thickness marshalled")
 	}
 }

@@ -8,7 +8,7 @@ import (
 // ReplaceHook, when non-nil, is invoked with the destination path after
 // every successful AtomicReplace. Tests install it to assert that a write
 // path really goes through the full fsync-then-rename-then-dir-sync
-// sequence (both the WAL compaction and the distsys checkpoint save must).
+// sequence (the WAL compaction must).
 // Never set outside tests.
 var ReplaceHook func(path string)
 

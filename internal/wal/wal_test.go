@@ -121,7 +121,7 @@ func TestCompactReplacesSegments(t *testing.T) {
 }
 
 // TestCompactUsesAtomicReplace pins the compaction write path to the
-// shared crash-durable helper (the same one Checkpoint.Save must use).
+// crash-durable helper.
 func TestCompactUsesAtomicReplace(t *testing.T) {
 	dir := t.TempDir()
 	var replaced []string

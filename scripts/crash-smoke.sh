@@ -61,7 +61,7 @@ start_queue() { # logfile [extra env...]
   env "$@" "$WORK/mcqueue" -addr "$FLEET" -http "$HTTP" \
     -wal-dir "$WORK/wal" -wal-fsync interval \
     -wal-segment-bytes 4096 -wal-snapshot-every 2 \
-    -checkpoint-dir "$WORK/ckpt" -log-format json >"$log" 2>&1 &
+    -log-format json >"$log" 2>&1 &
   QPID=$!
 }
 
@@ -113,8 +113,8 @@ done
 curl -fsS "http://$HTTP/jobs/$ID/result" | grep -q '"tally"' ||
   fail "replayed job has no result"
 
-# SIGTERM: the shutdown pass doubles as a final compaction — the journal
-# must shrink to one compacted segment holding the finished job's snapshot.
+# SIGTERM: the shutdown pass is a final compaction — the journal must
+# shrink to one compacted segment holding the finished job's snapshot.
 echo "crash-smoke: SIGTERM compaction..."
 kill -TERM "$QPID"
 STATUS=0

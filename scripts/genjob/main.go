@@ -4,7 +4,7 @@
 // shell script — keeps the smoke job compiling against whatever the
 // submission schema currently is. Flags size the job so the same tool can
 // emit both the quick job the smoke test runs to completion and the big
-// one it leaves active across the SIGTERM checkpoint pass.
+// one it leaves active across the SIGTERM journal compaction.
 package main
 
 import (

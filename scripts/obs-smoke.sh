@@ -3,7 +3,7 @@
 #
 # Boots a real mcqueue and one mcworker, submits a job over the HTTP API
 # with curl, and asserts the debug surface works from the outside:
-# /readyz gates on the fleet listener and checkpoint resume, /metrics
+# /readyz gates on journal replay and the fleet listener, /metrics
 # exposes the expected service- and worker-plane series with the right
 # values for this known job (plus build identity), GET /jobs/{id}/events
 # tells the lifecycle story (and filters by kind), GET /jobs/{id}/spans
@@ -13,8 +13,9 @@
 # a bucket-derived Retry-After (reason- and tenant-labeled on /metrics,
 # bucket levels on GET /tenants) while another tenant's job completes, and
 # SIGTERM shuts mcqueue down cleanly — with an unfinished job still
-# queued, so the final checkpoint pass must actually run before the
-# process exits (a drain that returns early loses it).
+# queued, so the final journal compaction must actually run before the
+# process exits — and a restart on the default journal directory replays
+# that job under its original ID.
 #
 # Stdlib + curl only; run from anywhere inside the repo.
 set -euo pipefail
@@ -33,6 +34,7 @@ cleanup() {
   wait 2>/dev/null || true
   if [ "${FAILED:-0}" != 0 ]; then
     echo "--- mcqueue log ---"; cat "$WORK/mcqueue.log" 2>/dev/null || true
+    echo "--- mcqueue log (restart) ---"; cat "$WORK/mcqueue-restart.log" 2>/dev/null || true
     echo "--- mcworker log ---"; cat "$WORK/mcworker.log" 2>/dev/null || true
   fi
   rm -rf "$WORK"
@@ -72,11 +74,15 @@ cat >"$WORK/tenants.json" <<'EOF'
 }
 EOF
 
-"$WORK/mcqueue" -addr "$FLEET" -http "$HTTP" -log-format json \
-  -tenants "$WORK/tenants.json" \
-  -checkpoint-dir "$WORK/ckpt" >"$WORK/mcqueue.log" 2>&1 &
-QPID=$!
-wait_http "http://$HTTP/readyz"
+start_queue() { # logfile
+  # No -wal-dir: the journal must be on by default, in ./mcqueue-wal — so
+  # the daemon runs from $WORK.
+  (cd "$WORK" && exec ./mcqueue -addr "$FLEET" -http "$HTTP" -log-format json \
+    -tenants "$WORK/tenants.json" >"$1" 2>&1) &
+  QPID=$!
+  wait_http "http://$HTTP/readyz"
+}
+start_queue "$WORK/mcqueue.log"
 
 "$WORK/mcworker" -addr "$FLEET" -name smoke-worker -debug-addr "$WDBG" \
   -log-format json >"$WORK/mcworker.log" 2>&1 &
@@ -216,14 +222,14 @@ TOP=$("$WORK/mctop" -addr "http://$HTTP" -once)
 echo "$TOP" | grep -q "TENANT" || fail "mctop renders no tenant table: $TOP"
 echo "$TOP" | grep -q "flood" || fail "mctop tenant table misses flood: $TOP"
 
-echo "obs-smoke: graceful shutdown checkpoints the active job..."
+echo "obs-smoke: graceful shutdown journals the active job..."
 # Stop the worker, then queue a job nothing can advance: it must still be
 # active when SIGTERM lands, so a clean exit proves the drain waited for
-# the final checkpoint pass instead of racing past it.
+# the final compaction instead of racing past it.
 kill "$WPID" 2>/dev/null || true
 wait "$WPID" 2>/dev/null || true
 WPID=
-go run ./scripts/genjob -photons 1000000 -seed 8 -label smoke-ckpt >"$WORK/bigjob.json"
+go run ./scripts/genjob -photons 1000000 -seed 8 -label smoke-active >"$WORK/bigjob.json"
 ID2=$(curl -fsS -X POST "http://$HTTP/jobs" -d @"$WORK/bigjob.json" |
   sed -n 's/.*"id":"\([0-9a-f]*\)".*/\1/p')
 [ -n "$ID2" ] || fail "second POST /jobs returned no job id"
@@ -237,7 +243,20 @@ done
 [ "$ok" = 1 ] || fail "mcqueue did not exit on SIGTERM"
 wait "$QPID" || fail "mcqueue exited non-zero on SIGTERM"
 QPID=
-[ -f "$WORK/ckpt/$ID2.ckpt" ] ||
-  fail "SIGTERM with an active job left no checkpoint in $WORK/ckpt"
+grep -q '"msg":"wal: compacted"' "$WORK/mcqueue.log" ||
+  fail "SIGTERM with an active job did not compact the journal"
+SEGS=$(ls "$WORK/mcqueue-wal"/wal-*.log | wc -l)
+[ "$SEGS" = 1 ] || fail "default journal left $SEGS segments after compaction, want 1"
+
+echo "obs-smoke: restart replays the journaled job..."
+start_queue "$WORK/mcqueue-restart.log"
+STATE=$(curl -fsS "http://$HTTP/jobs/$ID2" | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p')
+[ "$STATE" = queued ] ||
+  fail "job $ID2 came back in state '$STATE', want queued: $(curl -fsS "http://$HTTP/jobs")"
+curl -fsS "http://$HTTP/metrics" | grep -Eq '^service_jobs_replayed_total [1-9]' ||
+  fail "restart replayed no jobs"
+kill -TERM "$QPID"
+wait "$QPID" || fail "restarted mcqueue exited non-zero on SIGTERM"
+QPID=
 
 echo "obs-smoke: PASS"

@@ -78,7 +78,7 @@ done
 # single worker makes the tally fold deterministic — the reference bytes
 # are the sharded run's acceptance bytes.
 echo "shard-smoke: reference single-node run..."
-"$WORK/mcqueue" -addr "$REF_FLEET" -http "$REF_HTTP" \
+"$WORK/mcqueue" -addr "$REF_FLEET" -http "$REF_HTTP" -wal-dir "$WORK/ref" \
   -log-format json >"$WORK/ref-mcqueue.log" 2>&1 &
 REFQPID=$!; PIDS+=("$REFQPID")
 wait_http "http://$REF_HTTP/readyz"
