@@ -18,8 +18,13 @@ test:
 short:
 	$(GO) test -short ./...
 
+# race runs the suite under the race detector, then the dispatcher's park /
+# wake / drain tests twenty more times in shuffled order: a lost wake-up is
+# a rare interleaving (and parkMax heals it within a second, so nothing
+# hangs to give it away) — repetition is the cheap detector.
 race:
 	$(GO) test -race -short -shuffle=on ./...
+	$(GO) test -race -shuffle=on -run 'Park|Dispatch|Drain' -count=20 ./internal/service ./internal/distsys
 
 # bench-check vets and tests the nested benchmark module (bench/, its own
 # go.mod with `replace repro => ../`). The root's build and tests never
@@ -50,11 +55,14 @@ crash-smoke:
 shard-smoke:
 	./scripts/shard-smoke.sh
 
-# fuzz-smoke gives the wire decoder ten seconds of coverage-guided input on
-# top of the committed corpus (which seeds the v3 batch frames) — enough to
-# catch a decode regression without stalling CI.
+# fuzz-smoke gives each outside-facing decoder ten seconds of
+# coverage-guided input on top of its committed corpus — the wire decoder
+# (seeded with the v3 batch frames) and the HTTP submit decoder (seeded with
+# scripts/genjob bodies) — enough to catch a decode regression without
+# stalling CI.
 fuzz-smoke:
 	$(GO) test ./internal/protocol -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 10s
+	$(GO) test ./internal/service -run '^$$' -fuzz FuzzDecodeJobRequest -fuzztime 10s
 
 # cover enforces the same coverage floor as CI (keep COVER_FLOOR in sync
 # with .github/workflows/ci.yml).

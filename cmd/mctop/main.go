@@ -42,6 +42,7 @@ type fleetWorker struct {
 	Remote                string    `json:"remote"`
 	Connected             time.Time `json:"connectedSince"`
 	LastSeen              time.Time `json:"lastSeen"`
+	State                 string    `json:"state"`
 	ChunksHeld            int       `json:"chunksHeld"`
 	ChunksCompleted       int       `json:"chunksCompleted"`
 	InferredPhotonsPerSec float64   `json:"inferredPhotonsPerSec"`
@@ -278,8 +279,8 @@ func render(cur, prev sample, ansi bool) string {
 
 	ws := cur.fleet.Workers
 	sort.Slice(ws, func(i, j int) bool { return ws[i].ID < ws[j].ID })
-	line("%-4s %-14s %-12s %10s %10s %7s %5s %6s %8s %s",
-		"ID", "WORKER", "REMOTE", "REP-PPS", "INF-PPS", "CHUNKS", "HELD", "GORO", "HEAP", "SEEN")
+	line("%-4s %-14s %-12s %-9s %10s %10s %7s %5s %6s %8s %s",
+		"ID", "WORKER", "REMOTE", "STATE", "REP-PPS", "INF-PPS", "CHUNKS", "HELD", "GORO", "HEAP", "SEEN")
 	if len(ws) == 0 {
 		line("  (no workers connected)")
 	}
@@ -288,8 +289,8 @@ func render(cur, prev sample, ansi bool) string {
 		if seen < 0 {
 			seen = 0
 		}
-		line("%-4d %-14s %-12s %10s %10s %7d %5d %6d %8s %s ago",
-			w.ID, clip(w.Name, 14), clip(w.Remote, 12),
+		line("%-4d %-14s %-12s %-9s %10s %10s %7d %5d %6d %8s %s ago",
+			w.ID, clip(w.Name, 14), clip(w.Remote, 12), w.State,
 			humanCount(w.ReportedPhotonsPerSec), humanCount(w.InferredPhotonsPerSec),
 			w.ChunksCompleted, w.ChunksHeld, w.Goroutines, humanBytes(w.HeapBytes), seen)
 	}

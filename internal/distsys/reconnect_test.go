@@ -1,11 +1,14 @@
 package distsys
 
 import (
+	"io"
 	"net"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/service"
 )
 
 // TestWorkerReconnectAcrossServerRestart is the reconnect e2e: a worker
@@ -200,5 +203,66 @@ func TestWorkerStopChannelDrains(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("worker did not drain after Stop closed")
+	}
+}
+
+// parkWorker starts a worker against an idle long-lived registry over
+// transport(pipe end) and returns once the server has parked its request.
+func parkWorker(t *testing.T, stop chan struct{}, transport func(net.Conn) io.ReadWriteCloser) <-chan error {
+	t.Helper()
+	reg := service.New(service.Options{})
+	server, client := net.Pipe()
+	go reg.HandleConn(server)
+	done := make(chan error, 1)
+	go func() {
+		_, err := Work(transport(client), WorkerOptions{Name: "idler", Stop: stop})
+		done <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if fleet := reg.Fleet(); len(fleet) == 1 && fleet[0].State == "parked" {
+			return done
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the idle worker's request was never parked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestParkedWorkerStopReturnsAtOnce: a worker whose request the server has
+// parked is blocked in Recv and cannot poll Stop; closing Stop must still
+// end the session cleanly, without waiting out the park.
+func TestParkedWorkerStopReturnsAtOnce(t *testing.T) {
+	stop := make(chan struct{})
+	done := parkWorker(t, stop, func(c net.Conn) io.ReadWriteCloser { return c })
+	close(stop)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("stop while parked is a clean drain, got %v", err)
+		}
+	case <-time.After(100 * time.Millisecond):
+		t.Fatal("parked worker still blocked 100 ms after Stop closed")
+	}
+}
+
+// TestWorkerStopWithoutReadDeadlines: on a transport that cannot expire a
+// read, the server's park limit is what bounds the wait. (It waits that
+// limit out, so its name keeps it out of the repeated 'Park|Dispatch|Drain'
+// race run.)
+func TestWorkerStopWithoutReadDeadlines(t *testing.T) {
+	stop := make(chan struct{})
+	done := parkWorker(t, stop, func(c net.Conn) io.ReadWriteCloser {
+		return struct{ io.ReadWriteCloser }{c}
+	})
+	close(stop)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("stop while parked is a clean drain, got %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked worker never returned after Stop closed")
 	}
 }

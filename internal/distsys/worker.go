@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/mc"
@@ -43,7 +44,8 @@ type WorkerOptions struct {
 	// Stop, when non-nil and closed, requests a graceful drain: the worker
 	// finishes the chunk it is computing, flushes the held pre-reduced
 	// batch so buffered results are not abandoned to timeout reclaim, and
-	// returns nil. The daemon's SIGTERM handler closes it.
+	// returns nil; a worker idle with its request parked on the server
+	// returns at once. The daemon's SIGTERM handler closes it.
 	Stop <-chan struct{}
 	// DrainAfterChunks, if positive, triggers the same graceful drain
 	// after computing that many chunks — the deterministic test form of
@@ -476,6 +478,32 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 		return nil
 	}
 
+	// A request sent empty-handed may be parked by the server: the reply
+	// comes when there is work, or at the server's park limit, and a
+	// goroutine blocked in Recv cannot see opts.Stop. So a watcher expires
+	// the transport's read deadline if Stop closes during such a wait. The
+	// loop below raises idle before it looks at Stop and lowers it after
+	// Recv: a wait is only ever cut short with nothing buffered, so the
+	// session ends there as a clean drain, and chunks the server granted in
+	// that very moment are requeued when the connection closes. On a
+	// transport without read deadlines the wait ends at the park limit.
+	var idle atomic.Bool // an empty-handed request is (about to be) on the wire
+	if opts.Stop != nil {
+		done, exited := make(chan struct{}), make(chan struct{})
+		defer func() { close(done); <-exited }()
+		go func() {
+			defer close(exited)
+			select {
+			case <-opts.Stop:
+			case <-done:
+				return
+			}
+			if d, ok := rw.(interface{ SetReadDeadline(time.Time) error }); ok && idle.Load() {
+				_ = d.SetReadDeadline(time.Now()) // a refusal leaves the park-limit fallback
+			}
+		}()
+	}
+
 	// Assignment prefetch uses slow start: the first request asks for one
 	// chunk and the window doubles per successful assignment up to one
 	// batch worth (FlushChunks). A cold worker joining a fresh job
@@ -484,6 +512,10 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 	// round trip across a full batch.
 	want := 1
 	for {
+		// Idle is raised before Stop is looked at: a Stop that closes after
+		// the check finds the flag up and interrupts the wait, one that
+		// closed before is seen by the check.
+		idle.Store(batch.chunks == 0)
 		if stopping() {
 			// Graceful drain: push the held batch out, then leave. Chunks
 			// granted but never computed are released when the connection
@@ -509,6 +541,11 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 			return stats, err
 		}
 		msg, err := pc.Recv()
+		if idle.Swap(false) && stopping() {
+			// Stop cut the wait short, or closed while it ran out.
+			log.Info("worker drained while awaiting work", "chunks", stats.Chunks)
+			return stats, nil
+		}
 		if err != nil {
 			return stats, err
 		}

@@ -296,11 +296,17 @@ type ResultAck struct {
 	Reason    string
 }
 
-// NoWork tells the worker to idle or exit.
+// NoWork tells the worker there is nothing for it right now, or ever.
+// A worker that holds computed results gets it at once and should flush
+// them; an empty-handed worker gets it only after the server has kept the
+// request waiting for work as long as it is willing to.
 type NoWork struct {
-	// Done means the job is complete and the worker should disconnect.
+	// Done means the service has finished and the worker should disconnect.
 	Done bool
-	// RetryIn suggests when to ask again if the job is still running.
+	// RetryIn is how long to wait before asking again. The server leaves it
+	// zero — it holds an idle worker's request itself instead of sending
+	// the worker away to sleep — and the field remains so the v5 envelope is
+	// unchanged and a worker facing an older server still backs off.
 	RetryIn time.Duration
 }
 

@@ -40,6 +40,10 @@ type session struct {
 	hasReport   bool
 	completed   int
 	inferredPPS float64
+
+	// parked is true while the session's TaskRequest is waiting on the
+	// server for something schedulable (see dispatch).
+	parked bool
 }
 
 // blend folds a sample into an EWMA, seeding on first use — the shared
@@ -58,13 +62,14 @@ type chunkRef struct {
 	chunk int
 }
 
-// Idle-worker retry hints: busyRetry while any chunk is outstanding or
-// merging (its reduction may free this worker immediately), idleRetry when
-// the service is truly empty.
-const (
-	busyRetry = 5 * time.Millisecond
-	idleRetry = 50 * time.Millisecond
-)
+// parkMax is the dispatcher's only timer constant: the longest a parked
+// TaskRequest goes unanswered. At the limit it is answered with an empty
+// NoWork and the worker asks again at once, so an idle session still
+// exchanges a frame about once a second — which is what keeps its
+// telemetry report and lastSeen fresh, finds a vanished peer (the send
+// fails) and bounds how long a worker whose transport cannot be
+// interrupted waits to notice its Stop.
+const parkMax = time.Second
 
 // assignment pins a handed-out chunk to the session it went to.
 type assignment struct {
@@ -150,7 +155,9 @@ func (r *Registry) HandleConn(rw io.ReadWriteCloser) error {
 			if msg.Request != nil && msg.Request.Batch != nil {
 				acks = &protocol.BatchAck{Acks: r.reduceBatch(sess, msg.Request.Batch, &scratch)}
 			}
-			reply := r.nextAssignment(sess, msg.Request)
+			// A request that flushed results is answered at once: its acks
+			// must not wait out a park.
+			reply := r.dispatch(sess, msg.Request, acks == nil)
 			reply.BatchAck = acks
 			if err := pc.Send(reply); err != nil {
 				return err
@@ -235,14 +242,76 @@ func (r *Registry) releaseAssignmentLocked(sess *session, ref chunkRef, a *assig
 	}
 }
 
-// nextAssignment picks the next chunk for an idle worker: sync the
-// worker's advertised state, reclaim overdue chunks everywhere, gather the
-// schedulable jobs, and let the cross-job policy choose.
-func (r *Registry) nextAssignment(sess *session, req *protocol.TaskRequest) *protocol.Message {
-	now := time.Now()
+// dispatch answers one TaskRequest. When nothing is schedulable and the
+// worker holds no results, the request is parked instead of answered: the
+// goroutine waits for the registry's wake signal and scans again, so the
+// worker — blocked in Recv, which is the long-poll — gets its chunk the
+// moment one exists and no timer sits between a submission and its first
+// photon. A worker that holds results (or whose request just flushed
+// some: mayPark false) is told NoWork at once, so it flushes before it
+// idles and held chunks never gate a job's completion.
+//
+// The wake channel is read in the critical section that found nothing
+// schedulable, and every transition that can make a job schedulable or
+// close drained swaps it under the same lock (wakeLocked), so a wake-up
+// cannot fall between the check and the wait. Two timers bound a park: the
+// earliest outstanding chunk deadline the scan saw (ChunkTimeout reclaim
+// must fire even when every worker is parked and nobody asks) and parkMax.
+func (r *Registry) dispatch(sess *session, req *protocol.TaskRequest, mayPark bool) *protocol.Message {
+	noWork := func() *protocol.Message {
+		return &protocol.Message{Type: protocol.MsgNoWork, NoWork: &protocol.NoWork{}}
+	}
+	start := time.Now()
 	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.syncSessionLocked(sess, req, start)
+	reply, reclaimAt := r.assignLocked(sess, req)
+	if reply == nil && (!mayPark || len(sess.assigned) > 0) {
+		reply = noWork()
+	}
+	if reply != nil {
+		r.mu.Unlock()
+		return reply
+	}
 
+	sess.parked = true
+	r.met.workersParked.Inc()
+	timer := time.NewTimer(parkMax)
+	defer timer.Stop()
+	for reply == nil {
+		wake := r.wake
+		r.mu.Unlock()
+		wait := parkMax - time.Since(start)
+		if !reclaimAt.IsZero() {
+			wait = min(wait, time.Until(reclaimAt))
+		}
+		timer.Reset(wait)
+		select {
+		case <-wake:
+		case <-timer.C:
+		}
+		r.mu.Lock()
+		if reply, reclaimAt = r.assignLocked(sess, req); reply == nil && time.Since(start) >= parkMax {
+			reply = noWork()
+		}
+	}
+	sess.parked = false
+	r.mu.Unlock()
+	r.met.workersParked.Dec()
+	r.met.parkSeconds.Observe(time.Since(start).Seconds())
+	return reply
+}
+
+// wakeLocked releases every parked request to scan again. Call it from
+// every transition that can make a job schedulable or close drained.
+func (r *Registry) wakeLocked() {
+	close(r.wake)
+	r.wake = make(chan struct{})
+}
+
+// syncSessionLocked folds a TaskRequest's advertised state into the
+// session: liveness, telemetry, the descriptors the worker still caches
+// and the chunks it still holds.
+func (r *Registry) syncSessionLocked(sess *session, req *protocol.TaskRequest, now time.Time) {
 	if sess.assigned == nil { // tests construct sessions directly
 		sess.assigned = make(map[chunkRef]*assignment)
 	}
@@ -282,19 +351,25 @@ func (r *Registry) nextAssignment(sess *session, req *protocol.TaskRequest) *pro
 			}
 		}
 	}
+}
 
+// assignLocked is one dispatch scan: reclaim overdue chunks everywhere,
+// gather the schedulable jobs, let the cross-job policy choose and grant.
+// A nil reply means nothing is schedulable; reclaimAt is then the earliest
+// deadline of a chunk still outstanding (zero if none can expire), the
+// moment a scan could next find work with no other transition.
+func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply *protocol.Message, reclaimAt time.Time) {
+	now := time.Now()
 	cands := r.candScratch[:0]
 	jobs := r.jobScratch[:0]
 	outstanding := false
-	minTimeout := time.Duration(0)
 	pendTotal := 0
 	for _, j := range r.active {
-		j.reclaimExpiredLocked(now)
+		if next := j.reclaimExpiredLocked(now); !next.IsZero() && (reclaimAt.IsZero() || next.Before(reclaimAt)) {
+			reclaimAt = next
+		}
 		if len(j.outstanding) > 0 || len(j.merging) > 0 {
 			outstanding = true
-			if j.spec.ChunkTimeout > 0 && (minTimeout == 0 || j.spec.ChunkTimeout < minTimeout) {
-				minTimeout = j.spec.ChunkTimeout
-			}
 		}
 		if !j.schedulableLocked() {
 			continue
@@ -323,22 +398,11 @@ func (r *Registry) nextAssignment(sess *session, req *protocol.TaskRequest) *pro
 			select {
 			case <-r.drained:
 				return &protocol.Message{Type: protocol.MsgNoWork,
-					NoWork: &protocol.NoWork{Done: true}}
+					NoWork: &protocol.NoWork{Done: true}}, time.Time{}
 			default:
 			}
 		}
-		retry := minTimeout / 4
-		if retry <= 0 || retry > idleRetry {
-			retry = idleRetry
-		}
-		if outstanding && retry > busyRetry {
-			// Chunks are in flight (or held in worker batches): their
-			// reduction can unblock this worker — or end a draining
-			// service — any moment, so poll fast instead of sleeping out
-			// the tail of the queue.
-			retry = busyRetry
-		}
-		return &protocol.Message{Type: protocol.MsgNoWork, NoWork: &protocol.NoWork{RetryIn: retry}}
+		return nil, reclaimAt
 	}
 
 	pick := r.policy.Pick(cands)
@@ -452,7 +516,7 @@ func (r *Registry) nextAssignment(sess *session, req *protocol.TaskRequest) *pro
 		}
 		sess.knownJobs[j.id] = true
 	}
-	return &protocol.Message{Type: protocol.MsgTaskAssign, Assign: assign}
+	return &protocol.Message{Type: protocol.MsgTaskAssign, Assign: assign}, time.Time{}
 }
 
 // reduceBatch reduces a worker-side pre-reduced batch group by group,
@@ -860,6 +924,7 @@ type SessionStatus struct {
 	Mflops                float64   `json:"mflops,omitempty"`
 	Connected             time.Time `json:"connectedSince"`
 	LastSeen              time.Time `json:"lastSeen"`
+	State                 string    `json:"state"` // "parked" awaiting work, else "computing"
 	ChunksHeld            int       `json:"chunksHeld"`
 	ChunksCompleted       int       `json:"chunksCompleted"`
 	InferredPhotonsPerSec float64   `json:"inferredPhotonsPerSec,omitempty"`
@@ -888,9 +953,13 @@ func (r *Registry) Fleet() []SessionStatus {
 			Mflops:                s.mflops,
 			Connected:             s.connected,
 			LastSeen:              s.lastSeen,
+			State:                 "computing",
 			ChunksHeld:            len(s.assigned),
 			ChunksCompleted:       s.completed,
 			InferredPhotonsPerSec: s.inferredPPS,
+		}
+		if s.parked {
+			ss.State = "parked"
 		}
 		if s.hasReport {
 			ss.ReportedPhotonsPerSec = s.report.PhotonsPerSec

@@ -25,6 +25,7 @@ import (
 
 type fleetRow struct {
 	Name                  string  `json:"name"`
+	State                 string  `json:"state"`
 	ChunksCompleted       int     `json:"chunksCompleted"`
 	ReportedPhotonsPerSec float64 `json:"reportedPhotonsPerSec"`
 	InferredPhotonsPerSec float64 `json:"inferredPhotonsPerSec"`
@@ -134,9 +135,9 @@ func TestFleetIntrospectionEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The workers keep idle-polling after the job, so their piggybacked
-	// reports (250ms cadence) land shortly; /fleet must then show a
-	// nonzero self-reported rate next to the server-inferred one.
+	// After the job the workers' requests are parked; a report rides the
+	// next request at most a park limit (1 s) later. /fleet must then show
+	// a nonzero self-reported rate next to the server-inferred one.
 	var fleet struct {
 		Workers []fleetRow `json:"workers"`
 	}
@@ -172,7 +173,8 @@ func TestFleetIntrospectionEndToEnd(t *testing.T) {
 	}
 
 	// Backward compatibility: a bare TaskRequest with no Report (what a
-	// pre-telemetry v4 worker sends) must still be served work.
+	// pre-telemetry v4 worker sends) must still be served — with nothing
+	// queued, that is a parked request like any other idle worker's.
 	server, client := net.Pipe()
 	go reg.HandleConn(server)
 	defer client.Close()
@@ -189,20 +191,22 @@ func TestFleetIntrospectionEndToEnd(t *testing.T) {
 		Request: &protocol.TaskRequest{}}); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := pc.Recv()
-	if err != nil {
-		t.Fatal(err)
+	legacyDeadline := time.Now().Add(15 * time.Second)
+	for parked := false; !parked; time.Sleep(5 * time.Millisecond) {
+		decodeInto(t, ts.URL+"/fleet", &fleet)
+		for _, w := range fleet.Workers {
+			if w.Name == "legacy" && w.State == "parked" {
+				parked = true
+				if w.ReportedPhotonsPerSec != 0 {
+					t.Fatalf("report-less session grew a reported rate: %+v", w)
+				}
+			}
+		}
+		if time.Now().After(legacyDeadline) {
+			t.Fatalf("report-less request not served (never parked): %+v", fleet.Workers)
+		}
 	}
-	if msg.Type != protocol.MsgTaskAssign && msg.Type != protocol.MsgNoWork {
-		t.Fatalf("report-less request not served: got %v", msg.Type)
-	}
-	decodeInto(t, ts.URL+"/fleet", &fleet)
 	if len(fleet.Workers) != 3 {
 		t.Fatalf("legacy session missing from /fleet: %+v", fleet.Workers)
-	}
-	for _, w := range fleet.Workers {
-		if w.Name == "legacy" && w.ReportedPhotonsPerSec != 0 {
-			t.Fatalf("report-less session grew a reported rate: %+v", w)
-		}
 	}
 }

@@ -284,12 +284,14 @@ func (j *Job) issueChunkLocked() int {
 
 // requeueLocked returns a chunk to the pending queue, restarting its
 // queue-wait clock so span accounting measures the current wait, not the
-// sum across reassignments. Every requeue path must come through here.
+// sum across reassignments, and wakes the parked workers to come and take
+// it. Every requeue path must come through here.
 func (j *Job) requeueLocked(id int) {
 	j.pending = append(j.pending, id)
 	if id >= 0 && id < len(j.queued) {
 		j.queued[id] = time.Now()
 	}
+	j.reg.wakeLocked()
 }
 
 // queuedAtLocked returns when the chunk last entered the pending queue
@@ -485,23 +487,31 @@ func (j *Job) activeLocked() bool {
 	return j.state == StateQueued || j.state == StateRunning
 }
 
-// reclaimExpiredLocked requeues chunks whose results are overdue.
-func (j *Job) reclaimExpiredLocked(now time.Time) {
+// reclaimExpiredLocked requeues chunks whose results are overdue and
+// returns the earliest deadline among those still outstanding (zero when
+// none can expire) — when a parked dispatcher must look again.
+func (j *Job) reclaimExpiredLocked(now time.Time) (next time.Time) {
 	if j.spec.ChunkTimeout <= 0 || !j.activeLocked() {
-		return
+		return next
 	}
 	for id, st := range j.outstanding {
-		if now.Sub(st.assigned) > j.spec.ChunkTimeout {
-			delete(j.outstanding, id)
-			j.requeueLocked(id)
-			j.reassigned++
-			j.reg.met.chunksReassigned.Inc()
-			j.trace(obs.Event{Kind: obs.EvChunkReassigned, Chunk: id,
-				Worker: st.worker, Detail: "timeout"})
-			j.reg.log.Debug("chunk timed out; requeued", "job", jobHex(j.id),
-				"chunk", id, "worker", st.worker)
+		deadline := st.assigned.Add(j.spec.ChunkTimeout)
+		if !now.After(deadline) {
+			if next.IsZero() || deadline.Before(next) {
+				next = deadline
+			}
+			continue
 		}
+		delete(j.outstanding, id)
+		j.requeueLocked(id)
+		j.reassigned++
+		j.reg.met.chunksReassigned.Inc()
+		j.trace(obs.Event{Kind: obs.EvChunkReassigned, Chunk: id,
+			Worker: st.worker, Detail: "timeout"})
+		j.reg.log.Debug("chunk timed out; requeued", "job", jobHex(j.id),
+			"chunk", id, "worker", st.worker)
 	}
+	return next
 }
 
 // Snapshot is a job's resumable reduction state — what journal replay

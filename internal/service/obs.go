@@ -52,6 +52,9 @@ type svcMetrics struct {
 
 	sessionsTotal *obs.Counter
 	reconnects    *obs.Counter
+
+	workersParked *obs.Gauge     // TaskRequests waiting server-side for work
+	parkSeconds   *obs.Histogram // how long each waited
 }
 
 // newServiceMetrics registers the service-plane instruments on reg and
@@ -106,6 +109,10 @@ func newServiceMetrics(reg *obs.Registry, r *Registry) *svcMetrics {
 			"Worker sessions ever accepted."),
 		reconnects: reg.Counter("fleet_reconnects_total",
 			"Sessions whose worker name had connected before (reconnections)."),
+		workersParked: reg.Gauge("service_workers_parked",
+			"Worker sessions whose task request is parked on the server awaiting work."),
+		parkSeconds: reg.Histogram("service_park_seconds",
+			"Time a parked task request waited before it was answered (with a chunk, Done, or at the park limit).", obs.DefBuckets),
 	}
 	hits := reg.CounterVec("service_cache_hits_total",
 		"Result-cache hits by index probed.", "index")

@@ -25,7 +25,7 @@ type Registry struct {
 	jobs      map[uint64]*Job
 	order     []*Job       // submission order (List is deterministic)
 	active    []*Job       // queued/running jobs only — the dispatcher's hot loop
-	byKey     map[Key]*Job // active jobs, for coalescing identical submissions
+	byKey     map[Key]*Job // jobs not yet in the cache, for coalescing identical submissions
 	cache     *cache
 	seq       uint64
 	sessions  map[uint64]*session
@@ -47,8 +47,18 @@ type Registry struct {
 	candScratch []Candidate
 	jobScratch  []*Job
 
+	// wake is closed and replaced (wakeLocked) by every transition that can
+	// make a job schedulable or close drained; parked TaskRequests wait on
+	// the channel they read under mu (see dispatch).
+	wake chan struct{}
+
 	drainOnce sync.Once
 	drained   chan struct{} // closed when DrainOnEmpty and all jobs finished
+
+	// sealHook, when set, runs after a job is marked done and before its
+	// tally reaches the cache — a seam for tests of that window; nil
+	// outside tests.
+	sealHook func()
 }
 
 // New returns an empty registry.
@@ -77,6 +87,7 @@ func New(opts Options) *Registry {
 		sessions:  make(map[uint64]*session),
 		seenNames: make(map[string]bool),
 		tenants:   make(map[string]*tenantStats),
+		wake:      make(chan struct{}),
 		drained:   make(chan struct{}),
 	}
 	// A nil Obs still gets live instruments (they are plain atomics and the
@@ -213,8 +224,7 @@ func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
 		}
 	}
 	r.registerLocked(j)
-	r.active = append(r.active, j)
-	r.byKey[key] = j
+	r.activateLocked(j)
 	r.submitted++
 	ts.submitted++
 	if spec.replay {
@@ -453,8 +463,7 @@ func (r *Registry) SubmitSnapshot(snap *Snapshot) (*Job, error) {
 	if complete {
 		r.checkDrainLocked()
 	} else {
-		r.active = append(r.active, j)
-		r.byKey[key] = j
+		r.activateLocked(j)
 	}
 	r.mu.Unlock()
 	// Re-journal the restored job so the log is self-contained from here
@@ -491,6 +500,15 @@ func (r *Registry) registerLocked(j *Job) {
 	r.jobs[j.id] = j
 	r.order = append(r.order, j)
 	r.evictFinishedLocked()
+}
+
+// activateLocked puts a registered job with work to do in front of the
+// dispatcher — on the active list, coalescible by key — and wakes the
+// parked workers to start on it.
+func (r *Registry) activateLocked(j *Job) {
+	r.active = append(r.active, j)
+	r.byKey[j.key] = j
+	r.wakeLocked()
 }
 
 // evictFinishedLocked drops the oldest finished jobs over the RetainDone
@@ -575,12 +593,14 @@ func (r *Registry) Cancel(id uint64) error {
 // caller must call sealJob after releasing the registry lock: waiters stay
 // blocked on j.finished until then, which keeps the expensive cache clone
 // off the fleet's hot lock while still guaranteeing the cache entry is
-// taken before any Wait caller can mutate the returned tally.
+// taken before any Wait caller can mutate the returned tally. The job stays
+// in byKey until sealJob has filled the cache, so an identical submission
+// arriving in between rides this job's finished channel instead of finding
+// it neither in flight nor cached and computing it all again.
 func (r *Registry) finishJobLocked(j *Job) {
 	j.state = StateDone
 	j.finishedAt = time.Now()
 	r.removeActiveLocked(j)
-	delete(r.byKey, j.key)
 	r.policy.Forget(j.id)
 	r.evictFinishedLocked()
 	r.checkDrainLocked()
@@ -601,9 +621,15 @@ func (r *Registry) removeActiveLocked(j *Job) {
 // and, when the tally carries moments, the physics index that serves
 // meets-or-exceeds precision lookups — and releases its waiters.
 func (r *Registry) sealJob(j *Job) {
+	if r.sealHook != nil {
+		r.sealHook()
+	}
 	clone := j.tally.Clone()
 	r.cache.put(j.key, clone)
 	r.cache.putPhysics(j.pkey, clone)
+	r.mu.Lock()
+	delete(r.byKey, j.key)
+	r.mu.Unlock()
 	close(j.finished)
 	r.log.Info("job done", "job", jobHex(j.id), "chunks", j.nChunks,
 		"reassigned", j.reassigned, "duplicates", j.duplicates, "rejected", j.rejected)
@@ -615,7 +641,10 @@ func (r *Registry) checkDrainLocked() {
 	if !r.opts.DrainOnEmpty || r.seq == 0 || len(r.active) > 0 {
 		return
 	}
-	r.drainOnce.Do(func() { close(r.drained) })
+	r.drainOnce.Do(func() {
+		close(r.drained)
+		r.wakeLocked()
+	})
 }
 
 // Drained returns a channel closed when a DrainOnEmpty registry has

@@ -71,7 +71,8 @@ type Options struct {
 	RetainDone int
 	// DrainOnEmpty makes the fleet tell workers the service is Done once
 	// every submitted job has finished — the one-shot mcserver mode. A
-	// long-lived service leaves it false and workers idle-poll.
+	// long-lived service leaves it false and idle workers stay parked on
+	// the server, waiting for the next submission.
 	DrainOnEmpty bool
 	// MaxTargetPhotons caps the photon budget of precision-targeted jobs
 	// (a submission's own Target.MaxPhotons is clamped to it); 0 means

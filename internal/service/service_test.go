@@ -381,6 +381,54 @@ func TestCoalesceIdenticalActiveSubmission(t *testing.T) {
 	}
 }
 
+// TestIdenticalSubmissionBetweenFinishAndSeal drives the window between a
+// job's last reduction (finishJobLocked) and its tally reaching the cache
+// (sealJob). An identical submission arriving there used to find the job
+// neither in flight nor cached and ran it all again; it must ride the
+// finishing job instead: one computation, one job ID.
+func TestIdenticalSubmissionBetweenFinishAndSeal(t *testing.T) {
+	reg := New(Options{})
+	spec := JobSpec{Spec: slabSpec(5), TotalPhotons: 200, ChunkPhotons: 100, Seed: 31}
+	first, err := reg.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rider *SubmitOutcome
+	var riderErr error
+	reg.sealHook = func() { rider, riderErr = reg.Submit(spec) }
+	startWorkers(t, reg, 1)
+	res, err := first.Job.Wait(10 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if riderErr != nil {
+		t.Fatal(riderErr)
+	}
+	if !rider.Coalesced || rider.Job.ID() != first.Job.ID() {
+		t.Fatalf("submission in the finish→seal window got job %016x (coalesced %v, cached %v), want to ride %016x",
+			rider.Job.ID(), rider.Coalesced, rider.Cached, first.Job.ID())
+	}
+	rode, err := rider.Job.Wait(10 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rode.Tally != res.Tally {
+		t.Fatal("the rider did not get the finishing job's tally")
+	}
+	if st := reg.Stats(); st.JobsSubmitted != 1 || st.ChunksAssigned != 2 {
+		t.Fatalf("the job was computed more than once: %+v", st)
+	}
+	// Once sealed the job has left the in-flight index: the next identical
+	// submission is an ordinary cache hit.
+	third, err := reg.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !third.Cached || third.Coalesced {
+		t.Fatalf("post-seal submission: cached %v coalesced %v, want a cache hit", third.Cached, third.Coalesced)
+	}
+}
+
 func TestCancel(t *testing.T) {
 	reg := New(Options{})
 	out, err := reg.Submit(JobSpec{Spec: slabSpec(5), TotalPhotons: 1000, ChunkPhotons: 100, Seed: 4})

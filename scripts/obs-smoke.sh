@@ -142,23 +142,40 @@ for seg in queueSeconds wireSeconds computeSeconds reduceSeconds; do
 done
 echo "$SPANS" | grep -q '"worker":"smoke-worker"' || fail "spans lost worker attribution"
 
-# The worker's piggybacked report rides its chunk requests at a gentle
-# cadence; after the job it keeps idle-polling, so give it a moment.
+# The worker's piggybacked report rides its task requests at a gentle
+# cadence. After the job its request is parked on the server, which answers
+# at the one-second park limit; the worker asks again at once and the
+# report rides that request — so within a couple of seconds /fleet shows
+# the idle worker parked, with a reported rate.
 FLEET_OK=0
 for _ in $(seq 1 50); do
   FLEETJSON=$(curl -fsS "http://$HTTP/fleet")
   if echo "$FLEETJSON" | grep -q '"name":"smoke-worker"' &&
+     echo "$FLEETJSON" | grep -q '"state":"parked"' &&
      echo "$FLEETJSON" | grep -Eq '"reportedPhotonsPerSec":[0-9]*\.?[0-9]*[1-9]'; then
     FLEET_OK=1; break
   fi
   sleep 0.2
 done
-[ "$FLEET_OK" = 1 ] || fail "/fleet never showed smoke-worker with a nonzero reported rate: ${FLEETJSON:-}"
+[ "$FLEET_OK" = 1 ] || fail "/fleet never showed smoke-worker parked with a nonzero reported rate: ${FLEETJSON:-}"
 echo "$FLEETJSON" | grep -q '"version":"smoke-test"' || fail "/fleet row missing worker build version"
+
+# The dispatcher's own series: the idle worker counts as parked, and its
+# parks are observed (the one behind the parked gauge is still open, so the
+# histogram holds the earlier, completed ones).
+for _ in $(seq 1 10); do # once a second the worker is between two parks for an instant
+  METRICS=$(curl -fsS "http://$HTTP/metrics")
+  echo "$METRICS" | grep -q '^service_workers_parked 1$' && break
+  sleep 0.1
+done
+expect "service_workers_parked" 1
+echo "$METRICS" | grep -Eq '^service_park_seconds_count [1-9]' ||
+  fail "service_park_seconds observed no park: $(echo "$METRICS" | grep '^service_park_seconds_count' || echo '<absent>')"
 
 echo "obs-smoke: mctop -once renders the dashboard..."
 TOP=$("$WORK/mctop" -addr "http://$HTTP" -once)
 echo "$TOP" | grep -q "smoke-worker" || fail "mctop does not list the worker: $TOP"
+echo "$TOP" | grep -Eq "smoke-worker .* (parked|computing) " || fail "mctop lost the worker state column: $TOP"
 echo "$TOP" | grep -q "policy tenant-fair" || fail "mctop lost the stats header: $TOP"
 echo "$TOP" | grep -q "build smoke-test" || fail "mctop lost the build version: $TOP"
 
@@ -253,7 +270,10 @@ start_queue "$WORK/mcqueue-restart.log"
 STATE=$(curl -fsS "http://$HTTP/jobs/$ID2" | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p')
 [ "$STATE" = queued ] ||
   fail "job $ID2 came back in state '$STATE', want queued: $(curl -fsS "http://$HTTP/jobs")"
-curl -fsS "http://$HTTP/metrics" | grep -Eq '^service_jobs_replayed_total [1-9]' ||
+# Fetch, then match: grep -q quits at its first match, and a curl still
+# writing the rest of the scrape into the closed pipe fails the pipeline.
+METRICS=$(curl -fsS "http://$HTTP/metrics")
+echo "$METRICS" | grep -Eq '^service_jobs_replayed_total [1-9]' ||
   fail "restart replayed no jobs"
 kill -TERM "$QPID"
 wait "$QPID" || fail "restarted mcqueue exited non-zero on SIGTERM"
