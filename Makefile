@@ -7,7 +7,7 @@ GO ?= go
 VERSION ?= $(shell git describe --always --dirty 2>/dev/null || echo dev)
 LDFLAGS = -X repro/internal/obs.Version=$(VERSION)
 
-.PHONY: build test race short bench-check cover fmt vet fuzz-smoke obs-smoke crash-smoke shard-smoke
+.PHONY: build test race short bench-check cover fmt vet gob-check fuzz-smoke obs-smoke crash-smoke shard-smoke
 
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
@@ -57,12 +57,14 @@ shard-smoke:
 
 # fuzz-smoke gives each outside-facing decoder ten seconds of
 # coverage-guided input on top of its committed corpus — the wire decoder
-# (seeded with the v3 batch frames) and the HTTP submit decoder (seeded with
-# scripts/genjob bodies) — enough to catch a decode regression without
-# stalling CI.
+# (seeded with the v3 batch frames), the HTTP submit decoder (seeded with
+# scripts/genjob bodies) and the journal's accept and snapshot record
+# decoders (seeded with their own records of four job shapes) — enough to
+# catch a decode regression without stalling CI.
 fuzz-smoke:
 	$(GO) test ./internal/protocol -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz FuzzDecodeJobRequest -fuzztime 10s
+	$(GO) test ./internal/service -run '^$$' -fuzz FuzzDecodeJournalRecord -fuzztime 10s
 
 # cover enforces the same coverage floor as CI (keep COVER_FLOOR in sync
 # with .github/workflows/ci.yml).
@@ -78,3 +80,17 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# gob-check pins where encoding/gob may be imported outside tests: the wire
+# envelope and the result files, nothing else. gob's type ids come from a
+# process-global counter, so its bytes depend on what the process encoded
+# before — harmless on a connection or in a file read back whole, and the
+# key-instability bug of PR 9 when it reached content keys. This keeps it
+# from drifting back into keys or the journal.
+GOB_IMPORTERS = internal/protocol/protocol.go internal/report/report.go
+gob-check:
+	@got=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench '"encoding/gob"' . | sed 's|^\./||' | sort | tr '\n' ' '); \
+	want="$(GOB_IMPORTERS) "; \
+	if [ "$$got" != "$$want" ]; then \
+		echo "gob-check: non-test importers of encoding/gob are [ $$got], want [ $$want]"; exit 1; \
+	fi

@@ -15,6 +15,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -26,6 +27,7 @@ import (
 	"repro/internal/mc"
 	"repro/internal/source"
 	"repro/internal/tissue"
+	"repro/internal/wal"
 )
 
 var mcqueueBin string
@@ -287,8 +289,11 @@ func TestCrashChaosEndToEnd(t *testing.T) {
 		point string
 		after int
 	}{
-		// Appends 1-3 are the accept and first chunk records; the 4th
-		// tears mid-frame, the 6th dies holding an unsynced page.
+		// The journal of this job is its accept record, then a snapshot
+		// every two chunks (64 of them), the last one final. The 4th append
+		// tears the third snapshot mid-frame — replay falls back to the
+		// second — and the 6th dies holding an unsynced page: both after
+		// the accept, both far from the final snapshot.
 		{"wal.mid-append", 4},
 		{"wal.post-append", 6},
 		{"wal.mid-rotation", 1},
@@ -339,6 +344,56 @@ func TestCrashChaosEndToEnd(t *testing.T) {
 					baseTally, tally)
 			}
 			shutdown(t, restarted)
+
+			// SIGTERM compacts: what is left is the finished job's accept
+			// record and its final snapshot, nothing else.
+			wl, rep, err := wal.Open(wal.Options{Dir: walDir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wl.Close()
+			var mix []wal.RecordType
+			for _, rec := range rep.Records {
+				mix = append(mix, rec.Type)
+			}
+			if want := []wal.RecordType{wal.RecJobAccepted, wal.RecSnapshot}; !slices.Equal(mix, want) {
+				t.Fatalf("compacted journal holds record types %v, want %v", mix, want)
+			}
 		})
+	}
+}
+
+// TestRefusesRetiredJournal: a journal holding a record of a retired type
+// was written by an older release. mcqueue must exit naming the type and
+// the remedy, before /readyz ever flips — never serve on half a replay.
+func TestRefusesRetiredJournal(t *testing.T) {
+	walDir := t.TempDir()
+	wl, _, err := wal.Open(wal.Options{Dir: walDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wl.Append(wal.RecJobAcceptedGob, []byte("a gob accept stream of the previous release")); err != nil {
+		t.Fatal(err)
+	}
+	wl.Close()
+
+	httpAddr := freeAddr(t)
+	qp := startQueue(t, freeAddr(t), httpAddr, walDir, nil)
+	select {
+	case <-qp.done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("mcqueue kept running on a retired-format journal\n%s", qp.out.String())
+	}
+	if qp.err == nil {
+		t.Fatalf("mcqueue exited 0 on a retired-format journal\n%s", qp.out.String())
+	}
+	for _, want := range []string{"retired type 1", "finish or discard"} {
+		if !strings.Contains(qp.out.String(), want) {
+			t.Fatalf("refusal does not say %q:\n%s", want, qp.out.String())
+		}
+	}
+	if resp, err := http.Get("http://" + httpAddr + "/readyz"); err == nil {
+		resp.Body.Close()
+		t.Fatalf("/readyz answered %d after the refusal", resp.StatusCode)
 	}
 }

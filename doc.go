@@ -63,17 +63,20 @@
 // # Crash durability
 //
 // Both binaries persist through one mechanism, on by default. mcqueue
-// (-wal-dir, default mcqueue-wal) writes every control-plane transition (job accepted, chunk batches
-// reduced, amortized tally snapshots, finalize, cancel) to a segmented,
-// CRC32C-framed write-ahead journal (internal/wal) before serving it.
-// After a SIGKILL, OOM-kill or power cut, the restart replays the
-// journal before /readyz flips: accepted jobs come back under their
-// original IDs, finished jobs re-seed the result cache, and anything
-// reduced since the last snapshot is recomputed — chunk tallies are pure
-// functions of (seed, stream, fan) — so the resumed tally is
-// byte-identical to an uninterrupted run's. -wal-fsync picks the
-// durability/latency trade (always, interval, none), SIGTERM compacts
-// the journal to a snapshot, and a fault-injection harness
+// (-wal-dir, default mcqueue-wal) writes what a restart reads back —
+// three self-contained record kinds: job accepted (the JobSpec as JSON),
+// amortized tally snapshots (a finished job's last one is its result),
+// cancel — to a segmented, CRC32C-framed write-ahead journal
+// (internal/wal). After a SIGKILL, OOM-kill or power cut, the restart
+// replays the journal before /readyz flips: accepted jobs come back under
+// their original IDs, finished jobs re-seed the result cache, and
+// anything reduced since the last snapshot is recomputed — chunk tallies
+// are pure functions of (seed, stream, fan) — so the resumed tally is
+// byte-identical to an uninterrupted run's. A journal written before the
+// three-kind schema is refused at startup with an error naming the
+// remedy, never half-replayed. -wal-fsync picks the durability/latency
+// trade (always, interval, none), SIGTERM compacts the journal to one
+// accept + snapshot per job, and a fault-injection harness
 // (internal/fault, TestCrashChaosEndToEnd, make crash-smoke) proves the
 // contract by SIGKILLing the real binary at armed crashpoints inside the
 // journal's append, rotation and compaction windows. mcserver (-journal)

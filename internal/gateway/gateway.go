@@ -10,9 +10,11 @@
 // Requests flow three ways:
 //
 //   - POST /jobs is keyed, checked against the gateway's shared result
-//     tier (exact and physics-keyed meets-or-exceeds, filled from result
-//     responses it has proxied), admission-checked when the gateway owns
-//     the tenant buckets, and then forwarded to the owning shard.
+//     tier (a service.ResultCache, the same exact + physics-keyed
+//     meets-or-exceeds container the shards use, filled from every result
+//     body it proxies — the body names its own keys), admission-checked
+//     when the gateway owns the tenant buckets, and then forwarded to the
+//     owning shard.
 //   - GET/DELETE /jobs/{id}... is routed by the ID alone: job IDs are
 //     the uint64 prefix of the content key, so service.ShardOfID names
 //     the owner with no lookup.
@@ -87,21 +89,19 @@ type Gateway struct {
 	maxBody   int64
 	client    *http.Client
 	log       *slog.Logger
-	cache     *resultCache
+	// cache is the shared result tier: completed tallies seen flowing back
+	// through proxied GET /jobs/{id}/result responses, keyed exactly like
+	// the per-shard caches. A tenant on shard 0 thereby reuses physics
+	// shard 3 finished an hour ago without either shard knowing about the
+	// other. Every tally in it is freshly decoded from a response body and
+	// only ever re-encoded, never merged into, so hits are served without
+	// cloning.
+	cache *service.ResultCache
 
 	mu     sync.Mutex
-	routed map[uint64]routeInfo // job ID -> keys, for result-tier fill
-	order  []uint64             // routed insertion order, FIFO bound
 	minted map[uint64]*mintedJob
 
 	met gatewayMetrics
-}
-
-// routeInfo remembers the keys behind a job ID the gateway routed, so a
-// later proxied result response can be filed into the shared tier.
-type routeInfo struct {
-	key, pkey service.Key
-	target    *mc.Target
 }
 
 // mintedJob is a submission the gateway answered from its own result
@@ -111,15 +111,15 @@ type routeInfo struct {
 type mintedJob struct {
 	idHex     string
 	tenant    string
+	key, pkey service.Key
 	target    *mc.Target
 	targetMet bool
 	born      time.Time
-	res       *cachedResult
+	tally     *mc.Tally
 }
 
-// routedMemoMax bounds the ID->key memo and the minted-job map; both
-// evict oldest-first. 8192 in-flight-or-recent jobs per gateway is far
-// beyond the shards' own retention.
+// routedMemoMax bounds the minted-job map. 8192 recent jobs per gateway
+// is far beyond the shards' own retention.
 const routedMemoMax = 8192
 
 type gatewayMetrics struct {
@@ -161,8 +161,7 @@ func New(opts Options) (*Gateway, error) {
 		maxBody:   opts.MaxBodyBytes,
 		client:    client,
 		log:       log,
-		cache:     newResultCache(opts.CacheSize),
-		routed:    make(map[uint64]routeInfo),
+		cache:     service.NewResultCache(opts.CacheSize),
 		minted:    make(map[uint64]*mintedJob),
 	}
 	g.met = gatewayMetrics{
@@ -183,7 +182,7 @@ func New(opts Options) (*Gateway, error) {
 	}
 	oreg.GaugeFunc("gateway_cache_entries",
 		"Results held in the gateway's shared tier.",
-		func() float64 { return float64(g.cache.size()) })
+		func() float64 { return float64(g.cache.Len()) })
 	oreg.GaugeFunc("gateway_shards",
 		"Configured shard count (the key-space partition width).",
 		func() float64 { return float64(len(g.shards)) })
@@ -237,10 +236,10 @@ func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
 	// Shared result tier: a hit is answered here, with the same ID the
 	// owning shard would mint, after the same one-job-token admission
 	// debit a shard-local cache hit pays.
-	hit := g.cache.get(key)
+	hit := g.cache.Get(key)
 	index := "exact"
 	if hit == nil && spec.Target != nil {
-		hit = g.cache.getMeeting(pkey, spec.Target)
+		hit = g.cache.GetMeeting(pkey, spec.Target)
 		index = "physics"
 	}
 	if hit != nil {
@@ -255,10 +254,12 @@ func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
 		m := &mintedJob{
 			idHex:     fmt.Sprintf("%016x", id),
 			tenant:    tenant,
+			key:       key,
+			pkey:      pkey,
 			target:    spec.Target,
-			targetMet: spec.Target != nil && spec.Target.MetBy(hit.tally),
+			targetMet: spec.Target != nil && spec.Target.MetBy(hit),
 			born:      time.Now(),
-			res:       hit,
+			tally:     hit,
 		}
 		g.mu.Lock()
 		if len(g.minted) >= routedMemoMax {
@@ -307,14 +308,6 @@ func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	g.met.submissions.With(strconv.Itoa(shard)).Inc()
-	if status == http.StatusCreated || status == http.StatusOK {
-		var acc service.JobAccepted
-		if json.Unmarshal(respBody, &acc) == nil {
-			if id, err := strconv.ParseUint(acc.ID, 16, 64); err == nil {
-				g.rememberRoute(id, routeInfo{key: key, pkey: pkey, target: spec.Target})
-			}
-		}
-	}
 	copyResponse(w, status, hdr, respBody)
 }
 
@@ -322,19 +315,6 @@ func shedErr(tenant string, v service.AdmissionVerdict) *service.ShedError {
 	return &service.ShedError{
 		Tenant: tenant, Reason: v.Reason, RetryAfter: v.RetryAfter, Detail: v.Detail,
 	}
-}
-
-func (g *Gateway) rememberRoute(id uint64, info routeInfo) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, ok := g.routed[id]; !ok {
-		for len(g.order) >= routedMemoMax {
-			delete(g.routed, g.order[0])
-			g.order = g.order[1:]
-		}
-		g.order = append(g.order, id)
-	}
-	g.routed[id] = info
 }
 
 // proxyJob forwards a single-job request to the shard owning its ID —
@@ -369,29 +349,25 @@ func (g *Gateway) proxyJob(w http.ResponseWriter, req *http.Request) {
 	g.met.proxies.With(strconv.Itoa(shard)).Inc()
 	// A completed result flowing through is the shared tier's fill path.
 	if status == http.StatusOK && strings.HasSuffix(req.URL.Path, "/result") {
-		g.fillCache(id, respBody)
+		g.fillCache(respBody)
 	}
 	copyResponse(w, status, hdr, respBody)
 }
 
-// fillCache files a proxied result body into the shared tier, when the
-// gateway routed the job itself and still remembers its keys.
-func (g *Gateway) fillCache(id uint64, respBody []byte) {
-	g.mu.Lock()
-	info, ok := g.routed[id]
-	g.mu.Unlock()
-	if !ok {
-		return
-	}
+// fillCache files a proxied result body into the shared tier under the
+// keys the body itself names — whichever gateway routed the submission.
+func (g *Gateway) fillCache(respBody []byte) {
 	var res service.JobResultBody
 	if err := json.Unmarshal(respBody, &res); err != nil || res.Tally == nil {
 		return
 	}
-	g.cache.put(&cachedResult{
-		key: info.key, pkey: info.pkey,
-		target: res.Target, targetMet: res.TargetMet,
-		elapsed: res.Elapsed, tally: res.Tally,
-	})
+	key, kerr := service.ParseKey(res.Key)
+	pkey, perr := service.ParseKey(res.PhysicsKey)
+	if kerr != nil || perr != nil {
+		return
+	}
+	g.cache.Put(key, res.Tally)
+	g.cache.PutPhysics(pkey, res.Tally)
 }
 
 func (g *Gateway) serveMinted(w http.ResponseWriter, req *http.Request, m *mintedJob) {
@@ -401,9 +377,9 @@ func (g *Gateway) serveMinted(w http.ResponseWriter, req *http.Request, m *minte
 			service.APIError{Error: "job already done", State: service.StateDone.String()})
 	case strings.HasSuffix(req.URL.Path, "/result"):
 		service.WriteJSON(w, http.StatusOK, service.JobResultBody{
-			ID: m.idHex, CacheHit: true,
-			Target: m.target, TargetMet: m.targetMet,
-			Elapsed: m.res.elapsed, Tally: m.res.tally,
+			ID: m.idHex, Key: m.key.String(), PhysicsKey: m.pkey.String(),
+			CacheHit: true, Target: m.target, TargetMet: m.targetMet,
+			Tally: m.tally,
 		})
 	case strings.HasSuffix(req.URL.Path, "/events"), strings.HasSuffix(req.URL.Path, "/spans"):
 		// Born done at the gateway: no lifecycle ever ran, the rings are
@@ -417,7 +393,7 @@ func (g *Gateway) serveMinted(w http.ResponseWriter, req *http.Request, m *minte
 		service.WriteJSON(w, http.StatusOK, service.JobStatus{
 			IDHex: m.idHex, Tenant: m.tenant,
 			State: service.StateDone.String(), CacheHit: true,
-			TotalPhotons: m.res.tally.Launched,
+			TotalPhotons: m.tally.Launched,
 			Target:       m.target, TargetMet: m.targetMet,
 			Submitted: m.born, Finished: m.born,
 		})

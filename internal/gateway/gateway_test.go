@@ -240,17 +240,34 @@ func TestGatewayRoutingIsStableAcrossInstances(t *testing.T) {
 // gateway, identical and meets-or-exceeds resubmissions are answered with
 // every shard down — status and result served under a gateway-minted ID.
 func TestGatewaySharedTierServesShardless(t *testing.T) {
+	tierServesShardless(t, false)
+}
+
+// TestGatewayTierFillsThroughAnyGateway is the same with two gateways over
+// the shards: the submissions are routed by one, the results fetched — and
+// the tier filled, from the keys the result bodies carry — through the
+// other, which never saw the POSTs.
+func TestGatewayTierFillsThroughAnyGateway(t *testing.T) {
+	tierServesShardless(t, true)
+}
+
+func tierServesShardless(t *testing.T, submitElsewhere bool) {
 	_, tsA := shardServer(t, service.Options{}, 2)
 	_, tsB := shardServer(t, service.Options{}, 2)
-	_, gw := gatewayServer(t, Options{Shards: [][]string{{tsA.URL}, {tsB.URL}}})
+	shards := [][]string{{tsA.URL}, {tsB.URL}}
+	_, gw := gatewayServer(t, Options{Shards: shards})
+	submitGW := gw
+	if submitElsewhere {
+		_, submitGW = gatewayServer(t, Options{Shards: shards})
+	}
 
 	fixed := service.JobRequest{Spec: slabSpec(4), Photons: 300, ChunkPhotons: 100, Seed: 3}
 	tight := service.JobRequest{
 		Spec: slabSpec(4), ChunkPhotons: 200, Seed: 3,
 		Target: &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.05},
 	}
-	accFixed := submitJob(t, gw.URL, "", fixed)
-	accTight := submitJob(t, gw.URL, "", tight)
+	accFixed := submitJob(t, submitGW.URL, "", fixed)
+	accTight := submitJob(t, submitGW.URL, "", tight)
 	waitDone(t, gw.URL, accFixed.ID)
 	waitDone(t, gw.URL, accTight.ID)
 	// Results flow through the gateway once, filling the tier.

@@ -11,7 +11,9 @@ import (
 
 // Spec is a fully serialisable simulation description: what the DataManager
 // sends to worker clients. It contains only plain data (no interfaces), so
-// it travels over encoding/gob unchanged. Exactly one of Model (layered
+// it travels unchanged over encoding/gob (the worker protocol) and
+// encoding/json (HTTP submissions, journal accept records), and hashes
+// through internal/canon into content keys. Exactly one of Model (layered
 // slabs) or Voxel (heterogeneous voxel grid) describes the medium; when
 // both are set the voxel grid wins.
 type Spec struct {
@@ -31,9 +33,10 @@ type Spec struct {
 	Radial   *HistSpec
 
 	// TrackMoments enables chunk-level second-moment tracking
-	// (Config.TrackMoments); precision-targeted jobs force it on. As a
-	// zero-default bool it is omitted from legacy gob encodings, so
-	// existing cache keys and journal accept records are unchanged.
+	// (Config.TrackMoments); precision-targeted jobs force it on. Content
+	// keys hash it through internal/canon like every other field, and the
+	// omitempty keeps the JSON of a job that never asked for moments as
+	// short as it was.
 	TrackMoments bool `json:",omitempty"`
 }
 

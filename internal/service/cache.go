@@ -2,6 +2,7 @@ package service
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sync"
 
@@ -26,7 +27,19 @@ import (
 type Key [sha256.Size]byte
 
 // String renders the key as hex for logs and the HTTP API.
-func (k Key) String() string { return fmt.Sprintf("%x", k[:]) }
+func (k Key) String() string { return hex.EncodeToString(k[:]) }
+
+// ParseKey is the inverse of String.
+func ParseKey(s string) (Key, error) {
+	var k Key
+	if len(s) != hex.EncodedLen(len(k)) {
+		return Key{}, fmt.Errorf("service: key %q is not %d hex digits", s, hex.EncodedLen(len(k)))
+	}
+	if _, err := hex.Decode(k[:], []byte(s)); err != nil {
+		return Key{}, fmt.Errorf("service: key %q: %w", s, err)
+	}
+	return k, nil
+}
 
 // KeyOf computes the content address of a job.
 func KeyOf(spec *mc.Spec, totalPhotons, chunkPhotons int64, seed uint64) (Key, error) {
@@ -100,70 +113,57 @@ func PhysicsKeyOf(spec *mc.Spec, chunkPhotons int64, seed uint64, fan int) (Key,
 	return k, nil
 }
 
-// cache is a bounded FIFO-evicting map from job key to completed tally,
-// plus a physics-keyed side index serving meets-or-exceeds precision
-// lookups (one entry per physics key: the deepest — most photons — stored
-// run of that decomposition). It carries its own lock so the tally clones
-// in get/put (a megabyte for a 50³ grid) never stall the registry mutex
-// (and with it the whole fleet).
-type cache struct {
+// ResultCache is a bounded FIFO-evicting map from job key to completed
+// tally, plus a physics-keyed side index serving meets-or-exceeds
+// precision lookups (one entry per physics key: the deepest — most
+// photons — stored run of that decomposition). Both tiers use it: the
+// registry's per-shard cache and the gateway's shared result tier.
+//
+// It is a pure container of immutable tallies: Put stores the pointer it
+// is given and Get returns it. A caller whose results may be merged into
+// (the registry) clones on the way in and on the way out, off this lock;
+// one that only re-encodes them (the gateway) never clones. A nil
+// *ResultCache is a disabled cache: every lookup misses, every put is
+// dropped.
+type ResultCache struct {
 	mu      sync.Mutex
 	max     int
 	entries map[Key]*mc.Tally
 	order   []Key
-	hits    int64
-	misses  int64
 
 	physics      map[Key]*mc.Tally
 	physicsOrder []Key
 }
 
-func newCache(max int) *cache {
+// NewResultCache bounds each index to max entries; 0 means 256, negative
+// returns the nil (disabled) cache.
+func NewResultCache(max int) *ResultCache {
 	if max < 0 {
 		return nil
 	}
 	if max == 0 {
 		max = 256
 	}
-	return &cache{
+	return &ResultCache{
 		max:     max,
 		entries: make(map[Key]*mc.Tally),
 		physics: make(map[Key]*mc.Tally),
 	}
 }
 
-// get returns a deep copy of the cached tally (callers may mutate results).
-func (c *cache) get(k Key) *mc.Tally {
-	return c.getCounted(k, true)
-}
-
-// getCounted is get with the miss counter optional: a lookup that falls
-// through to a second index (the physics lookup of precision submissions)
-// must record one miss for the whole submission, not one per index probed
-// — or the /stats hit rate operators size the cache by is skewed.
-func (c *cache) getCounted(k Key, recordMiss bool) *mc.Tally {
+// Get returns the tally stored under the exact content key, or nil.
+func (c *ResultCache) Get(k Key) *mc.Tally {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t, ok := c.entries[k]
-	if !ok {
-		if recordMiss {
-			c.misses++
-		}
-		return nil
-	}
-	c.hits++
-	return t.Clone()
+	return c.entries[k]
 }
 
-// put stores a deep copy of a pre-cloned tally: the live tally is also
-// handed to Wait callers, who are free to Merge into it; the cache entry
-// must not alias it. Callers clone before put so the copy can happen
-// outside any lock they hold.
-func (c *cache) put(k Key, clone *mc.Tally) {
-	if c == nil || clone == nil {
+// Put stores a completed tally under its exact content key.
+func (c *ResultCache) Put(k Key, t *mc.Tally) {
+	if c == nil || t == nil {
 		return
 	}
 	c.mu.Lock()
@@ -175,21 +175,21 @@ func (c *cache) put(k Key, clone *mc.Tally) {
 			c.order = c.order[1:]
 		}
 	}
-	c.entries[k] = clone
+	c.entries[k] = t
 }
 
-// putPhysics indexes a pre-cloned moments-carrying tally under its physics
-// key, keeping the deepest run per key (a later shallower run must not
-// evict a stored result that satisfies stricter targets).
-func (c *cache) putPhysics(pk Key, clone *mc.Tally) {
-	if c == nil || clone == nil || clone.Moments == nil {
+// PutPhysics indexes a moments-carrying tally under its physics key,
+// keeping the deepest run per key (a later shallower run must not evict a
+// stored result that satisfies stricter targets).
+func (c *ResultCache) PutPhysics(pk Key, t *mc.Tally) {
+	if c == nil || t == nil || t.Moments == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if cur, ok := c.physics[pk]; ok {
-		if clone.Launched > cur.Launched {
-			c.physics[pk] = clone
+		if t.Launched > cur.Launched {
+			c.physics[pk] = t
 		}
 		return
 	}
@@ -198,35 +198,32 @@ func (c *cache) putPhysics(pk Key, clone *mc.Tally) {
 		delete(c.physics, c.physicsOrder[0])
 		c.physicsOrder = c.physicsOrder[1:]
 	}
-	c.physics[pk] = clone
+	c.physics[pk] = t
 }
 
-// getMeeting returns a deep copy of the physics-indexed tally for pk if it
-// satisfies tgt (photon floor reached, RSE at or below the requested
-// relative error) — the meets-or-exceeds cache hit of precision-targeted
-// submissions. A request is never penalised for a stored run having spent
-// *more* photons than its own cap: the extra precision is free.
-func (c *cache) getMeeting(pk Key, tgt *mc.Target) *mc.Tally {
+// GetMeeting returns the physics-indexed tally for pk if it satisfies tgt
+// (photon floor reached, RSE at or below the requested relative error) —
+// the meets-or-exceeds cache hit of precision-targeted submissions. A
+// request is never penalised for a stored run having spent *more* photons
+// than its own cap: the extra precision is free.
+func (c *ResultCache) GetMeeting(pk Key, tgt *mc.Target) *mc.Tally {
 	if c == nil || tgt == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	t, ok := c.physics[pk]
-	if !ok || !tgt.MetBy(t) {
-		c.misses++
-		return nil
+	if t, ok := c.physics[pk]; ok && tgt.MetBy(t) {
+		return t
 	}
-	c.hits++
-	return t.Clone()
+	return nil
 }
 
-// stats snapshots the entry count and hit/miss counters.
-func (c *cache) stats() (entries int, hits, misses int64) {
+// Len reports the number of exact-key entries.
+func (c *ResultCache) Len() int {
 	if c == nil {
-		return 0, 0, 0
+		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries), c.hits, c.misses
+	return len(c.entries)
 }

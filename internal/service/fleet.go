@@ -903,7 +903,7 @@ func (r *Registry) reduceGroup(sess *session, jobID uint64, chunks []int, tally 
 		// Journal off both locks. On finalize this runs before sealJob:
 		// waiters stay blocked on j.finished until the final snapshot is
 		// appended, so nothing can mutate the returned tally mid-encode.
-		r.journal.chunksReduced(r, j, chunks, finished != nil)
+		r.journal.chunksReduced(r, j, len(chunks), finished != nil)
 	}
 	if finished != nil {
 		r.sealJob(finished) // cache clone + waiter release, off the hot lock

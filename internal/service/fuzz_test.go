@@ -3,8 +3,14 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -81,4 +87,100 @@ func FuzzDecodeJobRequest(f *testing.F) {
 				key[:8], rekey[:8], body, again)
 		}
 	})
+}
+
+// FuzzDecodeJournalRecord throws arbitrary bytes at the journal's two
+// structured decoders — what replay runs on every record of a log whose
+// frames passed their CRC. Neither may panic, the snapshot decoder may not
+// size its chunk list from a count the record's length does not back, and
+// a record that decodes must be a fixed point: re-encoded and decoded
+// again it is the same accept (key and JobSpec) and, byte for byte, the
+// same snapshot. The tally inside a snapshot is mc's compact codec, which
+// bounds its own allocations (maxCodecVoxels) and is not re-asserted here.
+//
+// The committed corpus (testdata/fuzz/FuzzDecodeJournalRecord) is an
+// accept and a snapshot record of each of journalShapes;
+// scripts/fuzz-corpus.sh regenerates it.
+func FuzzDecodeJournalRecord(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(append(make([]byte, 32), `{"Spec":null,"TotalPhotons":1}`...))
+	f.Add(append(make([]byte, 32), 0, 200, 1, 200, 1)) // count > bytes left
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if key, spec, err := decodeAcceptRec(data); err == nil {
+			rec, err := encodeAcceptRec(key, &spec)
+			if err != nil {
+				t.Fatalf("a decoded accept record does not re-encode: %v", err)
+			}
+			key2, spec2, err := decodeAcceptRec(rec)
+			if err != nil || key2 != key || !reflect.DeepEqual(spec2, spec) {
+				t.Fatalf("accept record changed across a re-encode (err %v):\n was %+v\n now %+v", err, spec, spec2)
+			}
+		}
+		if key, snap, err := decodeSnapshotRec(data); err == nil {
+			if cap(snap.Completed) > len(data) {
+				t.Fatalf("%d-byte record allocated room for %d chunk ids", len(data), cap(snap.Completed))
+			}
+			rec := encodeSnapshotRec(key, snap.NChunks, snap.Completed, snap.Tally)
+			key2, snap2, err := decodeSnapshotRec(rec)
+			if err != nil || key2 != key ||
+				!bytes.Equal(encodeSnapshotRec(key2, snap2.NChunks, snap2.Completed, snap2.Tally), rec) {
+				t.Fatalf("snapshot record changed across a re-encode (err %v)", err)
+			}
+		}
+	})
+}
+
+// updateCorpus rewrites the committed FuzzDecodeJournalRecord seeds from
+// the current record encodings (scripts/fuzz-corpus.sh passes it).
+var updateCorpus = flag.Bool("update-corpus", false, "rewrite the committed journal fuzz corpus")
+
+// TestCommittedJournalCorpus keeps the seed corpus honest: every seed
+// exists and still decodes. A committed record that stops decoding means
+// the record format changed under an unchanged wal.RecordType — journals
+// in the field would be skipped record by record instead of refused.
+func TestCommittedJournalCorpus(t *testing.T) {
+	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeJournalRecord")
+	for name, js := range journalShapes(t) {
+		if err := js.normalize(0); err != nil {
+			t.Fatal(err)
+		}
+		key, _, err := keysOf(&js)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *updateCorpus {
+			accept, err := encodeAcceptRec(key, &js)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Two chunks reduced, whatever the job's own chunk count.
+			tally := localTallyFan(t, js.Spec, 2*js.ChunkPhotons, js.ChunkPhotons, js.Seed, js.Fan)
+			snap := encodeSnapshotRec(key, max(js.numChunks(), 2), []int{0, 1}, tally)
+			for kind, data := range map[string][]byte{"accept": accept, "snapshot": snap} {
+				body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
+				if err := os.WriteFile(filepath.Join(dir, name+"_"+kind), []byte(body), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			continue
+		}
+		for kind, decode := range map[string]func([]byte) error{
+			"accept":   func(b []byte) error { _, _, err := decodeAcceptRec(b); return err },
+			"snapshot": func(b []byte) error { _, _, err := decodeSnapshotRec(b); return err },
+		} {
+			raw, err := os.ReadFile(filepath.Join(dir, name+"_"+kind))
+			if err != nil {
+				t.Errorf("corpus seed missing (run scripts/fuzz-corpus.sh): %v", err)
+				continue
+			}
+			_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
+			data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+			if err != nil {
+				t.Errorf("corpus seed %s_%s is not a fuzz v1 []byte literal: %v", name, kind, err)
+			} else if err := decode([]byte(data)); err != nil {
+				t.Errorf("committed %s record of %s no longer decodes: %v", kind, name, err)
+			}
+		}
+	}
 }

@@ -84,9 +84,14 @@ type JobAccepted struct {
 
 // JobResultBody is the GET /jobs/{id}/result response.
 type JobResultBody struct {
-	ID       string     `json:"id"`
-	CacheHit bool       `json:"cacheHit,omitempty"`
-	Target   *mc.Target `json:"target,omitempty"`
+	ID string `json:"id"`
+	// Key and PhysicsKey are the job's content key and physics key in hex
+	// (see KeyOf, PhysicsKeyOf): a routing tier files the tally into its
+	// shared result cache from the body alone.
+	Key        string     `json:"key"`
+	PhysicsKey string     `json:"physicsKey"`
+	CacheHit   bool       `json:"cacheHit,omitempty"`
+	Target     *mc.Target `json:"target,omitempty"`
 	// TargetMet reports a precision-targeted job stopped because its
 	// RSE goal was reached (false: the photon cap ended it first).
 	TargetMet bool      `json:"targetMet,omitempty"`
@@ -277,12 +282,14 @@ func (a *API) result(w http.ResponseWriter, req *http.Request) {
 			return
 		}
 		WriteJSON(w, http.StatusOK, JobResultBody{
-			ID:        st.IDHex,
-			CacheHit:  res.CacheHit,
-			Target:    res.Target,
-			TargetMet: res.TargetMet,
-			Elapsed:   res.Elapsed.Seconds(),
-			Tally:     res.Tally,
+			ID:         st.IDHex,
+			Key:        j.key.String(),
+			PhysicsKey: j.pkey.String(),
+			CacheHit:   res.CacheHit,
+			Target:     res.Target,
+			TargetMet:  res.TargetMet,
+			Elapsed:    res.Elapsed.Seconds(),
+			Tally:      res.Tally,
 		})
 	case StateCanceled.String():
 		WriteJSON(w, http.StatusGone, APIError{Error: "job canceled", State: st.State})

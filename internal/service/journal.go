@@ -2,12 +2,10 @@ package service
 
 import (
 	"bytes"
-	"crypto/rand"
 	"encoding/binary"
-	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"sync"
 	"sync/atomic"
@@ -18,11 +16,11 @@ import (
 )
 
 // Journal is the registry's crash-durability plane: a thin schema layer
-// over a wal.Log that records every control-plane transition — job
-// accepted, chunk batches reduced, amortized tally snapshots, finalize,
-// cancel — so a restarted mcqueue replays its way back to the exact job
-// set a SIGKILL interrupted. It is the only persistence: a polite SIGTERM
-// merely compacts it first.
+// over a wal.Log that records exactly what a restart reads back — job
+// accepted, amortized tally snapshots (the last one of a finished job is
+// its result), cancel — so a restarted mcqueue replays its way back to the
+// exact job set a SIGKILL interrupted. It is the only persistence: a
+// polite SIGTERM merely compacts it first.
 //
 // The write policy is availability over durability-at-any-cost: an
 // append failure is logged and the registry keeps serving (what a later
@@ -34,12 +32,14 @@ import (
 // is recomputed, not lost, and the resumed tally is identical to an
 // uninterrupted run's.
 type Journal struct {
-	wlog    *wal.Log
-	opts    JournalOptions
-	log     *slog.Logger
-	acceptC *acceptCodec
+	wlog *wal.Log
+	opts JournalOptions
+	log  *slog.Logger
 
 	compacting atomic.Bool
+	// acceptMu serialises accept appends with compact's gather→Compact
+	// window (see compact).
+	acceptMu sync.Mutex
 
 	mu        sync.Mutex
 	sinceSnap map[Key]int // reduced chunks since each job's last snapshot
@@ -78,8 +78,7 @@ func NewJournal(l *wal.Log, opts JournalOptions) *Journal {
 	if opts.Logger == nil {
 		opts.Logger = obs.NopLogger()
 	}
-	return &Journal{wlog: l, opts: opts, log: opts.Logger,
-		acceptC: newAcceptCodec(), sinceSnap: make(map[Key]int)}
+	return &Journal{wlog: l, opts: opts, log: opts.Logger, sinceSnap: make(map[Key]int)}
 }
 
 // Close releases the journal's write-ahead log. It is idempotent and
@@ -95,43 +94,28 @@ func (j *Journal) Close() error {
 	return j.wlog.Close()
 }
 
-// Record payloads. Only the cold accept record is gob-encoded (it
-// carries the arbitrarily-structured spec, once per job); every
-// high-rate record — chunk batches, snapshots, finalize/cancel marks —
-// is hand-framed binary, because a fresh gob encoder re-sends full type
-// descriptions and a fresh decoder recompiles its engines per record,
-// which at service-plane job rates cost ~20% of control-plane
-// throughput. Snapshots carry no spec at all: replay takes it from the
-// job's accept record, which always precedes them (Submit journals the
-// accept first, and compaction/resume rewrite an accept alongside each
-// snapshot). The WAL sees only opaque bytes either way.
-type walAccepted struct {
-	Key  Key
-	Spec JobSpec
-}
-
-// Binary record layouts (all varints are unsigned):
+// Record payloads. Every record is self-contained — it decodes with no
+// state carried from an earlier record — and leads with its job's 32-byte
+// content key (all varints are unsigned):
 //
-//	chunks:   key[32] · count · chunk-id*
-//	mark:     key[32]                       (finalize and cancel)
+//	accept:   key[32] · json.Marshal(JobSpec)
 //	snapshot: key[32] · flags · nchunks · count · chunk-id* · [compact tally]
+//	cancel:   key[32]
 //
-// The tally, present when flags&snapHasTally, is the exact bit-preserving
-// compact codec from the result plane (mc.AppendTally), so a replayed
-// tally merges to byte-identical results.
-const (
-	snapFinal    = 1 << 0
-	snapHasTally = 1 << 1
-)
-
-// snapParts is a decoded snapshot record — Snapshot minus the spec,
-// which replay grafts back from the accept record.
-type snapParts struct {
-	final     bool
-	nChunks   int
-	completed []int
-	tally     *mc.Tally
-}
+// The accept record carries the JobSpec itself, so a field added to it
+// later is journaled without anyone remembering to; it is written once
+// per job, and a stateless json.Marshal of it costs microseconds against
+// a millisecond submit ack. Snapshots — the high-rate record — are
+// hand-framed binary and carry no spec: replay takes it from the job's
+// accept record, which always precedes them (Submit journals the accept
+// first, and compaction/resume rewrite an accept alongside each
+// snapshot). The tally, present when flags&snapHasTally, is the exact
+// bit-preserving compact codec from the result plane (mc.AppendTally), so
+// a replayed tally merges to byte-identical results. The WAL sees only
+// opaque bytes either way.
+//
+// Flag bit 0 is retired: it marked final snapshots and nothing read it.
+const snapHasTally = 1 << 1
 
 var errBadRecord = errors.New("service: malformed journal record")
 
@@ -148,29 +132,64 @@ func decodeKeyRec(data []byte) (Key, error) {
 	return k, nil
 }
 
-func encodeChunksRec(key Key, chunks []int) []byte {
-	buf := make([]byte, 0, len(key)+1+2*len(chunks))
+func encodeAcceptRec(key Key, spec *JobSpec) ([]byte, error) {
+	body, err := json.Marshal(spec)
+	if err != nil {
+		return nil, fmt.Errorf("service: accept record: %w", err)
+	}
+	return append(appendKeyRec(key), body...), nil
+}
+
+// decodeAcceptRec refuses unknown fields, so a record written by a build
+// with a different JobSpec is skipped loudly instead of replaying as a
+// subtly different job.
+func decodeAcceptRec(data []byte) (Key, JobSpec, error) {
+	var spec JobSpec
+	key, err := decodeKeyRec(data)
+	if err != nil {
+		return key, spec, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(data[len(key):]))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return key, spec, fmt.Errorf("service: accept record: %w", err)
+	}
+	return key, spec, nil
+}
+
+func encodeSnapshotRec(key Key, nChunks int, completed []int, tally *mc.Tally) []byte {
+	buf := make([]byte, 0, 1024)
 	buf = append(buf, key[:]...)
-	buf = binary.AppendUvarint(buf, uint64(len(chunks)))
-	for _, c := range chunks {
-		buf = binary.AppendUvarint(buf, uint64(c))
+	var flags byte
+	if tally != nil {
+		flags |= snapHasTally
+	}
+	buf = append(buf, flags)
+	buf = binary.AppendUvarint(buf, uint64(nChunks))
+	buf = binary.AppendUvarint(buf, uint64(len(completed)))
+	for _, id := range completed {
+		buf = binary.AppendUvarint(buf, uint64(id))
+	}
+	if tally != nil {
+		buf = mc.AppendTally(buf, tally)
 	}
 	return buf
 }
 
-func decodeSnapshotRec(data []byte) (Key, snapParts, error) {
-	var p snapParts
+// decodeSnapshotRec returns the record's Snapshot with the Spec left
+// zero: replay grafts it back from the accept record.
+func decodeSnapshotRec(data []byte) (Key, Snapshot, error) {
+	var snap Snapshot
 	key, err := decodeKeyRec(data)
 	if err != nil {
-		return key, p, err
+		return key, snap, err
 	}
 	rest := data[len(key):]
 	if len(rest) < 1 {
-		return key, p, errBadRecord
+		return key, snap, errBadRecord
 	}
 	flags := rest[0]
 	rest = rest[1:]
-	p.final = flags&snapFinal != 0
 	uvarint := func() (uint64, bool) {
 		v, n := binary.Uvarint(rest)
 		if n <= 0 {
@@ -181,29 +200,31 @@ func decodeSnapshotRec(data []byte) (Key, snapParts, error) {
 	}
 	nc, ok := uvarint()
 	if !ok || nc > 1<<31 {
-		return key, p, errBadRecord
+		return key, snap, errBadRecord
 	}
-	p.nChunks = int(nc)
+	snap.NChunks = int(nc)
+	// Every id takes at least one byte, so the bytes left bound the count
+	// before it sizes an allocation.
 	count, ok := uvarint()
-	if !ok || count > nc {
-		return key, p, errBadRecord
+	if !ok || count > nc || count > uint64(len(rest)) {
+		return key, snap, errBadRecord
 	}
-	p.completed = make([]int, 0, count)
+	snap.Completed = make([]int, 0, count)
 	for range count {
 		id, ok := uvarint()
 		if !ok || id >= nc {
-			return key, p, errBadRecord
+			return key, snap, errBadRecord
 		}
-		p.completed = append(p.completed, int(id))
+		snap.Completed = append(snap.Completed, int(id))
 	}
 	if flags&snapHasTally != 0 {
 		t, err := mc.DecodeTally(rest)
 		if err != nil {
-			return key, p, fmt.Errorf("service: snapshot tally: %w", err)
+			return key, snap, fmt.Errorf("service: snapshot tally: %w", err)
 		}
-		p.tally = t
+		snap.Tally = t
 	}
-	return key, p, nil
+	return key, snap, nil
 }
 
 // snapshotRecord encodes a job's current resumable state directly from
@@ -211,163 +232,32 @@ func decodeSnapshotRec(data []byte) (Key, snapParts, error) {
 // use), so the record never observes a merge without its completion mark
 // or vice versa. The tally is encoded in place, not copied first: the
 // journal snapshots on the reduction path.
-func snapshotRecord(j *Job, final bool) []byte {
+func snapshotRecord(j *Job) []byte {
 	j.redMu.Lock()
 	j.reg.mu.Lock()
 	defer j.redMu.Unlock()
 	defer j.reg.mu.Unlock()
-	buf := make([]byte, 0, 1024)
-	buf = append(buf, j.key[:]...)
-	var flags byte
-	if final {
-		flags |= snapFinal
-	}
-	if j.tally != nil {
-		flags |= snapHasTally
-	}
-	buf = append(buf, flags)
-	buf = binary.AppendUvarint(buf, uint64(j.nChunks))
-	count := 0
-	for id := 0; id < j.nChunks; id++ {
-		if j.completed[id] {
-			count++
+	completed := make([]int, 0, j.nCompleted)
+	for id, done := range j.completed[:j.nChunks] {
+		if done {
+			completed = append(completed, id)
 		}
 	}
-	buf = binary.AppendUvarint(buf, uint64(count))
-	for id := 0; id < j.nChunks; id++ {
-		if j.completed[id] {
-			buf = binary.AppendUvarint(buf, uint64(id))
-		}
-	}
-	if j.tally != nil {
-		buf = mc.AppendTally(buf, j.tally)
-	}
-	return buf
-}
-
-// acceptCodec gob-encodes accept records on a persistent stream. A fresh
-// gob encoder re-sends the full type description of JobSpec/mc.Spec with
-// every record (~25× the cost of encoding the values); a persistent
-// encoder sends descriptors once and values after. Each record is
-// prefixed with the stream's 8-byte generation id so replay can feed the
-// records of one generation, in log order, through one matching decoder
-// — the concatenation of a generation's records is exactly the byte
-// stream its encoder produced. A generation's descriptors live in its
-// first record, so a torn tail (which can only lose the last record)
-// never strands a decodable record; an append *failure* mid-generation
-// could, which is why appendAccept resets to a fresh generation on any
-// error. Compaction also resets: it rewrites the log with a new
-// generation's records and deletes the old prefix, and post-compaction
-// appends continue the new generation whose descriptors the compacted
-// segment now holds.
-type acceptCodec struct {
-	mu  sync.Mutex
-	gen uint64
-	buf bytes.Buffer
-	enc *gob.Encoder
-}
-
-func newAcceptCodec() *acceptCodec {
-	c := &acceptCodec{}
-	c.resetLocked()
-	return c
-}
-
-// resetLocked starts a fresh generation (random id, fresh encoder).
-func (c *acceptCodec) resetLocked() {
-	var g [8]byte
-	rand.Read(g[:]) // never fails (go ≥ 1.24)
-	c.gen = binary.LittleEndian.Uint64(g[:])
-	c.buf.Reset()
-	c.enc = gob.NewEncoder(&c.buf)
-}
-
-// encodeLocked returns one generation-prefixed accept record.
-func (c *acceptCodec) encodeLocked(v walAccepted) ([]byte, error) {
-	c.buf.Reset()
-	if err := c.enc.Encode(v); err != nil {
-		return nil, err
-	}
-	out := make([]byte, 8+c.buf.Len())
-	binary.LittleEndian.PutUint64(out, c.gen)
-	copy(out[8:], c.buf.Bytes())
-	return out, nil
-}
-
-// acceptDecoder replays accept records: one persistent gob decoder per
-// generation, fed each record's bytes in log order. A decode error
-// poisons its generation's stream state, so the generation is tombstoned
-// and its later records are skipped rather than misread.
-type acceptDecoder struct {
-	streams map[uint64]*acceptStream
-}
-
-type acceptStream struct {
-	feed sliceFeeder
-	dec  *gob.Decoder
-	dead bool
-}
-
-// sliceFeeder is an io.Reader over a replaceable slice — the decoder's
-// window onto the current record's bytes.
-type sliceFeeder struct{ data []byte }
-
-func (f *sliceFeeder) Read(p []byte) (int, error) {
-	if len(f.data) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, f.data)
-	f.data = f.data[n:]
-	return n, nil
-}
-
-func (ad *acceptDecoder) decode(data []byte) (walAccepted, error) {
-	var a walAccepted
-	if len(data) < 8 {
-		return a, errBadRecord
-	}
-	gen := binary.LittleEndian.Uint64(data)
-	st := ad.streams[gen]
-	if st == nil {
-		st = &acceptStream{}
-		st.dec = gob.NewDecoder(&st.feed)
-		if ad.streams == nil {
-			ad.streams = make(map[uint64]*acceptStream)
-		}
-		ad.streams[gen] = st
-	}
-	if st.dead {
-		return a, fmt.Errorf("service: accept record in poisoned stream %016x", gen)
-	}
-	st.feed.data = data[8:]
-	if err := st.dec.Decode(&a); err != nil {
-		st.dead = true
-		return a, fmt.Errorf("service: accept record: %w", err)
-	}
-	if len(st.feed.data) != 0 {
-		st.dead = true
-		return a, errBadRecord
-	}
-	return a, nil
+	return encodeSnapshotRec(j.key, j.nChunks, completed, j.tally)
 }
 
 // appendAccept encodes and appends one accept record; failures are
 // logged, never propagated (see the type comment's availability
-// contract). Encode and append stay inside one critical section so
-// records land in the log in stream order — a generation's first record
-// carries its type descriptors, so a reordering would strand the
-// overtaking record at replay. An error resets the generation: the
-// failed record may hold descriptors (or a first-use type) that later
-// records of this generation would silently depend on.
-func (jl *Journal) appendAccept(v walAccepted) {
-	jl.acceptC.mu.Lock()
-	defer jl.acceptC.mu.Unlock()
-	data, err := jl.acceptC.encodeLocked(v)
+// contract). The append — not the encode — holds acceptMu, which compact
+// holds across its whole rewrite.
+func (jl *Journal) appendAccept(key Key, spec *JobSpec) {
+	data, err := encodeAcceptRec(key, spec)
 	if err == nil {
+		jl.acceptMu.Lock()
 		err = jl.wlog.Append(wal.RecJobAccepted, data)
+		jl.acceptMu.Unlock()
 	}
 	if err != nil {
-		jl.acceptC.resetLocked()
 		jl.log.Error("journal append failed", "type", int(wal.RecJobAccepted), "err", err)
 	}
 }
@@ -387,52 +277,43 @@ func (jl *Journal) jobAccepted(key Key, spec JobSpec) {
 	if jl == nil {
 		return
 	}
-	jl.appendAccept(walAccepted{Key: key, Spec: spec})
+	jl.appendAccept(key, &spec)
 }
 
-// chunksReduced journals a reduced chunk batch and, every SnapshotEvery
-// reduced chunks per job, a full tally snapshot. finished routes to the
-// finalize path instead (final snapshot + mark) — it must run before
-// sealJob releases the job's waiters, while the tally is still
-// guaranteed quiescent. Called with no registry or reduction locks held.
-func (jl *Journal) chunksReduced(r *Registry, j *Job, chunks []int, finished bool) {
+// chunksReduced paces the amortized snapshots: every SnapshotEvery
+// reduced chunks per job it journals a full tally snapshot. The chunks
+// themselves are not journaled — replay resumes from the last snapshot
+// and recomputes the rest. A finished job gets its final snapshot at once:
+// replay rebuilds it born Done from that and re-seeds the result cache.
+// It must be cut before sealJob releases the job's waiters, while the
+// tally is still guaranteed quiescent. Called with no registry or
+// reduction locks held.
+func (jl *Journal) chunksReduced(r *Registry, j *Job, chunks int, finished bool) {
 	if jl == nil {
 		return
 	}
-	jl.appendRaw(wal.RecChunksReduced, encodeChunksRec(j.key, chunks))
-	if finished {
-		jl.finalized(j)
-		return
-	}
 	jl.mu.Lock()
-	jl.sinceSnap[j.key] += len(chunks)
-	due := jl.sinceSnap[j.key] >= jl.opts.SnapshotEvery
-	if due {
-		jl.sinceSnap[j.key] = 0
+	due := finished
+	if finished {
+		delete(jl.sinceSnap, j.key)
+	} else {
+		jl.sinceSnap[j.key] += chunks
+		if due = jl.sinceSnap[j.key] >= jl.opts.SnapshotEvery; due {
+			jl.sinceSnap[j.key] = 0
+		}
 	}
 	jl.mu.Unlock()
 	if due {
-		jl.snapshot(j, false)
+		jl.snapshot(j)
 	}
-	jl.maybeCompact(r)
+	if !finished {
+		jl.maybeCompact(r)
+	}
 }
 
 // snapshot journals the job's current resumable state.
-func (jl *Journal) snapshot(j *Job, final bool) {
-	jl.appendRaw(wal.RecSnapshot, snapshotRecord(j, final))
-}
-
-// finalized journals a job's completion: its final snapshot (replay
-// re-seeds the result cache from it) and the finalize mark.
-func (jl *Journal) finalized(j *Job) {
-	if jl == nil {
-		return
-	}
-	jl.snapshot(j, true)
-	jl.appendRaw(wal.RecJobFinalized, appendKeyRec(j.key))
-	jl.mu.Lock()
-	delete(jl.sinceSnap, j.key)
-	jl.mu.Unlock()
+func (jl *Journal) snapshot(j *Job) {
+	jl.appendRaw(wal.RecSnapshot, snapshotRecord(j))
 }
 
 // canceled journals a cancel; replay drops the job.
@@ -461,15 +342,13 @@ func acceptedSpec(j *Job) JobSpec {
 // resumed re-journals a job restored by replay so the journal is
 // self-contained going forward. The accept record must precede the
 // snapshot: snapshots carry no spec.
-func (jl *Journal) resumed(j *Job, complete bool) {
+func (jl *Journal) resumed(j *Job) {
 	if jl == nil {
 		return
 	}
-	jl.appendAccept(walAccepted{Key: j.key, Spec: acceptedSpec(j)})
-	jl.snapshot(j, complete)
-	if complete {
-		jl.appendRaw(wal.RecJobFinalized, appendKeyRec(j.key))
-	}
+	spec := acceptedSpec(j)
+	jl.appendAccept(j.key, &spec)
+	jl.snapshot(j)
 }
 
 // maybeCompact runs a compaction when the log has outgrown the trigger,
@@ -489,50 +368,37 @@ func (jl *Journal) maybeCompact(r *Registry) {
 }
 
 // compact rewrites the log to one accept + snapshot pair per retained
-// job (snapshots carry no spec, so each needs its accept record
-// alongside): live jobs as resumable snapshots, finished ones with the
-// finalize mark added (so a restart still re-seeds the result cache).
-// History before the snapshots — older chunk batches and canceled jobs —
-// is dropped; a canceled job simply has nothing to replay.
+// job, live or finished (snapshots carry no spec, so each needs its
+// accept record alongside). History before the snapshots — older
+// snapshots and canceled jobs — is dropped; a canceled job simply has
+// nothing to replay.
 func (jl *Journal) compact(r *Registry) error {
-	// Hold the accept codec for the whole rewrite: Compact deletes every
-	// existing record, so an accept append racing the gather→Compact
-	// window would be silently erased — its job unreplayable, since
-	// snapshots carry no spec. Blocking accepts (submits are rare next to
-	// reductions) closes the window, and the generation reset below means
-	// the compacted log is a self-contained stream: its first accept
-	// record carries the new generation's type descriptors, and
-	// post-compaction accepts continue that same generation.
-	jl.acceptC.mu.Lock()
-	defer jl.acceptC.mu.Unlock()
-	jl.acceptC.resetLocked()
+	// Hold acceptMu for the whole rewrite: Compact deletes every existing
+	// record, so an accept append racing the gather→Compact window would
+	// be silently erased — its job unreplayable, since snapshots carry no
+	// spec. Blocking accepts (submits are rare next to reductions) closes
+	// the window. A snapshot that races it is only stale, never lost:
+	// snapshotRecord below reads the job's state at least as late.
+	jl.acceptMu.Lock()
+	defer jl.acceptMu.Unlock()
 	r.mu.Lock()
 	jobs := make([]*Job, 0, len(r.order))
-	states := make([]JobState, 0, len(r.order))
 	for _, j := range r.order {
-		if j.state == StateCanceled {
-			continue
+		if j.state != StateCanceled {
+			jobs = append(jobs, j)
 		}
-		jobs = append(jobs, j)
-		states = append(states, j.state)
 	}
 	r.mu.Unlock()
-	recs := make([]wal.Record, 0, 3*len(jobs))
-	for i, j := range jobs {
-		accept, err := jl.acceptC.encodeLocked(walAccepted{Key: j.key, Spec: acceptedSpec(j)})
+	recs := make([]wal.Record, 0, 2*len(jobs))
+	for _, j := range jobs {
+		spec := acceptedSpec(j)
+		accept, err := encodeAcceptRec(j.key, &spec)
 		if err != nil {
 			return err
 		}
-		recs = append(recs, wal.Record{Type: wal.RecJobAccepted, Data: accept})
-		// snapshotRecord takes the job's own locks, so a job that
-		// finished between the gather above and here yields a complete
-		// snapshot — replay makes it born-Done either way. The gathered
-		// state only decides whether to add the finalize mark.
-		recs = append(recs, wal.Record{Type: wal.RecSnapshot,
-			Data: snapshotRecord(j, states[i] == StateDone)})
-		if states[i] == StateDone {
-			recs = append(recs, wal.Record{Type: wal.RecJobFinalized, Data: appendKeyRec(j.key)})
-		}
+		recs = append(recs,
+			wal.Record{Type: wal.RecJobAccepted, Data: accept},
+			wal.Record{Type: wal.RecSnapshot, Data: snapshotRecord(j)})
 	}
 	jl.mu.Lock()
 	clear(jl.sinceSnap)
@@ -558,23 +424,27 @@ func (r *Registry) CompactJournal() error {
 
 // Replay folds recovered records into the registry, re-queueing every
 // job the crash interrupted. Fold semantics: later records supersede
-// earlier ones per job key — the last snapshot wins, a finalize mark
-// makes the job born-Done from its final snapshot (re-seeding the result
-// cache), a cancel mark drops it. Chunk-batch records past the last
-// snapshot are progress markers only: those chunks recompute, which is
-// safe because a chunk tally is a pure function of (seed, stream, fan).
-// Returns the number of jobs restored (live or done). Replayed
-// submissions bypass admission — their work was admitted before the
-// crash — and count into Stats.JobsReplayed.
+// earlier ones per job key — the last snapshot wins, a cancel drops the
+// job. A job whose last snapshot is complete is born Done from it
+// (re-seeding the result cache); one with no snapshot at all is queued
+// from its accept record. Whatever was reduced past the last snapshot
+// recomputes, which is safe because a chunk tally is a pure function of
+// (seed, stream, fan). Returns the number of jobs restored (live or done).
+// Replayed submissions bypass admission — their work was admitted before
+// the crash — and count into Stats.JobsReplayed.
+//
+// A log holding a record of a retired type (wal.RecJobAcceptedGob,
+// RecChunksReduced, RecJobFinalized) was written before the three-kind
+// schema; it is refused whole, with nothing restored, rather than
+// half-replayed without its accept records.
 func (jl *Journal) Replay(r *Registry, records []wal.Record) (int, error) {
 	if jl == nil || len(records) == 0 {
 		return 0, nil
 	}
 	type jobState struct {
-		spec      *JobSpec
-		snap      *snapParts
-		finalized bool
-		canceled  bool
+		spec     *JobSpec
+		snap     *Snapshot
+		canceled bool
 	}
 	states := make(map[Key]*jobState)
 	var order []Key
@@ -588,32 +458,23 @@ func (jl *Journal) Replay(r *Registry, records []wal.Record) (int, error) {
 		return s
 	}
 	skipped := 0
-	var ad acceptDecoder
 	for _, rec := range records {
 		switch rec.Type {
 		case wal.RecJobAccepted:
-			a, err := ad.decode(rec.Data)
+			key, spec, err := decodeAcceptRec(rec.Data)
 			if err != nil {
 				skipped++
 				jl.log.Warn("journal replay: accept record skipped", "err", err)
 				continue
 			}
-			sp := a.Spec
-			get(a.Key).spec = &sp
+			get(key).spec = &spec
 		case wal.RecSnapshot:
-			key, parts, err := decodeSnapshotRec(rec.Data)
+			key, snap, err := decodeSnapshotRec(rec.Data)
 			if err != nil {
 				skipped++
 				continue
 			}
-			get(key).snap = &parts
-		case wal.RecJobFinalized:
-			key, err := decodeKeyRec(rec.Data)
-			if err != nil {
-				skipped++
-				continue
-			}
-			get(key).finalized = true
+			get(key).snap = &snap
 		case wal.RecJobCanceled:
 			key, err := decodeKeyRec(rec.Data)
 			if err != nil {
@@ -621,9 +482,11 @@ func (jl *Journal) Replay(r *Registry, records []wal.Record) (int, error) {
 				continue
 			}
 			get(key).canceled = true
-		case wal.RecChunksReduced:
-			// Progress markers; the durable tally behind them is the last
-			// snapshot. Nothing to fold.
+		case wal.RecJobAcceptedGob, wal.RecChunksReduced, wal.RecJobFinalized:
+			return 0, fmt.Errorf("service: journal holds a record of retired type %d, "+
+				"written by a release before the accept/snapshot/cancel schema; "+
+				"this binary keeps no decoder for it — finish or discard the journal "+
+				"with the release that wrote it, or start on an empty directory", rec.Type)
 		default:
 			skipped++
 		}
@@ -636,17 +499,12 @@ func (jl *Journal) Replay(r *Registry, records []wal.Record) (int, error) {
 		case s.canceled:
 			continue
 		case s.snap != nil && s.spec != nil:
-			// Live job resumed from its last snapshot, or — when
-			// finalized — born Done from its final one. The snapshot
-			// record carries no spec; the accept record supplies it.
-			snap := Snapshot{
-				Spec:      *s.spec,
-				NChunks:   s.snap.nChunks,
-				Completed: s.snap.completed,
-				Tally:     s.snap.tally,
-			}
-			snap.Spec.replay = true
-			_, err = r.SubmitSnapshot(&snap)
+			// Resumed from its last snapshot — live, or born Done when
+			// that snapshot is complete. The snapshot record carries no
+			// spec; the accept record supplies it.
+			s.snap.Spec = *s.spec
+			s.snap.Spec.replay = true
+			_, err = r.SubmitSnapshot(s.snap)
 		case s.snap != nil:
 			// A snapshot whose accept record was lost (an append failure
 			// in degraded mode): nothing resumable without the spec.
@@ -654,18 +512,12 @@ func (jl *Journal) Replay(r *Registry, records []wal.Record) (int, error) {
 			jl.log.Warn("journal replay: snapshot without accept record",
 				"key", fmt.Sprintf("%x", k[:8]))
 			continue
-		case s.finalized:
-			// A finalize mark whose snapshot was lost (torn away with the
-			// tail): nothing resumable. The work is gone from the cache
-			// but not from the world — an identical resubmission simply
-			// recomputes.
-			continue
-		case s.spec != nil:
+		default:
+			// Accepted, never snapshotted — or its snapshots were torn
+			// away with the tail: queue it whole.
 			spec := *s.spec
 			spec.replay = true
 			_, err = r.Submit(spec)
-		default:
-			continue
 		}
 		if err != nil {
 			skipped++

@@ -3,16 +3,23 @@ package service
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/detector"
 	"repro/internal/mc"
 	"repro/internal/obs"
 	"repro/internal/protocol"
+	"repro/internal/source"
+	"repro/internal/tissue"
 	"repro/internal/wal"
 )
 
@@ -45,12 +52,12 @@ func replayInto(t *testing.T, dir string, o Options) (*Registry, *wal.Log, int) 
 // spec.
 func snapshotOf(t *testing.T, j *Job) *Snapshot {
 	t.Helper()
-	_, parts, err := decodeSnapshotRec(snapshotRecord(j, false))
+	_, snap, err := decodeSnapshotRec(snapshotRecord(j))
 	if err != nil {
 		t.Fatalf("snapshot record: %v", err)
 	}
-	return &Snapshot{Spec: acceptedSpec(j), NChunks: parts.nChunks,
-		Completed: parts.completed, Tally: parts.tally}
+	snap.Spec = acceptedSpec(j)
+	return &snap
 }
 
 // workChunks runs the minimal per-chunk worker loop until n chunks are
@@ -242,10 +249,10 @@ func TestJournalCrashMidRunByteIdenticalTally(t *testing.T) {
 			if j == nil {
 				t.Fatal("mid-run job not replayed")
 			}
-			// The 5th chunk landed after the last snapshot: its chunk record
-			// is a progress marker only, so replay resumes from 4 completed
-			// and the 5th recomputes (chunk tallies are pure functions of
-			// the stream).
+			// The 5th chunk landed after the last snapshot and nothing else
+			// journals a reduction, so replay resumes from 4 completed and
+			// the 5th recomputes (chunk tallies are pure functions of the
+			// stream).
 			if done, _ := j.Progress(); done != 4 {
 				t.Fatalf("resumed at %d chunks, want 4 (last snapshot)", done)
 			}
@@ -287,14 +294,17 @@ func TestSnapshotRejectsOutOfRangeChunk(t *testing.T) {
 	}
 }
 
-// TestJournalFinalizedReplayBornDone: a finished job replays born-Done —
-// its result is servable with zero workers attached, and the result cache
-// is re-seeded so an identical resubmission is a cache hit.
+// TestJournalFinalizedReplayBornDone: a finished job replays born-Done
+// from its accept record and final snapshot alone — its result is servable
+// with zero workers attached, and the result cache is re-seeded so an
+// identical resubmission is a cache hit. The job runs 16 chunks under the
+// default snapshot cadence, which also pins the record mix: exactly one
+// accept and one snapshot, nothing per chunk and no finalize mark.
 func TestJournalFinalizedReplayBornDone(t *testing.T) {
 	dir := t.TempDir()
 	regA, wlA, _ := journaledRegistry(t, dir, 0, Options{})
 	spec := slabSpec(5)
-	js := JobSpec{Spec: spec, TotalPhotons: 1000, ChunkPhotons: 250, Seed: 3}
+	js := JobSpec{Spec: spec, TotalPhotons: 4000, ChunkPhotons: 250, Seed: 3}
 	out, err := regA.Submit(js)
 	if err != nil {
 		t.Fatal(err)
@@ -306,8 +316,19 @@ func TestJournalFinalizedReplayBornDone(t *testing.T) {
 	}
 	wlA.Close()
 
-	regB, wlB, restored := replayInto(t, dir, Options{})
+	regB, wlB, rep := journaledRegistry(t, dir, 0, Options{})
 	defer wlB.Close()
+	var mix []wal.RecordType
+	for _, rec := range rep.Records {
+		mix = append(mix, rec.Type)
+	}
+	if want := []wal.RecordType{wal.RecJobAccepted, wal.RecSnapshot}; !slices.Equal(mix, want) {
+		t.Fatalf("a 16-chunk job journaled record types %v, want %v", mix, want)
+	}
+	restored, err := regB.journal.Replay(regB, rep.Records)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if restored != 1 {
 		t.Fatalf("replay restored %d jobs, want 1", restored)
 	}
@@ -359,7 +380,7 @@ func TestJournalCanceledJobNotReplayed(t *testing.T) {
 }
 
 // TestJournalCompactionShrinksAndReplays: CompactJournal rewrites a
-// chatty history (accept + per-chunk records + per-chunk snapshots) down
+// chatty history (accept + per-chunk snapshots) down
 // to one snapshot per retained job, the log shrinks, canceled jobs are
 // dropped, and a replay of the compacted log restores the same state.
 func TestJournalCompactionShrinksAndReplays(t *testing.T) {
@@ -485,5 +506,188 @@ func TestJournalCompactionCrashDoubleReplay(t *testing.T) {
 	}
 	if !bytes.Equal(tallyBytes(t, resB.Tally), tallyBytes(t, resA.Tally)) {
 		t.Fatal("double replay changed the tally")
+	}
+}
+
+// TestJournalLostFinalSnapshotRecomputes: a finished job whose final
+// snapshot never reached the disk (torn away with the tail) is still an
+// accepted job — replay queues it from the accept record alone and a
+// worker recomputes the byte-identical tally.
+func TestJournalLostFinalSnapshotRecomputes(t *testing.T) {
+	dirA := t.TempDir()
+	regA, wlA, _ := journaledRegistry(t, dirA, 0, Options{})
+	js := JobSpec{Spec: slabSpec(5), TotalPhotons: 1000, ChunkPhotons: 250, Seed: 3}
+	out, err := regA.Submit(js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	startWorkers(t, regA, 1)
+	resA, err := out.Job.Wait(60 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wlA.Close()
+	_, wlA, rep := journaledRegistry(t, dirA, 0, Options{})
+	wlA.Close()
+
+	// The same log minus everything after the accept record.
+	dirB := t.TempDir()
+	regB, wlB, _ := journaledRegistry(t, dirB, 0, Options{})
+	defer wlB.Close()
+	if rep.Records[0].Type != wal.RecJobAccepted {
+		t.Fatalf("first record has type %d, want the accept", rep.Records[0].Type)
+	}
+	restored, err := regB.journal.Replay(regB, rep.Records[:1])
+	if err != nil || restored != 1 {
+		t.Fatalf("Replay of a lone accept record: restored %d, err %v", restored, err)
+	}
+	j := regB.Get(out.Job.ID())
+	if j == nil || j.Status().State != StateQueued.String() {
+		t.Fatalf("accept without a snapshot replayed as %v, want a queued job", j)
+	}
+	startWorkers(t, regB, 1)
+	resB, err := j.Wait(60 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(tallyBytes(t, resB.Tally), tallyBytes(t, resA.Tally)) {
+		t.Fatal("recomputed tally differs from the run whose final snapshot was lost")
+	}
+}
+
+// TestReplayRefusesRetiredRecordTypes: a log holding a record of a retired
+// type was written by an older release; Replay names the type and restores
+// nothing, not even the jobs whose records it could read.
+func TestReplayRefusesRetiredRecordTypes(t *testing.T) {
+	js := JobSpec{Spec: slabSpec(5), TotalPhotons: 1000, ChunkPhotons: 250, Seed: 3}
+	if err := js.normalize(0); err != nil {
+		t.Fatal(err)
+	}
+	key, _, err := keysOf(&js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	accept, err := encodeAcceptRec(key, &js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, retired := range []wal.RecordType{wal.RecJobAcceptedGob, wal.RecChunksReduced, wal.RecJobFinalized} {
+		reg, wl, _ := journaledRegistry(t, t.TempDir(), 0, Options{})
+		restored, err := reg.journal.Replay(reg, []wal.Record{
+			{Type: wal.RecJobAccepted, Data: accept},
+			{Type: retired, Data: appendKeyRec(key)},
+		})
+		wl.Close()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("retired type %d", retired)) {
+			t.Fatalf("type %d: Replay returned %v, want an error naming the retired type", retired, err)
+		}
+		if restored != 0 || len(reg.List()) != 0 {
+			t.Fatalf("type %d: refused log still restored %d jobs (%d listed)", retired, restored, len(reg.List()))
+		}
+	}
+}
+
+// journalShapes are the job shapes the accept-record test and the
+// FuzzDecodeJournalRecord seed corpus share: the ones whose encodings
+// differ in kind — a fanned slab, the paper's head (its last layer +Inf
+// thick, which plain JSON cannot carry), a voxel grid, a precision target.
+func journalShapes(t *testing.T) map[string]JobSpec {
+	head := mc.NewSpec(tissue.AdultHead(), source.Spec{Kind: source.KindPencil},
+		detector.Spec{Kind: detector.KindAnnulus, RMin: 1, RMax: 4})
+	return map[string]JobSpec{
+		"slab":  {Spec: slabSpec(5), TotalPhotons: 1000, ChunkPhotons: 250, Seed: 3, Fan: 2},
+		"head":  {Spec: head, TotalPhotons: 1840, ChunkPhotons: 230, Seed: 5},
+		"voxel": {Spec: voxelSpec(t), TotalPhotons: 500, ChunkPhotons: 250, Seed: 9},
+		"precision_target": {Spec: targetSpec(5), ChunkPhotons: 250, Seed: 7,
+			Target: &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.05}},
+	}
+}
+
+// fillExported sets every exported field of v (recursively, allocating
+// pointers and one-element slices) to a distinct non-zero value, so a
+// codec that drops a field cannot round-trip it.
+func fillExported(t *testing.T, v reflect.Value, n *int) {
+	t.Helper()
+	*n++
+	switch v.Kind() {
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fillExported(t, v.Elem(), n)
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if v.Type().Field(i).IsExported() {
+				fillExported(t, v.Field(i), n)
+			}
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		fillExported(t, v.Index(0), n)
+	case reflect.String:
+		v.SetString(fmt.Sprintf("s%d", *n))
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(int64(*n%100 + 1))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(uint64(*n%100 + 1))
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(float64(*n) + 0.5)
+	default:
+		t.Fatalf("fillExported: JobSpec reaches a %s field; teach the test (and check the accept codec) about it", v.Kind())
+	}
+}
+
+// TestAcceptRecordCarriesEveryField: the accept record is the JobSpec
+// itself, so every exported field — present and future — survives the
+// journal, and the keys a replayed job is filed under are the ones it was
+// accepted under, for every job shape.
+func TestAcceptRecordCarriesEveryField(t *testing.T) {
+	var full JobSpec
+	n := 0
+	fillExported(t, reflect.ValueOf(&full).Elem(), &n)
+	if full.Target == nil || full.Spec == nil || full.Spec.Voxel == nil {
+		t.Fatal("fillExported left a pointer nil")
+	}
+	var key Key
+	key[0], key[31] = 0xab, 0xcd
+	rec, err := encodeAcceptRec(key, &full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotKey, got, err := decodeAcceptRec(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotKey != key || !reflect.DeepEqual(got, full) {
+		t.Fatalf("accept record dropped or changed a field:\n got %+v\nwant %+v", got, full)
+	}
+
+	for name, js := range journalShapes(t) {
+		if err := js.normalize(0); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		key, pkey, err := keysOf(&js)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rec, err := encodeAcceptRec(key, &js)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		_, back, err := decodeAcceptRec(rec)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := back.normalize(0); err != nil {
+			t.Fatalf("%s: decoded spec no longer normalizes: %v", name, err)
+		}
+		key2, pkey2, err := keysOf(&back)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if key2 != key || pkey2 != pkey {
+			t.Fatalf("%s: keys moved across the accept record: %x/%x -> %x/%x",
+				name, key[:8], pkey[:8], key2[:8], pkey2[:8])
+		}
 	}
 }

@@ -26,7 +26,7 @@ type Registry struct {
 	order     []*Job       // submission order (List is deterministic)
 	active    []*Job       // queued/running jobs only — the dispatcher's hot loop
 	byKey     map[Key]*Job // jobs not yet in the cache, for coalescing identical submissions
-	cache     *cache
+	cache     *ResultCache
 	seq       uint64
 	sessions  map[uint64]*session
 	nextSess  uint64
@@ -41,6 +41,8 @@ type Registry struct {
 	submitted      int64 // fresh jobs accepted (cache hits / coalesced excluded)
 	resumed        int64 // jobs restored from journal snapshots
 	replayed       int64 // jobs restored by journal replay (subset of the above two)
+	cacheHits      int64 // submissions served from the result cache, either index
+	cacheMisses    int64 // submissions that probed the cache and found nothing
 
 	// Dispatch scratch buffers, reused under mu so the per-request
 	// candidate gathering allocates nothing at steady state.
@@ -83,7 +85,7 @@ func New(opts Options) *Registry {
 		log:       opts.Logger,
 		jobs:      make(map[uint64]*Job),
 		byKey:     make(map[Key]*Job),
-		cache:     newCache(opts.CacheSize),
+		cache:     NewResultCache(opts.CacheSize),
 		sessions:  make(map[uint64]*session),
 		seenNames: make(map[string]bool),
 		tenants:   make(map[string]*tenantStats),
@@ -146,19 +148,23 @@ func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
 	}
 	r.mu.Unlock()
 
-	// A precision submission probes two indexes but is one lookup: only
-	// the trailing physics probe records the miss.
+	// A precision submission probes two indexes but is one lookup: one
+	// hit or one miss, whichever index answered.
 	r.met.cacheLookups.Inc()
-	tally := r.cache.getCounted(key, spec.Target == nil)
+	tally := r.cache.Get(key)
 	hitIndex := "exact"
 	if tally == nil && spec.Target != nil {
 		// Meets-or-exceeds: a deeper or equal stored run of the same
 		// physics satisfies any looser request for it.
-		tally = r.cache.getMeeting(pkey, spec.Target)
+		tally = r.cache.GetMeeting(pkey, spec.Target)
 		hitIndex = "physics"
 	}
 	if tally != nil {
+		// The cache hands out its own pointer; the job's tally goes to Wait
+		// callers, who are free to Merge into it.
+		tally = tally.Clone()
 		r.mu.Lock()
+		r.cacheHits++
 		if err := r.admitRideLocked(&spec); err != nil {
 			r.mu.Unlock()
 			return nil, err
@@ -189,6 +195,7 @@ func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
 	// authoritative, debiting check repeats under the lock below.
 	cost := spec.admissionPhotons()
 	r.mu.Lock()
+	r.cacheMisses++
 	ts := r.tenantLocked(spec.Tenant)
 	// Journal replay bypasses admission: the work was admitted before the
 	// crash, and a restart must never shed jobs it already accepted.
@@ -440,8 +447,9 @@ func (r *Registry) SubmitSnapshot(snap *Snapshot) (*Job, error) {
 		j.state = StateDone
 		j.finishedAt = time.Now()
 		close(j.finished)
-		r.cache.put(key, j.tally.Clone())
-		r.cache.putPhysics(pkey, j.tally.Clone())
+		clone := j.tally.Clone()
+		r.cache.Put(key, clone)
+		r.cache.PutPhysics(pkey, clone)
 	}
 
 	r.mu.Lock()
@@ -468,7 +476,7 @@ func (r *Registry) SubmitSnapshot(snap *Snapshot) (*Job, error) {
 	r.mu.Unlock()
 	// Re-journal the restored job so the log is self-contained from here
 	// on.
-	r.journal.resumed(j, complete)
+	r.journal.resumed(j)
 	return j, nil
 }
 
@@ -624,9 +632,11 @@ func (r *Registry) sealJob(j *Job) {
 	if r.sealHook != nil {
 		r.sealHook()
 	}
+	// The live tally is also handed to Wait callers, who may Merge into
+	// it; the cache entry must not alias it.
 	clone := j.tally.Clone()
-	r.cache.put(j.key, clone)
-	r.cache.putPhysics(j.pkey, clone)
+	r.cache.Put(j.key, clone)
+	r.cache.PutPhysics(j.pkey, clone)
 	r.mu.Lock()
 	delete(r.byKey, j.key)
 	r.mu.Unlock()
@@ -704,7 +714,7 @@ func (r *Registry) Stats() Stats {
 		Policy:           r.policy.Name(),
 		Admission:        r.admission.Name(),
 	}
-	s.CacheEntries, s.CacheHits, s.CacheMisses = r.cache.stats()
+	s.CacheEntries, s.CacheHits, s.CacheMisses = r.cache.Len(), r.cacheHits, r.cacheMisses
 	if len(r.tenants) > 0 {
 		s.Tenants = make(map[string]TenantStat, len(r.tenants))
 		for name, ts := range r.tenants {

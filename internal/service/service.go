@@ -107,9 +107,9 @@ type Options struct {
 	SpanEvents int
 	// Logger, if set, receives structured progress logging (nil discards).
 	Logger *slog.Logger
-	// Journal, if set, write-ahead journals every control-plane transition
-	// (accept, reduce, finalize, cancel) so a crashed registry replays its
-	// job set on restart; nil disables journaling. See NewJournal.
+	// Journal, if set, write-ahead journals what a restart needs (accepts,
+	// tally snapshots, cancels) so a crashed registry replays its job set;
+	// nil disables journaling. See NewJournal.
 	Journal *Journal
 }
 
@@ -159,7 +159,8 @@ type JobSpec struct {
 	// replay marks a submission reconstructed by journal replay: it
 	// bypasses admission (the work was admitted before the crash) and
 	// counts into Stats.JobsReplayed. Unexported on purpose — invisible
-	// to gob, JSON and every caller outside the journal.
+	// to JSON (the journal's accept record included) and every caller
+	// outside the journal.
 	replay bool
 }
 

@@ -1086,26 +1086,108 @@ func TestCachePutIsolatedFromCallerMutation(t *testing.T) {
 		t.Fatalf("cache aliased the caller's tally: launched %d, want %d",
 			cached.Tally.Launched, launched)
 	}
+	// The same on the way out: a hit's tally is the caller's to mutate too.
+	if err := cached.Tally.Merge(cached.Tally.Clone()); err != nil {
+		t.Fatal(err)
+	}
+	again, err := reg.Submit(JobSpec{Spec: slabSpec(5), TotalPhotons: 200, ChunkPhotons: 100, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := again.Job.tally.Launched; !again.Cached || got != launched {
+		t.Fatalf("cache handed a hit its internal tally: second hit launched %d, want %d", got, launched)
+	}
 }
 
-// TestResultCacheEviction checks the FIFO bound holds.
-func TestResultCacheEviction(t *testing.T) {
-	c := newCache(2)
-	t1, t2, t3 := &mc.Tally{Launched: 1}, &mc.Tally{Launched: 2}, &mc.Tally{Launched: 3}
-	k1, _ := KeyOf(slabSpec(5), 100, 100, 1)
-	k2, _ := KeyOf(slabSpec(5), 100, 100, 2)
-	k3, _ := KeyOf(slabSpec(5), 100, 100, 3)
-	c.put(k1, t1)
-	c.put(k2, t2)
-	c.put(k3, t3)
-	if c.get(k1) != nil {
-		t.Fatal("oldest entry not evicted")
+// TestResultCache pins the one cache both tiers use: each index is FIFO
+// bounded on its own, a physics key keeps its deepest run whichever order
+// the runs arrive in, an evicted key reads as a miss, and a negative size
+// is the disabled cache. It stores and returns the pointers it is given;
+// TestCachePutIsolatedFromCallerMutation pins the registry's clones
+// around it.
+func TestResultCache(t *testing.T) {
+	key := func(seed uint64) Key {
+		k, err := KeyOf(slabSpec(5), 100, 100, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return k
 	}
-	if got := c.get(k3); got == nil || got.Launched != 3 {
-		t.Fatal("newest entry lost")
+	shallow := localTally(t, targetSpec(5), 500, 125, 1)
+	deep := localTally(t, targetSpec(5), 1000, 125, 1)
+	loose := &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.9, MinPhotons: 1}
+	if !loose.MetBy(shallow) || !loose.MetBy(deep) {
+		t.Fatal("test tallies do not meet the loose target")
 	}
-	if got := c.get(k2); got == t2 {
-		t.Fatal("cache returned its internal tally instead of a copy")
+	for _, tc := range []struct {
+		name  string
+		size  int
+		fill  func(c *ResultCache)
+		check func(t *testing.T, c *ResultCache)
+	}{
+		{"exact index evicts oldest first", 2,
+			func(c *ResultCache) {
+				c.Put(key(1), shallow)
+				c.Put(key(2), deep)
+				c.Put(key(3), shallow)
+				c.PutPhysics(key(1), deep) // the physics index has room of its own
+			},
+			func(t *testing.T, c *ResultCache) {
+				if c.Get(key(1)) != nil {
+					t.Fatal("oldest exact entry survived the bound")
+				}
+				if c.Get(key(2)) != deep || c.Get(key(3)) != shallow || c.Len() != 2 {
+					t.Fatalf("newer entries lost: len %d", c.Len())
+				}
+				if c.GetMeeting(key(1), loose) != deep {
+					t.Fatal("exact-index eviction reached into the physics index")
+				}
+			}},
+		{"physics index evicts oldest first", 2,
+			func(c *ResultCache) {
+				c.PutPhysics(key(1), deep)
+				c.PutPhysics(key(2), deep)
+				c.PutPhysics(key(3), deep)
+			},
+			func(t *testing.T, c *ResultCache) {
+				if c.GetMeeting(key(1), loose) != nil {
+					t.Fatal("oldest physics entry survived the bound")
+				}
+				if c.GetMeeting(key(2), loose) != deep || c.GetMeeting(key(3), loose) != deep {
+					t.Fatal("newer physics entries lost")
+				}
+			}},
+		{"deeper run replaces a shallower one", 2,
+			func(c *ResultCache) { c.PutPhysics(key(1), shallow); c.PutPhysics(key(1), deep) },
+			func(t *testing.T, c *ResultCache) {
+				if c.GetMeeting(key(1), loose) != deep {
+					t.Fatal("deeper run did not win the physics key")
+				}
+			}},
+		{"shallower later run does not displace", 2,
+			func(c *ResultCache) { c.PutPhysics(key(1), deep); c.PutPhysics(key(1), shallow) },
+			func(t *testing.T, c *ResultCache) {
+				if c.GetMeeting(key(1), loose) != deep {
+					t.Fatal("a shallower run displaced the stored deeper one")
+				}
+				strict := &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.9, MinPhotons: deep.Launched + 1}
+				if c.GetMeeting(key(1), strict) != nil {
+					t.Fatal("served a target the stored run does not meet")
+				}
+			}},
+		{"negative size disables", -1,
+			func(c *ResultCache) { c.Put(key(1), deep); c.PutPhysics(key(1), deep) },
+			func(t *testing.T, c *ResultCache) {
+				if c.Get(key(1)) != nil || c.GetMeeting(key(1), loose) != nil || c.Len() != 0 {
+					t.Fatal("disabled cache stored something")
+				}
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewResultCache(tc.size)
+			tc.fill(c)
+			tc.check(t, c)
+		})
 	}
 }
 

@@ -32,25 +32,35 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type RecordType uint8
 
 // Journal record kinds, in the order the control plane emits them over a
-// job's life.
+// job's life. Every record is self-contained (it decodes without state
+// from an earlier one) and leads with its job's content key.
 const (
-	// RecJobAccepted marks a Submit that passed admission: the job spec,
-	// durable before any chunk is handed out.
-	RecJobAccepted RecordType = 1
-	// RecChunksReduced records a batch of chunk ids folded into a job's
-	// tally. Progress markers only: the folded tally itself is durable at
-	// snapshots, and chunks are pure functions of (seed, stream, fan), so
-	// replay recomputes anything past the last snapshot.
-	RecChunksReduced RecordType = 2
-	// RecSnapshot carries a job's full resumable state (spec, completed
-	// chunk ids, partial tally) — the amortized "last known good" replay
-	// starts from.
+	// RecJobAccepted marks a Submit that passed admission: the job's key
+	// and its JSON-encoded spec, durable before any chunk is handed out.
+	RecJobAccepted RecordType = 6
+	// RecSnapshot carries a job's resumable state (completed chunk ids,
+	// partial tally; the spec comes from the accept record) — the
+	// amortized "last known good" replay starts from. A finished job's
+	// last snapshot is complete, and replay rebuilds it born Done.
 	RecSnapshot RecordType = 3
-	// RecJobFinalized marks a job done; replay re-seeds the result cache
-	// from its final snapshot instead of re-queueing it.
-	RecJobFinalized RecordType = 4
 	// RecJobCanceled marks a cancel; replay drops the job entirely.
 	RecJobCanceled RecordType = 5
+)
+
+// Retired record kinds. Nothing writes them and the journal's replay
+// refuses a log that holds one; the numbers stay declared so they are
+// never reused for a different payload.
+const (
+	// RecJobAcceptedGob was the accept record as a per-generation gob
+	// stream (stateful: records of one generation decoded only in order).
+	RecJobAcceptedGob RecordType = 1
+	// RecChunksReduced listed the chunk ids of a reduced batch. Replay
+	// never folded it: the durable tally is the last snapshot, and chunks
+	// past it recompute.
+	RecChunksReduced RecordType = 2
+	// RecJobFinalized marked a job done. Replay decides that from the
+	// final snapshot's own completeness.
+	RecJobFinalized RecordType = 4
 )
 
 // Record is one framed journal entry.

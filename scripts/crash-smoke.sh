@@ -65,11 +65,14 @@ start_queue() { # logfile [extra env...]
   QPID=$!
 }
 
-# Run 1: armed to SIGKILL itself on the 6th journal append — the accept
-# record plus a few reduced chunk batches in, with a staged-but-unsynced
-# append in flight.
+# Run 1: armed to SIGKILL itself on the 3rd journal append — the accept
+# record and one snapshot in, the second snapshot staged but unsynced. A
+# clean run of this job appends about nine records (the accept, then a
+# snapshot per worker batch that carries the count past 2, the last one
+# final), so the 3rd is past the accept and well short of the end however
+# the worker happens to batch.
 echo "crash-smoke: starting armed mcqueue..."
-start_queue "$WORK/mcqueue-crash.log" MC_CRASHPOINT=wal.post-append MC_CRASH_AFTER=6
+start_queue "$WORK/mcqueue-crash.log" MC_CRASHPOINT=wal.post-append MC_CRASH_AFTER=3
 wait_http "http://$HTTP/readyz"
 
 "$WORK/mcworker" -addr "$FLEET" -name crash-worker \

@@ -1,10 +1,15 @@
 #!/usr/bin/env bash
-# fuzz-corpus.sh — regenerate the committed seed corpus of
-# FuzzDecodeJobRequest (internal/service) from genjob bodies, so the seeds
-# follow the submission schema instead of freezing JSON by hand: a tiny
-# slab, the paper's head, a voxel grid, a precision target, a typoed field
-# the strict decoder must refuse, and a body over the fuzz target's 16 KiB
-# cap. Run from anywhere inside the repo and commit the diff.
+# fuzz-corpus.sh — regenerate the committed seed corpora of internal/service.
+#
+# FuzzDecodeJobRequest is seeded from genjob bodies, so the seeds follow the
+# submission schema instead of freezing JSON by hand: a tiny slab, the
+# paper's head, a voxel grid, a precision target, a typoed field the strict
+# decoder must refuse, and a body over the fuzz target's 16 KiB cap.
+# FuzzDecodeJournalRecord is seeded with the journal's own accept and
+# snapshot records of four job shapes (slab, head, voxel, precision target),
+# written by TestCommittedJournalCorpus -update-corpus.
+#
+# Run from anywhere inside the repo and commit the diff.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -23,3 +28,6 @@ go run ./scripts/genjob -model voxel | seed voxel
 go run ./scripts/genjob -relerr 0.05 | seed precision_target
 go run ./scripts/genjob | sed 's/"label":/"prioirty":9,"label":/' | seed unknown_field
 go run ./scripts/genjob -label "$(head -c 17000 /dev/zero | tr '\0' x)" | seed oversize
+
+mkdir -p internal/service/testdata/fuzz/FuzzDecodeJournalRecord
+go test ./internal/service -run 'TestCommittedJournalCorpus$' -update-corpus
