@@ -58,13 +58,18 @@ shard-smoke:
 # fuzz-smoke gives each outside-facing decoder ten seconds of
 # coverage-guided input on top of its committed corpus — the wire decoder
 # (seeded with the v3 batch frames), the HTTP submit decoder (seeded with
-# scripts/genjob bodies) and the journal's accept and snapshot record
-# decoders (seeded with their own records of four job shapes) — enough to
-# catch a decode regression without stalling CI.
+# scripts/genjob bodies), the journal's accept and snapshot record decoders
+# (seeded with their own records of four job shapes), the compact tally
+# codec under all of them (seeded with every section shape and with headers
+# that over-claim) and the shard→gateway result envelope (seeded with the
+# same four jobs' results) — enough to catch a decode regression without
+# stalling CI.
 fuzz-smoke:
 	$(GO) test ./internal/protocol -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz FuzzDecodeJobRequest -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz FuzzDecodeJournalRecord -fuzztime 10s
+	$(GO) test ./internal/mc -run '^$$' -fuzz FuzzDecodeTally -fuzztime 10s
+	$(GO) test ./internal/service -run '^$$' -fuzz FuzzDecodeResult -fuzztime 10s
 
 # cover enforces the same coverage floor as CI (keep COVER_FLOOR in sync
 # with .github/workflows/ci.yml).

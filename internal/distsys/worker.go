@@ -645,7 +645,6 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 			if msg.NoWork.Done {
 				return stats, nil
 			}
-			time.Sleep(msg.NoWork.RetryIn)
 		default:
 			// MsgError returned above, before the batch-ack check.
 			return stats, fmt.Errorf("distsys: unexpected message %v", msg.Type)

@@ -12,12 +12,16 @@
 //   - POST /jobs is keyed, checked against the gateway's shared result
 //     tier (a service.ResultCache, the same exact + physics-keyed
 //     meets-or-exceeds container the shards use, filled from every result
-//     body it proxies — the body names its own keys), admission-checked
-//     when the gateway owns the tenant buckets, and then forwarded to the
+//     it proxies — the result names its own keys), admission-checked when
+//     the gateway owns the tenant buckets, and then forwarded to the
 //     owning shard.
 //   - GET/DELETE /jobs/{id}... is routed by the ID alone: job IDs are
 //     the uint64 prefix of the content key, so service.ShardOfID names
-//     the owner with no lookup.
+//     the owner with no lookup. Responses pass through as the shard wrote
+//     them, except a finished result: the gateway asks the shard for it in
+//     the compact codec (service.ResultCompactType), decodes it once — the
+//     decoded tally is what the tier caches — and JSON-encodes the body
+//     for the client. JSON is the encoding of the client edge only.
 //   - GET /stats, /fleet, /tenants and GET /jobs fan out to every shard
 //     and merge.
 //
@@ -39,6 +43,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"path"
 	"sort"
 	"strconv"
 	"strings"
@@ -93,9 +98,9 @@ type Gateway struct {
 	// through proxied GET /jobs/{id}/result responses, keyed exactly like
 	// the per-shard caches. A tenant on shard 0 thereby reuses physics
 	// shard 3 finished an hour ago without either shard knowing about the
-	// other. Every tally in it is freshly decoded from a response body and
-	// only ever re-encoded, never merged into, so hits are served without
-	// cloning.
+	// other. Every tally in it is freshly decoded from a shard's compact
+	// result and only ever re-encoded, never merged into, so hits are
+	// served without cloning.
 	cache *service.ResultCache
 
 	mu     sync.Mutex
@@ -130,6 +135,10 @@ type gatewayMetrics struct {
 	proxies     *obs.CounterVec
 	failovers   *obs.CounterVec
 	unavailable *obs.CounterVec
+	// One finished result served from a shard: fetch + decode + encode +
+	// write, and the JSON bytes the client was sent.
+	resultSeconds *obs.Histogram
+	resultBytes   *obs.Histogram
 }
 
 // New builds a Gateway over the given shard replica sets.
@@ -179,6 +188,10 @@ func New(opts Options) (*Gateway, error) {
 			"Replica attempts skipped past after a connection error or 503.", "shard"),
 		unavailable: oreg.CounterVec("gateway_shard_unavailable_total",
 			"Requests failed because every replica of a shard was down.", "shard"),
+		resultSeconds: oreg.Histogram("gateway_result_seconds",
+			"Serving one finished result from a shard: compact fetch, decode, JSON encode and write.", obs.DefBuckets),
+		resultBytes: oreg.Histogram("gateway_result_bytes",
+			"JSON size of one finished result body sent to the client.", obs.ByteBuckets),
 	}
 	oreg.GaugeFunc("gateway_cache_entries",
 		"Results held in the gateway's shared tier.",
@@ -205,7 +218,7 @@ func (g *Gateway) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /jobs", g.submit)
 	mux.HandleFunc("GET /jobs", g.list)
 	mux.HandleFunc("GET /jobs/{id}", g.proxyJob)
-	mux.HandleFunc("GET /jobs/{id}/result", g.proxyJob)
+	mux.HandleFunc("GET /jobs/{id}/result", g.proxyResult)
 	mux.HandleFunc("GET /jobs/{id}/events", g.proxyJob)
 	mux.HandleFunc("GET /jobs/{id}/spans", g.proxyJob)
 	mux.HandleFunc("DELETE /jobs/{id}", g.proxyJob)
@@ -317,10 +330,12 @@ func shedErr(tenant string, v service.AdmissionVerdict) *service.ShedError {
 	}
 }
 
-// proxyJob forwards a single-job request to the shard owning its ID —
-// unless the ID is one the gateway minted from its own result tier, in
-// which case no shard has the job and the gateway answers itself.
-func (g *Gateway) proxyJob(w http.ResponseWriter, req *http.Request) {
+// forward sends a single-job request to the shard owning its ID, naming
+// accept (if not empty) as the encoding it wants back. ok is false when the
+// request has been answered here instead: a malformed ID, a job this
+// gateway minted from its own result tier — no shard has it — or a shard
+// with every replica down.
+func (g *Gateway) forward(w http.ResponseWriter, req *http.Request, accept string) (shard, status int, hdr http.Header, body []byte, ok bool) {
 	id, err := strconv.ParseUint(req.PathValue("id"), 16, 64)
 	if err != nil {
 		service.WriteJSON(w, http.StatusBadRequest, service.APIError{Error: fmt.Sprintf("bad job id: %v", err)})
@@ -333,13 +348,17 @@ func (g *Gateway) proxyJob(w http.ResponseWriter, req *http.Request) {
 		g.serveMinted(w, req, m)
 		return
 	}
-	shard := service.ShardOfID(id, len(g.shards))
+	shard = service.ShardOfID(id, len(g.shards))
 	url := req.URL.Path
 	if q := req.URL.RawQuery; q != "" {
 		url += "?" + q
 	}
-	status, hdr, respBody, err := g.doShard(shard, func(base string) (*http.Request, error) {
-		return http.NewRequestWithContext(req.Context(), req.Method, base+url, nil)
+	status, hdr, body, err = g.doShard(shard, func(base string) (*http.Request, error) {
+		preq, err := http.NewRequestWithContext(req.Context(), req.Method, base+url, nil)
+		if err == nil && accept != "" {
+			preq.Header.Set("Accept", accept)
+		}
+		return preq, err
 	})
 	if err != nil {
 		service.WriteJSON(w, http.StatusBadGateway,
@@ -347,48 +366,66 @@ func (g *Gateway) proxyJob(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	g.met.proxies.With(strconv.Itoa(shard)).Inc()
-	// A completed result flowing through is the shared tier's fill path.
-	if status == http.StatusOK && strings.HasSuffix(req.URL.Path, "/result") {
-		g.fillCache(respBody)
-	}
-	copyResponse(w, status, hdr, respBody)
+	return shard, status, hdr, body, true
 }
 
-// fillCache files a proxied result body into the shared tier under the
-// keys the body itself names — whichever gateway routed the submission.
-func (g *Gateway) fillCache(respBody []byte) {
-	var res service.JobResultBody
-	if err := json.Unmarshal(respBody, &res); err != nil || res.Tally == nil {
-		return
+// proxyJob passes the owning shard's answer through as the shard wrote it.
+func (g *Gateway) proxyJob(w http.ResponseWriter, req *http.Request) {
+	if _, status, hdr, body, ok := g.forward(w, req, ""); ok {
+		copyResponse(w, status, hdr, body)
 	}
-	key, kerr := service.ParseKey(res.Key)
-	pkey, perr := service.ParseKey(res.PhysicsKey)
-	if kerr != nil || perr != nil {
-		return
-	}
-	g.cache.Put(key, res.Tally)
-	g.cache.PutPhysics(pkey, res.Tally)
 }
 
+// proxyResult serves GET /jobs/{id}/result. It asks the owning shard for
+// the result in the compact codec; a finished result (200) is decoded,
+// filed into the shared tier under the keys it names — whichever gateway
+// routed the submission — and JSON-encoded for the client by the encoder
+// the shard itself answers a client with, so the bytes are the same. Every
+// other answer (202 not finished, 404, 410 canceled, a 5xx) is the shard's
+// own JSON and passes through.
+func (g *Gateway) proxyResult(w http.ResponseWriter, req *http.Request) {
+	start := time.Now()
+	shard, status, hdr, body, ok := g.forward(w, req, service.ResultCompactType)
+	if !ok {
+		return
+	}
+	if status != http.StatusOK {
+		copyResponse(w, status, hdr, body)
+		return
+	}
+	res, err := service.DecodeResult(body)
+	if err != nil {
+		// The tree ships together: a shard that answers the negotiated
+		// request with anything but the compact result (a JSON body fails
+		// at the version byte) is broken, not old.
+		service.WriteJSON(w, http.StatusBadGateway,
+			service.APIError{Error: fmt.Sprintf("shard %d: %v", shard, err)})
+		return
+	}
+	g.cache.Put(res.Key, res.Tally)
+	g.cache.PutPhysics(res.PhysicsKey, res.Tally)
+	body = service.EncodeJSON(res)
+	service.WriteBody(w, http.StatusOK, "application/json", body)
+	g.met.resultSeconds.Observe(time.Since(start).Seconds())
+	g.met.resultBytes.Observe(float64(len(body)))
+}
+
+// serveMinted answers for a job the gateway minted, by the route matched.
 func (g *Gateway) serveMinted(w http.ResponseWriter, req *http.Request, m *mintedJob) {
-	switch {
-	case req.Method == http.MethodDelete:
+	switch req.Pattern {
+	case "DELETE /jobs/{id}":
 		service.WriteJSON(w, http.StatusConflict,
 			service.APIError{Error: "job already done", State: service.StateDone.String()})
-	case strings.HasSuffix(req.URL.Path, "/result"):
+	case "GET /jobs/{id}/result":
 		service.WriteJSON(w, http.StatusOK, service.JobResultBody{
-			ID: m.idHex, Key: m.key.String(), PhysicsKey: m.pkey.String(),
+			ID: m.idHex, Key: m.key, PhysicsKey: m.pkey,
 			CacheHit: true, Target: m.target, TargetMet: m.targetMet,
 			Tally: m.tally,
 		})
-	case strings.HasSuffix(req.URL.Path, "/events"), strings.HasSuffix(req.URL.Path, "/spans"):
+	case "GET /jobs/{id}/events", "GET /jobs/{id}/spans":
 		// Born done at the gateway: no lifecycle ever ran, the rings are
 		// empty but well-formed.
-		kind := "events"
-		if strings.HasSuffix(req.URL.Path, "/spans") {
-			kind = "spans"
-		}
-		service.WriteJSON(w, http.StatusOK, map[string]any{"id": m.idHex, kind: []any{}})
+		service.WriteJSON(w, http.StatusOK, map[string]any{"id": m.idHex, path.Base(req.Pattern): []any{}})
 	default:
 		service.WriteJSON(w, http.StatusOK, service.JobStatus{
 			IDHex: m.idHex, Tenant: m.tenant,

@@ -15,9 +15,11 @@ import (
 	"repro/internal/distsys"
 	"repro/internal/mc"
 	"repro/internal/obs"
+	"repro/internal/optics"
 	"repro/internal/service"
 	"repro/internal/source"
 	"repro/internal/tissue"
+	"repro/internal/voxel"
 )
 
 func slabSpec(thicknessMM float64) *mc.Spec {
@@ -214,19 +216,109 @@ func TestGatewayRoutesAndCompletes(t *testing.T) {
 	}
 }
 
+// TestResultBytesSameAtEveryTier pins the client edge across the compact
+// shard→gateway hop, for every result shape: the body read through the
+// gateway — decoded from the compact codec and JSON-encoded there — is byte
+// for byte the body the shard serves a client directly, and a resubmission
+// answered from the gateway's tier reads the same again but for the two
+// fields that say so (cacheHit, elapsedSeconds).
+func TestResultBytesSameAtEveryTier(t *testing.T) {
+	_, tsA := shardServer(t, service.Options{}, 2)
+	_, tsB := shardServer(t, service.Options{}, 2)
+	oreg := obs.NewRegistry()
+	_, gw := gatewayServer(t, Options{Shards: [][]string{{tsA.URL}, {tsB.URL}}, Obs: oreg})
+
+	pencil := source.Spec{Kind: source.KindPencil}
+	ring := detector.Spec{Kind: detector.KindAnnulus, RMin: 1, RMax: 4}
+	head := mc.NewSpec(tissue.AdultHead(), pencil, ring) // white matter is +Inf thick
+	grid := mc.NewSpec(tissue.AdultHead(), pencil, detector.Spec{Kind: detector.KindAnnulus, RMin: 10, RMax: 30})
+	grid.PathGrid = &mc.GridSpec{N: 50, Edge: 100}
+	vox := voxel.New("phantom", 30, 30, 10, 1, 1, 0.5, "phantom",
+		optics.Properties{MuA: 0.02, MuS: 10, G: 0.9, N: 1.4})
+	moments := slabSpec(5)
+	moments.TrackMoments = true
+
+	for name, req := range map[string]service.JobRequest{
+		"slab":  {Spec: slabSpec(5), Photons: 300, ChunkPhotons: 100, Seed: 1},
+		"head":  {Spec: head, Photons: 300, ChunkPhotons: 100, Seed: 2},
+		"voxel": {Spec: mc.NewVoxelSpec(vox, pencil, ring), Photons: 300, ChunkPhotons: 100, Seed: 3},
+		"grid":  {Spec: grid, Photons: 600, ChunkPhotons: 200, Seed: 4},
+		"target": {Spec: moments, ChunkPhotons: 200, Seed: 5,
+			Target: &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.05}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			acc := submitJob(t, gw.URL, "", req)
+			waitDone(t, gw.URL, acc.ID)
+			code, viaGW := get(t, gw.URL+"/jobs/"+acc.ID+"/result")
+			if code != http.StatusOK {
+				t.Fatalf("result via gateway: http %d: %s", code, viaGW)
+			}
+			var id uint64
+			fmt.Sscanf(acc.ID, "%016x", &id)
+			shard := []*httptest.Server{tsA, tsB}[service.ShardOfID(id, 2)]
+			if _, direct := get(t, shard.URL+"/jobs/"+acc.ID+"/result"); direct != viaGW {
+				t.Fatalf("gateway body differs from the shard's own:\n%.300s\nvs\n%.300s", viaGW, direct)
+			}
+
+			hit := submitJob(t, gw.URL, "", req)
+			if !hit.Cached || hit.ID != acc.ID {
+				t.Fatalf("resubmission %+v, want a tier hit under %s", hit, acc.ID)
+			}
+			code, viaTier := get(t, gw.URL+"/jobs/"+hit.ID+"/result")
+			if code != http.StatusOK {
+				t.Fatalf("tier result: http %d", code)
+			}
+			var fresh, cached map[string]json.RawMessage
+			if err := json.Unmarshal([]byte(viaGW), &fresh); err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal([]byte(viaTier), &cached); err != nil {
+				t.Fatal(err)
+			}
+			if string(cached["cacheHit"]) != "true" {
+				t.Fatalf("tier body does not say cacheHit: %.200s", viaTier)
+			}
+			for _, m := range []map[string]json.RawMessage{fresh, cached} {
+				delete(m, "cacheHit")
+				delete(m, "elapsedSeconds")
+			}
+			if len(fresh) != len(cached) {
+				t.Fatalf("tier body has fields %d, fresh body %d", len(cached), len(fresh))
+			}
+			for k, v := range fresh {
+				if string(cached[k]) != string(v) {
+					t.Fatalf("tier body differs from the fresh one in %q", k)
+				}
+			}
+		})
+	}
+
+	// The layer has its histogram: one observation per proxied result.
+	var metrics strings.Builder
+	oreg.WriteText(&metrics)
+	for _, want := range []string{"gateway_result_seconds_count 5", "gateway_result_bytes_count 5"} {
+		if !strings.Contains(metrics.String(), want) {
+			t.Errorf("gateway metrics lack %q", want)
+		}
+	}
+}
+
 // TestGatewayRoutingIsStableAcrossInstances pins statelessness: a second
 // gateway built over the same shard list routes an identical submission
 // to the same shard — there is no per-instance salt, table, or ordering
 // dependence to lose in a restart.
 func TestGatewayRoutingIsStableAcrossInstances(t *testing.T) {
-	regA, tsA := shardServer(t, service.Options{}, 1)
-	regB, tsB := shardServer(t, service.Options{}, 1)
+	// No workers: the job stays queued, so the second submission coalesces
+	// onto it. (With a worker it could finish first, and a shard-side cache
+	// hit is a new job under the next free ID.)
+	regA, tsA := shardServer(t, service.Options{}, 0)
+	regB, tsB := shardServer(t, service.Options{}, 0)
 	_, gw1 := gatewayServer(t, Options{Shards: [][]string{{tsA.URL}, {tsB.URL}}})
 	_, gw2 := gatewayServer(t, Options{Shards: [][]string{{tsA.URL}, {tsB.URL}}})
 
 	req := service.JobRequest{Spec: slabSpec(7), Photons: 200, ChunkPhotons: 100, Seed: 123}
 	acc1 := submitJob(t, gw1.URL, "", req)
-	acc2 := submitJob(t, gw2.URL, "", req) // coalesces or cache-hits on the same shard
+	acc2 := submitJob(t, gw2.URL, "", req) // coalesces on the same shard
 	if acc1.ID != acc2.ID {
 		t.Fatalf("two gateways minted different IDs for one spec: %s vs %s", acc1.ID, acc2.ID)
 	}
@@ -245,7 +337,7 @@ func TestGatewaySharedTierServesShardless(t *testing.T) {
 
 // TestGatewayTierFillsThroughAnyGateway is the same with two gateways over
 // the shards: the submissions are routed by one, the results fetched — and
-// the tier filled, from the keys the result bodies carry — through the
+// the tier filled, from the keys the compact results carry — through the
 // other, which never saw the POSTs.
 func TestGatewayTierFillsThroughAnyGateway(t *testing.T) {
 	tierServesShardless(t, true)
@@ -418,6 +510,46 @@ func TestGatewayFailoverPolicy(t *testing.T) {
 		}
 		if fallbackHits != before {
 			t.Fatalf("gateway retried a 4xx on the fallback replica")
+		}
+	})
+
+	t.Run("result: 503 fails over, other answers pass through, a stray 200 is a 502", func(t *testing.T) {
+		compact := service.AppendResult(nil, &service.JobResultBody{ID: "00000000000000ab", Tally: &mc.Tally{Launched: 7}})
+		var fallbackHits int
+		answer := http.StatusServiceUnavailable
+		first := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Header.Get("Accept") != service.ResultCompactType {
+				t.Errorf("result request carries Accept %q", r.Header.Get("Accept"))
+			}
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(answer)
+			fmt.Fprint(w, `{"error":"shard says","state":"running"}`)
+		}))
+		defer first.Close()
+		fallback := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			fallbackHits++
+			service.WriteBody(w, http.StatusOK, service.ResultCompactType, compact)
+		}))
+		defer fallback.Close()
+		_, gw := gatewayServer(t, Options{Shards: [][]string{{first.URL, fallback.URL}}})
+		url := gw.URL + "/jobs/00000000000000ab/result"
+
+		code, raw := get(t, url)
+		var res service.JobResultBody
+		if err := json.Unmarshal([]byte(raw), &res); code != http.StatusOK || err != nil ||
+			fallbackHits != 1 || res.Tally == nil || res.Tally.Launched != 7 {
+			t.Fatalf("503 failover: http %d (fallback hits %d, err %v): %s", code, fallbackHits, err, raw)
+		}
+		for _, answer = range []int{http.StatusAccepted, http.StatusNotFound, http.StatusGone} {
+			if code, raw := get(t, url); code != answer || !strings.Contains(raw, "shard says") || fallbackHits != 1 {
+				t.Fatalf("shard's %d came back as http %d (fallback hits %d): %s", answer, code, fallbackHits, raw)
+			}
+		}
+		// A 200 that is not the negotiated encoding: the tree ships
+		// together, so this is a broken shard, not an old one.
+		answer = http.StatusOK
+		if code, raw := get(t, url); code != http.StatusBadGateway {
+			t.Fatalf("JSON 200 from a shard: http %d: %s (want 502)", code, raw)
 		}
 	})
 

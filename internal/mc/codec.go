@@ -163,16 +163,14 @@ func DecodeTallyInto(t *Tally, data []byte) error {
 	if err != nil {
 		return err
 	}
-	t.LayerAbsorbed = resizeF64(t.LayerAbsorbed, regions)
-	if err := d.sparseF64(t.LayerAbsorbed); err != nil {
+	if t.LayerAbsorbed, err = d.sparseF64(t.LayerAbsorbed, regions); err != nil {
 		return err
 	}
 	t.LayerReached = resizeI64(t.LayerReached, regions)
 	if err := d.sparseI64(t.LayerReached); err != nil {
 		return err
 	}
-	t.LayerEnteredWeight = resizeF64(t.LayerEnteredWeight, regions)
-	if err := d.sparseF64(t.LayerEnteredWeight); err != nil {
+	if t.LayerEnteredWeight, err = d.sparseF64(t.LayerEnteredWeight, regions); err != nil {
 		return err
 	}
 
@@ -352,8 +350,27 @@ func (d *tallyDecoder) f64(dst ...*float64) error {
 	return nil
 }
 
-func (d *tallyDecoder) sparseF64(dst []float64) error {
-	rem := len(dst)
+// sparseF64 decodes an n-element sparse slice, into reuse when it has the
+// room. A fresh slice is allocated only after a dry run over the runs has
+// shown the payload backs the header's n: a short frame that merely claims
+// a 2^28-cell grid is refused having allocated nothing.
+func (d *tallyDecoder) sparseF64(reuse []float64, n int) ([]float64, error) {
+	if cap(reuse) < n {
+		start := d.off
+		if err := d.sparseRunsF64(nil, n); err != nil {
+			return nil, err
+		}
+		d.off = start
+		reuse = make([]float64, n)
+	}
+	reuse = reuse[:n]
+	return reuse, d.sparseRunsF64(reuse, n)
+}
+
+// sparseRunsF64 walks the (zero-run, value-run) pairs of an n-element
+// slice, storing into dst unless it is nil (the dry run).
+func (d *tallyDecoder) sparseRunsF64(dst []float64, n int) error {
+	rem := n
 	i := 0
 	for rem > 0 {
 		z, err := d.uvarint()
@@ -363,30 +380,32 @@ func (d *tallyDecoder) sparseF64(dst []float64) error {
 		if z > uint64(rem) {
 			return fmt.Errorf("mc: tally codec: zero run %d exceeds remaining %d", z, rem)
 		}
-		for j := 0; j < int(z); j++ {
-			dst[i] = 0
-			i++
+		if dst != nil {
+			clear(dst[i : i+int(z)])
 		}
+		i += int(z)
 		rem -= int(z)
 		if rem == 0 {
 			break
 		}
-		n, err := d.uvarint()
+		v, err := d.uvarint()
 		if err != nil {
 			return err
 		}
-		if n == 0 || n > uint64(rem) {
-			return fmt.Errorf("mc: tally codec: value run %d outside (0,%d]", n, rem)
+		if v == 0 || v > uint64(rem) {
+			return fmt.Errorf("mc: tally codec: value run %d outside (0,%d]", v, rem)
 		}
-		if d.off+8*int(n) > len(d.data) {
+		if d.off+8*int(v) > len(d.data) {
 			return fmt.Errorf("mc: tally codec: truncated value run at offset %d", d.off)
 		}
-		for j := 0; j < int(n); j++ {
-			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.data[d.off:]))
-			d.off += 8
-			i++
+		if dst != nil {
+			for j := range dst[i : i+int(v)] {
+				dst[i+j] = math.Float64frombits(binary.LittleEndian.Uint64(d.data[d.off+8*j:]))
+			}
 		}
-		rem -= int(n)
+		d.off += 8 * int(v)
+		i += int(v)
+		rem -= int(v)
 	}
 	return nil
 }
@@ -443,19 +462,20 @@ func (d *tallyDecoder) grid(reuse *grid.Grid3) (*grid.Grid3, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nx <= 0 || ny <= 0 || nz <= 0 ||
+	// Each factor is at most 2^28, so a product is checked before the next
+	// factor can carry it past 64 bits and wrap back under the bound.
+	if nx <= 0 || ny <= 0 || nz <= 0 || uint64(nx)*uint64(ny) > maxCodecVoxels ||
 		uint64(nx)*uint64(ny)*uint64(nz) > maxCodecVoxels {
 		return nil, fmt.Errorf("mc: tally codec: grid %dx%dx%d out of bounds", nx, ny, nz)
 	}
 	g := reuse
 	if g == nil || g.Nx != nx || g.Ny != ny || g.Nz != nz {
-		g = &grid.Grid3{Nx: nx, Ny: ny, Nz: nz, Data: make([]float64, nx*ny*nz)}
+		g = &grid.Grid3{Nx: nx, Ny: ny, Nz: nz}
 	}
-	g.Nx, g.Ny, g.Nz = nx, ny, nz
 	if err := d.f64(&g.Dx, &g.Dy, &g.Dz, &g.X0, &g.Y0); err != nil {
 		return nil, err
 	}
-	if err := d.sparseF64(g.Data); err != nil {
+	if g.Data, err = d.sparseF64(g.Data, nx*ny*nz); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -473,18 +493,10 @@ func (d *tallyDecoder) hist(reuse *stats.Histogram) (*stats.Histogram, error) {
 	if err != nil {
 		return nil, err
 	}
-	h.Counts = resizeF64(h.Counts, bins)
-	if err := d.sparseF64(h.Counts); err != nil {
+	if h.Counts, err = d.sparseF64(h.Counts, bins); err != nil {
 		return nil, err
 	}
 	return h, nil
-}
-
-func resizeF64(s []float64, n int) []float64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]float64, n)
 }
 
 func resizeI64(s []int64, n int) []int64 {

@@ -234,6 +234,10 @@ func (r *Registry) GaugeVecFunc(name, help, label string, fn func() map[string]f
 	f.vecFn = fn
 }
 
+// ByteBuckets are the default size buckets in bytes: powers of four from
+// 256 B to 64 MiB, wide enough for a scalar result body and a dense grid.
+var ByteBuckets = []float64{1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22, 1 << 24, 1 << 26}
+
 // Histogram returns the unlabeled histogram with the given name. buckets
 // are upper bounds in increasing order (nil means DefBuckets); the +Inf
 // bucket is implicit. Like kind and label mismatches, re-registering with
@@ -241,10 +245,20 @@ func (r *Registry) GaugeVecFunc(name, help, label string, fn func() map[string]f
 // child keeps its original bounds, so silently accepting new ones would
 // leave registration intent and exposition disagreeing.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
+	return r.HistogramVec(name, help, buckets).With()
+}
+
+// HistogramVec is a histogram family partitioned by label values; every
+// child shares the family's buckets.
+type HistogramVec struct{ f *family }
+
+// HistogramVec returns the labeled histogram family with the given name
+// (see Histogram for the bucket rules).
+func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
 	if buckets == nil {
 		buckets = DefBuckets
 	}
-	f := r.register(name, help, kindHistogram, nil)
+	f := r.register(name, help, kindHistogram, labels)
 	f.mu.Lock()
 	if f.buckets == nil {
 		f.buckets = append([]float64(nil), buckets...)
@@ -255,10 +269,20 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 			name, buckets, was))
 	}
 	f.mu.Unlock()
-	return f.child(nil, func() any {
+	return &HistogramVec{f}
+}
+
+// With returns the child for the given label values, creating it on first
+// use. Resolve children once at wiring time, not per observation.
+func (v *HistogramVec) With(values ...string) *Histogram {
+	if len(values) != len(v.f.labels) {
+		panic(fmt.Sprintf("obs: metric %q wants %d label values, got %d",
+			v.f.name, len(v.f.labels), len(values)))
+	}
+	return v.f.child(values, func() any {
 		return &Histogram{
-			bounds:  append([]float64(nil), buckets...),
-			buckets: make([]atomic.Uint64, len(buckets)+1),
+			bounds:  v.f.buckets,
+			buckets: make([]atomic.Uint64, len(v.f.buckets)+1),
 		}
 	}).(*Histogram)
 }

@@ -81,7 +81,7 @@ func seedMessages(tb testing.TB) []*Message {
 			JobID: 9, ChunkID: 4, Stream: 4, Photons: 1000,
 			Job: &Job{ID: 9, Spec: *spec, Seed: 77, Streams: 8, Fan: 4},
 		}},
-		{Type: MsgNoWork, NoWork: &NoWork{Done: true, RetryIn: time.Minute}},
+		{Type: MsgNoWork, NoWork: &NoWork{Done: true}},
 		{Type: MsgError, Error: &Error{Msg: "boom"}},
 		// Protocol v3 frames: a standalone multi-job batch, a task request
 		// piggybacking a flush while holding other chunks, and a per-chunk

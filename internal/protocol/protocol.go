@@ -302,12 +302,10 @@ type ResultAck struct {
 // request waiting for work as long as it is willing to.
 type NoWork struct {
 	// Done means the service has finished and the worker should disconnect.
+	// A NoWork without it means "ask again now": the server itself holds an
+	// idle worker's request until there is work, so there is no back-off
+	// for the worker to be told.
 	Done bool
-	// RetryIn is how long to wait before asking again. The server leaves it
-	// zero — it holds an idle worker's request itself instead of sending
-	// the worker away to sleep — and the field remains so the v5 envelope is
-	// unchanged and a worker facing an older server still backs off.
-	RetryIn time.Duration
 }
 
 // Error is a fatal server-side report.

@@ -29,16 +29,19 @@ type Key [sha256.Size]byte
 // String renders the key as hex for logs and the HTTP API.
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
-// ParseKey is the inverse of String.
-func ParseKey(s string) (Key, error) {
-	var k Key
-	if len(s) != hex.EncodedLen(len(k)) {
-		return Key{}, fmt.Errorf("service: key %q is not %d hex digits", s, hex.EncodedLen(len(k)))
+// MarshalText makes a Key a hex string in JSON (the result body's "key"
+// and "physicsKey").
+func (k Key) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText is the inverse of MarshalText.
+func (k *Key) UnmarshalText(text []byte) error {
+	if len(text) != hex.EncodedLen(len(k)) {
+		return fmt.Errorf("service: key %q is not %d hex digits", text, hex.EncodedLen(len(k)))
 	}
-	if _, err := hex.Decode(k[:], []byte(s)); err != nil {
-		return Key{}, fmt.Errorf("service: key %q: %w", s, err)
+	if _, err := hex.Decode(k[:], text); err != nil {
+		return fmt.Errorf("service: key %q: %w", text, err)
 	}
-	return k, nil
+	return nil
 }
 
 // KeyOf computes the content address of a job.

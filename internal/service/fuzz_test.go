@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,6 +13,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/mc"
 )
 
 // fuzzMaxBody is the body cap FuzzDecodeJobRequest runs ReadSubmission
@@ -131,21 +134,61 @@ func FuzzDecodeJournalRecord(f *testing.F) {
 	})
 }
 
-// updateCorpus rewrites the committed FuzzDecodeJournalRecord seeds from
-// the current record encodings (scripts/fuzz-corpus.sh passes it).
-var updateCorpus = flag.Bool("update-corpus", false, "rewrite the committed journal fuzz corpus")
+// FuzzDecodeResult throws arbitrary bytes at the compact result decoder —
+// what a gateway runs on a shard's answer to its result request. It may not
+// panic, its two strings stay within maxResultString (the tally bounds its
+// own allocations, see mc.FuzzDecodeTally), and a result that decodes is a
+// fixed point: re-encoded and decoded again it is byte for byte the same.
+//
+// The committed corpus (testdata/fuzz/FuzzDecodeResult) is the result of
+// each of journalShapes; scripts/fuzz-corpus.sh regenerates it.
+func FuzzDecodeResult(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(AppendResult(nil, &JobResultBody{ID: "00000000000000ab", Tally: &mc.Tally{}}))
+	header := make([]byte, 2+2*len(Key{})+8)
+	header[0] = resultCodecVersion
+	f.Add(append(header, 200, 1)) // a 200-byte job ID
+	f.Add(append(append([]byte{resultCodecVersion, 1 << 7}, header[2:]...), 0))
 
-// TestCommittedJournalCorpus keeps the seed corpus honest: every seed
+	f.Fuzz(func(t *testing.T, data []byte) {
+		res, err := DecodeResult(data)
+		if err != nil {
+			return
+		}
+		if len(res.ID) > maxResultString || res.Target != nil && len(res.Target.Observable) > maxResultString {
+			t.Fatalf("decoded an over-long string: id %d bytes", len(res.ID))
+		}
+		again := AppendResult(nil, res)
+		res2, err := DecodeResult(again)
+		if err != nil || !bytes.Equal(AppendResult(nil, res2), again) {
+			t.Fatalf("result changed across a re-encode (err %v)", err)
+		}
+	})
+}
+
+// updateCorpus rewrites the committed FuzzDecodeJournalRecord and
+// FuzzDecodeResult seeds from the current encodings (scripts/fuzz-corpus.sh
+// passes it).
+var updateCorpus = flag.Bool("update-corpus", false, "rewrite the committed journal and result fuzz corpora")
+
+// TestCommittedJournalCorpus keeps the seed corpora honest: every seed
 // exists and still decodes. A committed record that stops decoding means
 // the record format changed under an unchanged wal.RecordType — journals
-// in the field would be skipped record by record instead of refused.
+// in the field would be skipped record by record instead of refused; a
+// committed result that stops decoding means the shard→gateway format
+// changed under an unchanged version byte.
 func TestCommittedJournalCorpus(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeJournalRecord")
+	seedPath := func(name, kind string) string {
+		if kind == "result" {
+			return filepath.Join("testdata", "fuzz", "FuzzDecodeResult", name)
+		}
+		return filepath.Join("testdata", "fuzz", "FuzzDecodeJournalRecord", name+"_"+kind)
+	}
 	for name, js := range journalShapes(t) {
 		if err := js.normalize(0); err != nil {
 			t.Fatal(err)
 		}
-		key, _, err := keysOf(&js)
+		key, pkey, err := keysOf(&js)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,9 +200,13 @@ func TestCommittedJournalCorpus(t *testing.T) {
 			// Two chunks reduced, whatever the job's own chunk count.
 			tally := localTallyFan(t, js.Spec, 2*js.ChunkPhotons, js.ChunkPhotons, js.Seed, js.Fan)
 			snap := encodeSnapshotRec(key, max(js.numChunks(), 2), []int{0, 1}, tally)
-			for kind, data := range map[string][]byte{"accept": accept, "snapshot": snap} {
+			result := AppendResult(nil, &JobResultBody{
+				ID: fmt.Sprintf("%016x", KeyID(key)), Key: key, PhysicsKey: pkey,
+				Target: js.Target, TargetMet: js.Target != nil, Elapsed: 0.25, Tally: tally,
+			})
+			for kind, data := range map[string][]byte{"accept": accept, "snapshot": snap, "result": result} {
 				body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
-				if err := os.WriteFile(filepath.Join(dir, name+"_"+kind), []byte(body), 0o644); err != nil {
+				if err := os.WriteFile(seedPath(name, kind), []byte(body), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -168,8 +215,9 @@ func TestCommittedJournalCorpus(t *testing.T) {
 		for kind, decode := range map[string]func([]byte) error{
 			"accept":   func(b []byte) error { _, _, err := decodeAcceptRec(b); return err },
 			"snapshot": func(b []byte) error { _, _, err := decodeSnapshotRec(b); return err },
+			"result":   func(b []byte) error { _, err := DecodeResult(b); return err },
 		} {
-			raw, err := os.ReadFile(filepath.Join(dir, name+"_"+kind))
+			raw, err := os.ReadFile(seedPath(name, kind))
 			if err != nil {
 				t.Errorf("corpus seed missing (run scripts/fuzz-corpus.sh): %v", err)
 				continue
@@ -177,9 +225,9 @@ func TestCommittedJournalCorpus(t *testing.T) {
 			_, lit, _ := strings.Cut(strings.TrimSpace(string(raw)), "\n")
 			data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
 			if err != nil {
-				t.Errorf("corpus seed %s_%s is not a fuzz v1 []byte literal: %v", name, kind, err)
+				t.Errorf("corpus seed %s %s is not a fuzz v1 []byte literal: %v", name, kind, err)
 			} else if err := decode([]byte(data)); err != nil {
-				t.Errorf("committed %s record of %s no longer decodes: %v", kind, name, err)
+				t.Errorf("committed %s of %s no longer decodes: %v", kind, name, err)
 			}
 		}
 	}

@@ -85,11 +85,11 @@ type JobAccepted struct {
 // JobResultBody is the GET /jobs/{id}/result response.
 type JobResultBody struct {
 	ID string `json:"id"`
-	// Key and PhysicsKey are the job's content key and physics key in hex
-	// (see KeyOf, PhysicsKeyOf): a routing tier files the tally into its
-	// shared result cache from the body alone.
-	Key        string     `json:"key"`
-	PhysicsKey string     `json:"physicsKey"`
+	// Key and PhysicsKey are the job's content key and physics key (see
+	// KeyOf, PhysicsKeyOf; hex in JSON): a routing tier files the tally into
+	// its shared result cache from the result alone.
+	Key        Key        `json:"key"`
+	PhysicsKey Key        `json:"physicsKey"`
 	CacheHit   bool       `json:"cacheHit,omitempty"`
 	Target     *mc.Target `json:"target,omitempty"`
 	// TargetMet reports a precision-targeted job stopped because its
@@ -127,12 +127,25 @@ func (a *API) Register(mux *http.ServeMux) {
 	mux.HandleFunc("GET /tenants", a.tenants)
 }
 
-// WriteJSON answers with a JSON body — the one response renderer of the
-// job API, shared with the gateway tier in front of it.
+// EncodeJSON renders a response body — the one JSON renderer of the job
+// API, shared with the gateway tier in front of it, so a body is the same
+// bytes whichever tier encoded it.
+func EncodeJSON(body any) []byte {
+	var buf bytes.Buffer
+	json.NewEncoder(&buf).Encode(body)
+	return buf.Bytes()
+}
+
+// WriteJSON answers with a JSON body.
 func WriteJSON(w http.ResponseWriter, code int, body any) {
-	w.Header().Set("Content-Type", "application/json")
+	WriteBody(w, code, "application/json", EncodeJSON(body))
+}
+
+// WriteBody answers with an already encoded body.
+func WriteBody(w http.ResponseWriter, code int, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(body)
+	w.Write(body)
 }
 
 // WriteShed answers a refused submission: 429 with the moment a retry
@@ -268,6 +281,10 @@ func (a *API) status(w http.ResponseWriter, req *http.Request) {
 	WriteJSON(w, http.StatusOK, j.Status())
 }
 
+// result serves a finished job's result in one of two encodings, chosen by
+// Accept: JSON for a client, the compact codec (ResultCompactType) for a
+// routing tier that will decode it, cache the tally and JSON-encode the
+// body for its own client. Every other answer is a JSON APIError.
 func (a *API) result(w http.ResponseWriter, req *http.Request) {
 	j := a.jobFromPath(w, req)
 	if j == nil {
@@ -281,16 +298,28 @@ func (a *API) result(w http.ResponseWriter, req *http.Request) {
 			WriteJSON(w, http.StatusInternalServerError, APIError{Error: err.Error()})
 			return
 		}
-		WriteJSON(w, http.StatusOK, JobResultBody{
+		body := JobResultBody{
 			ID:         st.IDHex,
-			Key:        j.key.String(),
-			PhysicsKey: j.pkey.String(),
+			Key:        j.key,
+			PhysicsKey: j.pkey,
 			CacheHit:   res.CacheHit,
 			Target:     res.Target,
 			TargetMet:  res.TargetMet,
 			Elapsed:    res.Elapsed.Seconds(),
 			Tally:      res.Tally,
-		})
+		}
+		start := time.Now()
+		met, contentType := &a.reg.met.resultJSON, "application/json"
+		var data []byte
+		if req.Header.Get("Accept") == ResultCompactType {
+			met, contentType = &a.reg.met.resultCompact, ResultCompactType
+			data = AppendResult(nil, &body)
+		} else {
+			data = EncodeJSON(body)
+		}
+		met.seconds.Observe(time.Since(start).Seconds())
+		met.bytes.Observe(float64(len(data)))
+		WriteBody(w, http.StatusOK, contentType, data)
 	case StateCanceled.String():
 		WriteJSON(w, http.StatusGone, APIError{Error: "job canceled", State: st.State})
 	default:

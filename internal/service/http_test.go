@@ -4,15 +4,18 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/detector"
 	"repro/internal/mc"
+	"repro/internal/obs"
 	"repro/internal/source"
 	"repro/internal/tissue"
 )
@@ -94,6 +97,78 @@ func TestHTTPSubmitsThePapersHeadModel(t *testing.T) {
 	}
 	startWorkers(t, reg, 1)
 	waitDone(t, ts, acc.ID)
+}
+
+// TestResultNegotiation: one result handler, two encoders chosen by Accept.
+// The compact answer decodes to the body the JSON answer spells — so a
+// gateway that decodes it and runs the shared JSON encoder sends a client
+// the shard's own bytes — every non-200 answer is JSON whatever was asked
+// for, and each encoding has its histogram pair.
+func TestResultNegotiation(t *testing.T) {
+	oreg := obs.NewRegistry()
+	reg := New(Options{Obs: oreg})
+	ts := httptest.NewServer(NewAPI(reg).Handler())
+	defer ts.Close()
+
+	fetch := func(id, accept string) (int, string, []byte) {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/jobs/"+id+"/result", nil)
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, resp.Header.Get("Content-Type"), raw
+	}
+
+	acc, _ := postJob(t, ts, JobRequest{Spec: targetSpec(5), ChunkPhotons: 200, Seed: 7,
+		Target: &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.05}})
+	if code, ct, raw := fetch(acc.ID, ResultCompactType); code != http.StatusAccepted || ct != "application/json" {
+		t.Fatalf("unfinished job, compact asked: http %d %s %s", code, ct, raw)
+	}
+	startWorkers(t, reg, 1)
+	waitDone(t, ts, acc.ID)
+
+	code, ct, plain := fetch(acc.ID, "")
+	if code != http.StatusOK || ct != "application/json" {
+		t.Fatalf("plain result: http %d %s", code, ct)
+	}
+	code, ct, compact := fetch(acc.ID, ResultCompactType)
+	if code != http.StatusOK || ct != ResultCompactType {
+		t.Fatalf("compact result: http %d %s", code, ct)
+	}
+	res, err := DecodeResult(compact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Target == nil || !res.TargetMet || res.Tally.Moments == nil {
+		t.Fatalf("compact result lost the target or the moments: %+v", res)
+	}
+	if again := EncodeJSON(res); !bytes.Equal(again, plain) {
+		t.Fatalf("compact result re-encodes to different JSON:\n%.300s\nvs\n%.300s", again, plain)
+	}
+	if len(compact) >= len(plain) {
+		t.Errorf("compact result %d B, JSON %d B", len(compact), len(plain))
+	}
+
+	var metrics strings.Builder
+	oreg.WriteText(&metrics)
+	for _, want := range []string{
+		`service_result_encode_seconds_count{format="json"} 1`,
+		`service_result_encode_seconds_count{format="compact"} 1`,
+		`service_result_bytes_count{format="json"} 1`,
+		fmt.Sprintf(`service_result_bytes_sum{format="compact"} %d`, len(compact)),
+	} {
+		if !strings.Contains(metrics.String(), want) {
+			t.Errorf("metrics lack %q", want)
+		}
+	}
 }
 
 // TestHTTPConcurrentJobsEndToEnd is the PR acceptance test: two concurrent

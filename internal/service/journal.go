@@ -37,6 +37,11 @@ type Journal struct {
 	log  *slog.Logger
 
 	compacting atomic.Bool
+	// compactAt is the log size that triggers the next size compaction:
+	// CompactBytes, or twice what the last compaction left when the
+	// retained jobs alone outweigh it — a rewrite then pays for itself in
+	// appended bytes instead of running on every append.
+	compactAt atomic.Int64
 	// acceptMu serialises accept appends with compact's gather→Compact
 	// window (see compact).
 	acceptMu sync.Mutex
@@ -78,7 +83,9 @@ func NewJournal(l *wal.Log, opts JournalOptions) *Journal {
 	if opts.Logger == nil {
 		opts.Logger = obs.NopLogger()
 	}
-	return &Journal{wlog: l, opts: opts, log: opts.Logger, sinceSnap: make(map[Key]int)}
+	jl := &Journal{wlog: l, opts: opts, log: opts.Logger, sinceSnap: make(map[Key]int)}
+	jl.compactAt.Store(opts.CompactBytes)
+	return jl
 }
 
 // Close releases the journal's write-ahead log. It is idempotent and
@@ -272,12 +279,17 @@ func (jl *Journal) appendRaw(t wal.RecordType, data []byte) {
 
 // jobAccepted journals a fresh admitted submission. The spec is a copy
 // taken under the registry lock (absorbParamsLocked may mutate the live
-// job's copy concurrently).
-func (jl *Journal) jobAccepted(key Key, spec JobSpec) {
+// job's copy concurrently). A replayed submission never compacts: until
+// Replay returns, the jobs it has yet to restore exist only in the log a
+// compaction would rewrite without them.
+func (jl *Journal) jobAccepted(r *Registry, key Key, spec JobSpec) {
 	if jl == nil {
 		return
 	}
 	jl.appendAccept(key, &spec)
+	if !spec.replay {
+		jl.maybeCompact(r)
+	}
 }
 
 // chunksReduced paces the amortized snapshots: every SnapshotEvery
@@ -286,8 +298,9 @@ func (jl *Journal) jobAccepted(key Key, spec JobSpec) {
 // and recomputes the rest. A finished job gets its final snapshot at once:
 // replay rebuilds it born Done from that and re-seeds the result cache.
 // It must be cut before sealJob releases the job's waiters, while the
-// tally is still guaranteed quiescent. Called with no registry or
-// reduction locks held.
+// tally is still guaranteed quiescent — as is the size compaction after
+// it, which snapshots the job again. Called with no registry or reduction
+// locks held.
 func (jl *Journal) chunksReduced(r *Registry, j *Job, chunks int, finished bool) {
 	if jl == nil {
 		return
@@ -306,9 +319,7 @@ func (jl *Journal) chunksReduced(r *Registry, j *Job, chunks int, finished bool)
 	if due {
 		jl.snapshot(j)
 	}
-	if !finished {
-		jl.maybeCompact(r)
-	}
+	jl.maybeCompact(r)
 }
 
 // snapshot journals the job's current resumable state.
@@ -317,7 +328,7 @@ func (jl *Journal) snapshot(j *Job) {
 }
 
 // canceled journals a cancel; replay drops the job.
-func (jl *Journal) canceled(key Key) {
+func (jl *Journal) canceled(r *Registry, key Key) {
 	if jl == nil {
 		return
 	}
@@ -325,6 +336,7 @@ func (jl *Journal) canceled(key Key) {
 	jl.mu.Lock()
 	delete(jl.sinceSnap, key)
 	jl.mu.Unlock()
+	jl.maybeCompact(r)
 }
 
 // acceptedSpec copies the job's spec under the registry lock
@@ -353,9 +365,13 @@ func (jl *Journal) resumed(j *Job) {
 
 // maybeCompact runs a compaction when the log has outgrown the trigger,
 // at most one at a time; losers of the CAS just skip (the winner is
-// already shrinking the log).
+// already shrinking the log). Every append of a serving registry ends
+// here — accept, reduced batch (final or not), cancel — so no mix of jobs
+// grows the log past the trigger unnoticed; replay's re-journaling does
+// not (see jobAccepted), the records it appends are compacted by the first
+// append after it.
 func (jl *Journal) maybeCompact(r *Registry) {
-	if jl.opts.CompactBytes < 0 || jl.wlog.Size() < jl.opts.CompactBytes {
+	if jl.opts.CompactBytes < 0 || jl.wlog.Size() < jl.compactAt.Load() {
 		return
 	}
 	if !jl.compacting.CompareAndSwap(false, true) {
@@ -403,7 +419,11 @@ func (jl *Journal) compact(r *Registry) error {
 	jl.mu.Lock()
 	clear(jl.sinceSnap)
 	jl.mu.Unlock()
-	return jl.wlog.Compact(recs)
+	if err := jl.wlog.Compact(recs); err != nil {
+		return err
+	}
+	jl.compactAt.Store(max(jl.opts.CompactBytes, 2*jl.wlog.Size()))
+	return nil
 }
 
 // CompactJournal rewrites the journal down to one snapshot per retained

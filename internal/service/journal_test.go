@@ -120,7 +120,6 @@ func workChunks(rw net.Conn, n int) error {
 			if msg.NoWork.Done {
 				return nil
 			}
-			time.Sleep(msg.NoWork.RetryIn)
 		default:
 			return errors.New("unexpected message")
 		}
@@ -444,6 +443,72 @@ func TestJournalCompactionShrinksAndReplays(t *testing.T) {
 	}
 	if regB.Get(outCanceled.Job.ID()) != nil {
 		t.Fatal("compaction retained a canceled job")
+	}
+}
+
+// TestJournalSizeCompactionReachesSingleBatchJobs: a log fed only by jobs
+// that finish in their first batch — each appends an accept and its final
+// snapshot, nothing else — must still be size-compacted while serving. The
+// trigger used to sit on the non-final-batch path alone, so such a log grew
+// by every job ever run until SIGTERM. With eight jobs retained, the log
+// must never hold half of what forty jobs appended, and what is left must
+// replay every job it names born Done, tally intact, with no worker.
+func TestJournalSizeCompactionReachesSingleBatchJobs(t *testing.T) {
+	const jobs, retain = 40, 8
+	dir := t.TempDir()
+	wl, _, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := New(Options{RetainDone: retain,
+		Journal: NewJournal(wl, JournalOptions{CompactBytes: 4 << 10})})
+	startWorkers(t, reg, 1)
+
+	var perJob, peak int64
+	ids := make([]uint64, 0, jobs)
+	tallies := make(map[uint64][]byte)
+	for seed := uint64(1); seed <= jobs; seed++ {
+		out, err := reg.Submit(JobSpec{Spec: slabSpec(5), TotalPhotons: 100, ChunkPhotons: 100, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := out.Job.Wait(30 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, out.Job.ID())
+		tallies[out.Job.ID()] = tallyBytes(t, res.Tally)
+		size := wl.Size()
+		if seed == 1 {
+			perJob = size // one accept + one final snapshot
+		}
+		peak = max(peak, size)
+	}
+	if appended := jobs * perJob; peak > appended/2 {
+		t.Fatalf("log peaked at %d B of the %d B appended: size compaction never ran", peak, appended)
+	}
+	wl.Close()
+
+	regB, wlB, restored := replayInto(t, dir, Options{RetainDone: retain})
+	defer wlB.Close()
+	if restored < retain {
+		t.Fatalf("replay restored %d jobs, want at least the %d retained", restored, retain)
+	}
+	if st := regB.Stats(); st.JobsDone != min(restored, retain) || st.JobsQueued+st.JobsRunning != 0 {
+		t.Fatalf("replayed jobs not all born done: %+v", st)
+	}
+	for _, id := range ids[jobs-retain:] {
+		j := regB.Get(id)
+		if j == nil {
+			t.Fatalf("retained job %016x lost to compaction", id)
+		}
+		res, err := j.Wait(time.Second) // no workers: must already be done
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(tallyBytes(t, res.Tally), tallies[id]) {
+			t.Fatalf("job %016x replayed with a different tally", id)
+		}
 	}
 }
 

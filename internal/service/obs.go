@@ -55,6 +55,15 @@ type svcMetrics struct {
 
 	workersParked *obs.Gauge     // TaskRequests waiting server-side for work
 	parkSeconds   *obs.Histogram // how long each waited
+
+	// Result encode on GET /jobs/{id}/result, by the encoding served.
+	resultJSON, resultCompact resultMetrics
+}
+
+// resultMetrics is one result encoding's pre-resolved instrument pair.
+type resultMetrics struct {
+	seconds *obs.Histogram
+	bytes   *obs.Histogram
 }
 
 // newServiceMetrics registers the service-plane instruments on reg and
@@ -123,6 +132,13 @@ func newServiceMetrics(reg *obs.Registry, r *Registry) *svcMetrics {
 	m.rejectedStale = rej.With("stale")
 	m.rejectedBatch = rej.With("batch")
 	m.rejectedBenign = rej.With("benign")
+	encSeconds := reg.HistogramVec("service_result_encode_seconds",
+		"Time to encode one finished job's result body, by encoding (json for clients, compact for a gateway).",
+		obs.DefBuckets, "format")
+	encBytes := reg.HistogramVec("service_result_bytes",
+		"Encoded size of one result body, by encoding.", obs.ByteBuckets, "format")
+	m.resultJSON = resultMetrics{encSeconds.With("json"), encBytes.With("json")}
+	m.resultCompact = resultMetrics{encSeconds.With("compact"), encBytes.With("compact")}
 
 	reg.GaugeVecFunc("service_jobs", "Retained jobs by lifecycle state.", "state",
 		func() map[string]float64 {

@@ -244,7 +244,7 @@ func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
 		r.met.jobsReplayed.Inc()
 	}
 	ts.subC.Inc()
-	r.journal.jobAccepted(j.key, jspec)
+	r.journal.jobAccepted(r, j.key, jspec)
 	j.trace(obs.Event{Kind: obs.EvSubmitted, Detail: spec.Tenant})
 	if spec.Target != nil {
 		r.log.Info("job submitted", "job", jobHex(j.id),
@@ -593,7 +593,7 @@ func (r *Registry) Cancel(id uint64) error {
 	r.checkDrainLocked()
 	key := j.key
 	r.mu.Unlock()
-	r.journal.canceled(key)
+	r.journal.canceled(r, key)
 	return nil
 }
 

@@ -150,7 +150,6 @@ func workClient(rw net.Conn, name string) (int, error) {
 			if msg.NoWork.Done {
 				return chunks, nil
 			}
-			time.Sleep(msg.NoWork.RetryIn)
 		default:
 			return chunks, errors.New("unexpected message")
 		}
@@ -284,7 +283,6 @@ func batchClient(rw net.Conn, name string, flushChunks int) (int, error) {
 			if msg.NoWork.Done {
 				return accepted, nil
 			}
-			time.Sleep(msg.NoWork.RetryIn)
 		default:
 			return accepted, errors.New("unexpected message")
 		}

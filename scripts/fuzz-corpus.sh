@@ -1,13 +1,17 @@
 #!/usr/bin/env bash
-# fuzz-corpus.sh — regenerate the committed seed corpora of internal/service.
+# fuzz-corpus.sh — regenerate the committed seed corpora of internal/service
+# and internal/mc.
 #
 # FuzzDecodeJobRequest is seeded from genjob bodies, so the seeds follow the
 # submission schema instead of freezing JSON by hand: a tiny slab, the
 # paper's head, a voxel grid, a precision target, a typoed field the strict
 # decoder must refuse, and a body over the fuzz target's 16 KiB cap.
 # FuzzDecodeJournalRecord is seeded with the journal's own accept and
-# snapshot records of four job shapes (slab, head, voxel, precision target),
-# written by TestCommittedJournalCorpus -update-corpus.
+# snapshot records of four job shapes (slab, head, voxel, precision target)
+# and FuzzDecodeResult with the same jobs' compact results, both written by
+# TestCommittedJournalCorpus -update-corpus. internal/mc's FuzzDecodeTally
+# is seeded with a frame of every section shape and with over-claiming
+# headers, written by TestCommittedTallyCorpus -update-corpus.
 #
 # Run from anywhere inside the repo and commit the diff.
 set -euo pipefail
@@ -29,5 +33,7 @@ go run ./scripts/genjob -relerr 0.05 | seed precision_target
 go run ./scripts/genjob | sed 's/"label":/"prioirty":9,"label":/' | seed unknown_field
 go run ./scripts/genjob -label "$(head -c 17000 /dev/zero | tr '\0' x)" | seed oversize
 
-mkdir -p internal/service/testdata/fuzz/FuzzDecodeJournalRecord
+mkdir -p internal/service/testdata/fuzz/FuzzDecodeJournalRecord internal/service/testdata/fuzz/FuzzDecodeResult
 go test ./internal/service -run 'TestCommittedJournalCorpus$' -update-corpus
+mkdir -p internal/mc/testdata/fuzz/FuzzDecodeTally
+go test ./internal/mc -run 'TestCommittedTallyCorpus$' -update-corpus

@@ -8,10 +8,13 @@
 # values for this known job (plus build identity), GET /jobs/{id}/events
 # tells the lifecycle story (and filters by kind), GET /jobs/{id}/spans
 # decomposes every chunk's timing, GET /fleet shows the worker's
-# piggybacked telemetry, mctop -once renders it all, pprof answers,
-# per-tenant admission control sheds a flooding tenant with 429 +
-# a bucket-derived Retry-After (reason- and tenant-labeled on /metrics,
-# bucket levels on GET /tenants) while another tenant's job completes, and
+# piggybacked telemetry, mctop -once renders it all, pprof answers, a
+# result fetched directly and through an mcgate in front is the same bytes
+# with the encode layer's histograms (service_result_* by format on the
+# shard, gateway_result_* on the gateway) behind both, per-tenant
+# admission control sheds a flooding tenant with 429 + a bucket-derived
+# Retry-After (reason- and tenant-labeled on /metrics, bucket levels on
+# GET /tenants) while another tenant's job completes, and
 # SIGTERM shuts mcqueue down cleanly — with an unfinished job still
 # queued, so the final journal compaction must actually run before the
 # process exits — and a restart on the default journal directory replays
@@ -25,10 +28,12 @@ cd "$(dirname "$0")/.."
 FLEET=127.0.0.1:19876
 HTTP=127.0.0.1:18080
 WDBG=127.0.0.1:18081
+GATE=127.0.0.1:18082
 
 WORK=$(mktemp -d)
-QPID= WPID=
+QPID= WPID= GPID=
 cleanup() {
+  [ -n "$GPID" ] && kill "$GPID" 2>/dev/null || true
   [ -n "$WPID" ] && kill "$WPID" 2>/dev/null || true
   [ -n "$QPID" ] && kill "$QPID" 2>/dev/null || true
   wait 2>/dev/null || true
@@ -36,6 +41,7 @@ cleanup() {
     echo "--- mcqueue log ---"; cat "$WORK/mcqueue.log" 2>/dev/null || true
     echo "--- mcqueue log (restart) ---"; cat "$WORK/mcqueue-restart.log" 2>/dev/null || true
     echo "--- mcworker log ---"; cat "$WORK/mcworker.log" 2>/dev/null || true
+    echo "--- mcgate log ---"; cat "$WORK/mcgate.log" 2>/dev/null || true
   fi
   rm -rf "$WORK"
 }
@@ -57,7 +63,7 @@ wait_http() { # url: poll until 200 or give up
 
 echo "obs-smoke: building..."
 go build -ldflags '-X repro/internal/obs.Version=smoke-test' -o "$WORK" \
-  ./cmd/mcqueue ./cmd/mcworker ./cmd/mctop
+  ./cmd/mcqueue ./cmd/mcworker ./cmd/mctop ./cmd/mcgate
 go run ./scripts/genjob >"$WORK/job.json"
 
 # Tenant table: alice gets a 3x scheduling weight, flood may create one
@@ -185,6 +191,31 @@ echo "$WMETRICS" | grep -q '^worker_photons_total 2000$' ||
 echo "$WMETRICS" | grep -q '^worker_chunks_computed_total 4$' || fail "worker chunk count wrong"
 echo "$WMETRICS" | grep -Eq '^worker_conn_frames_total\{dir="send",type="result-batch"\} [1-9]' ||
   fail "wire frame counters silent"
+
+echo "obs-smoke: result encodings, direct and through a gateway..."
+# A client asking the shard gets JSON; a gateway in front asks the shard
+# for the compact encoding, decodes it and JSON-encodes for its client —
+# the same bytes, with a histogram behind each encode.
+"$WORK/mcgate" -http "$GATE" -shard "http://$HTTP" -log-format json >"$WORK/mcgate.log" 2>&1 &
+GPID=$!
+wait_http "http://$GATE/readyz"
+curl -fsS "http://$HTTP/jobs/$ID/result" >"$WORK/result.direct"
+curl -fsS "http://$GATE/jobs/$ID/result" >"$WORK/result.gateway"
+cmp -s "$WORK/result.direct" "$WORK/result.gateway" ||
+  fail "result through the gateway differs from the shard's own"
+BYTES=$(wc -c <"$WORK/result.direct" | tr -d ' ')
+METRICS=$(curl -fsS "http://$HTTP/metrics")
+expect 'service_result_encode_seconds_count{format="json"}' 1
+expect 'service_result_encode_seconds_count{format="compact"}' 1
+expect 'service_result_bytes_sum{format="json"}' "$BYTES"
+echo "$METRICS" | grep -Eq '^service_result_bytes_sum\{format="compact"\} [1-9]' ||
+  fail "compact result bytes not observed"
+METRICS=$(curl -fsS "http://$GATE/metrics")
+expect "gateway_result_seconds_count" 1
+expect "gateway_result_bytes_sum" "$BYTES"
+kill "$GPID" 2>/dev/null || true
+wait "$GPID" 2>/dev/null || true
+GPID=
 
 echo "obs-smoke: tenant admission control..."
 # alice, attributed via header, sails through and completes.
