@@ -7,7 +7,7 @@ GO ?= go
 VERSION ?= $(shell git describe --always --dirty 2>/dev/null || echo dev)
 LDFLAGS = -X repro/internal/obs.Version=$(VERSION)
 
-.PHONY: build test race short bench-check cover fmt vet gob-check fuzz-smoke obs-smoke crash-smoke shard-smoke
+.PHONY: build test race short bench-check kernel-bench cover fmt vet gob-check fuzz-smoke obs-smoke crash-smoke shard-smoke
 
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
@@ -32,6 +32,23 @@ race:
 # unnoticed. Running the benchmark itself is `bash bench/run.sh`.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# kernel-bench is the half-minute loop a kernel change is developed against
+# before the 15-minute paired protocol of bench/: one 230-photon chunk of
+# the bulk-head workload's geometry per op, layered and voxelised
+# (BenchmarkVoxelTraversal's bulk-head sub-benchmarks), six runs each, and
+# the median ns/photon of both with their ratio — DESIGN.md's
+# voxel-over-layered figure. CI runs the pair once so it cannot rot.
+kernel-bench:
+	@$(GO) test -run '^$$' -bench '^BenchmarkVoxelTraversal$$/^bulk-head-' -benchtime 20x -count 6 . | awk ' \
+		/ns\/photon/ { split($$1, name, "/"); sub(/-[0-9]+$$/, "", name[2]); \
+			for (i = 2; i <= NF; i++) if ($$i == "ns/photon") v[name[2], ++n[name[2]]] = $$(i-1) } \
+		function median(k,   i, j, t, a, c) { c = n[k]; for (i = 1; i <= c; i++) a[i] = v[k, i]; \
+			for (i = 1; i <= c; i++) for (j = i + 1; j <= c; j++) if (a[j] < a[i]) { t = a[i]; a[i] = a[j]; a[j] = t } \
+			return c % 2 ? a[(c + 1) / 2] : (a[c / 2] + a[c / 2 + 1]) / 2 } \
+		END { if (!n["bulk-head-layered"] || !n["bulk-head-voxel"]) { print "kernel-bench: benchmarks did not run"; exit 1 } \
+			l = median("bulk-head-layered"); x = median("bulk-head-voxel"); \
+			printf "layered %.0f ns/photon  voxel %.0f ns/photon  voxel/layered %.2f  (medians of %d)\n", l, x, x / l, n["bulk-head-voxel"] }'
 
 # obs-smoke boots a real mcqueue + mcworker pair, submits a job with curl
 # and asserts the debug surface (/readyz, /metrics series, the per-job

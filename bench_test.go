@@ -434,20 +434,56 @@ func BenchmarkGatedDetection(b *testing.B) {
 // --- Voxel geometry -------------------------------------------------------
 
 // BenchmarkVoxelTraversal runs the voxelized adult head — the heterogeneous
-// hot path (fused DDA step-to-boundary per scattering event) — for
-// comparison against BenchmarkTable1AdultHead on the layered fast path.
+// hot path (fused DDA step-to-boundary, asked once per clear ball rather
+// than once per scattering event) — for comparison against
+// BenchmarkTable1AdultHead on the layered fast path.
+//
+// The bulk-head sub-benchmarks are the pair `make kernel-bench` reads: the
+// geometry the benchmark's bulk-head workload submits — the head with its
+// white matter cut at 44 mm, a pencil source, a 10–30 mm annulus — layered
+// and on 120×120×80 voxels of 0.5 mm, one 230-photon Runner.Run (one chunk)
+// per op on the same generator state. Their ns/photon ratio is DESIGN.md's
+// voxel-over-layered figure; neither may allocate per photon once warm.
 func BenchmarkVoxelTraversal(b *testing.B) {
-	g, err := voxel.FromModel(phomc.AdultHead(), 120, 120, 80, 1, 1, 0.5)
+	b.Run("untruncated", func(b *testing.B) {
+		g, err := voxel.FromModel(phomc.AdultHead(), 120, 120, 80, 1, 1, 0.5)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := &phomc.Config{Geometry: g}
+		b.ReportAllocs()
+		tally, err := phomc.Run(cfg, int64(b.N), 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(tally.DiffuseReflectance(), "Rd")
+	})
+
+	head := phomc.AdultHead()
+	head.Layers[len(head.Layers)-1].Thickness = 44
+	annulus := phomc.AnnulusDetector(10, 30)
+	chunk := func(cfg *phomc.Config) func(*testing.B) {
+		return func(b *testing.B) {
+			const photons = 230
+			runner, err := mc.NewRunner(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			runner.Run(photons, rng.New(7)) // warm the kernel's scratch buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				runner.Run(photons, rng.New(7))
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*photons), "ns/photon")
+		}
+	}
+	b.Run("bulk-head-layered", chunk(&phomc.Config{Model: head, Detector: annulus}))
+	g, err := voxel.FromModel(head, 120, 120, 80, 0.5, 0.5, 0.5)
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := &phomc.Config{Geometry: g}
-	b.ReportAllocs()
-	tally, err := phomc.Run(cfg, int64(b.N), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(tally.DiffuseReflectance(), "Rd")
+	b.Run("bulk-head-voxel", chunk(&phomc.Config{Geometry: g, Detector: annulus}))
 }
 
 // BenchmarkVoxelHomogeneousFusion traces a label-homogeneous grid — the

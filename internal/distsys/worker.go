@@ -146,8 +146,14 @@ func (t *workerTelemetry) maybeReport(holding int) *protocol.WorkerReport {
 // counters are monotonic, and the holding gauge is maintained with
 // per-session deltas (never Set), so concurrent sessions compose.
 type workerMetrics struct {
-	photons  *obs.Counter
-	chunks   *obs.Counter
+	photons *obs.Counter
+	chunks  *obs.Counter
+	// The kernel's event counters, one pre-resolved child per fixed kind:
+	// events/photon turns ns/photon into ns/event, and query against
+	// scatter+crossing is the share of events the transport loop's
+	// clear-radius cache did not serve.
+	scatter, query, crossing, roulette *obs.Counter
+
 	chunkSec *obs.Histogram
 	flushes  *obs.Counter
 	rejected *obs.Counter
@@ -156,9 +162,16 @@ type workerMetrics struct {
 }
 
 func newWorkerMetrics(reg *obs.Registry) *workerMetrics {
+	events := reg.CounterVec("worker_kernel_events_total",
+		"Transport-loop events by kind: scattering interactions, geometry boundary queries, boundary crossings resolved, roulette terminations.",
+		"kind")
 	return &workerMetrics{
 		photons: reg.Counter("worker_photons_total",
 			"Photons simulated by this worker."),
+		scatter:  events.With("scatter"),
+		query:    events.With("query"),
+		crossing: events.With("crossing"),
+		roulette: events.With("roulette"),
 		chunks: reg.Counter("worker_chunks_computed_total",
 			"Chunks computed (whether or not their results were later accepted)."),
 		chunkSec: reg.Histogram("worker_chunk_seconds",
@@ -199,7 +212,6 @@ var ErrInjectedFailure = errors.New("distsys: worker failed by injection")
 // rebuilding or re-jumping (workers are job-agnostic; the server routes
 // results by JobID).
 type jobRuntime struct {
-	cfg     *mc.Config
 	runner  *mc.Runner
 	seed    uint64
 	streams int
@@ -215,7 +227,7 @@ type jobRuntime struct {
 // without a predetermined bound, so only the lower bound is checked.
 func (rt *jobRuntime) run(photons int64, stream int) (*mc.Tally, error) {
 	if rt.fan > 1 {
-		return mc.RunStreamFan(rt.cfg, photons, rt.seed, stream, rt.streams, rt.fan)
+		return rt.runner.RunFan(photons, rt.seed, stream, rt.streams, rt.fan)
 	}
 	if stream < 0 || (rt.streams > 0 && stream >= rt.streams) {
 		return nil, fmt.Errorf("distsys: stream %d outside [0,%d)", stream, rt.streams)
@@ -580,7 +592,7 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 				if err != nil {
 					return stats, fmt.Errorf("distsys: bad job spec: %w", err)
 				}
-				rt = &jobRuntime{cfg: cfg, runner: runner, seed: a.Job.Seed, streams: a.Job.Streams,
+				rt = &jobRuntime{runner: runner, seed: a.Job.Seed, streams: a.Job.Streams,
 					fan: a.Job.Fan, cache: rng.NewStreamCache(a.Job.Seed)}
 				jobs[a.JobID] = rt
 				known = append(known, a.JobID)
@@ -612,6 +624,11 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 				computed++
 				met.chunks.Inc()
 				met.photons.Add(uint64(g.Photons))
+				ev := rt.runner.TakeEvents()
+				met.scatter.Add(ev.Scatter)
+				met.query.Add(ev.Query)
+				met.crossing.Add(ev.Crossing)
+				met.roulette.Add(ev.Roulette)
 				met.chunkSec.Observe(elapsed.Seconds())
 				met.holding.Inc()
 				log.Debug("chunk finished", "job", fmt.Sprintf("%016x", a.JobID),

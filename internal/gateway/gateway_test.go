@@ -566,6 +566,16 @@ func TestGatewayFailoverPolicy(t *testing.T) {
 		if resp.StatusCode != http.StatusUnprocessableEntity || hits != 0 {
 			t.Fatalf("malformed job: http %d (shard hits %d): %s", resp.StatusCode, hits, raw)
 		}
+		// A scoring grid no shard or worker could allocate is refused here,
+		// naming the limit, before any of them sees it.
+		huge := slabSpec(5)
+		huge.PathGrid = &mc.GridSpec{N: 100000, Edge: 10}
+		bad, _ = json.Marshal(service.JobRequest{Spec: huge, Photons: 100})
+		resp, raw = post(t, gw.URL+"/jobs", "", bad)
+		if resp.StatusCode != http.StatusUnprocessableEntity || hits != 0 ||
+			!strings.Contains(raw, fmt.Sprint(mc.MaxGridN)) {
+			t.Fatalf("over-bound grid: http %d (shard hits %d): %s", resp.StatusCode, hits, raw)
+		}
 	})
 }
 

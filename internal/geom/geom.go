@@ -99,7 +99,18 @@ type Geometry interface {
 	// it). Pass +Inf to force the full search. This keeps voxel traversal
 	// O(1) per scattering event in optically thick media instead of
 	// O(grid) per event.
-	ToBoundary(pos, dir vec.V, r int, maxDist float64) (s float64, hit Hit)
+	//
+	// clearRadius is a distance c ≥ 0 such that the medium provably does
+	// not change within c of pos in any direction — isotropic, so it
+	// outlives dir. The kernel spends it as path length: until the steps
+	// taken since the call add up to c it hops without asking again. An
+	// implementation must therefore make c conservative under its own
+	// tolerances (face nudges, the rounding a position accumulates over
+	// those steps): any later call from a point the budget still covers,
+	// with a maxDist it still covers, must itself find no boundary. 0 —
+	// "unknown" — is always legal and costs only the calls it would have
+	// saved.
+	ToBoundary(pos, dir vec.V, r int, maxDist float64) (s float64, hit Hit, clearRadius float64)
 	// Validate reports the first structural problem with the geometry.
 	Validate() error
 }

@@ -57,7 +57,7 @@ func TestLayeredToBoundaryDown(t *testing.T) {
 	l := adultLayered()
 	pos := vec.V{Z: 1}
 	dir := vec.V{Z: 1}
-	s, hit := l.ToBoundary(pos, dir, 0, math.Inf(1))
+	s, hit, _ := l.ToBoundary(pos, dir, 0, math.Inf(1))
 	if math.Abs(s-2) > 1e-12 {
 		t.Fatalf("distance to scalp bottom = %g, want 2", s)
 	}
@@ -74,7 +74,7 @@ func TestLayeredToBoundaryDown(t *testing.T) {
 
 func TestLayeredToBoundaryUpAndExit(t *testing.T) {
 	l := adultLayered()
-	s, hit := l.ToBoundary(vec.V{Z: 1}, vec.V{Z: -1}, 0, math.Inf(1))
+	s, hit, _ := l.ToBoundary(vec.V{Z: 1}, vec.V{Z: -1}, 0, math.Inf(1))
 	if math.Abs(s-1) > 1e-12 {
 		t.Fatalf("distance to surface = %g, want 1", s)
 	}
@@ -86,13 +86,13 @@ func TestLayeredToBoundaryUpAndExit(t *testing.T) {
 	}
 
 	// Semi-infinite final layer: heading down never reaches a boundary.
-	s, _ = l.ToBoundary(vec.V{Z: 20}, vec.V{Z: 1}, 4, math.Inf(1))
+	s, _, _ = l.ToBoundary(vec.V{Z: 20}, vec.V{Z: 1}, 4, math.Inf(1))
 	if !math.IsInf(s, 1) {
 		t.Fatalf("distance in semi-infinite layer = %g, want +Inf", s)
 	}
 
 	// Horizontal flight never leaves a layer.
-	s, _ = l.ToBoundary(vec.V{Z: 1}, vec.V{X: 1}, 0, math.Inf(1))
+	s, _, _ = l.ToBoundary(vec.V{Z: 1}, vec.V{X: 1}, 0, math.Inf(1))
 	if !math.IsInf(s, 1) {
 		t.Fatalf("horizontal distance = %g, want +Inf", s)
 	}
@@ -101,7 +101,7 @@ func TestLayeredToBoundaryUpAndExit(t *testing.T) {
 func TestLayeredBottomExitFiniteStack(t *testing.T) {
 	m := tissue.HomogeneousSlab("slab", tissue.ScalpProps, 5)
 	l := Layered{M: m}
-	s, hit := l.ToBoundary(vec.V{Z: 4}, vec.V{Z: 1}, 0, math.Inf(1))
+	s, hit, _ := l.ToBoundary(vec.V{Z: 4}, vec.V{Z: 1}, 0, math.Inf(1))
 	if math.Abs(s-1) > 1e-12 {
 		t.Fatalf("distance to bottom = %g, want 1", s)
 	}

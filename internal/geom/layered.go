@@ -49,8 +49,11 @@ func (l Layered) Props(r int) optics.Properties { return l.M.Layers[r].Props }
 // along dir. A horizontal ray (dir.Z == 0) never leaves the layer; a ray
 // heading into a semi-infinite final layer returns +Inf with the bottom
 // hit descriptor (never reached). The plane distance is a single division,
-// so maxDist is ignored.
-func (l Layered) ToBoundary(pos, dir vec.V, r int, maxDist float64) (float64, Hit) {
+// so maxDist is ignored. The clear radius is always 0: production layered
+// runs go through the kernel's devirtualised tracer, and the generic loop
+// over a Layered stays the ask-every-event reference that tracer is gated
+// against.
+func (l Layered) ToBoundary(pos, dir vec.V, r int, maxDist float64) (float64, Hit, float64) {
 	switch {
 	case dir.Z > 0:
 		db := (l.M.Boundary(r+1) - pos.Z) / dir.Z
@@ -63,7 +66,7 @@ func (l Layered) ToBoundary(pos, dir vec.V, r int, maxDist float64) (float64, Hi
 			hit.Next = r
 			hit.Exit = ExitBottom
 		}
-		return db, hit
+		return db, hit, 0
 	case dir.Z < 0:
 		db := (pos.Z - l.M.Boundary(r)) / -dir.Z
 		hit := Hit{
@@ -75,9 +78,9 @@ func (l Layered) ToBoundary(pos, dir vec.V, r int, maxDist float64) (float64, Hi
 			hit.Next = 0
 			hit.Exit = ExitTop
 		}
-		return db, hit
+		return db, hit, 0
 	}
-	return math.Inf(1), Hit{}
+	return math.Inf(1), Hit{}, 0
 }
 
 // Validate delegates to the model.

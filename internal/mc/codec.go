@@ -39,13 +39,11 @@ const (
 	tallyHasMoments
 )
 
-// Decode-side sanity bounds: a hostile or corrupt frame must not drive a
-// multi-gigabyte allocation before the mismatch is noticed.
-const (
-	maxCodecRegions  = 1 << 20
-	maxCodecVoxels   = 1 << 28
-	maxCodecHistBins = 1 << 24
-)
+// Decode-side sanity bound: a hostile or corrupt frame must not drive a
+// multi-gigabyte allocation before the mismatch is noticed. Scoring grids
+// and histograms are held to the bounds spec validation enforces at ingress
+// (MaxGridN per edge, MaxHistBins).
+const maxCodecRegions = 1 << 20
 
 // AppendTally appends the compact encoding of t to buf and returns the
 // extended slice. Passing buf[:0] of a retained buffer makes steady-state
@@ -450,22 +448,20 @@ func (d *tallyDecoder) sparseI64(dst []int64) error {
 }
 
 func (d *tallyDecoder) grid(reuse *grid.Grid3) (*grid.Grid3, error) {
-	nx, err := d.length(maxCodecVoxels, "grid nx")
+	nx, err := d.length(MaxGridN, "grid nx")
 	if err != nil {
 		return nil, err
 	}
-	ny, err := d.length(maxCodecVoxels, "grid ny")
+	ny, err := d.length(MaxGridN, "grid ny")
 	if err != nil {
 		return nil, err
 	}
-	nz, err := d.length(maxCodecVoxels, "grid nz")
+	nz, err := d.length(MaxGridN, "grid nz")
 	if err != nil {
 		return nil, err
 	}
-	// Each factor is at most 2^28, so a product is checked before the next
-	// factor can carry it past 64 bits and wrap back under the bound.
-	if nx <= 0 || ny <= 0 || nz <= 0 || uint64(nx)*uint64(ny) > maxCodecVoxels ||
-		uint64(nx)*uint64(ny)*uint64(nz) > maxCodecVoxels {
+	// Each edge is at most MaxGridN, so the cell count cannot overflow.
+	if nx <= 0 || ny <= 0 || nz <= 0 {
 		return nil, fmt.Errorf("mc: tally codec: grid %dx%dx%d out of bounds", nx, ny, nz)
 	}
 	g := reuse
@@ -489,7 +485,7 @@ func (d *tallyDecoder) hist(reuse *stats.Histogram) (*stats.Histogram, error) {
 	if err := d.f64(&h.Min, &h.Max, &h.Under, &h.Over); err != nil {
 		return nil, err
 	}
-	bins, err := d.length(maxCodecHistBins, "histogram bins")
+	bins, err := d.length(MaxHistBins, "histogram bins")
 	if err != nil {
 		return nil, err
 	}

@@ -60,6 +60,40 @@ type HistSpec struct {
 	Bins     int
 }
 
+// Bounds on the scoring structures a job may ask for, declared once: spec
+// validation refuses more at ingress (before NewTally sizes anything on
+// the shard or a worker), and the tally codec refuses to decode more, so
+// nothing that is accepted computes chunks the result plane then rejects.
+// A grid at the bound is 2²⁴ cells — 128 MiB of float64 per tally.
+const (
+	MaxGridN    = 256
+	MaxHistBins = 1 << 20
+)
+
+// validateScoring checks the optional scoring structures of a Config or a
+// Spec against their shapes and bounds.
+func validateScoring(abs, path *GridSpec, pathHist, radial *HistSpec) error {
+	for _, g := range []*GridSpec{abs, path} {
+		switch {
+		case g == nil:
+		case g.N <= 0 || g.Edge <= 0:
+			return fmt.Errorf("mc: bad grid spec %+v", *g)
+		case g.N > MaxGridN:
+			return fmt.Errorf("mc: scoring grid N=%d exceeds the limit of %d per edge", g.N, MaxGridN)
+		}
+	}
+	for _, h := range []*HistSpec{pathHist, radial} {
+		switch {
+		case h == nil:
+		case h.Bins <= 0 || h.Max <= h.Min:
+			return fmt.Errorf("mc: bad histogram spec %+v", *h)
+		case h.Bins > MaxHistBins:
+			return fmt.Errorf("mc: histogram with %d bins exceeds the limit of %d", h.Bins, MaxHistBins)
+		}
+	}
+	return nil
+}
+
 // Default kernel parameters (the standard MCML choices).
 const (
 	DefaultRouletteThreshold = 1e-4
@@ -169,15 +203,5 @@ func (c *Config) Normalize() error {
 	if c.MaxEvents < 1 {
 		return fmt.Errorf("mc: max events %d must be positive", c.MaxEvents)
 	}
-	for _, gs := range []*GridSpec{c.AbsGrid, c.PathGrid} {
-		if gs != nil && (gs.N <= 0 || gs.Edge <= 0) {
-			return fmt.Errorf("mc: bad grid spec %+v", *gs)
-		}
-	}
-	for _, h := range []*HistSpec{c.PathHist, c.Radial} {
-		if h != nil && (h.Bins <= 0 || h.Max <= h.Min) {
-			return fmt.Errorf("mc: bad histogram spec %+v", *h)
-		}
-	}
-	return nil
+	return validateScoring(c.AbsGrid, c.PathGrid, c.PathHist, c.Radial)
 }

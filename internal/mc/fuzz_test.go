@@ -18,7 +18,7 @@ import (
 // FuzzDecodeTally throws arbitrary bytes at the compact tally decoder — the
 // format of the worker wire, the journal snapshots and the shard→gateway
 // result hop. It must never panic; a header may not size an allocation
-// past maxCodecRegions / maxCodecVoxels / maxCodecHistBins, and a frame
+// past maxCodecRegions / MaxGridN per grid edge / MaxHistBins, and a frame
 // whose payload does not back what its header claims is an error, not a
 // short slice behind large dimensions; and a frame that decodes re-encodes
 // to a fixed point, also through DecodeTallyInto's slice-reusing path.
@@ -42,16 +42,15 @@ func FuzzDecodeTally(f *testing.F) {
 			if g == nil {
 				continue
 			}
-			plane := uint64(g.Nx) * uint64(g.Ny) // decoded factors are at most 2^28 each
-			if g.Nx <= 0 || g.Ny <= 0 || g.Nz <= 0 || plane > maxCodecVoxels ||
-				plane*uint64(g.Nz) != uint64(len(g.Data)) || len(g.Data) > maxCodecVoxels {
+			if g.Nx <= 0 || g.Ny <= 0 || g.Nz <= 0 || g.Nx > MaxGridN || g.Ny > MaxGridN || g.Nz > MaxGridN ||
+				g.Nx*g.Ny*g.Nz != len(g.Data) {
 				t.Fatalf("grid %dx%dx%d decoded with %d cells", g.Nx, g.Ny, g.Nz, len(g.Data))
 			}
 		}
-		if h := tally.PathHist; h != nil && len(h.Counts) > maxCodecHistBins {
+		if h := tally.PathHist; h != nil && len(h.Counts) > MaxHistBins {
 			t.Fatalf("path histogram decoded with %d bins", len(h.Counts))
 		}
-		if h := tally.Radial; h != nil && len(h.Counts) > maxCodecHistBins {
+		if h := tally.Radial; h != nil && len(h.Counts) > MaxHistBins {
 			t.Fatalf("radial histogram decoded with %d bins", len(h.Counts))
 		}
 		again := AppendTally(nil, tally)
@@ -125,10 +124,14 @@ func tallySeeds() map[string]tallySeed {
 		"overclaim_grid_wrap": {false, func(t *testing.T) []byte {
 			return append(hostile(tallyHasPathGrid, 1<<22, 1<<22, 1<<22)(t), geometry...)
 		}},
+		// One edge past what ingress accepts, the others honest.
+		"overclaim_grid_edge": {false, func(t *testing.T) []byte {
+			return append(hostile(tallyHasAbsGrid, MaxGridN+1, 1, 1)(t), geometry...)
+		}},
 		"overclaim_hist": {false, func(t *testing.T) []byte {
 			b := hostile(tallyHasPathHist)(t)
 			b = append(b, make([]byte, 4*8)...) // Min, Max, Under, Over
-			return binary.AppendUvarint(b, maxCodecHistBins+1)
+			return binary.AppendUvarint(b, MaxHistBins+1)
 		}},
 		"overclaim_zero_run": {false, func(t *testing.T) []byte {
 			b := append(hostile(tallyHasAbsGrid, 2, 2, 2)(t), geometry...)

@@ -51,6 +51,17 @@ func goldenCases(t *testing.T) []struct {
 		}
 		return g
 	}
+	// bulk-head's geometry: the head with its white matter cut at 44 mm on
+	// 120×120×80 voxels of 0.5 mm, every layer boundary on a voxel plane.
+	voxHead := func() *voxel.Grid {
+		m := tissue.AdultHead()
+		m.Layers[len(m.Layers)-1].Thickness = 44
+		g, err := voxel.FromModel(m, 120, 120, 80, 0.5, 0.5, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
 
 	return []struct {
 		name string
@@ -115,6 +126,26 @@ func goldenCases(t *testing.T) []struct {
 				Geometry: g,
 				Detector: detector.Annulus{RMin: 1, RMax: 4},
 			}, 1200, 17)
+		}},
+		// The two voxel_head fixtures were generated at the commit before
+		// the transport loop gained its clear-radius cache and are the
+		// across-the-commit proof that the cache moved no bit.
+		{"voxel_head_prob", func() (*mc.Tally, error) {
+			return mc.Run(&mc.Config{
+				Geometry: voxHead(),
+				Detector: detector.Annulus{RMin: 10, RMax: 30},
+				PathHist: &mc.HistSpec{Min: 0, Max: 600, Bins: 60},
+				Radial:   &mc.HistSpec{Min: 0, Max: 60, Bins: 30},
+			}, 1500, 19)
+		}},
+		{"voxel_head_det", func() (*mc.Tally, error) {
+			return mc.Run(&mc.Config{
+				Geometry: voxHead(),
+				Boundary: mc.BoundaryDeterministic,
+				Detector: detector.Annulus{RMin: 10, RMax: 30},
+				PathHist: &mc.HistSpec{Min: 0, Max: 600, Bins: 60},
+				Radial:   &mc.HistSpec{Min: 0, Max: 60, Bins: 30},
+			}, 1000, 29)
 		}},
 	}
 }

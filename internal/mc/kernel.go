@@ -70,11 +70,40 @@ type kernel struct {
 	recordPaths bool
 	stack       []subPacket
 	visitPool   [][]vec.V
+
+	// events counts what the transport loops did, for the runners' stats;
+	// it is deliberately not part of the Tally (codec, keys and goldens
+	// know nothing of it).
+	events KernelEvents
+}
+
+// KernelEvents counts the transport loop's work, so a ns/photon figure can
+// be read as ns/event and the share of events the clear-radius cache
+// served (1 − Query/(Scatter+Crossing)) can be seen from outside.
+type KernelEvents struct {
+	Scatter  uint64 // hop–drop–spin interactions
+	Query    uint64 // Geometry.ToBoundary calls (none on the layered fast path)
+	Crossing uint64 // boundary events resolved: reflections, refractions, exits
+	Roulette uint64 // packets terminated by Russian roulette
+}
+
+// Add folds o into e.
+func (e *KernelEvents) Add(o KernelEvents) {
+	e.Scatter += o.Scatter
+	e.Query += o.Query
+	e.Crossing += o.Crossing
+	e.Roulette += o.Roulette
 }
 
 // newKernel returns a kernel writing into a fresh tally. cfg must already be
-// normalised.
+// normalised. Tracing begins here, so a geometry that derives traversal
+// tables builds them now — once, shared by every kernel on it — rather than
+// inside a validation that a non-tracing process also runs, or inside the
+// first timed chunk.
 func newKernel(cfg *Config, r *rng.Rand) *kernel {
+	if p, ok := cfg.Geometry.(interface{ PrepareTrace() }); ok {
+		p.PrepareTrace()
+	}
 	return &kernel{
 		cfg:         cfg,
 		geo:         cfg.Geometry,
@@ -173,9 +202,31 @@ func (k *kernel) trace(p *subPacket) (deepest int) {
 	t := k.tally
 	deepest = p.region
 
-	defer func() { k.putVisits(p.visits); p.visits = nil }()
+	// Hoisted loop invariants, as in traceLayered: the compiler cannot
+	// prove these stable across the tally writes inside the loop.
+	geo := k.geo
+	maxEvents := k.cfg.MaxEvents
+	rouletteThreshold := k.cfg.RouletteThreshold
+	rouletteBoost := k.cfg.RouletteBoost
+	absGrid := t.AbsGrid
 
-	for events := 0; events < k.cfg.MaxEvents; events++ {
+	// clearLeft is what is left of the last clear radius the geometry reported
+	// (geom.Geometry.ToBoundary), spent as path length: while the sampled
+	// step fits in it the medium provably cannot change within the step, so
+	// the packet hops without asking. The cache only ever answers "no
+	// boundary within s", and only where the geometry would have said the
+	// same, so every branch, RNG draw and accumulation below happens in the
+	// same order with the same operands as if every event had asked.
+	clearLeft := 0.0
+
+	scat0 := p.scat
+	defer func() {
+		k.events.Scatter += uint64(p.scat - scat0)
+		k.putVisits(p.visits)
+		p.visits = nil
+	}()
+
+	for events := 0; events < maxEvents; events++ {
 		op := &k.opt[p.region]
 
 		// Sample the free-path step; a non-interacting region (CSF-like
@@ -185,31 +236,39 @@ func (k *kernel) trace(p *subPacket) (deepest int) {
 			s = k.rng.Step() * op.InvMuT
 		}
 
-		// Distance to the next medium change along the current direction,
-		// searched only as far as the sampled step needs.
-		db, hit := k.geo.ToBoundary(p.pos, p.dir, p.region, s)
+		if s < clearLeft {
+			clearLeft -= s
+		} else {
+			// Distance to the next medium change along the current
+			// direction, searched only as far as the sampled step needs.
+			k.events.Query++
+			db, hit, c := geo.ToBoundary(p.pos, p.dir, p.region, s)
 
-		if s >= db {
-			// Hop to the boundary and resolve reflection/refraction.
-			// Resampling the remaining step in the next region is unbiased
-			// by the memorylessness of the exponential free path.
-			if math.IsInf(db, 1) {
-				// Unbounded flight in a non-interacting region: the photon
-				// leaves the region of interest; score it as lost to
-				// absorption to keep the energy books closed.
-				t.AbsorbedWeight += p.weight
-				t.LayerAbsorbed[p.region] += p.weight
-				return deepest
+			if s >= db {
+				// Hop to the boundary and resolve reflection/refraction.
+				// Resampling the remaining step in the next region is
+				// unbiased by the memorylessness of the exponential free
+				// path. Whatever happens there ends the clear ball.
+				clearLeft = 0
+				if math.IsInf(db, 1) {
+					// Unbounded flight in a non-interacting region: the
+					// photon leaves the region of interest; score it as
+					// lost to absorption to keep the energy books closed.
+					t.AbsorbedWeight += p.weight
+					t.LayerAbsorbed[p.region] += p.weight
+					return deepest
+				}
+				k.advance(p, db, op.N)
+				alive, entered := k.cross(p, &hit, op.N)
+				if !alive {
+					return deepest
+				}
+				if entered > deepest {
+					deepest = entered
+				}
+				continue
 			}
-			k.advance(p, db, op.N)
-			alive, entered := k.cross(p, &hit, op.N)
-			if !alive {
-				return deepest
-			}
-			if entered > deepest {
-				deepest = entered
-			}
-			continue
+			clearLeft = c - s
 		}
 
 		// Hop.
@@ -220,8 +279,8 @@ func (k *kernel) trace(p *subPacket) (deepest int) {
 		p.weight -= dw
 		t.AbsorbedWeight += dw
 		t.LayerAbsorbed[p.region] += dw
-		if t.AbsGrid != nil {
-			t.AbsGrid.Add(p.pos.X, p.pos.Y, p.pos.Z, dw)
+		if absGrid != nil {
+			absGrid.Add(p.pos.X, p.pos.Y, p.pos.Z, dw)
 		}
 		if k.recordPaths {
 			p.visits = append(p.visits, p.pos)
@@ -233,12 +292,13 @@ func (k *kernel) trace(p *subPacket) (deepest int) {
 		p.scat++
 
 		// Survival roulette for low-weight packets.
-		if p.weight < k.cfg.RouletteThreshold {
-			if k.rng.Float64()*k.cfg.RouletteBoost < 1 {
-				t.RouletteGain += p.weight * (k.cfg.RouletteBoost - 1)
-				p.weight *= k.cfg.RouletteBoost
+		if p.weight < rouletteThreshold {
+			if k.rng.Float64()*rouletteBoost < 1 {
+				t.RouletteGain += p.weight * (rouletteBoost - 1)
+				p.weight *= rouletteBoost
 			} else {
 				t.RouletteLoss += p.weight
+				k.events.Roulette++
 				return deepest
 			}
 		}
@@ -266,6 +326,7 @@ func (k *kernel) advance(p *subPacket, s, n float64) {
 // packet is still alive inside the geometry and, if it crossed into a new
 // region, that region index (otherwise p.region).
 func (k *kernel) cross(p *subPacket, hit *geom.Hit, n1 float64) (alive bool, regionNow int) {
+	k.events.Crossing++
 	n2 := hit.N2
 	cosI := -p.dir.Dot(hit.Normal)
 	refl, cosT := optics.Fresnel(n1, n2, cosI)

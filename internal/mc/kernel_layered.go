@@ -27,7 +27,12 @@ func (k *kernel) traceLayered(p *subPacket) (deepest int) {
 	rouletteBoost := k.cfg.RouletteBoost
 	absGrid := t.AbsGrid
 
-	defer func() { k.putVisits(p.visits); p.visits = nil }()
+	scat0 := p.scat
+	defer func() {
+		k.events.Scatter += uint64(p.scat - scat0)
+		k.putVisits(p.visits)
+		p.visits = nil
+	}()
 
 	for events := 0; events < maxEvents; events++ {
 		r := p.region
@@ -112,6 +117,7 @@ func (k *kernel) traceLayered(p *subPacket) (deepest int) {
 				p.weight *= rouletteBoost
 			} else {
 				t.RouletteLoss += p.weight
+				k.events.Roulette++
 				return deepest
 			}
 		}
@@ -132,6 +138,7 @@ func (k *kernel) traceLayered(p *subPacket) (deepest int) {
 // no Fresnel evaluation at all. Reports whether the packet is still alive
 // inside the geometry.
 func (k *kernel) crossLayered(p *subPacket, face *layerFace, uz float64) bool {
+	k.events.Crossing++
 	if face.matched {
 		// Identical indices: R = 0, direction unchanged.
 		if face.exit != geom.ExitNone {

@@ -96,6 +96,22 @@ func (ru *Runner) Run(n int64, r *rng.Rand) *Tally {
 	return ru.k.tally
 }
 
+// RunFan computes a fanned chunk exactly as RunStreamFan does on the
+// Runner's config (fan > 1), keeping the sub-kernels' event counts.
+func (ru *Runner) RunFan(n int64, seed uint64, stream, streams, fan int) (*Tally, error) {
+	t, ev, err := runFan(ru.k.cfg, n, seed, stream, streams, fan)
+	ru.k.events.Add(ev)
+	return t, err
+}
+
+// TakeEvents returns what the transport loop has counted since the last
+// call and starts the count afresh; a worker drains it after each chunk.
+func (ru *Runner) TakeEvents() KernelEvents {
+	ev := ru.k.events
+	ru.k.events = KernelEvents{}
+	return ev
+}
+
 // RunStreamFan computes chunk `stream` of `streams` like RunStream, but
 // splits the chunk's photons across `fan` jump-separated sub-streams
 // derived deterministically from the chunk's stream index (rng.FanStreams)
@@ -112,8 +128,15 @@ func RunStreamFan(cfg *Config, n int64, seed uint64, stream, streams, fan int) (
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
+	t, _, err := runFan(cfg, n, seed, stream, streams, fan)
+	return t, err
+}
+
+// runFan is RunStreamFan on a normalised config with fan > 1; it also
+// returns the sub-kernels' summed event counts.
+func runFan(cfg *Config, n int64, seed uint64, stream, streams, fan int) (*Tally, KernelEvents, error) {
 	if stream < 0 || (streams > 0 && stream >= streams) {
-		return nil, fmt.Errorf("mc: stream %d outside [0,%d)", stream, streams)
+		return nil, KernelEvents{}, fmt.Errorf("mc: stream %d outside [0,%d)", stream, streams)
 	}
 	subs := rng.FanStreams(seed, stream, fan)
 	shares := make([]int64, fan)
@@ -124,6 +147,7 @@ func RunStreamFan(cfg *Config, n int64, seed uint64, stream, streams, fan int) (
 		}
 	}
 	tallies := make([]*Tally, fan)
+	counts := make([]KernelEvents, fan)
 	workers := runtime.GOMAXPROCS(0)
 	if workers > fan {
 		workers = fan
@@ -142,19 +166,21 @@ func RunStreamFan(cfg *Config, n int64, seed uint64, stream, streams, fan int) (
 				k := newKernel(cfg, subs[i])
 				k.RunPhotons(shares[i])
 				k.record()
-				tallies[i] = k.tally
+				tallies[i], counts[i] = k.tally, k.events
 			}
 		}()
 	}
 	wg.Wait()
 
 	total := NewTally(cfg)
-	for _, t := range tallies {
+	var events KernelEvents
+	for i, t := range tallies {
 		if err := total.Merge(t); err != nil {
-			return nil, err
+			return nil, events, err
 		}
+		events.Add(counts[i])
 	}
-	return total, nil
+	return total, events, nil
 }
 
 // RunAdaptive is the local run-until-precision loop: it simulates rounds

@@ -93,6 +93,14 @@ func (s *Spec) Build() (*Config, error) {
 	return cfg, nil
 }
 
+// ValidateScoring checks only the scoring grids and histograms against
+// their bounds (MaxGridN, MaxHistBins) — the cheap part of Validate, for an
+// ingress that defers the full build but must refuse a tally it could
+// never allocate or ship.
+func (s *Spec) ValidateScoring() error {
+	return validateScoring(s.AbsGrid, s.PathGrid, s.PathHist, s.Radial)
+}
+
 // Validate checks the Spec without building it.
 func (s *Spec) Validate() error {
 	if _, err := s.Build(); err != nil {

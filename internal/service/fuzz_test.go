@@ -99,7 +99,7 @@ func FuzzDecodeJobRequest(f *testing.F) {
 // a record that decodes must be a fixed point: re-encoded and decoded
 // again it is the same accept (key and JobSpec) and, byte for byte, the
 // same snapshot. The tally inside a snapshot is mc's compact codec, which
-// bounds its own allocations (maxCodecVoxels) and is not re-asserted here.
+// bounds its own allocations (mc.MaxGridN, mc.MaxHistBins) and is not re-asserted here.
 //
 // The committed corpus (testdata/fuzz/FuzzDecodeJournalRecord) is an
 // accept and a snapshot record of each of journalShapes;

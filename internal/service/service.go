@@ -188,6 +188,12 @@ func (s *JobSpec) normalize(maxTargetPhotons int64) error {
 	if s.Spec == nil {
 		return fmt.Errorf("service: job has no simulation spec")
 	}
+	// The one spec check that cannot wait for newJob: an over-bound scoring
+	// grid must be refused before anything — a gateway's routing, a cache
+	// probe, a tally allocation — acts on the submission.
+	if err := s.Spec.ValidateScoring(); err != nil {
+		return err
+	}
 	if s.Target != nil {
 		tgt := *s.Target // never mutate the caller's struct
 		s.Target = &tgt

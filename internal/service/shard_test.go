@@ -4,7 +4,10 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"repro/internal/mc"
 )
 
 // TestShardRoutingIsPureFunctionOfKey is the routing property test: shard
@@ -105,5 +108,21 @@ func TestRoutingKeysMatchSubmit(t *testing.T) {
 	bad := JobSpec{Spec: slabSpec(6)} // no photons, no target
 	if _, _, err := RoutingKeys(&bad, 0); !IsInvalid(err) {
 		t.Fatalf("RoutingKeys on invalid spec: %v (want InvalidJobError)", err)
+	}
+	// So do scoring structures past the bounds the tally codec shares, from
+	// both entry points and before a tally is sized for them.
+	for name, over := range map[string]func(*mc.Spec){
+		"grid": func(s *mc.Spec) { s.AbsGrid = &mc.GridSpec{N: mc.MaxGridN + 1, Edge: 10} },
+		"hist": func(s *mc.Spec) { s.Radial = &mc.HistSpec{Max: 1, Bins: mc.MaxHistBins + 1} },
+	} {
+		huge := mk()
+		huge.Spec = slabSpec(6)
+		over(huge.Spec)
+		if _, _, err := RoutingKeys(&huge, 0); !IsInvalid(err) || !strings.Contains(err.Error(), "limit") {
+			t.Fatalf("RoutingKeys on an over-bound %s: %v (want InvalidJobError naming the limit)", name, err)
+		}
+		if _, err := reg.Submit(huge); !IsInvalid(err) {
+			t.Fatalf("Submit of an over-bound %s: %v (want InvalidJobError)", name, err)
+		}
 	}
 }

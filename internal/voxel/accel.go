@@ -16,6 +16,15 @@ type gridAccel struct {
 	minEdge             float64 // smallest voxel edge, mm
 	eps                 float64 // face-disambiguation nudge, mm
 
+	// slack is what ToBoundary holds back from a clear radius it reports.
+	// The ball is measured from the voxel that holds pos + dir·eps, so pos
+	// itself may sit eps outside it; a later walk starts from its own
+	// nudged point and re-nudges after each fused jump (another eps); and
+	// the path-length budget the kernel spends and the positions it
+	// accumulates round independently, by many orders below eps per step.
+	// Four nudges cover the two that are real and leave two for rounding.
+	slack float64
+
 	// rad[idx] is the Chebyshev safe radius of voxel idx: every voxel
 	// within Chebyshev distance rad (in voxel units) exists and carries the
 	// same label, so from any point inside voxel idx the medium provably
@@ -25,13 +34,16 @@ type gridAccel struct {
 }
 
 // ensureAccel returns the grid's accelerator, building it on first use.
-// Validate (which the mc kernel's Normalize invokes before fanning out
-// goroutines) triggers the build eagerly; if concurrent tracers do race
-// into the lazy path, each builds an identical accelerator and atomic
-// publication lets one win — wasted work, never a torn read. Mutating
+// Builds are serialised: kernels racing onto a fresh grid (the sub-streams
+// of a fanned chunk) wait for the first one's build and share it. Mutating
 // builders (the Paint helpers) invalidate the accelerator; mutation
 // concurrent with tracing is, as ever, the caller's bug.
 func (g *Grid) ensureAccel() *gridAccel {
+	if a := g.acc.Load(); a != nil {
+		return a
+	}
+	g.accMu.Lock()
+	defer g.accMu.Unlock()
 	if a := g.acc.Load(); a != nil {
 		return a
 	}
@@ -40,9 +52,11 @@ func (g *Grid) ensureAccel() *gridAccel {
 		invDy:   1 / g.Dy,
 		invDz:   1 / g.Dz,
 		minEdge: g.MinVoxel(),
+		eps:     g.nudge(),
+		rad:     buildSafeRadius(g),
 	}
-	a.eps = g.nudge()
-	a.rad = buildSafeRadius(g)
+	a.slack = 4 * a.eps
+	g.accBuilds++
 	g.acc.Store(a)
 	return a
 }

@@ -165,8 +165,8 @@ func (g *Grid) VolumeFraction(label int) float64 {
 // Clone returns a deep copy, so a base grid can fan out into perturbed
 // variants (probe-position sweeps, inclusion ablations) without rebuilding.
 // The derived traversal accelerator is not copied (it holds an atomic
-// pointer, so the struct is rebuilt field-wise); the clone rebuilds its
-// own when first validated or traced.
+// pointer and a mutex, so the struct is rebuilt field-wise); the clone
+// builds its own when first traced.
 func (g *Grid) Clone() *Grid {
 	return &Grid{
 		Name: g.Name,

@@ -16,6 +16,7 @@ package voxel
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/geom"
@@ -52,12 +53,16 @@ type Grid struct {
 	MediaNames []string
 
 	// acc is the derived traversal accelerator (reciprocal voxel sizes and
-	// the same-label safe-radius map). It is unexported so gob skips it,
-	// built by Validate (or lazily on first trace) and invalidated by the
-	// mutating builders. Publication is atomic, so grids shared across
-	// tracing goroutines stay race-free even when several kernels trigger
-	// the lazy build concurrently (the builds are idempotent; one wins).
-	acc atomic.Pointer[gridAccel]
+	// the same-label safe-radius map). It is unexported so gob and JSON
+	// skip it, built where tracing begins (PrepareTrace, or the first
+	// ToBoundary) and invalidated by the mutating builders — a process that
+	// only validates, hashes and journals a grid never pays for it.
+	// Publication is atomic and accMu serialises the build, so kernels
+	// racing onto a fresh shared grid wait for one build instead of each
+	// repeating it; accBuilds counts builds for the tests that pin that.
+	acc       atomic.Pointer[gridAccel]
+	accMu     sync.Mutex
+	accBuilds int
 }
 
 // New returns a grid of nx×ny×nz voxels with edges dx×dy×dz mm, laterally
@@ -169,7 +174,14 @@ func (g *Grid) nudge() float64 { return 1e-6 * g.MinVoxel() }
 // current voxel's same-label Chebyshev ball returns without seeding the
 // DDA at all, and the walk jumps whole balls at a time instead of crossing
 // their interior faces one by one.
-func (g *Grid) ToBoundary(pos, dir vec.V, r int, maxDist float64) (float64, geom.Hit) {
+//
+// The clear radius is that same ball: when the fast path answers, the
+// medium cannot change within rad·minEdge of the current voxel in any
+// direction, so the kernel may keep hopping inside it without asking (see
+// gridAccel.slack for why the reported radius is a little smaller). Every
+// other return reports 0 — a walk that had to look at faces found the ball
+// too small for this step, and would for the next.
+func (g *Grid) ToBoundary(pos, dir vec.V, r int, maxDist float64) (float64, geom.Hit, float64) {
 	a := g.acc.Load()
 	if a == nil {
 		a = g.ensureAccel()
@@ -187,7 +199,7 @@ func (g *Grid) ToBoundary(pos, dir vec.V, r int, maxDist float64) (float64, geom
 	// fraction of a voxel edge.
 	if rad := a.rad[idx]; rad > 0 && int(g.Labels[idx]) == r {
 		if safe := float64(rad) * a.minEdge; safe > maxDist {
-			return safe, geom.Hit{}
+			return safe, geom.Hit{}, safe - a.slack
 		}
 	}
 
@@ -246,7 +258,7 @@ func (g *Grid) ToBoundary(pos, dir vec.V, r int, maxDist float64) (float64, geom
 	}
 
 	if stepX == 0 && stepY == 0 && stepZ == 0 {
-		return math.Inf(1), geom.Hit{}
+		return math.Inf(1), geom.Hit{}, 0
 	}
 
 	for {
@@ -270,7 +282,7 @@ func (g *Grid) ToBoundary(pos, dir vec.V, r int, maxDist float64) (float64, geom
 
 		// The caller scatters before this face: no boundary within reach.
 		if t > maxDist {
-			return t, geom.Hit{}
+			return t, geom.Hit{}, 0
 		}
 
 		// Out of the grid: classify the exit face. The side walls are an
@@ -300,7 +312,7 @@ func (g *Grid) ToBoundary(pos, dir vec.V, r int, maxDist float64) (float64, geom
 					hit.N2 = g.NBelow
 				}
 			}
-			return t, hit
+			return t, hit, 0
 		}
 
 		// A face into a different medium is the boundary; same-label faces
@@ -316,7 +328,7 @@ func (g *Grid) ToBoundary(pos, dir vec.V, r int, maxDist float64) (float64, geom
 			default:
 				normal = vec.V{Z: -float64(stepZ)}
 			}
-			return t, geom.Hit{Normal: normal, Next: label, N2: g.Media[label].N}
+			return t, geom.Hit{Normal: normal, Next: label, N2: g.Media[label].N}, 0
 		}
 
 		// Fuse: deep inside a homogeneous run, leap the whole same-label
@@ -324,14 +336,16 @@ func (g *Grid) ToBoundary(pos, dir vec.V, r int, maxDist float64) (float64, geom
 		if rad := a.rad[idx]; rad >= 2 {
 			nt := t + float64(rad)*a.minEdge
 			if nt > maxDist {
-				return nt, geom.Hit{}
+				return nt, geom.Hit{}, 0
 			}
 			i, j, k = g.reseed(a, pos, dir, nt, invX, invY, invZ, &tMaxX, &tMaxY, &tMaxZ)
 		}
 	}
 }
 
-// Validate reports the first structural problem with the grid.
+// Validate reports the first structural problem with the grid. It builds
+// nothing: a shard validates every submission and journal replay of a grid
+// it will never trace.
 func (g *Grid) Validate() error {
 	if g.Nx <= 0 || g.Ny <= 0 || g.Nz <= 0 {
 		return fmt.Errorf("voxel: grid %q has non-positive dimensions %dx%dx%d", g.Name, g.Nx, g.Ny, g.Nz)
@@ -365,8 +379,11 @@ func (g *Grid) Validate() error {
 			return fmt.Errorf("voxel: grid %q voxel %d has label %d, only %d media", g.Name, idx, l, nm)
 		}
 	}
-	// A valid grid is about to be traced: build the traversal accelerator
-	// now, while the caller (mc.Config.Normalize) is still single-threaded.
-	g.ensureAccel()
 	return nil
 }
+
+// PrepareTrace builds the traversal accelerator if the grid does not have
+// one. The mc kernel calls it where tracing begins, so the build is paid by
+// the process that traces — once per grid — and not inside its first
+// timed chunk; Validate stays structural.
+func (g *Grid) PrepareTrace() { g.ensureAccel() }

@@ -210,7 +210,7 @@ func TestToBoundaryHomogeneousCrossesWholeGrid(t *testing.T) {
 	g := New("homog", 10, 10, 10, 1, 1, 1, "base", testProps())
 	// Straight down from the surface: one DDA call spans all ten same-label
 	// voxels and exits the bottom.
-	s, hit := g.ToBoundary(vec.V{}, vec.V{Z: 1}, 0, math.Inf(1))
+	s, hit, _ := g.ToBoundary(vec.V{}, vec.V{Z: 1}, 0, math.Inf(1))
 	if math.Abs(s-10) > 1e-9 {
 		t.Fatalf("distance = %g, want 10", s)
 	}
@@ -222,7 +222,7 @@ func TestToBoundaryHomogeneousCrossesWholeGrid(t *testing.T) {
 	}
 
 	// Upwards from inside: exit through the top.
-	s, hit = g.ToBoundary(vec.V{Z: 3.5}, vec.V{Z: -1}, 0, math.Inf(1))
+	s, hit, _ = g.ToBoundary(vec.V{Z: 3.5}, vec.V{Z: -1}, 0, math.Inf(1))
 	if math.Abs(s-3.5) > 1e-9 {
 		t.Fatalf("distance = %g, want 3.5", s)
 	}
@@ -234,7 +234,7 @@ func TestToBoundaryHomogeneousCrossesWholeGrid(t *testing.T) {
 	}
 
 	// Sideways: lateral escape at the +x face.
-	s, hit = g.ToBoundary(vec.V{X: 1.25, Z: 5}, vec.V{X: 1}, 0, math.Inf(1))
+	s, hit, _ = g.ToBoundary(vec.V{X: 1.25, Z: 5}, vec.V{X: 1}, 0, math.Inf(1))
 	if math.Abs(s-3.75) > 1e-9 {
 		t.Fatalf("lateral distance = %g, want 3.75", s)
 	}
@@ -253,7 +253,7 @@ func TestToBoundaryStopsAtLabelChange(t *testing.T) {
 	bottom, _ := g.AddMedium("bottom", optics.Properties{MuA: 0.1, MuS: 1, G: 0, N: 1.6})
 	g.PaintBox(bottom, g.X0, g.Y0, 4, -g.X0, -g.Y0, 10)
 
-	s, hit := g.ToBoundary(vec.V{Z: 0.5}, vec.V{Z: 1}, 0, math.Inf(1))
+	s, hit, _ := g.ToBoundary(vec.V{Z: 0.5}, vec.V{Z: 1}, 0, math.Inf(1))
 	if math.Abs(s-3.5) > 1e-9 {
 		t.Fatalf("distance = %g, want 3.5", s)
 	}
@@ -269,7 +269,7 @@ func TestToBoundaryStopsAtLabelChange(t *testing.T) {
 
 	// From exactly on the interface heading back up: the nudge attributes
 	// the packet to the upper medium and the next change is the top face.
-	s, hit = g.ToBoundary(vec.V{Z: 4}, vec.V{Z: -1}, 0, math.Inf(1))
+	s, hit, _ = g.ToBoundary(vec.V{Z: 4}, vec.V{Z: -1}, 0, math.Inf(1))
 	if math.Abs(s-4) > 1e-9 || hit.Exit != geom.ExitTop {
 		t.Fatalf("up from interface: s=%g hit=%+v", s, hit)
 	}
@@ -283,7 +283,7 @@ func TestToBoundaryDiagonalDistance(t *testing.T) {
 	g.Labels[g.Index(7, 5, 5)] = uint8(inc)
 
 	// Ray from (0, 0.1, 5.5) along +x hits the voxel's -x face at x=2.
-	s, hit := g.ToBoundary(vec.V{X: 0, Y: 0.1, Z: 5.5}, vec.V{X: 1}, 0, math.Inf(1))
+	s, hit, _ := g.ToBoundary(vec.V{X: 0, Y: 0.1, Z: 5.5}, vec.V{X: 1}, 0, math.Inf(1))
 	if math.Abs(s-2) > 1e-9 {
 		t.Fatalf("distance = %g, want 2", s)
 	}
@@ -297,7 +297,7 @@ func TestToBoundaryDiagonalDistance(t *testing.T) {
 	// over the +x side (axis travel 6.5), so the ray exits the bottom
 	// after a path of 6√2.
 	d := vec.V{X: 1, Z: 1}.Normalize()
-	s, hit = g.ToBoundary(vec.V{X: -1.5, Y: 0.1, Z: 4.0}, d, 0, math.Inf(1))
+	s, hit, _ = g.ToBoundary(vec.V{X: -1.5, Y: 0.1, Z: 4.0}, d, 0, math.Inf(1))
 	if math.Abs(s-6*math.Sqrt2) > 1e-9 {
 		t.Fatalf("diagonal distance = %g, want %g", s, 6*math.Sqrt2)
 	}

@@ -5,7 +5,8 @@
 # FuzzDecodeJobRequest is seeded from genjob bodies, so the seeds follow the
 # submission schema instead of freezing JSON by hand: a tiny slab, the
 # paper's head, a voxel grid, a precision target, a typoed field the strict
-# decoder must refuse, and a body over the fuzz target's 16 KiB cap.
+# decoder must refuse, a path grid past mc.MaxGridN that normalization must
+# refuse, and a body over the fuzz target's 16 KiB cap.
 # FuzzDecodeJournalRecord is seeded with the journal's own accept and
 # snapshot records of four job shapes (slab, head, voxel, precision target)
 # and FuzzDecodeResult with the same jobs' compact results, both written by
@@ -31,6 +32,7 @@ go run ./scripts/genjob -model head -photons 1840 -chunk 230 | seed head
 go run ./scripts/genjob -model voxel | seed voxel
 go run ./scripts/genjob -relerr 0.05 | seed precision_target
 go run ./scripts/genjob | sed 's/"label":/"prioirty":9,"label":/' | seed unknown_field
+go run ./scripts/genjob | sed 's/"PathGrid":null/"PathGrid":{"N":100000,"Edge":10}/' | seed overbound_grid
 go run ./scripts/genjob -label "$(head -c 17000 /dev/zero | tr '\0' x)" | seed oversize
 
 mkdir -p internal/service/testdata/fuzz/FuzzDecodeJournalRecord internal/service/testdata/fuzz/FuzzDecodeResult

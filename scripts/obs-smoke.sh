@@ -189,6 +189,16 @@ WMETRICS=$(curl -fsS "http://$WDBG/metrics")
 echo "$WMETRICS" | grep -q '^worker_photons_total 2000$' ||
   fail "worker did not account 2000 photons: $(echo "$WMETRICS" | grep '^worker_photons' || true)"
 echo "$WMETRICS" | grep -q '^worker_chunks_computed_total 4$' || fail "worker chunk count wrong"
+# The kernel's event counters: all four kinds exist, 2000 photons scattered
+# at least once each, and the transport loop asked the geometry no more
+# often than it had events to ask about.
+kev() { echo "$WMETRICS" | sed -n "s/^worker_kernel_events_total{kind=\"$1\"} //p"; }
+for kind in scatter query crossing roulette; do
+  [ -n "$(kev $kind)" ] || fail "worker_kernel_events_total{kind=\"$kind\"} is absent"
+done
+[ "$(kev scatter)" -ge 2000 ] || fail "kernel counted $(kev scatter) scattering events for 2000 photons"
+[ "$(kev query)" -le $(( $(kev scatter) + $(kev crossing) )) ] ||
+  fail "kernel queries $(kev query) exceed scatter $(kev scatter) + crossing $(kev crossing)"
 echo "$WMETRICS" | grep -Eq '^worker_conn_frames_total\{dir="send",type="result-batch"\} [1-9]' ||
   fail "wire frame counters silent"
 
