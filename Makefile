@@ -7,7 +7,7 @@ GO ?= go
 VERSION ?= $(shell git describe --always --dirty 2>/dev/null || echo dev)
 LDFLAGS = -X repro/internal/obs.Version=$(VERSION)
 
-.PHONY: build test race short bench-check kernel-bench cover fmt vet gob-check fuzz-smoke obs-smoke crash-smoke shard-smoke
+.PHONY: build test race short bench-check kernel-bench cover fmt vet loc gob-check fuzz-smoke obs-smoke crash-smoke shard-smoke
 
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
@@ -102,6 +102,12 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# loc prints the size figure ROADMAP and CHANGES quote: lines of non-test
+# Go outside the nested benchmark module. A deletion round is judged by it
+# (comments and blank lines count; test, data and bench/ files do not).
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
 # gob-check pins where encoding/gob may be imported outside tests: the wire
 # envelope and the result files, nothing else. gob's type ids come from a

@@ -39,15 +39,12 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/cli"
@@ -146,38 +143,15 @@ func main() {
 	mux := http.NewServeMux()
 	gw.Register(mux)
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	var debugSrv *http.Server
-	if *debugAddr == "" {
-		obs.RegisterDebug(mux, oreg, ready)
-	} else {
-		dl, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			fatal(err)
-		}
-		dmux := http.NewServeMux()
-		obs.RegisterDebug(dmux, oreg, ready)
-		debugSrv = &http.Server{Handler: dmux, ReadHeaderTimeout: 5 * time.Second}
-		go debugSrv.Serve(dl)
-		logger.Info("debug listener up", "addr", dl.Addr().String())
+	debugSrv, err := cli.ServeDebug(mux, *debugAddr, oreg, ready, logger)
+	if err != nil {
+		fatal(err)
 	}
 	logger.Info("mcgate up", "http", hl.Addr().String(), "shards", gw.Shards())
 
 	// The gateway holds no durable state, so shutdown is only an HTTP
 	// drain: in-flight proxied requests finish, then the process exits.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	drained := make(chan struct{})
-	go func() {
-		s := <-sig
-		logger.Info("shutting down", "signal", s.String())
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		srv.Shutdown(ctx)
-		if debugSrv != nil {
-			debugSrv.Shutdown(ctx)
-		}
-		cancel()
-		close(drained)
-	}()
+	drained := cli.DrainOnSignal(logger, srv, debugSrv)
 	if err := srv.Serve(hl); err != http.ErrServerClosed {
 		fatal(err)
 	}

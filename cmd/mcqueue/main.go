@@ -54,10 +54,10 @@
 // unlimited), and weight sets the tenant's share of fleet throughput
 // under the tenant-fair policy. Submissions over a tenant's envelope are
 // shed with 429 + a Retry-After computed from the bucket's refill time;
-// cache hits and coalesced submissions are never shed. GET /tenants lists
-// live bucket levels, GET /stats and GET /fleet carry per-tenant rollups,
-// and when -tenants is given without an explicit -policy the scheduler
-// upgrades from fair to tenant-fair (two-level tenant→job fair queueing).
+// cache hits and coalesced submissions spend a job token and no photons.
+// GET /tenants lists live bucket levels, GET /stats and GET /fleet carry
+// per-tenant rollups, and when -tenants is given without an explicit
+// -policy the scheduler upgrades from fair to tenant-fair.
 //
 // Durability is one mechanism, on by default: the write-ahead journal in
 // -wal-dir (default mcqueue-wal; empty disables it). Every accepted job,
@@ -81,14 +81,11 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/cli"
@@ -260,47 +257,24 @@ func main() {
 	api.MaxBodyBytes = *maxBody
 	api.Register(mux)
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	var debugSrv *http.Server
-	if *debugAddr == "" {
-		obs.RegisterDebug(mux, oreg, ready)
-	} else {
-		dl, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			fatal(err)
-		}
-		dmux := http.NewServeMux()
-		obs.RegisterDebug(dmux, oreg, ready)
-		debugSrv = &http.Server{Handler: dmux, ReadHeaderTimeout: 5 * time.Second}
-		go debugSrv.Serve(dl)
-		logger.Info("debug listener up", "addr", dl.Addr().String())
+	debugSrv, err := cli.ServeDebug(mux, *debugAddr, oreg, ready, logger)
+	if err != nil {
+		fatal(err)
 	}
 	logger.Info("mcqueue up", "fleet", l.Addr().String(), "http", hl.Addr().String(),
 		"policy", policy.Name())
 
-	// On SIGINT/SIGTERM the signal goroutine only drains the HTTP
-	// listeners; the final compaction runs in main, after srv.Serve has
-	// returned ErrServerClosed AND the drain has finished — Serve returns
-	// the instant Shutdown begins, so compacting from the goroutine would
-	// race main's exit. No submission is half-processed when the snapshots
-	// are cut (the API is drained first), but worker connections on the
-	// fleet listener keep reducing result batches meanwhile: each job's
-	// snapshot is internally consistent, not fleet-quiesced, and a
+	// On SIGINT/SIGTERM DrainOnSignal only drains the HTTP listeners; the
+	// final compaction runs in main, after srv.Serve has returned
+	// ErrServerClosed AND the drain has finished — Serve returns the
+	// instant Shutdown begins, so compacting from the signal goroutine
+	// would race main's exit. No submission is half-processed when the
+	// snapshots are cut (the API is drained first), but worker connections
+	// on the fleet listener keep reducing result batches meanwhile: each
+	// job's snapshot is internally consistent, not fleet-quiesced, and a
 	// reduction landing after its job's snapshot is simply recomputed on
 	// replay.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	drained := make(chan struct{})
-	go func() {
-		s := <-sig
-		logger.Info("shutting down", "signal", s.String())
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		srv.Shutdown(ctx)
-		if debugSrv != nil {
-			debugSrv.Shutdown(ctx)
-		}
-		cancel()
-		close(drained)
-	}()
+	drained := cli.DrainOnSignal(logger, srv, debugSrv)
 
 	go func() {
 		if err := reg.Serve(l); err != nil {

@@ -26,7 +26,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -90,17 +89,9 @@ func main() {
 	}
 
 	ready.Set("fleet-listener", true)
-	var debugSrv *http.Server
-	if *debugAddr != "" {
-		dl, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			fatal(err)
-		}
-		dmux := http.NewServeMux()
-		obs.RegisterDebug(dmux, oreg, ready)
-		debugSrv = &http.Server{Handler: dmux, ReadHeaderTimeout: 5 * time.Second}
-		go debugSrv.Serve(dl)
-		logger.Info("debug listener up", "addr", dl.Addr().String())
+	debugSrv, err := cli.ServeDebug(nil, *debugAddr, oreg, ready, logger)
+	if err != nil {
+		fatal(err)
 	}
 	fmt.Printf("datamanager listening on %s — %d photons in %d chunks\n",
 		l.Addr(), *photons, dm.NumChunks())

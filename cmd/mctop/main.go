@@ -14,8 +14,9 @@
 //
 // -once prints a single plain-text snapshot and exits — for scripts,
 // smoke tests and terminals without ANSI. mctop needs nothing beyond the
-// standard library and never talks to workers directly; everything it
-// shows rides the same introspection surface any curl user gets.
+// standard library and the service's response types, and never talks to
+// workers directly; everything it shows rides the same introspection
+// surface any curl user gets.
 package main
 
 import (
@@ -32,65 +33,15 @@ import (
 	"strings"
 	"syscall"
 	"time"
+
+	"repro/internal/service"
 )
-
-// fleetWorker mirrors the service's SessionStatus JSON (a private copy:
-// mctop is a pure HTTP client and must not import server internals).
-type fleetWorker struct {
-	ID                    uint64    `json:"id"`
-	Name                  string    `json:"name"`
-	Remote                string    `json:"remote"`
-	Connected             time.Time `json:"connectedSince"`
-	LastSeen              time.Time `json:"lastSeen"`
-	State                 string    `json:"state"`
-	ChunksHeld            int       `json:"chunksHeld"`
-	ChunksCompleted       int       `json:"chunksCompleted"`
-	InferredPhotonsPerSec float64   `json:"inferredPhotonsPerSec"`
-	ReportedPhotonsPerSec float64   `json:"reportedPhotonsPerSec"`
-	ChunkSeconds          float64   `json:"chunkSeconds"`
-	Holding               int       `json:"holding"`
-	Goroutines            int       `json:"goroutines"`
-	HeapBytes             uint64    `json:"heapBytes"`
-	Version               string    `json:"version"`
-}
-
-// fleetTenant mirrors the service's TenantStatus JSON: the per-tenant
-// admission rollup the server folds into GET /fleet.
-type fleetTenant struct {
-	Name         string   `json:"name"`
-	Weight       float64  `json:"weight"`
-	ActiveJobs   int      `json:"activeJobs"`
-	Submitted    int64    `json:"submitted"`
-	Resumed      int64    `json:"resumed"`
-	Shed         int64    `json:"shed"`
-	Photons      int64    `json:"photons"`
-	JobTokens    *float64 `json:"jobTokens"`
-	PhotonTokens *float64 `json:"photonTokens"`
-}
-
-type fleetView struct {
-	Workers []fleetWorker `json:"workers"`
-	Tenants []fleetTenant `json:"tenants"`
-}
-
-type statsView struct {
-	Workers           int    `json:"workers"`
-	JobsQueued        int    `json:"jobsQueued"`
-	JobsRunning       int    `json:"jobsRunning"`
-	JobsDone          int    `json:"jobsDone"`
-	JobsCanceled      int    `json:"jobsCanceled"`
-	PendingChunks     int    `json:"pendingChunks"`
-	OutstandingChunks int    `json:"outstandingChunks"`
-	PhotonsCompleted  int64  `json:"photonsCompleted"`
-	BatchesReduced    int64  `json:"batchesReduced"`
-	Policy            string `json:"policy"`
-}
 
 // sample is one poll of the service's introspection surface.
 type sample struct {
 	at      time.Time
-	fleet   fleetView
-	stats   statsView
+	fleet   service.FleetBody
+	stats   service.Stats
 	metrics map[string]float64
 	version string // server build, from mc_build_info's version label
 	err     error

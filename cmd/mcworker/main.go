@@ -27,15 +27,12 @@
 // The worker also piggybacks a small telemetry report on its chunk
 // requests — smoothed photons/sec, per-chunk compute and encode seconds,
 // goroutine and heap stats, build version — which the server surfaces on
-// GET /fleet. -no-telemetry suppresses it (the wire protocol is
-// unchanged either way; a report is an optional field).
+// GET /fleet.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -59,8 +56,6 @@ func main() {
 	flushChunks := flag.Int("flush-chunks", 0,
 		"chunk results pre-reduced into one batch before it must flush "+
 			"(0: the default; 1: per-chunk results, a deterministic tally fold)")
-	noTelemetry := flag.Bool("no-telemetry", false,
-		"do not piggyback worker telemetry reports on chunk requests")
 	reconnect := flag.Bool("reconnect", true,
 		"redial after dial failures and dropped sessions (exponential backoff with jitter)")
 	reconnectMax := flag.Duration("reconnect-max", distsys.DefaultReconnectMax,
@@ -76,17 +71,9 @@ func main() {
 	}
 	oreg := obs.NewRegistry()
 	ready := obs.NewReadiness("session")
-	if *debugAddr != "" {
-		dl, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mcworker:", err)
-			os.Exit(1)
-		}
-		dmux := http.NewServeMux()
-		obs.RegisterDebug(dmux, oreg, ready)
-		srv := &http.Server{Handler: dmux, ReadHeaderTimeout: 5 * time.Second}
-		go srv.Serve(dl)
-		logger.Info("debug listener up", "addr", dl.Addr().String())
+	if _, err := cli.ServeDebug(nil, *debugAddr, oreg, ready, logger); err != nil {
+		fmt.Fprintln(os.Stderr, "mcworker:", err)
+		os.Exit(1)
 	}
 
 	// SIGTERM/SIGINT request a graceful drain: the worker finishes its
@@ -102,15 +89,14 @@ func main() {
 	}()
 
 	opts := distsys.WorkerOptions{
-		Name:             *name,
-		Mflops:           *mflops,
-		Slowdown:         *slowdown,
-		FlushChunks:      *flushChunks,
-		DisableTelemetry: *noTelemetry,
-		Obs:              oreg,
-		Ready:            ready,
-		Logger:           logger,
-		Stop:             stop,
+		Name:        *name,
+		Mflops:      *mflops,
+		Slowdown:    *slowdown,
+		FlushChunks: *flushChunks,
+		Obs:         oreg,
+		Ready:       ready,
+		Logger:      logger,
+		Stop:        stop,
 	}
 
 	// A comma-separated -addr lists a shard's fleet endpoints (primary

@@ -1,5 +1,6 @@
-// Package cli holds the flag plumbing shared by the command-line tools:
-// building a simulation Spec from flags and pretty-printing tallies.
+// Package cli holds the plumbing shared by the command-line tools:
+// building a simulation Spec from flags, pretty-printing tallies, the
+// logging flags, and the daemons' debug listener and signal drain.
 package cli
 
 import (

@@ -10,6 +10,14 @@
 // (assignment + reduction), per-chunk compute time scaled by each
 // processor's Mflop/s rating, and stochastic availability of non-dedicated
 // machines.
+//
+// It is a reproduction artefact and stays one (decided in PR 18, ROADMAP
+// item 5): the paper's single serial master behind Fig 2 and Table 2, not
+// a model of this repository's service. It knows nothing of shards, the
+// gateway, parked dispatch, batched results, admission or the cross-job
+// scheduler, and predicts nothing about mcgate → mcqueue → mcworker.
+// Until ROADMAP item 3's simulation harness gives the tree one event loop
+// running the production code, it keeps its private heap and is not grown.
 package cluster
 
 import (

@@ -68,11 +68,6 @@ type WorkerOptions struct {
 	Ready *obs.Readiness
 	// Logger, if set, receives structured progress logging (nil discards).
 	Logger *slog.Logger
-	// DisableTelemetry stops the session from piggybacking WorkerReports
-	// and per-chunk compute timings on the wire (the server falls back to
-	// ack-timing inference, as with a pre-telemetry worker). Mainly an A/B
-	// lever for benchmarks.
-	DisableTelemetry bool
 }
 
 // Telemetry cadence: a WorkerReport rides at most one TaskRequest per
@@ -253,18 +248,11 @@ type workerGroup struct {
 
 // resultBatch is the worker-side pre-reduction buffer: consecutive chunk
 // tallies merge per job, and the whole buffer flushes as one ResultBatch.
-// trackSecs selects whether flushes carry the per-chunk compute timings
-// (off when the session disables telemetry).
 type resultBatch struct {
-	groups    map[uint64]*workerGroup
-	order     []uint64
-	chunks    int
-	oldest    time.Time
-	trackSecs bool
-}
-
-func newResultBatch(trackSecs bool) *resultBatch {
-	return &resultBatch{groups: make(map[uint64]*workerGroup), trackSecs: trackSecs}
+	groups map[uint64]*workerGroup
+	order  []uint64
+	chunks int
+	oldest time.Time
 }
 
 // add folds one chunk result into the buffer.
@@ -279,9 +267,7 @@ func (b *resultBatch) add(jobID uint64, chunkID int, photons int64, elapsed time
 	}
 	g.chunks = append(g.chunks, chunkID)
 	g.photons = append(g.photons, photons)
-	if b.trackSecs {
-		g.secs = append(g.secs, elapsed.Seconds())
-	}
+	g.secs = append(g.secs, elapsed.Seconds())
 	g.elapsed += elapsed
 	if b.chunks == 0 {
 		b.oldest = time.Now()
@@ -416,7 +402,7 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 	var known []uint64
 	var arena []byte
 	tel := &workerTelemetry{}
-	batch := newResultBatch(!opts.DisableTelemetry)
+	batch := &resultBatch{groups: make(map[uint64]*workerGroup)}
 	// The holding gauge moves by deltas only (+1 per buffered chunk, -n per
 	// acked flush) so sessions sharing a registry compose; on any return the
 	// still-buffered chunks leave with the session.
@@ -462,9 +448,7 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 		start := time.Now()
 		var wire *protocol.ResultBatch
 		wire, arena = batch.encode(arena)
-		if !opts.DisableTelemetry {
-			tel.encodeSecs = ewma(tel.encodeSecs, time.Since(start).Seconds())
-		}
+		tel.encodeSecs = ewma(tel.encodeSecs, time.Since(start).Seconds())
 		return wire
 	}
 
@@ -538,10 +522,7 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 			log.Info("worker drained", "chunks", stats.Chunks)
 			return stats, nil
 		}
-		req := &protocol.TaskRequest{KnownJobs: known, Want: want}
-		if !opts.DisableTelemetry {
-			req.Report = tel.maybeReport(batch.chunks)
-		}
+		req := &protocol.TaskRequest{KnownJobs: known, Want: want, Report: tel.maybeReport(batch.chunks)}
 		flushing := batch.chunks > 0 &&
 			(batch.chunks >= opts.FlushChunks || time.Since(batch.oldest) >= opts.FlushAge)
 		if flushing {
@@ -618,9 +599,7 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 						a.JobID, g.ChunkID, err)
 				}
 				stats.Compute += elapsed
-				if !opts.DisableTelemetry {
-					tel.chunk(g.Photons, elapsed)
-				}
+				tel.chunk(g.Photons, elapsed)
 				computed++
 				met.chunks.Inc()
 				met.photons.Add(uint64(g.Photons))

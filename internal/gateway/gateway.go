@@ -494,8 +494,9 @@ func copyResponse(w http.ResponseWriter, status int, hdr http.Header, body []byt
 }
 
 // eachShard fans a GET out to every shard (any live replica each) and
-// hands the decoded bodies to merge, reporting how many answered.
-func eachShard[T any](g *Gateway, path string, merge func(shard int, v T)) int {
+// hands the decoded bodies to merge, reporting how many answered. When
+// none did it answers the client's request itself, with 502.
+func eachShard[T any](g *Gateway, w http.ResponseWriter, path string, merge func(shard int, v T)) int {
 	up := 0
 	for shard := range g.shards {
 		status, _, body, err := g.doShard(shard, func(base string) (*http.Request, error) {
@@ -511,20 +512,18 @@ func eachShard[T any](g *Gateway, path string, merge func(shard int, v T)) int {
 		merge(shard, v)
 		up++
 	}
+	if up == 0 {
+		service.WriteJSON(w, http.StatusBadGateway, service.APIError{Error: "no shard reachable"})
+	}
 	return up
 }
 
 // list concatenates every shard's retained jobs, in shard order.
 func (g *Gateway) list(w http.ResponseWriter, _ *http.Request) {
 	all := []service.JobStatus{}
-	up := eachShard(g, "/jobs", func(_ int, v []service.JobStatus) {
-		all = append(all, v...)
-	})
-	if up == 0 {
-		service.WriteJSON(w, http.StatusBadGateway, service.APIError{Error: "no shard reachable"})
-		return
+	if eachShard(g, w, "/jobs", func(_ int, v []service.JobStatus) { all = append(all, v...) }) > 0 {
+		service.WriteJSON(w, http.StatusOK, all)
 	}
-	service.WriteJSON(w, http.StatusOK, all)
 }
 
 // statsBody is the gateway's /stats: the familiar per-registry snapshot
@@ -537,46 +536,8 @@ type statsBody struct {
 
 func (g *Gateway) stats(w http.ResponseWriter, _ *http.Request) {
 	var agg service.Stats
-	first := true
-	up := eachShard(g, "/stats", func(_ int, s service.Stats) {
-		if first {
-			agg.Policy, agg.Admission = s.Policy, s.Admission
-			first = false
-		}
-		agg.Workers += s.Workers
-		agg.JobsQueued += s.JobsQueued
-		agg.JobsRunning += s.JobsRunning
-		agg.JobsDone += s.JobsDone
-		agg.JobsCanceled += s.JobsCanceled
-		agg.PendingChunks += s.PendingChunks
-		agg.OutstandingChunks += s.OutstandingChunks
-		agg.ChunksAssigned += s.ChunksAssigned
-		agg.PhotonsCompleted += s.PhotonsCompleted
-		agg.RejectedResults += s.RejectedResults
-		agg.BatchesReduced += s.BatchesReduced
-		agg.TallyMerges += s.TallyMerges
-		agg.CacheEntries += s.CacheEntries
-		agg.CacheHits += s.CacheHits
-		agg.CacheMisses += s.CacheMisses
-		agg.JobsSubmitted += s.JobsSubmitted
-		agg.JobsResumed += s.JobsResumed
-		agg.JobsReplayed += s.JobsReplayed
-		for name, t := range s.Tenants {
-			if agg.Tenants == nil {
-				agg.Tenants = make(map[string]service.TenantStat)
-			}
-			a := agg.Tenants[name]
-			a.Weight = t.Weight
-			a.ActiveJobs += t.ActiveJobs
-			a.Submitted += t.Submitted
-			a.Resumed += t.Resumed
-			a.Shed += t.Shed
-			a.Photons += t.Photons
-			agg.Tenants[name] = a
-		}
-	})
+	up := eachShard(g, w, "/stats", func(_ int, s service.Stats) { agg.Add(s) })
 	if up == 0 {
-		service.WriteJSON(w, http.StatusBadGateway, service.APIError{Error: "no shard reachable"})
 		return
 	}
 	if g.admission != nil {
@@ -588,29 +549,25 @@ func (g *Gateway) stats(w http.ResponseWriter, _ *http.Request) {
 func (g *Gateway) fleet(w http.ResponseWriter, _ *http.Request) {
 	var agg service.FleetBody
 	byName := map[string]*service.TenantStatus{}
-	up := eachShard(g, "/fleet", func(_ int, v service.FleetBody) {
+	if eachShard(g, w, "/fleet", func(_ int, v service.FleetBody) {
 		agg.Workers = append(agg.Workers, v.Workers...)
 		mergeTenants(byName, v.Tenants)
-	})
-	if up == 0 {
-		service.WriteJSON(w, http.StatusBadGateway, service.APIError{Error: "no shard reachable"})
-		return
+	}) > 0 {
+		agg.Tenants = g.overlayLevels(byName)
+		service.WriteJSON(w, http.StatusOK, agg)
 	}
-	agg.Tenants = g.overlayLevels(byName)
-	service.WriteJSON(w, http.StatusOK, agg)
 }
 
 func (g *Gateway) tenants(w http.ResponseWriter, _ *http.Request) {
 	byName := map[string]*service.TenantStatus{}
 	admission := ""
-	up := eachShard(g, "/tenants", func(_ int, v service.TenantsBody) {
+	up := eachShard(g, w, "/tenants", func(_ int, v service.TenantsBody) {
 		if admission == "" {
 			admission = v.Admission
 		}
 		mergeTenants(byName, v.Tenants)
 	})
 	if up == 0 {
-		service.WriteJSON(w, http.StatusBadGateway, service.APIError{Error: "no shard reachable"})
 		return
 	}
 	if g.admission != nil {
@@ -628,14 +585,10 @@ func mergeTenants(byName map[string]*service.TenantStatus, in []service.TenantSt
 	for _, t := range in {
 		a, ok := byName[t.Name]
 		if !ok {
-			a = &service.TenantStatus{Name: t.Name, Weight: t.Weight}
+			a = &service.TenantStatus{Name: t.Name}
 			byName[t.Name] = a
 		}
-		a.ActiveJobs += t.ActiveJobs
-		a.Submitted += t.Submitted
-		a.Resumed += t.Resumed
-		a.Shed += t.Shed
-		a.Photons += t.Photons
+		a.Add(t.TenantStat)
 	}
 }
 

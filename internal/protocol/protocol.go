@@ -50,7 +50,8 @@ type MsgType int
 const (
 	// MsgHello is sent by a worker immediately after connecting.
 	MsgHello MsgType = iota + 1
-	// MsgWelcome is the server's reply to Hello; it carries the job.
+	// MsgWelcome is the server's reply to Hello: its version and name.
+	// (Since v2 the job descriptor rides the first TaskAssign of each job.)
 	MsgWelcome
 	// MsgTaskRequest asks the server for the next chunk.
 	MsgTaskRequest
@@ -167,8 +168,7 @@ const MaxKnownJobs = 4096
 // path. 0 or 1 keeps the one-chunk-per-round-trip behaviour.
 // Report, when set, piggybacks the worker's self-measured telemetry (see
 // WorkerReport). All of the telemetry fields are additive: gob leaves
-// absent fields zero, so a v4 peer that predates them interoperates
-// unchanged — which is why Version is still 4.
+// absent fields zero, so adding them did not bump Version.
 type TaskRequest struct {
 	KnownJobs []uint64
 	Holding   []ChunkRef

@@ -9,10 +9,9 @@ package sched
 //
 // Flows that join late start at the current global virtual time, so a new
 // flow competes fairly from its arrival instead of monopolising the server
-// while it "catches up" on service it never queued for. The multi-job
-// simulation service uses this with flows = job IDs and work = photons
-// assigned; TwoLevel stacks two instances (string-keyed tenants over
-// uint64-keyed jobs) for hierarchical fairness.
+// while it "catches up" on service it never queued for. TwoLevel, the
+// service's scheduler, stacks two instances (string-keyed tenants over
+// uint64-keyed jobs, work = photons granted).
 //
 // FairShare is not goroutine-safe; callers serialise access (the service
 // registry holds its own lock across Pick/Charge).
@@ -34,15 +33,19 @@ func NewFairShare[K comparable]() *FairShare[K] {
 // Observe registers flow with the given weight (weight <= 0 is treated as
 // 1). A new flow's tag starts at the current virtual time; an existing flow
 // keeps its tag but adopts the new weight.
-func (fs *FairShare[K]) Observe(flow K, weight float64) {
+func (fs *FairShare[K]) Observe(flow K, weight float64) { fs.observe(flow, weight) }
+
+func (fs *FairShare[K]) observe(flow K, weight float64) *fsFlow {
 	if weight <= 0 {
 		weight = 1
 	}
-	if f, ok := fs.flows[flow]; ok {
-		f.weight = weight
-		return
+	f, ok := fs.flows[flow]
+	if !ok {
+		f = &fsFlow{tag: fs.vtime}
+		fs.flows[flow] = f
 	}
-	fs.flows[flow] = &fsFlow{weight: weight, tag: fs.vtime}
+	f.weight = weight
+	return f
 }
 
 // Forget drops a finished flow's accounting state.
@@ -73,14 +76,10 @@ func (fs *FairShare[K]) Pick(candidates []K) int {
 func (fs *FairShare[K]) Charge(flow K, work float64) {
 	f, ok := fs.flows[flow]
 	if !ok {
-		fs.Observe(flow, 1)
-		f = fs.flows[flow]
+		f = fs.observe(flow, 1)
 	}
 	if f.tag > fs.vtime {
 		fs.vtime = f.tag
 	}
 	f.tag += work / f.weight
 }
-
-// VirtualTime exposes the global virtual clock (for tests and diagnostics).
-func (fs *FairShare[K]) VirtualTime() float64 { return fs.vtime }

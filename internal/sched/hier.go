@@ -1,8 +1,9 @@
 package sched
 
-// TwoLevel stacks two layers of start-time fair queueing into a
-// tenant→job hierarchy: an outer weighted competition between tenants and,
-// inside the winning tenant, an inner competition between that tenant's
+// TwoLevel is the service's one cross-job scheduler: two stacked layers of
+// start-time fair queueing in a tenant→job hierarchy, under a strict
+// priority tier. The outer level is a weighted competition between tenants
+// and, inside the winning tenant, the inner level one between that tenant's
 // jobs. The outer level guarantees each tenant its weighted share of fleet
 // throughput no matter how many jobs it queues — one tenant submitting a
 // hundred jobs still gets one tenant's share — while the inner level
@@ -19,11 +20,15 @@ type TwoLevel struct {
 }
 
 // TenantJob names one schedulable job and its position in the hierarchy.
+// Weights ≤ 0 count as 1.
 type TenantJob struct {
 	Tenant       string
 	TenantWeight float64
 	Job          uint64
 	JobWeight    float64
+	// Priority is the strict tier: only candidates at the highest priority
+	// present compete; fairness decides among them.
+	Priority int
 }
 
 // NewTwoLevel returns an empty hierarchy at virtual time zero.
@@ -36,35 +41,41 @@ func NewTwoLevel() *TwoLevel {
 }
 
 // Pick returns the index into cands of the job to serve next, or -1 if
-// cands is empty: first the tenant with the smallest outer tag among those
-// present, then that tenant's job with the smallest inner tag. Unseen
-// tenants and jobs are registered at the current virtual frontier.
+// cands is empty: among the candidates of the highest priority present,
+// first the tenant with the smallest outer tag, then that tenant's job
+// with the smallest inner tag; the earlier candidate wins ties at both
+// levels. Unseen tenants and jobs are registered at the current virtual
+// frontier. A Pick over flows it has seen before allocates nothing.
 func (tl *TwoLevel) Pick(cands []TenantJob) int {
 	if len(cands) == 0 {
 		return -1
 	}
-	// Register everything in sight and collect the distinct tenants in
-	// first-appearance order (stable tie-breaking mirrors FairShare.Pick).
-	tenantOrder := make([]string, 0, 4)
-	seen := make(map[string]bool, 4)
+	top := cands[0].Priority
+	for _, c := range cands[1:] {
+		top = max(top, c.Priority)
+	}
+	// Register everything in sight. A tenant's outer tag is the same on
+	// each of its candidates, so the first top-tier candidate holding the
+	// smallest one names the tenant that appears first among the tied —
+	// no list of distinct tenants is needed.
+	var winner *fsFlow
+	var winnerName string
 	for _, c := range cands {
-		tl.tenants.Observe(c.Tenant, c.TenantWeight)
-		tl.jobFS(c.Tenant).Observe(c.Job, c.JobWeight)
+		tf := tl.tenants.observe(c.Tenant, c.TenantWeight)
+		tl.jobFS(c.Tenant).observe(c.Job, c.JobWeight)
 		tl.owner[c.Job] = c.Tenant
-		if !seen[c.Tenant] {
-			seen[c.Tenant] = true
-			tenantOrder = append(tenantOrder, c.Tenant)
+		if c.Priority == top && (winner == nil || tf.tag < winner.tag) {
+			winner, winnerName = tf, c.Tenant
 		}
 	}
-	winner := tenantOrder[tl.tenants.Pick(tenantOrder)]
-	// Inner pick over the winning tenant's candidates only.
-	inner := tl.jobFS(winner)
+	// Inner pick over the winning tenant's top-tier candidates only.
+	inner := tl.jobs[winnerName].flows
 	best := -1
 	for i, c := range cands {
-		if c.Tenant != winner {
+		if c.Priority != top || c.Tenant != winnerName {
 			continue
 		}
-		if best == -1 || inner.flows[c.Job].tag < inner.flows[cands[best].Job].tag {
+		if best == -1 || inner[c.Job].tag < inner[cands[best].Job].tag {
 			best = i
 		}
 	}
@@ -100,9 +111,6 @@ func (tl *TwoLevel) Forget(job uint64) {
 		tl.tenants.Forget(tenant)
 	}
 }
-
-// VirtualTime exposes the outer (tenant-level) virtual clock.
-func (tl *TwoLevel) VirtualTime() float64 { return tl.tenants.VirtualTime() }
 
 func (tl *TwoLevel) jobFS(tenant string) *FairShare[uint64] {
 	fs, ok := tl.jobs[tenant]

@@ -100,3 +100,35 @@ func TestTwoLevelChargeUnknownJobIsNoop(t *testing.T) {
 		t.Fatalf("charge on unknown job created state")
 	}
 }
+
+func TestTwoLevelPriorityIsAStrictTier(t *testing.T) {
+	// The low-priority job belongs to the tenant furthest behind on
+	// service and still waits: fairness decides only among the candidates
+	// of the highest priority present.
+	tl := NewTwoLevel()
+	cands := []TenantJob{
+		{Tenant: "a", TenantWeight: 1, Job: 1, JobWeight: 1},
+		{Tenant: "b", TenantWeight: 1, Job: 2, JobWeight: 1, Priority: 2},
+		{Tenant: "b", TenantWeight: 1, Job: 3, JobWeight: 1, Priority: 2},
+	}
+	_, byJob := serveTJ(tl, cands, 100, 10)
+	if byJob[1] != 0 || byJob[2] != byJob[3] {
+		t.Fatalf("priority 2 jobs should split everything evenly: %v", byJob)
+	}
+	// With the tier gone the starved tenant is served first.
+	if k := tl.Pick(cands[:1]); k != 0 {
+		t.Fatalf("pick = %d, want the only candidate", k)
+	}
+}
+
+func TestTwoLevelPickDoesNotAllocate(t *testing.T) {
+	tl := NewTwoLevel()
+	var cands []TenantJob
+	for j := uint64(1); j <= 30; j++ {
+		cands = append(cands, TenantJob{Tenant: string(rune('a' + j%3)), TenantWeight: 1,
+			Job: j, JobWeight: 1, Priority: int(j % 2)})
+	}
+	if n := testing.AllocsPerRun(100, func() { tl.Charge(cands[tl.Pick(cands)].Job, 1) }); n != 0 {
+		t.Fatalf("Pick over known flows allocates %v times, want 0", n)
+	}
+}

@@ -360,6 +360,7 @@ func (r *Registry) syncSessionLocked(sess *session, req *protocol.TaskRequest, n
 // moment a scan could next find work with no other transition.
 func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply *protocol.Message, reclaimAt time.Time) {
 	now := time.Now()
+	policy := r.opts.Policy
 	cands := r.candScratch[:0]
 	jobs := r.jobScratch[:0]
 	outstanding := false
@@ -375,19 +376,9 @@ func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply
 			continue
 		}
 		// Open-ended jobs count their issuable headroom (capped) alongside
-		// requeued chunks, so grant sizing and policies see real depth.
-		depth := len(j.pending) + j.issuableChunksLocked()
-		pendTotal += depth
-		cands = append(cands, Candidate{
-			ID:              j.id,
-			Seq:             j.seq,
-			Priority:        j.spec.Priority,
-			Weight:          j.spec.Weight,
-			Tenant:          j.spec.Tenant,
-			TenantWeight:    j.tweight,
-			PendingChunks:   depth,
-			AssignedPhotons: j.assigned,
-		})
+		// requeued chunks, so grant sizing sees real depth.
+		pendTotal += len(j.pending) + j.issuableChunksLocked()
+		cands = append(cands, policy.candidate(j))
 		jobs = append(jobs, j)
 	}
 	r.candScratch, r.jobScratch = cands, jobs // reuse the backing arrays
@@ -405,11 +396,10 @@ func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply
 		return nil, reclaimAt
 	}
 
-	pick := r.policy.Pick(cands)
-	if pick < 0 || pick >= len(jobs) {
-		pick = 0
-	}
-	j := jobs[pick]
+	// r.active is in submission order (a job is registered and activated in
+	// one critical section), so the scheduler's earlier-candidate tie-break
+	// is first-come-first-served.
+	j := jobs[r.sched.Pick(cands)]
 
 	// Grant up to Want chunks of the picked job in one reply. Every grant
 	// gets its own outstanding entry (so per-chunk timeout reassignment is
@@ -467,11 +457,11 @@ func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply
 			id: id, photons: j.photons[id], assigned: now,
 			session: sess.id, worker: sess.name, tries: tries,
 		}
-		j.assigned += j.photons[id]
-		r.chunksAssigned++
 		r.met.chunksGranted.Inc()
 		j.trace(obs.Event{Kind: obs.EvChunkGranted, Chunk: id, Worker: sess.name})
-		r.policy.Charge(cands[pick], j.photons[id])
+		if policy.charge {
+			r.sched.Charge(j.id, float64(j.photons[id]))
+		}
 		sess.assigned[chunkRef{j.id, id}] = &assignment{job: j, chunkID: id}
 		return id, j.photons[id]
 	}
@@ -534,9 +524,6 @@ func (r *Registry) reduceBatch(sess *session, b *protocol.ResultBatch, scratch *
 		}
 		acks = append(acks, r.reduceGroup(sess, g.JobID, g.Chunks, scratch, g.Elapsed, g.ChunkSecs)...)
 	}
-	r.mu.Lock()
-	r.batches++
-	r.mu.Unlock()
 	r.met.batchesReduced.Inc()
 	return acks
 }
@@ -555,7 +542,6 @@ func (r *Registry) rejectGroup(sess *session, g *protocol.BatchGroup, reason str
 			a.job.trace(obs.Event{Kind: obs.EvChunkRejected, Chunk: id,
 				Worker: sess.name, Detail: reason})
 		}
-		r.rejected++
 		r.met.rejectedBatch.Inc()
 		acks = append(acks, protocol.ResultAck{JobID: g.JobID, ChunkID: id, Rejected: true, Reason: reason})
 	}
@@ -604,7 +590,6 @@ func (r *Registry) reduceGroup(sess *session, jobID uint64, chunks []int, tally 
 	reject := func(i int, class *obs.Counter, reason string) {
 		acks[i].Rejected = true
 		acks[i].Reason = reason
-		r.rejected++
 		class.Inc()
 	}
 
@@ -857,12 +842,10 @@ func (r *Registry) reduceGroup(sess *session, jobID uint64, chunks []int, tally 
 			r.met.spanCompute.Observe(compute.Seconds())
 			r.met.spanReduce.Observe(reduceShare.Seconds())
 		}
-		r.photonsDone += tally.Launched
-		r.merges++
-		j.tstats.photons += tally.Launched
+		r.met.tallyMerges.Inc()
 		r.met.chunksCompleted.Add(uint64(len(chunks)))
 		r.met.photonsReduced.Add(uint64(tally.Launched))
-		j.tstats.photC.Add(uint64(tally.Launched))
+		j.tstats.photons.Add(uint64(tally.Launched))
 		// Re-estimate the observable off the dispatch-critical path (the
 		// moment arithmetic is a handful of float ops on the already
 		// redMu-guarded tally) and publish it for Status readers.
@@ -938,9 +921,9 @@ type SessionStatus struct {
 }
 
 // Fleet snapshots every live worker session, ordered by session id
-// (connection order). This is the data ROADMAP item 5's speed-profile
-// scheduling needs: who is connected, how fast each worker says it is,
-// and how fast the server has observed it to be.
+// (connection order): who is connected, how fast each worker says it is,
+// and how fast the server has observed it to be — what speed-profile-driven
+// grants (parked in ROADMAP) would read.
 func (r *Registry) Fleet() []SessionStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()

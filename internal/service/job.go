@@ -128,7 +128,6 @@ type Job struct {
 	reg *Registry
 
 	id   uint64
-	seq  uint64
 	key  Key
 	pkey Key // physics key (meets-or-exceeds cache index)
 	spec JobSpec
@@ -178,7 +177,6 @@ type Job struct {
 	reassigned int
 	duplicates int
 	rejected   int
-	assigned   int64 // photons handed out (fair-share accounting)
 	workers    map[string]*WorkerInfo
 
 	// tstats is the job's tenant accounting bucket and tweight the
@@ -204,7 +202,7 @@ type Job struct {
 
 // newJob builds the chunk partition for a normalized spec. It is called
 // outside the registry lock (Spec.Build can be expensive); the job's ID
-// and sequence number are assigned later by registerLocked.
+// is assigned later by registerLocked.
 func newJob(reg *Registry, key Key, spec JobSpec) (*Job, error) {
 	cfg, err := spec.Spec.Build()
 	if err != nil {
@@ -404,8 +402,8 @@ func (j *Job) Wait(timeout time.Duration) (*Result, error) {
 }
 
 // bornDoneJob builds a completed job around a cached tally — no geometry
-// construction, no chunk queue; the ID and sequence are assigned by
-// registerLocked like any other job.
+// construction, no chunk queue; the ID is assigned by registerLocked
+// like any other job.
 func bornDoneJob(reg *Registry, key Key, spec JobSpec, tally *mc.Tally) *Job {
 	n := spec.numChunks()
 	now := time.Now()

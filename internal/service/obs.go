@@ -22,6 +22,7 @@ type svcMetrics struct {
 	// Per-tenant accounting families; children are pre-resolved into each
 	// tenantStats the first time a tenant is seen.
 	tenantSubmitted *obs.CounterVec
+	tenantResumed   *obs.CounterVec
 	tenantShed      *obs.CounterVec
 	tenantPhotons   *obs.CounterVec
 
@@ -40,6 +41,7 @@ type svcMetrics struct {
 	duplicates     *obs.Counter
 
 	batchesReduced *obs.Counter
+	tallyMerges    *obs.Counter
 	photonsReduced *obs.Counter
 	reduceSeconds  *obs.Histogram
 
@@ -84,6 +86,8 @@ func newServiceMetrics(reg *obs.Registry, r *Registry) *svcMetrics {
 			"Submissions refused by admission, by reason.", "reason"),
 		tenantSubmitted: reg.CounterVec("service_tenant_jobs_submitted_total",
 			"Fresh jobs accepted, by tenant.", "tenant"),
+		tenantResumed: reg.CounterVec("service_tenant_jobs_resumed_total",
+			"Jobs restored from journal snapshots, by tenant.", "tenant"),
 		tenantShed: reg.CounterVec("service_tenant_jobs_shed_total",
 			"Submissions refused by admission, by tenant.", "tenant"),
 		tenantPhotons: reg.CounterVec("service_tenant_photons_total",
@@ -102,6 +106,8 @@ func newServiceMetrics(reg *obs.Registry, r *Registry) *svcMetrics {
 			"Results acknowledged as duplicates of an already-reduced chunk."),
 		batchesReduced: reg.Counter("service_batches_reduced_total",
 			"Worker result batches processed by the reducer."),
+		tallyMerges: reg.Counter("service_tally_merges_total",
+			"Merges into job tallies: one per reduced group, so at most the chunks completed (workers pre-reduce)."),
 		photonsReduced: reg.Counter("service_photons_reduced_total",
 			"Photons represented by reduced tallies."),
 		reduceSeconds: reg.Histogram("service_reduce_seconds",
@@ -140,45 +146,21 @@ func newServiceMetrics(reg *obs.Registry, r *Registry) *svcMetrics {
 	m.resultJSON = resultMetrics{encSeconds.With("json"), encBytes.With("json")}
 	m.resultCompact = resultMetrics{encSeconds.With("compact"), encBytes.With("compact")}
 
+	// The scrape-time gauges are Stats figures under their series names.
 	reg.GaugeVecFunc("service_jobs", "Retained jobs by lifecycle state.", "state",
 		func() map[string]float64 {
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			out := map[string]float64{
-				StateQueued.String(): 0, StateRunning.String(): 0,
-				StateDone.String(): 0, StateCanceled.String(): 0,
+			s := r.Stats()
+			return map[string]float64{
+				StateQueued.String(): float64(s.JobsQueued), StateRunning.String(): float64(s.JobsRunning),
+				StateDone.String(): float64(s.JobsDone), StateCanceled.String(): float64(s.JobsCanceled),
 			}
-			for _, j := range r.order {
-				out[j.state.String()]++
-			}
-			return out
 		})
-	reg.GaugeFunc("service_pending_chunks",
-		"Chunks of live jobs awaiting assignment.", func() float64 {
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			n := 0
-			for _, j := range r.active {
-				n += len(j.pending)
-			}
-			return float64(n)
-		})
-	reg.GaugeFunc("service_outstanding_chunks",
-		"Chunks of live jobs out on workers.", func() float64 {
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			n := 0
-			for _, j := range r.active {
-				n += len(j.outstanding)
-			}
-			return float64(n)
-		})
+	reg.GaugeFunc("service_pending_chunks", "Chunks of live jobs awaiting assignment.",
+		func() float64 { return float64(r.Stats().PendingChunks) })
+	reg.GaugeFunc("service_outstanding_chunks", "Chunks of live jobs out on workers.",
+		func() float64 { return float64(r.Stats().OutstandingChunks) })
 	reg.GaugeFunc("fleet_workers", "Currently connected worker sessions.",
-		func() float64 {
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			return float64(len(r.sessions))
-		})
+		func() float64 { return float64(r.Stats().Workers) })
 	return m
 }
 

@@ -1,141 +1,68 @@
 package service
 
-import (
-	"repro/internal/sched"
-)
+import "repro/internal/sched"
 
-// Candidate summarises one schedulable job for a cross-job Policy decision.
-type Candidate struct {
-	ID              uint64
-	Seq             uint64 // submission order, ascending
-	Priority        int
-	Weight          float64
-	Tenant          string  // owning tenant (DefaultTenant when unattributed)
-	TenantWeight    float64 // tenant's share under TenantFairShare
-	PendingChunks   int
-	AssignedPhotons int64
+// Policy names one configuration of the registry's cross-job scheduler,
+// sched.TwoLevel: what of a job the scheduler is shown and whether grants
+// are charged to it. The zero value is FIFO. The four constructors below
+// are the configurations the service offers (-policy on mcqueue).
+type Policy struct {
+	// charge: every granted chunk advances its job's (and tenant's)
+	// virtual time by photons/weight — weighted fair share. Off, no tag
+	// ever moves and jobs drain in submission order.
+	charge bool
+	// tenants: jobs compete under their tenant, by the tenant table's
+	// weights, before they compete with each other. Off, every job sits
+	// under one tenant.
+	tenants bool
+	// priority: JobSpec.Priority is a strict tier above the rest.
+	priority bool
 }
-
-// Policy chooses which job's chunk the next idle worker receives. The
-// registry holds its lock across calls, so implementations may keep state
-// without their own synchronisation. Pick receives at least one candidate
-// and returns an index into the slice; Charge is called with the chosen
-// candidate after its job is granted work photons; Forget is called when a
-// job leaves the schedulable set (done or cancelled).
-type Policy interface {
-	Name() string
-	Pick(cands []Candidate) int
-	Charge(c Candidate, workPhotons int64)
-	Forget(id uint64)
-}
-
-type noAccounting struct{}
-
-func (noAccounting) Charge(Candidate, int64) {}
-func (noAccounting) Forget(uint64)           {}
-
-// fifoPolicy serves jobs strictly in submission order.
-type fifoPolicy struct{ noAccounting }
 
 // FIFO returns the first-come-first-served cross-job policy: the oldest
 // job with pending work drains completely before the next starts.
-func FIFO() Policy { return fifoPolicy{} }
-
-func (fifoPolicy) Name() string { return "fifo" }
-
-func (fifoPolicy) Pick(cands []Candidate) int {
-	best := 0
-	for i, c := range cands {
-		if c.Seq < cands[best].Seq {
-			best = i
-		}
-	}
-	return best
-}
-
-// priorityPolicy serves the highest-priority job first, FIFO within a tier.
-type priorityPolicy struct{ noAccounting }
+func FIFO() Policy { return Policy{} }
 
 // Priority returns the strict-priority policy: higher JobSpec.Priority
 // pre-empts lower at every assignment; equal priorities drain FIFO.
-func Priority() Policy { return priorityPolicy{} }
-
-func (priorityPolicy) Name() string { return "priority" }
-
-func (priorityPolicy) Pick(cands []Candidate) int {
-	best := 0
-	for i, c := range cands {
-		if c.Priority > cands[best].Priority ||
-			(c.Priority == cands[best].Priority && c.Seq < cands[best].Seq) {
-			best = i
-		}
-	}
-	return best
-}
-
-// fairPolicy interleaves jobs in proportion to their weights using
-// start-time fair queueing (sched.FairShare) with work = assigned photons.
-type fairPolicy struct {
-	fs *sched.FairShare[uint64]
-}
+func Priority() Policy { return Policy{priority: true} }
 
 // FairShare returns the weighted fair-share policy: concurrent jobs
 // receive fleet throughput proportional to JobSpec.Weight, and a job
 // submitted mid-run competes from the current service frontier instead of
 // starving the incumbents.
-func FairShare() Policy { return &fairPolicy{fs: sched.NewFairShare[uint64]()} }
-
-func (p *fairPolicy) Name() string { return "fair-share" }
-
-func (p *fairPolicy) Pick(cands []Candidate) int {
-	ids := make([]uint64, len(cands))
-	for i, c := range cands {
-		p.fs.Observe(c.ID, c.Weight)
-		ids[i] = c.ID
-	}
-	return p.fs.Pick(ids)
-}
-
-func (p *fairPolicy) Charge(c Candidate, workPhotons int64) {
-	p.fs.Observe(c.ID, c.Weight)
-	p.fs.Charge(c.ID, float64(workPhotons))
-}
-
-func (p *fairPolicy) Forget(id uint64) { p.fs.Forget(id) }
-
-// tenantFairPolicy serves tenants by weighted start-time fair queueing and
-// jobs within the picked tenant the same way — sched.TwoLevel with outer
-// weights from the tenant table and inner weights from JobSpec.Weight.
-type tenantFairPolicy struct {
-	tl *sched.TwoLevel
-	tj []sched.TenantJob // Pick scratch, reused under the registry lock
-}
+func FairShare() Policy { return Policy{charge: true} }
 
 // TenantFairShare returns the two-level tenant→job fair-share policy: each
 // tenant receives fleet throughput proportional to its table weight no
 // matter how many jobs it queues, and a tenant's allocation splits across
 // its own jobs by job weight.
-func TenantFairShare() Policy { return &tenantFairPolicy{tl: sched.NewTwoLevel()} }
+func TenantFairShare() Policy { return Policy{charge: true, tenants: true} }
 
-func (p *tenantFairPolicy) Name() string { return "tenant-fair" }
-
-func (p *tenantFairPolicy) Pick(cands []Candidate) int {
-	tj := p.tj[:0]
-	for _, c := range cands {
-		tj = append(tj, sched.TenantJob{
-			Tenant: c.Tenant, TenantWeight: c.TenantWeight,
-			Job: c.ID, JobWeight: c.Weight,
-		})
+// Name is the policy's spelling in Stats.Policy and the logs.
+func (p Policy) Name() string {
+	switch {
+	case p.tenants:
+		return "tenant-fair"
+	case p.charge:
+		return "fair-share"
+	case p.priority:
+		return "priority"
 	}
-	p.tj = tj
-	return p.tl.Pick(tj)
+	return "fifo"
 }
 
-func (p *tenantFairPolicy) Charge(c Candidate, workPhotons int64) {
-	p.tl.Charge(c.ID, float64(workPhotons))
+// candidate is job j as this configuration shows it to the scheduler.
+func (p Policy) candidate(j *Job) sched.TenantJob {
+	c := sched.TenantJob{Job: j.id, JobWeight: j.spec.Weight}
+	if p.tenants {
+		c.Tenant, c.TenantWeight = j.spec.Tenant, j.tweight
+	}
+	if p.priority {
+		c.Priority = j.spec.Priority
+	}
+	return c
 }
-
-func (p *tenantFairPolicy) Forget(id uint64) { p.tl.Forget(id) }
 
 // PolicyByName maps the CLI spelling to a policy; unknown names fall back
 // to FIFO with ok=false.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sched"
 )
 
 // Registry owns the concurrent jobs of the simulation service and the
@@ -15,11 +16,13 @@ import (
 // with Submit, and serve worker connections with Serve / HandleConn.
 type Registry struct {
 	opts      Options
-	policy    Policy
 	admission AdmissionPolicy
 	journal   *Journal // nil means no write-ahead journaling
 	log       *slog.Logger
-	met       *svcMetrics
+	// met is the registry's one set of lifetime counts: Stats and Tenants
+	// read the instruments /metrics exports. All but the batch count are
+	// advanced under mu, so what Stats reads under mu is one snapshot.
+	met *svcMetrics
 
 	mu        sync.Mutex
 	jobs      map[uint64]*Job
@@ -27,26 +30,17 @@ type Registry struct {
 	active    []*Job       // queued/running jobs only — the dispatcher's hot loop
 	byKey     map[Key]*Job // jobs not yet in the cache, for coalescing identical submissions
 	cache     *ResultCache
-	seq       uint64
+	seq       uint64 // submissions registered (DrainOnEmpty waits for the first)
 	sessions  map[uint64]*session
 	nextSess  uint64
 	seenNames map[string]bool         // worker names ever connected (reconnect detection)
 	tenants   map[string]*tenantStats // per-tenant accounting, keyed by tenant name
 
-	chunksAssigned int64 // lifetime fleet counters
-	photonsDone    int64
-	rejected       int64
-	batches        int64 // worker result batches reduced
-	merges         int64 // tally merges into job tallies (≤ chunks: pre-reduction)
-	submitted      int64 // fresh jobs accepted (cache hits / coalesced excluded)
-	resumed        int64 // jobs restored from journal snapshots
-	replayed       int64 // jobs restored by journal replay (subset of the above two)
-	cacheHits      int64 // submissions served from the result cache, either index
-	cacheMisses    int64 // submissions that probed the cache and found nothing
-
-	// Dispatch scratch buffers, reused under mu so the per-request
-	// candidate gathering allocates nothing at steady state.
-	candScratch []Candidate
+	// The cross-job scheduler, fed as opts.Policy configures (see
+	// assignLocked), and the dispatch scratch buffers — reused under mu so
+	// the per-request candidate gathering allocates nothing at steady state.
+	sched       *sched.TwoLevel
+	candScratch []sched.TenantJob
 	jobScratch  []*Job
 
 	// wake is closed and replaced (wakeLocked) by every transition that can
@@ -68,9 +62,6 @@ func New(opts Options) *Registry {
 	if opts.Logger == nil {
 		opts.Logger = obs.NopLogger()
 	}
-	if opts.Policy == nil {
-		opts.Policy = FIFO()
-	}
 	if opts.Admission == nil {
 		opts.Admission = AlwaysAdmit()
 	}
@@ -79,7 +70,7 @@ func New(opts Options) *Registry {
 	}
 	r := &Registry{
 		opts:      opts,
-		policy:    opts.Policy,
+		sched:     sched.NewTwoLevel(),
 		admission: opts.Admission,
 		journal:   opts.Journal,
 		log:       opts.Logger,
@@ -152,31 +143,28 @@ func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
 	// hit or one miss, whichever index answered.
 	r.met.cacheLookups.Inc()
 	tally := r.cache.Get(key)
-	hitIndex := "exact"
+	hits, hitIndex := r.met.cacheHitExact, "exact"
 	if tally == nil && spec.Target != nil {
 		// Meets-or-exceeds: a deeper or equal stored run of the same
 		// physics satisfies any looser request for it.
 		tally = r.cache.GetMeeting(pkey, spec.Target)
-		hitIndex = "physics"
+		hits, hitIndex = r.met.cacheHitPhysics, "physics"
 	}
 	if tally != nil {
 		// The cache hands out its own pointer; the job's tally goes to Wait
 		// callers, who are free to Merge into it.
 		tally = tally.Clone()
 		r.mu.Lock()
-		r.cacheHits++
 		if err := r.admitRideLocked(&spec); err != nil {
 			r.mu.Unlock()
 			return nil, err
 		}
+		// A hit is counted when it is served: one the job-rate bucket just
+		// shed is a shed, not a hit.
+		hits.Inc()
 		r.mu.Unlock()
 		// A cached key proves these exact spec bytes built and completed
 		// before, so the job is born Done without touching the geometry.
-		if hitIndex == "exact" {
-			r.met.cacheHitExact.Inc()
-		} else {
-			r.met.cacheHitPhysics.Inc()
-		}
 		j := bornDoneJob(r, key, spec, tally)
 		j.pkey = pkey
 		j.trace(obs.Event{Kind: obs.EvCacheHit, Detail: hitIndex})
@@ -186,7 +174,6 @@ func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
 		r.log.Info("job served from cache", "job", jobHex(j.id), "index", hitIndex)
 		return &SubmitOutcome{Job: j, Cached: true}, nil
 	}
-	r.met.cacheMisses.Inc()
 
 	// Early admission probe: a fresh job is refused before paying
 	// Spec.Build (which may materialise a voxel geometry). Coalesced and
@@ -195,7 +182,7 @@ func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
 	// authoritative, debiting check repeats under the lock below.
 	cost := spec.admissionPhotons()
 	r.mu.Lock()
-	r.cacheMisses++
+	r.met.cacheMisses.Inc()
 	ts := r.tenantLocked(spec.Tenant)
 	// Journal replay bypasses admission: the work was admitted before the
 	// crash, and a restart must never shed jobs it already accepted.
@@ -232,18 +219,13 @@ func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
 	}
 	r.registerLocked(j)
 	r.activateLocked(j)
-	r.submitted++
-	ts.submitted++
-	if spec.replay {
-		r.replayed++
-	}
-	jspec := j.spec // copy under the lock: absorbParamsLocked may mutate j.spec
-	r.mu.Unlock()
 	r.met.jobsSubmitted.Inc()
+	ts.submitted.Inc()
 	if spec.replay {
 		r.met.jobsReplayed.Inc()
 	}
-	ts.subC.Inc()
+	jspec := j.spec // copy under the lock: absorbParamsLocked may mutate j.spec
+	r.mu.Unlock()
 	r.journal.jobAccepted(r, j.key, jspec)
 	j.trace(obs.Event{Kind: obs.EvSubmitted, Detail: spec.Tenant})
 	if spec.Target != nil {
@@ -311,8 +293,7 @@ func (r *Registry) admitRideLocked(spec *JobSpec) error {
 
 // shedLocked accounts one refused submission and returns the error.
 func (r *Registry) shedLocked(ts *tenantStats, e *ShedError) error {
-	ts.shed++
-	ts.shedC.Inc()
+	ts.shed.Inc()
 	r.met.jobsShed.With(e.Reason).Inc()
 	r.log.Warn("job shed", "tenant", ts.name, "reason", e.Reason,
 		"retryAfter", e.RetryAfter, "detail", e.Detail)
@@ -339,26 +320,22 @@ func (r *Registry) tenantLocked(name string) *tenantStats {
 	ts, ok := r.tenants[name]
 	if !ok {
 		ts = &tenantStats{
-			name:  name,
-			subC:  r.met.tenantSubmitted.With(name),
-			shedC: r.met.tenantShed.With(name),
-			photC: r.met.tenantPhotons.With(name),
+			name:      name,
+			submitted: r.met.tenantSubmitted.With(name),
+			resumed:   r.met.tenantResumed.With(name),
+			shed:      r.met.tenantShed.With(name),
+			photons:   r.met.tenantPhotons.With(name),
 		}
 		r.tenants[name] = ts
 	}
 	return ts
 }
 
-// tenantStats is one tenant's lifetime accounting, guarded by the registry
-// lock, with pre-resolved per-tenant counter children alongside.
+// tenantStats is one tenant's lifetime accounting: its children of the
+// per-tenant counter families, advanced under the registry lock.
 type tenantStats struct {
-	name      string
-	submitted int64
-	resumed   int64
-	shed      int64
-	photons   int64
-
-	subC, shedC, photC *obs.Counter
+	name                              string
+	submitted, resumed, shed, photons *obs.Counter
 }
 
 // jobHex is the log spelling of a job ID (matches the HTTP API's).
@@ -459,13 +436,10 @@ func (r *Registry) SubmitSnapshot(snap *Snapshot) (*Job, error) {
 	}
 	r.registerLocked(j)
 	// Resumes are admission-exempt (the work was admitted before the
-	// restart) but they are submissions: count them, or the scraped
-	// series disagree with Stats after every restart.
-	r.resumed++
-	j.tstats.resumed++
+	// restart) but they are submissions: count them.
 	r.met.jobsResumed.Inc()
+	j.tstats.resumed.Inc()
 	if spec.replay {
-		r.replayed++
 		r.met.jobsReplayed.Inc()
 	}
 	if complete {
@@ -480,12 +454,6 @@ func (r *Registry) SubmitSnapshot(snap *Snapshot) (*Job, error) {
 	return j, nil
 }
 
-// nextSeqLocked hands out submission order numbers.
-func (r *Registry) nextSeqLocked() uint64 {
-	r.seq++
-	return r.seq
-}
-
 // freeIDLocked derives a registry-unique job ID from the content key, so
 // IDs are stable across restarts of the same submission and a stale worker
 // from an unrelated previous run cannot collide with a live job by accident.
@@ -498,11 +466,11 @@ func (r *Registry) freeIDLocked(key Key) uint64 {
 	return id
 }
 
-// registerLocked assigns the job its registry-unique ID and submission
-// sequence, adds it to the maps, and evicts old finished jobs.
+// registerLocked assigns the job its registry-unique ID, adds it to the
+// maps, and evicts old finished jobs.
 func (r *Registry) registerLocked(j *Job) {
 	j.id = r.freeIDLocked(j.key)
-	j.seq = r.nextSeqLocked()
+	r.seq++
 	j.tstats = r.tenantLocked(j.spec.Tenant)
 	j.tweight = r.opts.Tenants.Weight(j.spec.Tenant)
 	r.jobs[j.id] = j
@@ -586,7 +554,7 @@ func (r *Registry) Cancel(id uint64) error {
 	close(j.finished)
 	r.removeActiveLocked(j)
 	delete(r.byKey, j.key)
-	r.policy.Forget(j.id)
+	r.sched.Forget(j.id)
 	j.trace(obs.Event{Kind: obs.EvCanceled})
 	r.log.Info("job canceled", "job", jobHex(j.id))
 	r.evictFinishedLocked()
@@ -609,7 +577,7 @@ func (r *Registry) finishJobLocked(j *Job) {
 	j.state = StateDone
 	j.finishedAt = time.Now()
 	r.removeActiveLocked(j)
-	r.policy.Forget(j.id)
+	r.sched.Forget(j.id)
 	r.evictFinishedLocked()
 	r.checkDrainLocked()
 }
@@ -639,10 +607,12 @@ func (r *Registry) sealJob(j *Job) {
 	r.cache.PutPhysics(j.pkey, clone)
 	r.mu.Lock()
 	delete(r.byKey, j.key)
+	// Stragglers for a done job still bump these under mu; read them there.
+	reassigned, duplicates, rejected := j.reassigned, j.duplicates, j.rejected
 	r.mu.Unlock()
 	close(j.finished)
 	r.log.Info("job done", "job", jobHex(j.id), "chunks", j.nChunks,
-		"reassigned", j.reassigned, "duplicates", j.duplicates, "rejected", j.rejected)
+		"reassigned", reassigned, "duplicates", duplicates, "rejected", rejected)
 }
 
 // checkDrainLocked closes the drain channel once a one-shot registry has
@@ -697,41 +667,82 @@ type TenantStat struct {
 	Photons    int64   `json:"photons"`
 }
 
+// Add folds another registry's snapshot into s — a gateway's merge of its
+// shards' /stats. Counts sum; the settings are taken as found: policy and
+// admission from the first snapshot added, a tenant's weight from the latest.
+func (s *Stats) Add(o Stats) {
+	if s.Policy == "" {
+		s.Policy, s.Admission = o.Policy, o.Admission
+	}
+	s.Workers += o.Workers
+	s.JobsQueued += o.JobsQueued
+	s.JobsRunning += o.JobsRunning
+	s.JobsDone += o.JobsDone
+	s.JobsCanceled += o.JobsCanceled
+	s.PendingChunks += o.PendingChunks
+	s.OutstandingChunks += o.OutstandingChunks
+	s.ChunksAssigned += o.ChunksAssigned
+	s.PhotonsCompleted += o.PhotonsCompleted
+	s.RejectedResults += o.RejectedResults
+	s.BatchesReduced += o.BatchesReduced
+	s.TallyMerges += o.TallyMerges
+	s.CacheEntries += o.CacheEntries
+	s.CacheHits += o.CacheHits
+	s.CacheMisses += o.CacheMisses
+	s.JobsSubmitted += o.JobsSubmitted
+	s.JobsResumed += o.JobsResumed
+	s.JobsReplayed += o.JobsReplayed
+	for name, t := range o.Tenants {
+		if s.Tenants == nil {
+			s.Tenants = make(map[string]TenantStat)
+		}
+		a := s.Tenants[name]
+		a.Add(t)
+		s.Tenants[name] = a
+	}
+}
+
+// Add folds another registry's figures for the same tenant into t.
+func (t *TenantStat) Add(o TenantStat) {
+	t.Weight = o.Weight
+	t.ActiveJobs += o.ActiveJobs
+	t.Submitted += o.Submitted
+	t.Resumed += o.Resumed
+	t.Shed += o.Shed
+	t.Photons += o.Photons
+}
+
+// count sums counters into the int64 the JSON bodies carry.
+func count(cs ...*obs.Counter) int64 {
+	var n uint64
+	for _, c := range cs {
+		n += c.Value()
+	}
+	return int64(n)
+}
+
 // Stats snapshots fleet and queue health.
 func (r *Registry) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	m := r.met
 	s := Stats{
 		Workers:          len(r.sessions),
-		ChunksAssigned:   r.chunksAssigned,
-		PhotonsCompleted: r.photonsDone,
-		RejectedResults:  r.rejected,
-		BatchesReduced:   r.batches,
-		TallyMerges:      r.merges,
-		JobsSubmitted:    r.submitted,
-		JobsResumed:      r.resumed,
-		JobsReplayed:     r.replayed,
-		Policy:           r.policy.Name(),
+		ChunksAssigned:   count(m.chunksGranted),
+		PhotonsCompleted: count(m.photonsReduced),
+		RejectedResults:  count(m.rejectedStale, m.rejectedBatch, m.rejectedBenign),
+		BatchesReduced:   count(m.batchesReduced),
+		TallyMerges:      count(m.tallyMerges),
+		CacheEntries:     r.cache.Len(),
+		CacheHits:        count(m.cacheHitExact, m.cacheHitPhysics),
+		CacheMisses:      count(m.cacheMisses),
+		JobsSubmitted:    count(m.jobsSubmitted),
+		JobsResumed:      count(m.jobsResumed),
+		JobsReplayed:     count(m.jobsReplayed),
+		Policy:           r.opts.Policy.Name(),
 		Admission:        r.admission.Name(),
 	}
-	s.CacheEntries, s.CacheHits, s.CacheMisses = r.cache.Len(), r.cacheHits, r.cacheMisses
-	if len(r.tenants) > 0 {
-		s.Tenants = make(map[string]TenantStat, len(r.tenants))
-		for name, ts := range r.tenants {
-			s.Tenants[name] = TenantStat{
-				Weight:    r.opts.Tenants.Weight(name),
-				Submitted: ts.submitted,
-				Resumed:   ts.resumed,
-				Shed:      ts.shed,
-				Photons:   ts.photons,
-			}
-		}
-		for _, j := range r.active {
-			t := s.Tenants[j.spec.Tenant]
-			t.ActiveJobs++
-			s.Tenants[j.spec.Tenant] = t
-		}
-	}
+	s.Tenants = r.tenantRollupLocked()
 	for _, j := range r.order {
 		switch j.state {
 		case StateQueued:
@@ -756,17 +767,33 @@ func (r *Registry) Stats() Stats {
 	return s
 }
 
-// TenantStatus is one tenant's live view behind GET /tenants: accounting,
-// scheduling weight, and — under a token-bucket admission policy — the
-// current bucket levels.
+// tenantRollupLocked reads the counters and live job count of every tenant
+// a submission has named: the figures /stats and /tenants both carry.
+func (r *Registry) tenantRollupLocked() map[string]TenantStat {
+	out := make(map[string]TenantStat, len(r.tenants))
+	for name, ts := range r.tenants {
+		out[name] = TenantStat{
+			Weight:    r.opts.Tenants.Weight(name),
+			Submitted: count(ts.submitted),
+			Resumed:   count(ts.resumed),
+			Shed:      count(ts.shed),
+			Photons:   count(ts.photons),
+		}
+	}
+	for _, j := range r.active {
+		t := out[j.spec.Tenant]
+		t.ActiveJobs++
+		out[j.spec.Tenant] = t
+	}
+	return out
+}
+
+// TenantStatus is one tenant's live view behind GET /tenants: the Stats
+// rollup's accounting and scheduling weight under its name, and — under a
+// token-bucket admission policy — the current bucket levels.
 type TenantStatus struct {
-	Name       string  `json:"name"`
-	Weight     float64 `json:"weight"`
-	ActiveJobs int     `json:"activeJobs"`
-	Submitted  int64   `json:"submitted"`
-	Resumed    int64   `json:"resumed,omitempty"`
-	Shed       int64   `json:"shed"`
-	Photons    int64   `json:"photons"`
+	Name string `json:"name"`
+	TenantStat
 	// Bucket state, present only when the admission policy keeps buckets.
 	Class        *TenantClass `json:"class,omitempty"`
 	JobTokens    *float64     `json:"jobTokens,omitempty"`
@@ -781,20 +808,17 @@ func (r *Registry) Tenants() []TenantStatus {
 	get := func(name string) *TenantStatus {
 		t, ok := byName[name]
 		if !ok {
-			t = &TenantStatus{Name: name, Weight: r.opts.Tenants.Weight(name)}
+			t = &TenantStatus{Name: name, TenantStat: TenantStat{Weight: r.opts.Tenants.Weight(name)}}
 			byName[name] = t
 		}
 		return t
 	}
 	r.mu.Lock()
-	for name, ts := range r.tenants {
-		t := get(name)
-		t.Submitted, t.Resumed, t.Shed, t.Photons = ts.submitted, ts.resumed, ts.shed, ts.photons
-	}
-	for _, j := range r.active {
-		get(j.spec.Tenant).ActiveJobs++
-	}
+	rollup := r.tenantRollupLocked()
 	r.mu.Unlock()
+	for name, st := range rollup {
+		get(name).TenantStat = st
+	}
 	if r.opts.Tenants != nil {
 		for name := range r.opts.Tenants.Tenants {
 			get(name)

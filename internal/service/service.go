@@ -3,11 +3,11 @@
 // concurrent jobs — each wrapping the chunk queue / timeout-reassignment /
 // exactly-once reduction logic of a single distributed run — and one shared
 // worker fleet drains them all: every idle worker is handed the next chunk
-// chosen by a pluggable cross-job Policy (FIFO, priority, weighted
-// fair-share built on sched.FairShare, or two-level tenant-fair built on
-// sched.TwoLevel), and results are routed back to
-// their job by the protocol's JobID. Workers are job-agnostic; a session
-// learns a job's spec the first time it is assigned one of its chunks.
+// chosen by the one cross-job scheduler, sched.TwoLevel, as Options.Policy
+// configures it (FIFO, strict priority, weighted fair share over jobs, or
+// two-level tenant→job fair share), and results are routed back to their
+// job by the protocol's JobID. Workers are job-agnostic; a session learns
+// a job's spec the first time it is assigned one of its chunks.
 // Since protocol v3, workers flush pre-reduced result batches (compact
 // tally codec, per-chunk acks) and the registry merges each batch off its
 // dispatch lock through a per-job reducer, so fleet throughput tracks
@@ -61,7 +61,8 @@ import (
 // Options configure a Registry. The zero value is a long-lived multi-job
 // service with FIFO scheduling and a 256-entry result cache.
 type Options struct {
-	// Policy picks which job's chunk an idle worker receives; nil means FIFO.
+	// Policy picks which job's chunk an idle worker receives; the zero
+	// value is FIFO.
 	Policy Policy
 	// CacheSize bounds the result cache in entries; 0 means a 256-entry
 	// default, negative disables caching entirely.
