@@ -7,7 +7,7 @@ GO ?= go
 VERSION ?= $(shell git describe --always --dirty 2>/dev/null || echo dev)
 LDFLAGS = -X repro/internal/obs.Version=$(VERSION)
 
-.PHONY: build test race short bench-check kernel-bench cover fmt vet loc gob-check fuzz-smoke obs-smoke crash-smoke shard-smoke
+.PHONY: build test race short bench-check kernel-bench keys-bench cover fmt vet loc gob-check fuzz-smoke obs-smoke crash-smoke shard-smoke
 
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
@@ -49,6 +49,24 @@ kernel-bench:
 		END { if (!n["bulk-head-layered"] || !n["bulk-head-voxel"]) { print "kernel-bench: benchmarks did not run"; exit 1 } \
 			l = median("bulk-head-layered"); x = median("bulk-head-voxel"); \
 			printf "layered %.0f ns/photon  voxel %.0f ns/photon  voxel/layered %.2f  (medians of %d)\n", l, x, x / l, n["bulk-head-voxel"] }'
+
+# keys-bench is the same loop for the submit path's key derivation: one
+# service.RoutingKeys per op — normalize, one canonical walk of the spec,
+# two SHA-256 states — on the benchmark's three body kinds
+# (BenchmarkRoutingKeys), six runs each, and the median time and bytes
+# allocated per op. The voxel head is the one that matters: both HTTP tiers
+# pay it per voxel submission. CI runs the three once so they cannot rot.
+keys-bench:
+	@$(GO) test -run '^$$' -bench '^BenchmarkRoutingKeys$$' -count 6 ./internal/service | awk ' \
+		/ns\/op/ { split($$1, name, "/"); sub(/-[0-9]+$$/, "", name[2]); k = name[2]; n[k]++; \
+			for (i = 2; i <= NF; i++) { if ($$i == "ns/op") v[k, "t", n[k]] = $$(i-1); if ($$i == "B/op") v[k, "b", n[k]] = $$(i-1) } } \
+		function median(k, m,   i, j, t, a, c) { c = n[k]; for (i = 1; i <= c; i++) a[i] = v[k, m, i]; \
+			for (i = 1; i <= c; i++) for (j = i + 1; j <= c; j++) if (a[j] < a[i]) { t = a[i]; a[i] = a[j]; a[j] = t } \
+			return c % 2 ? a[(c + 1) / 2] : (a[c / 2] + a[c / 2 + 1]) / 2 } \
+		END { if (!n["slab"] || !n["head"] || !n["voxel-head"]) { print "keys-bench: benchmarks did not run"; exit 1 } \
+			printf "slab %.1f us %.0f B/op  head %.1f us %.0f B/op  voxel-head %.2f ms %.0f B/op  (medians of %d)\n", \
+				median("slab", "t") / 1e3, median("slab", "b"), median("head", "t") / 1e3, median("head", "b"), \
+				median("voxel-head", "t") / 1e6, median("voxel-head", "b"), n["voxel-head"] }'
 
 # obs-smoke boots a real mcqueue + mcworker pair, submits a job with curl
 # and asserts the debug surface (/readyz, /metrics series, the per-job

@@ -1,6 +1,7 @@
 package distsys
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"net"
@@ -10,8 +11,10 @@ import (
 
 	"repro/internal/detector"
 	"repro/internal/mc"
+	"repro/internal/obs"
 	"repro/internal/optics"
 	"repro/internal/protocol"
+	"repro/internal/service"
 	"repro/internal/source"
 	"repro/internal/tissue"
 	"repro/internal/voxel"
@@ -552,5 +555,72 @@ func TestVoxelJobEndToEnd(t *testing.T) {
 	if res.Tally.DetectedCount != want.DetectedCount {
 		t.Fatalf("distributed detected %d != local %d",
 			res.Tally.DetectedCount, want.DetectedCount)
+	}
+}
+
+// TestSessionSharesEqualGrids: one session computing three voxel jobs — two
+// on equal grids that arrived as separate copies, one on a grid a single
+// label away — builds a traversal accelerator once per distinct grid, not
+// once per job, and sharing changes no tally: each job reduces to the bytes
+// it reduces to on a session of its own.
+func TestSessionSharesEqualGrids(t *testing.T) {
+	other := voxelSpec(t)
+	other.Voxel.Labels[other.Voxel.Index(3, 3, 3)] ^= 1
+	jobs := []service.JobSpec{
+		{Spec: voxelSpec(t), TotalPhotons: 1000, ChunkPhotons: 250, Seed: 1},
+		{Spec: voxelSpec(t), TotalPhotons: 1000, ChunkPhotons: 250, Seed: 2},
+		{Spec: other, TotalPhotons: 1000, ChunkPhotons: 250, Seed: 3},
+	}
+	// session runs the given jobs on one worker session and returns their
+	// encoded tallies with the session's two geometry counters.
+	session := func(jobs []service.JobSpec) (tallies [][]byte, builds, shared uint64) {
+		t.Helper()
+		reg := service.New(service.Options{CacheSize: -1})
+		var accepted []*service.Job
+		for _, js := range jobs {
+			out, err := reg.Submit(js)
+			if err != nil {
+				t.Fatal(err)
+			}
+			accepted = append(accepted, out.Job)
+		}
+		server, client := net.Pipe()
+		go reg.HandleConn(server)
+		oreg := obs.NewRegistry()
+		stop, done := make(chan struct{}), make(chan error, 1)
+		go func() {
+			// One chunk per flush: the server then merges a job's chunks one
+			// at a time in stream order whatever else the session computes,
+			// so equal tallies are equal to the last bit of every sum.
+			_, err := Work(client, WorkerOptions{Name: "w", Obs: oreg, Stop: stop, FlushChunks: 1})
+			done <- err
+		}()
+		for _, j := range accepted {
+			res, err := j.Wait(60 * time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tallies = append(tallies, mc.AppendTally(nil, res.Tally))
+		}
+		close(stop)
+		if err := <-done; err != nil {
+			t.Fatalf("worker: %v", err)
+		}
+		return tallies, oreg.Counter("worker_geometry_builds_total", "").Value(),
+			oreg.Counter("worker_geometry_shared_total", "").Value()
+	}
+
+	together, builds, shared := session(jobs)
+	if builds != 2 || shared != 1 {
+		t.Fatalf("three jobs over two distinct grids: %d built, %d shared (want 2, 1)", builds, shared)
+	}
+	for i, js := range jobs {
+		alone, builds, shared := session([]service.JobSpec{js})
+		if builds != 1 || shared != 0 {
+			t.Fatalf("job %d alone: %d built, %d shared (want 1, 0)", i, builds, shared)
+		}
+		if !bytes.Equal(together[i], alone[0]) {
+			t.Errorf("job %d: tally on the shared grid differs from its own session's", i)
+		}
 	}
 }

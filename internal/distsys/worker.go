@@ -14,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/rng"
+	"repro/internal/voxel"
 )
 
 // Default pre-reduction flush thresholds. A batch flushes when it covers
@@ -148,6 +149,8 @@ type workerMetrics struct {
 	// scatter+crossing is the share of events the transport loop's
 	// clear-radius cache did not serve.
 	scatter, query, crossing, roulette *obs.Counter
+	// A voxel descriptor's grid was new to the session, or Equal to a held one.
+	geomBuilds, geomShared *obs.Counter
 
 	chunkSec *obs.Histogram
 	flushes  *obs.Counter
@@ -167,6 +170,10 @@ func newWorkerMetrics(reg *obs.Registry) *workerMetrics {
 		query:    events.With("query"),
 		crossing: events.With("crossing"),
 		roulette: events.With("roulette"),
+		geomBuilds: reg.Counter("worker_geometry_builds_total",
+			"Voxel job descriptors whose grid no cached job of the session held: this worker builds its traversal accelerator."),
+		geomShared: reg.Counter("worker_geometry_shared_total",
+			"Voxel job descriptors whose grid equalled a cached job's and took its place: labels and accelerator are shared, nothing is built."),
 		chunks: reg.Counter("worker_chunks_computed_total",
 			"Chunks computed (whether or not their results were later accepted)."),
 		chunkSec: reg.Histogram("worker_chunk_seconds",
@@ -207,7 +214,10 @@ var ErrInjectedFailure = errors.New("distsys: worker failed by injection")
 // rebuilding or re-jumping (workers are job-agnostic; the server routes
 // results by JobID).
 type jobRuntime struct {
-	runner  *mc.Runner
+	runner *mc.Runner
+	// grid is the job's voxel geometry (nil for a layered job), kept so a
+	// later job on an Equal grid can run on this one.
+	grid    *voxel.Grid
 	seed    uint64
 	streams int
 	fan     int
@@ -565,6 +575,20 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 				if a.Job == nil {
 					return stats, fmt.Errorf("distsys: assigned unknown job %016x without descriptor", a.JobID)
 				}
+				// Many jobs over one head model: a descriptor whose grid Equals
+				// a cached job's runs on that grid, so NewRunner finds its
+				// accelerator built and the session holds one label array.
+				// A grid is read-only once built (voxel.Grid): safe to share.
+				if g := a.Job.Spec.Voxel; g != nil {
+					outcome := met.geomBuilds
+					for _, held := range jobs {
+						if held.grid.Equal(g) {
+							a.Job.Spec.Voxel, outcome = held.grid, met.geomShared
+							break
+						}
+					}
+					outcome.Inc()
+				}
 				cfg, err := a.Job.Spec.Build()
 				if err != nil {
 					return stats, fmt.Errorf("distsys: bad job spec: %w", err)
@@ -573,7 +597,7 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 				if err != nil {
 					return stats, fmt.Errorf("distsys: bad job spec: %w", err)
 				}
-				rt = &jobRuntime{runner: runner, seed: a.Job.Seed, streams: a.Job.Streams,
+				rt = &jobRuntime{runner: runner, grid: a.Job.Spec.Voxel, seed: a.Job.Seed, streams: a.Job.Streams,
 					fan: a.Job.Fan, cache: rng.NewStreamCache(a.Job.Seed)}
 				jobs[a.JobID] = rt
 				known = append(known, a.JobID)

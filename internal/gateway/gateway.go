@@ -139,6 +139,8 @@ type gatewayMetrics struct {
 	// write, and the JSON bytes the client was sent.
 	resultSeconds *obs.Histogram
 	resultBytes   *obs.Histogram
+	// The submit path's stages (see gateway_submit_stage_seconds).
+	submitDecode, submitKeys, submitForward *obs.Histogram
 }
 
 // New builds a Gateway over the given shard replica sets.
@@ -193,6 +195,10 @@ func New(opts Options) (*Gateway, error) {
 		resultBytes: oreg.Histogram("gateway_result_bytes",
 			"JSON size of one finished result body sent to the client.", obs.ByteBuckets),
 	}
+	stage := oreg.HistogramVec("gateway_submit_stage_seconds",
+		"Time one submission spent in a stage of the gateway's submit path: decode (body read and JSON decode), keys (content and physics key derivation), forward (the owning shard's answer, failovers included).",
+		obs.DefBuckets, "stage")
+	g.met.submitDecode, g.met.submitKeys, g.met.submitForward = stage.With("decode"), stage.With("keys"), stage.With("forward")
 	oreg.GaugeFunc("gateway_cache_entries",
 		"Results held in the gateway's shared tier.",
 		func() float64 { return float64(g.cache.Len()) })
@@ -228,16 +234,32 @@ func (g *Gateway) Register(mux *http.ServeMux) {
 }
 
 func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
+	start := time.Now()
 	spec, raw, ok := service.ReadSubmission(w, req, g.maxBody)
 	if !ok {
 		g.met.invalid.Inc()
 		return
 	}
+	g.met.submitDecode.Observe(time.Since(start).Seconds())
 	tenant := spec.Tenant // as sent; normalization below fills the default
 
+	// A malformed job is a 422 whatever its tenant's buckets hold, so the
+	// cheap half of key derivation runs first. Then shed before hashing:
+	// every outcome below, tier hit or fresh work, debits at least one job
+	// token, so a tenant whose job-rate bucket cannot pay one is refused
+	// either way — the probe spends nothing and says so before the gateway
+	// hashes a body that may run to megabytes.
+	err := spec.Normalize(g.maxTarget)
+	if err == nil && g.admission != nil && !g.admitted(w, tenant, g.admission.Probe(tenant, 0)) {
+		return
+	}
 	// The same normalize-and-hash the owning shard will run: the key is a
 	// pure function of the request, so gateway and shard always agree.
-	key, pkey, err := service.RoutingKeys(&spec, g.maxTarget)
+	start = time.Now()
+	var key, pkey service.Key
+	if err == nil {
+		key, pkey, err = service.RoutingKeys(&spec, g.maxTarget)
+	}
 	if err != nil {
 		// Deterministically malformed: the client's fault, no shard would
 		// accept it either — do not route, do not retry.
@@ -245,6 +267,7 @@ func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
 		service.WriteJSON(w, http.StatusUnprocessableEntity, service.APIError{Error: err.Error()})
 		return
 	}
+	g.met.submitKeys.Observe(time.Since(start).Seconds())
 
 	// Shared result tier: a hit is answered here, with the same ID the
 	// owning shard would mint, after the same one-job-token admission
@@ -256,12 +279,8 @@ func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
 		index = "physics"
 	}
 	if hit != nil {
-		if g.admission != nil {
-			if v := g.admission.Admit(tenant, 0); !v.OK {
-				g.met.sheds.Inc()
-				service.WriteShed(w, shedErr(tenant, v))
-				return
-			}
+		if g.admission != nil && !g.admitted(w, tenant, g.admission.Admit(tenant, 0)) {
+			return
 		}
 		id := service.KeyID(key)
 		m := &mintedJob{
@@ -294,15 +313,12 @@ func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
 	// Fresh work: debit the full admission cost before spending a shard's
 	// time. Fail-closed — a routed submission that then fails everywhere
 	// has spent its tokens, like any accepted-then-crashed job.
-	if g.admission != nil {
-		if v := g.admission.Admit(tenant, spec.AdmissionPhotons()); !v.OK {
-			g.met.sheds.Inc()
-			service.WriteShed(w, shedErr(tenant, v))
-			return
-		}
+	if g.admission != nil && !g.admitted(w, tenant, g.admission.Admit(tenant, spec.AdmissionPhotons())) {
+		return
 	}
 
 	shard := service.ShardOfKey(key, len(g.shards))
+	start = time.Now()
 	status, hdr, respBody, err := g.doShard(shard, func(base string) (*http.Request, error) {
 		preq, err := http.NewRequestWithContext(req.Context(), http.MethodPost,
 			base+"/jobs", bytes.NewReader(raw))
@@ -320,14 +336,21 @@ func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
 			service.APIError{Error: fmt.Sprintf("shard %d unavailable: %v", shard, err)})
 		return
 	}
+	g.met.submitForward.Observe(time.Since(start).Seconds())
 	g.met.submissions.With(strconv.Itoa(shard)).Inc()
 	copyResponse(w, status, hdr, respBody)
 }
 
-func shedErr(tenant string, v service.AdmissionVerdict) *service.ShedError {
-	return &service.ShedError{
-		Tenant: tenant, Reason: v.Reason, RetryAfter: v.RetryAfter, Detail: v.Detail,
+// admitted reports an admission verdict; a refusal has been counted and
+// answered with its 429.
+func (g *Gateway) admitted(w http.ResponseWriter, tenant string, v service.AdmissionVerdict) bool {
+	if !v.OK {
+		g.met.sheds.Inc()
+		service.WriteShed(w, &service.ShedError{
+			Tenant: tenant, Reason: v.Reason, RetryAfter: v.RetryAfter, Detail: v.Detail,
+		})
 	}
+	return v.OK
 }
 
 // forward sends a single-job request to the shard owning its ID, naming

@@ -685,3 +685,70 @@ func TestGatewayTenantFairnessAcrossShards(t *testing.T) {
 		t.Fatalf("shard-side shed %d, want 0 (gateway owns admission)", st.Tenants["flood"].Shed)
 	}
 }
+
+// TestGatewayShedsBeforeItHashes: a tenant whose job-rate bucket is empty
+// is refused before the gateway derives keys for what it sent — the keys
+// stage histogram does not advance on the 429 — while a malformed body from
+// the same drained tenant is still a 422, and a tenant with tokens is keyed
+// and forwarded as before.
+func TestGatewayShedsBeforeItHashes(t *testing.T) {
+	table := &service.TenantTable{Tenants: map[string]service.TenantClass{
+		"flood": {JobsPerSec: 0.001, JobBurst: 1},
+	}}
+	_, ts := shardServer(t, service.Options{}, 1)
+	oreg := obs.NewRegistry()
+	_, gw := gatewayServer(t, Options{
+		Shards:    [][]string{{ts.URL}},
+		Admission: service.NewTokenBucket(table, nil),
+		Obs:       oreg,
+	})
+	stage := func(name string) uint64 {
+		return oreg.HistogramVec("gateway_submit_stage_seconds", "", obs.DefBuckets, "stage").With(name).Count()
+	}
+	vox := voxel.New("phantom", 30, 30, 10, 1, 1, 0.5, "phantom",
+		optics.Properties{MuA: 0.02, MuS: 10, G: 0.9, N: 1.4})
+	voxReq := func(seed uint64) []byte {
+		body, err := json.Marshal(service.JobRequest{
+			Spec: mc.NewVoxelSpec(vox, source.Spec{Kind: source.KindPencil},
+				detector.Spec{Kind: detector.KindAnnulus, RMin: 1, RMax: 4}),
+			Photons: 200, ChunkPhotons: 100, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+
+	// The burst of one pays for the first job, which is keyed and forwarded.
+	if resp, raw := post(t, gw.URL+"/jobs", "flood", voxReq(1)); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("first job: http %d: %s", resp.StatusCode, raw)
+	}
+	if d, k, f := stage("decode"), stage("keys"), stage("forward"); d != 1 || k != 1 || f != 1 {
+		t.Fatalf("one forwarded submission counted decode %d, keys %d, forward %d", d, k, f)
+	}
+
+	resp, raw := post(t, gw.URL+"/jobs", "flood", voxReq(2))
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("drained tenant's job: http %d (Retry-After %q): %s",
+			resp.StatusCode, resp.Header.Get("Retry-After"), raw)
+	}
+	// A byte-identical resubmission would have been a coalesce or a hit:
+	// it costs a job token too, so it is shed the same way, unkeyed.
+	if resp, raw := post(t, gw.URL+"/jobs", "flood", voxReq(1)); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("drained tenant's resubmission: http %d: %s", resp.StatusCode, raw)
+	}
+	if d, k := stage("decode"), stage("keys"); d != 3 || k != 1 {
+		t.Fatalf("after two sheds: decode %d (want 3), keys %d (want 1: a shed body is not hashed)", d, k)
+	}
+
+	invalid, _ := json.Marshal(service.JobRequest{Spec: slabSpec(5), ChunkPhotons: 100, Seed: 3})
+	if resp, raw := post(t, gw.URL+"/jobs", "flood", invalid); resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("drained tenant's malformed job: http %d: %s (a 422 wins over a 429)", resp.StatusCode, raw)
+	}
+	if resp, raw := post(t, gw.URL+"/jobs", "other", voxReq(2)); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("another tenant's job: http %d: %s", resp.StatusCode, raw)
+	}
+	if k := stage("keys"); k != 2 {
+		t.Fatalf("keys stage counted %d submissions, want 2", k)
+	}
+}

@@ -3,7 +3,9 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io"
 	"sync"
 
 	"repro/internal/canon"
@@ -55,7 +57,8 @@ func KeyOf(spec *mc.Spec, totalPhotons, chunkPhotons int64, seed uint64) (Key, e
 // is > 1, which keeps the key *format* — and with it every existing cache
 // entry and restart-stable job ID of legacy single-stream jobs — untouched.
 func KeyOfFan(spec *mc.Spec, totalPhotons, chunkPhotons int64, seed uint64, fan int) (Key, error) {
-	return keyOf(spec, totalPhotons, chunkPhotons, seed, fan, nil)
+	key, _, err := deriveKeys(spec, totalPhotons, chunkPhotons, seed, fan, nil)
+	return key, err
 }
 
 // KeyOfTarget is the content address of a precision-targeted job: the
@@ -63,33 +66,8 @@ func KeyOfFan(spec *mc.Spec, totalPhotons, chunkPhotons int64, seed uint64, fan 
 // extended by the normalized Target, appended the same trailing way the
 // fan is so every fixed-count key is untouched.
 func KeyOfTarget(spec *mc.Spec, chunkPhotons int64, seed uint64, fan int, tgt *mc.Target) (Key, error) {
-	return keyOf(spec, 0, chunkPhotons, seed, fan, tgt)
-}
-
-func keyOf(spec *mc.Spec, totalPhotons, chunkPhotons int64, seed uint64, fan int, tgt *mc.Target) (Key, error) {
-	h := sha256.New()
-	canonical := struct {
-		Spec         *mc.Spec
-		TotalPhotons int64
-		ChunkPhotons int64
-		Seed         uint64
-	}{spec, totalPhotons, chunkPhotons, seed}
-	if err := canon.Write(h, &canonical); err != nil {
-		return Key{}, fmt.Errorf("service: cache key: %w", err)
-	}
-	if fan > 1 {
-		if err := canon.Write(h, fan); err != nil {
-			return Key{}, fmt.Errorf("service: cache key: %w", err)
-		}
-	}
-	if tgt != nil {
-		if err := canon.Write(h, tgt); err != nil {
-			return Key{}, fmt.Errorf("service: cache key: %w", err)
-		}
-	}
-	var k Key
-	h.Sum(k[:0])
-	return k, nil
+	key, _, err := deriveKeys(spec, 0, chunkPhotons, seed, fan, tgt)
+	return key, err
 }
 
 // PhysicsKeyOf addresses what a tally *is* rather than how much of it was
@@ -100,20 +78,50 @@ func keyOf(spec *mc.Spec, totalPhotons, chunkPhotons int64, seed uint64, fan int
 // run of the same decomposition that meets-or-exceeds it (more photons,
 // tighter RSE), whether that run was itself targeted or fixed-count.
 func PhysicsKeyOf(spec *mc.Spec, chunkPhotons int64, seed uint64, fan int) (Key, error) {
-	h := sha256.New()
-	canonical := struct {
+	_, pkey, err := deriveKeys(spec, 0, chunkPhotons, seed, fan, nil)
+	return pkey, err
+}
+
+// deriveKeys computes a job's content key and physics key in one canonical
+// walk of the spec. The two hash inputs are different tuples around the same
+// spec, which is all but a few dozen of their bytes (3.3 MB for a voxel
+// head): each SHA-256 state takes its own tuple's head and tail from
+// canon.Split and both take the spec between them from one canon.Write, so
+// each sees the bytes of its tuple encoded whole and no key moved
+// (TestPinnedKeys). The exported single-key functions return one of the two.
+func deriveKeys(spec *mc.Spec, totalPhotons, chunkPhotons int64, seed uint64, fan int, tgt *mc.Target) (key, pkey Key, err error) {
+	keyHead, keyTail, err1 := canon.Split(&struct {
+		Spec         canon.Hole
+		TotalPhotons int64
+		ChunkPhotons int64
+		Seed         uint64
+	}{TotalPhotons: totalPhotons, ChunkPhotons: chunkPhotons, Seed: seed})
+	physHead, physTail, err2 := canon.Split(&struct {
 		Physics      string // domain separator vs the job-key tuple
-		Spec         *mc.Spec
+		Spec         canon.Hole
 		ChunkPhotons int64
 		Seed         uint64
 		Fan          int
-	}{"physics", spec, chunkPhotons, seed, fan}
-	if err := canon.Write(h, &canonical); err != nil {
-		return Key{}, fmt.Errorf("service: physics key: %w", err)
+	}{Physics: "physics", ChunkPhotons: chunkPhotons, Seed: seed, Fan: fan})
+	hk, hp := sha256.New(), sha256.New()
+	hk.Write(keyHead)
+	hp.Write(physHead)
+	err3 := canon.Write(io.MultiWriter(hk, hp), spec)
+	hk.Write(keyTail)
+	hp.Write(physTail)
+	var err4, err5 error
+	if fan > 1 {
+		err4 = canon.Write(hk, fan)
 	}
-	var k Key
-	h.Sum(k[:0])
-	return k, nil
+	if tgt != nil {
+		err5 = canon.Write(hk, tgt)
+	}
+	if err := errors.Join(err1, err2, err3, err4, err5); err != nil {
+		return Key{}, Key{}, fmt.Errorf("service: content keys: %w", err)
+	}
+	hk.Sum(key[:0])
+	hp.Sum(pkey[:0])
+	return key, pkey, nil
 }
 
 // ResultCache is a bounded FIFO-evicting map from job key to completed

@@ -513,6 +513,9 @@ func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply
 // returning one ack per covered chunk in batch order. Each group's tally
 // is decoded into the caller's scratch tally off the registry lock.
 func (r *Registry) reduceBatch(sess *session, b *protocol.ResultBatch, scratch *mc.Tally) []protocol.ResultAck {
+	// Counted on the way in: the last group may finish a job, and whoever
+	// its Wait releases must find the batch that did it in the books.
+	r.met.batchesReduced.Inc()
 	acks := make([]protocol.ResultAck, 0, b.NumChunks())
 	for i := range b.Groups {
 		g := &b.Groups[i]
@@ -524,7 +527,6 @@ func (r *Registry) reduceBatch(sess *session, b *protocol.ResultBatch, scratch *
 		}
 		acks = append(acks, r.reduceGroup(sess, g.JobID, g.Chunks, scratch, g.Elapsed, g.ChunkSecs)...)
 	}
-	r.met.batchesReduced.Inc()
 	return acks
 }
 

@@ -233,10 +233,12 @@ func ReadSubmission(w http.ResponseWriter, req *http.Request, maxBody int64) (sp
 }
 
 func (a *API) submit(w http.ResponseWriter, req *http.Request) {
+	start := time.Now()
 	spec, _, ok := ReadSubmission(w, req, a.MaxBodyBytes)
 	if !ok {
 		return
 	}
+	a.reg.met.submitDecode.Observe(time.Since(start).Seconds())
 	out, err := a.reg.Submit(spec)
 	if err != nil {
 		var shed *ShedError

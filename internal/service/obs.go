@@ -58,6 +58,9 @@ type svcMetrics struct {
 	workersParked *obs.Gauge     // TaskRequests waiting server-side for work
 	parkSeconds   *obs.Histogram // how long each waited
 
+	// The submit path's stages (see service_submit_stage_seconds).
+	submitDecode, submitKeys, submitJournal *obs.Histogram
+
 	// Result encode on GET /jobs/{id}/result, by the encoding served.
 	resultJSON, resultCompact resultMetrics
 }
@@ -138,6 +141,10 @@ func newServiceMetrics(reg *obs.Registry, r *Registry) *svcMetrics {
 	m.rejectedStale = rej.With("stale")
 	m.rejectedBatch = rej.With("batch")
 	m.rejectedBenign = rej.With("benign")
+	stage := reg.HistogramVec("service_submit_stage_seconds",
+		"Time one submission spent in a stage of the submit path: decode (body read and JSON decode, HTTP submissions only), keys (content and physics key derivation), journal (the accept record's append, fresh jobs only).",
+		obs.DefBuckets, "stage")
+	m.submitDecode, m.submitKeys, m.submitJournal = stage.With("decode"), stage.With("keys"), stage.With("journal")
 	encSeconds := reg.HistogramVec("service_result_encode_seconds",
 		"Time to encode one finished job's result body, by encoding (json for clients, compact for a gateway).",
 		obs.DefBuckets, "format")

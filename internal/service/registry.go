@@ -3,12 +3,14 @@ package service
 import (
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/sched"
+	"repro/internal/voxel"
 )
 
 // Registry owns the concurrent jobs of the simulation service and the
@@ -120,10 +122,12 @@ func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
 	if err := spec.normalize(r.opts.MaxTargetPhotons); err != nil {
 		return nil, invalid(err)
 	}
+	start := time.Now()
 	key, pkey, err := keysOf(&spec)
 	if err != nil {
 		return nil, invalid(err)
 	}
+	r.met.submitKeys.Observe(time.Since(start).Seconds())
 
 	r.mu.Lock()
 	if live := r.byKey[key]; live != nil {
@@ -138,6 +142,7 @@ func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
 		return &SubmitOutcome{Job: live, Coalesced: true}, nil
 	}
 	r.mu.Unlock()
+	r.shareGrid(&spec)
 
 	// A precision submission probes two indexes but is one lookup: one
 	// hit or one miss, whichever index answered.
@@ -226,7 +231,9 @@ func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
 	}
 	jspec := j.spec // copy under the lock: absorbParamsLocked may mutate j.spec
 	r.mu.Unlock()
+	start = time.Now()
 	r.journal.jobAccepted(r, j.key, jspec)
+	r.met.submitJournal.Observe(time.Since(start).Seconds())
 	j.trace(obs.Event{Kind: obs.EvSubmitted, Detail: spec.Tenant})
 	if spec.Target != nil {
 		r.log.Info("job submitted", "job", jobHex(j.id),
@@ -343,19 +350,40 @@ func jobHex(id uint64) string { return fmt.Sprintf("%016x", id) }
 
 // keysOf derives a normalized spec's content key and physics key.
 func keysOf(spec *JobSpec) (key, pkey Key, err error) {
+	total := spec.TotalPhotons
 	if spec.Target != nil {
-		key, err = KeyOfTarget(spec.Spec, spec.ChunkPhotons, spec.Seed, spec.Fan, spec.Target)
-	} else {
-		key, err = KeyOfFan(spec.Spec, spec.TotalPhotons, spec.ChunkPhotons, spec.Seed, spec.Fan)
+		total = 0 // open-ended: the tuple holds 0 whatever the caller left there
 	}
-	if err != nil {
-		return Key{}, Key{}, err
+	return deriveKeys(spec.Spec, total, spec.ChunkPhotons, spec.Seed, spec.Fan, spec.Target)
+}
+
+// shareGrid points a voxel submission at the grid of a live or retained job
+// that Equals its own, before a job is built around it: every job keeps its
+// spec, so -retain 1024 head jobs would otherwise pin 1024 copies of one
+// 1.2 MB label array, and a journal replay decodes one per accept record. A
+// grid is read-only once constructed (voxel.Grid), so any number of jobs may
+// hold one. Compared off the registry lock, one pointer per distinct grid.
+func (r *Registry) shareGrid(spec *JobSpec) {
+	g := spec.Spec.Voxel
+	if g == nil {
+		return
 	}
-	pkey, err = PhysicsKeyOf(spec.Spec, spec.ChunkPhotons, spec.Seed, spec.Fan)
-	if err != nil {
-		return Key{}, Key{}, err
+	var held []*voxel.Grid
+	r.mu.Lock()
+	for _, j := range r.order {
+		if h := j.spec.Spec.Voxel; h != nil && !slices.Contains(held, h) {
+			held = append(held, h)
+		}
 	}
-	return key, pkey, nil
+	r.mu.Unlock()
+	for _, h := range held {
+		if h.Equal(g) {
+			sp := *spec.Spec // never mutate the caller's spec
+			sp.Voxel = h
+			spec.Spec = &sp
+			return
+		}
+	}
 }
 
 // SubmitSnapshot resumes a job from its journaled snapshot: already
@@ -373,6 +401,7 @@ func (r *Registry) SubmitSnapshot(snap *Snapshot) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
+	r.shareGrid(&spec)
 
 	// Build and restore outside the lock (see Submit).
 	j, err := newJob(r, key, spec)

@@ -55,14 +55,25 @@ func KeyID(k Key) uint64 {
 // participates in the key (pass 0 for the default). Validation failures
 // come back wrapped as InvalidJobError, like Submit's own.
 func RoutingKeys(spec *JobSpec, maxTargetPhotons int64) (key, pkey Key, err error) {
-	if err := spec.normalize(maxTargetPhotons); err != nil {
-		return Key{}, Key{}, invalid(err)
+	if err := spec.Normalize(maxTargetPhotons); err != nil {
+		return Key{}, Key{}, err
 	}
 	key, pkey, err = keysOf(spec)
 	if err != nil {
 		return Key{}, Key{}, invalid(err)
 	}
 	return key, pkey, nil
+}
+
+// Normalize is the cheap first half of RoutingKeys on its own — defaults
+// filled and the tuple validated in place, nothing hashed — for a gateway
+// that must tell a malformed job (422) from one it may shed unkeyed (429).
+// It is idempotent; failures are InvalidJobError.
+func (s *JobSpec) Normalize(maxTargetPhotons int64) error {
+	if err := s.normalize(maxTargetPhotons); err != nil {
+		return invalid(err)
+	}
+	return nil
 }
 
 // AdmissionPhotons exposes the photon cost admission charges for a

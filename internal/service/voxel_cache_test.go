@@ -120,3 +120,68 @@ func TestVoxelCacheHitMatchesRecompute(t *testing.T) {
 		t.Fatalf("energy balance broken through the service layer: %g", bal)
 	}
 }
+
+// TestRegistrySharesEqualGrids: every job keeps its spec, so jobs over one
+// head model must keep one copy of it between them. A submission whose
+// grid Equals a registered job's — fresh, served from the cache, or
+// restored by journal replay, which decodes a copy per accept record —
+// holds that job's grid; one a single label away holds its own; and the
+// caller's spec is never the thing rewired.
+func TestRegistrySharesEqualGrids(t *testing.T) {
+	gridOf := func(j *Job) *voxel.Grid { return j.spec.Spec.Voxel }
+	dir := t.TempDir()
+	regA, wlA, _ := journaledRegistry(t, dir, 0, Options{})
+	startWorkers(t, regA, 1)
+	submit := func(spec *mc.Spec, seed uint64) *SubmitOutcome {
+		t.Helper()
+		own := spec.Voxel
+		out, err := regA.Submit(JobSpec{Spec: spec, TotalPhotons: 500, ChunkPhotons: 250, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec.Voxel != own {
+			t.Fatal("Submit rewired the caller's spec")
+		}
+		return out
+	}
+	first := submit(voxelSpec(t), 1)
+	held := gridOf(first.Job)
+	if second := submit(voxelSpec(t), 2); gridOf(second.Job) != held {
+		t.Fatal("a fresh job on an Equal grid kept its own copy")
+	}
+	if _, err := first.Job.Wait(60 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	again := submit(voxelSpec(t), 1)
+	if !again.Cached || again.Job == first.Job {
+		t.Fatalf("resubmission of a finished job: %+v, want a born-done job of its own", again)
+	}
+	if gridOf(again.Job) != held {
+		t.Fatal("a cache-hit job on an Equal grid kept its own copy")
+	}
+	other := voxelSpec(t)
+	other.Voxel.Labels[other.Voxel.Index(3, 3, 3)] ^= 1
+	third := submit(other, 3)
+	if gridOf(third.Job) != other.Voxel {
+		t.Fatal("a grid one label away was folded into another")
+	}
+	for _, out := range []*SubmitOutcome{first, third} {
+		if _, err := out.Job.Wait(60 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wlA.Close()
+
+	regB, wlB, restored := replayInto(t, dir, Options{})
+	defer wlB.Close()
+	if restored < 3 {
+		t.Fatalf("replay restored %d jobs, want the three that ran", restored)
+	}
+	grids := map[*voxel.Grid]int{}
+	for _, st := range regB.List() {
+		grids[gridOf(regB.Get(st.ID))]++
+	}
+	if len(grids) != 2 {
+		t.Fatalf("%d replayed jobs hold %d distinct grids, want 2: %v", restored, len(grids), grids)
+	}
+}

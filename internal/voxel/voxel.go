@@ -14,8 +14,10 @@
 package voxel
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -82,6 +84,21 @@ func New(name string, nx, ny, nz int, dx, dy, dz float64, baseName string, base 
 		Media:      []optics.Properties{base},
 		MediaNames: []string{baseName},
 	}
+}
+
+// Equal reports whether o describes the same medium: every exported field
+// equal, the label array compared last. Equal grids trace identically and
+// are read-only, so a holder of two may drop one and share the other.
+func (g *Grid) Equal(o *Grid) bool {
+	return g == o || g != nil && o != nil &&
+		g.Name == o.Name &&
+		g.Nx == o.Nx && g.Ny == o.Ny && g.Nz == o.Nz &&
+		g.Dx == o.Dx && g.Dy == o.Dy && g.Dz == o.Dz &&
+		g.X0 == o.X0 && g.Y0 == o.Y0 &&
+		g.NAbove == o.NAbove && g.NBelow == o.NBelow &&
+		slices.Equal(g.Media, o.Media) &&
+		slices.Equal(g.MediaNames, o.MediaNames) &&
+		bytes.Equal(g.Labels, o.Labels)
 }
 
 // Index returns the flat index of voxel (i, j, k).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
@@ -359,5 +360,62 @@ func TestMinVoxel(t *testing.T) {
 	g := New("mv", 2, 2, 2, 1, 0.25, 0.5, "b", testProps())
 	if g.MinVoxel() != 0.25 {
 		t.Fatalf("MinVoxel = %g", g.MinVoxel())
+	}
+}
+
+// perturb changes v, whatever plain-data kind it is, to a value unequal to
+// the one it held.
+func perturb(t *testing.T, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(v.String() + "'")
+	case reflect.Int:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint8:
+		v.SetUint(v.Uint() ^ 1)
+	case reflect.Float64:
+		v.SetFloat(v.Float() + 1)
+	case reflect.Struct:
+		perturb(t, v.Field(v.NumField()-1))
+	case reflect.Slice:
+		perturb(t, v.Index(v.Len()-1))
+	default:
+		t.Fatalf("no perturbation for kind %s: teach perturb, and Equal, the new field", v.Kind())
+	}
+}
+
+// TestEqualComparesEveryField: Equal decides which grids the registry and a
+// worker session fold into one, so a field it ignored would let two
+// different media share a label array. Each exported field is changed in
+// turn — for a slice, its last element — and Equal must notice; a field
+// added to Grid later fails here until Equal compares it.
+func TestEqualComparesEveryField(t *testing.T) {
+	mk := func() *Grid {
+		g := New("box", 4, 3, 2, 1, 1, 0.5, "base", testProps())
+		g.Media = append(g.Media, optics.Properties{MuA: 0.1, MuS: 5, G: 0.8, N: 1.37})
+		g.MediaNames = append(g.MediaNames, "inclusion")
+		g.Labels[g.Index(1, 1, 1)] = 1
+		return g
+	}
+	a := mk()
+	if !a.Equal(a) || !a.Equal(mk()) || a.Equal(nil) || (*Grid)(nil).Equal(a) {
+		t.Fatal("Equal is wrong about identical, rebuilt or nil grids")
+	}
+	typ := reflect.TypeOf(Grid{})
+	for i := 0; i < typ.NumField(); i++ {
+		if !typ.Field(i).IsExported() {
+			continue
+		}
+		b := mk()
+		perturb(t, reflect.ValueOf(b).Elem().Field(i))
+		if a.Equal(b) || b.Equal(a) {
+			t.Errorf("Equal ignores %s", typ.Field(i).Name)
+		}
+	}
+	short := mk()
+	short.Labels = short.Labels[:len(short.Labels)-1]
+	if a.Equal(short) {
+		t.Error("Equal ignores the length of Labels")
 	}
 }

@@ -11,7 +11,9 @@
 # piggybacked telemetry, mctop -once renders it all, pprof answers, a
 # result fetched directly and through an mcgate in front is the same bytes
 # with the encode layer's histograms (service_result_* by format on the
-# shard, gateway_result_* on the gateway) behind both, per-tenant
+# shard, gateway_result_* on the gateway) behind both, two voxel jobs sent
+# through that gateway leave a count in every submit-stage histogram of
+# both tiers and one accelerator build on the worker, per-tenant
 # admission control sheds a flooding tenant with 429 + a bucket-derived
 # Retry-After (reason- and tenant-labeled on /metrics, bucket levels on
 # GET /tenants) while another tenant's job completes, and
@@ -223,6 +225,35 @@ echo "$METRICS" | grep -Eq '^service_result_bytes_sum\{format="compact"\} [1-9]'
 METRICS=$(curl -fsS "http://$GATE/metrics")
 expect "gateway_result_seconds_count" 1
 expect "gateway_result_bytes_sum" "$BYTES"
+
+echo "obs-smoke: submit stages at both tiers, one grid built once..."
+# Two voxel jobs on the same grid, different seeds, through the gateway:
+# each tier's submit path has a histogram per stage, and the worker builds
+# the grid's traversal accelerator for the first job and shares it with the
+# second.
+for SEED in 21 22; do
+  go run ./scripts/genjob -model voxel -seed "$SEED" -label "smoke-voxel-$SEED" >"$WORK/voxel.json"
+  VID=$(curl -fsS -X POST "http://$GATE/jobs" -d @"$WORK/voxel.json" |
+    sed -n 's/.*"id":"\([0-9a-f]*\)".*/\1/p')
+  [ -n "$VID" ] || fail "voxel POST /jobs through the gateway returned no job id"
+  for _ in $(seq 1 150); do
+    STATE=$(curl -fsS "http://$GATE/jobs/$VID" | sed -n 's/.*"state":"\([a-z]*\)".*/\1/p')
+    [ "$STATE" = done ] && break
+    sleep 0.2
+  done
+  [ "$STATE" = done ] || fail "voxel job $VID stuck in state '$STATE'"
+done
+METRICS=$(curl -fsS "http://$GATE/metrics")
+for stage in decode keys forward; do
+  expect "gateway_submit_stage_seconds_count{stage=\"$stage\"}" 2
+done
+METRICS=$(curl -fsS "http://$HTTP/metrics")
+for stage in decode keys journal; do # the first job, sent to the shard directly, and these two
+  expect "service_submit_stage_seconds_count{stage=\"$stage\"}" 3
+done
+METRICS=$(curl -fsS "http://$WDBG/metrics")
+expect "worker_geometry_builds_total" 1
+expect "worker_geometry_shared_total" 1
 kill "$GPID" 2>/dev/null || true
 wait "$GPID" 2>/dev/null || true
 GPID=
