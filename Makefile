@@ -7,7 +7,7 @@ GO ?= go
 VERSION ?= $(shell git describe --always --dirty 2>/dev/null || echo dev)
 LDFLAGS = -X repro/internal/obs.Version=$(VERSION)
 
-.PHONY: build test race short bench-check kernel-bench keys-bench cover fmt vet loc gob-check fuzz-smoke obs-smoke crash-smoke shard-smoke
+.PHONY: build test race short bench-check kernel-bench keys-bench submit-bench cover fmt vet loc gob-check fuzz-smoke obs-smoke crash-smoke shard-smoke
 
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
@@ -68,6 +68,27 @@ keys-bench:
 				median("slab", "t") / 1e3, median("slab", "b"), median("head", "t") / 1e3, median("head", "b"), \
 				median("voxel-head", "t") / 1e6, median("voxel-head", "b"), n["voxel-head"] }'
 
+# submit-bench is the same loop for a voxel submission's way into a shard
+# and onto a worker: the benchmark's 120×120×80 head read as a client's JSON
+# and as the compact form a gateway forwards (service.ReadSubmission), its
+# journal accept record encoded and decoded (BenchmarkSubmitVoxel), and the
+# traversal accelerator a worker's first chunk on the grid waits for
+# (BenchmarkSafeRadius/head) — six runs each, median time and bytes
+# allocated per op. CI runs the five once so they cannot rot.
+submit-bench:
+	@{ $(GO) test -run '^$$' -bench '^BenchmarkSubmitVoxel$$' -count 6 ./internal/service; \
+	   $(GO) test -run '^$$' -bench '^BenchmarkSafeRadius$$/^head$$' -count 6 ./internal/voxel; } | awk ' \
+		/ns\/op/ { split($$1, name, "/"); sub(/-[0-9]+$$/, "", name[2]); k = name[2]; n[k]++; \
+			for (i = 2; i <= NF; i++) { if ($$i == "ns/op") v[k, "t", n[k]] = $$(i-1); if ($$i == "B/op") v[k, "b", n[k]] = $$(i-1) } } \
+		function median(k, m,   i, j, t, a, c) { c = n[k]; for (i = 1; i <= c; i++) a[i] = v[k, m, i]; \
+			for (i = 1; i <= c; i++) for (j = i + 1; j <= c; j++) if (a[j] < a[i]) { t = a[i]; a[i] = a[j]; a[j] = t } \
+			return c % 2 ? a[(c + 1) / 2] : (a[c / 2] + a[c / 2 + 1]) / 2 } \
+		END { split("json-decode compact-decode accept-encode accept-decode head", want, " "); \
+			for (i = 1; i <= 5; i++) if (!n[want[i]]) { print "submit-bench: " want[i] " did not run"; exit 1 } \
+			for (i = 1; i <= 5; i++) printf "%s %.2f ms %.0f B/op  ", (want[i] == "head" ? "safe-radius" : want[i]), \
+				median(want[i], "t") / 1e6, median(want[i], "b"); \
+			printf "(medians of %d)\n", n["head"] }'
+
 # obs-smoke boots a real mcqueue + mcworker pair, submits a job with curl
 # and asserts the debug surface (/readyz, /metrics series, the per-job
 # event trace and spans, /fleet telemetry, mctop -once, pprof, SIGTERM
@@ -96,15 +117,17 @@ shard-smoke:
 # scripts/genjob bodies), the journal's accept and snapshot record decoders
 # (seeded with their own records of four job shapes), the compact tally
 # codec under all of them (seeded with every section shape and with headers
-# that over-claim) and the shard→gateway result envelope (seeded with the
-# same four jobs' results) — enough to catch a decode regression without
-# stalling CI.
+# that over-claim), the shard→gateway result envelope (seeded with the
+# same four jobs' results) and the gateway→shard submission (seeded with
+# the same four jobs, a bare-JSON payload and tails that miss the grid's
+# size) — enough to catch a decode regression without stalling CI.
 fuzz-smoke:
 	$(GO) test ./internal/protocol -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz FuzzDecodeJobRequest -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz FuzzDecodeJournalRecord -fuzztime 10s
 	$(GO) test ./internal/mc -run '^$$' -fuzz FuzzDecodeTally -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz FuzzDecodeResult -fuzztime 10s
+	$(GO) test ./internal/service -run '^$$' -fuzz FuzzDecodeSubmission -fuzztime 10s
 
 # cover enforces the same coverage floor as CI (keep COVER_FLOOR in sync
 # with .github/workflows/ci.yml).

@@ -14,14 +14,16 @@
 //     meets-or-exceeds container the shards use, filled from every result
 //     it proxies — the result names its own keys), admission-checked when
 //     the gateway owns the tenant buckets, and then forwarded to the
-//     owning shard.
+//     owning shard in the compact submission encoding
+//     (service.SubmissionCompactType), not as the client's JSON again.
 //   - GET/DELETE /jobs/{id}... is routed by the ID alone: job IDs are
 //     the uint64 prefix of the content key, so service.ShardOfID names
 //     the owner with no lookup. Responses pass through as the shard wrote
 //     them, except a finished result: the gateway asks the shard for it in
 //     the compact codec (service.ResultCompactType), decodes it once — the
 //     decoded tally is what the tier caches — and JSON-encodes the body
-//     for the client. JSON is the encoding of the client edge only.
+//     for the client. JSON is the encoding of the client edge only, in
+//     both directions.
 //   - GET /stats, /fleet, /tenants and GET /jobs fan out to every shard
 //     and merge.
 //
@@ -140,7 +142,7 @@ type gatewayMetrics struct {
 	resultSeconds *obs.Histogram
 	resultBytes   *obs.Histogram
 	// The submit path's stages (see gateway_submit_stage_seconds).
-	submitDecode, submitKeys, submitForward *obs.Histogram
+	submitDecode, submitKeys, submitEncode, submitForward *obs.Histogram
 }
 
 // New builds a Gateway over the given shard replica sets.
@@ -196,9 +198,10 @@ func New(opts Options) (*Gateway, error) {
 			"JSON size of one finished result body sent to the client.", obs.ByteBuckets),
 	}
 	stage := oreg.HistogramVec("gateway_submit_stage_seconds",
-		"Time one submission spent in a stage of the gateway's submit path: decode (body read and JSON decode), keys (content and physics key derivation), forward (the owning shard's answer, failovers included).",
+		"Time one submission spent in a stage of the gateway's submit path: decode (body read and JSON decode), keys (content and physics key derivation), encode (the compact form forwarded to the shard), forward (the owning shard's answer, failovers included).",
 		obs.DefBuckets, "stage")
-	g.met.submitDecode, g.met.submitKeys, g.met.submitForward = stage.With("decode"), stage.With("keys"), stage.With("forward")
+	g.met.submitDecode, g.met.submitKeys = stage.With("decode"), stage.With("keys")
+	g.met.submitEncode, g.met.submitForward = stage.With("encode"), stage.With("forward")
 	oreg.GaugeFunc("gateway_cache_entries",
 		"Results held in the gateway's shared tier.",
 		func() float64 { return float64(g.cache.Len()) })
@@ -235,7 +238,7 @@ func (g *Gateway) Register(mux *http.ServeMux) {
 
 func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
 	start := time.Now()
-	spec, raw, ok := service.ReadSubmission(w, req, g.maxBody)
+	spec, ok := service.ReadSubmission(w, req, g.maxBody, nil)
 	if !ok {
 		g.met.invalid.Inc()
 		return
@@ -317,18 +320,26 @@ func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
+	// Between the tiers every submission travels in the compact form: the
+	// normalized spec, resolved tenant included, encoded once for all replica
+	// attempts. The shard still normalizes and derives the keys itself.
+	start = time.Now()
+	body, err := service.AppendSubmission(nil, &spec)
+	if err != nil {
+		service.WriteJSON(w, http.StatusInternalServerError, service.APIError{Error: err.Error()})
+		return
+	}
+	g.met.submitEncode.Observe(time.Since(start).Seconds())
+
 	shard := service.ShardOfKey(key, len(g.shards))
 	start = time.Now()
 	status, hdr, respBody, err := g.doShard(shard, func(base string) (*http.Request, error) {
 		preq, err := http.NewRequestWithContext(req.Context(), http.MethodPost,
-			base+"/jobs", bytes.NewReader(raw))
+			base+"/jobs", bytes.NewReader(body))
 		if err != nil {
 			return nil, err
 		}
-		preq.Header.Set("Content-Type", "application/json")
-		if tenant != "" {
-			preq.Header.Set(service.TenantHeader, tenant)
-		}
+		preq.Header.Set("Content-Type", service.SubmissionCompactType)
 		return preq, nil
 	})
 	if err != nil {

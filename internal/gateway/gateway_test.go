@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -750,5 +751,97 @@ func TestGatewayShedsBeforeItHashes(t *testing.T) {
 	}
 	if k := stage("keys"); k != 2 {
 		t.Fatalf("keys stage counted %d submissions, want 2", k)
+	}
+}
+
+// TestSubmissionMintsTheSameIDAtEitherTier: one voxel body POSTed straight
+// to a shard as JSON, and the same body POSTed to a gateway that forwards it
+// to another shard in the compact form, mint the same job ID — the shard
+// derives the keys itself from what the hop carried, and the hop carried
+// the same job. Both tenants arrive: header over body at the gateway, and
+// in the forwarded spec at the shard.
+func TestSubmissionMintsTheSameIDAtEitherTier(t *testing.T) {
+	_, direct := shardServer(t, service.Options{}, 0)
+	shardObs, gwObs := obs.NewRegistry(), obs.NewRegistry()
+	behind, ts := shardServer(t, service.Options{Obs: shardObs}, 0)
+	_, gw := gatewayServer(t, Options{Shards: [][]string{{ts.URL}}, Obs: gwObs})
+
+	vox := voxel.New("phantom", 30, 30, 10, 1, 1, 0.5, "phantom",
+		optics.Properties{MuA: 0.02, MuS: 10, G: 0.9, N: 1.4})
+	vox.Labels[vox.Index(3, 4, 5)] = 0
+	req := service.JobRequest{
+		Spec: mc.NewVoxelSpec(vox, source.Spec{Kind: source.KindPencil},
+			detector.Spec{Kind: detector.KindAnnulus, RMin: 1, RMax: 4}),
+		Photons: 200, ChunkPhotons: 100, Seed: 11, Label: "same", Tenant: "body-tenant",
+	}
+	atShard := submitJob(t, direct.URL, "lab-a", req)
+	viaGateway := submitJob(t, gw.URL, "lab-a", req)
+	if atShard.ID != viaGateway.ID {
+		t.Fatalf("the same body minted %s at a shard and %s through a gateway", atShard.ID, viaGateway.ID)
+	}
+	sizes := shardObs.HistogramVec("service_submit_bytes", "", obs.ByteBuckets, "format")
+	if c, j := sizes.With("compact").Count(), sizes.With("json").Count(); c != 1 || j != 0 {
+		t.Fatalf("shard behind the gateway read %d compact and %d JSON bodies, want 1 and 0", c, j)
+	}
+	body, _ := json.Marshal(req)
+	if got := sizes.With("compact").Sum(); got >= float64(len(body))*0.8 || got <= float64(len(vox.Labels)) {
+		t.Fatalf("forwarded body was %v bytes: want the %d labels raw plus a header, well under the %d-byte JSON",
+			got, len(vox.Labels), len(body))
+	}
+	if n := gwObs.HistogramVec("gateway_submit_stage_seconds", "", obs.DefBuckets, "stage").With("encode").Count(); n != 1 {
+		t.Fatalf("gateway encode stage counted %d submissions, want 1", n)
+	}
+	var st service.JobStatus
+	if code, raw := get(t, gw.URL+"/jobs/"+viaGateway.ID); code != http.StatusOK || json.Unmarshal([]byte(raw), &st) != nil {
+		t.Fatalf("status through the gateway: http %d: %s", code, raw)
+	}
+	if st.Tenant != "lab-a" || st.Label != "same" {
+		t.Fatalf("forwarded job is tenant %q label %q, want lab-a / same", st.Tenant, st.Label)
+	}
+	if id, err := strconv.ParseUint(viaGateway.ID, 16, 64); err != nil || behind.Get(id) == nil {
+		t.Fatalf("the shard behind the gateway does not hold job %s (%v)", viaGateway.ID, err)
+	}
+}
+
+// TestSubmitEdgeSameAtBothTiers: the client edge answers a hostile body the
+// same whichever tier reads it, now that both decode the stream instead of
+// a buffered copy — over the cap 413, not JSON 400, an unknown field 400 —
+// and nothing refused at a gateway reaches its shard.
+func TestSubmitEdgeSameAtBothTiers(t *testing.T) {
+	api := service.NewAPI(service.New(service.Options{}))
+	api.MaxBodyBytes = 2048
+	direct := httptest.NewServer(api.Handler())
+	defer direct.Close()
+	forwarded := 0
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		forwarded++
+		w.WriteHeader(http.StatusServiceUnavailable)
+	}))
+	defer shard.Close()
+	_, gw := gatewayServer(t, Options{Shards: [][]string{{shard.URL}}, MaxBodyBytes: 2048})
+
+	valid, _ := json.Marshal(service.JobRequest{Spec: slabSpec(5), Photons: 100, ChunkPhotons: 100, Seed: 1})
+	for name, c := range map[string]struct {
+		body []byte
+		code int
+		says string
+	}{
+		"oversized":     {[]byte(`{"label":"` + strings.Repeat("a", 4096) + `"}`), http.StatusRequestEntityTooLarge, "2048"},
+		"not JSON":      {[]byte(`{"spec":`), http.StatusBadRequest, "bad request body"},
+		"empty":         {nil, http.StatusBadRequest, "bad request body"},
+		"unknown field": {[]byte(strings.Replace(string(valid), `"photons"`, `"photonz"`, 1)), http.StatusBadRequest, "photonz"},
+	} {
+		for tier, base := range map[string]string{"shard": direct.URL, "gateway": gw.URL} {
+			resp, raw := post(t, base+"/jobs", "", c.body)
+			if resp.StatusCode != c.code || !strings.Contains(raw, c.says) {
+				t.Errorf("%s body at the %s: http %d %s, want %d naming %q", name, tier, resp.StatusCode, raw, c.code, c.says)
+			}
+		}
+	}
+	if forwarded != 0 {
+		t.Fatalf("%d refused bodies were forwarded to the shard", forwarded)
+	}
+	if resp, raw := post(t, direct.URL+"/jobs", "", valid); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("valid body under the cap: http %d: %s", resp.StatusCode, raw)
 	}
 }

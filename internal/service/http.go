@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -176,14 +175,17 @@ func (a *API) jobFromPath(w http.ResponseWriter, req *http.Request) *Job {
 
 // ReadSubmission is the POST /jobs ingress, the same for a shard and for
 // a gateway in front of it: cap the body (0 means DefaultMaxBodyBytes,
-// negative disables the cap), decode it strictly, resolve the tenant
-// (header over body field) and map the request onto a JobSpec. raw is the
-// body as received, for a proxy to forward. On any failure the 4xx has
-// been written and ok is false.
-func ReadSubmission(w http.ResponseWriter, req *http.Request, maxBody int64) (spec JobSpec, raw []byte, ok bool) {
-	fail := func(code int, format string, args ...any) (JobSpec, []byte, bool) {
+// negative disables the cap), decode it by Content-Type — the compact
+// submission a routing tier forwards, or a client's JSON JobRequest,
+// strictly and straight from the stream — and resolve the tenant (header
+// over body field). Whichever decoder ran, the caller runs the same Submit
+// on the JobSpec. sizes, if not nil, observes the body's declared length
+// under its format ("json" or "compact"). On any failure the 4xx has been
+// written and ok is false.
+func ReadSubmission(w http.ResponseWriter, req *http.Request, maxBody int64, sizes *obs.HistogramVec) (spec JobSpec, ok bool) {
+	fail := func(code int, format string, args ...any) (JobSpec, bool) {
 		WriteJSON(w, code, APIError{Error: fmt.Sprintf(format, args...)})
-		return JobSpec{}, nil, false
+		return JobSpec{}, false
 	}
 	// Bound the body before touching it: a multi-GB "spec" must die at the
 	// reader, not after it has been buffered into memory.
@@ -194,7 +196,43 @@ func ReadSubmission(w http.ResponseWriter, req *http.Request, maxBody int64) (sp
 	if maxBody > 0 {
 		r = http.MaxBytesReader(w, req.Body, maxBody)
 	}
-	raw, err := io.ReadAll(r)
+	format := "json"
+	var err error
+	if req.Header.Get("Content-Type") == SubmissionCompactType {
+		format = "compact"
+		// One buffer sized from Content-Length (a body that declared none
+		// grows it, inside the cap on r; MinRead of slack lets ReadFrom see
+		// EOF without growing). The decoded grid's labels alias it: it is the
+		// job's copy of the grid.
+		if maxBody > 0 && req.ContentLength > maxBody {
+			err = &http.MaxBytesError{Limit: maxBody}
+		} else {
+			buf := bytes.NewBuffer(make([]byte, 0, max(req.ContentLength, 0)+bytes.MinRead))
+			if _, err = buf.ReadFrom(r); err == nil {
+				spec, err = DecodeSubmission(buf.Bytes())
+			}
+		}
+	} else {
+		dec := json.NewDecoder(r)
+		// A typoed field ("prioirty", "photon") must fail loudly, not submit a
+		// silently-defaulted job.
+		dec.DisallowUnknownFields()
+		var body JobRequest
+		err = dec.Decode(&body)
+		spec = JobSpec{
+			Spec:         body.Spec,
+			TotalPhotons: body.Photons,
+			ChunkPhotons: body.ChunkPhotons,
+			Seed:         body.Seed,
+			Fan:          body.Fan,
+			Target:       body.Target,
+			ChunkTimeout: body.ChunkTimeout,
+			Priority:     body.Priority,
+			Weight:       body.Weight,
+			Label:        body.Label,
+			Tenant:       body.Tenant,
+		}
+	}
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -202,39 +240,23 @@ func ReadSubmission(w http.ResponseWriter, req *http.Request, maxBody int64) (sp
 		}
 		return fail(http.StatusBadRequest, "bad request body: %v", err)
 	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	// A typoed field ("prioirty", "photon") must fail loudly, not submit a
-	// silently-defaulted job.
-	dec.DisallowUnknownFields()
-	var body JobRequest
-	if err := dec.Decode(&body); err != nil {
-		return fail(http.StatusBadRequest, "bad request body: %v", err)
+	if sizes != nil && req.ContentLength >= 0 {
+		sizes.With(format).Observe(float64(req.ContentLength))
 	}
 	tenant := strings.TrimSpace(req.Header.Get(TenantHeader))
 	if tenant == "" {
-		tenant = strings.TrimSpace(body.Tenant)
+		tenant = strings.TrimSpace(spec.Tenant)
 	}
 	if len(tenant) > MaxTenantNameLen {
 		return fail(http.StatusBadRequest, "tenant name longer than %d bytes", MaxTenantNameLen)
 	}
-	return JobSpec{
-		Spec:         body.Spec,
-		TotalPhotons: body.Photons,
-		ChunkPhotons: body.ChunkPhotons,
-		Seed:         body.Seed,
-		Fan:          body.Fan,
-		Target:       body.Target,
-		ChunkTimeout: body.ChunkTimeout,
-		Priority:     body.Priority,
-		Weight:       body.Weight,
-		Label:        body.Label,
-		Tenant:       tenant,
-	}, raw, true
+	spec.Tenant = tenant
+	return spec, true
 }
 
 func (a *API) submit(w http.ResponseWriter, req *http.Request) {
 	start := time.Now()
-	spec, _, ok := ReadSubmission(w, req, a.MaxBodyBytes)
+	spec, ok := ReadSubmission(w, req, a.MaxBodyBytes, a.reg.met.submitBytes)
 	if !ok {
 		return
 	}

@@ -1,9 +1,7 @@
 package service
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -105,17 +103,18 @@ func (j *Journal) Close() error {
 // state carried from an earlier record — and leads with its job's 32-byte
 // content key (all varints are unsigned):
 //
-//	accept:   key[32] · json.Marshal(JobSpec)
+//	accept:   key[32] · submission (AppendSubmission: JSON header, raw labels)
 //	snapshot: key[32] · flags · nchunks · count · chunk-id* · [compact tally]
 //	cancel:   key[32]
 //
-// The accept record carries the JobSpec itself, so a field added to it
-// later is journaled without anyone remembering to; it is written once
-// per job, and a stateless json.Marshal of it costs microseconds against
-// a millisecond submit ack. Snapshots — the high-rate record — are
-// hand-framed binary and carry no spec: replay takes it from the job's
-// accept record, which always precedes them (Submit journals the accept
-// first, and compaction/resume rewrite an accept alongside each
+// The accept record carries the JobSpec itself, in the encoding it crossed
+// the gateway→shard hop in, so a field added to it later is journaled
+// without anyone remembering to and a voxel grid is written as its bytes,
+// not as base64 text. A log written before that encoding holds the JobSpec
+// as bare JSON; DecodeSubmission reads both. Snapshots — the high-rate
+// record — are hand-framed binary and carry no spec: replay takes it from
+// the job's accept record, which always precedes them (Submit journals the
+// accept first, and compaction/resume rewrite an accept alongside each
 // snapshot). The tally, present when flags&snapHasTally, is the exact
 // bit-preserving compact codec from the result plane (mc.AppendTally), so
 // a replayed tally merges to byte-identical results. The WAL sees only
@@ -139,29 +138,20 @@ func decodeKeyRec(data []byte) (Key, error) {
 	return k, nil
 }
 
+// encodeAcceptRec renders key[32] · AppendSubmission(spec). key[:] is a full
+// slice, so the codec's one Grow to the record's exact size is the record's
+// only buffer.
 func encodeAcceptRec(key Key, spec *JobSpec) ([]byte, error) {
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return nil, fmt.Errorf("service: accept record: %w", err)
-	}
-	return append(appendKeyRec(key), body...), nil
+	return AppendSubmission(key[:], spec)
 }
 
-// decodeAcceptRec refuses unknown fields, so a record written by a build
-// with a different JobSpec is skipped loudly instead of replaying as a
-// subtly different job.
 func decodeAcceptRec(data []byte) (Key, JobSpec, error) {
-	var spec JobSpec
 	key, err := decodeKeyRec(data)
 	if err != nil {
-		return key, spec, err
+		return key, JobSpec{}, err
 	}
-	dec := json.NewDecoder(bytes.NewReader(data[len(key):]))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		return key, spec, fmt.Errorf("service: accept record: %w", err)
-	}
-	return key, spec, nil
+	spec, err := DecodeSubmission(data[len(key):])
+	return key, spec, err
 }
 
 func encodeSnapshotRec(key Key, nChunks int, completed []int, tally *mc.Tally) []byte {

@@ -656,7 +656,7 @@ func TestReplayRefusesRetiredRecordTypes(t *testing.T) {
 // FuzzDecodeJournalRecord seed corpus share: the ones whose encodings
 // differ in kind — a fanned slab, the paper's head (its last layer +Inf
 // thick, which plain JSON cannot carry), a voxel grid, a precision target.
-func journalShapes(t *testing.T) map[string]JobSpec {
+func journalShapes(t testing.TB) map[string]JobSpec {
 	head := mc.NewSpec(tissue.AdultHead(), source.Spec{Kind: source.KindPencil},
 		detector.Spec{Kind: detector.KindAnnulus, RMin: 1, RMax: 4})
 	return map[string]JobSpec{

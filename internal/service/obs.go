@@ -60,6 +60,8 @@ type svcMetrics struct {
 
 	// The submit path's stages (see service_submit_stage_seconds).
 	submitDecode, submitKeys, submitJournal *obs.Histogram
+	// Body size of a submission read at the HTTP ingress, by format.
+	submitBytes *obs.HistogramVec
 
 	// Result encode on GET /jobs/{id}/result, by the encoding served.
 	resultJSON, resultCompact resultMetrics
@@ -131,6 +133,8 @@ func newServiceMetrics(reg *obs.Registry, r *Registry) *svcMetrics {
 			"Worker sessions whose task request is parked on the server awaiting work."),
 		parkSeconds: reg.Histogram("service_park_seconds",
 			"Time a parked task request waited before it was answered (with a chunk, Done, or at the park limit).", obs.DefBuckets),
+		submitBytes: reg.HistogramVec("service_submit_bytes",
+			"Size of one POST /jobs body read at the ingress, by format (json from a client, compact from a gateway).", obs.ByteBuckets, "format"),
 	}
 	hits := reg.CounterVec("service_cache_hits_total",
 		"Result-cache hits by index probed.", "index")
@@ -142,7 +146,7 @@ func newServiceMetrics(reg *obs.Registry, r *Registry) *svcMetrics {
 	m.rejectedBatch = rej.With("batch")
 	m.rejectedBenign = rej.With("benign")
 	stage := reg.HistogramVec("service_submit_stage_seconds",
-		"Time one submission spent in a stage of the submit path: decode (body read and JSON decode, HTTP submissions only), keys (content and physics key derivation), journal (the accept record's append, fresh jobs only).",
+		"Time one submission spent in a stage of the submit path: decode (body read and decode, HTTP submissions only), keys (content and physics key derivation), journal (the accept record's append, fresh jobs only).",
 		obs.DefBuckets, "stage")
 	m.submitDecode, m.submitKeys, m.submitJournal = stage.With("decode"), stage.With("keys"), stage.With("journal")
 	encSeconds := reg.HistogramVec("service_result_encode_seconds",

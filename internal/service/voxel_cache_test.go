@@ -16,7 +16,7 @@ import (
 // voxelSpec builds a small heterogeneous voxel job: a 5 mm slab grid with
 // an absorbing sphere, cheap enough to drain in-process but exercising the
 // fused DDA path end to end over the wire protocol.
-func voxelSpec(t *testing.T) *mc.Spec {
+func voxelSpec(t testing.TB) *mc.Spec {
 	t.Helper()
 	g := voxel.New("cache-slab", 30, 30, 10, 1, 1, 0.5, "phantom",
 		optics.Properties{MuA: 0.02, MuS: 10, G: 0.9, N: 1.4})

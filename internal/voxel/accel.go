@@ -2,6 +2,7 @@ package voxel
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/vec"
 )
@@ -71,87 +72,98 @@ func (g *Grid) invalidateAccel() { g.acc.Store(nil) }
 // voxel are therefore all same-label and in-grid, which is exactly the
 // fusion invariant ToBoundary relies on. The transform is the classic
 // two-pass chamfer min-plus sweep, exact for the chessboard metric, capped
-// at 255 to fit a byte per voxel.
+// at 255 to fit a byte per voxel. A worker's first chunk on a grid waits
+// for it, so both halves work on whole rows rather than voxel by voxel.
+// Hull voxels are always boundary (the outside counts as a different
+// medium) and stay 0, so neither half needs an out-of-range neighbour.
 func buildSafeRadius(g *Grid) []uint8 {
 	nx, ny, nz := g.Nx, g.Ny, g.Nz
 	d := make([]uint8, nx*ny*nz)
-	const maxRad = 255
-
-	// Seed: boundary voxels 0, interior 255. Grid-hull voxels are always
-	// boundary (the outside counts as a different medium), so the chamfer
-	// sweeps below never need out-of-range neighbours.
-	for k := 0; k < nz; k++ {
-		for j := 0; j < ny; j++ {
-			base := (k*ny + j) * nx
-			for i := 0; i < nx; i++ {
-				idx := base + i
-				if i == 0 || i == nx-1 || j == 0 || j == ny-1 || k == 0 || k == nz-1 {
-					continue // d[idx] already 0
-				}
-				l := g.Labels[idx]
-				uniform := true
-			neighbours:
-				for dk := -ny * nx; dk <= ny*nx; dk += ny * nx {
-					for dj := -nx; dj <= nx; dj += nx {
-						row := idx + dk + dj
-						if g.Labels[row-1] != l || g.Labels[row] != l || g.Labels[row+1] != l {
-							uniform = false
-							break neighbours
-						}
-					}
-				}
-				if uniform {
-					d[idx] = maxRad
-				}
-			}
-		}
+	if nx < 3 || ny < 3 || nz < 3 {
+		return d // all hull
 	}
-
-	// Forward chamfer pass: relax against the 13 already-visited
-	// neighbours in (k, j, i) scan order; backward pass mirrors it. Hull
-	// voxels are 0 and interior voxels have full neighbourhoods, so no
-	// bounds checks are needed.
-	relax := func(idx int, offs []int) {
-		best := int(d[idx])
-		if best == 0 {
-			return
-		}
-		for _, o := range offs {
-			if v := int(d[idx+o]) + 1; v < best {
-				best = v
-			}
-		}
-		d[idx] = uint8(best)
-	}
-	plane, row := ny*nx, nx
-	fwd := []int{
-		-plane - row - 1, -plane - row, -plane - row + 1,
-		-plane - 1, -plane, -plane + 1,
-		-plane + row - 1, -plane + row, -plane + row + 1,
-		-row - 1, -row, -row + 1,
-		-1,
-	}
-	bwd := make([]int, len(fwd))
-	for i, o := range fwd {
-		bwd[i] = -o
-	}
-	for k := 1; k < nz-1; k++ {
-		for j := 1; j < ny-1; j++ {
-			base := (k*ny + j) * nx
-			for i := 1; i < nx-1; i++ {
-				relax(base+i, fwd)
-			}
-		}
-	}
-	for k := nz - 2; k >= 1; k-- {
-		for j := ny - 2; j >= 1; j-- {
-			base := (k*ny + j) * nx
-			for i := nx - 2; i >= 1; i-- {
-				relax(base+i, bwd)
-			}
-		}
-	}
+	seedSafeRadius(g.Labels, d, nx, ny, nz)
+	// The backward pass is the forward pass over the mirrored grid, which
+	// is the flat array reversed.
+	chamferForward(d, nx, ny, nz)
+	slices.Reverse(d)
+	chamferForward(d, nx, ny, nz)
+	slices.Reverse(d)
 	return d
+}
+
+// seedSafeRadius sets d to 255 where a voxel's 3×3×3 neighbourhood is one
+// label and leaves it 0 elsewhere. The test is separable and branch-free,
+// a difference being an XOR: mixed[idx] is non-zero when the 3×3 block
+// around idx in its own plane is not uniform — the OR of the row-triple
+// differences above, at and below it and of the differences between their
+// centres — and a neighbourhood is uniform when the three blocks stacked
+// through idx are and their centres agree.
+func seedSafeRadius(labels, d []uint8, nx, ny, nz int) {
+	plane := nx * ny
+	row := make([]uint8, plane)     // row-triple differences of plane k
+	mixed := make([]uint8, 3*plane) // block differences of planes k-2, k-1, k (mod 3)
+	for k := 0; k < nz; k++ {
+		l := labels[k*plane : (k+1)*plane]
+		for idx := 1; idx < plane-1; idx++ { // a row's end entries are never read
+			row[idx] = (l[idx-1] ^ l[idx]) | (l[idx+1] ^ l[idx])
+		}
+		m := mixed[(k%3)*plane : (k%3+1)*plane]
+		for idx := nx; idx < plane-nx; idx++ {
+			m[idx] = row[idx-nx] | row[idx] | row[idx+nx] | (l[idx-nx] ^ l[idx]) | (l[idx+nx] ^ l[idx])
+		}
+		if k < 2 {
+			continue
+		}
+		// Planes k-2, k-1 and k are in hand: seed plane c = k-1.
+		c := k - 1
+		below, at := labels[(c-1)*plane:c*plane], labels[c*plane:k*plane]
+		mb, mc := mixed[((c-1)%3)*plane:][:plane], mixed[(c%3)*plane:][:plane]
+		dc := d[c*plane : k*plane]
+		for j := 1; j < ny-1; j++ {
+			for idx := j*nx + 1; idx < (j+1)*nx-1; idx++ {
+				if mb[idx]|mc[idx]|m[idx]|(below[idx]^at[idx])|(l[idx]^at[idx]) == 0 {
+					dc[idx] = 255
+				}
+			}
+		}
+	}
+}
+
+// chamferForward relaxes every interior voxel against the 13 neighbours
+// that precede it in (k, j, i) scan order, adding 1 per step. Nine of them
+// are the three rows of the previous plane and three the previous row of
+// this plane, each read as a triple around i; a finished row's 3-window
+// minimum is therefore computed once, when the row completes, and shared by
+// the four rows that read it. Only the thirteenth, the neighbour along the
+// row, chains one voxel to the next.
+func chamferForward(d []uint8, nx, ny, nz int) {
+	plane := nx * ny
+	// The window minima of the rows of plane k and of plane k-1,
+	// alternating. Hull rows and plane 0 are all 0 and are never written.
+	win := [2][]uint8{make([]uint8, plane), make([]uint8, plane)}
+	for k := 1; k < nz-1; k++ {
+		prev, cur := win[(k-1)&1], win[k&1]
+		for j := 1; j < ny-1; j++ {
+			o := j * nx
+			r := d[k*plane+o:][:nx]
+			p0, p1, p2, pr := prev[o-nx:][:nx], prev[o:][:nx], prev[o+nx:][:nx], cur[o-nx:][:nx]
+			for i := 1; i < nx-1; i++ {
+				if c := min(p0[i], p1[i], p2[i], pr[i]); c < r[i] {
+					r[i] = c + 1
+				}
+			}
+			for i := 1; i < nx-1; i++ {
+				if r[i-1] < r[i] {
+					r[i] = r[i-1] + 1
+				}
+			}
+			w := cur[o:][:nx]
+			for i := 1; i < nx-1; i++ {
+				w[i] = min(r[i-1], r[i], r[i+1])
+			}
+		}
+	}
 }
 
 // reseed recomputes the DDA per-axis face distances after a fused jump to

@@ -168,6 +168,16 @@ func (g *Grid) VolumeFraction(label int) float64 {
 // pointer and a mutex, so the struct is rebuilt field-wise); the clone
 // builds its own when first traced.
 func (g *Grid) Clone() *Grid {
+	c := g.WithLabels(append([]uint8(nil), g.Labels...))
+	c.Media = append([]optics.Properties(nil), g.Media...)
+	c.MediaNames = append([]string(nil), g.MediaNames...)
+	return c
+}
+
+// WithLabels returns a shallow copy of the grid over another label array:
+// the same box, ambient indices and media table (shared with g), no
+// accelerator. With nil it is the grid's description without its bulk.
+func (g *Grid) WithLabels(labels []uint8) *Grid {
 	return &Grid{
 		Name: g.Name,
 		Nx:   g.Nx, Ny: g.Ny, Nz: g.Nz,
@@ -175,9 +185,9 @@ func (g *Grid) Clone() *Grid {
 		X0: g.X0, Y0: g.Y0,
 		NAbove:     g.NAbove,
 		NBelow:     g.NBelow,
-		Labels:     append([]uint8(nil), g.Labels...),
-		Media:      append([]optics.Properties(nil), g.Media...),
-		MediaNames: append([]string(nil), g.MediaNames...),
+		Labels:     labels,
+		Media:      g.Media,
+		MediaNames: g.MediaNames,
 	}
 }
 

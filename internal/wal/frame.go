@@ -36,7 +36,7 @@ type RecordType uint8
 // from an earlier one) and leads with its job's content key.
 const (
 	// RecJobAccepted marks a Submit that passed admission: the job's key
-	// and its JSON-encoded spec, durable before any chunk is handed out.
+	// and its spec (a JSON header, a voxel grid's labels raw behind it).
 	RecJobAccepted RecordType = 6
 	// RecSnapshot carries a job's resumable state (completed chunk ids,
 	// partial tally; the spec comes from the accept record) — the

@@ -9,10 +9,13 @@
 //     tail. Frames are written with a single write call, so an
 //     in-process crash tears at most the last frame.
 //   - Durability is governed by the fsync policy: "always" syncs every
-//     append, "interval" (the default) amortizes syncs onto the append
-//     that crosses a deadline, "none" leaves it to the OS. A SIGKILL
-//     loses nothing under any policy — the page cache survives process
-//     death — so the policy only prices power loss and kernel panics.
+//     append before it returns; "interval" (the default) never syncs
+//     inside an append and never makes one wait — the first append to a
+//     clean log arms a timer that syncs one interval later, idle tail
+//     included, outside the log's lock; "none" leaves it to the OS. A
+//     SIGKILL loses nothing under any policy — the page cache survives
+//     process death — so the policy only prices power loss and kernel
+//     panics.
 //   - The log rotates to a new segment when the current one fills, and
 //     Compact atomically replaces all segments with a caller-provided
 //     record set (the journal's snapshots). A crash between writing the
@@ -42,10 +45,11 @@ import (
 type FsyncPolicy int
 
 const (
-	// FsyncInterval (default) fsyncs at most once per FsyncInterval,
-	// amortized onto the append that crosses the deadline. The window of
-	// exposure to power loss is one interval; a process kill loses
-	// nothing.
+	// FsyncInterval (default) fsyncs at most once per FsyncInterval, from
+	// a timer the first append after a sync arms — never on the append
+	// path nor under the lock appends take, and whether or not another
+	// append follows. The window of exposure to power loss is one interval
+	// plus one fsync; a process kill loses nothing.
 	FsyncInterval FsyncPolicy = iota
 	// FsyncAlways fsyncs every append before it returns.
 	FsyncAlways
@@ -93,8 +97,8 @@ type Options struct {
 	SegmentBytes int64
 	// Fsync picks the append durability policy.
 	Fsync FsyncPolicy
-	// FsyncInterval is the amortization window under FsyncInterval; 0
-	// means DefaultFsyncInterval.
+	// FsyncInterval is how long an appended record may wait for its fsync
+	// under the FsyncInterval policy; 0 means DefaultFsyncInterval.
 	FsyncInterval time.Duration
 	// Obs receives the wal_* metrics; nil instruments a private registry.
 	Obs *obs.Registry
@@ -148,14 +152,14 @@ type Log struct {
 	log  *slog.Logger
 	met  *walMetrics
 
-	mu       sync.Mutex
-	f        *os.File // current append segment
-	seq      uint64   // its sequence number
-	size     int64    // its byte length
-	total    int64    // clean bytes across all live segments
-	lastSync time.Time
-	dirty    bool
-	closed   bool
+	mu        sync.Mutex
+	f         *os.File // current append segment
+	seq       uint64   // its sequence number
+	size      int64    // its byte length
+	total     int64    // clean bytes across all live segments
+	dirty     bool
+	closed    bool
+	syncTimer *time.Timer // FsyncInterval's pending sync, nil when none is armed
 }
 
 func (l *Log) segPath(seq uint64) string {
@@ -260,7 +264,6 @@ func Open(opts Options) (*Log, *Replay, error) {
 		}
 		l.f, l.seq, l.size = f, last, st.Size()
 	}
-	l.lastSync = time.Now()
 	return l, rep, nil
 }
 
@@ -340,19 +343,51 @@ func (l *Log) Append(t RecordType, data []byte) error {
 	l.met.appends.Inc()
 	l.met.bytes.Add(uint64(n))
 	fault.Crash("wal.post-append")
-	return l.maybeSyncLocked()
-}
-
-func (l *Log) maybeSyncLocked() error {
 	switch l.opts.Fsync {
-	case FsyncNone:
-		return nil
+	case FsyncAlways:
+		return l.syncLocked()
 	case FsyncInterval:
-		if time.Since(l.lastSync) < l.opts.FsyncInterval {
-			return nil
+		if l.syncTimer == nil {
+			l.syncTimer = time.AfterFunc(l.opts.FsyncInterval, l.intervalSync)
 		}
 	}
-	return l.syncLocked()
+	return nil
+}
+
+// syncFile is the fsync the interval timer issues; a test stalls it.
+var syncFile = (*os.File).Sync
+
+// intervalSync is the FsyncInterval timer: it syncs what was appended since
+// it was armed and disarms, so the next append arms the next one. The fsync
+// runs outside the lock — an append never waits for it, however slow the
+// disk — and clears the dirty mark only if nothing was appended beside it;
+// what was has armed its own timer. A failure has no caller to return to:
+// it is logged and the log stays dirty.
+func (l *Log) intervalSync() {
+	l.mu.Lock()
+	l.syncTimer = nil
+	f, size := l.f, l.size
+	idle := l.closed || !l.dirty
+	l.mu.Unlock()
+	if idle {
+		return
+	}
+	start := time.Now()
+	err := syncFile(f)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	switch {
+	case l.closed || l.f != f:
+		// Close, a rotation or a compaction retired the segment under the
+		// fsync; each of them made it durable itself.
+	case err != nil:
+		l.log.Error("wal: interval fsync failed", "err", err)
+	default:
+		l.met.fsyncSec.Observe(time.Since(start).Seconds())
+		if l.size == size {
+			l.dirty = false
+		}
+	}
 }
 
 func (l *Log) syncLocked() error {
@@ -364,7 +399,6 @@ func (l *Log) syncLocked() error {
 		return err
 	}
 	l.met.fsyncSec.Observe(time.Since(start).Seconds())
-	l.lastSync = time.Now()
 	l.dirty = false
 	return nil
 }
@@ -455,6 +489,9 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
+	if l.syncTimer != nil {
+		l.syncTimer.Stop() // one already firing finds the log closed
+	}
 	if err := l.syncLocked(); err != nil {
 		l.f.Close()
 		return err

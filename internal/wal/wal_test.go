@@ -3,9 +3,12 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -157,6 +160,131 @@ func TestFsyncPolicies(t *testing.T) {
 			wantRecords(t, rep.Records, 10)
 		})
 	}
+}
+
+// TestFsyncIntervalSyncsAnIdleTail: under FsyncInterval a record's
+// exposure to power loss is one interval whether or not another append
+// ever follows — the sync comes from a timer, not from the next append —
+// and a burst inside one interval shares one sync.
+func TestFsyncIntervalSyncsAnIdleTail(t *testing.T) {
+	reg := obs.NewRegistry()
+	fsyncs := reg.Histogram("wal_fsync_seconds", "", obs.DefBuckets)
+	l, _ := openT(t, Options{Dir: t.TempDir(), Fsync: FsyncInterval, FsyncInterval: 20 * time.Millisecond, Obs: reg})
+	defer l.Close()
+	waitFor := func(want uint64) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for fsyncs.Count() < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d fsyncs after 250 intervals of idleness, want %d", fsyncs.Count(), want)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	appendN(t, l, 1)
+	waitFor(1)
+	appendN(t, l, 5) // one timer for the burst
+	waitFor(2)
+	time.Sleep(60 * time.Millisecond) // a clean log arms nothing
+	if n := fsyncs.Count(); n != 2 {
+		t.Fatalf("%d fsyncs for two bursts, want 2", n)
+	}
+}
+
+// TestAppendDoesNotWaitForAnIntervalSync: the interval fsync runs outside
+// the log's lock, so a disk that takes its time over one costs no append
+// anything, and the record appended beside a sync gets one of its own.
+func TestAppendDoesNotWaitForAnIntervalSync(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var calls atomic.Int32
+	syncFile = func(f *os.File) error {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		return f.Sync()
+	}
+	defer func() { syncFile = (*os.File).Sync }()
+	reg := obs.NewRegistry()
+	fsyncs := reg.Histogram("wal_fsync_seconds", "", obs.DefBuckets)
+	dir := t.TempDir()
+	l, _ := openT(t, Options{Dir: dir, Fsync: FsyncInterval, FsyncInterval: 10 * time.Millisecond, Obs: reg})
+	appendN(t, l, 1)
+	<-entered // the first record's fsync is in flight and stays there
+	done := make(chan error)
+	go func() { done <- l.Append(rec(1).Type, rec(1).Data) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Append waited for the interval fsync")
+	}
+	close(release)
+	deadline := time.Now().Add(5 * time.Second)
+	for fsyncs.Count() < 2 { // the stalled sync and the second record's own
+		if time.Now().After(deadline) {
+			t.Fatalf("%d fsyncs, want 2: the record appended beside a sync never got one", fsyncs.Count())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, rep := openT(t, Options{Dir: dir})
+	defer l2.Close()
+	wantRecords(t, rep.Records, 2)
+}
+
+// TestIntervalSyncOutlivesItsSegment: a rotation retires (syncs, closes) the
+// segment an interval fsync is in flight on; the stale fsync's "file already
+// closed" is not a failure, and it leaves the new segment's state alone.
+func TestIntervalSyncOutlivesItsSegment(t *testing.T) {
+	entered, release, stale := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	syncFile = func(f *os.File) error {
+		close(entered) // the one timer this test fires
+		<-release
+		err := f.Sync()
+		stale <- err
+		return err
+	}
+	defer func() { syncFile = (*os.File).Sync }()
+	var logged bytes.Buffer
+	dir := t.TempDir()
+	// 20-byte frames: the fourth append rotates.
+	l, _ := openT(t, Options{Dir: dir, SegmentBytes: 64, Fsync: FsyncInterval, FsyncInterval: time.Hour,
+		Logger: slog.New(slog.NewTextHandler(&logged, nil))})
+	appendN(t, l, 1)
+	l.mu.Lock()
+	l.syncTimer.Reset(0) // fire the hour-long timer now; no other will
+	l.mu.Unlock()
+	<-entered
+	for i := 1; i < 5; i++ {
+		if err := l.Append(rec(i).Type, rec(i).Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(release)
+	if err := <-stale; err == nil {
+		t.Fatal("the fsync of a segment the rotation closed succeeded")
+	}
+	time.Sleep(10 * time.Millisecond) // let intervalSync take the lock and finish
+	l.mu.Lock()
+	dirty := l.dirty
+	l.mu.Unlock()
+	if !dirty {
+		t.Fatal("a sync of the retired segment marked the live one clean")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if logged.Len() != 0 {
+		t.Fatalf("logged: %s", logged.String())
+	}
+	l2, rep := openT(t, Options{Dir: dir})
+	defer l2.Close()
+	wantRecords(t, rep.Records, 5)
 }
 
 func TestParseFsyncPolicy(t *testing.T) {

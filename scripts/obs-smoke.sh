@@ -13,7 +13,8 @@
 # with the encode layer's histograms (service_result_* by format on the
 # shard, gateway_result_* on the gateway) behind both, two voxel jobs sent
 # through that gateway leave a count in every submit-stage histogram of
-# both tiers and one accelerator build on the worker, per-tenant
+# both tiers, reach the shard in the compact form, are fsynced into its
+# idle journal and cost one accelerator build on the worker, per-tenant
 # admission control sheds a flooding tenant with 429 + a bucket-derived
 # Retry-After (reason- and tenant-labeled on /metrics, bucket levels on
 # GET /tenants) while another tenant's job completes, and
@@ -244,13 +245,23 @@ for SEED in 21 22; do
   [ "$STATE" = done ] || fail "voxel job $VID stuck in state '$STATE'"
 done
 METRICS=$(curl -fsS "http://$GATE/metrics")
-for stage in decode keys forward; do
+for stage in decode keys encode forward; do
   expect "gateway_submit_stage_seconds_count{stage=\"$stage\"}" 2
 done
+# The journal fsyncs from a timer, not from the next append: a few
+# intervals (100 ms each) after the last record, with nothing more sent,
+# the shard has synced.
+sleep 0.5
 METRICS=$(curl -fsS "http://$HTTP/metrics")
 for stage in decode keys journal; do # the first job, sent to the shard directly, and these two
   expect "service_submit_stage_seconds_count{stage=\"$stage\"}" 3
 done
+# The gateway forwarded its two in the compact form; the first was a
+# client's JSON.
+expect 'service_submit_bytes_count{format="compact"}' 2
+expect 'service_submit_bytes_count{format="json"}' 1
+FSYNCS=$(echo "$METRICS" | sed -n 's/^wal_fsync_seconds_count //p')
+[ "${FSYNCS:-0}" -ge 1 ] || fail "idle shard has fsynced its journal ${FSYNCS:-0} times"
 METRICS=$(curl -fsS "http://$WDBG/metrics")
 expect "worker_geometry_builds_total" 1
 expect "worker_geometry_shared_total" 1

@@ -183,7 +183,8 @@ done
 
 # The gateway must have noticed: requests to shard 1 failed over to the
 # standby replica at least once.
-curl -fsS "http://$GW/metrics" | grep -Eq 'gateway_replica_failovers_total\{shard="1"\} [1-9]' ||
+GWMETRICS=$(curl -fsS "http://$GW/metrics") # not piped: grep -q would hang up on curl mid-scrape
+echo "$GWMETRICS" | grep -Eq 'gateway_replica_failovers_total\{shard="1"\} [1-9]' ||
   fail "gateway recorded no replica failover for shard 1"
 
 # Everything left shuts down cleanly.
