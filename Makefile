@@ -19,12 +19,13 @@ short:
 	$(GO) test -short ./...
 
 # race runs the suite under the race detector, then the dispatcher's park /
-# wake / drain tests twenty more times in shuffled order: a lost wake-up is
-# a rare interleaving (and parkMax heals it within a second, so nothing
-# hangs to give it away) — repetition is the cheap detector.
+# wake / drain tests and the result plane's grant-is-batch tests twenty more
+# times in shuffled order: a lost wake-up is a rare interleaving (and
+# parkMax heals it within a second, so nothing hangs to give it away) —
+# repetition is the cheap detector.
 race:
 	$(GO) test -race -short -shuffle=on ./...
-	$(GO) test -race -shuffle=on -run 'Park|Dispatch|Drain' -count=20 ./internal/service ./internal/distsys
+	$(GO) test -race -shuffle=on -run 'Park|Dispatch|Drain|BatchIsItsGrant' -count=20 ./internal/service ./internal/distsys
 
 # bench-check vets and tests the nested benchmark module (bench/, its own
 # go.mod with `replace repro => ../`). The root's build and tests never
@@ -113,7 +114,8 @@ shard-smoke:
 
 # fuzz-smoke gives each outside-facing decoder ten seconds of
 # coverage-guided input on top of its committed corpus — the wire decoder
-# (seeded with the v3 batch frames), the HTTP submit decoder (seeded with
+# (seeded with batch-carrying task requests and the retired v5 frames it
+# must refuse), the HTTP submit decoder (seeded with
 # scripts/genjob bodies), the journal's accept and snapshot record decoders
 # (seeded with their own records of four job shapes), the compact tally
 # codec under all of them (seeded with every section shape and with headers

@@ -240,9 +240,9 @@ func BenchmarkProtocolResult(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	msg := &protocol.Message{Type: protocol.MsgResultBatch,
+	msg := &protocol.Message{Type: protocol.MsgTaskRequest, Request: &protocol.TaskRequest{
 		Batch: &protocol.ResultBatch{Groups: []protocol.BatchGroup{
-			{Chunks: []int{1}, TallyData: mc.AppendTally(nil, tally)}}}}
+			{Chunks: []int{1}, TallyData: mc.AppendTally(nil, tally)}}}}}
 
 	var buf bytes.Buffer
 	enc := gob.NewEncoder(&buf)

@@ -21,8 +21,8 @@
 // comma-separated endpoints — a shard's primary and its lease-file
 // standbys — and reconnect attempts rotate through them, so the worker
 // follows a failover to whichever process inherited the shard. SIGTERM/SIGINT drain
-// gracefully — the current chunk finishes, the held pre-reduced batch
-// flushes, then the process exits.
+// gracefully — the current chunk finishes, what is computed of the grant is
+// handed back, then the process exits.
 //
 // The worker also piggybacks a small telemetry report on its chunk
 // requests — smoothed photons/sec, per-chunk compute and encode seconds,
@@ -54,8 +54,8 @@ func main() {
 	slowdown := flag.Float64("slowdown", 0,
 		"artificial slowdown factor (testing heterogeneous fleets)")
 	flushChunks := flag.Int("flush-chunks", 0,
-		"chunk results pre-reduced into one batch before it must flush "+
-			"(0: the default; 1: per-chunk results, a deterministic tally fold)")
+		"request window: the most chunks asked for at once and handed back as one pre-reduced batch "+
+			"(0: the default; 1: one chunk per round trip, a deterministic tally fold)")
 	reconnect := flag.Bool("reconnect", true,
 		"redial after dial failures and dropped sessions (exponential backoff with jitter)")
 	reconnectMax := flag.Duration("reconnect-max", distsys.DefaultReconnectMax,
@@ -77,8 +77,8 @@ func main() {
 	}
 
 	// SIGTERM/SIGINT request a graceful drain: the worker finishes its
-	// current chunk, flushes the held pre-reduced batch, and exits — no
-	// buffered result is abandoned to the server's timeout reclaim.
+	// current chunk, hands back what it has computed of its grant, and
+	// exits — no result is abandoned to the server's timeout reclaim.
 	stop := make(chan struct{})
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)

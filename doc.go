@@ -113,17 +113,16 @@
 //
 // # Result plane
 //
-// The distributed result path (protocol v3's batches — since v5 the only
-// result frame, a batch of one chunk being the single-result case) is
-// engineered so that fleet throughput tracks kernel throughput rather
-// than per-chunk bookkeeping:
-// workers compute each chunk across a job-defined fan of jump-separated
-// sub-streams on all their cores (RunStreamFan — the tally depends on the
-// fan width, never on the core count), pre-reduce consecutive chunk
-// tallies per job, and flush them as one batch riding the next task
-// request, with tallies encoded by a sparse binary codec instead of gob
-// and per-chunk acks preserving the exactly-once reduction under timeout
-// reassignment. The registry merges each decoded batch outside its
+// The distributed result path is engineered so that fleet throughput
+// tracks kernel throughput rather than per-chunk bookkeeping: a worker's
+// task request asks for up to a window of chunks of one job, the worker
+// computes each across a job-defined fan of jump-separated sub-streams on
+// all its cores (RunStreamFan — the tally depends on the fan width, never
+// on the core count), pre-reduces the grant into one tally, and hands that
+// batch back on its next task request — the only frame a result travels in
+// since protocol v6 — with tallies encoded by a sparse binary codec instead
+// of gob and per-chunk acks preserving the exactly-once reduction under
+// timeout reassignment. The registry merges each decoded batch outside its
 // dispatch lock via a per-job reducer. See DESIGN.md's "Result plane"
 // section for the wire layout and invariants.
 //
@@ -133,9 +132,8 @@
 // structured logs, per-job lifecycle traces at /jobs/{id}/events with
 // ?kind= and ?since= filters) but "who" and "where the time went":
 // workers piggyback a small telemetry report on their task requests —
-// kernel photons/sec EWMA, per-chunk compute/encode seconds, holding
-// depth, runtime stats, build version — as additive gob fields a v4
-// worker simply omits. The registry folds reports into per-session
+// kernel photons/sec EWMA, per-chunk compute/encode seconds, runtime
+// stats, build version — as additive gob fields a worker may omit. The registry folds reports into per-session
 // profiles served at GET /fleet (FleetSession), joins its own
 // queued/granted/arrival stamps with the worker-reported compute time
 // into per-chunk spans (ChunkSpan: queue, wire, compute and reduce

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -273,12 +274,13 @@ func TestDuplicateResultIgnored(t *testing.T) {
 		Hello: &protocol.Hello{Version: protocol.Version, Name: "manual"}})
 	recv() // welcome
 
-	send(&protocol.Message{Type: protocol.MsgTaskRequest})
-	assign := recv().Assign
-	if assign.Job == nil {
+	askOne := &protocol.Message{Type: protocol.MsgTaskRequest, Request: &protocol.TaskRequest{Want: 1}}
+	send(askOne)
+	granted := recv().Assign
+	if granted.Job == nil {
 		t.Fatal("first assignment carried no job descriptor")
 	}
-	job := *assign.Job
+	job, assign := *granted.Job, granted.Grants[0]
 	cfg, err := job.Spec.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +289,7 @@ func TestDuplicateResultIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	result := oneChunkResult(assign.JobID, assign.ChunkID, tally)
+	result := oneChunkResult(job.ID, assign.ChunkID, tally)
 	send(result)
 	if ack := recv().BatchAck.Acks[0]; ack.Duplicate {
 		t.Fatal("first delivery flagged duplicate")
@@ -298,13 +300,13 @@ func TestDuplicateResultIgnored(t *testing.T) {
 	}
 
 	// Finish the job and check the duplicate did not double count.
-	send(&protocol.Message{Type: protocol.MsgTaskRequest})
-	assign2 := recv().Assign
+	send(askOne)
+	assign2 := recv().Assign.Grants[0]
 	tally2, err := mc.RunStream(cfg, assign2.Photons, job.Seed, assign2.Stream, job.Streams)
 	if err != nil {
 		t.Fatal(err)
 	}
-	send(oneChunkResult(assign2.JobID, assign2.ChunkID, tally2))
+	send(oneChunkResult(job.ID, assign2.ChunkID, tally2))
 	recv() // ack
 
 	res, err := dm.Wait(30 * time.Second)
@@ -319,11 +321,13 @@ func TestDuplicateResultIgnored(t *testing.T) {
 	}
 }
 
-// oneChunkResult is the single-result frame: a standalone batch covering
-// one chunk, acked by a one-entry BatchAck.
+// oneChunkResult is the single-result frame: a request that hands back a
+// batch covering one chunk and asks for no grant, answered NoWork with a
+// one-entry BatchAck.
 func oneChunkResult(jobID uint64, chunk int, tally *mc.Tally) *protocol.Message {
-	return &protocol.Message{Type: protocol.MsgResultBatch, Batch: &protocol.ResultBatch{
-		Groups: []protocol.BatchGroup{{JobID: jobID, Chunks: []int{chunk}, TallyData: mc.AppendTally(nil, tally)}},
+	return &protocol.Message{Type: protocol.MsgTaskRequest, Request: &protocol.TaskRequest{
+		Batch: &protocol.ResultBatch{Groups: []protocol.BatchGroup{
+			{JobID: jobID, Chunks: []int{chunk}, TallyData: mc.AppendTally(nil, tally)}}},
 	}}
 }
 
@@ -363,9 +367,9 @@ func TestForgedJobIDRejected(t *testing.T) {
 	send(&protocol.Message{Type: protocol.MsgHello,
 		Hello: &protocol.Hello{Version: protocol.Version, Name: "forger"}})
 	recv() // welcome
-	send(&protocol.Message{Type: protocol.MsgTaskRequest})
-	assign := recv().Assign
-	job := *assign.Job
+	send(&protocol.Message{Type: protocol.MsgTaskRequest, Request: &protocol.TaskRequest{Want: 1}})
+	granted := recv().Assign
+	job, assign := *granted.Job, granted.Grants[0]
 	cfg, err := job.Spec.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -376,7 +380,7 @@ func TestForgedJobIDRejected(t *testing.T) {
 	}
 
 	// A result with a forged JobID must be rejected, not reduced.
-	send(oneChunkResult(assign.JobID^0xdeadbeef, assign.ChunkID, tally))
+	send(oneChunkResult(job.ID^0xdeadbeef, assign.ChunkID, tally))
 	if ack := recv().BatchAck.Acks[0]; !ack.Rejected {
 		t.Fatal("forged JobID not rejected")
 	}
@@ -386,7 +390,7 @@ func TestForgedJobIDRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	send(oneChunkResult(assign.JobID, otherChunk, otherTally))
+	send(oneChunkResult(job.ID, otherChunk, otherTally))
 	if ack := recv().BatchAck.Acks[0]; !ack.Rejected {
 		t.Fatal("result for unassigned chunk not rejected")
 	}
@@ -395,8 +399,8 @@ func TestForgedJobIDRejected(t *testing.T) {
 	}
 
 	// The honest worker still finishes the job, proving rejection did not
-	// wedge the chunk queue. The forger's assigned chunk was abandoned, so
-	// requeue it via a fresh session (pipe close → release).
+	// wedge the chunk queue: the forger's own chunk went back to the queue
+	// with the first request that did not flush it.
 	pc.Close()
 	server2, client2 := net.Pipe()
 	go dm.HandleConn(server2)
@@ -415,6 +419,61 @@ func TestForgedJobIDRejected(t *testing.T) {
 	}
 	if n := dm.Stats().RejectedResults; n != 2 {
 		t.Fatalf("fleet rejected count %d, want 2", n)
+	}
+}
+
+// TestWorkerBatchIsItsGrant pins the result plane's one rule: whatever a
+// worker has computed rides its next task request. One worker, ten chunks,
+// a window of eight that opens 1, 2, 4 — so the chunks travel as grants of
+// 1, 2, 4 and 3, each handed back as one batch on the request that asks for
+// the next. The worker sends nothing but its hello and task requests, and
+// the only NoWork it ever sees is the Done that answers the request
+// carrying the last grant: no result waits out an extra round trip.
+func TestWorkerBatchIsItsGrant(t *testing.T) {
+	dm, err := NewDataManager(JobOptions{
+		Spec: quickSpec(), TotalPhotons: 1000, ChunkPhotons: 100, Seed: 71,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, client := net.Pipe()
+	go dm.HandleConn(server)
+	oreg := obs.NewRegistry()
+	stats, err := Work(client, WorkerOptions{Name: "solo", FlushChunks: 8, Obs: oreg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dm.Wait(10 * time.Second); err != nil {
+		t.Fatalf("worker left on Done with the job unfinished: %v", err)
+	}
+	if stats.Chunks != 10 || stats.Batches != 4 {
+		t.Fatalf("%d chunks accepted in %d batches, want 10 in 4 (grants of 1, 2, 4, 3)", stats.Chunks, stats.Batches)
+	}
+
+	var text strings.Builder
+	if err := oreg.WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{
+		`worker_conn_frames_total{dir="send",type="hello"} 1`:        false,
+		`worker_conn_frames_total{dir="send",type="task-request"} 5`: false,
+		`worker_conn_frames_total{dir="recv",type="welcome"} 1`:      false,
+		`worker_conn_frames_total{dir="recv",type="task-assign"} 4`:  false,
+		`worker_conn_frames_total{dir="recv",type="no-work"} 1`:      false,
+	}
+	for _, line := range strings.Split(text.String(), "\n") {
+		if !strings.HasPrefix(line, "worker_conn_frames_total{") || strings.HasSuffix(line, " 0") {
+			continue
+		}
+		if _, ok := want[line]; !ok {
+			t.Errorf("unexpected frame traffic: %s", line)
+		}
+		want[line] = true
+	}
+	for line, seen := range want {
+		if !seen {
+			t.Errorf("missing frame count: %s", line)
+		}
 	}
 }
 

@@ -13,13 +13,11 @@
 // one job and draining its fleet when the job completes; cmd/mcqueue runs
 // the same machinery as a long-lived, many-job service.
 //
-// The worker speaks the protocol v3 result plane: chunks are computed
-// across the job's fan of RNG sub-streams on all available cores,
-// pre-reduced per job into a batch buffer, and flushed as one ResultBatch
-// (compact-codec tallies) riding the next task request — with the
-// buffered chunks advertised as Holding so the server keeps their
-// assignments alive, and per-chunk acks carrying each chunk's rejection
-// or duplicate verdict.
+// The worker's batch is its grant: a task request asks for up to a window
+// of chunks of one job, they are computed across the job's fan of RNG
+// sub-streams on all available cores and pre-reduced into one tally, and
+// that ResultBatch (compact codec) rides the next task request, whose
+// reply carries each chunk's accepted, duplicate or rejected verdict.
 //
 // A DataManager given a JournalDir survives its own death: the job's
 // accept record, reduced batches and tally snapshots are written ahead to

@@ -129,9 +129,9 @@ func TestWorkerReconnectAcrossServerRestart(t *testing.T) {
 	}
 }
 
-// TestWorkerDrainFlushesHeldBatch: a graceful drain must flush the
-// batched results the worker is holding, not drop them with the
-// connection the way FailAfterChunks does.
+// TestWorkerDrainFlushesHeldBatch: a graceful drain in the middle of a
+// grant must hand back the chunks already computed, not drop them with the
+// connection.
 func TestWorkerDrainFlushesHeldBatch(t *testing.T) {
 	dm, err := NewDataManager(JobOptions{
 		Spec: quickSpec(), TotalPhotons: 1000, ChunkPhotons: 100, Seed: 43,
@@ -141,17 +141,17 @@ func TestWorkerDrainFlushesHeldBatch(t *testing.T) {
 	}
 	server, client := net.Pipe()
 	go dm.HandleConn(server)
-	// FlushChunks 8 > DrainAfterChunks 3: at drain time all three results
-	// are still held in the batch buffer.
-	stats, err := Work(client, WorkerOptions{Name: "drainer", FlushChunks: 8, DrainAfterChunks: 3})
+	// The window opens 1, 2, 4: the fourth chunk is the first of a grant of
+	// four, so the drain finds one computed chunk and three granted ones.
+	stats, err := Work(client, WorkerOptions{Name: "drainer", FlushChunks: 8, DrainAfterChunks: 4})
 	if err != nil {
 		t.Fatalf("drain is graceful, got error: %v", err)
 	}
-	if stats.Chunks != 3 {
-		t.Fatalf("worker computed %d chunks, want 3", stats.Chunks)
+	if stats.Chunks != 4 || stats.Batches != 3 {
+		t.Fatalf("worker had %d chunks accepted in %d batches, want 4 in 3", stats.Chunks, stats.Batches)
 	}
-	if done, _ := dm.Progress(); done != 3 {
-		t.Fatalf("server reduced %d chunks, want 3 (held batch lost in drain)", done)
+	if done, _ := dm.Progress(); done != 4 {
+		t.Fatalf("server reduced %d chunks, want 4 (computed chunk lost in drain)", done)
 	}
 }
 

@@ -17,15 +17,9 @@ import (
 	"repro/internal/voxel"
 )
 
-// Default pre-reduction flush thresholds. A batch flushes when it covers
-// DefaultFlushChunks chunk results or its oldest result is older than
-// DefaultFlushAge — whichever comes first — riding the next TaskRequest
-// when possible and going out standalone when the server has no work to
-// pair it with.
-const (
-	DefaultFlushChunks = 8
-	DefaultFlushAge    = 250 * time.Millisecond
-)
+// DefaultFlushChunks is the default request window: the most chunks a
+// worker asks for in one TaskRequest, and so the most one batch covers.
+const DefaultFlushChunks = 8
 
 // WorkerOptions configure one client. The zero value plus a transport is a
 // dedicated, reliable worker with default batching.
@@ -43,8 +37,8 @@ type WorkerOptions struct {
 	// abrupt-transport-death case, covered by closing the connection.
 	FailAfterChunks int
 	// Stop, when non-nil and closed, requests a graceful drain: the worker
-	// finishes the chunk it is computing, flushes the held pre-reduced
-	// batch so buffered results are not abandoned to timeout reclaim, and
+	// finishes the chunk it is computing, flushes what it has computed of
+	// its grant so those results are not abandoned to timeout reclaim, and
 	// returns nil; a worker idle with its request parked on the server
 	// returns at once. The daemon's SIGTERM handler closes it.
 	Stop <-chan struct{}
@@ -52,16 +46,14 @@ type WorkerOptions struct {
 	// after computing that many chunks — the deterministic test form of
 	// Stop (compare FailAfterChunks, which drops the connection instead).
 	DrainAfterChunks int
-	// FlushChunks caps the chunk results pre-reduced into one batch before
-	// it must flush; 0 means DefaultFlushChunks, 1 disables batching (every
-	// result flushes on the next request).
+	// FlushChunks is the request window: the most chunks asked for in one
+	// request, computed, pre-reduced into one batch and handed back on the
+	// next. 0 means DefaultFlushChunks; 1 is one chunk per round trip, which
+	// makes a lone worker's reduction order deterministic.
 	FlushChunks int
-	// FlushAge bounds how long a computed result may wait in the batch
-	// buffer; 0 means DefaultFlushAge.
-	FlushAge time.Duration
 	// Obs receives the worker-loop metrics (photons simulated, chunk
-	// compute-time histogram, batch flushes, holding-set size, wire
-	// frame/byte counters); nil instruments into a private registry.
+	// compute-time histogram, batch flushes, wire frame/byte counters);
+	// nil instruments into a private registry.
 	Obs *obs.Registry
 	// Ready, if set, has its "session" condition raised once the server's
 	// welcome lands and lowered when the session ends — the worker
@@ -112,7 +104,7 @@ func (t *workerTelemetry) chunk(photons int64, elapsed time.Duration) {
 
 // maybeReport returns the report to piggyback on the next TaskRequest, or
 // nil when one rode the wire less than reportInterval ago.
-func (t *workerTelemetry) maybeReport(holding int) *protocol.WorkerReport {
+func (t *workerTelemetry) maybeReport() *protocol.WorkerReport {
 	now := time.Now()
 	if !t.lastReport.IsZero() && now.Sub(t.lastReport) < reportInterval {
 		return nil
@@ -129,7 +121,6 @@ func (t *workerTelemetry) maybeReport(holding int) *protocol.WorkerReport {
 		PhotonsPerSec: t.pps,
 		ChunkSecs:     t.chunkSecs,
 		EncodeSecs:    t.encodeSecs,
-		Holding:       holding,
 		Goroutines:    t.goroutines,
 		HeapBytes:     t.heapBytes,
 		Version:       obs.Version,
@@ -138,9 +129,7 @@ func (t *workerTelemetry) maybeReport(holding int) *protocol.WorkerReport {
 
 // workerMetrics is the worker loop's pre-resolved instrument set.
 // Registration is idempotent, so sessions sharing one registry —
-// sequential or concurrent — accumulate into the same series: the
-// counters are monotonic, and the holding gauge is maintained with
-// per-session deltas (never Set), so concurrent sessions compose.
+// sequential or concurrent — accumulate into the same monotonic series.
 type workerMetrics struct {
 	photons *obs.Counter
 	chunks  *obs.Counter
@@ -155,7 +144,6 @@ type workerMetrics struct {
 	chunkSec *obs.Histogram
 	flushes  *obs.Counter
 	rejected *obs.Counter
-	holding  *obs.Gauge
 	conn     *protocol.ConnMetrics
 }
 
@@ -179,11 +167,9 @@ func newWorkerMetrics(reg *obs.Registry) *workerMetrics {
 		chunkSec: reg.Histogram("worker_chunk_seconds",
 			"Per-chunk compute time.", obs.DefBuckets),
 		flushes: reg.Counter("worker_batches_flushed_total",
-			"Result-batch flushes (piggybacked or standalone)."),
+			"Result batches handed back on a task request."),
 		rejected: reg.Counter("worker_results_rejected_total",
 			"Results the server refused to reduce."),
-		holding: reg.Gauge("worker_holding_chunks",
-			"Computed chunks buffered and not yet flushed."),
 		conn: protocol.NewConnMetrics(reg, "worker_conn"),
 	}
 }
@@ -197,8 +183,7 @@ type WorkerStats struct {
 	Chunks  int
 	Photons int64
 	Compute time.Duration
-	// Batches counts result flushes (piggybacked or standalone); with
-	// pre-reduction it is ≤ Chunks.
+	// Batches counts result flushes; with pre-reduction it is ≤ Chunks.
 	Batches int
 	// Rejected counts results the server refused to reduce (stale or
 	// mismatched assignments); the session continues after a rejection.
@@ -247,8 +232,10 @@ func (rt *jobRuntime) run(photons int64, stream int) (*mc.Tally, error) {
 // re-sends a descriptor the worker has dropped.
 const maxCachedJobs = 32
 
-// workerGroup accumulates one job's pre-reduced results inside a batch.
-type workerGroup struct {
+// resultBatch is the worker-side pre-reduction of one grant: the chunks of
+// one job computed since the last request, their tallies merged into one.
+type resultBatch struct {
+	jobID   uint64
 	chunks  []int
 	photons []int64   // parallel to chunks, for ack-time accounting
 	secs    []float64 // parallel to chunks, per-chunk compute time (telemetry)
@@ -256,106 +243,42 @@ type workerGroup struct {
 	tally   *mc.Tally
 }
 
-// resultBatch is the worker-side pre-reduction buffer: consecutive chunk
-// tallies merge per job, and the whole buffer flushes as one ResultBatch.
-type resultBatch struct {
-	groups map[uint64]*workerGroup
-	order  []uint64
-	chunks int
-	oldest time.Time
-}
-
-// add folds one chunk result into the buffer.
+// add folds one chunk result of the grant's job into the buffer.
 func (b *resultBatch) add(jobID uint64, chunkID int, photons int64, elapsed time.Duration, tally *mc.Tally) error {
-	g := b.groups[jobID]
-	if g == nil {
-		g = &workerGroup{tally: tally}
-		b.groups[jobID] = g
-		b.order = append(b.order, jobID)
-	} else if err := g.tally.Merge(tally); err != nil {
+	if len(b.chunks) == 0 {
+		b.jobID, b.tally = jobID, tally
+	} else if err := b.tally.Merge(tally); err != nil {
 		return err
 	}
-	g.chunks = append(g.chunks, chunkID)
-	g.photons = append(g.photons, photons)
-	g.secs = append(g.secs, elapsed.Seconds())
-	g.elapsed += elapsed
-	if b.chunks == 0 {
-		b.oldest = time.Now()
-	}
-	b.chunks++
+	b.chunks = append(b.chunks, chunkID)
+	b.photons = append(b.photons, photons)
+	b.secs = append(b.secs, elapsed.Seconds())
+	b.elapsed += elapsed
 	return nil
 }
 
-// refs lists the buffered chunks for the TaskRequest Holding advertisement.
-func (b *resultBatch) refs() []protocol.ChunkRef {
-	if b.chunks == 0 {
-		return nil
-	}
-	refs := make([]protocol.ChunkRef, 0, b.chunks)
-	for _, id := range b.order {
-		for _, c := range b.groups[id].chunks {
-			refs = append(refs, protocol.ChunkRef{JobID: id, ChunkID: c})
-		}
-	}
-	return refs
-}
-
-// encode renders the buffer as a wire batch, writing every group's compact
-// tally into one reusable arena buffer (returned for the next flush).
+// encode renders the buffer as a wire batch, writing the compact tally into
+// a reusable arena buffer (returned for the next flush).
 func (b *resultBatch) encode(arena []byte) (*protocol.ResultBatch, []byte) {
-	offs := make([]int, len(b.order)+1)
-	arena = arena[:0]
-	for i, id := range b.order {
-		offs[i] = len(arena)
-		arena = mc.AppendTally(arena, b.groups[id].tally)
-	}
-	offs[len(b.order)] = len(arena)
-	groups := make([]protocol.BatchGroup, len(b.order))
-	for i, id := range b.order {
-		g := b.groups[id]
-		groups[i] = protocol.BatchGroup{
-			JobID:     id,
-			Chunks:    g.chunks,
-			Elapsed:   g.elapsed,
-			TallyData: arena[offs[i]:offs[i+1]:offs[i+1]],
-			ChunkSecs: g.secs,
-		}
-	}
-	return &protocol.ResultBatch{Groups: groups}, arena
-}
-
-// photonsFor returns the photon count of one buffered chunk (ack-time
-// accounting).
-func (b *resultBatch) photonsFor(jobID uint64, chunkID int) int64 {
-	g := b.groups[jobID]
-	if g == nil {
-		return 0
-	}
-	for i, c := range g.chunks {
-		if c == chunkID {
-			return g.photons[i]
-		}
-	}
-	return 0
-}
-
-func (b *resultBatch) reset() {
-	clear(b.groups)
-	b.order = b.order[:0]
-	b.chunks = 0
+	arena = mc.AppendTally(arena[:0], b.tally)
+	return &protocol.ResultBatch{Groups: []protocol.BatchGroup{{
+		JobID:     b.jobID,
+		Chunks:    b.chunks,
+		Elapsed:   b.elapsed,
+		TallyData: arena,
+		ChunkSecs: b.secs,
+	}}}, arena
 }
 
 // Work connects a worker over the given transport and processes chunks —
 // of as many concurrent jobs as the server cares to assign — until the
 // server reports the service done. It returns session statistics.
 //
-// Each assigned chunk is computed across the job's fan of jump-separated
-// sub-streams on all available cores (mc.RunStreamFan), pre-reduced into a
-// per-job batch, and flushed either on the next TaskRequest (once the
-// size/age threshold trips) or standalone when the server has no work. The
-// TaskRequest's Holding list keeps unflushed assignments alive on the
-// server; a dropped connection loses only the unflushed buffer, which the
-// server requeues.
+// Each granted chunk is computed across the job's fan of jump-separated
+// sub-streams on all available cores (mc.RunStreamFan) and pre-reduced with
+// the rest of its grant into one batch, which rides the next TaskRequest:
+// a worker's batch is its grant. A dropped connection loses only the grant
+// in hand, which the server requeues.
 func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 	if opts.Logger == nil {
 		opts.Logger = obs.NopLogger()
@@ -371,15 +294,6 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 	met := newWorkerMetrics(oreg)
 	if opts.FlushChunks <= 0 {
 		opts.FlushChunks = DefaultFlushChunks
-	}
-	// The buffer can briefly hold FlushChunks-1 chunks plus one full grant
-	// (itself ≤ FlushChunks); keep both the flushed batch and the Holding
-	// advertisement inside the protocol's frame bound.
-	if opts.FlushChunks > protocol.MaxBatchChunks/2 {
-		opts.FlushChunks = protocol.MaxBatchChunks / 2
-	}
-	if opts.FlushAge <= 0 {
-		opts.FlushAge = DefaultFlushAge
 	}
 	pc := protocol.NewConn(rw)
 	pc.SetMetrics(met.conn)
@@ -412,11 +326,7 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 	var known []uint64
 	var arena []byte
 	tel := &workerTelemetry{}
-	batch := &resultBatch{groups: make(map[uint64]*workerGroup)}
-	// The holding gauge moves by deltas only (+1 per buffered chunk, -n per
-	// acked flush) so sessions sharing a registry compose; on any return the
-	// still-buffered chunks leave with the session.
-	defer func() { met.holding.Add(-int64(batch.chunks)) }()
+	batch := &resultBatch{}
 	stats := &WorkerStats{}
 	computed := 0
 
@@ -434,8 +344,34 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 		}
 	}
 
-	applyAcks := func(acks []protocol.ResultAck) {
-		for _, a := range acks {
+	// exchange is the session's one round trip: a TaskRequest carrying
+	// whatever has been computed and asking for up to want chunks, and the
+	// reply, with the batch's acks applied.
+	exchange := func(want int) (*protocol.Message, error) {
+		req := &protocol.TaskRequest{KnownJobs: known, Want: want, Report: tel.maybeReport()}
+		flushed := len(batch.chunks)
+		if flushed > 0 {
+			start := time.Now()
+			req.Batch, arena = batch.encode(arena)
+			tel.encodeSecs = ewma(tel.encodeSecs, time.Since(start).Seconds())
+		}
+		if err := pc.Send(&protocol.Message{Type: protocol.MsgTaskRequest, Request: req}); err != nil {
+			return nil, err
+		}
+		msg, err := pc.Recv()
+		if err != nil {
+			return nil, err
+		}
+		if msg.Type == protocol.MsgError {
+			return nil, fmt.Errorf("distsys: server error: %s", msg.Error.Msg)
+		}
+		if flushed == 0 {
+			return msg, nil
+		}
+		if msg.BatchAck == nil || len(msg.BatchAck.Acks) != flushed {
+			return nil, fmt.Errorf("distsys: flush of %d chunks on %v reply lost its acks", flushed, msg.Type)
+		}
+		for i, a := range msg.BatchAck.Acks {
 			if a.Rejected {
 				stats.Rejected++
 				met.rejected.Inc()
@@ -444,44 +380,23 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 				continue
 			}
 			stats.Chunks++
-			stats.Photons += batch.photonsFor(a.JobID, a.ChunkID)
+			stats.Photons += batch.photons[i]
 		}
 		stats.Batches++
 		met.flushes.Inc()
-		met.holding.Add(-int64(batch.chunks))
-		batch.reset()
+		*batch = resultBatch{}
+		return msg, nil
 	}
 
-	// encodeBatch renders the buffer for the wire, feeding the encode-time
-	// EWMA the telemetry report carries.
-	encodeBatch := func() *protocol.ResultBatch {
-		start := time.Now()
-		var wire *protocol.ResultBatch
-		wire, arena = batch.encode(arena)
-		tel.encodeSecs = ewma(tel.encodeSecs, time.Since(start).Seconds())
-		return wire
-	}
-
-	// flushStandalone pushes the buffer out on its own round trip — used
-	// when the server has no work to piggyback on, and before idling, so
-	// held results never gate a job's completion.
-	flushStandalone := func() error {
-		if batch.chunks == 0 {
+	// drain hands back what is computed without asking for more — the way
+	// out for a worker that is leaving, so nothing it computed waits for a
+	// timeout reclaim. The server requeues the rest of the grant.
+	drain := func() error {
+		if len(batch.chunks) == 0 {
 			return nil
 		}
-		wire := encodeBatch()
-		if err := pc.Send(&protocol.Message{Type: protocol.MsgResultBatch, Batch: wire}); err != nil {
-			return err
-		}
-		ack, err := pc.Recv()
-		if err != nil {
-			return err
-		}
-		if ack.Type != protocol.MsgBatchAck || ack.BatchAck == nil {
-			return fmt.Errorf("distsys: expected batch ack, got %v", ack.Type)
-		}
-		applyAcks(ack.BatchAck.Acks)
-		return nil
+		_, err := exchange(0)
+		return err
 	}
 
 	// A request sent empty-handed may be parked by the server: the reply
@@ -489,9 +404,9 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 	// goroutine blocked in Recv cannot see opts.Stop. So a watcher expires
 	// the transport's read deadline if Stop closes during such a wait. The
 	// loop below raises idle before it looks at Stop and lowers it after
-	// Recv: a wait is only ever cut short with nothing buffered, so the
-	// session ends there as a clean drain, and chunks the server granted in
-	// that very moment are requeued when the connection closes. On a
+	// the exchange: a wait is only ever cut short with nothing computed, so
+	// the session ends there as a clean drain, and chunks the server granted
+	// in that very moment are requeued when the connection closes. On a
 	// transport without read deadlines the wait ends at the park limit.
 	var idle atomic.Bool // an empty-handed request is (about to be) on the wire
 	if opts.Stop != nil {
@@ -510,40 +425,27 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 		}()
 	}
 
-	// Assignment prefetch uses slow start: the first request asks for one
-	// chunk and the window doubles per successful assignment up to one
-	// batch worth (FlushChunks). A cold worker joining a fresh job
-	// therefore cannot grab the whole queue before its peers have dialled
-	// in, while a warmed-up session still amortises the request/assign
-	// round trip across a full batch.
+	// The request window uses slow start: the first request asks for one
+	// chunk and the window doubles per successful assignment up to
+	// FlushChunks. A cold worker joining a fresh job therefore cannot grab
+	// the whole queue before its peers have dialled in, while a warmed-up
+	// session amortises the round trip across a full batch.
 	want := 1
 	for {
 		// Idle is raised before Stop is looked at: a Stop that closes after
 		// the check finds the flag up and interrupts the wait, one that
 		// closed before is seen by the check.
-		idle.Store(batch.chunks == 0)
+		idle.Store(len(batch.chunks) == 0)
 		if stopping() {
-			// Graceful drain: push the held batch out, then leave. Chunks
-			// granted but never computed are released when the connection
-			// closes; nothing buffered is abandoned to timeout reclaim.
-			if err := flushStandalone(); err != nil {
+			// Graceful drain, possibly mid-grant: nothing computed is left
+			// to timeout reclaim.
+			if err := drain(); err != nil {
 				return stats, err
 			}
 			log.Info("worker drained", "chunks", stats.Chunks)
 			return stats, nil
 		}
-		req := &protocol.TaskRequest{KnownJobs: known, Want: want, Report: tel.maybeReport(batch.chunks)}
-		flushing := batch.chunks > 0 &&
-			(batch.chunks >= opts.FlushChunks || time.Since(batch.oldest) >= opts.FlushAge)
-		if flushing {
-			req.Batch = encodeBatch()
-		} else {
-			req.Holding = batch.refs()
-		}
-		if err := pc.Send(&protocol.Message{Type: protocol.MsgTaskRequest, Request: req}); err != nil {
-			return stats, err
-		}
-		msg, err := pc.Recv()
+		msg, err := exchange(want)
 		if idle.Swap(false) && stopping() {
 			// Stop cut the wait short, or closed while it ran out.
 			log.Info("worker drained while awaiting work", "chunks", stats.Chunks)
@@ -552,23 +454,9 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 		if err != nil {
 			return stats, err
 		}
-		if msg.Type == protocol.MsgError {
-			return stats, fmt.Errorf("distsys: server error: %s", msg.Error.Msg)
-		}
-		if flushing {
-			if msg.BatchAck == nil {
-				return stats, fmt.Errorf("distsys: flush on %v reply lost its batch ack", msg.Type)
-			}
-			applyAcks(msg.BatchAck.Acks)
-		}
 		switch msg.Type {
 		case protocol.MsgTaskAssign:
-			if want *= 2; want > opts.FlushChunks {
-				want = opts.FlushChunks
-			}
-			if want < 1 {
-				want = 1
-			}
+			want = min(2*want, opts.FlushChunks)
 			a := msg.Assign
 			rt := jobs[a.JobID]
 			if rt == nil {
@@ -606,9 +494,7 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 					known = known[1:]
 				}
 			}
-			grants := append([]protocol.ChunkGrant{
-				{ChunkID: a.ChunkID, Stream: a.Stream, Photons: a.Photons}}, a.Extra...)
-			for _, g := range grants {
+			for _, g := range a.Grants {
 				start := time.Now()
 				tally, err := rt.run(g.Photons, g.Stream)
 				if err != nil {
@@ -633,40 +519,24 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 				met.crossing.Add(ev.Crossing)
 				met.roulette.Add(ev.Roulette)
 				met.chunkSec.Observe(elapsed.Seconds())
-				met.holding.Inc()
 				log.Debug("chunk finished", "job", fmt.Sprintf("%016x", a.JobID),
 					"chunk", g.ChunkID, "photons", g.Photons,
-					"elapsed", elapsed, "buffered", batch.chunks)
+					"elapsed", elapsed, "buffered", len(batch.chunks))
 				if opts.FailAfterChunks > 0 && computed >= opts.FailAfterChunks {
-					// Flush what is computed; any still-ungranted chunks of
-					// this assignment are released when the connection drops.
-					if err := flushStandalone(); err != nil {
+					if err := drain(); err != nil {
 						return stats, err
 					}
 					return stats, ErrInjectedFailure
 				}
 				if stopping() {
-					if err := flushStandalone(); err != nil {
-						return stats, err
-					}
-					log.Info("worker drained mid-assignment", "chunks", stats.Chunks)
-					return stats, nil
+					break // the loop's head drains what is computed
 				}
 			}
 		case protocol.MsgNoWork:
-			if batch.chunks > 0 {
-				// Idle with buffered results: flush before waiting, or the
-				// held chunks would gate their jobs' completion.
-				if err := flushStandalone(); err != nil {
-					return stats, err
-				}
-				continue // the flush may have finished the service
-			}
 			if msg.NoWork.Done {
 				return stats, nil
 			}
 		default:
-			// MsgError returned above, before the batch-ack check.
 			return stats, fmt.Errorf("distsys: unexpected message %v", msg.Type)
 		}
 	}

@@ -529,12 +529,18 @@ func copyResponse(w http.ResponseWriter, status int, hdr http.Header, body []byt
 
 // eachShard fans a GET out to every shard (any live replica each) and
 // hands the decoded bodies to merge, reporting how many answered. When
-// none did it answers the client's request itself, with 502.
-func eachShard[T any](g *Gateway, w http.ResponseWriter, path string, merge func(shard int, v T)) int {
+// none did it answers the client's request itself, with 502. The fan-out
+// runs under the caller's context: once the caller has hung up, the shard
+// being asked is let go and the rest are not asked.
+func eachShard[T any](g *Gateway, w http.ResponseWriter, req *http.Request, path string, merge func(shard int, v T)) int {
+	ctx := req.Context()
 	up := 0
 	for shard := range g.shards {
+		if ctx.Err() != nil {
+			break
+		}
 		status, _, body, err := g.doShard(shard, func(base string) (*http.Request, error) {
-			return http.NewRequest(http.MethodGet, base+path, nil)
+			return http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
 		})
 		if err != nil || status != http.StatusOK {
 			continue
@@ -553,9 +559,9 @@ func eachShard[T any](g *Gateway, w http.ResponseWriter, path string, merge func
 }
 
 // list concatenates every shard's retained jobs, in shard order.
-func (g *Gateway) list(w http.ResponseWriter, _ *http.Request) {
+func (g *Gateway) list(w http.ResponseWriter, req *http.Request) {
 	all := []service.JobStatus{}
-	if eachShard(g, w, "/jobs", func(_ int, v []service.JobStatus) { all = append(all, v...) }) > 0 {
+	if eachShard(g, w, req, "/jobs", func(_ int, v []service.JobStatus) { all = append(all, v...) }) > 0 {
 		service.WriteJSON(w, http.StatusOK, all)
 	}
 }
@@ -568,9 +574,9 @@ type statsBody struct {
 	ShardsUp int `json:"shardsUp"`
 }
 
-func (g *Gateway) stats(w http.ResponseWriter, _ *http.Request) {
+func (g *Gateway) stats(w http.ResponseWriter, req *http.Request) {
 	var agg service.Stats
-	up := eachShard(g, w, "/stats", func(_ int, s service.Stats) { agg.Add(s) })
+	up := eachShard(g, w, req, "/stats", func(_ int, s service.Stats) { agg.Add(s) })
 	if up == 0 {
 		return
 	}
@@ -580,10 +586,10 @@ func (g *Gateway) stats(w http.ResponseWriter, _ *http.Request) {
 	service.WriteJSON(w, http.StatusOK, statsBody{Stats: agg, Shards: len(g.shards), ShardsUp: up})
 }
 
-func (g *Gateway) fleet(w http.ResponseWriter, _ *http.Request) {
+func (g *Gateway) fleet(w http.ResponseWriter, req *http.Request) {
 	var agg service.FleetBody
 	byName := map[string]*service.TenantStatus{}
-	if eachShard(g, w, "/fleet", func(_ int, v service.FleetBody) {
+	if eachShard(g, w, req, "/fleet", func(_ int, v service.FleetBody) {
 		agg.Workers = append(agg.Workers, v.Workers...)
 		mergeTenants(byName, v.Tenants)
 	}) > 0 {
@@ -592,10 +598,10 @@ func (g *Gateway) fleet(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-func (g *Gateway) tenants(w http.ResponseWriter, _ *http.Request) {
+func (g *Gateway) tenants(w http.ResponseWriter, req *http.Request) {
 	byName := map[string]*service.TenantStatus{}
 	admission := ""
-	up := eachShard(g, w, "/tenants", func(_ int, v service.TenantsBody) {
+	up := eachShard(g, w, req, "/tenants", func(_ int, v service.TenantsBody) {
 		if admission == "" {
 			admission = v.Admission
 		}

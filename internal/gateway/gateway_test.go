@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -843,5 +845,52 @@ func TestSubmitEdgeSameAtBothTiers(t *testing.T) {
 	}
 	if resp, raw := post(t, direct.URL+"/jobs", "", valid); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("valid body under the cap: http %d: %s", resp.StatusCode, raw)
+	}
+}
+
+// TestFanOutStopsWhenTheCallerHangsUp: the read-only fan-out routes run
+// under the inbound request's context. A shard that never answers holds the
+// handler only until the caller goes away — not for the client's 30 s
+// timeout — and the shards behind it are not asked at all.
+func TestFanOutStopsWhenTheCallerHangsUp(t *testing.T) {
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	stuck := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		entered <- struct{}{}
+		select {
+		case <-r.Context().Done(): // the gateway let the request go
+		case <-release:
+		}
+	}))
+	defer stuck.Close()
+	defer close(release) // registered after stuck.Close, so it runs first
+	var laterAsked atomic.Int32
+	later := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		laterAsked.Add(1)
+		fmt.Fprint(w, "{}")
+	}))
+	defer later.Close()
+	g, err := New(Options{Shards: [][]string{{stuck.URL}, {later.URL}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, path := range []string{"/stats", "/fleet", "/tenants", "/jobs"} {
+		ctx, hangUp := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			req := httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx)
+			g.Handler().ServeHTTP(httptest.NewRecorder(), req)
+		}()
+		<-entered
+		hangUp()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("GET %s still walking the shards 5 s after its caller hung up", path)
+		}
+	}
+	if n := laterAsked.Load(); n != 0 {
+		t.Fatalf("the shard behind the stuck one was asked %d times for callers that had gone", n)
 	}
 }

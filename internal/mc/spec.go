@@ -12,8 +12,9 @@ import (
 // Spec is a fully serialisable simulation description: what the DataManager
 // sends to worker clients. It contains only plain data (no interfaces), so
 // it travels unchanged over encoding/gob (the worker protocol) and
-// encoding/json (HTTP submissions, journal accept records), and hashes
-// through internal/canon into content keys. Exactly one of Model (layered
+// encoding/json (client submissions; the gateway→shard hop and the journal's
+// accept records carry that JSON as a header with a voxel grid's labels raw
+// behind it), and hashes through internal/canon into content keys. Exactly one of Model (layered
 // slabs) or Voxel (heterogeneous voxel grid) describes the medium; when
 // both are set the voxel grid wins.
 type Spec struct {

@@ -22,8 +22,9 @@ import (
 //
 //	go test ./internal/protocol -run TestCommittedCorpus -update-corpus
 //
-// Run it whenever the protocol gains message shapes worth seeding (the v3
-// batch frames were added this way) and commit the diff.
+// Run it whenever the protocol gains or loses message shapes worth seeding
+// (the batch-carrying requests and the retired v5 frames were added this
+// way) and commit the diff.
 var updateCorpus = flag.Bool("update-corpus", false, "rewrite committed fuzz corpus seeds")
 
 // readCloser adapts a bytes.Reader to the ReadWriteCloser Conn expects;
@@ -51,6 +52,37 @@ func encodeMessages(tb testing.TB, msgs ...*Message) []byte {
 	return buf.Bytes()
 }
 
+// v5Message is the envelope as a v5 peer gob-encodes the frames v6 retired:
+// it still has the Batch field, and a task request may come without its body.
+type v5Message struct {
+	Type     MsgType
+	Batch    *ResultBatch
+	BatchAck *BatchAck
+}
+
+// encodeV5 gob-encodes one retired frame as its v5 sender would.
+func encodeV5(tb testing.TB, m *v5Message) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// retiredFrames are the frames a v5 peer could send that Recv must refuse:
+// the standalone result batch (type 9), its ack (type 10) and a task
+// request with no body.
+func retiredFrames(tb testing.TB) map[string][]byte {
+	batch := &ResultBatch{Groups: []BatchGroup{{JobID: 9, Chunks: []int{4}, TallyData: []byte{1}}}}
+	return map[string][]byte{
+		"retired_result_batch_v5": encodeV5(tb, &v5Message{Type: 9, Batch: batch}),
+		"retired_batch_ack_v5": encodeV5(tb, &v5Message{Type: 10,
+			BatchAck: &BatchAck{Acks: []ResultAck{{JobID: 9, ChunkID: 4}}}}),
+		"bare_task_request_v5": encodeV5(tb, &v5Message{Type: MsgTaskRequest}),
+	}
+}
+
 func seedMessages(tb testing.TB) []*Message {
 	tb.Helper()
 	spec := mc.NewSpec(
@@ -76,52 +108,53 @@ func seedMessages(tb testing.TB) []*Message {
 	return []*Message{
 		{Type: MsgHello, Hello: &Hello{Version: Version, Name: "w0", Mflops: 42}},
 		{Type: MsgWelcome, Welcome: &Welcome{Version: Version, ServerName: "srv"}},
-		{Type: MsgTaskRequest, Request: &TaskRequest{KnownJobs: []uint64{1, 2, 3}}},
+		{Type: MsgTaskRequest, Request: &TaskRequest{KnownJobs: []uint64{1, 2, 3}, Want: 1}},
 		{Type: MsgTaskAssign, Assign: &TaskAssign{
-			JobID: 9, ChunkID: 4, Stream: 4, Photons: 1000,
+			JobID: 9, Grants: []ChunkGrant{{ChunkID: 4, Stream: 4, Photons: 1000}, {ChunkID: 5, Stream: 5, Photons: 1000}},
 			Job: &Job{ID: 9, Spec: *spec, Seed: 77, Streams: 8, Fan: 4},
 		}},
 		{Type: MsgNoWork, NoWork: &NoWork{Done: true}},
 		{Type: MsgError, Error: &Error{Msg: "boom"}},
-		// Protocol v3 frames: a standalone multi-job batch, a task request
-		// piggybacking a flush while holding other chunks, and a per-chunk
-		// batch ack.
-		{Type: MsgResultBatch, Batch: &ResultBatch{Groups: []BatchGroup{
+		// The result plane: a leaving worker's flush (Want 0) of a multi-job
+		// batch, a task request handing back a grant while asking for the
+		// next, and the per-chunk acks riding a NoWork reply.
+		flush(&ResultBatch{Groups: []BatchGroup{
 			{JobID: 9, Chunks: []int{4, 5, 6}, Elapsed: 3 * time.Second, TallyData: compact},
 			{JobID: 12, Chunks: []int{0}, TallyData: compact},
-		}}},
+		}}),
 		{Type: MsgTaskRequest, Request: &TaskRequest{
 			KnownJobs: []uint64{9, 12},
-			Holding:   []ChunkRef{{JobID: 12, ChunkID: 1}},
+			Want:      8,
 			Batch: &ResultBatch{Groups: []BatchGroup{
-				{JobID: 9, Chunks: []int{7}, TallyData: compact},
+				{JobID: 9, Chunks: []int{7}, TallyData: compact, ChunkSecs: []float64{0.5}},
 			}},
 		}},
-		{Type: MsgBatchAck, BatchAck: &BatchAck{Acks: []ResultAck{
+		{Type: MsgNoWork, NoWork: &NoWork{}, BatchAck: &BatchAck{Acks: []ResultAck{
 			{JobID: 9, ChunkID: 4},
 			{JobID: 9, ChunkID: 5, Duplicate: true},
 			{JobID: 12, ChunkID: 0, Rejected: true, Reason: "stale"},
 		}}},
-		// Protocol v4 frames: an open-ended precision-job descriptor
-		// (Streams 0, Target set) and its moments-carrying batch result.
+		// Precision jobs: an open-ended descriptor (Streams 0, Target set)
+		// and its moments-carrying batch result.
 		{Type: MsgTaskAssign, Assign: &TaskAssign{
-			JobID: 21, ChunkID: 0, Stream: 0, Photons: 500,
+			JobID: 21, Grants: []ChunkGrant{{ChunkID: 0, Stream: 0, Photons: 500}},
 			Job: &Job{ID: 21, Spec: precSpec, Seed: 19, Streams: 0,
 				Target: &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.01,
 					MinPhotons: 8000, MaxPhotons: 1 << 20}},
 		}},
-		{Type: MsgResultBatch, Batch: &ResultBatch{Groups: []BatchGroup{
+		flush(&ResultBatch{Groups: []BatchGroup{
 			{JobID: 21, Chunks: []int{0}, Elapsed: time.Second, TallyData: momCompact},
-		}}},
+		}}),
 	}
 }
 
-// FuzzDecodeMessage throws arbitrary bytes at the protocol v3 wire decoder:
-// valid frames (including batched results and piggybacked flushes),
-// truncated gobs, bit-flipped envelopes and oversized KnownJobs/Holding/
-// batch advertisements. The decoder must never panic, and every message it
-// does accept must satisfy the envelope invariants Recv promises (a known
-// type, bounded advertisement and batch sizes, no empty batch groups).
+// FuzzDecodeMessage throws arbitrary bytes at the wire decoder: valid
+// frames (including batch-carrying requests), truncated gobs, bit-flipped
+// envelopes, oversized KnownJobs/batch advertisements and the frames of
+// retired types. The decoder must never panic, and every message it does
+// accept must satisfy the envelope invariants Recv promises (a live type,
+// a task request with its body, bounded advertisement, grant and batch
+// sizes, no empty batch groups).
 func FuzzDecodeMessage(f *testing.F) {
 	msgs := seedMessages(f)
 
@@ -137,12 +170,15 @@ func FuzzDecodeMessage(f *testing.F) {
 	big := make([]uint64, MaxKnownJobs+1)
 	f.Add(encodeMessages(f, &Message{Type: MsgTaskRequest, Request: &TaskRequest{KnownJobs: big}}))
 	bigChunks := make([]int, MaxBatchChunks+1)
-	f.Add(encodeMessages(f, &Message{Type: MsgResultBatch, Batch: &ResultBatch{
-		Groups: []BatchGroup{{JobID: 1, Chunks: bigChunks}}}}))
-	f.Add(encodeMessages(f, &Message{Type: MsgResultBatch, Batch: &ResultBatch{
-		Groups: []BatchGroup{{JobID: 1}}}})) // empty group
+	f.Add(encodeMessages(f, flush(&ResultBatch{
+		Groups: []BatchGroup{{JobID: 1, Chunks: bigChunks}}})))
+	f.Add(encodeMessages(f, flush(&ResultBatch{
+		Groups: []BatchGroup{{JobID: 1}}}))) // empty group
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0x00, 0x01})
+	for _, frame := range retiredFrames(f) {
+		f.Add(frame)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewConn(readCloser{bytes.NewReader(data)})
@@ -152,32 +188,29 @@ func FuzzDecodeMessage(f *testing.F) {
 			if err != nil {
 				return
 			}
-			if m.Type < MsgHello || m.Type > MsgBatchAck || m.Type == 5 || m.Type == 6 {
+			if m.Type < MsgHello || m.Type > MsgError || m.Type == 5 || m.Type == 6 {
 				t.Fatalf("Recv accepted invalid type %d", int(m.Type))
+			}
+			if m.Type == MsgTaskRequest && m.Request == nil {
+				t.Fatal("Recv accepted a task request without its body")
 			}
 			if m.Request != nil {
 				if len(m.Request.KnownJobs) > MaxKnownJobs {
 					t.Fatalf("Recv accepted %d known jobs", len(m.Request.KnownJobs))
 				}
-				if len(m.Request.Holding) > MaxBatchChunks {
-					t.Fatalf("Recv accepted %d held chunks", len(m.Request.Holding))
-				}
-			}
-			for _, b := range []*ResultBatch{m.Batch, batchOf(m.Request)} {
-				if b == nil {
-					continue
-				}
-				if b.NumChunks() > MaxBatchChunks {
-					t.Fatalf("Recv accepted a %d-chunk batch", b.NumChunks())
-				}
-				for _, g := range b.Groups {
-					if len(g.Chunks) == 0 {
-						t.Fatal("Recv accepted an empty batch group")
+				if b := m.Request.Batch; b != nil {
+					if b.NumChunks() > MaxBatchChunks {
+						t.Fatalf("Recv accepted a %d-chunk batch", b.NumChunks())
+					}
+					for _, g := range b.Groups {
+						if len(g.Chunks) == 0 {
+							t.Fatal("Recv accepted an empty batch group")
+						}
 					}
 				}
 			}
-			if m.Assign != nil && 1+len(m.Assign.Extra) > MaxGrantChunks {
-				t.Fatalf("Recv accepted a %d-chunk grant", 1+len(m.Assign.Extra))
+			if m.Assign != nil && len(m.Assign.Grants) > MaxGrantChunks {
+				t.Fatalf("Recv accepted a %d-chunk grant", len(m.Assign.Grants))
 			}
 			if m.BatchAck != nil && len(m.BatchAck.Acks) > MaxBatchChunks {
 				t.Fatalf("Recv accepted a %d-ack batch ack", len(m.BatchAck.Acks))
@@ -201,29 +234,19 @@ func corpusSeeds(tb testing.TB) map[string][]byte {
 	big := make([]uint64, MaxKnownJobs+1)
 	seeds["oversized_knownjobs"] = encodeMessages(tb,
 		&Message{Type: MsgTaskRequest, Request: &TaskRequest{KnownJobs: big}})
-	// Protocol v3/v4 frames.
-	for _, m := range msgs {
-		switch {
-		case m.Type == MsgResultBatch && seeds["result_batch_v3"] == nil:
-			seeds["result_batch_v3"] = encodeMessages(tb, m)
-		case m.Type == MsgBatchAck:
-			seeds["batch_ack_v3"] = encodeMessages(tb, m)
-		case m.Type == MsgTaskRequest && m.Request != nil && m.Request.Batch != nil:
-			seeds["piggyback_request_v3"] = encodeMessages(tb, m)
-		case m.Type == MsgTaskAssign && m.Assign != nil && m.Assign.Job != nil && m.Assign.Job.Target != nil:
-			seeds["precision_assign_v4"] = encodeMessages(tb, m)
-		}
-	}
-	// The last ResultBatch in the conversation is the moments-carrying v4
-	// one (tally codec version 2).
-	for i := len(msgs) - 1; i >= 0; i-- {
-		if msgs[i].Type == MsgResultBatch {
-			seeds["moments_batch_v4"] = encodeMessages(tb, msgs[i])
-			break
-		}
-	}
+	// The result plane and precision jobs. (The names carry the protocol
+	// version that introduced each shape; the bytes are today's encoding.)
+	seeds["result_batch_v3"] = encodeMessages(tb, msgs[6])
+	seeds["piggyback_request_v3"] = encodeMessages(tb, msgs[7])
+	seeds["batch_ack_v3"] = encodeMessages(tb, msgs[8])
+	seeds["precision_assign_v4"] = encodeMessages(tb, msgs[9])
+	seeds["moments_batch_v4"] = encodeMessages(tb, msgs[10])
 	seeds["empty_batch_group_v3"] = encodeMessages(tb,
-		&Message{Type: MsgResultBatch, Batch: &ResultBatch{Groups: []BatchGroup{{JobID: 1}}}})
+		flush(&ResultBatch{Groups: []BatchGroup{{JobID: 1}}}))
+	// What a v5 peer could still send and Recv must refuse.
+	for name, frame := range retiredFrames(tb) {
+		seeds[name] = frame
+	}
 	return seeds
 }
 
@@ -267,9 +290,10 @@ func TestRecvRejectsOversizedKnownJobs(t *testing.T) {
 }
 
 // TestRecvRejectsInvalidType covers the type validation: out of range, and
-// the reserved wire numbers 5 and 6 of the v4 single-result frames.
+// the reserved wire numbers — 5 and 6 of the v4 single-result frames, 9
+// and 10 of the v5 standalone batch and its ack.
 func TestRecvRejectsInvalidType(t *testing.T) {
-	for _, typ := range []MsgType{0, MsgBatchAck + 1, -3, 5, 6} {
+	for _, typ := range []MsgType{0, reserved10 + 1, -3, 5, 6, 9, 10} {
 		data := encodeMessages(t, &Message{Type: typ})
 		c := NewConn(readCloser{bytes.NewReader(data)})
 		if _, err := c.Recv(); err == nil {
@@ -304,20 +328,30 @@ func TestRecvRejectsV4ResultFrame(t *testing.T) {
 	}
 }
 
-// TestRecvRejectsOversizedBatch covers the batch bounds for standalone and
-// piggybacked batches, plus the no-empty-groups rule.
+// TestRecvRejectsRetiredV5Frames feeds Recv what a v5 peer could still
+// send, exactly as it gob-encodes it: the standalone result batch (type 9,
+// the envelope still carrying its Batch field), its ack (type 10) and a
+// task request with no body. Each must be refused at the decoder, not
+// decoded into an envelope the registry then has to second-guess.
+func TestRecvRejectsRetiredV5Frames(t *testing.T) {
+	for name, frame := range retiredFrames(t) {
+		c := NewConn(readCloser{bytes.NewReader(frame)})
+		if m, err := c.Recv(); err == nil {
+			t.Fatalf("%s accepted as %v", name, m.Type)
+		}
+	}
+}
+
+// TestRecvRejectsOversizedBatch covers the batch, grant and ack bounds,
+// plus the no-empty-groups rule.
 func TestRecvRejectsOversizedBatch(t *testing.T) {
 	big := &ResultBatch{Groups: []BatchGroup{{JobID: 1, Chunks: make([]int, MaxBatchChunks+1)}}}
 	for name, m := range map[string]*Message{
-		"standalone": {Type: MsgResultBatch, Batch: big},
-		"piggyback":  {Type: MsgTaskRequest, Request: &TaskRequest{Batch: big}},
-		"holding": {Type: MsgTaskRequest,
-			Request: &TaskRequest{Holding: make([]ChunkRef, MaxBatchChunks+1)}},
-		"empty-group": {Type: MsgResultBatch,
-			Batch: &ResultBatch{Groups: []BatchGroup{{JobID: 1}}}},
+		"batch":       flush(big),
+		"empty-group": flush(&ResultBatch{Groups: []BatchGroup{{JobID: 1}}}),
 		"grant": {Type: MsgTaskAssign,
-			Assign: &TaskAssign{JobID: 1, Extra: make([]ChunkGrant, MaxGrantChunks)}},
-		"batch-ack": {Type: MsgBatchAck,
+			Assign: &TaskAssign{JobID: 1, Grants: make([]ChunkGrant, MaxGrantChunks+1)}},
+		"batch-ack": {Type: MsgNoWork, NoWork: &NoWork{},
 			BatchAck: &BatchAck{Acks: make([]ResultAck, MaxBatchChunks+1)}},
 	} {
 		c := NewConn(readCloser{bytes.NewReader(encodeMessages(t, m))})
@@ -326,8 +360,8 @@ func TestRecvRejectsOversizedBatch(t *testing.T) {
 		}
 	}
 
-	ok := &Message{Type: MsgResultBatch, Batch: &ResultBatch{
-		Groups: []BatchGroup{{JobID: 1, Chunks: make([]int, MaxBatchChunks)}}}}
+	ok := flush(&ResultBatch{
+		Groups: []BatchGroup{{JobID: 1, Chunks: make([]int, MaxBatchChunks)}}})
 	c := NewConn(readCloser{bytes.NewReader(encodeMessages(t, ok))})
 	if _, err := c.Recv(); err != nil {
 		t.Fatalf("at-limit batch rejected: %v", err)

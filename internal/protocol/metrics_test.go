@@ -55,7 +55,7 @@ func TestConnMetricsAccounting(t *testing.T) {
 		t.Fatalf("server received no-work frames = %d, want 1", got)
 	}
 	var sent, recv uint64
-	for mt := MsgHello; mt <= MsgBatchAck; mt++ {
+	for mt := MsgHello; mt <= MsgError; mt++ {
 		if !mt.valid() {
 			continue // reserved wire numbers have no counters
 		}

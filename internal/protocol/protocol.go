@@ -26,7 +26,7 @@ import (
 // chunk tallies per job and flush them as a ResultBatch (standalone or
 // piggybacked on the next TaskRequest), tallies travel in the compact
 // mc codec instead of per-result gob, task requests advertise the
-// computed-but-unflushed chunks they are still Holding, jobs carry the
+// computed-but-unflushed chunks the worker keeps back, jobs carry the
 // multi-core fan width, and acks come back per chunk in a BatchAck.
 //
 // Version 4 added precision-targeted jobs: a job descriptor may carry a
@@ -42,7 +42,15 @@ import (
 // single-result path. The numbers stay reserved so every surviving type
 // keeps its value, and a v4 peer is refused at the handshake rather than
 // mid-session when its first single-result frame arrives.
-const Version = 5
+//
+// Version 6 removed result holding. Whatever a worker has computed rides
+// its next TaskRequest, so a request no longer advertises chunks it keeps
+// back and abandons every assignment of the session it does not flush (the
+// v2 rule again); the standalone batch frame and its ack (wire types 9 and
+// 10) are gone — a worker that is leaving flushes with a request that asks
+// for no grant (Want 0) — and a TaskAssign lists its chunks in one Grants
+// slice. 9 and 10 stay reserved like 5 and 6.
+const Version = 6
 
 // MsgType discriminates the envelope.
 type MsgType int
@@ -66,16 +74,16 @@ const (
 	MsgNoWork
 	// MsgError reports a fatal protocol or job error.
 	MsgError
-	// MsgResultBatch returns several pre-reduced chunk tallies at once.
-	MsgResultBatch
-	// MsgBatchAck acknowledges a batch with one ResultAck per chunk.
-	MsgBatchAck
+	// reserved9 and reserved10 hold the wire numbers of the v5 standalone
+	// result batch and its ack; Recv rejects them.
+	reserved9
+	reserved10
 )
 
 // valid reports whether t names a live message type: in range and not one
-// of the reserved v4 numbers.
+// of the reserved numbers.
 func (t MsgType) valid() bool {
-	return t >= MsgHello && t <= MsgBatchAck && t != reserved5 && t != reserved6
+	return t >= MsgHello && t <= MsgError && t != reserved5 && t != reserved6
 }
 
 // String implements fmt.Stringer.
@@ -93,10 +101,6 @@ func (t MsgType) String() string {
 		return "no-work"
 	case MsgError:
 		return "error"
-	case MsgResultBatch:
-		return "result-batch"
-	case MsgBatchAck:
-		return "batch-ack"
 	default:
 		return fmt.Sprintf("MsgType(%d)", int(t))
 	}
@@ -148,30 +152,25 @@ type Job struct {
 // per-entry bookkeeping.
 const MaxKnownJobs = 4096
 
-// TaskRequest asks the server for the next chunk of any job. KnownJobs is
-// the authoritative list of job descriptors the worker currently holds:
-// the server omits re-sending bulky specs for listed jobs and re-carries
-// the descriptor for any job the worker has evicted from its bounded
-// cache. A nil request (legacy callers) leaves the server's per-session
-// record of shipped descriptors in place.
+// TaskRequest hands back what the worker has computed and asks the server
+// for the next chunks of any job. KnownJobs is the authoritative list of
+// job descriptors the worker currently holds: the server omits re-sending
+// bulky specs for listed jobs and re-carries the descriptor for any job
+// the worker has evicted from its bounded cache.
 //
-// Holding is the equally authoritative list of chunks the worker has
-// computed but not yet flushed: the server keeps those assignments alive
-// instead of treating the new request as abandoning them. Any assignment
-// of the session that appears in neither Holding nor the piggybacked
-// Batch is abandoned and requeued. Batch, when set, flushes the worker's
-// pre-reduced results on the same round trip; the per-chunk acks ride
-// back on the reply's BatchAck.
-// Want, when > 1, asks the server to grant up to that many chunks of one
-// job in a single TaskAssign (the Extra grants), amortising the
-// request/assign round trip the way ResultBatch amortises the result
-// path. 0 or 1 keeps the one-chunk-per-round-trip behaviour.
+// Batch, when set, carries the pre-reduced results of everything the
+// worker computed since its last request; the per-chunk acks ride back on
+// the reply's BatchAck. Any assignment of the session the Batch does not
+// cover is abandoned and requeued.
+// Want asks the server to grant up to that many chunks of one job in a
+// single TaskAssign, so a worker's next batch is its grant. 0 asks for
+// none: a worker that is leaving flushes that way and is answered NoWork
+// at once.
 // Report, when set, piggybacks the worker's self-measured telemetry (see
 // WorkerReport). All of the telemetry fields are additive: gob leaves
 // absent fields zero, so adding them did not bump Version.
 type TaskRequest struct {
 	KnownJobs []uint64
-	Holding   []ChunkRef
 	Batch     *ResultBatch
 	Want      int
 	Report    *WorkerReport
@@ -194,8 +193,6 @@ type WorkerReport struct {
 	// batch-encode wall time.
 	ChunkSecs  float64
 	EncodeSecs float64
-	// Holding is the worker's pre-reduction buffer depth at send time.
-	Holding int
 	// Goroutines and HeapBytes are Go runtime stats (sampled, rate-limited
 	// worker-side — ReadMemStats is not free).
 	Goroutines int
@@ -204,37 +201,26 @@ type WorkerReport struct {
 	Version string
 }
 
-// ChunkRef names one chunk of one job.
-type ChunkRef struct {
-	JobID   uint64
-	ChunkID int
-}
-
-// TaskAssign hands one or more chunks of one job to a worker. Stream
-// selects each chunk's dedicated RNG stream so results are reproducible
-// and order-independent. Job carries the full descriptor the first time a
-// session is handed a chunk of a job it has not advertised as known.
-// Extra carries further grants of the same job when the request asked for
-// more than one (TaskRequest.Want); every granted chunk has its own
-// outstanding entry and timeout clock on the server.
+// TaskAssign hands one or more chunks of one job to a worker: at most as
+// many as the request's Want, each with its own outstanding entry and
+// timeout clock on the server. Job carries the full descriptor the first
+// time a session is handed a chunk of a job it has not advertised as known.
 type TaskAssign struct {
-	JobID   uint64
-	ChunkID int
-	Stream  int
-	Photons int64
-	Job     *Job
-	Extra   []ChunkGrant
+	JobID  uint64
+	Job    *Job
+	Grants []ChunkGrant
 }
 
-// ChunkGrant is one additional chunk riding a multi-chunk TaskAssign.
+// ChunkGrant is one chunk of a TaskAssign. Stream selects the chunk's
+// dedicated RNG stream so results are reproducible and order-independent.
 type ChunkGrant struct {
 	ChunkID int
 	Stream  int
 	Photons int64
 }
 
-// MaxGrantChunks bounds the chunks one TaskAssign may grant (first plus
-// Extra); Recv rejects larger frames.
+// MaxGrantChunks bounds the chunks one TaskAssign may grant; Recv rejects
+// larger frames.
 const MaxGrantChunks = 64
 
 // MaxBatchChunks bounds the total chunks covered by one ResultBatch;
@@ -260,8 +246,8 @@ type BatchGroup struct {
 	ChunkSecs []float64
 }
 
-// ResultBatch carries one or more pre-reduced groups. Groups for distinct
-// jobs let a worker interleaving many jobs still flush on one round trip.
+// ResultBatch carries one or more pre-reduced groups, one per job. (A
+// grant is chunks of one job, so this tree's worker sends one group.)
 type ResultBatch struct {
 	Groups []BatchGroup
 }
@@ -296,10 +282,10 @@ type ResultAck struct {
 	Reason    string
 }
 
-// NoWork tells the worker there is nothing for it right now, or ever.
-// A worker that holds computed results gets it at once and should flush
-// them; an empty-handed worker gets it only after the server has kept the
-// request waiting for work as long as it is willing to.
+// NoWork tells the worker there is nothing for it right now, or ever. A
+// request that flushed results or asked for no grant gets it at once; an
+// empty-handed one only after the server has kept the request waiting for
+// work as long as it is willing to.
 type NoWork struct {
 	// Done means the service has finished and the worker should disconnect.
 	// A NoWork without it means "ask again now": the server itself holds an
@@ -315,7 +301,7 @@ type Error struct {
 
 // Message is the envelope travelling on the wire; the field matching Type
 // is populated. One exception to the one-field rule: a TaskAssign or
-// NoWork reply to a TaskRequest that piggybacked a Batch also carries the
+// NoWork reply to a TaskRequest that carried a Batch also carries the
 // BatchAck for it.
 type Message struct {
 	Type     MsgType
@@ -325,7 +311,6 @@ type Message struct {
 	Assign   *TaskAssign
 	NoWork   *NoWork
 	Error    *Error
-	Batch    *ResultBatch
 	BatchAck *BatchAck
 }
 
@@ -337,10 +322,10 @@ type Message struct {
 // counters are fleet-wide totals, not per-session series — per-session
 // metric labels would be unbounded cardinality).
 type ConnMetrics struct {
-	sendFrames [MsgBatchAck + 1]*obs.Counter
-	recvFrames [MsgBatchAck + 1]*obs.Counter
-	sendBytes  [MsgBatchAck + 1]*obs.Counter
-	recvBytes  [MsgBatchAck + 1]*obs.Counter
+	sendFrames [MsgError + 1]*obs.Counter
+	recvFrames [MsgError + 1]*obs.Counter
+	sendBytes  [MsgError + 1]*obs.Counter
+	recvBytes  [MsgError + 1]*obs.Counter
 }
 
 // NewConnMetrics registers <subsystem>_frames_total and
@@ -354,7 +339,7 @@ func NewConnMetrics(reg *obs.Registry, subsystem string) *ConnMetrics {
 	bytes := reg.CounterVec(subsystem+"_bytes_total",
 		"Protocol bytes by direction and message type.", "dir", "type")
 	m := &ConnMetrics{}
-	for t := MsgHello; t <= MsgBatchAck; t++ {
+	for t := MsgHello; t <= MsgError; t++ {
 		if !t.valid() {
 			continue
 		}
@@ -437,10 +422,10 @@ func (c *Conn) Send(m *Message) error {
 	return nil
 }
 
-// Recv decodes the next message and validates its envelope: a missing
-// type, an out-of-range or reserved type, an oversized KnownJobs/Holding advertisement
-// or an oversized batch are protocol errors, not panics or unbounded
-// allocations further up the stack.
+// Recv decodes the next message and validates its envelope: a missing,
+// out-of-range or reserved type, a task request without its body, an
+// oversized KnownJobs advertisement, grant or batch are protocol errors,
+// not panics or unbounded allocations further up the stack.
 func (c *Conn) Recv() (*Message, error) {
 	before := c.cr.n
 	var m Message
@@ -454,53 +439,42 @@ func (c *Conn) Recv() (*Message, error) {
 		c.met.recvFrames[m.Type].Inc()
 		c.met.recvBytes[m.Type].Add(c.cr.n - before)
 	}
+	if m.Type == MsgTaskRequest && m.Request == nil {
+		return nil, fmt.Errorf("protocol: task request without a body")
+	}
 	if m.Request != nil {
 		if len(m.Request.KnownJobs) > MaxKnownJobs {
 			return nil, fmt.Errorf("protocol: task request advertises %d known jobs, max %d",
 				len(m.Request.KnownJobs), MaxKnownJobs)
 		}
-		if len(m.Request.Holding) > MaxBatchChunks {
-			return nil, fmt.Errorf("protocol: task request holds %d chunks, max %d",
-				len(m.Request.Holding), MaxBatchChunks)
-		}
 		if rep := m.Request.Report; rep != nil && len(rep.Version) > MaxReportVersion {
 			return nil, fmt.Errorf("protocol: worker report version string is %d bytes, max %d",
 				len(rep.Version), MaxReportVersion)
 		}
+		if b := m.Request.Batch; b != nil {
+			if n := b.NumChunks(); n > MaxBatchChunks {
+				return nil, fmt.Errorf("protocol: result batch covers %d chunks, max %d", n, MaxBatchChunks)
+			}
+			for i := range b.Groups {
+				if len(b.Groups[i].Chunks) == 0 {
+					return nil, fmt.Errorf("protocol: result batch group %d covers no chunks", i)
+				}
+				if ns := len(b.Groups[i].ChunkSecs); ns != 0 && ns != len(b.Groups[i].Chunks) {
+					return nil, fmt.Errorf("protocol: result batch group %d has %d chunk timings for %d chunks",
+						i, ns, len(b.Groups[i].Chunks))
+				}
+			}
+		}
 	}
-	if m.Assign != nil && len(m.Assign.Extra) > MaxGrantChunks-1 {
+	if m.Assign != nil && len(m.Assign.Grants) > MaxGrantChunks {
 		return nil, fmt.Errorf("protocol: task assign grants %d chunks, max %d",
-			1+len(m.Assign.Extra), MaxGrantChunks)
+			len(m.Assign.Grants), MaxGrantChunks)
 	}
 	if m.BatchAck != nil && len(m.BatchAck.Acks) > MaxBatchChunks {
 		return nil, fmt.Errorf("protocol: batch ack covers %d chunks, max %d",
 			len(m.BatchAck.Acks), MaxBatchChunks)
 	}
-	for _, b := range []*ResultBatch{m.Batch, batchOf(m.Request)} {
-		if b == nil {
-			continue
-		}
-		if n := b.NumChunks(); n > MaxBatchChunks {
-			return nil, fmt.Errorf("protocol: result batch covers %d chunks, max %d", n, MaxBatchChunks)
-		}
-		for i := range b.Groups {
-			if len(b.Groups[i].Chunks) == 0 {
-				return nil, fmt.Errorf("protocol: result batch group %d covers no chunks", i)
-			}
-			if ns := len(b.Groups[i].ChunkSecs); ns != 0 && ns != len(b.Groups[i].Chunks) {
-				return nil, fmt.Errorf("protocol: result batch group %d has %d chunk timings for %d chunks",
-					i, ns, len(b.Groups[i].Chunks))
-			}
-		}
-	}
 	return &m, nil
-}
-
-func batchOf(r *TaskRequest) *ResultBatch {
-	if r == nil {
-		return nil
-	}
-	return r.Batch
 }
 
 // Close closes the underlying transport.

@@ -21,6 +21,11 @@ func pipePair() (*Conn, *Conn) {
 	return NewConn(a), NewConn(b)
 }
 
+// flush is the frame a result batch travels in: a task request carrying it.
+func flush(b *ResultBatch) *Message {
+	return &Message{Type: MsgTaskRequest, Request: &TaskRequest{Batch: b}}
+}
+
 func TestHelloRoundTrip(t *testing.T) {
 	c1, c2 := pipePair()
 	defer c1.Close()
@@ -54,7 +59,7 @@ func TestJobSpecRoundTrip(t *testing.T) {
 
 	go func() {
 		c1.Send(&Message{Type: MsgTaskAssign, Assign: &TaskAssign{
-			JobID: 42, ChunkID: 3, Stream: 3, Photons: 500,
+			JobID: 42, Grants: []ChunkGrant{{ChunkID: 3, Stream: 3, Photons: 500}},
 			Job: &Job{ID: 42, Spec: *spec, Seed: 7, Streams: 100},
 		}})
 	}()
@@ -109,15 +114,15 @@ func TestTallyRoundTripPreservesEverything(t *testing.T) {
 	defer c1.Close()
 	defer c2.Close()
 	go func() {
-		c1.Send(&Message{Type: MsgResultBatch, Batch: &ResultBatch{Groups: []BatchGroup{{
+		c1.Send(flush(&ResultBatch{Groups: []BatchGroup{{
 			JobID: 1, Chunks: []int{3}, Elapsed: 5 * time.Second, TallyData: mc.AppendTally(nil, tally),
-		}}}})
+		}}}))
 	}()
 	m, err := c2.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := mc.DecodeTally(m.Batch.Groups[0].TallyData)
+	got, err := mc.DecodeTally(m.Request.Batch.Groups[0].TallyData)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +148,7 @@ func TestTallyRoundTripPreservesEverything(t *testing.T) {
 	}
 }
 
-// TestResultBatchRoundTrip covers the v3 batched result path: an empty
+// TestResultBatchRoundTrip covers the batched result path: an empty
 // batch (no groups — a legal no-op), a one-chunk batch, and a multi-job
 // batch whose compact tally payloads must decode bit-exact on the far side.
 func TestResultBatchRoundTrip(t *testing.T) {
@@ -177,15 +182,15 @@ func TestResultBatchRoundTrip(t *testing.T) {
 			c1, c2 := pipePair()
 			defer c1.Close()
 			defer c2.Close()
-			go c1.Send(&Message{Type: MsgResultBatch, Batch: tc.batch})
+			go c1.Send(flush(tc.batch))
 			m, err := c2.Recv()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m.Type != MsgResultBatch || m.Batch == nil {
+			if m.Type != MsgTaskRequest || m.Request.Batch == nil {
 				t.Fatalf("got %v", m.Type)
 			}
-			got := m.Batch
+			got := m.Request.Batch
 			if len(got.Groups) != len(tc.batch.Groups) || got.NumChunks() != tc.batch.NumChunks() {
 				t.Fatalf("batch shape lost: %+v", got)
 			}
@@ -229,7 +234,7 @@ func TestTaskRequestPiggybackRoundTrip(t *testing.T) {
 	go func() {
 		c1.Send(&Message{Type: MsgTaskRequest, Request: &TaskRequest{
 			KnownJobs: []uint64{4},
-			Holding:   []ChunkRef{{JobID: 4, ChunkID: 9}},
+			Want:      8,
 			Batch: &ResultBatch{Groups: []BatchGroup{
 				{JobID: 4, Chunks: []int{7, 8}, TallyData: mc.AppendTally(nil, tally)},
 			}},
@@ -240,7 +245,7 @@ func TestTaskRequestPiggybackRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := m.Request
-	if req == nil || req.Batch == nil || len(req.Holding) != 1 || req.Holding[0].ChunkID != 9 {
+	if req == nil || req.Batch == nil || req.Want != 8 {
 		t.Fatalf("piggybacked request lost data: %+v", req)
 	}
 	if req.Batch.NumChunks() != 2 {
@@ -249,7 +254,8 @@ func TestTaskRequestPiggybackRoundTrip(t *testing.T) {
 
 	go func() {
 		c2.Send(&Message{Type: MsgTaskAssign,
-			Assign: &TaskAssign{JobID: 4, ChunkID: 10, Stream: 10, Photons: 50},
+			Assign: &TaskAssign{JobID: 4, Grants: []ChunkGrant{
+				{ChunkID: 10, Stream: 10, Photons: 50}, {ChunkID: 11, Stream: 11, Photons: 50}}},
 			BatchAck: &BatchAck{Acks: []ResultAck{
 				{JobID: 4, ChunkID: 7},
 				{JobID: 4, ChunkID: 8, Duplicate: true},
@@ -266,7 +272,7 @@ func TestTaskRequestPiggybackRoundTrip(t *testing.T) {
 	if a := reply.BatchAck.Acks[1]; a.JobID != 4 || a.ChunkID != 8 || !a.Duplicate {
 		t.Fatalf("per-chunk ack corrupted: %+v", a)
 	}
-	if reply.Assign == nil || reply.Assign.ChunkID != 10 {
+	if reply.Assign == nil || len(reply.Assign.Grants) != 2 || reply.Assign.Grants[1].ChunkID != 11 {
 		t.Fatal("assignment lost from piggybacked reply")
 	}
 }
@@ -294,8 +300,8 @@ func TestRecvOnClosedConn(t *testing.T) {
 
 func TestMsgTypeStrings(t *testing.T) {
 	types := []MsgType{MsgHello, MsgWelcome, MsgTaskRequest, MsgTaskAssign,
-		reserved5, reserved6, MsgNoWork, MsgError, MsgResultBatch,
-		MsgBatchAck, MsgType(42)}
+		reserved5, reserved6, MsgNoWork, MsgError, reserved9, reserved10,
+		MsgType(42)}
 	for _, ty := range types {
 		if ty.String() == "" {
 			t.Fatalf("empty string for %d", int(ty))
@@ -311,7 +317,7 @@ func TestManyMessagesSequential(t *testing.T) {
 	go func() {
 		for i := 0; i < n; i++ {
 			c1.Send(&Message{Type: MsgTaskAssign, Assign: &TaskAssign{
-				ChunkID: i, Stream: i, Photons: int64(i * 10),
+				Grants: []ChunkGrant{{ChunkID: i, Stream: i, Photons: int64(i * 10)}},
 			}})
 		}
 	}()
@@ -320,8 +326,8 @@ func TestManyMessagesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Assign.ChunkID != i {
-			t.Fatalf("message %d arrived out of order as %d", i, m.Assign.ChunkID)
+		if got := m.Assign.Grants[0].ChunkID; got != i {
+			t.Fatalf("message %d arrived out of order as %d", i, got)
 		}
 	}
 }
@@ -349,7 +355,7 @@ func TestVoxelJobSpecRoundTrip(t *testing.T) {
 
 	go func() {
 		c1.Send(&Message{Type: MsgTaskAssign, Assign: &TaskAssign{
-			JobID: 7, ChunkID: 0, Stream: 0, Photons: 100,
+			JobID: 7, Grants: []ChunkGrant{{ChunkID: 0, Stream: 0, Photons: 100}},
 			Job: &Job{ID: 7, Spec: *spec, Seed: 3, Streams: 10},
 		}})
 	}()

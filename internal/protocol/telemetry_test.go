@@ -26,7 +26,6 @@ func TestWorkerReportRoundTrip(t *testing.T) {
 		PhotonsPerSec: 123456.5,
 		ChunkSecs:     0.031,
 		EncodeSecs:    0.0004,
-		Holding:       3,
 		Goroutines:    14,
 		HeapBytes:     9 << 20,
 		Version:       "v1.2.3-4-gabcdef",
@@ -102,12 +101,12 @@ func TestRecvRejectsChunkSecsLengthMismatch(t *testing.T) {
 	c1, c2 := pipePair()
 	defer c1.Close()
 	defer c2.Close()
-	go c1.Send(&Message{Type: MsgResultBatch, Batch: &ResultBatch{Groups: []BatchGroup{{
+	go c1.Send(flush(&ResultBatch{Groups: []BatchGroup{{
 		JobID:     1,
 		Chunks:    []int{0, 1, 2},
 		TallyData: mc.AppendTally(nil, tally),
 		ChunkSecs: []float64{0.1, 0.2},
-	}}}})
+	}}}))
 	if _, err := c2.Recv(); err == nil {
 		t.Fatal("mismatched ChunkSecs length accepted")
 	}

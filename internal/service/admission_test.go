@@ -357,7 +357,7 @@ func TestTenantFairShareTwoTenants(t *testing.T) {
 
 	counts := map[uint64]int{}
 	for i := 0; i < 80; i++ {
-		msg := reg.nextAssignment(sess, nil)
+		msg := reg.nextAssignment(sess, want(1))
 		if msg.Assign == nil {
 			t.Fatalf("assignment %d: no chunk", i)
 		}

@@ -143,12 +143,12 @@ func TestUndecodableBatchRejectedAndRequeued(t *testing.T) {
 	sess := reg.registerSession(&protocol.Hello{Name: "hostile"}, "")
 	defer reg.releaseSession(sess)
 
-	msg := reg.nextAssignment(sess, &protocol.TaskRequest{Want: 2})
+	msg := reg.nextAssignment(sess, want(2))
 	if msg.Type != protocol.MsgTaskAssign {
 		t.Fatalf("expected assignment, got %v", msg.Type)
 	}
-	chunks := []int{msg.Assign.ChunkID}
-	for _, g := range msg.Assign.Extra {
+	var chunks []int
+	for _, g := range msg.Assign.Grants {
 		chunks = append(chunks, g.ChunkID)
 	}
 	var scratch mc.Tally

@@ -17,9 +17,8 @@ import (
 // killConn injects deterministic transport death: the connection errors
 // (and closes, so the server side unblocks too) after budget writes.
 // Because protocol.Conn flushes once per Send, the budget counts frames —
-// a small budget kills the worker mid-batch with computed-but-unflushed
-// results in its buffer, the abrupt-death case the Holding advertisement
-// cannot soften.
+// a small budget kills the worker mid-grant with computed-but-unflushed
+// results in its buffer, the abrupt-death case no drain can soften.
 type killConn struct {
 	net.Conn
 	mu     sync.Mutex

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/mc"
+	"repro/internal/obs"
 	"repro/internal/protocol"
 )
 
@@ -19,6 +20,9 @@ import (
 func (r *Registry) nextAssignment(sess *session, req *protocol.TaskRequest) *protocol.Message {
 	return r.dispatch(sess, req, false)
 }
+
+// want is an empty-handed request for up to n chunks.
+func want(n int) *protocol.TaskRequest { return &protocol.TaskRequest{Want: n} }
 
 // peer is a hand-driven protocol client over an in-memory pipe: the test
 // decides frame by frame what the "worker" says, so a request can be left
@@ -46,11 +50,12 @@ func dialPeer(t *testing.T, reg *Registry, name string) *peer {
 	return p
 }
 
-// ask sends one empty-handed TaskRequest — the kind the server may park.
+// ask sends one empty-handed TaskRequest for a chunk — the kind the server
+// may park.
 func (p *peer) ask() {
 	p.t.Helper()
 	if err := p.pc.Send(&protocol.Message{Type: protocol.MsgTaskRequest,
-		Request: &protocol.TaskRequest{}}); err != nil {
+		Request: want(1)}); err != nil {
 		p.t.Fatal(err)
 	}
 }
@@ -66,8 +71,8 @@ func (p *peer) recv(within time.Duration) *protocol.Message {
 	return m
 }
 
-// finish computes the assigned chunk honestly and delivers it standalone.
-func (p *peer) finish(a *protocol.TaskAssign) {
+// compute runs one granted chunk of the assignment honestly.
+func (p *peer) compute(a *protocol.TaskAssign, g protocol.ChunkGrant) *protocol.ResultBatch {
 	p.t.Helper()
 	if a.Job != nil {
 		p.jobs[a.JobID] = a.Job
@@ -77,15 +82,22 @@ func (p *peer) finish(a *protocol.TaskAssign) {
 	if err != nil {
 		p.t.Fatal(err)
 	}
-	tally, err := mc.RunStreamFan(cfg, a.Photons, job.Seed, a.Stream, job.Streams, job.Fan)
+	tally, err := mc.RunStreamFan(cfg, g.Photons, job.Seed, g.Stream, job.Streams, job.Fan)
 	if err != nil {
 		p.t.Fatal(err)
 	}
-	if err := p.pc.Send(&protocol.Message{Type: protocol.MsgResultBatch,
-		Batch: oneChunkBatch(a.JobID, a.ChunkID, tally)}); err != nil {
+	return oneChunkBatch(a.JobID, g.ChunkID, tally)
+}
+
+// finish computes the assignment's first chunk and hands it back asking for
+// nothing more; the reply must come at once and carry the chunk's ack.
+func (p *peer) finish(a *protocol.TaskAssign) {
+	p.t.Helper()
+	if err := p.pc.Send(flushOnly(p.compute(a, a.Grants[0]))); err != nil {
 		p.t.Fatal(err)
 	}
-	if m := p.recv(5 * time.Second); m.Type != protocol.MsgBatchAck || m.BatchAck.Acks[0].Rejected {
+	m := p.recv(parkMax / 2)
+	if m.Type != protocol.MsgNoWork || m.BatchAck == nil || m.BatchAck.Acks[0].Rejected {
 		p.t.Fatalf("honest result not acknowledged: %+v", m)
 	}
 }
@@ -136,7 +148,7 @@ func TestParkedWorkerGrantedAtChunkDeadline(t *testing.T) {
 	waitParked(t, reg, "parked")
 	m := b.recv(parkMax / 2)
 	waited := time.Since(granted)
-	if m.Type != protocol.MsgTaskAssign || m.Assign.JobID != out.Job.ID() || m.Assign.ChunkID != 0 {
+	if m.Type != protocol.MsgTaskAssign || m.Assign.JobID != out.Job.ID() || m.Assign.Grants[0].ChunkID != 0 {
 		t.Fatalf("parked worker woke to %v (%+v), want the reclaimed chunk", m.Type, m.Assign)
 	}
 	if waited < timeout-20*time.Millisecond {
@@ -187,6 +199,54 @@ func TestDrainOnEmptyReleasesParkedWorkers(t *testing.T) {
 	}
 	if _, err := out.Job.Wait(5 * time.Second); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDispatchPartialFlushAbandonsTheRest is the result plane's server-side
+// rule: a request gives up every assignment of its session it does not
+// hand back. A worker granted three chunks flushes one and asks for nothing
+// more (a drain in the middle of its grant): the reply comes at once — a
+// Want-0 request never parks, whatever it carries — with the one ack, and
+// the other two chunks are back in the queue, traced as abandoned.
+func TestDispatchPartialFlushAbandonsTheRest(t *testing.T) {
+	reg := New(Options{})
+	out, err := reg.Submit(JobSpec{Spec: slabSpec(5), TotalPhotons: 500, ChunkPhotons: 100, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := dialPeer(t, reg, "leaver")
+	if err := p.pc.Send(&protocol.Message{Type: protocol.MsgTaskRequest, Request: want(3)}); err != nil {
+		t.Fatal(err)
+	}
+	m := p.recv(5 * time.Second)
+	if m.Type != protocol.MsgTaskAssign || len(m.Assign.Grants) != 3 {
+		t.Fatalf("got %v (%+v), want a grant of three", m.Type, m.Assign)
+	}
+	p.finish(m.Assign) // hands back Grants[0] with Want 0
+
+	if st := reg.Stats(); st.PendingChunks != 4 || st.OutstandingChunks != 0 {
+		t.Fatalf("after the partial flush: %d pending, %d outstanding, want 4 and 0", st.PendingChunks, st.OutstandingChunks)
+	}
+	abandoned := map[int]bool{}
+	events, _ := out.Job.Events()
+	for _, e := range events {
+		if e.Kind == obs.EvChunkReassigned && e.Detail == "abandoned" && e.Worker == "leaver" {
+			abandoned[e.Chunk] = true
+		}
+	}
+	if len(abandoned) != 2 || !abandoned[m.Assign.Grants[1].ChunkID] || !abandoned[m.Assign.Grants[2].ChunkID] {
+		t.Fatalf("abandoned chunks %v, want the two the flush left out of %+v", abandoned, m.Assign.Grants)
+	}
+
+	// Empty-handed and asking for nothing: still answered at once.
+	if err := p.pc.Send(flushOnly(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if m := p.recv(parkMax / 2); m.Type != protocol.MsgNoWork || m.NoWork.Done || m.BatchAck != nil {
+		t.Fatalf("Want-0 request answered %+v, want a bare NoWork", m)
+	}
+	if n := reg.met.parkSeconds.Count(); n != 0 {
+		t.Fatalf("%d parks observed, want none", n)
 	}
 }
 
@@ -302,7 +362,7 @@ func (w *chaosWorker) session(conn net.Conn) {
 		return
 	}
 	for {
-		if pc.Send(&protocol.Message{Type: protocol.MsgTaskRequest, Request: &protocol.TaskRequest{}}) != nil {
+		if pc.Send(&protocol.Message{Type: protocol.MsgTaskRequest, Request: want(1)}) != nil {
 			return
 		}
 		msg, err := pc.Recv()
@@ -312,7 +372,8 @@ func (w *chaosWorker) session(conn net.Conn) {
 		if msg.Type != protocol.MsgTaskAssign {
 			continue // the park limit: ask again
 		}
-		a := msg.Assign
+		a := grantOf(msg.Assign, 0)
+		job := msg.Assign.Job // an empty KnownJobs list makes every assign carry the job
 		batch := &protocol.ResultBatch{Groups: []protocol.BatchGroup{{
 			JobID: a.JobID, Chunks: []int{a.ChunkID}, TallyData: []byte{0xFF, 0xFF, 0xFF},
 		}}}
@@ -324,17 +385,17 @@ func (w *chaosWorker) session(conn net.Conn) {
 			if fault == faultStall {
 				time.Sleep(w.stall)
 			}
-			cfg, err := a.Job.Spec.Build() // an empty KnownJobs list makes every assign carry the job
+			cfg, err := job.Spec.Build()
 			if err != nil {
 				return
 			}
-			tally, err := mc.RunStreamFan(cfg, a.Photons, a.Job.Seed, a.Stream, a.Job.Streams, a.Job.Fan)
+			tally, err := mc.RunStreamFan(cfg, a.Photons, job.Seed, a.Stream, job.Streams, job.Fan)
 			if err != nil {
 				return
 			}
 			batch = oneChunkBatch(a.JobID, a.ChunkID, tally)
 		}
-		if pc.Send(&protocol.Message{Type: protocol.MsgResultBatch, Batch: batch}) != nil {
+		if pc.Send(flushOnly(batch)) != nil {
 			return
 		}
 		if _, err := pc.Recv(); err != nil {

@@ -21,12 +21,10 @@ type session struct {
 	mflops    float64
 	remote    string // transport remote address ("" for in-memory pipes)
 	connected time.Time
-	lastSeen  time.Time // last TaskRequest or result batch from this connection
-	// assigned is the set of chunks this session owns: the one it is
-	// computing plus any it has computed but not yet flushed (protocol v3
-	// workers batch results). An entry lives until its result is reduced,
-	// the worker stops advertising it (abandoned → requeued), or the
-	// connection drops.
+	lastSeen  time.Time // last TaskRequest from this connection
+	// assigned is the set of chunks this session owns: its latest grant. An
+	// entry lives until its result is reduced, the worker's next request
+	// arrives without it (abandoned → requeued), or the connection drops.
 	assigned  map[chunkRef]*assignment
 	knownJobs map[uint64]bool // descriptors already shipped on this conn
 
@@ -149,32 +147,23 @@ func (r *Registry) HandleConn(rw io.ReadWriteCloser) error {
 		if err != nil {
 			return err
 		}
-		switch msg.Type {
-		case protocol.MsgTaskRequest:
-			var acks *protocol.BatchAck
-			if msg.Request != nil && msg.Request.Batch != nil {
-				acks = &protocol.BatchAck{Acks: r.reduceBatch(sess, msg.Request.Batch, &scratch)}
-			}
-			// A request that flushed results is answered at once: its acks
-			// must not wait out a park.
-			reply := r.dispatch(sess, msg.Request, acks == nil)
-			reply.BatchAck = acks
-			if err := pc.Send(reply); err != nil {
-				return err
-			}
-			if reply.Type == protocol.MsgNoWork && reply.NoWork.Done {
-				return nil
-			}
-		case protocol.MsgResultBatch:
-			if msg.Batch == nil {
-				return fmt.Errorf("service: empty batch from %q", sess.name)
-			}
-			ack := &protocol.BatchAck{Acks: r.reduceBatch(sess, msg.Batch, &scratch)}
-			if err := pc.Send(&protocol.Message{Type: protocol.MsgBatchAck, BatchAck: ack}); err != nil {
-				return err
-			}
-		default:
+		if msg.Type != protocol.MsgTaskRequest {
 			return fmt.Errorf("service: unexpected message %v from %q", msg.Type, sess.name)
+		}
+		req := msg.Request
+		var acks *protocol.BatchAck
+		if req.Batch != nil {
+			acks = &protocol.BatchAck{Acks: r.reduceBatch(sess, req.Batch, &scratch)}
+		}
+		// A request that flushed results is answered at once — its acks must
+		// not wait out a park — and so is one that asks for nothing.
+		reply := r.dispatch(sess, req, acks == nil && req.Want > 0)
+		reply.BatchAck = acks
+		if err := pc.Send(reply); err != nil {
+			return err
+		}
+		if reply.Type == protocol.MsgNoWork && reply.NoWork.Done {
+			return nil
 		}
 	}
 }
@@ -220,8 +209,8 @@ func (r *Registry) releaseSession(sess *session) {
 
 // releaseAssignmentLocked abandons one of the session's assignments,
 // requeueing its chunk if it is still outstanding on this session. Every
-// path that gives up on an assignment (disconnect, a request that stops
-// advertising the chunk, an unmergeable result) must come through here — a
+// path that gives up on an assignment (disconnect, a request that does not
+// flush the chunk, an unmergeable result) must come through here — a
 // chunk left in outstanding with no owner would otherwise wedge a
 // ChunkTimeout=0 job forever.
 func (r *Registry) releaseAssignmentLocked(sess *session, ref chunkRef, a *assignment) {
@@ -243,13 +232,12 @@ func (r *Registry) releaseAssignmentLocked(sess *session, ref chunkRef, a *assig
 }
 
 // dispatch answers one TaskRequest. When nothing is schedulable and the
-// worker holds no results, the request is parked instead of answered: the
-// goroutine waits for the registry's wake signal and scans again, so the
-// worker — blocked in Recv, which is the long-poll — gets its chunk the
-// moment one exists and no timer sits between a submission and its first
-// photon. A worker that holds results (or whose request just flushed
-// some: mayPark false) is told NoWork at once, so it flushes before it
-// idles and held chunks never gate a job's completion.
+// request may park, it is parked instead of answered: the goroutine waits
+// for the registry's wake signal and scans again, so the worker — blocked
+// in Recv, which is the long-poll — gets its chunk the moment one exists
+// and no timer sits between a submission and its first photon. A request
+// whose reply carries acks, or that asked for no grant (mayPark false), is
+// told NoWork at once.
 //
 // The wake channel is read in the critical section that found nothing
 // schedulable, and every transition that can make a job schedulable or
@@ -265,7 +253,7 @@ func (r *Registry) dispatch(sess *session, req *protocol.TaskRequest, mayPark bo
 	r.mu.Lock()
 	r.syncSessionLocked(sess, req, start)
 	reply, reclaimAt := r.assignLocked(sess, req)
-	if reply == nil && (!mayPark || len(sess.assigned) > 0) {
+	if reply == nil && !mayPark {
 		reply = noWork()
 	}
 	if reply != nil {
@@ -309,47 +297,32 @@ func (r *Registry) wakeLocked() {
 }
 
 // syncSessionLocked folds a TaskRequest's advertised state into the
-// session: liveness, telemetry, the descriptors the worker still caches
-// and the chunks it still holds.
+// session: liveness, telemetry, the descriptors the worker still caches —
+// and gives up the assignments the request did not flush.
 func (r *Registry) syncSessionLocked(sess *session, req *protocol.TaskRequest, now time.Time) {
 	if sess.assigned == nil { // tests construct sessions directly
 		sess.assigned = make(map[chunkRef]*assignment)
 	}
 	sess.lastSeen = now
-	if req != nil && req.Report != nil {
+	if req.Report != nil {
 		// Fold the piggybacked telemetry into the session profile. The
 		// report is the worker's own EWMA state, so the latest one simply
 		// replaces the previous — no server-side re-smoothing.
 		sess.report = *req.Report
 		sess.hasReport = true
 	}
-	if req != nil {
-		// The request's KnownJobs list is authoritative: the worker may
-		// have evicted descriptors it advertised earlier, in which case
-		// the next assignment of that job must re-carry the descriptor.
-		clear(sess.knownJobs)
-		for _, id := range req.KnownJobs {
-			sess.knownJobs[id] = true
-		}
+	// The request's KnownJobs list is authoritative: the worker may have
+	// evicted descriptors it advertised earlier, in which case the next
+	// assignment of that job must re-carry the descriptor.
+	clear(sess.knownJobs)
+	for _, id := range req.KnownJobs {
+		sess.knownJobs[id] = true
 	}
-	// Equally authoritative: the Holding list (plus any batch flushed just
-	// before this call, whose chunks have already left sess.assigned). An
-	// assignment the worker no longer advertises is abandoned — for a
-	// legacy nil request that is every undelivered assignment, preserving
-	// the v2 "a new request abandons the current chunk" semantics.
-	if len(sess.assigned) > 0 {
-		var held map[chunkRef]bool
-		if req != nil && len(req.Holding) > 0 {
-			held = make(map[chunkRef]bool, len(req.Holding))
-			for _, h := range req.Holding {
-				held[chunkRef{h.JobID, h.ChunkID}] = true
-			}
-		}
-		for ref, a := range sess.assigned {
-			if !held[ref] {
-				r.releaseAssignmentLocked(sess, ref, a)
-			}
-		}
+	// A worker hands back everything it computed with its next request, and
+	// the request's batch has been reduced by now: whatever the session
+	// still owns, the worker walked away from.
+	for ref, a := range sess.assigned {
+		r.releaseAssignmentLocked(sess, ref, a)
 	}
 }
 
@@ -359,6 +332,9 @@ func (r *Registry) syncSessionLocked(sess *session, req *protocol.TaskRequest, n
 // deadline of a chunk still outstanding (zero if none can expire), the
 // moment a scan could next find work with no other transition.
 func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply *protocol.Message, reclaimAt time.Time) {
+	if req.Want <= 0 {
+		return nil, time.Time{} // a flush from a worker that is leaving: nothing asked for
+	}
 	now := time.Now()
 	policy := r.opts.Policy
 	cands := r.candScratch[:0]
@@ -405,12 +381,8 @@ func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply
 	// gets its own outstanding entry (so per-chunk timeout reassignment is
 	// unchanged) and its own policy charge (so fair-share accounting stays
 	// per chunk; only the interleaving granularity coarsens).
-	want := 1
-	if req != nil && req.Want > 1 {
-		want = req.Want
-		if want > protocol.MaxGrantChunks {
-			want = protocol.MaxGrantChunks
-		}
+	want := min(req.Want, protocol.MaxGrantChunks)
+	if want > 1 {
 		// Keep the tail parallel: when the whole schedulable queue is
 		// shallow relative to the fleet, never hand one worker more than
 		// its fleet-fair share of it.
@@ -438,7 +410,7 @@ func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply
 			want = 1
 		}
 	}
-	grant := func() (int, int64) {
+	grant := func() protocol.ChunkGrant {
 		var id int
 		if n := len(j.pending); n > 0 {
 			id = j.pending[n-1]
@@ -463,7 +435,7 @@ func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply
 			r.sched.Charge(j.id, float64(j.photons[id]))
 		}
 		sess.assigned[chunkRef{j.id, id}] = &assignment{job: j, chunkID: id}
-		return id, j.photons[id]
+		return protocol.ChunkGrant{ChunkID: id, Stream: id, Photons: j.photons[id]}
 	}
 
 	if j.state == StateQueued {
@@ -478,18 +450,9 @@ func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply
 		}
 	}
 
-	id, photons := grant()
-	assign := &protocol.TaskAssign{
-		JobID:   j.id,
-		ChunkID: id,
-		Stream:  id,
-		Photons: photons,
-	}
-	for len(assign.Extra)+1 < want && (len(j.pending) > 0 || j.issuableChunksLocked() > 0) {
-		id, photons := grant()
-		assign.Extra = append(assign.Extra, protocol.ChunkGrant{
-			ChunkID: id, Stream: id, Photons: photons,
-		})
+	assign := &protocol.TaskAssign{JobID: j.id, Grants: []protocol.ChunkGrant{grant()}}
+	for len(assign.Grants) < want && (len(j.pending) > 0 || j.issuableChunksLocked() > 0) {
+		assign.Grants = append(assign.Grants, grant())
 	}
 	if !sess.knownJobs[j.id] {
 		streams := j.nChunks
@@ -897,7 +860,7 @@ func (r *Registry) reduceGroup(sess *session, jobID uint64, chunks []int, tally 
 }
 
 // SessionStatus is one live worker session in the GET /fleet table: the
-// connection's identity and freshness, the chunks it holds and has
+// connection's identity and freshness, the chunks it owns and has
 // completed, and the reported-vs-inferred throughput pair — the worker's
 // own kernel EWMA next to the server's ack-timing estimate. The reported
 // fields (photons/sec through version) are zero/absent for sessions that
@@ -916,7 +879,6 @@ type SessionStatus struct {
 	ReportedPhotonsPerSec float64   `json:"reportedPhotonsPerSec,omitempty"`
 	ChunkSeconds          float64   `json:"chunkSeconds,omitempty"`
 	EncodeSeconds         float64   `json:"encodeSeconds,omitempty"`
-	Holding               int       `json:"holding,omitempty"`
 	Goroutines            int       `json:"goroutines,omitempty"`
 	HeapBytes             uint64    `json:"heapBytes,omitempty"`
 	Version               string    `json:"version,omitempty"`
@@ -950,7 +912,6 @@ func (r *Registry) Fleet() []SessionStatus {
 			ss.ReportedPhotonsPerSec = s.report.PhotonsPerSec
 			ss.ChunkSeconds = s.report.ChunkSecs
 			ss.EncodeSeconds = s.report.EncodeSecs
-			ss.Holding = s.report.Holding
 			ss.Goroutines = s.report.Goroutines
 			ss.HeapBytes = s.report.HeapBytes
 			ss.Version = s.report.Version

@@ -172,9 +172,9 @@ func TestFleetIntrospectionEndToEnd(t *testing.T) {
 		t.Fatalf("fleet completed %d chunks, job had %d", completed, chunks)
 	}
 
-	// Backward compatibility: a bare TaskRequest with no Report (what a
-	// pre-telemetry v4 worker sends) must still be served — with nothing
-	// queued, that is a parked request like any other idle worker's.
+	// The report is optional: a TaskRequest without one must still be
+	// served — with nothing queued, that is a parked request like any other
+	// idle worker's.
 	server, client := net.Pipe()
 	go reg.HandleConn(server)
 	defer client.Close()
@@ -188,7 +188,7 @@ func TestFleetIntrospectionEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := pc.Send(&protocol.Message{Type: protocol.MsgTaskRequest,
-		Request: &protocol.TaskRequest{}}); err != nil {
+		Request: &protocol.TaskRequest{Want: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	legacyDeadline := time.Now().Add(15 * time.Second)

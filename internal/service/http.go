@@ -36,8 +36,9 @@ type API struct {
 }
 
 // DefaultMaxBodyBytes is the POST /jobs body cap when API.MaxBodyBytes is
-// zero: far above any sane spec (voxel grids ship as dimensions + fills,
-// not dense arrays), far below what could OOM the daemon.
+// zero: far above any sane spec (a voxel grid ships dense, one label per
+// voxel — the benchmark's 120×120×80 head is a 1.5 MB body), far below
+// what could OOM the daemon.
 const DefaultMaxBodyBytes = 32 << 20
 
 // TenantHeader is the request header naming the submitting tenant; it wins

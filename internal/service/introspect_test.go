@@ -27,7 +27,7 @@ func TestSpanJoinAndFleetProfile(t *testing.T) {
 
 	rep := &protocol.WorkerReport{
 		PhotonsPerSec: 5000, ChunkSecs: 0.25, EncodeSecs: 0.001,
-		Holding: 1, Goroutines: 7, HeapBytes: 1 << 20, Version: "test-build",
+		Goroutines: 7, HeapBytes: 1 << 20, Version: "test-build",
 	}
 	var cfg *mc.Config
 	var meta protocol.Job
@@ -37,11 +37,11 @@ func TestSpanJoinAndFleetProfile(t *testing.T) {
 		if msg.Type != protocol.MsgTaskAssign {
 			t.Fatalf("expected an assignment, got %v", msg.Type)
 		}
-		a := msg.Assign
-		if a.Job != nil {
-			meta = *a.Job
+		a := grantOf(msg.Assign, 0)
+		if job := msg.Assign.Job; job != nil {
+			meta = *job
 			var err error
-			if cfg, err = a.Job.Spec.Build(); err != nil {
+			if cfg, err = job.Spec.Build(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -59,10 +59,10 @@ func TestSpanJoinAndFleetProfile(t *testing.T) {
 	}
 
 	// Chunk 1: worker-reported per-chunk timing wins over the batch share.
-	runChunk(&protocol.TaskRequest{Report: rep}, 300*time.Millisecond, []float64{0.25})
+	runChunk(&protocol.TaskRequest{Want: 1, Report: rep}, 300*time.Millisecond, []float64{0.25})
 	// Chunk 2: no timings — compute falls back to elapsed / len(chunks).
 	// (The job spec is already known; KnownJobs keeps the assign lean.)
-	runChunk(&protocol.TaskRequest{KnownJobs: []uint64{j.ID()}}, 100*time.Millisecond, nil)
+	runChunk(&protocol.TaskRequest{Want: 1, KnownJobs: []uint64{j.ID()}}, 100*time.Millisecond, nil)
 
 	spans, dropped := j.Spans()
 	if dropped != 0 || len(spans) != 2 {

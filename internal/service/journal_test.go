@@ -82,7 +82,7 @@ func workChunks(rw net.Conn, n int) error {
 	jobs := map[uint64]*rt{}
 	for done := 0; done < n; {
 		if err := pc.Send(&protocol.Message{Type: protocol.MsgTaskRequest,
-			Request: &protocol.TaskRequest{}}); err != nil {
+			Request: want(1)}); err != nil {
 			return err
 		}
 		msg, err := pc.Recv()
@@ -91,25 +91,25 @@ func workChunks(rw net.Conn, n int) error {
 		}
 		switch msg.Type {
 		case protocol.MsgTaskAssign:
-			a := msg.Assign
+			a := grantOf(msg.Assign, 0)
 			r := jobs[a.JobID]
 			if r == nil {
-				if a.Job == nil {
+				job := msg.Assign.Job
+				if job == nil {
 					return errors.New("assign without descriptor")
 				}
-				cfg, err := a.Job.Spec.Build()
+				cfg, err := job.Spec.Build()
 				if err != nil {
 					return err
 				}
-				r = &rt{cfg: cfg, seed: a.Job.Seed, streams: a.Job.Streams, fan: a.Job.Fan}
+				r = &rt{cfg: cfg, seed: job.Seed, streams: job.Streams, fan: job.Fan}
 				jobs[a.JobID] = r
 			}
 			tally, err := mc.RunStreamFan(r.cfg, a.Photons, r.seed, a.Stream, r.streams, r.fan)
 			if err != nil {
 				return err
 			}
-			if err := pc.Send(&protocol.Message{Type: protocol.MsgResultBatch,
-				Batch: oneChunkBatch(a.JobID, a.ChunkID, tally)}); err != nil {
+			if err := pc.Send(flushOnly(oneChunkBatch(a.JobID, a.ChunkID, tally))); err != nil {
 				return err
 			}
 			if _, err := pc.Recv(); err != nil {

@@ -84,83 +84,49 @@ func oneChunkBatch(jobID uint64, chunk int, tally *mc.Tally) *protocol.ResultBat
 	}}}
 }
 
+// flushOnly is the request of a worker that is leaving: it hands back a
+// batch and asks for no grant, so the reply is NoWork plus the acks.
+func flushOnly(b *protocol.ResultBatch) *protocol.Message {
+	return &protocol.Message{Type: protocol.MsgTaskRequest, Request: &protocol.TaskRequest{Batch: b}}
+}
+
+// oneGrant is a single-chunk assignment as the hand-driven tests hold it.
+type oneGrant struct {
+	JobID uint64
+	protocol.ChunkGrant
+}
+
+// grantOf unpacks the i-th chunk of an assignment.
+func grantOf(a *protocol.TaskAssign, i int) *oneGrant {
+	return &oneGrant{JobID: a.JobID, ChunkGrant: a.Grants[i]}
+}
+
+// nextChunk asks for one chunk on the session's behalf, never parking; nil
+// means nothing was assigned.
+func (r *Registry) nextChunk(sess *session) *oneGrant {
+	msg := r.nextAssignment(sess, want(1))
+	if msg.Type != protocol.MsgTaskAssign {
+		return nil
+	}
+	return grantOf(msg.Assign, 0)
+}
+
 // reduceOne delivers one chunk's tally through the production batch
 // reducer and returns that chunk's ack.
-func reduceOne(reg *Registry, sess *session, a *protocol.TaskAssign, tally *mc.Tally) protocol.ResultAck {
+func reduceOne(reg *Registry, sess *session, a *oneGrant, tally *mc.Tally) protocol.ResultAck {
 	return reg.reduceBatch(sess, oneChunkBatch(a.JobID, a.ChunkID, tally), &mc.Tally{})[0]
 }
 
-// workClient is a minimal one-chunk-per-round-trip worker loop (mirrors
-// distsys.Work, which lives above this package in the import graph).
+// workClient is a minimal one-chunk-per-round-trip worker loop.
 func workClient(rw net.Conn, name string) (int, error) {
-	pc := protocol.NewConn(rw)
-	defer pc.Close()
-	if err := pc.Send(&protocol.Message{Type: protocol.MsgHello,
-		Hello: &protocol.Hello{Version: protocol.Version, Name: name}}); err != nil {
-		return 0, err
-	}
-	if _, err := pc.Recv(); err != nil {
-		return 0, err
-	}
-	type rt struct {
-		cfg     *mc.Config
-		seed    uint64
-		streams int
-		fan     int
-	}
-	jobs := map[uint64]*rt{}
-	chunks := 0
-	for {
-		if err := pc.Send(&protocol.Message{Type: protocol.MsgTaskRequest,
-			Request: &protocol.TaskRequest{}}); err != nil {
-			return chunks, err
-		}
-		msg, err := pc.Recv()
-		if err != nil {
-			return chunks, err
-		}
-		switch msg.Type {
-		case protocol.MsgTaskAssign:
-			a := msg.Assign
-			r := jobs[a.JobID]
-			if r == nil {
-				if a.Job == nil {
-					return chunks, errors.New("assign without descriptor")
-				}
-				cfg, err := a.Job.Spec.Build()
-				if err != nil {
-					return chunks, err
-				}
-				r = &rt{cfg: cfg, seed: a.Job.Seed, streams: a.Job.Streams, fan: a.Job.Fan}
-				jobs[a.JobID] = r
-			}
-			tally, err := mc.RunStreamFan(r.cfg, a.Photons, r.seed, a.Stream, r.streams, r.fan)
-			if err != nil {
-				return chunks, err
-			}
-			if err := pc.Send(&protocol.Message{Type: protocol.MsgResultBatch,
-				Batch: oneChunkBatch(a.JobID, a.ChunkID, tally)}); err != nil {
-				return chunks, err
-			}
-			if _, err := pc.Recv(); err != nil {
-				return chunks, err
-			}
-			chunks++
-		case protocol.MsgNoWork:
-			if msg.NoWork.Done {
-				return chunks, nil
-			}
-		default:
-			return chunks, errors.New("unexpected message")
-		}
-	}
+	return batchClient(rw, name, 1)
 }
 
-// batchClient is a minimal protocol v3 worker that mirrors distsys.Work's
-// result plane: chunks computed with the job's fan, pre-reduced per job,
-// flushed as a batch piggybacked on the next task request once flushChunks
-// accumulate (or standalone when idle), with Holding advertised in between.
-func batchClient(rw net.Conn, name string, flushChunks int) (int, error) {
+// batchClient is a minimal worker that mirrors distsys.Work's result plane
+// (which lives above this package in the import graph): every request asks
+// for up to window chunks, the grant is computed with the job's fan and
+// pre-reduced into one group, and the batch rides the next request.
+func batchClient(rw net.Conn, name string, window int) (int, error) {
 	pc := protocol.NewConn(rw)
 	defer pc.Close()
 	if err := pc.Send(&protocol.Message{Type: protocol.MsgHello,
@@ -177,64 +143,28 @@ func batchClient(rw net.Conn, name string, flushChunks int) (int, error) {
 		fan     int
 	}
 	jobs := map[uint64]*rt{}
-	type group struct {
-		chunks []int
-		tally  *mc.Tally
-	}
-	pending := map[uint64]*group{}
-	var order []uint64
-	buffered, accepted := 0, 0
-
-	encode := func() *protocol.ResultBatch {
-		b := &protocol.ResultBatch{}
-		for _, id := range order {
-			g := pending[id]
-			b.Groups = append(b.Groups, protocol.BatchGroup{
-				JobID: id, Chunks: g.chunks, TallyData: mc.AppendTally(nil, g.tally),
-			})
-		}
-		return b
-	}
-	apply := func(acks []protocol.ResultAck) {
-		for _, a := range acks {
-			if !a.Rejected {
-				accepted++
-			}
-		}
-		pending = map[uint64]*group{}
-		order = nil
-		buffered = 0
-	}
-	holding := func() []protocol.ChunkRef {
-		var refs []protocol.ChunkRef
-		for _, id := range order {
-			for _, c := range pending[id].chunks {
-				refs = append(refs, protocol.ChunkRef{JobID: id, ChunkID: c})
-			}
-		}
-		return refs
-	}
-
+	var known []uint64
+	var batch *protocol.ResultBatch
+	accepted := 0
 	for {
-		req := &protocol.TaskRequest{}
-		flushing := buffered >= flushChunks && buffered > 0
-		if flushing {
-			req.Batch = encode()
-		} else {
-			req.Holding = holding()
-		}
-		if err := pc.Send(&protocol.Message{Type: protocol.MsgTaskRequest, Request: req}); err != nil {
+		if err := pc.Send(&protocol.Message{Type: protocol.MsgTaskRequest,
+			Request: &protocol.TaskRequest{KnownJobs: known, Want: window, Batch: batch}}); err != nil {
 			return accepted, err
 		}
 		msg, err := pc.Recv()
 		if err != nil {
 			return accepted, err
 		}
-		if flushing {
+		if batch != nil {
 			if msg.BatchAck == nil {
 				return accepted, errors.New("flush reply lost its batch ack")
 			}
-			apply(msg.BatchAck.Acks)
+			for _, a := range msg.BatchAck.Acks {
+				if !a.Rejected {
+					accepted++
+				}
+			}
+			batch = nil
 		}
 		switch msg.Type {
 		case protocol.MsgTaskAssign:
@@ -250,36 +180,25 @@ func batchClient(rw net.Conn, name string, flushChunks int) (int, error) {
 				}
 				r = &rt{cfg: cfg, seed: a.Job.Seed, streams: a.Job.Streams, fan: a.Job.Fan}
 				jobs[a.JobID] = r
+				known = append(known, a.JobID)
 			}
-			tally, err := mc.RunStreamFan(r.cfg, a.Photons, r.seed, a.Stream, r.streams, r.fan)
-			if err != nil {
-				return accepted, err
-			}
-			g := pending[a.JobID]
-			if g == nil {
-				g = &group{tally: tally}
-				pending[a.JobID] = g
-				order = append(order, a.JobID)
-			} else if err := g.tally.Merge(tally); err != nil {
-				return accepted, err
-			}
-			g.chunks = append(g.chunks, a.ChunkID)
-			buffered++
-		case protocol.MsgNoWork:
-			if buffered > 0 {
-				if err := pc.Send(&protocol.Message{Type: protocol.MsgResultBatch, Batch: encode()}); err != nil {
-					return accepted, err
-				}
-				ack, err := pc.Recv()
+			group := protocol.BatchGroup{JobID: a.JobID}
+			var sum *mc.Tally
+			for _, g := range a.Grants {
+				tally, err := mc.RunStreamFan(r.cfg, g.Photons, r.seed, g.Stream, r.streams, r.fan)
 				if err != nil {
 					return accepted, err
 				}
-				if ack.Type != protocol.MsgBatchAck || ack.BatchAck == nil {
-					return accepted, errors.New("expected batch ack")
+				if sum == nil {
+					sum = tally
+				} else if err := sum.Merge(tally); err != nil {
+					return accepted, err
 				}
-				apply(ack.BatchAck.Acks)
-				continue
+				group.Chunks = append(group.Chunks, g.ChunkID)
 			}
+			group.TallyData = mc.AppendTally(nil, sum)
+			batch = &protocol.ResultBatch{Groups: []protocol.BatchGroup{group}}
+		case protocol.MsgNoWork:
 			if msg.NoWork.Done {
 				return accepted, nil
 			}
@@ -575,7 +494,7 @@ func TestFairSharePolicyInterleavesJobs(t *testing.T) {
 
 	counts := map[uint64]int{}
 	for i := 0; i < 40; i++ {
-		msg := reg.nextAssignment(sess, nil)
+		msg := reg.nextAssignment(sess, want(1))
 		if msg.Type != protocol.MsgTaskAssign {
 			t.Fatalf("assignment %d: got %v", i, msg.Type)
 		}
@@ -592,18 +511,20 @@ func TestFairSharePolicyInterleavesJobs(t *testing.T) {
 	}
 }
 
-// completeAssign marks a probe session's assigned chunk as reduced without
+// completeAssign marks a probe session's assigned chunks as reduced without
 // running physics, so dispatcher tests can drain queues synchronously.
 func completeAssign(reg *Registry, sess *session, a *protocol.TaskAssign) {
 	reg.mu.Lock()
 	defer reg.mu.Unlock()
 	j := reg.jobs[a.JobID]
-	if !j.completed[a.ChunkID] {
-		j.completed[a.ChunkID] = true
-		j.nCompleted++
+	for _, g := range a.Grants {
+		if !j.completed[g.ChunkID] {
+			j.completed[g.ChunkID] = true
+			j.nCompleted++
+		}
+		delete(j.outstanding, g.ChunkID)
+		delete(sess.assigned, chunkRef{a.JobID, g.ChunkID})
 	}
-	delete(j.outstanding, a.ChunkID)
-	delete(sess.assigned, chunkRef{a.JobID, a.ChunkID})
 }
 
 // TestPriorityPolicyDrainsHighFirst checks strict priority ordering.
@@ -622,13 +543,13 @@ func TestPriorityPolicyDrainsHighFirst(t *testing.T) {
 	reg.sessions[sess.id] = sess
 	reg.mu.Unlock()
 	for i := 0; i < 5; i++ {
-		msg := reg.nextAssignment(sess, nil)
+		msg := reg.nextAssignment(sess, want(1))
 		if msg.Assign.JobID != hi.Job.ID() {
 			t.Fatalf("assignment %d went to low-priority job", i)
 		}
 		completeAssign(reg, sess, msg.Assign)
 	}
-	if msg := reg.nextAssignment(sess, nil); msg.Assign.JobID != lo.Job.ID() {
+	if a := reg.nextChunk(sess); a.JobID != lo.Job.ID() {
 		t.Fatal("low-priority job not served after high drained")
 	}
 }
@@ -648,7 +569,7 @@ func TestFIFODrainsInOrder(t *testing.T) {
 	reg.sessions[sess.id] = sess
 	reg.mu.Unlock()
 	for i := 0; i < 3; i++ {
-		msg := reg.nextAssignment(sess, nil)
+		msg := reg.nextAssignment(sess, want(1))
 		if msg.Assign.JobID != first.Job.ID() {
 			t.Fatalf("assignment %d left the FIFO head", i)
 		}
@@ -672,10 +593,10 @@ func TestAbandonedAssignmentRequeued(t *testing.T) {
 	reg.sessions[sess.id] = sess
 	reg.mu.Unlock()
 
-	first := reg.nextAssignment(sess, nil).Assign
+	first := reg.nextChunk(sess)
 	// Request again without delivering a result: the first chunk must be
 	// requeued, not left ownerless in outstanding.
-	second := reg.nextAssignment(sess, nil).Assign
+	second := reg.nextChunk(sess)
 	reg.mu.Lock()
 	pending, outstanding := len(j.pending), len(j.outstanding)
 	reassigned := j.reassigned
@@ -723,7 +644,7 @@ func TestLateResultAfterReclaimDoesNotRecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunkTally := func(a *protocol.TaskAssign) *mc.Tally {
+	chunkTally := func(a *oneGrant) *mc.Tally {
 		tt, err := mc.RunStream(cfg, a.Photons, 14, a.Stream, j.NumChunks())
 		if err != nil {
 			t.Fatal(err)
@@ -739,10 +660,10 @@ func TestLateResultAfterReclaimDoesNotRecompute(t *testing.T) {
 	}
 	s1, s2, s3 := newSess(101), newSess(102), newSess(103)
 
-	a1 := reg.nextAssignment(s1, nil).Assign
-	a2 := reg.nextAssignment(s2, nil).Assign
+	a1 := reg.nextChunk(s1)
+	a2 := reg.nextChunk(s2)
 	time.Sleep(60 * time.Millisecond) // both chunks overdue
-	a3 := reg.nextAssignment(s3, nil).Assign
+	a3 := reg.nextChunk(s3)
 	if a3 == nil {
 		t.Fatal("no chunk reclaimed after timeout")
 	}
@@ -805,7 +726,7 @@ func TestPartiallyStaleBatchRequeued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chunkTally := func(a *protocol.TaskAssign) *mc.Tally {
+	chunkTally := func(a *oneGrant) *mc.Tally {
 		tt, err := mc.RunStream(cfg, a.Photons, 19, a.Stream, j.NumChunks())
 		if err != nil {
 			t.Fatal(err)
@@ -822,13 +743,19 @@ func TestPartiallyStaleBatchRequeued(t *testing.T) {
 	}
 	s1, s2 := newSess(201), newSess(202)
 
-	// s1 takes two chunks (advertising the first as held), both time out,
-	// and s2 recomputes the first.
-	a1 := reg.nextAssignment(s1, nil).Assign
-	hold1 := &protocol.TaskRequest{Holding: []protocol.ChunkRef{{JobID: a1.JobID, ChunkID: a1.ChunkID}}}
-	a2 := reg.nextAssignment(s1, hold1).Assign
+	// s1 takes two chunks in one grant (the job needs a compute estimate for
+	// that: a timed job with none is probed a chunk at a time), both time
+	// out, and s2 recomputes one of them.
+	reg.mu.Lock()
+	j.chunkSecs = 1e-3
+	reg.mu.Unlock()
+	grant := reg.nextAssignment(s1, want(2)).Assign
+	if len(grant.Grants) != 2 {
+		t.Fatalf("s1 granted %d chunks, want 2", len(grant.Grants))
+	}
+	a1, a2 := grantOf(grant, 0), grantOf(grant, 1)
 	time.Sleep(60 * time.Millisecond)
-	a3 := reg.nextAssignment(s2, nil).Assign
+	a3 := reg.nextChunk(s2)
 	if a3.ChunkID != a2.ChunkID {
 		// LIFO requeue hands back the most recently reclaimed chunk; the
 		// test only needs *some* overlap, so track which one s2 got.
@@ -883,11 +810,10 @@ func TestPartiallyStaleBatchRequeued(t *testing.T) {
 	// The fresh chunk is back in pending; an honest recompute finishes the
 	// job with exactly-once totals.
 	for {
-		m := reg.nextAssignment(s2, nil)
-		if m.Type != protocol.MsgTaskAssign {
+		a := reg.nextChunk(s2)
+		if a == nil {
 			break
 		}
-		a := m.Assign
 		if ack := reduceOne(reg, s2, a, chunkTally(a)); ack.Rejected {
 			t.Fatalf("honest recompute rejected: %+v", ack)
 		}
@@ -928,9 +854,9 @@ func TestGrantCappedByChunkTimeout(t *testing.T) {
 	reg.mu.Unlock()
 
 	// No estimate yet: probe a single chunk even though 8 were requested.
-	a := reg.nextAssignment(sess, &protocol.TaskRequest{Want: 8}).Assign
-	if len(a.Extra) != 0 {
-		t.Fatalf("untimed job granted %d chunks before any estimate", 1+len(a.Extra))
+	a := reg.nextAssignment(sess, want(8)).Assign
+	if len(a.Grants) != 1 {
+		t.Fatalf("untimed job granted %d chunks before any estimate", len(a.Grants))
 	}
 	completeAssign(reg, sess, a)
 
@@ -938,8 +864,8 @@ func TestGrantCappedByChunkTimeout(t *testing.T) {
 	reg.mu.Lock()
 	j.chunkSecs = 0.1
 	reg.mu.Unlock()
-	a = reg.nextAssignment(sess, &protocol.TaskRequest{Want: 8}).Assign
-	if got := 1 + len(a.Extra); got != 5 {
+	a = reg.nextAssignment(sess, want(8)).Assign
+	if got := len(a.Grants); got != 5 {
 		t.Fatalf("granted %d chunks, want 5 (2s timeout / 4×100ms chunks)", got)
 	}
 
@@ -954,8 +880,8 @@ func TestGrantCappedByChunkTimeout(t *testing.T) {
 	reg2.mu.Lock()
 	reg2.sessions[sess2.id] = sess2
 	reg2.mu.Unlock()
-	a = reg2.nextAssignment(sess2, &protocol.TaskRequest{Want: 8}).Assign
-	if got := 1 + len(a.Extra); got != 8 {
+	a = reg2.nextAssignment(sess2, want(8)).Assign
+	if got := len(a.Grants); got != 8 {
 		t.Fatalf("untimed job granted %d chunks, want 8", got)
 	}
 	_ = out2
@@ -981,7 +907,7 @@ func TestBatchGroupRepeatedChunkRejected(t *testing.T) {
 	reg.mu.Lock()
 	reg.sessions[sess.id] = sess
 	reg.mu.Unlock()
-	a := reg.nextAssignment(sess, nil).Assign
+	a := reg.nextChunk(sess)
 
 	tt, err := mc.RunStream(cfg, a.Photons, 27, a.Stream, j.NumChunks())
 	if err != nil {

@@ -202,8 +202,10 @@ done
 [ "$(kev scatter)" -ge 2000 ] || fail "kernel counted $(kev scatter) scattering events for 2000 photons"
 [ "$(kev query)" -le $(( $(kev scatter) + $(kev crossing) )) ] ||
   fail "kernel queries $(kev query) exceed scatter $(kev scatter) + crossing $(kev crossing)"
-echo "$WMETRICS" | grep -Eq '^worker_conn_frames_total\{dir="send",type="result-batch"\} [1-9]' ||
+echo "$WMETRICS" | grep -Eq '^worker_conn_frames_total\{dir="send",type="task-request"\} [1-9]' ||
   fail "wire frame counters silent"
+echo "$WMETRICS" | grep -Eq '^worker_batches_flushed_total [1-9]' ||
+  fail "worker handed back no batch: $(echo "$WMETRICS" | grep '^worker_batches' || true)"
 
 echo "obs-smoke: result encodings, direct and through a gateway..."
 # A client asking the shard gets JSON; a gateway in front asks the shard
