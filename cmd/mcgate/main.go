@@ -23,7 +23,7 @@
 // that flows through GET /jobs/{id}/result is cached under the same
 // exact and physics-keyed meets-or-exceeds indexes the shards use, so a
 // resubmission — or a looser precision target over physics any shard
-// ever ran — is answered at the routing tier without touching a shard.
+// ever ran — is answered from it: a job born done on its shard, nothing run.
 //
 // -tenants moves admission control to the gateway (the only place that
 // sees every shard's arrival stream): the named token buckets run here,

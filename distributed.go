@@ -14,7 +14,9 @@ type (
 	JobOptions = distsys.JobOptions
 	// DataManager is the server that assigns chunks and reduces results.
 	DataManager = distsys.DataManager
-	// JobResult is a completed distributed job's outcome.
+	// JobResult is a completed distributed job's outcome. Its Tally is
+	// read-only — the manager's result cache holds the same one; Clone
+	// before merging into it.
 	JobResult = distsys.Result
 	// WorkerOptions configure a worker client.
 	WorkerOptions = distsys.WorkerOptions

@@ -16,6 +16,9 @@
 //     the gateway owns the tenant buckets, and then forwarded to the
 //     owning shard in the compact submission encoding
 //     (service.SubmissionCompactType), not as the client's JSON again.
+//     A tier hit is forwarded too, its tally attached
+//     (service.SubmissionAnsweredType), and is a job born done on its
+//     shard like a shard-local cache hit: the gateway holds no jobs.
 //   - GET/DELETE /jobs/{id}... is routed by the ID alone: job IDs are
 //     the uint64 prefix of the content key, so service.ShardOfID names
 //     the owner with no lookup. Responses pass through as the shard wrote
@@ -45,14 +48,11 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"path"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
-	"repro/internal/mc"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -67,8 +67,9 @@ type Options struct {
 	// Admission, when set, runs the tenant token buckets at the gateway —
 	// the natural place once submissions fan out over shards that cannot
 	// see each other's arrival rates. Shards behind an admitting gateway
-	// should run AlwaysAdmit, or tenants pay twice. nil forwards
-	// everything and leaves admission to the shards.
+	// should run AlwaysAdmit, or tenants pay twice — a tier hit's one job
+	// token included, now that the shard sees it. nil forwards everything
+	// and leaves admission to the shards.
 	Admission service.AdmissionPolicy
 	// MaxTargetPhotons must match the shards' own -target-max-photons: it
 	// participates in spec normalization and therefore in the content key.
@@ -105,29 +106,8 @@ type Gateway struct {
 	// served without cloning.
 	cache *service.ResultCache
 
-	mu     sync.Mutex
-	minted map[uint64]*mintedJob
-
 	met gatewayMetrics
 }
-
-// mintedJob is a submission the gateway answered from its own result
-// tier: it was never forwarded, so the gateway must serve its status and
-// result itself under the ID it minted (the key's own ID — the same one
-// the owning shard would have used).
-type mintedJob struct {
-	idHex     string
-	tenant    string
-	key, pkey service.Key
-	target    *mc.Target
-	targetMet bool
-	born      time.Time
-	tally     *mc.Tally
-}
-
-// routedMemoMax bounds the minted-job map. 8192 recent jobs per gateway
-// is far beyond the shards' own retention.
-const routedMemoMax = 8192
 
 type gatewayMetrics struct {
 	submissions *obs.CounterVec
@@ -175,13 +155,12 @@ func New(opts Options) (*Gateway, error) {
 		client:    client,
 		log:       log,
 		cache:     service.NewResultCache(opts.CacheSize),
-		minted:    make(map[uint64]*mintedJob),
 	}
 	g.met = gatewayMetrics{
 		submissions: oreg.CounterVec("gateway_submissions_total",
-			"Submissions forwarded to a shard, by shard index.", "shard"),
+			"Submissions forwarded to a shard, tier hits included, by shard index.", "shard"),
 		cacheHits: oreg.CounterVec("gateway_cache_hits_total",
-			"Submissions answered from the gateway's shared result tier.", "index"),
+			"Submissions answered from the gateway's shared result tier (forwarded with the tally, registered born done by the shard).", "index"),
 		sheds: oreg.Counter("gateway_sheds_total",
 			"Submissions refused by gateway-side admission."),
 		invalid: oreg.Counter("gateway_invalid_total",
@@ -198,7 +177,7 @@ func New(opts Options) (*Gateway, error) {
 			"JSON size of one finished result body sent to the client.", obs.ByteBuckets),
 	}
 	stage := oreg.HistogramVec("gateway_submit_stage_seconds",
-		"Time one submission spent in a stage of the gateway's submit path: decode (body read and JSON decode), keys (content and physics key derivation), encode (the compact form forwarded to the shard), forward (the owning shard's answer, failovers included).",
+		"Time one submission spent in a stage of the gateway's submit path: decode (body read and JSON decode), keys (content and physics key derivation), encode (the compact form forwarded to the shard, behind its tally for a tier hit), forward (the owning shard's answer, failovers included).",
 		obs.DefBuckets, "stage")
 	g.met.submitDecode, g.met.submitKeys = stage.With("decode"), stage.With("keys")
 	g.met.submitEncode, g.met.submitForward = stage.With("encode"), stage.With("forward")
@@ -237,8 +216,15 @@ func (g *Gateway) Register(mux *http.ServeMux) {
 }
 
 func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
+	if req.Header.Get("Content-Type") == service.SubmissionAnsweredType {
+		// A job's result is a tier's to hand a shard, not a client's.
+		g.met.invalid.Inc()
+		service.WriteJSON(w, http.StatusUnsupportedMediaType,
+			service.APIError{Error: "an answered submission is not accepted from a client"})
+		return
+	}
 	start := time.Now()
-	spec, ok := service.ReadSubmission(w, req, g.maxBody, nil)
+	spec, _, ok := service.ReadSubmission(w, req, g.maxBody, nil)
 	if !ok {
 		g.met.invalid.Inc()
 		return
@@ -272,51 +258,24 @@ func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
 	}
 	g.met.submitKeys.Observe(time.Since(start).Seconds())
 
-	// Shared result tier: a hit is answered here, with the same ID the
-	// owning shard would mint, after the same one-job-token admission
-	// debit a shard-local cache hit pays.
+	// Shared result tier: a hit saves the compute, not the trip — it travels
+	// to the owning shard with its answer attached and is a job there.
 	hit := g.cache.Get(key)
 	index := "exact"
 	if hit == nil && spec.Target != nil {
 		hit = g.cache.GetMeeting(pkey, spec.Target)
 		index = "physics"
 	}
-	if hit != nil {
-		if g.admission != nil && !g.admitted(w, tenant, g.admission.Admit(tenant, 0)) {
-			return
-		}
-		id := service.KeyID(key)
-		m := &mintedJob{
-			idHex:     fmt.Sprintf("%016x", id),
-			tenant:    tenant,
-			key:       key,
-			pkey:      pkey,
-			target:    spec.Target,
-			targetMet: spec.Target != nil && spec.Target.MetBy(hit),
-			born:      time.Now(),
-			tally:     hit,
-		}
-		g.mu.Lock()
-		if len(g.minted) >= routedMemoMax {
-			for k := range g.minted { // bound blown: drop an arbitrary entry
-				delete(g.minted, k)
-				break
-			}
-		}
-		g.minted[id] = m
-		g.mu.Unlock()
-		g.met.cacheHits.With(index).Inc()
-		g.log.Info("submission served from gateway tier", "job", m.idHex, "index", index)
-		service.WriteJSON(w, http.StatusOK, service.JobAccepted{
-			ID: m.idHex, State: service.StateDone.String(), Cached: true,
-		})
-		return
-	}
 
-	// Fresh work: debit the full admission cost before spending a shard's
-	// time. Fail-closed — a routed submission that then fails everywhere
-	// has spent its tokens, like any accepted-then-crashed job.
-	if g.admission != nil && !g.admitted(w, tenant, g.admission.Admit(tenant, spec.AdmissionPhotons())) {
+	// Debit before spending a shard's time: the full admission cost for
+	// fresh work, the one job token a shard-local cache hit pays for a hit.
+	// Fail-closed — a routed submission that then fails everywhere has spent
+	// its tokens, like any accepted-then-crashed job.
+	cost, contentType := spec.AdmissionPhotons(), service.SubmissionCompactType
+	if hit != nil {
+		cost, contentType = 0, service.SubmissionAnsweredType
+	}
+	if g.admission != nil && !g.admitted(w, tenant, g.admission.Admit(tenant, cost)) {
 		return
 	}
 
@@ -324,7 +283,12 @@ func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
 	// normalized spec, resolved tenant included, encoded once for all replica
 	// attempts. The shard still normalizes and derives the keys itself.
 	start = time.Now()
-	body, err := service.AppendSubmission(nil, &spec)
+	var body []byte
+	if hit != nil {
+		body, err = service.AppendAnswered(nil, hit, &spec)
+	} else {
+		body, err = service.AppendSubmission(nil, &spec)
+	}
 	if err != nil {
 		service.WriteJSON(w, http.StatusInternalServerError, service.APIError{Error: err.Error()})
 		return
@@ -339,7 +303,7 @@ func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		preq.Header.Set("Content-Type", service.SubmissionCompactType)
+		preq.Header.Set("Content-Type", contentType)
 		return preq, nil
 	})
 	if err != nil {
@@ -349,6 +313,12 @@ func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
 	}
 	g.met.submitForward.Observe(time.Since(start).Seconds())
 	g.met.submissions.With(strconv.Itoa(shard)).Inc()
+	// The tier counts the hit, the shard does not — once the shard has served
+	// it as one (a live identical job there coalesces it instead).
+	var acc service.JobAccepted
+	if hit != nil && status == http.StatusOK && json.Unmarshal(respBody, &acc) == nil && acc.Cached {
+		g.met.cacheHits.With(index).Inc()
+	}
 	copyResponse(w, status, hdr, respBody)
 }
 
@@ -366,20 +336,12 @@ func (g *Gateway) admitted(w http.ResponseWriter, tenant string, v service.Admis
 
 // forward sends a single-job request to the shard owning its ID, naming
 // accept (if not empty) as the encoding it wants back. ok is false when the
-// request has been answered here instead: a malformed ID, a job this
-// gateway minted from its own result tier — no shard has it — or a shard
-// with every replica down.
+// request has been answered here instead: a malformed ID or a shard with
+// every replica down.
 func (g *Gateway) forward(w http.ResponseWriter, req *http.Request, accept string) (shard, status int, hdr http.Header, body []byte, ok bool) {
 	id, err := strconv.ParseUint(req.PathValue("id"), 16, 64)
 	if err != nil {
 		service.WriteJSON(w, http.StatusBadRequest, service.APIError{Error: fmt.Sprintf("bad job id: %v", err)})
-		return
-	}
-	g.mu.Lock()
-	m := g.minted[id]
-	g.mu.Unlock()
-	if m != nil {
-		g.serveMinted(w, req, m)
 		return
 	}
 	shard = service.ShardOfID(id, len(g.shards))
@@ -416,7 +378,9 @@ func (g *Gateway) proxyJob(w http.ResponseWriter, req *http.Request) {
 // routed the submission — and JSON-encoded for the client by the encoder
 // the shard itself answers a client with, so the bytes are the same. Every
 // other answer (202 not finished, 404, 410 canceled, a 5xx) is the shard's
-// own JSON and passes through.
+// own JSON and passes through. A cache hit's result is not filed: it echoes
+// an entry a cache already holds, and a looser-target hit filed under its
+// own exact key would turn the next one from a physics hit into an exact one.
 func (g *Gateway) proxyResult(w http.ResponseWriter, req *http.Request) {
 	start := time.Now()
 	shard, status, hdr, body, ok := g.forward(w, req, service.ResultCompactType)
@@ -436,39 +400,14 @@ func (g *Gateway) proxyResult(w http.ResponseWriter, req *http.Request) {
 			service.APIError{Error: fmt.Sprintf("shard %d: %v", shard, err)})
 		return
 	}
-	g.cache.Put(res.Key, res.Tally)
-	g.cache.PutPhysics(res.PhysicsKey, res.Tally)
+	if !res.CacheHit {
+		g.cache.Put(res.Key, res.Tally)
+		g.cache.PutPhysics(res.PhysicsKey, res.Tally)
+	}
 	body = service.EncodeJSON(res)
 	service.WriteBody(w, http.StatusOK, "application/json", body)
 	g.met.resultSeconds.Observe(time.Since(start).Seconds())
 	g.met.resultBytes.Observe(float64(len(body)))
-}
-
-// serveMinted answers for a job the gateway minted, by the route matched.
-func (g *Gateway) serveMinted(w http.ResponseWriter, req *http.Request, m *mintedJob) {
-	switch req.Pattern {
-	case "DELETE /jobs/{id}":
-		service.WriteJSON(w, http.StatusConflict,
-			service.APIError{Error: "job already done", State: service.StateDone.String()})
-	case "GET /jobs/{id}/result":
-		service.WriteJSON(w, http.StatusOK, service.JobResultBody{
-			ID: m.idHex, Key: m.key, PhysicsKey: m.pkey,
-			CacheHit: true, Target: m.target, TargetMet: m.targetMet,
-			Tally: m.tally,
-		})
-	case "GET /jobs/{id}/events", "GET /jobs/{id}/spans":
-		// Born done at the gateway: no lifecycle ever ran, the rings are
-		// empty but well-formed.
-		service.WriteJSON(w, http.StatusOK, map[string]any{"id": m.idHex, path.Base(req.Pattern): []any{}})
-	default:
-		service.WriteJSON(w, http.StatusOK, service.JobStatus{
-			IDHex: m.idHex, Tenant: m.tenant,
-			State: service.StateDone.String(), CacheHit: true,
-			TotalPhotons: m.tally.Launched,
-			Target:       m.target, TargetMet: m.targetMet,
-			Submitted: m.born, Finished: m.born,
-		})
-	}
 }
 
 // doShard runs one request against a shard, walking its replicas in

@@ -223,7 +223,8 @@ func TestGatewayRoutesAndCompletes(t *testing.T) {
 // shard→gateway hop, for every result shape: the body read through the
 // gateway — decoded from the compact codec and JSON-encoded there — is byte
 // for byte the body the shard serves a client directly, and a resubmission
-// answered from the gateway's tier reads the same again but for the two
+// answered from the gateway's tier — a job of its own on the shard, under
+// the key's next free ID — reads the same again but for the ID and the two
 // fields that say so (cacheHit, elapsedSeconds).
 func TestResultBytesSameAtEveryTier(t *testing.T) {
 	_, tsA := shardServer(t, service.Options{}, 2)
@@ -264,8 +265,8 @@ func TestResultBytesSameAtEveryTier(t *testing.T) {
 			}
 
 			hit := submitJob(t, gw.URL, "", req)
-			if !hit.Cached || hit.ID != acc.ID {
-				t.Fatalf("resubmission %+v, want a tier hit under %s", hit, acc.ID)
+			if want := nextID(t, acc.ID); !hit.Cached || hit.ID != want {
+				t.Fatalf("resubmission %+v, want a tier hit under %s, the next free ID after %s", hit, want, acc.ID)
 			}
 			code, viaTier := get(t, gw.URL+"/jobs/"+hit.ID+"/result")
 			if code != http.StatusOK {
@@ -282,6 +283,7 @@ func TestResultBytesSameAtEveryTier(t *testing.T) {
 				t.Fatalf("tier body does not say cacheHit: %.200s", viaTier)
 			}
 			for _, m := range []map[string]json.RawMessage{fresh, cached} {
+				delete(m, "id")
 				delete(m, "cacheHit")
 				delete(m, "elapsedSeconds")
 			}
@@ -296,10 +298,11 @@ func TestResultBytesSameAtEveryTier(t *testing.T) {
 		})
 	}
 
-	// The layer has its histogram: one observation per proxied result.
+	// The layer has its histogram: one observation per proxied result, a
+	// tier hit's included — it is fetched from its shard like any other.
 	var metrics strings.Builder
 	oreg.WriteText(&metrics)
-	for _, want := range []string{"gateway_result_seconds_count 5", "gateway_result_bytes_count 5"} {
+	for _, want := range []string{"gateway_result_seconds_count 10", "gateway_result_bytes_count 10"} {
 		if !strings.Contains(metrics.String(), want) {
 			t.Errorf("gateway metrics lack %q", want)
 		}
@@ -330,10 +333,149 @@ func TestGatewayRoutingIsStableAcrossInstances(t *testing.T) {
 	}
 }
 
-// TestGatewaySharedTierServesShardless proves the gateway's result tier
-// is a real shared cache layer: once a result has flowed through the
-// gateway, identical and meets-or-exceeds resubmissions are answered with
-// every shard down — status and result served under a gateway-minted ID.
+// TestTierHitIsAJobOnItsShard: a submission a gateway answers from its
+// result tier is forwarded with the answer attached and registered by the
+// owning shard, so it is a job like any other — its status, result, events
+// and spans are the shard's own, read through any gateway over the same
+// shards and through a restarted one; cancelling it is the shard's 409.
+// The hits compute nothing.
+func TestTierHitIsAJobOnItsShard(t *testing.T) {
+	obsA, obsB := obs.NewRegistry(), obs.NewRegistry()
+	_, tsA := shardServer(t, service.Options{Obs: obsA}, 2)
+	_, tsB := shardServer(t, service.Options{Obs: obsB}, 2)
+	shards := [][]string{{tsA.URL}, {tsB.URL}}
+	gwObs := obs.NewRegistry()
+	_, gwA := gatewayServer(t, Options{Shards: shards, Obs: gwObs})
+	_, gwB := gatewayServer(t, Options{Shards: shards})
+	granted := func() uint64 {
+		return obsA.Counter("service_chunks_granted_total", "").Value() + obsB.Counter("service_chunks_granted_total", "").Value()
+	}
+	shardHits := func() (n uint64) {
+		for _, o := range []*obs.Registry{obsA, obsB} {
+			n += o.Counter("service_cache_lookups_total", "").Value() - o.Counter("service_cache_misses_total", "").Value()
+		}
+		return n
+	}
+
+	fixed := service.JobRequest{Spec: slabSpec(4), Photons: 300, ChunkPhotons: 100, Seed: 3}
+	tight := service.JobRequest{
+		Spec: slabSpec(4), ChunkPhotons: 200, Seed: 3,
+		Target: &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.05},
+	}
+	accFixed := submitJob(t, gwA.URL, "", fixed)
+	accTight := submitJob(t, gwA.URL, "", tight)
+	waitDone(t, gwA.URL, accFixed.ID)
+	waitDone(t, gwA.URL, accTight.ID)
+	// Results flow through gateway A once, filling its tier.
+	originals := map[string]service.JobResultBody{}
+	for _, id := range []string{accFixed.ID, accTight.ID} {
+		code, raw := get(t, gwA.URL+"/jobs/"+id+"/result")
+		var res service.JobResultBody
+		if err := json.Unmarshal([]byte(raw), &res); code != http.StatusOK || err != nil {
+			t.Fatalf("result of %s: http %d, %v", id, code, err)
+		}
+		originals[id] = res
+	}
+	before := granted()
+	if before == 0 {
+		t.Fatal("the two originals ran without a chunk granted")
+	}
+
+	// An exact repeat, and looser targets over the tight run's physics —
+	// different content keys, so they may belong to the other shard.
+	type tierHit struct {
+		acc  service.JobAccepted
+		from string // the job whose result answers it
+	}
+	var hits []tierHit
+	for _, relErr := range []float64{0.1, 0.2, 0.3} {
+		loose := tight
+		loose.Target = &mc.Target{Observable: mc.ObsDiffuse, RelErr: relErr}
+		hits = append(hits, tierHit{submitJob(t, gwA.URL, "", loose), accTight.ID})
+	}
+	exact := submitJob(t, gwA.URL, "", fixed)
+	hits = append(hits, tierHit{exact, accFixed.ID})
+	for _, h := range hits {
+		if !h.acc.Cached || h.acc.State != service.StateDone.String() {
+			t.Fatalf("resubmission answered %+v, want a cached job born done", h.acc)
+		}
+	}
+	var metrics strings.Builder
+	gwObs.WriteText(&metrics)
+	for _, want := range []string{`gateway_cache_hits_total{index="exact"} 1`, `gateway_cache_hits_total{index="physics"} 3`} {
+		if !strings.Contains(metrics.String(), want) {
+			t.Errorf("gateway A's metrics lack %q", want)
+		}
+	}
+	if n := shardHits(); n != 0 {
+		t.Errorf("the shards counted %d cache hits for answers the gateway's tier counted", n)
+	}
+
+	// Every read of every hit, through a gateway that never saw it, a fresh
+	// one in the first's place, and the one that answered it.
+	_, gwA2 := gatewayServer(t, Options{Shards: shards})
+	for _, gw := range []*httptest.Server{gwB, gwA2, gwA} {
+		for _, h := range hits {
+			base := gw.URL + "/jobs/" + h.acc.ID
+			var st service.JobStatus
+			if code, raw := get(t, base); code != http.StatusOK || json.Unmarshal([]byte(raw), &st) != nil ||
+				st.State != service.StateDone.String() || !st.CacheHit {
+				t.Fatalf("status of tier hit %s: http %d %s", h.acc.ID, code, raw)
+			}
+			var res service.JobResultBody
+			code, raw := get(t, base+"/result")
+			if err := json.Unmarshal([]byte(raw), &res); code != http.StatusOK || err != nil {
+				t.Fatalf("result of tier hit %s: http %d, %v", h.acc.ID, code, err)
+			}
+			want, _ := json.Marshal(originals[h.from].Tally)
+			if got, _ := json.Marshal(res.Tally); !res.CacheHit || res.ID != h.acc.ID || string(got) != string(want) {
+				t.Fatalf("tier hit %s does not carry the tally of %s", h.acc.ID, h.from)
+			}
+			if res.Target != nil && !res.TargetMet {
+				t.Fatalf("looser-target hit %s does not report its target met", h.acc.ID)
+			}
+			// The shard's own rings: the hit is an event, and no chunk ran.
+			if code, raw := get(t, base+"/events"); code != http.StatusOK || !strings.Contains(raw, `"cache-hit"`) {
+				t.Fatalf("events of tier hit %s: http %d %s", h.acc.ID, code, raw)
+			}
+			if code, raw := get(t, base+"/spans"); code != http.StatusOK || !strings.Contains(raw, `"spans":[]`) {
+				t.Fatalf("spans of tier hit %s: http %d %s", h.acc.ID, code, raw)
+			}
+			req, _ := http.NewRequest(http.MethodDelete, base, nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusConflict {
+				t.Fatalf("DELETE of tier hit %s: http %d, want 409", h.acc.ID, resp.StatusCode)
+			}
+		}
+	}
+	if after := granted(); after != before {
+		t.Fatalf("tier hits had %d chunks granted", after-before)
+	}
+	// Each is a job of its own: an exact repeat gets the next free ID after
+	// its key's, as a shard-local cache hit does.
+	if exact.ID != nextID(t, accFixed.ID) {
+		t.Fatalf("exact repeat is job %s, want the next free ID after %s", exact.ID, accFixed.ID)
+	}
+}
+
+// nextID is the hex job ID after id.
+func nextID(t *testing.T, id string) string {
+	t.Helper()
+	n, err := strconv.ParseUint(id, 16, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%016x", n+1)
+}
+
+// TestGatewaySharedTierServesShardless pins what the tier does not do any
+// more: a hit is a job on its owning shard, so with that shard down it is a
+// 502 like any submission — the tier saves the compute, not the shard — and
+// no ID is handed out for a job nothing holds.
 func TestGatewaySharedTierServesShardless(t *testing.T) {
 	tierServesShardless(t, false)
 }
@@ -350,7 +492,8 @@ func tierServesShardless(t *testing.T, submitElsewhere bool) {
 	_, tsA := shardServer(t, service.Options{}, 2)
 	_, tsB := shardServer(t, service.Options{}, 2)
 	shards := [][]string{{tsA.URL}, {tsB.URL}}
-	_, gw := gatewayServer(t, Options{Shards: shards})
+	oreg := obs.NewRegistry()
+	_, gw := gatewayServer(t, Options{Shards: shards, Obs: oreg})
 	submitGW := gw
 	if submitElsewhere {
 		_, submitGW = gatewayServer(t, Options{Shards: shards})
@@ -366,82 +509,45 @@ func tierServesShardless(t *testing.T, submitElsewhere bool) {
 	waitDone(t, gw.URL, accFixed.ID)
 	waitDone(t, gw.URL, accTight.ID)
 	// Results flow through the gateway once, filling the tier.
-	if code, _ := get(t, gw.URL+"/jobs/"+accFixed.ID+"/result"); code != http.StatusOK {
-		t.Fatalf("fixed result: %d", code)
+	for _, id := range []string{accFixed.ID, accTight.ID} {
+		if code, _ := get(t, gw.URL+"/jobs/"+id+"/result"); code != http.StatusOK {
+			t.Fatalf("result of %s: %d", id, code)
+		}
 	}
-	code, tightRaw := get(t, gw.URL+"/jobs/"+accTight.ID+"/result")
-	if code != http.StatusOK {
-		t.Fatalf("tight result: %d", code)
+	var metrics strings.Builder
+	oreg.WriteText(&metrics)
+	if !strings.Contains(metrics.String(), "gateway_cache_entries 2") {
+		t.Fatal("the two proxied results did not fill the gateway's tier")
+	}
+	// With the shards up the tier answers, whichever gateway routed the job.
+	if hit := submitJob(t, gw.URL, "", fixed); !hit.Cached {
+		t.Fatalf("resubmission with shards up: %+v, want a tier hit", hit)
 	}
 
 	tsA.Close()
 	tsB.Close()
 
-	// Exact resubmission: same bytes, shards dead, answer from the tier.
-	body, _ := json.Marshal(fixed)
-	resp, raw := post(t, gw.URL+"/jobs", "", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("exact resubmission with shards down: http %d: %s", resp.StatusCode, raw)
-	}
-	var acc service.JobAccepted
-	if err := json.Unmarshal([]byte(raw), &acc); err != nil {
-		t.Fatal(err)
-	}
-	if !acc.Cached || acc.ID != accFixed.ID {
-		t.Fatalf("tier answer %+v, want cached with original id %s", acc, accFixed.ID)
-	}
-	if code, _ := get(t, gw.URL+"/jobs/"+acc.ID); code != http.StatusOK {
-		t.Fatalf("minted status: %d", code)
-	}
-	code, res := get(t, gw.URL+"/jobs/"+acc.ID+"/result")
-	if code != http.StatusOK {
-		t.Fatalf("minted result: %d", code)
-	}
-	var mintedRes, origRes service.JobResultBody
-	if err := json.Unmarshal([]byte(res), &mintedRes); err != nil {
-		t.Fatal(err)
-	}
-	if mintedRes.Tally == nil || !mintedRes.CacheHit {
-		t.Fatalf("minted result not a cache hit with tally: %s", res)
-	}
-
-	// Meets-or-exceeds: a looser target over the same physics is a
-	// different content key, but the stored tight run satisfies it.
+	// The tier still holds both answers; without a shard to hold the job
+	// neither an exact repeat, nor a looser target, nor a fresh spec is
+	// accepted, and none is given an ID.
 	loose := tight
 	loose.Target = &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.2}
-	body, _ = json.Marshal(loose)
-	resp, raw = post(t, gw.URL+"/jobs", "", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("meets-or-exceeds resubmission with shards down: http %d: %s", resp.StatusCode, raw)
+	for name, req := range map[string]service.JobRequest{
+		"exact repeat":  fixed,
+		"looser target": loose,
+		"fresh spec":    {Spec: slabSpec(11), Photons: 100, ChunkPhotons: 100, Seed: 9},
+	} {
+		body, _ := json.Marshal(req)
+		resp, raw := post(t, gw.URL+"/jobs", "", body)
+		if resp.StatusCode != http.StatusBadGateway || strings.Contains(raw, `"id"`) {
+			t.Fatalf("%s with shards down: http %d: %s (want a 502 naming no job)", name, resp.StatusCode, raw)
+		}
 	}
-	if err := json.Unmarshal([]byte(raw), &acc); err != nil {
-		t.Fatal(err)
-	}
-	if !acc.Cached || acc.ID == accTight.ID {
-		t.Fatalf("physics-tier answer %+v, want cached under a fresh minted id", acc)
-	}
-	code, res = get(t, gw.URL+"/jobs/"+acc.ID+"/result")
-	if code != http.StatusOK {
-		t.Fatalf("physics minted result: %d", code)
-	}
-	if err := json.Unmarshal([]byte(res), &mintedRes); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal([]byte(tightRaw), &origRes); err != nil {
-		t.Fatal(err)
-	}
-	if !mintedRes.TargetMet || mintedRes.Tally == nil ||
-		mintedRes.Tally.Launched != origRes.Tally.Launched {
-		t.Fatalf("physics tier served wrong depth: got %d launched, stored run has %d",
-			mintedRes.Tally.Launched, origRes.Tally.Launched)
-	}
-
-	// A fresh spec no tier entry can answer fails loudly, not silently.
-	other := service.JobRequest{Spec: slabSpec(11), Photons: 100, ChunkPhotons: 100, Seed: 9}
-	body, _ = json.Marshal(other)
-	resp, raw = post(t, gw.URL+"/jobs", "", body)
-	if resp.StatusCode != http.StatusBadGateway {
-		t.Fatalf("fresh job with shards down: http %d: %s (want 502)", resp.StatusCode, raw)
+	metrics.Reset()
+	oreg.WriteText(&metrics)
+	if !strings.Contains(metrics.String(), `gateway_cache_hits_total{index="exact"} 1`) ||
+		strings.Contains(metrics.String(), `gateway_cache_hits_total{index="physics"}`) {
+		t.Fatal("a tier hit no shard accepted was counted as served")
 	}
 }
 
@@ -568,6 +674,23 @@ func TestGatewayFailoverPolicy(t *testing.T) {
 		resp, raw := post(t, gw.URL+"/jobs", "", bad)
 		if resp.StatusCode != http.StatusUnprocessableEntity || hits != 0 {
 			t.Fatalf("malformed job: http %d (shard hits %d): %s", resp.StatusCode, hits, raw)
+		}
+		// A tally handed in as a job's answer is a tier's to send a shard; a
+		// client's is refused unread, whatever it holds.
+		answered, err := service.AppendAnswered(nil, &mc.Tally{Launched: 100},
+			&service.JobSpec{Spec: slabSpec(5), TotalPhotons: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, _ := http.NewRequest(http.MethodPost, gw.URL+"/jobs", strings.NewReader(string(answered)))
+		req.Header.Set("Content-Type", service.SubmissionAnsweredType)
+		r415, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r415.Body.Close()
+		if r415.StatusCode != http.StatusUnsupportedMediaType || hits != 0 {
+			t.Fatalf("answered submission from a client: http %d (shard hits %d), want 415", r415.StatusCode, hits)
 		}
 		// A scoring grid no shard or worker could allocate is refused here,
 		// naming the limit, before any of them sees it.

@@ -131,11 +131,11 @@ func deriveKeys(spec *mc.Spec, totalPhotons, chunkPhotons int64, seed uint64, fa
 // registry's per-shard cache and the gateway's shared result tier.
 //
 // It is a pure container of immutable tallies: Put stores the pointer it
-// is given and Get returns it. A caller whose results may be merged into
-// (the registry) clones on the way in and on the way out, off this lock;
-// one that only re-encodes them (the gateway) never clones. A nil
-// *ResultCache is a disabled cache: every lookup misses, every put is
-// dropped.
+// is given and Get returns it, and neither tier clones around it — a
+// registry files a job's tally once the job is done and nothing merges
+// into it again (Result.Tally is read-only), a gateway files what it
+// decoded and only ever re-encodes it. A nil *ResultCache is a disabled
+// cache: every lookup misses, every put is dropped.
 type ResultCache struct {
 	mu      sync.Mutex
 	max     int

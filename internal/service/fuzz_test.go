@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -30,7 +31,7 @@ const fuzzMaxBody = 16 << 10
 func readBody(body []byte) (spec JobSpec, code int, ok bool) {
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body))
-	spec, ok = ReadSubmission(rec, req, fuzzMaxBody, nil)
+	spec, _, ok = ReadSubmission(rec, req, fuzzMaxBody, nil)
 	return spec, rec.Code, ok
 }
 
@@ -207,6 +208,47 @@ func FuzzDecodeSubmission(f *testing.F) {
 	})
 }
 
+// FuzzDecodeAnswered throws arbitrary bytes at the answered submission
+// decoder — what a shard runs on a gateway's forwarded tier hit. It may not
+// panic, the tally's claimed length is held to the bytes present (the tally
+// and the submission behind it bound themselves, see mc.FuzzDecodeTally and
+// FuzzDecodeSubmission), and an answered submission that decodes is a fixed
+// point: re-encoded and decoded again it is the same JobSpec and, byte for
+// byte, the same tally.
+//
+// The committed corpus (testdata/fuzz/FuzzDecodeAnswered) is each of
+// journalShapes answered by its own two-chunk tally; scripts/fuzz-corpus.sh
+// regenerates it.
+func FuzzDecodeAnswered(f *testing.F) {
+	js := JobSpec{Spec: slabSpec(5), TotalPhotons: 100, ChunkPhotons: 100, Seed: 9}
+	whole, err := AppendAnswered(nil, &mc.Tally{Launched: 100}, &js)
+	if err != nil {
+		f.Fatal(err)
+	}
+	n, w := binary.Uvarint(whole)
+	f.Add([]byte{})
+	f.Add(whole)
+	f.Add(whole[:w-1])                                    // tally length cut short
+	f.Add(append([]byte{0xff, 0xff, 0x7f}, whole[w:]...)) // tally length past the body
+	f.Add(whole[:w+int(n)])                               // tally, no submission
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, tally, err := DecodeAnswered(data)
+		if err != nil {
+			return
+		}
+		again, err := AppendAnswered(nil, tally, &spec)
+		if err != nil {
+			t.Fatalf("a decoded answered submission does not re-encode: %v", err)
+		}
+		spec2, tally2, err := DecodeAnswered(again)
+		if err != nil || !reflect.DeepEqual(spec2, spec) ||
+			!bytes.Equal(mc.AppendTally(nil, tally2), mc.AppendTally(nil, tally)) {
+			t.Fatalf("answered submission changed across a re-encode (err %v):\n was %+v\n now %+v", err, spec, spec2)
+		}
+	})
+}
+
 // FuzzDecodeResult throws arbitrary bytes at the compact result decoder —
 // what a gateway runs on a shard's answer to its result request. It may not
 // panic, its two strings stay within maxResultString (the tally bounds its
@@ -240,8 +282,8 @@ func FuzzDecodeResult(f *testing.F) {
 }
 
 // updateCorpus rewrites the committed FuzzDecodeJournalRecord,
-// FuzzDecodeSubmission and FuzzDecodeResult seeds from the current
-// encodings (scripts/fuzz-corpus.sh passes it).
+// FuzzDecodeSubmission, FuzzDecodeAnswered and FuzzDecodeResult seeds from
+// the current encodings (scripts/fuzz-corpus.sh passes it).
 var updateCorpus = flag.Bool("update-corpus", false, "rewrite the committed journal and result fuzz corpora")
 
 // TestCommittedJournalCorpus keeps the seed corpora honest: every seed
@@ -257,6 +299,8 @@ func TestCommittedJournalCorpus(t *testing.T) {
 			return filepath.Join("testdata", "fuzz", "FuzzDecodeResult", name)
 		case "submission":
 			return filepath.Join("testdata", "fuzz", "FuzzDecodeSubmission", name)
+		case "answered":
+			return filepath.Join("testdata", "fuzz", "FuzzDecodeAnswered", name)
 		}
 		return filepath.Join("testdata", "fuzz", "FuzzDecodeJournalRecord", name+"_"+kind)
 	}
@@ -280,8 +324,12 @@ func TestCommittedJournalCorpus(t *testing.T) {
 				ID: fmt.Sprintf("%016x", KeyID(key)), Key: key, PhysicsKey: pkey,
 				Target: js.Target, TargetMet: js.Target != nil, Elapsed: 0.25, Tally: tally,
 			})
+			answered, err := AppendAnswered(nil, tally, &js)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for kind, data := range map[string][]byte{"accept": accept, "snapshot": snap, "result": result,
-				"submission": accept[len(key):]} {
+				"submission": accept[len(key):], "answered": answered} {
 				body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
 				if err := os.WriteFile(seedPath(name, kind), []byte(body), 0o644); err != nil {
 					t.Fatal(err)
@@ -294,6 +342,7 @@ func TestCommittedJournalCorpus(t *testing.T) {
 			"snapshot":   func(b []byte) error { _, _, err := decodeSnapshotRec(b); return err },
 			"result":     func(b []byte) error { _, err := DecodeResult(b); return err },
 			"submission": func(b []byte) error { _, err := DecodeSubmission(b); return err },
+			"answered":   func(b []byte) error { _, _, err := DecodeAnswered(b); return err },
 		} {
 			raw, err := os.ReadFile(seedPath(name, kind))
 			if err != nil {

@@ -177,16 +177,17 @@ func (a *API) jobFromPath(w http.ResponseWriter, req *http.Request) *Job {
 // ReadSubmission is the POST /jobs ingress, the same for a shard and for
 // a gateway in front of it: cap the body (0 means DefaultMaxBodyBytes,
 // negative disables the cap), decode it by Content-Type — the compact
-// submission a routing tier forwards, or a client's JSON JobRequest,
-// strictly and straight from the stream — and resolve the tenant (header
-// over body field). Whichever decoder ran, the caller runs the same Submit
-// on the JobSpec. sizes, if not nil, observes the body's declared length
-// under its format ("json" or "compact"). On any failure the 4xx has been
-// written and ok is false.
-func ReadSubmission(w http.ResponseWriter, req *http.Request, maxBody int64, sizes *obs.HistogramVec) (spec JobSpec, ok bool) {
-	fail := func(code int, format string, args ...any) (JobSpec, bool) {
+// submission a routing tier forwards, bare or behind the tally that answers
+// it (answer is then not nil), or a client's JSON JobRequest, strictly and
+// straight from the stream — and resolve the tenant (header over body
+// field). Whichever decoder ran, the caller runs the same Submit on the
+// JobSpec. sizes, if not nil, observes the body's declared length under its
+// format ("json" or "compact"). On any failure the 4xx has been written and
+// ok is false.
+func ReadSubmission(w http.ResponseWriter, req *http.Request, maxBody int64, sizes *obs.HistogramVec) (spec JobSpec, answer *mc.Tally, ok bool) {
+	fail := func(code int, format string, args ...any) (JobSpec, *mc.Tally, bool) {
 		WriteJSON(w, code, APIError{Error: fmt.Sprintf(format, args...)})
-		return JobSpec{}, false
+		return JobSpec{}, nil, false
 	}
 	// Bound the body before touching it: a multi-GB "spec" must die at the
 	// reader, not after it has been buffered into memory.
@@ -199,7 +200,8 @@ func ReadSubmission(w http.ResponseWriter, req *http.Request, maxBody int64, siz
 	}
 	format := "json"
 	var err error
-	if req.Header.Get("Content-Type") == SubmissionCompactType {
+	switch ct := req.Header.Get("Content-Type"); ct {
+	case SubmissionCompactType, SubmissionAnsweredType:
 		format = "compact"
 		// One buffer sized from Content-Length (a body that declared none
 		// grows it, inside the cap on r; MinRead of slack lets ReadFrom see
@@ -210,10 +212,14 @@ func ReadSubmission(w http.ResponseWriter, req *http.Request, maxBody int64, siz
 		} else {
 			buf := bytes.NewBuffer(make([]byte, 0, max(req.ContentLength, 0)+bytes.MinRead))
 			if _, err = buf.ReadFrom(r); err == nil {
-				spec, err = DecodeSubmission(buf.Bytes())
+				if ct == SubmissionAnsweredType {
+					spec, answer, err = DecodeAnswered(buf.Bytes())
+				} else {
+					spec, err = DecodeSubmission(buf.Bytes())
+				}
 			}
 		}
-	} else {
+	default:
 		dec := json.NewDecoder(r)
 		// A typoed field ("prioirty", "photon") must fail loudly, not submit a
 		// silently-defaulted job.
@@ -252,17 +258,17 @@ func ReadSubmission(w http.ResponseWriter, req *http.Request, maxBody int64, siz
 		return fail(http.StatusBadRequest, "tenant name longer than %d bytes", MaxTenantNameLen)
 	}
 	spec.Tenant = tenant
-	return spec, true
+	return spec, answer, true
 }
 
 func (a *API) submit(w http.ResponseWriter, req *http.Request) {
 	start := time.Now()
-	spec, ok := ReadSubmission(w, req, a.MaxBodyBytes, a.reg.met.submitBytes)
+	spec, answer, ok := ReadSubmission(w, req, a.MaxBodyBytes, a.reg.met.submitBytes)
 	if !ok {
 		return
 	}
 	a.reg.met.submitDecode.Observe(time.Since(start).Seconds())
-	out, err := a.reg.Submit(spec)
+	out, err := a.reg.SubmitAnswered(spec, answer)
 	if err != nil {
 		var shed *ShedError
 		if errors.As(err, &shed) {

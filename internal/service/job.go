@@ -54,6 +54,8 @@ type WorkerInfo struct {
 
 // Result is the outcome of a completed job.
 type Result struct {
+	// Tally is read-only — its job, the result cache and every later hit the
+	// cache answers share the one; Clone before merging into it.
 	Tally *mc.Tally
 	// Elapsed is the wall-clock job duration, first assignment to last
 	// reduction (zero for cache hits).

@@ -374,10 +374,11 @@ func (jl *Journal) maybeCompact(r *Registry) {
 }
 
 // compact rewrites the log to one accept + snapshot pair per retained
-// job, live or finished (snapshots carry no spec, so each needs its
-// accept record alongside). History before the snapshots — older
+// job that ran, live or finished (snapshots carry no spec, so each needs
+// its accept record alongside). History before the snapshots — older
 // snapshots and canceled jobs — is dropped; a canceled job simply has
-// nothing to replay.
+// nothing to replay. A job born done from a cache or tier hit is left out,
+// as the append path leaves it out: a SIGTERM must leave what a SIGKILL would.
 func (jl *Journal) compact(r *Registry) error {
 	// Hold acceptMu for the whole rewrite: Compact deletes every existing
 	// record, so an accept append racing the gather→Compact window would
@@ -390,7 +391,7 @@ func (jl *Journal) compact(r *Registry) error {
 	r.mu.Lock()
 	jobs := make([]*Job, 0, len(r.order))
 	for _, j := range r.order {
-		if j.state != StateCanceled {
+		if j.state != StateCanceled && !j.cacheHit {
 			jobs = append(jobs, j)
 		}
 	}

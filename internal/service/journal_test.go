@@ -446,6 +446,69 @@ func TestJournalCompactionShrinksAndReplays(t *testing.T) {
 	}
 }
 
+// TestJournalCompactionLeavesCacheHitsOut: a job born done from a cache hit
+// — the registry's own or one a gateway's tier handed in — is never
+// journaled by the append path, so compaction must not write it either: a
+// shard that was SIGTERM'd (compact, then exit) restores the jobs a SIGKILL'd
+// one would, and a popular spec's repeats do not each leave an accept +
+// tally pair in the log.
+func TestJournalCompactionLeavesCacheHitsOut(t *testing.T) {
+	dir := t.TempDir()
+	regA, wlA, _ := journaledRegistry(t, dir, 0, Options{})
+	js := JobSpec{Spec: targetSpec(7), ChunkPhotons: 250, Seed: 17,
+		Target: &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.05}}
+	ran, err := regA.Submit(js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	startWorkers(t, regA, 1)
+	res, err := ran.Job.Wait(10 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncompacted := wlA.Size()
+	looser := js
+	looser.Target = &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.2}
+	var hits []*SubmitOutcome
+	for _, submit := range []func() (*SubmitOutcome, error){
+		func() (*SubmitOutcome, error) { return regA.Submit(js) },
+		func() (*SubmitOutcome, error) { return regA.Submit(looser) },
+		func() (*SubmitOutcome, error) { return regA.SubmitAnswered(looser, res.Tally) },
+	} {
+		out, err := submit()
+		if err != nil || !out.Cached {
+			t.Fatalf("resubmission: %+v, %v; want a job born done", out, err)
+		}
+		hits = append(hits, out)
+	}
+	if wlA.Size() != uncompacted {
+		t.Fatal("a cache hit appended to the journal")
+	}
+	if err := regA.CompactJournal(); err != nil {
+		t.Fatalf("CompactJournal: %v", err)
+	}
+	wlA.Close()
+
+	regB, wlB, restored := replayInto(t, dir, Options{})
+	defer wlB.Close()
+	if restored != 1 || len(regB.List()) != 1 {
+		t.Fatalf("replay restored %d jobs (%d listed), want only the one that ran", restored, len(regB.List()))
+	}
+	back := regB.Get(ran.Job.ID())
+	if back == nil || back.cacheHit {
+		t.Fatalf("the job that ran came back as %+v", back)
+	}
+	resB, err := back.Wait(time.Second)
+	if err != nil || !bytes.Equal(tallyBytes(t, resB.Tally), tallyBytes(t, res.Tally)) {
+		t.Fatalf("the job that ran came back with another tally (%v)", err)
+	}
+	for _, hit := range hits {
+		if regB.Get(hit.Job.ID()) != nil {
+			t.Fatalf("cache hit %016x was restored from the compacted journal", hit.Job.ID())
+		}
+	}
+}
+
 // TestJournalSizeCompactionReachesSingleBatchJobs: a log fed only by jobs
 // that finish in their first batch — each appends an accept and its final
 // snapshot, nothing else — must still be size-compacted while serving. The

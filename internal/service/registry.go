@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/mc"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/voxel"
@@ -116,11 +117,33 @@ type SubmitOutcome struct {
 // meets-or-exceeds the requested precision serves it instantly.
 //
 // Heavy construction — Spec.Build (which may materialise a multi-megabyte
-// voxel geometry), tally allocation, cache-tally cloning — happens outside
-// the registry mutex so a large submission never stalls fleet dispatch.
+// voxel geometry), tally allocation — happens outside the registry mutex so
+// a large submission never stalls fleet dispatch.
 func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
+	return r.SubmitAnswered(spec, nil)
+}
+
+// SubmitAnswered is Submit with the cache lookup replaced by answer, when
+// not nil: the tally a peer result tier holds for the submission (a
+// gateway's tier hit). Everything around the lookup is the same — the keys
+// this registry derives itself, coalescing onto a live identical job, the
+// one job token a hit debits, a job born Done under the key's next free ID.
+// A tally that cannot be the job's result is an invalid submission; that it
+// is the right one for the physics is the peer's word. The peer counted the
+// hit, so neither cache counter moves, and the tally is not filed here.
+func (r *Registry) SubmitAnswered(spec JobSpec, answer *mc.Tally) (*SubmitOutcome, error) {
 	if err := spec.normalize(r.opts.MaxTargetPhotons); err != nil {
 		return nil, invalid(err)
+	}
+	if answer != nil {
+		// A job ends with its count run, its target met or its budget spent.
+		ends := answer.Launched == spec.TotalPhotons
+		if tgt := spec.Target; tgt != nil {
+			ends = tgt.MetBy(answer) || answer.Launched >= tgt.MaxPhotons
+		}
+		if !ends {
+			return nil, invalid(fmt.Errorf("service: the attached tally (%d photons) is not a result of this job", answer.Launched))
+		}
 	}
 	start := time.Now()
 	key, pkey, err := keysOf(&spec)
@@ -144,21 +167,21 @@ func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
 	r.mu.Unlock()
 	r.shareGrid(&spec)
 
-	// A precision submission probes two indexes but is one lookup: one
-	// hit or one miss, whichever index answered.
-	r.met.cacheLookups.Inc()
-	tally := r.cache.Get(key)
-	hits, hitIndex := r.met.cacheHitExact, "exact"
-	if tally == nil && spec.Target != nil {
-		// Meets-or-exceeds: a deeper or equal stored run of the same
-		// physics satisfies any looser request for it.
-		tally = r.cache.GetMeeting(pkey, spec.Target)
-		hits, hitIndex = r.met.cacheHitPhysics, "physics"
+	// The peer counted an answered submission's hit: here, nobody reads it.
+	tally, hits, hitIndex := answer, new(obs.Counter), "tier"
+	if answer == nil {
+		// A precision submission probes two indexes but is one lookup: one
+		// hit or one miss, whichever index answered.
+		r.met.cacheLookups.Inc()
+		tally, hits, hitIndex = r.cache.Get(key), r.met.cacheHitExact, "exact"
+		if tally == nil && spec.Target != nil {
+			// Meets-or-exceeds: a deeper or equal stored run of the same
+			// physics satisfies any looser request for it.
+			tally = r.cache.GetMeeting(pkey, spec.Target)
+			hits, hitIndex = r.met.cacheHitPhysics, "physics"
+		}
 	}
 	if tally != nil {
-		// The cache hands out its own pointer; the job's tally goes to Wait
-		// callers, who are free to Merge into it.
-		tally = tally.Clone()
 		r.mu.Lock()
 		if err := r.admitRideLocked(&spec); err != nil {
 			r.mu.Unlock()
@@ -169,7 +192,8 @@ func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
 		hits.Inc()
 		r.mu.Unlock()
 		// A cached key proves these exact spec bytes built and completed
-		// before, so the job is born Done without touching the geometry.
+		// before, so the job is born Done without touching the geometry,
+		// around the cache's own tally (read-only, see Result.Tally).
 		j := bornDoneJob(r, key, spec, tally)
 		j.pkey = pkey
 		j.trace(obs.Event{Kind: obs.EvCacheHit, Detail: hitIndex})
@@ -453,9 +477,8 @@ func (r *Registry) SubmitSnapshot(snap *Snapshot) (*Job, error) {
 		j.state = StateDone
 		j.finishedAt = time.Now()
 		close(j.finished)
-		clone := j.tally.Clone()
-		r.cache.Put(key, clone)
-		r.cache.PutPhysics(pkey, clone)
+		r.cache.Put(key, j.tally)
+		r.cache.PutPhysics(pkey, j.tally)
 	}
 
 	r.mu.Lock()
@@ -487,8 +510,7 @@ func (r *Registry) SubmitSnapshot(snap *Snapshot) (*Job, error) {
 // IDs are stable across restarts of the same submission and a stale worker
 // from an unrelated previous run cannot collide with a live job by accident.
 func (r *Registry) freeIDLocked(key Key) uint64 {
-	id := uint64(key[0])<<56 | uint64(key[1])<<48 | uint64(key[2])<<40 | uint64(key[3])<<32 |
-		uint64(key[4])<<24 | uint64(key[5])<<16 | uint64(key[6])<<8 | uint64(key[7])
+	id := KeyID(key)
 	for id == 0 || r.jobs[id] != nil {
 		id++
 	}
@@ -596,12 +618,10 @@ func (r *Registry) Cancel(id uint64) error {
 
 // finishJobLocked marks a job whose last chunk just reduced as done. The
 // caller must call sealJob after releasing the registry lock: waiters stay
-// blocked on j.finished until then, which keeps the expensive cache clone
-// off the fleet's hot lock while still guaranteeing the cache entry is
-// taken before any Wait caller can mutate the returned tally. The job stays
-// in byKey until sealJob has filled the cache, so an identical submission
-// arriving in between rides this job's finished channel instead of finding
-// it neither in flight nor cached and computing it all again.
+// blocked on j.finished until then. The job stays in byKey until sealJob
+// has filled the cache, so an identical submission arriving in between
+// rides this job's finished channel instead of finding it neither in
+// flight nor cached and computing it all again.
 func (r *Registry) finishJobLocked(j *Job) {
 	j.state = StateDone
 	j.finishedAt = time.Now()
@@ -629,11 +649,10 @@ func (r *Registry) sealJob(j *Job) {
 	if r.sealHook != nil {
 		r.sealHook()
 	}
-	// The live tally is also handed to Wait callers, who may Merge into
-	// it; the cache entry must not alias it.
-	clone := j.tally.Clone()
-	r.cache.Put(j.key, clone)
-	r.cache.PutPhysics(j.pkey, clone)
+	// The job is done, so its tally is final (reduceGroup merges into live
+	// jobs only): the cache, the job and every later hit share the one.
+	r.cache.Put(j.key, j.tally)
+	r.cache.PutPhysics(j.pkey, j.tally)
 	r.mu.Lock()
 	delete(r.byKey, j.key)
 	// Stragglers for a done job still bump these under mu; read them there.

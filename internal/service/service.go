@@ -34,7 +34,7 @@
 //
 // The same content keys shard the control plane: RoutingKeys derives a
 // submission's key without a Registry, ShardOfKey maps it onto one of N
-// contiguous key ranges, and job IDs are minted from the key prefix
+// contiguous key ranges, and job IDs are derived from the key prefix
 // (KeyID) so ShardOfID routes by ID to the same shard — a stateless
 // gateway (internal/gateway, cmd/mcgate) needs no routing table and any
 // two gateway instances route identically. Submit distinguishes

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -972,54 +973,48 @@ func TestOldWorkerRejectedGracefully(t *testing.T) {
 	}
 }
 
-// TestCachePutIsolatedFromCallerMutation guards the cache against callers
-// merging into the Result.Tally they were handed back.
-func TestCachePutIsolatedFromCallerMutation(t *testing.T) {
-	reg := New(Options{DrainOnEmpty: true})
-	out, err := reg.Submit(JobSpec{Spec: slabSpec(5), TotalPhotons: 200, ChunkPhotons: 100, Seed: 12})
+// TestFinishedTallyIsShared pins the contract Result.Tally states: a
+// finished tally is immutable, so the job that computed it, the cache and
+// every hit the cache answers hand out the one tally — no clone on the way
+// in or out — and a straggler's late result for the done job is refused
+// without touching it.
+func TestFinishedTallyIsShared(t *testing.T) {
+	reg := New(Options{})
+	js := JobSpec{Spec: slabSpec(5), TotalPhotons: 200, ChunkPhotons: 100, Seed: 12}
+	out, err := reg.Submit(js)
 	if err != nil {
 		t.Fatal(err)
 	}
-	server, client := net.Pipe()
-	go reg.HandleConn(server)
-	if _, err := workClient(client, "w"); err != nil {
-		t.Fatal(err)
-	}
+	startWorkers(t, reg, 1)
 	res, err := out.Job.Wait(time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	launched := res.Tally.Launched
-	// Caller mutates its copy (self-merge is rejected by mc.Tally, so fold
-	// in a clone to double every accumulator).
-	if err := res.Tally.Merge(res.Tally.Clone()); err != nil {
-		t.Fatal(err)
+	want := tallyBytes(t, res.Tally)
+
+	for i := range 2 {
+		hit, err := reg.Submit(js)
+		if err != nil || !hit.Cached {
+			t.Fatalf("resubmission %d: %+v, %v; want a cache hit", i, hit, err)
+		}
+		cached, err := hit.Job.Wait(time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cached.Tally != res.Tally {
+			t.Fatalf("hit %d was handed a copy of the tally, want the job's own", i)
+		}
 	}
-	dup, err := reg.Submit(JobSpec{Spec: slabSpec(5), TotalPhotons: 200, ChunkPhotons: 100, Seed: 12})
-	if err != nil {
-		t.Fatal(err)
+	if reg.cache.Get(out.Job.key) != res.Tally {
+		t.Fatal("the cache holds a copy of the job's tally, want the job's own")
 	}
-	if !dup.Cached {
-		t.Fatal("resubmission not cached")
+
+	straggler := oneChunkBatch(out.Job.ID(), 0, localTally(t, js.Spec, 100, 100, js.Seed))
+	if ack := reg.reduceBatch(probeSession(reg), straggler, &mc.Tally{})[0]; !ack.Duplicate && !ack.Rejected {
+		t.Fatalf("a result for a finished job was taken: %+v", ack)
 	}
-	cached, err := dup.Job.Wait(time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached.Tally.Launched != launched {
-		t.Fatalf("cache aliased the caller's tally: launched %d, want %d",
-			cached.Tally.Launched, launched)
-	}
-	// The same on the way out: a hit's tally is the caller's to mutate too.
-	if err := cached.Tally.Merge(cached.Tally.Clone()); err != nil {
-		t.Fatal(err)
-	}
-	again, err := reg.Submit(JobSpec{Spec: slabSpec(5), TotalPhotons: 200, ChunkPhotons: 100, Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := again.Job.tally.Launched; !again.Cached || got != launched {
-		t.Fatalf("cache handed a hit its internal tally: second hit launched %d, want %d", got, launched)
+	if !bytes.Equal(tallyBytes(t, res.Tally), want) {
+		t.Fatal("a late result was merged into a finished, shared tally")
 	}
 }
 
@@ -1027,8 +1022,8 @@ func TestCachePutIsolatedFromCallerMutation(t *testing.T) {
 // bounded on its own, a physics key keeps its deepest run whichever order
 // the runs arrive in, an evicted key reads as a miss, and a negative size
 // is the disabled cache. It stores and returns the pointers it is given;
-// TestCachePutIsolatedFromCallerMutation pins the registry's clones
-// around it.
+// TestFinishedTallyIsShared pins that the registry does not clone around
+// it.
 func TestResultCache(t *testing.T) {
 	key := func(seed uint64) Key {
 		k, err := KeyOf(slabSpec(5), 100, 100, seed)

@@ -36,8 +36,8 @@ func ShardOfID(id uint64, shards int) int {
 }
 
 // KeyID is the job ID a registry derives from a content key (before the
-// collision probe): the big-endian uint64 of the key's first 8 bytes.
-// Zero is reserved, so it maps to 1 exactly as freeIDLocked does.
+// collision probe, which freeIDLocked starts from it): the big-endian
+// uint64 of the key's first 8 bytes. Zero is reserved, so it maps to 1.
 func KeyID(k Key) uint64 {
 	id := binary.BigEndian.Uint64(k[:8])
 	if id == 0 {

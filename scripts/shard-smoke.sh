@@ -11,9 +11,12 @@
 # worker's reconnect rotation lands on it; the gateway fails requests over
 # on connection errors; every accepted job completes under the job ID it
 # was accepted with — zero loss — and each tally is byte-identical to a
-# reference single-node run of the same submissions. The cheap always-on
-# CI cousin of internal/gateway's failover tests, through real processes,
-# sockets and kill -9.
+# reference single-node run of the same submissions. Last, a second mcgate
+# over the same shards: a finished job resubmitted through the first is
+# answered from its result tier, and the hit — a job on its shard, not in
+# the gateway — is fetched by ID through the second, before and after the
+# first is killed. The cheap always-on CI cousin of internal/gateway's
+# failover tests, through real processes, sockets and kill -9.
 #
 # Stdlib + curl only; run from anywhere inside the repo.
 set -euo pipefail
@@ -24,7 +27,7 @@ REF_FLEET=127.0.0.1:19895 REF_HTTP=127.0.0.1:18189
 F0=127.0.0.1:19896       H0=127.0.0.1:18190
 F1=127.0.0.1:19897       H1=127.0.0.1:18191
 F1B=127.0.0.1:19898      H1B=127.0.0.1:18192
-GW=127.0.0.1:18195
+GW=127.0.0.1:18195       GW2=127.0.0.1:18196
 JOBS=12
 
 WORK=$(mktemp -d)
@@ -135,7 +138,7 @@ PIDS+=($!)
 
 "$WORK/mcgate" -http "$GW" -shard "$H0" -shard "$H1,$H1B" \
   -log-format json >"$WORK/mcgate.log" 2>&1 &
-PIDS+=($!)
+GWPID=$!; PIDS+=("$GWPID")
 wait_http "http://$GW/readyz"
 
 # The same submissions, now through the gateway. Content addressing must
@@ -186,6 +189,34 @@ done
 GWMETRICS=$(curl -fsS "http://$GW/metrics") # not piped: grep -q would hang up on curl mid-scrape
 echo "$GWMETRICS" | grep -Eq 'gateway_replica_failovers_total\{shard="1"\} [1-9]' ||
   fail "gateway recorded no replica failover for shard 1"
+
+# The gateway holds no jobs: a resubmission the first gateway answers from
+# its result tier (filled by the drain above) is a job on its owning shard,
+# so a second gateway over the same shards serves it by ID — with the first
+# still up, and with it gone.
+echo "shard-smoke: tier hit through gateway 1, fetched through gateway 2..."
+"$WORK/mcgate" -http "$GW2" -shard "$H0" -shard "$H1,$H1B" \
+  -log-format json >"$WORK/mcgate2.log" 2>&1 &
+PIDS+=($!)
+wait_http "http://$GW2/readyz"
+HIT=$(curl -fsS -X POST "http://$GW/jobs" -d @"$WORK/job1.json")
+echo "$HIT" | grep -q '"cached":true' || fail "resubmission of a finished job not cached: $HIT"
+HID=$(echo "$HIT" | sed -n 's/.*"id":"\([0-9a-f]*\)".*/\1/p')
+[ -n "$HID" ] && [ "$HID" != "${IDS[1]}" ] ||
+  fail "tier hit came back as job '$HID', want a job of its own beside ${IDS[1]}"
+GWMETRICS=$(curl -fsS "http://$GW/metrics")
+echo "$GWMETRICS" | grep -q '^gateway_cache_hits_total{index="exact"} 1$' ||
+  fail "gateway 1 did not count the resubmission as a tier hit"
+fetch_hit() { # when: the hit's tally through gateway 2 is the reference's
+  curl -fsS "http://$GW2/jobs/$HID" | grep -q '"cacheHit":true' ||
+    fail "gateway 2 has no status for tier hit $HID ($1)"
+  curl -fsS "http://$GW2/jobs/$HID/result" | sed 's/.*"tally"://' >"$WORK/hit-tally.json"
+  cmp -s "$WORK/ref-tally-1.json" "$WORK/hit-tally.json" ||
+    fail "tier hit $HID fetched through gateway 2 ($1) differs from the reference run"
+}
+fetch_hit "gateway 1 up"
+kill -9 "$GWPID"; wait "$GWPID" 2>/dev/null || true
+fetch_hit "gateway 1 killed"
 
 # Everything left shuts down cleanly.
 echo "shard-smoke: SIGTERM the fleet..."
