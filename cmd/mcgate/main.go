@@ -1,10 +1,12 @@
 // Command mcgate is the stateless gateway over a sharded control plane:
-// N mcqueue shards, each owning a contiguous slice of the content-key
-// space, behind one HTTP endpoint that speaks the exact same job API.
+// N mcqueue shards, each owning a contiguous slice of the key space,
+// behind one HTTP endpoint that speaks the exact same job API.
 // Clients cannot tell it from a single mcqueue — POST /jobs routes by
-// the submission's content key, GET/DELETE /jobs/{id}... routes by the
-// ID (IDs are derived from keys, so no table is needed), and /stats,
-// /fleet, /tenants and GET /jobs fan out and merge.
+// the submission's routing key (service.RouteKey: the physics key of a
+// moments-tracking spec, the content key of any other), GET/DELETE
+// /jobs/{id}... routes by the ID (an ID's shard bits are that key's, so no
+// table is needed), and /stats, /fleet, /tenants and GET /jobs fan out and
+// merge.
 //
 // Each -shard flag names one shard as a comma-separated replica list:
 // the primary first, then any lease-file standbys sharing its -wal-dir.
@@ -19,11 +21,10 @@
 //	mcworker -addr localhost:9877,localhost:9878
 //	mcgate -http :8080 -shard http://localhost:8081 -shard http://localhost:8082,http://localhost:8083
 //
-// The gateway also keeps a shared result tier: every completed tally
-// that flows through GET /jobs/{id}/result is cached under the same
-// exact and physics-keyed meets-or-exceeds indexes the shards use, so a
-// resubmission — or a looser precision target over physics any shard
-// ever ran — is answered from it: a job born done on its shard, nothing run.
+// The gateway holds no results: a resubmission, or a looser precision
+// target over physics any shard ran, is routed to the shard that ran it
+// and answered from that shard's cache — a job born done there, nothing
+// run.
 //
 // -tenants moves admission control to the gateway (the only place that
 // sees every shard's arrival stream): the named token buckets run here,
@@ -88,7 +89,9 @@ func main() {
 		"one shard's replica base URLs, comma-separated, primary first (repeat per shard; order fixes the key ranges)")
 	tenantsFile := fs.String("tenants", "",
 		"JSON tenant table: run token-bucket admission at the gateway (shards should then run without -tenants)")
-	cacheSize := fs.Int("cache", 256, "shared result tier entries (0 default, negative disables)")
+	// Parsed and ignored: bench/ still passes -cache to mcgate. Delete the
+	// flag together with that caller.
+	fs.Int("cache", 0, "ignored (the gateway holds no results; each shard's -cache sizes its own)")
 	maxTarget := fs.Int64("target-max-photons", 0,
 		"precision-target photon cap; must match the shards' flag (it participates in the routing key)")
 	maxBody := fs.Int64("max-body-bytes", 0,
@@ -121,7 +124,6 @@ func main() {
 		Admission:        admission,
 		MaxTargetPhotons: *maxTarget,
 		MaxBodyBytes:     *maxBody,
-		CacheSize:        *cacheSize,
 		Obs:              oreg,
 		Logger:           logger,
 	})

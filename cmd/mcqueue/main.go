@@ -46,8 +46,8 @@
 // scheduling. The file maps tenant names to classes —
 //
 //	{"default": {"weight": 1},
-//	 "team-a":  {"jobsPerSec": 2, "jobBurst": 10,
-//	             "photonsPerSec": 1e6, "photonBurst": 5e7, "weight": 3}}
+//	 "tenants": {"team-a": {"jobsPerSec": 2, "jobBurst": 10,
+//	                        "photonsPerSec": 1e6, "photonBurst": 5e7, "weight": 3}}}
 //
 // — where jobsPerSec/jobBurst rate-limit submissions, photonsPerSec/
 // photonBurst meter the photon quota (a zero rate leaves that dimension

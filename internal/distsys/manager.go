@@ -145,11 +145,11 @@ func (dm *DataManager) adopt(spec service.JobSpec, records []wal.Record) (*servi
 		return out.Job, nil
 	}
 	want := spec // RoutingKeys normalizes in place
-	key, _, err := service.RoutingKeys(&want, 0)
+	key, pkey, err := service.RoutingKeys(&want, 0)
 	if err != nil {
 		return nil, err
 	}
-	if len(restored) != 1 || restored[0].ID != service.KeyID(key) {
+	if len(restored) != 1 || restored[0].ID != service.JobID(&want, key, pkey) {
 		return nil, fmt.Errorf("distsys: journal %s holds a different job (%s, %d photons in %d-photon chunks); "+
 			"rerun it with its original parameters or remove the directory",
 			dm.journalDir, restored[0].IDHex, restored[0].TotalPhotons, restored[0].ChunkPhotons)

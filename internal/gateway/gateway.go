@@ -1,32 +1,28 @@
 // Package gateway is the stateless routing tier in front of N journaled
 // registry shards. Each shard is an ordinary mcqueue daemon owning a
-// contiguous range of the content-key space (service.ShardOfKey); the
-// gateway computes every submission's key itself — the same
-// normalize-and-hash the shards run — so routing is a pure function of
-// the request bytes and the shard count. It holds no routing table and
-// no durable state: a restarted gateway routes identically, and any
-// number of gateways can front the same shards.
+// contiguous range of the key space (service.ShardOfKey); the gateway
+// computes every submission's keys itself — the same normalize-and-hash
+// the shards run — so routing is a pure function of the request bytes and
+// the shard count. It holds no routing table, no jobs, no results and no
+// durable state: a restarted gateway routes identically, and any number
+// of gateways can front the same shards.
 //
 // Requests flow three ways:
 //
-//   - POST /jobs is keyed, checked against the gateway's shared result
-//     tier (a service.ResultCache, the same exact + physics-keyed
-//     meets-or-exceeds container the shards use, filled from every result
-//     it proxies — the result names its own keys), admission-checked when
-//     the gateway owns the tenant buckets, and then forwarded to the
-//     owning shard in the compact submission encoding
+//   - POST /jobs is keyed, admission-checked when the gateway owns the
+//     tenant buckets, and forwarded to the shard owning its routing key
+//     (service.RouteKey: the physics key of a moments-tracking spec, whose
+//     looser targets and repeats that shard's cache then answers; the
+//     content key otherwise) in the compact submission encoding
 //     (service.SubmissionCompactType), not as the client's JSON again.
-//     A tier hit is forwarded too, its tally attached
-//     (service.SubmissionAnsweredType), and is a job born done on its
-//     shard like a shard-local cache hit: the gateway holds no jobs.
 //   - GET/DELETE /jobs/{id}... is routed by the ID alone: job IDs are
-//     the uint64 prefix of the content key, so service.ShardOfID names
-//     the owner with no lookup. Responses pass through as the shard wrote
+//     the routing key's top 32 bits over the content key's next 32
+//     (service.JobID), so service.ShardOfID names the owner from those
+//     top bits with no lookup. Responses pass through as the shard wrote
 //     them, except a finished result: the gateway asks the shard for it in
-//     the compact codec (service.ResultCompactType), decodes it once — the
-//     decoded tally is what the tier caches — and JSON-encodes the body
-//     for the client. JSON is the encoding of the client edge only, in
-//     both directions.
+//     the compact codec (service.ResultCompactType), decodes it once and
+//     JSON-encodes the body for the client. JSON is the encoding of the
+//     client edge only, in both directions.
 //   - GET /stats, /fleet, /tenants and GET /jobs fan out to every shard
 //     and merge.
 //
@@ -67,20 +63,19 @@ type Options struct {
 	// Admission, when set, runs the tenant token buckets at the gateway —
 	// the natural place once submissions fan out over shards that cannot
 	// see each other's arrival rates. Shards behind an admitting gateway
-	// should run AlwaysAdmit, or tenants pay twice — a tier hit's one job
-	// token included, now that the shard sees it. nil forwards everything
-	// and leaves admission to the shards.
+	// should run AlwaysAdmit, or tenants pay twice. The gateway cannot see
+	// a shard's cache, so every submission it forwards pays its full cost
+	// (service.JobSpec.AdmissionPhotons), a resubmission the shard answers
+	// from its cache included. nil forwards everything and leaves admission
+	// to the shards.
 	Admission service.AdmissionPolicy
 	// MaxTargetPhotons must match the shards' own -target-max-photons: it
-	// participates in spec normalization and therefore in the content key.
+	// participates in spec normalization and therefore in the keys.
 	// 0 means the service default.
 	MaxTargetPhotons int64
 	// MaxBodyBytes caps the POST /jobs body exactly like service.API;
 	// 0 means service.DefaultMaxBodyBytes, negative disables the cap.
 	MaxBodyBytes int64
-	// CacheSize bounds the gateway's shared result tier in entries;
-	// 0 means 256, negative disables it.
-	CacheSize int
 	// Client issues the proxied requests; nil gets a 30s-timeout default.
 	Client *http.Client
 	// Obs receives gateway_* metrics; nil instruments privately.
@@ -97,21 +92,12 @@ type Gateway struct {
 	maxBody   int64
 	client    *http.Client
 	log       *slog.Logger
-	// cache is the shared result tier: completed tallies seen flowing back
-	// through proxied GET /jobs/{id}/result responses, keyed exactly like
-	// the per-shard caches. A tenant on shard 0 thereby reuses physics
-	// shard 3 finished an hour ago without either shard knowing about the
-	// other. Every tally in it is freshly decoded from a shard's compact
-	// result and only ever re-encoded, never merged into, so hits are
-	// served without cloning.
-	cache *service.ResultCache
 
 	met gatewayMetrics
 }
 
 type gatewayMetrics struct {
 	submissions *obs.CounterVec
-	cacheHits   *obs.CounterVec
 	sheds       *obs.Counter
 	invalid     *obs.Counter
 	proxies     *obs.CounterVec
@@ -154,13 +140,10 @@ func New(opts Options) (*Gateway, error) {
 		maxBody:   opts.MaxBodyBytes,
 		client:    client,
 		log:       log,
-		cache:     service.NewResultCache(opts.CacheSize),
 	}
 	g.met = gatewayMetrics{
 		submissions: oreg.CounterVec("gateway_submissions_total",
-			"Submissions forwarded to a shard, tier hits included, by shard index.", "shard"),
-		cacheHits: oreg.CounterVec("gateway_cache_hits_total",
-			"Submissions answered from the gateway's shared result tier (forwarded with the tally, registered born done by the shard).", "index"),
+			"Submissions forwarded to a shard, by shard index.", "shard"),
 		sheds: oreg.Counter("gateway_sheds_total",
 			"Submissions refused by gateway-side admission."),
 		invalid: oreg.Counter("gateway_invalid_total",
@@ -177,13 +160,10 @@ func New(opts Options) (*Gateway, error) {
 			"JSON size of one finished result body sent to the client.", obs.ByteBuckets),
 	}
 	stage := oreg.HistogramVec("gateway_submit_stage_seconds",
-		"Time one submission spent in a stage of the gateway's submit path: decode (body read and JSON decode), keys (content and physics key derivation), encode (the compact form forwarded to the shard, behind its tally for a tier hit), forward (the owning shard's answer, failovers included).",
+		"Time one submission spent in a stage of the gateway's submit path: decode (body read and JSON decode), keys (content and physics key derivation), encode (the compact form forwarded to the shard), forward (the owning shard's answer, failovers included).",
 		obs.DefBuckets, "stage")
 	g.met.submitDecode, g.met.submitKeys = stage.With("decode"), stage.With("keys")
 	g.met.submitEncode, g.met.submitForward = stage.With("encode"), stage.With("forward")
-	oreg.GaugeFunc("gateway_cache_entries",
-		"Results held in the gateway's shared tier.",
-		func() float64 { return float64(g.cache.Len()) })
 	oreg.GaugeFunc("gateway_shards",
 		"Configured shard count (the key-space partition width).",
 		func() float64 { return float64(len(g.shards)) })
@@ -216,30 +196,23 @@ func (g *Gateway) Register(mux *http.ServeMux) {
 }
 
 func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
-	if req.Header.Get("Content-Type") == service.SubmissionAnsweredType {
-		// A job's result is a tier's to hand a shard, not a client's.
-		g.met.invalid.Inc()
-		service.WriteJSON(w, http.StatusUnsupportedMediaType,
-			service.APIError{Error: "an answered submission is not accepted from a client"})
-		return
-	}
 	start := time.Now()
-	spec, _, ok := service.ReadSubmission(w, req, g.maxBody, nil)
+	spec, ok := service.ReadSubmission(w, req, g.maxBody, nil)
 	if !ok {
 		g.met.invalid.Inc()
 		return
 	}
 	g.met.submitDecode.Observe(time.Since(start).Seconds())
-	tenant := spec.Tenant // as sent; normalization below fills the default
 
 	// A malformed job is a 422 whatever its tenant's buckets hold, so the
-	// cheap half of key derivation runs first. Then shed before hashing:
-	// every outcome below, tier hit or fresh work, debits at least one job
+	// cheap half of key derivation runs first; it also resolves an unnamed
+	// tenant to the default, the name a shard would admit it under. Then
+	// shed before hashing: the admission below debits at least one job
 	// token, so a tenant whose job-rate bucket cannot pay one is refused
 	// either way — the probe spends nothing and says so before the gateway
 	// hashes a body that may run to megabytes.
 	err := spec.Normalize(g.maxTarget)
-	if err == nil && g.admission != nil && !g.admitted(w, tenant, g.admission.Probe(tenant, 0)) {
+	if err == nil && g.admission != nil && !g.admitted(w, spec.Tenant, g.admission.Probe(spec.Tenant, 0)) {
 		return
 	}
 	// The same normalize-and-hash the owning shard will run: the key is a
@@ -258,24 +231,10 @@ func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
 	}
 	g.met.submitKeys.Observe(time.Since(start).Seconds())
 
-	// Shared result tier: a hit saves the compute, not the trip — it travels
-	// to the owning shard with its answer attached and is a job there.
-	hit := g.cache.Get(key)
-	index := "exact"
-	if hit == nil && spec.Target != nil {
-		hit = g.cache.GetMeeting(pkey, spec.Target)
-		index = "physics"
-	}
-
-	// Debit before spending a shard's time: the full admission cost for
-	// fresh work, the one job token a shard-local cache hit pays for a hit.
-	// Fail-closed — a routed submission that then fails everywhere has spent
-	// its tokens, like any accepted-then-crashed job.
-	cost, contentType := spec.AdmissionPhotons(), service.SubmissionCompactType
-	if hit != nil {
-		cost, contentType = 0, service.SubmissionAnsweredType
-	}
-	if g.admission != nil && !g.admitted(w, tenant, g.admission.Admit(tenant, cost)) {
+	// Debit before spending a shard's time. Fail-closed — a routed
+	// submission that then fails everywhere has spent its tokens, like any
+	// accepted-then-crashed job.
+	if g.admission != nil && !g.admitted(w, spec.Tenant, g.admission.Admit(spec.Tenant, spec.AdmissionPhotons())) {
 		return
 	}
 
@@ -283,19 +242,14 @@ func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
 	// normalized spec, resolved tenant included, encoded once for all replica
 	// attempts. The shard still normalizes and derives the keys itself.
 	start = time.Now()
-	var body []byte
-	if hit != nil {
-		body, err = service.AppendAnswered(nil, hit, &spec)
-	} else {
-		body, err = service.AppendSubmission(nil, &spec)
-	}
+	body, err := service.AppendSubmission(nil, &spec)
 	if err != nil {
 		service.WriteJSON(w, http.StatusInternalServerError, service.APIError{Error: err.Error()})
 		return
 	}
 	g.met.submitEncode.Observe(time.Since(start).Seconds())
 
-	shard := service.ShardOfKey(key, len(g.shards))
+	shard := service.ShardOfKey(service.RouteKey(&spec, key, pkey), len(g.shards))
 	start = time.Now()
 	status, hdr, respBody, err := g.doShard(shard, func(base string) (*http.Request, error) {
 		preq, err := http.NewRequestWithContext(req.Context(), http.MethodPost,
@@ -303,7 +257,7 @@ func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		preq.Header.Set("Content-Type", contentType)
+		preq.Header.Set("Content-Type", service.SubmissionCompactType)
 		return preq, nil
 	})
 	if err != nil {
@@ -313,12 +267,6 @@ func (g *Gateway) submit(w http.ResponseWriter, req *http.Request) {
 	}
 	g.met.submitForward.Observe(time.Since(start).Seconds())
 	g.met.submissions.With(strconv.Itoa(shard)).Inc()
-	// The tier counts the hit, the shard does not — once the shard has served
-	// it as one (a live identical job there coalesces it instead).
-	var acc service.JobAccepted
-	if hit != nil && status == http.StatusOK && json.Unmarshal(respBody, &acc) == nil && acc.Cached {
-		g.met.cacheHits.With(index).Inc()
-	}
 	copyResponse(w, status, hdr, respBody)
 }
 
@@ -373,14 +321,11 @@ func (g *Gateway) proxyJob(w http.ResponseWriter, req *http.Request) {
 }
 
 // proxyResult serves GET /jobs/{id}/result. It asks the owning shard for
-// the result in the compact codec; a finished result (200) is decoded,
-// filed into the shared tier under the keys it names — whichever gateway
-// routed the submission — and JSON-encoded for the client by the encoder
-// the shard itself answers a client with, so the bytes are the same. Every
-// other answer (202 not finished, 404, 410 canceled, a 5xx) is the shard's
-// own JSON and passes through. A cache hit's result is not filed: it echoes
-// an entry a cache already holds, and a looser-target hit filed under its
-// own exact key would turn the next one from a physics hit into an exact one.
+// the result in the compact codec; a finished result (200) is decoded and
+// JSON-encoded for the client by the encoder the shard itself answers a
+// client with, so the bytes are the same. Every other answer (202 not
+// finished, 404, 410 canceled, a 5xx) is the shard's own JSON and passes
+// through.
 func (g *Gateway) proxyResult(w http.ResponseWriter, req *http.Request) {
 	start := time.Now()
 	shard, status, hdr, body, ok := g.forward(w, req, service.ResultCompactType)
@@ -399,10 +344,6 @@ func (g *Gateway) proxyResult(w http.ResponseWriter, req *http.Request) {
 		service.WriteJSON(w, http.StatusBadGateway,
 			service.APIError{Error: fmt.Sprintf("shard %d: %v", shard, err)})
 		return
-	}
-	if !res.CacheHit {
-		g.cache.Put(res.Key, res.Tally)
-		g.cache.PutPhysics(res.PhysicsKey, res.Tally)
 	}
 	body = service.EncodeJSON(res)
 	service.WriteBody(w, http.StatusOK, "application/json", body)

@@ -223,9 +223,9 @@ func TestGatewayRoutesAndCompletes(t *testing.T) {
 // shard→gateway hop, for every result shape: the body read through the
 // gateway — decoded from the compact codec and JSON-encoded there — is byte
 // for byte the body the shard serves a client directly, and a resubmission
-// answered from the gateway's tier — a job of its own on the shard, under
-// the key's next free ID — reads the same again but for the ID and the two
-// fields that say so (cacheHit, elapsedSeconds).
+// answered from its shard's cache — a job of its own there, under the next
+// free ID after the run's — reads the same again but for the ID and the
+// two fields that say so (cacheHit, elapsedSeconds).
 func TestResultBytesSameAtEveryTier(t *testing.T) {
 	_, tsA := shardServer(t, service.Options{}, 2)
 	_, tsB := shardServer(t, service.Options{}, 2)
@@ -266,21 +266,21 @@ func TestResultBytesSameAtEveryTier(t *testing.T) {
 
 			hit := submitJob(t, gw.URL, "", req)
 			if want := nextID(t, acc.ID); !hit.Cached || hit.ID != want {
-				t.Fatalf("resubmission %+v, want a tier hit under %s, the next free ID after %s", hit, want, acc.ID)
+				t.Fatalf("resubmission %+v, want a cache hit under %s, the next free ID after %s", hit, want, acc.ID)
 			}
-			code, viaTier := get(t, gw.URL+"/jobs/"+hit.ID+"/result")
+			code, viaHit := get(t, gw.URL+"/jobs/"+hit.ID+"/result")
 			if code != http.StatusOK {
-				t.Fatalf("tier result: http %d", code)
+				t.Fatalf("cache hit's result: http %d", code)
 			}
 			var fresh, cached map[string]json.RawMessage
 			if err := json.Unmarshal([]byte(viaGW), &fresh); err != nil {
 				t.Fatal(err)
 			}
-			if err := json.Unmarshal([]byte(viaTier), &cached); err != nil {
+			if err := json.Unmarshal([]byte(viaHit), &cached); err != nil {
 				t.Fatal(err)
 			}
 			if string(cached["cacheHit"]) != "true" {
-				t.Fatalf("tier body does not say cacheHit: %.200s", viaTier)
+				t.Fatalf("cache hit's body does not say cacheHit: %.200s", viaHit)
 			}
 			for _, m := range []map[string]json.RawMessage{fresh, cached} {
 				delete(m, "id")
@@ -288,18 +288,18 @@ func TestResultBytesSameAtEveryTier(t *testing.T) {
 				delete(m, "elapsedSeconds")
 			}
 			if len(fresh) != len(cached) {
-				t.Fatalf("tier body has fields %d, fresh body %d", len(cached), len(fresh))
+				t.Fatalf("cache hit's body has fields %d, fresh body %d", len(cached), len(fresh))
 			}
 			for k, v := range fresh {
 				if string(cached[k]) != string(v) {
-					t.Fatalf("tier body differs from the fresh one in %q", k)
+					t.Fatalf("cache hit's body differs from the fresh one in %q", k)
 				}
 			}
 		})
 	}
 
 	// The layer has its histogram: one observation per proxied result, a
-	// tier hit's included — it is fetched from its shard like any other.
+	// cache hit's included.
 	var metrics strings.Builder
 	oreg.WriteText(&metrics)
 	for _, want := range []string{"gateway_result_seconds_count 10", "gateway_result_bytes_count 10"} {
@@ -333,113 +333,114 @@ func TestGatewayRoutingIsStableAcrossInstances(t *testing.T) {
 	}
 }
 
-// TestTierHitIsAJobOnItsShard: a submission a gateway answers from its
-// result tier is forwarded with the answer attached and registered by the
-// owning shard, so it is a job like any other — its status, result, events
-// and spans are the shard's own, read through any gateway over the same
-// shards and through a restarted one; cancelling it is the shard's 409.
-// The hits compute nothing.
+// TestTierHitIsAJobOnItsShard: a looser-target resubmission through a
+// gateway that never saw the run it rides on is a physics hit on the shard
+// that ran it, although its own content key belongs to the other shard — a
+// moments-tracking submission is routed by its physics key, so no gateway
+// keeps a tier of results. The hit is counted where it is served, computes
+// nothing, and is a job like any other: status, result, events and spans
+// read through either gateway, and cancelling it is the shard's 409. An
+// exact repeat is the same, counted under the exact index.
 func TestTierHitIsAJobOnItsShard(t *testing.T) {
-	obsA, obsB := obs.NewRegistry(), obs.NewRegistry()
-	_, tsA := shardServer(t, service.Options{Obs: obsA}, 2)
-	_, tsB := shardServer(t, service.Options{Obs: obsB}, 2)
+	obsByShard := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
+	_, tsA := shardServer(t, service.Options{Obs: obsByShard[0]}, 2)
+	_, tsB := shardServer(t, service.Options{Obs: obsByShard[1]}, 2)
 	shards := [][]string{{tsA.URL}, {tsB.URL}}
 	gwObs := obs.NewRegistry()
-	_, gwA := gatewayServer(t, Options{Shards: shards, Obs: gwObs})
-	_, gwB := gatewayServer(t, Options{Shards: shards})
-	granted := func() uint64 {
-		return obsA.Counter("service_chunks_granted_total", "").Value() + obsB.Counter("service_chunks_granted_total", "").Value()
-	}
-	shardHits := func() (n uint64) {
-		for _, o := range []*obs.Registry{obsA, obsB} {
-			n += o.Counter("service_cache_lookups_total", "").Value() - o.Counter("service_cache_misses_total", "").Value()
+	_, gwRun := gatewayServer(t, Options{Shards: shards})
+	_, gwHit := gatewayServer(t, Options{Shards: shards, Obs: gwObs})
+	granted := func() (n uint64) {
+		for _, o := range obsByShard {
+			n += o.Counter("service_chunks_granted_total", "").Value()
 		}
 		return n
 	}
-
-	fixed := service.JobRequest{Spec: slabSpec(4), Photons: 300, ChunkPhotons: 100, Seed: 3}
-	tight := service.JobRequest{
-		Spec: slabSpec(4), ChunkPhotons: 200, Seed: 3,
-		Target: &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.05},
+	hits := func(shard int, index string) uint64 {
+		return obsByShard[shard].CounterVec("service_cache_hits_total", "", "index").With(index).Value()
 	}
-	accFixed := submitJob(t, gwA.URL, "", fixed)
-	accTight := submitJob(t, gwA.URL, "", tight)
-	waitDone(t, gwA.URL, accFixed.ID)
-	waitDone(t, gwA.URL, accTight.ID)
-	// Results flow through gateway A once, filling its tier.
-	originals := map[string]service.JobResultBody{}
-	for _, id := range []string{accFixed.ID, accTight.ID} {
-		code, raw := get(t, gwA.URL+"/jobs/"+id+"/result")
-		var res service.JobResultBody
-		if err := json.Unmarshal([]byte(raw), &res); code != http.StatusOK || err != nil {
-			t.Fatalf("result of %s: http %d, %v", id, code, err)
+
+	request := func(seed uint64, relErr float64) service.JobRequest {
+		return service.JobRequest{Spec: slabSpec(4), ChunkPhotons: 200, Seed: seed,
+			Target: &mc.Target{Observable: mc.ObsDiffuse, RelErr: relErr}}
+	}
+	keys := func(req service.JobRequest) (key, pkey service.Key) {
+		spec := service.JobSpec{Spec: req.Spec, ChunkPhotons: req.ChunkPhotons, Seed: req.Seed, Target: req.Target}
+		key, pkey, err := service.RoutingKeys(&spec, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		originals[id] = res
+		return key, pkey
+	}
+	// A seed whose looser target's content key names the other shard than
+	// both keys of the tight run: routed by content key, the looser one
+	// would miss the run wherever the run was routed.
+	var tight, loose service.JobRequest
+	var owner int
+	for seed := uint64(1); ; seed++ {
+		tight, loose = request(seed, 0.05), request(seed, 0.3)
+		tkey, pkey := keys(tight)
+		lkey, _ := keys(loose)
+		owner = service.ShardOfKey(pkey, 2)
+		if service.ShardOfKey(tkey, 2) == owner && service.ShardOfKey(lkey, 2) != owner {
+			break
+		}
+	}
+
+	accTight := submitJob(t, gwRun.URL, "", tight)
+	waitDone(t, gwRun.URL, accTight.ID)
+	code, raw := get(t, gwRun.URL+"/jobs/"+accTight.ID+"/result")
+	var original service.JobResultBody
+	if err := json.Unmarshal([]byte(raw), &original); code != http.StatusOK || err != nil {
+		t.Fatalf("result of %s: http %d, %v", accTight.ID, code, err)
 	}
 	before := granted()
 	if before == 0 {
-		t.Fatal("the two originals ran without a chunk granted")
+		t.Fatal("the tight run finished without a chunk granted")
 	}
 
-	// An exact repeat, and looser targets over the tight run's physics —
-	// different content keys, so they may belong to the other shard.
-	type tierHit struct {
-		acc  service.JobAccepted
-		from string // the job whose result answers it
-	}
-	var hits []tierHit
-	for _, relErr := range []float64{0.1, 0.2, 0.3} {
-		loose := tight
-		loose.Target = &mc.Target{Observable: mc.ObsDiffuse, RelErr: relErr}
-		hits = append(hits, tierHit{submitJob(t, gwA.URL, "", loose), accTight.ID})
-	}
-	exact := submitJob(t, gwA.URL, "", fixed)
-	hits = append(hits, tierHit{exact, accFixed.ID})
-	for _, h := range hits {
-		if !h.acc.Cached || h.acc.State != service.StateDone.String() {
-			t.Fatalf("resubmission answered %+v, want a cached job born done", h.acc)
+	looser := submitJob(t, gwHit.URL, "", loose)
+	exact := submitJob(t, gwHit.URL, "", tight)
+	for _, acc := range []service.JobAccepted{looser, exact} {
+		if !acc.Cached || acc.State != service.StateDone.String() {
+			t.Fatalf("resubmission answered %+v, want a cached job born done", acc)
 		}
+		if id, _ := strconv.ParseUint(acc.ID, 16, 64); service.ShardOfID(id, 2) != owner {
+			t.Fatalf("hit %s names shard %d, want the run's shard %d", acc.ID, service.ShardOfID(id, 2), owner)
+		}
+	}
+	if hits(owner, "physics") != 1 || hits(owner, "exact") != 1 || hits(1-owner, "physics")+hits(1-owner, "exact") != 0 {
+		t.Fatalf("shard hits: owner exact %d physics %d, other %d/%d; want 1 and 1 on the owner only",
+			hits(owner, "exact"), hits(owner, "physics"), hits(1-owner, "exact"), hits(1-owner, "physics"))
 	}
 	var metrics strings.Builder
 	gwObs.WriteText(&metrics)
-	for _, want := range []string{`gateway_cache_hits_total{index="exact"} 1`, `gateway_cache_hits_total{index="physics"} 3`} {
-		if !strings.Contains(metrics.String(), want) {
-			t.Errorf("gateway A's metrics lack %q", want)
-		}
-	}
-	if n := shardHits(); n != 0 {
-		t.Errorf("the shards counted %d cache hits for answers the gateway's tier counted", n)
+	if strings.Contains(metrics.String(), "gateway_cache") {
+		t.Fatal("the gateway exports a cache series; it holds no results")
 	}
 
-	// Every read of every hit, through a gateway that never saw it, a fresh
-	// one in the first's place, and the one that answered it.
-	_, gwA2 := gatewayServer(t, Options{Shards: shards})
-	for _, gw := range []*httptest.Server{gwB, gwA2, gwA} {
-		for _, h := range hits {
-			base := gw.URL + "/jobs/" + h.acc.ID
+	for _, gw := range []*httptest.Server{gwHit, gwRun} {
+		for _, acc := range []service.JobAccepted{looser, exact} {
+			base := gw.URL + "/jobs/" + acc.ID
 			var st service.JobStatus
 			if code, raw := get(t, base); code != http.StatusOK || json.Unmarshal([]byte(raw), &st) != nil ||
 				st.State != service.StateDone.String() || !st.CacheHit {
-				t.Fatalf("status of tier hit %s: http %d %s", h.acc.ID, code, raw)
+				t.Fatalf("status of hit %s: http %d %s", acc.ID, code, raw)
 			}
 			var res service.JobResultBody
 			code, raw := get(t, base+"/result")
 			if err := json.Unmarshal([]byte(raw), &res); code != http.StatusOK || err != nil {
-				t.Fatalf("result of tier hit %s: http %d, %v", h.acc.ID, code, err)
+				t.Fatalf("result of hit %s: http %d, %v", acc.ID, code, err)
 			}
-			want, _ := json.Marshal(originals[h.from].Tally)
-			if got, _ := json.Marshal(res.Tally); !res.CacheHit || res.ID != h.acc.ID || string(got) != string(want) {
-				t.Fatalf("tier hit %s does not carry the tally of %s", h.acc.ID, h.from)
-			}
-			if res.Target != nil && !res.TargetMet {
-				t.Fatalf("looser-target hit %s does not report its target met", h.acc.ID)
+			want, _ := json.Marshal(original.Tally)
+			if got, _ := json.Marshal(res.Tally); !res.CacheHit || res.ID != acc.ID || !res.TargetMet || string(got) != string(want) {
+				t.Fatalf("hit %s does not carry the tally of %s with its target met", acc.ID, accTight.ID)
 			}
 			// The shard's own rings: the hit is an event, and no chunk ran.
 			if code, raw := get(t, base+"/events"); code != http.StatusOK || !strings.Contains(raw, `"cache-hit"`) {
-				t.Fatalf("events of tier hit %s: http %d %s", h.acc.ID, code, raw)
+				t.Fatalf("events of hit %s: http %d %s", acc.ID, code, raw)
 			}
 			if code, raw := get(t, base+"/spans"); code != http.StatusOK || !strings.Contains(raw, `"spans":[]`) {
-				t.Fatalf("spans of tier hit %s: http %d %s", h.acc.ID, code, raw)
+				t.Fatalf("spans of hit %s: http %d %s", acc.ID, code, raw)
 			}
 			req, _ := http.NewRequest(http.MethodDelete, base, nil)
 			resp, err := http.DefaultClient.Do(req)
@@ -448,55 +449,47 @@ func TestTierHitIsAJobOnItsShard(t *testing.T) {
 			}
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusConflict {
-				t.Fatalf("DELETE of tier hit %s: http %d, want 409", h.acc.ID, resp.StatusCode)
+				t.Fatalf("DELETE of hit %s: http %d, want 409", acc.ID, resp.StatusCode)
 			}
 		}
 	}
 	if after := granted(); after != before {
-		t.Fatalf("tier hits had %d chunks granted", after-before)
-	}
-	// Each is a job of its own: an exact repeat gets the next free ID after
-	// its key's, as a shard-local cache hit does.
-	if exact.ID != nextID(t, accFixed.ID) {
-		t.Fatalf("exact repeat is job %s, want the next free ID after %s", exact.ID, accFixed.ID)
+		t.Fatalf("the hits had %d chunks granted", after-before)
 	}
 }
 
-// nextID is the hex job ID after id.
-func nextID(t *testing.T, id string) string {
-	t.Helper()
-	n, err := strconv.ParseUint(id, 16, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fmt.Sprintf("%016x", n+1)
-}
-
-// TestGatewaySharedTierServesShardless pins what the tier does not do any
-// more: a hit is a job on its owning shard, so with that shard down it is a
-// 502 like any submission — the tier saves the compute, not the shard — and
-// no ID is handed out for a job nothing holds.
+// TestGatewaySharedTierServesShardless pins that a gateway holds no result
+// to serve: a repeat is answered by its owning shard, so with the shards
+// down it is a 502 like any submission, and no ID is handed out for a job
+// nothing holds.
 func TestGatewaySharedTierServesShardless(t *testing.T) {
-	tierServesShardless(t, false)
+	noTierServesShardless(t, false)
 }
 
 // TestGatewayTierFillsThroughAnyGateway is the same with two gateways over
-// the shards: the submissions are routed by one, the results fetched — and
-// the tier filled, from the keys the compact results carry — through the
-// other, which never saw the POSTs.
+// the shards: the submissions are routed by one and the results fetched
+// through the other, which never saw the POSTs — the fetch fills nothing
+// there, and the repeats it routes are the shards' hits.
 func TestGatewayTierFillsThroughAnyGateway(t *testing.T) {
-	tierServesShardless(t, true)
+	noTierServesShardless(t, true)
 }
 
-func tierServesShardless(t *testing.T, submitElsewhere bool) {
-	_, tsA := shardServer(t, service.Options{}, 2)
-	_, tsB := shardServer(t, service.Options{}, 2)
+func noTierServesShardless(t *testing.T, submitElsewhere bool) {
+	obsByShard := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
+	_, tsA := shardServer(t, service.Options{Obs: obsByShard[0]}, 2)
+	_, tsB := shardServer(t, service.Options{Obs: obsByShard[1]}, 2)
 	shards := [][]string{{tsA.URL}, {tsB.URL}}
 	oreg := obs.NewRegistry()
 	_, gw := gatewayServer(t, Options{Shards: shards, Obs: oreg})
 	submitGW := gw
 	if submitElsewhere {
 		_, submitGW = gatewayServer(t, Options{Shards: shards})
+	}
+	shardHits := func(index string) (n uint64) {
+		for _, o := range obsByShard {
+			n += o.CounterVec("service_cache_hits_total", "", "index").With(index).Value()
+		}
+		return n
 	}
 
 	fixed := service.JobRequest{Spec: slabSpec(4), Photons: 300, ChunkPhotons: 100, Seed: 3}
@@ -508,7 +501,7 @@ func tierServesShardless(t *testing.T, submitElsewhere bool) {
 	accTight := submitJob(t, submitGW.URL, "", tight)
 	waitDone(t, gw.URL, accFixed.ID)
 	waitDone(t, gw.URL, accTight.ID)
-	// Results flow through the gateway once, filling the tier.
+	// Results flow through the gateway once; it keeps none of them.
 	for _, id := range []string{accFixed.ID, accTight.ID} {
 		if code, _ := get(t, gw.URL+"/jobs/"+id+"/result"); code != http.StatusOK {
 			t.Fatalf("result of %s: %d", id, code)
@@ -516,20 +509,23 @@ func tierServesShardless(t *testing.T, submitElsewhere bool) {
 	}
 	var metrics strings.Builder
 	oreg.WriteText(&metrics)
-	if !strings.Contains(metrics.String(), "gateway_cache_entries 2") {
-		t.Fatal("the two proxied results did not fill the gateway's tier")
+	if strings.Contains(metrics.String(), "gateway_cache") {
+		t.Fatal("the gateway exports a cache series; it holds no results")
 	}
-	// With the shards up the tier answers, whichever gateway routed the job.
+	// With the shards up the owning shard answers, whichever gateway routed
+	// the job, and counts the hit itself.
 	if hit := submitJob(t, gw.URL, "", fixed); !hit.Cached {
-		t.Fatalf("resubmission with shards up: %+v, want a tier hit", hit)
+		t.Fatalf("resubmission with shards up: %+v, want a cache hit", hit)
+	}
+	if n := shardHits("exact"); n != 1 {
+		t.Fatalf("the shards counted %d exact hits, want 1", n)
 	}
 
 	tsA.Close()
 	tsB.Close()
 
-	// The tier still holds both answers; without a shard to hold the job
-	// neither an exact repeat, nor a looser target, nor a fresh spec is
-	// accepted, and none is given an ID.
+	// Without a shard to answer, neither an exact repeat, nor a looser
+	// target, nor a fresh spec is accepted, and none is given an ID.
 	loose := tight
 	loose.Target = &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.2}
 	for name, req := range map[string]service.JobRequest{
@@ -543,12 +539,16 @@ func tierServesShardless(t *testing.T, submitElsewhere bool) {
 			t.Fatalf("%s with shards down: http %d: %s (want a 502 naming no job)", name, resp.StatusCode, raw)
 		}
 	}
-	metrics.Reset()
-	oreg.WriteText(&metrics)
-	if !strings.Contains(metrics.String(), `gateway_cache_hits_total{index="exact"} 1`) ||
-		strings.Contains(metrics.String(), `gateway_cache_hits_total{index="physics"}`) {
-		t.Fatal("a tier hit no shard accepted was counted as served")
+}
+
+// nextID is the hex job ID after id.
+func nextID(t *testing.T, id string) string {
+	t.Helper()
+	n, err := strconv.ParseUint(id, 16, 64)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return fmt.Sprintf("%016x", n+1)
 }
 
 // TestGatewayFailoverPolicy pins the retry matrix with scripted replicas:
@@ -674,23 +674,6 @@ func TestGatewayFailoverPolicy(t *testing.T) {
 		resp, raw := post(t, gw.URL+"/jobs", "", bad)
 		if resp.StatusCode != http.StatusUnprocessableEntity || hits != 0 {
 			t.Fatalf("malformed job: http %d (shard hits %d): %s", resp.StatusCode, hits, raw)
-		}
-		// A tally handed in as a job's answer is a tier's to send a shard; a
-		// client's is refused unread, whatever it holds.
-		answered, err := service.AppendAnswered(nil, &mc.Tally{Launched: 100},
-			&service.JobSpec{Spec: slabSpec(5), TotalPhotons: 100})
-		if err != nil {
-			t.Fatal(err)
-		}
-		req, _ := http.NewRequest(http.MethodPost, gw.URL+"/jobs", strings.NewReader(string(answered)))
-		req.Header.Set("Content-Type", service.SubmissionAnsweredType)
-		r415, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r415.Body.Close()
-		if r415.StatusCode != http.StatusUnsupportedMediaType || hits != 0 {
-			t.Fatalf("answered submission from a client: http %d (shard hits %d), want 415", r415.StatusCode, hits)
 		}
 		// A scoring grid no shard or worker could allocate is refused here,
 		// naming the limit, before any of them sees it.
@@ -877,6 +860,46 @@ func TestGatewayShedsBeforeItHashes(t *testing.T) {
 	if k := stage("keys"); k != 2 {
 		t.Fatalf("keys stage counted %d submissions, want 2", k)
 	}
+}
+
+// TestGatewayAdmitsAnUnnamedTenantAsTheDefault: a submission that names no
+// tenant is admitted under the default tenant at the gateway, as a shard
+// admits it — the class the table gives "default" is the one that sheds —
+// and the gateway's /tenants holds the bucket levels under that name, not
+// under a nameless tenant.
+func TestGatewayAdmitsAnUnnamedTenantAsTheDefault(t *testing.T) {
+	table := &service.TenantTable{Tenants: map[string]service.TenantClass{
+		service.DefaultTenant: {JobsPerSec: 0.001, JobBurst: 1},
+	}}
+	_, direct := shardServer(t, service.Options{Admission: service.NewTokenBucket(table, nil), Tenants: table}, 0)
+	_, ts := shardServer(t, service.Options{}, 0)
+	_, gw := gatewayServer(t, Options{Shards: [][]string{{ts.URL}}, Admission: service.NewTokenBucket(table, nil)})
+
+	for tier, base := range map[string]string{"shard": direct.URL, "gateway": gw.URL} {
+		for seed, want := range []int{http.StatusCreated, http.StatusTooManyRequests} {
+			body, _ := json.Marshal(service.JobRequest{Spec: slabSpec(5), Photons: 100, ChunkPhotons: 100, Seed: uint64(seed + 1)})
+			if resp, raw := post(t, base+"/jobs", "", body); resp.StatusCode != want {
+				t.Fatalf("unattributed submission %d at the %s: http %d %s, want %d", seed+1, tier, resp.StatusCode, raw, want)
+			}
+		}
+	}
+	code, raw := get(t, gw.URL+"/tenants")
+	var tens service.TenantsBody
+	if err := json.Unmarshal([]byte(raw), &tens); code != http.StatusOK || err != nil {
+		t.Fatalf("GET /tenants: http %d, %v", code, err)
+	}
+	for _, ten := range tens.Tenants {
+		switch ten.Name {
+		case "":
+			t.Fatalf("the gateway lists a nameless tenant: %s", raw)
+		case service.DefaultTenant:
+			if ten.JobTokens == nil || *ten.JobTokens >= 1 || ten.Submitted != 1 {
+				t.Fatalf("default tenant %+v, want its drained bucket and one job", ten)
+			}
+			return
+		}
+	}
+	t.Fatalf("no default tenant in %s", raw)
 }
 
 // TestSubmissionMintsTheSameIDAtEitherTier: one voxel body POSTed straight

@@ -127,14 +127,14 @@ func deriveKeys(spec *mc.Spec, totalPhotons, chunkPhotons int64, seed uint64, fa
 // ResultCache is a bounded FIFO-evicting map from job key to completed
 // tally, plus a physics-keyed side index serving meets-or-exceeds
 // precision lookups (one entry per physics key: the deepest — most
-// photons — stored run of that decomposition). Both tiers use it: the
-// registry's per-shard cache and the gateway's shared result tier.
+// photons — stored run of that decomposition). Each registry holds one;
+// a gateway holds none, and routes every variant of a physics to the shard
+// whose cache serves it (RouteKey).
 //
 // It is a pure container of immutable tallies: Put stores the pointer it
-// is given and Get returns it, and neither tier clones around it — a
-// registry files a job's tally once the job is done and nothing merges
-// into it again (Result.Tally is read-only), a gateway files what it
-// decoded and only ever re-encodes it. A nil *ResultCache is a disabled
+// is given and Get returns it, and nobody clones around it — a registry
+// files a job's tally once the job is done and nothing merges into it
+// again (Result.Tally is read-only). A nil *ResultCache is a disabled
 // cache: every lookup misses, every put is dropped.
 type ResultCache struct {
 	mu      sync.Mutex

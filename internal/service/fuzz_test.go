@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -31,7 +30,7 @@ const fuzzMaxBody = 16 << 10
 func readBody(body []byte) (spec JobSpec, code int, ok bool) {
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body))
-	spec, _, ok = ReadSubmission(rec, req, fuzzMaxBody, nil)
+	spec, ok = ReadSubmission(rec, req, fuzzMaxBody, nil)
 	return spec, rec.Code, ok
 }
 
@@ -63,7 +62,7 @@ func FuzzDecodeJobRequest(f *testing.F) {
 			return
 		}
 		decoded := spec // RoutingKeys normalizes its argument in place
-		key, _, err := RoutingKeys(&spec, 0)
+		key, pkey, err := RoutingKeys(&spec, 0)
 		if err != nil {
 			if !IsInvalid(err) {
 				t.Fatalf("rejection of a decoded job is not an InvalidJobError: %v", err)
@@ -96,12 +95,12 @@ func FuzzDecodeJobRequest(f *testing.F) {
 			t.Fatalf("hop form does not decode: %v", err)
 		}
 		for form, sp := range map[string]*JobSpec{"re-encoded JSON": &respec, "hop form": &hopspec} {
-			rekey, _, err := RoutingKeys(sp, 0)
+			rekey, repkey, err := RoutingKeys(sp, 0)
 			if err != nil {
 				t.Fatalf("%s is no longer a valid job: %v", form, err)
 			}
-			if rekey != key {
-				t.Fatalf("routing key moved across the %s: %x -> %x\nbody:    %s\nre-encoded: %s",
+			if rekey != key || RouteKey(sp, rekey, repkey) != RouteKey(&spec, key, pkey) {
+				t.Fatalf("keys moved across the %s: %x -> %x\nbody:    %s\nre-encoded: %s",
 					form, key[:8], rekey[:8], body, again)
 			}
 		}
@@ -208,47 +207,6 @@ func FuzzDecodeSubmission(f *testing.F) {
 	})
 }
 
-// FuzzDecodeAnswered throws arbitrary bytes at the answered submission
-// decoder — what a shard runs on a gateway's forwarded tier hit. It may not
-// panic, the tally's claimed length is held to the bytes present (the tally
-// and the submission behind it bound themselves, see mc.FuzzDecodeTally and
-// FuzzDecodeSubmission), and an answered submission that decodes is a fixed
-// point: re-encoded and decoded again it is the same JobSpec and, byte for
-// byte, the same tally.
-//
-// The committed corpus (testdata/fuzz/FuzzDecodeAnswered) is each of
-// journalShapes answered by its own two-chunk tally; scripts/fuzz-corpus.sh
-// regenerates it.
-func FuzzDecodeAnswered(f *testing.F) {
-	js := JobSpec{Spec: slabSpec(5), TotalPhotons: 100, ChunkPhotons: 100, Seed: 9}
-	whole, err := AppendAnswered(nil, &mc.Tally{Launched: 100}, &js)
-	if err != nil {
-		f.Fatal(err)
-	}
-	n, w := binary.Uvarint(whole)
-	f.Add([]byte{})
-	f.Add(whole)
-	f.Add(whole[:w-1])                                    // tally length cut short
-	f.Add(append([]byte{0xff, 0xff, 0x7f}, whole[w:]...)) // tally length past the body
-	f.Add(whole[:w+int(n)])                               // tally, no submission
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		spec, tally, err := DecodeAnswered(data)
-		if err != nil {
-			return
-		}
-		again, err := AppendAnswered(nil, tally, &spec)
-		if err != nil {
-			t.Fatalf("a decoded answered submission does not re-encode: %v", err)
-		}
-		spec2, tally2, err := DecodeAnswered(again)
-		if err != nil || !reflect.DeepEqual(spec2, spec) ||
-			!bytes.Equal(mc.AppendTally(nil, tally2), mc.AppendTally(nil, tally)) {
-			t.Fatalf("answered submission changed across a re-encode (err %v):\n was %+v\n now %+v", err, spec, spec2)
-		}
-	})
-}
-
 // FuzzDecodeResult throws arbitrary bytes at the compact result decoder —
 // what a gateway runs on a shard's answer to its result request. It may not
 // panic, its two strings stay within maxResultString (the tally bounds its
@@ -282,7 +240,7 @@ func FuzzDecodeResult(f *testing.F) {
 }
 
 // updateCorpus rewrites the committed FuzzDecodeJournalRecord,
-// FuzzDecodeSubmission, FuzzDecodeAnswered and FuzzDecodeResult seeds from
+// FuzzDecodeSubmission and FuzzDecodeResult seeds from
 // the current encodings (scripts/fuzz-corpus.sh passes it).
 var updateCorpus = flag.Bool("update-corpus", false, "rewrite the committed journal and result fuzz corpora")
 
@@ -299,8 +257,6 @@ func TestCommittedJournalCorpus(t *testing.T) {
 			return filepath.Join("testdata", "fuzz", "FuzzDecodeResult", name)
 		case "submission":
 			return filepath.Join("testdata", "fuzz", "FuzzDecodeSubmission", name)
-		case "answered":
-			return filepath.Join("testdata", "fuzz", "FuzzDecodeAnswered", name)
 		}
 		return filepath.Join("testdata", "fuzz", "FuzzDecodeJournalRecord", name+"_"+kind)
 	}
@@ -324,12 +280,8 @@ func TestCommittedJournalCorpus(t *testing.T) {
 				ID: fmt.Sprintf("%016x", KeyID(key)), Key: key, PhysicsKey: pkey,
 				Target: js.Target, TargetMet: js.Target != nil, Elapsed: 0.25, Tally: tally,
 			})
-			answered, err := AppendAnswered(nil, tally, &js)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for kind, data := range map[string][]byte{"accept": accept, "snapshot": snap, "result": result,
-				"submission": accept[len(key):], "answered": answered} {
+				"submission": accept[len(key):]} {
 				body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
 				if err := os.WriteFile(seedPath(name, kind), []byte(body), 0o644); err != nil {
 					t.Fatal(err)
@@ -342,7 +294,6 @@ func TestCommittedJournalCorpus(t *testing.T) {
 			"snapshot":   func(b []byte) error { _, _, err := decodeSnapshotRec(b); return err },
 			"result":     func(b []byte) error { _, err := DecodeResult(b); return err },
 			"submission": func(b []byte) error { _, err := DecodeSubmission(b); return err },
-			"answered":   func(b []byte) error { _, _, err := DecodeAnswered(b); return err },
 		} {
 			raw, err := os.ReadFile(seedPath(name, kind))
 			if err != nil {

@@ -86,8 +86,8 @@ type JobAccepted struct {
 type JobResultBody struct {
 	ID string `json:"id"`
 	// Key and PhysicsKey are the job's content key and physics key (see
-	// KeyOf, PhysicsKeyOf; hex in JSON): a routing tier files the tally into
-	// its shared result cache from the result alone.
+	// KeyOf, PhysicsKeyOf; hex in JSON): the two cache lines its shard files
+	// the tally under, and what the job ID was derived from (JobID).
 	Key        Key        `json:"key"`
 	PhysicsKey Key        `json:"physicsKey"`
 	CacheHit   bool       `json:"cacheHit,omitempty"`
@@ -177,17 +177,16 @@ func (a *API) jobFromPath(w http.ResponseWriter, req *http.Request) *Job {
 // ReadSubmission is the POST /jobs ingress, the same for a shard and for
 // a gateway in front of it: cap the body (0 means DefaultMaxBodyBytes,
 // negative disables the cap), decode it by Content-Type — the compact
-// submission a routing tier forwards, bare or behind the tally that answers
-// it (answer is then not nil), or a client's JSON JobRequest, strictly and
-// straight from the stream — and resolve the tenant (header over body
-// field). Whichever decoder ran, the caller runs the same Submit on the
-// JobSpec. sizes, if not nil, observes the body's declared length under its
-// format ("json" or "compact"). On any failure the 4xx has been written and
-// ok is false.
-func ReadSubmission(w http.ResponseWriter, req *http.Request, maxBody int64, sizes *obs.HistogramVec) (spec JobSpec, answer *mc.Tally, ok bool) {
-	fail := func(code int, format string, args ...any) (JobSpec, *mc.Tally, bool) {
+// submission a routing tier forwards, or a client's JSON JobRequest,
+// strictly and straight from the stream — and resolve the tenant (header
+// over body field). Whichever decoder ran, the caller runs the same Submit
+// on the JobSpec. sizes, if not nil, observes the body's declared length
+// under its format ("json" or "compact"). On any failure the 4xx has been
+// written and ok is false.
+func ReadSubmission(w http.ResponseWriter, req *http.Request, maxBody int64, sizes *obs.HistogramVec) (spec JobSpec, ok bool) {
+	fail := func(code int, format string, args ...any) (JobSpec, bool) {
 		WriteJSON(w, code, APIError{Error: fmt.Sprintf(format, args...)})
-		return JobSpec{}, nil, false
+		return JobSpec{}, false
 	}
 	// Bound the body before touching it: a multi-GB "spec" must die at the
 	// reader, not after it has been buffered into memory.
@@ -200,8 +199,8 @@ func ReadSubmission(w http.ResponseWriter, req *http.Request, maxBody int64, siz
 	}
 	format := "json"
 	var err error
-	switch ct := req.Header.Get("Content-Type"); ct {
-	case SubmissionCompactType, SubmissionAnsweredType:
+	switch req.Header.Get("Content-Type") {
+	case SubmissionCompactType:
 		format = "compact"
 		// One buffer sized from Content-Length (a body that declared none
 		// grows it, inside the cap on r; MinRead of slack lets ReadFrom see
@@ -212,11 +211,7 @@ func ReadSubmission(w http.ResponseWriter, req *http.Request, maxBody int64, siz
 		} else {
 			buf := bytes.NewBuffer(make([]byte, 0, max(req.ContentLength, 0)+bytes.MinRead))
 			if _, err = buf.ReadFrom(r); err == nil {
-				if ct == SubmissionAnsweredType {
-					spec, answer, err = DecodeAnswered(buf.Bytes())
-				} else {
-					spec, err = DecodeSubmission(buf.Bytes())
-				}
+				spec, err = DecodeSubmission(buf.Bytes())
 			}
 		}
 	default:
@@ -258,17 +253,17 @@ func ReadSubmission(w http.ResponseWriter, req *http.Request, maxBody int64, siz
 		return fail(http.StatusBadRequest, "tenant name longer than %d bytes", MaxTenantNameLen)
 	}
 	spec.Tenant = tenant
-	return spec, answer, true
+	return spec, true
 }
 
 func (a *API) submit(w http.ResponseWriter, req *http.Request) {
 	start := time.Now()
-	spec, answer, ok := ReadSubmission(w, req, a.MaxBodyBytes, a.reg.met.submitBytes)
+	spec, ok := ReadSubmission(w, req, a.MaxBodyBytes, a.reg.met.submitBytes)
 	if !ok {
 		return
 	}
 	a.reg.met.submitDecode.Observe(time.Since(start).Seconds())
-	out, err := a.reg.SubmitAnswered(spec, answer)
+	out, err := a.reg.Submit(spec)
 	if err != nil {
 		var shed *ShedError
 		if errors.As(err, &shed) {
@@ -314,8 +309,8 @@ func (a *API) status(w http.ResponseWriter, req *http.Request) {
 
 // result serves a finished job's result in one of two encodings, chosen by
 // Accept: JSON for a client, the compact codec (ResultCompactType) for a
-// routing tier that will decode it, cache the tally and JSON-encode the
-// body for its own client. Every other answer is a JSON APIError.
+// routing tier that will decode it and JSON-encode the body for its own
+// client. Every other answer is a JSON APIError.
 func (a *API) result(w http.ResponseWriter, req *http.Request) {
 	j := a.jobFromPath(w, req)
 	if j == nil {

@@ -397,134 +397,3 @@ func TestHTTPPrecisionJob(t *testing.T) {
 		t.Fatalf("bad target: http %d", code)
 	}
 }
-
-// TestSubmitAnswered drives the shard's side of a gateway tier hit: a
-// forwarded submission with its tally attached (SubmissionAnsweredType)
-// goes through the one Submit — the shard's own keys, its coalesce check,
-// the one job token a hit debits — and comes out a job born done around
-// that tally, under the key's next free ID. A tally that cannot be the
-// job's result is a 422 that debits nothing, and neither cache counter
-// moves: the tier that held the answer counted the hit.
-func TestSubmitAnswered(t *testing.T) {
-	clk := newFakeClock()
-	table := &TenantTable{Tenants: map[string]TenantClass{"metered": {JobsPerSec: 0.001, JobBurst: 10}}}
-	reg := New(Options{Admission: NewTokenBucket(table, clk.now), Tenants: table})
-	ts := httptest.NewServer(NewAPI(reg).Handler())
-	defer ts.Close()
-
-	fixed := JobSpec{Spec: slabSpec(5), TotalPhotons: 300, ChunkPhotons: 100, Seed: 1, Tenant: "metered"}
-	loose := JobSpec{Spec: targetSpec(5), ChunkPhotons: 100, Seed: 2, Tenant: "metered",
-		Target: &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.5, MinPhotons: 200}}
-	capped := JobSpec{Spec: targetSpec(5), ChunkPhotons: 100, Seed: 2, Tenant: "metered",
-		Target: &mc.Target{Observable: mc.ObsDiffuse, RelErr: 1e-9, MinPhotons: 200, MaxPhotons: 400}}
-	live := JobSpec{Spec: slabSpec(6), TotalPhotons: 300, ChunkPhotons: 100, Seed: 3, Tenant: "metered"}
-	whole := localTally(t, fixed.Spec, 300, 100, 1)
-	deep := localTally(t, loose.Spec, 400, 100, 2)
-	if !loose.Target.MetBy(deep) || capped.Target.MetBy(deep) {
-		t.Fatal("test tally does not split the two targets")
-	}
-	queued, err := reg.Submit(live) // no workers: it stays live
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	tokens := func() float64 {
-		for _, ten := range reg.Tenants() {
-			if ten.Name == "metered" {
-				return *ten.JobTokens
-			}
-		}
-		t.Fatal("no metered tenant")
-		return 0
-	}
-	for _, c := range []struct {
-		name      string
-		spec      JobSpec
-		tally     *mc.Tally
-		code      int
-		cached    bool
-		targetMet bool
-		probe     uint64 // IDs of the key already taken
-	}{
-		{"short of the photon count", fixed, localTally(t, fixed.Spec, 200, 100, 1), http.StatusUnprocessableEntity, false, false, 0},
-		{"target unmet, budget unspent", capped, localTally(t, loose.Spec, 300, 100, 2), http.StatusUnprocessableEntity, false, false, 0},
-		{"fixed count", fixed, whole, http.StatusOK, true, false, 0},
-		{"fixed count again", fixed, whole, http.StatusOK, true, false, 1},
-		{"target met", loose, deep, http.StatusOK, true, true, 0},
-		{"budget spent, target unmet", capped, deep, http.StatusOK, true, false, 0},
-		{"identical job live", live, localTally(t, live.Spec, 300, 100, 3), http.StatusOK, false, false, 0},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			body, err := AppendAnswered(nil, c.tally, &c.spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			before := tokens()
-			resp, err := http.Post(ts.URL+"/jobs", SubmissionAnsweredType, bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			raw, _ := io.ReadAll(resp.Body)
-			if resp.StatusCode != c.code {
-				t.Fatalf("http %d %s, want %d", resp.StatusCode, raw, c.code)
-			}
-			if c.code != http.StatusOK {
-				if tokens() != before {
-					t.Fatal("a refused tally debited a job token")
-				}
-				return
-			}
-			if got := before - tokens(); got != 1 {
-				t.Fatalf("debited %v job tokens, want the one a hit pays", got)
-			}
-			var acc JobAccepted
-			if err := json.Unmarshal(raw, &acc); err != nil {
-				t.Fatal(err)
-			}
-			if !c.cached {
-				if !acc.Coalesced || acc.ID != jobHex(queued.Job.ID()) {
-					t.Fatalf("answered %+v, want coalesced onto live job %016x", acc, queued.Job.ID())
-				}
-				return
-			}
-			if !acc.Cached || acc.State != StateDone.String() {
-				t.Fatalf("answered %+v, want a cached job born done", acc)
-			}
-			var st JobStatus
-			if code := getJSON(t, ts.URL+"/jobs/"+acc.ID, &st); code != http.StatusOK ||
-				!st.CacheHit || st.Tenant != "metered" || st.TargetMet != c.targetMet {
-				t.Fatalf("status http %d %+v", code, st)
-			}
-			var res JobResultBody
-			if code := getJSON(t, ts.URL+"/jobs/"+acc.ID+"/result", &res); code != http.StatusOK ||
-				!res.CacheHit || res.TargetMet != c.targetMet ||
-				!bytes.Equal(mc.AppendTally(nil, res.Tally), mc.AppendTally(nil, c.tally)) {
-				t.Fatalf("result http %d: cacheHit %v targetMet %v, or not the tally handed in", code, res.CacheHit, res.TargetMet)
-			}
-			// The shard derived the keys itself, and the ID from them.
-			key, pkey, err := RoutingKeys(&c.spec, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := KeyID(key) + c.probe
-			if res.Key != key || res.PhysicsKey != pkey || acc.ID != jobHex(want) {
-				t.Fatalf("job %s under keys %x/%x, want %016x under %x/%x", acc.ID, res.Key[:4], res.PhysicsKey[:4], want, key[:4], pkey[:4])
-			}
-		})
-	}
-
-	if resp, err := http.Post(ts.URL+"/jobs", SubmissionAnsweredType, strings.NewReader("\x05junk")); err != nil || resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("undecodable answered body: %v, %v; want a 400", resp, err)
-	}
-	// One lookup, one miss: the live job's. The answered submissions are in
-	// neither, and an answer is not filed here for a later lookup to hit.
-	st := reg.Stats()
-	if st.CacheHits != 0 || st.CacheMisses != 1 || reg.met.cacheLookups.Value() != 1 || st.CacheEntries != 0 {
-		t.Fatalf("answered submissions moved the cache's books: hits %d misses %d lookups %d entries %d",
-			st.CacheHits, st.CacheMisses, reg.met.cacheLookups.Value(), st.CacheEntries)
-	}
-	if st.JobsDone != 4 || st.JobsQueued != 1 || st.JobsSubmitted != 1 || st.ChunksAssigned != 0 {
-		t.Fatalf("after four answered jobs and one live: %+v", st)
-	}
-}

@@ -377,7 +377,7 @@ func (jl *Journal) maybeCompact(r *Registry) {
 // job that ran, live or finished (snapshots carry no spec, so each needs
 // its accept record alongside). History before the snapshots — older
 // snapshots and canceled jobs — is dropped; a canceled job simply has
-// nothing to replay. A job born done from a cache or tier hit is left out,
+// nothing to replay. A job born done from a cache hit is left out,
 // as the append path leaves it out: a SIGTERM must leave what a SIGKILL would.
 func (jl *Journal) compact(r *Registry) error {
 	// Hold acceptMu for the whole rewrite: Compact deletes every existing

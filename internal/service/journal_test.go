@@ -447,11 +447,10 @@ func TestJournalCompactionShrinksAndReplays(t *testing.T) {
 }
 
 // TestJournalCompactionLeavesCacheHitsOut: a job born done from a cache hit
-// — the registry's own or one a gateway's tier handed in — is never
-// journaled by the append path, so compaction must not write it either: a
-// shard that was SIGTERM'd (compact, then exit) restores the jobs a SIGKILL'd
-// one would, and a popular spec's repeats do not each leave an accept +
-// tally pair in the log.
+// — exact or physics — is never journaled by the append path, so
+// compaction must not write it either: a shard that was SIGTERM'd (compact,
+// then exit) restores the jobs a SIGKILL'd one would, and a popular spec's
+// repeats do not each leave an accept + tally pair in the log.
 func TestJournalCompactionLeavesCacheHitsOut(t *testing.T) {
 	dir := t.TempDir()
 	regA, wlA, _ := journaledRegistry(t, dir, 0, Options{})
@@ -470,12 +469,8 @@ func TestJournalCompactionLeavesCacheHitsOut(t *testing.T) {
 	looser := js
 	looser.Target = &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.2}
 	var hits []*SubmitOutcome
-	for _, submit := range []func() (*SubmitOutcome, error){
-		func() (*SubmitOutcome, error) { return regA.Submit(js) },
-		func() (*SubmitOutcome, error) { return regA.Submit(looser) },
-		func() (*SubmitOutcome, error) { return regA.SubmitAnswered(looser, res.Tally) },
-	} {
-		out, err := submit()
+	for _, resubmit := range []JobSpec{js, looser} {
+		out, err := regA.Submit(resubmit)
 		if err != nil || !out.Cached {
 			t.Fatalf("resubmission: %+v, %v; want a job born done", out, err)
 		}
@@ -506,6 +501,57 @@ func TestJournalCompactionLeavesCacheHitsOut(t *testing.T) {
 		if regB.Get(hit.Job.ID()) != nil {
 			t.Fatalf("cache hit %016x was restored from the compacted journal", hit.Job.ID())
 		}
+	}
+}
+
+// TestJournalRestoresEveryJobUnderItsAcceptedID: the variants of one
+// physics share their ID's shard bits but not their IDs, so neither an
+// unjournaled cache hit in between nor the order a replay restores them in
+// moves one. A looser run, its exact repeat (a hit, never journaled) and a
+// tighter target that runs fresh: after a crash (the appended log) and
+// after a clean stop (the compacted one), both jobs that ran are back under
+// the IDs they were accepted with, and the repeat's ID names no other job.
+func TestJournalRestoresEveryJobUnderItsAcceptedID(t *testing.T) {
+	dir := t.TempDir()
+	regA, wlA, _ := journaledRegistry(t, dir, 0, Options{})
+	startWorkers(t, regA, 1)
+	run := func(js JobSpec, cached bool) *Job {
+		t.Helper()
+		out, err := regA.Submit(js)
+		if err != nil || out.Cached != cached {
+			t.Fatalf("submission: %+v, %v; want cached %v", out, err, cached)
+		}
+		if _, err := out.Job.Wait(30 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		return out.Job
+	}
+	loose := JobSpec{Spec: targetSpec(7), ChunkPhotons: 250, Seed: 23,
+		Target: &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.3}}
+	tight := loose
+	tight.Target = &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.01}
+	ran := []*Job{run(loose, false)}
+	repeat := run(loose, true)
+	ran = append(ran, run(tight, false))
+	wlA.Close()
+
+	for _, stop := range []string{"crash", "clean stop"} {
+		regB, wlB, restored := replayInto(t, dir, Options{})
+		if restored != len(ran) {
+			t.Fatalf("%s: replay restored %d jobs, want %d", stop, restored, len(ran))
+		}
+		for _, j := range ran {
+			if back := regB.Get(j.ID()); back == nil || back.key != j.key {
+				t.Errorf("%s: job %016x is not back under its ID", stop, j.ID())
+			}
+		}
+		if regB.Get(repeat.ID()) != nil {
+			t.Errorf("%s: the repeat's ID %016x names a restored job", stop, repeat.ID())
+		}
+		if err := regB.CompactJournal(); err != nil {
+			t.Fatal(err)
+		}
+		wlB.Close()
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/mc"
 	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/voxel"
@@ -120,30 +119,8 @@ type SubmitOutcome struct {
 // voxel geometry), tally allocation — happens outside the registry mutex so
 // a large submission never stalls fleet dispatch.
 func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
-	return r.SubmitAnswered(spec, nil)
-}
-
-// SubmitAnswered is Submit with the cache lookup replaced by answer, when
-// not nil: the tally a peer result tier holds for the submission (a
-// gateway's tier hit). Everything around the lookup is the same — the keys
-// this registry derives itself, coalescing onto a live identical job, the
-// one job token a hit debits, a job born Done under the key's next free ID.
-// A tally that cannot be the job's result is an invalid submission; that it
-// is the right one for the physics is the peer's word. The peer counted the
-// hit, so neither cache counter moves, and the tally is not filed here.
-func (r *Registry) SubmitAnswered(spec JobSpec, answer *mc.Tally) (*SubmitOutcome, error) {
 	if err := spec.normalize(r.opts.MaxTargetPhotons); err != nil {
 		return nil, invalid(err)
-	}
-	if answer != nil {
-		// A job ends with its count run, its target met or its budget spent.
-		ends := answer.Launched == spec.TotalPhotons
-		if tgt := spec.Target; tgt != nil {
-			ends = tgt.MetBy(answer) || answer.Launched >= tgt.MaxPhotons
-		}
-		if !ends {
-			return nil, invalid(fmt.Errorf("service: the attached tally (%d photons) is not a result of this job", answer.Launched))
-		}
 	}
 	start := time.Now()
 	key, pkey, err := keysOf(&spec)
@@ -167,19 +144,15 @@ func (r *Registry) SubmitAnswered(spec JobSpec, answer *mc.Tally) (*SubmitOutcom
 	r.mu.Unlock()
 	r.shareGrid(&spec)
 
-	// The peer counted an answered submission's hit: here, nobody reads it.
-	tally, hits, hitIndex := answer, new(obs.Counter), "tier"
-	if answer == nil {
-		// A precision submission probes two indexes but is one lookup: one
-		// hit or one miss, whichever index answered.
-		r.met.cacheLookups.Inc()
-		tally, hits, hitIndex = r.cache.Get(key), r.met.cacheHitExact, "exact"
-		if tally == nil && spec.Target != nil {
-			// Meets-or-exceeds: a deeper or equal stored run of the same
-			// physics satisfies any looser request for it.
-			tally = r.cache.GetMeeting(pkey, spec.Target)
-			hits, hitIndex = r.met.cacheHitPhysics, "physics"
-		}
+	// A precision submission probes two indexes but is one lookup: one hit
+	// or one miss, whichever index answered.
+	r.met.cacheLookups.Inc()
+	tally, hits, hitIndex := r.cache.Get(key), r.met.cacheHitExact, "exact"
+	if tally == nil && spec.Target != nil {
+		// Meets-or-exceeds: a deeper or equal stored run of the same physics
+		// satisfies any looser request for it.
+		tally = r.cache.GetMeeting(pkey, spec.Target)
+		hits, hitIndex = r.met.cacheHitPhysics, "physics"
 	}
 	if tally != nil {
 		r.mu.Lock()
@@ -303,7 +276,7 @@ func (r *Registry) admitLocked(ts *tenantStats, photons int64, debit bool) error
 // coalesced duplicate or a cache hit. Resubmitting a popular spec is
 // still a submission, so it debits one token from the tenant's job-rate
 // bucket (otherwise a tenant replays a live spec to bypass its jobs/sec
-// quota entirely — worse once the cache is a shared fleet-wide tier).
+// quota entirely).
 // The exemptions that remain are exactly the ones that cost nothing: the
 // photon dimension (no new photons will be simulated), the MaxActiveJobs
 // cap (no job joins the active set), and journal replay (the work was
@@ -506,11 +479,11 @@ func (r *Registry) SubmitSnapshot(snap *Snapshot) (*Job, error) {
 	return j, nil
 }
 
-// freeIDLocked derives a registry-unique job ID from the content key, so
-// IDs are stable across restarts of the same submission and a stale worker
-// from an unrelated previous run cannot collide with a live job by accident.
-func (r *Registry) freeIDLocked(key Key) uint64 {
-	id := KeyID(key)
+// freeIDLocked probes from a job's derived ID (JobID) to a registry-unique
+// one, so IDs are stable across restarts of the same submission, name their
+// shard (ShardOfID), and a stale worker from an unrelated previous run
+// cannot collide with a live job by accident.
+func (r *Registry) freeIDLocked(id uint64) uint64 {
 	for id == 0 || r.jobs[id] != nil {
 		id++
 	}
@@ -520,7 +493,7 @@ func (r *Registry) freeIDLocked(key Key) uint64 {
 // registerLocked assigns the job its registry-unique ID, adds it to the
 // maps, and evicts old finished jobs.
 func (r *Registry) registerLocked(j *Job) {
-	j.id = r.freeIDLocked(j.key)
+	j.id = r.freeIDLocked(JobID(&j.spec, j.key, j.pkey))
 	r.seq++
 	j.tstats = r.tenantLocked(j.spec.Tenant)
 	j.tweight = r.opts.Tenants.Weight(j.spec.Tenant)

@@ -32,12 +32,15 @@
 // and the active-jobs cap (they add no new simulation work); journal
 // replay bypasses admission entirely.
 //
-// The same content keys shard the control plane: RoutingKeys derives a
-// submission's key without a Registry, ShardOfKey maps it onto one of N
-// contiguous key ranges, and job IDs are derived from the key prefix
-// (KeyID) so ShardOfID routes by ID to the same shard — a stateless
-// gateway (internal/gateway, cmd/mcgate) needs no routing table and any
-// two gateway instances route identically. Submit distinguishes
+// The same keys shard the control plane: RoutingKeys derives a
+// submission's keys without a Registry, RouteKey picks the one it is
+// routed by (the physics key for a moments-tracking spec, so every
+// variant of one physics meets the cache that can serve it; the content
+// key otherwise), ShardOfKey maps its top 32 bits onto one of N contiguous
+// ranges, and a job's ID carries those bits over its content key's next 32
+// (JobID) so ShardOfID routes by ID to the same shard — a stateless gateway (internal/gateway,
+// cmd/mcgate) needs no routing table, holds no results, and any two
+// gateway instances route identically. Submit distinguishes
 // deterministic rejections (InvalidJobError: normalization or key
 // derivation failed; HTTP 422 — every shard would refuse) from
 // environmental ones (HTTP 503 — a routing tier may retry elsewhere).

@@ -1018,7 +1018,7 @@ func TestFinishedTallyIsShared(t *testing.T) {
 	}
 }
 
-// TestResultCache pins the one cache both tiers use: each index is FIFO
+// TestResultCache pins a registry's result cache: each index is FIFO
 // bounded on its own, a physics key keeps its deepest run whichever order
 // the runs arrive in, an evicted key reads as a miss, and a negative size
 // is the disabled cache. It stores and returns the pointers it is given;

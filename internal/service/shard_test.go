@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/mc"
 )
@@ -42,10 +43,11 @@ func TestShardRoutingIsPureFunctionOfKey(t *testing.T) {
 // TestShardRangesContiguousAndExhaustive pins the partition shape: walking
 // IDs upward crosses each shard exactly once, in order — the property that
 // makes "shard i owns range i" documentation true and keeps a renumbered
-// replica list from moving keys.
+// replica list from moving keys. The ranges cut the top 32 bits of an ID,
+// so each starts on a multiple of 2^32.
 func TestShardRangesContiguousAndExhaustive(t *testing.T) {
 	for _, shards := range []int{1, 2, 3, 5, 8} {
-		width := uint64(math.MaxUint64)/uint64(shards) + 1
+		width := (uint64(math.MaxUint32)/uint64(shards) + 1) << 32
 		prev := -1
 		for s := 0; s < shards; s++ {
 			lo := width * uint64(s)
@@ -124,5 +126,88 @@ func TestRoutingKeysMatchSubmit(t *testing.T) {
 		if _, err := reg.Submit(huge); !IsInvalid(err) {
 			t.Fatalf("Submit of an over-bound %s: %v (want InvalidJobError)", name, err)
 		}
+	}
+}
+
+// TestEveryJobIDNamesItsRoutingShard is the ID half of the routing property
+// over every way a job is registered — fresh, coalesced onto a live one, an
+// exact-key hit, a physics-key hit, and restored by journal replay — for
+// specs with and without moments: whatever the path, the ID a registry
+// mints lands GET /jobs/{id} on the shard POST /jobs was routed to.
+func TestEveryJobIDNamesItsRoutingShard(t *testing.T) {
+	dir := t.TempDir()
+	reg, wl, _ := journaledRegistry(t, dir, 0, Options{})
+	target := func(seed uint64, relErr float64) JobSpec {
+		return JobSpec{Spec: targetSpec(5), ChunkPhotons: 100, Seed: seed,
+			Target: &mc.Target{Observable: mc.ObsDiffuse, RelErr: relErr}}
+	}
+	fresh := []JobSpec{
+		{Spec: slabSpec(5), TotalPhotons: 300, ChunkPhotons: 100, Seed: 1},
+		{Spec: slabSpec(6), TotalPhotons: 400, ChunkPhotons: 100, Seed: 2, Fan: 2},
+		{Spec: targetSpec(5), TotalPhotons: 2000, ChunkPhotons: 100, Seed: 3},
+		target(4, 0.05),
+		target(5, 0.05),
+	}
+	byPath := map[string][]*Job{}
+	submit := func(path string, js JobSpec) {
+		t.Helper()
+		out, err := reg.Submit(js)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if out.Coalesced != (path == "coalesced") || out.Cached != strings.HasSuffix(path, "hit") {
+			t.Fatalf("%s came back %+v", path, out)
+		}
+		byPath[path] = append(byPath[path], out.Job)
+	}
+	for _, js := range fresh { // no workers yet: they stay live
+		submit("fresh", js)
+	}
+	for _, js := range fresh {
+		submit("coalesced", js)
+	}
+	startWorkers(t, reg, 2)
+	for _, j := range byPath["fresh"] {
+		if _, err := j.Wait(30 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, js := range fresh {
+		submit("exact hit", js)
+	}
+	// Looser targets over the two precision runs and over the fixed-count
+	// run that tracked moments: other content keys, the same physics.
+	for _, js := range []JobSpec{target(4, 0.5), target(5, 0.5), target(3, 0.9)} {
+		submit("physics hit", js)
+	}
+	if e, p := reg.met.cacheHitExact.Value(), reg.met.cacheHitPhysics.Value(); e != 5 || p != 3 {
+		t.Fatalf("hits by index: exact %d, physics %d; want 5 and 3", e, p)
+	}
+	wl.Close()
+	replayed, wlB, restored := replayInto(t, dir, Options{})
+	defer wlB.Close()
+	if restored != len(fresh) {
+		t.Fatalf("replay restored %d jobs, want %d", restored, len(fresh))
+	}
+	for _, st := range replayed.List() {
+		byPath["replayed"] = append(byPath["replayed"], replayed.Get(st.ID))
+	}
+
+	moved := false
+	for path, jobs := range byPath {
+		for _, j := range jobs {
+			route := RouteKey(&j.spec, j.key, j.pkey)
+			if route != j.key {
+				moved = true
+			}
+			for _, n := range []int{2, 3, 5} {
+				if got, want := ShardOfID(j.ID(), n), ShardOfKey(route, n); got != want {
+					t.Errorf("%s job %016x: ID names shard %d of %d, its routing key shard %d", path, j.ID(), got, n, want)
+				}
+			}
+		}
+	}
+	if !moved {
+		t.Fatal("no job routed by its physics key: the test covers nothing RouteKey changes")
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-
-	"repro/internal/mc"
 )
 
 // SubmissionCompactType is the Content-Type of the POST /jobs a routing tier
@@ -84,32 +82,4 @@ func DecodeSubmission(data []byte) (JobSpec, error) {
 		spec.Spec.Voxel.Labels = labels
 	}
 	return spec, nil
-}
-
-// SubmissionAnsweredType is the Content-Type of a forwarded POST /jobs whose
-// answer the routing tier holds: AppendAnswered's bytes, for a shard only.
-const SubmissionAnsweredType = "application/vnd.mc.job+tally"
-
-// AppendAnswered appends an answered submission: the tally a result tier
-// holds for spec behind its length, then spec, each in its own codec —
-// uvarint len · mc.AppendTally(tally) · AppendSubmission(spec).
-func AppendAnswered(dst []byte, tally *mc.Tally, spec *JobSpec) ([]byte, error) {
-	enc := mc.AppendTally(nil, tally)
-	dst = binary.AppendUvarint(dst, uint64(len(enc)))
-	return AppendSubmission(append(dst, enc...), spec)
-}
-
-// DecodeAnswered is the inverse of AppendAnswered. The tally's length is
-// held to the bytes present before anything is decoded from it.
-func DecodeAnswered(data []byte) (JobSpec, *mc.Tally, error) {
-	n, w := binary.Uvarint(data)
-	if w <= 0 || n > uint64(len(data)-w) {
-		return JobSpec{}, nil, errBadSubmission
-	}
-	tally, err := mc.DecodeTally(data[w : w+int(n)])
-	if err != nil {
-		return JobSpec{}, nil, fmt.Errorf("service: answered submission: %w", err)
-	}
-	spec, err := DecodeSubmission(data[w+int(n):])
-	return spec, tally, err
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -49,62 +50,6 @@ func TestSubmissionCarriesEveryField(t *testing.T) {
 	}
 	if !bytes.Contains(data, []byte(`"Labels":null`)) || data[len(data)-1] != grid.Labels[0] {
 		t.Fatalf("labels are not elided from the header and carried raw behind it: %q", data)
-	}
-}
-
-// TestAnsweredCarriesEveryField: the answered form is the two codecs it is
-// built from, back to back behind the tally's length — so every JobSpec
-// field, present and future, and every tally section a result can hold
-// (per-layer arrays, a voxel job's regions, a 50³ path grid, moments)
-// arrives as sent.
-func TestAnsweredCarriesEveryField(t *testing.T) {
-	var full JobSpec
-	n := 0
-	fillExported(t, reflect.ValueOf(&full).Elem(), &n)
-	grid := slabSpec(5)
-	grid.PathGrid = &mc.GridSpec{N: 50, Edge: 100}
-	for name, c := range map[string]struct {
-		spec  JobSpec
-		tally *mc.Tally
-	}{
-		"slab":    {full, localTally(t, slabSpec(5), 200, 100, 1)},
-		"voxel":   {JobSpec{Spec: voxelSpec(t), TotalPhotons: 200, ChunkPhotons: 100, Seed: 2}, localTally(t, voxelSpec(t), 200, 100, 2)},
-		"grid":    {JobSpec{Spec: grid, TotalPhotons: 200, ChunkPhotons: 100, Seed: 3}, localTally(t, grid, 200, 100, 3)},
-		"moments": {JobSpec{Spec: targetSpec(5), ChunkPhotons: 100, Seed: 4, Target: &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.5}}, localTally(t, targetSpec(5), 400, 100, 4)},
-	} {
-		data, err := AppendAnswered(nil, c.tally, &c.spec)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		wantTally := mc.AppendTally(nil, c.tally)
-		wantSpec, err := AppendSubmission(nil, &c.spec)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		want := append(binary.AppendUvarint(nil, uint64(len(wantTally))), wantTally...)
-		if !bytes.Equal(data, append(want, wantSpec...)) {
-			t.Fatalf("%s: answered form is not uvarint len · AppendTally · AppendSubmission", name)
-		}
-		spec, tally, err := DecodeAnswered(data)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !reflect.DeepEqual(spec, c.spec) {
-			t.Errorf("%s: answered form dropped or changed a JobSpec field:\n sent %+v\n  got %+v", name, c.spec, spec)
-		}
-		if !bytes.Equal(mc.AppendTally(nil, tally), wantTally) {
-			t.Errorf("%s: answered form changed the tally", name)
-		}
-		for cut, damaged := range map[string][]byte{
-			"tally length":     data[:1],
-			"tally":            data[:len(want)-1],
-			"no submission":    data[:len(want)],
-			"length past body": append(binary.AppendUvarint(nil, uint64(len(data))), data[1:]...),
-		} {
-			if _, _, err := DecodeAnswered(damaged); err == nil {
-				t.Errorf("%s: answered form cut at the %s still decodes", name, cut)
-			}
-		}
 	}
 }
 
@@ -180,8 +125,12 @@ func TestSubmissionTailMustFillTheGrid(t *testing.T) {
 // tiny slab, the paper's +Inf-thick head, a 6×6×4 voxel grid and a
 // precision-target job, an accept and a final snapshot each, beside each
 // job's result as that binary served it in the compact codec. Every job
-// must come back Done under its original ID with byte-equal result, and
-// the journal the replay rewrites — in today's encoding — must do the same.
+// must come back Done with byte-equal result, and the journal the replay
+// rewrites — in today's encoding — must do the same. The fixed-count jobs
+// come back under their original IDs. The precision job tracks moments, so
+// its ID's top 32 bits, the shard-selecting ones, now come from its physics
+// key (JobID): it comes back under those over its old ID's low 32 bits, and
+// its old ID names nothing.
 func TestReplayParentJournal(t *testing.T) {
 	const fixture = "testdata/parent_journal"
 	results, err := filepath.Glob(filepath.Join(fixture, "*.result"))
@@ -201,6 +150,7 @@ func TestReplayParentJournal(t *testing.T) {
 		if restored != len(results) {
 			t.Fatalf("%s: replay restored %d jobs, want %d", form, restored, len(results))
 		}
+		precision := 0
 		for _, path := range results {
 			raw, err := os.ReadFile(path)
 			if err != nil {
@@ -214,9 +164,16 @@ func TestReplayParentJournal(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: bad id %q", path, want.ID)
 			}
+			if want.Target != nil {
+				precision++
+				if reg.Get(id) != nil {
+					t.Fatalf("%s: precision job still under its content-key ID %s", form, want.ID)
+				}
+				id = uint64(binary.BigEndian.Uint32(want.PhysicsKey[:4]))<<32 | id&math.MaxUint32
+			}
 			j := reg.Get(id)
 			if j == nil {
-				t.Fatalf("%s: job %s is gone", form, want.ID)
+				t.Fatalf("%s: job %s is not under %016x", form, want.ID, id)
 			}
 			res, err := j.Wait(time.Second)
 			if err != nil {
@@ -228,6 +185,9 @@ func TestReplayParentJournal(t *testing.T) {
 			if !bytes.Equal(mc.AppendTally(nil, res.Tally), mc.AppendTally(nil, want.Tally)) {
 				t.Errorf("%s: job %s replayed to a different tally", form, want.ID)
 			}
+		}
+		if precision != 1 {
+			t.Fatalf("fixture holds %d precision jobs, want 1", precision)
 		}
 		if pass == 0 {
 			// Replay re-journaled every job; leave only that.
@@ -275,7 +235,7 @@ func submitVoxelBodies(tb testing.TB) (spec JobSpec, key Key, jsonBody, compact,
 func readVoxelBody(tb testing.TB, contentType string, body []byte) JobSpec {
 	req := httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body))
 	req.Header.Set("Content-Type", contentType)
-	spec, _, ok := ReadSubmission(httptest.NewRecorder(), req, 0, nil)
+	spec, ok := ReadSubmission(httptest.NewRecorder(), req, 0, nil)
 	if !ok || len(spec.Spec.Voxel.Labels) != 120*120*80 {
 		tb.Fatal("voxel-head body refused or cut short")
 	}

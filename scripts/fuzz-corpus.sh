@@ -10,10 +10,7 @@
 # FuzzDecodeJournalRecord is seeded with the journal's own accept and
 # snapshot records of four job shapes (slab, head, voxel, precision target)
 # FuzzDecodeSubmission with the same jobs in the compact form a gateway
-# forwards, FuzzDecodeAnswered with the same again behind a tally that
-# answers them (its damaged seeds — a tally length cut short, one past the
-# body — are built in the fuzz target), and FuzzDecodeResult with their
-# compact results, all written by
+# forwards, and FuzzDecodeResult with their compact results, all written by
 # TestCommittedJournalCorpus -update-corpus. internal/mc's FuzzDecodeTally
 # is seeded with a frame of every section shape and with over-claiming
 # headers, written by TestCommittedTallyCorpus -update-corpus.
@@ -40,7 +37,7 @@ go run ./scripts/genjob | sed 's/"PathGrid":null/"PathGrid":{"N":100000,"Edge":1
 go run ./scripts/genjob -label "$(head -c 17000 /dev/zero | tr '\0' x)" | seed oversize
 
 mkdir -p internal/service/testdata/fuzz/FuzzDecodeJournalRecord internal/service/testdata/fuzz/FuzzDecodeResult \
-  internal/service/testdata/fuzz/FuzzDecodeSubmission internal/service/testdata/fuzz/FuzzDecodeAnswered
+  internal/service/testdata/fuzz/FuzzDecodeSubmission
 go test ./internal/service -run 'TestCommittedJournalCorpus$' -update-corpus
 mkdir -p internal/mc/testdata/fuzz/FuzzDecodeTally
 go test ./internal/mc -run 'TestCommittedTallyCorpus$' -update-corpus

@@ -12,11 +12,13 @@
 # on connection errors; every accepted job completes under the job ID it
 # was accepted with — zero loss — and each tally is byte-identical to a
 # reference single-node run of the same submissions. Last, a second mcgate
-# over the same shards: a finished job resubmitted through the first is
-# answered from its result tier, and the hit — a job on its shard, not in
-# the gateway — is fetched by ID through the second, before and after the
-# first is killed. The cheap always-on CI cousin of internal/gateway's
-# failover tests, through real processes, sockets and kill -9.
+# over the same shards: a precision job runs through the first, a looser
+# target over the same physics is submitted through the second — routed by
+# its physics key to the shard that ran the first, and answered there from
+# its cache — and the hit's tally is fetched through the second, before
+# and after the first is killed. The cheap always-on CI cousin of
+# internal/gateway's failover tests, through real processes, sockets and
+# kill -9.
 #
 # Stdlib + curl only; run from anywhere inside the repo.
 set -euo pipefail
@@ -190,29 +192,35 @@ GWMETRICS=$(curl -fsS "http://$GW/metrics") # not piped: grep -q would hang up o
 echo "$GWMETRICS" | grep -Eq 'gateway_replica_failovers_total\{shard="1"\} [1-9]' ||
   fail "gateway recorded no replica failover for shard 1"
 
-# The gateway holds no jobs: a resubmission the first gateway answers from
-# its result tier (filled by the drain above) is a job on its owning shard,
-# so a second gateway over the same shards serves it by ID — with the first
-# still up, and with it gone.
-echo "shard-smoke: tier hit through gateway 1, fetched through gateway 2..."
+# The gateway holds no jobs and no results: a precision job runs through
+# gateway 1, and a looser target over the same physics, submitted through
+# gateway 2, is a physics hit on the shard that ran it — its owner by the
+# job ID's leading bit (two key ranges; shard 1 is the standby by now).
+echo "shard-smoke: precision job through gateway 1, looser target through gateway 2..."
 "$WORK/mcgate" -http "$GW2" -shard "$H0" -shard "$H1,$H1B" \
   -log-format json >"$WORK/mcgate2.log" 2>&1 &
 PIDS+=($!)
 wait_http "http://$GW2/readyz"
-HIT=$(curl -fsS -X POST "http://$GW/jobs" -d @"$WORK/job1.json")
-echo "$HIT" | grep -q '"cached":true' || fail "resubmission of a finished job not cached: $HIT"
+go run ./scripts/genjob -relerr 0.05 -chunk 200 -seed 101 >"$WORK/tight.json"
+go run ./scripts/genjob -relerr 0.3 -chunk 200 -seed 101 >"$WORK/loose.json"
+PID=$(curl -fsS -X POST "http://$GW/jobs" -d @"$WORK/tight.json" |
+  sed -n 's/.*"id":"\([0-9a-f]*\)".*/\1/p')
+[ -n "$PID" ] || fail "precision POST /jobs through gateway 1 returned no id"
+wait_done "$GW" "$PID"
+curl -fsS "http://$GW/jobs/$PID/result" | sed 's/.*"tally"://' >"$WORK/tight-tally.json"
+HIT=$(curl -fsS -X POST "http://$GW2/jobs" -d @"$WORK/loose.json")
+echo "$HIT" | grep -q '"cached":true' || fail "looser target not answered from a cache: $HIT"
 HID=$(echo "$HIT" | sed -n 's/.*"id":"\([0-9a-f]*\)".*/\1/p')
-[ -n "$HID" ] && [ "$HID" != "${IDS[1]}" ] ||
-  fail "tier hit came back as job '$HID', want a job of its own beside ${IDS[1]}"
-GWMETRICS=$(curl -fsS "http://$GW/metrics")
-echo "$GWMETRICS" | grep -q '^gateway_cache_hits_total{index="exact"} 1$' ||
-  fail "gateway 1 did not count the resubmission as a tier hit"
-fetch_hit() { # when: the hit's tally through gateway 2 is the reference's
+case "$PID" in [0-7]*) OWNER=$H0 ;; *) OWNER=$H1B ;; esac
+SHMETRICS=$(curl -fsS "http://$OWNER/metrics")
+echo "$SHMETRICS" | grep -q '^service_cache_hits_total{index="physics"} 1$' ||
+  fail "the shard that ran $PID did not count the looser target as its physics hit"
+fetch_hit() { # when: the hit's tally through gateway 2 is the precision run's
   curl -fsS "http://$GW2/jobs/$HID" | grep -q '"cacheHit":true' ||
-    fail "gateway 2 has no status for tier hit $HID ($1)"
+    fail "gateway 2 has no status for hit $HID ($1)"
   curl -fsS "http://$GW2/jobs/$HID/result" | sed 's/.*"tally"://' >"$WORK/hit-tally.json"
-  cmp -s "$WORK/ref-tally-1.json" "$WORK/hit-tally.json" ||
-    fail "tier hit $HID fetched through gateway 2 ($1) differs from the reference run"
+  cmp -s "$WORK/tight-tally.json" "$WORK/hit-tally.json" ||
+    fail "hit $HID fetched through gateway 2 ($1) differs from the run $PID"
 }
 fetch_hit "gateway 1 up"
 kill -9 "$GWPID"; wait "$GWPID" 2>/dev/null || true
