@@ -116,9 +116,10 @@
 // The distributed result path is engineered so that fleet throughput
 // tracks kernel throughput rather than per-chunk bookkeeping: a worker's
 // task request asks for up to a window of chunks of one job, the worker
-// computes each across a job-defined fan of jump-separated sub-streams on
-// all its cores (RunStreamFan — the tally depends on the fan width, never
-// on the core count), pre-reduces the grant into one tally, and hands that
+// computes them side by side, one per core (a job with a fan width instead
+// splits each chunk across jump-separated sub-streams on all its cores,
+// RunStreamFan), pre-reduces the grant in grant order into one tally — the
+// same bytes whatever the core count — and hands that
 // batch back on its next task request — the only frame a result travels in
 // since protocol v6 — with tallies encoded by a sparse binary codec instead
 // of gob and per-chunk acks preserving the exactly-once reduction under

@@ -14,10 +14,11 @@
 // the same machinery as a long-lived, many-job service.
 //
 // The worker's batch is its grant: a task request asks for up to a window
-// of chunks of one job, they are computed across the job's fan of RNG
-// sub-streams on all available cores and pre-reduced into one tally, and
-// that ResultBatch (compact codec) rides the next task request, whose
-// reply carries each chunk's accepted, duplicate or rejected verdict.
+// of chunks of one job, they are computed one per core (a fanned job's one
+// at a time, each across its fan of RNG sub-streams on every core) and
+// pre-reduced in grant order into one tally, and that ResultBatch (compact
+// codec) rides the next task request, whose reply carries each chunk's
+// accepted, duplicate or rejected verdict.
 //
 // A DataManager given a JournalDir survives its own death: the job's
 // accept record, reduced batches and tally snapshots are written ahead to

@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -29,18 +30,21 @@ type WorkerOptions struct {
 	// Mflops is the self-reported processing rate (informational).
 	Mflops float64
 	// Slowdown stretches compute time by sleeping Slowdown×(compute time)
-	// after each chunk, emulating a slower or non-dedicated machine.
+	// after each chunk, on the kernel that computed it, emulating a slower
+	// or non-dedicated machine.
 	Slowdown float64
 	// FailAfterChunks, if positive, makes the worker drop its connection
 	// after computing (and flushing) that many chunks — deterministic
-	// fault-injection for tests. Losing an *unflushed* buffer is the
+	// fault-injection for tests; the grant that reaches the budget is cut
+	// to it before it starts. Losing an *unflushed* buffer is the
 	// abrupt-transport-death case, covered by closing the connection.
 	FailAfterChunks int
 	// Stop, when non-nil and closed, requests a graceful drain: the worker
-	// finishes the chunk it is computing, flushes what it has computed of
-	// its grant so those results are not abandoned to timeout reclaim, and
-	// returns nil; a worker idle with its request parked on the server
-	// returns at once. The daemon's SIGTERM handler closes it.
+	// starts no further chunk, finishes those it is computing, flushes what
+	// it has computed of its grant — always a prefix of it — so those
+	// results are not abandoned to timeout reclaim, and returns nil; a
+	// worker idle with its request parked on the server returns at once.
+	// The daemon's SIGTERM handler closes it.
 	Stop <-chan struct{}
 	// DrainAfterChunks, if positive, triggers the same graceful drain
 	// after computing that many chunks — the deterministic test form of
@@ -75,9 +79,9 @@ const (
 // workerTelemetry accumulates the session's self-measured profile: EWMAs
 // of kernel throughput and per-chunk compute/encode time (same 0.7/0.3
 // blend the server uses for its ack-timing chunkSecs), plus rate-limited
-// Go runtime stats. Single-goroutine like the rest of the session loop.
+// Go runtime stats. Only the session loop touches it.
 type workerTelemetry struct {
-	pps         float64 // photons per second, EWMA
+	pps         float64 // photons per second of grant wall time, EWMA
 	chunkSecs   float64 // per-chunk compute seconds, EWMA
 	encodeSecs  float64 // per-flush batch encode seconds, EWMA
 	lastReport  time.Time
@@ -94,11 +98,18 @@ func ewma(cur, sample float64) float64 {
 	return 0.7*cur + 0.3*sample
 }
 
-// chunk folds one computed chunk into the throughput EWMAs.
-func (t *workerTelemetry) chunk(photons int64, elapsed time.Duration) {
-	if secs := elapsed.Seconds(); secs > 0 {
+// grant folds one computed grant into the EWMAs. Throughput is the grant's
+// photons over its wall time: its chunks ran side by side, so a per-chunk
+// rate would read a two-core worker at half its speed. chunkSecs stays per
+// chunk, the unit the server's timeout envelope divides by.
+func (t *workerTelemetry) grant(photons int64, wall time.Duration, runs []chunkRun) {
+	if secs := wall.Seconds(); secs > 0 && photons > 0 {
 		t.pps = ewma(t.pps, float64(photons)/secs)
-		t.chunkSecs = ewma(t.chunkSecs, secs)
+	}
+	for _, run := range runs {
+		if secs := run.elapsed.Seconds(); secs > 0 {
+			t.chunkSecs = ewma(t.chunkSecs, secs)
+		}
 	}
 }
 
@@ -179,7 +190,8 @@ type WorkerStats struct {
 	// Chunks counts results the server accepted (including benign
 	// duplicates); Photons covers the same set. Compute is accrued at
 	// compute time and therefore also includes work whose results were
-	// later rejected or lost with the connection.
+	// later rejected or lost with the connection; it sums every chunk's
+	// compute time, so on several cores it can exceed the wall time.
 	Chunks  int
 	Photons int64
 	Compute time.Duration
@@ -209,20 +221,87 @@ type jobRuntime struct {
 	cache   *rng.StreamCache
 }
 
-// run computes one chunk. Single-stream chunks draw their generator from
-// the per-job StreamCache (one Jump per new stream instead of O(stream)
-// per chunk); fanned chunks derive their sub-streams from the chunk's
-// FanSeed, which is O(fan) regardless. A non-positive stream count marks
-// an open-ended (precision-targeted) job: the server issues chunk ids
+// chunkRun is one computed chunk of a grant: its tally and compute time.
+type chunkRun struct {
+	tally   *mc.Tally
+	elapsed time.Duration
+	err     error
+}
+
+// compute runs a grant's chunks on up to min(GOMAXPROCS, len(grants)) of the
+// job's kernels at once — one at a time for a fanned job, whose chunks
+// already use every core — and returns those it ran, in grant order. Each
+// kernel's goroutine claims the next chunk in grant order, and none is
+// claimed once stop is closed, so the chunks run are always a prefix of the
+// grant, every one of them finished. Single-stream chunks draw their
+// generator from the per-job StreamCache (one Jump per new stream instead of
+// O(stream) per chunk); fanned chunks derive their sub-streams from the
+// chunk's FanSeed, which is O(fan) regardless. A non-positive stream count
+// marks an open-ended (precision-targeted) job: the server issues chunk ids
 // without a predetermined bound, so only the lower bound is checked.
-func (rt *jobRuntime) run(photons int64, stream int) (*mc.Tally, error) {
-	if rt.fan > 1 {
-		return rt.runner.RunFan(photons, rt.seed, stream, rt.streams, rt.fan)
+func (rt *jobRuntime) compute(grants []protocol.ChunkGrant, slowdown float64, stop <-chan struct{}) ([]chunkRun, error) {
+	gens := make([]*rng.Rand, len(grants))
+	for i, g := range grants {
+		if g.Stream < 0 || (rt.streams > 0 && g.Stream >= rt.streams) {
+			return nil, fmt.Errorf("distsys: stream %d outside [0,%d)", g.Stream, rt.streams)
+		}
+		if rt.fan <= 1 {
+			gens[i] = rt.cache.Stream(g.Stream)
+		}
 	}
-	if stream < 0 || (rt.streams > 0 && stream >= rt.streams) {
-		return nil, fmt.Errorf("distsys: stream %d outside [0,%d)", stream, rt.streams)
+	width := 1
+	if rt.fan <= 1 {
+		width = rt.runner.Kernels(len(grants))
 	}
-	return rt.runner.Run(photons, rt.cache.Stream(stream)), nil
+	runs := make([]chunkRun, len(grants))
+	var mu sync.Mutex
+	claimed := 0
+	claim := func() (int, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if claimed == len(grants) {
+			return 0, false
+		}
+		select {
+		case <-stop:
+			return 0, false
+		default:
+		}
+		claimed++
+		return claimed - 1, true
+	}
+	work := func(w int) {
+		for i, ok := claim(); ok; i, ok = claim() {
+			g, run := grants[i], &runs[i]
+			start := time.Now()
+			if rt.fan > 1 {
+				run.tally, run.err = rt.runner.RunFan(g.Photons, rt.seed, g.Stream, rt.streams, rt.fan)
+			} else {
+				run.tally = rt.runner.RunOn(w, g.Photons, gens[i])
+			}
+			run.elapsed = time.Since(start)
+			if slowdown > 0 {
+				time.Sleep(time.Duration(slowdown * float64(run.elapsed)))
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < width; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
+	runs = runs[:claimed]
+	for _, run := range runs {
+		if run.err != nil {
+			return nil, run.err
+		}
+	}
+	return runs, nil
 }
 
 // maxCachedJobs bounds the per-session descriptor cache (a built Config
@@ -274,11 +353,12 @@ func (b *resultBatch) encode(arena []byte) (*protocol.ResultBatch, []byte) {
 // of as many concurrent jobs as the server cares to assign — until the
 // server reports the service done. It returns session statistics.
 //
-// Each granted chunk is computed across the job's fan of jump-separated
-// sub-streams on all available cores (mc.RunStreamFan) and pre-reduced with
-// the rest of its grant into one batch, which rides the next TaskRequest:
-// a worker's batch is its grant. A dropped connection loses only the grant
-// in hand, which the server requeues.
+// A grant's chunks are computed side by side, one per core (a fanned job's
+// one at a time, each across its fan of sub-streams on every core), and
+// pre-reduced in grant order into one batch — the same bytes on one core as
+// on many — which rides the next TaskRequest: a worker's batch is its
+// grant. A dropped connection loses only the grant in hand, which the
+// server requeues.
 func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 	if opts.Logger == nil {
 		opts.Logger = obs.NopLogger()
@@ -494,43 +574,48 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 					known = known[1:]
 				}
 			}
-			for _, g := range a.Grants {
-				start := time.Now()
-				tally, err := rt.run(g.Photons, g.Stream)
-				if err != nil {
-					return stats, err
+			// A chunk budget caps the grant before it starts, so it is never
+			// overshot; the server requeues what the cap leaves out.
+			grants := a.Grants
+			for _, budget := range []int{opts.DrainAfterChunks, opts.FailAfterChunks} {
+				if budget > 0 && len(grants) > budget-computed {
+					grants = grants[:budget-computed]
 				}
-				elapsed := time.Since(start)
-				if opts.Slowdown > 0 {
-					time.Sleep(time.Duration(opts.Slowdown * float64(elapsed)))
-				}
-				if err := batch.add(a.JobID, g.ChunkID, g.Photons, elapsed, tally); err != nil {
+			}
+			start := time.Now()
+			runs, err := rt.compute(grants, opts.Slowdown, opts.Stop)
+			if err != nil {
+				return stats, err
+			}
+			wall := time.Since(start)
+			var photons int64
+			for i, run := range runs {
+				g := grants[i]
+				if err := batch.add(a.JobID, g.ChunkID, g.Photons, run.elapsed, run.tally); err != nil {
 					return stats, fmt.Errorf("distsys: pre-reducing job %016x chunk %d: %w",
 						a.JobID, g.ChunkID, err)
 				}
-				stats.Compute += elapsed
-				tel.chunk(g.Photons, elapsed)
+				photons += g.Photons
+				stats.Compute += run.elapsed
 				computed++
-				met.chunks.Inc()
-				met.photons.Add(uint64(g.Photons))
-				ev := rt.runner.TakeEvents()
-				met.scatter.Add(ev.Scatter)
-				met.query.Add(ev.Query)
-				met.crossing.Add(ev.Crossing)
-				met.roulette.Add(ev.Roulette)
-				met.chunkSec.Observe(elapsed.Seconds())
+				met.chunkSec.Observe(run.elapsed.Seconds())
 				log.Debug("chunk finished", "job", fmt.Sprintf("%016x", a.JobID),
 					"chunk", g.ChunkID, "photons", g.Photons,
-					"elapsed", elapsed, "buffered", len(batch.chunks))
-				if opts.FailAfterChunks > 0 && computed >= opts.FailAfterChunks {
-					if err := drain(); err != nil {
-						return stats, err
-					}
-					return stats, ErrInjectedFailure
+					"elapsed", run.elapsed, "buffered", len(batch.chunks))
+			}
+			tel.grant(photons, wall, runs)
+			met.chunks.Add(uint64(len(runs)))
+			met.photons.Add(uint64(photons))
+			ev := rt.runner.TakeEvents()
+			met.scatter.Add(ev.Scatter)
+			met.query.Add(ev.Query)
+			met.crossing.Add(ev.Crossing)
+			met.roulette.Add(ev.Roulette)
+			if opts.FailAfterChunks > 0 && computed >= opts.FailAfterChunks {
+				if err := drain(); err != nil {
+					return stats, err
 				}
-				if stopping() {
-					break // the loop's head drains what is computed
-				}
+				return stats, ErrInjectedFailure
 			}
 		case protocol.MsgNoWork:
 			if msg.NoWork.Done {

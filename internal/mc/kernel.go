@@ -56,9 +56,11 @@ func (p *subPacket) markEntered(r int) bool {
 // scratch tally merged once per chunk, so the hot loop never synchronises.
 // One kernel must only be used from a single goroutine.
 type kernel struct {
-	cfg   *Config
-	geo   geom.Geometry
-	rng   *rng.Rand
+	cfg *Config
+	geo geom.Geometry
+	// rng is the kernel's own copy of the generator state it was handed, so
+	// kernels running side by side never write to one generator's memory.
+	rng   rng.Rand
 	tally *Tally
 
 	// opt is the per-region optical table (mua+mus, albedo, 1/µt, …)
@@ -75,6 +77,11 @@ type kernel struct {
 	// it is deliberately not part of the Tally (codec, keys and goldens
 	// know nothing of it).
 	events KernelEvents
+
+	// The pad puts a cache line between this kernel's last field and
+	// whatever is allocated after it, so two kernels never share a line:
+	// writing one line from two cores runs each at about half speed.
+	_ [64]byte
 }
 
 // KernelEvents counts the transport loop's work, so a ns/photon figure can
@@ -99,8 +106,8 @@ func (e *KernelEvents) Add(o KernelEvents) {
 // normalised. Tracing begins here, so a geometry that derives traversal
 // tables builds them now — once, shared by every kernel on it — rather than
 // inside a validation that a non-tracing process also runs, or inside the
-// first timed chunk.
-func newKernel(cfg *Config, r *rng.Rand) *kernel {
+// first timed chunk. The kernel draws from its own copy of r.
+func newKernel(cfg *Config, r rng.Rand) *kernel {
 	if p, ok := cfg.Geometry.(interface{ PrepareTrace() }); ok {
 		p.PrepareTrace()
 	}
@@ -145,7 +152,7 @@ func (k *kernel) onePhoton() {
 	t := k.tally
 	t.Launched++
 
-	pos, dir := k.cfg.Source.Launch(k.rng)
+	pos, dir := k.cfg.Source.Launch(&k.rng)
 	entry := k.geo.RegionAt(pos)
 	if entry < 0 {
 		// Launched outside the medium's footprint (e.g. a wide source

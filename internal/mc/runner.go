@@ -15,7 +15,7 @@ func Run(cfg *Config, n int64, seed uint64) (*Tally, error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
-	k := newKernel(cfg, rng.New(seed))
+	k := newKernel(cfg, *rng.New(seed))
 	k.RunPhotons(n)
 	k.record()
 	return k.tally, nil
@@ -46,37 +46,45 @@ func RunStream(cfg *Config, n int64, seed uint64, stream, streams int) (*Tally, 
 	for i := 0; i < stream; i++ {
 		r.Jump()
 	}
-	k := newKernel(cfg, r)
+	k := newKernel(cfg, *r)
 	k.RunPhotons(n)
 	k.record()
 	return k.tally, nil
 }
 
-// RunWithRand simulates n photons on a caller-provided generator — the
-// building block for callers that manage stream derivation themselves
+// RunWithRand simulates n photons from a caller-provided generator state —
+// the building block for callers that manage stream derivation themselves
 // (e.g. a worker amortising Jump costs across a job's chunks with an
 // rng.StreamCache). Passing the state New(seed) jumped `stream` times
-// reproduces RunStream(cfg, n, seed, stream, streams) bit-for-bit.
+// reproduces RunStream(cfg, n, seed, stream, streams) bit-for-bit. r itself
+// does not advance.
 func RunWithRand(cfg *Config, n int64, r *rng.Rand) (*Tally, error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
-	k := newKernel(cfg, r)
+	k := newKernel(cfg, *r)
 	k.RunPhotons(n)
 	k.record()
 	return k.tally, nil
 }
 
-// Runner amortises kernel setup across many chunk runs of one
-// configuration: the config is normalised once and the kernel's scratch
-// buffers (sub-packet stack, pooled visit-site slices) are reused from
-// chunk to chunk instead of being rebuilt per call. Each Run still
-// accumulates into a fresh Tally — the reduction contract is untouched —
-// and the photon trajectories are bit-identical to RunWithRand on the
-// same generator state. Not safe for concurrent use; distributed workers
-// keep one Runner per cached job.
+// Runner amortises kernel setup across the chunk runs of one configuration
+// and runs up to one chunk per core at once: the config is normalised once,
+// and the runner holds one kernel per core, each reusing its scratch buffers
+// (sub-packet stack, pooled visit-site slices) from chunk to chunk instead
+// of rebuilding them per call. Each run still accumulates into a fresh Tally
+// — the reduction contract is untouched — and its photon trajectories are
+// bit-identical to RunWithRand on the same generator state, whichever kernel
+// computes it.
+//
+// Kernels running side by side must not write to one cache line (each would
+// run at about half speed): a kernel draws from its own copy of the
+// generator state it is handed, is padded off its neighbours, and kernel
+// w > 0 is built by the first goroutine that runs on it. RunOn calls on
+// distinct kernels may run concurrently; nothing else may.
 type Runner struct {
-	k *kernel
+	cfg *Config
+	ks  []*kernel // ks[0] built by NewRunner, ks[w] by the first RunOn(w, …)
 }
 
 // NewRunner validates and normalises cfg and prepares a reusable kernel.
@@ -84,31 +92,57 @@ func NewRunner(cfg *Config) (*Runner, error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
-	return &Runner{k: newKernel(cfg, nil)}, nil
+	return &Runner{cfg: cfg, ks: []*kernel{newKernel(cfg, rng.Rand{})}}, nil
 }
 
-// Run simulates n photons on the provided generator into a fresh tally.
-func (ru *Runner) Run(n int64, r *rng.Rand) *Tally {
-	ru.k.rng = r
-	ru.k.tally = NewTally(ru.k.cfg)
-	ru.k.RunPhotons(n)
-	ru.k.record()
-	return ru.k.tally
+// Kernels readies the runner to compute n chunks at once and returns how
+// many kernels they run on: min(GOMAXPROCS, n), at least one. RunOn may then
+// be called concurrently for each kernel index below that count.
+func (ru *Runner) Kernels(n int) int {
+	w := max(1, min(runtime.GOMAXPROCS(0), n))
+	for len(ru.ks) < w {
+		ru.ks = append(ru.ks, nil)
+	}
+	return w
+}
+
+// Run simulates n photons from generator state r into a fresh tally, on the
+// runner's first kernel. r itself does not advance.
+func (ru *Runner) Run(n int64, r *rng.Rand) *Tally { return ru.RunOn(0, n, r) }
+
+// RunOn is Run on kernel w, which Kernels must have readied.
+func (ru *Runner) RunOn(w int, n int64, r *rng.Rand) *Tally {
+	k := ru.ks[w]
+	if k == nil {
+		k = newKernel(ru.cfg, *r)
+		ru.ks[w] = k
+	} else {
+		k.rng, k.tally = *r, NewTally(ru.cfg)
+	}
+	k.RunPhotons(n)
+	k.record()
+	return k.tally
 }
 
 // RunFan computes a fanned chunk exactly as RunStreamFan does on the
 // Runner's config (fan > 1), keeping the sub-kernels' event counts.
 func (ru *Runner) RunFan(n int64, seed uint64, stream, streams, fan int) (*Tally, error) {
-	t, ev, err := runFan(ru.k.cfg, n, seed, stream, streams, fan)
-	ru.k.events.Add(ev)
+	t, ev, err := runFan(ru.cfg, n, seed, stream, streams, fan)
+	ru.ks[0].events.Add(ev)
 	return t, err
 }
 
-// TakeEvents returns what the transport loop has counted since the last
-// call and starts the count afresh; a worker drains it after each chunk.
+// TakeEvents returns what the transport loops have counted since the last
+// call, summed over the runner's kernels, and starts the count afresh; a
+// worker drains it after each grant.
 func (ru *Runner) TakeEvents() KernelEvents {
-	ev := ru.k.events
-	ru.k.events = KernelEvents{}
+	var ev KernelEvents
+	for _, k := range ru.ks {
+		if k != nil {
+			ev.Add(k.events)
+			k.events = KernelEvents{}
+		}
+	}
 	return ev
 }
 
@@ -163,7 +197,7 @@ func runFan(cfg *Config, n int64, seed uint64, stream, streams, fan int) (*Tally
 				if i >= fan {
 					return
 				}
-				k := newKernel(cfg, subs[i])
+				k := newKernel(cfg, *subs[i])
 				k.RunPhotons(shares[i])
 				k.record()
 				tallies[i], counts[i] = k.tally, k.events
@@ -236,7 +270,7 @@ func RunAdaptive(cfg *Config, tgt Target, seed uint64, chunk int64, workers int)
 			wg.Add(1)
 			go func(w int, r *rng.Rand) {
 				defer wg.Done()
-				k := newKernel(cfg, r)
+				k := newKernel(cfg, *r)
 				k.RunPhotons(chunk)
 				k.record()
 				tallies[w] = k.tally
@@ -284,7 +318,7 @@ func RunParallel(cfg *Config, n int64, seed uint64, workers int) (*Tally, error)
 		wg.Add(1)
 		go func(w int, share int64) {
 			defer wg.Done()
-			k := newKernel(cfg, streams[w])
+			k := newKernel(cfg, *streams[w])
 			k.RunPhotons(share)
 			k.record()
 			tallies[w] = k.tally

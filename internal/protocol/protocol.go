@@ -187,7 +187,8 @@ const MaxReportVersion = 128
 // any single report may be slightly stale; the server folds each one into
 // its session profile as it arrives.
 type WorkerReport struct {
-	// PhotonsPerSec is the worker's EWMA of kernel throughput.
+	// PhotonsPerSec is the worker's EWMA of kernel throughput: each grant's
+	// photons over the wall time it took to compute, on however many cores.
 	PhotonsPerSec float64
 	// ChunkSecs / EncodeSecs are EWMAs of per-chunk compute and
 	// batch-encode wall time.

@@ -391,12 +391,14 @@ func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply
 				want = fair
 			}
 		}
-		// Keep the grant inside the timeout envelope: a worker computes
-		// its grant serially, so the last chunk's clock runs for the whole
-		// window. Granting more than ~a quarter of the timeout's worth of
-		// estimated compute would make spurious reclaims — and, with
-		// all-or-nothing batches, wholesale recomputes — systematic. With
-		// no estimate yet, probe one chunk at a time.
+		// Keep the grant inside the timeout envelope: on a one-core worker
+		// the grant's chunks run one after another, so the last chunk's
+		// clock runs for the whole window (a worker with more cores runs
+		// them side by side, and the bound is conservative there).
+		// Granting more than ~a quarter of the timeout's worth of estimated
+		// compute would make spurious reclaims — and, with all-or-nothing
+		// batches, wholesale recomputes — systematic. With no estimate yet,
+		// probe one chunk at a time.
 		if j.spec.ChunkTimeout > 0 {
 			byTimeout := 1
 			if j.chunkSecs > 0 {

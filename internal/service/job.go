@@ -169,9 +169,9 @@ type Job struct {
 	tally   *mc.Tally
 
 	// chunkSecs is an EWMA of observed per-chunk compute seconds (from
-	// result Elapsed), used to cap multi-chunk grants so a serially
-	// computing worker cannot be handed more chunks than fit inside the
-	// job's ChunkTimeout. Zero until the first result lands.
+	// result Elapsed), used to cap multi-chunk grants so a worker running
+	// them one after another cannot be handed more chunks than fit inside
+	// the job's ChunkTimeout. Zero until the first result lands.
 	chunkSecs float64
 
 	state      JobState

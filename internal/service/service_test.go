@@ -833,9 +833,9 @@ func TestPartiallyStaleBatchRequeued(t *testing.T) {
 }
 
 // TestGrantCappedByChunkTimeout keeps multi-chunk grants inside the
-// timeout envelope: a worker computes its grant serially, so handing it
-// more chunks than fit in ChunkTimeout would guarantee spurious reclaims
-// and batch-wide recomputes. With no compute estimate the dispatcher
+// timeout envelope: a one-core worker computes its grant serially, so
+// handing it more chunks than fit in ChunkTimeout would guarantee spurious
+// reclaims and batch-wide recomputes. With no compute estimate the dispatcher
 // probes one chunk; once results carry Elapsed it grants up to a quarter
 // of the timeout's worth.
 func TestGrantCappedByChunkTimeout(t *testing.T) {

@@ -246,9 +246,9 @@ func readVoxelBody(tb testing.TB, contentType string, body []byte) JobSpec {
 // the accept record each allocate one grid's worth (1 152 000 labels) and
 // small change — no doubling buffer, no base64 text, no second copy.
 func TestForwardedVoxelCostsOneGrid(t *testing.T) {
-	if testing.Short() {
-		// make race runs -short: under the race detector slices.Grow's
-		// append(s, make(...)...) really allocates its operand.
+	if raceEnabled {
+		// Under the race detector slices.Grow's append(s, make(...)...)
+		// really allocates its operand.
 		t.Skip("allocation sizes are only meaningful without -race")
 	}
 	spec, key, _, compact, _ := submitVoxelBodies(t)
