@@ -19,13 +19,15 @@ short:
 	$(GO) test -short ./...
 
 # race runs the suite under the race detector, then the dispatcher's park /
-# wake / drain tests and the result plane's grant-is-batch tests twenty more
+# wake / drain tests, the result plane's grant-is-batch tests and the
+# content-key index's repeat / finish→seal / retention tests twenty more
 # times in shuffled order: a lost wake-up is a rare interleaving (and
-# parkMax heals it within a second, so nothing hangs to give it away) —
+# parkMax heals it within a second, so nothing hangs to give it away), and
+# a job stays in byKey across its seal and until its eviction —
 # repetition is the cheap detector.
 race:
 	$(GO) test -race -short -shuffle=on ./...
-	$(GO) test -race -shuffle=on -run 'Park|Dispatch|Drain|BatchIsItsGrant' -count=20 ./internal/service ./internal/distsys
+	$(GO) test -race -shuffle=on -run 'Park|Dispatch|Drain|BatchIsItsGrant|Repeat|FinishAndSeal|RetainDone' -count=20 ./internal/service ./internal/distsys
 
 # bench-check vets and tests the nested benchmark module (bench/, its own
 # go.mod with `replace repro => ../`). The root's build and tests never

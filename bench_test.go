@@ -381,7 +381,6 @@ func BenchmarkRegistryMultiJob(b *testing.B) {
 		reg := phomc.NewJobRegistry(phomc.RegistryOptions{
 			Policy:       phomc.FairSharePolicy(),
 			DrainOnEmpty: true,
-			CacheSize:    -1,
 		})
 		const jobs = 8
 		handles := make([]*phomc.ServiceJob, 0, jobs)

@@ -23,8 +23,8 @@
 //
 // The gateway holds no results: a resubmission, or a looser precision
 // target over physics any shard ran, is routed to the shard that ran it
-// and answered from that shard's cache — a job born done there, nothing
-// run.
+// and answered there, nothing run — a repeat with the job it repeats, a
+// looser target with a job born done around the deeper run's tally.
 //
 // -tenants moves admission control to the gateway (the only place that
 // sees every shard's arrival stream): the named token buckets run here,
@@ -91,7 +91,7 @@ func main() {
 		"JSON tenant table: run token-bucket admission at the gateway (shards should then run without -tenants)")
 	// Parsed and ignored: bench/ still passes -cache to mcgate. Delete the
 	// flag together with that caller.
-	fs.Int("cache", 0, "ignored (the gateway holds no results; each shard's -cache sizes its own)")
+	fs.Int("cache", 0, "ignored (the gateway holds no results; each shard answers from its retained jobs, see mcqueue -retain)")
 	maxTarget := fs.Int64("target-max-photons", 0,
 		"precision-target photon cap; must match the shards' flag (it participates in the routing key)")
 	maxBody := fs.Int64("max-body-bytes", 0,

@@ -1,7 +1,7 @@
 // Command mcqueue runs the multi-job simulation service: a long-lived job
 // registry serving many concurrent simulations over one shared worker
-// fleet, with an HTTP JSON control plane and a content-addressed result
-// cache. It is the many-job generalisation of mcserver — workers are
+// fleet, with an HTTP JSON control plane whose retained jobs answer
+// repeated submissions. It is the many-job generalisation of mcserver — workers are
 // identical (mcworker connects to either).
 //
 // Example (three terminals):
@@ -12,7 +12,8 @@
 //
 // Then poll GET /jobs/{id}, fetch GET /jobs/{id}/result, cancel with
 // DELETE /jobs/{id}, and watch fleet health on GET /stats. Submitting the
-// same spec/photons/seed again returns the cached tally instantly.
+// same spec/photons/seed again answers with the job that ran it, instantly,
+// for as long as -retain keeps that job.
 //
 // A job may carry a precision target instead of a fixed photon budget —
 //
@@ -21,9 +22,9 @@
 //
 // — in which case the registry issues chunks until the observable's
 // relative standard error meets the target (GET /jobs/{id} reports the
-// live estimate ± CI and photons spent), and a stored run of the same
+// live estimate ± CI and photons spent), and a retained run of the same
 // physics that already meets-or-exceeds the precision serves the request
-// from cache.
+// instantly, as a job born done around that run's tally.
 //
 // The API also serves the introspection plane: GET /fleet (live worker
 // sessions with reported and inferred photon throughput), GET
@@ -102,8 +103,11 @@ func main() {
 		"separate listener for /metrics, /healthz, /readyz and /debug/pprof (empty: multiplexed on -http)")
 	policyName := fs.String("policy", "fair",
 		"cross-job scheduling policy: fifo, priority, fair, tenant-fair")
-	cacheSize := fs.Int("cache", 256, "result cache entries (0 default, negative disables)")
-	retain := fs.Int("retain", 1024, "finished jobs kept queryable (negative: forever)")
+	// Parsed and ignored: bench/ still passes -cache to mcqueue. Delete the
+	// flag together with that caller.
+	fs.Int("cache", 0, "ignored (a shard answers repeats from its retained jobs; see -retain)")
+	retain := fs.Int("retain", 1024,
+		"finished jobs kept queryable, and what repeats and looser targets are answered from (negative: forever)")
 	maxTarget := fs.Int64("target-max-photons", 0,
 		"operator cap on precision-targeted jobs' photon budgets (0 = 50M default)")
 	maxActive := fs.Int("max-active-jobs", 0,
@@ -219,7 +223,6 @@ func main() {
 
 	reg := service.New(service.Options{
 		Policy:           policy,
-		CacheSize:        *cacheSize,
 		RetainDone:       *retain,
 		MaxTargetPhotons: *maxTarget,
 		MaxActiveJobs:    *maxActive,

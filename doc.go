@@ -46,9 +46,9 @@
 // JobRegistry of many concurrent simulations sharing one worker fleet:
 // idle workers pull chunks of whichever job a pluggable policy picks
 // (FIFO, priority, or weighted fair-share), results route back by JobID,
-// completed tallies land in a content-addressed cache so resubmitting an
-// identical job returns instantly, and everything is driven over an HTTP
-// JSON API:
+// jobs are content-addressed so resubmitting an identical job returns the
+// job that ran it, instantly, and everything is driven over an HTTP JSON
+// API:
 //
 //	reg := phomc.NewJobRegistry(phomc.RegistryOptions{Policy: phomc.FairSharePolicy()})
 //	go reg.Serve(fleetListener)                           // mcworker clients attach here
@@ -69,7 +69,7 @@
 // cancel — to a segmented, CRC32C-framed write-ahead journal
 // (internal/wal). After a SIGKILL, OOM-kill or power cut, the restart
 // replays the journal before /readyz flips: accepted jobs come back under
-// their original IDs, finished jobs re-seed the result cache, and
+// their original IDs, finished jobs answer their repeats again, and
 // anything reduced since the last snapshot is recomputed — chunk tallies
 // are pure functions of (seed, stream, fan) — so the resumed tally is
 // byte-identical to an uninterrupted run's. A journal written before the

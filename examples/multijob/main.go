@@ -1,8 +1,8 @@
 // Multijob: the simulation service end to end, in one process. A job
 // registry with weighted fair-share scheduling serves three workers; two
 // different head-model jobs (one weighted 3×) run concurrently over the
-// shared fleet, a third identical submission is answered straight from the
-// content-addressed result cache, and the HTTP API reports fleet health.
+// shared fleet, a third identical submission is answered with the job that
+// ran it, and the HTTP API reports fleet health.
 package main
 
 import (
@@ -76,7 +76,8 @@ func main() {
 	fmt.Printf("neonate:    %d photons, detected fraction %.4g (%v)\n",
 		resB.Tally.Launched, resB.Tally.DetectedFraction(), resB.Elapsed.Round(time.Millisecond))
 
-	// Resubmit the adult head verbatim: a cache hit, no photons launched.
+	// Resubmit the adult head verbatim: the job that ran it, no photons
+	// launched.
 	dup, err := reg.Submit(phomc.ServiceJobSpec{
 		Spec: adult, TotalPhotons: 40_000, ChunkPhotons: 2_000, Seed: 1,
 	})

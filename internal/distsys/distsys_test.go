@@ -634,7 +634,7 @@ func TestSessionSharesEqualGrids(t *testing.T) {
 	// encoded tallies with the session's two geometry counters.
 	session := func(jobs []service.JobSpec) (tallies [][]byte, builds, shared uint64) {
 		t.Helper()
-		reg := service.New(service.Options{CacheSize: -1})
+		reg := service.New(service.Options{})
 		var accepted []*service.Job
 		for _, js := range jobs {
 			out, err := reg.Submit(js)

@@ -170,7 +170,7 @@ func TestGrantBatchIndependentOfGOMAXPROCS(t *testing.T) {
 // requeues the other two at once, which a second worker then computes.
 func TestStopMidGrantHandsBackStartedPrefix(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	reg := service.New(service.Options{CacheSize: -1})
+	reg := service.New(service.Options{})
 	submit := func(photons, chunk int64) *service.Job {
 		t.Helper()
 		out, err := reg.Submit(service.JobSpec{Spec: quickSpec(), TotalPhotons: photons, ChunkPhotons: chunk, Seed: uint64(photons)})
@@ -307,7 +307,7 @@ func TestChunkBudgetsCapParallelGrants(t *testing.T) {
 // the grant's chunks run side by side.
 func TestReportedRateMatchesInferred(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	reg := service.New(service.Options{CacheSize: -1})
+	reg := service.New(service.Options{})
 	out, err := reg.Submit(service.JobSpec{Spec: quickSpec(), TotalPhotons: 40 * 1500, ChunkPhotons: 1500, Seed: 5})
 	if err != nil {
 		t.Fatal(err)

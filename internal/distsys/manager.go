@@ -110,7 +110,6 @@ func NewDataManager(opts JobOptions) (*DataManager, error) {
 	}
 	dm.reg = service.New(service.Options{
 		DrainOnEmpty: true,
-		CacheSize:    -1, // a one-shot job has nothing to deduplicate against
 		Obs:          opts.Obs,
 		Logger:       opts.Logger,
 		Journal:      dm.journal,

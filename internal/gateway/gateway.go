@@ -12,7 +12,7 @@
 //   - POST /jobs is keyed, admission-checked when the gateway owns the
 //     tenant buckets, and forwarded to the shard owning its routing key
 //     (service.RouteKey: the physics key of a moments-tracking spec, whose
-//     looser targets and repeats that shard's cache then answers; the
+//     looser targets and repeats that shard's retained jobs answer; the
 //     content key otherwise) in the compact submission encoding
 //     (service.SubmissionCompactType), not as the client's JSON again.
 //   - GET/DELETE /jobs/{id}... is routed by the ID alone: job IDs are
@@ -33,7 +33,7 @@
 // shard's admission verdict, and retrying either elsewhere would be
 // wrong twice over. Re-sending a submission after a mid-flight error is
 // safe because submissions are content-addressed: the shard that already
-// accepted it coalesces or cache-hits the retry onto the same job ID.
+// accepted it answers the retry with the same job, live or finished.
 package gateway
 
 import (
@@ -64,10 +64,10 @@ type Options struct {
 	// the natural place once submissions fan out over shards that cannot
 	// see each other's arrival rates. Shards behind an admitting gateway
 	// should run AlwaysAdmit, or tenants pay twice. The gateway cannot see
-	// a shard's cache, so every submission it forwards pays its full cost
-	// (service.JobSpec.AdmissionPhotons), a resubmission the shard answers
-	// from its cache included. nil forwards everything and leaves admission
-	// to the shards.
+	// a shard's retained jobs, so every submission it forwards pays its full
+	// cost (service.JobSpec.AdmissionPhotons), a resubmission the shard
+	// answers from them included. nil forwards everything and leaves
+	// admission to the shards.
 	Admission service.AdmissionPolicy
 	// MaxTargetPhotons must match the shards' own -target-max-photons: it
 	// participates in spec normalization and therefore in the keys.

@@ -223,9 +223,8 @@ func TestGatewayRoutesAndCompletes(t *testing.T) {
 // shard→gateway hop, for every result shape: the body read through the
 // gateway — decoded from the compact codec and JSON-encoded there — is byte
 // for byte the body the shard serves a client directly, and a resubmission
-// answered from its shard's cache — a job of its own there, under the next
-// free ID after the run's — reads the same again but for the ID and the
-// two fields that say so (cacheHit, elapsedSeconds).
+// — answered by its shard with the job that ran it — reads byte for byte
+// the same again.
 func TestResultBytesSameAtEveryTier(t *testing.T) {
 	_, tsA := shardServer(t, service.Options{}, 2)
 	_, tsB := shardServer(t, service.Options{}, 2)
@@ -265,35 +264,15 @@ func TestResultBytesSameAtEveryTier(t *testing.T) {
 			}
 
 			hit := submitJob(t, gw.URL, "", req)
-			if want := nextID(t, acc.ID); !hit.Cached || hit.ID != want {
-				t.Fatalf("resubmission %+v, want a cache hit under %s, the next free ID after %s", hit, want, acc.ID)
+			if !hit.Cached || hit.ID != acc.ID {
+				t.Fatalf("resubmission %+v, want %s itself, cached", hit, acc.ID)
 			}
 			code, viaHit := get(t, gw.URL+"/jobs/"+hit.ID+"/result")
 			if code != http.StatusOK {
 				t.Fatalf("cache hit's result: http %d", code)
 			}
-			var fresh, cached map[string]json.RawMessage
-			if err := json.Unmarshal([]byte(viaGW), &fresh); err != nil {
-				t.Fatal(err)
-			}
-			if err := json.Unmarshal([]byte(viaHit), &cached); err != nil {
-				t.Fatal(err)
-			}
-			if string(cached["cacheHit"]) != "true" {
-				t.Fatalf("cache hit's body does not say cacheHit: %.200s", viaHit)
-			}
-			for _, m := range []map[string]json.RawMessage{fresh, cached} {
-				delete(m, "id")
-				delete(m, "cacheHit")
-				delete(m, "elapsedSeconds")
-			}
-			if len(fresh) != len(cached) {
-				t.Fatalf("cache hit's body has fields %d, fresh body %d", len(cached), len(fresh))
-			}
-			for k, v := range fresh {
-				if string(cached[k]) != string(v) {
-					t.Fatalf("cache hit's body differs from the fresh one in %q", k)
-				}
+			if viaHit != viaGW {
+				t.Fatalf("the repeat's body differs from the run's:\n%.300s\nvs\n%.300s", viaHit, viaGW)
 			}
 		})
 	}
@@ -315,8 +294,8 @@ func TestResultBytesSameAtEveryTier(t *testing.T) {
 // dependence to lose in a restart.
 func TestGatewayRoutingIsStableAcrossInstances(t *testing.T) {
 	// No workers: the job stays queued, so the second submission coalesces
-	// onto it. (With a worker it could finish first, and a shard-side cache
-	// hit is a new job under the next free ID.)
+	// onto it. (With a worker it could finish first, and the second would be
+	// an exact hit on the same job rather than a coalesce.)
 	regA, tsA := shardServer(t, service.Options{}, 0)
 	regB, tsB := shardServer(t, service.Options{}, 0)
 	_, gw1 := gatewayServer(t, Options{Shards: [][]string{{tsA.URL}, {tsB.URL}}})
@@ -340,7 +319,8 @@ func TestGatewayRoutingIsStableAcrossInstances(t *testing.T) {
 // keeps a tier of results. The hit is counted where it is served, computes
 // nothing, and is a job like any other: status, result, events and spans
 // read through either gateway, and cancelling it is the shard's 409. An
-// exact repeat is the same, counted under the exact index.
+// exact repeat is the run itself, counted under the exact index and traced
+// on the run's own ring.
 func TestTierHitIsAJobOnItsShard(t *testing.T) {
 	obsByShard := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
 	_, tsA := shardServer(t, service.Options{Obs: obsByShard[0]}, 2)
@@ -400,13 +380,14 @@ func TestTierHitIsAJobOnItsShard(t *testing.T) {
 
 	looser := submitJob(t, gwHit.URL, "", loose)
 	exact := submitJob(t, gwHit.URL, "", tight)
-	for _, acc := range []service.JobAccepted{looser, exact} {
-		if !acc.Cached || acc.State != service.StateDone.String() {
-			t.Fatalf("resubmission answered %+v, want a cached job born done", acc)
-		}
-		if id, _ := strconv.ParseUint(acc.ID, 16, 64); service.ShardOfID(id, 2) != owner {
-			t.Fatalf("hit %s names shard %d, want the run's shard %d", acc.ID, service.ShardOfID(id, 2), owner)
-		}
+	if !looser.Cached || looser.State != service.StateDone.String() || looser.ID == accTight.ID {
+		t.Fatalf("looser target answered %+v, want a cached job born done", looser)
+	}
+	if id, _ := strconv.ParseUint(looser.ID, 16, 64); service.ShardOfID(id, 2) != owner {
+		t.Fatalf("hit %s names shard %d, want the run's shard %d", looser.ID, service.ShardOfID(id, 2), owner)
+	}
+	if !exact.Cached || exact.ID != accTight.ID {
+		t.Fatalf("exact repeat answered %+v, want the run %s itself", exact, accTight.ID)
 	}
 	if hits(owner, "physics") != 1 || hits(owner, "exact") != 1 || hits(1-owner, "physics")+hits(1-owner, "exact") != 0 {
 		t.Fatalf("shard hits: owner exact %d physics %d, other %d/%d; want 1 and 1 on the owner only",
@@ -419,38 +400,39 @@ func TestTierHitIsAJobOnItsShard(t *testing.T) {
 	}
 
 	for _, gw := range []*httptest.Server{gwHit, gwRun} {
-		for _, acc := range []service.JobAccepted{looser, exact} {
-			base := gw.URL + "/jobs/" + acc.ID
-			var st service.JobStatus
-			if code, raw := get(t, base); code != http.StatusOK || json.Unmarshal([]byte(raw), &st) != nil ||
-				st.State != service.StateDone.String() || !st.CacheHit {
-				t.Fatalf("status of hit %s: http %d %s", acc.ID, code, raw)
-			}
-			var res service.JobResultBody
-			code, raw := get(t, base+"/result")
-			if err := json.Unmarshal([]byte(raw), &res); code != http.StatusOK || err != nil {
-				t.Fatalf("result of hit %s: http %d, %v", acc.ID, code, err)
-			}
-			want, _ := json.Marshal(original.Tally)
-			if got, _ := json.Marshal(res.Tally); !res.CacheHit || res.ID != acc.ID || !res.TargetMet || string(got) != string(want) {
-				t.Fatalf("hit %s does not carry the tally of %s with its target met", acc.ID, accTight.ID)
-			}
-			// The shard's own rings: the hit is an event, and no chunk ran.
-			if code, raw := get(t, base+"/events"); code != http.StatusOK || !strings.Contains(raw, `"cache-hit"`) {
-				t.Fatalf("events of hit %s: http %d %s", acc.ID, code, raw)
-			}
-			if code, raw := get(t, base+"/spans"); code != http.StatusOK || !strings.Contains(raw, `"spans":[]`) {
-				t.Fatalf("spans of hit %s: http %d %s", acc.ID, code, raw)
-			}
-			req, _ := http.NewRequest(http.MethodDelete, base, nil)
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusConflict {
-				t.Fatalf("DELETE of hit %s: http %d, want 409", acc.ID, resp.StatusCode)
-			}
+		if code, raw := get(t, gw.URL+"/jobs/"+exact.ID+"/events"); code != http.StatusOK || !strings.Contains(raw, `"cache-hit"`) {
+			t.Fatalf("events of the repeated run %s: http %d %.300s", exact.ID, code, raw)
+		}
+		base := gw.URL + "/jobs/" + looser.ID
+		var st service.JobStatus
+		if code, raw := get(t, base); code != http.StatusOK || json.Unmarshal([]byte(raw), &st) != nil ||
+			st.State != service.StateDone.String() || !st.CacheHit {
+			t.Fatalf("status of hit %s: http %d %s", looser.ID, code, raw)
+		}
+		var res service.JobResultBody
+		code, raw := get(t, base+"/result")
+		if err := json.Unmarshal([]byte(raw), &res); code != http.StatusOK || err != nil {
+			t.Fatalf("result of hit %s: http %d, %v", looser.ID, code, err)
+		}
+		want, _ := json.Marshal(original.Tally)
+		if got, _ := json.Marshal(res.Tally); !res.CacheHit || res.ID != looser.ID || !res.TargetMet || string(got) != string(want) {
+			t.Fatalf("hit %s does not carry the tally of %s with its target met", looser.ID, accTight.ID)
+		}
+		// The shard's own rings: the hit is an event, and no chunk ran.
+		if code, raw := get(t, base+"/events"); code != http.StatusOK || !strings.Contains(raw, `"cache-hit"`) {
+			t.Fatalf("events of hit %s: http %d %s", looser.ID, code, raw)
+		}
+		if code, raw := get(t, base+"/spans"); code != http.StatusOK || !strings.Contains(raw, `"spans":[]`) {
+			t.Fatalf("spans of hit %s: http %d %s", looser.ID, code, raw)
+		}
+		req, _ := http.NewRequest(http.MethodDelete, base, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusConflict {
+			t.Fatalf("DELETE of hit %s: http %d, want 409", looser.ID, resp.StatusCode)
 		}
 	}
 	if after := granted(); after != before {
@@ -539,16 +521,6 @@ func noTierServesShardless(t *testing.T, submitElsewhere bool) {
 			t.Fatalf("%s with shards down: http %d: %s (want a 502 naming no job)", name, resp.StatusCode, raw)
 		}
 	}
-}
-
-// nextID is the hex job ID after id.
-func nextID(t *testing.T, id string) string {
-	t.Helper()
-	n, err := strconv.ParseUint(id, 16, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fmt.Sprintf("%016x", n+1)
 }
 
 // TestGatewayFailoverPolicy pins the retry matrix with scripted replicas:

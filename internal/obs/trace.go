@@ -12,8 +12,9 @@ const (
 	EvSubmitted EventKind = iota + 1
 	// EvCoalesced records an identical submission attaching to this job.
 	EvCoalesced
-	// EvCacheHit records a submission served from cache; Detail names the
-	// index that hit ("exact" or "physics").
+	// EvCacheHit records a submission answered by a retained run; Detail
+	// names the index that hit: "exact" on the run's own ring, "physics"
+	// on the ring of the job born done around the run's tally.
 	EvCacheHit
 	// EvResumed records a job restored from a journal snapshot.
 	EvResumed

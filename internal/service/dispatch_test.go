@@ -171,7 +171,7 @@ func TestParkedWorkerGrantedAtChunkDeadline(t *testing.T) {
 // registry finishes, every parked worker is told Done — none waits out its
 // park.
 func TestDrainOnEmptyReleasesParkedWorkers(t *testing.T) {
-	reg := New(Options{DrainOnEmpty: true, CacheSize: -1})
+	reg := New(Options{DrainOnEmpty: true})
 	out, err := reg.Submit(JobSpec{Spec: slabSpec(5), TotalPhotons: 100, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -451,7 +451,7 @@ func TestDispatchNeverStrandsAParkedWorker(t *testing.T) {
 				shortTimeout = 20 * time.Millisecond
 			)
 			rng := rand.New(rand.NewPCG(seed, 14))
-			reg := New(Options{CacheSize: -1})
+			reg := New(Options{})
 			fleet := make([]*chaosWorker, workers)
 			for i := range fleet {
 				fleet[i] = &chaosWorker{name: fmt.Sprintf("w%d", i), stall: 3 * shortTimeout}

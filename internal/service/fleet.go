@@ -693,7 +693,7 @@ func (r *Registry) reduceGroup(sess *session, jobID uint64, chunks []int, tally 
 	// or another batch meeting the job's precision target — may have
 	// landed while this group waited, and a job that left the active
 	// states must not absorb more weight. Its tally is either published
-	// to waiters and the cache (Done) or discarded (Canceled); merging
+	// to waiters and repeats (Done) or discarded (Canceled); merging
 	// into it after the fact would corrupt the former and waste work on
 	// the latter, and /stats lifecycle counters would drift from the
 	// tallies behind them. State changes to Done require this redMu, so
@@ -856,7 +856,7 @@ func (r *Registry) reduceGroup(sess *session, jobID uint64, chunks []int, tally 
 		r.journal.chunksReduced(r, j, len(chunks), finished != nil)
 	}
 	if finished != nil {
-		r.sealJob(finished) // cache clone + waiter release, off the hot lock
+		r.sealJob(finished) // physics index + waiter release, off the hot lock
 	}
 	return acks
 }

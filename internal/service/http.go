@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -86,8 +87,9 @@ type JobAccepted struct {
 type JobResultBody struct {
 	ID string `json:"id"`
 	// Key and PhysicsKey are the job's content key and physics key (see
-	// KeyOf, PhysicsKeyOf; hex in JSON): the two cache lines its shard files
-	// the tally under, and what the job ID was derived from (JobID).
+	// KeyOf, PhysicsKeyOf; hex in JSON): the two indexes its shard answers
+	// repeats and looser targets from, and what the job ID was derived from
+	// (JobID).
 	Key        Key        `json:"key"`
 	PhysicsKey Key        `json:"physicsKey"`
 	CacheHit   bool       `json:"cacheHit,omitempty"`
@@ -421,6 +423,11 @@ func (a *API) events(w http.ResponseWriter, req *http.Request) {
 		if e.Chunk >= 0 {
 			chunk := e.Chunk
 			eb.Chunk = &chunk
+		}
+		if math.IsInf(eb.Value, 0) {
+			// An estimate's RSE before two chunks reduced: withheld, as
+			// the status withholds it, rather than failing the whole body.
+			eb.Value = 0
 		}
 		body.Events = append(body.Events, eb)
 	}

@@ -174,7 +174,7 @@ func TestResultNegotiation(t *testing.T) {
 // TestHTTPConcurrentJobsEndToEnd is the PR acceptance test: two concurrent
 // jobs submitted over the HTTP API share one 3-worker fleet, both tallies
 // match their standalone single-job runs, and resubmitting a completed
-// Spec returns the cached result without assigning any chunks.
+// Spec answers with the job that ran it without assigning any chunks.
 func TestHTTPConcurrentJobsEndToEnd(t *testing.T) {
 	reg := New(Options{Policy: FairShare()})
 	ts := httptest.NewServer(NewAPI(reg).Handler())
@@ -228,19 +228,16 @@ func TestHTTPConcurrentJobsEndToEnd(t *testing.T) {
 		t.Fatal("job B tally over HTTP differs from its standalone single-job run")
 	}
 
-	// Resubmit job A verbatim: served from cache, no chunks assigned.
+	// Resubmit job A verbatim: job A itself, no chunks assigned.
 	var before Stats
 	getJSON(t, ts.URL+"/stats", &before)
 	dup, code := postJob(t, ts, JobRequest{Spec: specA, Photons: totalA, ChunkPhotons: chunkA, Seed: seedA})
-	if code != http.StatusOK || !dup.Cached {
-		t.Fatalf("resubmission not cached: http %d %+v", code, dup)
+	if code != http.StatusOK || !dup.Cached || dup.ID != accA.ID {
+		t.Fatalf("resubmission: http %d %+v, want job %s, cached", code, dup, accA.ID)
 	}
 	var dupRes JobResultBody
 	if code := getJSON(t, ts.URL+"/jobs/"+dup.ID+"/result", &dupRes); code != http.StatusOK {
 		t.Fatalf("cached result: http %d", code)
-	}
-	if !dupRes.CacheHit {
-		t.Fatal("cached result not flagged")
 	}
 	if dupRes.Tally.Launched != totalA ||
 		math.Abs(dupRes.Tally.AbsorbedWeight-resA.Tally.AbsorbedWeight) > 0 {
@@ -251,7 +248,7 @@ func TestHTTPConcurrentJobsEndToEnd(t *testing.T) {
 	if after.ChunksAssigned != before.ChunksAssigned {
 		t.Fatalf("cache hit assigned %d chunks", after.ChunksAssigned-before.ChunksAssigned)
 	}
-	if after.CacheHits == 0 || after.Workers != 3 || after.JobsDone < 3 {
+	if after.CacheHits != 1 || after.Workers != 3 || after.JobsDone != 2 || after.CacheEntries != 2 {
 		t.Fatalf("stats inconsistent: %+v", after)
 	}
 }

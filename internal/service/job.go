@@ -18,7 +18,8 @@ import (
 //	   │                  │
 //	   └───────Cancel─────┴──▶ Canceled
 //
-// A cache-hit submission is born Done.
+// A physics hit is born Done around a deeper run's tally; an exact repeat
+// is not a job of its own but the finished job it repeats.
 type JobState int
 
 const (
@@ -54,11 +55,11 @@ type WorkerInfo struct {
 
 // Result is the outcome of a completed job.
 type Result struct {
-	// Tally is read-only — its job, the result cache and every later hit the
-	// cache answers share the one; Clone before merging into it.
+	// Tally is read-only — its job, every repeat it answers and every
+	// physics hit it serves share the one; Clone before merging into it.
 	Tally *mc.Tally
 	// Elapsed is the wall-clock job duration, first assignment to last
-	// reduction (zero for cache hits).
+	// reduction (zero for a physics hit).
 	Elapsed time.Duration
 	// Chunks, Reassigned, Duplicates and Rejected describe scheduling
 	// behaviour.
@@ -66,8 +67,8 @@ type Result struct {
 	Reassigned int
 	Duplicates int
 	Rejected   int
-	// CacheHit reports the result was served from the content-addressed
-	// cache without assigning any chunks.
+	// CacheHit reports a job born done from a physics hit: the tally is a
+	// deeper run's, and no chunks were assigned for it.
 	CacheHit bool
 	// Target echoes a precision-targeted job's goal; TargetMet reports
 	// whether the stopping rule fired (false means the photon cap ended
@@ -131,7 +132,7 @@ type Job struct {
 
 	id   uint64
 	key  Key
-	pkey Key // physics key (meets-or-exceeds cache index)
+	pkey Key // physics key (the meets-or-exceeds index, byPhysics)
 	spec JobSpec
 
 	// nChunks is the fixed chunk count of a budgeted job. A
@@ -403,9 +404,9 @@ func (j *Job) Wait(timeout time.Duration) (*Result, error) {
 	return res, nil
 }
 
-// bornDoneJob builds a completed job around a cached tally — no geometry
-// construction, no chunk queue; the ID is assigned by registerLocked
-// like any other job.
+// bornDoneJob builds a completed job around a deeper run's tally — no
+// geometry construction, no chunk queue; the ID is assigned by
+// registerLocked like any other job.
 func bornDoneJob(reg *Registry, key Key, spec JobSpec, tally *mc.Tally) *Job {
 	n := spec.numChunks()
 	now := time.Now()
@@ -438,7 +439,7 @@ func bornDoneJob(reg *Registry, key Key, spec JobSpec, tally *mc.Tally) *Job {
 
 // publishEstimate refreshes the job's Status-visible estimate fields from
 // a tally. Reducers call it under both the reduction and registry locks;
-// construction paths (cache hits, snapshot resumes) call it before the job
+// construction paths (physics hits, snapshot resumes) call it before the job
 // is published anywhere.
 func (j *Job) publishEstimate(t *mc.Tally) {
 	if t == nil || t.Moments == nil {

@@ -286,7 +286,7 @@ func (jl *Journal) jobAccepted(r *Registry, key Key, spec JobSpec) {
 // reduced chunks per job it journals a full tally snapshot. The chunks
 // themselves are not journaled — replay resumes from the last snapshot
 // and recomputes the rest. A finished job gets its final snapshot at once:
-// replay rebuilds it born Done from that and re-seeds the result cache.
+// replay rebuilds it born Done from that, the answer to its repeats again.
 // It must be cut before sealJob releases the job's waiters, while the
 // tally is still guaranteed quiescent — as is the size compaction after
 // it, which snapshots the job again. Called with no registry or reduction
@@ -377,8 +377,9 @@ func (jl *Journal) maybeCompact(r *Registry) {
 // job that ran, live or finished (snapshots carry no spec, so each needs
 // its accept record alongside). History before the snapshots — older
 // snapshots and canceled jobs — is dropped; a canceled job simply has
-// nothing to replay. A job born done from a cache hit is left out,
-// as the append path leaves it out: a SIGTERM must leave what a SIGKILL would.
+// nothing to replay. A job born done from a physics hit is left out, as
+// the append path leaves it out (an exact repeat is no job at all): a
+// SIGTERM must leave what a SIGKILL would.
 func (jl *Journal) compact(r *Registry) error {
 	// Hold acceptMu for the whole rewrite: Compact deletes every existing
 	// record, so an accept append racing the gather→Compact window would
@@ -436,9 +437,9 @@ func (r *Registry) CompactJournal() error {
 // Replay folds recovered records into the registry, re-queueing every
 // job the crash interrupted. Fold semantics: later records supersede
 // earlier ones per job key — the last snapshot wins, a cancel drops the
-// job. A job whose last snapshot is complete is born Done from it
-// (re-seeding the result cache); one with no snapshot at all is queued
-// from its accept record. Whatever was reduced past the last snapshot
+// job. A job whose last snapshot is complete is born Done from it (and
+// answers repeats and looser targets again); one with no snapshot at all is
+// queued from its accept record. Whatever was reduced past the last snapshot
 // recomputes, which is safe because a chunk tally is a pure function of
 // (seed, stream, fan). Returns the number of jobs restored (live or done).
 // Replayed submissions bypass admission — their work was admitted before

@@ -349,8 +349,8 @@ func TestJournalFinalizedReplayBornDone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dup.Cached {
-		t.Fatal("replay did not re-seed the result cache")
+	if !dup.Cached || dup.Job != j {
+		t.Fatalf("repeat after replay: %+v, want the replayed job, cached", dup)
 	}
 }
 
@@ -446,11 +446,13 @@ func TestJournalCompactionShrinksAndReplays(t *testing.T) {
 	}
 }
 
-// TestJournalCompactionLeavesCacheHitsOut: a job born done from a cache hit
-// — exact or physics — is never journaled by the append path, so
-// compaction must not write it either: a shard that was SIGTERM'd (compact,
-// then exit) restores the jobs a SIGKILL'd one would, and a popular spec's
-// repeats do not each leave an accept + tally pair in the log.
+// TestJournalCompactionLeavesCacheHitsOut: a cache hit is never journaled
+// by the append path — an exact repeat is the job that ran, and a job born
+// done from a physics hit holds that run's tally — so compaction must not
+// write a hit either: a shard that was SIGTERM'd (compact, then exit)
+// restores the jobs a SIGKILL'd one would, a popular spec's repeats do not
+// each leave an accept + tally pair in the log, and after the restart a
+// repeat names the restored run again.
 func TestJournalCompactionLeavesCacheHitsOut(t *testing.T) {
 	dir := t.TempDir()
 	regA, wlA, _ := journaledRegistry(t, dir, 0, Options{})
@@ -468,13 +470,12 @@ func TestJournalCompactionLeavesCacheHitsOut(t *testing.T) {
 	uncompacted := wlA.Size()
 	looser := js
 	looser.Target = &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.2}
-	var hits []*SubmitOutcome
-	for _, resubmit := range []JobSpec{js, looser} {
-		out, err := regA.Submit(resubmit)
-		if err != nil || !out.Cached {
-			t.Fatalf("resubmission: %+v, %v; want a job born done", out, err)
-		}
-		hits = append(hits, out)
+	if out, err := regA.Submit(js); err != nil || !out.Cached || out.Job != ran.Job {
+		t.Fatalf("repeat: %+v, %v; want the job that ran, cached", out, err)
+	}
+	hit, err := regA.Submit(looser)
+	if err != nil || !hit.Cached || hit.Job == ran.Job {
+		t.Fatalf("looser target: %+v, %v; want a job born done", hit, err)
 	}
 	if wlA.Size() != uncompacted {
 		t.Fatal("a cache hit appended to the journal")
@@ -497,20 +498,22 @@ func TestJournalCompactionLeavesCacheHitsOut(t *testing.T) {
 	if err != nil || !bytes.Equal(tallyBytes(t, resB.Tally), tallyBytes(t, res.Tally)) {
 		t.Fatalf("the job that ran came back with another tally (%v)", err)
 	}
-	for _, hit := range hits {
-		if regB.Get(hit.Job.ID()) != nil {
-			t.Fatalf("cache hit %016x was restored from the compacted journal", hit.Job.ID())
-		}
+	if regB.Get(hit.Job.ID()) != nil {
+		t.Fatalf("cache hit %016x was restored from the compacted journal", hit.Job.ID())
+	}
+	if out, err := regB.Submit(js); err != nil || !out.Cached || out.Job != back {
+		t.Fatalf("repeat after the restart: %+v, %v; want the restored run, cached", out, err)
 	}
 }
 
 // TestJournalRestoresEveryJobUnderItsAcceptedID: the variants of one
 // physics share their ID's shard bits but not their IDs, so neither an
 // unjournaled cache hit in between nor the order a replay restores them in
-// moves one. A looser run, its exact repeat (a hit, never journaled) and a
-// tighter target that runs fresh: after a crash (the appended log) and
-// after a clean stop (the compacted one), both jobs that ran are back under
-// the IDs they were accepted with, and the repeat's ID names no other job.
+// moves one. A looser run, its exact repeat (a hit on the run, never
+// journaled) and a tighter target that runs fresh: after a crash (the
+// appended log) and after a clean stop (the compacted one), both jobs that
+// ran are back under the IDs they were accepted with, and the repeat, again,
+// names the restored looser run.
 func TestJournalRestoresEveryJobUnderItsAcceptedID(t *testing.T) {
 	dir := t.TempDir()
 	regA, wlA, _ := journaledRegistry(t, dir, 0, Options{})
@@ -531,7 +534,9 @@ func TestJournalRestoresEveryJobUnderItsAcceptedID(t *testing.T) {
 	tight := loose
 	tight.Target = &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.01}
 	ran := []*Job{run(loose, false)}
-	repeat := run(loose, true)
+	if repeat := run(loose, true); repeat != ran[0] {
+		t.Fatalf("the repeat is job %016x, want the looser run %016x", repeat.ID(), ran[0].ID())
+	}
 	ran = append(ran, run(tight, false))
 	wlA.Close()
 
@@ -545,8 +550,8 @@ func TestJournalRestoresEveryJobUnderItsAcceptedID(t *testing.T) {
 				t.Errorf("%s: job %016x is not back under its ID", stop, j.ID())
 			}
 		}
-		if regB.Get(repeat.ID()) != nil {
-			t.Errorf("%s: the repeat's ID %016x names a restored job", stop, repeat.ID())
+		if out, err := regB.Submit(loose); err != nil || !out.Cached || out.Job.ID() != ran[0].ID() {
+			t.Errorf("%s: the repeat after replay is %+v, %v; want the looser run %016x, cached", stop, out, err, ran[0].ID())
 		}
 		if err := regB.CompactJournal(); err != nil {
 			t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/canon"
 	"repro/internal/mc"
@@ -18,7 +17,7 @@ import (
 // result depends on — the spec fixes the physics, the photon totals fix
 // the chunking (and with it the RNG stream count), and the seed fixes
 // the streams — so two submissions with equal keys produce bit-identical
-// tallies and the second can be served from cache.
+// tallies and the second is answered by the first.
 //
 // canon, not gob: gob grants wire type IDs from a process-global
 // first-encode-wins counter, so the byte stream for identical values
@@ -54,8 +53,8 @@ func KeyOf(spec *mc.Spec, totalPhotons, chunkPhotons int64, seed uint64) (Key, e
 // KeyOfFan is KeyOf for fanned jobs: a fan width > 1 changes every chunk
 // tally (the chunk decomposes into fan sub-streams), so it must be part of
 // the content address. The fan is appended to the hash input only when it
-// is > 1, which keeps the key *format* — and with it every existing cache
-// entry and restart-stable job ID of legacy single-stream jobs — untouched.
+// is > 1, which keeps the key *format* — and with it every journaled key
+// and restart-stable job ID of legacy single-stream jobs — untouched.
 func KeyOfFan(spec *mc.Spec, totalPhotons, chunkPhotons int64, seed uint64, fan int) (Key, error) {
 	key, _, err := deriveKeys(spec, totalPhotons, chunkPhotons, seed, fan, nil)
 	return key, err
@@ -122,119 +121,4 @@ func deriveKeys(spec *mc.Spec, totalPhotons, chunkPhotons int64, seed uint64, fa
 	hk.Sum(key[:0])
 	hp.Sum(pkey[:0])
 	return key, pkey, nil
-}
-
-// ResultCache is a bounded FIFO-evicting map from job key to completed
-// tally, plus a physics-keyed side index serving meets-or-exceeds
-// precision lookups (one entry per physics key: the deepest — most
-// photons — stored run of that decomposition). Each registry holds one;
-// a gateway holds none, and routes every variant of a physics to the shard
-// whose cache serves it (RouteKey).
-//
-// It is a pure container of immutable tallies: Put stores the pointer it
-// is given and Get returns it, and nobody clones around it — a registry
-// files a job's tally once the job is done and nothing merges into it
-// again (Result.Tally is read-only). A nil *ResultCache is a disabled
-// cache: every lookup misses, every put is dropped.
-type ResultCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[Key]*mc.Tally
-	order   []Key
-
-	physics      map[Key]*mc.Tally
-	physicsOrder []Key
-}
-
-// NewResultCache bounds each index to max entries; 0 means 256, negative
-// returns the nil (disabled) cache.
-func NewResultCache(max int) *ResultCache {
-	if max < 0 {
-		return nil
-	}
-	if max == 0 {
-		max = 256
-	}
-	return &ResultCache{
-		max:     max,
-		entries: make(map[Key]*mc.Tally),
-		physics: make(map[Key]*mc.Tally),
-	}
-}
-
-// Get returns the tally stored under the exact content key, or nil.
-func (c *ResultCache) Get(k Key) *mc.Tally {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.entries[k]
-}
-
-// Put stores a completed tally under its exact content key.
-func (c *ResultCache) Put(k Key, t *mc.Tally) {
-	if c == nil || t == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[k]; !ok {
-		c.order = append(c.order, k)
-		if len(c.order) > c.max {
-			delete(c.entries, c.order[0])
-			c.order = c.order[1:]
-		}
-	}
-	c.entries[k] = t
-}
-
-// PutPhysics indexes a moments-carrying tally under its physics key,
-// keeping the deepest run per key (a later shallower run must not evict a
-// stored result that satisfies stricter targets).
-func (c *ResultCache) PutPhysics(pk Key, t *mc.Tally) {
-	if c == nil || t == nil || t.Moments == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if cur, ok := c.physics[pk]; ok {
-		if t.Launched > cur.Launched {
-			c.physics[pk] = t
-		}
-		return
-	}
-	c.physicsOrder = append(c.physicsOrder, pk)
-	if len(c.physicsOrder) > c.max {
-		delete(c.physics, c.physicsOrder[0])
-		c.physicsOrder = c.physicsOrder[1:]
-	}
-	c.physics[pk] = t
-}
-
-// GetMeeting returns the physics-indexed tally for pk if it satisfies tgt
-// (photon floor reached, RSE at or below the requested relative error) —
-// the meets-or-exceeds cache hit of precision-targeted submissions. A
-// request is never penalised for a stored run having spent *more* photons
-// than its own cap: the extra precision is free.
-func (c *ResultCache) GetMeeting(pk Key, tgt *mc.Target) *mc.Tally {
-	if c == nil || tgt == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t, ok := c.physics[pk]; ok && tgt.MetBy(t) {
-		return t
-	}
-	return nil
-}
-
-// Len reports the number of exact-key entries.
-func (c *ResultCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }

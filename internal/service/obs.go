@@ -98,9 +98,9 @@ func newServiceMetrics(reg *obs.Registry, r *Registry) *svcMetrics {
 		tenantPhotons: reg.CounterVec("service_tenant_photons_total",
 			"Photons reduced into results, by tenant.", "tenant"),
 		cacheLookups: reg.Counter("service_cache_lookups_total",
-			"Result-cache probes (one per non-coalesced submission)."),
+			"Result lookups: one per submission that did not coalesce onto a live job, two if an identical job finished while it built."),
 		cacheMisses: reg.Counter("service_cache_misses_total",
-			"Result-cache probes that found nothing."),
+			"Result lookups that found no retained job to answer with."),
 		chunksGranted: reg.Counter("service_chunks_granted_total",
 			"Chunks handed to workers, including re-grants after reassignment."),
 		chunksCompleted: reg.Counter("service_chunks_completed_total",
@@ -137,7 +137,7 @@ func newServiceMetrics(reg *obs.Registry, r *Registry) *svcMetrics {
 			"Size of one POST /jobs body read at the ingress, by format (json from a client, compact from a gateway).", obs.ByteBuckets, "format"),
 	}
 	hits := reg.CounterVec("service_cache_hits_total",
-		"Result-cache hits by index probed.", "index")
+		"Submissions answered by a retained job that ran, by index: exact (the job itself) or physics (a job born done around a deeper run).", "index")
 	m.cacheHitExact = hits.With("exact")
 	m.cacheHitPhysics = hits.With("physics")
 	rej := reg.CounterVec("service_results_rejected_total",

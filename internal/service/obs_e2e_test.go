@@ -100,9 +100,9 @@ func TestObsMetricsEndToEnd(t *testing.T) {
 	waitDone(t, ts, accA.ID)
 	waitDone(t, ts, accB.ID)
 
-	// Exact-index cache hit: resubmit A verbatim.
-	if dup, code := postJob(t, ts, JobRequest{Spec: specA, Photons: totalA, ChunkPhotons: chunkA, Seed: seedA}); code != http.StatusOK || !dup.Cached {
-		t.Fatalf("resubmission not cached: http %d %+v", code, dup)
+	// Exact-index cache hit: resubmit A verbatim, and get A.
+	if dup, code := postJob(t, ts, JobRequest{Spec: specA, Photons: totalA, ChunkPhotons: chunkA, Seed: seedA}); code != http.StatusOK || !dup.Cached || dup.ID != accA.ID {
+		t.Fatalf("resubmission: http %d %+v, want job %s, cached", code, dup, accA.ID)
 	}
 
 	m := scrape(t, ts.URL+"/metrics")
@@ -160,7 +160,8 @@ func TestObsMetricsEndToEnd(t *testing.T) {
 	}
 
 	// Job A's lifecycle trace: submitted first, then grants and
-	// completions for every chunk, finalized last.
+	// completions for every chunk, finalized, and last the exact hit of
+	// its resubmission.
 	var evs eventsBody
 	if code := getJSON(t, ts.URL+"/jobs/"+accA.ID+"/events", &evs); code != http.StatusOK {
 		t.Fatalf("events: http %d", code)
@@ -171,8 +172,9 @@ func TestObsMetricsEndToEnd(t *testing.T) {
 	if len(evs.Events) == 0 || evs.Events[0].Kind != "submitted" {
 		t.Fatalf("trace does not open with submitted: %+v", evs.Events)
 	}
-	if last := evs.Events[len(evs.Events)-1]; last.Kind != "finalized" {
-		t.Fatalf("trace does not close with finalized: %+v", last)
+	if n := len(evs.Events); n < 2 || evs.Events[n-2].Kind != "finalized" ||
+		evs.Events[n-1].Kind != "cache-hit" || evs.Events[n-1].Detail != "exact" {
+		t.Fatalf("trace does not close with finalized, then the exact hit: %+v", evs.Events)
 	}
 	counts := map[string]int{}
 	for _, e := range evs.Events {
@@ -185,7 +187,7 @@ func TestObsMetricsEndToEnd(t *testing.T) {
 			if e.Worker == "" {
 				t.Fatalf("%s event without worker: %+v", e.Kind, e)
 			}
-		case "submitted", "finalized":
+		case "submitted", "finalized", "cache-hit":
 			if e.Chunk != nil {
 				t.Fatalf("%s event carries a chunk id: %+v", e.Kind, e)
 			}

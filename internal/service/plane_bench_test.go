@@ -15,7 +15,7 @@ import (
 func BenchmarkServicePlaneBatched(b *testing.B) {
 	const jobs, chunksPerJob, workers = 48, 16, 4
 	for n := 0; n < b.N; n++ {
-		reg := New(Options{DrainOnEmpty: true, CacheSize: -1})
+		reg := New(Options{DrainOnEmpty: true})
 		handles := make([]*Job, 0, jobs)
 		for i := 0; i < jobs; i++ {
 			out, err := reg.Submit(JobSpec{
@@ -61,8 +61,8 @@ func BenchmarkServicePlaneWAL(b *testing.B) {
 		}
 		b.StartTimer()
 		reg := New(Options{
-			DrainOnEmpty: true, CacheSize: -1,
-			Journal: NewJournal(wlog, JournalOptions{}),
+			DrainOnEmpty: true,
+			Journal:      NewJournal(wlog, JournalOptions{}),
 		})
 		handles := make([]*Job, 0, jobs)
 		for i := 0; i < jobs; i++ {

@@ -28,15 +28,23 @@ type Registry struct {
 
 	mu        sync.Mutex
 	jobs      map[uint64]*Job
-	order     []*Job       // submission order (List is deterministic)
-	active    []*Job       // queued/running jobs only — the dispatcher's hot loop
-	byKey     map[Key]*Job // jobs not yet in the cache, for coalescing identical submissions
-	cache     *ResultCache
+	order     []*Job // submission order (List is deterministic)
+	active    []*Job // queued/running jobs only — the dispatcher's hot loop
 	seq       uint64 // submissions registered (DrainOnEmpty waits for the first)
 	sessions  map[uint64]*session
 	nextSess  uint64
 	seenNames map[string]bool         // worker names ever connected (reconnect detection)
 	tenants   map[string]*tenantStats // per-tenant accounting, keyed by tenant name
+
+	// byKey indexes every retained job that ran (live, done from its own
+	// reduction, or restored done from a complete snapshot) by content
+	// key: a live one absorbs an identical submission, a finished one is
+	// its answer. byPhysics holds, per physics key, the deepest retained
+	// moments-tracking job that ran, for meets-or-exceeds lookups. Jobs
+	// born done from a physics hit are in neither: their tally is another
+	// job's.
+	byKey     map[Key]*Job
+	byPhysics map[Key]*Job
 
 	// The cross-job scheduler, fed as opts.Policy configures (see
 	// assignLocked), and the dispatch scratch buffers — reused under mu so
@@ -54,8 +62,8 @@ type Registry struct {
 	drained   chan struct{} // closed when DrainOnEmpty and all jobs finished
 
 	// sealHook, when set, runs after a job is marked done and before its
-	// tally reaches the cache — a seam for tests of that window; nil
-	// outside tests.
+	// waiters are released — a seam for tests of that window; nil outside
+	// tests.
 	sealHook func()
 }
 
@@ -78,7 +86,7 @@ func New(opts Options) *Registry {
 		log:       opts.Logger,
 		jobs:      make(map[uint64]*Job),
 		byKey:     make(map[Key]*Job),
-		cache:     NewResultCache(opts.CacheSize),
+		byPhysics: make(map[Key]*Job),
 		sessions:  make(map[uint64]*session),
 		seenNames: make(map[string]bool),
 		tenants:   make(map[string]*tenantStats),
@@ -98,22 +106,24 @@ func New(opts Options) *Registry {
 // SubmitOutcome reports how a submission was satisfied.
 type SubmitOutcome struct {
 	Job *Job
-	// Cached means the job was born Done with a tally served from the
-	// result cache; no chunks will ever be assigned for it.
+	// Cached means no chunks will ever be assigned for the submission: Job
+	// is the finished job it repeats (an exact hit), or a job born Done
+	// around a deeper run of the same physics (a physics hit).
 	Cached bool
 	// Coalesced means an identical job was already active and the caller
 	// was attached to it instead of queueing duplicate work.
 	Coalesced bool
 }
 
-// Submit registers a job. Identical submissions (same content Key) are
-// deduplicated: against the cache if a previous run completed, against the
-// live job if one is still active (the live job absorbs the stronger of
+// Submit registers a job. Identical submissions (same content Key) are one
+// job: while it runs, a repeat coalesces onto it (absorbing the stronger of
 // the two submissions' scheduling parameters, so an urgent resubmission is
-// not silently demoted to the incumbent's priority). A precision-targeted
-// submission is additionally matched against the physics index: any stored
-// run of the same (spec, chunking, seed, fan) decomposition that
-// meets-or-exceeds the requested precision serves it instantly.
+// not silently demoted to the incumbent's priority); once it has finished,
+// a repeat is answered with it for as long as it is retained. A
+// precision-targeted submission is additionally matched against the
+// physics index: the deepest retained run of the same (spec, chunking,
+// seed, fan) decomposition, if it meets-or-exceeds the requested
+// precision, serves it instantly as a job born Done.
 //
 // Heavy construction — Spec.Build (which may materialise a multi-megabyte
 // voxel geometry), tally allocation — happens outside the registry mutex so
@@ -130,50 +140,37 @@ func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
 	r.met.submitKeys.Observe(time.Since(start).Seconds())
 
 	r.mu.Lock()
-	if live := r.byKey[key]; live != nil {
-		if err := r.admitRideLocked(&spec); err != nil {
-			r.mu.Unlock()
-			return nil, err
-		}
-		live.absorbParamsLocked(spec)
+	if out, err := r.rideLocked(key, &spec); out != nil || err != nil {
 		r.mu.Unlock()
-		r.met.jobsCoalesced.Inc()
-		live.trace(obs.Event{Kind: obs.EvCoalesced})
-		return &SubmitOutcome{Job: live, Coalesced: true}, nil
+		return out, err
 	}
-	r.mu.Unlock()
-	r.shareGrid(&spec)
-
-	// A precision submission probes two indexes but is one lookup: one hit
-	// or one miss, whichever index answered.
-	r.met.cacheLookups.Inc()
-	tally, hits, hitIndex := r.cache.Get(key), r.met.cacheHitExact, "exact"
-	if tally == nil && spec.Target != nil {
-		// Meets-or-exceeds: a deeper or equal stored run of the same physics
-		// satisfies any looser request for it.
-		tally = r.cache.GetMeeting(pkey, spec.Target)
-		hits, hitIndex = r.met.cacheHitPhysics, "physics"
-	}
-	if tally != nil {
-		r.mu.Lock()
+	// Meets-or-exceeds: a deeper or equal retained run of the same physics
+	// satisfies any looser request for it.
+	var deep *Job
+	if jb := r.byPhysics[pkey]; jb != nil && spec.Target != nil && spec.Target.MetBy(jb.tally) {
+		r.met.cacheLookups.Inc()
 		if err := r.admitRideLocked(&spec); err != nil {
 			r.mu.Unlock()
 			return nil, err
 		}
 		// A hit is counted when it is served: one the job-rate bucket just
 		// shed is a shed, not a hit.
-		hits.Inc()
-		r.mu.Unlock()
-		// A cached key proves these exact spec bytes built and completed
-		// before, so the job is born Done without touching the geometry,
-		// around the cache's own tally (read-only, see Result.Tally).
-		j := bornDoneJob(r, key, spec, tally)
+		r.met.cacheHitPhysics.Inc()
+		deep = jb
+	}
+	r.mu.Unlock()
+	r.shareGrid(&spec)
+	if deep != nil {
+		// The deeper run proves this spec built and completed before, so
+		// the job is born Done without touching the geometry, around that
+		// run's own tally (read-only, see Result.Tally).
+		j := bornDoneJob(r, key, spec, deep.tally)
 		j.pkey = pkey
-		j.trace(obs.Event{Kind: obs.EvCacheHit, Detail: hitIndex})
+		j.trace(obs.Event{Kind: obs.EvCacheHit, Detail: "physics"})
 		r.mu.Lock()
 		r.registerLocked(j)
 		r.mu.Unlock()
-		r.log.Info("job served from cache", "job", jobHex(j.id), "index", hitIndex)
+		r.log.Info("job served from a deeper run", "job", jobHex(j.id), "run", jobHex(deep.id))
 		return &SubmitOutcome{Job: j, Cached: true}, nil
 	}
 
@@ -184,6 +181,7 @@ func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
 	// authoritative, debiting check repeats under the lock below.
 	cost := spec.admissionPhotons()
 	r.mu.Lock()
+	r.met.cacheLookups.Inc()
 	r.met.cacheMisses.Inc()
 	ts := r.tenantLocked(spec.Tenant)
 	// Journal replay bypasses admission: the work was admitted before the
@@ -202,16 +200,11 @@ func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
 	}
 	j.pkey = pkey
 	r.mu.Lock()
-	if live := r.byKey[key]; live != nil { // lost a race with an identical submission
-		if err := r.admitRideLocked(&spec); err != nil {
-			r.mu.Unlock()
-			return nil, err
-		}
-		live.absorbParamsLocked(spec)
+	// An identical submission may have registered — or even finished —
+	// while this one built.
+	if out, err := r.rideLocked(key, &spec); out != nil || err != nil {
 		r.mu.Unlock()
-		r.met.jobsCoalesced.Inc()
-		live.trace(obs.Event{Kind: obs.EvCoalesced})
-		return &SubmitOutcome{Job: live, Coalesced: true}, nil
+		return out, err
 	}
 	if !spec.replay {
 		if err := r.admitLocked(ts, cost, true); err != nil { // authoritative, spends tokens
@@ -241,6 +234,37 @@ func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
 			"photons", spec.TotalPhotons, "chunks", j.nChunks)
 	}
 	return &SubmitOutcome{Job: j}, nil
+}
+
+// rideLocked answers a submission with the retained job of its content key,
+// if there is one: a job whose waiters are not yet released (live, or
+// between its last reduction and sealJob) absorbs it as a coalesced
+// duplicate, and a finished one is its exact hit. Either debits one
+// job-rate token (admitRideLocked). Both results nil means no such job.
+func (r *Registry) rideLocked(key Key, spec *JobSpec) (*SubmitOutcome, error) {
+	jb := r.byKey[key]
+	if jb == nil {
+		return nil, nil
+	}
+	var finished bool
+	select {
+	case <-jb.finished:
+		finished = true
+		r.met.cacheLookups.Inc()
+	default:
+	}
+	if err := r.admitRideLocked(spec); err != nil {
+		return nil, err
+	}
+	if finished {
+		r.met.cacheHitExact.Inc()
+		jb.trace(obs.Event{Kind: obs.EvCacheHit, Detail: "exact"})
+		return &SubmitOutcome{Job: jb, Cached: true}, nil
+	}
+	jb.absorbParamsLocked(*spec)
+	r.met.jobsCoalesced.Inc()
+	jb.trace(obs.Event{Kind: obs.EvCoalesced})
+	return &SubmitOutcome{Job: jb, Coalesced: true}, nil
 }
 
 // admitLocked evaluates every shed reason for a would-be fresh job of the
@@ -450,14 +474,12 @@ func (r *Registry) SubmitSnapshot(snap *Snapshot) (*Job, error) {
 		j.state = StateDone
 		j.finishedAt = time.Now()
 		close(j.finished)
-		r.cache.Put(key, j.tally)
-		r.cache.PutPhysics(pkey, j.tally)
 	}
 
 	r.mu.Lock()
-	if live := r.byKey[key]; live != nil {
+	if held := r.byKey[key]; held != nil {
 		r.mu.Unlock()
-		return live, nil
+		return held, nil
 	}
 	r.registerLocked(j)
 	// Resumes are admission-exempt (the work was admitted before the
@@ -468,6 +490,10 @@ func (r *Registry) SubmitSnapshot(snap *Snapshot) (*Job, error) {
 		r.met.jobsReplayed.Inc()
 	}
 	if complete {
+		// A restored run answers repeats and looser targets as the run it
+		// restores did.
+		r.byKey[key] = j
+		r.indexPhysicsLocked(j)
 		r.checkDrainLocked()
 	} else {
 		r.activateLocked(j)
@@ -503,8 +529,8 @@ func (r *Registry) registerLocked(j *Job) {
 }
 
 // activateLocked puts a registered job with work to do in front of the
-// dispatcher — on the active list, coalescible by key — and wakes the
-// parked workers to start on it.
+// dispatcher — on the active list, indexed by key — and wakes the parked
+// workers to start on it.
 func (r *Registry) activateLocked(j *Job) {
 	r.active = append(r.active, j)
 	r.byKey[j.key] = j
@@ -512,7 +538,8 @@ func (r *Registry) activateLocked(j *Job) {
 }
 
 // evictFinishedLocked drops the oldest finished jobs over the RetainDone
-// bound so a long-lived service's memory stays flat.
+// bound so a long-lived service's memory stays flat. An evicted job leaves
+// the indexes it holds: a repeat of it runs afresh.
 func (r *Registry) evictFinishedLocked() {
 	if r.opts.RetainDone < 0 {
 		return
@@ -530,6 +557,12 @@ func (r *Registry) evictFinishedLocked() {
 	for _, jb := range r.order {
 		if finished > r.opts.RetainDone && !jb.activeLocked() {
 			delete(r.jobs, jb.id)
+			if r.byKey[jb.key] == jb {
+				delete(r.byKey, jb.key)
+			}
+			if r.byPhysics[jb.pkey] == jb {
+				delete(r.byPhysics, jb.pkey)
+			}
 			finished--
 			continue
 		}
@@ -591,10 +624,8 @@ func (r *Registry) Cancel(id uint64) error {
 
 // finishJobLocked marks a job whose last chunk just reduced as done. The
 // caller must call sealJob after releasing the registry lock: waiters stay
-// blocked on j.finished until then. The job stays in byKey until sealJob
-// has filled the cache, so an identical submission arriving in between
-// rides this job's finished channel instead of finding it neither in
-// flight nor cached and computing it all again.
+// blocked on j.finished until then, and an identical submission arriving
+// in between coalesces onto the job (rideLocked) and waits with them.
 func (r *Registry) finishJobLocked(j *Job) {
 	j.state = StateDone
 	j.finishedAt = time.Now()
@@ -615,25 +646,40 @@ func (r *Registry) removeActiveLocked(j *Job) {
 	}
 }
 
-// sealJob caches a finished job's tally — under both its exact content key
-// and, when the tally carries moments, the physics index that serves
-// meets-or-exceeds precision lookups — and releases its waiters.
+// sealJob files a finished job whose tally carries moments in the physics
+// index that serves meets-or-exceeds precision lookups, and releases its
+// waiters; from then on the job is the answer to its exact repeats.
 func (r *Registry) sealJob(j *Job) {
 	if r.sealHook != nil {
 		r.sealHook()
 	}
-	// The job is done, so its tally is final (reduceGroup merges into live
-	// jobs only): the cache, the job and every later hit share the one.
-	r.cache.Put(j.key, j.tally)
-	r.cache.PutPhysics(j.pkey, j.tally)
 	r.mu.Lock()
-	delete(r.byKey, j.key)
+	// A job evicted before its seal is in no index any more and must not
+	// re-enter one.
+	if r.jobs[j.id] == j {
+		r.indexPhysicsLocked(j)
+	}
 	// Stragglers for a done job still bump these under mu; read them there.
 	reassigned, duplicates, rejected := j.reassigned, j.duplicates, j.rejected
 	r.mu.Unlock()
 	close(j.finished)
 	r.log.Info("job done", "job", jobHex(j.id), "chunks", j.nChunks,
 		"reassigned", reassigned, "duplicates", duplicates, "rejected", rejected)
+}
+
+// indexPhysicsLocked files a finished job that ran under its physics key if
+// its tally carries moments and it is the deepest retained run of that
+// physics (a later shallower run must not displace a stored result that
+// satisfies stricter targets). The job is done, so its tally is final
+// (reduceGroup merges into live jobs only): the job and every physics hit
+// it answers share the one.
+func (r *Registry) indexPhysicsLocked(j *Job) {
+	if j.tally.Moments == nil {
+		return
+	}
+	if cur := r.byPhysics[j.pkey]; cur == nil || j.tally.Launched > cur.tally.Launched {
+		r.byPhysics[j.pkey] = j
+	}
 }
 
 // checkDrainLocked closes the drain channel once a one-shot registry has
@@ -754,7 +800,6 @@ func (r *Registry) Stats() Stats {
 		RejectedResults:  count(m.rejectedStale, m.rejectedBatch, m.rejectedBenign),
 		BatchesReduced:   count(m.batchesReduced),
 		TallyMerges:      count(m.tallyMerges),
-		CacheEntries:     r.cache.Len(),
 		CacheHits:        count(m.cacheHitExact, m.cacheHitPhysics),
 		CacheMisses:      count(m.cacheMisses),
 		JobsSubmitted:    count(m.jobsSubmitted),
@@ -772,6 +817,9 @@ func (r *Registry) Stats() Stats {
 			s.JobsRunning++
 		case StateDone:
 			s.JobsDone++
+			if !j.cacheHit {
+				s.CacheEntries++ // a finished run: what repeats are answered from
+			}
 		case StateCanceled:
 			s.JobsCanceled++
 		}

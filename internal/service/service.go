@@ -13,13 +13,16 @@
 // dispatch lock through a per-job reducer, so fleet throughput tracks
 // kernel throughput rather than per-chunk wire bookkeeping.
 //
-// Completed tallies land in a content-addressed result cache keyed by the
-// canonical encoding of (Spec, TotalPhotons, ChunkPhotons, Seed) —
-// plus the Fan width when one is set, since a fanned chunk decomposes into
-// different sub-streams — the exact tuple that determines a reproducible
-// result. A duplicate submission returns instantly without assigning a
-// single chunk, and an identical submission racing an active job coalesces
-// onto it.
+// Jobs are content-addressed by the canonical encoding of (Spec,
+// TotalPhotons, ChunkPhotons, Seed) — plus the Fan width when one is set,
+// since a fanned chunk decomposes into different sub-streams — the exact
+// tuple that determines a reproducible result, so two submissions with
+// equal keys are one job. An identical submission racing an active job
+// coalesces onto it, and one arriving after it finished is answered with
+// it, instantly, for as long as Options.RetainDone keeps it: the retained
+// jobs are the registry's only result store. A precision target is also
+// answered by the deepest retained run of its physics that meets it, as a
+// job born done around that run's tally.
 //
 // Every submission belongs to a tenant (JobSpec.Tenant; the HTTP layer
 // resolves it from the X-MC-Tenant header, the request body, or the
@@ -35,7 +38,7 @@
 // The same keys shard the control plane: RoutingKeys derives a
 // submission's keys without a Registry, RouteKey picks the one it is
 // routed by (the physics key for a moments-tracking spec, so every
-// variant of one physics meets the cache that can serve it; the content
+// variant of one physics meets the runs that can serve it; the content
 // key otherwise), ShardOfKey maps its top 32 bits onto one of N contiguous
 // ranges, and a job's ID carries those bits over its content key's next 32
 // (JobID) so ShardOfID routes by ID to the same shard — a stateless gateway (internal/gateway,
@@ -62,16 +65,17 @@ import (
 )
 
 // Options configure a Registry. The zero value is a long-lived multi-job
-// service with FIFO scheduling and a 256-entry result cache.
+// service with FIFO scheduling that retains 1024 finished jobs.
 type Options struct {
 	// Policy picks which job's chunk an idle worker receives; the zero
 	// value is FIFO.
 	Policy Policy
-	// CacheSize bounds the result cache in entries; 0 means a 256-entry
-	// default, negative disables caching entirely.
-	CacheSize int
 	// RetainDone bounds how many finished (done or cancelled) jobs stay
 	// queryable in the registry; 0 means 1024, negative retains forever.
+	// The retained jobs that ran are also the registry's only result
+	// store: an exact repeat is answered with the job it repeats, and a
+	// looser target from the deepest run of its physics, only while that
+	// job is retained.
 	RetainDone int
 	// DrainOnEmpty makes the fleet tell workers the service is Done once
 	// every submitted job has finished — the one-shot mcserver mode. A

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +15,7 @@ import (
 
 	"repro/internal/detector"
 	"repro/internal/mc"
+	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/source"
 	"repro/internal/tissue"
@@ -300,7 +303,7 @@ func TestCoalesceIdenticalActiveSubmission(t *testing.T) {
 }
 
 // TestIdenticalSubmissionBetweenFinishAndSeal drives the window between a
-// job's last reduction (finishJobLocked) and its tally reaching the cache
+// job's last reduction (finishJobLocked) and the release of its waiters
 // (sealJob). An identical submission arriving there used to find the job
 // neither in flight nor cached and ran it all again; it must ride the
 // finishing job instead: one computation, one job ID.
@@ -336,14 +339,15 @@ func TestIdenticalSubmissionBetweenFinishAndSeal(t *testing.T) {
 	if st := reg.Stats(); st.JobsSubmitted != 1 || st.ChunksAssigned != 2 {
 		t.Fatalf("the job was computed more than once: %+v", st)
 	}
-	// Once sealed the job has left the in-flight index: the next identical
-	// submission is an ordinary cache hit.
+	// Once sealed the job is finished: the next identical submission is an
+	// exact hit, answered with the job itself.
 	third, err := reg.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !third.Cached || third.Coalesced {
-		t.Fatalf("post-seal submission: cached %v coalesced %v, want a cache hit", third.Cached, third.Coalesced)
+	if !third.Cached || third.Coalesced || third.Job.ID() != first.Job.ID() {
+		t.Fatalf("post-seal submission: job %016x cached %v coalesced %v, want %016x, cached",
+			third.Job.ID(), third.Cached, third.Coalesced, first.Job.ID())
 	}
 }
 
@@ -378,8 +382,8 @@ func TestCancel(t *testing.T) {
 // TestConcurrentJobsSharedFleet is the concurrent-job end-to-end check:
 // two jobs with different specs submitted to one registry over a 3-worker
 // in-memory fleet finish with tallies matching their single-job runs, and
-// a duplicate submission is served from the cache without launching
-// photons. The fleet speaks the full v3 result plane — job A fans each
+// a duplicate submission is answered with the job that ran it without
+// launching photons. The fleet speaks the full v3 result plane — job A fans each
 // chunk across 2 sub-streams and both jobs' results ride pre-reduced
 // batches (flush threshold 3) with timeout reassignment armed — and must
 // still reproduce the standalone fan-matched decompositions exactly.
@@ -440,8 +444,8 @@ func TestConcurrentJobsSharedFleet(t *testing.T) {
 		t.Fatal("multi-job detection counts differ from standalone runs")
 	}
 
-	// Duplicate submission (same fan → same content key): served from
-	// cache, zero new chunks assigned.
+	// Duplicate submission (same fan → same content key): answered with
+	// job A itself, zero new chunks assigned.
 	assignedBefore := reg.Stats().ChunksAssigned
 	dup, err := reg.Submit(JobSpec{Spec: specA, TotalPhotons: totalA, ChunkPhotons: chunkA, Seed: seedA, Fan: fanA})
 	if err != nil {
@@ -458,18 +462,15 @@ func TestConcurrentJobsSharedFleet(t *testing.T) {
 	if kOne != kPlain {
 		t.Fatal("fan 1 changed the legacy content key")
 	}
-	if !dup.Cached {
-		t.Fatal("duplicate submission not served from cache")
+	if !dup.Cached || dup.Job != outA.Job {
+		t.Fatalf("duplicate submission: %+v, want job A itself, cached", dup)
 	}
 	dupRes, err := dup.Job.Wait(time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dupRes.CacheHit {
-		t.Fatal("cached result not flagged")
-	}
-	if math.Abs(dupRes.Tally.AbsorbedWeight-resA.Tally.AbsorbedWeight) > 0 {
-		t.Fatal("cached tally differs from the original result")
+	if dupRes.Tally != resA.Tally {
+		t.Fatal("the duplicate's tally is not job A's")
 	}
 	if after := reg.Stats().ChunksAssigned; after != assignedBefore {
 		t.Fatalf("cache hit assigned %d chunks", after-assignedBefore)
@@ -974,10 +975,10 @@ func TestOldWorkerRejectedGracefully(t *testing.T) {
 }
 
 // TestFinishedTallyIsShared pins the contract Result.Tally states: a
-// finished tally is immutable, so the job that computed it, the cache and
-// every hit the cache answers hand out the one tally — no clone on the way
-// in or out — and a straggler's late result for the done job is refused
-// without touching it.
+// finished tally is immutable, so the job that computed it and every
+// repeat it answers hand out the one tally — no clone on the way in or out
+// — and a straggler's late result for the done job is refused without
+// touching it.
 func TestFinishedTallyIsShared(t *testing.T) {
 	reg := New(Options{})
 	js := JobSpec{Spec: slabSpec(5), TotalPhotons: 200, ChunkPhotons: 100, Seed: 12}
@@ -994,8 +995,8 @@ func TestFinishedTallyIsShared(t *testing.T) {
 
 	for i := range 2 {
 		hit, err := reg.Submit(js)
-		if err != nil || !hit.Cached {
-			t.Fatalf("resubmission %d: %+v, %v; want a cache hit", i, hit, err)
+		if err != nil || !hit.Cached || hit.Job != out.Job {
+			t.Fatalf("resubmission %d: %+v, %v; want the finished job itself", i, hit, err)
 		}
 		cached, err := hit.Job.Wait(time.Second)
 		if err != nil {
@@ -1004,9 +1005,6 @@ func TestFinishedTallyIsShared(t *testing.T) {
 		if cached.Tally != res.Tally {
 			t.Fatalf("hit %d was handed a copy of the tally, want the job's own", i)
 		}
-	}
-	if reg.cache.Get(out.Job.key) != res.Tally {
-		t.Fatal("the cache holds a copy of the job's tally, want the job's own")
 	}
 
 	straggler := oneChunkBatch(out.Job.ID(), 0, localTally(t, js.Spec, 100, 100, js.Seed))
@@ -1018,101 +1016,190 @@ func TestFinishedTallyIsShared(t *testing.T) {
 	}
 }
 
-// TestResultCache pins a registry's result cache: each index is FIFO
-// bounded on its own, a physics key keeps its deepest run whichever order
-// the runs arrive in, an evicted key reads as a miss, and a negative size
-// is the disabled cache. It stores and returns the pointers it is given;
-// TestFinishedTallyIsShared pins that the registry does not clone around
-// it.
-func TestResultCache(t *testing.T) {
-	key := func(seed uint64) Key {
-		k, err := KeyOf(slabSpec(5), 100, 100, seed)
+// TestRepeatIsTheJob: an exact repeat of a finished job is that job — its
+// ID, answered "cached", no new job in the list, no chunk granted, one
+// exact hit on /metrics each — for as long as RetainDone keeps the job.
+// Once it is evicted, a repeat runs afresh.
+func TestRepeatIsTheJob(t *testing.T) {
+	oreg := obs.NewRegistry()
+	reg := New(Options{RetainDone: 3, Obs: oreg})
+	ts := httptest.NewServer(NewAPI(reg).Handler())
+	defer ts.Close()
+	startWorkers(t, reg, 1)
+	req := func(seed uint64) JobRequest {
+		return JobRequest{Spec: slabSpec(5), Photons: 200, ChunkPhotons: 100, Seed: seed}
+	}
+	run := func(seed uint64) JobAccepted {
+		t.Helper()
+		acc, code := postJob(t, ts, req(seed))
+		if code != http.StatusCreated || acc.Cached || acc.Coalesced {
+			t.Fatalf("job %d: http %d %+v, want a fresh job", seed, code, acc)
+		}
+		waitDone(t, ts, acc.ID)
+		return acc
+	}
+	exactHits := func() float64 {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := oreg.WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return parseExposition(t, buf.Bytes())[`service_cache_hits_total{index="exact"}`]
+	}
+	repeatA := func(id string) {
+		t.Helper()
+		acc, code := postJob(t, ts, req(1))
+		if code != http.StatusOK || !acc.Cached || acc.ID != id {
+			t.Fatalf("repeat of %s: http %d %+v, want the job itself, cached", id, code, acc)
+		}
+	}
+
+	a := run(1)
+	granted, hits := reg.Stats().ChunksAssigned, exactHits()
+	for range 5 {
+		repeatA(a.ID)
+	}
+	if n := len(reg.List()); n != 1 {
+		t.Fatalf("%d jobs listed after five repeats, want the one that ran", n)
+	}
+	if got := reg.Stats().ChunksAssigned; got != granted {
+		t.Fatalf("repeats granted %d chunks", got-granted)
+	}
+	if got := exactHits() - hits; got != 5 {
+		t.Fatalf("exact hits rose by %v, want 5", got)
+	}
+
+	// A is retained, and answers, while two more jobs that ran join it.
+	run(2)
+	run(3)
+	repeatA(a.ID)
+	// A fourth evicts A, the oldest: the bound is RetainDone, and a repeat
+	// of A runs afresh.
+	run(4)
+	var st JobStatus
+	if code := getJSON(t, ts.URL+"/jobs/"+a.ID, &st); code != http.StatusNotFound {
+		t.Fatalf("job %s: http %d after eviction, want 404", a.ID, code)
+	}
+	if again := run(1); again.ID != a.ID {
+		t.Fatalf("rerun of A has ID %s, want its derived ID %s", again.ID, a.ID)
+	}
+}
+
+// TestPhysicsIndex pins what a looser target is answered from: per physics
+// key, the deepest retained job that ran, whichever order the runs came
+// in. A target the run does not meet is not served, and a job that leaves
+// the registry — evicted after its seal or before it — leaves the index
+// with it. A hit is a job born done around the run's own tally.
+func TestPhysicsIndex(t *testing.T) {
+	const chunk, seed = 125, 1
+	loose := func() JobSpec {
+		return JobSpec{Spec: targetSpec(5), ChunkPhotons: chunk, Seed: seed,
+			Target: &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.9, MinPhotons: chunk}}
+	}
+	// run submits a fixed-count moments-tracking job of the one physics and
+	// waits for it.
+	run := func(t *testing.T, reg *Registry, photons int64) *Job {
+		t.Helper()
+		out, err := reg.Submit(JobSpec{Spec: targetSpec(5), TotalPhotons: photons, ChunkPhotons: chunk, Seed: seed})
+		if err != nil || out.Cached || out.Coalesced {
+			t.Fatalf("%d photons: %+v, %v; want a fresh job", photons, out, err)
+		}
+		if _, err := out.Job.Wait(time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		return out.Job
+	}
+	// served asserts a looser target is a physics hit on run's tally.
+	served := func(t *testing.T, reg *Registry, run *Job) {
+		t.Helper()
+		out, err := reg.Submit(loose())
+		if err != nil || !out.Cached || out.Job == run {
+			t.Fatalf("looser target: %+v, %v; want a job born done", out, err)
+		}
+		res, err := out.Job.Wait(time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return k
+		if res.Tally != run.tally || !res.CacheHit || !res.TargetMet {
+			t.Fatalf("hit served %d photons (cacheHit %v, met %v), want the %d-photon run's tally",
+				res.Tally.Launched, res.CacheHit, res.TargetMet, run.tally.Launched)
+		}
 	}
-	shallow := localTally(t, targetSpec(5), 500, 125, 1)
-	deep := localTally(t, targetSpec(5), 1000, 125, 1)
-	loose := &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.9, MinPhotons: 1}
-	if !loose.MetBy(shallow) || !loose.MetBy(deep) {
-		t.Fatal("test tallies do not meet the loose target")
+	// missed asserts a looser target finds no run to answer it.
+	missed := func(t *testing.T, reg *Registry) {
+		t.Helper()
+		out, err := reg.Submit(loose())
+		if err != nil || out.Cached {
+			t.Fatalf("looser target: %+v, %v; want a fresh job", out, err)
+		}
+		reg.Cancel(out.Job.ID())
 	}
-	for _, tc := range []struct {
-		name  string
-		size  int
-		fill  func(c *ResultCache)
-		check func(t *testing.T, c *ResultCache)
-	}{
-		{"exact index evicts oldest first", 2,
-			func(c *ResultCache) {
-				c.Put(key(1), shallow)
-				c.Put(key(2), deep)
-				c.Put(key(3), shallow)
-				c.PutPhysics(key(1), deep) // the physics index has room of its own
-			},
-			func(t *testing.T, c *ResultCache) {
-				if c.Get(key(1)) != nil {
-					t.Fatal("oldest exact entry survived the bound")
+
+	t.Run("deeper run replaces a shallower one", func(t *testing.T) {
+		reg := New(Options{})
+		startWorkers(t, reg, 1)
+		run(t, reg, 500)
+		served(t, reg, run(t, reg, 1000))
+	})
+	t.Run("shallower later run does not displace", func(t *testing.T) {
+		reg := New(Options{})
+		startWorkers(t, reg, 1)
+		deep := run(t, reg, 1000)
+		run(t, reg, 500)
+		served(t, reg, deep)
+	})
+	t.Run("an unmet target is not served", func(t *testing.T) {
+		reg := New(Options{})
+		startWorkers(t, reg, 1)
+		deep := run(t, reg, 1000)
+		strict := loose()
+		strict.Target.MinPhotons = deep.tally.Launched + chunk
+		out, err := reg.Submit(strict)
+		if err != nil || out.Cached {
+			t.Fatalf("target the run does not meet: %+v, %v; want a fresh job", out, err)
+		}
+		reg.Cancel(out.Job.ID())
+	})
+	t.Run("evicting the deepest run drops its entry", func(t *testing.T) {
+		reg := New(Options{RetainDone: 1})
+		startWorkers(t, reg, 1)
+		run(t, reg, 1000)
+		other, err := reg.Submit(JobSpec{Spec: slabSpec(9), TotalPhotons: 100, Seed: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := other.Job.Wait(time.Minute); err != nil { // evicts the run
+			t.Fatal(err)
+		}
+		missed(t, reg)
+	})
+	t.Run("a job evicted before its seal is not indexed", func(t *testing.T) {
+		reg := New(Options{RetainDone: 1})
+		var once sync.Once
+		// Between the run's finish and its seal, a canceled job makes it
+		// the oldest of two finished jobs, and it is evicted.
+		reg.sealHook = func() {
+			once.Do(func() {
+				out, err := reg.Submit(JobSpec{Spec: slabSpec(9), TotalPhotons: 100, Seed: 2})
+				if err != nil {
+					t.Error(err)
+					return
 				}
-				if c.Get(key(2)) != deep || c.Get(key(3)) != shallow || c.Len() != 2 {
-					t.Fatalf("newer entries lost: len %d", c.Len())
-				}
-				if c.GetMeeting(key(1), loose) != deep {
-					t.Fatal("exact-index eviction reached into the physics index")
-				}
-			}},
-		{"physics index evicts oldest first", 2,
-			func(c *ResultCache) {
-				c.PutPhysics(key(1), deep)
-				c.PutPhysics(key(2), deep)
-				c.PutPhysics(key(3), deep)
-			},
-			func(t *testing.T, c *ResultCache) {
-				if c.GetMeeting(key(1), loose) != nil {
-					t.Fatal("oldest physics entry survived the bound")
-				}
-				if c.GetMeeting(key(2), loose) != deep || c.GetMeeting(key(3), loose) != deep {
-					t.Fatal("newer physics entries lost")
-				}
-			}},
-		{"deeper run replaces a shallower one", 2,
-			func(c *ResultCache) { c.PutPhysics(key(1), shallow); c.PutPhysics(key(1), deep) },
-			func(t *testing.T, c *ResultCache) {
-				if c.GetMeeting(key(1), loose) != deep {
-					t.Fatal("deeper run did not win the physics key")
-				}
-			}},
-		{"shallower later run does not displace", 2,
-			func(c *ResultCache) { c.PutPhysics(key(1), deep); c.PutPhysics(key(1), shallow) },
-			func(t *testing.T, c *ResultCache) {
-				if c.GetMeeting(key(1), loose) != deep {
-					t.Fatal("a shallower run displaced the stored deeper one")
-				}
-				strict := &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.9, MinPhotons: deep.Launched + 1}
-				if c.GetMeeting(key(1), strict) != nil {
-					t.Fatal("served a target the stored run does not meet")
-				}
-			}},
-		{"negative size disables", -1,
-			func(c *ResultCache) { c.Put(key(1), deep); c.PutPhysics(key(1), deep) },
-			func(t *testing.T, c *ResultCache) {
-				if c.Get(key(1)) != nil || c.GetMeeting(key(1), loose) != nil || c.Len() != 0 {
-					t.Fatal("disabled cache stored something")
-				}
-			}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c := NewResultCache(tc.size)
-			tc.fill(c)
-			tc.check(t, c)
-		})
-	}
+				reg.Cancel(out.Job.ID())
+			})
+		}
+		startWorkers(t, reg, 1)
+		gone := run(t, reg, 1000)
+		if reg.Get(gone.ID()) != nil {
+			t.Fatal("the run was not evicted before its seal")
+		}
+		missed(t, reg)
+	})
 }
 
 // TestRetainDoneEviction checks finished jobs are bounded.
 func TestRetainDoneEviction(t *testing.T) {
-	reg := New(Options{RetainDone: 2, CacheSize: -1})
+	reg := New(Options{RetainDone: 2})
 	var ids []uint64
 	for seed := uint64(1); seed <= 4; seed++ {
 		out, err := reg.Submit(JobSpec{Spec: slabSpec(5), TotalPhotons: 100, ChunkPhotons: 100, Seed: seed})
@@ -1134,7 +1221,7 @@ func TestRetainDoneEviction(t *testing.T) {
 
 // TestDrainOnEmpty checks one-shot registries tell workers Done.
 func TestDrainOnEmpty(t *testing.T) {
-	reg := New(Options{DrainOnEmpty: true, CacheSize: -1})
+	reg := New(Options{DrainOnEmpty: true})
 	out, err := reg.Submit(JobSpec{Spec: slabSpec(5), TotalPhotons: 300, ChunkPhotons: 100, Seed: 9})
 	if err != nil {
 		t.Fatal(err)

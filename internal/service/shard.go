@@ -17,10 +17,10 @@ import (
 // RouteKey is the key a normalized submission is routed by and its job ID's
 // shard bits taken from: the physics key when the spec tracks moments, the
 // content key otherwise. Moments-tracking specs are exactly the ones the physics
-// index serves — only their tallies are filed there (PutPhysics), and only
-// targeted submissions, which force moments on, look a tally up there
-// (GetMeeting) — so every variant of one physics, fixed-count or any
-// target, lands on the shard whose cache holds the deepest run of it.
+// index serves — only their runs are filed there, and only targeted
+// submissions, which force moments on, look a run up there — so every
+// variant of one physics, fixed-count or any target, lands on the shard
+// that retains the deepest run of it.
 // Every other spec keeps its content-key route.
 func RouteKey(spec *JobSpec, key, pkey Key) Key {
 	if spec.Spec.TrackMoments {
@@ -106,6 +106,7 @@ func (s *JobSpec) Normalize(maxTargetPhotons int64) error {
 // AdmissionPhotons exposes the photon cost admission charges for a
 // normalized submission — the fixed budget, or a targeted job's
 // guaranteed minimum. A gateway holding the tenant buckets debits exactly
-// this for every submission it forwards: it cannot see a shard's cache, so
-// a resubmission its shard answers from there pays what fresh work would.
+// this for every submission it forwards: it cannot see a shard's retained
+// jobs, so a resubmission its shard answers from them pays what fresh work
+// would.
 func (s *JobSpec) AdmissionPhotons() int64 { return s.admissionPhotons() }

@@ -35,11 +35,10 @@ func voxelSpec(t testing.TB) *mc.Spec {
 // TestVoxelCacheHitMatchesRecompute extends the stream-merge reproducibility
 // contract to the service layer over a voxel geometry: a job computed by a
 // worker fleet must equal the local stream-by-stream reduction, a duplicate
-// submission must be served from the cache with the identical tally, and an
-// independent registry recomputing the same job from scratch must reproduce
-// it — cache hits are indistinguishable from recomputation. Run under
-// -race in CI, this also guards the accelerator build and cache cloning
-// for data races.
+// submission must be answered with the job that ran it, and an independent
+// registry recomputing the same job from scratch must reproduce it — a
+// repeat's answer is indistinguishable from recomputation. Run under -race
+// in CI, this also guards the accelerator build for data races.
 func TestVoxelCacheHitMatchesRecompute(t *testing.T) {
 	spec := voxelSpec(t)
 	const total, chunk, seed = 2000, 250, 37
@@ -77,35 +76,32 @@ func TestVoxelCacheHitMatchesRecompute(t *testing.T) {
 		}
 	}
 
-	// Duplicate submission: a cache hit carrying the identical result.
+	// Duplicate submission: answered with the job that ran it.
 	dup, err := reg.Submit(JobSpec{Spec: voxelSpec(t), TotalPhotons: total, ChunkPhotons: chunk, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dup.Cached {
-		t.Fatal("identical voxel submission not served from cache")
+	if !dup.Cached || dup.Job != out.Job {
+		t.Fatalf("identical voxel submission: %+v, want the job that ran it", dup)
 	}
 	dupRes, err := dup.Job.Wait(10 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dupRes.CacheHit {
-		t.Fatal("cached result not flagged")
-	}
 	if !reflect.DeepEqual(dupRes.Tally, res.Tally) {
-		t.Fatal("cache-hit tally differs from the original result")
+		t.Fatal("the repeat's tally differs from the original result")
 	}
 
 	// A fresh registry recomputing from scratch must reproduce the result:
-	// the cache is a pure shortcut, never a divergence.
-	reg2 := New(Options{CacheSize: -1})
+	// answering a repeat is a pure shortcut, never a divergence.
+	reg2 := New(Options{})
 	startWorkers(t, reg2, 2)
 	out2, err := reg2.Submit(JobSpec{Spec: voxelSpec(t), TotalPhotons: total, ChunkPhotons: chunk, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out2.Cached {
-		t.Fatal("cache-disabled registry reported a cache hit")
+		t.Fatal("a fresh registry reported a cache hit")
 	}
 	res2, err := out2.Job.Wait(60 * time.Second)
 	if err != nil {
@@ -114,7 +110,7 @@ func TestVoxelCacheHitMatchesRecompute(t *testing.T) {
 	if math.Abs(res2.Tally.AbsorbedWeight-res.Tally.AbsorbedWeight) > 1e-9 ||
 		math.Abs(res2.Tally.DetectedWeight-res.Tally.DetectedWeight) > 1e-9 ||
 		res2.Tally.DetectedCount != res.Tally.DetectedCount {
-		t.Fatal("recomputed voxel job differs from the cached one")
+		t.Fatal("recomputed voxel job differs from the first")
 	}
 	if bal := res2.Tally.EnergyBalance(); math.Abs(bal) > 1e-6*res2.Tally.N() {
 		t.Fatalf("energy balance broken through the service layer: %g", bal)
@@ -123,7 +119,7 @@ func TestVoxelCacheHitMatchesRecompute(t *testing.T) {
 
 // TestRegistrySharesEqualGrids: every job keeps its spec, so jobs over one
 // head model must keep one copy of it between them. A submission whose
-// grid Equals a registered job's — fresh, served from the cache, or
+// grid Equals a registered job's — fresh, a physics hit born done, or
 // restored by journal replay, which decodes a copy per accept record —
 // holds that job's grid; one a single label away holds its own; and the
 // caller's spec is never the thing rewired.
@@ -144,7 +140,8 @@ func TestRegistrySharesEqualGrids(t *testing.T) {
 		}
 		return out
 	}
-	first := submit(voxelSpec(t), 1)
+	moments := func() *mc.Spec { s := voxelSpec(t); s.TrackMoments = true; return s }
+	first := submit(moments(), 1)
 	held := gridOf(first.Job)
 	if second := submit(voxelSpec(t), 2); gridOf(second.Job) != held {
 		t.Fatal("a fresh job on an Equal grid kept its own copy")
@@ -152,12 +149,18 @@ func TestRegistrySharesEqualGrids(t *testing.T) {
 	if _, err := first.Job.Wait(60 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	again := submit(voxelSpec(t), 1)
-	if !again.Cached || again.Job == first.Job {
-		t.Fatalf("resubmission of a finished job: %+v, want a born-done job of its own", again)
+	if again := submit(moments(), 1); !again.Cached || again.Job != first.Job {
+		t.Fatalf("resubmission of a finished job: %+v, want the job itself", again)
 	}
-	if gridOf(again.Job) != held {
-		t.Fatal("a cache-hit job on an Equal grid kept its own copy")
+	// A looser target over the first run's physics is a job born done.
+	rse := first.Job.tally.RelStdErr(mc.ObsDiffuse)
+	hit, err := regA.Submit(JobSpec{Spec: moments(), ChunkPhotons: 250, Seed: 1,
+		Target: &mc.Target{Observable: mc.ObsDiffuse, RelErr: min(0.99, 2*rse), MinPhotons: 250}})
+	if err != nil || !hit.Cached || hit.Job == first.Job {
+		t.Fatalf("looser target over the first run: %+v, %v; want a job born done", hit, err)
+	}
+	if gridOf(hit.Job) != held {
+		t.Fatal("a physics hit on an Equal grid kept its own copy")
 	}
 	other := voxelSpec(t)
 	other.Voxel.Labels[other.Voxel.Index(3, 3, 3)] ^= 1

@@ -15,8 +15,9 @@
 # over the same shards: a precision job runs through the first, a looser
 # target over the same physics is submitted through the second — routed by
 # its physics key to the shard that ran the first, and answered there from
-# its cache — and the hit's tally is fetched through the second, before
-# and after the first is killed. The cheap always-on CI cousin of
+# that run — and the hit's tally is fetched through the second, before
+# and after the first is killed; an exact repeat through the second is
+# answered with the first run's own ID. The cheap always-on CI cousin of
 # internal/gateway's failover tests, through real processes, sockets and
 # kill -9.
 #
@@ -215,6 +216,14 @@ case "$PID" in [0-7]*) OWNER=$H0 ;; *) OWNER=$H1B ;; esac
 SHMETRICS=$(curl -fsS "http://$OWNER/metrics")
 echo "$SHMETRICS" | grep -q '^service_cache_hits_total{index="physics"} 1$' ||
   fail "the shard that ran $PID did not count the looser target as its physics hit"
+# An exact repeat through gateway 2 is the run itself, under its own ID.
+REP=$(curl -fsS -X POST "http://$GW2/jobs" -d @"$WORK/tight.json")
+echo "$REP" | grep -q '"cached":true' || fail "exact repeat not answered from the run: $REP"
+RID=$(echo "$REP" | sed -n 's/.*"id":"\([0-9a-f]*\)".*/\1/p')
+[ "$RID" = "$PID" ] || fail "exact repeat answered with job $RID, want the run $PID"
+SHMETRICS=$(curl -fsS "http://$OWNER/metrics")
+echo "$SHMETRICS" | grep -q '^service_cache_hits_total{index="exact"} 1$' ||
+  fail "the shard that ran $PID did not count the exact repeat as its exact hit"
 fetch_hit() { # when: the hit's tally through gateway 2 is the precision run's
   curl -fsS "http://$GW2/jobs/$HID" | grep -q '"cacheHit":true' ||
     fail "gateway 2 has no status for hit $HID ($1)"

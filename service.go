@@ -9,12 +9,12 @@ import (
 
 // Multi-job simulation service, re-exported from internal/service: a
 // long-lived registry of concurrent jobs drained by one shared worker
-// fleet, with cross-job scheduling policies, a content-addressed result
-// cache and an HTTP JSON control plane (see cmd/mcqueue).
+// fleet, with cross-job scheduling policies, content-addressed answers to
+// repeated submissions and an HTTP JSON control plane (see cmd/mcqueue).
 type (
 	// JobRegistry owns concurrent simulation jobs and the shared fleet.
 	JobRegistry = service.Registry
-	// RegistryOptions configure a JobRegistry (policy, cache, retention).
+	// RegistryOptions configure a JobRegistry (policy, retention, admission).
 	RegistryOptions = service.Options
 	// ServiceJobSpec describes one job submitted to a registry.
 	ServiceJobSpec = service.JobSpec
