@@ -19,15 +19,17 @@ short:
 	$(GO) test -short ./...
 
 # race runs the suite under the race detector, then the dispatcher's park /
-# wake / drain tests, the result plane's grant-is-batch tests and the
-# content-key index's repeat / finish→seal / retention tests twenty more
-# times in shuffled order: a lost wake-up is a rare interleaving (and
-# parkMax heals it within a second, so nothing hangs to give it away), and
-# a job stays in byKey across its seal and until its eviction —
-# repetition is the cheap detector.
+# wake / drain tests, the result plane's grant-is-batch tests, the
+# content-key index's repeat / finish→seal / retention tests and the
+# multi-core grant tests (mc.Runner.RunChunks' stop-and-claim, a worker's
+# grant on one, two and four cores, its chunk budgets) twenty more times in
+# shuffled order: a lost wake-up is a rare interleaving (and parkMax heals
+# it within a second, so nothing hangs to give it away), a job stays in
+# byKey across its seal and until its eviction, and a unit claimed after
+# stop closes is a race of the kernels — repetition is the cheap detector.
 race:
 	$(GO) test -race -short -shuffle=on ./...
-	$(GO) test -race -shuffle=on -run 'Park|Dispatch|Drain|BatchIsItsGrant|Repeat|FinishAndSeal|RetainDone' -count=20 ./internal/service ./internal/distsys
+	$(GO) test -race -shuffle=on -run 'Park|Dispatch|Drain|BatchIsItsGrant|Repeat|FinishAndSeal|RetainDone|GrantBatch|ParallelGrants|RunChunks' -count=20 ./internal/service ./internal/distsys ./internal/mc
 
 # bench-check vets and tests the nested benchmark module (bench/, its own
 # go.mod with `replace repro => ../`). The root's build and tests never

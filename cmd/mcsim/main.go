@@ -33,7 +33,7 @@ func main() {
 	sf.Register(fs)
 	photons := fs.Int64("photons", 100000, "number of photon packets")
 	seed := fs.Uint64("seed", 1, "master RNG seed")
-	workers := fs.Int("workers", 0, "goroutines (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "RNG streams, run on up to GOMAXPROCS cores (0 = GOMAXPROCS)")
 	relErr := fs.Float64("rel-err", 0,
 		"run until this relative standard error instead of a fixed -photons budget (e.g. 0.01)")
 	targetObs := fs.String("target-obs", "diffuse",

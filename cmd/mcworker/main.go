@@ -52,12 +52,12 @@ func main() {
 	name := flag.String("name", hostnameDefault(), "worker name reported to the server")
 	mflops := flag.Float64("mflops", 0, "self-reported processing rate (informational)")
 	slowdown := flag.Float64("slowdown", 0,
-		"artificial slowdown factor (testing heterogeneous fleets)")
+		"artificial slowdown factor: sleep this multiple of each grant's wall time after it (testing heterogeneous fleets)")
 	flushChunks := flag.Int("flush-chunks", 0,
 		"request window: the most chunks asked for at once and handed back as one pre-reduced batch "+
 			"(0: the default; 1: one chunk per round trip, a deterministic tally fold)")
 	reconnect := flag.Bool("reconnect", true,
-		"redial after dial failures and dropped sessions (exponential backoff with jitter)")
+		"redial after dial failures and dropped sessions (exponential backoff with jitter); a refused hello still exits")
 	reconnectMax := flag.Duration("reconnect-max", distsys.DefaultReconnectMax,
 		"backoff ceiling between reconnect attempts")
 	var lf cli.LogFlags

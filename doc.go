@@ -116,9 +116,9 @@
 // The distributed result path is engineered so that fleet throughput
 // tracks kernel throughput rather than per-chunk bookkeeping: a worker's
 // task request asks for up to a window of chunks of one job, the worker
-// computes them side by side, one per core (a job with a fan width instead
-// splits each chunk across jump-separated sub-streams on all its cores,
-// RunStreamFan), pre-reduces the grant in grant order into one tally — the
+// computes them side by side, one per core (a job with a fan width splits
+// each chunk across jump-separated sub-streams, RunStreamFan, and the
+// cores take those one by one across the grant), pre-reduces the grant in grant order into one tally — the
 // same bytes whatever the core count — and hands that
 // batch back on its next task request — the only frame a result travels in
 // since protocol v6 — with tallies encoded by a sparse binary codec instead

@@ -3,6 +3,7 @@ package distsys
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"slices"
@@ -98,14 +99,14 @@ func chunkIDs(grants []protocol.ChunkGrant) []int {
 
 // TestGrantBatchIndependentOfGOMAXPROCS: a grant's chunks run side by side
 // but merge in grant order, so one session's batches are the same bytes on
-// one, two or four cores — the bytes of merging mc.RunStream's chunk
-// tallies in grant order.
+// one, two or four cores — the bytes of merging mc.RunStreamFan's chunk
+// tallies in grant order, for a plain job and for a fanned one, whose
+// chunks' sub-streams the cores share across chunk boundaries.
 func TestGrantBatchIndependentOfGOMAXPROCS(t *testing.T) {
 	spec := quickSpec()
 	spec.TrackMoments = true
 	spec.PathGrid = &mc.GridSpec{N: 8, Edge: 20} // the kernels' pooled visit buffers
 	const seed, streams = 17, 12
-	job := &protocol.Job{ID: 5, Spec: *spec, Seed: seed, Streams: streams}
 	// Grants of one, eight and three chunks, out of stream order, of
 	// differing sizes.
 	var grants [][]protocol.ChunkGrant
@@ -121,59 +122,77 @@ func TestGrantBatchIndependentOfGOMAXPROCS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want [][]byte
-	for _, grant := range grants {
-		var merged *mc.Tally
-		for _, g := range grant {
-			chunk, err := mc.RunStream(cfg, g.Photons, seed, g.Stream, streams)
-			if err != nil {
-				t.Fatal(err)
+	for _, fan := range []int{1, 3} {
+		job := &protocol.Job{ID: 5, Spec: *spec, Seed: seed, Streams: streams, Fan: fan}
+		var want [][]byte
+		for _, grant := range grants {
+			var merged *mc.Tally
+			for _, g := range grant {
+				chunk, err := mc.RunStreamFan(cfg, g.Photons, seed, g.Stream, streams, fan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if merged == nil {
+					merged = chunk
+				} else if err := merged.Merge(chunk); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if merged == nil {
-				merged = chunk
-			} else if err := merged.Merge(chunk); err != nil {
-				t.Fatal(err)
-			}
+			want = append(want, mc.AppendTally(nil, merged))
 		}
-		want = append(want, mc.AppendTally(nil, merged))
-	}
 
-	session := func(procs int) {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		s, done := startHandSession(t, job, WorkerOptions{Name: "w"})
-		s.exchange(grants[0])
-		for i := range grants {
-			var next []protocol.ChunkGrant
-			if i+1 < len(grants) {
-				next = grants[i+1]
+		session := func(procs int) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			s, done := startHandSession(t, job, WorkerOptions{Name: "w"})
+			s.exchange(grants[0])
+			for i := range grants {
+				var next []protocol.ChunkGrant
+				if i+1 < len(grants) {
+					next = grants[i+1]
+				}
+				got := s.exchange(next)
+				if got == nil || !slices.Equal(got.Chunks, chunkIDs(grants[i])) {
+					t.Fatalf("fan %d, GOMAXPROCS %d, grant %d: batch covers %v, want %v", fan, procs, i, got, chunkIDs(grants[i]))
+				}
+				if !bytes.Equal(got.TallyData, want[i]) {
+					t.Errorf("fan %d, GOMAXPROCS %d, grant %d: batch differs from the in-order merge of its chunks", fan, procs, i)
+				}
 			}
-			got := s.exchange(next)
-			if got == nil || !slices.Equal(got.Chunks, chunkIDs(grants[i])) {
-				t.Fatalf("GOMAXPROCS %d, grant %d: batch covers %v, want %v", procs, i, got, chunkIDs(grants[i]))
-			}
-			if !bytes.Equal(got.TallyData, want[i]) {
-				t.Errorf("GOMAXPROCS %d, grant %d: batch differs from the in-order merge of its chunks", procs, i)
+			if err := <-done; err != nil {
+				t.Fatalf("fan %d, GOMAXPROCS %d: %v", fan, procs, err)
 			}
 		}
-		if err := <-done; err != nil {
-			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		for _, procs := range []int{1, 2, 4} {
+			session(procs)
 		}
-	}
-	for _, procs := range []int{1, 2, 4} {
-		session(procs)
 	}
 }
 
 // TestStopMidGrantHandsBackStartedPrefix: Stop closed while a grant of four
-// runs on two kernels starts no further chunk; the two already started
-// finish and are handed back — the grant's first two — and the server
-// requeues the other two at once, which a second worker then computes.
+// runs starts no further unit; those already started finish, only the
+// chunks whose units all ran are handed back — a prefix of the grant — and
+// the server requeues the rest at once, which a second worker then
+// computes. On two kernels a plain grant hands back the two chunks started.
+// A fan-3 grant's chunks are three units each, and four kernels start the
+// first four: the first chunk whole and one unit of the second, so the
+// first chunk alone comes back.
 func TestStopMidGrantHandsBackStartedPrefix(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, tc := range []struct{ fan, procs, back int }{{1, 2, 2}, {3, 4, 1}} {
+		t.Run(fmt.Sprintf("fan%d", tc.fan), func(t *testing.T) { stopMidGrant(t, tc.fan, tc.procs, tc.back) })
+	}
+}
+
+// stopMidGrant closes Stop while a grant of four chunks of a job of the
+// given fan runs on procs kernels, and checks that the grant's first back
+// chunks are handed back, the rest requeued, and that a second worker then
+// finishes the job.
+func stopMidGrant(t *testing.T, fan, procs, back int) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	reg := service.New(service.Options{})
-	submit := func(photons, chunk int64) *service.Job {
+	submit := func(photons, chunk int64, fan int) *service.Job {
 		t.Helper()
-		out, err := reg.Submit(service.JobSpec{Spec: quickSpec(), TotalPhotons: photons, ChunkPhotons: chunk, Seed: uint64(photons)})
+		out, err := reg.Submit(service.JobSpec{Spec: quickSpec(), TotalPhotons: photons, ChunkPhotons: chunk,
+			Seed: uint64(photons), Fan: fan})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +200,7 @@ func TestStopMidGrantHandsBackStartedPrefix(t *testing.T) {
 	}
 	// A cheap job of three chunks opens the worker's window 1, 2, 4; the
 	// next job's four chunks then arrive as one grant.
-	warm := submit(30, 10)
+	warm := submit(30, 10, 1)
 	server, client := net.Pipe()
 	go reg.HandleConn(server)
 	oreg := obs.NewRegistry()
@@ -198,8 +217,10 @@ func TestStopMidGrantHandsBackStartedPrefix(t *testing.T) {
 	if _, err := warm.Wait(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	const chunk = 8000 // ≈ 0.1 s of kernel each: Stop lands well inside the two started
-	job := submit(4*chunk, chunk)
+	// ≈ 0.1 s of kernel per chunk or fanned sub-stream: Stop lands well
+	// inside the units started.
+	chunk := int64(8000 * fan)
+	job := submit(4*chunk, chunk, fan)
 	kinds := func(kind obs.EventKind) []int {
 		events, _ := job.Events()
 		var ids []int
@@ -218,7 +239,7 @@ func TestStopMidGrantHandsBackStartedPrefix(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// From the grant's arrival to both chunks started is a spec build and
+	// From the grant's arrival to every kernel started is a spec build and
 	// a goroutine start.
 	time.Sleep(30 * time.Millisecond)
 	close(stop)
@@ -231,14 +252,15 @@ func TestStopMidGrantHandsBackStartedPrefix(t *testing.T) {
 	if len(granted) != 4 {
 		t.Fatalf("granted %v, want one grant of four", granted)
 	}
-	if got := kinds(obs.EvChunkCompleted); !slices.Equal(got, granted[:2]) {
-		t.Errorf("handed back %v of grant %v, want its first two", got, granted)
+	if got := kinds(obs.EvChunkCompleted); !slices.Equal(got, granted[:back]) {
+		t.Errorf("handed back %v of grant %v, want its first %d", got, granted, back)
 	}
-	if got := kinds(obs.EvChunkReassigned); !slices.Equal(slices.Sorted(slices.Values(got)), slices.Sorted(slices.Values(granted[2:]))) {
-		t.Errorf("requeued %v of grant %v, want its last two", got, granted)
+	if got := kinds(obs.EvChunkReassigned); !slices.Equal(slices.Sorted(slices.Values(got)), slices.Sorted(slices.Values(granted[back:]))) {
+		t.Errorf("requeued %v of grant %v, want its last %d", got, granted, 4-back)
 	}
-	if n := oreg.Counter("worker_chunks_computed_total", "").Value(); n != 5 || r.stats.Chunks != 5 {
-		t.Errorf("worker computed %d chunks and had %d accepted, want 5 and 5 (3 warm-up, 2 of the grant)", n, r.stats.Chunks)
+	if n := oreg.Counter("worker_chunks_computed_total", "").Value(); n != uint64(3+back) || r.stats.Chunks != 3+back {
+		t.Errorf("worker computed %d chunks and had %d accepted, want %d and %d (3 warm-up, %d of the grant)",
+			n, r.stats.Chunks, 3+back, 3+back, back)
 	}
 
 	server2, client2 := net.Pipe()

@@ -14,8 +14,8 @@
 // the same machinery as a long-lived, many-job service.
 //
 // The worker's batch is its grant: a task request asks for up to a window
-// of chunks of one job, they are computed one per core (a fanned job's one
-// at a time, each across its fan of RNG sub-streams on every core) and
+// of chunks of one job, their streams — a fanned chunk's fan of RNG
+// sub-streams — are computed one per core (mc.Runner.RunChunks) and
 // pre-reduced in grant order into one tally, and that ResultBatch (compact
 // codec) rides the next task request, whose reply carries each chunk's
 // accepted, duplicate or rejected verdict.

@@ -36,8 +36,9 @@ type LoopOptions struct {
 }
 
 // WorkLoop runs worker sessions against dial until the server reports
-// the service done, the session drains via opts.Stop, or — with
-// Reconnect off — the first error. With Reconnect on, dial failures and
+// the service done, the session drains via opts.Stop, the server refuses
+// the Hello (ErrHelloRejected), or — with Reconnect off — the first error.
+// With Reconnect on, dial failures and
 // mid-session IO errors (a restarting mcqueue, a flaky link) retry under
 // exponential backoff with full jitter so a fleet of workers does not
 // stampede the server the instant it returns. Stats accumulate across
@@ -75,7 +76,7 @@ func WorkLoop(dial func() (io.ReadWriteCloser, error), opts WorkerOptions, lo Lo
 		if err == nil {
 			return total, nil // service done or graceful drain
 		}
-		if !lo.Reconnect {
+		if !lo.Reconnect || errors.Is(err, ErrHelloRejected) {
 			return total, err
 		}
 		select {

@@ -1,13 +1,17 @@
 package distsys
 
 import (
+	"errors"
 	"io"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/protocol"
 	"repro/internal/service"
 )
 
@@ -264,5 +268,51 @@ func TestWorkerStopWithoutReadDeadlines(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("parked worker never returned after Stop closed")
+	}
+}
+
+// TestRejectedHelloEndsWorkLoop: a server that refuses the Hello (a worker
+// of the wrong protocol version) refuses it on every redial, so WorkLoop
+// returns the server's message after one dial instead of retrying forever.
+func TestRejectedHelloEndsWorkLoop(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var dials atomic.Int32
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			dials.Add(1)
+			go func() {
+				pc := protocol.NewConn(c)
+				defer pc.Close()
+				if _, err := pc.Recv(); err == nil {
+					pc.Send(&protocol.Message{Type: protocol.MsgError,
+						Error: &protocol.Error{Msg: "version mismatch: server 7, client 6"}})
+				}
+			}()
+		}
+	}()
+	done := make(chan error, 1)
+	go func() {
+		_, err := WorkLoopTCP(ln.Addr().String(), WorkerOptions{Name: "stale"},
+			LoopOptions{Reconnect: true, Base: 10 * time.Millisecond, Max: 50 * time.Millisecond})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrHelloRejected) || !strings.Contains(err.Error(), "version mismatch") {
+			t.Fatalf("WorkLoop returned %v, want the server's refusal", err)
+		}
+		if n := dials.Load(); n != 1 {
+			t.Fatalf("WorkLoop dialled %d times, want 1", n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("WorkLoop still redialling after %d dials", dials.Load())
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"net"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -29,9 +28,9 @@ type WorkerOptions struct {
 	Name string
 	// Mflops is the self-reported processing rate (informational).
 	Mflops float64
-	// Slowdown stretches compute time by sleeping Slowdown×(compute time)
-	// after each chunk, on the kernel that computed it, emulating a slower
-	// or non-dedicated machine.
+	// Slowdown stretches compute time by sleeping Slowdown×(the grant's
+	// wall time) after each grant, emulating a slower or non-dedicated
+	// machine.
 	Slowdown float64
 	// FailAfterChunks, if positive, makes the worker drop its connection
 	// after computing (and flushing) that many chunks — deterministic
@@ -101,13 +100,14 @@ func ewma(cur, sample float64) float64 {
 // grant folds one computed grant into the EWMAs. Throughput is the grant's
 // photons over its wall time: its chunks ran side by side, so a per-chunk
 // rate would read a two-core worker at half its speed. chunkSecs stays per
-// chunk, the unit the server's timeout envelope divides by.
-func (t *workerTelemetry) grant(photons int64, wall time.Duration, runs []chunkRun) {
+// chunk — its kernel time, summed over a fanned chunk's sub-streams — the
+// unit the server's timeout envelope divides by.
+func (t *workerTelemetry) grant(photons int64, wall time.Duration, runs []mc.ChunkRun) {
 	if secs := wall.Seconds(); secs > 0 && photons > 0 {
 		t.pps = ewma(t.pps, float64(photons)/secs)
 	}
 	for _, run := range runs {
-		if secs := run.elapsed.Seconds(); secs > 0 {
+		if secs := run.Elapsed.Seconds(); secs > 0 {
 			t.chunkSecs = ewma(t.chunkSecs, secs)
 		}
 	}
@@ -206,6 +206,11 @@ type WorkerStats struct {
 // FailAfterChunks.
 var ErrInjectedFailure = errors.New("distsys: worker failed by injection")
 
+// ErrHelloRejected wraps the server's refusal of a session's Hello (a
+// protocol version mismatch): no redial can change the answer, so WorkLoop
+// returns it instead of reconnecting.
+var ErrHelloRejected = errors.New("distsys: server rejected hello")
+
 // jobRuntime caches one job's built config and its jump-state stream
 // cache so a session can interleave chunks of many jobs without
 // rebuilding or re-jumping (workers are job-agnostic; the server routes
@@ -221,87 +226,25 @@ type jobRuntime struct {
 	cache   *rng.StreamCache
 }
 
-// chunkRun is one computed chunk of a grant: its tally and compute time.
-type chunkRun struct {
-	tally   *mc.Tally
-	elapsed time.Duration
-	err     error
-}
-
-// compute runs a grant's chunks on up to min(GOMAXPROCS, len(grants)) of the
-// job's kernels at once — one at a time for a fanned job, whose chunks
-// already use every core — and returns those it ran, in grant order. Each
-// kernel's goroutine claims the next chunk in grant order, and none is
-// claimed once stop is closed, so the chunks run are always a prefix of the
-// grant, every one of them finished. Single-stream chunks draw their
-// generator from the per-job StreamCache (one Jump per new stream instead of
-// O(stream) per chunk); fanned chunks derive their sub-streams from the
-// chunk's FanSeed, which is O(fan) regardless. A non-positive stream count
-// marks an open-ended (precision-targeted) job: the server issues chunk ids
-// without a predetermined bound, so only the lower bound is checked.
-func (rt *jobRuntime) compute(grants []protocol.ChunkGrant, slowdown float64, stop <-chan struct{}) ([]chunkRun, error) {
-	gens := make([]*rng.Rand, len(grants))
+// units turns a grant into one chunk of units per grant entry: one unit from
+// the job's StreamCache (one Jump per new stream instead of O(stream) per
+// chunk), or a fanned chunk's sub-streams (mc.FanUnits), derived from the
+// chunk's FanSeed in O(fan) regardless. A non-positive stream count marks an
+// open-ended (precision-targeted) job: the server issues chunk ids without a
+// predetermined bound, so only the lower bound is checked.
+func (rt *jobRuntime) units(grants []protocol.ChunkGrant) ([][]mc.Unit, error) {
+	chunks := make([][]mc.Unit, len(grants))
 	for i, g := range grants {
 		if g.Stream < 0 || (rt.streams > 0 && g.Stream >= rt.streams) {
 			return nil, fmt.Errorf("distsys: stream %d outside [0,%d)", g.Stream, rt.streams)
 		}
-		if rt.fan <= 1 {
-			gens[i] = rt.cache.Stream(g.Stream)
+		if rt.fan > 1 {
+			chunks[i] = mc.FanUnits(g.Photons, rt.seed, g.Stream, rt.fan)
+		} else {
+			chunks[i] = []mc.Unit{{Rand: rt.cache.Stream(g.Stream), Photons: g.Photons}}
 		}
 	}
-	width := 1
-	if rt.fan <= 1 {
-		width = rt.runner.Kernels(len(grants))
-	}
-	runs := make([]chunkRun, len(grants))
-	var mu sync.Mutex
-	claimed := 0
-	claim := func() (int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if claimed == len(grants) {
-			return 0, false
-		}
-		select {
-		case <-stop:
-			return 0, false
-		default:
-		}
-		claimed++
-		return claimed - 1, true
-	}
-	work := func(w int) {
-		for i, ok := claim(); ok; i, ok = claim() {
-			g, run := grants[i], &runs[i]
-			start := time.Now()
-			if rt.fan > 1 {
-				run.tally, run.err = rt.runner.RunFan(g.Photons, rt.seed, g.Stream, rt.streams, rt.fan)
-			} else {
-				run.tally = rt.runner.RunOn(w, g.Photons, gens[i])
-			}
-			run.elapsed = time.Since(start)
-			if slowdown > 0 {
-				time.Sleep(time.Duration(slowdown * float64(run.elapsed)))
-			}
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < width; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work(w)
-		}()
-	}
-	work(0)
-	wg.Wait()
-	runs = runs[:claimed]
-	for _, run := range runs {
-		if run.err != nil {
-			return nil, run.err
-		}
-	}
-	return runs, nil
+	return chunks, nil
 }
 
 // maxCachedJobs bounds the per-session descriptor cache (a built Config
@@ -353,9 +296,10 @@ func (b *resultBatch) encode(arena []byte) (*protocol.ResultBatch, []byte) {
 // of as many concurrent jobs as the server cares to assign — until the
 // server reports the service done. It returns session statistics.
 //
-// A grant's chunks are computed side by side, one per core (a fanned job's
-// one at a time, each across its fan of sub-streams on every core), and
-// pre-reduced in grant order into one batch — the same bytes on one core as
+// A grant's chunks are computed side by side on one kernel per core
+// (mc.Runner.RunChunks; a fanned chunk's sub-streams are units of it like
+// any other, so cores stay busy across chunk boundaries), and pre-reduced
+// in grant order into one batch — the same bytes on one core as
 // on many — which rides the next TaskRequest: a worker's batch is its
 // grant. A dropped connection loses only the grant in hand, which the
 // server requeues.
@@ -391,7 +335,7 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 		return nil, err
 	}
 	if welcome.Type == protocol.MsgError {
-		return nil, fmt.Errorf("distsys: server rejected hello: %s", welcome.Error.Msg)
+		return nil, fmt.Errorf("%w: %s", ErrHelloRejected, welcome.Error.Msg)
 	}
 	if welcome.Type != protocol.MsgWelcome || welcome.Welcome == nil {
 		return nil, fmt.Errorf("distsys: expected welcome, got %v", welcome.Type)
@@ -582,26 +526,30 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 					grants = grants[:budget-computed]
 				}
 			}
-			start := time.Now()
-			runs, err := rt.compute(grants, opts.Slowdown, opts.Stop)
+			chunks, err := rt.units(grants)
 			if err != nil {
 				return stats, err
+			}
+			start := time.Now()
+			runs := rt.runner.RunChunks(chunks, opts.Stop)
+			if opts.Slowdown > 0 {
+				time.Sleep(time.Duration(opts.Slowdown * float64(time.Since(start))))
 			}
 			wall := time.Since(start)
 			var photons int64
 			for i, run := range runs {
 				g := grants[i]
-				if err := batch.add(a.JobID, g.ChunkID, g.Photons, run.elapsed, run.tally); err != nil {
+				if err := batch.add(a.JobID, g.ChunkID, g.Photons, run.Elapsed, run.Tally); err != nil {
 					return stats, fmt.Errorf("distsys: pre-reducing job %016x chunk %d: %w",
 						a.JobID, g.ChunkID, err)
 				}
 				photons += g.Photons
-				stats.Compute += run.elapsed
+				stats.Compute += run.Elapsed
 				computed++
-				met.chunkSec.Observe(run.elapsed.Seconds())
+				met.chunkSec.Observe(run.Elapsed.Seconds())
 				log.Debug("chunk finished", "job", fmt.Sprintf("%016x", a.JobID),
 					"chunk", g.ChunkID, "photons", g.Photons,
-					"elapsed", run.elapsed, "buffered", len(batch.chunks))
+					"elapsed", run.Elapsed, "buffered", len(batch.chunks))
 			}
 			tel.grant(photons, wall, runs)
 			met.chunks.Add(uint64(len(runs)))

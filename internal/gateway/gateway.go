@@ -345,7 +345,11 @@ func (g *Gateway) proxyResult(w http.ResponseWriter, req *http.Request) {
 			service.APIError{Error: fmt.Sprintf("shard %d: %v", shard, err)})
 		return
 	}
-	body = service.EncodeJSON(res)
+	if body, err = service.EncodeJSON(res); err != nil {
+		service.WriteJSON(w, http.StatusInternalServerError,
+			service.APIError{Error: fmt.Sprintf("encoding the result: %v", err)})
+		return
+	}
 	service.WriteBody(w, http.StatusOK, "application/json", body)
 	g.met.resultSeconds.Observe(time.Since(start).Seconds())
 	g.met.resultBytes.Observe(float64(len(body)))

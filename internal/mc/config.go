@@ -2,9 +2,9 @@
 // paper (Fig 1 pseudocode): photon packets hop through a layered tissue
 // model, drop weight to absorption, spin into new directions via the
 // Henyey–Greenstein phase function, refract or internally reflect at layer
-// boundaries, and are captured by a surface detector. It also provides the
-// local parallel runner that fans photons across goroutines with
-// reproducible per-worker RNG streams.
+// boundaries, and are captured by a surface detector. It also provides
+// Runner, which runs independent RNG streams on one kernel per core and
+// merges them in a fixed order, so a tally never depends on the core count.
 package mc
 
 import (

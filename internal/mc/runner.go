@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
+	"time"
 
 	"repro/internal/rng"
 )
@@ -68,23 +68,23 @@ func RunWithRand(cfg *Config, n int64, r *rng.Rand) (*Tally, error) {
 	return k.tally, nil
 }
 
-// Runner amortises kernel setup across the chunk runs of one configuration
-// and runs up to one chunk per core at once: the config is normalised once,
+// Runner amortises kernel setup across the runs of one configuration and is
+// this package's one way to use every core: the config is normalised once,
 // and the runner holds one kernel per core, each reusing its scratch buffers
-// (sub-packet stack, pooled visit-site slices) from chunk to chunk instead
-// of rebuilding them per call. Each run still accumulates into a fresh Tally
-// — the reduction contract is untouched — and its photon trajectories are
+// (sub-packet stack, pooled visit-site slices) from run to run instead of
+// rebuilding them per call. Each run still accumulates into a fresh Tally —
+// the reduction contract is untouched — and its photon trajectories are
 // bit-identical to RunWithRand on the same generator state, whichever kernel
 // computes it.
 //
 // Kernels running side by side must not write to one cache line (each would
 // run at about half speed): a kernel draws from its own copy of the
 // generator state it is handed, is padded off its neighbours, and kernel
-// w > 0 is built by the first goroutine that runs on it. RunOn calls on
-// distinct kernels may run concurrently; nothing else may.
+// w > 0 is built by the goroutine that runs on it. A Runner is not safe for
+// concurrent use.
 type Runner struct {
 	cfg *Config
-	ks  []*kernel // ks[0] built by NewRunner, ks[w] by the first RunOn(w, …)
+	ks  []*kernel // ks[0] built by NewRunner, ks[w] by RunChunks' goroutine w
 }
 
 // NewRunner validates and normalises cfg and prepares a reusable kernel.
@@ -95,23 +95,12 @@ func NewRunner(cfg *Config) (*Runner, error) {
 	return &Runner{cfg: cfg, ks: []*kernel{newKernel(cfg, rng.Rand{})}}, nil
 }
 
-// Kernels readies the runner to compute n chunks at once and returns how
-// many kernels they run on: min(GOMAXPROCS, n), at least one. RunOn may then
-// be called concurrently for each kernel index below that count.
-func (ru *Runner) Kernels(n int) int {
-	w := max(1, min(runtime.GOMAXPROCS(0), n))
-	for len(ru.ks) < w {
-		ru.ks = append(ru.ks, nil)
-	}
-	return w
-}
-
 // Run simulates n photons from generator state r into a fresh tally, on the
 // runner's first kernel. r itself does not advance.
-func (ru *Runner) Run(n int64, r *rng.Rand) *Tally { return ru.RunOn(0, n, r) }
+func (ru *Runner) Run(n int64, r *rng.Rand) *Tally { return ru.runOn(0, n, r) }
 
-// RunOn is Run on kernel w, which Kernels must have readied.
-func (ru *Runner) RunOn(w int, n int64, r *rng.Rand) *Tally {
+// runOn is Run on kernel w, building it on first use.
+func (ru *Runner) runOn(w int, n int64, r *rng.Rand) *Tally {
 	k := ru.ks[w]
 	if k == nil {
 		k = newKernel(ru.cfg, *r)
@@ -124,12 +113,94 @@ func (ru *Runner) RunOn(w int, n int64, r *rng.Rand) *Tally {
 	return k.tally
 }
 
-// RunFan computes a fanned chunk exactly as RunStreamFan does on the
-// Runner's config (fan > 1), keeping the sub-kernels' event counts.
-func (ru *Runner) RunFan(n int64, seed uint64, stream, streams, fan int) (*Tally, error) {
-	t, ev, err := runFan(ru.cfg, n, seed, stream, streams, fan)
-	ru.ks[0].events.Add(ev)
-	return t, err
+// Unit is one independent piece of a chunk: Photons photons drawn from
+// generator state Rand, which does not advance.
+type Unit struct {
+	Rand    *rng.Rand
+	Photons int64
+}
+
+// ChunkRun is one finished chunk: its tally and its units' kernel time,
+// summed.
+type ChunkRun struct {
+	Tally   *Tally
+	Elapsed time.Duration
+}
+
+// RunChunks runs the units of chunks on min(GOMAXPROCS, units) kernels at
+// once and returns the finished chunks in order. Each kernel claims the next
+// unit in chunk order, and none is claimed once stop is closed (a nil stop
+// never closes), so the units run are a prefix of them all, every one
+// finished; only the chunks whose units all ran come back, a prefix of
+// chunks. A one-unit chunk's tally is its unit's tally; a longer chunk's is
+// a fresh tally with its units merged in unit order. Either way a chunk's
+// bytes do not depend on how many kernels ran it.
+func (ru *Runner) RunChunks(chunks [][]Unit, stop <-chan struct{}) []ChunkRun {
+	var units []Unit
+	for _, c := range chunks {
+		units = append(units, c...)
+	}
+	width := max(1, min(runtime.GOMAXPROCS(0), len(units)))
+	for len(ru.ks) < width {
+		ru.ks = append(ru.ks, nil)
+	}
+	tallies := make([]*Tally, len(units))
+	elapsed := make([]time.Duration, len(units))
+	var mu sync.Mutex
+	claimed := 0
+	claim := func() (int, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if claimed == len(units) {
+			return 0, false
+		}
+		select {
+		case <-stop:
+			return 0, false
+		default:
+		}
+		claimed++
+		return claimed - 1, true
+	}
+	work := func(w int) {
+		for i, ok := claim(); ok; i, ok = claim() {
+			start := time.Now()
+			tallies[i] = ru.runOn(w, units[i].Photons, units[i].Rand)
+			elapsed[i] = time.Since(start)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < width; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
+
+	runs := make([]ChunkRun, 0, len(chunks))
+	for at, c := 0, 0; c < len(chunks) && at+len(chunks[c]) <= claimed; c++ {
+		done := tallies[at : at+len(chunks[c])]
+		run := ChunkRun{}
+		if len(done) == 1 {
+			run.Tally = done[0]
+		} else {
+			run.Tally = NewTally(ru.cfg)
+			for _, t := range done {
+				if err := run.Tally.Merge(t); err != nil {
+					panic(err) // tallies of one config always merge
+				}
+			}
+		}
+		for _, d := range elapsed[at : at+len(done)] {
+			run.Elapsed += d
+		}
+		runs = append(runs, run)
+		at += len(done)
+	}
+	return runs
 }
 
 // TakeEvents returns what the transport loops have counted since the last
@@ -146,83 +217,54 @@ func (ru *Runner) TakeEvents() KernelEvents {
 	return ev
 }
 
+// split shares n photons across the generators gens, the first n mod
+// len(gens) of them one photon more.
+func split(n int64, gens []*rng.Rand) []Unit {
+	units := make([]Unit, len(gens))
+	for i, r := range gens {
+		units[i] = Unit{Rand: r, Photons: n / int64(len(gens))}
+		if int64(i) < n%int64(len(gens)) {
+			units[i].Photons++
+		}
+	}
+	return units
+}
+
+// FanUnits splits chunk `stream`'s n photons across its `fan` jump-separated
+// sub-streams (rng.FanStreams): the one chunk RunStreamFan runs.
+func FanUnits(n int64, seed uint64, stream, fan int) []Unit {
+	return split(n, rng.FanStreams(seed, stream, fan))
+}
+
 // RunStreamFan computes chunk `stream` of `streams` like RunStream, but
-// splits the chunk's photons across `fan` jump-separated sub-streams
-// derived deterministically from the chunk's stream index (rng.FanStreams)
-// and merges the sub-tallies in sub-stream order. The result is a pure
-// function of (cfg, n, seed, stream, streams, fan): the number of
-// goroutines actually used — at most GOMAXPROCS — never changes the tally,
-// so a fanned chunk computed on a 1-core and a 32-core worker reduces
+// splits the chunk's photons across `fan` sub-streams (FanUnits) and runs
+// them as one chunk on a Runner, merged in sub-stream order. The result is a
+// pure function of (cfg, n, seed, stream, streams, fan): the number of
+// kernels actually used — at most GOMAXPROCS — never changes the tally, so a
+// fanned chunk computed on a 1-core and a 32-core worker reduces
 // identically. fan ≤ 1 is byte-identical to RunStream, which keeps the
 // golden tallies and every legacy cache entry valid.
 func RunStreamFan(cfg *Config, n int64, seed uint64, stream, streams, fan int) (*Tally, error) {
 	if fan <= 1 {
 		return RunStream(cfg, n, seed, stream, streams)
 	}
-	if err := cfg.Normalize(); err != nil {
+	ru, err := NewRunner(cfg)
+	if err != nil {
 		return nil, err
 	}
-	t, _, err := runFan(cfg, n, seed, stream, streams, fan)
-	return t, err
-}
-
-// runFan is RunStreamFan on a normalised config with fan > 1; it also
-// returns the sub-kernels' summed event counts.
-func runFan(cfg *Config, n int64, seed uint64, stream, streams, fan int) (*Tally, KernelEvents, error) {
 	if stream < 0 || (streams > 0 && stream >= streams) {
-		return nil, KernelEvents{}, fmt.Errorf("mc: stream %d outside [0,%d)", stream, streams)
+		return nil, fmt.Errorf("mc: stream %d outside [0,%d)", stream, streams)
 	}
-	subs := rng.FanStreams(seed, stream, fan)
-	shares := make([]int64, fan)
-	for i := range shares {
-		shares[i] = n / int64(fan)
-		if int64(i) < n%int64(fan) {
-			shares[i]++
-		}
-	}
-	tallies := make([]*Tally, fan)
-	counts := make([]KernelEvents, fan)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > fan {
-		workers = fan
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= fan {
-					return
-				}
-				k := newKernel(cfg, *subs[i])
-				k.RunPhotons(shares[i])
-				k.record()
-				tallies[i], counts[i] = k.tally, k.events
-			}
-		}()
-	}
-	wg.Wait()
-
-	total := NewTally(cfg)
-	var events KernelEvents
-	for i, t := range tallies {
-		if err := total.Merge(t); err != nil {
-			return nil, events, err
-		}
-		events.Add(counts[i])
-	}
-	return total, events, nil
+	return ru.RunChunks([][]Unit{FanUnits(n, seed, stream, fan)}, nil)[0].Tally, nil
 }
 
 // RunAdaptive is the local run-until-precision loop: it simulates rounds
-// of `workers` jump-separated streams of `chunk` photons each — merged in
-// stream order, so the result is a pure function of (cfg, tgt, seed,
-// chunk, workers) — and stops at the first round boundary where the
-// target is met or tgt.MaxPhotons (when set) is reached. TrackMoments is
-// forced on; the returned tally's estimate and CI come from EstimateCI.
+// of `workers` jump-separated streams of `chunk` photons each — one-unit
+// chunks on one Runner, merged in stream order, so the result is a pure
+// function of (cfg, tgt, seed, chunk, workers) — and stops at the first
+// round boundary where the target is met or tgt.MaxPhotons (when set) is
+// reached. TrackMoments is forced on; the returned tally's estimate and CI
+// come from EstimateCI.
 //
 // The stopping rule tests the on-line variance estimate, which is itself
 // noisy early on: a low tgt.MinPhotons floor can latch onto an
@@ -242,7 +284,8 @@ func RunAdaptive(cfg *Config, tgt Target, seed uint64, chunk int64, workers int)
 		c.TrackMoments = true
 		cfg = &c
 	}
-	if err := cfg.Normalize(); err != nil {
+	ru, err := NewRunner(cfg)
+	if err != nil {
 		return nil, err
 	}
 	if chunk <= 0 {
@@ -254,7 +297,7 @@ func RunAdaptive(cfg *Config, tgt Target, seed uint64, chunk int64, workers int)
 
 	cache := rng.NewStreamCache(seed)
 	total := NewTally(cfg)
-	tallies := make([]*Tally, workers)
+	chunks := make([][]Unit, workers)
 	for stream := 0; ; {
 		round := workers
 		if tgt.MaxPhotons > 0 {
@@ -265,20 +308,11 @@ func RunAdaptive(cfg *Config, tgt Target, seed uint64, chunk int64, workers int)
 		if round <= 0 {
 			return total, nil // budget exhausted before the target was met
 		}
-		var wg sync.WaitGroup
-		for w := 0; w < round; w++ {
-			wg.Add(1)
-			go func(w int, r *rng.Rand) {
-				defer wg.Done()
-				k := newKernel(cfg, *r)
-				k.RunPhotons(chunk)
-				k.record()
-				tallies[w] = k.tally
-			}(w, cache.Stream(stream+w))
+		for w := range chunks[:round] {
+			chunks[w] = []Unit{{Rand: cache.Stream(stream + w), Photons: chunk}}
 		}
-		wg.Wait()
-		for _, t := range tallies[:round] {
-			if err := total.Merge(t); err != nil {
+		for _, run := range ru.RunChunks(chunks[:round], nil) {
+			if err := total.Merge(run.Tally); err != nil {
 				return nil, err
 			}
 		}
@@ -289,12 +323,13 @@ func RunAdaptive(cfg *Config, tgt Target, seed uint64, chunk int64, workers int)
 	}
 }
 
-// RunParallel fans n photons across `workers` goroutines (default
-// GOMAXPROCS), each with its own jump-separated RNG stream, and merges the
-// partial tallies. The result is identical to running the same streams
-// sequentially.
+// RunParallel splits n photons across `workers` jump-separated RNG streams
+// (default GOMAXPROCS) and runs them as one chunk on a Runner, merged in
+// stream order. The result is identical to running the same streams
+// sequentially, on any number of cores; one worker is Run.
 func RunParallel(cfg *Config, n int64, seed uint64, workers int) (*Tally, error) {
-	if err := cfg.Normalize(); err != nil {
+	ru, err := NewRunner(cfg)
+	if err != nil {
 		return nil, err
 	}
 	if workers <= 0 {
@@ -303,34 +338,5 @@ func RunParallel(cfg *Config, n int64, seed uint64, workers int) (*Tally, error)
 	if int64(workers) > n && n > 0 {
 		workers = int(n)
 	}
-	if workers <= 1 {
-		return Run(cfg, n, seed)
-	}
-
-	streams := rng.NewStreams(seed, workers)
-	tallies := make([]*Tally, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		share := n / int64(workers)
-		if int64(w) < n%int64(workers) {
-			share++
-		}
-		wg.Add(1)
-		go func(w int, share int64) {
-			defer wg.Done()
-			k := newKernel(cfg, *streams[w])
-			k.RunPhotons(share)
-			k.record()
-			tallies[w] = k.tally
-		}(w, share)
-	}
-	wg.Wait()
-
-	total := NewTally(cfg)
-	for _, t := range tallies {
-		if err := total.Merge(t); err != nil {
-			return nil, err
-		}
-	}
-	return total, nil
+	return ru.RunChunks([][]Unit{split(n, rng.NewStreams(seed, workers))}, nil)[0].Tally, nil
 }

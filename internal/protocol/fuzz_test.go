@@ -5,8 +5,10 @@ import (
 	"encoding/gob"
 	"flag"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -198,6 +200,9 @@ func FuzzDecodeMessage(f *testing.F) {
 				if len(m.Request.KnownJobs) > MaxKnownJobs {
 					t.Fatalf("Recv accepted %d known jobs", len(m.Request.KnownJobs))
 				}
+				if r := m.Request.Report; r != nil && !(measure(r.PhotonsPerSec) && measure(r.ChunkSecs) && measure(r.EncodeSecs)) {
+					t.Fatalf("Recv accepted a report with a non-finite or negative figure: %+v", r)
+				}
 				if b := m.Request.Batch; b != nil {
 					if b.NumChunks() > MaxBatchChunks {
 						t.Fatalf("Recv accepted a %d-chunk batch", b.NumChunks())
@@ -205,6 +210,9 @@ func FuzzDecodeMessage(f *testing.F) {
 					for _, g := range b.Groups {
 						if len(g.Chunks) == 0 {
 							t.Fatal("Recv accepted an empty batch group")
+						}
+						if g.Elapsed < 0 || slices.ContainsFunc(g.ChunkSecs, func(s float64) bool { return !measure(s) }) {
+							t.Fatalf("Recv accepted a batch group with a negative or non-finite time: %v %v", g.Elapsed, g.ChunkSecs)
 						}
 					}
 				}
@@ -243,6 +251,8 @@ func corpusSeeds(tb testing.TB) map[string][]byte {
 	seeds["moments_batch_v4"] = encodeMessages(tb, msgs[10])
 	seeds["empty_batch_group_v3"] = encodeMessages(tb,
 		flush(&ResultBatch{Groups: []BatchGroup{{JobID: 1}}}))
+	seeds["nan_report_v6"] = encodeMessages(tb, &Message{Type: MsgTaskRequest,
+		Request: &TaskRequest{Want: 1, Report: &WorkerReport{PhotonsPerSec: math.NaN()}}})
 	// What a v5 peer could still send and Recv must refuse.
 	for name, frame := range retiredFrames(tb) {
 		seeds[name] = frame

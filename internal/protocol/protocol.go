@@ -9,6 +9,8 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"time"
 
 	"repro/internal/mc"
@@ -448,9 +450,14 @@ func (c *Conn) Recv() (*Message, error) {
 			return nil, fmt.Errorf("protocol: task request advertises %d known jobs, max %d",
 				len(m.Request.KnownJobs), MaxKnownJobs)
 		}
-		if rep := m.Request.Report; rep != nil && len(rep.Version) > MaxReportVersion {
-			return nil, fmt.Errorf("protocol: worker report version string is %d bytes, max %d",
-				len(rep.Version), MaxReportVersion)
+		if rep := m.Request.Report; rep != nil {
+			if len(rep.Version) > MaxReportVersion {
+				return nil, fmt.Errorf("protocol: worker report version string is %d bytes, max %d",
+					len(rep.Version), MaxReportVersion)
+			}
+			if !measure(rep.PhotonsPerSec) || !measure(rep.ChunkSecs) || !measure(rep.EncodeSecs) {
+				return nil, fmt.Errorf("protocol: worker report carries a negative or non-finite rate or time")
+			}
 		}
 		if b := m.Request.Batch; b != nil {
 			if n := b.NumChunks(); n > MaxBatchChunks {
@@ -463,6 +470,9 @@ func (c *Conn) Recv() (*Message, error) {
 				if ns := len(b.Groups[i].ChunkSecs); ns != 0 && ns != len(b.Groups[i].Chunks) {
 					return nil, fmt.Errorf("protocol: result batch group %d has %d chunk timings for %d chunks",
 						i, ns, len(b.Groups[i].Chunks))
+				}
+				if g := &b.Groups[i]; g.Elapsed < 0 || slices.ContainsFunc(g.ChunkSecs, func(s float64) bool { return !measure(s) }) {
+					return nil, fmt.Errorf("protocol: result batch group %d carries a negative or non-finite time", i)
 				}
 			}
 		}
@@ -477,6 +487,10 @@ func (c *Conn) Recv() (*Message, error) {
 	}
 	return &m, nil
 }
+
+// measure reports whether v can be a rate or a duration: finite and not
+// negative. Recv refuses any other, which no JSON view could render.
+func measure(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // Close closes the underlying transport.
 func (c *Conn) Close() error { return c.c.Close() }

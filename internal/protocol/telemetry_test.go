@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -109,5 +110,41 @@ func TestRecvRejectsChunkSecsLengthMismatch(t *testing.T) {
 	}}}))
 	if _, err := c2.Recv(); err == nil {
 		t.Fatal("mismatched ChunkSecs length accepted")
+	}
+}
+
+// TestRecvRejectsNonFiniteTelemetry: a rate or a time is finite and not
+// negative, or the frame is refused — a NaN kept in a session's report
+// would make every JSON view of the fleet unrenderable.
+func TestRecvRejectsNonFiniteTelemetry(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	group := func(elapsed time.Duration, secs ...float64) *Message {
+		return flush(&ResultBatch{Groups: []BatchGroup{{
+			JobID: 1, Chunks: make([]int, len(secs)), Elapsed: elapsed, TallyData: []byte{1}, ChunkSecs: secs,
+		}}})
+	}
+	report := func(r WorkerReport) *Message {
+		return &Message{Type: MsgTaskRequest, Request: &TaskRequest{Want: 1, Report: &r}}
+	}
+	for name, tc := range map[string]struct {
+		m  *Message
+		ok bool
+	}{
+		"report":            {report(WorkerReport{PhotonsPerSec: 1e6, ChunkSecs: 0.1, EncodeSecs: 0.001}), true},
+		"report-nan-rate":   {report(WorkerReport{PhotonsPerSec: nan}), false},
+		"report-inf-chunk":  {report(WorkerReport{ChunkSecs: inf}), false},
+		"report-neg-encode": {report(WorkerReport{EncodeSecs: -1}), false},
+		"batch":             {group(time.Second, 0.4, 0.6), true},
+		"batch-nan-chunk":   {group(time.Second, 0.4, nan), false},
+		"batch-neg-chunk":   {group(time.Second, -0.4, 0.6), false},
+		"batch-neg-elapsed": {group(-time.Second, 0.4, 0.6), false},
+	} {
+		c1, c2 := pipePair()
+		go c1.Send(tc.m)
+		if _, err := c2.Recv(); (err == nil) != tc.ok {
+			t.Errorf("%s: Recv returned %v, want accepted %v", name, err, tc.ok)
+		}
+		c1.Close()
+		c2.Close()
 	}
 }

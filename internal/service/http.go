@@ -131,16 +131,23 @@ func (a *API) Register(mux *http.ServeMux) {
 
 // EncodeJSON renders a response body — the one JSON renderer of the job
 // API, shared with the gateway tier in front of it, so a body is the same
-// bytes whichever tier encoded it.
-func EncodeJSON(body any) []byte {
+// bytes whichever tier encoded it. A value JSON cannot render (a NaN, an
+// infinity) is an error, never an empty body.
+func EncodeJSON(body any) ([]byte, error) {
 	var buf bytes.Buffer
-	json.NewEncoder(&buf).Encode(body)
-	return buf.Bytes()
+	err := json.NewEncoder(&buf).Encode(body)
+	return buf.Bytes(), err
 }
 
-// WriteJSON answers with a JSON body.
+// WriteJSON answers with a JSON body, or with a 500 naming why it could
+// not be encoded.
 func WriteJSON(w http.ResponseWriter, code int, body any) {
-	WriteBody(w, code, "application/json", EncodeJSON(body))
+	data, err := EncodeJSON(body)
+	if err != nil {
+		code = http.StatusInternalServerError
+		data, _ = EncodeJSON(APIError{Error: fmt.Sprintf("encoding the response: %v", err)}) // strings always encode
+	}
+	WriteBody(w, code, "application/json", data)
 }
 
 // WriteBody answers with an already encoded body.
@@ -342,8 +349,9 @@ func (a *API) result(w http.ResponseWriter, req *http.Request) {
 		if req.Header.Get("Accept") == ResultCompactType {
 			met, contentType = &a.reg.met.resultCompact, ResultCompactType
 			data = AppendResult(nil, &body)
-		} else {
-			data = EncodeJSON(body)
+		} else if data, err = EncodeJSON(body); err != nil {
+			WriteJSON(w, http.StatusInternalServerError, APIError{Error: fmt.Sprintf("encoding the result: %v", err)})
+			return
 		}
 		met.seconds.Observe(time.Since(start).Seconds())
 		met.bytes.Observe(float64(len(data)))

@@ -16,6 +16,7 @@ import (
 	"repro/internal/detector"
 	"repro/internal/mc"
 	"repro/internal/obs"
+	"repro/internal/protocol"
 	"repro/internal/source"
 	"repro/internal/tissue"
 )
@@ -150,7 +151,7 @@ func TestResultNegotiation(t *testing.T) {
 	if res.Target == nil || !res.TargetMet || res.Tally.Moments == nil {
 		t.Fatalf("compact result lost the target or the moments: %+v", res)
 	}
-	if again := EncodeJSON(res); !bytes.Equal(again, plain) {
+	if again, err := EncodeJSON(res); err != nil || !bytes.Equal(again, plain) {
 		t.Fatalf("compact result re-encodes to different JSON:\n%.300s\nvs\n%.300s", again, plain)
 	}
 	if len(compact) >= len(plain) {
@@ -392,5 +393,49 @@ func TestHTTPPrecisionJob(t *testing.T) {
 		Target: &mc.Target{RelErr: 2},
 	}); code != http.StatusUnprocessableEntity {
 		t.Fatalf("bad target: http %d", code)
+	}
+}
+
+// TestNonFiniteReportKeepsFleetDecodable: a session whose telemetry report
+// carries a NaN rate must not take GET /fleet down with it — the body must
+// still decode, which is what a gateway's fan-out and mctop read.
+func TestNonFiniteReportKeepsFleetDecodable(t *testing.T) {
+	reg := New(Options{})
+	ts := httptest.NewServer(NewAPI(reg).Handler())
+	defer ts.Close()
+	p := dialPeer(t, reg, "nan")
+	if err := p.pc.Send(&protocol.Message{Type: protocol.MsgTaskRequest, Request: &protocol.TaskRequest{
+		Want: 1, Report: &protocol.WorkerReport{PhotonsPerSec: math.NaN()}}}); err != nil {
+		t.Fatal(err)
+	}
+	// The server refuses the frame and ends the session, or parks the
+	// request and, with nothing queued, answers it at the park limit: either
+	// way the report has landed wherever it is going to by then.
+	p.conn.SetReadDeadline(time.Now().Add(2 * parkMax))
+	p.pc.Recv()
+
+	resp, err := http.Get(ts.URL + "/fleet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var fleet FleetBody
+	if err := json.NewDecoder(resp.Body).Decode(&fleet); err != nil {
+		t.Fatalf("GET /fleet answered %d with a body that does not decode: %v", resp.StatusCode, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /fleet answered %d", resp.StatusCode)
+	}
+}
+
+// TestWriteJSONNamesEncodeFailure: a body JSON cannot render is a 500 that
+// says why, never a 200 with nothing in it.
+func TestWriteJSONNamesEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, http.StatusOK, map[string]float64{"rate": math.Inf(1)})
+	var body APIError
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != http.StatusInternalServerError ||
+		!strings.Contains(body.Error, "unsupported value") {
+		t.Fatalf("WriteJSON of an infinity answered %d %q (%v), want a 500 naming the value", rec.Code, rec.Body, err)
 	}
 }

@@ -98,7 +98,11 @@ func TestSubmissionTailMustFillTheGrid(t *testing.T) {
 	js := JobSpec{Spec: voxelSpec(t), TotalPhotons: 500, ChunkPhotons: 250, Seed: 9}
 	short := *js.Spec
 	short.Voxel = js.Spec.Voxel.WithLabels(js.Spec.Voxel.Labels[:100])
-	wantCode, wantBody := post("application/json", EncodeJSON(JobRequest{Spec: &short, Photons: 500, ChunkPhotons: 250, Seed: 9}))
+	shortBody, err := EncodeJSON(JobRequest{Spec: &short, Photons: 500, ChunkPhotons: 250, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCode, wantBody := post("application/json", shortBody)
 	if wantCode < 400 || !strings.Contains(wantBody, "labels for") {
 		t.Fatalf("JSON with a short label array: http %d %s", wantCode, wantBody)
 	}
@@ -215,9 +219,12 @@ func TestReplayParentJournal(t *testing.T) {
 func submitVoxelBodies(tb testing.TB) (spec JobSpec, key Key, jsonBody, compact, accept []byte) {
 	tb.Helper()
 	spec = benchVoxelHeadJob(tb)
-	jsonBody = EncodeJSON(JobRequest{Spec: spec.Spec, Photons: spec.TotalPhotons,
+	jsonBody, err := EncodeJSON(JobRequest{Spec: spec.Spec, Photons: spec.TotalPhotons,
 		ChunkPhotons: spec.ChunkPhotons, Seed: spec.Seed})
-	key, _, err := RoutingKeys(&spec, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	key, _, err = RoutingKeys(&spec, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}

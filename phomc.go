@@ -84,9 +84,9 @@ func Run(cfg *Config, n int64, seed uint64) (*Tally, error) {
 	return mc.Run(cfg, n, seed)
 }
 
-// RunParallel fans n photons across workers goroutines (0 = GOMAXPROCS)
-// with jump-separated RNG streams; the merged tally is independent of the
-// worker count.
+// RunParallel splits n photons across `workers` jump-separated RNG streams
+// (0 = GOMAXPROCS) and runs them on up to GOMAXPROCS cores; the merged
+// tally depends on the stream count, never on the cores that ran it.
 func RunParallel(cfg *Config, n int64, seed uint64, workers int) (*Tally, error) {
 	return mc.RunParallel(cfg, n, seed, workers)
 }
