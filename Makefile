@@ -27,8 +27,11 @@ short:
 # it within a second, so nothing hangs to give it away), a job stays in
 # byKey across its seal and until its eviction, and a unit claimed after
 # stop closes is a race of the kernels — repetition is the cheap detector.
+# The first line's timeout is explicit: on a 2-CPU host internal/mc alone
+# takes ~11 min under race (the whole line ~15.5), past go test's 10-minute
+# default.
 race:
-	$(GO) test -race -short -shuffle=on ./...
+	$(GO) test -race -short -shuffle=on -timeout 30m ./...
 	$(GO) test -race -shuffle=on -run 'Park|Dispatch|Drain|BatchIsItsGrant|Repeat|FinishAndSeal|RetainDone|GrantBatch|ParallelGrants|RunChunks' -count=20 ./internal/service ./internal/distsys ./internal/mc
 
 # bench-check vets and tests the nested benchmark module (bench/, its own

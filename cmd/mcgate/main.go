@@ -24,7 +24,7 @@
 // The gateway holds no results: a resubmission, or a looser precision
 // target over physics any shard ran, is routed to the shard that ran it
 // and answered there, nothing run — a repeat with the job it repeats, a
-// looser target with a job born done around the deeper run's tally.
+// looser target with the deeper run that meets it.
 //
 // -tenants moves admission control to the gateway (the only place that
 // sees every shard's arrival stream): the named token buckets run here,

@@ -23,8 +23,8 @@
 // — in which case the registry issues chunks until the observable's
 // relative standard error meets the target (GET /jobs/{id} reports the
 // live estimate ± CI and photons spent), and a retained run of the same
-// physics that already meets-or-exceeds the precision serves the request
-// instantly, as a job born done around that run's tally.
+// physics that already meets-or-exceeds the precision answers the request
+// instantly with that run.
 //
 // The API also serves the introspection plane: GET /fleet (live worker
 // sessions with reported and inferred photon throughput), GET

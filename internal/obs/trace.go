@@ -12,9 +12,9 @@ const (
 	EvSubmitted EventKind = iota + 1
 	// EvCoalesced records an identical submission attaching to this job.
 	EvCoalesced
-	// EvCacheHit records a submission answered by a retained run; Detail
-	// names the index that hit: "exact" on the run's own ring, "physics"
-	// on the ring of the job born done around the run's tally.
+	// EvCacheHit records a submission answered by a retained run, on the
+	// run's own ring; Detail names the index that hit: "exact" for a
+	// repeat, "physics" for a looser precision target the run meets.
 	EvCacheHit
 	// EvResumed records a job restored from a journal snapshot.
 	EvResumed

@@ -220,6 +220,9 @@ func FuzzDecodeMessage(f *testing.F) {
 			if m.Assign != nil && len(m.Assign.Grants) > MaxGrantChunks {
 				t.Fatalf("Recv accepted a %d-chunk grant", len(m.Assign.Grants))
 			}
+			if m.Assign != nil && m.Assign.Job != nil && m.Assign.Job.Fan > MaxFan {
+				t.Fatalf("Recv accepted a grant fanned %d ways", m.Assign.Job.Fan)
+			}
 			if m.BatchAck != nil && len(m.BatchAck.Acks) > MaxBatchChunks {
 				t.Fatalf("Recv accepted a %d-ack batch ack", len(m.BatchAck.Acks))
 			}
@@ -352,8 +355,8 @@ func TestRecvRejectsRetiredV5Frames(t *testing.T) {
 	}
 }
 
-// TestRecvRejectsOversizedBatch covers the batch, grant and ack bounds,
-// plus the no-empty-groups rule.
+// TestRecvRejectsOversizedBatch covers the batch, grant, fan and ack
+// bounds, plus the no-empty-groups rule.
 func TestRecvRejectsOversizedBatch(t *testing.T) {
 	big := &ResultBatch{Groups: []BatchGroup{{JobID: 1, Chunks: make([]int, MaxBatchChunks+1)}}}
 	for name, m := range map[string]*Message{
@@ -361,6 +364,8 @@ func TestRecvRejectsOversizedBatch(t *testing.T) {
 		"empty-group": flush(&ResultBatch{Groups: []BatchGroup{{JobID: 1}}}),
 		"grant": {Type: MsgTaskAssign,
 			Assign: &TaskAssign{JobID: 1, Grants: make([]ChunkGrant, MaxGrantChunks+1)}},
+		"fan": {Type: MsgTaskAssign,
+			Assign: &TaskAssign{JobID: 1, Job: &Job{Fan: MaxFan + 1}, Grants: make([]ChunkGrant, 1)}},
 		"batch-ack": {Type: MsgNoWork, NoWork: &NoWork{},
 			BatchAck: &BatchAck{Acks: make([]ResultAck, MaxBatchChunks+1)}},
 	} {
@@ -370,10 +375,15 @@ func TestRecvRejectsOversizedBatch(t *testing.T) {
 		}
 	}
 
-	ok := flush(&ResultBatch{
-		Groups: []BatchGroup{{JobID: 1, Chunks: make([]int, MaxBatchChunks)}}})
-	c := NewConn(readCloser{bytes.NewReader(encodeMessages(t, ok))})
-	if _, err := c.Recv(); err != nil {
-		t.Fatalf("at-limit batch rejected: %v", err)
+	for name, ok := range map[string]*Message{
+		"batch": flush(&ResultBatch{
+			Groups: []BatchGroup{{JobID: 1, Chunks: make([]int, MaxBatchChunks)}}}),
+		"fan": {Type: MsgTaskAssign,
+			Assign: &TaskAssign{JobID: 1, Job: &Job{Fan: MaxFan}, Grants: make([]ChunkGrant, 1)}},
+	} {
+		c := NewConn(readCloser{bytes.NewReader(encodeMessages(t, ok))})
+		if _, err := c.Recv(); err != nil {
+			t.Fatalf("at-limit %s rejected: %v", name, err)
+		}
 	}
 }

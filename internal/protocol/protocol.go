@@ -226,6 +226,11 @@ type ChunkGrant struct {
 // larger frames.
 const MaxGrantChunks = 64
 
+// MaxFan bounds a job's fan width: a worker allocates one generator per
+// sub-stream of a fanned chunk. The service refuses a wider submission, and
+// Recv a TaskAssign for one.
+const MaxFan = 1024
+
 // MaxBatchChunks bounds the total chunks covered by one ResultBatch;
 // larger frames are malformed or hostile and rejected by Recv before the
 // registry allocates per-chunk bookkeeping.
@@ -480,6 +485,10 @@ func (c *Conn) Recv() (*Message, error) {
 	if m.Assign != nil && len(m.Assign.Grants) > MaxGrantChunks {
 		return nil, fmt.Errorf("protocol: task assign grants %d chunks, max %d",
 			len(m.Assign.Grants), MaxGrantChunks)
+	}
+	if m.Assign != nil && m.Assign.Job != nil && m.Assign.Job.Fan > MaxFan {
+		return nil, fmt.Errorf("protocol: task assign fans chunks %d ways, max %d",
+			m.Assign.Job.Fan, MaxFan)
 	}
 	if m.BatchAck != nil && len(m.BatchAck.Acks) > MaxBatchChunks {
 		return nil, fmt.Errorf("protocol: batch ack covers %d chunks, max %d",

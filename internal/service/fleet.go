@@ -674,7 +674,7 @@ func (r *Registry) reduceGroup(sess *session, jobID uint64, chunks []int, tally 
 	for i, id := range chunks {
 		if st := j.outstanding[id]; st != nil && st.session == sess.id {
 			seeds = append(seeds, spanSeed{idx: i, chunk: id,
-				granted: st.assigned, queued: j.queuedAtLocked(id)})
+				granted: st.assigned, queued: j.queued[id]})
 			if minGranted.IsZero() || st.assigned.Before(minGranted) {
 				minGranted = st.assigned
 			}

@@ -87,12 +87,10 @@ type JobAccepted struct {
 type JobResultBody struct {
 	ID string `json:"id"`
 	// Key and PhysicsKey are the job's content key and physics key (see
-	// KeyOf, PhysicsKeyOf; hex in JSON): the two indexes its shard answers
-	// repeats and looser targets from, and what the job ID was derived from
-	// (JobID).
+	// deriveKeys; hex in JSON): the two indexes its shard answers repeats
+	// and looser targets from, and what the job ID was derived from (JobID).
 	Key        Key        `json:"key"`
 	PhysicsKey Key        `json:"physicsKey"`
-	CacheHit   bool       `json:"cacheHit,omitempty"`
 	Target     *mc.Target `json:"target,omitempty"`
 	// TargetMet reports a precision-targeted job stopped because its
 	// RSE goal was reached (false: the photon cap ended it first).
@@ -337,7 +335,6 @@ func (a *API) result(w http.ResponseWriter, req *http.Request) {
 			ID:         st.IDHex,
 			Key:        j.key,
 			PhysicsKey: j.pkey,
-			CacheHit:   res.CacheHit,
 			Target:     res.Target,
 			TargetMet:  res.TargetMet,
 			Elapsed:    res.Elapsed.Seconds(),

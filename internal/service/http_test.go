@@ -74,7 +74,7 @@ func waitDone(t *testing.T, ts *httptest.Server, id string) JobStatus {
 // TestHTTPSubmitsThePapersHeadModel: tissue.AdultHead — semi-infinite
 // white matter and all — is submittable over POST /jobs, and the JSON form
 // that makes it so does not move its content key: the HTTP job gets the
-// very ID an in-process KeyOf of the same model derives.
+// very ID an in-process RoutingKeys of the same model derives.
 func TestHTTPSubmitsThePapersHeadModel(t *testing.T) {
 	reg := New(Options{})
 	ts := httptest.NewServer(NewAPI(reg).Handler())
@@ -89,10 +89,7 @@ func TestHTTPSubmitsThePapersHeadModel(t *testing.T) {
 	if code != http.StatusCreated {
 		t.Fatalf("submit AdultHead: http %d %+v", code, acc)
 	}
-	key, err := KeyOf(head(), 400, 100, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := contentKey(t, JobSpec{Spec: head(), TotalPhotons: 400, ChunkPhotons: 100, Seed: 3})
 	if want := fmt.Sprintf("%016x", KeyID(key)); acc.ID != want {
 		t.Fatalf("HTTP job ID %s, in-process key derives %s", acc.ID, want)
 	}
@@ -249,8 +246,50 @@ func TestHTTPConcurrentJobsEndToEnd(t *testing.T) {
 	if after.ChunksAssigned != before.ChunksAssigned {
 		t.Fatalf("cache hit assigned %d chunks", after.ChunksAssigned-before.ChunksAssigned)
 	}
-	if after.CacheHits != 1 || after.Workers != 3 || after.JobsDone != 2 || after.CacheEntries != 2 {
+	if after.CacheHits != 1 || after.Workers != 3 || after.JobsDone != 2 {
 		t.Fatalf("stats inconsistent: %+v", after)
+	}
+}
+
+// TestIngressBoundsFanAndChunks: a fan width and a fixed-count chunk count
+// are bounded at normalization, so POST /jobs refuses either over its bound
+// with a 422 before a job — whose per-chunk bookkeeping is allocated at
+// submission — or a worker's per-sub-stream generators are built. A
+// precision target is not bounded by its chunks: it issues them as it runs.
+func TestIngressBoundsFanAndChunks(t *testing.T) {
+	reg := New(Options{})
+	ts := httptest.NewServer(NewAPI(reg).Handler())
+	defer ts.Close()
+	for name, req := range map[string]JobRequest{
+		"fan":    {Spec: slabSpec(5), Photons: 100, ChunkPhotons: 50, Fan: 2_000_000_000},
+		"chunks": {Spec: slabSpec(5), Photons: 100_000_000_000, ChunkPhotons: 1},
+	} {
+		if acc, code := postJob(t, ts, req); code != http.StatusUnprocessableEntity {
+			t.Fatalf("%s over its bound: http %d %+v, want 422", name, code, acc)
+		}
+	}
+	if n := len(reg.List()); n != 0 {
+		t.Fatalf("refused submissions left %d jobs", n)
+	}
+	for name, c := range map[string]struct {
+		js JobSpec
+		ok bool
+	}{
+		"fan at the bound":           {JobSpec{Spec: slabSpec(5), TotalPhotons: 100, Fan: protocol.MaxFan}, true},
+		"fan over the bound":         {JobSpec{Spec: slabSpec(5), TotalPhotons: 100, Fan: protocol.MaxFan + 1}, false},
+		"chunks at the bound":        {JobSpec{Spec: slabSpec(5), TotalPhotons: maxJobChunks, ChunkPhotons: 1}, true},
+		"chunks over the bound":      {JobSpec{Spec: slabSpec(5), TotalPhotons: maxJobChunks + 1, ChunkPhotons: 1}, false},
+		"short tail over the bound":  {JobSpec{Spec: slabSpec(5), TotalPhotons: 3*maxJobChunks + 1, ChunkPhotons: 3}, false},
+		"open-ended target":          {JobSpec{Spec: slabSpec(5), ChunkPhotons: 1, Target: &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.1}}, true},
+		"largest count in one chunk": {JobSpec{Spec: slabSpec(5), TotalPhotons: math.MaxInt64}, true},
+	} {
+		err := c.js.normalize(math.MaxInt64)
+		if (err == nil) != c.ok {
+			t.Fatalf("%s: normalize returned %v, want ok %v", name, err, c.ok)
+		}
+		if err == nil && c.js.Target == nil && c.js.numChunks() > maxJobChunks {
+			t.Fatalf("%s: %d chunks passed the bound", name, c.js.numChunks())
+		}
 	}
 }
 

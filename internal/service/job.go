@@ -18,8 +18,8 @@ import (
 //	   │                  │
 //	   └───────Cancel─────┴──▶ Canceled
 //
-// A physics hit is born Done around a deeper run's tally; an exact repeat
-// is not a job of its own but the finished job it repeats.
+// A cache hit is not a job of its own: an exact repeat is the finished job
+// it repeats, a looser precision target the deeper run that meets it.
 type JobState int
 
 const (
@@ -55,11 +55,11 @@ type WorkerInfo struct {
 
 // Result is the outcome of a completed job.
 type Result struct {
-	// Tally is read-only — its job, every repeat it answers and every
-	// physics hit it serves share the one; Clone before merging into it.
+	// Tally is read-only — its job and every cache hit it answers share the
+	// one; Clone before merging into it.
 	Tally *mc.Tally
 	// Elapsed is the wall-clock job duration, first assignment to last
-	// reduction (zero for a physics hit).
+	// reduction (zero for a job restored done from its snapshot).
 	Elapsed time.Duration
 	// Chunks, Reassigned, Duplicates and Rejected describe scheduling
 	// behaviour.
@@ -67,9 +67,6 @@ type Result struct {
 	Reassigned int
 	Duplicates int
 	Rejected   int
-	// CacheHit reports a job born done from a physics hit: the tally is a
-	// deeper run's, and no chunks were assigned for it.
-	CacheHit bool
 	// Target echoes a precision-targeted job's goal; TargetMet reports
 	// whether the stopping rule fired (false means the photon cap ended
 	// the job first — the tally still reports its achieved RSE).
@@ -90,7 +87,6 @@ type JobStatus struct {
 	Label           string     `json:"label,omitempty"`
 	Tenant          string     `json:"tenant,omitempty"`
 	State           string     `json:"state"`
-	CacheHit        bool       `json:"cacheHit,omitempty"`
 	TotalPhotons    int64      `json:"photons"`
 	ChunkPhotons    int64      `json:"chunkPhotons"`
 	CompletedChunks int        `json:"completedChunks"`
@@ -176,7 +172,6 @@ type Job struct {
 	chunkSecs float64
 
 	state      JobState
-	cacheHit   bool
 	reassigned int
 	duplicates int
 	rejected   int
@@ -289,19 +284,8 @@ func (j *Job) issueChunkLocked() int {
 // it. Every requeue path must come through here.
 func (j *Job) requeueLocked(id int) {
 	j.pending = append(j.pending, id)
-	if id >= 0 && id < len(j.queued) {
-		j.queued[id] = time.Now()
-	}
+	j.queued[id] = time.Now()
 	j.reg.wakeLocked()
-}
-
-// queuedAtLocked returns when the chunk last entered the pending queue
-// (zero for jobs predating the queue stamps, e.g. born-done jobs).
-func (j *Job) queuedAtLocked(id int) time.Time {
-	if id >= 0 && id < len(j.queued) {
-		return j.queued[id]
-	}
-	return time.Time{}
 }
 
 // ID returns the job's registry-unique identifier (also the wire JobID).
@@ -327,7 +311,6 @@ func (j *Job) statusLocked() JobStatus {
 		Label:           j.spec.Label,
 		Tenant:          j.spec.Tenant,
 		State:           j.state.String(),
-		CacheHit:        j.cacheHit,
 		TotalPhotons:    j.spec.TotalPhotons,
 		ChunkPhotons:    j.spec.ChunkPhotons,
 		CompletedChunks: j.nCompleted,
@@ -390,7 +373,6 @@ func (j *Job) Wait(timeout time.Duration) (*Result, error) {
 		Reassigned: j.reassigned,
 		Duplicates: j.duplicates,
 		Rejected:   j.rejected,
-		CacheHit:   j.cacheHit,
 		Target:     j.spec.Target,
 		TargetMet:  j.targetMet,
 	}
@@ -404,43 +386,9 @@ func (j *Job) Wait(timeout time.Duration) (*Result, error) {
 	return res, nil
 }
 
-// bornDoneJob builds a completed job around a deeper run's tally — no
-// geometry construction, no chunk queue; the ID is assigned by
-// registerLocked like any other job.
-func bornDoneJob(reg *Registry, key Key, spec JobSpec, tally *mc.Tally) *Job {
-	n := spec.numChunks()
-	now := time.Now()
-	j := &Job{
-		reg:         reg,
-		key:         key,
-		spec:        spec,
-		nChunks:     n,
-		outstanding: make(map[int]*chunkState),
-		completed:   make([]bool, n),
-		nCompleted:  n,
-		merging:     make(map[int]bool),
-		tally:       tally,
-		state:       StateDone,
-		cacheHit:    true,
-		workers:     make(map[string]*WorkerInfo),
-		finished:    make(chan struct{}),
-		submitted:   now,
-		finishedAt:  now,
-		events:      reg.newTrace(),
-		spans:       reg.newSpans(),
-	}
-	for i := range j.completed {
-		j.completed[i] = true
-	}
-	j.publishEstimate(tally)
-	close(j.finished)
-	return j
-}
-
 // publishEstimate refreshes the job's Status-visible estimate fields from
 // a tally. Reducers call it under both the reduction and registry locks;
-// construction paths (physics hits, snapshot resumes) call it before the job
-// is published anywhere.
+// a snapshot resume calls it before the job is published anywhere.
 func (j *Job) publishEstimate(t *mc.Tally) {
 	if t == nil || t.Moments == nil {
 		return

@@ -286,7 +286,8 @@ func (jl *Journal) jobAccepted(r *Registry, key Key, spec JobSpec) {
 // reduced chunks per job it journals a full tally snapshot. The chunks
 // themselves are not journaled — replay resumes from the last snapshot
 // and recomputes the rest. A finished job gets its final snapshot at once:
-// replay rebuilds it born Done from that, the answer to its repeats again.
+// replay rebuilds it born Done from that, the answer to its repeats and
+// looser targets again.
 // It must be cut before sealJob releases the job's waiters, while the
 // tally is still guaranteed quiescent — as is the size compaction after
 // it, which snapshots the job again. Called with no registry or reduction
@@ -374,12 +375,11 @@ func (jl *Journal) maybeCompact(r *Registry) {
 }
 
 // compact rewrites the log to one accept + snapshot pair per retained
-// job that ran, live or finished (snapshots carry no spec, so each needs
-// its accept record alongside). History before the snapshots — older
-// snapshots and canceled jobs — is dropped; a canceled job simply has
-// nothing to replay. A job born done from a physics hit is left out, as
-// the append path leaves it out (an exact repeat is no job at all): a
-// SIGTERM must leave what a SIGKILL would.
+// job, live or finished (snapshots carry no spec, so each needs its accept
+// record alongside). History before the snapshots — older snapshots and
+// canceled jobs — is dropped; a canceled job simply has nothing to replay.
+// A cache hit is no job at all, so neither path journals one: a SIGTERM
+// leaves what a SIGKILL would.
 func (jl *Journal) compact(r *Registry) error {
 	// Hold acceptMu for the whole rewrite: Compact deletes every existing
 	// record, so an accept append racing the gather→Compact window would
@@ -392,7 +392,7 @@ func (jl *Journal) compact(r *Registry) error {
 	r.mu.Lock()
 	jobs := make([]*Job, 0, len(r.order))
 	for _, j := range r.order {
-		if j.state != StateCanceled && !j.cacheHit {
+		if j.state != StateCanceled {
 			jobs = append(jobs, j)
 		}
 	}

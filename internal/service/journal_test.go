@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"net"
 	"os"
@@ -446,13 +447,13 @@ func TestJournalCompactionShrinksAndReplays(t *testing.T) {
 	}
 }
 
-// TestJournalCompactionLeavesCacheHitsOut: a cache hit is never journaled
-// by the append path — an exact repeat is the job that ran, and a job born
-// done from a physics hit holds that run's tally — so compaction must not
-// write a hit either: a shard that was SIGTERM'd (compact, then exit)
-// restores the jobs a SIGKILL'd one would, a popular spec's repeats do not
-// each leave an accept + tally pair in the log, and after the restart a
-// repeat names the restored run again.
+// TestJournalCompactionLeavesCacheHitsOut: a cache hit is no job — an
+// exact repeat is the job that ran, and a looser target the deeper run that
+// meets it — so neither the append path nor compaction writes one: a shard
+// that was SIGTERM'd (compact, then exit) restores the jobs a SIGKILL'd one
+// would, a popular spec's repeats do not each leave an accept + tally pair
+// in the log, and after the restart a repeat and a looser target both name
+// the restored run again.
 func TestJournalCompactionLeavesCacheHitsOut(t *testing.T) {
 	dir := t.TempDir()
 	regA, wlA, _ := journaledRegistry(t, dir, 0, Options{})
@@ -473,9 +474,11 @@ func TestJournalCompactionLeavesCacheHitsOut(t *testing.T) {
 	if out, err := regA.Submit(js); err != nil || !out.Cached || out.Job != ran.Job {
 		t.Fatalf("repeat: %+v, %v; want the job that ran, cached", out, err)
 	}
-	hit, err := regA.Submit(looser)
-	if err != nil || !hit.Cached || hit.Job == ran.Job {
-		t.Fatalf("looser target: %+v, %v; want a job born done", hit, err)
+	if out, err := regA.Submit(looser); err != nil || !out.Cached || out.Job != ran.Job {
+		t.Fatalf("looser target: %+v, %v; want the job that ran, cached", out, err)
+	}
+	if !looser.Target.MetBy(res.Tally) {
+		t.Fatal("the run's tally does not meet the looser target it answered")
 	}
 	if wlA.Size() != uncompacted {
 		t.Fatal("a cache hit appended to the journal")
@@ -491,18 +494,18 @@ func TestJournalCompactionLeavesCacheHitsOut(t *testing.T) {
 		t.Fatalf("replay restored %d jobs (%d listed), want only the one that ran", restored, len(regB.List()))
 	}
 	back := regB.Get(ran.Job.ID())
-	if back == nil || back.cacheHit {
-		t.Fatalf("the job that ran came back as %+v", back)
+	if back == nil {
+		t.Fatal("the job that ran did not come back")
 	}
 	resB, err := back.Wait(time.Second)
 	if err != nil || !bytes.Equal(tallyBytes(t, resB.Tally), tallyBytes(t, res.Tally)) {
 		t.Fatalf("the job that ran came back with another tally (%v)", err)
 	}
-	if regB.Get(hit.Job.ID()) != nil {
-		t.Fatalf("cache hit %016x was restored from the compacted journal", hit.Job.ID())
-	}
 	if out, err := regB.Submit(js); err != nil || !out.Cached || out.Job != back {
 		t.Fatalf("repeat after the restart: %+v, %v; want the restored run, cached", out, err)
+	}
+	if out, err := regB.Submit(looser); err != nil || !out.Cached || out.Job != back {
+		t.Fatalf("looser target after the restart: %+v, %v; want the restored run, cached", out, err)
 	}
 }
 
@@ -763,6 +766,47 @@ func TestReplayRefusesRetiredRecordTypes(t *testing.T) {
 		if restored != 0 || len(reg.List()) != 0 {
 			t.Fatalf("type %d: refused log still restored %d jobs (%d listed)", retired, restored, len(reg.List()))
 		}
+	}
+}
+
+// TestReplaySkipsOverBoundJobs: a journal written before the ingress
+// bounds may hold an accepted job whose fan or chunk count is over them.
+// Replay normalizes it like any submission, so it is skipped with the "job
+// skipped" warning — never built — and the jobs around it restore.
+func TestReplaySkipsOverBoundJobs(t *testing.T) {
+	accept := func(js JobSpec) wal.Record {
+		t.Helper()
+		key, _, err := deriveKeys(js.Spec, js.TotalPhotons, js.ChunkPhotons, js.Seed, js.Fan, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := encodeAcceptRec(key, &js)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wal.Record{Type: wal.RecJobAccepted, Data: rec}
+	}
+	var logged bytes.Buffer
+	wl, _, err := wal.Open(wal.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wl.Close()
+	reg := New(Options{Journal: NewJournal(wl, JournalOptions{CompactBytes: -1,
+		Logger: slog.New(slog.NewTextHandler(&logged, nil))})})
+	restored, err := reg.journal.Replay(reg, []wal.Record{
+		accept(JobSpec{Spec: slabSpec(5), TotalPhotons: 100, ChunkPhotons: 50, Seed: 1, Fan: 2_000_000_000}),
+		accept(JobSpec{Spec: slabSpec(5), TotalPhotons: 100_000_000_000, ChunkPhotons: 1, Seed: 2}),
+		accept(JobSpec{Spec: slabSpec(5), TotalPhotons: 100, ChunkPhotons: 50, Seed: 3}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored != 1 || len(reg.List()) != 1 {
+		t.Fatalf("replay restored %d jobs (%d listed), want only the one within bounds", restored, len(reg.List()))
+	}
+	if n := strings.Count(logged.String(), "job skipped"); n != 2 {
+		t.Fatalf("replay warned %d times of a skipped job, want 2:\n%s", n, logged.String())
 	}
 }
 

@@ -16,10 +16,8 @@ import (
 // to change every job ID, which broke journal replay's ID stability).
 // The content key must not move when unrelated gob encodes run first.
 func TestKeyStableAcrossGobHistory(t *testing.T) {
-	before, err := KeyOf(slabSpec(5), 1000, 100, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	js := JobSpec{Spec: slabSpec(5), TotalPhotons: 1000, ChunkPhotons: 100, Seed: 1}
+	before := contentKey(t, js)
 
 	// Churn the global gob type registry with types the key path also
 	// encodes, plus some it does not.
@@ -33,11 +31,7 @@ func TestKeyStableAcrossGobHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	after, err := KeyOf(slabSpec(5), 1000, 100, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before != after {
+	if after := contentKey(t, js); before != after {
 		t.Fatalf("content key moved after unrelated gob encodes: %s -> %s", before, after)
 	}
 }

@@ -12,8 +12,9 @@ import (
 )
 
 // Key content-addresses a job result: the SHA-256 of the canonical
-// encoding (internal/canon) of (Spec, TotalPhotons, ChunkPhotons, Seed).
-// Those four fields are exactly what the reproducibility contract says a
+// encoding (internal/canon) of (Spec, TotalPhotons, ChunkPhotons, Seed),
+// plus the fan and a precision target when set (deriveKeys). Those four
+// fields are exactly what the reproducibility contract says a
 // result depends on — the spec fixes the physics, the photon totals fix
 // the chunking (and with it the RNG stream count), and the seed fixes
 // the streams — so two submissions with equal keys produce bit-identical
@@ -45,49 +46,29 @@ func (k *Key) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// KeyOf computes the content address of a job.
-func KeyOf(spec *mc.Spec, totalPhotons, chunkPhotons int64, seed uint64) (Key, error) {
-	return KeyOfFan(spec, totalPhotons, chunkPhotons, seed, 0)
-}
-
-// KeyOfFan is KeyOf for fanned jobs: a fan width > 1 changes every chunk
-// tally (the chunk decomposes into fan sub-streams), so it must be part of
-// the content address. The fan is appended to the hash input only when it
-// is > 1, which keeps the key *format* — and with it every journaled key
-// and restart-stable job ID of legacy single-stream jobs — untouched.
-func KeyOfFan(spec *mc.Spec, totalPhotons, chunkPhotons int64, seed uint64, fan int) (Key, error) {
-	key, _, err := deriveKeys(spec, totalPhotons, chunkPhotons, seed, fan, nil)
-	return key, err
-}
-
-// KeyOfTarget is the content address of a precision-targeted job: the
-// fixed-count tuple (with TotalPhotons zero — the count is open-ended)
-// extended by the normalized Target, appended the same trailing way the
-// fan is so every fixed-count key is untouched.
-func KeyOfTarget(spec *mc.Spec, chunkPhotons int64, seed uint64, fan int, tgt *mc.Target) (Key, error) {
-	key, _, err := deriveKeys(spec, 0, chunkPhotons, seed, fan, tgt)
-	return key, err
-}
-
-// PhysicsKeyOf addresses what a tally *is* rather than how much of it was
-// asked for: the (Spec, ChunkPhotons, Seed, Fan) tuple that fixes the
-// physics, the chunk decomposition and the RNG streams — everything but
-// the stopping point. Every moments-tracking result is indexed under its
-// physics key so a precision-targeted request can be served by any stored
-// run of the same decomposition that meets-or-exceeds it (more photons,
-// tighter RSE), whether that run was itself targeted or fixed-count.
-func PhysicsKeyOf(spec *mc.Spec, chunkPhotons int64, seed uint64, fan int) (Key, error) {
-	_, pkey, err := deriveKeys(spec, 0, chunkPhotons, seed, fan, nil)
-	return pkey, err
-}
-
 // deriveKeys computes a job's content key and physics key in one canonical
-// walk of the spec. The two hash inputs are different tuples around the same
-// spec, which is all but a few dozen of their bytes (3.3 MB for a voxel
-// head): each SHA-256 state takes its own tuple's head and tail from
-// canon.Split and both take the spec between them from one canon.Write, so
-// each sees the bytes of its tuple encoded whole and no key moved
-// (TestPinnedKeys). The exported single-key functions return one of the two.
+// walk of the spec (keysOf and RoutingKeys are its callers).
+//
+// The content key hashes (Spec, TotalPhotons, ChunkPhotons, Seed), then the
+// fan when it is > 1 — a fanned chunk decomposes into fan sub-streams, so
+// the width changes every chunk tally — and then a precision target's
+// normalized Target, whose job has TotalPhotons zero (the count is
+// open-ended). Both are appended only when present, which keeps the key
+// format, and with it every journaled key and restart-stable job ID of a
+// plain fixed-count job, untouched.
+//
+// The physics key addresses what a tally *is* rather than how much of it was
+// asked for: (Spec, ChunkPhotons, Seed, Fan) fixes the physics, the chunk
+// decomposition and the RNG streams — everything but the stopping point. A
+// moments-tracking run is indexed under it, so a precision target is
+// answered by any retained run of the same decomposition that meets it,
+// whether that run was itself targeted or fixed-count.
+//
+// The two hash inputs are different tuples around the same spec, which is
+// all but a few dozen of their bytes (3.3 MB for a voxel head): each SHA-256
+// state takes its own tuple's head and tail from canon.Split and both take
+// the spec between them from one canon.Write, so each sees the bytes of its
+// tuple encoded whole and no key moved (TestPinnedKeys).
 func deriveKeys(spec *mc.Spec, totalPhotons, chunkPhotons int64, seed uint64, fan int, tgt *mc.Target) (key, pkey Key, err error) {
 	keyHead, keyTail, err1 := canon.Split(&struct {
 		Spec         canon.Hole

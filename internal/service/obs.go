@@ -137,7 +137,7 @@ func newServiceMetrics(reg *obs.Registry, r *Registry) *svcMetrics {
 			"Size of one POST /jobs body read at the ingress, by format (json from a client, compact from a gateway).", obs.ByteBuckets, "format"),
 	}
 	hits := reg.CounterVec("service_cache_hits_total",
-		"Submissions answered by a retained job that ran, by index: exact (the job itself) or physics (a job born done around a deeper run).", "index")
+		"Submissions answered by a retained job that ran, by index: exact (a repeat of the job) or physics (a looser target the job meets).", "index")
 	m.cacheHitExact = hits.With("exact")
 	m.cacheHitPhysics = hits.With("physics")
 	rej := reg.CounterVec("service_results_rejected_total",

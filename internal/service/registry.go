@@ -36,13 +36,12 @@ type Registry struct {
 	seenNames map[string]bool         // worker names ever connected (reconnect detection)
 	tenants   map[string]*tenantStats // per-tenant accounting, keyed by tenant name
 
-	// byKey indexes every retained job that ran (live, done from its own
+	// byKey indexes every retained job (live, done from its own
 	// reduction, or restored done from a complete snapshot) by content
 	// key: a live one absorbs an identical submission, a finished one is
 	// its answer. byPhysics holds, per physics key, the deepest retained
-	// moments-tracking job that ran, for meets-or-exceeds lookups. Jobs
-	// born done from a physics hit are in neither: their tally is another
-	// job's.
+	// done moments-tracking job, the answer to any precision target its
+	// tally meets. Every job ran: a hit in either index is the job itself.
 	byKey     map[Key]*Job
 	byPhysics map[Key]*Job
 
@@ -107,8 +106,8 @@ func New(opts Options) *Registry {
 type SubmitOutcome struct {
 	Job *Job
 	// Cached means no chunks will ever be assigned for the submission: Job
-	// is the finished job it repeats (an exact hit), or a job born Done
-	// around a deeper run of the same physics (a physics hit).
+	// is the finished job it repeats (an exact hit), or the retained deeper
+	// run of the same physics whose tally meets its target (a physics hit).
 	Cached bool
 	// Coalesced means an identical job was already active and the caller
 	// was attached to it instead of queueing duplicate work.
@@ -123,7 +122,7 @@ type SubmitOutcome struct {
 // precision-targeted submission is additionally matched against the
 // physics index: the deepest retained run of the same (spec, chunking,
 // seed, fan) decomposition, if it meets-or-exceeds the requested
-// precision, serves it instantly as a job born Done.
+// precision, is its answer in the same way (rideLocked).
 //
 // Heavy construction — Spec.Build (which may materialise a multi-megabyte
 // voxel geometry), tally allocation — happens outside the registry mutex so
@@ -140,39 +139,12 @@ func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
 	r.met.submitKeys.Observe(time.Since(start).Seconds())
 
 	r.mu.Lock()
-	if out, err := r.rideLocked(key, &spec); out != nil || err != nil {
+	if out, err := r.rideLocked(key, pkey, &spec); out != nil || err != nil {
 		r.mu.Unlock()
 		return out, err
 	}
-	// Meets-or-exceeds: a deeper or equal retained run of the same physics
-	// satisfies any looser request for it.
-	var deep *Job
-	if jb := r.byPhysics[pkey]; jb != nil && spec.Target != nil && spec.Target.MetBy(jb.tally) {
-		r.met.cacheLookups.Inc()
-		if err := r.admitRideLocked(&spec); err != nil {
-			r.mu.Unlock()
-			return nil, err
-		}
-		// A hit is counted when it is served: one the job-rate bucket just
-		// shed is a shed, not a hit.
-		r.met.cacheHitPhysics.Inc()
-		deep = jb
-	}
 	r.mu.Unlock()
 	r.shareGrid(&spec)
-	if deep != nil {
-		// The deeper run proves this spec built and completed before, so
-		// the job is born Done without touching the geometry, around that
-		// run's own tally (read-only, see Result.Tally).
-		j := bornDoneJob(r, key, spec, deep.tally)
-		j.pkey = pkey
-		j.trace(obs.Event{Kind: obs.EvCacheHit, Detail: "physics"})
-		r.mu.Lock()
-		r.registerLocked(j)
-		r.mu.Unlock()
-		r.log.Info("job served from a deeper run", "job", jobHex(j.id), "run", jobHex(deep.id))
-		return &SubmitOutcome{Job: j, Cached: true}, nil
-	}
 
 	// Early admission probe: a fresh job is refused before paying
 	// Spec.Build (which may materialise a voxel geometry). Coalesced and
@@ -200,9 +172,9 @@ func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
 	}
 	j.pkey = pkey
 	r.mu.Lock()
-	// An identical submission may have registered — or even finished —
-	// while this one built.
-	if out, err := r.rideLocked(key, &spec); out != nil || err != nil {
+	// An identical submission may have registered — or even finished — and
+	// a deeper run of the same physics may have sealed while this one built.
+	if out, err := r.rideLocked(key, pkey, &spec); out != nil || err != nil {
 		r.mu.Unlock()
 		return out, err
 	}
@@ -236,29 +208,39 @@ func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
 	return &SubmitOutcome{Job: j}, nil
 }
 
-// rideLocked answers a submission with the retained job of its content key,
-// if there is one: a job whose waiters are not yet released (live, or
-// between its last reduction and sealJob) absorbs it as a coalesced
-// duplicate, and a finished one is its exact hit. Either debits one
-// job-rate token (admitRideLocked). Both results nil means no such job.
-func (r *Registry) rideLocked(key Key, spec *JobSpec) (*SubmitOutcome, error) {
-	jb := r.byKey[key]
+// rideLocked answers a submission with a retained job, if one answers it:
+// the job of its content key, or — for a precision target — the deepest
+// retained run of its physics if that run's tally meets the target. A
+// content-key job whose waiters are not yet released (live, or between its
+// last reduction and sealJob) absorbs the submission as a coalesced
+// duplicate; a finished one, and any physics run (byPhysics holds done runs
+// only), is its hit. Either debits one job-rate token
+// (admitRideLocked). Both results nil means no retained job answers it.
+func (r *Registry) rideLocked(key, pkey Key, spec *JobSpec) (*SubmitOutcome, error) {
+	jb, index, hits := r.byKey[key], "exact", r.met.cacheHitExact
 	if jb == nil {
-		return nil, nil
+		jb, index, hits = r.byPhysics[pkey], "physics", r.met.cacheHitPhysics
+		if jb == nil || spec.Target == nil || !spec.Target.MetBy(jb.tally) {
+			return nil, nil
+		}
 	}
-	var finished bool
+	finished := index == "physics" // done: filed by sealJob or a complete snapshot
 	select {
 	case <-jb.finished:
 		finished = true
-		r.met.cacheLookups.Inc()
 	default:
+	}
+	if finished {
+		r.met.cacheLookups.Inc()
 	}
 	if err := r.admitRideLocked(spec); err != nil {
 		return nil, err
 	}
 	if finished {
-		r.met.cacheHitExact.Inc()
-		jb.trace(obs.Event{Kind: obs.EvCacheHit, Detail: "exact"})
+		// A hit is counted when it is served: one the job-rate bucket just
+		// shed is a shed, not a hit.
+		hits.Inc()
+		jb.trace(obs.Event{Kind: obs.EvCacheHit, Detail: index})
 		return &SubmitOutcome{Job: jb, Cached: true}, nil
 	}
 	jb.absorbParamsLocked(*spec)
@@ -667,12 +649,12 @@ func (r *Registry) sealJob(j *Job) {
 		"reassigned", reassigned, "duplicates", duplicates, "rejected", rejected)
 }
 
-// indexPhysicsLocked files a finished job that ran under its physics key if
+// indexPhysicsLocked files a finished job under its physics key if
 // its tally carries moments and it is the deepest retained run of that
 // physics (a later shallower run must not displace a stored result that
 // satisfies stricter targets). The job is done, so its tally is final
-// (reduceGroup merges into live jobs only): the job and every physics hit
-// it answers share the one.
+// (reduceGroup merges into live jobs only): every physics hit it answers
+// reads that one tally.
 func (r *Registry) indexPhysicsLocked(j *Job) {
 	if j.tally.Moments == nil {
 		return
@@ -712,7 +694,6 @@ type Stats struct {
 	RejectedResults   int64  `json:"rejectedResults"`
 	BatchesReduced    int64  `json:"batchesReduced"`
 	TallyMerges       int64  `json:"tallyMerges"`
-	CacheEntries      int    `json:"cacheEntries"`
 	CacheHits         int64  `json:"cacheHits"`
 	CacheMisses       int64  `json:"cacheMisses"`
 	JobsSubmitted     int64  `json:"jobsSubmitted"`
@@ -753,7 +734,6 @@ func (s *Stats) Add(o Stats) {
 	s.RejectedResults += o.RejectedResults
 	s.BatchesReduced += o.BatchesReduced
 	s.TallyMerges += o.TallyMerges
-	s.CacheEntries += o.CacheEntries
 	s.CacheHits += o.CacheHits
 	s.CacheMisses += o.CacheMisses
 	s.JobsSubmitted += o.JobsSubmitted
@@ -817,9 +797,6 @@ func (r *Registry) Stats() Stats {
 			s.JobsRunning++
 		case StateDone:
 			s.JobsDone++
-			if !j.cacheHit {
-				s.CacheEntries++ // a finished run: what repeats are answered from
-			}
 		case StateCanceled:
 			s.JobsCanceled++
 		}

@@ -29,10 +29,11 @@ const ResultCompactType = "application/vnd.mc.result"
 // at the gateway yields the bytes the shard's own JSON encoder would have.
 const resultCodecVersion = 1
 
+// Flag bit 0 once marked a cache hit; it is retired, and refused like any
+// unknown bit.
 const (
-	resCacheHit = 1 << iota
-	resTargetMet
-	resHasTarget
+	resTargetMet = 1 << 1
+	resHasTarget = 1 << 2
 )
 
 // maxResultString bounds the envelope's two strings (a 16-digit job ID, an
@@ -45,9 +46,6 @@ var errBadResult = errors.New("service: malformed compact result")
 // (res.Tally must be set) to buf and returns the extended slice.
 func AppendResult(buf []byte, res *JobResultBody) []byte {
 	var flags byte
-	if res.CacheHit {
-		flags |= resCacheHit
-	}
 	if res.TargetMet {
 		flags |= resTargetMet
 	}
@@ -82,10 +80,9 @@ func DecodeResult(data []byte) (*JobResultBody, error) {
 		return nil, fmt.Errorf("service: compact result version %d (want %d)", data[0], resultCodecVersion)
 	}
 	flags := data[1]
-	if flags&^(resCacheHit|resTargetMet|resHasTarget) != 0 {
+	if flags&^(resTargetMet|resHasTarget) != 0 {
 		return nil, errBadResult
 	}
-	res.CacheHit = flags&resCacheHit != 0
 	res.TargetMet = flags&resTargetMet != 0
 	rest := data[2:]
 	rest = rest[copy(res.Key[:], rest):]

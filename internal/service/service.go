@@ -21,8 +21,8 @@
 // coalesces onto it, and one arriving after it finished is answered with
 // it, instantly, for as long as Options.RetainDone keeps it: the retained
 // jobs are the registry's only result store. A precision target is also
-// answered by the deepest retained run of its physics that meets it, as a
-// job born done around that run's tally.
+// answered by the deepest retained run of its physics that meets it: the
+// answer is that run, as an exact repeat's is the job it repeats.
 //
 // Every submission belongs to a tenant (JobSpec.Tenant; the HTTP layer
 // resolves it from the X-MC-Tenant header, the request body, or the
@@ -62,6 +62,7 @@ import (
 
 	"repro/internal/mc"
 	"repro/internal/obs"
+	"repro/internal/protocol"
 )
 
 // Options configure a Registry. The zero value is a long-lived multi-job
@@ -186,6 +187,12 @@ const (
 	DefaultMaxTargetPhotons   = 50_000_000
 )
 
+// maxJobChunks bounds a fixed-count job's chunk count: the job's per-chunk
+// bookkeeping is allocated when it is submitted, before anything is
+// journaled, so a short body asking for 1e11 one-photon chunks must be
+// refused, not built. A precision target issues its chunks as it runs.
+const maxJobChunks = 1 << 20
+
 // normalize fills defaults and runs the cheap structural checks. The
 // expensive spec validation (Spec.Build, which may materialise a voxel
 // geometry) is deferred to newJob so that cache hits and coalesced
@@ -247,11 +254,17 @@ func (s *JobSpec) normalize(maxTargetPhotons int64) error {
 	if s.ChunkPhotons <= 0 {
 		s.ChunkPhotons = s.TotalPhotons
 	}
+	if s.Target == nil && (s.TotalPhotons-1)/s.ChunkPhotons >= maxJobChunks {
+		return fmt.Errorf("service: %d photons in chunks of %d is more than %d chunks",
+			s.TotalPhotons, s.ChunkPhotons, maxJobChunks)
+	}
 	if s.Weight <= 0 {
 		s.Weight = 1
 	}
 	if s.Fan <= 1 {
 		s.Fan = 0 // canonical "no fan": fan 1 computes the same tally
+	} else if s.Fan > protocol.MaxFan {
+		return fmt.Errorf("service: fan %d is wider than %d", s.Fan, protocol.MaxFan)
 	}
 	if s.Tenant == "" {
 		s.Tenant = DefaultTenant
@@ -268,5 +281,5 @@ func (s *JobSpec) numChunks() int {
 	if s.Target != nil {
 		return 0
 	}
-	return int((s.TotalPhotons + s.ChunkPhotons - 1) / s.ChunkPhotons)
+	return int((s.TotalPhotons-1)/s.ChunkPhotons + 1)
 }

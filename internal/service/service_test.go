@@ -246,24 +246,33 @@ func TestChunkPartition(t *testing.T) {
 	}
 }
 
+// contentKey is a submission's content key, as RoutingKeys derives it.
+func contentKey(t *testing.T, js JobSpec) Key {
+	t.Helper()
+	key, _, err := RoutingKeys(&js, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key
+}
+
 func TestKeyOfDistinguishesJobs(t *testing.T) {
-	base, _ := KeyOf(slabSpec(5), 1000, 100, 1)
-	cases := map[string]Key{}
-	k, _ := KeyOf(slabSpec(6), 1000, 100, 1)
-	cases["spec"] = k
-	k, _ = KeyOf(slabSpec(5), 2000, 100, 1)
-	cases["photons"] = k
-	k, _ = KeyOf(slabSpec(5), 1000, 200, 1)
-	cases["chunking"] = k
-	k, _ = KeyOf(slabSpec(5), 1000, 100, 2)
-	cases["seed"] = k
+	job := func(spec *mc.Spec, photons, chunk int64, seed uint64) Key {
+		return contentKey(t, JobSpec{Spec: spec, TotalPhotons: photons, ChunkPhotons: chunk, Seed: seed})
+	}
+	base := job(slabSpec(5), 1000, 100, 1)
+	cases := map[string]Key{
+		"spec":     job(slabSpec(6), 1000, 100, 1),
+		"photons":  job(slabSpec(5), 2000, 100, 1),
+		"chunking": job(slabSpec(5), 1000, 200, 1),
+		"seed":     job(slabSpec(5), 1000, 100, 2),
+	}
 	for dim, key := range cases {
 		if key == base {
 			t.Fatalf("changing %s did not change the cache key", dim)
 		}
 	}
-	again, _ := KeyOf(slabSpec(5), 1000, 100, 1)
-	if again != base {
+	if again := job(slabSpec(5), 1000, 100, 1); again != base {
 		t.Fatal("identical submission hashed differently")
 	}
 }
@@ -453,9 +462,10 @@ func TestConcurrentJobsSharedFleet(t *testing.T) {
 	}
 	// A different fan is a different decomposition, hence a different key;
 	// fan ≤ 1 keeps the legacy key format.
-	kFan, _ := KeyOfFan(specA, totalA, chunkA, seedA, fanA)
-	kPlain, _ := KeyOf(specA, totalA, chunkA, seedA)
-	kOne, _ := KeyOfFan(specA, totalA, chunkA, seedA, 1)
+	fanned := func(fan int) Key {
+		return contentKey(t, JobSpec{Spec: specA, TotalPhotons: totalA, ChunkPhotons: chunkA, Seed: seedA, Fan: fan})
+	}
+	kFan, kPlain, kOne := fanned(fanA), fanned(0), fanned(1)
 	if kFan == kPlain {
 		t.Fatal("fan width did not change the content key")
 	}
@@ -1089,7 +1099,7 @@ func TestRepeatIsTheJob(t *testing.T) {
 // key, the deepest retained job that ran, whichever order the runs came
 // in. A target the run does not meet is not served, and a job that leaves
 // the registry — evicted after its seal or before it — leaves the index
-// with it. A hit is a job born done around the run's own tally.
+// with it. A hit is the run itself, cached, and its tally meets the target.
 func TestPhysicsIndex(t *testing.T) {
 	const chunk, seed = 125, 1
 	loose := func() JobSpec {
@@ -1109,20 +1119,21 @@ func TestPhysicsIndex(t *testing.T) {
 		}
 		return out.Job
 	}
-	// served asserts a looser target is a physics hit on run's tally.
+	// served asserts a looser target is a physics hit answered by run.
 	served := func(t *testing.T, reg *Registry, run *Job) {
 		t.Helper()
-		out, err := reg.Submit(loose())
-		if err != nil || !out.Cached || out.Job == run {
-			t.Fatalf("looser target: %+v, %v; want a job born done", out, err)
+		tgt := loose()
+		out, err := reg.Submit(tgt)
+		if err != nil || !out.Cached || out.Job != run {
+			t.Fatalf("looser target: %+v, %v; want the %016x run, cached", out, err, run.ID())
 		}
 		res, err := out.Job.Wait(time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Tally != run.tally || !res.CacheHit || !res.TargetMet {
-			t.Fatalf("hit served %d photons (cacheHit %v, met %v), want the %d-photon run's tally",
-				res.Tally.Launched, res.CacheHit, res.TargetMet, run.tally.Launched)
+		if res.Tally != run.tally || !tgt.Target.MetBy(res.Tally) {
+			t.Fatalf("hit served %d photons, want the %d-photon run's tally meeting the target",
+				res.Tally.Launched, run.tally.Launched)
 		}
 	}
 	// missed asserts a looser target finds no run to answer it.
@@ -1147,6 +1158,21 @@ func TestPhysicsIndex(t *testing.T) {
 		deep := run(t, reg, 1000)
 		run(t, reg, 500)
 		served(t, reg, deep)
+	})
+	t.Run("a flood of looser targets does not evict the run", func(t *testing.T) {
+		// A hit takes no retention slot: with room for two finished jobs,
+		// three looser targets are all answered by the one run, and it
+		// stays retained to answer more.
+		reg := New(Options{RetainDone: 2})
+		startWorkers(t, reg, 1)
+		deep := run(t, reg, 1000)
+		for range 3 {
+			served(t, reg, deep)
+		}
+		if reg.Get(deep.ID()) != deep || len(reg.List()) != 1 {
+			t.Fatalf("after the flood the registry lists %d jobs, the run retained: %v",
+				len(reg.List()), reg.Get(deep.ID()) == deep)
+		}
 	})
 	t.Run("an unmet target is not served", func(t *testing.T) {
 		reg := New(Options{})

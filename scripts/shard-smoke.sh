@@ -196,7 +196,8 @@ echo "$GWMETRICS" | grep -Eq 'gateway_replica_failovers_total\{shard="1"\} [1-9]
 # The gateway holds no jobs and no results: a precision job runs through
 # gateway 1, and a looser target over the same physics, submitted through
 # gateway 2, is a physics hit on the shard that ran it — its owner by the
-# job ID's leading bit (two key ranges; shard 1 is the standby by now).
+# job ID's leading bit (two key ranges; shard 1 is the standby by now) —
+# answered with the run itself, under the run's ID.
 echo "shard-smoke: precision job through gateway 1, looser target through gateway 2..."
 "$WORK/mcgate" -http "$GW2" -shard "$H0" -shard "$H1,$H1B" \
   -log-format json >"$WORK/mcgate2.log" 2>&1 &
@@ -212,6 +213,7 @@ curl -fsS "http://$GW/jobs/$PID/result" | sed 's/.*"tally"://' >"$WORK/tight-tal
 HIT=$(curl -fsS -X POST "http://$GW2/jobs" -d @"$WORK/loose.json")
 echo "$HIT" | grep -q '"cached":true' || fail "looser target not answered from a cache: $HIT"
 HID=$(echo "$HIT" | sed -n 's/.*"id":"\([0-9a-f]*\)".*/\1/p')
+[ "$HID" = "$PID" ] || fail "looser target answered with job $HID, want the run $PID"
 case "$PID" in [0-7]*) OWNER=$H0 ;; *) OWNER=$H1B ;; esac
 SHMETRICS=$(curl -fsS "http://$OWNER/metrics")
 echo "$SHMETRICS" | grep -q '^service_cache_hits_total{index="physics"} 1$' ||
@@ -225,7 +227,7 @@ SHMETRICS=$(curl -fsS "http://$OWNER/metrics")
 echo "$SHMETRICS" | grep -q '^service_cache_hits_total{index="exact"} 1$' ||
   fail "the shard that ran $PID did not count the exact repeat as its exact hit"
 fetch_hit() { # when: the hit's tally through gateway 2 is the precision run's
-  curl -fsS "http://$GW2/jobs/$HID" | grep -q '"cacheHit":true' ||
+  curl -fsS "http://$GW2/jobs/$HID" | grep -q '"state":"done"' ||
     fail "gateway 2 has no status for hit $HID ($1)"
   curl -fsS "http://$GW2/jobs/$HID/result" | sed 's/.*"tally"://' >"$WORK/hit-tally.json"
   cmp -s "$WORK/tight-tally.json" "$WORK/hit-tally.json" ||
