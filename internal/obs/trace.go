@@ -16,7 +16,8 @@ const (
 	// run's own ring; Detail names the index that hit: "exact" for a
 	// repeat, "physics" for a looser precision target the run meets.
 	EvCacheHit
-	// EvResumed records a job restored from a journal snapshot.
+	// EvResumed records a job restored by journal replay; Value counts the
+	// chunks its snapshot restored (0 for a job queued whole).
 	EvResumed
 	// EvChunkGranted records one chunk handed to a worker.
 	EvChunkGranted

@@ -410,7 +410,7 @@ func TestNormalizePrecisionDefaults(t *testing.T) {
 }
 
 // TestPrecisionSnapshotResume round-trips an in-flight precision job
-// through its journal snapshot and SubmitSnapshot: completed chunks stay reduced, the
+// through its journal snapshot and restore: completed chunks stay reduced, the
 // estimate is restored, and the resumed job can still finish.
 func TestPrecisionSnapshotResume(t *testing.T) {
 	reg := New(Options{})
@@ -432,7 +432,7 @@ func TestPrecisionSnapshotResume(t *testing.T) {
 
 	// Resuming a met snapshot in a fresh registry is born done.
 	reg2 := New(Options{})
-	j2, err := reg2.SubmitSnapshot(snap)
+	j2, err := reg2.restore(acceptedSpec(out.Job), snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestPrecisionSnapshotResume(t *testing.T) {
 	partial.Completed = snap.Completed[:len(snap.Completed)/2]
 	reg3 := New(Options{})
 	startWorkers(t, reg3, 2)
-	j3, err := reg3.SubmitSnapshot(&partial)
+	j3, err := reg3.restore(acceptedSpec(out.Job), &partial)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"strings"
@@ -214,5 +215,89 @@ func TestServeDrainsFleet(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Serve did not return after drain")
+	}
+}
+
+// TestResubmitAfterCancelTakesTheID: a resubmission of a canceled job is
+// the job under its ID again — the ID replay restores it under — and the
+// canceled job leaves the registry. A worker still holding a grant of the
+// canceled run flushes it after the resubmission: the keys are equal, so
+// the chunk is one of the resubmission's, it reduces, and the finished
+// tally is byte-identical to an uninterrupted run folded in the same order.
+func TestResubmitAfterCancelTakesTheID(t *testing.T) {
+	js := JobSpec{Spec: slabSpec(5), TotalPhotons: 1000, ChunkPhotons: 250, Seed: 41}
+	compute := func(reg *Registry, g *oneGrant) *protocol.ResultBatch {
+		t.Helper()
+		j := reg.Get(g.JobID)
+		cfg, err := j.spec.Spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tally, err := mc.RunStreamFan(cfg, g.Photons, j.spec.Seed, g.Stream, j.nChunks, j.spec.Fan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return oneChunkBatch(g.JobID, g.ChunkID, tally)
+	}
+	reduce := func(reg *Registry, sess *session, b *protocol.ResultBatch) {
+		t.Helper()
+		if acks := reg.reduceBatch(sess, b, &mc.Tally{}); len(acks) != 1 || acks[0].Rejected || acks[0].Duplicate {
+			t.Fatalf("chunk not reduced: %+v", acks)
+		}
+	}
+	drain := func(reg *Registry, sess *session) {
+		t.Helper()
+		for g := reg.nextChunk(sess); g != nil; g = reg.nextChunk(sess) {
+			reduce(reg, sess, compute(reg, g))
+		}
+	}
+
+	base := New(Options{})
+	outBase, err := base.Submit(js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drain(base, probeSession(base))
+	resBase, err := outBase.Job.Wait(time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reg := New(Options{})
+	sess := probeSession(reg)
+	canceled, err := reg.Submit(js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := canceled.Job.ID()
+	held := reg.nextChunk(sess)
+	if held == nil || held.JobID != id {
+		t.Fatalf("grant %+v, want a chunk of job %016x", held, id)
+	}
+	late := compute(reg, held)
+	if err := reg.Cancel(id); err != nil {
+		t.Fatal(err)
+	}
+	out, err := reg.Submit(js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Cached || out.Coalesced || out.Job == canceled.Job {
+		t.Fatalf("resubmission after a cancel: %+v, want a fresh job", out)
+	}
+	if out.Job.ID() != id || reg.Get(id) != out.Job {
+		t.Fatalf("resubmission is job %016x, want the canceled job's ID %016x", out.Job.ID(), id)
+	}
+	if list := reg.List(); len(list) != 1 || list[0].State != StateQueued.String() {
+		t.Fatalf("registry lists %+v, want only the queued resubmission", list)
+	}
+	reduce(reg, sess, late)
+	drain(reg, sess)
+	res, err := out.Job.Wait(time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(mc.AppendTally(nil, res.Tally), mc.AppendTally(nil, resBase.Tally)) {
+		t.Fatal("the resubmission's tally differs from the uninterrupted run's")
 	}
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -463,12 +464,51 @@ func (j *Job) reclaimExpiredLocked(now time.Time) (next time.Time) {
 	return next
 }
 
-// Snapshot is a job's resumable reduction state — what journal replay
-// folds a job's accept and snapshot records into and hands to
-// SubmitSnapshot.
-type Snapshot struct {
-	Spec      JobSpec
+// snapshot is a job's resumable reduction state: a decoded snapshot
+// record, which journal replay hands to Registry.restore beside the spec
+// of the key's accept record.
+type snapshot struct {
 	NChunks   int
 	Completed []int // sorted chunk ids already reduced
 	Tally     *mc.Tally
+}
+
+// resume applies a snapshot to a job newJob just built, before it is
+// registered: reduced chunks stay reduced and only the rest stay pending. A
+// fixed-count snapshot is complete when every chunk reduced; an open-ended
+// one when its restored tally already meets the target (or its budget is
+// spent with nothing left in flight). A complete one leaves the job Done.
+func (j *Job) resume(snap *snapshot) error {
+	if snap.Tally == nil || (!j.openEnded() && snap.NChunks == 0) {
+		return fmt.Errorf("service: snapshot is incomplete")
+	}
+	if j.openEnded() {
+		// Re-issue the snapshot's chunk space; incomplete ids are queued
+		// below and issuance continues past the high-water mark on demand.
+		for j.nChunks < snap.NChunks {
+			j.pending = append(j.pending, j.issueChunkLocked())
+		}
+	} else if j.nChunks != snap.NChunks {
+		return fmt.Errorf("service: snapshot has %d chunks, job derives %d",
+			snap.NChunks, j.nChunks)
+	}
+	for _, id := range snap.Completed {
+		if id < 0 || id >= j.nChunks {
+			return fmt.Errorf("service: snapshot completed chunk %d out of range", id)
+		}
+		if !j.completed[id] {
+			j.completed[id] = true
+			j.nCompleted++
+		}
+	}
+	j.tally = snap.Tally.Clone()
+	j.publishEstimate(j.tally)
+	j.pending = slices.DeleteFunc(j.pending, func(id int) bool { return j.completed[id] })
+	if j.targetMet || j.nCompleted == j.nChunks && j.issuableChunksLocked() == 0 {
+		j.pending = nil
+		j.state = StateDone
+		j.finishedAt = time.Now()
+		close(j.finished)
+	}
+	return nil
 }

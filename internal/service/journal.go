@@ -113,12 +113,11 @@ func (j *Journal) Close() error {
 // not as base64 text. A log written before that encoding holds the JobSpec
 // as bare JSON; DecodeSubmission reads both. Snapshots — the high-rate
 // record — are hand-framed binary and carry no spec: replay takes it from
-// the job's accept record, which always precedes them (Submit journals the
-// accept first, and compaction/resume rewrite an accept alongside each
-// snapshot). The tally, present when flags&snapHasTally, is the exact
-// bit-preserving compact codec from the result plane (mc.AppendTally), so
-// a replayed tally merges to byte-identical results. The WAL sees only
-// opaque bytes either way.
+// the key's accept record (Submit journals the accept as it registers the
+// job, and a compaction writes an accept before each snapshot). The tally,
+// present when flags&snapHasTally, is the exact bit-preserving compact
+// codec from the result plane (mc.AppendTally), so a replayed tally merges
+// to byte-identical results. The WAL sees only opaque bytes either way.
 //
 // Flag bit 0 is retired: it marked final snapshots and nothing read it.
 const snapHasTally = 1 << 1
@@ -173,10 +172,10 @@ func encodeSnapshotRec(key Key, nChunks int, completed []int, tally *mc.Tally) [
 	return buf
 }
 
-// decodeSnapshotRec returns the record's Snapshot with the Spec left
-// zero: replay grafts it back from the accept record.
-func decodeSnapshotRec(data []byte) (Key, Snapshot, error) {
-	var snap Snapshot
+// decodeSnapshotRec returns the record's snapshot; the spec it resumes is
+// the one of its key's accept record.
+func decodeSnapshotRec(data []byte) (Key, snapshot, error) {
+	var snap snapshot
 	key, err := decodeKeyRec(data)
 	if err != nil {
 		return key, snap, err
@@ -269,17 +268,13 @@ func (jl *Journal) appendRaw(t wal.RecordType, data []byte) {
 
 // jobAccepted journals a fresh admitted submission. The spec is a copy
 // taken under the registry lock (absorbParamsLocked may mutate the live
-// job's copy concurrently). A replayed submission never compacts: until
-// Replay returns, the jobs it has yet to restore exist only in the log a
-// compaction would rewrite without them.
+// job's copy concurrently).
 func (jl *Journal) jobAccepted(r *Registry, key Key, spec JobSpec) {
 	if jl == nil {
 		return
 	}
 	jl.appendAccept(key, &spec)
-	if !spec.replay {
-		jl.maybeCompact(r)
-	}
+	jl.maybeCompact(r)
 }
 
 // chunksReduced paces the amortized snapshots: every SnapshotEvery
@@ -342,25 +337,12 @@ func acceptedSpec(j *Job) JobSpec {
 	return spec
 }
 
-// resumed re-journals a job restored by replay so the journal is
-// self-contained going forward. The accept record must precede the
-// snapshot: snapshots carry no spec.
-func (jl *Journal) resumed(j *Job) {
-	if jl == nil {
-		return
-	}
-	spec := acceptedSpec(j)
-	jl.appendAccept(j.key, &spec)
-	jl.snapshot(j)
-}
-
 // maybeCompact runs a compaction when the log has outgrown the trigger,
 // at most one at a time; losers of the CAS just skip (the winner is
 // already shrinking the log). Every append of a serving registry ends
 // here — accept, reduced batch (final or not), cancel — so no mix of jobs
-// grows the log past the trigger unnoticed; replay's re-journaling does
-// not (see jobAccepted), the records it appends are compacted by the first
-// append after it.
+// grows the log past the trigger unnoticed. Replay appends nothing; it
+// ends in a compaction of its own.
 func (jl *Journal) maybeCompact(r *Registry) {
 	if jl.opts.CompactBytes < 0 || jl.wlog.Size() < jl.compactAt.Load() {
 		return
@@ -376,7 +358,7 @@ func (jl *Journal) maybeCompact(r *Registry) {
 
 // compact rewrites the log to one accept + snapshot pair per retained
 // job, live or finished (snapshots carry no spec, so each needs its accept
-// record alongside). History before the snapshots — older snapshots and
+// record before it). History before the snapshots — older snapshots and
 // canceled jobs — is dropped; a canceled job simply has nothing to replay.
 // A cache hit is no job at all, so neither path journals one: a SIGTERM
 // leaves what a SIGKILL would.
@@ -418,10 +400,11 @@ func (jl *Journal) compact(r *Registry) error {
 	return nil
 }
 
-// CompactJournal rewrites the journal down to one snapshot per retained
-// job — mcqueue's SIGTERM path calls it so a polite shutdown leaves a
-// minimal log to replay. A no-op without a journal or when a
-// size-triggered compaction is already running.
+// CompactJournal rewrites the journal down to one accept and one snapshot
+// per retained job — Replay ends with it, and mcqueue's SIGTERM path calls
+// it so a polite shutdown leaves a minimal log to replay. It runs whatever
+// CompactBytes says (that is the size trigger only), and is a no-op without
+// a journal or when a size-triggered compaction is already running.
 func (r *Registry) CompactJournal() error {
 	jl := r.journal
 	if jl == nil {
@@ -434,16 +417,26 @@ func (r *Registry) CompactJournal() error {
 	return jl.compact(r)
 }
 
-// Replay folds recovered records into the registry, re-queueing every
-// job the crash interrupted. Fold semantics: later records supersede
-// earlier ones per job key — the last snapshot wins, a cancel drops the
-// job. A job whose last snapshot is complete is born Done from it (and
-// answers repeats and looser targets again); one with no snapshot at all is
-// queued from its accept record. Whatever was reduced past the last snapshot
-// recomputes, which is safe because a chunk tally is a pure function of
-// (seed, stream, fan). Returns the number of jobs restored (live or done).
-// Replayed submissions bypass admission — their work was admitted before
-// the crash — and count into Stats.JobsReplayed.
+// Replay folds recovered records into the registry, restoring every job
+// the log holds as accepted and not canceled. Fold semantics, per job key:
+// an accept record starts a new incarnation of the key (a resubmission
+// after a cancel is a job again), the last snapshot wins, a cancel drops
+// the incarnation. A record of the key with no accept before it belongs to
+// the incarnation the next accept opens, and stands: Submit appends the
+// accept off the registry lock, so a quick cancel or a one-chunk job's
+// final snapshot can reach the log first.
+//
+// Every surviving key comes back through Registry.restore: born Done from
+// a complete last snapshot (the answer to repeats and looser targets
+// again), resumed from an incomplete one, or queued whole from its accept
+// record alone. Whatever was reduced past the last snapshot recomputes,
+// which is safe because a chunk tally is a pure function of (seed, stream,
+// fan). Restores bypass admission — the work was admitted before the crash
+// — and count into Stats.JobsReplayed. Replay then compacts once, so the
+// log holds one accept and one snapshot per restored job and nothing it
+// skipped; a failed compaction is logged and leaves the log as it was. A
+// crash before or during it replays the same records again. Returns the
+// number of jobs restored (live or done).
 //
 // A log holding a record of a retired type (wal.RecJobAcceptedGob,
 // RecChunksReduced, RecJobFinalized) was written before the three-kind
@@ -455,7 +448,7 @@ func (jl *Journal) Replay(r *Registry, records []wal.Record) (int, error) {
 	}
 	type jobState struct {
 		spec     *JobSpec
-		snap     *Snapshot
+		snap     *snapshot
 		canceled bool
 	}
 	states := make(map[Key]*jobState)
@@ -470,27 +463,34 @@ func (jl *Journal) Replay(r *Registry, records []wal.Record) (int, error) {
 		return s
 	}
 	skipped := 0
+	skip := func(what string, key Key, err error) {
+		skipped++
+		jl.log.Warn("journal replay: "+what+" skipped", "key", fmt.Sprintf("%x", key[:8]), "err", err)
+	}
 	for _, rec := range records {
 		switch rec.Type {
 		case wal.RecJobAccepted:
 			key, spec, err := decodeAcceptRec(rec.Data)
 			if err != nil {
-				skipped++
-				jl.log.Warn("journal replay: accept record skipped", "err", err)
+				skip("accept record", key, err)
 				continue
 			}
-			get(key).spec = &spec
+			s := get(key)
+			if s.spec != nil {
+				*s = jobState{}
+			}
+			s.spec = &spec
 		case wal.RecSnapshot:
 			key, snap, err := decodeSnapshotRec(rec.Data)
 			if err != nil {
-				skipped++
+				skip("snapshot record", key, err)
 				continue
 			}
 			get(key).snap = &snap
 		case wal.RecJobCanceled:
 			key, err := decodeKeyRec(rec.Data)
 			if err != nil {
-				skipped++
+				skip("cancel record", key, err)
 				continue
 			}
 			get(key).canceled = true
@@ -500,40 +500,23 @@ func (jl *Journal) Replay(r *Registry, records []wal.Record) (int, error) {
 				"this binary keeps no decoder for it — finish or discard the journal "+
 				"with the release that wrote it, or start on an empty directory", rec.Type)
 		default:
-			skipped++
+			skip("record", Key{}, fmt.Errorf("unknown record type %d", rec.Type))
 		}
 	}
 	restored := 0
 	for _, k := range order {
 		s := states[k]
-		var err error
 		switch {
 		case s.canceled:
 			continue
-		case s.snap != nil && s.spec != nil:
-			// Resumed from its last snapshot — live, or born Done when
-			// that snapshot is complete. The snapshot record carries no
-			// spec; the accept record supplies it.
-			s.snap.Spec = *s.spec
-			s.snap.Spec.replay = true
-			_, err = r.SubmitSnapshot(s.snap)
-		case s.snap != nil:
+		case s.spec == nil:
 			// A snapshot whose accept record was lost (an append failure
 			// in degraded mode): nothing resumable without the spec.
-			skipped++
-			jl.log.Warn("journal replay: snapshot without accept record",
-				"key", fmt.Sprintf("%x", k[:8]))
+			skip("snapshot record", k, errors.New("no accept record for its key"))
 			continue
-		default:
-			// Accepted, never snapshotted — or its snapshots were torn
-			// away with the tail: queue it whole.
-			spec := *s.spec
-			spec.replay = true
-			_, err = r.Submit(spec)
 		}
-		if err != nil {
-			skipped++
-			jl.log.Warn("journal replay: job skipped", "err", err)
+		if _, err := r.restore(*s.spec, s.snap); err != nil {
+			skip("job", k, err)
 			continue
 		}
 		restored++
@@ -542,5 +525,8 @@ func (jl *Journal) Replay(r *Registry, records []wal.Record) (int, error) {
 		jl.log.Warn("journal replay: records skipped", "skipped", skipped)
 	}
 	jl.log.Info("journal replayed", "records", len(records), "jobs", restored)
+	if err := r.CompactJournal(); err != nil {
+		jl.log.Error("journal compaction failed", "err", err)
+	}
 	return restored, nil
 }

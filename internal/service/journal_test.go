@@ -49,15 +49,13 @@ func replayInto(t *testing.T, dir string, o Options) (*Registry, *wal.Log, int) 
 }
 
 // snapshotOf cuts a job's resumable state the way replay sees it: the
-// journal's own snapshot record decoded back, plus the accept record's
-// spec.
-func snapshotOf(t *testing.T, j *Job) *Snapshot {
+// journal's own snapshot record decoded back. Its spec is acceptedSpec(j).
+func snapshotOf(t *testing.T, j *Job) *snapshot {
 	t.Helper()
 	_, snap, err := decodeSnapshotRec(snapshotRecord(j))
 	if err != nil {
 		t.Fatalf("snapshot record: %v", err)
 	}
-	snap.Spec = acceptedSpec(j)
 	return &snap
 }
 
@@ -274,7 +272,7 @@ func TestJournalCrashMidRunByteIdenticalTally(t *testing.T) {
 
 // TestSnapshotRejectsOutOfRangeChunk: a snapshot naming a completed chunk
 // the job does not have is refused at both layers — the record decoder
-// (what a corrupt journal hits) and SubmitSnapshot (what replay calls).
+// (what a corrupt journal hits) and restore (what replay calls).
 func TestSnapshotRejectsOutOfRangeChunk(t *testing.T) {
 	reg := New(Options{})
 	out, err := reg.Submit(JobSpec{Spec: slabSpec(5), TotalPhotons: 300, ChunkPhotons: 100, Seed: 9})
@@ -283,7 +281,7 @@ func TestSnapshotRejectsOutOfRangeChunk(t *testing.T) {
 	}
 	snap := snapshotOf(t, out.Job)
 	snap.Completed = append(snap.Completed, 999)
-	if _, err := New(Options{}).SubmitSnapshot(snap); err == nil {
+	if _, err := New(Options{}).restore(acceptedSpec(out.Job), snap); err == nil {
 		t.Fatal("snapshot with an out-of-range completed chunk accepted")
 	}
 
@@ -299,7 +297,8 @@ func TestSnapshotRejectsOutOfRangeChunk(t *testing.T) {
 // with zero workers attached, and the result cache is re-seeded so an
 // identical resubmission is a cache hit. The job runs 16 chunks under the
 // default snapshot cadence, which also pins the record mix: exactly one
-// accept and one snapshot, nothing per chunk and no finalize mark.
+// accept and one snapshot, nothing per chunk and no finalize mark. The two
+// records restore it in either order.
 func TestJournalFinalizedReplayBornDone(t *testing.T) {
 	dir := t.TempDir()
 	regA, wlA, _ := journaledRegistry(t, dir, 0, Options{})
@@ -353,10 +352,23 @@ func TestJournalFinalizedReplayBornDone(t *testing.T) {
 	if !dup.Cached || dup.Job != j {
 		t.Fatalf("repeat after replay: %+v, want the replayed job, cached", dup)
 	}
+
+	// Submit appends the accept off the registry lock, so a quick job's
+	// final snapshot can reach the log first; it still counts.
+	regC, wlC, _ := journaledRegistry(t, t.TempDir(), 0, Options{})
+	defer wlC.Close()
+	if n, err := regC.journal.Replay(regC, []wal.Record{rep.Records[1], rep.Records[0]}); err != nil || n != 1 {
+		t.Fatalf("snapshot before its accept: restored %d jobs (%v), want 1", n, err)
+	}
+	if jc := regC.Get(out.Job.ID()); jc == nil || jc.Status().State != StateDone.String() {
+		t.Fatal("snapshot before its accept: the job is not back born done")
+	}
 }
 
 // TestJournalCanceledJobNotReplayed: a cancel mark drops the job from the
-// fold — a restart must not resurrect work the operator killed.
+// fold — a restart must not resurrect work the operator killed — also when
+// the cancel reached the log before the job's accept record (Submit appends
+// the accept off the registry lock, so a quick DELETE can overtake it).
 func TestJournalCanceledJobNotReplayed(t *testing.T) {
 	dir := t.TempDir()
 	regA, wlA, _ := journaledRegistry(t, dir, 0, Options{})
@@ -368,14 +380,126 @@ func TestJournalCanceledJobNotReplayed(t *testing.T) {
 		t.Fatal(err)
 	}
 	wlA.Close()
+	_, wlA, rep := journaledRegistry(t, dir, 0, Options{})
+	wlA.Close()
+	if len(rep.Records) != 2 || rep.Records[1].Type != wal.RecJobCanceled {
+		t.Fatalf("journal holds %d records, want the accept and the cancel", len(rep.Records))
+	}
+
+	for order, records := range map[string][]wal.Record{
+		"as appended":  rep.Records,
+		"cancel first": {rep.Records[1], rep.Records[0]},
+	} {
+		regB, wlB, _ := journaledRegistry(t, t.TempDir(), 0, Options{})
+		restored, err := regB.journal.Replay(regB, records)
+		wlB.Close()
+		if err != nil || restored != 0 {
+			t.Fatalf("%s: replay restored %d jobs (%v), want 0", order, restored, err)
+		}
+		if regB.Get(out.Job.ID()) != nil {
+			t.Fatalf("%s: canceled job resurrected by replay", order)
+		}
+	}
+}
+
+// TestJournalReplaysResubmissionAfterCancel: an accept record starts a new
+// incarnation of its key, so a job canceled and then submitted again is
+// accepted work on restart — back under the ID its client holds, the one
+// the resubmission took over from the canceled job — and it finishes to
+// the standalone tally.
+func TestJournalReplaysResubmissionAfterCancel(t *testing.T) {
+	dir := t.TempDir()
+	regA, wlA, _ := journaledRegistry(t, dir, 0, Options{})
+	spec := slabSpec(6)
+	js := JobSpec{Spec: spec, TotalPhotons: 1000, ChunkPhotons: 250, Seed: 5}
+	first, err := regA.Submit(js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := regA.Cancel(first.Job.ID()); err != nil {
+		t.Fatal(err)
+	}
+	again, err := regA.Submit(js)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := again.Job.ID()
+	wlA.Close()
 
 	regB, wlB, restored := replayInto(t, dir, Options{})
 	defer wlB.Close()
-	if restored != 0 {
-		t.Fatalf("replay restored %d jobs, want 0", restored)
+	if restored != 1 || len(regB.List()) != 1 {
+		t.Fatalf("replay restored %d jobs (%d listed), want the resubmission", restored, len(regB.List()))
 	}
-	if regB.Get(out.Job.ID()) != nil {
-		t.Fatal("canceled job resurrected by replay")
+	j := regB.Get(id)
+	if j == nil || id != first.Job.ID() {
+		t.Fatalf("resubmission %016x not back under the canceled job's ID %016x", id, first.Job.ID())
+	}
+	startWorkers(t, regB, 1)
+	res, err := j.Wait(60 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := localTally(t, spec, 1000, 250, 5)
+	if res.Tally.Launched != want.Launched || math.Abs(res.Tally.AbsorbedWeight-want.AbsorbedWeight) > 1e-9 {
+		t.Fatalf("launched %d, absorbed %g; standalone %d, %g",
+			res.Tally.Launched, res.Tally.AbsorbedWeight, want.Launched, want.AbsorbedWeight)
+	}
+}
+
+// TestJournalRestartIsIdempotent: a restart with no traffic leaves the log
+// as it found it. Replay compacts once, so the log a restart leaves holds
+// one accept followed by one snapshot per job — finished, mid-run and
+// never started alike — and a second restart on it rewrites the same
+// bytes, not one more copy of every job.
+func TestJournalRestartIsIdempotent(t *testing.T) {
+	dir := t.TempDir()
+	regA, wlA, _ := journaledRegistry(t, dir, 2, Options{})
+	done, err := regA.Submit(JobSpec{Spec: slabSpec(5), TotalPhotons: 1000, ChunkPhotons: 250, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, client := net.Pipe()
+	go regA.HandleConn(server)
+	if err := workChunks(client, 4); err != nil {
+		t.Fatal(err)
+	}
+	client.Close()
+	if _, err := done.Job.Wait(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for seed := uint64(4); seed <= 5; seed++ {
+		if _, err := regA.Submit(JobSpec{Spec: slabSpec(5), TotalPhotons: 1000, ChunkPhotons: 250, Seed: seed}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wlA.Close()
+
+	var sizes []int64
+	for restart := range 3 {
+		reg, wl, restored := replayInto(t, dir, Options{})
+		if restored != 3 {
+			t.Fatalf("restart %d restored %d jobs, want 3", restart, restored)
+		}
+		sizes = append(sizes, wl.Size())
+		wl.Close()
+		_, wl, rep := journaledRegistry(t, dir, 0, Options{})
+		wl.Close()
+		if len(rep.Records) != 2*len(reg.List()) {
+			t.Fatalf("restart %d left %d records for %d jobs, want an accept and a snapshot each",
+				restart, len(rep.Records), len(reg.List()))
+		}
+		for i := 0; i < len(rep.Records); i += 2 {
+			acc, snap := rep.Records[i], rep.Records[i+1]
+			if acc.Type != wal.RecJobAccepted || snap.Type != wal.RecSnapshot ||
+				!bytes.Equal(acc.Data[:len(Key{})], snap.Data[:len(Key{})]) {
+				t.Fatalf("restart %d: records %d, %d are types %d, %d, want an accept and its job's snapshot",
+					restart, i, i+1, acc.Type, snap.Type)
+			}
+		}
+	}
+	if sizes[1] != sizes[0] || sizes[2] != sizes[0] {
+		t.Fatalf("log size across restarts with no traffic: %v, want it unchanged", sizes)
 	}
 }
 
@@ -772,7 +896,8 @@ func TestReplayRefusesRetiredRecordTypes(t *testing.T) {
 // TestReplaySkipsOverBoundJobs: a journal written before the ingress
 // bounds may hold an accepted job whose fan or chunk count is over them.
 // Replay normalizes it like any submission, so it is skipped with the "job
-// skipped" warning — never built — and the jobs around it restore.
+// skipped" warning — never built — and the jobs around it restore. Replay's
+// compaction then leaves only the restored job in the log.
 func TestReplaySkipsOverBoundJobs(t *testing.T) {
 	accept := func(js JobSpec) wal.Record {
 		t.Helper()
@@ -787,17 +912,19 @@ func TestReplaySkipsOverBoundJobs(t *testing.T) {
 		return wal.Record{Type: wal.RecJobAccepted, Data: rec}
 	}
 	var logged bytes.Buffer
-	wl, _, err := wal.Open(wal.Options{Dir: t.TempDir()})
+	dir := t.TempDir()
+	wl, _, err := wal.Open(wal.Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wl.Close()
 	reg := New(Options{Journal: NewJournal(wl, JournalOptions{CompactBytes: -1,
 		Logger: slog.New(slog.NewTextHandler(&logged, nil))})})
+	inBound := accept(JobSpec{Spec: slabSpec(5), TotalPhotons: 100, ChunkPhotons: 50, Seed: 3})
 	restored, err := reg.journal.Replay(reg, []wal.Record{
 		accept(JobSpec{Spec: slabSpec(5), TotalPhotons: 100, ChunkPhotons: 50, Seed: 1, Fan: 2_000_000_000}),
 		accept(JobSpec{Spec: slabSpec(5), TotalPhotons: 100_000_000_000, ChunkPhotons: 1, Seed: 2}),
-		accept(JobSpec{Spec: slabSpec(5), TotalPhotons: 100, ChunkPhotons: 50, Seed: 3}),
+		inBound,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -807,6 +934,14 @@ func TestReplaySkipsOverBoundJobs(t *testing.T) {
 	}
 	if n := strings.Count(logged.String(), "job skipped"); n != 2 {
 		t.Fatalf("replay warned %d times of a skipped job, want 2:\n%s", n, logged.String())
+	}
+	// Replay's compaction leaves the restored job alone in the log.
+	wl.Close()
+	_, wl, rep := journaledRegistry(t, dir, 0, Options{})
+	wl.Close()
+	if len(rep.Records) != 2 || rep.Records[0].Type != wal.RecJobAccepted ||
+		!bytes.Equal(rep.Records[0].Data[:len(Key{})], inBound.Data[:len(Key{})]) {
+		t.Fatalf("log after replay holds %d records, want the in-bound job's accept and snapshot", len(rep.Records))
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 // lives in each job's bounded event trace instead.
 type svcMetrics struct {
 	jobsSubmitted *obs.Counter
-	jobsResumed   *obs.Counter
 	jobsReplayed  *obs.Counter
 	jobsCoalesced *obs.Counter
 	jobsShed      *obs.CounterVec // by shed reason: cap, tenant_rate, tenant_quota
@@ -80,9 +79,7 @@ type resultMetrics struct {
 func newServiceMetrics(reg *obs.Registry, r *Registry) *svcMetrics {
 	m := &svcMetrics{
 		jobsSubmitted: reg.Counter("service_jobs_submitted_total",
-			"Jobs accepted as fresh work (cache hits, coalesced submissions and snapshot resumes excluded)."),
-		jobsResumed: reg.Counter("service_jobs_resumed_total",
-			"Jobs restored from journal snapshots (admission-exempt submissions)."),
+			"Jobs accepted as fresh work (cache hits, coalesced submissions and journal restores excluded)."),
 		jobsReplayed: reg.Counter("service_jobs_replayed_total",
 			"Jobs restored by write-ahead journal replay after a restart."),
 		jobsCoalesced: reg.Counter("service_jobs_coalesced_total",
@@ -92,7 +89,7 @@ func newServiceMetrics(reg *obs.Registry, r *Registry) *svcMetrics {
 		tenantSubmitted: reg.CounterVec("service_tenant_jobs_submitted_total",
 			"Fresh jobs accepted, by tenant.", "tenant"),
 		tenantResumed: reg.CounterVec("service_tenant_jobs_resumed_total",
-			"Jobs restored from journal snapshots, by tenant.", "tenant"),
+			"Jobs restored by write-ahead journal replay, by tenant.", "tenant"),
 		tenantShed: reg.CounterVec("service_tenant_jobs_shed_total",
 			"Submissions refused by admission, by tenant.", "tenant"),
 		tenantPhotons: reg.CounterVec("service_tenant_photons_total",

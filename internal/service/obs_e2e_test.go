@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/wal"
 )
 
 // scrape fetches url and parses the Prometheus text exposition into a
@@ -253,10 +254,10 @@ func TestObsShedOverCapacity(t *testing.T) {
 	}
 }
 
-// TestObsResumeNotCountedAsSubmit pins the resume-accounting fix: a
-// journaled job restored via SubmitSnapshot moves the dedicated resumed
-// counter, never the submitted one, and the scraped series agree with the
-// Stats rollup — per tenant included.
+// TestObsResumeNotCountedAsSubmit pins the resume accounting: a journaled
+// job restored by replay — from its snapshot, or from its accept record
+// alone — moves the replayed counter and its tenant's resumed one, never
+// the submitted ones, and the scraped series agree with the Stats rollup.
 func TestObsResumeNotCountedAsSubmit(t *testing.T) {
 	seed := New(Options{})
 	out, err := seed.Submit(JobSpec{
@@ -265,37 +266,54 @@ func TestObsResumeNotCountedAsSubmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := snapshotOf(t, out.Job)
-
-	reg, ts := obsServer(t, Options{})
-	if _, err := reg.SubmitSnapshot(snap); err != nil {
+	spec := acceptedSpec(out.Job)
+	accept, err := encodeAcceptRec(out.Job.key, &spec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	m := scrape(t, ts.URL+"/metrics")
-	if got := m["service_jobs_resumed_total"]; got != 1 {
-		t.Fatalf("jobs resumed %g, want 1", got)
-	}
-	if got := m["service_jobs_submitted_total"]; got != 0 {
-		t.Fatalf("resume leaked into jobs submitted: %g", got)
-	}
+	for name, records := range map[string][]wal.Record{
+		"snapshot": {{Type: wal.RecJobAccepted, Data: accept},
+			{Type: wal.RecSnapshot, Data: snapshotRecord(out.Job)}},
+		"accept only": {{Type: wal.RecJobAccepted, Data: accept}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			wl, _, err := wal.Open(wal.Options{Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer wl.Close()
+			jl := NewJournal(wl, JournalOptions{})
+			reg, ts := obsServer(t, Options{Journal: jl})
+			if restored, err := jl.Replay(reg, records); err != nil || restored != 1 {
+				t.Fatalf("replay restored %d jobs (%v), want 1", restored, err)
+			}
+			m := scrape(t, ts.URL+"/metrics")
+			if got := m["service_jobs_replayed_total"]; got != 1 {
+				t.Fatalf("jobs replayed %g, want 1", got)
+			}
+			if got := m["service_jobs_submitted_total"]; got != 0 {
+				t.Fatalf("resume leaked into jobs submitted: %g", got)
+			}
 
-	// A fresh submission moves submitted, not resumed.
-	if _, code := postJob(t, ts, JobRequest{Spec: slabSpec(8), Photons: 100, ChunkPhotons: 100, Seed: 10}); code != http.StatusCreated {
-		t.Fatalf("fresh submit: http %d", code)
-	}
-	m = scrape(t, ts.URL+"/metrics")
-	st := reg.Stats()
-	if m["service_jobs_submitted_total"] != float64(st.JobsSubmitted) || st.JobsSubmitted != 1 {
-		t.Fatalf("submitted: scrape %g, stats %d, want 1",
-			m["service_jobs_submitted_total"], st.JobsSubmitted)
-	}
-	if m["service_jobs_resumed_total"] != float64(st.JobsResumed) || st.JobsResumed != 1 {
-		t.Fatalf("resumed: scrape %g, stats %d, want 1",
-			m["service_jobs_resumed_total"], st.JobsResumed)
-	}
-	// The snapshot carried its tenant through, and the rollup counts the
-	// resume as a resume.
-	if c := st.Tenants["carol"]; c.Resumed != 1 || c.Submitted != 0 {
-		t.Fatalf("carol rollup %+v, want resumed 1, submitted 0", c)
+			// A fresh submission moves submitted, not replayed.
+			if _, code := postJob(t, ts, JobRequest{Spec: slabSpec(8), Photons: 100, ChunkPhotons: 100, Seed: 10}); code != http.StatusCreated {
+				t.Fatalf("fresh submit: http %d", code)
+			}
+			m = scrape(t, ts.URL+"/metrics")
+			st := reg.Stats()
+			if m["service_jobs_submitted_total"] != float64(st.JobsSubmitted) || st.JobsSubmitted != 1 {
+				t.Fatalf("submitted: scrape %g, stats %d, want 1",
+					m["service_jobs_submitted_total"], st.JobsSubmitted)
+			}
+			if m["service_jobs_replayed_total"] != float64(st.JobsReplayed) || st.JobsReplayed != 1 {
+				t.Fatalf("replayed: scrape %g, stats %d, want 1",
+					m["service_jobs_replayed_total"], st.JobsReplayed)
+			}
+			// The accept record carried its tenant through, and the rollup
+			// counts the restore as a resume.
+			if c := st.Tenants["carol"]; c.Resumed != 1 || c.Submitted != 0 {
+				t.Fatalf("carol rollup %+v, want resumed 1, submitted 0", c)
+			}
+		})
 	}
 }

@@ -156,13 +156,9 @@ func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
 	r.met.cacheLookups.Inc()
 	r.met.cacheMisses.Inc()
 	ts := r.tenantLocked(spec.Tenant)
-	// Journal replay bypasses admission: the work was admitted before the
-	// crash, and a restart must never shed jobs it already accepted.
-	if !spec.replay {
-		if err := r.admitLocked(ts, cost, false); err != nil {
-			r.mu.Unlock()
-			return nil, err
-		}
+	if err := r.admitLocked(ts, cost, false); err != nil {
+		r.mu.Unlock()
+		return nil, err
 	}
 	r.mu.Unlock()
 
@@ -178,19 +174,14 @@ func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
 		r.mu.Unlock()
 		return out, err
 	}
-	if !spec.replay {
-		if err := r.admitLocked(ts, cost, true); err != nil { // authoritative, spends tokens
-			r.mu.Unlock()
-			return nil, err
-		}
+	if err := r.admitLocked(ts, cost, true); err != nil { // authoritative, spends tokens
+		r.mu.Unlock()
+		return nil, err
 	}
 	r.registerLocked(j)
 	r.activateLocked(j)
 	r.met.jobsSubmitted.Inc()
 	ts.submitted.Inc()
-	if spec.replay {
-		r.met.jobsReplayed.Inc()
-	}
 	jspec := j.spec // copy under the lock: absorbParamsLocked may mutate j.spec
 	r.mu.Unlock()
 	start = time.Now()
@@ -284,13 +275,9 @@ func (r *Registry) admitLocked(ts *tenantStats, photons int64, debit bool) error
 // bucket (otherwise a tenant replays a live spec to bypass its jobs/sec
 // quota entirely).
 // The exemptions that remain are exactly the ones that cost nothing: the
-// photon dimension (no new photons will be simulated), the MaxActiveJobs
-// cap (no job joins the active set), and journal replay (the work was
-// admitted before the crash).
+// photon dimension (no new photons will be simulated) and the MaxActiveJobs
+// cap (no job joins the active set).
 func (r *Registry) admitRideLocked(spec *JobSpec) error {
-	if spec.replay {
-		return nil
-	}
 	ts := r.tenantLocked(spec.Tenant)
 	v := r.admission.Admit(ts.name, 0)
 	if !v.OK {
@@ -389,16 +376,16 @@ func (r *Registry) shareGrid(spec *JobSpec) {
 	}
 }
 
-// SubmitSnapshot resumes a job from its journaled snapshot: already
-// reduced chunks stay reduced and only the rest are queued. A fully
-// complete snapshot yields a job born Done.
-func (r *Registry) SubmitSnapshot(snap *Snapshot) (*Job, error) {
-	spec := snap.Spec
+// restore brings back a job journal replay found accepted and not
+// canceled: queued whole when snap is nil, else resumed from it (see
+// Job.resume), born Done if the snapshot is complete — then filed where a
+// finished run is, the answer to its repeats and looser targets again.
+// Replay is its one caller: it journals nothing (Replay compacts once
+// every job is back), bypasses admission (the work was admitted before the
+// restart) and counts a replayed job, never a submission.
+func (r *Registry) restore(spec JobSpec, snap *snapshot) (*Job, error) {
 	if err := spec.normalize(r.opts.MaxTargetPhotons); err != nil {
 		return nil, err
-	}
-	if snap.Tally == nil || snap.NChunks < 0 || (spec.Target == nil && snap.NChunks == 0) {
-		return nil, fmt.Errorf("service: snapshot is incomplete")
 	}
 	key, pkey, err := keysOf(&spec)
 	if err != nil {
@@ -406,84 +393,31 @@ func (r *Registry) SubmitSnapshot(snap *Snapshot) (*Job, error) {
 	}
 	r.shareGrid(&spec)
 
-	// Build and restore outside the lock (see Submit).
+	// Build and resume outside the lock (see Submit).
 	j, err := newJob(r, key, spec)
 	if err != nil {
 		return nil, err
 	}
 	j.pkey = pkey
-	j.trace(obs.Event{Kind: obs.EvResumed, Detail: spec.Tenant, Value: float64(len(snap.Completed))})
-	if j.openEnded() {
-		// Re-issue the snapshot's chunk space; incomplete ids are queued
-		// below and issuance continues past the high-water mark on demand.
-		for j.nChunks < snap.NChunks {
-			j.pending = append(j.pending, j.issueChunkLocked())
-		}
-	} else if j.nChunks != snap.NChunks {
-		return nil, fmt.Errorf("service: snapshot has %d chunks, job derives %d",
-			snap.NChunks, j.nChunks)
-	}
-	done := make(map[int]bool, len(snap.Completed))
-	for _, id := range snap.Completed {
-		if id < 0 || id >= j.nChunks {
-			return nil, fmt.Errorf("service: snapshot completed chunk %d out of range", id)
-		}
-		if !done[id] {
-			done[id] = true
-			j.completed[id] = true
-			j.nCompleted++
+	if snap != nil {
+		if err := j.resume(snap); err != nil {
+			return nil, err
 		}
 	}
-	j.tally = snap.Tally.Clone()
-	j.publishEstimate(j.tally)
-	pending := j.pending[:0]
-	for _, id := range j.pending {
-		if !done[id] {
-			pending = append(pending, id)
-		}
-	}
-	j.pending = pending
-	// A fixed-count snapshot is complete when every chunk reduced; an
-	// open-ended one when its restored tally already satisfies the target
-	// (or its budget is spent with nothing left in flight).
-	complete := j.nCompleted == j.nChunks &&
-		(!j.openEnded() || j.targetMet || j.issuableChunksLocked() == 0)
-	if j.openEnded() && j.targetMet {
-		j.pending = nil
-		complete = true
-	}
-	if complete {
-		j.state = StateDone
-		j.finishedAt = time.Now()
-		close(j.finished)
-	}
+	j.trace(obs.Event{Kind: obs.EvResumed, Detail: spec.Tenant, Value: float64(j.nCompleted)})
 
 	r.mu.Lock()
-	if held := r.byKey[key]; held != nil {
-		r.mu.Unlock()
-		return held, nil
-	}
+	defer r.mu.Unlock()
 	r.registerLocked(j)
-	// Resumes are admission-exempt (the work was admitted before the
-	// restart) but they are submissions: count them.
-	r.met.jobsResumed.Inc()
+	r.met.jobsReplayed.Inc()
 	j.tstats.resumed.Inc()
-	if spec.replay {
-		r.met.jobsReplayed.Inc()
-	}
-	if complete {
-		// A restored run answers repeats and looser targets as the run it
-		// restores did.
+	if j.state == StateDone {
 		r.byKey[key] = j
 		r.indexPhysicsLocked(j)
 		r.checkDrainLocked()
 	} else {
 		r.activateLocked(j)
 	}
-	r.mu.Unlock()
-	// Re-journal the restored job so the log is self-contained from here
-	// on.
-	r.journal.resumed(j)
 	return j, nil
 }
 
@@ -499,9 +433,17 @@ func (r *Registry) freeIDLocked(id uint64) uint64 {
 }
 
 // registerLocked assigns the job its registry-unique ID, adds it to the
-// maps, and evicts old finished jobs.
+// maps, and evicts old finished jobs. A resubmission of a canceled job
+// takes the canceled job's ID over — the ID replay restores it under — and
+// the canceled job leaves the registry: the keys are equal, so a late
+// result of the canceled run is a chunk of this one.
 func (r *Registry) registerLocked(j *Job) {
-	j.id = r.freeIDLocked(JobID(&j.spec, j.key, j.pkey))
+	id := JobID(&j.spec, j.key, j.pkey)
+	if held := r.jobs[id]; held != nil && held.state == StateCanceled && held.key == j.key {
+		delete(r.jobs, id)
+		r.order = slices.DeleteFunc(r.order, func(o *Job) bool { return o == held })
+	}
+	j.id = r.freeIDLocked(id)
 	r.seq++
 	j.tstats = r.tenantLocked(j.spec.Tenant)
 	j.tweight = r.opts.Tenants.Weight(j.spec.Tenant)
@@ -697,7 +639,6 @@ type Stats struct {
 	CacheHits         int64  `json:"cacheHits"`
 	CacheMisses       int64  `json:"cacheMisses"`
 	JobsSubmitted     int64  `json:"jobsSubmitted"`
-	JobsResumed       int64  `json:"jobsResumed,omitempty"`
 	JobsReplayed      int64  `json:"jobsReplayed,omitempty"`
 	Policy            string `json:"policy"`
 	Admission         string `json:"admission"`
@@ -737,7 +678,6 @@ func (s *Stats) Add(o Stats) {
 	s.CacheHits += o.CacheHits
 	s.CacheMisses += o.CacheMisses
 	s.JobsSubmitted += o.JobsSubmitted
-	s.JobsResumed += o.JobsResumed
 	s.JobsReplayed += o.JobsReplayed
 	for name, t := range o.Tenants {
 		if s.Tenants == nil {
@@ -783,7 +723,6 @@ func (r *Registry) Stats() Stats {
 		CacheHits:        count(m.cacheHitExact, m.cacheHitPhysics),
 		CacheMisses:      count(m.cacheMisses),
 		JobsSubmitted:    count(m.jobsSubmitted),
-		JobsResumed:      count(m.jobsResumed),
 		JobsReplayed:     count(m.jobsReplayed),
 		Policy:           r.opts.Policy.Name(),
 		Admission:        r.admission.Name(),

@@ -32,8 +32,12 @@
 // ShedErrors the HTTP layer turns into 429s with a computed Retry-After.
 // Cache hits and coalesced submissions still debit one job-rate token —
 // a resubmission is a submission — but are exempt from the photon quota
-// and the active-jobs cap (they add no new simulation work); journal
-// replay bypasses admission entirely.
+// and the active-jobs cap (they add no new simulation work).
+//
+// Submit is fresh work only. A restart brings the journaled jobs back
+// through Journal.Replay, which restores each one under the ID it was
+// accepted with — past admission, counted as replayed, never as submitted
+// — and then compacts the log to one accept and one snapshot per job.
 //
 // The same keys shard the control plane: RoutingKeys derives a
 // submission's keys without a Registry, RouteKey picks the one it is
@@ -164,13 +168,6 @@ type JobSpec struct {
 	// DefaultTenant. The tenant never enters the result-cache key: the same
 	// physics submitted by two tenants coalesces and cache-hits freely.
 	Tenant string
-
-	// replay marks a submission reconstructed by journal replay: it
-	// bypasses admission (the work was admitted before the crash) and
-	// counts into Stats.JobsReplayed. Unexported on purpose — invisible
-	// to JSON (the journal's accept record included) and every caller
-	// outside the journal.
-	replay bool
 }
 
 // Precision-job defaults: the chunk size when the submission names none,

@@ -6,10 +6,11 @@
 # append has been staged but before its fsync, the worst ordinary-crash
 # window — then restarts it disarmed on the same journal directory and
 # asserts, from the outside, what the durability contract promises: the
-# restart replays the journal before /readyz flips, the accepted job is
-# still there under the SAME job ID it was accepted with, the job runs to
-# completion through the worker's reconnect loop, and a final SIGTERM
-# compacts the journal down to a snapshot. The cheap always-on CI cousin
+# restart replays the journal before /readyz flips, counts the job as
+# replayed and not as submitted, the accepted job is still there under the
+# SAME job ID it was accepted with, the job runs to completion through the
+# worker's reconnect loop, and replay and a final SIGTERM each compact the
+# journal, down to a snapshot at the end. The cheap always-on CI cousin
 # of the full crash-chaos matrix in cmd/mcqueue's TestCrashChaosEndToEnd.
 #
 # Stdlib + curl only; run from anywhere inside the repo.
@@ -101,6 +102,8 @@ echo "$METRICS" | grep -Eq '^wal_replay_records_total [1-9]' ||
   fail "restart replayed no journal records: $(echo "$METRICS" | grep '^wal_' || echo '<no wal series>')"
 echo "$METRICS" | grep -q '^service_jobs_replayed_total 1$' ||
   fail "restart did not replay exactly the 1 accepted job"
+echo "$METRICS" | grep -q '^service_jobs_submitted_total 0$' ||
+  fail "restart counted its replayed job as a submission"
 
 # The job must survive under its original ID — a kill must not re-key it.
 curl -fsS "http://$HTTP/jobs/$ID" >/dev/null ||
@@ -117,15 +120,17 @@ curl -fsS "http://$HTTP/jobs/$ID/result" | grep -q '"tally"' ||
   fail "replayed job has no result"
 
 # SIGTERM: the shutdown pass is a final compaction — the journal must
-# shrink to one compacted segment holding the finished job's snapshot.
+# shrink to one compacted segment holding the finished job's snapshot. The
+# restart compacts twice: once when replay ends, once at SIGTERM.
 echo "crash-smoke: SIGTERM compaction..."
 kill -TERM "$QPID"
 STATUS=0
 wait "$QPID" || STATUS=$?
 QPID=
 [ "$STATUS" = 0 ] || fail "mcqueue exited $STATUS on SIGTERM"
-grep -q '"msg":"wal: compacted"' "$WORK/mcqueue-restart.log" ||
-  fail "SIGTERM pass did not compact the journal"
+COMPACTIONS=$(grep -c '"msg":"wal: compacted"' "$WORK/mcqueue-restart.log" || true)
+[ "$COMPACTIONS" = 2 ] ||
+  fail "restart compacted the journal $COMPACTIONS times, want 2 (replay, then SIGTERM)"
 SEGS=$(ls "$WORK/wal"/wal-*.log | wc -l)
 [ "$SEGS" = 1 ] || fail "journal left $SEGS segments after compaction, want 1"
 
