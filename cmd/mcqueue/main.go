@@ -30,7 +30,8 @@
 // sessions with reported and inferred photon throughput), GET
 // /jobs/{id}/events (per-job lifecycle trace, filterable with ?kind= and
 // ?since=) and GET /jobs/{id}/spans (per-chunk queue/wire/compute/reduce
-// timing spans). cmd/mctop renders /fleet and /stats as a live terminal
+// timing spans, the segments the trace's chunk-completed events carry;
+// -trace-events bounds the one ring behind both). cmd/mctop renders /fleet and /stats as a live terminal
 // dashboard. The API listener additionally carries the debug surface —
 // GET /metrics (Prometheus text exposition), GET /healthz, GET /readyz
 // (ready once the journal has been replayed and the fleet listener is up)
@@ -117,9 +118,7 @@ func main() {
 	tenantsFile := fs.String("tenants", "",
 		"JSON tenant table enabling per-tenant token-bucket admission (see package doc)")
 	traceEvents := fs.Int("trace-events", 0,
-		"per-job lifecycle event ring capacity (0: 512 default, negative: disable tracing)")
-	spanEvents := fs.Int("span-events", 0,
-		"per-job chunk span ring capacity (0: 512 default, negative: disable span recording)")
+		"per-job event ring capacity, chunk spans included: it serves /jobs/{id}/events and /jobs/{id}/spans (0: 512 default, negative: disable both)")
 	// Parsed and ignored: bench/proctree still passes it, and this change
 	// may not edit bench/. Remove it with the next benchmark change.
 	fs.String("checkpoint-dir", "", "ignored (the journal in -wal-dir is the only persistence)")
@@ -229,7 +228,6 @@ func main() {
 		Admission:        admission,
 		Tenants:          table,
 		TraceEvents:      *traceEvents,
-		SpanEvents:       *spanEvents,
 		Obs:              oreg,
 		Logger:           logger,
 		Journal:          journal,

@@ -134,13 +134,16 @@
 // ?kind= and ?since= filters) but "who" and "where the time went":
 // workers piggyback a small telemetry report on their task requests —
 // kernel photons/sec EWMA, per-chunk compute/encode seconds, runtime
-// stats, build version — as additive gob fields a worker may omit. The registry folds reports into per-session
-// profiles served at GET /fleet (FleetSession), joins its own
-// queued/granted/arrival stamps with the worker-reported compute time
-// into per-chunk spans (ChunkSpan: queue, wire, compute and reduce
-// segments, served at /jobs/{id}/spans and fed into aggregate
-// histograms), and cmd/mctop renders the whole plane as a live
-// terminal dashboard. See DESIGN.md's "Fleet introspection" section.
+// stats, build version — as additive gob fields a worker may omit. The
+// registry folds reports into per-session profiles served at GET /fleet
+// (FleetSession), joins its own queued/granted/arrival stamps with the
+// worker-reported compute time into per-chunk spans (ChunkSpan: queue,
+// wire, compute and reduce segments, fed into aggregate histograms), and
+// records each span once, on its chunk's chunk-completed event: the job's
+// one event ring is its timeline, /jobs/{id}/events shows the segments on
+// those events and /jobs/{id}/spans lists them alone. cmd/mctop renders
+// the whole plane as a live terminal dashboard. See DESIGN.md's "Fleet
+// introspection" section.
 //
 // # Performance
 //

@@ -6,15 +6,15 @@ import (
 	"time"
 )
 
-// TestRingGrowThenWrap drives one ring across both regimes — geometric
+// TestRingGrowThenWrap drives one trace across both regimes — geometric
 // growth toward cap, then overwrite-oldest — and checks the retained
 // window and the dropped counter agree at every step.
 func TestRingGrowThenWrap(t *testing.T) {
 	const capacity = 20
-	r := &ring[int]{cap: capacity}
+	tr := NewTrace(capacity)
 	for i := 0; i < 100; i++ {
-		r.record(i)
-		got, dropped := r.snapshot()
+		tr.Record(Event{Kind: EvChunkGranted, Chunk: i})
+		got, dropped := tr.Snapshot()
 		wantLen, wantDropped := i+1, uint64(0)
 		if i+1 > capacity {
 			wantLen, wantDropped = capacity, uint64(i+1-capacity)
@@ -23,25 +23,25 @@ func TestRingGrowThenWrap(t *testing.T) {
 			t.Fatalf("after %d records: %d retained (want %d), %d dropped (want %d)",
 				i+1, len(got), wantLen, dropped, wantDropped)
 		}
-		// The retained window is always the most recent entries, in order.
-		for k, v := range got {
-			if want := i + 1 - wantLen + k; v != want {
-				t.Fatalf("after %d records: entry %d = %d, want %d", i+1, k, v, want)
+		// The retained window is always the most recent events, in order.
+		for k, e := range got {
+			if want := i + 1 - wantLen + k; e.Chunk != want {
+				t.Fatalf("after %d records: event %d is chunk %d, want %d", i+1, k, e.Chunk, want)
 			}
 		}
 	}
 }
 
 func TestRingSmallCapNeverOverallocates(t *testing.T) {
-	r := &ring[int]{cap: 3}
+	tr := NewTrace(3)
 	for i := 0; i < 10; i++ {
-		r.record(i)
+		tr.Record(Event{Kind: EvChunkGranted, Chunk: i})
 	}
-	if len(r.buf) != 3 {
-		t.Fatalf("backing array grew to %d for cap 3", len(r.buf))
+	if len(tr.buf) != 3 {
+		t.Fatalf("backing array grew to %d for cap 3", len(tr.buf))
 	}
-	got, dropped := r.snapshot()
-	if len(got) != 3 || got[0] != 7 || got[2] != 9 || dropped != 7 {
+	got, dropped := tr.Snapshot()
+	if len(got) != 3 || got[0].Chunk != 7 || got[2].Chunk != 9 || dropped != 7 {
 		t.Fatalf("got %v, dropped %d", got, dropped)
 	}
 }
@@ -107,28 +107,40 @@ func TestParseEventKind(t *testing.T) {
 	}
 }
 
+// TestSpansRingAndNilSafety: a span rides its chunk-completed event, so
+// the span view keeps what the event ring keeps and counts what it
+// overwrote, whatever the kind of the overwritten events.
 func TestSpansRingAndNilSafety(t *testing.T) {
-	var nilSpans *Spans
-	nilSpans.Record(Span{Chunk: 1}) // must not panic
-	if sps, dropped := nilSpans.Snapshot(); sps != nil || dropped != 0 {
-		t.Fatalf("nil Spans snapshot: %v, %d", sps, dropped)
+	var nilTrace *Trace
+	nilTrace.Record(Event{Kind: EvChunkCompleted, Chunk: 1, Span: &Span{Chunk: 1}}) // must not panic
+	if sps, dropped := nilTrace.Spans(); sps != nil || dropped != 0 {
+		t.Fatalf("nil Trace spans: %v, %d", sps, dropped)
 	}
 
-	s := NewSpans(4)
+	tr := NewTrace(4)
 	base := time.Now()
 	for i := 0; i < 6; i++ {
-		s.Record(Span{Chunk: i, Worker: "w", Granted: base,
-			Queue: time.Duration(i) * time.Millisecond})
+		tr.Record(Event{Kind: EvChunkCompleted, Chunk: i, Worker: "w", Span: &Span{
+			Chunk: i, Worker: "w", Granted: base, Queue: time.Duration(i) * time.Millisecond}})
 	}
-	sps, dropped := s.Snapshot()
+	sps, dropped := tr.Spans()
 	if len(sps) != 4 || dropped != 2 {
 		t.Fatalf("got %d spans, %d dropped", len(sps), dropped)
 	}
-	if sps[0].Chunk != 2 || sps[3].Chunk != 5 {
+	if sps[0].Chunk != 2 || sps[3].Chunk != 5 || sps[3].Queue != 5*time.Millisecond {
 		t.Fatalf("span window wrong: %+v", sps)
 	}
 
-	if NewSpans(0) == nil || NewSpans(-1) == nil {
-		t.Fatal("NewSpans must default non-positive capacities")
+	// Events without a span (grants, a completion with no trustworthy
+	// grant stamp) are not spans, but they still push spans out.
+	tr.Record(Event{Kind: EvChunkGranted, Chunk: 6})
+	tr.Record(Event{Kind: EvChunkCompleted, Chunk: 6})
+	sps, dropped = tr.Spans()
+	if len(sps) != 2 || dropped != 4 || sps[0].Chunk != 4 || sps[1].Chunk != 5 {
+		t.Fatalf("after two span-less events: %+v, %d dropped", sps, dropped)
+	}
+
+	if NewTrace(0) == nil || NewTrace(-1) == nil {
+		t.Fatal("NewTrace must default non-positive capacities")
 	}
 }

@@ -519,12 +519,27 @@ func (r *Registry) rejectGroup(sess *session, g *protocol.BatchGroup, reason str
 
 // spanSeed is the server-side half of one chunk's span, captured at claim
 // time (phase 1) while the chunk's outstanding entry still exists, and
-// joined with compute/reduce durations at publish time (phase 3).
+// joined with compute/reduce durations at publish time (phase 3). A zero
+// granted stamp means the chunk has no trustworthy one, and no span.
 type spanSeed struct {
-	idx     int // index into the group's chunk list (for per-chunk timings)
-	chunk   int
 	granted time.Time
 	queued  time.Time
+}
+
+// joinSpan completes one chunk's span from its phase-1 seed and observes
+// its segments on the aggregate histograms.
+func (r *Registry) joinSpan(sd spanSeed, chunk int, worker string, arrival time.Time, compute, reduce time.Duration) *obs.Span {
+	queue := sd.granted.Sub(sd.queued)
+	if sd.queued.IsZero() || queue < 0 {
+		queue = 0
+	}
+	wire := max(arrival.Sub(sd.granted)-compute, 0)
+	r.met.spanQueue.Observe(queue.Seconds())
+	r.met.spanWire.Observe(wire.Seconds())
+	r.met.spanCompute.Observe(compute.Seconds())
+	r.met.spanReduce.Observe(reduce.Seconds())
+	return &obs.Span{Chunk: chunk, Worker: worker, Granted: sd.granted,
+		Queue: queue, Wire: wire, Compute: compute, Reduce: reduce}
 }
 
 // reduceGroup performs the exactly-once reduction of one pre-merged group
@@ -667,14 +682,13 @@ func (r *Registry) reduceGroup(sess *session, jobID uint64, chunks []int, tally 
 	// they go. A chunk whose entry is missing or owned by another session
 	// (a timeout reclaim raced this flush — the late result still wins the
 	// reduction) has no trustworthy grant stamp, so it gets no span. Seeds
-	// are gathered even when the per-job ring is disabled: the aggregate
+	// are gathered even when the job's trace is disabled: the aggregate
 	// span histograms observe regardless.
-	var seeds []spanSeed
+	seeds := make([]spanSeed, len(chunks))
 	var minGranted time.Time
 	for i, id := range chunks {
 		if st := j.outstanding[id]; st != nil && st.session == sess.id {
-			seeds = append(seeds, spanSeed{idx: i, chunk: id,
-				granted: st.assigned, queued: j.queued[id]})
+			seeds[i] = spanSeed{granted: st.assigned, queued: j.queued[id]}
 			if minGranted.IsZero() || st.assigned.Before(minGranted) {
 				minGranted = st.assigned
 			}
@@ -748,20 +762,33 @@ func (r *Registry) reduceGroup(sess *session, jobID uint64, chunks []int, tally 
 		}
 	default:
 		reduced = true
-		for _, id := range chunks {
+		// Each chunk is recorded once: its chunk-completed event carries
+		// its span, the phase-1 seed joined with the worker-reported
+		// compute and this merge's duration. The segment histograms
+		// observe every span, even after the job's ring wraps.
+		reduceShare := mergeDur / time.Duration(len(chunks))
+		for i, id := range chunks {
 			delete(j.merging, id)
 			j.completed[id] = true
 			j.nCompleted++
-			j.trace(obs.Event{Kind: obs.EvChunkCompleted, Chunk: id, Worker: sess.name})
+			var span *obs.Span
+			if sd := seeds[i]; !sd.granted.IsZero() {
+				compute := elapsed / time.Duration(len(chunks))
+				if len(secs) == len(chunks) {
+					compute = time.Duration(secs[i] * float64(time.Second))
+				}
+				span = r.joinSpan(sd, id, sess.name, arrival, compute, reduceShare)
+			}
+			j.trace(obs.Event{Kind: obs.EvChunkCompleted, Chunk: id, Worker: sess.name, Span: span})
 			// If a timeout reclaimed this chunk before the late result
 			// landed, it is back in pending (purge it or the fleet
 			// recomputes a reduced chunk) — or was even re-assigned while
 			// the merge ran (drop the stale outstanding entry so the
 			// reclaim loop cannot requeue a completed chunk).
 			delete(j.outstanding, id)
-			for i, p := range j.pending {
+			for k, p := range j.pending {
 				if p == id {
-					j.pending = append(j.pending[:i], j.pending[i+1:]...)
+					j.pending = append(j.pending[:k], j.pending[k+1:]...)
 					break
 				}
 			}
@@ -782,32 +809,6 @@ func (r *Registry) reduceGroup(sess *session, jobID uint64, chunks []int, tally 
 			if wall := arrival.Sub(minGranted).Seconds(); wall > 0 {
 				sess.inferredPPS = blend(sess.inferredPPS, float64(tally.Launched)/wall)
 			}
-		}
-		// Join the phase-1 seeds with the worker-reported compute and this
-		// merge's duration into per-chunk spans; the segment histograms
-		// observe every span even after the per-job ring wraps.
-		reduceShare := mergeDur / time.Duration(len(chunks))
-		for _, sd := range seeds {
-			compute := elapsed / time.Duration(len(chunks))
-			if len(secs) == len(chunks) {
-				compute = time.Duration(secs[sd.idx] * float64(time.Second))
-			}
-			queue := sd.granted.Sub(sd.queued)
-			if sd.queued.IsZero() || queue < 0 {
-				queue = 0
-			}
-			wire := arrival.Sub(sd.granted) - compute
-			if wire < 0 {
-				wire = 0
-			}
-			j.spans.Record(obs.Span{
-				Chunk: sd.chunk, Worker: sess.name, Granted: sd.granted,
-				Queue: queue, Wire: wire, Compute: compute, Reduce: reduceShare,
-			})
-			r.met.spanQueue.Observe(queue.Seconds())
-			r.met.spanWire.Observe(wire.Seconds())
-			r.met.spanCompute.Observe(compute.Seconds())
-			r.met.spanReduce.Observe(reduceShare.Seconds())
 		}
 		r.met.tallyMerges.Inc()
 		r.met.chunksCompleted.Add(uint64(len(chunks)))

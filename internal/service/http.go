@@ -24,7 +24,7 @@ import (
 //	GET    /jobs/{id}       job status with progress
 //	GET    /jobs/{id}/result reduced tally once done (202 while running)
 //	GET    /jobs/{id}/events bounded lifecycle event trace (?kind=, ?since=)
-//	GET    /jobs/{id}/spans  bounded per-chunk timing spans
+//	GET    /jobs/{id}/spans  per-chunk timing spans its chunk-completed events carry
 //	DELETE /jobs/{id}       cancel a queued/running job
 //	GET    /stats           fleet and queue health (with per-tenant rollup)
 //	GET    /fleet           live worker sessions with telemetry profiles
@@ -361,7 +361,8 @@ func (a *API) result(w http.ResponseWriter, req *http.Request) {
 }
 
 // eventBody is the JSON view of one trace event; chunk is omitted for
-// events that are not chunk-scoped.
+// events that are not chunk-scoped, and the segments for events that
+// carry no span (every kind but chunk-completed).
 type eventBody struct {
 	Time   time.Time `json:"time"`
 	Kind   string    `json:"kind"`
@@ -369,6 +370,7 @@ type eventBody struct {
 	Worker string    `json:"worker,omitempty"`
 	Detail string    `json:"detail,omitempty"`
 	Value  float64   `json:"value,omitempty"`
+	*SpanSegments
 }
 
 // eventsBody is the GET /jobs/{id}/events response. Dropped counts older
@@ -429,6 +431,10 @@ func (a *API) events(w http.ResponseWriter, req *http.Request) {
 			chunk := e.Chunk
 			eb.Chunk = &chunk
 		}
+		if e.Span != nil {
+			seg := segmentsOf(*e.Span)
+			eb.SpanSegments = &seg
+		}
 		if math.IsInf(eb.Value, 0) {
 			// An estimate's RSE before two chunks reduced: withheld, as
 			// the status withholds it, rather than failing the whole body.
@@ -439,11 +445,9 @@ func (a *API) events(w http.ResponseWriter, req *http.Request) {
 	WriteJSON(w, http.StatusOK, body)
 }
 
-// spanBody is the JSON view of one per-chunk span; segment durations are
-// seconds.
-type spanBody struct {
-	Chunk          int       `json:"chunk"`
-	Worker         string    `json:"worker,omitempty"`
+// SpanSegments is the JSON view of one chunk's span segments; durations
+// are seconds.
+type SpanSegments struct {
 	Granted        time.Time `json:"granted"`
 	QueueSeconds   float64   `json:"queueSeconds"`
 	WireSeconds    float64   `json:"wireSeconds"`
@@ -451,8 +455,26 @@ type spanBody struct {
 	ReduceSeconds  float64   `json:"reduceSeconds"`
 }
 
-// spansBody is the GET /jobs/{id}/spans response. Dropped counts older
-// spans the bounded ring has overwritten.
+func segmentsOf(s obs.Span) SpanSegments {
+	return SpanSegments{
+		Granted:        s.Granted,
+		QueueSeconds:   s.Queue.Seconds(),
+		WireSeconds:    s.Wire.Seconds(),
+		ComputeSeconds: s.Compute.Seconds(),
+		ReduceSeconds:  s.Reduce.Seconds(),
+	}
+}
+
+// spanBody is the JSON view of one per-chunk span.
+type spanBody struct {
+	Chunk  int    `json:"chunk"`
+	Worker string `json:"worker,omitempty"`
+	SpanSegments
+}
+
+// spansBody is the GET /jobs/{id}/spans response: the spans the job's
+// retained chunk-completed events carry. Dropped counts older events of
+// any kind the bounded ring has overwritten.
 type spansBody struct {
 	ID      string     `json:"id"`
 	Dropped uint64     `json:"dropped,omitempty"`
@@ -471,15 +493,7 @@ func (a *API) spans(w http.ResponseWriter, req *http.Request) {
 		Spans:   make([]spanBody, 0, len(sps)),
 	}
 	for _, s := range sps {
-		body.Spans = append(body.Spans, spanBody{
-			Chunk:          s.Chunk,
-			Worker:         s.Worker,
-			Granted:        s.Granted,
-			QueueSeconds:   s.Queue.Seconds(),
-			WireSeconds:    s.Wire.Seconds(),
-			ComputeSeconds: s.Compute.Seconds(),
-			ReduceSeconds:  s.Reduce.Seconds(),
-		})
+		body.Spans = append(body.Spans, spanBody{Chunk: s.Chunk, Worker: s.Worker, SpanSegments: segmentsOf(s)})
 	}
 	WriteJSON(w, http.StatusOK, body)
 }

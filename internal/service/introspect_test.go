@@ -134,10 +134,11 @@ func TestSpanJoinAndFleetProfile(t *testing.T) {
 	}
 }
 
-// TestSpanRingDisabled: SpanEvents < 0 must disable per-job span
-// retention without touching the reduction path or the histograms.
+// TestSpanRingDisabled: TraceEvents < 0 switches off the one per-job ring,
+// and with it the spans its chunk-completed events would carry, without
+// touching the reduction path or the histograms.
 func TestSpanRingDisabled(t *testing.T) {
-	reg, ts := obsServer(t, Options{SpanEvents: -1})
+	reg, ts := obsServer(t, Options{TraceEvents: -1})
 	startWorkers(t, reg, 2)
 	acc, code := postJob(t, ts, JobRequest{Spec: slabSpec(4), Photons: 800, ChunkPhotons: 200, Seed: 5})
 	if code != http.StatusCreated {
@@ -149,10 +150,117 @@ func TestSpanRingDisabled(t *testing.T) {
 		t.Fatalf("GET spans: http %d", code)
 	}
 	if len(sb.Spans) != 0 {
-		t.Fatalf("span recording disabled but %d spans retained", len(sb.Spans))
+		t.Fatalf("tracing disabled but %d spans retained", len(sb.Spans))
+	}
+	var eb eventsBody
+	if code := getJSON(t, ts.URL+"/jobs/"+acc.ID+"/events", &eb); code != http.StatusOK || len(eb.Events) != 0 {
+		t.Fatalf("tracing disabled but GET events: http %d, %d events", code, len(eb.Events))
 	}
 	if m := scrape(t, ts.URL+"/metrics"); m["service_span_compute_seconds_count"] != 4 {
 		t.Fatalf("aggregate histograms must observe regardless: %g", m["service_span_compute_seconds_count"])
+	}
+}
+
+// TestSpansAreChunkCompletedEvents: a multi-chunk job on two workers
+// records each reduced chunk once. Every GET /spans entry is the segments
+// of exactly one chunk-completed event on GET /events — same chunk, worker
+// and grant stamp — and no chunk is listed twice.
+func TestSpansAreChunkCompletedEvents(t *testing.T) {
+	reg, ts := obsServer(t, Options{})
+	startWorkers(t, reg, 2)
+	const chunks = 8
+	acc, code := postJob(t, ts, JobRequest{Spec: slabSpec(4), Photons: chunks * 100, ChunkPhotons: 100, Seed: 11})
+	if code != http.StatusCreated {
+		t.Fatalf("submit: http %d", code)
+	}
+	waitDone(t, ts, acc.ID)
+	var sb spansBody
+	if code := getJSON(t, ts.URL+"/jobs/"+acc.ID+"/spans", &sb); code != http.StatusOK {
+		t.Fatalf("GET spans: http %d", code)
+	}
+	var eb eventsBody
+	if code := getJSON(t, ts.URL+"/jobs/"+acc.ID+"/events?kind=chunk-completed", &eb); code != http.StatusOK {
+		t.Fatalf("GET events: http %d", code)
+	}
+	if len(sb.Spans) != chunks || len(eb.Events) != chunks {
+		t.Fatalf("%d spans and %d chunk-completed events, want %d of each", len(sb.Spans), len(eb.Events), chunks)
+	}
+	listed := map[int]bool{}
+	for _, sp := range sb.Spans {
+		if listed[sp.Chunk] {
+			t.Fatalf("chunk %d listed twice: %+v", sp.Chunk, sb.Spans)
+		}
+		listed[sp.Chunk] = true
+		matches := 0
+		for _, e := range eb.Events {
+			if e.Chunk != nil && *e.Chunk == sp.Chunk && e.Worker == sp.Worker &&
+				e.SpanSegments != nil && e.Granted.Equal(sp.Granted) {
+				matches++
+				if *e.SpanSegments != sp.SpanSegments {
+					t.Fatalf("chunk %d: event segments %+v, span %+v", sp.Chunk, *e.SpanSegments, sp.SpanSegments)
+				}
+			}
+		}
+		if matches != 1 {
+			t.Fatalf("span %+v matches %d chunk-completed events, want 1", sp, matches)
+		}
+	}
+}
+
+// TestSpansShareTheEventRing: spans ride the event ring, so a ring too
+// small for a job's grants and completions keeps only the newest spans,
+// and GET /spans' dropped is the ring's overwrite count.
+func TestSpansShareTheEventRing(t *testing.T) {
+	reg, ts := obsServer(t, Options{TraceEvents: 8})
+	sess := probeSession(reg)
+	const chunks = 8
+	out, err := reg.Submit(JobSpec{Spec: slabSpec(4), TotalPhotons: chunks * 10, ChunkPhotons: 10, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := out.Job
+	cfg, err := j.spec.Spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []int // chunks in completion order
+	for g := reg.nextChunk(sess); g != nil; g = reg.nextChunk(sess) {
+		tally, err := mc.RunStreamFan(cfg, g.Photons, j.spec.Seed, g.Stream, j.nChunks, j.spec.Fan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if acks := reg.reduceGroup(sess, g.JobID, []int{g.ChunkID}, tally, time.Millisecond, nil); acks[0].Rejected {
+			t.Fatalf("chunk not reduced: %+v", acks)
+		}
+		order = append(order, g.ChunkID)
+	}
+	if len(order) != chunks {
+		t.Fatalf("reduced %d chunks, want %d", len(order), chunks)
+	}
+
+	id := j.Status().IDHex
+	var sb spansBody
+	if code := getJSON(t, ts.URL+"/jobs/"+id+"/spans", &sb); code != http.StatusOK {
+		t.Fatalf("GET spans: http %d", code)
+	}
+	var eb eventsBody
+	if code := getJSON(t, ts.URL+"/jobs/"+id+"/events", &eb); code != http.StatusOK {
+		t.Fatalf("GET events: http %d", code)
+	}
+	if len(eb.Events) != 8 || eb.Dropped == 0 {
+		t.Fatalf("ring of 8 kept %d events, dropped %d: the job did not overflow it", len(eb.Events), eb.Dropped)
+	}
+	if sb.Dropped != eb.Dropped {
+		t.Fatalf("spans dropped %d, the ring overwrote %d", sb.Dropped, eb.Dropped)
+	}
+	if len(sb.Spans) == 0 || len(sb.Spans) >= chunks {
+		t.Fatalf("kept %d of %d spans, want the newest few", len(sb.Spans), chunks)
+	}
+	newest := order[chunks-len(sb.Spans):]
+	for i, sp := range sb.Spans {
+		if sp.Chunk != newest[i] {
+			t.Fatalf("spans %+v, want the newest completions %v", sb.Spans, newest)
+		}
 	}
 }
 

@@ -189,14 +189,11 @@ type Job struct {
 	finishedAt time.Time
 	finished   chan struct{}
 
-	// events is the job's bounded lifecycle trace (nil when disabled). It
-	// has its own mutex and never nests under the registry lock's critical
-	// sections for more than a ring append.
+	// events is the job's bounded lifecycle trace (nil when disabled), and
+	// its one timeline: a chunk-completed event carries the chunk's span.
+	// It has its own mutex and never nests under the registry lock's
+	// critical sections for more than a ring append.
 	events *obs.Trace
-	// spans is the job's bounded per-chunk timing ring (nil when
-	// disabled): queue-wait / wire+hold / compute / reduce segments joined
-	// from server stamps and worker-reported compute durations.
-	spans *obs.Spans
 }
 
 // newJob builds the chunk partition for a normalized spec. It is called
@@ -223,7 +220,6 @@ func newJob(reg *Registry, key Key, spec JobSpec) (*Job, error) {
 		finished:    make(chan struct{}),
 		submitted:   time.Now(),
 		events:      reg.newTrace(),
-		spans:       reg.newSpans(),
 	}
 	j.queued = make([]time.Time, n)
 	remaining := spec.TotalPhotons

@@ -196,18 +196,10 @@ func (r *Registry) newTrace() *obs.Trace {
 	return obs.NewTrace(r.opts.TraceEvents)
 }
 
-// Spans returns the job's retained per-chunk spans in completion order and
-// the count of older spans its bounded ring overwrote.
-func (j *Job) Spans() ([]obs.Span, uint64) { return j.spans.Snapshot() }
-
-// newSpans builds a job's span ring per the registry options: 0 means
-// DefaultSpanEvents, negative disables span recording.
-func (r *Registry) newSpans() *obs.Spans {
-	if r.opts.SpanEvents < 0 {
-		return nil
-	}
-	return obs.NewSpans(r.opts.SpanEvents)
-}
+// Spans returns the spans the job's retained chunk-completed events
+// carry, in completion order, and the count of older events (of any kind)
+// its bounded ring overwrote.
+func (j *Job) Spans() ([]obs.Span, uint64) { return j.events.Spans() }
 
 // ErrOverloaded is wrapped by every ShedError Submit returns when
 // admission refuses new work (active-job cap or per-tenant token buckets);

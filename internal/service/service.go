@@ -109,15 +109,13 @@ type Options struct {
 	// private unexported registry (the counters still run — they are cheap
 	// atomics — but nothing scrapes them).
 	Obs *obs.Registry
-	// TraceEvents bounds each job's lifecycle event ring: 0 means
-	// obs.DefaultTraceEvents, negative disables per-job tracing.
+	// TraceEvents bounds each job's lifecycle event ring, behind both GET
+	// /jobs/{id}/events and GET /jobs/{id}/spans (a chunk's span rides its
+	// chunk-completed event): 0 means obs.DefaultTraceEvents, negative
+	// disables per-job tracing and so both views. The aggregate span
+	// histograms on the metrics registry observe regardless — they
+	// survive ring eviction and this switch.
 	TraceEvents int
-	// SpanEvents bounds each job's per-chunk span ring (queue-wait /
-	// wire+hold / compute / reduce segments behind GET /jobs/{id}/spans):
-	// 0 means obs.DefaultSpanEvents, negative disables span recording.
-	// The aggregate span histograms on the metrics registry observe
-	// regardless — they survive ring eviction and this switch.
-	SpanEvents int
 	// Logger, if set, receives structured progress logging (nil discards).
 	Logger *slog.Logger
 	// Journal, if set, write-ahead journals what a restart needs (accepts,

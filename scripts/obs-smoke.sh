@@ -7,8 +7,9 @@
 # exposes the expected service- and worker-plane series with the right
 # values for this known job (plus build identity), GET /jobs/{id}/events
 # tells the lifecycle story (and filters by kind), GET /jobs/{id}/spans
-# decomposes every chunk's timing, GET /fleet shows the worker's
-# piggybacked telemetry, mctop -once renders it all, pprof answers, a
+# decomposes every chunk's timing and names the same chunks as the
+# chunk-completed events that carry those segments, GET /fleet shows the
+# worker's piggybacked telemetry, mctop -once renders it all, pprof answers, a
 # result fetched directly and through an mcgate in front is the same bytes
 # with the encode layer's histograms (service_result_* by format on the
 # shard, gateway_result_* on the gateway) behind both, two voxel jobs sent
@@ -146,8 +147,16 @@ CODE=$(curl -s -o /dev/null -w '%{http_code}' "http://$HTTP/jobs/$ID/events?kind
 echo "obs-smoke: checking spans and fleet telemetry..."
 SPANS=$(curl -fsS "http://$HTTP/jobs/$ID/spans")
 [ "$(echo "$SPANS" | grep -o '"chunk":' | wc -l)" = 4 ] || fail "expected 4 spans: $SPANS"
+# A span is its chunk-completed event's segments: the two views name the
+# same 4 chunks, and each of those events carries all four segments.
+SPAN_CHUNKS=$(echo "$SPANS" | grep -o '"chunk":[0-9]*' | sort | tr '\n' ' ')
+EVENT_CHUNKS=$(echo "$FILTERED" | grep -o '"chunk":[0-9]*' | sort | tr '\n' ' ')
+[ "$SPAN_CHUNKS" = "$EVENT_CHUNKS" ] ||
+  fail "span chunks '$SPAN_CHUNKS' differ from chunk-completed chunks '$EVENT_CHUNKS'"
 for seg in queueSeconds wireSeconds computeSeconds reduceSeconds; do
   echo "$SPANS" | grep -q "\"$seg\":" || fail "spans missing segment '$seg': $SPANS"
+  [ "$(echo "$FILTERED" | grep -o "\"$seg\":" | wc -l)" = 4 ] ||
+    fail "chunk-completed events do not all carry '$seg': $FILTERED"
 done
 echo "$SPANS" | grep -q '"worker":"smoke-worker"' || fail "spans lost worker attribution"
 

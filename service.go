@@ -35,8 +35,9 @@ type (
 	// (GET /jobs/{id}/events).
 	JobEvent = obs.Event
 	// ChunkSpan is one chunk's cross-process timing decomposition —
-	// queue-wait, wire+hold, compute, reduce — from a job's bounded span
-	// ring (GET /jobs/{id}/spans).
+	// queue-wait, wire, compute, reduce — carried by the chunk's
+	// chunk-completed JobEvent (GET /jobs/{id}/spans lists the spans a
+	// job's event ring retains).
 	ChunkSpan = obs.Span
 	// FleetSession is one live worker session's telemetry profile:
 	// server-side accounting joined with the worker's own piggybacked
