@@ -139,16 +139,14 @@ shard-smoke:
 # scripts/genjob bodies), the journal's accept and snapshot record decoders
 # (seeded with their own records of four job shapes), the compact tally
 # codec under all of them (seeded with every section shape and with headers
-# that over-claim), the shard→gateway result envelope (seeded with the
-# same four jobs' results) and the gateway→shard submission (seeded with
-# the same four jobs, a bare-JSON payload and tails that miss the grid's
-# size) — enough to catch a decode regression without stalling CI.
+# that over-claim) and the gateway→shard submission (seeded with the same
+# four jobs, a bare-JSON payload and tails that miss the grid's size) —
+# enough to catch a decode regression without stalling CI.
 fuzz-smoke:
 	$(GO) test ./internal/protocol -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz FuzzDecodeJobRequest -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz FuzzDecodeJournalRecord -fuzztime 10s
 	$(GO) test ./internal/mc -run '^$$' -fuzz FuzzDecodeTally -fuzztime 10s
-	$(GO) test ./internal/service -run '^$$' -fuzz FuzzDecodeResult -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz FuzzDecodeSubmission -fuzztime 10s
 
 # cover enforces the same coverage floor as CI (keep COVER_FLOOR in sync

@@ -19,10 +19,8 @@
 //     the routing key's top 32 bits over the content key's next 32
 //     (service.JobID), so service.ShardOfID names the owner from those
 //     top bits with no lookup. Responses pass through as the shard wrote
-//     them, except a finished result: the gateway asks the shard for it in
-//     the compact codec (service.ResultCompactType), decodes it once and
-//     JSON-encodes the body for the client. JSON is the encoding of the
-//     client edge only, in both directions.
+//     them — status, Content-Type and bytes — a finished result's JSON
+//     included.
 //   - GET /stats, /fleet, /tenants and GET /jobs fan out to every shard
 //     and merge.
 //
@@ -103,10 +101,6 @@ type gatewayMetrics struct {
 	proxies     *obs.CounterVec
 	failovers   *obs.CounterVec
 	unavailable *obs.CounterVec
-	// One finished result served from a shard: fetch + decode + encode +
-	// write, and the JSON bytes the client was sent.
-	resultSeconds *obs.Histogram
-	resultBytes   *obs.Histogram
 	// The submit path's stages (see gateway_submit_stage_seconds).
 	submitDecode, submitKeys, submitEncode, submitForward *obs.Histogram
 }
@@ -154,10 +148,6 @@ func New(opts Options) (*Gateway, error) {
 			"Replica attempts skipped past after a connection error or 503.", "shard"),
 		unavailable: oreg.CounterVec("gateway_shard_unavailable_total",
 			"Requests failed because every replica of a shard was down.", "shard"),
-		resultSeconds: oreg.Histogram("gateway_result_seconds",
-			"Serving one finished result from a shard: compact fetch, decode, JSON encode and write.", obs.DefBuckets),
-		resultBytes: oreg.Histogram("gateway_result_bytes",
-			"JSON size of one finished result body sent to the client.", obs.ByteBuckets),
 	}
 	stage := oreg.HistogramVec("gateway_submit_stage_seconds",
 		"Time one submission spent in a stage of the gateway's submit path: decode (body read and JSON decode), keys (content and physics key derivation), encode (the compact form forwarded to the shard), forward (the owning shard's answer, failovers included).",
@@ -186,7 +176,7 @@ func (g *Gateway) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /jobs", g.submit)
 	mux.HandleFunc("GET /jobs", g.list)
 	mux.HandleFunc("GET /jobs/{id}", g.proxyJob)
-	mux.HandleFunc("GET /jobs/{id}/result", g.proxyResult)
+	mux.HandleFunc("GET /jobs/{id}/result", g.proxyJob)
 	mux.HandleFunc("GET /jobs/{id}/events", g.proxyJob)
 	mux.HandleFunc("GET /jobs/{id}/spans", g.proxyJob)
 	mux.HandleFunc("DELETE /jobs/{id}", g.proxyJob)
@@ -282,27 +272,22 @@ func (g *Gateway) admitted(w http.ResponseWriter, tenant string, v service.Admis
 	return v.OK
 }
 
-// forward sends a single-job request to the shard owning its ID, naming
-// accept (if not empty) as the encoding it wants back. ok is false when the
-// request has been answered here instead: a malformed ID or a shard with
-// every replica down.
-func (g *Gateway) forward(w http.ResponseWriter, req *http.Request, accept string) (shard, status int, hdr http.Header, body []byte, ok bool) {
+// proxyJob sends a single-job request to the shard owning its ID and
+// passes the answer through as the shard wrote it. A malformed ID is
+// answered here with 400, a shard with every replica down with 502.
+func (g *Gateway) proxyJob(w http.ResponseWriter, req *http.Request) {
 	id, err := strconv.ParseUint(req.PathValue("id"), 16, 64)
 	if err != nil {
 		service.WriteJSON(w, http.StatusBadRequest, service.APIError{Error: fmt.Sprintf("bad job id: %v", err)})
 		return
 	}
-	shard = service.ShardOfID(id, len(g.shards))
+	shard := service.ShardOfID(id, len(g.shards))
 	url := req.URL.Path
 	if q := req.URL.RawQuery; q != "" {
 		url += "?" + q
 	}
-	status, hdr, body, err = g.doShard(shard, func(base string) (*http.Request, error) {
-		preq, err := http.NewRequestWithContext(req.Context(), req.Method, base+url, nil)
-		if err == nil && accept != "" {
-			preq.Header.Set("Accept", accept)
-		}
-		return preq, err
+	status, hdr, body, err := g.doShard(shard, func(base string) (*http.Request, error) {
+		return http.NewRequestWithContext(req.Context(), req.Method, base+url, nil)
 	})
 	if err != nil {
 		service.WriteJSON(w, http.StatusBadGateway,
@@ -310,49 +295,7 @@ func (g *Gateway) forward(w http.ResponseWriter, req *http.Request, accept strin
 		return
 	}
 	g.met.proxies.With(strconv.Itoa(shard)).Inc()
-	return shard, status, hdr, body, true
-}
-
-// proxyJob passes the owning shard's answer through as the shard wrote it.
-func (g *Gateway) proxyJob(w http.ResponseWriter, req *http.Request) {
-	if _, status, hdr, body, ok := g.forward(w, req, ""); ok {
-		copyResponse(w, status, hdr, body)
-	}
-}
-
-// proxyResult serves GET /jobs/{id}/result. It asks the owning shard for
-// the result in the compact codec; a finished result (200) is decoded and
-// JSON-encoded for the client by the encoder the shard itself answers a
-// client with, so the bytes are the same. Every other answer (202 not
-// finished, 404, 410 canceled, a 5xx) is the shard's own JSON and passes
-// through.
-func (g *Gateway) proxyResult(w http.ResponseWriter, req *http.Request) {
-	start := time.Now()
-	shard, status, hdr, body, ok := g.forward(w, req, service.ResultCompactType)
-	if !ok {
-		return
-	}
-	if status != http.StatusOK {
-		copyResponse(w, status, hdr, body)
-		return
-	}
-	res, err := service.DecodeResult(body)
-	if err != nil {
-		// The tree ships together: a shard that answers the negotiated
-		// request with anything but the compact result (a JSON body fails
-		// at the version byte) is broken, not old.
-		service.WriteJSON(w, http.StatusBadGateway,
-			service.APIError{Error: fmt.Sprintf("shard %d: %v", shard, err)})
-		return
-	}
-	if body, err = service.EncodeJSON(res); err != nil {
-		service.WriteJSON(w, http.StatusInternalServerError,
-			service.APIError{Error: fmt.Sprintf("encoding the result: %v", err)})
-		return
-	}
-	service.WriteBody(w, http.StatusOK, "application/json", body)
-	g.met.resultSeconds.Observe(time.Since(start).Seconds())
-	g.met.resultBytes.Observe(float64(len(body)))
+	copyResponse(w, status, hdr, body)
 }
 
 // doShard runs one request against a shard, walking its replicas in

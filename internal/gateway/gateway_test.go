@@ -219,17 +219,16 @@ func TestGatewayRoutesAndCompletes(t *testing.T) {
 	}
 }
 
-// TestResultBytesSameAtEveryTier pins the client edge across the compact
+// TestResultBytesSameAtEveryTier pins the client edge across the
 // shard→gateway hop, for every result shape: the body read through the
-// gateway — decoded from the compact codec and JSON-encoded there — is byte
-// for byte the body the shard serves a client directly, and a resubmission
-// — answered by its shard with the job that ran it — reads byte for byte
-// the same again.
+// gateway is byte for byte the body the shard serves a client directly,
+// and a resubmission — answered by its shard with the job that ran it —
+// reads byte for byte the same again.
 func TestResultBytesSameAtEveryTier(t *testing.T) {
-	_, tsA := shardServer(t, service.Options{}, 2)
-	_, tsB := shardServer(t, service.Options{}, 2)
-	oreg := obs.NewRegistry()
-	_, gw := gatewayServer(t, Options{Shards: [][]string{{tsA.URL}, {tsB.URL}}, Obs: oreg})
+	obsByShard := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
+	_, tsA := shardServer(t, service.Options{Obs: obsByShard[0]}, 2)
+	_, tsB := shardServer(t, service.Options{Obs: obsByShard[1]}, 2)
+	_, gw := gatewayServer(t, Options{Shards: [][]string{{tsA.URL}, {tsB.URL}}})
 
 	pencil := source.Spec{Kind: source.KindPencil}
 	ring := detector.Spec{Kind: detector.KindAnnulus, RMin: 1, RMax: 4}
@@ -277,14 +276,15 @@ func TestResultBytesSameAtEveryTier(t *testing.T) {
 		})
 	}
 
-	// The layer has its histogram: one observation per proxied result, a
-	// cache hit's included.
-	var metrics strings.Builder
-	oreg.WriteText(&metrics)
-	for _, want := range []string{"gateway_result_seconds_count 10", "gateway_result_bytes_count 10"} {
-		if !strings.Contains(metrics.String(), want) {
-			t.Errorf("gateway metrics lack %q", want)
-		}
+	// The shards encoded every one of the 15 bodies — the run's through the
+	// gateway and direct, and the repeat's — as JSON, their one encoding.
+	var encoded, sized uint64
+	for _, o := range obsByShard {
+		encoded += o.HistogramVec("service_result_encode_seconds", "", obs.DefBuckets, "format").With("json").Count()
+		sized += o.HistogramVec("service_result_bytes", "", obs.ByteBuckets, "format").With("json").Count()
+	}
+	if encoded != 15 || sized != 15 {
+		t.Errorf("shards encoded %d results (%d sized) as json, want 15", encoded, sized)
 	}
 }
 
@@ -590,43 +590,42 @@ func TestGatewayFailoverPolicy(t *testing.T) {
 		}
 	})
 
-	t.Run("result: 503 fails over, other answers pass through, a stray 200 is a 502", func(t *testing.T) {
-		compact := service.AppendResult(nil, &service.JobResultBody{ID: "00000000000000ab", Tally: &mc.Tally{Launched: 7}})
+	t.Run("result: 503 fails over, other answers pass through, a 200 as the shard wrote it", func(t *testing.T) {
+		const body = `{"id":"00000000000000ab","tally":{"launched":7}}` + "\n"
 		var fallbackHits int
 		answer := http.StatusServiceUnavailable
-		first := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.Header.Get("Accept") != service.ResultCompactType {
-				t.Errorf("result request carries Accept %q", r.Header.Get("Accept"))
-			}
-			w.Header().Set("Content-Type", "application/json")
+		first := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.Header().Set("Content-Type", "application/x-shard")
 			w.WriteHeader(answer)
-			fmt.Fprint(w, `{"error":"shard says","state":"running"}`)
+			fmt.Fprintf(w, `{"error":"shard says %d"}`, answer)
 		}))
 		defer first.Close()
 		fallback := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 			fallbackHits++
-			service.WriteBody(w, http.StatusOK, service.ResultCompactType, compact)
+			w.Header().Set("Content-Type", "application/json")
+			fmt.Fprint(w, body)
 		}))
 		defer fallback.Close()
 		_, gw := gatewayServer(t, Options{Shards: [][]string{{first.URL, fallback.URL}}})
 		url := gw.URL + "/jobs/00000000000000ab/result"
-
-		code, raw := get(t, url)
-		var res service.JobResultBody
-		if err := json.Unmarshal([]byte(raw), &res); code != http.StatusOK || err != nil ||
-			fallbackHits != 1 || res.Tally == nil || res.Tally.Launched != 7 {
-			t.Fatalf("503 failover: http %d (fallback hits %d, err %v): %s", code, fallbackHits, err, raw)
-		}
-		for _, answer = range []int{http.StatusAccepted, http.StatusNotFound, http.StatusGone} {
-			if code, raw := get(t, url); code != answer || !strings.Contains(raw, "shard says") || fallbackHits != 1 {
-				t.Fatalf("shard's %d came back as http %d (fallback hits %d): %s", answer, code, fallbackHits, raw)
+		fetch := func() (int, string, string) {
+			resp, err := http.Get(url)
+			if err != nil {
+				t.Fatal(err)
 			}
+			defer resp.Body.Close()
+			raw, _ := io.ReadAll(resp.Body)
+			return resp.StatusCode, resp.Header.Get("Content-Type"), string(raw)
 		}
-		// A 200 that is not the negotiated encoding: the tree ships
-		// together, so this is a broken shard, not an old one.
-		answer = http.StatusOK
-		if code, raw := get(t, url); code != http.StatusBadGateway {
-			t.Fatalf("JSON 200 from a shard: http %d: %s (want 502)", code, raw)
+
+		if code, ct, raw := fetch(); code != http.StatusOK || ct != "application/json" || raw != body || fallbackHits != 1 {
+			t.Fatalf("503 failover: http %d %s (fallback hits %d): %q", code, ct, fallbackHits, raw)
+		}
+		for _, answer = range []int{http.StatusOK, http.StatusAccepted, http.StatusNotFound, http.StatusGone} {
+			code, ct, raw := fetch()
+			if code != answer || ct != "application/x-shard" || raw != fmt.Sprintf(`{"error":"shard says %d"}`, answer) || fallbackHits != 1 {
+				t.Fatalf("shard's %d came back as http %d %s (fallback hits %d): %q", answer, code, ct, fallbackHits, raw)
+			}
 		}
 	})
 

@@ -890,7 +890,7 @@ type SessionStatus struct {
 // Fleet snapshots every live worker session, ordered by session id
 // (connection order): who is connected, how fast each worker says it is,
 // and how fast the server has observed it to be — what speed-profile-driven
-// grants (parked in ROADMAP) would read.
+// grants (ROADMAP item 7) would read.
 func (r *Registry) Fleet() []SessionStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()

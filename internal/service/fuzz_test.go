@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -207,55 +206,20 @@ func FuzzDecodeSubmission(f *testing.F) {
 	})
 }
 
-// FuzzDecodeResult throws arbitrary bytes at the compact result decoder —
-// what a gateway runs on a shard's answer to its result request. It may not
-// panic, its two strings stay within maxResultString (the tally bounds its
-// own allocations, see mc.FuzzDecodeTally), and a result that decodes is a
-// fixed point: re-encoded and decoded again it is byte for byte the same.
-//
-// The committed corpus (testdata/fuzz/FuzzDecodeResult) is the result of
-// each of journalShapes; scripts/fuzz-corpus.sh regenerates it.
-func FuzzDecodeResult(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(AppendResult(nil, &JobResultBody{ID: "00000000000000ab", Tally: &mc.Tally{}}))
-	header := make([]byte, 2+2*len(Key{})+8)
-	header[0] = resultCodecVersion
-	f.Add(append(header, 200, 1)) // a 200-byte job ID
-	f.Add(append(append([]byte{resultCodecVersion, 1 << 7}, header[2:]...), 0))
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		res, err := DecodeResult(data)
-		if err != nil {
-			return
-		}
-		if len(res.ID) > maxResultString || res.Target != nil && len(res.Target.Observable) > maxResultString {
-			t.Fatalf("decoded an over-long string: id %d bytes", len(res.ID))
-		}
-		again := AppendResult(nil, res)
-		res2, err := DecodeResult(again)
-		if err != nil || !bytes.Equal(AppendResult(nil, res2), again) {
-			t.Fatalf("result changed across a re-encode (err %v)", err)
-		}
-	})
-}
-
-// updateCorpus rewrites the committed FuzzDecodeJournalRecord,
-// FuzzDecodeSubmission and FuzzDecodeResult seeds from
-// the current encodings (scripts/fuzz-corpus.sh passes it).
-var updateCorpus = flag.Bool("update-corpus", false, "rewrite the committed journal and result fuzz corpora")
+// updateCorpus rewrites the committed FuzzDecodeJournalRecord and
+// FuzzDecodeSubmission seeds from the current encodings
+// (scripts/fuzz-corpus.sh passes it).
+var updateCorpus = flag.Bool("update-corpus", false, "rewrite the committed journal and submission fuzz corpora")
 
 // TestCommittedJournalCorpus keeps the seed corpora honest: every seed
 // exists and still decodes. A committed record that stops decoding means
 // the record format changed under an unchanged wal.RecordType — journals
 // in the field would be skipped record by record instead of refused; a
-// committed result or submission that stops decoding means a format
-// between the tiers changed under an unchanged version byte.
+// committed submission that stops decoding means the format between the
+// tiers changed under an unchanged version byte.
 func TestCommittedJournalCorpus(t *testing.T) {
 	seedPath := func(name, kind string) string {
-		switch kind {
-		case "result":
-			return filepath.Join("testdata", "fuzz", "FuzzDecodeResult", name)
-		case "submission":
+		if kind == "submission" {
 			return filepath.Join("testdata", "fuzz", "FuzzDecodeSubmission", name)
 		}
 		return filepath.Join("testdata", "fuzz", "FuzzDecodeJournalRecord", name+"_"+kind)
@@ -264,7 +228,7 @@ func TestCommittedJournalCorpus(t *testing.T) {
 		if err := js.normalize(0); err != nil {
 			t.Fatal(err)
 		}
-		key, pkey, err := keysOf(&js)
+		key, _, err := keysOf(&js)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -276,12 +240,7 @@ func TestCommittedJournalCorpus(t *testing.T) {
 			// Two chunks reduced, whatever the job's own chunk count.
 			tally := localTallyFan(t, js.Spec, 2*js.ChunkPhotons, js.ChunkPhotons, js.Seed, js.Fan)
 			snap := encodeSnapshotRec(key, max(js.numChunks(), 2), []int{0, 1}, tally)
-			result := AppendResult(nil, &JobResultBody{
-				ID: fmt.Sprintf("%016x", KeyID(key)), Key: key, PhysicsKey: pkey,
-				Target: js.Target, TargetMet: js.Target != nil, Elapsed: 0.25, Tally: tally,
-			})
-			for kind, data := range map[string][]byte{"accept": accept, "snapshot": snap, "result": result,
-				"submission": accept[len(key):]} {
+			for kind, data := range map[string][]byte{"accept": accept, "snapshot": snap, "submission": accept[len(key):]} {
 				body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
 				if err := os.WriteFile(seedPath(name, kind), []byte(body), 0o644); err != nil {
 					t.Fatal(err)
@@ -292,7 +251,6 @@ func TestCommittedJournalCorpus(t *testing.T) {
 		for kind, decode := range map[string]func([]byte) error{
 			"accept":     func(b []byte) error { _, _, err := decodeAcceptRec(b); return err },
 			"snapshot":   func(b []byte) error { _, _, err := decodeSnapshotRec(b); return err },
-			"result":     func(b []byte) error { _, err := DecodeResult(b); return err },
 			"submission": func(b []byte) error { _, err := DecodeSubmission(b); return err },
 		} {
 			raw, err := os.ReadFile(seedPath(name, kind))

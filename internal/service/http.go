@@ -128,9 +128,8 @@ func (a *API) Register(mux *http.ServeMux) {
 }
 
 // EncodeJSON renders a response body — the one JSON renderer of the job
-// API, shared with the gateway tier in front of it, so a body is the same
-// bytes whichever tier encoded it. A value JSON cannot render (a NaN, an
-// infinity) is an error, never an empty body.
+// API and of the gateway tier in front of it. A value JSON cannot render (a
+// NaN, an infinity) is an error, never an empty body.
 func EncodeJSON(body any) ([]byte, error) {
 	var buf bytes.Buffer
 	err := json.NewEncoder(&buf).Encode(body)
@@ -145,12 +144,12 @@ func WriteJSON(w http.ResponseWriter, code int, body any) {
 		code = http.StatusInternalServerError
 		data, _ = EncodeJSON(APIError{Error: fmt.Sprintf("encoding the response: %v", err)}) // strings always encode
 	}
-	WriteBody(w, code, "application/json", data)
+	writeBody(w, code, data)
 }
 
-// WriteBody answers with an already encoded body.
-func WriteBody(w http.ResponseWriter, code int, contentType string, body []byte) {
-	w.Header().Set("Content-Type", contentType)
+// writeBody answers with an already encoded JSON body.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	w.Write(body)
 }
@@ -314,50 +313,45 @@ func (a *API) status(w http.ResponseWriter, req *http.Request) {
 	WriteJSON(w, http.StatusOK, j.Status())
 }
 
-// result serves a finished job's result in one of two encodings, chosen by
-// Accept: JSON for a client, the compact codec (ResultCompactType) for a
-// routing tier that will decode it and JSON-encode the body for its own
-// client. Every other answer is a JSON APIError.
+// result serves a finished job's result as JSON — to a client, or to a
+// gateway that passes the bytes through. The job's Done channel alone
+// decides: it closes only once the job's final snapshot is journaled and
+// its waiters are released, so until then — the seal window after the
+// last reduction included — the answer is 202. Every answer but a result
+// is a JSON APIError.
 func (a *API) result(w http.ResponseWriter, req *http.Request) {
 	j := a.jobFromPath(w, req)
 	if j == nil {
 		return
 	}
-	st := j.Status()
-	switch st.State {
-	case StateDone.String():
-		res, err := j.Wait(time.Second) // already done; returns immediately
-		if err != nil {
-			WriteJSON(w, http.StatusInternalServerError, APIError{Error: err.Error()})
-			return
-		}
-		body := JobResultBody{
-			ID:         st.IDHex,
-			Key:        j.key,
-			PhysicsKey: j.pkey,
-			Target:     res.Target,
-			TargetMet:  res.TargetMet,
-			Elapsed:    res.Elapsed.Seconds(),
-			Tally:      res.Tally,
-		}
-		start := time.Now()
-		met, contentType := &a.reg.met.resultJSON, "application/json"
-		var data []byte
-		if req.Header.Get("Accept") == ResultCompactType {
-			met, contentType = &a.reg.met.resultCompact, ResultCompactType
-			data = AppendResult(nil, &body)
-		} else if data, err = EncodeJSON(body); err != nil {
-			WriteJSON(w, http.StatusInternalServerError, APIError{Error: fmt.Sprintf("encoding the result: %v", err)})
-			return
-		}
-		met.seconds.Observe(time.Since(start).Seconds())
-		met.bytes.Observe(float64(len(data)))
-		WriteBody(w, http.StatusOK, contentType, data)
-	case StateCanceled.String():
-		WriteJSON(w, http.StatusGone, APIError{Error: "job canceled", State: st.State})
+	select {
+	case <-j.Done():
 	default:
-		WriteJSON(w, http.StatusAccepted, APIError{Error: "job not finished", State: st.State})
+		WriteJSON(w, http.StatusAccepted, APIError{Error: "job not finished", State: j.Status().State})
+		return
 	}
+	res, err := j.Wait(0) // closed: returns at once
+	if err != nil {
+		WriteJSON(w, http.StatusGone, APIError{Error: "job canceled", State: StateCanceled.String()})
+		return
+	}
+	start := time.Now()
+	data, err := EncodeJSON(JobResultBody{
+		ID:         jobHex(j.id),
+		Key:        j.key,
+		PhysicsKey: j.pkey,
+		Target:     res.Target,
+		TargetMet:  res.TargetMet,
+		Elapsed:    res.Elapsed.Seconds(),
+		Tally:      res.Tally,
+	})
+	if err != nil {
+		WriteJSON(w, http.StatusInternalServerError, APIError{Error: fmt.Sprintf("encoding the result: %v", err)})
+		return
+	}
+	a.reg.met.resultSeconds.Observe(time.Since(start).Seconds())
+	a.reg.met.resultBytes.Observe(float64(len(data)))
+	writeBody(w, http.StatusOK, data)
 }
 
 // eventBody is the JSON view of one trace event; chunk is omitted for

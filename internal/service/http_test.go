@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -97,22 +98,19 @@ func TestHTTPSubmitsThePapersHeadModel(t *testing.T) {
 	waitDone(t, ts, acc.ID)
 }
 
-// TestResultNegotiation: one result handler, two encoders chosen by Accept.
-// The compact answer decodes to the body the JSON answer spells — so a
-// gateway that decodes it and runs the shared JSON encoder sends a client
-// the shard's own bytes — every non-200 answer is JSON whatever was asked
-// for, and each encoding has its histogram pair.
+// TestResultNegotiation: a result has one encoding, whatever Accept names.
+// Unfinished, the job's result is a JSON 202; finished, it is the JSON body
+// with the target and the moments, and its encode is observed in the
+// format="json" histogram pair, the only one.
 func TestResultNegotiation(t *testing.T) {
 	oreg := obs.NewRegistry()
 	reg := New(Options{Obs: oreg})
 	ts := httptest.NewServer(NewAPI(reg).Handler())
 	defer ts.Close()
 
-	fetch := func(id, accept string) (int, string, []byte) {
+	fetch := func(id string) (int, string, []byte) {
 		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/jobs/"+id+"/result", nil)
-		if accept != "" {
-			req.Header.Set("Accept", accept)
-		}
+		req.Header.Set("Accept", "application/octet-stream")
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -127,45 +125,82 @@ func TestResultNegotiation(t *testing.T) {
 
 	acc, _ := postJob(t, ts, JobRequest{Spec: targetSpec(5), ChunkPhotons: 200, Seed: 7,
 		Target: &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.05}})
-	if code, ct, raw := fetch(acc.ID, ResultCompactType); code != http.StatusAccepted || ct != "application/json" {
-		t.Fatalf("unfinished job, compact asked: http %d %s %s", code, ct, raw)
+	if code, ct, raw := fetch(acc.ID); code != http.StatusAccepted || ct != "application/json" {
+		t.Fatalf("unfinished job: http %d %s %s", code, ct, raw)
 	}
 	startWorkers(t, reg, 1)
 	waitDone(t, ts, acc.ID)
 
-	code, ct, plain := fetch(acc.ID, "")
+	code, ct, plain := fetch(acc.ID)
 	if code != http.StatusOK || ct != "application/json" {
-		t.Fatalf("plain result: http %d %s", code, ct)
+		t.Fatalf("result: http %d %s", code, ct)
 	}
-	code, ct, compact := fetch(acc.ID, ResultCompactType)
-	if code != http.StatusOK || ct != ResultCompactType {
-		t.Fatalf("compact result: http %d %s", code, ct)
-	}
-	res, err := DecodeResult(compact)
-	if err != nil {
+	var res JobResultBody
+	if err := json.Unmarshal(plain, &res); err != nil {
 		t.Fatal(err)
 	}
-	if res.Target == nil || !res.TargetMet || res.Tally.Moments == nil {
-		t.Fatalf("compact result lost the target or the moments: %+v", res)
-	}
-	if again, err := EncodeJSON(res); err != nil || !bytes.Equal(again, plain) {
-		t.Fatalf("compact result re-encodes to different JSON:\n%.300s\nvs\n%.300s", again, plain)
-	}
-	if len(compact) >= len(plain) {
-		t.Errorf("compact result %d B, JSON %d B", len(compact), len(plain))
+	if res.ID != acc.ID || res.Target == nil || !res.TargetMet || res.Tally == nil || res.Tally.Moments == nil {
+		t.Fatalf("result lost the ID, the target or the moments: %.300s", plain)
 	}
 
 	var metrics strings.Builder
 	oreg.WriteText(&metrics)
 	for _, want := range []string{
 		`service_result_encode_seconds_count{format="json"} 1`,
-		`service_result_encode_seconds_count{format="compact"} 1`,
 		`service_result_bytes_count{format="json"} 1`,
-		fmt.Sprintf(`service_result_bytes_sum{format="compact"} %d`, len(compact)),
+		fmt.Sprintf(`service_result_bytes_sum{format="json"} %d`, len(plain)),
 	} {
 		if !strings.Contains(metrics.String(), want) {
 			t.Errorf("metrics lack %q", want)
 		}
+	}
+	for _, line := range strings.Split(metrics.String(), "\n") {
+		if strings.HasPrefix(line, "service_result_") && !strings.Contains(line, `format="json"`) {
+			t.Errorf("a result series other than format=\"json\": %s", line)
+		}
+	}
+}
+
+// TestResultInSealWindow fetches a result between the job's last
+// reduction, which marks it done, and its seal, which releases it. The
+// fetch must neither wait for the seal nor fail: it is the 202 of any
+// unfinished job, the job's status agrees that it is still running, and
+// once sealed the same request is the result.
+func TestResultInSealWindow(t *testing.T) {
+	reg := New(Options{})
+	ts := httptest.NewServer(NewAPI(reg).Handler())
+	defer ts.Close()
+	acc, _ := postJob(t, ts, JobRequest{Spec: slabSpec(5), Photons: 200, ChunkPhotons: 100, Seed: 3})
+	get := func(path string) (int, string) { // on the reducer's goroutine: t.Error only
+		resp, err := http.Get(ts.URL + "/jobs/" + acc.ID + path)
+		if err != nil {
+			t.Error(err)
+			return 0, ""
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(raw)
+	}
+	var inWindow int
+	var inWindowBody, inWindowStatus string
+	reg.sealHook = func() {
+		_, inWindowStatus = get("")
+		inWindow, inWindowBody = get("/result")
+	}
+	startWorkers(t, reg, 1)
+	waitDone(t, ts, acc.ID)
+	id, _ := strconv.ParseUint(acc.ID, 16, 64)
+	if _, err := reg.Get(id).Wait(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if inWindow != http.StatusAccepted || !strings.Contains(inWindowBody, `"state":"running"`) {
+		t.Fatalf("result in the seal window: http %d %s, want 202 running", inWindow, inWindowBody)
+	}
+	if !strings.Contains(inWindowStatus, `"state":"running"`) {
+		t.Fatalf("status in the seal window: %s, want running", inWindowStatus)
+	}
+	if code, raw := get("/result"); code != http.StatusOK {
+		t.Fatalf("result after the seal: http %d %s", code, raw)
 	}
 }
 

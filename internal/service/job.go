@@ -302,12 +302,23 @@ func (j *Job) Status() JobStatus {
 }
 
 func (j *Job) statusLocked() JobStatus {
+	state := j.state
+	if state == StateDone {
+		select {
+		case <-j.finished:
+		default:
+			// Between the last reduction and the seal the result is still
+			// a 202 (see API.result): the job reads as running until its
+			// result can be served, so "done" always means fetchable.
+			state = StateRunning
+		}
+	}
 	st := JobStatus{
 		ID:              j.id,
 		IDHex:           fmt.Sprintf("%016x", j.id),
 		Label:           j.spec.Label,
 		Tenant:          j.spec.Tenant,
-		State:           j.state.String(),
+		State:           state.String(),
 		TotalPhotons:    j.spec.TotalPhotons,
 		ChunkPhotons:    j.spec.ChunkPhotons,
 		CompletedChunks: j.nCompleted,

@@ -44,8 +44,9 @@ type svcMetrics struct {
 	photonsReduced *obs.Counter
 	reduceSeconds  *obs.Histogram
 
-	// Per-chunk span segment distributions — the aggregate view of the
-	// per-job span rings, immune to ring eviction.
+	// Per-chunk span segment distributions — the aggregate view of each
+	// job's event ring, whose chunk-completed events carry the spans,
+	// immune to ring eviction.
 	spanQueue   *obs.Histogram
 	spanWire    *obs.Histogram
 	spanCompute *obs.Histogram
@@ -62,14 +63,8 @@ type svcMetrics struct {
 	// Body size of a submission read at the HTTP ingress, by format.
 	submitBytes *obs.HistogramVec
 
-	// Result encode on GET /jobs/{id}/result, by the encoding served.
-	resultJSON, resultCompact resultMetrics
-}
-
-// resultMetrics is one result encoding's pre-resolved instrument pair.
-type resultMetrics struct {
-	seconds *obs.Histogram
-	bytes   *obs.Histogram
+	// Result encode on GET /jobs/{id}/result (format="json").
+	resultSeconds, resultBytes *obs.Histogram
 }
 
 // newServiceMetrics registers the service-plane instruments on reg and
@@ -117,7 +112,7 @@ func newServiceMetrics(reg *obs.Registry, r *Registry) *svcMetrics {
 		spanQueue: reg.Histogram("service_span_queue_seconds",
 			"Span segment: chunk issued or requeued until granted to a worker.", obs.DefBuckets),
 		spanWire: reg.Histogram("service_span_wire_seconds",
-			"Span segment: granted until result arrival, minus compute (wire, encode, worker hold buffer).", obs.DefBuckets),
+			"Span segment: granted until result arrival, minus compute (encode, network, and the rest of its grant, whose batch rides one task request).", obs.DefBuckets),
 		spanCompute: reg.Histogram("service_span_compute_seconds",
 			"Span segment: per-chunk compute (worker-reported, or the chunk's share of batch elapsed).", obs.DefBuckets),
 		spanReduce: reg.Histogram("service_span_reduce_seconds",
@@ -146,13 +141,11 @@ func newServiceMetrics(reg *obs.Registry, r *Registry) *svcMetrics {
 		"Time one submission spent in a stage of the submit path: decode (body read and decode, HTTP submissions only), keys (content and physics key derivation), journal (the accept record's append, fresh jobs only).",
 		obs.DefBuckets, "stage")
 	m.submitDecode, m.submitKeys, m.submitJournal = stage.With("decode"), stage.With("keys"), stage.With("journal")
-	encSeconds := reg.HistogramVec("service_result_encode_seconds",
-		"Time to encode one finished job's result body, by encoding (json for clients, compact for a gateway).",
-		obs.DefBuckets, "format")
-	encBytes := reg.HistogramVec("service_result_bytes",
-		"Encoded size of one result body, by encoding.", obs.ByteBuckets, "format")
-	m.resultJSON = resultMetrics{encSeconds.With("json"), encBytes.With("json")}
-	m.resultCompact = resultMetrics{encSeconds.With("compact"), encBytes.With("compact")}
+	m.resultSeconds = reg.HistogramVec("service_result_encode_seconds",
+		"Time to JSON-encode one finished job's result body (format=\"json\", the one encoding).",
+		obs.DefBuckets, "format").With("json")
+	m.resultBytes = reg.HistogramVec("service_result_bytes",
+		"Encoded size of one result body (format=\"json\", the one encoding).", obs.ByteBuckets, "format").With("json")
 
 	// The scrape-time gauges are Stats figures under their series names.
 	reg.GaugeVecFunc("service_jobs", "Retained jobs by lifecycle state.", "state",

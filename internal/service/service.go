@@ -53,7 +53,8 @@
 // environmental ones (HTTP 503 — a routing tier may retry elsewhere).
 //
 // The API surface is programmatic (Registry) and HTTP (NewAPI): POST /jobs,
-// GET /jobs/{id}, GET /jobs/{id}/result, DELETE /jobs/{id}, GET /stats,
+// GET /jobs, GET /jobs/{id}, GET /jobs/{id}/result, GET /jobs/{id}/events,
+// GET /jobs/{id}/spans, DELETE /jobs/{id}, GET /stats, GET /fleet and
 // GET /tenants.
 // cmd/mcqueue serves both; cmd/mcserver keeps its one-job CLI behaviour by
 // delegating to a single-job Registry.
@@ -163,8 +164,9 @@ type JobSpec struct {
 	Label string
 	// Tenant attributes the job to a tenant for admission control,
 	// two-level fair scheduling and per-tenant accounting. Empty maps to
-	// DefaultTenant. The tenant never enters the result-cache key: the same
-	// physics submitted by two tenants coalesces and cache-hits freely.
+	// DefaultTenant. The tenant never enters the content or physics key: the
+	// same physics submitted by two tenants coalesces and is answered by the
+	// same retained job.
 	Tenant string
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"io"
 	"math"
 	"net/http"
@@ -128,8 +129,10 @@ func TestSubmissionTailMustFillTheGrid(t *testing.T) {
 // record (94459714: JSON accept records, labels base64 inline), holding a
 // tiny slab, the paper's +Inf-thick head, a 6×6×4 voxel grid and a
 // precision-target job, an accept and a final snapshot each, beside each
-// job's result as that binary served it in the compact codec. Every job
-// must come back Done with byte-equal result, and the journal the replay
+// job's result as that binary served it (its compact result, transcoded
+// once into the JSON body a shard serves; the tallies round-trip
+// bit-exactly). Every job must come back Done with a bit-exact tally under
+// its keys, and the journal the replay
 // rewrites — in today's encoding — must do the same. The fixed-count jobs
 // come back under their original IDs. The precision job tracks moments, so
 // its ID's top 32 bits, the shard-selecting ones, now come from its physics
@@ -137,7 +140,7 @@ func TestSubmissionTailMustFillTheGrid(t *testing.T) {
 // its old ID names nothing.
 func TestReplayParentJournal(t *testing.T) {
 	const fixture = "testdata/parent_journal"
-	results, err := filepath.Glob(filepath.Join(fixture, "*.result"))
+	results, err := filepath.Glob(filepath.Join(fixture, "*.json"))
 	if err != nil || len(results) != 4 {
 		t.Fatalf("fixture results: %v, %v", results, err)
 	}
@@ -160,8 +163,8 @@ func TestReplayParentJournal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := DecodeResult(raw)
-			if err != nil {
+			var want JobResultBody
+			if err := json.Unmarshal(raw, &want); err != nil || want.Tally == nil {
 				t.Fatalf("%s: %v", path, err)
 			}
 			id, err := strconv.ParseUint(want.ID, 16, 64)

@@ -9,9 +9,8 @@
 # refuse, and a body over the fuzz target's 16 KiB cap.
 # FuzzDecodeJournalRecord is seeded with the journal's own accept and
 # snapshot records of four job shapes (slab, head, voxel, precision target)
-# FuzzDecodeSubmission with the same jobs in the compact form a gateway
-# forwards, and FuzzDecodeResult with their compact results, all written by
-# TestCommittedJournalCorpus -update-corpus. internal/mc's FuzzDecodeTally
+# and FuzzDecodeSubmission with the same jobs in the compact form a gateway
+# forwards, both written by TestCommittedJournalCorpus -update-corpus. internal/mc's FuzzDecodeTally
 # is seeded with a frame of every section shape and with over-claiming
 # headers, written by TestCommittedTallyCorpus -update-corpus.
 #
@@ -36,8 +35,7 @@ go run ./scripts/genjob | sed 's/"label":/"prioirty":9,"label":/' | seed unknown
 go run ./scripts/genjob | sed 's/"PathGrid":null/"PathGrid":{"N":100000,"Edge":10}/' | seed overbound_grid
 go run ./scripts/genjob -label "$(head -c 17000 /dev/zero | tr '\0' x)" | seed oversize
 
-mkdir -p internal/service/testdata/fuzz/FuzzDecodeJournalRecord internal/service/testdata/fuzz/FuzzDecodeResult \
-  internal/service/testdata/fuzz/FuzzDecodeSubmission
+mkdir -p internal/service/testdata/fuzz/FuzzDecodeJournalRecord internal/service/testdata/fuzz/FuzzDecodeSubmission
 go test ./internal/service -run 'TestCommittedJournalCorpus$' -update-corpus
 mkdir -p internal/mc/testdata/fuzz/FuzzDecodeTally
 go test ./internal/mc -run 'TestCommittedTallyCorpus$' -update-corpus
