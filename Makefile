@@ -134,20 +134,24 @@ shard-smoke:
 
 # fuzz-smoke gives each outside-facing decoder ten seconds of
 # coverage-guided input on top of its committed corpus — the wire decoder
-# (seeded with batch-carrying task requests and the retired v5 frames it
-# must refuse), the HTTP submit decoder (seeded with
+# (seeded with v7 frames, batch-carrying task requests among them, and the
+# retired gob frames of v6 and before it must refuse), the HTTP submit
+# decoder (seeded with
 # scripts/genjob bodies), the journal's accept and snapshot record decoders
 # (seeded with their own records of four job shapes), the compact tally
 # codec under all of them (seeded with every section shape and with headers
 # that over-claim) and the gateway→shard submission (seeded with the same
-# four jobs, a bare-JSON payload and tails that miss the grid's size) —
-# enough to catch a decode regression without stalling CI.
+# four jobs, a bare-JSON payload and tails that miss the grid's size) and
+# the tally-file reader mcmerge runs on whatever it is handed (seeded in the
+# test with a file, a cut one and a gob file of the first format) — enough
+# to catch a decode regression without stalling CI.
 fuzz-smoke:
 	$(GO) test ./internal/protocol -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz FuzzDecodeJobRequest -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz FuzzDecodeJournalRecord -fuzztime 10s
 	$(GO) test ./internal/mc -run '^$$' -fuzz FuzzDecodeTally -fuzztime 10s
 	$(GO) test ./internal/service -run '^$$' -fuzz FuzzDecodeSubmission -fuzztime 10s
+	$(GO) test ./internal/report -run '^$$' -fuzz FuzzReadReport -fuzztime 10s
 
 # cover enforces the same coverage floor as CI (keep COVER_FLOOR in sync
 # with .github/workflows/ci.yml).
@@ -170,16 +174,18 @@ vet:
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
-# gob-check pins where encoding/gob may be imported outside tests: the wire
-# envelope and the result files, nothing else. gob's type ids come from a
+# gob-check pins where encoding/gob may be imported outside tests: nowhere.
+# Since protocol v7 the worker wire and the tally files are hand-framed like
+# every other internal hop, and tests alone keep gob, to build the retired
+# frames and files the decoders must refuse. gob's type ids come from a
 # process-global counter, so its bytes depend on what the process encoded
-# before — harmless on a connection or in a file read back whole, and the
-# key-instability bug of PR 9 when it reached content keys. This keeps it
-# from drifting back into keys or the journal.
-GOB_IMPORTERS = internal/protocol/protocol.go internal/report/report.go
+# before — the key-instability bug of PR 9 when it reached content keys —
+# and its decoder is driven by reflection over whatever a peer sends. This
+# keeps it from drifting back.
+GOB_IMPORTERS =
 gob-check:
-	@got=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench '"encoding/gob"' . | sed 's|^\./||' | sort | tr '\n' ' '); \
-	want="$(GOB_IMPORTERS) "; \
+	@got=$$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=bench '"encoding/gob"' . | sed 's|^\./||' | sort | xargs); \
+	want="$(strip $(GOB_IMPORTERS))"; \
 	if [ "$$got" != "$$want" ]; then \
-		echo "gob-check: non-test importers of encoding/gob are [ $$got], want [ $$want]"; exit 1; \
+		echo "gob-check: non-test importers of encoding/gob are [ $$got ], want [ $$want ]"; exit 1; \
 	fi

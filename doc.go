@@ -121,9 +121,9 @@
 // cores take those one by one across the grant), pre-reduces the grant in grant order into one tally — the
 // same bytes whatever the core count — and hands that
 // batch back on its next task request — the only frame a result travels in
-// since protocol v6 — with tallies encoded by a sparse binary codec instead
-// of gob and per-chunk acks preserving the exactly-once reduction under
-// timeout reassignment. The registry merges each decoded batch outside its
+// since protocol v6 — with tallies encoded by a sparse binary codec inside
+// a hand-written frame (protocol v7) and per-chunk acks preserving the
+// exactly-once reduction under timeout reassignment. The registry merges each decoded batch outside its
 // dispatch lock via a per-job reducer. See DESIGN.md's "Result plane"
 // section for the wire layout and invariants.
 //
@@ -134,7 +134,7 @@
 // ?kind= and ?since= filters) but "who" and "where the time went":
 // workers piggyback a small telemetry report on their task requests —
 // kernel photons/sec EWMA, per-chunk compute/encode seconds, runtime
-// stats, build version — as additive gob fields a worker may omit. The
+// stats, build version — as an optional report in the request frame. The
 // registry folds reports into per-session profiles served at GET /fleet
 // (FleetSession), joins its own queued/granted/arrival stamps with the
 // worker-reported compute time into per-chunk spans (ChunkSpan: queue,

@@ -22,6 +22,16 @@ import (
 )
 
 // quickSpec returns a cheap simulation spec for cluster tests.
+// descriptor is the job descriptor a server sends for a job of spec.
+func descriptor(tb testing.TB, id uint64, spec *mc.Spec, seed uint64, streams, fan int) *protocol.Job {
+	tb.Helper()
+	sub, err := service.AppendSubmission(nil, &service.JobSpec{Spec: spec, Seed: seed, Fan: fan})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return &protocol.Job{ID: id, Streams: streams, Submission: sub}
+}
+
 func quickSpec() *mc.Spec {
 	model := tissue.HomogeneousSlab("slab",
 		tissue.ScalpProps, 5)
@@ -281,11 +291,15 @@ func TestDuplicateResultIgnored(t *testing.T) {
 		t.Fatal("first assignment carried no job descriptor")
 	}
 	job, assign := *granted.Job, granted.Grants[0]
-	cfg, err := job.Spec.Build()
+	desc, err := service.DecodeSubmission(job.Submission)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tally, err := mc.RunStream(cfg, assign.Photons, job.Seed, assign.Stream, job.Streams)
+	cfg, err := desc.Spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tally, err := mc.RunStream(cfg, assign.Photons, desc.Seed, assign.Stream, job.Streams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +316,7 @@ func TestDuplicateResultIgnored(t *testing.T) {
 	// Finish the job and check the duplicate did not double count.
 	send(askOne)
 	assign2 := recv().Assign.Grants[0]
-	tally2, err := mc.RunStream(cfg, assign2.Photons, job.Seed, assign2.Stream, job.Streams)
+	tally2, err := mc.RunStream(cfg, assign2.Photons, desc.Seed, assign2.Stream, job.Streams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,11 +384,15 @@ func TestForgedJobIDRejected(t *testing.T) {
 	send(&protocol.Message{Type: protocol.MsgTaskRequest, Request: &protocol.TaskRequest{Want: 1}})
 	granted := recv().Assign
 	job, assign := *granted.Job, granted.Grants[0]
-	cfg, err := job.Spec.Build()
+	desc, err := service.DecodeSubmission(job.Submission)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tally, err := mc.RunStream(cfg, assign.Photons, job.Seed, assign.Stream, job.Streams)
+	cfg, err := desc.Spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tally, err := mc.RunStream(cfg, assign.Photons, desc.Seed, assign.Stream, job.Streams)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +404,7 @@ func TestForgedJobIDRejected(t *testing.T) {
 	}
 	// So must a result for a chunk this session was never assigned.
 	otherChunk := 1 - assign.ChunkID
-	otherTally, err := mc.RunStream(cfg, 100, job.Seed, otherChunk, job.Streams)
+	otherTally, err := mc.RunStream(cfg, 100, desc.Seed, otherChunk, job.Streams)
 	if err != nil {
 		t.Fatal(err)
 	}

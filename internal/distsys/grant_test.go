@@ -7,6 +7,7 @@ import (
 	"net"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -123,7 +124,7 @@ func TestGrantBatchIndependentOfGOMAXPROCS(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, fan := range []int{1, 3} {
-		job := &protocol.Job{ID: 5, Spec: *spec, Seed: seed, Streams: streams, Fan: fan}
+		job := descriptor(t, 5, spec, seed, streams, fan)
 		var want [][]byte
 		for _, grant := range grants {
 			var merged *mc.Tally
@@ -375,7 +376,7 @@ func TestReportedRateMatchesInferred(t *testing.T) {
 // take about half the time of one, and no scaling means the kernels write
 // to a shared cache line.
 func BenchmarkWorkerGrant(b *testing.B) {
-	job := &protocol.Job{ID: 1, Spec: *quickSpec(), Seed: 7, Streams: 8}
+	job := descriptor(b, 1, quickSpec(), 7, 8, 0)
 	grant := make([]protocol.ChunkGrant, 8)
 	for i := range grant {
 		grant[i] = protocol.ChunkGrant{ChunkID: i, Stream: i, Photons: 64}
@@ -393,5 +394,58 @@ func BenchmarkWorkerGrant(b *testing.B) {
 	s.exchange(nil)
 	if err := <-done; err != nil {
 		b.Fatal(err)
+	}
+}
+
+// TestWorkerSurvivesBodilessReply: a server's no-work, task-assign or error
+// reply always decodes with its body, so one sent without it ends the
+// session with an error — the worker never dereferences a nil body.
+func TestWorkerSurvivesBodilessReply(t *testing.T) {
+	for _, typ := range []protocol.MsgType{protocol.MsgNoWork, protocol.MsgTaskAssign, protocol.MsgError} {
+		t.Run(typ.String(), func(t *testing.T) {
+			server, client := net.Pipe()
+			panicked := make(chan any, 1)
+			go func() {
+				defer func() { panicked <- recover() }()
+				Work(client, WorkerOptions{Name: "w"})
+			}()
+			pc := protocol.NewConn(server)
+			if _, err := pc.Recv(); err != nil { // hello
+				t.Fatal(err)
+			}
+			if err := pc.Send(&protocol.Message{Type: protocol.MsgWelcome,
+				Welcome: &protocol.Welcome{Version: protocol.Version}}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pc.Recv(); err != nil { // the first task request
+				t.Fatal(err)
+			}
+			pc.Send(&protocol.Message{Type: typ})
+			pc.Close()
+			select {
+			case p := <-panicked:
+				if p != nil {
+					t.Fatalf("Work panicked on a bodiless %v reply: %v", typ, p)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Work did not return")
+			}
+		})
+	}
+}
+
+// TestWorkerRefusesWideFan: a descriptor fanned wider than protocol.MaxFan
+// ends the session before the worker builds the job or allocates a
+// generator per sub-stream.
+func TestWorkerRefusesWideFan(t *testing.T) {
+	reg := obs.NewRegistry()
+	job := descriptor(t, 5, quickSpec(), 7, 8, protocol.MaxFan+1)
+	s, done := startHandSession(t, job, WorkerOptions{Name: "w", Obs: reg})
+	s.exchange([]protocol.ChunkGrant{{ChunkID: 0, Stream: 0, Photons: 10}})
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "fan") {
+		t.Fatalf("Work returned %v, want a refusal of the fan", err)
+	}
+	if got := reg.Counter("worker_chunks_computed_total", "").Value(); got != 0 {
+		t.Fatalf("worker computed %d chunks of a refused job", got)
 	}
 }

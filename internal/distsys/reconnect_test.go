@@ -1,6 +1,8 @@
 package distsys
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"io"
 	"net"
@@ -274,7 +276,11 @@ func TestWorkerStopWithoutReadDeadlines(t *testing.T) {
 // TestRejectedHelloEndsWorkLoop: a server that refuses the Hello (a worker
 // of the wrong protocol version) refuses it on every redial, so WorkLoop
 // returns the server's message after one dial instead of retrying forever.
+// A v6 worker's gob Hello is refused in gob, as a version mismatch its
+// decoder reads — its WorkLoop stops by the same rule.
 func TestRejectedHelloEndsWorkLoop(t *testing.T) {
+	t.Run("v6", rejectV6Hello)
+
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -314,5 +320,52 @@ func TestRejectedHelloEndsWorkLoop(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatalf("WorkLoop still redialling after %d dials", dials.Load())
+	}
+}
+
+// rejectV6Hello sends a real server the Hello a v6 worker sends, gob-encoded
+// as that worker's envelope, and reads the answer as that worker does.
+func rejectV6Hello(t *testing.T) {
+	type v6Message struct { // the v6 envelope's fields that matter here
+		Type  protocol.MsgType
+		Hello *protocol.Hello
+		Error *protocol.Error
+	}
+	dm, err := NewDataManager(JobOptions{Spec: quickSpec(), TotalPhotons: 100, ChunkPhotons: 100, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dm.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			dm.HandleConn(c)
+		}
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	// A v6 worker buffered its gob stream and wrote a frame in one go.
+	hello := &v6Message{Type: protocol.MsgHello, Hello: &protocol.Hello{Version: 6, Name: "stale", Mflops: 100}}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(hello); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	var reply v6Message
+	if err := gob.NewDecoder(conn).Decode(&reply); err != nil {
+		t.Fatalf("a v6 worker could not read the refusal: %v", err)
+	}
+	if reply.Type != protocol.MsgError || reply.Error == nil || reply.Error.Msg != "version mismatch: server 7" {
+		t.Fatalf("a v6 worker read %+v, want a version-mismatch error", reply)
 	}
 }

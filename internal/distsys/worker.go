@@ -14,6 +14,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/protocol"
 	"repro/internal/rng"
+	"repro/internal/service"
 	"repro/internal/voxel"
 )
 
@@ -487,21 +488,33 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 				if a.Job == nil {
 					return stats, fmt.Errorf("distsys: assigned unknown job %016x without descriptor", a.JobID)
 				}
+				desc, err := service.DecodeSubmission(a.Job.Submission)
+				if err == nil && desc.Spec == nil {
+					err = errors.New("no simulation spec")
+				}
+				if err == nil && desc.Fan > protocol.MaxFan {
+					// Refused before a generator is allocated per sub-stream.
+					err = fmt.Errorf("fan %d is wider than %d", desc.Fan, protocol.MaxFan)
+				}
+				if err != nil {
+					return stats, fmt.Errorf("distsys: bad job descriptor: %w", err)
+				}
+				spec := desc.Spec
 				// Many jobs over one head model: a descriptor whose grid Equals
 				// a cached job's runs on that grid, so NewRunner finds its
 				// accelerator built and the session holds one label array.
 				// A grid is read-only once built (voxel.Grid): safe to share.
-				if g := a.Job.Spec.Voxel; g != nil {
+				if g := spec.Voxel; g != nil {
 					outcome := met.geomBuilds
 					for _, held := range jobs {
 						if held.grid.Equal(g) {
-							a.Job.Spec.Voxel, outcome = held.grid, met.geomShared
+							spec.Voxel, outcome = held.grid, met.geomShared
 							break
 						}
 					}
 					outcome.Inc()
 				}
-				cfg, err := a.Job.Spec.Build()
+				cfg, err := spec.Build()
 				if err != nil {
 					return stats, fmt.Errorf("distsys: bad job spec: %w", err)
 				}
@@ -509,8 +522,8 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 				if err != nil {
 					return stats, fmt.Errorf("distsys: bad job spec: %w", err)
 				}
-				rt = &jobRuntime{runner: runner, grid: a.Job.Spec.Voxel, seed: a.Job.Seed, streams: a.Job.Streams,
-					fan: a.Job.Fan, cache: rng.NewStreamCache(a.Job.Seed)}
+				rt = &jobRuntime{runner: runner, grid: spec.Voxel, seed: desc.Seed, streams: a.Job.Streams,
+					fan: desc.Fan, cache: rng.NewStreamCache(desc.Seed)}
 				jobs[a.JobID] = rt
 				known = append(known, a.JobID)
 				if len(known) > maxCachedJobs {

@@ -1,8 +1,8 @@
 // Package grid provides the 3-D voxel accumulators the simulation scores
 // into: absorbed weight per voxel and detected-photon path density (the
 // "user defined granularity of results" feature, e.g. the 50³ grid of
-// Fig 3). Grids are plain data so they serialise with encoding/gob and merge
-// associatively for distributed reduction.
+// Fig 3). Grids are plain data: they travel in the compact tally codec
+// (mc.AppendTally) and merge associatively for distributed reduction.
 package grid
 
 import (

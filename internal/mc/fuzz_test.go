@@ -16,8 +16,8 @@ import (
 )
 
 // FuzzDecodeTally throws arbitrary bytes at the compact tally decoder — the
-// format of the worker wire, the journal snapshots and the shard→gateway
-// result hop. It must never panic; a header may not size an allocation
+// format of the worker wire's result batches, the journal snapshots and the
+// tally files mcmerge reads. It must never panic; a header may not size an allocation
 // past maxCodecRegions / MaxGridN per grid edge / MaxHistBins, and a frame
 // whose payload does not back what its header claims is an error, not a
 // short slice behind large dimensions; and a frame that decodes re-encodes

@@ -9,9 +9,9 @@ import (
 )
 
 // Tally accumulates every observable of a simulation. It is plain data
-// (gob-serialisable) and merges associatively, so partial tallies computed
-// by goroutines or remote workers reduce to exactly the same result in any
-// order.
+// (AppendTally encodes it exactly) and merges associatively, so partial
+// tallies computed by goroutines or remote workers reduce to exactly the
+// same result in any order.
 type Tally struct {
 	// Launched is the number of photon packets launched.
 	Launched int64

@@ -40,8 +40,8 @@ func (o Observable) Valid() bool {
 // the observable and of its standard error, in any merge order.
 //
 // Moments are plain data and merge additively like every other tally
-// field. A nil Moments (the fixed-count legacy path) keeps the tally's gob
-// and compact-codec encodings byte-identical to pre-moment builds.
+// field. A nil Moments (the fixed-count legacy path) keeps the tally's
+// compact-codec encoding byte-identical to pre-moment builds.
 type Moments struct {
 	Diffuse  stats.Running
 	Transmit stats.Running

@@ -3,13 +3,16 @@ package protocol
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/json"
 	"flag"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,14 +22,14 @@ import (
 	"repro/internal/tissue"
 )
 
-// updateCorpus rewrites the committed seed corpus under
+// updateCorpus rewrites the committed v7 seeds under
 // testdata/fuzz/FuzzDecodeMessage with the current wire encoding:
 //
 //	go test ./internal/protocol -run TestCommittedCorpus -update-corpus
 //
 // Run it whenever the protocol gains or loses message shapes worth seeding
-// (the batch-carrying requests and the retired v5 frames were added this
-// way) and commit the diff.
+// and commit the diff. The gob seeds of v6 and before (retiredCorpus) are
+// never rewritten: they stay as frames Recv must refuse.
 var updateCorpus = flag.Bool("update-corpus", false, "rewrite committed fuzz corpus seeds")
 
 // readCloser adapts a bytes.Reader to the ReadWriteCloser Conn expects;
@@ -36,12 +39,11 @@ type readCloser struct{ *bytes.Reader }
 func (readCloser) Write(p []byte) (int, error) { return len(p), nil }
 func (readCloser) Close() error                { return nil }
 
-// encodeMessages gob-encodes a sequence of messages into one wire blob.
+// encodeMessages frames a sequence of messages into one wire blob.
 func encodeMessages(tb testing.TB, msgs ...*Message) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	c := &Conn{}
-	*c = *NewConn(struct {
+	c := NewConn(struct {
 		io.Reader
 		io.Writer
 		io.Closer
@@ -85,6 +87,17 @@ func retiredFrames(tb testing.TB) map[string][]byte {
 	}
 }
 
+// submission stands in for a descriptor's service.AppendSubmission bytes,
+// which this package carries without reading: the spec's JSON.
+func submission(tb testing.TB, spec *mc.Spec) []byte {
+	tb.Helper()
+	b, err := json.Marshal(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return b
+}
+
 func seedMessages(tb testing.TB) []*Message {
 	tb.Helper()
 	spec := mc.NewSpec(
@@ -113,7 +126,7 @@ func seedMessages(tb testing.TB) []*Message {
 		{Type: MsgTaskRequest, Request: &TaskRequest{KnownJobs: []uint64{1, 2, 3}, Want: 1}},
 		{Type: MsgTaskAssign, Assign: &TaskAssign{
 			JobID: 9, Grants: []ChunkGrant{{ChunkID: 4, Stream: 4, Photons: 1000}, {ChunkID: 5, Stream: 5, Photons: 1000}},
-			Job: &Job{ID: 9, Spec: *spec, Seed: 77, Streams: 8, Fan: 4},
+			Job: &Job{ID: 9, Streams: 8, Submission: submission(tb, spec)},
 		}},
 		{Type: MsgNoWork, NoWork: &NoWork{Done: true}},
 		{Type: MsgError, Error: &Error{Msg: "boom"}},
@@ -130,33 +143,42 @@ func seedMessages(tb testing.TB) []*Message {
 			Batch: &ResultBatch{Groups: []BatchGroup{
 				{JobID: 9, Chunks: []int{7}, TallyData: compact, ChunkSecs: []float64{0.5}},
 			}},
+			Report: &WorkerReport{PhotonsPerSec: 2.5e4, ChunkSecs: 0.5, EncodeSecs: 1e-4,
+				Goroutines: 9, HeapBytes: 3 << 20, Version: "v7-test"},
 		}},
 		{Type: MsgNoWork, NoWork: &NoWork{}, BatchAck: &BatchAck{Acks: []ResultAck{
 			{JobID: 9, ChunkID: 4},
 			{JobID: 9, ChunkID: 5, Duplicate: true},
 			{JobID: 12, ChunkID: 0, Rejected: true, Reason: "stale"},
 		}}},
-		// Precision jobs: an open-ended descriptor (Streams 0, Target set)
-		// and its moments-carrying batch result.
+		// Precision jobs: an open-ended descriptor (Streams 0) and its
+		// moments-carrying batch result.
 		{Type: MsgTaskAssign, Assign: &TaskAssign{
 			JobID: 21, Grants: []ChunkGrant{{ChunkID: 0, Stream: 0, Photons: 500}},
-			Job: &Job{ID: 21, Spec: precSpec, Seed: 19, Streams: 0,
-				Target: &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.01,
-					MinPhotons: 8000, MaxPhotons: 1 << 20}},
-		}},
+			Job: &Job{ID: 21, Streams: 0, Submission: submission(tb, &precSpec)},
+		}, BatchAck: &BatchAck{Acks: []ResultAck{{JobID: 9, ChunkID: 7}}}},
 		flush(&ResultBatch{Groups: []BatchGroup{
 			{JobID: 21, Chunks: []int{0}, Elapsed: time.Second, TallyData: momCompact},
 		}}),
 	}
 }
 
+// rawFrame frames a type byte and payload by hand, for shapes Send never
+// writes.
+func rawFrame(t MsgType, payload ...byte) []byte {
+	frame := append([]byte{byte(t)}, payload...)
+	return append([]byte{byte(len(frame))}, frame...)
+}
+
 // FuzzDecodeMessage throws arbitrary bytes at the wire decoder: valid
-// frames (including batch-carrying requests), truncated gobs, bit-flipped
-// envelopes, oversized KnownJobs/batch advertisements and the frames of
-// retired types. The decoder must never panic, and every message it does
-// accept must satisfy the envelope invariants Recv promises (a live type,
-// a task request with its body, bounded advertisement, grant and batch
-// sizes, no empty batch groups).
+// frames (including batch-carrying requests), truncated and bodiless
+// frames, oversized KnownJobs/batch advertisements, a hello with a NaN
+// rate and the gob frames of retired protocol versions. The decoder must
+// never panic, and every message it does accept must satisfy the envelope
+// invariants Recv promises (a live type with its body, bounded
+// advertisement, grant, batch and name sizes, no empty batch groups,
+// finite non-negative rates and times) and decode again, field for field,
+// from its own encoding.
 func FuzzDecodeMessage(f *testing.F) {
 	msgs := seedMessages(f)
 
@@ -181,6 +203,9 @@ func FuzzDecodeMessage(f *testing.F) {
 	for _, frame := range retiredFrames(f) {
 		f.Add(frame)
 	}
+	f.Add(encodeMessages(f, &Message{Type: MsgHello, Hello: &Hello{Version: Version, Mflops: math.NaN()}}))
+	f.Add(rawFrame(MsgNoWork))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, byte(MsgHello)}) // a claim past MaxFrameBytes
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := NewConn(readCloser{bytes.NewReader(data)})
@@ -190,82 +215,122 @@ func FuzzDecodeMessage(f *testing.F) {
 			if err != nil {
 				return
 			}
-			if m.Type < MsgHello || m.Type > MsgError || m.Type == 5 || m.Type == 6 {
-				t.Fatalf("Recv accepted invalid type %d", int(m.Type))
+			checkInvariants(t, m)
+			again, err := NewConn(readCloser{bytes.NewReader(encodeMessages(t, m))}).Recv()
+			if err != nil {
+				t.Fatalf("Recv refused the re-encoding of an accepted %v: %v", m.Type, err)
 			}
-			if m.Type == MsgTaskRequest && m.Request == nil {
-				t.Fatal("Recv accepted a task request without its body")
-			}
-			if m.Request != nil {
-				if len(m.Request.KnownJobs) > MaxKnownJobs {
-					t.Fatalf("Recv accepted %d known jobs", len(m.Request.KnownJobs))
-				}
-				if r := m.Request.Report; r != nil && !(measure(r.PhotonsPerSec) && measure(r.ChunkSecs) && measure(r.EncodeSecs)) {
-					t.Fatalf("Recv accepted a report with a non-finite or negative figure: %+v", r)
-				}
-				if b := m.Request.Batch; b != nil {
-					if b.NumChunks() > MaxBatchChunks {
-						t.Fatalf("Recv accepted a %d-chunk batch", b.NumChunks())
-					}
-					for _, g := range b.Groups {
-						if len(g.Chunks) == 0 {
-							t.Fatal("Recv accepted an empty batch group")
-						}
-						if g.Elapsed < 0 || slices.ContainsFunc(g.ChunkSecs, func(s float64) bool { return !measure(s) }) {
-							t.Fatalf("Recv accepted a batch group with a negative or non-finite time: %v %v", g.Elapsed, g.ChunkSecs)
-						}
-					}
-				}
-			}
-			if m.Assign != nil && len(m.Assign.Grants) > MaxGrantChunks {
-				t.Fatalf("Recv accepted a %d-chunk grant", len(m.Assign.Grants))
-			}
-			if m.Assign != nil && m.Assign.Job != nil && m.Assign.Job.Fan > MaxFan {
-				t.Fatalf("Recv accepted a grant fanned %d ways", m.Assign.Job.Fan)
-			}
-			if m.BatchAck != nil && len(m.BatchAck.Acks) > MaxBatchChunks {
-				t.Fatalf("Recv accepted a %d-ack batch ack", len(m.BatchAck.Acks))
+			if !reflect.DeepEqual(again, m) {
+				t.Fatalf("%v does not survive its own encoding:\n got %+v\nwant %+v", m.Type, again, m)
 			}
 		}
 	})
 }
 
-// corpusSeeds names the committed corpus entries and their frame builders.
-// They overlap FuzzDecodeMessage's f.Add seeds on purpose: the committed
-// files make the interesting shapes available to `go test -fuzz` runs from
-// a clean cache (the CI smoke job) without re-running the seed builders.
+// checkInvariants fails t unless m is a message Recv may return.
+func checkInvariants(t *testing.T, m *Message) {
+	t.Helper()
+	switch m.Type {
+	case MsgHello:
+		if m.Hello == nil || len(m.Hello.Name) > MaxName || !measure(m.Hello.Mflops) {
+			t.Fatalf("Recv accepted a hello it must refuse: %+v", m.Hello)
+		}
+	case MsgWelcome:
+		if m.Welcome == nil {
+			t.Fatal("Recv accepted a welcome without its body")
+		}
+	case MsgTaskRequest:
+		if m.Request == nil {
+			t.Fatal("Recv accepted a task request without its body")
+		}
+		if len(m.Request.KnownJobs) > MaxKnownJobs {
+			t.Fatalf("Recv accepted %d known jobs", len(m.Request.KnownJobs))
+		}
+		if r := m.Request.Report; r != nil && !(measure(r.PhotonsPerSec) && measure(r.ChunkSecs) && measure(r.EncodeSecs)) {
+			t.Fatalf("Recv accepted a report with a non-finite or negative figure: %+v", r)
+		}
+		if r := m.Request.Report; r != nil && len(r.Version) > MaxReportVersion {
+			t.Fatalf("Recv accepted a %d-byte report version", len(r.Version))
+		}
+		if b := m.Request.Batch; b != nil {
+			if b.NumChunks() > MaxBatchChunks {
+				t.Fatalf("Recv accepted a %d-chunk batch", b.NumChunks())
+			}
+			for _, g := range b.Groups {
+				if len(g.Chunks) == 0 {
+					t.Fatal("Recv accepted an empty batch group")
+				}
+				if ns := len(g.ChunkSecs); ns != 0 && ns != len(g.Chunks) {
+					t.Fatalf("Recv accepted %d chunk timings for %d chunks", ns, len(g.Chunks))
+				}
+				if g.Elapsed < 0 || slices.ContainsFunc(g.ChunkSecs, func(s float64) bool { return !measure(s) }) {
+					t.Fatalf("Recv accepted a batch group with a negative or non-finite time: %v %v", g.Elapsed, g.ChunkSecs)
+				}
+			}
+		}
+	case MsgTaskAssign:
+		if m.Assign == nil || len(m.Assign.Grants) > MaxGrantChunks {
+			t.Fatalf("Recv accepted a task assign it must refuse: %+v", m.Assign)
+		}
+	case MsgNoWork:
+		if m.NoWork == nil {
+			t.Fatal("Recv accepted a no-work without its body")
+		}
+	case MsgError:
+		if m.Error == nil {
+			t.Fatal("Recv accepted an error without its body")
+		}
+	default:
+		t.Fatalf("Recv accepted invalid type %d", int(m.Type))
+	}
+	if m.BatchAck != nil && len(m.BatchAck.Acks) > MaxBatchChunks {
+		t.Fatalf("Recv accepted a %d-ack batch ack", len(m.BatchAck.Acks))
+	}
+}
+
+// corpusSeeds names the committed v7 corpus entries and their frames. They
+// overlap FuzzDecodeMessage's f.Add seeds on purpose: the committed files
+// make the interesting shapes available to `go test -fuzz` runs from a
+// clean cache (the CI smoke job) without re-running the seed builders.
 func corpusSeeds(tb testing.TB) map[string][]byte {
 	msgs := seedMessages(tb)
 	all := encodeMessages(tb, msgs...)
-	seeds := map[string][]byte{
-		"hello":        encodeMessages(tb, msgs[0]),
-		"task_request": encodeMessages(tb, msgs[2]),
-		"truncated":    all[:len(all)/3],
-	}
 	big := make([]uint64, MaxKnownJobs+1)
-	seeds["oversized_knownjobs"] = encodeMessages(tb,
-		&Message{Type: MsgTaskRequest, Request: &TaskRequest{KnownJobs: big}})
-	// The result plane and precision jobs. (The names carry the protocol
-	// version that introduced each shape; the bytes are today's encoding.)
-	seeds["result_batch_v3"] = encodeMessages(tb, msgs[6])
-	seeds["piggyback_request_v3"] = encodeMessages(tb, msgs[7])
-	seeds["batch_ack_v3"] = encodeMessages(tb, msgs[8])
-	seeds["precision_assign_v4"] = encodeMessages(tb, msgs[9])
-	seeds["moments_batch_v4"] = encodeMessages(tb, msgs[10])
-	seeds["empty_batch_group_v3"] = encodeMessages(tb,
-		flush(&ResultBatch{Groups: []BatchGroup{{JobID: 1}}}))
-	seeds["nan_report_v6"] = encodeMessages(tb, &Message{Type: MsgTaskRequest,
-		Request: &TaskRequest{Want: 1, Report: &WorkerReport{PhotonsPerSec: math.NaN()}}})
-	// What a v5 peer could still send and Recv must refuse.
-	for name, frame := range retiredFrames(tb) {
-		seeds[name] = frame
+	return map[string][]byte{
+		"hello_v7":        encodeMessages(tb, msgs[0]),
+		"task_request_v7": encodeMessages(tb, msgs[2]),
+		"assign_v7":       encodeMessages(tb, msgs[3]),
+		"conversation_v7": all,
+		"truncated_v7":    all[:len(all)/3],
+		"oversized_knownjobs_v7": encodeMessages(tb,
+			&Message{Type: MsgTaskRequest, Request: &TaskRequest{KnownJobs: big}}),
+		"result_batch_v7":      encodeMessages(tb, msgs[6]),
+		"piggyback_request_v7": encodeMessages(tb, msgs[7]),
+		"batch_ack_v7":         encodeMessages(tb, msgs[8]),
+		"precision_assign_v7":  encodeMessages(tb, msgs[9]),
+		"moments_batch_v7":     encodeMessages(tb, msgs[10]),
+		"empty_batch_group_v7": encodeMessages(tb, flush(&ResultBatch{Groups: []BatchGroup{{JobID: 1}}})),
+		"nan_report_v7": encodeMessages(tb, &Message{Type: MsgTaskRequest,
+			Request: &TaskRequest{Want: 1, Report: &WorkerReport{PhotonsPerSec: math.NaN()}}}),
+		"nan_hello_v7": encodeMessages(tb, &Message{Type: MsgHello,
+			Hello: &Hello{Version: Version, Mflops: math.NaN()}}),
+		"bodiless_no_work_v7": rawFrame(MsgNoWork),
 	}
-	return seeds
+}
+
+// retiredCorpus names the committed seeds written in gob by protocol v6 and
+// before. Recv must refuse each one's first frame.
+var retiredCorpus = []string{
+	"hello", "task_request", "truncated", "oversized_knownjobs",
+	"result_batch_v3", "piggyback_request_v3", "batch_ack_v3", "empty_batch_group_v3",
+	"precision_assign_v4", "moments_batch_v4", "nan_report_v6",
+	"retired_result_batch_v5", "retired_batch_ack_v5", "bare_task_request_v5",
 }
 
 // TestCommittedCorpusCoversV3 keeps the committed seed corpus in sync with
-// the protocol: every named seed must exist on disk (regenerate with
-// -update-corpus), and the valid ones must still decode.
+// the protocol: every named v7 seed must exist on disk (regenerate with
+// -update-corpus), and every retired gob seed must still be there and be
+// refused.
 func TestCommittedCorpusCoversV3(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeMessage")
 	for name, data := range corpusSeeds(t) {
@@ -280,6 +345,20 @@ func TestCommittedCorpusCoversV3(t *testing.T) {
 		}
 		if _, err := os.Stat(path); err != nil {
 			t.Errorf("corpus seed %s missing (run with -update-corpus): %v", name, err)
+		}
+	}
+	for _, name := range retiredCorpus {
+		body, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatalf("retired corpus seed %s: %v", name, err)
+		}
+		lit := strings.TrimSuffix(strings.TrimPrefix(strings.SplitN(string(body), "\n", 2)[1], "[]byte("), ")\n")
+		data, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("retired corpus seed %s: %v", name, err)
+		}
+		if m, err := NewConn(readCloser{bytes.NewReader([]byte(data))}).Recv(); err == nil {
+			t.Errorf("retired gob seed %s accepted as %v", name, m.Type)
 		}
 	}
 }
@@ -316,9 +395,8 @@ func TestRecvRejectsInvalidType(t *testing.T) {
 }
 
 // TestRecvRejectsV4ResultFrame feeds Recv a single-result frame exactly as
-// a v4 peer gob-encodes it — an envelope still carrying the Result field
-// this version's Message no longer has. It must be refused as an invalid
-// type, not decoded into an empty envelope and acted on.
+// a v4 peer gob-encodes it. It must be refused, not decoded into an empty
+// envelope and acted on.
 func TestRecvRejectsV4ResultFrame(t *testing.T) {
 	type v4Result struct {
 		JobID   uint64
@@ -355,17 +433,19 @@ func TestRecvRejectsRetiredV5Frames(t *testing.T) {
 	}
 }
 
-// TestRecvRejectsOversizedBatch covers the batch, grant, fan and ack
-// bounds, plus the no-empty-groups rule.
+// TestRecvRejectsOversizedBatch covers the batch, grant and ack bounds,
+// plus the no-empty-groups rule. (A descriptor's fan is bounded where it is
+// decoded, by the worker.)
 func TestRecvRejectsOversizedBatch(t *testing.T) {
 	big := &ResultBatch{Groups: []BatchGroup{{JobID: 1, Chunks: make([]int, MaxBatchChunks+1)}}}
+	split := &ResultBatch{Groups: []BatchGroup{
+		{JobID: 1, Chunks: make([]int, MaxBatchChunks)}, {JobID: 2, Chunks: make([]int, 1)}}}
 	for name, m := range map[string]*Message{
 		"batch":       flush(big),
+		"split-batch": flush(split),
 		"empty-group": flush(&ResultBatch{Groups: []BatchGroup{{JobID: 1}}}),
 		"grant": {Type: MsgTaskAssign,
 			Assign: &TaskAssign{JobID: 1, Grants: make([]ChunkGrant, MaxGrantChunks+1)}},
-		"fan": {Type: MsgTaskAssign,
-			Assign: &TaskAssign{JobID: 1, Job: &Job{Fan: MaxFan + 1}, Grants: make([]ChunkGrant, 1)}},
 		"batch-ack": {Type: MsgNoWork, NoWork: &NoWork{},
 			BatchAck: &BatchAck{Acks: make([]ResultAck, MaxBatchChunks+1)}},
 	} {
@@ -378,8 +458,8 @@ func TestRecvRejectsOversizedBatch(t *testing.T) {
 	for name, ok := range map[string]*Message{
 		"batch": flush(&ResultBatch{
 			Groups: []BatchGroup{{JobID: 1, Chunks: make([]int, MaxBatchChunks)}}}),
-		"fan": {Type: MsgTaskAssign,
-			Assign: &TaskAssign{JobID: 1, Job: &Job{Fan: MaxFan}, Grants: make([]ChunkGrant, 1)}},
+		"grant": {Type: MsgTaskAssign,
+			Assign: &TaskAssign{JobID: 1, Grants: make([]ChunkGrant, MaxGrantChunks)}},
 	} {
 		c := NewConn(readCloser{bytes.NewReader(encodeMessages(t, ok))})
 		if _, err := c.Recv(); err != nil {

@@ -1,19 +1,29 @@
 // Package protocol defines the wire protocol between the DataManager server
-// and worker clients: gob-encoded message envelopes over a stream transport.
-// It mirrors the two-class architecture of the paper's Java platform — the
-// DataManager assigns simulations, the Algorithm (worker) returns results.
+// and worker clients: hand-framed message envelopes over a stream
+// transport. It mirrors the two-class architecture of the paper's Java
+// platform — the DataManager assigns simulations, the Algorithm (worker)
+// returns results.
+//
+// Since v7 one message is one frame, `uvarint n · type · payload`, in the
+// style of the journal's (internal/wal) but without its checksum, which TCP
+// already provides. A payload is uvarints, varints, fixed64 job ids and
+// floats and length-prefixed strings and byte slices in a fixed order per
+// type, so a frame of type T always carries T's body and a field is added
+// only by bumping Version. A job descriptor carries its spec as the bytes
+// the service journals for it (service.AppendSubmission), and a result its
+// tally as mc.AppendTally; Recv bounds every claimed count before it sizes
+// an allocation.
 package protocol
 
 import (
 	"bufio"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"slices"
 	"time"
 
-	"repro/internal/mc"
 	"repro/internal/obs"
 )
 
@@ -27,9 +37,9 @@ import (
 // Version 3 overhauled the result plane: workers pre-reduce consecutive
 // chunk tallies per job and flush them as a ResultBatch (standalone or
 // piggybacked on the next TaskRequest), tallies travel in the compact
-// mc codec instead of per-result gob, task requests advertise the
-// computed-but-unflushed chunks the worker keeps back, jobs carry the
-// multi-core fan width, and acks come back per chunk in a BatchAck.
+// mc codec, task requests advertise the computed-but-unflushed chunks the
+// worker keeps back, jobs carry the multi-core fan width, and acks come
+// back per chunk in a BatchAck.
 //
 // Version 4 added precision-targeted jobs: a job descriptor may carry a
 // Target and an open-ended stream space (Streams == 0 — the server issues
@@ -52,7 +62,21 @@ import (
 // 10) are gone — a worker that is leaving flushes with a request that asks
 // for no grant (Want 0) — and a TaskAssign lists its chunks in one Grants
 // slice. 9 and 10 stay reserved like 5 and 6.
-const Version = 6
+//
+// Version 7 replaced the gob envelope with hand-written frames (see the
+// package doc) and the descriptor's spec fields with the job's submission
+// bytes. A v6 peer's Hello is not a v7 frame; the server answers it with
+// V6Refusal, which a v6 worker reads as a version mismatch.
+const Version = 7
+
+// V6Refusal is what a server writes to a peer whose first frame is not a v7
+// Hello: the gob stream a v6 worker decodes as Message{Type: MsgError,
+// Error: &Error{Msg: "version mismatch: server 7"}}, which ends its redial
+// loop. It was recorded once from an encoder of just the two fields a v6
+// decoder needs, and stays fixed bytes so this package imports no gob.
+const V6Refusal = "#\x7f\x03\x01\x01\x02v6\x01\xff\x80\x00\x01\x02\x01\x04Type\x01\x04\x00\x01\x05Error" +
+	"\x01\xff\x82\x00\x00\x00\x1b\xff\x81\x03\x01\x01\x05Error\x01\xff\x82\x00\x01\x01\x01\x03Msg\x01\f" +
+	"\x00\x00\x00#\xff\x80\x01\x10\x01\x01\x1aversion mismatch: server 7\x00\x00"
 
 // MsgType discriminates the envelope.
 type MsgType int
@@ -108,12 +132,18 @@ func (t MsgType) String() string {
 	}
 }
 
+// MaxName bounds a Hello's worker name; Recv rejects longer ones. The
+// session keeps the name for its whole life and shows it on every view of
+// the fleet.
+const MaxName = 128
+
 // Hello introduces a worker.
 type Hello struct {
 	Version int
 	Name    string
 	// Mflops is the worker's self-reported processing rate (Table 2); the
-	// server records it for diagnostics and scheduling heuristics.
+	// server records it for diagnostics and scheduling heuristics. Recv
+	// refuses one that is negative or not finite.
 	Mflops float64
 }
 
@@ -126,26 +156,17 @@ type Welcome struct {
 
 // Job describes one complete simulation the fleet is computing.
 type Job struct {
-	ID   uint64
-	Spec mc.Spec
-	Seed uint64
+	ID uint64
 	// Streams is the total number of RNG streams (= number of chunks) of a
 	// fixed-count job. Zero means the job is open-ended — a
 	// precision-targeted job issues chunks (streams 0, 1, 2, …) until its
 	// Target is met, so workers must not bound the stream index.
 	Streams int
-	// Fan is the job-level multi-core decomposition: each chunk is split
-	// across Fan jump-separated sub-streams (mc.RunStreamFan) so a worker
-	// can compute one chunk on all its cores. Fan is part of the job's
-	// identity — a chunk tally is a pure function of (Seed, Stream, Fan),
-	// never of the worker's core count — and ≤ 1 means the legacy
-	// single-stream chunk.
-	Fan int
-	// Target, when set, is the precision goal of an open-ended job
-	// (informational for workers — the server owns the stopping rule; the
-	// Spec's TrackMoments flag is what makes chunk tallies carry the
-	// required moments).
-	Target *mc.Target
+	// Submission is the job's service.AppendSubmission bytes: its spec,
+	// seed and fan width (MaxFan at most) among them. A chunk tally is a
+	// pure function of (spec, seed, stream, fan), never of the worker's
+	// core count.
+	Submission []byte
 }
 
 // MaxKnownJobs bounds the KnownJobs advertisement in a TaskRequest. Workers
@@ -169,8 +190,7 @@ const MaxKnownJobs = 4096
 // none: a worker that is leaving flushes that way and is answered NoWork
 // at once.
 // Report, when set, piggybacks the worker's self-measured telemetry (see
-// WorkerReport). All of the telemetry fields are additive: gob leaves
-// absent fields zero, so adding them did not bump Version.
+// WorkerReport).
 type TaskRequest struct {
 	KnownJobs []uint64
 	Batch     *ResultBatch
@@ -228,7 +248,7 @@ const MaxGrantChunks = 64
 
 // MaxFan bounds a job's fan width: a worker allocates one generator per
 // sub-stream of a fanned chunk. The service refuses a wider submission, and
-// Recv a TaskAssign for one.
+// a worker a descriptor of one.
 const MaxFan = 1024
 
 // MaxBatchChunks bounds the total chunks covered by one ResultBatch;
@@ -238,14 +258,12 @@ const MaxBatchChunks = 4096
 
 // BatchGroup is one job's slice of a ResultBatch: the covered chunk list
 // and the worker-side pre-reduction of those chunks' tallies, encoded with
-// the compact mc codec (mc.AppendTally). Carrying bytes instead of a
-// *mc.Tally keeps the envelope's gob cost flat and lets the server decode
-// off the registry lock into a reusable scratch tally.
+// the compact mc codec (mc.AppendTally), which the server decodes off the
+// registry lock into a reusable scratch tally.
 // ChunkSecs, when non-empty, is the per-chunk compute wall time parallel
 // to Chunks — the worker-side timing that lets the server split Elapsed
-// into true per-chunk spans instead of assuming a uniform share. Additive
-// (v4 workers that omit it still reduce fine); Recv requires its length
-// to be zero or exactly len(Chunks).
+// into true per-chunk spans instead of assuming a uniform share. Recv
+// requires its length to be zero or exactly len(Chunks).
 type BatchGroup struct {
 	JobID     uint64
 	Chunks    []int
@@ -359,142 +377,118 @@ func NewConnMetrics(reg *obs.Registry, subsystem string) *ConnMetrics {
 	return m
 }
 
-// countWriter / countReader observe the raw transport byte streams so
-// Send/Recv can attribute per-message byte deltas to the message type.
-// The counts are read only from the same goroutine that drives the
-// codec half, so plain fields suffice (a Conn is half-duplex per side:
-// one goroutine sends, one receives).
-type countWriter struct {
-	w io.Writer
-	n uint64
-}
+// MaxFrameBytes bounds one frame. It admits a job descriptor carrying a
+// submission of service.DefaultMaxBodyBytes (32 MiB) with room to spare,
+// and any tally the journal can hold; its job is refusing a garbage length
+// before a buffer is sized by it.
+const MaxFrameBytes = 64 << 20
 
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += uint64(n)
-	return n, err
-}
-
-type countReader struct {
-	r io.Reader
-	n uint64
-}
-
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += uint64(n)
-	return n, err
-}
-
-// Conn wraps a stream with gob encode/decode of Messages. It is not safe
-// for concurrent writers.
+// Conn frames Messages over a stream. It is not safe for concurrent
+// writers.
 type Conn struct {
-	enc *gob.Encoder
-	dec *gob.Decoder
-	bw  *bufio.Writer
-	cw  *countWriter
-	cr  *countReader
-	met *ConnMetrics
+	r   *bufio.Reader // a frame's uvarint length is read a byte at a time
+	w   io.Writer
 	c   io.Closer
+	buf []byte // Send's frame buffer, kept while it is small
+	met *ConnMetrics
 }
 
 // NewConn wraps rw (a net.Conn or an in-memory pipe) in the protocol codec.
-// Writes are buffered and flushed once per Send: gob emits a message as
-// several small writes (type sections, then the value), and coalescing them
-// halves the rendezvous count on synchronous transports like net.Pipe and
-// the syscall count on TCP.
 func NewConn(rw io.ReadWriteCloser) *Conn {
-	cw := &countWriter{w: rw}
-	cr := &countReader{r: rw}
-	bw := bufio.NewWriterSize(cw, 16<<10)
-	return &Conn{enc: gob.NewEncoder(bw), dec: gob.NewDecoder(cr), bw: bw, cw: cw, cr: cr, c: rw}
+	return &Conn{r: bufio.NewReader(rw), w: rw, c: rw}
 }
 
 // SetMetrics attaches frame/byte accounting to the connection. Call it
 // before the first Send/Recv; nil detaches.
 func (c *Conn) SetMetrics(m *ConnMetrics) { c.met = m }
 
-// Send encodes one message and flushes it to the transport.
+// Send encodes one message as one frame and writes it with a single Write.
+// A nil body is sent as its type's zero body.
 func (c *Conn) Send(m *Message) error {
-	before := c.cw.n
-	if err := c.enc.Encode(m); err != nil {
-		return fmt.Errorf("protocol: send %v: %w", m.Type, err)
+	// The payload is appended behind room for the longest length prefix,
+	// and the prefix written right before it once the length is known.
+	const room = binary.MaxVarintLen64
+	b := append(c.buf[:0], make([]byte, room)...)
+	b = appendMessage(append(b, byte(m.Type)), m)
+	var hdr [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(hdr[:], uint64(len(b)-room))
+	frame := b[room-k:]
+	copy(frame, hdr[:k])
+	if cap(b) <= 64<<10 {
+		c.buf = b
 	}
-	if err := c.bw.Flush(); err != nil {
+	if _, err := c.w.Write(frame); err != nil {
 		return fmt.Errorf("protocol: send %v: %w", m.Type, err)
 	}
 	if c.met != nil && m.Type.valid() {
 		c.met.sendFrames[m.Type].Inc()
-		c.met.sendBytes[m.Type].Add(c.cw.n - before)
+		c.met.sendBytes[m.Type].Add(uint64(len(frame)))
 	}
 	return nil
 }
 
-// Recv decodes the next message and validates its envelope: a missing,
-// out-of-range or reserved type, a task request without its body, an
-// oversized KnownJobs advertisement, grant or batch are protocol errors,
-// not panics or unbounded allocations further up the stack.
+// Recv reads the next frame and decodes it: a length past MaxFrameBytes, a
+// missing, out-of-range or reserved type, a body cut short or followed by
+// trailing bytes, an oversized KnownJobs advertisement, grant, batch or ack
+// and a non-finite or negative rate or time are protocol errors, not
+// panics or unbounded allocations further up the stack. An io.EOF between
+// frames is returned as is.
 func (c *Conn) Recv() (*Message, error) {
-	before := c.cr.n
-	var m Message
-	if err := c.dec.Decode(&m); err != nil {
+	n, err := binary.ReadUvarint(c.r)
+	if err != nil {
 		return nil, err
 	}
+	if n == 0 || n > MaxFrameBytes {
+		return nil, fmt.Errorf("protocol: frame of %d bytes, want 1..%d", n, MaxFrameBytes)
+	}
+	frame, err := readFrame(c.r, int(n))
+	if err != nil {
+		return nil, err
+	}
+	m := &Message{Type: MsgType(frame[0])}
 	if !m.Type.valid() {
 		return nil, fmt.Errorf("protocol: message with invalid type %d", int(m.Type))
 	}
 	if c.met != nil {
 		c.met.recvFrames[m.Type].Inc()
-		c.met.recvBytes[m.Type].Add(c.cr.n - before)
+		c.met.recvBytes[m.Type].Add(uint64(len(frame)) + uint64(uvarintLen(n)))
 	}
-	if m.Type == MsgTaskRequest && m.Request == nil {
-		return nil, fmt.Errorf("protocol: task request without a body")
+	d := decoder{data: frame[1:]}
+	decodeMessage(&d, m)
+	if d.err == nil && len(d.data) > 0 {
+		d.failf("%v frame has %d trailing bytes", m.Type, len(d.data))
 	}
-	if m.Request != nil {
-		if len(m.Request.KnownJobs) > MaxKnownJobs {
-			return nil, fmt.Errorf("protocol: task request advertises %d known jobs, max %d",
-				len(m.Request.KnownJobs), MaxKnownJobs)
+	if d.err != nil {
+		return nil, d.err
+	}
+	return m, nil
+}
+
+// readFrame reads an n-byte frame into a fresh buffer. Past 1 MiB the
+// buffer grows with the bytes that arrive, not with the claim, so a hostile
+// length costs little more than its sender transmits. Decoded byte slices alias the frame, which is never
+// reused.
+func readFrame(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, 1<<20))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n, 2*cap(buf))-len(buf))
 		}
-		if rep := m.Request.Report; rep != nil {
-			if len(rep.Version) > MaxReportVersion {
-				return nil, fmt.Errorf("protocol: worker report version string is %d bytes, max %d",
-					len(rep.Version), MaxReportVersion)
-			}
-			if !measure(rep.PhotonsPerSec) || !measure(rep.ChunkSecs) || !measure(rep.EncodeSecs) {
-				return nil, fmt.Errorf("protocol: worker report carries a negative or non-finite rate or time")
-			}
+		k, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+k]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // a frame was begun
 		}
-		if b := m.Request.Batch; b != nil {
-			if n := b.NumChunks(); n > MaxBatchChunks {
-				return nil, fmt.Errorf("protocol: result batch covers %d chunks, max %d", n, MaxBatchChunks)
-			}
-			for i := range b.Groups {
-				if len(b.Groups[i].Chunks) == 0 {
-					return nil, fmt.Errorf("protocol: result batch group %d covers no chunks", i)
-				}
-				if ns := len(b.Groups[i].ChunkSecs); ns != 0 && ns != len(b.Groups[i].Chunks) {
-					return nil, fmt.Errorf("protocol: result batch group %d has %d chunk timings for %d chunks",
-						i, ns, len(b.Groups[i].Chunks))
-				}
-				if g := &b.Groups[i]; g.Elapsed < 0 || slices.ContainsFunc(g.ChunkSecs, func(s float64) bool { return !measure(s) }) {
-					return nil, fmt.Errorf("protocol: result batch group %d carries a negative or non-finite time", i)
-				}
-			}
+		if err != nil {
+			return nil, err
 		}
 	}
-	if m.Assign != nil && len(m.Assign.Grants) > MaxGrantChunks {
-		return nil, fmt.Errorf("protocol: task assign grants %d chunks, max %d",
-			len(m.Assign.Grants), MaxGrantChunks)
-	}
-	if m.Assign != nil && m.Assign.Job != nil && m.Assign.Job.Fan > MaxFan {
-		return nil, fmt.Errorf("protocol: task assign fans chunks %d ways, max %d",
-			m.Assign.Job.Fan, MaxFan)
-	}
-	if m.BatchAck != nil && len(m.BatchAck.Acks) > MaxBatchChunks {
-		return nil, fmt.Errorf("protocol: batch ack covers %d chunks, max %d",
-			len(m.BatchAck.Acks), MaxBatchChunks)
-	}
-	return &m, nil
+	return buf, nil
+}
+
+func uvarintLen(v uint64) int {
+	var b [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(b[:], v)
 }
 
 // measure reports whether v can be a rate or a duration: finite and not

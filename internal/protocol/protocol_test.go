@@ -1,18 +1,21 @@
 package protocol
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"net"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/detector"
 	"repro/internal/mc"
-	"repro/internal/optics"
-	"repro/internal/source"
 	"repro/internal/tissue"
-	"repro/internal/voxel"
 )
 
 // pipePair returns two protocol connections joined by an in-memory pipe.
@@ -42,58 +45,6 @@ func TestHelloRoundTrip(t *testing.T) {
 	}
 	if m.Type != MsgHello || m.Hello.Name != "w1" || m.Hello.Mflops != 209 {
 		t.Fatalf("round trip lost data: %+v", m)
-	}
-}
-
-func TestJobSpecRoundTrip(t *testing.T) {
-	c1, c2 := pipePair()
-	defer c1.Close()
-	defer c2.Close()
-
-	spec := mc.NewSpec(tissue.AdultHead(),
-		source.Spec{Kind: source.KindGaussian, Param: 2},
-		detector.Spec{Kind: detector.KindDisk, CenterX: 20, Radius: 2.5,
-			Gate: detector.Gate{MinPath: 10, MaxPath: 900}})
-	spec.Boundary = mc.BoundaryDeterministic
-	spec.PathGrid = &mc.GridSpec{N: 50, Edge: 60}
-
-	go func() {
-		c1.Send(&Message{Type: MsgTaskAssign, Assign: &TaskAssign{
-			JobID: 42, Grants: []ChunkGrant{{ChunkID: 3, Stream: 3, Photons: 500}},
-			Job: &Job{ID: 42, Spec: *spec, Seed: 7, Streams: 100},
-		}})
-	}()
-	m, err := c2.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Assign.Job == nil {
-		t.Fatal("piggybacked job descriptor lost")
-	}
-	job := *m.Assign.Job
-	if job.ID != 42 || job.Seed != 7 || job.Streams != 100 {
-		t.Fatalf("job metadata lost: %+v", job)
-	}
-	got := job.Spec
-	if got.Boundary != mc.BoundaryDeterministic {
-		t.Fatal("boundary mode lost")
-	}
-	if got.Model.NumLayers() != 5 {
-		t.Fatalf("model layers %d", got.Model.NumLayers())
-	}
-	// Semi-infinite layer thickness must survive gob.
-	if !math.IsInf(got.Model.Layers[4].Thickness, 1) {
-		t.Fatalf("infinite thickness lost: %g", got.Model.Layers[4].Thickness)
-	}
-	if got.PathGrid == nil || got.PathGrid.N != 50 {
-		t.Fatal("grid spec lost")
-	}
-	if got.Detector.Gate.MaxPath != 900 {
-		t.Fatal("gate lost")
-	}
-	// The received spec must be buildable.
-	if _, err := got.Build(); err != nil {
-		t.Fatalf("received spec unbuildable: %v", err)
 	}
 }
 
@@ -332,60 +283,96 @@ func TestManyMessagesSequential(t *testing.T) {
 	}
 }
 
-// TestVoxelJobSpecRoundTrip checks a heterogeneous voxel-geometry Spec —
-// label grid, media table and ambient indices — survives the wire intact
-// and stays buildable on the receiving side.
-func TestVoxelJobSpecRoundTrip(t *testing.T) {
+// TestSeedMessagesRoundTrip: every seed message — each type, the result
+// plane, telemetry, acks, a precision descriptor — arrives field for field
+// as it was sent.
+func TestSeedMessagesRoundTrip(t *testing.T) {
 	c1, c2 := pipePair()
 	defer c1.Close()
 	defer c2.Close()
-
-	g, err := voxel.FromModel(tissue.AdultHead(), 24, 24, 40, 2, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc, err := g.AddMedium("tumour", optics.Properties{MuA: 0.3, MuS: 10, G: 0.9, N: 1.4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.PaintSphere(inc, 0, 0, 14, 5)
-	spec := mc.NewVoxelSpec(g,
-		source.Spec{Kind: source.KindPencil},
-		detector.Spec{Kind: detector.KindAnnulus, RMin: 2, RMax: 10})
-
+	msgs := seedMessages(t)
 	go func() {
-		c1.Send(&Message{Type: MsgTaskAssign, Assign: &TaskAssign{
-			JobID: 7, Grants: []ChunkGrant{{ChunkID: 0, Stream: 0, Photons: 100}},
-			Job: &Job{ID: 7, Spec: *spec, Seed: 3, Streams: 10},
-		}})
+		for _, m := range msgs {
+			if c1.Send(m) != nil {
+				return
+			}
+		}
 	}()
-	m, err := c2.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := m.Assign.Job.Spec
-	if got.Voxel == nil {
-		t.Fatal("voxel grid lost")
-	}
-	if err := got.Voxel.Validate(); err != nil {
-		t.Fatalf("received grid invalid: %v", err)
-	}
-	if got.Voxel.NumRegions() != g.NumRegions() {
-		t.Fatalf("media lost: %d vs %d", got.Voxel.NumRegions(), g.NumRegions())
-	}
-	for i := range g.Labels {
-		if got.Voxel.Labels[i] != g.Labels[i] {
-			t.Fatalf("label %d changed", i)
+	for _, want := range msgs {
+		got, err := c2.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v changed on the wire:\n got %+v\nwant %+v", want.Type, got, want)
 		}
 	}
-	if got.Voxel.NAbove != g.NAbove || got.Voxel.NBelow != g.NBelow {
-		t.Fatal("ambient indices lost")
+}
+
+// TestRecvRejectsBadHello: a hello's rate is finite and not negative, and
+// its name at most MaxName bytes, or the session never starts — the server
+// keeps both for the session's life, and a NaN rate made every JSON view
+// of the fleet unrenderable.
+func TestRecvRejectsBadHello(t *testing.T) {
+	for name, tc := range map[string]struct {
+		h  Hello
+		ok bool
+	}{
+		"plain":         {Hello{Version: Version, Name: "w", Mflops: 209}, true},
+		"name-at-bound": {Hello{Version: Version, Name: strings.Repeat("x", MaxName)}, true},
+		"long-name":     {Hello{Version: Version, Name: strings.Repeat("x", MaxName+1)}, false},
+		"nan-rate":      {Hello{Version: Version, Mflops: math.NaN()}, false},
+		"inf-rate":      {Hello{Version: Version, Mflops: math.Inf(1)}, false},
+		"negative-rate": {Hello{Version: Version, Mflops: -1}, false},
+	} {
+		c := NewConn(readCloser{bytes.NewReader(encodeMessages(t, &Message{Type: MsgHello, Hello: &tc.h}))})
+		if _, err := c.Recv(); (err == nil) != tc.ok {
+			t.Errorf("%s: Recv returned %v, want accepted %v", name, err, tc.ok)
+		}
 	}
-	cfg, err := got.Build()
-	if err != nil {
-		t.Fatalf("received voxel spec unbuildable: %v", err)
+}
+
+// TestRecvRejectsTruncatedFrames: a frame of type T decodes with T's body
+// or not at all — a bodiless or cut-short frame is an error, never a
+// message with a nil body for the caller to dereference — and a frame with
+// bytes left over is refused too.
+func TestRecvRejectsTruncatedFrames(t *testing.T) {
+	for _, typ := range []MsgType{MsgHello, MsgWelcome, MsgTaskRequest, MsgTaskAssign, MsgNoWork, MsgError} {
+		if m, err := NewConn(readCloser{bytes.NewReader(rawFrame(typ))}).Recv(); err == nil {
+			t.Errorf("bodiless %v frame accepted: %+v", typ, m)
+		}
 	}
-	if cfg.Geometry == nil || cfg.Geometry.NumRegions() != g.NumRegions() {
-		t.Fatal("built config has wrong geometry")
+	for _, m := range seedMessages(t) {
+		frame := encodeMessages(t, m)
+		short := append([]byte{frame[0] - 1}, frame[1:len(frame)-1]...)
+		if _, err := NewConn(readCloser{bytes.NewReader(short)}).Recv(); err == nil {
+			t.Errorf("%v frame one byte short accepted", m.Type)
+		}
+		long := append(append([]byte{frame[0] + 1}, frame[1:]...), 0)
+		if _, err := NewConn(readCloser{bytes.NewReader(long)}).Recv(); err == nil {
+			t.Errorf("%v frame with a trailing byte accepted", m.Type)
+		}
+	}
+}
+
+// TestRecvRefusesOversizedFrame: a length past MaxFrameBytes is refused
+// before anything is read or allocated, and one within it but never sent
+// costs readFrame's 1 MiB first buffer at most, not the 64 MiB claimed.
+func TestRecvRefusesOversizedFrame(t *testing.T) {
+	for _, n := range []uint64{MaxFrameBytes + 1, MaxFrameBytes} {
+		data := append(binary.AppendUvarint(nil, n), byte(MsgTaskRequest), 0, 0, 0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := NewConn(readCloser{bytes.NewReader(data)}).Recv()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("a %d-byte claim with 4 bytes behind it was accepted", n)
+		}
+		if n == MaxFrameBytes && !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("a cut-short frame returned %v, want io.ErrUnexpectedEOF", err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 2<<20 {
+			t.Fatalf("a %d-byte claim allocated %d bytes", n, grew)
+		}
 	}
 }

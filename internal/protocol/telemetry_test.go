@@ -12,8 +12,7 @@ import (
 
 // TestWorkerReportRoundTrip checks the piggybacked telemetry report and
 // the per-chunk batch timings survive the wire intact — and that a
-// report-less request still decodes with a nil Report (the v4 worker
-// compatibility the additive encoding promises).
+// report-less request decodes with a nil Report (the report is optional).
 func TestWorkerReportRoundTrip(t *testing.T) {
 	tally, err := mc.Run(&mc.Config{Model: tissue.AdultHead()}, 100, 8)
 	if err != nil {
@@ -62,7 +61,7 @@ func TestWorkerReportRoundTrip(t *testing.T) {
 		t.Fatalf("per-chunk timings corrupted: %v", secs)
 	}
 
-	// A plain v4-style request (no report, no timings) must still decode.
+	// A plain request (no report, no timings) must decode too.
 	// (Wait out the first sender: Conn.Send is not concurrency-safe.)
 	<-sent
 	go func() {

@@ -1,14 +1,17 @@
-// Package report persists simulation results: gob-encoded tally files that
-// can be saved by workers, shipped around, merged offline (the sneakernet
-// version of the DataManager's reduction) and rendered as text reports.
-// The file format carries the spec alongside the tally so merges can verify
-// the partial results belong to the same experiment.
+// Package report persists simulation results: tally files that can be
+// saved by workers, shipped around, merged offline (the sneakernet version
+// of the DataManager's reduction) and rendered as text reports. The file
+// format carries the spec alongside the tally so merges can verify the
+// partial results belong to the same experiment.
 package report
 
 import (
+	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
+	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -17,12 +20,22 @@ import (
 	"repro/internal/mc"
 )
 
-// magic guards against feeding arbitrary gob files into the merger.
-const magic = "phomc-tally-v1"
+// A tally file is a header and the tally in the compact codec:
+//
+//	magic · digest · spec · uvarint seed · varint streams · worker · mc.AppendTally
+//
+// where digest, spec (its JSON) and worker are a uvarint length and the
+// bytes. The magic guards against feeding arbitrary files into the merger;
+// gobMagic is the first format's, a gob File, which is refused by name.
+const (
+	magic    = "phomc-tally-v2"
+	gobMagic = "phomc-tally-v1"
+)
+
+var errTruncated = errors.New("report: truncated tally file")
 
 // File is the persisted form of one (partial) simulation result.
 type File struct {
-	Magic string
 	// SpecDigest fingerprints the experiment; only files with identical
 	// digests may be merged.
 	SpecDigest string
@@ -36,9 +49,7 @@ type File struct {
 
 // Digest fingerprints a Spec by hashing its canonical encoding
 // (internal/canon). The merge gate compares digests computed by different
-// worker processes, so the encoding must not depend on process history —
-// which rules out gob, whose wire type IDs come from a global counter
-// ordered by whatever the process happened to encode first.
+// worker processes, so the encoding must not depend on process history.
 func Digest(spec *mc.Spec) (string, error) {
 	h := sha256.New()
 	if err := canon.Write(h, spec); err != nil {
@@ -54,7 +65,6 @@ func New(spec *mc.Spec, seed uint64, streams int, worker string, tally *mc.Tally
 		return nil, err
 	}
 	return &File{
-		Magic:      magic,
 		SpecDigest: d,
 		Spec:       *spec,
 		Seed:       seed,
@@ -66,24 +76,67 @@ func New(spec *mc.Spec, seed uint64, streams int, worker string, tally *mc.Tally
 
 // Write encodes the file to w.
 func (f *File) Write(w io.Writer) error {
-	if err := gob.NewEncoder(w).Encode(f); err != nil {
+	spec, err := json.Marshal(&f.Spec)
+	if err != nil {
+		return fmt.Errorf("report: write: %w", err)
+	}
+	b := append([]byte(nil), magic...)
+	b = appendBytes(b, []byte(f.SpecDigest))
+	b = appendBytes(b, spec)
+	b = binary.AppendUvarint(b, f.Seed)
+	b = binary.AppendVarint(b, int64(f.Streams))
+	b = appendBytes(b, []byte(f.Worker))
+	if _, err := w.Write(mc.AppendTally(b, f.Tally)); err != nil {
 		return fmt.Errorf("report: write: %w", err)
 	}
 	return nil
 }
 
+func appendBytes(b, p []byte) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(p))), p...)
+}
+
 // Read decodes a result file and validates its header.
 func Read(r io.Reader) (*File, error) {
-	var f File
-	if err := gob.NewDecoder(r).Decode(&f); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("report: read: %w", err)
 	}
-	if f.Magic != magic {
-		return nil, fmt.Errorf("report: not a tally file (magic %q)", f.Magic)
+	rest, ok := bytes.CutPrefix(data, []byte(magic))
+	if !ok {
+		if bytes.Contains(data, []byte(gobMagic)) {
+			return nil, fmt.Errorf("report: a gob %s file; this build reads %s only", gobMagic, magic)
+		}
+		return nil, fmt.Errorf("report: not a tally file")
 	}
-	if f.Tally == nil {
-		return nil, fmt.Errorf("report: file has no tally")
+	var f File
+	digest, rest, err := cutBytes(rest)
+	if err != nil {
+		return nil, err
 	}
+	spec, rest, err := cutBytes(rest)
+	if err != nil {
+		return nil, err
+	}
+	seed, n := binary.Uvarint(rest)
+	if n <= 0 {
+		return nil, errTruncated
+	}
+	streams, m := binary.Varint(rest[n:])
+	if m <= 0 {
+		return nil, errTruncated
+	}
+	worker, rest, err := cutBytes(rest[n+m:])
+	if err != nil {
+		return nil, err
+	}
+	if err := json.Unmarshal(spec, &f.Spec); err != nil {
+		return nil, fmt.Errorf("report: spec: %w", err)
+	}
+	if f.Tally, err = mc.DecodeTally(rest); err != nil {
+		return nil, fmt.Errorf("report: %w", err)
+	}
+	f.SpecDigest, f.Seed, f.Streams, f.Worker = string(digest), seed, int(streams), string(worker)
 	want, err := Digest(&f.Spec)
 	if err != nil {
 		return nil, err
@@ -92,6 +145,15 @@ func Read(r io.Reader) (*File, error) {
 		return nil, fmt.Errorf("report: spec digest mismatch (corrupt file?)")
 	}
 	return &f, nil
+}
+
+// cutBytes splits a uvarint-length-prefixed byte string off data.
+func cutBytes(data []byte) (p, rest []byte, err error) {
+	n, k := binary.Uvarint(data)
+	if k <= 0 || n > uint64(len(data)-k) {
+		return nil, nil, errTruncated
+	}
+	return data[k : k+int(n)], data[k+int(n):], nil
 }
 
 // Save writes the file to path.

@@ -2,8 +2,11 @@ package report
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/detector"
@@ -18,23 +21,27 @@ func testSpec() *mc.Spec {
 		detector.Spec{Kind: detector.KindAnnulus, RMin: 5, RMax: 15})
 }
 
-func runChunk(t *testing.T, spec *mc.Spec, stream, streams int) *mc.Tally {
-	t.Helper()
+func runChunk(tb testing.TB, spec *mc.Spec, stream, streams int) *mc.Tally {
+	tb.Helper()
 	cfg, err := spec.Build()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	tally, err := mc.RunStream(cfg, 1000, 7, stream, streams)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return tally
 }
 
+// TestWriteReadRoundTrip: a file reads back as it was written — spec,
+// provenance and every bit of the tally, grids and histograms included.
 func TestWriteReadRoundTrip(t *testing.T) {
 	spec := testSpec()
-	tally := runChunk(t, spec, 0, 2)
-	f, err := New(spec, 7, 2, "w0", tally)
+	spec.PathGrid = &mc.GridSpec{N: 8, Edge: 40}
+	spec.PathHist = &mc.HistSpec{Min: 0, Max: 500, Bins: 50}
+	spec.TrackMoments = true
+	f, err := New(spec, 7, 2, "w0", runChunk(t, spec, 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,28 +53,117 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Tally.Launched != tally.Launched ||
-		got.Tally.AbsorbedWeight != tally.AbsorbedWeight {
-		t.Fatal("tally changed in round trip")
+	if !bytes.Equal(mc.AppendTally(nil, got.Tally), mc.AppendTally(nil, f.Tally)) {
+		t.Fatal("tally bits changed in round trip")
 	}
-	if got.Worker != "w0" || got.Seed != 7 || got.Streams != 2 {
-		t.Fatal("metadata lost")
+	if got.SpecDigest != f.SpecDigest || got.Seed != 7 || got.Streams != 2 || got.Worker != "w0" {
+		t.Fatalf("metadata lost: %+v", got)
+	}
+	if !reflect.DeepEqual(got.Spec, f.Spec) {
+		t.Fatalf("spec changed in round trip:\n got %+v\nwant %+v", got.Spec, f.Spec)
 	}
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(bytes.NewReader([]byte("not a gob"))); err == nil {
+	if _, err := Read(bytes.NewReader([]byte("not a tally file"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	// A structurally valid gob of the wrong shape must also fail.
+	// A well-formed file under another magic must also fail.
+	spec := testSpec()
+	f, err := New(spec, 7, 2, "w0", runChunk(t, spec, 0, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	f := File{Magic: "something-else", Tally: &mc.Tally{}}
 	if err := f.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Read(&buf); err == nil {
+	data := bytes.Replace(buf.Bytes(), []byte(magic), []byte("phomc-tally-v9"), 1)
+	if _, err := Read(bytes.NewReader(data)); err == nil {
 		t.Fatal("wrong magic accepted")
 	}
+	// So must every cut of a good file, and a flipped digest.
+	good := buf.Bytes()
+	for n := 0; n < len(good); n += 1 + n/8 {
+		if _, err := Read(bytes.NewReader(good[:n])); err == nil {
+			t.Fatalf("file cut to %d of %d bytes accepted", n, len(good))
+		}
+	}
+	flipped := bytes.Clone(good)
+	flipped[len(magic)+1] ^= 1
+	if _, err := Read(bytes.NewReader(flipped)); err == nil {
+		t.Fatal("file with a corrupt digest accepted")
+	}
+}
+
+// v1File is the first tally-file format: a gob of this shape.
+type v1File struct {
+	Magic      string
+	SpecDigest string
+	Spec       mc.Spec
+	Seed       uint64
+	Streams    int
+	Worker     string
+	Tally      *mc.Tally
+}
+
+// gobV1File encodes f as the first format did.
+func gobV1File(tb testing.TB, f *File) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(&v1File{Magic: gobMagic, SpecDigest: f.SpecDigest, Spec: f.Spec,
+		Seed: f.Seed, Streams: f.Streams, Worker: f.Worker, Tally: f.Tally})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadRefusesGobV1File: a file of the first, gob format is refused
+// with an error that names it, not read as garbage.
+func TestReadRefusesGobV1File(t *testing.T) {
+	spec := testSpec()
+	f, err := New(spec, 7, 2, "w0", runChunk(t, spec, 0, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Read(bytes.NewReader(gobV1File(t, f)))
+	if err == nil || !strings.Contains(err.Error(), "gob") || !strings.Contains(err.Error(), gobMagic) {
+		t.Fatalf("gob v1 file: Read returned %v, want a refusal naming its format", err)
+	}
+}
+
+// FuzzReadReport throws arbitrary bytes at the tally-file reader — a file
+// is whatever a user hands mcmerge. It must never panic, and a file it
+// accepts must carry a tally and the digest of its own spec.
+func FuzzReadReport(f *testing.F) {
+	spec := testSpec()
+	file, err := New(spec, 7, 2, "w0", runChunk(f, spec, 0, 2))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := file.Write(&buf); err != nil {
+		f.Fatal(err)
+	}
+	good := buf.Bytes()
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add(gobV1File(f, file))
+	f.Add([]byte(magic))
+	f.Add([]byte(magic + "\xff\xff\xff\xff\x0f"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if got.Tally == nil {
+			t.Fatal("Read accepted a file without a tally")
+		}
+		if d, err := Digest(&got.Spec); err != nil || d != got.SpecDigest {
+			t.Fatalf("Read accepted a file whose digest %q is not its spec's (%q, %v)", got.SpecDigest, d, err)
+		}
+	})
 }
 
 func TestDigestDistinguishesSpecs(t *testing.T) {

@@ -18,7 +18,32 @@ import (
 // nextAssignment is dispatch as a request that may not park gets it: the
 // session sync and one scan, answered at once.
 func (r *Registry) nextAssignment(sess *session, req *protocol.TaskRequest) *protocol.Message {
-	return r.dispatch(sess, req, false)
+	reply, desc := r.dispatch(sess, req, false)
+	if desc != nil {
+		var err error
+		if reply.Assign.Job.Submission, err = AppendSubmission(nil, desc); err != nil {
+			panic(err)
+		}
+	}
+	return reply
+}
+
+// runGrant computes one granted chunk of a descriptor's job honestly.
+func runGrant(tb testing.TB, job *protocol.Job, g protocol.ChunkGrant) *mc.Tally {
+	tb.Helper()
+	spec, err := DecodeSubmission(job.Submission)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg, err := spec.Spec.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tally, err := mc.RunStreamFan(cfg, g.Photons, spec.Seed, g.Stream, job.Streams, spec.Fan)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tally
 }
 
 // want is an empty-handed request for up to n chunks.
@@ -77,16 +102,7 @@ func (p *peer) compute(a *protocol.TaskAssign, g protocol.ChunkGrant) *protocol.
 	if a.Job != nil {
 		p.jobs[a.JobID] = a.Job
 	}
-	job := p.jobs[a.JobID]
-	cfg, err := job.Spec.Build()
-	if err != nil {
-		p.t.Fatal(err)
-	}
-	tally, err := mc.RunStreamFan(cfg, g.Photons, job.Seed, g.Stream, job.Streams, job.Fan)
-	if err != nil {
-		p.t.Fatal(err)
-	}
-	return oneChunkBatch(a.JobID, g.ChunkID, tally)
+	return oneChunkBatch(a.JobID, g.ChunkID, runGrant(p.t, p.jobs[a.JobID], g))
 }
 
 // finish computes the assignment's first chunk and hands it back asking for
@@ -385,11 +401,15 @@ func (w *chaosWorker) session(conn net.Conn) {
 			if fault == faultStall {
 				time.Sleep(w.stall)
 			}
-			cfg, err := job.Spec.Build()
+			spec, err := DecodeSubmission(job.Submission)
 			if err != nil {
 				return
 			}
-			tally, err := mc.RunStreamFan(cfg, a.Photons, job.Seed, a.Stream, job.Streams, job.Fan)
+			cfg, err := spec.Spec.Build()
+			if err != nil {
+				return
+			}
+			tally, err := mc.RunStreamFan(cfg, a.Photons, spec.Seed, a.Stream, job.Streams, spec.Fan)
 			if err != nil {
 				return
 			}

@@ -107,14 +107,16 @@ func (r *Registry) HandleConn(rw io.ReadWriteCloser) error {
 	pc := protocol.NewConn(rw)
 	defer pc.Close()
 
+	// A first frame that is not a v7 Hello is most likely a v6 worker's gob
+	// Hello: it is answered in the encoding that worker reads, so it stops
+	// redialling with a version mismatch instead of a decode error.
 	first, err := pc.Recv()
-	if err != nil {
+	if err != nil || first.Type != protocol.MsgHello {
+		io.WriteString(rw, protocol.V6Refusal)
+		if err == nil {
+			err = fmt.Errorf("service: expected hello, got %v", first.Type)
+		}
 		return err
-	}
-	if first.Type != protocol.MsgHello || first.Hello == nil {
-		pc.Send(&protocol.Message{Type: protocol.MsgError,
-			Error: &protocol.Error{Msg: "expected hello"}})
-		return fmt.Errorf("service: expected hello, got %v", first.Type)
 	}
 	if first.Hello.Version != protocol.Version {
 		pc.Send(&protocol.Message{Type: protocol.MsgError,
@@ -157,7 +159,14 @@ func (r *Registry) HandleConn(rw io.ReadWriteCloser) error {
 		}
 		// A request that flushed results is answered at once — its acks must
 		// not wait out a park — and so is one that asks for nothing.
-		reply := r.dispatch(sess, req, acks == nil && req.Want > 0)
+		reply, desc := r.dispatch(sess, req, acks == nil && req.Want > 0)
+		if desc != nil {
+			// Encoded here, off the registry lock: a voxel grid's labels are
+			// megabytes.
+			if reply.Assign.Job.Submission, err = AppendSubmission(nil, desc); err != nil {
+				return err
+			}
+		}
 		reply.BatchAck = acks
 		if err := pc.Send(reply); err != nil {
 			return err
@@ -245,20 +254,23 @@ func (r *Registry) releaseAssignmentLocked(sess *session, ref chunkRef, a *assig
 // cannot fall between the check and the wait. Two timers bound a park: the
 // earliest outstanding chunk deadline the scan saw (ChunkTimeout reclaim
 // must fire even when every worker is parked and nobody asks) and parkMax.
-func (r *Registry) dispatch(sess *session, req *protocol.TaskRequest, mayPark bool) *protocol.Message {
+//
+// desc is set when the reply is the session's first TaskAssign of its job:
+// the spec the caller encodes into the descriptor, copied under the lock.
+func (r *Registry) dispatch(sess *session, req *protocol.TaskRequest, mayPark bool) (reply *protocol.Message, desc *JobSpec) {
 	noWork := func() *protocol.Message {
 		return &protocol.Message{Type: protocol.MsgNoWork, NoWork: &protocol.NoWork{}}
 	}
 	start := time.Now()
 	r.mu.Lock()
 	r.syncSessionLocked(sess, req, start)
-	reply, reclaimAt := r.assignLocked(sess, req)
+	reply, desc, reclaimAt := r.assignLocked(sess, req)
 	if reply == nil && !mayPark {
 		reply = noWork()
 	}
 	if reply != nil {
 		r.mu.Unlock()
-		return reply
+		return reply, desc
 	}
 
 	sess.parked = true
@@ -278,7 +290,7 @@ func (r *Registry) dispatch(sess *session, req *protocol.TaskRequest, mayPark bo
 		case <-timer.C:
 		}
 		r.mu.Lock()
-		if reply, reclaimAt = r.assignLocked(sess, req); reply == nil && time.Since(start) >= parkMax {
+		if reply, desc, reclaimAt = r.assignLocked(sess, req); reply == nil && time.Since(start) >= parkMax {
 			reply = noWork()
 		}
 	}
@@ -286,7 +298,7 @@ func (r *Registry) dispatch(sess *session, req *protocol.TaskRequest, mayPark bo
 	r.mu.Unlock()
 	r.met.workersParked.Dec()
 	r.met.parkSeconds.Observe(time.Since(start).Seconds())
-	return reply
+	return reply, desc
 }
 
 // wakeLocked releases every parked request to scan again. Call it from
@@ -331,9 +343,9 @@ func (r *Registry) syncSessionLocked(sess *session, req *protocol.TaskRequest, n
 // A nil reply means nothing is schedulable; reclaimAt is then the earliest
 // deadline of a chunk still outstanding (zero if none can expire), the
 // moment a scan could next find work with no other transition.
-func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply *protocol.Message, reclaimAt time.Time) {
+func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply *protocol.Message, desc *JobSpec, reclaimAt time.Time) {
 	if req.Want <= 0 {
-		return nil, time.Time{} // a flush from a worker that is leaving: nothing asked for
+		return nil, nil, time.Time{} // a flush from a worker that is leaving: nothing asked for
 	}
 	now := time.Now()
 	policy := r.opts.Policy
@@ -365,11 +377,11 @@ func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply
 			select {
 			case <-r.drained:
 				return &protocol.Message{Type: protocol.MsgNoWork,
-					NoWork: &protocol.NoWork{Done: true}}, time.Time{}
+					NoWork: &protocol.NoWork{Done: true}}, nil, time.Time{}
 			default:
 			}
 		}
-		return nil, reclaimAt
+		return nil, nil, reclaimAt
 	}
 
 	// r.active is in submission order (a job is registered and activated in
@@ -461,17 +473,14 @@ func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply
 		if j.openEnded() {
 			streams = 0 // open-ended: workers must not bound the stream index
 		}
-		assign.Job = &protocol.Job{
-			ID:      j.id,
-			Spec:    *j.spec.Spec,
-			Seed:    j.spec.Seed,
-			Streams: streams,
-			Fan:     j.spec.Fan,
-			Target:  j.spec.Target,
-		}
+		assign.Job = &protocol.Job{ID: j.id, Streams: streams}
 		sess.knownJobs[j.id] = true
+		// A copy: a coalesced duplicate may raise the job's priority or
+		// weight once the lock is released.
+		spec := j.spec
+		desc = &spec
 	}
-	return &protocol.Message{Type: protocol.MsgTaskAssign, Assign: assign}, time.Time{}
+	return &protocol.Message{Type: protocol.MsgTaskAssign, Assign: assign}, desc, time.Time{}
 }
 
 // reduceBatch reduces a worker-side pre-reduced batch group by group,

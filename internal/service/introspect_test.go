@@ -29,8 +29,7 @@ func TestSpanJoinAndFleetProfile(t *testing.T) {
 		PhotonsPerSec: 5000, ChunkSecs: 0.25, EncodeSecs: 0.001,
 		Goroutines: 7, HeapBytes: 1 << 20, Version: "test-build",
 	}
-	var cfg *mc.Config
-	var meta protocol.Job
+	var job *protocol.Job
 	runChunk := func(req *protocol.TaskRequest, elapsed time.Duration, secs []float64) {
 		t.Helper()
 		msg := reg.nextAssignment(sess, req)
@@ -38,20 +37,13 @@ func TestSpanJoinAndFleetProfile(t *testing.T) {
 			t.Fatalf("expected an assignment, got %v", msg.Type)
 		}
 		a := grantOf(msg.Assign, 0)
-		if job := msg.Assign.Job; job != nil {
-			meta = *job
-			var err error
-			if cfg, err = job.Spec.Build(); err != nil {
-				t.Fatal(err)
-			}
+		if msg.Assign.Job != nil {
+			job = msg.Assign.Job
 		}
-		if cfg == nil {
+		if job == nil {
 			t.Fatal("assignment for a job whose spec was never sent")
 		}
-		tally, err := mc.RunStreamFan(cfg, a.Photons, meta.Seed, a.Stream, meta.Streams, meta.Fan)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tally := runGrant(t, job, protocol.ChunkGrant{ChunkID: a.ChunkID, Stream: a.Stream, Photons: a.Photons})
 		acks := reg.reduceGroup(sess, a.JobID, []int{a.ChunkID}, tally, elapsed, secs)
 		if len(acks) != 1 || acks[0].Rejected {
 			t.Fatalf("chunk not reduced cleanly: %+v", acks)

@@ -97,11 +97,15 @@ func workChunks(rw net.Conn, n int) error {
 				if job == nil {
 					return errors.New("assign without descriptor")
 				}
-				cfg, err := job.Spec.Build()
+				spec, err := DecodeSubmission(job.Submission)
 				if err != nil {
 					return err
 				}
-				r = &rt{cfg: cfg, seed: job.Seed, streams: job.Streams, fan: job.Fan}
+				cfg, err := spec.Spec.Build()
+				if err != nil {
+					return err
+				}
+				r = &rt{cfg: cfg, seed: spec.Seed, streams: job.Streams, fan: spec.Fan}
 				jobs[a.JobID] = r
 			}
 			tally, err := mc.RunStreamFan(r.cfg, a.Photons, r.seed, a.Stream, r.streams, r.fan)

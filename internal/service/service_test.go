@@ -178,11 +178,15 @@ func batchClient(rw net.Conn, name string, window int) (int, error) {
 				if a.Job == nil {
 					return accepted, errors.New("assign without descriptor")
 				}
-				cfg, err := a.Job.Spec.Build()
+				spec, err := DecodeSubmission(a.Job.Submission)
 				if err != nil {
 					return accepted, err
 				}
-				r = &rt{cfg: cfg, seed: a.Job.Seed, streams: a.Job.Streams, fan: a.Job.Fan}
+				cfg, err := spec.Spec.Build()
+				if err != nil {
+					return accepted, err
+				}
+				r = &rt{cfg: cfg, seed: spec.Seed, streams: a.Job.Streams, fan: spec.Fan}
 				jobs[a.JobID] = r
 				known = append(known, a.JobID)
 			}

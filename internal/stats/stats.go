@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit used by tallies,
 // tests and the experiment harnesses: streaming moments, histograms and
-// confidence intervals. All accumulators are plain data (gob-friendly) and
-// merge associatively for distributed reduction.
+// confidence intervals. All accumulators are plain data and merge
+// associatively for distributed reduction.
 package stats
 
 import (

@@ -8,9 +8,9 @@
 // inclusions become expressible while the kernel's hop–drop–spin loop stays
 // untouched behind the geom.Geometry interface.
 //
-// The grid is plain data (gob-serialisable), so voxel jobs travel over the
-// wire protocol and fan out across the distributed system exactly like
-// layered ones.
+// The grid is plain data — JSON with its labels raw behind it in a job's
+// compact submission — so voxel jobs travel over the wire protocol and fan
+// out across the distributed system exactly like layered ones.
 package voxel
 
 import (
@@ -55,7 +55,7 @@ type Grid struct {
 	MediaNames []string
 
 	// acc is the derived traversal accelerator (reciprocal voxel sizes and
-	// the same-label safe-radius map). It is unexported so gob and JSON
+	// the same-label safe-radius map). It is unexported so JSON and canon
 	// skip it, built where tracing begins (PrepareTrace, or the first
 	// ToBoundary) and invalidated by the mutating builders — a process that
 	// only validates, hashes and journals a grid never pays for it.

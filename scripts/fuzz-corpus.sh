@@ -2,6 +2,13 @@
 # fuzz-corpus.sh — regenerate the committed seed corpora of internal/service
 # and internal/mc.
 #
+# Two fuzz targets are not regenerated here. internal/protocol's
+# FuzzDecodeMessage keeps its v7 seeds current with
+# `go test ./internal/protocol -run TestCommittedCorpus -update-corpus`, and
+# its gob seeds of v6 and before are never rewritten. internal/report's
+# FuzzReadReport seeds itself in the test (f.Add): a tally file, a cut one
+# and a gob file of the first format.
+#
 # FuzzDecodeJobRequest is seeded from genjob bodies, so the seeds follow the
 # submission schema instead of freezing JSON by hand: a tiny slab, the
 # paper's head, a voxel grid, a precision target, a typoed field the strict
