@@ -20,9 +20,11 @@ short:
 
 # race runs the suite under the race detector, then the dispatcher's park /
 # wake / drain tests, the result plane's grant-is-batch tests, the
-# content-key index's repeat / finish→seal / retention tests and the
-# multi-core grant tests (mc.Runner.RunChunks' stop-and-claim, a worker's
-# grant on one, two and four cores, its chunk budgets) twenty more times in
+# reducer's verdict table and timeline (a cancel racing a group's merge
+# among its rows), the content-key index's repeat / finish→seal / retention
+# tests and the multi-core grant tests (mc.Runner.RunChunks'
+# stop-and-claim, a worker's grant on one, two and four cores, its chunk
+# budgets) twenty more times in
 # shuffled order: a lost wake-up is a rare interleaving (and parkMax heals
 # it within a second, so nothing hangs to give it away), a job stays in
 # byKey across its seal and until its eviction, and a unit claimed after
@@ -32,7 +34,7 @@ short:
 # default.
 race:
 	$(GO) test -race -short -shuffle=on -timeout 30m ./...
-	$(GO) test -race -shuffle=on -run 'Park|Dispatch|Drain|BatchIsItsGrant|Repeat|FinishAndSeal|RetainDone|GrantBatch|ParallelGrants|RunChunks' -count=20 ./internal/service ./internal/distsys ./internal/mc
+	$(GO) test -race -shuffle=on -run 'Park|Dispatch|Drain|BatchIsItsGrant|ChunkVerdict|Repeat|FinishAndSeal|RetainDone|GrantBatch|ParallelGrants|RunChunks' -count=20 ./internal/service ./internal/distsys ./internal/mc
 
 # bench-check vets and tests the nested benchmark module (bench/, its own
 # go.mod with `replace repro => ../`). The root's build and tests never

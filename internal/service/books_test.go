@@ -73,7 +73,7 @@ func checkBooks(t *testing.T, reg *Registry, oreg *obs.Registry) Stats {
 // probeSession registers a hand-driven session, for delivering results no
 // honest worker would.
 func probeSession(reg *Registry) *session {
-	sess := &session{id: 999, name: "probe", knownJobs: map[uint64]bool{}, assigned: map[chunkRef]*assignment{}}
+	sess := &session{id: 999, name: "probe", knownJobs: map[uint64]bool{}}
 	reg.mu.Lock()
 	reg.sessions[sess.id] = sess
 	reg.mu.Unlock()

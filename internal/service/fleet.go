@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"time"
 
@@ -22,10 +23,14 @@ type session struct {
 	remote    string // transport remote address ("" for in-memory pipes)
 	connected time.Time
 	lastSeen  time.Time // last TaskRequest from this connection
-	// assigned is the set of chunks this session owns: its latest grant. An
-	// entry lives until its result is reduced, the worker's next request
-	// arrives without it (abandoned → requeued), or the connection drops.
-	assigned  map[chunkRef]*assignment
+	// grant is what the session owns: the chunks of its latest TaskAssign,
+	// all of one job, that are neither reduced nor given up. One job,
+	// because the batch is its grant: a request hands back what the worker
+	// computed, syncSessionLocked gives up the rest, and only then does
+	// assignLocked grant the next job's chunks. A chunk stays here until
+	// its result is settled, the worker's next request arrives without it
+	// (abandoned → requeued), or the connection drops.
+	grant     grant
 	knownJobs map[uint64]bool // descriptors already shipped on this conn
 
 	// Per-session profile: the worker's latest piggybacked WorkerReport
@@ -54,10 +59,26 @@ func blend(cur, sample float64) float64 {
 	return 0.7*cur + 0.3*sample
 }
 
-// chunkRef names one chunk of one job.
-type chunkRef struct {
-	job   uint64
-	chunk int
+// grant is a session's ownership record: one job and the ids of its
+// chunks the session still owns.
+type grant struct {
+	job    *Job
+	chunks []int
+}
+
+// holds reports whether the grant owns chunk id of job jobID.
+func (g *grant) holds(jobID uint64, id int) bool {
+	return g.job != nil && g.job.id == jobID && slices.Contains(g.chunks, id)
+}
+
+// drop takes chunk id of job jobID out of the grant, reporting whether the
+// grant owned it.
+func (g *grant) drop(jobID uint64, id int) bool {
+	if !g.holds(jobID, id) {
+		return false
+	}
+	g.chunks = slices.DeleteFunc(g.chunks, func(c int) bool { return c == id })
+	return true
 }
 
 // parkMax is the dispatcher's only timer constant: the longest a parked
@@ -68,12 +89,6 @@ type chunkRef struct {
 // fails) and bounds how long a worker whose transport cannot be
 // interrupted waits to notice its Stop.
 const parkMax = time.Second
-
-// assignment pins a handed-out chunk to the session it went to.
-type assignment struct {
-	job     *Job
-	chunkID int
-}
 
 // Serve accepts worker connections on l until l is closed — or, for a
 // DrainOnEmpty registry, until every submitted job has finished. Each
@@ -193,7 +208,6 @@ func (r *Registry) registerSession(h *protocol.Hello, remote string) *session {
 		remote:    remote,
 		connected: now,
 		lastSeen:  now,
-		assigned:  make(map[chunkRef]*assignment),
 		knownJobs: make(map[uint64]bool),
 	}
 	r.sessions[sess.id] = sess
@@ -211,32 +225,27 @@ func (r *Registry) releaseSession(sess *session) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delete(r.sessions, sess.id)
-	for ref, a := range sess.assigned {
-		r.releaseAssignmentLocked(sess, ref, a)
-	}
+	r.releaseGrantLocked(sess)
 }
 
-// releaseAssignmentLocked abandons one of the session's assignments,
-// requeueing its chunk if it is still outstanding on this session. Every
-// path that gives up on an assignment (disconnect, a request that does not
-// flush the chunk, an unmergeable result) must come through here — a
-// chunk left in outstanding with no owner would otherwise wedge a
-// ChunkTimeout=0 job forever.
-func (r *Registry) releaseAssignmentLocked(sess *session, ref chunkRef, a *assignment) {
-	delete(sess.assigned, ref)
-	j := a.job
-	if !j.activeLocked() {
-		return
+// releaseGrantLocked gives up every chunk the session still owns. Every
+// path that walks away from a grant (disconnect, a request that does not
+// flush it) must come through here — a chunk left in outstanding with no
+// owner would otherwise wedge a ChunkTimeout=0 job forever.
+func (r *Registry) releaseGrantLocked(sess *session) {
+	for _, id := range sess.grant.chunks {
+		r.releaseLocked(sess, sess.grant.job, id, "abandoned")
 	}
-	if st := j.outstanding[ref.chunk]; st != nil && st.session == sess.id {
-		delete(j.outstanding, ref.chunk)
-		j.requeueLocked(ref.chunk)
-		j.reassigned++
-		r.met.chunksReassigned.Inc()
-		j.trace(obs.Event{Kind: obs.EvChunkReassigned, Chunk: ref.chunk,
-			Worker: sess.name, Detail: "abandoned"})
-		r.log.Debug("chunk abandoned; requeued", "job", jobHex(j.id),
-			"chunk", ref.chunk, "worker", sess.name)
+	sess.grant = grant{chunks: sess.grant.chunks[:0]}
+}
+
+// releaseLocked requeues a chunk the session gives up, if the job is still
+// active and the chunk still outstanding on this session (a timeout may
+// have reclaimed it already).
+func (r *Registry) releaseLocked(sess *session, j *Job, id int, why string) {
+	if st := j.outstanding[id]; j.activeLocked() && st != nil && st.session == sess.id {
+		delete(j.outstanding, id)
+		j.requeueLocked(id, sess.name, why)
 	}
 }
 
@@ -310,11 +319,8 @@ func (r *Registry) wakeLocked() {
 
 // syncSessionLocked folds a TaskRequest's advertised state into the
 // session: liveness, telemetry, the descriptors the worker still caches —
-// and gives up the assignments the request did not flush.
+// and gives up the chunks of its grant the request did not flush.
 func (r *Registry) syncSessionLocked(sess *session, req *protocol.TaskRequest, now time.Time) {
-	if sess.assigned == nil { // tests construct sessions directly
-		sess.assigned = make(map[chunkRef]*assignment)
-	}
 	sess.lastSeen = now
 	if req.Report != nil {
 		// Fold the piggybacked telemetry into the session profile. The
@@ -333,9 +339,7 @@ func (r *Registry) syncSessionLocked(sess *session, req *protocol.TaskRequest, n
 	// A worker hands back everything it computed with its next request, and
 	// the request's batch has been reduced by now: whatever the session
 	// still owns, the worker walked away from.
-	for ref, a := range sess.assigned {
-		r.releaseAssignmentLocked(sess, ref, a)
-	}
+	r.releaseGrantLocked(sess)
 }
 
 // assignLocked is one dispatch scan: reclaim overdue chunks everywhere,
@@ -435,23 +439,17 @@ func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply
 			// budget headroom.
 			id = j.issueChunkLocked()
 		}
-		tries := 1
-		if st := j.outstanding[id]; st != nil {
-			tries = st.tries + 1
-		}
-		j.outstanding[id] = &chunkState{
-			id: id, photons: j.photons[id], assigned: now,
-			session: sess.id, worker: sess.name, tries: tries,
-		}
+		j.outstanding[id] = &chunkState{assigned: now, session: sess.id, worker: sess.name}
 		r.met.chunksGranted.Inc()
 		j.trace(obs.Event{Kind: obs.EvChunkGranted, Chunk: id, Worker: sess.name})
 		if policy.charge {
 			r.sched.Charge(j.id, float64(j.photons[id]))
 		}
-		sess.assigned[chunkRef{j.id, id}] = &assignment{job: j, chunkID: id}
+		sess.grant.chunks = append(sess.grant.chunks, id)
 		return protocol.ChunkGrant{ChunkID: id, Stream: id, Photons: j.photons[id]}
 	}
 
+	sess.grant.job = j // syncSessionLocked emptied the grant
 	if j.state == StateQueued {
 		j.state = StateRunning
 	}
@@ -484,45 +482,173 @@ func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply
 }
 
 // reduceBatch reduces a worker-side pre-reduced batch group by group,
-// returning one ack per covered chunk in batch order. Each group's tally
-// is decoded into the caller's scratch tally off the registry lock.
+// returning one ack per covered chunk in batch order.
 func (r *Registry) reduceBatch(sess *session, b *protocol.ResultBatch, scratch *mc.Tally) []protocol.ResultAck {
 	// Counted on the way in: the last group may finish a job, and whoever
 	// its Wait releases must find the batch that did it in the books.
 	r.met.batchesReduced.Inc()
 	acks := make([]protocol.ResultAck, 0, b.NumChunks())
 	for i := range b.Groups {
-		g := &b.Groups[i]
-		if err := mc.DecodeTallyInto(scratch, g.TallyData); err != nil {
-			// The payload is unusable; give the chunks back to the queue so
-			// an honest recompute can finish the job.
-			acks = append(acks, r.rejectGroup(sess, g, fmt.Sprintf("undecodable tally: %v", err))...)
-			continue
-		}
-		acks = append(acks, r.reduceGroup(sess, g.JobID, g.Chunks, scratch, g.Elapsed, g.ChunkSecs)...)
+		acks = append(acks, r.reduceGroup(sess, &b.Groups[i], scratch)...)
 	}
 	return acks
 }
 
-// rejectGroup rejects every chunk of a group, requeueing the ones this
-// session legitimately owned.
-func (r *Registry) rejectGroup(sess *session, g *protocol.BatchGroup, reason string) []protocol.ResultAck {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	acks := make([]protocol.ResultAck, 0, len(g.Chunks))
-	for _, id := range g.Chunks {
-		ref := chunkRef{g.JobID, id}
-		if a := sess.assigned[ref]; a != nil {
-			r.releaseAssignmentLocked(sess, ref, a)
-			a.job.rejected++
-			a.job.trace(obs.Event{Kind: obs.EvChunkRejected, Chunk: id,
-				Worker: sess.name, Detail: reason})
-		}
-		r.met.rejectedBatch.Inc()
-		acks = append(acks, protocol.ResultAck{JobID: g.JobID, ChunkID: id, Rejected: true, Reason: reason})
+// verdict is the reducer's decision about one returned chunk: a row of
+// DESIGN.md's *Result integrity* table.
+type verdict uint8
+
+const (
+	vClaim       verdict = iota // merges, if every chunk of its group may
+	vUndecodable                // the group's tally does not decode
+	vUnknownJob                 // the group names no job of this registry
+	vCanceled                   // the job was canceled
+	vFinalized                  // a straggler computed past an early finalize
+	vDuplicate                  // already reduced or being reduced
+	vTwice                      // listed twice in one group
+	vNoChunk                    // the job has no such chunk
+	vNotGranted                 // not in the session's grant
+	vRequeued                   // honest, but its group cannot merge
+	vUnmergeable                // the claimed group's tally did not merge
+)
+
+// requeues reports whether the verdict hands the chunk back for an honest
+// recompute, bit-identical since a chunk's tally is a function of its stream.
+func (v verdict) requeues() bool {
+	return v == vUndecodable || v == vRequeued || v == vUnmergeable
+}
+
+// rejection is a rejecting verdict's counter class, ack reason and event
+// detail; cause is the decode or merge error.
+func (r *Registry) rejection(v verdict, jobID uint64, id int, cause error) (class *obs.Counter, reason, detail string) {
+	switch v {
+	case vUndecodable:
+		reason = fmt.Sprintf("undecodable tally: %v", cause)
+		return r.met.rejectedBatch, reason, reason
+	case vUnknownJob:
+		return r.met.rejectedStale, fmt.Sprintf("unknown job %016x", jobID), ""
+	case vCanceled:
+		return r.met.rejectedStale, fmt.Sprintf("job %016x canceled", jobID), "canceled"
+	case vFinalized:
+		return r.met.rejectedBenign, fmt.Sprintf("job %016x already finalized", jobID), "already finalized"
+	case vTwice:
+		return r.met.rejectedStale, fmt.Sprintf("job %016x chunk %d listed twice in one group", jobID, id), "listed twice"
+	case vNoChunk:
+		return r.met.rejectedStale, fmt.Sprintf("job %016x has no chunk %d", jobID, id), "no such chunk"
+	case vNotGranted:
+		return r.met.rejectedStale, fmt.Sprintf("job %016x chunk %d does not match a current assignment of the session",
+			jobID, id), "not in grant"
+	case vRequeued:
+		return r.met.rejectedBatch, fmt.Sprintf("job %016x chunk %d rode a partially stale batch; requeued", jobID, id),
+			"partially stale batch"
+	default: // vUnmergeable
+		return r.met.rejectedBatch, fmt.Sprintf("unmergeable tally: %v", cause), "unmergeable tally"
 	}
-	r.log.Warn("rejected result group", "worker", sess.name,
-		"chunks", len(g.Chunks), "reason", reason)
+}
+
+// inactiveVerdict judges a chunk of a job that left the active states before
+// its group claimed it or while the group waited to merge. A finalized
+// job's reduced chunks are duplicates, the rest stragglers of an early
+// finalize: acknowledged, never merged, never requeued.
+func inactiveVerdict(j *Job, id int) verdict {
+	switch {
+	case j.state == StateCanceled:
+		return vCanceled
+	case id >= 0 && id < j.nChunks && j.completed[id]:
+		return vDuplicate
+	default:
+		return vFinalized
+	}
+}
+
+// classifyLocked gives every chunk of a returned group its verdict, the
+// first case that fits it: a tally that does not decode rejects the whole
+// group, whatever else is true of its chunks. The group merges all or
+// nothing — its tally is the sum of all its chunks — so unless every chunk
+// is claimable, the claimable ones are requeued instead (vRequeued).
+func classifyLocked(sess *session, j *Job, jobID uint64, chunks []int, decodeErr error) (vs []verdict, claimable bool) {
+	vs = make([]verdict, len(chunks))
+	seen := make(map[int]bool, len(chunks))
+	for i, id := range chunks {
+		switch {
+		case decodeErr != nil:
+			vs[i] = vUndecodable
+		case j == nil:
+			vs[i] = vUnknownJob
+		case !j.activeLocked():
+			vs[i] = inactiveVerdict(j, id)
+		case seen[id]: // would double-count; nothing honest sends it
+			vs[i] = vTwice
+		case id < 0 || id >= j.nChunks:
+			vs[i] = vNoChunk
+		case j.completed[id] || j.merging[id]:
+			vs[i] = vDuplicate // the reassignment race
+		case !sess.grant.holds(jobID, id):
+			vs[i] = vNotGranted
+		}
+		seen[id] = true
+	}
+	claimable = !slices.ContainsFunc(vs, func(v verdict) bool { return v != vClaim })
+	for i := range vs {
+		if !claimable && vs[i] == vClaim {
+			vs[i] = vRequeued
+		}
+	}
+	return vs, claimable
+}
+
+// settleLocked applies the verdicts of a group that does not merge: each
+// chunk's ack, counter, job counts, timeline (one chunk-rejected event per
+// rejection the job counts) and fate. The chunks leave the job's merging
+// set if the group claimed them (claimed), else the session's grant; a
+// requeueing verdict gives them back to the queue.
+func (r *Registry) settleLocked(sess *session, j *Job, jobID uint64, chunks []int, vs []verdict, claimed bool, cause error) []protocol.ResultAck {
+	acks := make([]protocol.ResultAck, len(chunks))
+	warn := ""
+	for i, id := range chunks {
+		acks[i] = protocol.ResultAck{JobID: jobID, ChunkID: id}
+		owned := false
+		if claimed {
+			delete(j.merging, id)
+		} else {
+			owned = sess.grant.drop(jobID, id)
+		}
+		if vs[i] == vDuplicate {
+			acks[i].Duplicate = true
+			r.met.duplicates.Inc()
+			j.duplicates++
+			// A reassignment the merge beat to the finish line: the reclaim
+			// loop must not requeue a reduced chunk.
+			if j.completed[id] {
+				delete(j.outstanding, id)
+			}
+			continue
+		}
+		class, reason, detail := r.rejection(vs[i], jobID, id, cause)
+		acks[i].Rejected, acks[i].Reason = true, reason
+		class.Inc()
+		if warn == "" && class != r.met.rejectedBenign {
+			warn = reason
+		}
+		// An unusable tally is charged to the job only for the chunks the
+		// session owned; the rest could be anyone's.
+		if j == nil || vs[i] == vUndecodable && !owned {
+			continue
+		}
+		switch {
+		case !vs[i].requeues():
+		case claimed && j.activeLocked():
+			j.requeueLocked(id, sess.name, detail)
+		case owned:
+			r.releaseLocked(sess, j, id, detail)
+		}
+		j.rejected++
+		j.trace(obs.Event{Kind: obs.EvChunkRejected, Chunk: id, Worker: sess.name, Detail: detail})
+	}
+	if warn != "" {
+		r.log.Warn("rejected result group", "worker", sess.name, "job", jobHex(jobID),
+			"chunks", len(chunks), "reason", warn)
+	}
 	return acks
 }
 
@@ -552,139 +678,35 @@ func (r *Registry) joinSpan(sd spanSeed, chunk int, worker string, arrival time.
 }
 
 // reduceGroup performs the exactly-once reduction of one pre-merged group
-// of chunks in three phases:
+// of chunks in three phases, after decoding its tally into the caller's
+// scratch tally off the registry lock:
 //
-//  1. under the registry lock, classify every covered chunk (duplicate,
-//     stale, or claimable) and — only if the whole group is claimable —
-//     claim the chunks by moving them from outstanding into the job's
-//     merging set;
+//  1. under the registry lock, classify every covered chunk
+//     (classifyLocked) and — only if the whole group is claimable — claim
+//     the chunks by moving them from outstanding into the job's merging
+//     set; a group that is not is settled there;
 //  2. off the registry lock, under the job's redMu, merge the combined
 //     tally — the fleet keeps dispatching while a large tally merges;
 //  3. re-enter the registry lock to publish completion, credit the worker
-//     and detect job finish.
+//     and detect job finish — or settle the claimed chunks, if the merge
+//     failed or the job left the active states while the group waited.
 //
-// A group is all-or-nothing: the tally is the sum of all covered chunks,
-// so if any chunk is a duplicate (the timeout-reassignment race) the
-// others are requeued for an honest recompute instead of merging a blob
-// that would double-count. Chunk tallies are pure functions of the stream
-// index, so the recompute reproduces the identical result.
-//
-// secs, when it has one entry per chunk, is the worker-reported per-chunk
-// compute time (BatchGroup.ChunkSecs); it refines the span compute
-// segment, which otherwise falls back to an even share of elapsed.
-func (r *Registry) reduceGroup(sess *session, jobID uint64, chunks []int, tally *mc.Tally, elapsed time.Duration, secs []float64) []protocol.ResultAck {
+// The group's ChunkSecs, when it has one entry per chunk, is the
+// worker-reported per-chunk compute time; it refines the span compute
+// segment, which otherwise falls back to an even share of Elapsed.
+func (r *Registry) reduceGroup(sess *session, g *protocol.BatchGroup, tally *mc.Tally) []protocol.ResultAck {
+	decodeErr := mc.DecodeTallyInto(tally, g.TallyData)
 	arrival := time.Now()
-	acks := make([]protocol.ResultAck, len(chunks))
-	for i, id := range chunks {
-		acks[i] = protocol.ResultAck{JobID: jobID, ChunkID: id}
-	}
-	reject := func(i int, class *obs.Counter, reason string) {
-		acks[i].Rejected = true
-		acks[i].Reason = reason
-		class.Inc()
-	}
+	chunks, elapsed, secs := g.Chunks, g.Elapsed, g.ChunkSecs
 
 	// Phase 1: classify and claim under the registry lock.
 	r.mu.Lock()
 	sess.lastSeen = arrival
-	j := r.jobs[jobID]
-	if j == nil {
-		for i, id := range chunks {
-			delete(sess.assigned, chunkRef{jobID, id})
-			reject(i, r.met.rejectedStale, fmt.Sprintf("unknown job %016x", jobID))
-		}
-		r.mu.Unlock()
-		r.log.Warn("rejected result for unknown job", "worker", sess.name, "job", jobHex(jobID))
-		return acks
-	}
-	if j.state == StateCanceled {
-		for i, id := range chunks {
-			delete(sess.assigned, chunkRef{jobID, id}) // nothing to requeue; Cancel dropped the chunks
-			reject(i, r.met.rejectedStale, fmt.Sprintf("job %016x canceled", jobID))
-			j.rejected++
-			j.trace(obs.Event{Kind: obs.EvChunkRejected, Chunk: id,
-				Worker: sess.name, Detail: "canceled"})
-		}
-		r.mu.Unlock()
-		r.log.Warn("rejected result for canceled job", "worker", sess.name, "job", jobHex(jobID))
-		return acks
-	}
-	if j.state == StateDone {
-		// An early-finalized precision job (a done fixed-count job has
-		// every chunk completed and takes the duplicate path below):
-		// chunks reduced before the stopping point are the benign
-		// duplicate race, stragglers computed past it are benign-rejected
-		// — acknowledged, never merged, never requeued.
-		for i, id := range chunks {
-			delete(sess.assigned, chunkRef{jobID, id})
-			if id >= 0 && id < j.nChunks && j.completed[id] {
-				acks[i].Duplicate = true
-				j.duplicates++
-				r.met.duplicates.Inc()
-			} else {
-				reject(i, r.met.rejectedBenign, fmt.Sprintf("job %016x already finalized", jobID))
-				j.rejected++
-				j.trace(obs.Event{Kind: obs.EvChunkRejected, Chunk: id,
-					Worker: sess.name, Detail: "already finalized"})
-			}
-		}
-		r.mu.Unlock()
-		return acks
-	}
-
-	claimable := true
-	seen := make(map[int]bool, len(chunks))
-	for i, id := range chunks {
-		switch {
-		case seen[id]:
-			// A repeated chunk in one group would double-count its
-			// completion; nothing honest produces it.
-			reject(i, r.met.rejectedStale, fmt.Sprintf("job %016x chunk %d listed twice in one group", jobID, id))
-			j.rejected++
-			claimable = false
-			continue
-		case id < 0 || id >= j.nChunks:
-			reject(i, r.met.rejectedStale, fmt.Sprintf("job %016x has no chunk %d", jobID, id))
-			j.rejected++
-			claimable = false
-		case j.completed[id] || j.merging[id]:
-			// Already reduced (or being reduced): the reassignment race.
-			acks[i].Duplicate = true
-			j.duplicates++
-			r.met.duplicates.Inc()
-			// Any outstanding entry for a completed chunk is stale (a
-			// reassignment the merge beat to the finish line); drop it so
-			// the reclaim loop cannot requeue an already-reduced chunk.
-			if j.completed[id] {
-				delete(j.outstanding, id)
-			}
-			delete(sess.assigned, chunkRef{jobID, id})
-			claimable = false
-		case sess.assigned[chunkRef{jobID, id}] == nil:
-			reject(i, r.met.rejectedStale, fmt.Sprintf("job %016x chunk %d does not match a current assignment of the session",
-				jobID, id))
-			j.rejected++
-			claimable = false
-		}
-		seen[id] = true
-	}
+	j := r.jobs[g.JobID]
+	vs, claimable := classifyLocked(sess, j, g.JobID, chunks, decodeErr)
 	if !claimable {
-		// Mixed group: requeue the chunks that were honestly owned so the
-		// fleet recomputes them, and report why.
-		for i, id := range chunks {
-			if acks[i].Duplicate || acks[i].Rejected {
-				continue
-			}
-			ref := chunkRef{jobID, id}
-			r.releaseAssignmentLocked(sess, ref, sess.assigned[ref])
-			reject(i, r.met.rejectedBatch, fmt.Sprintf("job %016x chunk %d rode a partially stale batch; requeued", jobID, id))
-			j.rejected++
-			j.trace(obs.Event{Kind: obs.EvChunkRejected, Chunk: id,
-				Worker: sess.name, Detail: "partially stale batch"})
-		}
+		acks := r.settleLocked(sess, j, g.JobID, chunks, vs, false, decodeErr)
 		r.mu.Unlock()
-		r.log.Warn("rejected partially stale result group", "worker", sess.name,
-			"job", jobHex(jobID), "chunks", len(chunks))
 		return acks
 	}
 	// Claim the chunks, seeding spans from the outstanding entries before
@@ -704,7 +726,7 @@ func (r *Registry) reduceGroup(sess *session, jobID uint64, chunks []int, tally 
 		}
 		delete(j.outstanding, id) // late result wins over any reassignment
 		j.merging[id] = true
-		delete(sess.assigned, chunkRef{jobID, id})
+		sess.grant.drop(g.JobID, id)
 	}
 	r.mu.Unlock()
 
@@ -735,136 +757,109 @@ func (r *Registry) reduceGroup(sess *session, jobID uint64, chunks []int, tally 
 
 	// Phase 3: publish.
 	r.mu.Lock()
+	if mergeErr != nil || !j.activeLocked() {
+		// A cancel mid-merge leaves that weight in a tally nobody reads: a
+		// canceled tally is never returned or cached.
+		for i, id := range chunks {
+			vs[i] = vUnmergeable
+			if mergeErr == nil {
+				vs[i] = inactiveVerdict(j, id)
+			}
+		}
+		acks := r.settleLocked(sess, j, g.JobID, chunks, vs, true, mergeErr)
+		r.mu.Unlock()
+		j.redMu.Unlock()
+		return acks
+	}
 	var finished *Job
-	var reduced bool
+	// Each chunk is recorded once: its chunk-completed event carries its
+	// span, the phase-1 seed joined with the worker-reported compute and
+	// this merge's duration. The segment histograms observe every span,
+	// even after the job's ring wraps.
+	acks := make([]protocol.ResultAck, len(chunks))
+	reduceShare := mergeDur / time.Duration(len(chunks))
+	for i, id := range chunks {
+		acks[i] = protocol.ResultAck{JobID: g.JobID, ChunkID: id}
+		delete(j.merging, id)
+		j.completed[id] = true
+		j.nCompleted++
+		var span *obs.Span
+		if sd := seeds[i]; !sd.granted.IsZero() {
+			compute := elapsed / time.Duration(len(chunks))
+			if len(secs) == len(chunks) {
+				compute = time.Duration(secs[i] * float64(time.Second))
+			}
+			span = r.joinSpan(sd, id, sess.name, arrival, compute, reduceShare)
+		}
+		j.trace(obs.Event{Kind: obs.EvChunkCompleted, Chunk: id, Worker: sess.name, Span: span})
+		// If a timeout reclaimed this chunk before the late result
+		// landed, it is back in pending (purge it or the fleet
+		// recomputes a reduced chunk) — or was even re-assigned while
+		// the merge ran (drop the stale outstanding entry so the
+		// reclaim loop cannot requeue a completed chunk).
+		delete(j.outstanding, id)
+		j.pending = slices.DeleteFunc(j.pending, func(p int) bool { return p == id })
+	}
+	if w := j.workers[sess.name]; w != nil {
+		w.Chunks += len(chunks)
+	}
+	if elapsed > 0 {
+		j.chunkSecs = blend(j.chunkSecs, elapsed.Seconds()/float64(len(chunks)))
+	}
+	// Session profile: chunks credited, and the ack-timing throughput
+	// inference — group photons over earliest-grant-to-arrival wall
+	// time. It folds compute, wire and hold into one number (unlike
+	// the worker's reported kernel-only EWMA), which is exactly the
+	// reported-vs-inferred contrast /fleet exists to show.
+	sess.completed += len(chunks)
+	if !minGranted.IsZero() {
+		if wall := arrival.Sub(minGranted).Seconds(); wall > 0 {
+			sess.inferredPPS = blend(sess.inferredPPS, float64(tally.Launched)/wall)
+		}
+	}
+	r.met.tallyMerges.Inc()
+	r.met.chunksCompleted.Add(uint64(len(chunks)))
+	r.met.photonsReduced.Add(uint64(tally.Launched))
+	j.tstats.photons.Add(uint64(tally.Launched))
+	// Re-estimate the observable off the dispatch-critical path (the
+	// moment arithmetic is a handful of float ops on the already
+	// redMu-guarded tally) and publish it for Status readers.
+	j.publishEstimate(j.tally)
+	if j.openEnded() {
+		j.trace(obs.Event{Kind: obs.EvEstimate, Value: j.estRSE})
+	}
 	switch {
-	case mergeErr != nil:
-		for i, id := range chunks {
-			delete(j.merging, id)
-			if j.activeLocked() {
-				j.requeueLocked(id) // honest recompute
-				j.reassigned++
-				r.met.chunksReassigned.Inc()
-				j.trace(obs.Event{Kind: obs.EvChunkReassigned, Chunk: id,
-					Worker: sess.name, Detail: "unmergeable tally"})
-			}
-			reject(i, r.met.rejectedBatch, fmt.Sprintf("unmergeable tally: %v", mergeErr))
-			j.rejected++
-		}
-		r.log.Warn("rejected unmergeable result group", "worker", sess.name,
-			"job", jobHex(jobID), "chunks", len(chunks), "err", mergeErr)
-	case !live || !j.activeLocked():
-		// The job was canceled (possibly mid-merge: that weight is
-		// invisible — a canceled tally is never returned or cached) or
-		// finalized while this group waited on the reduction lock; the
-		// chunks are already dropped or moot.
-		reason, class := "canceled", r.met.rejectedStale
-		if j.state == StateDone {
-			reason, class = "already finalized", r.met.rejectedBenign
-		}
-		for i := range chunks {
-			delete(j.merging, chunks[i])
-			reject(i, class, fmt.Sprintf("job %016x %s", jobID, reason))
-			j.rejected++
-			j.trace(obs.Event{Kind: obs.EvChunkRejected, Chunk: chunks[i],
-				Worker: sess.name, Detail: reason})
-		}
-	default:
-		reduced = true
-		// Each chunk is recorded once: its chunk-completed event carries
-		// its span, the phase-1 seed joined with the worker-reported
-		// compute and this merge's duration. The segment histograms
-		// observe every span, even after the job's ring wraps.
-		reduceShare := mergeDur / time.Duration(len(chunks))
-		for i, id := range chunks {
-			delete(j.merging, id)
-			j.completed[id] = true
-			j.nCompleted++
-			var span *obs.Span
-			if sd := seeds[i]; !sd.granted.IsZero() {
-				compute := elapsed / time.Duration(len(chunks))
-				if len(secs) == len(chunks) {
-					compute = time.Duration(secs[i] * float64(time.Second))
-				}
-				span = r.joinSpan(sd, id, sess.name, arrival, compute, reduceShare)
-			}
-			j.trace(obs.Event{Kind: obs.EvChunkCompleted, Chunk: id, Worker: sess.name, Span: span})
-			// If a timeout reclaimed this chunk before the late result
-			// landed, it is back in pending (purge it or the fleet
-			// recomputes a reduced chunk) — or was even re-assigned while
-			// the merge ran (drop the stale outstanding entry so the
-			// reclaim loop cannot requeue a completed chunk).
-			delete(j.outstanding, id)
-			for k, p := range j.pending {
-				if p == id {
-					j.pending = append(j.pending[:k], j.pending[k+1:]...)
-					break
-				}
-			}
-		}
-		if w := j.workers[sess.name]; w != nil {
-			w.Chunks += len(chunks)
-		}
-		if elapsed > 0 {
-			j.chunkSecs = blend(j.chunkSecs, elapsed.Seconds()/float64(len(chunks)))
-		}
-		// Session profile: chunks credited, and the ack-timing throughput
-		// inference — group photons over earliest-grant-to-arrival wall
-		// time. It folds compute, wire and hold into one number (unlike
-		// the worker's reported kernel-only EWMA), which is exactly the
-		// reported-vs-inferred contrast /fleet exists to show.
-		sess.completed += len(chunks)
-		if !minGranted.IsZero() {
-			if wall := arrival.Sub(minGranted).Seconds(); wall > 0 {
-				sess.inferredPPS = blend(sess.inferredPPS, float64(tally.Launched)/wall)
-			}
-		}
-		r.met.tallyMerges.Inc()
-		r.met.chunksCompleted.Add(uint64(len(chunks)))
-		r.met.photonsReduced.Add(uint64(tally.Launched))
-		j.tstats.photons.Add(uint64(tally.Launched))
-		// Re-estimate the observable off the dispatch-critical path (the
-		// moment arithmetic is a handful of float ops on the already
-		// redMu-guarded tally) and publish it for Status readers.
-		j.publishEstimate(j.tally)
+	case j.openEnded() && j.targetMet:
+		// The stopping rule fired: finalize immediately. Granting
+		// stops, queued and in-flight chunks are shed (stragglers
+		// that still flush are benign-rejected), and the result is
+		// normalized by the photons actually reduced.
+		j.pending = nil
+		j.outstanding = make(map[int]*chunkState)
+		r.finishJobLocked(j)
+		finished = j
+		j.trace(obs.Event{Kind: obs.EvFinalized, Detail: "target-met", Value: j.estRSE})
+		r.log.Info("job met precision target", "job", jobHex(j.id),
+			"observable", j.spec.Target.Observable, "relErr", j.spec.Target.RelErr,
+			"photons", j.photonsRun)
+	case j.nCompleted == j.nChunks && (!j.openEnded() || j.issuableChunksLocked() == 0):
+		// Fixed-count: every chunk reduced. Open-ended: the photon
+		// cap is spent and nothing is left in flight — the job
+		// finishes unmet, reporting its achieved RSE.
+		r.finishJobLocked(j)
+		finished = j
+		detail := "complete"
 		if j.openEnded() {
-			j.trace(obs.Event{Kind: obs.EvEstimate, Value: j.estRSE})
+			detail = "budget-exhausted"
 		}
-		switch {
-		case j.openEnded() && j.targetMet:
-			// The stopping rule fired: finalize immediately. Granting
-			// stops, queued and in-flight chunks are shed (stragglers
-			// that still flush are benign-rejected above), and the
-			// result is normalized by the photons actually reduced.
-			j.pending = nil
-			j.outstanding = make(map[int]*chunkState)
-			r.finishJobLocked(j)
-			finished = j
-			j.trace(obs.Event{Kind: obs.EvFinalized, Detail: "target-met", Value: j.estRSE})
-			r.log.Info("job met precision target", "job", jobHex(j.id),
-				"observable", j.spec.Target.Observable, "relErr", j.spec.Target.RelErr,
-				"photons", j.photonsRun)
-		case j.nCompleted == j.nChunks && (!j.openEnded() || j.issuableChunksLocked() == 0):
-			// Fixed-count: every chunk reduced. Open-ended: the photon
-			// cap is spent and nothing is left in flight — the job
-			// finishes unmet, reporting its achieved RSE.
-			r.finishJobLocked(j)
-			finished = j
-			detail := "complete"
-			if j.openEnded() {
-				detail = "budget-exhausted"
-			}
-			j.trace(obs.Event{Kind: obs.EvFinalized, Detail: detail, Value: j.estRSE})
-		}
+		j.trace(obs.Event{Kind: obs.EvFinalized, Detail: detail, Value: j.estRSE})
 	}
 	r.mu.Unlock()
 	j.redMu.Unlock()
-	if reduced {
-		// Journal off both locks. On finalize this runs before sealJob:
-		// waiters stay blocked on j.finished until the final snapshot is
-		// appended, so nothing can mutate the returned tally mid-encode.
-		r.journal.chunksReduced(r, j, len(chunks), finished != nil)
-	}
+	// Journal off both locks. On finalize this runs before sealJob:
+	// waiters stay blocked on j.finished until the final snapshot is
+	// appended, so nothing can mutate the returned tally mid-encode.
+	r.journal.chunksReduced(r, j, len(chunks), finished != nil)
 	if finished != nil {
 		r.sealJob(finished) // physics index + waiter release, off the hot lock
 	}
@@ -899,7 +894,7 @@ type SessionStatus struct {
 // Fleet snapshots every live worker session, ordered by session id
 // (connection order): who is connected, how fast each worker says it is,
 // and how fast the server has observed it to be — what speed-profile-driven
-// grants (ROADMAP item 7) would read.
+// grants (the ROADMAP's heterogeneous-fleet work) would read.
 func (r *Registry) Fleet() []SessionStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -913,7 +908,7 @@ func (r *Registry) Fleet() []SessionStatus {
 			Connected:             s.connected,
 			LastSeen:              s.lastSeen,
 			State:                 "computing",
-			ChunksHeld:            len(s.assigned),
+			ChunksHeld:            len(s.grant.chunks),
 			ChunksCompleted:       s.completed,
 			InferredPhotonsPerSec: s.inferredPPS,
 		}

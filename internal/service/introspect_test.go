@@ -44,7 +44,8 @@ func TestSpanJoinAndFleetProfile(t *testing.T) {
 			t.Fatal("assignment for a job whose spec was never sent")
 		}
 		tally := runGrant(t, job, protocol.ChunkGrant{ChunkID: a.ChunkID, Stream: a.Stream, Photons: a.Photons})
-		acks := reg.reduceGroup(sess, a.JobID, []int{a.ChunkID}, tally, elapsed, secs)
+		acks := reg.reduceGroup(sess, &protocol.BatchGroup{JobID: a.JobID, Chunks: []int{a.ChunkID},
+			TallyData: mc.AppendTally(nil, tally), Elapsed: elapsed, ChunkSecs: secs}, &mc.Tally{})
 		if len(acks) != 1 || acks[0].Rejected {
 			t.Fatalf("chunk not reduced cleanly: %+v", acks)
 		}
@@ -221,7 +222,8 @@ func TestSpansShareTheEventRing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if acks := reg.reduceGroup(sess, g.JobID, []int{g.ChunkID}, tally, time.Millisecond, nil); acks[0].Rejected {
+		if acks := reg.reduceGroup(sess, &protocol.BatchGroup{JobID: g.JobID, Chunks: []int{g.ChunkID},
+			TallyData: mc.AppendTally(nil, tally), Elapsed: time.Millisecond}, &mc.Tally{}); acks[0].Rejected {
 			t.Fatalf("chunk not reduced: %+v", acks)
 		}
 		order = append(order, g.ChunkID)

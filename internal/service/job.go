@@ -107,14 +107,12 @@ type JobStatus struct {
 	Finished        time.Time  `json:"finished,omitzero"`
 }
 
-// chunkState tracks one outstanding work unit.
+// chunkState tracks one outstanding work unit: when it was granted, and to
+// which session and worker.
 type chunkState struct {
-	id       int
-	photons  int64
 	assigned time.Time
-	session  uint64 // fleet session the chunk is out on
+	session  uint64
 	worker   string
-	tries    int
 }
 
 // Job is one simulation owned by a Registry. All mutable state is guarded
@@ -275,13 +273,18 @@ func (j *Job) issueChunkLocked() int {
 	return id
 }
 
-// requeueLocked returns a chunk to the pending queue, restarting its
-// queue-wait clock so span accounting measures the current wait, not the
-// sum across reassignments, and wakes the parked workers to come and take
-// it. Every requeue path must come through here.
-func (j *Job) requeueLocked(id int) {
+// requeueLocked reassigns a chunk: it returns to the pending queue with its
+// queue-wait clock restarted, so span accounting measures the current
+// wait, not the sum across reassignments; it is counted and traced with
+// the worker that had it and why; and the parked workers wake to come and
+// take it. Every requeue path must come through here.
+func (j *Job) requeueLocked(id int, worker, why string) {
 	j.pending = append(j.pending, id)
 	j.queued[id] = time.Now()
+	j.reassigned++
+	j.reg.met.chunksReassigned.Inc()
+	j.trace(obs.Event{Kind: obs.EvChunkReassigned, Chunk: id, Worker: worker, Detail: why})
+	j.reg.log.Debug("chunk requeued", "job", jobHex(j.id), "chunk", id, "worker", worker, "why", why)
 	j.reg.wakeLocked()
 }
 
@@ -460,13 +463,7 @@ func (j *Job) reclaimExpiredLocked(now time.Time) (next time.Time) {
 			continue
 		}
 		delete(j.outstanding, id)
-		j.requeueLocked(id)
-		j.reassigned++
-		j.reg.met.chunksReassigned.Inc()
-		j.trace(obs.Event{Kind: obs.EvChunkReassigned, Chunk: id,
-			Worker: st.worker, Detail: "timeout"})
-		j.reg.log.Debug("chunk timed out; requeued", "job", jobHex(j.id),
-			"chunk", id, "worker", st.worker)
+		j.requeueLocked(id, st.worker, "timeout")
 	}
 	return next
 }

@@ -539,7 +539,7 @@ func completeAssign(reg *Registry, sess *session, a *protocol.TaskAssign) {
 			j.nCompleted++
 		}
 		delete(j.outstanding, g.ChunkID)
-		delete(sess.assigned, chunkRef{a.JobID, g.ChunkID})
+		sess.grant.drop(a.JobID, g.ChunkID)
 	}
 }
 
@@ -750,8 +750,7 @@ func TestPartiallyStaleBatchRequeued(t *testing.T) {
 		return tt
 	}
 	newSess := func(id uint64) *session {
-		s := &session{id: id, name: fmt.Sprintf("s%d", id),
-			assigned: map[chunkRef]*assignment{}, knownJobs: map[uint64]bool{}}
+		s := &session{id: id, name: fmt.Sprintf("s%d", id), knownJobs: map[uint64]bool{}}
 		reg.mu.Lock()
 		reg.sessions[s.id] = s
 		reg.mu.Unlock()
@@ -863,8 +862,7 @@ func TestGrantCappedByChunkTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := out.Job
-	sess := &session{id: 401, name: "probe",
-		assigned: map[chunkRef]*assignment{}, knownJobs: map[uint64]bool{}}
+	sess := &session{id: 401, name: "probe", knownJobs: map[uint64]bool{}}
 	reg.mu.Lock()
 	reg.sessions[sess.id] = sess
 	reg.mu.Unlock()
@@ -891,8 +889,7 @@ func TestGrantCappedByChunkTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess2 := &session{id: 402, name: "probe2",
-		assigned: map[chunkRef]*assignment{}, knownJobs: map[uint64]bool{}}
+	sess2 := &session{id: 402, name: "probe2", knownJobs: map[uint64]bool{}}
 	reg2.mu.Lock()
 	reg2.sessions[sess2.id] = sess2
 	reg2.mu.Unlock()
@@ -918,8 +915,7 @@ func TestBatchGroupRepeatedChunkRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := &session{id: 301, name: "hostile",
-		assigned: map[chunkRef]*assignment{}, knownJobs: map[uint64]bool{}}
+	sess := &session{id: 301, name: "hostile", knownJobs: map[uint64]bool{}}
 	reg.mu.Lock()
 	reg.sessions[sess.id] = sess
 	reg.mu.Unlock()

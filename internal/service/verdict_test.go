@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/mc"
+	"repro/internal/obs"
 	"repro/internal/protocol"
 )
 
@@ -410,6 +411,32 @@ func TestChunkVerdicts(t *testing.T) {
 			}
 			if held := f.reg.Fleet()[0].ChunksHeld; held != row.held {
 				t.Errorf("session holds %d chunks, want %d", held, row.held)
+			}
+		})
+	}
+}
+
+// TestChunkVerdictTimeline holds a job's timeline to its counts for every
+// verdict: each rejection the job counts is one chunk-rejected event and
+// each reassignment one chunk-reassigned event, so GET /jobs/{id}/events
+// agrees with /jobs/{id} while the ring has not wrapped.
+func TestChunkVerdictTimeline(t *testing.T) {
+	for _, row := range verdictRows() {
+		t.Run(row.name, func(t *testing.T) {
+			f := newVerdictFixture(t, row.target)
+			row.run(f, row.prepare(f))
+			st := f.job.Status()
+			events, dropped := f.job.Events()
+			if dropped != 0 {
+				t.Fatalf("ring dropped %d events", dropped)
+			}
+			count := map[obs.EventKind]int{}
+			for _, e := range events {
+				count[e.Kind]++
+			}
+			if count[obs.EvChunkRejected] != st.Rejected || count[obs.EvChunkReassigned] != st.Reassigned {
+				t.Errorf("timeline has %d chunk-rejected and %d chunk-reassigned events, job counts %d rejected and %d reassigned",
+					count[obs.EvChunkRejected], count[obs.EvChunkReassigned], st.Rejected, st.Reassigned)
 			}
 		})
 	}
