@@ -711,10 +711,12 @@ func (r *Registry) reduceGroup(sess *session, g *protocol.BatchGroup, tally *mc.
 	}
 	// Claim the chunks, seeding spans from the outstanding entries before
 	// they go. A chunk whose entry is missing or owned by another session
-	// (a timeout reclaim raced this flush — the late result still wins the
-	// reduction) has no trustworthy grant stamp, so it gets no span. Seeds
-	// are gathered even when the job's trace is disabled: the aggregate
-	// span histograms observe regardless.
+	// (a timeout reclaim raced this flush) has no trustworthy grant stamp,
+	// so it gets no span. Seeds are gathered even when the job's trace is
+	// disabled: the aggregate span histograms observe regardless. The late
+	// result wins over the reclaim: the chunk leaves outstanding and
+	// pending, so while it merges it is neither granted nor reclaimed, and
+	// a failed merge queues it once.
 	seeds := make([]spanSeed, len(chunks))
 	var minGranted time.Time
 	for i, id := range chunks {
@@ -724,7 +726,8 @@ func (r *Registry) reduceGroup(sess *session, g *protocol.BatchGroup, tally *mc.
 				minGranted = st.assigned
 			}
 		}
-		delete(j.outstanding, id) // late result wins over any reassignment
+		delete(j.outstanding, id)
+		j.pending = slices.DeleteFunc(j.pending, func(p int) bool { return p == id })
 		j.merging[id] = true
 		sess.grant.drop(g.JobID, id)
 	}
@@ -792,13 +795,6 @@ func (r *Registry) reduceGroup(sess *session, g *protocol.BatchGroup, tally *mc.
 			span = r.joinSpan(sd, id, sess.name, arrival, compute, reduceShare)
 		}
 		j.trace(obs.Event{Kind: obs.EvChunkCompleted, Chunk: id, Worker: sess.name, Span: span})
-		// If a timeout reclaimed this chunk before the late result
-		// landed, it is back in pending (purge it or the fleet
-		// recomputes a reduced chunk) — or was even re-assigned while
-		// the merge ran (drop the stale outstanding entry so the
-		// reclaim loop cannot requeue a completed chunk).
-		delete(j.outstanding, id)
-		j.pending = slices.DeleteFunc(j.pending, func(p int) bool { return p == id })
 	}
 	if w := j.workers[sess.name]; w != nil {
 		w.Chunks += len(chunks)

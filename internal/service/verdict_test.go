@@ -441,3 +441,32 @@ func TestChunkVerdictTimeline(t *testing.T) {
 		})
 	}
 }
+
+// TestReclaimedChunkQueuedOnce covers a late result for a chunk a timeout
+// already put back in pending: claiming it takes it out of pending, so a
+// merge that fails queues it once — not twice, which granted and computed
+// the chunk twice more.
+func TestReclaimedChunkQueuedOnce(t *testing.T) {
+	reg := New(Options{})
+	out, err := reg.Submit(JobSpec{Spec: slabSpec(5), TotalPhotons: 100, ChunkPhotons: 100, Seed: 3,
+		ChunkTimeout: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := reg.registerSession(&protocol.Hello{Name: "late"}, "")
+	a := reg.nextChunk(sess)
+	time.Sleep(5 * time.Millisecond)
+	reg.mu.Lock()
+	out.Job.reclaimExpiredLocked(time.Now())
+	reclaimed := slices.Clone(out.Job.pending)
+	reg.mu.Unlock()
+	if !slices.Equal(reclaimed, []int{a.ChunkID}) {
+		t.Fatalf("pending %v after the reclaim, want [%d]", reclaimed, a.ChunkID)
+	}
+	if ack := reduceOne(reg, sess, a, &mc.Tally{}); !ack.Rejected {
+		t.Fatalf("unmergeable late result not rejected: %+v", ack)
+	}
+	if st := reg.Stats(); st.PendingChunks != 1 {
+		t.Fatalf("%d chunks pending for a one-chunk job, want 1", st.PendingChunks)
+	}
+}
