@@ -131,7 +131,7 @@ func errorsIsAlreadyFinished(err error) bool {
 	return err != nil && strings.Contains(err.Error(), "already")
 }
 
-// TestUndecodableBatchRejectedAndRequeued drives the rejectGroup path: a
+// TestUndecodableBatchRejectedAndRequeued drives the undecodable verdict: a
 // batch whose tally bytes do not decode must reject every covered chunk,
 // requeue the honestly owned ones, and leave the job finishable by an
 // honest worker.
