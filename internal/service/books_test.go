@@ -70,6 +70,49 @@ func checkBooks(t *testing.T, reg *Registry, oreg *obs.Registry) Stats {
 	return st
 }
 
+// checkChunkBooks asserts a job's chunk books: every chunk is in exactly
+// one of pending, outstanding, merging and completed (a job that left the
+// active states shed its queue, so at most one), pending holds each id
+// once, nCompleted counts the completed chunks, and every outstanding
+// chunk's session is registered unless the job is inactive.
+func checkChunkBooks(t *testing.T, j *Job) {
+	t.Helper()
+	j.reg.mu.Lock()
+	defer j.reg.mu.Unlock()
+	inPending := make(map[int]int)
+	for _, id := range j.pending {
+		inPending[id]++
+	}
+	done := 0
+	for id := range j.nChunks {
+		places := inPending[id]
+		if j.outstanding[id] != nil {
+			places++
+		}
+		if j.merging[id] {
+			places++
+		}
+		if j.completed[id] {
+			places++
+			done++
+		}
+		if places > 1 || places == 0 && j.activeLocked() {
+			t.Errorf("job %016x chunk %d is in %d places", j.id, id, places)
+		}
+	}
+	if len(inPending) != len(j.pending) {
+		t.Errorf("job %016x pending %v lists a chunk twice", j.id, j.pending)
+	}
+	if done != j.nCompleted {
+		t.Errorf("job %016x counts %d completed chunks, %d are", j.id, j.nCompleted, done)
+	}
+	for id, st := range j.outstanding {
+		if j.reg.sessions[st.session] == nil && j.activeLocked() {
+			t.Errorf("job %016x chunk %d is outstanding on session %d, which is gone", j.id, id, st.session)
+		}
+	}
+}
+
 // probeSession registers a hand-driven session, for delivering results no
 // honest worker would.
 func probeSession(reg *Registry) *session {
@@ -194,6 +237,9 @@ func TestBooksAgreeWithMetrics(t *testing.T) {
 	}
 	if st = checkBooks(t, regB, oB); st.PhotonsCompleted != 4*250 {
 		t.Errorf("resumed registry reduced %d photons, want the 1000 past the last snapshot", st.PhotonsCompleted)
+	}
+	for _, j := range []*Job{first.Job, running.Job, regB.Get(first.Job.ID()), regB.Get(running.Job.ID())} {
+		checkChunkBooks(t, j)
 	}
 }
 

@@ -204,6 +204,8 @@ func TestChaosFleetReproducesReduction(t *testing.T) {
 	if m["fleet_reconnects_total"] == 0 {
 		t.Error("chaos restarts never counted as reconnects")
 	}
+	checkChunkBooks(t, fixed.Job)
+	checkChunkBooks(t, prec.Job)
 }
 
 // compareTallies asserts the distributed tally matches the local

@@ -251,6 +251,7 @@ func verdictRows() []verdictRow {
 		name: "merging chunk",
 		prepare: func(f *verdictFixture) protocol.BatchGroup {
 			f.reg.mu.Lock()
+			delete(f.job.outstanding, f.a)
 			f.job.merging[f.a] = true
 			f.reg.mu.Unlock()
 			return f.group(f.a)
@@ -412,6 +413,7 @@ func TestChunkVerdicts(t *testing.T) {
 			if held := f.reg.Fleet()[0].ChunksHeld; held != row.held {
 				t.Errorf("session holds %d chunks, want %d", held, row.held)
 			}
+			checkChunkBooks(t, f.job)
 		})
 	}
 }
@@ -463,10 +465,12 @@ func TestReclaimedChunkQueuedOnce(t *testing.T) {
 	if !slices.Equal(reclaimed, []int{a.ChunkID}) {
 		t.Fatalf("pending %v after the reclaim, want [%d]", reclaimed, a.ChunkID)
 	}
+	checkChunkBooks(t, out.Job)
 	if ack := reduceOne(reg, sess, a, &mc.Tally{}); !ack.Rejected {
 		t.Fatalf("unmergeable late result not rejected: %+v", ack)
 	}
 	if st := reg.Stats(); st.PendingChunks != 1 {
 		t.Fatalf("%d chunks pending for a one-chunk job, want 1", st.PendingChunks)
 	}
+	checkChunkBooks(t, out.Job)
 }
