@@ -15,6 +15,7 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/rng"
 	"repro/internal/service"
+	"repro/internal/stats"
 	"repro/internal/voxel"
 )
 
@@ -77,7 +78,7 @@ const (
 )
 
 // workerTelemetry accumulates the session's self-measured profile: EWMAs
-// of kernel throughput and per-chunk compute/encode time (same 0.7/0.3
+// of kernel throughput and per-chunk compute/encode time (stats.EWMA, the
 // blend the server uses for its ack-timing chunkSecs), plus rate-limited
 // Go runtime stats. Only the session loop touches it.
 type workerTelemetry struct {
@@ -90,14 +91,6 @@ type workerTelemetry struct {
 	heapBytes   uint64
 }
 
-// ewma blends a new sample into the running average, seeding on first use.
-func ewma(cur, sample float64) float64 {
-	if cur == 0 {
-		return sample
-	}
-	return 0.7*cur + 0.3*sample
-}
-
 // grant folds one computed grant into the EWMAs. Throughput is the grant's
 // photons over its wall time: its chunks ran side by side, so a per-chunk
 // rate would read a two-core worker at half its speed. chunkSecs stays per
@@ -105,13 +98,18 @@ func ewma(cur, sample float64) float64 {
 // unit the server's timeout envelope divides by.
 func (t *workerTelemetry) grant(photons int64, wall time.Duration, runs []mc.ChunkRun) {
 	if secs := wall.Seconds(); secs > 0 && photons > 0 {
-		t.pps = ewma(t.pps, float64(photons)/secs)
+		t.pps = stats.EWMA(t.pps, float64(photons)/secs)
 	}
 	for _, run := range runs {
 		if secs := run.Elapsed.Seconds(); secs > 0 {
-			t.chunkSecs = ewma(t.chunkSecs, secs)
+			t.chunkSecs = stats.EWMA(t.chunkSecs, secs)
 		}
 	}
+}
+
+// encoded folds one batch encode's time into its EWMA.
+func (t *workerTelemetry) encoded(d time.Duration) {
+	t.encodeSecs = stats.EWMA(t.encodeSecs, d.Seconds())
 }
 
 // maybeReport returns the report to piggyback on the next TaskRequest, or
@@ -378,7 +376,7 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 		if flushed > 0 {
 			start := time.Now()
 			req.Batch, arena = batch.encode(arena)
-			tel.encodeSecs = ewma(tel.encodeSecs, time.Since(start).Seconds())
+			tel.encoded(time.Since(start))
 		}
 		if err := pc.Send(&protocol.Message{Type: protocol.MsgTaskRequest, Request: req}); err != nil {
 			return nil, err

@@ -12,6 +12,7 @@ import (
 	"repro/internal/mc"
 	"repro/internal/obs"
 	"repro/internal/protocol"
+	"repro/internal/stats"
 )
 
 // session is one live worker connection. The registry lock guards the
@@ -47,16 +48,6 @@ type session struct {
 	// parked is true while the session's TaskRequest is waiting on the
 	// server for something schedulable (see dispatch).
 	parked bool
-}
-
-// blend folds a sample into an EWMA, seeding on first use — the shared
-// smoothing for the server's per-job chunkSecs and per-session throughput
-// profiles (and the same 0.7/0.3 the worker uses for its reported EWMAs).
-func blend(cur, sample float64) float64 {
-	if cur == 0 {
-		return sample
-	}
-	return 0.7*cur + 0.3*sample
 }
 
 // grant is a session's ownership record: one job and the ids of its
@@ -800,7 +791,7 @@ func (r *Registry) reduceGroup(sess *session, g *protocol.BatchGroup, tally *mc.
 		w.Chunks += len(chunks)
 	}
 	if elapsed > 0 {
-		j.chunkSecs = blend(j.chunkSecs, elapsed.Seconds()/float64(len(chunks)))
+		j.chunkSecs = stats.EWMA(j.chunkSecs, elapsed.Seconds()/float64(len(chunks)))
 	}
 	// Session profile: chunks credited, and the ack-timing throughput
 	// inference — group photons over earliest-grant-to-arrival wall
@@ -810,7 +801,7 @@ func (r *Registry) reduceGroup(sess *session, g *protocol.BatchGroup, tally *mc.
 	sess.completed += len(chunks)
 	if !minGranted.IsZero() {
 		if wall := arrival.Sub(minGranted).Seconds(); wall > 0 {
-			sess.inferredPPS = blend(sess.inferredPPS, float64(tally.Launched)/wall)
+			sess.inferredPPS = stats.EWMA(sess.inferredPPS, float64(tally.Launched)/wall)
 		}
 	}
 	r.met.tallyMerges.Inc()

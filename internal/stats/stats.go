@@ -91,6 +91,18 @@ func (r *Running) StdErr() float64 {
 // interval for the mean.
 func (r *Running) CI95() float64 { return 1.96 * r.StdErr() }
 
+// EWMA folds a sample into an exponentially weighted moving average (0.7
+// of the old value, 0.3 of the sample), seeding on first use: a zero
+// average takes the sample as it is. The server's per-job chunk seconds
+// and per-session throughput and a worker's reported rates all smooth
+// with it.
+func EWMA(cur, sample float64) float64 {
+	if cur == 0 {
+		return sample
+	}
+	return 0.7*cur + 0.3*sample
+}
+
 // Histogram is a fixed-range weighted histogram with uniform bins.
 // Out-of-range samples accumulate in Under/Over.
 type Histogram struct {

@@ -173,3 +173,12 @@ func TestCI95ShrinksWithN(t *testing.T) {
 		t.Fatalf("CI did not shrink: %g vs %g", large.CI95(), small.CI95())
 	}
 }
+
+func TestEWMASeedsThenBlends(t *testing.T) {
+	if got := EWMA(0, 5); got != 5 {
+		t.Fatalf("first sample: %g, want 5", got)
+	}
+	if got := EWMA(10, 20); !almostEq(got, 13, 1e-12) {
+		t.Fatalf("EWMA(10, 20) = %g, want 13", got)
+	}
+}
