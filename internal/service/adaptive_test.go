@@ -131,8 +131,8 @@ func TestPrecisionTargetedJobEndToEnd(t *testing.T) {
 	// Normalized by photons actually simulated: the launched count must
 	// equal the reduced chunks times the chunk size.
 	var completed int64
-	for _, done := range out.Job.completed {
-		if done {
+	for _, c := range out.Job.chunks {
+		if c.phase == phaseDone {
 			completed++
 		}
 	}

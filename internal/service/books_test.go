@@ -71,45 +71,36 @@ func checkBooks(t *testing.T, reg *Registry, oreg *obs.Registry) Stats {
 }
 
 // checkChunkBooks asserts a job's chunk books: every chunk is in exactly
-// one of pending, outstanding, merging and completed (a job that left the
-// active states shed its queue, so at most one), pending holds each id
-// once, nCompleted counts the completed chunks, and every outstanding
-// chunk's session is registered unless the job is inactive.
+// one phase, counted as such in inPhase, pending holds exactly the
+// pending-phase ids, each once, and every out chunk's session is
+// registered unless the job is inactive.
 func checkChunkBooks(t *testing.T, j *Job) {
 	t.Helper()
 	j.reg.mu.Lock()
 	defer j.reg.mu.Unlock()
-	inPending := make(map[int]int)
+	var inPhase [nPhases]int
+	for id, c := range j.chunks {
+		if c.phase >= nPhases {
+			t.Errorf("job %016x chunk %d is in phase %d", j.id, id, c.phase)
+			continue
+		}
+		inPhase[c.phase]++
+		if c.phase == phaseOut && j.reg.sessions[c.session] == nil && j.activeLocked() {
+			t.Errorf("job %016x chunk %d is out on session %d, which is gone", j.id, id, c.session)
+		}
+	}
+	if inPhase != j.inPhase {
+		t.Errorf("job %016x counts %v chunks by phase, %v are", j.id, j.inPhase, inPhase)
+	}
+	seen := make(map[int]bool)
 	for _, id := range j.pending {
-		inPending[id]++
+		if id < 0 || id >= len(j.chunks) || j.chunks[id].phase != phasePending || seen[id] {
+			t.Errorf("job %016x pending %v lists chunk %d, which is not pending or listed twice", j.id, j.pending, id)
+		}
+		seen[id] = true
 	}
-	done := 0
-	for id := range j.nChunks {
-		places := inPending[id]
-		if j.outstanding[id] != nil {
-			places++
-		}
-		if j.merging[id] {
-			places++
-		}
-		if j.completed[id] {
-			places++
-			done++
-		}
-		if places > 1 || places == 0 && j.activeLocked() {
-			t.Errorf("job %016x chunk %d is in %d places", j.id, id, places)
-		}
-	}
-	if len(inPending) != len(j.pending) {
-		t.Errorf("job %016x pending %v lists a chunk twice", j.id, j.pending)
-	}
-	if done != j.nCompleted {
-		t.Errorf("job %016x counts %d completed chunks, %d are", j.id, j.nCompleted, done)
-	}
-	for id, st := range j.outstanding {
-		if j.reg.sessions[st.session] == nil && j.activeLocked() {
-			t.Errorf("job %016x chunk %d is outstanding on session %d, which is gone", j.id, id, st.session)
-		}
+	if len(j.pending) != inPhase[phasePending] {
+		t.Errorf("job %016x pending lists %d chunks, %d are pending", j.id, len(j.pending), inPhase[phasePending])
 	}
 }
 

@@ -233,7 +233,7 @@ func TestResubmitAfterCancelTakesTheID(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tally, err := mc.RunStreamFan(cfg, g.Photons, j.spec.Seed, g.Stream, j.nChunks, j.spec.Fan)
+		tally, err := mc.RunStreamFan(cfg, g.Photons, j.spec.Seed, g.Stream, len(j.chunks), j.spec.Fan)
 		if err != nil {
 			t.Fatal(err)
 		}

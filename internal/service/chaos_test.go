@@ -137,8 +137,8 @@ func TestChaosFleetReproducesReduction(t *testing.T) {
 	}
 	reg.mu.Lock()
 	var reduced []int
-	for id, done := range prec.Job.completed {
-		if done {
+	for id, c := range prec.Job.chunks {
+		if c.phase == phaseDone {
 			reduced = append(reduced, id)
 		}
 	}

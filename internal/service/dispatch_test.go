@@ -436,8 +436,8 @@ func strandedPark(reg *Registry) bool {
 		if j.schedulableLocked() {
 			work = true
 		}
-		for _, st := range j.outstanding {
-			if j.spec.ChunkTimeout > 0 && now.After(st.assigned.Add(j.spec.ChunkTimeout)) {
+		for _, c := range j.chunks {
+			if c.phase == phaseOut && j.spec.ChunkTimeout > 0 && now.After(c.granted.Add(j.spec.ChunkTimeout)) {
 				work = true
 			}
 		}

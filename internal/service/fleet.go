@@ -221,8 +221,8 @@ func (r *Registry) releaseSession(sess *session) {
 
 // releaseGrantLocked gives up every chunk the session still owns. Every
 // path that walks away from a grant (disconnect, a request that does not
-// flush it) must come through here — a chunk left in outstanding with no
-// owner would otherwise wedge a ChunkTimeout=0 job forever.
+// flush it) must come through here — a chunk left out with no owner would
+// otherwise wedge a ChunkTimeout=0 job forever.
 func (r *Registry) releaseGrantLocked(sess *session) {
 	for _, id := range sess.grant.chunks {
 		r.releaseLocked(sess, sess.grant.job, id, "abandoned")
@@ -231,11 +231,10 @@ func (r *Registry) releaseGrantLocked(sess *session) {
 }
 
 // releaseLocked requeues a chunk the session gives up, if the job is still
-// active and the chunk still outstanding on this session (a timeout may
-// have reclaimed it already).
+// active and the chunk still out on this session (a timeout may have
+// reclaimed it already).
 func (r *Registry) releaseLocked(sess *session, j *Job, id int, why string) {
-	if st := j.outstanding[id]; j.activeLocked() && st != nil && st.session == sess.id {
-		delete(j.outstanding, id)
+	if c := &j.chunks[id]; j.activeLocked() && c.phase == phaseOut && c.session == sess.id {
 		j.requeueLocked(id, sess.name, why)
 	}
 }
@@ -252,8 +251,8 @@ func (r *Registry) releaseLocked(sess *session, j *Job, id int, why string) {
 // schedulable, and every transition that can make a job schedulable or
 // close drained swaps it under the same lock (wakeLocked), so a wake-up
 // cannot fall between the check and the wait. Two timers bound a park: the
-// earliest outstanding chunk deadline the scan saw (ChunkTimeout reclaim
-// must fire even when every worker is parked and nobody asks) and parkMax.
+// oldest grant's deadline (ChunkTimeout reclaim must fire even when every
+// worker is parked and nobody asks) and parkMax.
 //
 // desc is set when the reply is the session's first TaskAssign of its job:
 // the spec the caller encodes into the descriptor, copied under the lock.
@@ -336,8 +335,8 @@ func (r *Registry) syncSessionLocked(sess *session, req *protocol.TaskRequest, n
 // assignLocked is one dispatch scan: reclaim overdue chunks everywhere,
 // gather the schedulable jobs, let the cross-job policy choose and grant.
 // A nil reply means nothing is schedulable; reclaimAt is then the earliest
-// deadline of a chunk still outstanding (zero if none can expire), the
-// moment a scan could next find work with no other transition.
+// deadline of a chunk still out (zero if none can expire), the moment a
+// scan could next find work with no other transition.
 func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply *protocol.Message, desc *JobSpec, reclaimAt time.Time) {
 	if req.Want <= 0 {
 		return nil, nil, time.Time{} // a flush from a worker that is leaving: nothing asked for
@@ -346,14 +345,10 @@ func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply
 	policy := r.opts.Policy
 	cands := r.candScratch[:0]
 	jobs := r.jobScratch[:0]
-	outstanding := false
 	pendTotal := 0
 	for _, j := range r.active {
 		if next := j.reclaimExpiredLocked(now); !next.IsZero() && (reclaimAt.IsZero() || next.Before(reclaimAt)) {
 			reclaimAt = next
-		}
-		if len(j.outstanding) > 0 || len(j.merging) > 0 {
-			outstanding = true
 		}
 		if !j.schedulableLocked() {
 			continue
@@ -367,7 +362,8 @@ func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply
 	r.candScratch, r.jobScratch = cands, jobs // reuse the backing arrays
 
 	if len(cands) == 0 {
-		if !outstanding && r.opts.DrainOnEmpty && r.seq > 0 {
+		// An active job with nothing to grant has chunks out or merging.
+		if len(r.active) == 0 && r.opts.DrainOnEmpty && r.seq > 0 {
 			r.checkDrainLocked()
 			select {
 			case <-r.drained:
@@ -385,7 +381,7 @@ func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply
 	j := jobs[r.sched.Pick(cands)]
 
 	// Grant up to Want chunks of the picked job in one reply. Every grant
-	// gets its own outstanding entry (so per-chunk timeout reassignment is
+	// is its own row's grant (so per-chunk timeout reassignment is
 	// unchanged) and its own policy charge (so fair-share accounting stays
 	// per chunk; only the interleaving granularity coarsens).
 	want := min(req.Want, protocol.MaxGrantChunks)
@@ -420,24 +416,15 @@ func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply
 		}
 	}
 	grant := func() protocol.ChunkGrant {
-		var id int
-		if n := len(j.pending); n > 0 {
-			id = j.pending[n-1]
-			j.pending = j.pending[:n-1]
-		} else {
-			// Open-ended issuance: synthesise the next fresh chunk. The
-			// schedulable check (or the loop condition below) guaranteed
-			// budget headroom.
-			id = j.issueChunkLocked()
-		}
-		j.outstanding[id] = &chunkState{assigned: now, session: sess.id, worker: sess.name}
+		id := j.grantLocked(sess, now) // schedulable: pending or issuable
+		photons := j.chunkPhotons(id)
 		r.met.chunksGranted.Inc()
 		j.trace(obs.Event{Kind: obs.EvChunkGranted, Chunk: id, Worker: sess.name})
 		if policy.charge {
-			r.sched.Charge(j.id, float64(j.photons[id]))
+			r.sched.Charge(j.id, float64(photons))
 		}
 		sess.grant.chunks = append(sess.grant.chunks, id)
-		return protocol.ChunkGrant{ChunkID: id, Stream: id, Photons: j.photons[id]}
+		return protocol.ChunkGrant{ChunkID: id, Stream: id, Photons: photons}
 	}
 
 	sess.grant.job = j // syncSessionLocked emptied the grant
@@ -458,7 +445,7 @@ func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply
 		assign.Grants = append(assign.Grants, grant())
 	}
 	if !sess.knownJobs[j.id] {
-		streams := j.nChunks
+		streams := len(j.chunks)
 		if j.openEnded() {
 			streams = 0 // open-ended: workers must not bound the stream index
 		}
@@ -545,7 +532,7 @@ func inactiveVerdict(j *Job, id int) verdict {
 	switch {
 	case j.state == StateCanceled:
 		return vCanceled
-	case id >= 0 && id < j.nChunks && j.completed[id]:
+	case id >= 0 && id < len(j.chunks) && j.chunks[id].phase == phaseDone:
 		return vDuplicate
 	default:
 		return vFinalized
@@ -570,9 +557,9 @@ func classifyLocked(sess *session, j *Job, jobID uint64, chunks []int, decodeErr
 			vs[i] = inactiveVerdict(j, id)
 		case seen[id]: // would double-count; nothing honest sends it
 			vs[i] = vTwice
-		case id < 0 || id >= j.nChunks:
+		case id < 0 || id >= len(j.chunks):
 			vs[i] = vNoChunk
-		case j.completed[id] || j.merging[id]:
+		case j.chunks[id].phase >= phaseMerging:
 			vs[i] = vDuplicate // the reassignment race
 		case !sess.grant.holds(jobID, id):
 			vs[i] = vNotGranted
@@ -590,29 +577,19 @@ func classifyLocked(sess *session, j *Job, jobID uint64, chunks []int, decodeErr
 
 // settleLocked applies the verdicts of a group that does not merge: each
 // chunk's ack, counter, job counts, timeline (one chunk-rejected event per
-// rejection the job counts) and fate. The chunks leave the job's merging
-// set if the group claimed them (claimed), else the session's grant; a
-// requeueing verdict gives them back to the queue.
+// rejection the job counts) and fate. Chunks the group did not claim
+// leave the session's grant; a requeueing verdict gives them back to the
+// queue, claimed ones (merging) while the job is active.
 func (r *Registry) settleLocked(sess *session, j *Job, jobID uint64, chunks []int, vs []verdict, claimed bool, cause error) []protocol.ResultAck {
 	acks := make([]protocol.ResultAck, len(chunks))
 	warn := ""
 	for i, id := range chunks {
 		acks[i] = protocol.ResultAck{JobID: jobID, ChunkID: id}
-		owned := false
-		if claimed {
-			delete(j.merging, id)
-		} else {
-			owned = sess.grant.drop(jobID, id)
-		}
+		owned := !claimed && sess.grant.drop(jobID, id)
 		if vs[i] == vDuplicate {
 			acks[i].Duplicate = true
 			r.met.duplicates.Inc()
 			j.duplicates++
-			// A reassignment the merge beat to the finish line: the reclaim
-			// loop must not requeue a reduced chunk.
-			if j.completed[id] {
-				delete(j.outstanding, id)
-			}
 			continue
 		}
 		class, reason, detail := r.rejection(vs[i], jobID, id, cause)
@@ -643,28 +620,20 @@ func (r *Registry) settleLocked(sess *session, j *Job, jobID uint64, chunks []in
 	return acks
 }
 
-// spanSeed is the server-side half of one chunk's span, captured at claim
-// time (phase 1) while the chunk's outstanding entry still exists, and
-// joined with compute/reduce durations at publish time (phase 3). A zero
-// granted stamp means the chunk has no trustworthy one, and no span.
-type spanSeed struct {
-	granted time.Time
-	queued  time.Time
-}
-
-// joinSpan completes one chunk's span from its phase-1 seed and observes
-// its segments on the aggregate histograms.
-func (r *Registry) joinSpan(sd spanSeed, chunk int, worker string, arrival time.Time, compute, reduce time.Duration) *obs.Span {
-	queue := sd.granted.Sub(sd.queued)
-	if sd.queued.IsZero() || queue < 0 {
+// joinSpan completes one chunk's span — the server-side half is its row as
+// the claim found it out (phase 1), compute and reduce are known at publish
+// time (phase 3) — and observes its segments on the aggregate histograms.
+func (r *Registry) joinSpan(c chunk, id int, worker string, arrival time.Time, compute, reduce time.Duration) *obs.Span {
+	queue := c.granted.Sub(c.queued)
+	if c.queued.IsZero() || queue < 0 {
 		queue = 0
 	}
-	wire := max(arrival.Sub(sd.granted)-compute, 0)
+	wire := max(arrival.Sub(c.granted)-compute, 0)
 	r.met.spanQueue.Observe(queue.Seconds())
 	r.met.spanWire.Observe(wire.Seconds())
 	r.met.spanCompute.Observe(compute.Seconds())
 	r.met.spanReduce.Observe(reduce.Seconds())
-	return &obs.Span{Chunk: chunk, Worker: worker, Granted: sd.granted,
+	return &obs.Span{Chunk: id, Worker: worker, Granted: c.granted,
 		Queue: queue, Wire: wire, Compute: compute, Reduce: reduce}
 }
 
@@ -674,8 +643,8 @@ func (r *Registry) joinSpan(sd spanSeed, chunk int, worker string, arrival time.
 //
 //  1. under the registry lock, classify every covered chunk
 //     (classifyLocked) and — only if the whole group is claimable — claim
-//     the chunks by moving them from outstanding into the job's merging
-//     set; a group that is not is settled there;
+//     the chunks into merging (claimLocked); a group that is not is
+//     settled there;
 //  2. off the registry lock, under the job's redMu, merge the combined
 //     tally — the fleet keeps dispatching while a large tally merges;
 //  3. re-enter the registry lock to publish completion, credit the worker
@@ -700,26 +669,22 @@ func (r *Registry) reduceGroup(sess *session, g *protocol.BatchGroup, tally *mc.
 		r.mu.Unlock()
 		return acks
 	}
-	// Claim the chunks, seeding spans from the outstanding entries before
-	// they go. A chunk whose entry is missing or owned by another session
-	// (a timeout reclaim raced this flush) has no trustworthy grant stamp,
-	// so it gets no span. Seeds are gathered even when the job's trace is
-	// disabled: the aggregate span histograms observe regardless. The late
-	// result wins over the reclaim: the chunk leaves outstanding and
-	// pending, so while it merges it is neither granted nor reclaimed, and
-	// a failed merge queues it once.
-	seeds := make([]spanSeed, len(chunks))
+	// Claim the chunks, seeding spans from their rows as they were. A
+	// chunk that is not out on this session (a timeout reclaim raced this
+	// flush) has no trustworthy grant stamp, so it gets no span. Seeds are
+	// gathered even when the job's trace is disabled: the aggregate span
+	// histograms observe regardless. The late result wins over the
+	// reclaim: while the chunk merges it is neither granted nor reclaimed,
+	// and a failed merge queues it once.
+	seeds := make([]chunk, len(chunks))
 	var minGranted time.Time
 	for i, id := range chunks {
-		if st := j.outstanding[id]; st != nil && st.session == sess.id {
-			seeds[i] = spanSeed{granted: st.assigned, queued: j.queued[id]}
-			if minGranted.IsZero() || st.assigned.Before(minGranted) {
-				minGranted = st.assigned
+		if c := j.claimLocked(id); c.phase == phaseOut && c.session == sess.id {
+			seeds[i] = c
+			if minGranted.IsZero() || c.granted.Before(minGranted) {
+				minGranted = c.granted
 			}
 		}
-		delete(j.outstanding, id)
-		j.pending = slices.DeleteFunc(j.pending, func(p int) bool { return p == id })
-		j.merging[id] = true
 		sess.grant.drop(g.JobID, id)
 	}
 	r.mu.Unlock()
@@ -774,16 +739,14 @@ func (r *Registry) reduceGroup(sess *session, g *protocol.BatchGroup, tally *mc.
 	reduceShare := mergeDur / time.Duration(len(chunks))
 	for i, id := range chunks {
 		acks[i] = protocol.ResultAck{JobID: g.JobID, ChunkID: id}
-		delete(j.merging, id)
-		j.completed[id] = true
-		j.nCompleted++
+		j.setPhase(id, phaseDone)
 		var span *obs.Span
-		if sd := seeds[i]; !sd.granted.IsZero() {
+		if seed := seeds[i]; !seed.granted.IsZero() {
 			compute := elapsed / time.Duration(len(chunks))
 			if len(secs) == len(chunks) {
 				compute = time.Duration(secs[i] * float64(time.Second))
 			}
-			span = r.joinSpan(sd, id, sess.name, arrival, compute, reduceShare)
+			span = r.joinSpan(seed, id, sess.name, arrival, compute, reduceShare)
 		}
 		j.trace(obs.Event{Kind: obs.EvChunkCompleted, Chunk: id, Worker: sess.name, Span: span})
 	}
@@ -817,23 +780,21 @@ func (r *Registry) reduceGroup(sess *session, g *protocol.BatchGroup, tally *mc.
 	}
 	switch {
 	case j.openEnded() && j.targetMet:
-		// The stopping rule fired: finalize immediately. Granting
-		// stops, queued and in-flight chunks are shed (stragglers
-		// that still flush are benign-rejected), and the result is
-		// normalized by the photons actually reduced.
-		j.pending = nil
-		j.outstanding = make(map[int]*chunkState)
-		r.finishJobLocked(j)
+		// The stopping rule fired: finalize immediately. Nothing is
+		// granted or requeued again (stragglers that still flush are
+		// benign-rejected), and the result is normalized by the photons
+		// actually reduced.
+		r.finishJobLocked(j, StateDone)
 		finished = j
 		j.trace(obs.Event{Kind: obs.EvFinalized, Detail: "target-met", Value: j.estRSE})
 		r.log.Info("job met precision target", "job", jobHex(j.id),
 			"observable", j.spec.Target.Observable, "relErr", j.spec.Target.RelErr,
 			"photons", j.photonsRun)
-	case j.nCompleted == j.nChunks && (!j.openEnded() || j.issuableChunksLocked() == 0):
+	case j.inPhase[phaseDone] == len(j.chunks) && (!j.openEnded() || j.issuableChunksLocked() == 0):
 		// Fixed-count: every chunk reduced. Open-ended: the photon
 		// cap is spent and nothing is left in flight — the job
 		// finishes unmet, reporting its achieved RSE.
-		r.finishJobLocked(j)
+		r.finishJobLocked(j, StateDone)
 		finished = j
 		detail := "complete"
 		if j.openEnded() {

@@ -218,7 +218,7 @@ func TestSpansShareTheEventRing(t *testing.T) {
 	}
 	var order []int // chunks in completion order
 	for g := reg.nextChunk(sess); g != nil; g = reg.nextChunk(sess) {
-		tally, err := mc.RunStreamFan(cfg, g.Photons, j.spec.Seed, g.Stream, j.nChunks, j.spec.Fan)
+		tally, err := mc.RunStreamFan(cfg, g.Photons, j.spec.Seed, g.Stream, len(j.chunks), j.spec.Fan)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -107,12 +108,35 @@ type JobStatus struct {
 	Finished        time.Time  `json:"finished,omitzero"`
 }
 
-// chunkState tracks one outstanding work unit: when it was granted, and to
-// which session and worker.
-type chunkState struct {
-	assigned time.Time
-	session  uint64
-	worker   string
+// phase is where a chunk is in its lifecycle (DESIGN.md, *Exactly-once
+// under batching*). A chunk's row holds one, so it is in exactly one.
+type phase uint8
+
+const (
+	phasePending phase = iota // on the job's pending stack
+	phaseOut                  // granted, its result awaited
+	phaseMerging              // claimed by a group whose merge is in flight
+	phaseDone                 // reduced into the tally
+	nPhases
+)
+
+// chunk is one row of a job's chunk table. session and worker say who
+// holds the chunk now, while it is out. They are not the right to return
+// it: that is a session's grant, which a timeout reclaim does not revoke,
+// so a late result still claims a chunk the reclaim gave to someone else.
+type chunk struct {
+	phase   phase
+	queued  time.Time // when the chunk last entered pending
+	granted time.Time // while out: when it was granted
+	session uint64    // while out: the session holding it
+	worker  string    // while out: that session's worker name
+}
+
+// grantStamp is one grant on a job's expiry queue. It is stale once its
+// chunk left that grant: reduced, requeued, or granted again.
+type grantStamp struct {
+	id      int
+	granted time.Time
 }
 
 // Job is one simulation owned by a Registry. All mutable state is guarded
@@ -130,20 +154,15 @@ type Job struct {
 	pkey Key // physics key (the meets-or-exceeds index, byPhysics)
 	spec JobSpec
 
-	// nChunks is the fixed chunk count of a budgeted job. A
-	// precision-targeted job (spec.Target != nil) is open-ended: nChunks
-	// is the high-water mark of chunks *issued* so far and grows as the
-	// dispatcher synthesises new chunk ids.
-	nChunks     int
-	pending     []int // chunk ids awaiting assignment (LIFO on reassign)
-	outstanding map[int]*chunkState
-	photons     []int64 // photons per chunk
-	completed   []bool
-	nCompleted  int
-	// queued stamps, per chunk, when the chunk last entered the pending
-	// queue (submission, open-ended issuance, or any requeue) — the start
-	// of a span's queue-wait segment. Parallel to photons/completed.
-	queued []time.Time
+	// chunks is the chunk table, one row per chunk id issued — all of
+	// them at submission, but for a precision-targeted (open-ended) job —
+	// and inPhase counts its rows by phase (setPhase). pending stacks the
+	// pending rows' ids (LIFO on requeue); expiry queues the grants of a
+	// job with a ChunkTimeout in grant order (reclaimExpiredLocked).
+	chunks  []chunk
+	inPhase [nPhases]int
+	pending []int
+	expiry  []grantStamp
 
 	// Precision-job progress, published under the registry lock after
 	// each merge so Status never needs the reduction lock: the live
@@ -156,13 +175,8 @@ type Job struct {
 	photonsRun int64
 	targetMet  bool
 
-	// merging marks chunks claimed by an in-flight off-lock reduction:
-	// no longer outstanding (reclaim must not requeue them), not yet
-	// completed (drain must not fire). A concurrent result for a merging
-	// chunk is a benign duplicate.
-	merging map[int]bool
-	redMu   sync.Mutex // serialises merges into tally; held before reg.mu
-	tally   *mc.Tally
+	redMu sync.Mutex // serialises merges into tally; held before reg.mu
+	tally *mc.Tally
 
 	// chunkSecs is an EWMA of observed per-chunk compute seconds (from
 	// result Elapsed), used to cap multi-chunk grants so a worker running
@@ -204,46 +218,46 @@ func newJob(reg *Registry, key Key, spec JobSpec) (*Job, error) {
 	}
 	n := spec.numChunks()
 	j := &Job{
-		reg:         reg,
-		key:         key,
-		spec:        spec,
-		nChunks:     n,
-		outstanding: make(map[int]*chunkState),
-		photons:     make([]int64, n),
-		completed:   make([]bool, n),
-		merging:     make(map[int]bool),
-		tally:       mc.NewTally(cfg),
-		state:       StateQueued,
-		workers:     make(map[string]*WorkerInfo),
-		finished:    make(chan struct{}),
-		submitted:   time.Now(),
-		events:      reg.newTrace(),
+		reg:       reg,
+		key:       key,
+		spec:      spec,
+		chunks:    make([]chunk, n),
+		pending:   make([]int, n),
+		tally:     mc.NewTally(cfg),
+		state:     StateQueued,
+		workers:   make(map[string]*WorkerInfo),
+		finished:  make(chan struct{}),
+		submitted: time.Now(),
+		events:    reg.newTrace(),
 	}
-	j.queued = make([]time.Time, n)
-	remaining := spec.TotalPhotons
-	for i := 0; i < n; i++ {
-		p := spec.ChunkPhotons
-		if p > remaining {
-			p = remaining
-		}
-		remaining -= p
-		j.photons[i] = p
-		j.pending = append(j.pending, i)
-		j.queued[i] = j.submitted
+	j.inPhase[phasePending] = n
+	for id := range j.chunks {
+		j.chunks[id].queued = j.submitted
+		j.pending[id] = id
 	}
 	// An open-ended job starts with no chunks at all (numChunks returned
 	// 0); the dispatcher issues them on demand via issueChunkLocked.
 	return j, nil
 }
 
+// setPhase moves chunk id to phase p.
+func (j *Job) setPhase(id int, p phase) {
+	j.inPhase[j.chunks[id].phase]--
+	j.inPhase[p]++
+	j.chunks[id].phase = p
+}
+
+// chunkPhotons is chunk id's photon count: ChunkPhotons, but for a
+// budgeted job's last chunk, which takes what the others leave.
+func (j *Job) chunkPhotons(id int) int64 {
+	if j.openEnded() {
+		return j.spec.ChunkPhotons
+	}
+	return min(j.spec.ChunkPhotons, j.spec.TotalPhotons-int64(id)*j.spec.ChunkPhotons)
+}
+
 // openEnded reports precision-targeted (run-until-precision) issuance.
 func (j *Job) openEnded() bool { return j.spec.Target != nil }
-
-// issuedPhotonsLocked is the photon total of every chunk issued so far
-// (open-ended chunks are uniformly ChunkPhotons-sized).
-func (j *Job) issuedPhotonsLocked() int64 {
-	return int64(j.nChunks) * j.spec.ChunkPhotons
-}
 
 // issuableChunksLocked returns how many fresh chunks an open-ended job may
 // still issue, capped for candidate accounting (the true remaining budget
@@ -252,7 +266,7 @@ func (j *Job) issuableChunksLocked() int {
 	if !j.openEnded() || j.targetMet {
 		return 0
 	}
-	left := (j.spec.Target.MaxPhotons - j.issuedPhotonsLocked()) / j.spec.ChunkPhotons
+	left := j.spec.Target.MaxPhotons/j.spec.ChunkPhotons - int64(len(j.chunks))
 	if left <= 0 {
 		return 0
 	}
@@ -262,25 +276,53 @@ func (j *Job) issuableChunksLocked() int {
 	return int(left)
 }
 
-// issueChunkLocked synthesises the next fresh chunk of an open-ended job.
-// The caller must have checked issuableChunksLocked.
-func (j *Job) issueChunkLocked() int {
-	id := j.nChunks
-	j.nChunks++
-	j.photons = append(j.photons, j.spec.ChunkPhotons)
-	j.completed = append(j.completed, false)
-	j.queued = append(j.queued, time.Now())
+// issueChunkLocked synthesises the next fresh chunk of an open-ended job
+// and pushes it onto pending. The caller must have checked
+// issuableChunksLocked.
+func (j *Job) issueChunkLocked() {
+	j.pending = append(j.pending, len(j.chunks))
+	j.chunks = append(j.chunks, chunk{queued: time.Now()})
+	j.inPhase[phasePending]++
+}
+
+// grantLocked pops the top of pending, issuing a fresh chunk first when an
+// open-ended job has none queued, and hands it out to sess.
+func (j *Job) grantLocked(sess *session, now time.Time) int {
+	if len(j.pending) == 0 {
+		j.issueChunkLocked()
+	}
+	id := j.pending[len(j.pending)-1]
+	j.pending = j.pending[:len(j.pending)-1]
+	j.setPhase(id, phaseOut)
+	c := &j.chunks[id]
+	c.granted, c.session, c.worker = now, sess.id, sess.name
+	if j.spec.ChunkTimeout > 0 {
+		j.expiry = append(j.expiry, grantStamp{id, now})
+	}
 	return id
 }
 
-// requeueLocked reassigns a chunk: it returns to the pending queue with its
-// queue-wait clock restarted, so span accounting measures the current
-// wait, not the sum across reassignments; it is counted and traced with
-// the worker that had it and why; and the parked workers wake to come and
-// take it. Every requeue path must come through here.
+// claimLocked moves a chunk its group may merge into merging and returns
+// its row as it was. The chunk is out, or pending again after a timeout
+// reclaim: the late result wins, and takes it back off the stack.
+func (j *Job) claimLocked(id int) chunk {
+	was := j.chunks[id]
+	if was.phase == phasePending {
+		j.pending = slices.DeleteFunc(j.pending, func(p int) bool { return p == id })
+	}
+	j.setPhase(id, phaseMerging)
+	return was
+}
+
+// requeueLocked reassigns a chunk that is out or merging: it returns to
+// pending with its queue-wait clock restarted, so span accounting measures
+// the current wait, not the sum across reassignments; it is counted and
+// traced with the worker that had it and why; and the parked workers wake
+// to come and take it. Every requeue path must come through here.
 func (j *Job) requeueLocked(id int, worker, why string) {
+	j.setPhase(id, phasePending)
+	j.chunks[id].queued = time.Now()
 	j.pending = append(j.pending, id)
-	j.queued[id] = time.Now()
 	j.reassigned++
 	j.reg.met.chunksReassigned.Inc()
 	j.trace(obs.Event{Kind: obs.EvChunkReassigned, Chunk: id, Worker: worker, Detail: why})
@@ -292,7 +334,7 @@ func (j *Job) requeueLocked(id int, worker, why string) {
 func (j *Job) ID() uint64 { return j.id }
 
 // NumChunks returns the total number of work units.
-func (j *Job) NumChunks() int { return j.nChunks }
+func (j *Job) NumChunks() int { return len(j.chunks) }
 
 // Done returns a channel closed when the job finishes (done or cancelled).
 func (j *Job) Done() <-chan struct{} { return j.finished }
@@ -324,8 +366,8 @@ func (j *Job) statusLocked() JobStatus {
 		State:           state.String(),
 		TotalPhotons:    j.spec.TotalPhotons,
 		ChunkPhotons:    j.spec.ChunkPhotons,
-		CompletedChunks: j.nCompleted,
-		TotalChunks:     j.nChunks,
+		CompletedChunks: j.inPhase[phaseDone],
+		TotalChunks:     len(j.chunks),
 		Priority:        j.spec.Priority,
 		Weight:          j.spec.Weight,
 		Reassigned:      j.reassigned,
@@ -352,7 +394,7 @@ func (j *Job) statusLocked() JobStatus {
 func (j *Job) Progress() (completedChunks, total int) {
 	j.reg.mu.Lock()
 	defer j.reg.mu.Unlock()
-	return j.nCompleted, j.nChunks
+	return j.inPhase[phaseDone], len(j.chunks)
 }
 
 // ErrCanceled is wrapped by Wait when the job was cancelled.
@@ -380,7 +422,7 @@ func (j *Job) Wait(timeout time.Duration) (*Result, error) {
 	}
 	res := &Result{
 		Tally:      j.tally,
-		Chunks:     j.nChunks,
+		Chunks:     len(j.chunks),
 		Reassigned: j.reassigned,
 		Duplicates: j.duplicates,
 		Rejected:   j.rejected,
@@ -447,23 +489,35 @@ func (j *Job) activeLocked() bool {
 	return j.state == StateQueued || j.state == StateRunning
 }
 
-// reclaimExpiredLocked requeues chunks whose results are overdue and
-// returns the earliest deadline among those still outstanding (zero when
-// none can expire) — when a parked dispatcher must look again.
+// reclaimExpiredLocked requeues the overdue chunks, oldest grant first and
+// one grant's chunks by id, and returns the deadline of the oldest grant
+// still out (zero if none) — when a parked dispatcher must look again.
+// ChunkTimeout is fixed per job, so expiry is in deadline order: the
+// overdue grants are a prefix, and each grant is pushed and popped once.
 func (j *Job) reclaimExpiredLocked(now time.Time) (next time.Time) {
-	if j.spec.ChunkTimeout <= 0 || !j.activeLocked() {
-		return next
+	live := func(g grantStamp) bool {
+		c := &j.chunks[g.id]
+		return c.phase == phaseOut && c.granted.Equal(g.granted)
 	}
-	for id, st := range j.outstanding {
-		deadline := st.assigned.Add(j.spec.ChunkTimeout)
-		if !now.After(deadline) {
-			if next.IsZero() || deadline.Before(next) {
-				next = deadline
-			}
-			continue
+	n := 0
+	for n < len(j.expiry) && now.After(j.expiry[n].granted.Add(j.spec.ChunkTimeout)) {
+		n++
+	}
+	overdue := j.expiry[:n]
+	j.expiry = j.expiry[n:]
+	slices.SortFunc(overdue, func(a, b grantStamp) int {
+		return cmp.Or(a.granted.Compare(b.granted), cmp.Compare(a.id, b.id))
+	})
+	for _, g := range overdue {
+		if live(g) {
+			j.requeueLocked(g.id, j.chunks[g.id].worker, "timeout")
 		}
-		delete(j.outstanding, id)
-		j.requeueLocked(id, st.worker, "timeout")
+	}
+	for len(j.expiry) > 0 && !live(j.expiry[0]) {
+		j.expiry = j.expiry[1:]
+	}
+	if len(j.expiry) > 0 {
+		next = j.expiry[0].granted.Add(j.spec.ChunkTimeout)
 	}
 	return next
 }
@@ -489,27 +543,23 @@ func (j *Job) resume(snap *snapshot) error {
 	if j.openEnded() {
 		// Re-issue the snapshot's chunk space; incomplete ids are queued
 		// below and issuance continues past the high-water mark on demand.
-		for j.nChunks < snap.NChunks {
-			j.pending = append(j.pending, j.issueChunkLocked())
+		for len(j.chunks) < snap.NChunks {
+			j.issueChunkLocked()
 		}
-	} else if j.nChunks != snap.NChunks {
+	} else if len(j.chunks) != snap.NChunks {
 		return fmt.Errorf("service: snapshot has %d chunks, job derives %d",
-			snap.NChunks, j.nChunks)
+			snap.NChunks, len(j.chunks))
 	}
 	for _, id := range snap.Completed {
-		if id < 0 || id >= j.nChunks {
+		if id < 0 || id >= len(j.chunks) {
 			return fmt.Errorf("service: snapshot completed chunk %d out of range", id)
 		}
-		if !j.completed[id] {
-			j.completed[id] = true
-			j.nCompleted++
-		}
+		j.setPhase(id, phaseDone)
 	}
 	j.tally = snap.Tally.Clone()
 	j.publishEstimate(j.tally)
-	j.pending = slices.DeleteFunc(j.pending, func(id int) bool { return j.completed[id] })
-	if j.targetMet || j.nCompleted == j.nChunks && j.issuableChunksLocked() == 0 {
-		j.pending = nil
+	j.pending = slices.DeleteFunc(j.pending, func(id int) bool { return j.chunks[id].phase == phaseDone })
+	if j.targetMet || j.inPhase[phaseDone] == len(j.chunks) && j.issuableChunksLocked() == 0 {
 		j.state = StateDone
 		j.finishedAt = time.Now()
 		close(j.finished)

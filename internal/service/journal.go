@@ -233,13 +233,13 @@ func snapshotRecord(j *Job) []byte {
 	j.reg.mu.Lock()
 	defer j.redMu.Unlock()
 	defer j.reg.mu.Unlock()
-	completed := make([]int, 0, j.nCompleted)
-	for id, done := range j.completed[:j.nChunks] {
-		if done {
+	completed := make([]int, 0, j.inPhase[phaseDone])
+	for id, c := range j.chunks {
+		if c.phase == phaseDone {
 			completed = append(completed, id)
 		}
 	}
-	return encodeSnapshotRec(j.key, j.nChunks, completed, j.tally)
+	return encodeSnapshotRec(j.key, len(j.chunks), completed, j.tally)
 }
 
 // appendAccept encodes and appends one accept record; failures are

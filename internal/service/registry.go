@@ -194,7 +194,7 @@ func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
 			"chunkPhotons", spec.ChunkPhotons)
 	} else {
 		r.log.Info("job submitted", "job", jobHex(j.id),
-			"photons", spec.TotalPhotons, "chunks", j.nChunks)
+			"photons", spec.TotalPhotons, "chunks", len(j.chunks))
 	}
 	return &SubmitOutcome{Job: j}, nil
 }
@@ -404,7 +404,7 @@ func (r *Registry) restore(spec JobSpec, snap *snapshot) (*Job, error) {
 			return nil, err
 		}
 	}
-	j.trace(obs.Event{Kind: obs.EvResumed, Detail: spec.Tenant, Value: float64(j.nCompleted)})
+	j.trace(obs.Event{Kind: obs.EvResumed, Detail: spec.Tenant, Value: float64(j.inPhase[phaseDone])})
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -513,9 +513,9 @@ func (r *Registry) List() []JobStatus {
 	return out
 }
 
-// Cancel stops a job: pending and in-flight chunks are dropped, late
-// results are rejected, and waiters get ErrCanceled. Cancelling a finished
-// job is an error.
+// Cancel stops a job: nothing is granted or requeued again, late results
+// are rejected, and waiters get ErrCanceled. Cancelling a finished job is
+// an error.
 func (r *Registry) Cancel(id uint64) error {
 	r.mu.Lock()
 	j := r.jobs[id]
@@ -528,46 +528,31 @@ func (r *Registry) Cancel(id uint64) error {
 		r.mu.Unlock()
 		return fmt.Errorf("service: job %016x already %s", id, state)
 	}
-	j.state = StateCanceled
-	j.pending = nil
-	j.outstanding = make(map[int]*chunkState)
-	j.finishedAt = time.Now()
+	r.finishJobLocked(j, StateCanceled)
 	close(j.finished)
-	r.removeActiveLocked(j)
 	delete(r.byKey, j.key)
-	r.sched.Forget(j.id)
 	j.trace(obs.Event{Kind: obs.EvCanceled})
 	r.log.Info("job canceled", "job", jobHex(j.id))
-	r.evictFinishedLocked()
-	r.checkDrainLocked()
 	key := j.key
 	r.mu.Unlock()
 	r.journal.canceled(r, key)
 	return nil
 }
 
-// finishJobLocked marks a job whose last chunk just reduced as done. The
-// caller must call sealJob after releasing the registry lock: waiters stay
-// blocked on j.finished until then, and an identical submission arriving
-// in between coalesces onto the job (rideLocked) and waits with them.
-func (r *Registry) finishJobLocked(j *Job) {
-	j.state = StateDone
+// finishJobLocked takes a job out of the active states: Done when its last
+// chunk reduced or its target was met, Canceled by Cancel. Its chunk table
+// stays as it stands; nothing grants, reclaims or requeues from it again.
+// For Done the caller must call sealJob after releasing the registry lock:
+// waiters stay blocked on j.finished until then, and an identical
+// submission arriving in between coalesces onto the job (rideLocked) and
+// waits with them.
+func (r *Registry) finishJobLocked(j *Job, state JobState) {
+	j.state = state
 	j.finishedAt = time.Now()
-	r.removeActiveLocked(j)
+	r.active = slices.DeleteFunc(r.active, func(a *Job) bool { return a == j })
 	r.sched.Forget(j.id)
 	r.evictFinishedLocked()
 	r.checkDrainLocked()
-}
-
-// removeActiveLocked drops a job that just left the queued/running states
-// from the dispatcher's active list.
-func (r *Registry) removeActiveLocked(j *Job) {
-	for i, a := range r.active {
-		if a == j {
-			r.active = append(r.active[:i], r.active[i+1:]...)
-			break
-		}
-	}
 }
 
 // sealJob files a finished job whose tally carries moments in the physics
@@ -587,7 +572,7 @@ func (r *Registry) sealJob(j *Job) {
 	reassigned, duplicates, rejected := j.reassigned, j.duplicates, j.rejected
 	r.mu.Unlock()
 	close(j.finished)
-	r.log.Info("job done", "job", jobHex(j.id), "chunks", j.nChunks,
+	r.log.Info("job done", "job", jobHex(j.id), "chunks", len(j.chunks),
 		"reassigned", reassigned, "duplicates", duplicates, "rejected", rejected)
 }
 
@@ -739,14 +724,13 @@ func (r *Registry) Stats() Stats {
 		case StateCanceled:
 			s.JobsCanceled++
 		}
-		// Only live jobs contribute queue depth: a job leaving the active
-		// states (cancel, early precision finalize) sheds its chunks at
-		// that transition, and any it could not shed — results mid-merge,
-		// batches still buffered on workers — must not be reported as
-		// schedulable backlog for a job the fleet will never serve again.
+		// Only live jobs contribute queue depth: a job that left the
+		// active states (cancel, early precision finalize) keeps its table
+		// as it stood, but its pending and out chunks are no backlog — the
+		// fleet will never serve it again. Merging chunks count in neither.
 		if j.activeLocked() {
 			s.PendingChunks += len(j.pending)
-			s.OutstandingChunks += len(j.outstanding)
+			s.OutstandingChunks += j.inPhase[phaseOut]
 		}
 	}
 	return s

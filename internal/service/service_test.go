@@ -239,14 +239,14 @@ func TestChunkPartition(t *testing.T) {
 	// Total photons across chunks must be conserved (the tail chunk is
 	// short).
 	var total int64
-	for _, p := range j.photons {
-		total += p
+	for id := range j.NumChunks() {
+		total += j.chunkPhotons(id)
 	}
 	if total != 1050 {
 		t.Fatalf("chunk photons sum to %d, want 1050", total)
 	}
-	if j.photons[10] != 50 {
-		t.Fatalf("tail chunk has %d photons, want 50", j.photons[10])
+	if j.chunkPhotons(10) != 50 {
+		t.Fatalf("tail chunk has %d photons, want 50", j.chunkPhotons(10))
 	}
 }
 
@@ -534,11 +534,7 @@ func completeAssign(reg *Registry, sess *session, a *protocol.TaskAssign) {
 	defer reg.mu.Unlock()
 	j := reg.jobs[a.JobID]
 	for _, g := range a.Grants {
-		if !j.completed[g.ChunkID] {
-			j.completed[g.ChunkID] = true
-			j.nCompleted++
-		}
-		delete(j.outstanding, g.ChunkID)
+		j.setPhase(g.ChunkID, phaseDone)
 		sess.grant.drop(a.JobID, g.ChunkID)
 	}
 }
@@ -614,7 +610,7 @@ func TestAbandonedAssignmentRequeued(t *testing.T) {
 	// requeued, not left ownerless in outstanding.
 	second := reg.nextChunk(sess)
 	reg.mu.Lock()
-	pending, outstanding := len(j.pending), len(j.outstanding)
+	pending, outstanding := len(j.pending), j.inPhase[phaseOut]
 	reassigned := j.reassigned
 	reg.mu.Unlock()
 	if pending+outstanding != 2 || outstanding != 1 {
@@ -632,7 +628,7 @@ func TestAbandonedAssignmentRequeued(t *testing.T) {
 		t.Fatal("unmergeable tally not rejected")
 	}
 	reg.mu.Lock()
-	pending, outstanding = len(j.pending), len(j.outstanding)
+	pending, outstanding = len(j.pending), j.inPhase[phaseOut]
 	reg.mu.Unlock()
 	if pending != 2 || outstanding != 0 {
 		t.Fatalf("chunk stranded after bad merge: pending %d, outstanding %d", pending, outstanding)
@@ -714,7 +710,7 @@ func TestLateResultAfterReclaimDoesNotRecompute(t *testing.T) {
 		t.Fatalf("duplicates = %d, want 1", res.Duplicates)
 	}
 	reg.mu.Lock()
-	pending, outstanding := len(j.pending), len(j.outstanding)
+	pending, outstanding := len(j.pending), j.inPhase[phaseOut]
 	reg.mu.Unlock()
 	if pending != 0 || outstanding != 0 {
 		t.Fatalf("queue not clean after completion: pending %d, outstanding %d", pending, outstanding)
@@ -936,7 +932,7 @@ func TestBatchGroupRepeatedChunkRejected(t *testing.T) {
 		}
 	}
 	reg.mu.Lock()
-	completed, launched := j.nCompleted, j.tally.Launched
+	completed, launched := j.inPhase[phaseDone], j.tally.Launched
 	reg.mu.Unlock()
 	if completed != 0 || launched != 0 {
 		t.Fatalf("repeated-chunk group reduced anyway: %d completed, %d launched", completed, launched)

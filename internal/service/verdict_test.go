@@ -76,7 +76,7 @@ func (f *verdictFixture) group(chunks ...int) protocol.BatchGroup {
 		if f.job.openEnded() {
 			streams = 0
 		}
-		tt, err := mc.RunStream(f.cfg, f.job.photons[id], f.seed, id, streams)
+		tt, err := mc.RunStream(f.cfg, f.job.chunkPhotons(id), f.seed, id, streams)
 		if err != nil {
 			f.t.Fatal(err)
 		}
@@ -251,8 +251,7 @@ func verdictRows() []verdictRow {
 		name: "merging chunk",
 		prepare: func(f *verdictFixture) protocol.BatchGroup {
 			f.reg.mu.Lock()
-			delete(f.job.outstanding, f.a)
-			f.job.merging[f.a] = true
+			f.job.setPhase(f.a, phaseMerging)
 			f.reg.mu.Unlock()
 			return f.group(f.a)
 		},
@@ -358,7 +357,7 @@ func (row verdictRow) run(f *verdictFixture, g protocol.BatchGroup) []protocol.R
 	go func() { done <- f.reduce(g) }()
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		f.reg.mu.Lock()
-		claimed := f.job.merging[g.Chunks[0]]
+		claimed := f.job.chunks[g.Chunks[0]].phase == phaseMerging
 		f.reg.mu.Unlock()
 		if claimed {
 			break
@@ -473,4 +472,40 @@ func TestReclaimedChunkQueuedOnce(t *testing.T) {
 		t.Fatalf("%d chunks pending for a one-chunk job, want 1", st.PendingChunks)
 	}
 	checkChunkBooks(t, out.Job)
+}
+
+// TestReclaimRequeuesOldestGrantFirst: chunks that expire in one scan go
+// back to pending oldest grant first, the chunks of one grant by id, so the
+// order they are granted again in is the same on every run.
+func TestReclaimRequeuesOldestGrantFirst(t *testing.T) {
+	for range 20 {
+		reg := New(Options{})
+		out, err := reg.Submit(JobSpec{Spec: slabSpec(5), TotalPhotons: 1000, ChunkPhotons: 100, Seed: 3,
+			ChunkTimeout: time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A first session takes two chunks in one grant (an estimate lets
+		// the grant hold more than one), then eight more take one each.
+		reg.mu.Lock()
+		out.Job.chunkSecs = 1
+		reg.mu.Unlock()
+		msg := reg.nextAssignment(reg.registerSession(&protocol.Hello{Name: "pair"}, ""), want(2))
+		if msg.Type != protocol.MsgTaskAssign || len(msg.Assign.Grants) != 2 {
+			t.Fatalf("first grant: %+v", msg)
+		}
+		order := []int{min(msg.Assign.Grants[0].ChunkID, msg.Assign.Grants[1].ChunkID),
+			max(msg.Assign.Grants[0].ChunkID, msg.Assign.Grants[1].ChunkID)}
+		for i := range 8 {
+			order = append(order, reg.nextChunk(reg.registerSession(&protocol.Hello{Name: fmt.Sprint("one-", i)}, "")).ChunkID)
+		}
+		reg.mu.Lock()
+		out.Job.reclaimExpiredLocked(time.Now().Add(2 * time.Minute))
+		pending := slices.Clone(out.Job.pending)
+		reg.mu.Unlock()
+		if !slices.Equal(pending, order) {
+			t.Fatalf("pending %v after the reclaim, want %v", pending, order)
+		}
+		checkChunkBooks(t, out.Job)
+	}
 }

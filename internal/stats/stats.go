@@ -91,11 +91,8 @@ func (r *Running) StdErr() float64 {
 // interval for the mean.
 func (r *Running) CI95() float64 { return 1.96 * r.StdErr() }
 
-// EWMA folds a sample into an exponentially weighted moving average (0.7
-// of the old value, 0.3 of the sample), seeding on first use: a zero
-// average takes the sample as it is. The server's per-job chunk seconds
-// and per-session throughput and a worker's reported rates all smooth
-// with it.
+// EWMA folds a sample into a moving average, 0.7 old to 0.3 new, seeding
+// on first use — the smoothing of the server's and the workers' rates.
 func EWMA(cur, sample float64) float64 {
 	if cur == 0 {
 		return sample
