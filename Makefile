@@ -21,7 +21,9 @@ short:
 # race runs the suite under the race detector, then the dispatcher's park /
 # wake / drain tests, the result plane's grant-is-batch tests, the
 # reducer's verdict table and timeline (a cancel racing a group's merge
-# among its rows), the content-key index's repeat / finish→seal / retention
+# among its rows), the chunk books after a late result, a reclaim's
+# requeue order and the stats-vs-metrics books (chunk books of a replayed
+# job among them), the content-key index's repeat / finish→seal / retention
 # tests and the multi-core grant tests (mc.Runner.RunChunks'
 # stop-and-claim, a worker's grant on one, two and four cores, its chunk
 # budgets) twenty more times in
@@ -34,7 +36,7 @@ short:
 # default.
 race:
 	$(GO) test -race -short -shuffle=on -timeout 30m ./...
-	$(GO) test -race -shuffle=on -run 'Park|Dispatch|Drain|BatchIsItsGrant|ChunkVerdict|Repeat|FinishAndSeal|RetainDone|GrantBatch|ParallelGrants|RunChunks' -count=20 ./internal/service ./internal/distsys ./internal/mc
+	$(GO) test -race -shuffle=on -run 'Park|Dispatch|Drain|BatchIsItsGrant|ChunkVerdict|ReclaimedChunkQueuedOnce|ReclaimRequeues|BooksAgree|Repeat|FinishAndSeal|RetainDone|GrantBatch|ParallelGrants|RunChunks' -count=20 ./internal/service ./internal/distsys ./internal/mc
 
 # bench-check vets and tests the nested benchmark module (bench/, its own
 # go.mod with `replace repro => ../`). The root's build and tests never
