@@ -36,7 +36,7 @@ short:
 # default.
 race:
 	$(GO) test -race -short -shuffle=on -timeout 30m ./...
-	$(GO) test -race -shuffle=on -run 'Park|Dispatch|Drain|BatchIsItsGrant|ChunkVerdict|ReclaimedChunkQueuedOnce|ReclaimRequeues|BooksAgree|Repeat|FinishAndSeal|RetainDone|GrantBatch|ParallelGrants|RunChunks' -count=20 ./internal/service ./internal/distsys ./internal/mc
+	$(GO) test -race -shuffle=on -run 'Park|Dispatch|Drain|BatchIsItsGrant|ChunkVerdict|ReclaimedChunkQueuedOnce|ReclaimRequeues|RegrantedChunk|ChunkRowSize|BooksAgree|Repeat|FinishAndSeal|RetainDone|GrantBatch|ParallelGrants|RunChunks' -count=20 ./internal/service ./internal/distsys ./internal/mc
 
 # bench-check vets and tests the nested benchmark module (bench/, its own
 # go.mod with `replace repro => ../`). The root's build and tests never

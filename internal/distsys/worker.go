@@ -79,8 +79,9 @@ const (
 
 // workerTelemetry accumulates the session's self-measured profile: EWMAs
 // of kernel throughput and per-chunk compute/encode time (stats.EWMA, the
-// blend the server uses for its ack-timing chunkSecs), plus rate-limited
-// Go runtime stats. Only the session loop touches it.
+// blend the server also uses for a job's chunkSecs, from the reported
+// Elapsed, and for its ack-timing estimate inferredPPS), plus
+// rate-limited Go runtime stats. Only the session loop touches it.
 type workerTelemetry struct {
 	pps         float64 // photons per second of grant wall time, EWMA
 	chunkSecs   float64 // per-chunk compute seconds, EWMA

@@ -225,9 +225,9 @@ type WorkerReport struct {
 }
 
 // TaskAssign hands one or more chunks of one job to a worker: at most as
-// many as the request's Want, each with its own outstanding entry and
-// timeout clock on the server. Job carries the full descriptor the first
-// time a session is handed a chunk of a job it has not advertised as known.
+// many as the request's Want, all on one grant with one timeout clock on
+// the server. Job carries the full descriptor the first time a session is
+// handed a chunk of a job it has not advertised as known.
 type TaskAssign struct {
 	JobID  uint64
 	Job    *Job

@@ -333,7 +333,7 @@ func TestNormalizePrecisionDefaults(t *testing.T) {
 		Seed:         1,
 		Target:       &mc.Target{RelErr: 0.02},
 	}
-	if err := js.normalize(0); err != nil {
+	if err := js.Normalize(0); err != nil {
 		t.Fatal(err)
 	}
 	if js.TotalPhotons != 0 {
@@ -364,7 +364,7 @@ func TestNormalizePrecisionDefaults(t *testing.T) {
 		ChunkPhotons: 300,
 		Target:       &mc.Target{RelErr: 0.01, MinPhotons: 500, MaxPhotons: 10_000_000},
 	}
-	if err := js2.normalize(1000); err != nil {
+	if err := js2.Normalize(1000); err != nil {
 		t.Fatal(err)
 	}
 	if js2.Target.MaxPhotons != 1200 { // clamped to 1000, rounded up to 4 chunks
@@ -377,7 +377,7 @@ func TestNormalizePrecisionDefaults(t *testing.T) {
 		ChunkPhotons: 10_000,
 		Target:       &mc.Target{RelErr: 0.01, MaxPhotons: 50_000},
 	}
-	if err := js3.normalize(0); err != nil {
+	if err := js3.Normalize(0); err != nil {
 		t.Fatal(err)
 	}
 	if js3.Target.MaxPhotons != 50_000 || js3.Target.MinPhotons != 50_000 {
@@ -390,7 +390,7 @@ func TestNormalizePrecisionDefaults(t *testing.T) {
 		ChunkPhotons: 300,
 		Target:       &mc.Target{RelErr: 0.01, MinPhotons: 10_000_000_000},
 	}
-	if err := js4.normalize(1000); err == nil {
+	if err := js4.Normalize(1000); err == nil {
 		t.Fatalf("floor above the operator cap accepted: %+v", js4.Target)
 	}
 
@@ -403,7 +403,7 @@ func TestNormalizePrecisionDefaults(t *testing.T) {
 	} {
 		bad := bad
 		js := JobSpec{Spec: slabSpec(5), Target: &bad}
-		if err := js.normalize(0); err == nil {
+		if err := js.Normalize(0); err == nil {
 			t.Fatalf("target %+v accepted", bad)
 		}
 	}

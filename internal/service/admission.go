@@ -339,11 +339,14 @@ func ceilSecond(d time.Duration) time.Duration {
 	return d
 }
 
-// admissionPhotons is the photon cost a submission debits from its
+// AdmissionPhotons is the photon cost a submission debits from its
 // tenant's quota: the fixed budget, or a targeted job's guaranteed minimum
 // (its true cost is decided later by the stopping rule). Call after
-// normalize so MinPhotons is filled.
-func (s *JobSpec) admissionPhotons() int64 {
+// Normalize so MinPhotons is filled. A gateway holding the tenant buckets
+// debits exactly this for every submission it forwards: it cannot see a
+// shard's retained jobs, so a resubmission its shard answers from them
+// pays what fresh work would.
+func (s *JobSpec) AdmissionPhotons() int64 {
 	if s.Target != nil {
 		return s.Target.MinPhotons
 	}

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/mc"
 	"repro/internal/obs"
@@ -72,8 +74,10 @@ func checkBooks(t *testing.T, reg *Registry, oreg *obs.Registry) Stats {
 
 // checkChunkBooks asserts a job's chunk books: every chunk is in exactly
 // one phase, counted as such in inPhase, pending holds exactly the
-// pending-phase ids, each once, and every out chunk's session is
-// registered unless the job is inactive.
+// pending-phase ids, each once, and a chunk has a grant exactly while it is
+// out. While the job is active, that grant is of this job, lists the chunk
+// and went to a registered session. (An inactive job's stragglers settle
+// without being requeued, so their rows may outlive both.)
 func checkChunkBooks(t *testing.T, j *Job) {
 	t.Helper()
 	j.reg.mu.Lock()
@@ -85,8 +89,16 @@ func checkChunkBooks(t *testing.T, j *Job) {
 			continue
 		}
 		inPhase[c.phase]++
-		if c.phase == phaseOut && j.reg.sessions[c.session] == nil && j.activeLocked() {
-			t.Errorf("job %016x chunk %d is out on session %d, which is gone", j.id, id, c.session)
+		if (c.grant != nil) != (c.phase == phaseOut) {
+			t.Errorf("job %016x chunk %d in phase %d has grant %p", j.id, id, c.phase, c.grant)
+		}
+		if c.grant == nil || !j.activeLocked() {
+			continue
+		}
+		if g := c.grant; g.job != j || !slices.Contains(g.chunks, id) {
+			t.Errorf("job %016x chunk %d is out on a grant of job %016x listing %v", j.id, id, g.job.id, g.chunks)
+		} else if j.reg.sessions[g.sess.id] != g.sess {
+			t.Errorf("job %016x chunk %d is out on session %d, which is gone", j.id, id, g.sess.id)
 		}
 	}
 	if inPhase != j.inPhase {
@@ -101,6 +113,15 @@ func checkChunkBooks(t *testing.T, j *Job) {
 	}
 	if len(j.pending) != inPhase[phasePending] {
 		t.Errorf("job %016x pending lists %d chunks, %d are pending", j.id, len(j.pending), inPhase[phasePending])
+	}
+}
+
+// TestChunkRowSize pins a chunk table row at 40 bytes on a 64-bit host: a
+// retained job of 2^20 chunks keeps one row per chunk until -retain evicts
+// it.
+func TestChunkRowSize(t *testing.T) {
+	if n := unsafe.Sizeof(chunk{}); n > 40 {
+		t.Fatalf("a chunk row is %d bytes, want at most 40", n)
 	}
 }
 

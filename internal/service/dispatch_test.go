@@ -437,7 +437,7 @@ func strandedPark(reg *Registry) bool {
 			work = true
 		}
 		for _, c := range j.chunks {
-			if c.phase == phaseOut && j.spec.ChunkTimeout > 0 && now.After(c.granted.Add(j.spec.ChunkTimeout)) {
+			if c.phase == phaseOut && j.spec.ChunkTimeout > 0 && now.After(c.grant.at.Add(j.spec.ChunkTimeout)) {
 				work = true
 			}
 		}

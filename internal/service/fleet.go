@@ -24,14 +24,11 @@ type session struct {
 	remote    string // transport remote address ("" for in-memory pipes)
 	connected time.Time
 	lastSeen  time.Time // last TaskRequest from this connection
-	// grant is what the session owns: the chunks of its latest TaskAssign,
-	// all of one job, that are neither reduced nor given up. One job,
-	// because the batch is its grant: a request hands back what the worker
-	// computed, syncSessionLocked gives up the rest, and only then does
-	// assignLocked grant the next job's chunks. A chunk stays here until
-	// its result is settled, the worker's next request arrives without it
-	// (abandoned → requeued), or the connection drops.
-	grant     grant
+	// grant is what the session owns: its latest TaskAssign (nil once
+	// given up). One job, because the batch is its grant: a request hands
+	// back what the worker computed, syncSessionLocked gives up the rest,
+	// and only then does assignLocked grant the next job's chunks.
+	grant     *grant
 	knownJobs map[uint64]bool // descriptors already shipped on this conn
 
 	// Per-session profile: the worker's latest piggybacked WorkerReport
@@ -50,16 +47,23 @@ type session struct {
 	parked bool
 }
 
-// grant is a session's ownership record: one job and the ids of its
-// chunks the session still owns.
+// grant is one TaskAssign: the job, the session it went to and when, and
+// the ids of its chunks the session still owns. A chunk stays in chunks
+// until its result is settled, the worker's next request arrives without
+// it (abandoned → requeued), or the connection drops. Every row out on the
+// grant points to it, and a job with a ChunkTimeout queues it once on its
+// expiry queue, where it is live while some row still points to it.
+// releaseGrantLocked leaves the record as it is: it may still be queued.
 type grant struct {
 	job    *Job
+	sess   *session
+	at     time.Time
 	chunks []int
 }
 
 // holds reports whether the grant owns chunk id of job jobID.
 func (g *grant) holds(jobID uint64, id int) bool {
-	return g.job != nil && g.job.id == jobID && slices.Contains(g.chunks, id)
+	return g != nil && g.job.id == jobID && slices.Contains(g.chunks, id)
 }
 
 // drop takes chunk id of job jobID out of the grant, reporting whether the
@@ -224,17 +228,19 @@ func (r *Registry) releaseSession(sess *session) {
 // flush it) must come through here — a chunk left out with no owner would
 // otherwise wedge a ChunkTimeout=0 job forever.
 func (r *Registry) releaseGrantLocked(sess *session) {
-	for _, id := range sess.grant.chunks {
-		r.releaseLocked(sess, sess.grant.job, id, "abandoned")
+	if g := sess.grant; g != nil {
+		for _, id := range g.chunks {
+			r.releaseLocked(sess, g.job, id, "abandoned")
+		}
 	}
-	sess.grant = grant{chunks: sess.grant.chunks[:0]}
+	sess.grant = nil
 }
 
 // releaseLocked requeues a chunk the session gives up, if the job is still
-// active and the chunk still out on this session (a timeout may have
+// active and the chunk still out on the session's grant (a timeout may have
 // reclaimed it already).
 func (r *Registry) releaseLocked(sess *session, j *Job, id int, why string) {
-	if c := &j.chunks[id]; j.activeLocked() && c.phase == phaseOut && c.session == sess.id {
+	if sess.grant != nil && j.activeLocked() && j.chunks[id].grant == sess.grant {
 		j.requeueLocked(id, sess.name, why)
 	}
 }
@@ -380,10 +386,10 @@ func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply
 	// is first-come-first-served.
 	j := jobs[r.sched.Pick(cands)]
 
-	// Grant up to Want chunks of the picked job in one reply. Every grant
-	// is its own row's grant (so per-chunk timeout reassignment is
-	// unchanged) and its own policy charge (so fair-share accounting stays
-	// per chunk; only the interleaving granularity coarsens).
+	// Grant up to Want chunks of the picked job in one reply, all on one
+	// grant record (one deadline), each its own policy charge (so
+	// fair-share accounting stays per chunk; only the interleaving
+	// granularity coarsens).
 	want := min(req.Want, protocol.MaxGrantChunks)
 	if want > 1 {
 		// Keep the tail parallel: when the whole schedulable queue is
@@ -415,19 +421,24 @@ func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply
 			want = 1
 		}
 	}
-	grant := func() protocol.ChunkGrant {
-		id := j.grantLocked(sess, now) // schedulable: pending or issuable
+	// A fresh record, never the last one's: a given-up grant may still be
+	// on the expiry queue, and syncSessionLocked gave it up.
+	g := &grant{job: j, sess: sess, at: now, chunks: make([]int, 0, want)}
+	sess.grant = g
+	if j.spec.ChunkTimeout > 0 {
+		j.expiry = append(j.expiry, g)
+	}
+	grantOne := func() protocol.ChunkGrant {
+		id := j.grantLocked(g) // schedulable: pending or issuable
 		photons := j.chunkPhotons(id)
 		r.met.chunksGranted.Inc()
 		j.trace(obs.Event{Kind: obs.EvChunkGranted, Chunk: id, Worker: sess.name})
 		if policy.charge {
 			r.sched.Charge(j.id, float64(photons))
 		}
-		sess.grant.chunks = append(sess.grant.chunks, id)
 		return protocol.ChunkGrant{ChunkID: id, Stream: id, Photons: photons}
 	}
 
-	sess.grant.job = j // syncSessionLocked emptied the grant
 	if j.state == StateQueued {
 		j.state = StateRunning
 	}
@@ -440,9 +451,9 @@ func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply
 		}
 	}
 
-	assign := &protocol.TaskAssign{JobID: j.id, Grants: []protocol.ChunkGrant{grant()}}
+	assign := &protocol.TaskAssign{JobID: j.id, Grants: []protocol.ChunkGrant{grantOne()}}
 	for len(assign.Grants) < want && (len(j.pending) > 0 || j.issuableChunksLocked() > 0) {
-		assign.Grants = append(assign.Grants, grant())
+		assign.Grants = append(assign.Grants, grantOne())
 	}
 	if !sess.knownJobs[j.id] {
 		streams := len(j.chunks)
@@ -624,16 +635,17 @@ func (r *Registry) settleLocked(sess *session, j *Job, jobID uint64, chunks []in
 // the claim found it out (phase 1), compute and reduce are known at publish
 // time (phase 3) — and observes its segments on the aggregate histograms.
 func (r *Registry) joinSpan(c chunk, id int, worker string, arrival time.Time, compute, reduce time.Duration) *obs.Span {
-	queue := c.granted.Sub(c.queued)
+	granted := c.grant.at
+	queue := granted.Sub(c.queued)
 	if c.queued.IsZero() || queue < 0 {
 		queue = 0
 	}
-	wire := max(arrival.Sub(c.granted)-compute, 0)
+	wire := max(arrival.Sub(granted)-compute, 0)
 	r.met.spanQueue.Observe(queue.Seconds())
 	r.met.spanWire.Observe(wire.Seconds())
 	r.met.spanCompute.Observe(compute.Seconds())
 	r.met.spanReduce.Observe(reduce.Seconds())
-	return &obs.Span{Chunk: id, Worker: worker, Granted: c.granted,
+	return &obs.Span{Chunk: id, Worker: worker, Granted: granted,
 		Queue: queue, Wire: wire, Compute: compute, Reduce: reduce}
 }
 
@@ -670,22 +682,20 @@ func (r *Registry) reduceGroup(sess *session, g *protocol.BatchGroup, tally *mc.
 		return acks
 	}
 	// Claim the chunks, seeding spans from their rows as they were. A
-	// chunk that is not out on this session (a timeout reclaim raced this
-	// flush) has no trustworthy grant stamp, so it gets no span. Seeds are
-	// gathered even when the job's trace is disabled: the aggregate span
-	// histograms observe regardless. The late result wins over the
-	// reclaim: while the chunk merges it is neither granted nor reclaimed,
-	// and a failed merge queues it once.
+	// chunk that is not out on this session's grant (a timeout reclaim
+	// raced this flush) has no trustworthy grant time, so it gets no span.
+	// Seeds are gathered even when the job's trace is disabled: the
+	// aggregate span histograms observe regardless. The late result wins
+	// over the reclaim: while the chunk merges it is neither granted nor
+	// reclaimed, and a failed merge queues it once.
+	held := sess.grant // non-nil: every chunk of a claimable group is in it
 	seeds := make([]chunk, len(chunks))
-	var minGranted time.Time
+	seeded := false
 	for i, id := range chunks {
-		if c := j.claimLocked(id); c.phase == phaseOut && c.session == sess.id {
-			seeds[i] = c
-			if minGranted.IsZero() || c.granted.Before(minGranted) {
-				minGranted = c.granted
-			}
+		if c := j.claimLocked(id); c.grant == held {
+			seeds[i], seeded = c, true
 		}
-		sess.grant.drop(g.JobID, id)
+		held.drop(g.JobID, id)
 	}
 	r.mu.Unlock()
 
@@ -741,7 +751,7 @@ func (r *Registry) reduceGroup(sess *session, g *protocol.BatchGroup, tally *mc.
 		acks[i] = protocol.ResultAck{JobID: g.JobID, ChunkID: id}
 		j.setPhase(id, phaseDone)
 		var span *obs.Span
-		if seed := seeds[i]; !seed.granted.IsZero() {
+		if seed := seeds[i]; seed.grant != nil {
 			compute := elapsed / time.Duration(len(chunks))
 			if len(secs) == len(chunks) {
 				compute = time.Duration(secs[i] * float64(time.Second))
@@ -757,13 +767,13 @@ func (r *Registry) reduceGroup(sess *session, g *protocol.BatchGroup, tally *mc.
 		j.chunkSecs = stats.EWMA(j.chunkSecs, elapsed.Seconds()/float64(len(chunks)))
 	}
 	// Session profile: chunks credited, and the ack-timing throughput
-	// inference — group photons over earliest-grant-to-arrival wall
-	// time. It folds compute, wire and hold into one number (unlike
-	// the worker's reported kernel-only EWMA), which is exactly the
-	// reported-vs-inferred contrast /fleet exists to show.
+	// inference — group photons over grant-to-arrival wall time. It folds
+	// compute, wire and hold into one number (unlike the worker's reported
+	// kernel-only EWMA), which is exactly the reported-vs-inferred
+	// contrast /fleet exists to show.
 	sess.completed += len(chunks)
-	if !minGranted.IsZero() {
-		if wall := arrival.Sub(minGranted).Seconds(); wall > 0 {
+	if seeded {
+		if wall := arrival.Sub(held.at).Seconds(); wall > 0 {
 			sess.inferredPPS = stats.EWMA(sess.inferredPPS, float64(tally.Launched)/wall)
 		}
 	}
@@ -856,9 +866,11 @@ func (r *Registry) Fleet() []SessionStatus {
 			Connected:             s.connected,
 			LastSeen:              s.lastSeen,
 			State:                 "computing",
-			ChunksHeld:            len(s.grant.chunks),
 			ChunksCompleted:       s.completed,
 			InferredPhotonsPerSec: s.inferredPPS,
+		}
+		if s.grant != nil {
+			ss.ChunksHeld = len(s.grant.chunks)
 		}
 		if s.parked {
 			ss.State = "parked"

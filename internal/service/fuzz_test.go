@@ -200,7 +200,7 @@ func FuzzDecodeSubmission(f *testing.F) {
 		// What Submit runs on it next. A grid whose labels do not fill its
 		// box must come back from Build as voxel.Grid.Validate's error, as
 		// it does for a wrong-length array in client JSON — never a panic.
-		if spec.normalize(0) == nil {
+		if spec.Normalize(0) == nil {
 			_, _ = spec.Spec.Build()
 		}
 	})
@@ -225,7 +225,7 @@ func TestCommittedJournalCorpus(t *testing.T) {
 		return filepath.Join("testdata", "fuzz", "FuzzDecodeJournalRecord", name+"_"+kind)
 	}
 	for name, js := range journalShapes(t) {
-		if err := js.normalize(0); err != nil {
+		if err := js.Normalize(0); err != nil {
 			t.Fatal(err)
 		}
 		key, _, err := keysOf(&js)

@@ -208,14 +208,16 @@ func ReadSubmission(w http.ResponseWriter, req *http.Request, maxBody int64, siz
 	switch req.Header.Get("Content-Type") {
 	case SubmissionCompactType:
 		format = "compact"
-		// One buffer sized from Content-Length (a body that declared none
-		// grows it, inside the cap on r; MinRead of slack lets ReadFrom see
-		// EOF without growing). The decoded grid's labels alias it: it is the
-		// job's copy of the grid.
+		// One buffer sized from Content-Length, up to DefaultMaxBodyBytes: a
+		// claim is no bytes, and with the cap off it is all that bounds it.
+		// A longer body, or one that declared none, grows it inside the cap
+		// on r; MinRead of slack lets ReadFrom see EOF without growing. The
+		// decoded grid's labels alias it: it is the job's copy of the grid.
 		if maxBody > 0 && req.ContentLength > maxBody {
 			err = &http.MaxBytesError{Limit: maxBody}
 		} else {
-			buf := bytes.NewBuffer(make([]byte, 0, max(req.ContentLength, 0)+bytes.MinRead))
+			size := min(max(req.ContentLength, 0), DefaultMaxBodyBytes)
+			buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
 			if _, err = buf.ReadFrom(r); err == nil {
 				spec, err = DecodeSubmission(buf.Bytes())
 			}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -286,6 +287,29 @@ func TestHTTPConcurrentJobsEndToEnd(t *testing.T) {
 	}
 }
 
+// TestClaimedLengthSizesNoBuffer: with the body cap off, a compact POST
+// claiming a gigabyte but carrying a few bytes is a 400 that allocates
+// what the body holds, not what its header claims.
+func TestClaimedLengthSizesNoBuffer(t *testing.T) {
+	api := NewAPI(New(Options{}))
+	api.MaxBodyBytes = -1
+	h := api.Handler()
+	req := httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader("{not a submission"))
+	req.Header.Set("Content-Type", SubmissionCompactType)
+	req.ContentLength = 1 << 30
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("http %d %s, want 400", rec.Code, rec.Body)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<20 {
+		t.Fatalf("a %d-byte body claiming 1 GiB allocated %d bytes", len("{not a submission"), n)
+	}
+}
+
 // TestIngressBoundsFanAndChunks: a fan width and a fixed-count chunk count
 // are bounded at normalization, so POST /jobs refuses either over its bound
 // with a 422 before a job — whose per-chunk bookkeeping is allocated at
@@ -318,7 +342,7 @@ func TestIngressBoundsFanAndChunks(t *testing.T) {
 		"open-ended target":          {JobSpec{Spec: slabSpec(5), ChunkPhotons: 1, Target: &mc.Target{Observable: mc.ObsDiffuse, RelErr: 0.1}}, true},
 		"largest count in one chunk": {JobSpec{Spec: slabSpec(5), TotalPhotons: math.MaxInt64}, true},
 	} {
-		err := c.js.normalize(math.MaxInt64)
+		err := c.js.Normalize(math.MaxInt64)
 		if (err == nil) != c.ok {
 			t.Fatalf("%s: normalize returned %v, want ok %v", name, err, c.ok)
 		}

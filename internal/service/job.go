@@ -1,7 +1,6 @@
 package service
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -120,23 +119,15 @@ const (
 	nPhases
 )
 
-// chunk is one row of a job's chunk table. session and worker say who
-// holds the chunk now, while it is out. They are not the right to return
-// it: that is a session's grant, which a timeout reclaim does not revoke,
-// so a late result still claims a chunk the reclaim gave to someone else.
+// chunk is one row of a job's chunk table. grant is the grant the chunk
+// is out on, set exactly while it is out (setPhase clears it). It says who
+// holds the chunk now, not who may return it: that right is the session's
+// grant, which a timeout reclaim does not revoke, so a late result still
+// claims a chunk the reclaim gave to someone else.
 type chunk struct {
-	phase   phase
-	queued  time.Time // when the chunk last entered pending
-	granted time.Time // while out: when it was granted
-	session uint64    // while out: the session holding it
-	worker  string    // while out: that session's worker name
-}
-
-// grantStamp is one grant on a job's expiry queue. It is stale once its
-// chunk left that grant: reduced, requeued, or granted again.
-type grantStamp struct {
-	id      int
-	granted time.Time
+	phase  phase
+	queued time.Time // when the chunk last entered pending
+	grant  *grant
 }
 
 // Job is one simulation owned by a Registry. All mutable state is guarded
@@ -158,11 +149,12 @@ type Job struct {
 	// them at submission, but for a precision-targeted (open-ended) job —
 	// and inPhase counts its rows by phase (setPhase). pending stacks the
 	// pending rows' ids (LIFO on requeue); expiry queues the grants of a
-	// job with a ChunkTimeout in grant order (reclaimExpiredLocked).
+	// job with a ChunkTimeout, one entry per grant, in grant order
+	// (reclaimExpiredLocked).
 	chunks  []chunk
 	inPhase [nPhases]int
 	pending []int
-	expiry  []grantStamp
+	expiry  []*grant
 
 	// Precision-job progress, published under the registry lock after
 	// each merge so Status never needs the reduction lock: the live
@@ -240,11 +232,16 @@ func newJob(reg *Registry, key Key, spec JobSpec) (*Job, error) {
 	return j, nil
 }
 
-// setPhase moves chunk id to phase p.
+// setPhase moves chunk id to phase p; a chunk that is not out is on no
+// grant.
 func (j *Job) setPhase(id int, p phase) {
-	j.inPhase[j.chunks[id].phase]--
+	c := &j.chunks[id]
+	j.inPhase[c.phase]--
 	j.inPhase[p]++
-	j.chunks[id].phase = p
+	c.phase = p
+	if p != phaseOut {
+		c.grant = nil
+	}
 }
 
 // chunkPhotons is chunk id's photon count: ChunkPhotons, but for a
@@ -286,19 +283,16 @@ func (j *Job) issueChunkLocked() {
 }
 
 // grantLocked pops the top of pending, issuing a fresh chunk first when an
-// open-ended job has none queued, and hands it out to sess.
-func (j *Job) grantLocked(sess *session, now time.Time) int {
+// open-ended job has none queued, and hands it out on g.
+func (j *Job) grantLocked(g *grant) int {
 	if len(j.pending) == 0 {
 		j.issueChunkLocked()
 	}
 	id := j.pending[len(j.pending)-1]
 	j.pending = j.pending[:len(j.pending)-1]
 	j.setPhase(id, phaseOut)
-	c := &j.chunks[id]
-	c.granted, c.session, c.worker = now, sess.id, sess.name
-	if j.spec.ChunkTimeout > 0 {
-		j.expiry = append(j.expiry, grantStamp{id, now})
-	}
+	j.chunks[id].grant = g
+	g.chunks = append(g.chunks, id)
 	return id
 }
 
@@ -491,35 +485,28 @@ func (j *Job) activeLocked() bool {
 
 // reclaimExpiredLocked requeues the overdue chunks, oldest grant first and
 // one grant's chunks by id, and returns the deadline of the oldest grant
-// still out (zero if none) — when a parked dispatcher must look again.
-// ChunkTimeout is fixed per job, so expiry is in deadline order: the
-// overdue grants are a prefix, and each grant is pushed and popped once.
-func (j *Job) reclaimExpiredLocked(now time.Time) (next time.Time) {
-	live := func(g grantStamp) bool {
-		c := &j.chunks[g.id]
-		return c.phase == phaseOut && c.granted.Equal(g.granted)
-	}
-	n := 0
-	for n < len(j.expiry) && now.After(j.expiry[n].granted.Add(j.spec.ChunkTimeout)) {
-		n++
-	}
-	overdue := j.expiry[:n]
-	j.expiry = j.expiry[n:]
-	slices.SortFunc(overdue, func(a, b grantStamp) int {
-		return cmp.Or(a.granted.Compare(b.granted), cmp.Compare(a.id, b.id))
-	})
-	for _, g := range overdue {
-		if live(g) {
-			j.requeueLocked(g.id, j.chunks[g.id].worker, "timeout")
+// still live (zero if none) — when a parked dispatcher must look again. A
+// grant is live while a row still points to it. ChunkTimeout is fixed per
+// job, so expiry is in deadline order: the overdue grants are a prefix,
+// and each grant is pushed and popped once.
+func (j *Job) reclaimExpiredLocked(now time.Time) time.Time {
+	for len(j.expiry) > 0 {
+		g := j.expiry[0]
+		live := slices.ContainsFunc(g.chunks, func(id int) bool { return j.chunks[id].grant == g })
+		if deadline := g.at.Add(j.spec.ChunkTimeout); live && !now.After(deadline) {
+			return deadline
+		}
+		j.expiry = j.expiry[1:]
+		// The order of a grant's chunks matters only while one is out on it
+		// (releaseGrantLocked requeues them in it), and after this none is.
+		slices.Sort(g.chunks)
+		for _, id := range g.chunks {
+			if j.chunks[id].grant == g {
+				j.requeueLocked(id, g.sess.name, "timeout")
+			}
 		}
 	}
-	for len(j.expiry) > 0 && !live(j.expiry[0]) {
-		j.expiry = j.expiry[1:]
-	}
-	if len(j.expiry) > 0 {
-		next = j.expiry[0].granted.Add(j.spec.ChunkTimeout)
-	}
-	return next
+	return time.Time{}
 }
 
 // snapshot is a job's resumable reduction state: a decoded snapshot

@@ -870,7 +870,7 @@ func TestJournalLostFinalSnapshotRecomputes(t *testing.T) {
 // nothing, not even the jobs whose records it could read.
 func TestReplayRefusesRetiredRecordTypes(t *testing.T) {
 	js := JobSpec{Spec: slabSpec(5), TotalPhotons: 1000, ChunkPhotons: 250, Seed: 3}
-	if err := js.normalize(0); err != nil {
+	if err := js.Normalize(0); err != nil {
 		t.Fatal(err)
 	}
 	key, _, err := keysOf(&js)
@@ -1025,7 +1025,7 @@ func TestAcceptRecordCarriesEveryField(t *testing.T) {
 	}
 
 	for name, js := range journalShapes(t) {
-		if err := js.normalize(0); err != nil {
+		if err := js.Normalize(0); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		key, pkey, err := keysOf(&js)
@@ -1040,7 +1040,7 @@ func TestAcceptRecordCarriesEveryField(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if err := back.normalize(0); err != nil {
+		if err := back.Normalize(0); err != nil {
 			t.Fatalf("%s: decoded spec no longer normalizes: %v", name, err)
 		}
 		key2, pkey2, err := keysOf(&back)

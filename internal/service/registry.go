@@ -128,8 +128,8 @@ type SubmitOutcome struct {
 // voxel geometry), tally allocation — happens outside the registry mutex so
 // a large submission never stalls fleet dispatch.
 func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
-	if err := spec.normalize(r.opts.MaxTargetPhotons); err != nil {
-		return nil, invalid(err)
+	if err := spec.Normalize(r.opts.MaxTargetPhotons); err != nil {
+		return nil, err
 	}
 	start := time.Now()
 	key, pkey, err := keysOf(&spec)
@@ -151,7 +151,7 @@ func (r *Registry) Submit(spec JobSpec) (*SubmitOutcome, error) {
 	// cache-hit submissions returned above after debiting one job-rate
 	// token via admitRideLocked. The probe spends no tokens; the
 	// authoritative, debiting check repeats under the lock below.
-	cost := spec.admissionPhotons()
+	cost := spec.AdmissionPhotons()
 	r.mu.Lock()
 	r.met.cacheLookups.Inc()
 	r.met.cacheMisses.Inc()
@@ -384,7 +384,7 @@ func (r *Registry) shareGrid(spec *JobSpec) {
 // every job is back), bypasses admission (the work was admitted before the
 // restart) and counts a replayed job, never a submission.
 func (r *Registry) restore(spec JobSpec, snap *snapshot) (*Job, error) {
-	if err := spec.normalize(r.opts.MaxTargetPhotons); err != nil {
+	if err := spec.Normalize(r.opts.MaxTargetPhotons); err != nil {
 		return nil, err
 	}
 	key, pkey, err := keysOf(&spec)
@@ -541,7 +541,8 @@ func (r *Registry) Cancel(id uint64) error {
 
 // finishJobLocked takes a job out of the active states: Done when its last
 // chunk reduced or its target was met, Canceled by Cancel. Its chunk table
-// stays as it stands; nothing grants, reclaims or requeues from it again.
+// stays as it stands; nothing grants, reclaims or requeues from it again,
+// so its expiry queue goes.
 // For Done the caller must call sealJob after releasing the registry lock:
 // waiters stay blocked on j.finished until then, and an identical
 // submission arriving in between coalesces onto the job (rideLocked) and
@@ -549,6 +550,7 @@ func (r *Registry) Cancel(id uint64) error {
 func (r *Registry) finishJobLocked(j *Job, state JobState) {
 	j.state = state
 	j.finishedAt = time.Now()
+	j.expiry = nil
 	r.active = slices.DeleteFunc(r.active, func(a *Job) bool { return a == j })
 	r.sched.Forget(j.id)
 	r.evictFinishedLocked()

@@ -190,21 +190,24 @@ const (
 // refused, not built. A precision target issues its chunks as it runs.
 const maxJobChunks = 1 << 20
 
-// normalize fills defaults and runs the cheap structural checks. The
-// expensive spec validation (Spec.Build, which may materialise a voxel
-// geometry) is deferred to newJob so that cache hits and coalesced
-// submissions — whose exact spec bytes already built successfully once —
-// skip it entirely. maxTargetPhotons is the registry's operator cap
-// (zero means DefaultMaxTargetPhotons).
-func (s *JobSpec) normalize(maxTargetPhotons int64) error {
+// Normalize fills defaults and runs the cheap structural checks in place;
+// it is idempotent, and its failures are InvalidJobError. The expensive
+// spec validation (Spec.Build, which may materialise a voxel geometry) is
+// deferred to newJob so that cache hits and coalesced submissions — whose
+// exact spec bytes already built successfully once — skip it entirely. On
+// its own it is the cheap first half of RoutingKeys, nothing hashed, for a
+// gateway that must tell a malformed job (422) from one it may shed unkeyed
+// (429). maxTargetPhotons is the operator cap (zero means
+// DefaultMaxTargetPhotons).
+func (s *JobSpec) Normalize(maxTargetPhotons int64) error {
 	if s.Spec == nil {
-		return fmt.Errorf("service: job has no simulation spec")
+		return invalid(fmt.Errorf("service: job has no simulation spec"))
 	}
 	// The one spec check that cannot wait for newJob: an over-bound scoring
 	// grid must be refused before anything — a gateway's routing, a cache
 	// probe, a tally allocation — acts on the submission.
 	if err := s.Spec.ValidateScoring(); err != nil {
-		return err
+		return invalid(err)
 	}
 	if s.Target != nil {
 		tgt := *s.Target // never mutate the caller's struct
@@ -236,7 +239,7 @@ func (s *JobSpec) normalize(maxTargetPhotons int64) error {
 			}
 		}
 		if err := s.Target.Normalize(); err != nil {
-			return err
+			return invalid(err)
 		}
 		if !s.Spec.TrackMoments {
 			// The stopping rule needs chunk moments; copy the spec rather
@@ -246,14 +249,14 @@ func (s *JobSpec) normalize(maxTargetPhotons int64) error {
 			s.Spec = &sp
 		}
 	} else if s.TotalPhotons <= 0 {
-		return fmt.Errorf("service: non-positive photon count %d", s.TotalPhotons)
+		return invalid(fmt.Errorf("service: non-positive photon count %d", s.TotalPhotons))
 	}
 	if s.ChunkPhotons <= 0 {
 		s.ChunkPhotons = s.TotalPhotons
 	}
 	if s.Target == nil && (s.TotalPhotons-1)/s.ChunkPhotons >= maxJobChunks {
-		return fmt.Errorf("service: %d photons in chunks of %d is more than %d chunks",
-			s.TotalPhotons, s.ChunkPhotons, maxJobChunks)
+		return invalid(fmt.Errorf("service: %d photons in chunks of %d is more than %d chunks",
+			s.TotalPhotons, s.ChunkPhotons, maxJobChunks))
 	}
 	if s.Weight <= 0 {
 		s.Weight = 1
@@ -261,13 +264,13 @@ func (s *JobSpec) normalize(maxTargetPhotons int64) error {
 	if s.Fan <= 1 {
 		s.Fan = 0 // canonical "no fan": fan 1 computes the same tally
 	} else if s.Fan > protocol.MaxFan {
-		return fmt.Errorf("service: fan %d is wider than %d", s.Fan, protocol.MaxFan)
+		return invalid(fmt.Errorf("service: fan %d is wider than %d", s.Fan, protocol.MaxFan))
 	}
 	if s.Tenant == "" {
 		s.Tenant = DefaultTenant
 	}
 	if len(s.Tenant) > MaxTenantNameLen {
-		return fmt.Errorf("service: tenant name longer than %d bytes", MaxTenantNameLen)
+		return invalid(fmt.Errorf("service: tenant name longer than %d bytes", MaxTenantNameLen))
 	}
 	return nil
 }

@@ -91,22 +91,3 @@ func RoutingKeys(spec *JobSpec, maxTargetPhotons int64) (key, pkey Key, err erro
 	}
 	return key, pkey, nil
 }
-
-// Normalize is the cheap first half of RoutingKeys on its own — defaults
-// filled and the tuple validated in place, nothing hashed — for a gateway
-// that must tell a malformed job (422) from one it may shed unkeyed (429).
-// It is idempotent; failures are InvalidJobError.
-func (s *JobSpec) Normalize(maxTargetPhotons int64) error {
-	if err := s.normalize(maxTargetPhotons); err != nil {
-		return invalid(err)
-	}
-	return nil
-}
-
-// AdmissionPhotons exposes the photon cost admission charges for a
-// normalized submission — the fixed budget, or a targeted job's
-// guaranteed minimum. A gateway holding the tenant buckets debits exactly
-// this for every submission it forwards: it cannot see a shard's retained
-// jobs, so a resubmission its shard answers from them pays what fresh work
-// would.
-func (s *JobSpec) AdmissionPhotons() int64 { return s.admissionPhotons() }

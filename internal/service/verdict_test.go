@@ -509,3 +509,55 @@ func TestReclaimRequeuesOldestGrantFirst(t *testing.T) {
 		checkChunkBooks(t, out.Job)
 	}
 }
+
+// TestRegrantedChunkReclaimedAtItsNewDeadline: a chunk a timeout took back
+// and granted to another session is out on the new grant alone. It is
+// reclaimed at that grant's deadline, not earlier, and the reclaim names
+// the session that holds it now.
+func TestRegrantedChunkReclaimedAtItsNewDeadline(t *testing.T) {
+	const timeout = time.Minute
+	reg := New(Options{})
+	out, err := reg.Submit(JobSpec{Spec: slabSpec(5), TotalPhotons: 100, ChunkPhotons: 100, Seed: 3,
+		ChunkTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := reg.registerSession(&protocol.Hello{Name: "first"}, "")
+	a := reg.nextChunk(first)
+	reg.mu.Lock()
+	first.grant.at = first.grant.at.Add(-2 * timeout) // long overdue
+	reg.mu.Unlock()
+	// The second session's scan reclaims the chunk and grants it again.
+	second := reg.registerSession(&protocol.Hello{Name: "second"}, "")
+	if b := reg.nextChunk(second); b == nil || b.ChunkID != a.ChunkID {
+		t.Fatalf("second session granted %+v, want the reclaimed chunk %d", b, a.ChunkID)
+	}
+	checkChunkBooks(t, out.Job)
+
+	reg.mu.Lock()
+	due := second.grant.at.Add(timeout)
+	next := out.Job.reclaimExpiredLocked(due)
+	pending := len(out.Job.pending)
+	reg.mu.Unlock()
+	if !next.Equal(due) || pending != 0 {
+		t.Fatalf("at its new deadline: next reclaim %v (want %v), %d pending (want 0)", next, due, pending)
+	}
+	reg.mu.Lock()
+	next = out.Job.reclaimExpiredLocked(due.Add(time.Nanosecond))
+	requeued := slices.Clone(out.Job.pending)
+	reg.mu.Unlock()
+	if !next.IsZero() || !slices.Equal(requeued, []int{a.ChunkID}) {
+		t.Fatalf("past its new deadline: next reclaim %v (want none), pending %v (want [%d])", next, requeued, a.ChunkID)
+	}
+	events, _ := out.Job.Events()
+	var from []string
+	for _, e := range events {
+		if e.Kind == obs.EvChunkReassigned {
+			from = append(from, e.Worker+"/"+e.Detail)
+		}
+	}
+	if !slices.Equal(from, []string{"first/timeout", "second/timeout"}) {
+		t.Fatalf("chunk-reassigned events %v, want first/timeout then second/timeout", from)
+	}
+	checkChunkBooks(t, out.Job)
+}
