@@ -24,9 +24,9 @@ short:
 # among its rows), the chunk books after a late result, a reclaim's
 # requeue order and the stats-vs-metrics books (chunk books of a replayed
 # job among them), the content-key index's repeat / finish→seal / retention
-# tests and the multi-core grant tests (mc.Runner.RunChunks'
+# tests, the multi-core grant tests (mc.Runner.RunChunks'
 # stop-and-claim, a worker's grant on one, two and four cores, its chunk
-# budgets) twenty more times in
+# budgets) and a session's descriptor eviction twenty more times in
 # shuffled order: a lost wake-up is a rare interleaving (and parkMax heals
 # it within a second, so nothing hangs to give it away), a job stays in
 # byKey across its seal and until its eviction, and a unit claimed after
@@ -36,7 +36,7 @@ short:
 # default.
 race:
 	$(GO) test -race -short -shuffle=on -timeout 30m ./...
-	$(GO) test -race -shuffle=on -run 'Park|Dispatch|Drain|BatchIsItsGrant|ChunkVerdict|ReclaimedChunkQueuedOnce|ReclaimRequeues|RegrantedChunk|ChunkRowSize|BooksAgree|Repeat|FinishAndSeal|RetainDone|GrantBatch|ParallelGrants|RunChunks' -count=20 ./internal/service ./internal/distsys ./internal/mc
+	$(GO) test -race -shuffle=on -run 'Park|Dispatch|Drain|BatchIsItsGrant|ChunkVerdict|ReclaimedChunkQueuedOnce|ReclaimRequeues|RegrantedChunk|ChunkRowSize|BooksAgree|Repeat|FinishAndSeal|RetainDone|GrantBatch|ParallelGrants|RunChunks|DescriptorCache' -count=20 ./internal/service ./internal/distsys ./internal/mc
 
 # bench-check vets and tests the nested benchmark module (bench/, its own
 # go.mod with `replace repro => ../`). The root's build and tests never
@@ -138,8 +138,9 @@ shard-smoke:
 
 # fuzz-smoke gives each outside-facing decoder ten seconds of
 # coverage-guided input on top of its committed corpus — the wire decoder
-# (seeded with v7 frames, batch-carrying task requests among them, and the
-# retired gob frames of v6 and before it must refuse), the HTTP submit
+# (seeded with v8 frames, batch-carrying task requests among them, the v7
+# frames as they were written and the retired gob frames of v6 and before
+# it must refuse), the HTTP submit
 # decoder (seeded with
 # scripts/genjob bodies), the journal's accept and snapshot record decoders
 # (seeded with their own records of four job shapes), the compact tally

@@ -175,7 +175,7 @@ func startWorker(t *testing.T, fleetAddr string) {
 	t.Helper()
 	stop := make(chan struct{})
 	t.Cleanup(func() { close(stop) })
-	go distsys.WorkLoopTCP(fleetAddr,
+	go distsys.WorkLoopTCPMulti([]string{fleetAddr},
 		distsys.WorkerOptions{Name: "chaos", FlushChunks: 1, Stop: stop},
 		distsys.LoopOptions{Reconnect: true, Base: 10 * time.Millisecond, Max: 200 * time.Millisecond})
 }

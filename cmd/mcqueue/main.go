@@ -63,14 +63,14 @@
 //
 // Durability is one mechanism, on by default: the write-ahead journal in
 // -wal-dir (default mcqueue-wal; empty disables it). Every accepted job,
-// reduced chunk batch, amortized tally snapshot, finalize and cancel is
-// logged, and on start the journal is replayed — before /readyz flips —
-// so a Ctrl-C, kill -9, OOM kill or power cut replays instead of losing
-// accepted jobs. -wal-fsync picks the always/interval/none fsync policy
-// (a process kill loses nothing under any of them; the policy prices
-// power loss). On SIGINT/SIGTERM in-flight HTTP requests are drained and
-// the journal is compacted to one snapshot per retained job, then closed.
-// See DESIGN.md "Durability".
+// amortized tally snapshot (a finished job's last one is its result) and
+// cancel is logged, and on start the journal is replayed — before /readyz
+// flips — so a Ctrl-C, kill -9, OOM kill or power cut replays instead of
+// losing accepted jobs. -wal-fsync picks the always/interval/none fsync
+// policy (a process kill loses nothing under any of them; the policy
+// prices power loss). On SIGINT/SIGTERM in-flight HTTP requests are
+// drained and the journal is compacted to one accept and one snapshot per
+// retained job, then closed. See DESIGN.md "Durability".
 //
 // As a shard: -lease-file arms flock-based failover. The process blocks
 // until it exclusively holds the lease file, so a standby started with

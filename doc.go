@@ -122,7 +122,7 @@
 // same bytes whatever the core count — and hands that
 // batch back on its next task request — the only frame a result travels in
 // since protocol v6 — with tallies encoded by a sparse binary codec inside
-// a hand-written frame (protocol v7) and per-chunk acks preserving the
+// a hand-written frame (protocol v8) and per-chunk acks preserving the
 // exactly-once reduction under timeout reassignment. The registry merges each decoded batch outside its
 // dispatch lock via a per-job reducer. See DESIGN.md's "Result plane"
 // section for the wire layout and invariants.

@@ -3,8 +3,10 @@ package distsys
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -698,6 +700,105 @@ func TestSessionSharesEqualGrids(t *testing.T) {
 		}
 		if !bytes.Equal(together[i], alone[0]) {
 			t.Errorf("job %d: tally on the shared grid differs from its own session's", i)
+		}
+	}
+}
+
+// tapConn records every byte the worker reads: the server's side of the
+// session, as it went over the wire.
+type tapConn struct {
+	net.Conn
+	read bytes.Buffer
+}
+
+func (c *tapConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.read.Write(p[:n])
+	return n, err
+}
+
+// TestSessionDescriptorCacheEvictsOldest runs one real worker session
+// through protocol.MaxDescriptors+1 distinct jobs and then a second chunk
+// of the first and of the last, and counts the descriptors on the wire:
+// one per job while the session holds it, and one more for the first job,
+// which the last one's descriptor evicted at both ends.
+func TestSessionDescriptorCacheEvictsOldest(t *testing.T) {
+	const n = protocol.MaxDescriptors + 1
+	// Fair share grants the least-served job first, the earliest on a tie,
+	// so one chunk per request visits jobs 0..n-1 and then the two jobs
+	// with a second chunk, the first one first.
+	reg := service.New(service.Options{Policy: service.FairShare()})
+	var accepted []*service.Job
+	for i := range n {
+		photons := int64(10)
+		if i == 0 || i == n-1 {
+			photons = 20
+		}
+		out, err := reg.Submit(service.JobSpec{Spec: quickSpec(), TotalPhotons: photons, ChunkPhotons: 10,
+			Seed: uint64(i + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		accepted = append(accepted, out.Job)
+	}
+	server, client := net.Pipe()
+	go reg.HandleConn(server)
+	tap := &tapConn{Conn: client}
+	stop, done := make(chan struct{}), make(chan error, 1)
+	go func() {
+		_, err := Work(tap, WorkerOptions{Name: "w", Stop: stop, FlushChunks: 1})
+		done <- err
+	}()
+	for _, j := range accepted {
+		if _, err := j.Wait(60 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+
+	pc := protocol.NewConn(struct {
+		io.Reader
+		io.Writer
+		io.Closer
+	}{&tap.read, io.Discard, io.NopCloser(nil)})
+	index := map[uint64]int{}
+	for i, j := range accepted {
+		index[j.ID()] = i
+	}
+	var order []int
+	described := make([]int, n)
+	for {
+		m, err := pc.Recv()
+		if err != nil {
+			break // the session's end, possibly a frame the stop cut short
+		}
+		if m.Type != protocol.MsgTaskAssign {
+			continue
+		}
+		i := index[m.Assign.JobID]
+		order = append(order, i)
+		if m.Assign.Job != nil {
+			described[i]++
+		}
+	}
+	wantOrder := make([]int, 0, n+2)
+	for i := range n {
+		wantOrder = append(wantOrder, i)
+	}
+	wantOrder = append(wantOrder, 0, n-1)
+	if !slices.Equal(order, wantOrder) {
+		t.Fatalf("jobs granted in order %v, want %v", order, wantOrder)
+	}
+	for i, got := range described {
+		want := 1
+		if i == 0 {
+			want = 2
+		}
+		if got != want {
+			t.Errorf("job %d described %d times, want %d", i, got, want)
 		}
 	}
 }

@@ -107,13 +107,6 @@ func WorkLoop(dial func() (io.ReadWriteCloser, error), opts WorkerOptions, lo Lo
 	}
 }
 
-// WorkLoopTCP is WorkLoop over a TCP dialer to addr.
-func WorkLoopTCP(addr string, opts WorkerOptions, lo LoopOptions) (*WorkerStats, error) {
-	return WorkLoop(func() (io.ReadWriteCloser, error) {
-		return net.Dial("tcp", addr)
-	}, opts, lo)
-}
-
 // WorkLoopTCPMulti is WorkLoop over a list of candidate fleet addresses —
 // a shard primary and its standbys. Each dial attempt tries the next
 // address in rotation, so when the primary dies the ordinary reconnect
@@ -122,9 +115,6 @@ func WorkLoopTCP(addr string, opts WorkerOptions, lo LoopOptions) (*WorkerStats,
 func WorkLoopTCPMulti(addrs []string, opts WorkerOptions, lo LoopOptions) (*WorkerStats, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("distsys: no fleet addresses")
-	}
-	if len(addrs) == 1 {
-		return WorkLoopTCP(addrs[0], opts, lo)
 	}
 	next := 0
 	return WorkLoop(func() (io.ReadWriteCloser, error) {

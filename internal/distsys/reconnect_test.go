@@ -57,7 +57,7 @@ func TestWorkerReconnectAcrossServerRestart(t *testing.T) {
 	}
 	loopCh := make(chan loopResult, 1)
 	go func() {
-		stats, err := WorkLoopTCP(addr, WorkerOptions{Name: "phoenix", FlushChunks: 1},
+		stats, err := WorkLoopTCPMulti([]string{addr}, WorkerOptions{Name: "phoenix", FlushChunks: 1},
 			LoopOptions{Reconnect: true, Base: 5 * time.Millisecond, Max: 50 * time.Millisecond})
 		loopCh <- loopResult{stats, err}
 	}()
@@ -306,7 +306,7 @@ func TestRejectedHelloEndsWorkLoop(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		_, err := WorkLoopTCP(ln.Addr().String(), WorkerOptions{Name: "stale"},
+		_, err := WorkLoopTCPMulti([]string{ln.Addr().String()}, WorkerOptions{Name: "stale"},
 			LoopOptions{Reconnect: true, Base: 10 * time.Millisecond, Max: 50 * time.Millisecond})
 		done <- err
 	}()

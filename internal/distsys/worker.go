@@ -247,13 +247,6 @@ func (rt *jobRuntime) units(grants []protocol.ChunkGrant) ([][]mc.Unit, error) {
 	return chunks, nil
 }
 
-// maxCachedJobs bounds the per-session descriptor cache (a built Config
-// can hold a multi-megabyte voxel grid, and a long-lived service hands a
-// worker an unbounded stream of jobs). Eviction is FIFO; because each
-// TaskRequest advertises exactly the jobs still cached, the server
-// re-sends a descriptor the worker has dropped.
-const maxCachedJobs = 32
-
 // resultBatch is the worker-side pre-reduction of one grant: the chunks of
 // one job computed since the last request, their tallies merged into one.
 type resultBatch struct {
@@ -346,8 +339,8 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 	}
 	log.Info("session established", "server", welcome.Welcome.ServerName)
 
-	jobs := make(map[uint64]*jobRuntime)
-	var known []uint64
+	jobs := make(map[uint64]*jobRuntime) // one per descriptor held
+	var held protocol.Descriptors
 	var arena []byte
 	tel := &workerTelemetry{}
 	batch := &resultBatch{}
@@ -372,7 +365,7 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 	// whatever has been computed and asking for up to want chunks, and the
 	// reply, with the batch's acks applied.
 	exchange := func(want int) (*protocol.Message, error) {
-		req := &protocol.TaskRequest{KnownJobs: known, Want: want, Report: tel.maybeReport()}
+		req := &protocol.TaskRequest{Want: want, Report: tel.maybeReport()}
 		flushed := len(batch.chunks)
 		if flushed > 0 {
 			start := time.Now()
@@ -483,10 +476,10 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 			want = min(2*want, opts.FlushChunks)
 			a := msg.Assign
 			rt := jobs[a.JobID]
-			if rt == nil {
-				if a.Job == nil {
-					return stats, fmt.Errorf("distsys: assigned unknown job %016x without descriptor", a.JobID)
-				}
+			if a.Job == nil && rt == nil {
+				return stats, fmt.Errorf("distsys: assigned unknown job %016x without descriptor", a.JobID)
+			}
+			if a.Job != nil {
 				desc, err := service.DecodeSubmission(a.Job.Submission)
 				if err == nil && desc.Spec == nil {
 					err = errors.New("no simulation spec")
@@ -505,9 +498,9 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 				// A grid is read-only once built (voxel.Grid): safe to share.
 				if g := spec.Voxel; g != nil {
 					outcome := met.geomBuilds
-					for _, held := range jobs {
-						if held.grid.Equal(g) {
-							spec.Voxel, outcome = held.grid, met.geomShared
+					for _, other := range jobs {
+						if other.grid.Equal(g) {
+							spec.Voxel, outcome = other.grid, met.geomShared
 							break
 						}
 					}
@@ -523,12 +516,10 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 				}
 				rt = &jobRuntime{runner: runner, grid: spec.Voxel, seed: desc.Seed, streams: a.Job.Streams,
 					fan: desc.Fan, cache: rng.NewStreamCache(desc.Seed)}
-				jobs[a.JobID] = rt
-				known = append(known, a.JobID)
-				if len(known) > maxCachedJobs {
-					delete(jobs, known[0])
-					known = known[1:]
+				if old, ok := held.Add(a.JobID); ok {
+					delete(jobs, old)
 				}
+				jobs[a.JobID] = rt
 			}
 			// A chunk budget caps the grant before it starts, so it is never
 			// overshot; the server requeues what the cap leaves out.

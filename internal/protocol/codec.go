@@ -14,7 +14,7 @@ import (
 //
 //	hello:        version · name · mflops
 //	welcome:      version · server name
-//	task-request: n · known job*n · want · opt(report) · opt(batch)
+//	task-request: want · opt(report) · opt(batch)
 //	  report:     photons/s · chunk secs · encode secs · goroutines · heap bytes · version
 //	  batch:      n · group*n
 //	  group:      job id · n · chunk*n · elapsed ns · tally · n · chunk secs*n
@@ -64,10 +64,6 @@ func appendMessage(b []byte, m *Message) []byte {
 }
 
 func appendRequest(b []byte, r *TaskRequest) []byte {
-	b = binary.AppendUvarint(b, uint64(len(r.KnownJobs)))
-	for _, id := range r.KnownJobs {
-		b = binary.LittleEndian.AppendUint64(b, id)
-	}
 	b = binary.AppendVarint(b, int64(r.Want))
 	if b = appendBool(b, r.Report != nil); r.Report != nil {
 		rep := r.Report
@@ -273,12 +269,7 @@ func decodeMessage(d *decoder, m *Message) {
 }
 
 func decodeRequest(d *decoder) *TaskRequest {
-	r := &TaskRequest{}
-	r.KnownJobs = alloc[uint64](d.count(MaxKnownJobs, "task request advertises known jobs:"))
-	for i := range r.KnownJobs {
-		r.KnownJobs[i] = d.fixed()
-	}
-	r.Want = d.int()
+	r := &TaskRequest{Want: d.int()}
 	if d.bool() {
 		rep := &WorkerReport{PhotonsPerSec: d.float(), ChunkSecs: d.float(), EncodeSecs: d.float(),
 			Goroutines: d.int(), HeapBytes: d.uint(), Version: d.string()}

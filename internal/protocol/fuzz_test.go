@@ -123,7 +123,7 @@ func seedMessages(tb testing.TB) []*Message {
 	return []*Message{
 		{Type: MsgHello, Hello: &Hello{Version: Version, Name: "w0", Mflops: 42}},
 		{Type: MsgWelcome, Welcome: &Welcome{Version: Version, ServerName: "srv"}},
-		{Type: MsgTaskRequest, Request: &TaskRequest{KnownJobs: []uint64{1, 2, 3}, Want: 1}},
+		{Type: MsgTaskRequest, Request: &TaskRequest{Want: 1}},
 		{Type: MsgTaskAssign, Assign: &TaskAssign{
 			JobID: 9, Grants: []ChunkGrant{{ChunkID: 4, Stream: 4, Photons: 1000}, {ChunkID: 5, Stream: 5, Photons: 1000}},
 			Job: &Job{ID: 9, Streams: 8, Submission: submission(tb, spec)},
@@ -138,8 +138,7 @@ func seedMessages(tb testing.TB) []*Message {
 			{JobID: 12, Chunks: []int{0}, TallyData: compact},
 		}}),
 		{Type: MsgTaskRequest, Request: &TaskRequest{
-			KnownJobs: []uint64{9, 12},
-			Want:      8,
+			Want: 8,
 			Batch: &ResultBatch{Groups: []BatchGroup{
 				{JobID: 9, Chunks: []int{7}, TallyData: compact, ChunkSecs: []float64{0.5}},
 			}},
@@ -172,18 +171,19 @@ func rawFrame(t MsgType, payload ...byte) []byte {
 
 // FuzzDecodeMessage throws arbitrary bytes at the wire decoder: valid
 // frames (including batch-carrying requests), truncated and bodiless
-// frames, oversized KnownJobs/batch advertisements, a hello with a NaN
-// rate and the gob frames of retired protocol versions. The decoder must
-// never panic, and every message it does accept must satisfy the envelope
-// invariants Recv promises (a live type with its body, bounded
-// advertisement, grant, batch and name sizes, no empty batch groups,
+// frames, an oversized batch, a hello with a NaN rate or an old version
+// and the gob frames of retired protocol versions. The decoder must never
+// panic, and every message it does accept must satisfy the envelope
+// invariants Recv promises (a live type with its body, bounded grant,
+// batch and name sizes, no empty batch groups,
 // finite non-negative rates and times) and decode again, field for field,
 // from its own encoding.
 func FuzzDecodeMessage(f *testing.F) {
 	msgs := seedMessages(f)
 
-	// Seed: each message alone, the whole conversation, a truncated stream
-	// and oversized KnownJobs/batch frames.
+	// Seed: each message alone, the whole conversation, a truncated stream,
+	// a v7 worker's hello (it decodes, to be refused by version) and
+	// oversized batch frames.
 	for _, m := range msgs {
 		f.Add(encodeMessages(f, m))
 	}
@@ -191,8 +191,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(all)
 	f.Add(all[:len(all)/3])
 	f.Add(all[:len(all)-1])
-	big := make([]uint64, MaxKnownJobs+1)
-	f.Add(encodeMessages(f, &Message{Type: MsgTaskRequest, Request: &TaskRequest{KnownJobs: big}}))
+	f.Add(encodeMessages(f, &Message{Type: MsgHello, Hello: &Hello{Version: 7, Name: "w7"}}))
 	bigChunks := make([]int, MaxBatchChunks+1)
 	f.Add(encodeMessages(f, flush(&ResultBatch{
 		Groups: []BatchGroup{{JobID: 1, Chunks: bigChunks}}})))
@@ -243,9 +242,6 @@ func checkInvariants(t *testing.T, m *Message) {
 		if m.Request == nil {
 			t.Fatal("Recv accepted a task request without its body")
 		}
-		if len(m.Request.KnownJobs) > MaxKnownJobs {
-			t.Fatalf("Recv accepted %d known jobs", len(m.Request.KnownJobs))
-		}
 		if r := m.Request.Report; r != nil && !(measure(r.PhotonsPerSec) && measure(r.ChunkSecs) && measure(r.EncodeSecs)) {
 			t.Fatalf("Recv accepted a report with a non-finite or negative figure: %+v", r)
 		}
@@ -288,34 +284,42 @@ func checkInvariants(t *testing.T, m *Message) {
 	}
 }
 
-// corpusSeeds names the committed v7 corpus entries and their frames. They
+// corpusSeeds names the committed v8 corpus entries and their frames. They
 // overlap FuzzDecodeMessage's f.Add seeds on purpose: the committed files
 // make the interesting shapes available to `go test -fuzz` runs from a
 // clean cache (the CI smoke job) without re-running the seed builders.
 func corpusSeeds(tb testing.TB) map[string][]byte {
 	msgs := seedMessages(tb)
 	all := encodeMessages(tb, msgs...)
-	big := make([]uint64, MaxKnownJobs+1)
 	return map[string][]byte{
-		"hello_v7":        encodeMessages(tb, msgs[0]),
-		"task_request_v7": encodeMessages(tb, msgs[2]),
-		"assign_v7":       encodeMessages(tb, msgs[3]),
-		"conversation_v7": all,
-		"truncated_v7":    all[:len(all)/3],
-		"oversized_knownjobs_v7": encodeMessages(tb,
-			&Message{Type: MsgTaskRequest, Request: &TaskRequest{KnownJobs: big}}),
-		"result_batch_v7":      encodeMessages(tb, msgs[6]),
-		"piggyback_request_v7": encodeMessages(tb, msgs[7]),
-		"batch_ack_v7":         encodeMessages(tb, msgs[8]),
-		"precision_assign_v7":  encodeMessages(tb, msgs[9]),
-		"moments_batch_v7":     encodeMessages(tb, msgs[10]),
-		"empty_batch_group_v7": encodeMessages(tb, flush(&ResultBatch{Groups: []BatchGroup{{JobID: 1}}})),
-		"nan_report_v7": encodeMessages(tb, &Message{Type: MsgTaskRequest,
+		"hello_v8":             encodeMessages(tb, msgs[0]),
+		"task_request_v8":      encodeMessages(tb, msgs[2]),
+		"assign_v8":            encodeMessages(tb, msgs[3]),
+		"conversation_v8":      all,
+		"truncated_v8":         all[:len(all)/3],
+		"result_batch_v8":      encodeMessages(tb, msgs[6]),
+		"piggyback_request_v8": encodeMessages(tb, msgs[7]),
+		"batch_ack_v8":         encodeMessages(tb, msgs[8]),
+		"precision_assign_v8":  encodeMessages(tb, msgs[9]),
+		"moments_batch_v8":     encodeMessages(tb, msgs[10]),
+		"empty_batch_group_v8": encodeMessages(tb, flush(&ResultBatch{Groups: []BatchGroup{{JobID: 1}}})),
+		"nan_report_v8": encodeMessages(tb, &Message{Type: MsgTaskRequest,
 			Request: &TaskRequest{Want: 1, Report: &WorkerReport{PhotonsPerSec: math.NaN()}}}),
-		"nan_hello_v7": encodeMessages(tb, &Message{Type: MsgHello,
+		"nan_hello_v8": encodeMessages(tb, &Message{Type: MsgHello,
 			Hello: &Hello{Version: Version, Mflops: math.NaN()}}),
-		"bodiless_no_work_v7": rawFrame(MsgNoWork),
+		"v7_hello_v8":         encodeMessages(tb, &Message{Type: MsgHello, Hello: &Hello{Version: 7, Name: "w7"}}),
+		"bodiless_no_work_v8": rawFrame(MsgNoWork),
 	}
+}
+
+// v7Corpus names the committed seeds protocol v7 wrote. They stay as they
+// were written, inputs the decoder must survive: a v7 task request leads
+// with the known-jobs list v8 dropped.
+var v7Corpus = []string{
+	"hello_v7", "task_request_v7", "assign_v7", "conversation_v7", "truncated_v7",
+	"oversized_knownjobs_v7", "result_batch_v7", "piggyback_request_v7", "batch_ack_v7",
+	"precision_assign_v7", "moments_batch_v7", "empty_batch_group_v7", "nan_report_v7",
+	"nan_hello_v7", "bodiless_no_work_v7",
 }
 
 // retiredCorpus names the committed seeds written in gob by protocol v6 and
@@ -328,9 +332,9 @@ var retiredCorpus = []string{
 }
 
 // TestCommittedCorpusCoversV3 keeps the committed seed corpus in sync with
-// the protocol: every named v7 seed must exist on disk (regenerate with
-// -update-corpus), and every retired gob seed must still be there and be
-// refused.
+// the protocol: every named v8 seed must exist on disk (regenerate with
+// -update-corpus), every v7 seed must still be there, and every retired
+// gob seed must still be there and be refused.
 func TestCommittedCorpusCoversV3(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeMessage")
 	for name, data := range corpusSeeds(t) {
@@ -347,6 +351,11 @@ func TestCommittedCorpusCoversV3(t *testing.T) {
 			t.Errorf("corpus seed %s missing (run with -update-corpus): %v", name, err)
 		}
 	}
+	for _, name := range v7Corpus {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("v7 corpus seed %s: %v", name, err)
+		}
+	}
 	for _, name := range retiredCorpus {
 		body, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
@@ -360,24 +369,6 @@ func TestCommittedCorpusCoversV3(t *testing.T) {
 		if m, err := NewConn(readCloser{bytes.NewReader([]byte(data))}).Recv(); err == nil {
 			t.Errorf("retired gob seed %s accepted as %v", name, m.Type)
 		}
-	}
-}
-
-// TestRecvRejectsOversizedKnownJobs pins the new envelope validation
-// outside the fuzzer, so a plain `go test` covers it too.
-func TestRecvRejectsOversizedKnownJobs(t *testing.T) {
-	big := make([]uint64, MaxKnownJobs+1)
-	data := encodeMessages(t, &Message{Type: MsgTaskRequest, Request: &TaskRequest{KnownJobs: big}})
-	c := NewConn(readCloser{bytes.NewReader(data)})
-	if _, err := c.Recv(); err == nil {
-		t.Fatal("oversized KnownJobs accepted")
-	}
-
-	ok := encodeMessages(t, &Message{Type: MsgTaskRequest,
-		Request: &TaskRequest{KnownJobs: make([]uint64, MaxKnownJobs)}})
-	c = NewConn(readCloser{bytes.NewReader(ok)})
-	if _, err := c.Recv(); err != nil {
-		t.Fatalf("at-limit KnownJobs rejected: %v", err)
 	}
 }
 

@@ -22,7 +22,7 @@ func TestConnMetricsAccounting(t *testing.T) {
 
 	msgs := []*Message{
 		{Type: MsgHello, Hello: &Hello{Version: Version, Name: "w0", Mflops: 50}},
-		{Type: MsgTaskRequest, Request: &TaskRequest{KnownJobs: []uint64{1, 2}}},
+		{Type: MsgTaskRequest, Request: &TaskRequest{Want: 1}},
 		{Type: MsgTaskRequest, Request: &TaskRequest{Want: 4}},
 		{Type: MsgNoWork, NoWork: &NoWork{Done: true}},
 	}

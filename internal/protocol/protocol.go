@@ -12,7 +12,8 @@
 // only by bumping Version. A job descriptor carries its spec as the bytes
 // the service journals for it (service.AppendSubmission), and a result its
 // tally as mc.AppendTally; Recv bounds every claimed count before it sizes
-// an allocation.
+// an allocation. A descriptor rides a TaskAssign only when the session
+// does not hold it, by a rule both ends keep (Descriptors).
 package protocol
 
 import (
@@ -67,7 +68,11 @@ import (
 // package doc) and the descriptor's spec fields with the job's submission
 // bytes. A v6 peer's Hello is not a v7 frame; the server answers it with
 // V6Refusal, which a v6 worker reads as a version mismatch.
-const Version = 7
+//
+// Version 8 dropped the known-jobs list that led a task request: which
+// descriptors a session holds is a rule both ends keep (Descriptors). A v7
+// Hello still decodes, and is answered with a version mismatch.
+const Version = 8
 
 // V6Refusal is what a server writes to a peer whose first frame is not a v7
 // Hello: the gob stream a v6 worker decodes as Message{Type: MsgError,
@@ -169,17 +174,37 @@ type Job struct {
 	Submission []byte
 }
 
-// MaxKnownJobs bounds the KnownJobs advertisement in a TaskRequest. Workers
-// cache at most a few dozen descriptors, so anything beyond this is a
-// malformed or hostile frame; Recv rejects it before the registry allocates
-// per-entry bookkeeping.
-const MaxKnownJobs = 4096
+// MaxDescriptors bounds the descriptors a session holds: a built Config
+// can carry a multi-megabyte voxel grid.
+const MaxDescriptors = 32
+
+// Descriptors is the rule both ends of a session keep for which job
+// descriptors the worker holds: the last MaxDescriptors that rode a
+// TaskAssign of the session. The server Adds a job as it attaches the
+// descriptor (exactly when Has is false), the worker as it receives it, and
+// one stream orders both. Should they drift, a worker handed a job it does
+// not hold without its descriptor ends the session, which requeues the
+// grant. The zero value is empty.
+type Descriptors struct {
+	ids []uint64 // oldest first
+}
+
+// Has reports whether the session holds job id's descriptor.
+func (d *Descriptors) Has(id uint64) bool { return slices.Contains(d.ids, id) }
+
+// Add records that job id's descriptor rode a TaskAssign, evicting the
+// oldest job if the session held MaxDescriptors.
+func (d *Descriptors) Add(id uint64) (evicted uint64, ok bool) {
+	if ok = len(d.ids) == MaxDescriptors; ok {
+		evicted = d.ids[0]
+		d.ids = slices.Delete(d.ids, 0, 1)
+	}
+	d.ids = append(d.ids, id)
+	return evicted, ok
+}
 
 // TaskRequest hands back what the worker has computed and asks the server
-// for the next chunks of any job. KnownJobs is the authoritative list of
-// job descriptors the worker currently holds: the server omits re-sending
-// bulky specs for listed jobs and re-carries the descriptor for any job
-// the worker has evicted from its bounded cache.
+// for the next chunks of any job.
 //
 // Batch, when set, carries the pre-reduced results of everything the
 // worker computed since its last request; the per-chunk acks ride back on
@@ -192,10 +217,9 @@ const MaxKnownJobs = 4096
 // Report, when set, piggybacks the worker's self-measured telemetry (see
 // WorkerReport).
 type TaskRequest struct {
-	KnownJobs []uint64
-	Batch     *ResultBatch
-	Want      int
-	Report    *WorkerReport
+	Batch  *ResultBatch
+	Want   int
+	Report *WorkerReport
 }
 
 // MaxReportVersion bounds the WorkerReport build-string length; Recv
@@ -226,8 +250,8 @@ type WorkerReport struct {
 
 // TaskAssign hands one or more chunks of one job to a worker: at most as
 // many as the request's Want, all on one grant with one timeout clock on
-// the server. Job carries the full descriptor the first time a session is
-// handed a chunk of a job it has not advertised as known.
+// the server. Job carries the full descriptor when the session does not
+// hold it (Descriptors).
 type TaskAssign struct {
 	JobID  uint64
 	Job    *Job
@@ -429,10 +453,10 @@ func (c *Conn) Send(m *Message) error {
 
 // Recv reads the next frame and decodes it: a length past MaxFrameBytes, a
 // missing, out-of-range or reserved type, a body cut short or followed by
-// trailing bytes, an oversized KnownJobs advertisement, grant, batch or ack
-// and a non-finite or negative rate or time are protocol errors, not
-// panics or unbounded allocations further up the stack. An io.EOF between
-// frames is returned as is.
+// trailing bytes, an oversized grant, batch or ack and a non-finite or
+// negative rate or time are protocol errors, not panics or unbounded
+// allocations further up the stack. An io.EOF between frames is returned
+// as is.
 func (c *Conn) Recv() (*Message, error) {
 	n, err := binary.ReadUvarint(c.r)
 	if err != nil {

@@ -184,8 +184,7 @@ func TestTaskRequestPiggybackRoundTrip(t *testing.T) {
 
 	go func() {
 		c1.Send(&Message{Type: MsgTaskRequest, Request: &TaskRequest{
-			KnownJobs: []uint64{4},
-			Want:      8,
+			Want: 8,
 			Batch: &ResultBatch{Groups: []BatchGroup{
 				{JobID: 4, Chunks: []int{7, 8}, TallyData: mc.AppendTally(nil, tally)},
 			}},
@@ -373,6 +372,35 @@ func TestRecvRefusesOversizedFrame(t *testing.T) {
 		}
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 2<<20 {
 			t.Fatalf("a %d-byte claim allocated %d bytes", n, grew)
+		}
+	}
+}
+
+// TestDescriptorsEvictOldestFirst pins the session's descriptor rule: it
+// holds the last MaxDescriptors jobs added, and each add past that evicts
+// the oldest, so a job added again after its eviction is the newest.
+func TestDescriptorsEvictOldestFirst(t *testing.T) {
+	var d Descriptors
+	for id := uint64(1); id <= MaxDescriptors; id++ {
+		if d.Has(id) {
+			t.Fatalf("job %d held before it was added", id)
+		}
+		if old, ok := d.Add(id); ok {
+			t.Fatalf("add %d of %d evicted job %d", id, MaxDescriptors, old)
+		}
+	}
+	for _, tc := range []struct{ add, evicted uint64 }{{100, 1}, {1, 2}, {101, 3}} {
+		if old, ok := d.Add(tc.add); !ok || old != tc.evicted {
+			t.Fatalf("adding %d evicted %d (%v), want %d", tc.add, old, ok, tc.evicted)
+		}
+		if d.Has(tc.evicted) || !d.Has(tc.add) {
+			t.Fatalf("after adding %d: holds it %v, holds evicted %d %v",
+				tc.add, d.Has(tc.add), tc.evicted, d.Has(tc.evicted))
+		}
+	}
+	for id := uint64(4); id <= MaxDescriptors; id++ {
+		if !d.Has(id) {
+			t.Fatalf("job %d evicted out of turn", id)
 		}
 	}
 }

@@ -34,8 +34,7 @@ func TestWorkerReportRoundTrip(t *testing.T) {
 	go func() {
 		defer close(sent)
 		c1.Send(&Message{Type: MsgTaskRequest, Request: &TaskRequest{
-			KnownJobs: []uint64{4},
-			Report:    rep,
+			Report: rep,
 			Batch: &ResultBatch{Groups: []BatchGroup{{
 				JobID:     4,
 				Chunks:    []int{7, 8},
@@ -65,7 +64,7 @@ func TestWorkerReportRoundTrip(t *testing.T) {
 	// (Wait out the first sender: Conn.Send is not concurrency-safe.)
 	<-sent
 	go func() {
-		c1.Send(&Message{Type: MsgTaskRequest, Request: &TaskRequest{KnownJobs: []uint64{4}}})
+		c1.Send(&Message{Type: MsgTaskRequest, Request: &TaskRequest{Want: 1}})
 	}()
 	m, err = c2.Recv()
 	if err != nil {

@@ -350,7 +350,7 @@ func TestTenantFairShareTwoTenants(t *testing.T) {
 	a2 := submit(8, 2, "a")
 	b1 := submit(9, 3, "b")
 
-	sess := &session{id: 999, name: "probe", knownJobs: map[uint64]bool{}}
+	sess := &session{id: 999, name: "probe"}
 	reg.mu.Lock()
 	reg.sessions[sess.id] = sess
 	reg.mu.Unlock()

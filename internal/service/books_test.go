@@ -75,9 +75,8 @@ func checkBooks(t *testing.T, reg *Registry, oreg *obs.Registry) Stats {
 // checkChunkBooks asserts a job's chunk books: every chunk is in exactly
 // one phase, counted as such in inPhase, pending holds exactly the
 // pending-phase ids, each once, and a chunk has a grant exactly while it is
-// out. While the job is active, that grant is of this job, lists the chunk
-// and went to a registered session. (An inactive job's stragglers settle
-// without being requeued, so their rows may outlive both.)
+// out: that grant is of this job, lists the chunk and went to a registered
+// session.
 func checkChunkBooks(t *testing.T, j *Job) {
 	t.Helper()
 	j.reg.mu.Lock()
@@ -92,7 +91,7 @@ func checkChunkBooks(t *testing.T, j *Job) {
 		if (c.grant != nil) != (c.phase == phaseOut) {
 			t.Errorf("job %016x chunk %d in phase %d has grant %p", j.id, id, c.phase, c.grant)
 		}
-		if c.grant == nil || !j.activeLocked() {
+		if c.grant == nil {
 			continue
 		}
 		if g := c.grant; g.job != j || !slices.Contains(g.chunks, id) {
@@ -128,7 +127,7 @@ func TestChunkRowSize(t *testing.T) {
 // probeSession registers a hand-driven session, for delivering results no
 // honest worker would.
 func probeSession(reg *Registry) *session {
-	sess := &session{id: 999, name: "probe", knownJobs: map[uint64]bool{}}
+	sess := &session{id: 999, name: "probe"}
 	reg.mu.Lock()
 	reg.sessions[sess.id] = sess
 	reg.mu.Unlock()

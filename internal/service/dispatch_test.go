@@ -377,6 +377,7 @@ func (w *chaosWorker) session(conn net.Conn) {
 	if _, err := pc.Recv(); err != nil {
 		return
 	}
+	jobs := map[uint64]*protocol.Job{} // the descriptors this session was sent
 	for {
 		if pc.Send(&protocol.Message{Type: protocol.MsgTaskRequest, Request: want(1)}) != nil {
 			return
@@ -389,7 +390,10 @@ func (w *chaosWorker) session(conn net.Conn) {
 			continue // the park limit: ask again
 		}
 		a := grantOf(msg.Assign, 0)
-		job := msg.Assign.Job // an empty KnownJobs list makes every assign carry the job
+		if msg.Assign.Job != nil {
+			jobs[a.JobID] = msg.Assign.Job
+		}
+		job := jobs[a.JobID]
 		batch := &protocol.ResultBatch{Groups: []protocol.BatchGroup{{
 			JobID: a.JobID, Chunks: []int{a.ChunkID}, TallyData: []byte{0xFF, 0xFF, 0xFF},
 		}}}

@@ -29,7 +29,7 @@ type session struct {
 	// back what the worker computed, syncSessionLocked gives up the rest,
 	// and only then does assignLocked grant the next job's chunks.
 	grant     *grant
-	knownJobs map[uint64]bool // descriptors already shipped on this conn
+	described protocol.Descriptors // the descriptors the worker holds
 
 	// Per-session profile: the worker's latest piggybacked WorkerReport
 	// (hasReport false until one arrives — pre-telemetry workers never
@@ -117,7 +117,7 @@ func (r *Registry) HandleConn(rw io.ReadWriteCloser) error {
 	pc := protocol.NewConn(rw)
 	defer pc.Close()
 
-	// A first frame that is not a v7 Hello is most likely a v6 worker's gob
+	// A first frame that is not a Hello is most likely a v6 worker's gob
 	// Hello: it is answered in the encoding that worker reads, so it stops
 	// redialling with a version mismatch instead of a decode error.
 	first, err := pc.Recv()
@@ -203,7 +203,6 @@ func (r *Registry) registerSession(h *protocol.Hello, remote string) *session {
 		remote:    remote,
 		connected: now,
 		lastSeen:  now,
-		knownJobs: make(map[uint64]bool),
 	}
 	r.sessions[sess.id] = sess
 	r.met.sessionsTotal.Inc()
@@ -260,8 +259,9 @@ func (r *Registry) releaseLocked(sess *session, j *Job, id int, why string) {
 // oldest grant's deadline (ChunkTimeout reclaim must fire even when every
 // worker is parked and nobody asks) and parkMax.
 //
-// desc is set when the reply is the session's first TaskAssign of its job:
-// the spec the caller encodes into the descriptor, copied under the lock.
+// desc is set when the reply is a TaskAssign of a job whose descriptor the
+// session does not hold (protocol.Descriptors): the spec the caller
+// encodes into the descriptor, copied under the lock.
 func (r *Registry) dispatch(sess *session, req *protocol.TaskRequest, mayPark bool) (reply *protocol.Message, desc *JobSpec) {
 	noWork := func() *protocol.Message {
 		return &protocol.Message{Type: protocol.MsgNoWork, NoWork: &protocol.NoWork{}}
@@ -314,8 +314,8 @@ func (r *Registry) wakeLocked() {
 }
 
 // syncSessionLocked folds a TaskRequest's advertised state into the
-// session: liveness, telemetry, the descriptors the worker still caches —
-// and gives up the chunks of its grant the request did not flush.
+// session: liveness and telemetry — and gives up the chunks of its grant
+// the request did not flush.
 func (r *Registry) syncSessionLocked(sess *session, req *protocol.TaskRequest, now time.Time) {
 	sess.lastSeen = now
 	if req.Report != nil {
@@ -324,13 +324,6 @@ func (r *Registry) syncSessionLocked(sess *session, req *protocol.TaskRequest, n
 		// replaces the previous — no server-side re-smoothing.
 		sess.report = *req.Report
 		sess.hasReport = true
-	}
-	// The request's KnownJobs list is authoritative: the worker may have
-	// evicted descriptors it advertised earlier, in which case the next
-	// assignment of that job must re-carry the descriptor.
-	clear(sess.knownJobs)
-	for _, id := range req.KnownJobs {
-		sess.knownJobs[id] = true
 	}
 	// A worker hands back everything it computed with its next request, and
 	// the request's batch has been reduced by now: whatever the session
@@ -455,13 +448,13 @@ func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply
 	for len(assign.Grants) < want && (len(j.pending) > 0 || j.issuableChunksLocked() > 0) {
 		assign.Grants = append(assign.Grants, grantOne())
 	}
-	if !sess.knownJobs[j.id] {
+	if !sess.described.Has(j.id) {
 		streams := len(j.chunks)
 		if j.openEnded() {
 			streams = 0 // open-ended: workers must not bound the stream index
 		}
 		assign.Job = &protocol.Job{ID: j.id, Streams: streams}
-		sess.knownJobs[j.id] = true
+		sess.described.Add(j.id)
 		// A copy: a coalesced duplicate may raise the job's priority or
 		// weight once the lock is released.
 		spec := j.spec

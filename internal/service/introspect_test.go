@@ -54,8 +54,8 @@ func TestSpanJoinAndFleetProfile(t *testing.T) {
 	// Chunk 1: worker-reported per-chunk timing wins over the batch share.
 	runChunk(&protocol.TaskRequest{Want: 1, Report: rep}, 300*time.Millisecond, []float64{0.25})
 	// Chunk 2: no timings — compute falls back to elapsed / len(chunks).
-	// (The job spec is already known; KnownJobs keeps the assign lean.)
-	runChunk(&protocol.TaskRequest{Want: 1, KnownJobs: []uint64{j.ID()}}, 100*time.Millisecond, nil)
+	// (The session holds the job's descriptor, so the assign is lean.)
+	runChunk(&protocol.TaskRequest{Want: 1}, 100*time.Millisecond, nil)
 
 	spans, dropped := j.Spans()
 	if dropped != 0 || len(spans) != 2 {

@@ -112,10 +112,11 @@ type JobStatus struct {
 type phase uint8
 
 const (
-	phasePending phase = iota // on the job's pending stack
-	phaseOut                  // granted, its result awaited
-	phaseMerging              // claimed by a group whose merge is in flight
-	phaseDone                 // reduced into the tally
+	phasePending  phase = iota // on the job's pending stack
+	phaseOut                   // granted, its result awaited
+	phaseMerging               // claimed by a group whose merge is in flight
+	phaseDone                  // reduced into the tally
+	phaseStranded              // out when its job finished; never reduced
 	nPhases
 )
 

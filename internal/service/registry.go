@@ -540,9 +540,11 @@ func (r *Registry) Cancel(id uint64) error {
 }
 
 // finishJobLocked takes a job out of the active states: Done when its last
-// chunk reduced or its target was met, Canceled by Cancel. Its chunk table
-// stays as it stands; nothing grants, reclaims or requeues from it again,
-// so its expiry queue goes.
+// chunk reduced or its target was met, Canceled by Cancel. Nothing grants,
+// reclaims or requeues from it again, so its expiry queue goes, and the
+// rows still out are stranded, off their grants: a row on a grant would
+// pin the grant and its session until -retain evicts the job. A
+// straggler's verdict reads the job's state and its done rows only.
 // For Done the caller must call sealJob after releasing the registry lock:
 // waiters stay blocked on j.finished until then, and an identical
 // submission arriving in between coalesces onto the job (rideLocked) and
@@ -551,6 +553,11 @@ func (r *Registry) finishJobLocked(j *Job, state JobState) {
 	j.state = state
 	j.finishedAt = time.Now()
 	j.expiry = nil
+	for id := 0; id < len(j.chunks) && j.inPhase[phaseOut] > 0; id++ {
+		if j.chunks[id].phase == phaseOut {
+			j.setPhase(id, phaseStranded)
+		}
+	}
 	r.active = slices.DeleteFunc(r.active, func(a *Job) bool { return a == j })
 	r.sched.Forget(j.id)
 	r.evictFinishedLocked()

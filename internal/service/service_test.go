@@ -147,12 +147,11 @@ func batchClient(rw net.Conn, name string, window int) (int, error) {
 		fan     int
 	}
 	jobs := map[uint64]*rt{}
-	var known []uint64
 	var batch *protocol.ResultBatch
 	accepted := 0
 	for {
 		if err := pc.Send(&protocol.Message{Type: protocol.MsgTaskRequest,
-			Request: &protocol.TaskRequest{KnownJobs: known, Want: window, Batch: batch}}); err != nil {
+			Request: &protocol.TaskRequest{Want: window, Batch: batch}}); err != nil {
 			return accepted, err
 		}
 		msg, err := pc.Recv()
@@ -188,7 +187,6 @@ func batchClient(rw net.Conn, name string, window int) (int, error) {
 				}
 				r = &rt{cfg: cfg, seed: spec.Seed, streams: a.Job.Streams, fan: spec.Fan}
 				jobs[a.JobID] = r
-				known = append(known, a.JobID)
 			}
 			group := protocol.BatchGroup{JobID: a.JobID}
 			var sum *mc.Tally
@@ -503,7 +501,7 @@ func TestFairSharePolicyInterleavesJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := &session{id: 999, name: "probe", knownJobs: map[uint64]bool{}}
+	sess := &session{id: 999, name: "probe"}
 	reg.mu.Lock()
 	reg.sessions[sess.id] = sess
 	reg.mu.Unlock()
@@ -550,7 +548,7 @@ func TestPriorityPolicyDrainsHighFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := &session{id: 999, name: "probe", knownJobs: map[uint64]bool{}}
+	sess := &session{id: 999, name: "probe"}
 	reg.mu.Lock()
 	reg.sessions[sess.id] = sess
 	reg.mu.Unlock()
@@ -576,7 +574,7 @@ func TestFIFODrainsInOrder(t *testing.T) {
 	if _, err = reg.Submit(JobSpec{Spec: slabSpec(8), TotalPhotons: 300, ChunkPhotons: 100, Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
-	sess := &session{id: 999, name: "probe", knownJobs: map[uint64]bool{}}
+	sess := &session{id: 999, name: "probe"}
 	reg.mu.Lock()
 	reg.sessions[sess.id] = sess
 	reg.mu.Unlock()
@@ -600,7 +598,7 @@ func TestAbandonedAssignmentRequeued(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := out.Job
-	sess := &session{id: 999, name: "probe", knownJobs: map[uint64]bool{}}
+	sess := &session{id: 999, name: "probe"}
 	reg.mu.Lock()
 	reg.sessions[sess.id] = sess
 	reg.mu.Unlock()
@@ -664,7 +662,7 @@ func TestLateResultAfterReclaimDoesNotRecompute(t *testing.T) {
 		return tt
 	}
 	newSess := func(id uint64) *session {
-		s := &session{id: id, name: fmt.Sprintf("s%d", id), knownJobs: map[uint64]bool{}}
+		s := &session{id: id, name: fmt.Sprintf("s%d", id)}
 		reg.mu.Lock()
 		reg.sessions[s.id] = s
 		reg.mu.Unlock()
@@ -746,7 +744,7 @@ func TestPartiallyStaleBatchRequeued(t *testing.T) {
 		return tt
 	}
 	newSess := func(id uint64) *session {
-		s := &session{id: id, name: fmt.Sprintf("s%d", id), knownJobs: map[uint64]bool{}}
+		s := &session{id: id, name: fmt.Sprintf("s%d", id)}
 		reg.mu.Lock()
 		reg.sessions[s.id] = s
 		reg.mu.Unlock()
@@ -858,7 +856,7 @@ func TestGrantCappedByChunkTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	j := out.Job
-	sess := &session{id: 401, name: "probe", knownJobs: map[uint64]bool{}}
+	sess := &session{id: 401, name: "probe"}
 	reg.mu.Lock()
 	reg.sessions[sess.id] = sess
 	reg.mu.Unlock()
@@ -885,7 +883,7 @@ func TestGrantCappedByChunkTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess2 := &session{id: 402, name: "probe2", knownJobs: map[uint64]bool{}}
+	sess2 := &session{id: 402, name: "probe2"}
 	reg2.mu.Lock()
 	reg2.sessions[sess2.id] = sess2
 	reg2.mu.Unlock()
@@ -911,7 +909,7 @@ func TestBatchGroupRepeatedChunkRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := &session{id: 301, name: "hostile", knownJobs: map[uint64]bool{}}
+	sess := &session{id: 301, name: "hostile"}
 	reg.mu.Lock()
 	reg.sessions[sess.id] = sess
 	reg.mu.Unlock()
@@ -940,11 +938,12 @@ func TestBatchGroupRepeatedChunkRejected(t *testing.T) {
 }
 
 // TestOldWorkerRejectedGracefully pins the version gate: a worker speaking
-// an older protocol — v2, or the v4 that still had single-result frames —
-// gets a clear error message at the handshake and a closed session: no
-// hang, no mid-session failure on its first unknown frame.
+// an older protocol — v2, the v4 that still had single-result frames, or
+// the v7 whose task requests listed the jobs it knew — gets a clear error
+// message at the handshake and a closed session: no hang, no mid-session
+// failure on its first unknown frame.
 func TestOldWorkerRejectedGracefully(t *testing.T) {
-	for _, version := range []int{2, 4} {
+	for _, version := range []int{2, 4, 7} {
 		reg := New(Options{})
 		server, client := net.Pipe()
 		done := make(chan error, 1)
