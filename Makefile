@@ -50,21 +50,24 @@ bench-check:
 # the bulk-head workload's geometry per op, layered and voxelised
 # (BenchmarkVoxelTraversal's bulk-head sub-benchmarks), six runs each, and
 # the median ns/photon of both with their ratio — DESIGN.md's
-# voxel-over-layered figure. Then one worker grant of eight 64-photon slab
+# voxel-over-layered figure — and of the grid-results workload's chunk (the
+# layered head scoring a 50³ path grid), the kernel-bound workload a kernel
+# claim is paired on. Then one worker grant of eight 64-photon slab
 # chunks (BenchmarkWorkerGrant) on one core and on two, six runs each, and
 # the median time of both with their ratio: about 2 on an idle two-core
 # host, and about 1 when the grant's kernels write to a shared cache line.
 # CI runs all three once so they cannot rot.
 kernel-bench:
-	@$(GO) test -run '^$$' -bench '^BenchmarkVoxelTraversal$$/^bulk-head-' -benchtime 20x -count 6 . | awk ' \
+	@$(GO) test -run '^$$' -bench '^BenchmarkVoxelTraversal$$/^(bulk-head-|grid-results-)' -benchtime 20x -count 6 . | awk ' \
 		/ns\/photon/ { split($$1, name, "/"); sub(/-[0-9]+$$/, "", name[2]); \
 			for (i = 2; i <= NF; i++) if ($$i == "ns/photon") v[name[2], ++n[name[2]]] = $$(i-1) } \
 		function median(k,   i, j, t, a, c) { c = n[k]; for (i = 1; i <= c; i++) a[i] = v[k, i]; \
 			for (i = 1; i <= c; i++) for (j = i + 1; j <= c; j++) if (a[j] < a[i]) { t = a[i]; a[i] = a[j]; a[j] = t } \
 			return c % 2 ? a[(c + 1) / 2] : (a[c / 2] + a[c / 2 + 1]) / 2 } \
-		END { if (!n["bulk-head-layered"] || !n["bulk-head-voxel"]) { print "kernel-bench: benchmarks did not run"; exit 1 } \
+		END { if (!n["bulk-head-layered"] || !n["bulk-head-voxel"] || !n["grid-results-layered"]) { print "kernel-bench: benchmarks did not run"; exit 1 } \
 			l = median("bulk-head-layered"); x = median("bulk-head-voxel"); \
-			printf "layered %.0f ns/photon  voxel %.0f ns/photon  voxel/layered %.2f  (medians of %d)\n", l, x, x / l, n["bulk-head-voxel"] }'
+			printf "layered %.0f ns/photon  voxel %.0f ns/photon  voxel/layered %.2f  (medians of %d)\n", l, x, x / l, n["bulk-head-voxel"]; \
+			printf "grid-results layered %.0f ns/photon  (median of %d)\n", median("grid-results-layered"), n["grid-results-layered"] }'
 	@$(GO) test -run '^$$' -bench '^BenchmarkWorkerGrant$$' -cpu 1,2 -count 6 ./internal/distsys | awk ' \
 		/ns\/op/ { p = 1; if (match($$1, /-[0-9]+$$/)) p = substr($$1, RSTART + 1); \
 			for (i = 2; i <= NF; i++) if ($$i == "ns/op") v[p, ++n[p]] = $$(i-1) } \
@@ -138,9 +141,9 @@ shard-smoke:
 
 # fuzz-smoke gives each outside-facing decoder ten seconds of
 # coverage-guided input on top of its committed corpus — the wire decoder
-# (seeded with v8 frames, batch-carrying task requests among them, the v7
-# frames as they were written and the retired gob frames of v6 and before
-# it must refuse), the HTTP submit
+# (seeded with v9 frames, batch-carrying task requests among them, the v8
+# and v7 frames as they were written and the retired gob frames of v6 and
+# before it must refuse), the HTTP submit
 # decoder (seeded with
 # scripts/genjob bodies), the journal's accept and snapshot record decoders
 # (seeded with their own records of four job shapes), the compact tally

@@ -443,6 +443,8 @@ func BenchmarkGatedDetection(b *testing.B) {
 // and on 120×120×80 voxels of 0.5 mm, one 230-photon Runner.Run (one chunk)
 // per op on the same generator state. Their ns/photon ratio is DESIGN.md's
 // voxel-over-layered figure; neither may allocate per photon once warm.
+// grid-results-layered is the grid-results workload's chunk, which kernel-bench
+// prints too: the layered head scoring a 50³ path grid over a 60 mm cube.
 func BenchmarkVoxelTraversal(b *testing.B) {
 	b.Run("untruncated", func(b *testing.B) {
 		g, err := voxel.FromModel(phomc.AdultHead(), 120, 120, 80, 1, 1, 0.5)
@@ -478,6 +480,8 @@ func BenchmarkVoxelTraversal(b *testing.B) {
 		}
 	}
 	b.Run("bulk-head-layered", chunk(&phomc.Config{Model: head, Detector: annulus}))
+	b.Run("grid-results-layered", chunk(&phomc.Config{Model: head, Detector: annulus,
+		PathGrid: &mc.GridSpec{N: 50, Edge: 60}}))
 	g, err := voxel.FromModel(head, 120, 120, 80, 0.5, 0.5, 0.5)
 	if err != nil {
 		b.Fatal(err)

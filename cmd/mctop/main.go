@@ -1,12 +1,12 @@
 // Command mctop is a live terminal dashboard for an mcqueue service: top
 // for the photon fleet. It polls the HTTP API — GET /fleet for per-worker
-// telemetry profiles, GET /stats for queue health, GET /metrics for the
+// profiles, GET /stats for queue health, GET /metrics for the
 // service-plane counters — and repaints a flicker-free ANSI view each
 // interval: fleet-wide photons/sec (counter deltas), job and chunk queue
-// depths, one row per connected worker contrasting the rate the worker
-// reports against the rate the server infers from ack timing, and — when
-// the server runs per-tenant admission control — a tenant rollup with
-// live token-bucket levels.
+// depths, one row per connected worker with the rate the server measures
+// from grant to result arrival, and — when the server runs per-tenant
+// admission control — a tenant rollup with live token-bucket levels. A
+// worker's goroutines and heap are on its own /metrics.
 //
 // Example:
 //
@@ -230,8 +230,8 @@ func render(cur, prev sample, ansi bool) string {
 
 	ws := cur.fleet.Workers
 	sort.Slice(ws, func(i, j int) bool { return ws[i].ID < ws[j].ID })
-	line("%-4s %-14s %-12s %-9s %10s %10s %7s %5s %6s %8s %s",
-		"ID", "WORKER", "REMOTE", "STATE", "REP-PPS", "INF-PPS", "CHUNKS", "HELD", "GORO", "HEAP", "SEEN")
+	line("%-4s %-14s %-12s %-9s %10s %7s %5s %s",
+		"ID", "WORKER", "REMOTE", "STATE", "INF-PPS", "CHUNKS", "HELD", "SEEN")
 	if len(ws) == 0 {
 		line("  (no workers connected)")
 	}
@@ -240,10 +240,9 @@ func render(cur, prev sample, ansi bool) string {
 		if seen < 0 {
 			seen = 0
 		}
-		line("%-4d %-14s %-12s %-9s %10s %10s %7d %5d %6d %8s %s ago",
+		line("%-4d %-14s %-12s %-9s %10s %7d %5d %s ago",
 			w.ID, clip(w.Name, 14), clip(w.Remote, 12), w.State,
-			humanCount(w.ReportedPhotonsPerSec), humanCount(w.InferredPhotonsPerSec),
-			w.ChunksCompleted, w.ChunksHeld, w.Goroutines, humanBytes(w.HeapBytes), seen)
+			humanCount(w.InferredPhotonsPerSec), w.ChunksCompleted, w.ChunksHeld, seen)
 	}
 
 	// Per-tenant admission rollup — only drawn once the server reports
@@ -282,7 +281,7 @@ func clip(s string, n int) string {
 }
 
 // humanCount renders a rate or count with k/M/G suffixes; "-" for zero so
-// a worker that has not reported yet reads as absent, not as slow.
+// a worker with no grant back yet reads as absent, not as slow.
 func humanCount(v float64) string {
 	switch {
 	case v == 0:
@@ -295,20 +294,5 @@ func humanCount(v float64) string {
 		return fmt.Sprintf("%.1fk", v/1e3)
 	default:
 		return fmt.Sprintf("%.0f", v)
-	}
-}
-
-func humanBytes(v uint64) string {
-	switch {
-	case v == 0:
-		return "-"
-	case v >= 1<<30:
-		return fmt.Sprintf("%.2fGiB", float64(v)/(1<<30))
-	case v >= 1<<20:
-		return fmt.Sprintf("%.1fMiB", float64(v)/(1<<20))
-	case v >= 1<<10:
-		return fmt.Sprintf("%.0fKiB", float64(v)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", v)
 	}
 }

@@ -10,7 +10,7 @@
 //
 // -debug-addr starts an HTTP debug listener serving GET /metrics (photons
 // simulated, per-chunk compute-time histogram, batch flushes, wire
-// frame/byte counters), GET /healthz, GET /readyz (ready once the server
+// frame/byte counters, goroutines and heap), GET /healthz, GET /readyz (ready once the server
 // session is established) and net/http/pprof. Logging is structured
 // (-log-format text|json); -v only lowers the level to debug.
 //
@@ -24,10 +24,9 @@
 // gracefully — the current chunk finishes, what is computed of the grant is
 // handed back, then the process exits.
 //
-// The worker also piggybacks a small telemetry report on its chunk
-// requests — smoothed photons/sec, per-chunk compute and encode seconds,
-// goroutine and heap stats, build version — which the server surfaces on
-// GET /fleet.
+// The worker's Hello carries its build string, which the server shows as
+// the session's version on GET /fleet beside the speed it measures from
+// grant to result arrival; the worker sends no other telemetry.
 package main
 
 import (

@@ -122,7 +122,7 @@
 // same bytes whatever the core count — and hands that
 // batch back on its next task request — the only frame a result travels in
 // since protocol v6 — with tallies encoded by a sparse binary codec inside
-// a hand-written frame (protocol v8) and per-chunk acks preserving the
+// a hand-written frame (protocol v9) and per-chunk acks preserving the
 // exactly-once reduction under timeout reassignment. The registry merges each decoded batch outside its
 // dispatch lock via a per-job reducer. See DESIGN.md's "Result plane"
 // section for the wire layout and invariants.
@@ -131,13 +131,13 @@
 //
 // The service answers not just "how much" (Prometheus-style /metrics,
 // structured logs, per-job lifecycle traces at /jobs/{id}/events with
-// ?kind= and ?since= filters) but "who" and "where the time went":
-// workers piggyback a small telemetry report on their task requests —
-// kernel photons/sec EWMA, per-chunk compute/encode seconds, runtime
-// stats, build version — as an optional report in the request frame. The
-// registry folds reports into per-session profiles served at GET /fleet
-// (FleetSession), joins its own queued/granted/arrival stamps with the
-// worker-reported compute time into per-chunk spans (ChunkSpan: queue,
+// ?kind= and ?since= filters) but "who" and "where the time went": a
+// worker's Hello carries its build string, and the registry measures each
+// session's speed itself, a grant's photons over its grant-to-arrival
+// time, serving both at GET /fleet (FleetSession); every daemon's /metrics
+// carries its goroutines and heap. The registry joins its own
+// queued/granted/arrival stamps with the worker-reported compute time
+// into per-chunk spans (ChunkSpan: queue,
 // wire, compute and reduce segments, fed into aggregate histograms), and
 // records each span once, on its chunk's chunk-completed event: the job's
 // one event ring is its timeline, /jobs/{id}/events shows the segments on

@@ -6,7 +6,6 @@ import (
 	"io"
 	"log/slog"
 	"net"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -15,7 +14,6 @@ import (
 	"repro/internal/protocol"
 	"repro/internal/rng"
 	"repro/internal/service"
-	"repro/internal/stats"
 	"repro/internal/voxel"
 )
 
@@ -66,76 +64,6 @@ type WorkerOptions struct {
 	Ready *obs.Readiness
 	// Logger, if set, receives structured progress logging (nil discards).
 	Logger *slog.Logger
-}
-
-// Telemetry cadence: a WorkerReport rides at most one TaskRequest per
-// reportInterval (the EWMAs change slowly, so more would be wire cost for
-// no information), and the runtime stats inside it refresh at most once
-// per runtimeInterval (runtime.ReadMemStats stops the world briefly).
-const (
-	reportInterval  = 250 * time.Millisecond
-	runtimeInterval = time.Second
-)
-
-// workerTelemetry accumulates the session's self-measured profile: EWMAs
-// of kernel throughput and per-chunk compute/encode time (stats.EWMA, the
-// blend the server also uses for a job's chunkSecs, from the reported
-// Elapsed, and for its ack-timing estimate inferredPPS), plus
-// rate-limited Go runtime stats. Only the session loop touches it.
-type workerTelemetry struct {
-	pps         float64 // photons per second of grant wall time, EWMA
-	chunkSecs   float64 // per-chunk compute seconds, EWMA
-	encodeSecs  float64 // per-flush batch encode seconds, EWMA
-	lastReport  time.Time
-	lastRuntime time.Time
-	goroutines  int
-	heapBytes   uint64
-}
-
-// grant folds one computed grant into the EWMAs. Throughput is the grant's
-// photons over its wall time: its chunks ran side by side, so a per-chunk
-// rate would read a two-core worker at half its speed. chunkSecs stays per
-// chunk — its kernel time, summed over a fanned chunk's sub-streams — the
-// unit the server's timeout envelope divides by.
-func (t *workerTelemetry) grant(photons int64, wall time.Duration, runs []mc.ChunkRun) {
-	if secs := wall.Seconds(); secs > 0 && photons > 0 {
-		t.pps = stats.EWMA(t.pps, float64(photons)/secs)
-	}
-	for _, run := range runs {
-		if secs := run.Elapsed.Seconds(); secs > 0 {
-			t.chunkSecs = stats.EWMA(t.chunkSecs, secs)
-		}
-	}
-}
-
-// encoded folds one batch encode's time into its EWMA.
-func (t *workerTelemetry) encoded(d time.Duration) {
-	t.encodeSecs = stats.EWMA(t.encodeSecs, d.Seconds())
-}
-
-// maybeReport returns the report to piggyback on the next TaskRequest, or
-// nil when one rode the wire less than reportInterval ago.
-func (t *workerTelemetry) maybeReport() *protocol.WorkerReport {
-	now := time.Now()
-	if !t.lastReport.IsZero() && now.Sub(t.lastReport) < reportInterval {
-		return nil
-	}
-	t.lastReport = now
-	if t.lastRuntime.IsZero() || now.Sub(t.lastRuntime) >= runtimeInterval {
-		t.lastRuntime = now
-		t.goroutines = runtime.NumGoroutine()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		t.heapBytes = ms.HeapAlloc
-	}
-	return &protocol.WorkerReport{
-		PhotonsPerSec: t.pps,
-		ChunkSecs:     t.chunkSecs,
-		EncodeSecs:    t.encodeSecs,
-		Goroutines:    t.goroutines,
-		HeapBytes:     t.heapBytes,
-		Version:       obs.Version,
-	}
 }
 
 // workerMetrics is the worker loop's pre-resolved instrument set.
@@ -253,7 +181,7 @@ type resultBatch struct {
 	jobID   uint64
 	chunks  []int
 	photons []int64   // parallel to chunks, for ack-time accounting
-	secs    []float64 // parallel to chunks, per-chunk compute time (telemetry)
+	secs    []float64 // parallel to chunks, per-chunk compute time
 	elapsed time.Duration
 	tally   *mc.Tally
 }
@@ -320,6 +248,7 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 		Version: protocol.Version,
 		Name:    opts.Name,
 		Mflops:  opts.Mflops,
+		Build:   obs.Version,
 	}}); err != nil {
 		return nil, err
 	}
@@ -342,7 +271,6 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 	jobs := make(map[uint64]*jobRuntime) // one per descriptor held
 	var held protocol.Descriptors
 	var arena []byte
-	tel := &workerTelemetry{}
 	batch := &resultBatch{}
 	stats := &WorkerStats{}
 	computed := 0
@@ -365,12 +293,10 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 	// whatever has been computed and asking for up to want chunks, and the
 	// reply, with the batch's acks applied.
 	exchange := func(want int) (*protocol.Message, error) {
-		req := &protocol.TaskRequest{Want: want, Report: tel.maybeReport()}
+		req := &protocol.TaskRequest{Want: want}
 		flushed := len(batch.chunks)
 		if flushed > 0 {
-			start := time.Now()
 			req.Batch, arena = batch.encode(arena)
-			tel.encoded(time.Since(start))
 		}
 		if err := pc.Send(&protocol.Message{Type: protocol.MsgTaskRequest, Request: req}); err != nil {
 			return nil, err
@@ -538,7 +464,6 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 			if opts.Slowdown > 0 {
 				time.Sleep(time.Duration(opts.Slowdown * float64(time.Since(start))))
 			}
-			wall := time.Since(start)
 			var photons int64
 			for i, run := range runs {
 				g := grants[i]
@@ -554,7 +479,6 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 					"chunk", g.ChunkID, "photons", g.Photons,
 					"elapsed", run.Elapsed, "buffered", len(batch.chunks))
 			}
-			tel.grant(photons, wall, runs)
 			met.chunks.Add(uint64(len(runs)))
 			met.photons.Add(uint64(photons))
 			ev := rt.runner.TakeEvents()

@@ -92,14 +92,18 @@ func NewRunner(cfg *Config) (*Runner, error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
-	return &Runner{cfg: cfg, ks: []*kernel{newKernel(cfg, rng.Rand{})}}, nil
+	k := newKernel(cfg, rng.Rand{})
+	k.tally = nil // each run brings its own
+	return &Runner{cfg: cfg, ks: []*kernel{k}}, nil
 }
 
 // Run simulates n photons from generator state r into a fresh tally, on the
 // runner's first kernel. r itself does not advance.
 func (ru *Runner) Run(n int64, r *rng.Rand) *Tally { return ru.runOn(0, n, r) }
 
-// runOn is Run on kernel w, building it on first use.
+// runOn is Run on kernel w, building it on first use. The tally is handed
+// off, not kept: a runner held between runs (a worker holds one per job it
+// caches) pins no tally, which with a scoring grid is a megabyte or more.
 func (ru *Runner) runOn(w int, n int64, r *rng.Rand) *Tally {
 	k := ru.ks[w]
 	if k == nil {
@@ -110,7 +114,9 @@ func (ru *Runner) runOn(w int, n int64, r *rng.Rand) *Tally {
 	}
 	k.RunPhotons(n)
 	k.record()
-	return k.tally
+	t := k.tally
+	k.tally = nil
+	return t
 }
 
 // Unit is one independent piece of a chunk: Photons photons drawn from

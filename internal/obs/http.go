@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"runtime/metrics"
 	"sort"
 	"sync"
 	"time"
@@ -81,9 +82,12 @@ func HealthHandler() http.Handler {
 //
 // It also registers the process-identity series every daemon shares:
 // mc_build_info{version,goversion} (constant 1, version from the
-// link-time Version stamp) and process_uptime_seconds (seconds since this
+// link-time Version stamp), process_uptime_seconds (seconds since this
 // RegisterDebug call — daemons mount their debug surface at startup, so
-// that is process start for practical purposes).
+// that is process start for practical purposes), and two Go runtime
+// gauges read at scrape time through runtime/metrics, which stops no world:
+// go_goroutines and go_heap_objects_bytes (the heap's live and
+// not-yet-swept objects).
 func RegisterDebug(mux *http.ServeMux, reg *Registry, ready *Readiness) {
 	reg.GaugeVec("mc_build_info",
 		"Build identity; constant 1 with version and Go toolchain labels.",
@@ -92,6 +96,10 @@ func RegisterDebug(mux *http.ServeMux, reg *Registry, ready *Readiness) {
 	reg.GaugeFunc("process_uptime_seconds",
 		"Seconds since the process mounted its debug surface.",
 		func() float64 { return time.Since(start).Seconds() })
+	reg.GaugeFunc("go_goroutines", "Goroutines that currently exist.",
+		runtimeGauge("/sched/goroutines:goroutines"))
+	reg.GaugeFunc("go_heap_objects_bytes", "Bytes of heap objects, live and not yet swept.",
+		runtimeGauge("/memory/classes/heap/objects:bytes"))
 	mux.Handle("GET /metrics", reg.Handler())
 	mux.Handle("GET /healthz", HealthHandler())
 	if ready != nil {
@@ -104,4 +112,13 @@ func RegisterDebug(mux *http.ServeMux, reg *Registry, ready *Readiness) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+}
+
+// runtimeGauge reads one uint64 runtime/metrics sample per call.
+func runtimeGauge(name string) func() float64 {
+	return func() float64 {
+		s := []metrics.Sample{{Name: name}}
+		metrics.Read(s)
+		return float64(s[0].Value.Uint64())
+	}
 }

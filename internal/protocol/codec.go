@@ -12,10 +12,9 @@ import (
 // would spend ten bytes on — strings and byte slices a uvarint length and
 // the bytes, bool a 0/1 byte, and opt(X) a bool then X when it is true):
 //
-//	hello:        version · name · mflops
+//	hello:        version · name · mflops · build (v9 on; an older hello ends at mflops)
 //	welcome:      version · server name
-//	task-request: want · opt(report) · opt(batch)
-//	  report:     photons/s · chunk secs · encode secs · goroutines · heap bytes · version
+//	task-request: want · opt(batch)
 //	  batch:      n · group*n
 //	  group:      job id · n · chunk*n · elapsed ns · tally · n · chunk secs*n
 //	task-assign:  job id · n · (chunk id · stream · photons)*n · opt(job) · opt(ack)
@@ -23,6 +22,10 @@ import (
 //	no-work:      done · opt(ack)
 //	error:        msg
 //	  ack:        n · (job id · chunk id · duplicate · rejected · reason)*n
+
+// buildSince is the first version whose Hello carries a build string. An
+// older Hello must still decode, to be answered with a version mismatch.
+const buildSince = 9
 
 // appendMessage appends m's payload, reading a nil body as its type's zero
 // body.
@@ -32,7 +35,11 @@ func appendMessage(b []byte, m *Message) []byte {
 		h := orZero(m.Hello)
 		b = binary.AppendVarint(b, int64(h.Version))
 		b = appendString(b, h.Name)
-		return appendFloat(b, h.Mflops)
+		b = appendFloat(b, h.Mflops)
+		if h.Version < buildSince {
+			return b
+		}
+		return appendString(b, h.Build)
 	case MsgWelcome:
 		w := orZero(m.Welcome)
 		b = binary.AppendVarint(b, int64(w.Version))
@@ -65,15 +72,6 @@ func appendMessage(b []byte, m *Message) []byte {
 
 func appendRequest(b []byte, r *TaskRequest) []byte {
 	b = binary.AppendVarint(b, int64(r.Want))
-	if b = appendBool(b, r.Report != nil); r.Report != nil {
-		rep := r.Report
-		b = appendFloat(b, rep.PhotonsPerSec)
-		b = appendFloat(b, rep.ChunkSecs)
-		b = appendFloat(b, rep.EncodeSecs)
-		b = binary.AppendVarint(b, int64(rep.Goroutines))
-		b = binary.AppendUvarint(b, rep.HeapBytes)
-		b = appendString(b, rep.Version)
-	}
 	if b = appendBool(b, r.Batch != nil); r.Batch != nil {
 		b = binary.AppendUvarint(b, uint64(len(r.Batch.Groups)))
 		for _, g := range r.Batch.Groups {
@@ -239,8 +237,12 @@ func decodeMessage(d *decoder, m *Message) {
 	switch m.Type {
 	case MsgHello:
 		h := &Hello{Version: d.int(), Name: d.string(), Mflops: d.float()}
-		if len(h.Name) > MaxName {
-			d.failf("hello names a %d-byte worker, max %d", len(h.Name), MaxName)
+		if h.Version >= buildSince {
+			h.Build = d.string()
+		}
+		if len(h.Name) > MaxName || len(h.Build) > MaxName {
+			d.failf("hello carries a %d-byte worker name and a %d-byte build, max %d each",
+				len(h.Name), len(h.Build), MaxName)
 		}
 		if !measure(h.Mflops) {
 			d.failf("hello carries a negative or non-finite rate")
@@ -270,17 +272,6 @@ func decodeMessage(d *decoder, m *Message) {
 
 func decodeRequest(d *decoder) *TaskRequest {
 	r := &TaskRequest{Want: d.int()}
-	if d.bool() {
-		rep := &WorkerReport{PhotonsPerSec: d.float(), ChunkSecs: d.float(), EncodeSecs: d.float(),
-			Goroutines: d.int(), HeapBytes: d.uint(), Version: d.string()}
-		if len(rep.Version) > MaxReportVersion {
-			d.failf("worker report version string is %d bytes, max %d", len(rep.Version), MaxReportVersion)
-		}
-		if !measure(rep.PhotonsPerSec) || !measure(rep.ChunkSecs) || !measure(rep.EncodeSecs) {
-			d.failf("worker report carries a negative or non-finite rate or time")
-		}
-		r.Report = rep
-	}
 	if !d.bool() {
 		return r
 	}

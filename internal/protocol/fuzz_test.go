@@ -22,7 +22,7 @@ import (
 	"repro/internal/tissue"
 )
 
-// updateCorpus rewrites the committed v7 seeds under
+// updateCorpus rewrites the committed v9 seeds under
 // testdata/fuzz/FuzzDecodeMessage with the current wire encoding:
 //
 //	go test ./internal/protocol -run TestCommittedCorpus -update-corpus
@@ -121,7 +121,7 @@ func seedMessages(tb testing.TB) []*Message {
 	}
 	momCompact := mc.AppendTally(nil, momTally)
 	return []*Message{
-		{Type: MsgHello, Hello: &Hello{Version: Version, Name: "w0", Mflops: 42}},
+		{Type: MsgHello, Hello: &Hello{Version: Version, Name: "w0", Mflops: 42, Build: "v9-test"}},
 		{Type: MsgWelcome, Welcome: &Welcome{Version: Version, ServerName: "srv"}},
 		{Type: MsgTaskRequest, Request: &TaskRequest{Want: 1}},
 		{Type: MsgTaskAssign, Assign: &TaskAssign{
@@ -142,8 +142,6 @@ func seedMessages(tb testing.TB) []*Message {
 			Batch: &ResultBatch{Groups: []BatchGroup{
 				{JobID: 9, Chunks: []int{7}, TallyData: compact, ChunkSecs: []float64{0.5}},
 			}},
-			Report: &WorkerReport{PhotonsPerSec: 2.5e4, ChunkSecs: 0.5, EncodeSecs: 1e-4,
-				Goroutines: 9, HeapBytes: 3 << 20, Version: "v7-test"},
 		}},
 		{Type: MsgNoWork, NoWork: &NoWork{}, BatchAck: &BatchAck{Acks: []ResultAck{
 			{JobID: 9, ChunkID: 4},
@@ -172,17 +170,17 @@ func rawFrame(t MsgType, payload ...byte) []byte {
 // FuzzDecodeMessage throws arbitrary bytes at the wire decoder: valid
 // frames (including batch-carrying requests), truncated and bodiless
 // frames, an oversized batch, a hello with a NaN rate or an old version
-// and the gob frames of retired protocol versions. The decoder must never
-// panic, and every message it does accept must satisfy the envelope
+// (a v8 hello has no build string) and the gob frames of retired protocol
+// versions. The decoder must never panic, and every message it does accept must satisfy the envelope
 // invariants Recv promises (a live type with its body, bounded grant,
-// batch and name sizes, no empty batch groups,
+// batch, name and build sizes, no empty batch groups,
 // finite non-negative rates and times) and decode again, field for field,
 // from its own encoding.
 func FuzzDecodeMessage(f *testing.F) {
 	msgs := seedMessages(f)
 
 	// Seed: each message alone, the whole conversation, a truncated stream,
-	// a v7 worker's hello (it decodes, to be refused by version) and
+	// a v8 worker's hello (it decodes, to be refused by version) and
 	// oversized batch frames.
 	for _, m := range msgs {
 		f.Add(encodeMessages(f, m))
@@ -191,7 +189,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(all)
 	f.Add(all[:len(all)/3])
 	f.Add(all[:len(all)-1])
-	f.Add(encodeMessages(f, &Message{Type: MsgHello, Hello: &Hello{Version: 7, Name: "w7"}}))
+	f.Add(encodeMessages(f, &Message{Type: MsgHello, Hello: &Hello{Version: 8, Name: "w8"}}))
 	bigChunks := make([]int, MaxBatchChunks+1)
 	f.Add(encodeMessages(f, flush(&ResultBatch{
 		Groups: []BatchGroup{{JobID: 1, Chunks: bigChunks}}})))
@@ -231,7 +229,7 @@ func checkInvariants(t *testing.T, m *Message) {
 	t.Helper()
 	switch m.Type {
 	case MsgHello:
-		if m.Hello == nil || len(m.Hello.Name) > MaxName || !measure(m.Hello.Mflops) {
+		if m.Hello == nil || len(m.Hello.Name) > MaxName || len(m.Hello.Build) > MaxName || !measure(m.Hello.Mflops) {
 			t.Fatalf("Recv accepted a hello it must refuse: %+v", m.Hello)
 		}
 	case MsgWelcome:
@@ -241,12 +239,6 @@ func checkInvariants(t *testing.T, m *Message) {
 	case MsgTaskRequest:
 		if m.Request == nil {
 			t.Fatal("Recv accepted a task request without its body")
-		}
-		if r := m.Request.Report; r != nil && !(measure(r.PhotonsPerSec) && measure(r.ChunkSecs) && measure(r.EncodeSecs)) {
-			t.Fatalf("Recv accepted a report with a non-finite or negative figure: %+v", r)
-		}
-		if r := m.Request.Report; r != nil && len(r.Version) > MaxReportVersion {
-			t.Fatalf("Recv accepted a %d-byte report version", len(r.Version))
 		}
 		if b := m.Request.Batch; b != nil {
 			if b.NumChunks() > MaxBatchChunks {
@@ -284,7 +276,7 @@ func checkInvariants(t *testing.T, m *Message) {
 	}
 }
 
-// corpusSeeds names the committed v8 corpus entries and their frames. They
+// corpusSeeds names the committed v9 corpus entries and their frames. They
 // overlap FuzzDecodeMessage's f.Add seeds on purpose: the committed files
 // make the interesting shapes available to `go test -fuzz` runs from a
 // clean cache (the CI smoke job) without re-running the seed builders.
@@ -292,29 +284,37 @@ func corpusSeeds(tb testing.TB) map[string][]byte {
 	msgs := seedMessages(tb)
 	all := encodeMessages(tb, msgs...)
 	return map[string][]byte{
-		"hello_v8":             encodeMessages(tb, msgs[0]),
-		"task_request_v8":      encodeMessages(tb, msgs[2]),
-		"assign_v8":            encodeMessages(tb, msgs[3]),
-		"conversation_v8":      all,
-		"truncated_v8":         all[:len(all)/3],
-		"result_batch_v8":      encodeMessages(tb, msgs[6]),
-		"piggyback_request_v8": encodeMessages(tb, msgs[7]),
-		"batch_ack_v8":         encodeMessages(tb, msgs[8]),
-		"precision_assign_v8":  encodeMessages(tb, msgs[9]),
-		"moments_batch_v8":     encodeMessages(tb, msgs[10]),
-		"empty_batch_group_v8": encodeMessages(tb, flush(&ResultBatch{Groups: []BatchGroup{{JobID: 1}}})),
-		"nan_report_v8": encodeMessages(tb, &Message{Type: MsgTaskRequest,
-			Request: &TaskRequest{Want: 1, Report: &WorkerReport{PhotonsPerSec: math.NaN()}}}),
-		"nan_hello_v8": encodeMessages(tb, &Message{Type: MsgHello,
+		"hello_v9":             encodeMessages(tb, msgs[0]),
+		"task_request_v9":      encodeMessages(tb, msgs[2]),
+		"assign_v9":            encodeMessages(tb, msgs[3]),
+		"conversation_v9":      all,
+		"truncated_v9":         all[:len(all)/3],
+		"result_batch_v9":      encodeMessages(tb, msgs[6]),
+		"piggyback_request_v9": encodeMessages(tb, msgs[7]),
+		"batch_ack_v9":         encodeMessages(tb, msgs[8]),
+		"precision_assign_v9":  encodeMessages(tb, msgs[9]),
+		"moments_batch_v9":     encodeMessages(tb, msgs[10]),
+		"empty_batch_group_v9": encodeMessages(tb, flush(&ResultBatch{Groups: []BatchGroup{{JobID: 1}}})),
+		"long_build_hello_v9": encodeMessages(tb, &Message{Type: MsgHello,
+			Hello: &Hello{Version: Version, Build: strings.Repeat("x", MaxName+1)}}),
+		"nan_hello_v9": encodeMessages(tb, &Message{Type: MsgHello,
 			Hello: &Hello{Version: Version, Mflops: math.NaN()}}),
-		"v7_hello_v8":         encodeMessages(tb, &Message{Type: MsgHello, Hello: &Hello{Version: 7, Name: "w7"}}),
-		"bodiless_no_work_v8": rawFrame(MsgNoWork),
+		"v8_hello_v9":         encodeMessages(tb, &Message{Type: MsgHello, Hello: &Hello{Version: 8, Name: "w8"}}),
+		"bodiless_no_work_v9": rawFrame(MsgNoWork),
 	}
 }
 
-// v7Corpus names the committed seeds protocol v7 wrote. They stay as they
-// were written, inputs the decoder must survive: a v7 task request leads
-// with the known-jobs list v8 dropped.
+// v8Corpus names the committed seeds protocol v8 wrote, and v7Corpus those
+// v7 wrote. They stay as they were written, inputs the decoder must
+// survive: a v8 task request may carry the worker report v9 dropped, and a
+// v7 one leads with the known-jobs list v8 dropped.
+var v8Corpus = []string{
+	"hello_v8", "task_request_v8", "assign_v8", "conversation_v8", "truncated_v8",
+	"result_batch_v8", "piggyback_request_v8", "batch_ack_v8", "precision_assign_v8",
+	"moments_batch_v8", "empty_batch_group_v8", "nan_report_v8", "nan_hello_v8",
+	"v7_hello_v8", "bodiless_no_work_v8",
+}
+
 var v7Corpus = []string{
 	"hello_v7", "task_request_v7", "assign_v7", "conversation_v7", "truncated_v7",
 	"oversized_knownjobs_v7", "result_batch_v7", "piggyback_request_v7", "batch_ack_v7",
@@ -332,9 +332,9 @@ var retiredCorpus = []string{
 }
 
 // TestCommittedCorpusCoversV3 keeps the committed seed corpus in sync with
-// the protocol: every named v8 seed must exist on disk (regenerate with
-// -update-corpus), every v7 seed must still be there, and every retired
-// gob seed must still be there and be refused.
+// the protocol: every named v9 seed must exist on disk (regenerate with
+// -update-corpus), every v8 and v7 seed must still be there, and every
+// retired gob seed must still be there and be refused.
 func TestCommittedCorpusCoversV3(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeMessage")
 	for name, data := range corpusSeeds(t) {
@@ -351,9 +351,9 @@ func TestCommittedCorpusCoversV3(t *testing.T) {
 			t.Errorf("corpus seed %s missing (run with -update-corpus): %v", name, err)
 		}
 	}
-	for _, name := range v7Corpus {
+	for _, name := range slices.Concat(v8Corpus, v7Corpus) {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-			t.Errorf("v7 corpus seed %s: %v", name, err)
+			t.Errorf("kept corpus seed %s: %v", name, err)
 		}
 	}
 	for _, name := range retiredCorpus {

@@ -13,7 +13,10 @@
 // the service journals for it (service.AppendSubmission), and a result its
 // tally as mc.AppendTally; Recv bounds every claimed count before it sizes
 // an allocation. A descriptor rides a TaskAssign only when the session
-// does not hold it, by a rule both ends keep (Descriptors).
+// does not hold it, by a rule both ends keep (Descriptors). A worker's
+// Hello names it and its build, once per session; after it a worker sends
+// only results and their compute times, and the server learns its speed
+// from when its batches arrive.
 package protocol
 
 import (
@@ -72,7 +75,13 @@ import (
 // Version 8 dropped the known-jobs list that led a task request: which
 // descriptors a session holds is a rule both ends keep (Descriptors). A v7
 // Hello still decodes, and is answered with a version mismatch.
-const Version = 8
+//
+// Version 9 dropped the worker's telemetry report from the task request: a
+// session's one speed is the server's own grant-to-arrival estimate, and
+// the worker's build string rides its Hello, once per session. A Hello
+// older than v9 ends at its rate, so it still decodes, and is answered with
+// a version mismatch.
+const Version = 9
 
 // V6Refusal is what a server writes to a peer whose first frame is not a v7
 // Hello: the gob stream a v6 worker decodes as Message{Type: MsgError,
@@ -137,9 +146,9 @@ func (t MsgType) String() string {
 	}
 }
 
-// MaxName bounds a Hello's worker name; Recv rejects longer ones. The
-// session keeps the name for its whole life and shows it on every view of
-// the fleet.
+// MaxName bounds a Hello's worker name and build string; Recv rejects
+// longer ones. The session keeps both for its whole life and shows them on
+// every view of the fleet.
 const MaxName = 128
 
 // Hello introduces a worker.
@@ -150,6 +159,9 @@ type Hello struct {
 	// server records it for diagnostics and scheduling heuristics. Recv
 	// refuses one that is negative or not finite.
 	Mflops float64
+	// Build is the worker's build string (obs.Version), shown as the
+	// session's version on GET /fleet. A Hello older than v9 has none.
+	Build string
 }
 
 // Welcome greets a freshly connected worker. Jobs are delivered lazily via
@@ -213,39 +225,11 @@ func (d *Descriptors) Add(id uint64) (evicted uint64, ok bool) {
 // Want asks the server to grant up to that many chunks of one job in a
 // single TaskAssign, so a worker's next batch is its grant. 0 asks for
 // none: a worker that is leaving flushes that way and is answered NoWork
-// at once.
-// Report, when set, piggybacks the worker's self-measured telemetry (see
-// WorkerReport).
+// at once. A request carries nothing else: the server learns a worker's
+// speed from when its batches arrive.
 type TaskRequest struct {
-	Batch  *ResultBatch
-	Want   int
-	Report *WorkerReport
-}
-
-// MaxReportVersion bounds the WorkerReport build-string length; Recv
-// rejects longer ones (a version string is tens of bytes, not kilobytes).
-const MaxReportVersion = 128
-
-// WorkerReport is a worker's compact self-portrait, piggybacked on a
-// TaskRequest so the server's per-session profile reflects what the
-// worker measured rather than only what the server can infer from ack
-// timing. Workers attach it at a gentle cadence (not every request), so
-// any single report may be slightly stale; the server folds each one into
-// its session profile as it arrives.
-type WorkerReport struct {
-	// PhotonsPerSec is the worker's EWMA of kernel throughput: each grant's
-	// photons over the wall time it took to compute, on however many cores.
-	PhotonsPerSec float64
-	// ChunkSecs / EncodeSecs are EWMAs of per-chunk compute and
-	// batch-encode wall time.
-	ChunkSecs  float64
-	EncodeSecs float64
-	// Goroutines and HeapBytes are Go runtime stats (sampled, rate-limited
-	// worker-side — ReadMemStats is not free).
-	Goroutines int
-	HeapBytes  uint64
-	// Version is the worker's build/version string (obs.Version).
-	Version string
+	Batch *ResultBatch
+	Want  int
 }
 
 // TaskAssign hands one or more chunks of one job to a worker: at most as

@@ -283,7 +283,7 @@ func TestManyMessagesSequential(t *testing.T) {
 }
 
 // TestSeedMessagesRoundTrip: every seed message — each type, the result
-// plane, telemetry, acks, a precision descriptor — arrives field for field
+// plane, batch timings, acks, a precision descriptor — arrives field for field
 // as it was sent.
 func TestSeedMessagesRoundTrip(t *testing.T) {
 	c1, c2 := pipePair()

@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -10,82 +11,30 @@ import (
 	"repro/internal/tissue"
 )
 
-// TestWorkerReportRoundTrip checks the piggybacked telemetry report and
-// the per-chunk batch timings survive the wire intact — and that a
-// report-less request decodes with a nil Report (the report is optional).
-func TestWorkerReportRoundTrip(t *testing.T) {
-	tally, err := mc.Run(&mc.Config{Model: tissue.AdultHead()}, 100, 8)
-	if err != nil {
-		t.Fatal(err)
+// TestRecvRejectsOversizedBuild: a hostile peer must not make the server
+// retain an arbitrarily large build string per session. A Hello older than
+// v9 has no build string, and still decodes, to be refused by version.
+func TestRecvRejectsOversizedBuild(t *testing.T) {
+	for name, tc := range map[string]struct {
+		h  Hello
+		ok bool
+	}{
+		"build-at-bound": {Hello{Version: Version, Build: strings.Repeat("x", MaxName)}, true},
+		"long-build":     {Hello{Version: Version, Build: strings.Repeat("x", MaxName+1)}, false},
+		"v8-no-build":    {Hello{Version: 8, Name: "w8"}, true},
+	} {
+		m, err := NewConn(readCloser{bytes.NewReader(encodeMessages(t, &Message{Type: MsgHello, Hello: &tc.h}))}).Recv()
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Recv returned %v, want accepted %v", name, err, tc.ok)
+		} else if err == nil && *m.Hello != tc.h {
+			t.Errorf("%s: decoded %+v, want %+v", name, *m.Hello, tc.h)
+		}
 	}
-	c1, c2 := pipePair()
-	defer c1.Close()
-	defer c2.Close()
-
-	rep := &WorkerReport{
-		PhotonsPerSec: 123456.5,
-		ChunkSecs:     0.031,
-		EncodeSecs:    0.0004,
-		Goroutines:    14,
-		HeapBytes:     9 << 20,
-		Version:       "v1.2.3-4-gabcdef",
-	}
-	sent := make(chan struct{})
-	go func() {
-		defer close(sent)
-		c1.Send(&Message{Type: MsgTaskRequest, Request: &TaskRequest{
-			Report: rep,
-			Batch: &ResultBatch{Groups: []BatchGroup{{
-				JobID:     4,
-				Chunks:    []int{7, 8},
-				Elapsed:   62 * time.Millisecond,
-				TallyData: mc.AppendTally(nil, tally),
-				ChunkSecs: []float64{0.030, 0.032},
-			}}},
-		}})
-	}()
-	m, err := c2.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := m.Request.Report
-	if got == nil {
-		t.Fatal("report lost in transit")
-	}
-	if *got != *rep {
-		t.Fatalf("report corrupted: got %+v want %+v", *got, *rep)
-	}
-	secs := m.Request.Batch.Groups[0].ChunkSecs
-	if len(secs) != 2 || secs[0] != 0.030 || secs[1] != 0.032 {
-		t.Fatalf("per-chunk timings corrupted: %v", secs)
-	}
-
-	// A plain request (no report, no timings) must decode too.
-	// (Wait out the first sender: Conn.Send is not concurrency-safe.)
-	<-sent
-	go func() {
-		c1.Send(&Message{Type: MsgTaskRequest, Request: &TaskRequest{Want: 1}})
-	}()
-	m, err = c2.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Request.Report != nil {
-		t.Fatalf("absent report decoded as %+v", m.Request.Report)
-	}
-}
-
-// TestRecvRejectsOversizedReportVersion: a hostile peer must not make the
-// server retain an arbitrarily large build string per session.
-func TestRecvRejectsOversizedReportVersion(t *testing.T) {
-	c1, c2 := pipePair()
-	defer c1.Close()
-	defer c2.Close()
-	go c1.Send(&Message{Type: MsgTaskRequest, Request: &TaskRequest{
-		Report: &WorkerReport{Version: strings.Repeat("x", MaxReportVersion+1)},
-	}})
-	if _, err := c2.Recv(); err == nil {
-		t.Fatal("oversized report version accepted")
+	// A v8 hello is the three fields a v8 worker sends: version (zigzag
+	// 8), name, a zero rate.
+	v8 := rawFrame(MsgHello, 16, 2, 'w', '8', 0, 0, 0, 0, 0, 0, 0, 0)
+	if got := encodeMessages(t, &Message{Type: MsgHello, Hello: &Hello{Version: 8, Name: "w8"}}); !bytes.Equal(got, v8) {
+		t.Fatalf("v8 hello encodes as %x, want %x", got, v8)
 	}
 }
 
@@ -111,9 +60,9 @@ func TestRecvRejectsChunkSecsLengthMismatch(t *testing.T) {
 	}
 }
 
-// TestRecvRejectsNonFiniteTelemetry: a rate or a time is finite and not
-// negative, or the frame is refused — a NaN kept in a session's report
-// would make every JSON view of the fleet unrenderable.
+// TestRecvRejectsNonFiniteTelemetry: a batch's time is finite and not
+// negative, or the frame is refused — a NaN folded into a job's chunk
+// timing would make every JSON view of it unrenderable.
 func TestRecvRejectsNonFiniteTelemetry(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	group := func(elapsed time.Duration, secs ...float64) *Message {
@@ -121,19 +70,13 @@ func TestRecvRejectsNonFiniteTelemetry(t *testing.T) {
 			JobID: 1, Chunks: make([]int, len(secs)), Elapsed: elapsed, TallyData: []byte{1}, ChunkSecs: secs,
 		}}})
 	}
-	report := func(r WorkerReport) *Message {
-		return &Message{Type: MsgTaskRequest, Request: &TaskRequest{Want: 1, Report: &r}}
-	}
 	for name, tc := range map[string]struct {
 		m  *Message
 		ok bool
 	}{
-		"report":            {report(WorkerReport{PhotonsPerSec: 1e6, ChunkSecs: 0.1, EncodeSecs: 0.001}), true},
-		"report-nan-rate":   {report(WorkerReport{PhotonsPerSec: nan}), false},
-		"report-inf-chunk":  {report(WorkerReport{ChunkSecs: inf}), false},
-		"report-neg-encode": {report(WorkerReport{EncodeSecs: -1}), false},
 		"batch":             {group(time.Second, 0.4, 0.6), true},
 		"batch-nan-chunk":   {group(time.Second, 0.4, nan), false},
+		"batch-inf-chunk":   {group(time.Second, inf, 0.6), false},
 		"batch-neg-chunk":   {group(time.Second, -0.4, 0.6), false},
 		"batch-neg-elapsed": {group(-time.Second, 0.4, 0.6), false},
 	} {

@@ -21,6 +21,7 @@ type session struct {
 	id        uint64
 	name      string
 	mflops    float64
+	build     string // the worker's build string, from its Hello
 	remote    string // transport remote address ("" for in-memory pipes)
 	connected time.Time
 	lastSeen  time.Time // last TaskRequest from this connection
@@ -31,14 +32,9 @@ type session struct {
 	grant     *grant
 	described protocol.Descriptors // the descriptors the worker holds
 
-	// Per-session profile: the worker's latest piggybacked WorkerReport
-	// (hasReport false until one arrives — pre-telemetry workers never
-	// send one), the count of chunks this session has had reduced, and the
-	// server's own ack-timing throughput inference (an EWMA of group
-	// photons over grant-to-arrival wall time) — the reported-vs-inferred
-	// pair GET /fleet exposes.
-	report      protocol.WorkerReport
-	hasReport   bool
+	// Per-session profile: the count of chunks this session has had
+	// reduced, and its one speed, an EWMA of group photons over
+	// grant-to-arrival wall time — what GET /fleet shows.
 	completed   int
 	inferredPPS float64
 
@@ -80,9 +76,9 @@ func (g *grant) drop(jobID uint64, id int) bool {
 // TaskRequest goes unanswered. At the limit it is answered with an empty
 // NoWork and the worker asks again at once, so an idle session still
 // exchanges a frame about once a second — which is what keeps its
-// telemetry report and lastSeen fresh, finds a vanished peer (the send
-// fails) and bounds how long a worker whose transport cannot be
-// interrupted waits to notice its Stop.
+// lastSeen fresh, finds a vanished peer (the send fails) and bounds how
+// long a worker whose transport cannot be interrupted waits to notice its
+// Stop.
 const parkMax = time.Second
 
 // Serve accepts worker connections on l until l is closed — or, for a
@@ -200,6 +196,7 @@ func (r *Registry) registerSession(h *protocol.Hello, remote string) *session {
 		id:        r.nextSess,
 		name:      name,
 		mflops:    h.Mflops,
+		build:     h.Build,
 		remote:    remote,
 		connected: now,
 		lastSeen:  now,
@@ -268,7 +265,7 @@ func (r *Registry) dispatch(sess *session, req *protocol.TaskRequest, mayPark bo
 	}
 	start := time.Now()
 	r.mu.Lock()
-	r.syncSessionLocked(sess, req, start)
+	r.syncSessionLocked(sess, start)
 	reply, desc, reclaimAt := r.assignLocked(sess, req)
 	if reply == nil && !mayPark {
 		reply = noWork()
@@ -313,18 +310,10 @@ func (r *Registry) wakeLocked() {
 	r.wake = make(chan struct{})
 }
 
-// syncSessionLocked folds a TaskRequest's advertised state into the
-// session: liveness and telemetry — and gives up the chunks of its grant
-// the request did not flush.
-func (r *Registry) syncSessionLocked(sess *session, req *protocol.TaskRequest, now time.Time) {
+// syncSessionLocked folds a TaskRequest into the session: it is alive,
+// and it gives up the chunks of its grant the request did not flush.
+func (r *Registry) syncSessionLocked(sess *session, now time.Time) {
 	sess.lastSeen = now
-	if req.Report != nil {
-		// Fold the piggybacked telemetry into the session profile. The
-		// report is the worker's own EWMA state, so the latest one simply
-		// replaces the previous — no server-side re-smoothing.
-		sess.report = *req.Report
-		sess.hasReport = true
-	}
 	// A worker hands back everything it computed with its next request, and
 	// the request's batch has been reduced by now: whatever the session
 	// still owns, the worker walked away from.
@@ -759,11 +748,10 @@ func (r *Registry) reduceGroup(sess *session, g *protocol.BatchGroup, tally *mc.
 	if elapsed > 0 {
 		j.chunkSecs = stats.EWMA(j.chunkSecs, elapsed.Seconds()/float64(len(chunks)))
 	}
-	// Session profile: chunks credited, and the ack-timing throughput
-	// inference — group photons over grant-to-arrival wall time. It folds
-	// compute, wire and hold into one number (unlike the worker's reported
-	// kernel-only EWMA), which is exactly the reported-vs-inferred
-	// contrast /fleet exists to show.
+	// Session profile: chunks credited, and the session's speed — group
+	// photons over grant-to-arrival wall time. A grant's chunks run side by
+	// side, so it reads the whole worker, all cores; it folds compute, wire
+	// and hold into one number, and a chunk's span splits the wire off.
 	sess.completed += len(chunks)
 	if seeded {
 		if wall := arrival.Sub(held.at).Seconds(); wall > 0 {
@@ -818,11 +806,9 @@ func (r *Registry) reduceGroup(sess *session, g *protocol.BatchGroup, tally *mc.
 }
 
 // SessionStatus is one live worker session in the GET /fleet table: the
-// connection's identity and freshness, the chunks it owns and has
-// completed, and the reported-vs-inferred throughput pair — the worker's
-// own kernel EWMA next to the server's ack-timing estimate. The reported
-// fields (photons/sec through version) are zero/absent for sessions that
-// have never piggybacked a WorkerReport.
+// connection's identity, build and freshness, the chunks it owns and has
+// completed, and its speed as the server measures it from grant to
+// result arrival (absent until a grant has come back).
 type SessionStatus struct {
 	ID                    uint64    `json:"id"`
 	Name                  string    `json:"name"`
@@ -834,18 +820,13 @@ type SessionStatus struct {
 	ChunksHeld            int       `json:"chunksHeld"`
 	ChunksCompleted       int       `json:"chunksCompleted"`
 	InferredPhotonsPerSec float64   `json:"inferredPhotonsPerSec,omitempty"`
-	ReportedPhotonsPerSec float64   `json:"reportedPhotonsPerSec,omitempty"`
-	ChunkSeconds          float64   `json:"chunkSeconds,omitempty"`
-	EncodeSeconds         float64   `json:"encodeSeconds,omitempty"`
-	Goroutines            int       `json:"goroutines,omitempty"`
-	HeapBytes             uint64    `json:"heapBytes,omitempty"`
 	Version               string    `json:"version,omitempty"`
 }
 
 // Fleet snapshots every live worker session, ordered by session id
-// (connection order): who is connected, how fast each worker says it is,
-// and how fast the server has observed it to be — what speed-profile-driven
-// grants (the ROADMAP's heterogeneous-fleet work) would read.
+// (connection order): who is connected, with which build, and how fast
+// the server has observed each to be — what speed-profile-driven grants
+// (the ROADMAP's heterogeneous-fleet work) would read.
 func (r *Registry) Fleet() []SessionStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -861,20 +842,13 @@ func (r *Registry) Fleet() []SessionStatus {
 			State:                 "computing",
 			ChunksCompleted:       s.completed,
 			InferredPhotonsPerSec: s.inferredPPS,
+			Version:               s.build,
 		}
 		if s.grant != nil {
 			ss.ChunksHeld = len(s.grant.chunks)
 		}
 		if s.parked {
 			ss.State = "parked"
-		}
-		if s.hasReport {
-			ss.ReportedPhotonsPerSec = s.report.PhotonsPerSec
-			ss.ChunkSeconds = s.report.ChunkSecs
-			ss.EncodeSeconds = s.report.EncodeSecs
-			ss.Goroutines = s.report.Goroutines
-			ss.HeapBytes = s.report.HeapBytes
-			ss.Version = s.report.Version
 		}
 		out = append(out, ss)
 	}

@@ -27,9 +27,7 @@ type fleetRow struct {
 	Name                  string  `json:"name"`
 	State                 string  `json:"state"`
 	ChunksCompleted       int     `json:"chunksCompleted"`
-	ReportedPhotonsPerSec float64 `json:"reportedPhotonsPerSec"`
 	InferredPhotonsPerSec float64 `json:"inferredPhotonsPerSec"`
-	ChunkSeconds          float64 `json:"chunkSeconds"`
 	Version               string  `json:"version"`
 }
 
@@ -57,12 +55,12 @@ func decodeInto(t *testing.T, url string, out any) {
 	}
 }
 
-// TestFleetIntrospectionEndToEnd is the PR acceptance test: a real
-// production worker (distsys.Work, telemetry on by default) drains a job,
-// after which GET /fleet shows the worker's self-reported throughput,
-// GET /jobs/{id}/spans decomposes every chunk into positive segments, and
-// a report-less v4-style TaskRequest on a raw protocol connection is
-// still served — the telemetry fields are additive, not required.
+// TestFleetIntrospectionEndToEnd: two real production workers
+// (distsys.Work) drain a job, after which GET /jobs/{id}/spans decomposes
+// every chunk into positive segments and GET /fleet shows each worker's
+// build string and, for one that completed chunks, the speed the server
+// measured; a session whose Hello names no build is served all the same,
+// and shows neither until it has done something.
 func TestFleetIntrospectionEndToEnd(t *testing.T) {
 	reg := service.New(service.Options{})
 	ts := httptest.NewServer(service.NewAPI(reg).Handler())
@@ -135,46 +133,31 @@ func TestFleetIntrospectionEndToEnd(t *testing.T) {
 		}
 	}
 
-	// After the job the workers' requests are parked; a report rides the
-	// next request at most a park limit (1 s) later. /fleet must then show
-	// a nonzero self-reported rate next to the server-inferred one.
+	// Every chunk is reduced before the job reads done, so /fleet already
+	// credits them, each to a session carrying its Hello's build.
 	var fleet struct {
 		Workers []fleetRow `json:"workers"`
 	}
-	reportDeadline := time.Now().Add(15 * time.Second)
-	for {
-		decodeInto(t, ts.URL+"/fleet", &fleet)
-		reported := 0
-		for _, w := range fleet.Workers {
-			if w.ReportedPhotonsPerSec > 0 {
-				reported++
-			}
-		}
-		if len(fleet.Workers) == 2 && reported == 2 {
-			break
-		}
-		if time.Now().After(reportDeadline) {
-			t.Fatalf("worker reports never surfaced on /fleet: %+v", fleet.Workers)
-		}
-		time.Sleep(25 * time.Millisecond)
+	decodeInto(t, ts.URL+"/fleet", &fleet)
+	if len(fleet.Workers) != 2 {
+		t.Fatalf("fleet has %d sessions, want 2: %+v", len(fleet.Workers), fleet.Workers)
 	}
 	completed := 0
 	for _, w := range fleet.Workers {
 		completed += w.ChunksCompleted
-		if w.ChunkSeconds <= 0 || w.Version == "" {
-			t.Fatalf("worker profile incomplete: %+v", w)
+		if w.Version == "" {
+			t.Fatalf("worker profile lost its Hello's build: %+v", w)
 		}
 		if w.ChunksCompleted > 0 && w.InferredPhotonsPerSec <= 0 {
-			t.Fatalf("no inferred rate for a worker that completed chunks: %+v", w)
+			t.Fatalf("no measured rate for a worker that completed chunks: %+v", w)
 		}
 	}
 	if completed != chunks {
 		t.Fatalf("fleet completed %d chunks, job had %d", completed, chunks)
 	}
 
-	// The report is optional: a TaskRequest without one must still be
-	// served — with nothing queued, that is a parked request like any other
-	// idle worker's.
+	// The build string may be empty: such a session is served — with
+	// nothing queued, its request parks like any other idle worker's.
 	server, client := net.Pipe()
 	go reg.HandleConn(server)
 	defer client.Close()
@@ -197,13 +180,13 @@ func TestFleetIntrospectionEndToEnd(t *testing.T) {
 		for _, w := range fleet.Workers {
 			if w.Name == "legacy" && w.State == "parked" {
 				parked = true
-				if w.ReportedPhotonsPerSec != 0 {
-					t.Fatalf("report-less session grew a reported rate: %+v", w)
+				if w.Version != "" || w.InferredPhotonsPerSec != 0 {
+					t.Fatalf("an idle session without a build shows one, or a rate: %+v", w)
 				}
 			}
 		}
 		if time.Now().After(legacyDeadline) {
-			t.Fatalf("report-less request not served (never parked): %+v", fleet.Workers)
+			t.Fatalf("build-less session's request not served (never parked): %+v", fleet.Workers)
 		}
 	}
 	if len(fleet.Workers) != 3 {

@@ -27,7 +27,7 @@ import (
 //	GET    /jobs/{id}/spans  per-chunk timing spans its chunk-completed events carry
 //	DELETE /jobs/{id}       cancel a queued/running job
 //	GET    /stats           fleet and queue health (with per-tenant rollup)
-//	GET    /fleet           live worker sessions with telemetry profiles
+//	GET    /fleet           live worker sessions: build, load and measured speed
 //	GET    /tenants         per-tenant accounting and live bucket levels
 type API struct {
 	reg *Registry

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -494,23 +495,26 @@ func TestHTTPPrecisionJob(t *testing.T) {
 	}
 }
 
-// TestNonFiniteReportKeepsFleetDecodable: a session whose telemetry report
-// carries a NaN rate must not take GET /fleet down with it — the body must
-// still decode, which is what a gateway's fan-out and mctop read.
-func TestNonFiniteReportKeepsFleetDecodable(t *testing.T) {
+// TestNonFiniteHelloKeepsFleetDecodable: a worker whose Hello carries a
+// NaN rate must not take GET /fleet down with it — the session is refused
+// at the handshake, and the body still decodes, which is what a gateway's
+// fan-out and mctop read.
+func TestNonFiniteHelloKeepsFleetDecodable(t *testing.T) {
 	reg := New(Options{})
 	ts := httptest.NewServer(NewAPI(reg).Handler())
 	defer ts.Close()
-	p := dialPeer(t, reg, "nan")
-	if err := p.pc.Send(&protocol.Message{Type: protocol.MsgTaskRequest, Request: &protocol.TaskRequest{
-		Want: 1, Report: &protocol.WorkerReport{PhotonsPerSec: math.NaN()}}}); err != nil {
+	server, client := net.Pipe()
+	defer client.Close()
+	done := make(chan error, 1)
+	go func() { done <- reg.HandleConn(server) }()
+	go io.Copy(io.Discard, client) // the refusal
+	if err := protocol.NewConn(client).Send(&protocol.Message{Type: protocol.MsgHello,
+		Hello: &protocol.Hello{Version: protocol.Version, Name: "nan", Mflops: math.NaN()}}); err != nil {
 		t.Fatal(err)
 	}
-	// The server refuses the frame and ends the session, or parks the
-	// request and, with nothing queued, answers it at the park limit: either
-	// way the report has landed wherever it is going to by then.
-	p.conn.SetReadDeadline(time.Now().Add(2 * parkMax))
-	p.pc.Recv()
+	if err := <-done; err == nil {
+		t.Fatal("a hello with a NaN rate opened a session")
+	}
 
 	resp, err := http.Get(ts.URL + "/fleet")
 	if err != nil {
@@ -521,8 +525,8 @@ func TestNonFiniteReportKeepsFleetDecodable(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&fleet); err != nil {
 		t.Fatalf("GET /fleet answered %d with a body that does not decode: %v", resp.StatusCode, err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /fleet answered %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK || len(fleet.Workers) != 0 {
+		t.Fatalf("GET /fleet answered %d with %d workers, want 200 and none", resp.StatusCode, len(fleet.Workers))
 	}
 }
 

@@ -11,24 +11,20 @@ import (
 )
 
 // TestSpanJoinAndFleetProfile drives one session through the dispatch and
-// reduction path by hand, with a known telemetry report and known
-// per-chunk timings, and checks the joined artifacts deterministically:
-// the span's compute segment is exactly the worker-reported duration (and
-// exactly the batch share when the worker reported none), and GET /fleet
-// carries the report verbatim next to the server-side profile.
+// reduction path by hand, with a known build string and known per-chunk
+// timings, and checks the joined artifacts deterministically: the span's
+// compute segment is exactly the worker-reported duration (and exactly the
+// batch share when the worker reported none), and GET /fleet carries the
+// Hello's build as the session's version next to its measured speed.
 func TestSpanJoinAndFleetProfile(t *testing.T) {
 	reg, ts := obsServer(t, Options{})
-	sess := reg.registerSession(&protocol.Hello{Name: "probe", Mflops: 120}, "10.9.8.7:1234")
+	sess := reg.registerSession(&protocol.Hello{Name: "probe", Mflops: 120, Build: "test-build"}, "10.9.8.7:1234")
 	out, err := reg.Submit(JobSpec{Spec: slabSpec(5), TotalPhotons: 2, ChunkPhotons: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	j := out.Job
 
-	rep := &protocol.WorkerReport{
-		PhotonsPerSec: 5000, ChunkSecs: 0.25, EncodeSecs: 0.001,
-		Goroutines: 7, HeapBytes: 1 << 20, Version: "test-build",
-	}
 	var job *protocol.Job
 	runChunk := func(req *protocol.TaskRequest, elapsed time.Duration, secs []float64) {
 		t.Helper()
@@ -52,7 +48,7 @@ func TestSpanJoinAndFleetProfile(t *testing.T) {
 	}
 
 	// Chunk 1: worker-reported per-chunk timing wins over the batch share.
-	runChunk(&protocol.TaskRequest{Want: 1, Report: rep}, 300*time.Millisecond, []float64{0.25})
+	runChunk(&protocol.TaskRequest{Want: 1}, 300*time.Millisecond, []float64{0.25})
 	// Chunk 2: no timings — compute falls back to elapsed / len(chunks).
 	// (The session holds the job's descriptor, so the assign is lean.)
 	runChunk(&protocol.TaskRequest{Want: 1}, 100*time.Millisecond, nil)
@@ -81,12 +77,8 @@ func TestSpanJoinAndFleetProfile(t *testing.T) {
 		t.Fatalf("fleet has %d sessions, want 1", len(fleet))
 	}
 	w := fleet[0]
-	if w.Name != "probe" || w.Remote != "10.9.8.7:1234" || w.Mflops != 120 {
+	if w.Name != "probe" || w.Remote != "10.9.8.7:1234" || w.Mflops != 120 || w.Version != "test-build" {
 		t.Fatalf("session identity wrong: %+v", w)
-	}
-	if w.ReportedPhotonsPerSec != 5000 || w.ChunkSeconds != 0.25 ||
-		w.Goroutines != 7 || w.HeapBytes != 1<<20 || w.Version != "test-build" {
-		t.Fatalf("worker report not folded into profile: %+v", w)
 	}
 	if w.ChunksCompleted != 2 {
 		t.Fatalf("completed %d chunks, want 2", w.ChunksCompleted)
@@ -104,7 +96,8 @@ func TestSpanJoinAndFleetProfile(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/fleet", &fb); code != http.StatusOK {
 		t.Fatalf("GET /fleet: http %d", code)
 	}
-	if len(fb.Workers) != 1 || fb.Workers[0].ReportedPhotonsPerSec != 5000 {
+	if len(fb.Workers) != 1 || fb.Workers[0].Version != "test-build" ||
+		fb.Workers[0].InferredPhotonsPerSec != w.InferredPhotonsPerSec {
 		t.Fatalf("GET /fleet body: %+v", fb)
 	}
 	var sb spansBody

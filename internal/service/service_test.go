@@ -938,12 +938,14 @@ func TestBatchGroupRepeatedChunkRejected(t *testing.T) {
 }
 
 // TestOldWorkerRejectedGracefully pins the version gate: a worker speaking
-// an older protocol — v2, the v4 that still had single-result frames, or
-// the v7 whose task requests listed the jobs it knew — gets a clear error
+// an older protocol — v2, the v4 that still had single-result frames, the
+// v7 whose task requests listed the jobs it knew, or the v8 whose requests
+// could carry a telemetry report and whose Hello has no build string —
+// gets a clear error
 // message at the handshake and a closed session: no hang, no mid-session
 // failure on its first unknown frame.
 func TestOldWorkerRejectedGracefully(t *testing.T) {
-	for _, version := range []int{2, 4, 7} {
+	for _, version := range []int{2, 4, 7, 8} {
 		reg := New(Options{})
 		server, client := net.Pipe()
 		done := make(chan error, 1)

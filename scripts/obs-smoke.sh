@@ -9,7 +9,8 @@
 # tells the lifecycle story (and filters by kind), GET /jobs/{id}/spans
 # decomposes every chunk's timing and names the same chunks as the
 # chunk-completed events that carry those segments, GET /fleet shows the
-# worker's piggybacked telemetry, mctop -once renders it all, pprof answers, a
+# worker's measured rate and build, both daemons' /metrics carry goroutines
+# and heap, mctop -once renders it all, pprof answers, a
 # result fetched directly and through an mcgate in front is the same bytes,
 # the shard's JSON encoded once per fetch (service_result_*{format="json"})
 # and passed through by the gateway, two voxel jobs sent
@@ -144,7 +145,7 @@ echo "$FILTERED" | grep -q '"kind":"submitted"' && fail "?kind= filter leaked ot
 CODE=$(curl -s -o /dev/null -w '%{http_code}' "http://$HTTP/jobs/$ID/events?kind=bogus")
 [ "$CODE" = 400 ] || fail "unknown event kind answered $CODE, want 400"
 
-echo "obs-smoke: checking spans and fleet telemetry..."
+echo "obs-smoke: checking spans, the fleet and runtime gauges..."
 SPANS=$(curl -fsS "http://$HTTP/jobs/$ID/spans")
 [ "$(echo "$SPANS" | grep -o '"chunk":' | wc -l)" = 4 ] || fail "expected 4 spans: $SPANS"
 # A span is its chunk-completed event's segments: the two views name the
@@ -160,23 +161,31 @@ for seg in queueSeconds wireSeconds computeSeconds reduceSeconds; do
 done
 echo "$SPANS" | grep -q '"worker":"smoke-worker"' || fail "spans lost worker attribution"
 
-# The worker's piggybacked report rides its task requests at a gentle
-# cadence. After the job its request is parked on the server, which answers
-# at the one-second park limit; the worker asks again at once and the
-# report rides that request — so within a couple of seconds /fleet shows
-# the idle worker parked, with a reported rate.
+# A session's one speed is the server's: the job's grants came back, so
+# /fleet shows a nonzero rate measured from grant to arrival, and the
+# worker's Hello build as its version. After the job its request is parked
+# on the server, so /fleet shows it parked within a second or two.
 FLEET_OK=0
 for _ in $(seq 1 50); do
   FLEETJSON=$(curl -fsS "http://$HTTP/fleet")
   if echo "$FLEETJSON" | grep -q '"name":"smoke-worker"' &&
      echo "$FLEETJSON" | grep -q '"state":"parked"' &&
-     echo "$FLEETJSON" | grep -Eq '"reportedPhotonsPerSec":[0-9]*\.?[0-9]*[1-9]'; then
+     echo "$FLEETJSON" | grep -Eq '"inferredPhotonsPerSec":[0-9]*\.?[0-9]*[1-9]'; then
     FLEET_OK=1; break
   fi
   sleep 0.2
 done
-[ "$FLEET_OK" = 1 ] || fail "/fleet never showed smoke-worker parked with a nonzero reported rate: ${FLEETJSON:-}"
+[ "$FLEET_OK" = 1 ] || fail "/fleet never showed smoke-worker parked with a nonzero inferred rate: ${FLEETJSON:-}"
 echo "$FLEETJSON" | grep -q '"version":"smoke-test"' || fail "/fleet row missing worker build version"
+
+# Goroutines and heap are every daemon's own series, read at scrape time.
+for url in "http://$HTTP/metrics" "http://$WDBG/metrics"; do
+  RMETRICS=$(curl -fsS "$url")
+  for series in go_goroutines go_heap_objects_bytes; do
+    echo "$RMETRICS" | grep -Eq "^$series [1-9]" ||
+      fail "$url: $series absent or zero: $(echo "$RMETRICS" | grep "^$series" || echo '<absent>')"
+  done
+done
 
 # The dispatcher's own series: the idle worker counts as parked, and its
 # parks are observed (the one behind the parked gauge is still open, so the

@@ -39,9 +39,9 @@ type (
 	// chunk-completed JobEvent (GET /jobs/{id}/spans lists the spans a
 	// job's event ring retains).
 	ChunkSpan = obs.Span
-	// FleetSession is one live worker session's telemetry profile:
-	// server-side accounting joined with the worker's own piggybacked
-	// report (GET /fleet).
+	// FleetSession is one live worker session's profile: its Hello's
+	// identity and build, and the server's accounting of it, speed
+	// included (GET /fleet).
 	FleetSession = service.SessionStatus
 	// AdmissionPolicy decides per tenant whether a fresh submission is
 	// accepted (RegistryOptions.Admission); refusals surface as
