@@ -26,7 +26,8 @@ short:
 # job among them), the content-key index's repeat / finish→seal / retention
 # tests, the multi-core grant tests (mc.Runner.RunChunks'
 # stop-and-claim, a worker's grant on one, two and four cores, its chunk
-# budgets) and a session's descriptor eviction twenty more times in
+# budgets), units of three configs sharing the kernels' scratch pool on two
+# cores, and a session's descriptor eviction twenty more times in
 # shuffled order: a lost wake-up is a rare interleaving (and parkMax heals
 # it within a second, so nothing hangs to give it away), a job stays in
 # byKey across its seal and until its eviction, and a unit claimed after
@@ -36,7 +37,7 @@ short:
 # default.
 race:
 	$(GO) test -race -short -shuffle=on -timeout 30m ./...
-	$(GO) test -race -shuffle=on -run 'Park|Dispatch|Drain|BatchIsItsGrant|ChunkVerdict|ReclaimedChunkQueuedOnce|ReclaimRequeues|RegrantedChunk|ChunkRowSize|BooksAgree|Repeat|FinishAndSeal|RetainDone|GrantBatch|ParallelGrants|RunChunks|DescriptorCache' -count=20 ./internal/service ./internal/distsys ./internal/mc
+	$(GO) test -race -shuffle=on -run 'Park|Dispatch|Drain|BatchIsItsGrant|ChunkVerdict|ReclaimedChunkQueuedOnce|ReclaimRequeues|RegrantedChunk|ChunkRowSize|BooksAgree|Repeat|FinishAndSeal|RetainDone|GrantBatch|ParallelGrants|RunChunks|SharedScratch|DescriptorCache' -count=20 ./internal/service ./internal/distsys ./internal/mc
 
 # bench-check vets and tests the nested benchmark module (bench/, its own
 # go.mod with `replace repro => ../`). The root's build and tests never
@@ -52,22 +53,26 @@ bench-check:
 # the median ns/photon of both with their ratio — DESIGN.md's
 # voxel-over-layered figure — and of the grid-results workload's chunk (the
 # layered head scoring a 50³ path grid), the kernel-bound workload a kernel
-# claim is paired on. Then one worker grant of eight 64-photon slab
+# claim is paired on; beside each, the chunk's transport events (scatterings
+# plus boundary crossings) per photon and the ns per event they make. Then one worker grant of eight 64-photon slab
 # chunks (BenchmarkWorkerGrant) on one core and on two, six runs each, and
 # the median time of both with their ratio: about 2 on an idle two-core
 # host, and about 1 when the grant's kernels write to a shared cache line.
 # CI runs all three once so they cannot rot.
 kernel-bench:
 	@$(GO) test -run '^$$' -bench '^BenchmarkVoxelTraversal$$/^(bulk-head-|grid-results-)' -benchtime 20x -count 6 . | awk ' \
-		/ns\/photon/ { split($$1, name, "/"); sub(/-[0-9]+$$/, "", name[2]); \
-			for (i = 2; i <= NF; i++) if ($$i == "ns/photon") v[name[2], ++n[name[2]]] = $$(i-1) } \
+		/ns\/photon/ { split($$1, name, "/"); sub(/-[0-9]+$$/, "", name[2]); k = name[2]; n[k]++; \
+			for (i = 2; i <= NF; i++) { if ($$i == "ns/photon") v[k, n[k]] = $$(i-1); if ($$i == "events/photon") e[k] = $$(i-1) } } \
 		function median(k,   i, j, t, a, c) { c = n[k]; for (i = 1; i <= c; i++) a[i] = v[k, i]; \
 			for (i = 1; i <= c; i++) for (j = i + 1; j <= c; j++) if (a[j] < a[i]) { t = a[i]; a[i] = a[j]; a[j] = t } \
 			return c % 2 ? a[(c + 1) / 2] : (a[c / 2] + a[c / 2 + 1]) / 2 } \
-		END { if (!n["bulk-head-layered"] || !n["bulk-head-voxel"] || !n["grid-results-layered"]) { print "kernel-bench: benchmarks did not run"; exit 1 } \
-			l = median("bulk-head-layered"); x = median("bulk-head-voxel"); \
-			printf "layered %.0f ns/photon  voxel %.0f ns/photon  voxel/layered %.2f  (medians of %d)\n", l, x, x / l, n["bulk-head-voxel"]; \
-			printf "grid-results layered %.0f ns/photon  (median of %d)\n", median("grid-results-layered"), n["grid-results-layered"] }'
+		function show(label, k,   m) { m = median(k); \
+			printf "%s %.0f ns/photon  %.1f events/photon  %.0f ns/event\n", label, m, e[k], m / e[k] } \
+		END { if (!n["bulk-head-layered"] || !n["bulk-head-voxel"] || !n["grid-results-layered"] || \
+				!e["bulk-head-layered"] || !e["bulk-head-voxel"] || !e["grid-results-layered"]) { print "kernel-bench: benchmarks did not run"; exit 1 } \
+			show("layered", "bulk-head-layered"); show("voxel", "bulk-head-voxel"); \
+			printf "voxel/layered %.2f  (medians of %d)\n", median("bulk-head-voxel") / median("bulk-head-layered"), n["bulk-head-voxel"]; \
+			show("grid-results layered", "grid-results-layered") }'
 	@$(GO) test -run '^$$' -bench '^BenchmarkWorkerGrant$$' -cpu 1,2 -count 6 ./internal/distsys | awk ' \
 		/ns\/op/ { p = 1; if (match($$1, /-[0-9]+$$/)) p = substr($$1, RSTART + 1); \
 			for (i = 2; i <= NF; i++) if ($$i == "ns/op") v[p, ++n[p]] = $$(i-1) } \

@@ -445,6 +445,9 @@ func BenchmarkGatedDetection(b *testing.B) {
 // voxel-over-layered figure; neither may allocate per photon once warm.
 // grid-results-layered is the grid-results workload's chunk, which kernel-bench
 // prints too: the layered head scoring a 50³ path grid over a 60 mm cube.
+// Each also reports the chunk's transport events (scatterings plus boundary
+// crossings) per photon, counted on one untimed run, so ns/photon reads as
+// ns/event.
 func BenchmarkVoxelTraversal(b *testing.B) {
 	b.Run("untruncated", func(b *testing.B) {
 		g, err := voxel.FromModel(phomc.AdultHead(), 120, 120, 80, 1, 1, 0.5)
@@ -470,13 +473,16 @@ func BenchmarkVoxelTraversal(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			runner.Run(photons, rng.New(7)) // warm the kernel's scratch buffers
+			// Counting the events also fills the scratch pool the timed runs
+			// borrow from.
+			ev := runner.RunChunks([][]mc.Unit{{{Rand: rng.New(7), Photons: photons}}}, nil)[0].Events
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				runner.Run(photons, rng.New(7))
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*photons), "ns/photon")
+			b.ReportMetric(float64(ev.Scatter+ev.Crossing)/photons, "events/photon")
 		}
 	}
 	b.Run("bulk-head-layered", chunk(&phomc.Config{Model: head, Detector: annulus}))

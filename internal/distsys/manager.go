@@ -18,7 +18,10 @@
 // sub-streams — are computed one per core (mc.Runner.RunChunks) and
 // pre-reduced in grant order into one tally, and that ResultBatch (compact
 // codec) rides the next task request, whose reply carries each chunk's
-// accepted, duplicate or rejected verdict.
+// accepted, duplicate or rejected verdict. A worker holds a runtime for each
+// job whose descriptor it keeps (the last protocol.MaxDescriptors): a
+// config and a stream cache, and no kernel scratch — each unit's kernel
+// borrows its buffers from one pool shared by every job that runs there.
 //
 // A DataManager given a JournalDir survives its own death: the job's
 // accept record, reduced batches and tally snapshots are written ahead to

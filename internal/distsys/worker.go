@@ -217,7 +217,7 @@ func (b *resultBatch) encode(arena []byte) (*protocol.ResultBatch, []byte) {
 // of as many concurrent jobs as the server cares to assign — until the
 // server reports the service done. It returns session statistics.
 //
-// A grant's chunks are computed side by side on one kernel per core
+// A grant's chunks are computed side by side, one unit per core at a time
 // (mc.Runner.RunChunks; a fanned chunk's sub-streams are units of it like
 // any other, so cores stay busy across chunk boundaries), and pre-reduced
 // in grant order into one batch — the same bytes on one core as
@@ -465,6 +465,7 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 				time.Sleep(time.Duration(opts.Slowdown * float64(time.Since(start))))
 			}
 			var photons int64
+			var ev mc.KernelEvents
 			for i, run := range runs {
 				g := grants[i]
 				if err := batch.add(a.JobID, g.ChunkID, g.Photons, run.Elapsed, run.Tally); err != nil {
@@ -472,6 +473,7 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 						a.JobID, g.ChunkID, err)
 				}
 				photons += g.Photons
+				ev.Add(run.Events)
 				stats.Compute += run.Elapsed
 				computed++
 				met.chunkSec.Observe(run.Elapsed.Seconds())
@@ -481,7 +483,6 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 			}
 			met.chunks.Add(uint64(len(runs)))
 			met.photons.Add(uint64(photons))
-			ev := rt.runner.TakeEvents()
 			met.scatter.Add(ev.Scatter)
 			met.query.Add(ev.Query)
 			met.crossing.Add(ev.Crossing)

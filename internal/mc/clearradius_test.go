@@ -94,16 +94,17 @@ func TestClearRadiusCacheIsBitExact(t *testing.T) {
 				cached, starved := runner(tc.grid), runner(askEveryEvent{tc.grid})
 				var served, asked mc.KernelEvents
 				for seed := uint64(1); seed <= 6; seed++ {
-					a := cached.Run(tc.photons, rng.New(seed))
-					b := starved.Run(tc.photons, rng.New(seed))
+					unit := [][]mc.Unit{{{Rand: rng.New(seed), Photons: tc.photons}}}
+					ra, rb := cached.RunChunks(unit, nil)[0], starved.RunChunks(unit, nil)[0]
+					a, b := ra.Tally, rb.Tally
 					if !bytes.Equal(mc.AppendTally(nil, a), mc.AppendTally(nil, b)) {
 						t.Fatalf("seed %d: the tally differs with the clear-radius cache on and off", seed)
 					}
 					if a.DetectedCount == 0 || a.LateralWeight+a.TransmitWeight+a.DiffuseWeight == 0 {
 						t.Fatalf("seed %d: nothing detected or nothing escaped; the case proves little", seed)
 					}
-					served.Add(cached.TakeEvents())
-					asked.Add(starved.TakeEvents())
+					served.Add(ra.Events)
+					asked.Add(rb.Events)
 				}
 
 				// The counters tell the same story: identical physics, and

@@ -3,8 +3,9 @@
 // model, drop weight to absorption, spin into new directions via the
 // Henyey–Greenstein phase function, refract or internally reflect at layer
 // boundaries, and are captured by a surface detector. It also provides
-// Runner, which runs independent RNG streams on one kernel per core and
-// merges them in a fixed order, so a tally never depends on the core count.
+// Runner, which runs independent RNG streams one per core, each on a kernel
+// built for it, and merges them in a fixed order, so a tally never depends
+// on the core count.
 package mc
 
 import (

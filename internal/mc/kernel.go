@@ -51,10 +51,10 @@ func (p *subPacket) markEntered(r int) bool {
 	return r > p.deep
 }
 
-// kernel carries the per-worker simulation state: configuration, geometry,
-// RNG stream and the tally being accumulated. Each kernel owns a private
-// scratch tally merged once per chunk, so the hot loop never synchronises.
-// One kernel must only be used from a single goroutine.
+// kernel carries one unit's simulation state: configuration, geometry, RNG
+// stream and the tally being accumulated. Each kernel owns a private tally,
+// merged once per unit, so the hot loop never synchronises. One kernel must
+// only be used from a single goroutine.
 type kernel struct {
 	cfg *Config
 	geo geom.Geometry
@@ -70,10 +70,11 @@ type kernel struct {
 	lay *layeredGeom
 
 	recordPaths bool
-	stack       []subPacket
-	visitPool   [][]vec.V
+	// stack and visitPool are borrowed from scratchPool for the unit.
+	stack     []subPacket
+	visitPool [][]vec.V
 
-	// events counts what the transport loops did, for the runners' stats;
+	// events counts what the transport loops did, for ChunkRun.Events;
 	// it is deliberately not part of the Tally (codec, keys and goldens
 	// know nothing of it).
 	events KernelEvents
@@ -103,14 +104,9 @@ func (e *KernelEvents) Add(o KernelEvents) {
 }
 
 // newKernel returns a kernel writing into a fresh tally. cfg must already be
-// normalised. Tracing begins here, so a geometry that derives traversal
-// tables builds them now — once, shared by every kernel on it — rather than
-// inside a validation that a non-tracing process also runs, or inside the
-// first timed chunk. The kernel draws from its own copy of r.
+// normalised and its geometry prepared for tracing (NewRunner). The kernel
+// draws from its own copy of r.
 func newKernel(cfg *Config, r rng.Rand) *kernel {
-	if p, ok := cfg.Geometry.(interface{ PrepareTrace() }); ok {
-		p.PrepareTrace()
-	}
 	return &kernel{
 		cfg:         cfg,
 		geo:         cfg.Geometry,

@@ -7,26 +7,48 @@ import (
 	"time"
 
 	"repro/internal/rng"
+	"repro/internal/vec"
 )
 
 // Run simulates n photons on a single RNG stream and returns the tally.
 // cfg is normalised in place.
 func Run(cfg *Config, n int64, seed uint64) (*Tally, error) {
-	if err := cfg.Normalize(); err != nil {
+	ru, err := NewRunner(cfg)
+	if err != nil {
 		return nil, err
 	}
-	k := newKernel(cfg, *rng.New(seed))
-	k.RunPhotons(n)
-	k.record()
-	return k.tally, nil
+	return ru.Run(n, rng.New(seed)), nil
 }
 
-// record folds the finished leaf tally's chunk moments in when the config
-// asks for them — every runner calls it once per single-stream run.
-func (k *kernel) record() {
-	if k.cfg.TrackMoments {
+// scratch carries a kernel's reusable buffers — the sub-packet stack and the
+// spare visit-site slices — from one unit to the next. They belong to
+// whichever kernel is running, not to a job: a kernel borrows them from
+// scratchPool for one unit and gives them back, so a held Runner pins none,
+// and sync.Pool's per-P caches keep them on the core that last used them.
+type scratch struct {
+	stack     []subPacket
+	visitPool [][]vec.V
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// runUnit simulates n photons from generator state r into a fresh tally on
+// a kernel built for this one unit by the calling goroutine, and returns the
+// tally and what the transport loops counted. Every runner in the package
+// computes through it, on a Runner's config.
+func runUnit(cfg *Config, n int64, r rng.Rand) (*Tally, KernelEvents) {
+	k := newKernel(cfg, r)
+	s := scratchPool.Get().(*scratch)
+	// The hot slice headers live in the padded kernel, never in the pooled
+	// struct another core may hold next.
+	k.stack, k.visitPool = s.stack, s.visitPool
+	k.RunPhotons(n)
+	s.stack, s.visitPool = k.stack[:0], k.visitPool
+	scratchPool.Put(s)
+	if cfg.TrackMoments {
 		k.tally.RecordChunkMoments()
 	}
+	return k.tally, k.events
 }
 
 // RunStream simulates n photons on stream `stream` of `streams` independent
@@ -36,7 +58,8 @@ func (k *kernel) record() {
 // stream space is open-ended (precision-targeted jobs issue chunks without
 // a predetermined count); only the lower bound is then checked.
 func RunStream(cfg *Config, n int64, seed uint64, stream, streams int) (*Tally, error) {
-	if err := cfg.Normalize(); err != nil {
+	ru, err := NewRunner(cfg)
+	if err != nil {
 		return nil, err
 	}
 	if stream < 0 || (streams > 0 && stream >= streams) {
@@ -46,76 +69,57 @@ func RunStream(cfg *Config, n int64, seed uint64, stream, streams int) (*Tally, 
 	for i := 0; i < stream; i++ {
 		r.Jump()
 	}
-	k := newKernel(cfg, *r)
-	k.RunPhotons(n)
-	k.record()
-	return k.tally, nil
+	return ru.Run(n, r), nil
 }
 
 // RunWithRand simulates n photons from a caller-provided generator state —
-// the building block for callers that manage stream derivation themselves
-// (e.g. a worker amortising Jump costs across a job's chunks with an
-// rng.StreamCache). Passing the state New(seed) jumped `stream` times
-// reproduces RunStream(cfg, n, seed, stream, streams) bit-for-bit. r itself
-// does not advance.
+// the building block for callers that manage stream derivation themselves.
+// Passing the state New(seed) jumped `stream` times reproduces
+// RunStream(cfg, n, seed, stream, streams) bit-for-bit. r itself does not
+// advance.
 func RunWithRand(cfg *Config, n int64, r *rng.Rand) (*Tally, error) {
-	if err := cfg.Normalize(); err != nil {
+	ru, err := NewRunner(cfg)
+	if err != nil {
 		return nil, err
 	}
-	k := newKernel(cfg, *r)
-	k.RunPhotons(n)
-	k.record()
-	return k.tally, nil
+	return ru.Run(n, r), nil
 }
 
-// Runner amortises kernel setup across the runs of one configuration and is
-// this package's one way to use every core: the config is normalised once,
-// and the runner holds one kernel per core, each reusing its scratch buffers
-// (sub-packet stack, pooled visit-site slices) from run to run instead of
-// rebuilding them per call. Each run still accumulates into a fresh Tally —
-// the reduction contract is untouched — and its photon trajectories are
-// bit-identical to RunWithRand on the same generator state, whichever kernel
-// computes it.
+// Runner runs units of one configuration, normalised once, and is this
+// package's one way to use every core. Each unit runs on a kernel built for
+// it alone, by the goroutine that runs it, which borrows its scratch buffers
+// from a package-wide pool and accumulates into a fresh Tally — the
+// reduction contract is untouched — and its photon trajectories are
+// bit-identical to RunWithRand on the same generator state, whichever core
+// computes it. A Runner holds nothing but its config between runs, so
+// holding one is cheap, and it is safe for concurrent use.
 //
 // Kernels running side by side must not write to one cache line (each would
 // run at about half speed): a kernel draws from its own copy of the
-// generator state it is handed, is padded off its neighbours, and kernel
-// w > 0 is built by the goroutine that runs on it. A Runner is not safe for
-// concurrent use.
+// generator state it is handed, keeps its hot slice headers in itself, and
+// is padded off its neighbours.
 type Runner struct {
 	cfg *Config
-	ks  []*kernel // ks[0] built by NewRunner, ks[w] by RunChunks' goroutine w
 }
 
-// NewRunner validates and normalises cfg and prepares a reusable kernel.
+// NewRunner validates and normalises cfg. Tracing begins here, so a
+// geometry that derives traversal tables builds them now — once, shared by
+// every kernel on it — rather than inside a validation that a non-tracing
+// process also runs, or inside the first timed unit.
 func NewRunner(cfg *Config) (*Runner, error) {
 	if err := cfg.Normalize(); err != nil {
 		return nil, err
 	}
-	k := newKernel(cfg, rng.Rand{})
-	k.tally = nil // each run brings its own
-	return &Runner{cfg: cfg, ks: []*kernel{k}}, nil
+	if p, ok := cfg.Geometry.(interface{ PrepareTrace() }); ok {
+		p.PrepareTrace()
+	}
+	return &Runner{cfg: cfg}, nil
 }
 
-// Run simulates n photons from generator state r into a fresh tally, on the
-// runner's first kernel. r itself does not advance.
-func (ru *Runner) Run(n int64, r *rng.Rand) *Tally { return ru.runOn(0, n, r) }
-
-// runOn is Run on kernel w, building it on first use. The tally is handed
-// off, not kept: a runner held between runs (a worker holds one per job it
-// caches) pins no tally, which with a scoring grid is a megabyte or more.
-func (ru *Runner) runOn(w int, n int64, r *rng.Rand) *Tally {
-	k := ru.ks[w]
-	if k == nil {
-		k = newKernel(ru.cfg, *r)
-		ru.ks[w] = k
-	} else {
-		k.rng, k.tally = *r, NewTally(ru.cfg)
-	}
-	k.RunPhotons(n)
-	k.record()
-	t := k.tally
-	k.tally = nil
+// Run simulates n photons from generator state r into a fresh tally. r
+// itself does not advance.
+func (ru *Runner) Run(n int64, r *rng.Rand) *Tally {
+	t, _ := runUnit(ru.cfg, n, *r)
 	return t
 }
 
@@ -126,32 +130,32 @@ type Unit struct {
 	Photons int64
 }
 
-// ChunkRun is one finished chunk: its tally and its units' kernel time,
-// summed.
+// ChunkRun is one finished chunk: its tally, and its units' kernel time and
+// transport-loop counts, each summed.
 type ChunkRun struct {
 	Tally   *Tally
 	Elapsed time.Duration
+	Events  KernelEvents
 }
 
-// RunChunks runs the units of chunks on min(GOMAXPROCS, units) kernels at
-// once and returns the finished chunks in order. Each kernel claims the next
-// unit in chunk order, and none is claimed once stop is closed (a nil stop
-// never closes), so the units run are a prefix of them all, every one
-// finished; only the chunks whose units all ran come back, a prefix of
-// chunks. A one-unit chunk's tally is its unit's tally; a longer chunk's is
-// a fresh tally with its units merged in unit order. Either way a chunk's
-// bytes do not depend on how many kernels ran it.
+// RunChunks runs the units of chunks on min(GOMAXPROCS, units) goroutines at
+// once and returns the finished chunks in order. Each goroutine claims the
+// next unit in chunk order and runs it on a kernel of its own, and none is
+// claimed once stop is closed (a nil stop never closes), so the units run
+// are a prefix of them all, every one finished; only the chunks whose units
+// all ran come back, a prefix of chunks. A one-unit chunk's tally is its
+// unit's tally; a longer chunk's is a fresh tally with its units merged in
+// unit order. Either way a chunk's bytes do not depend on how many cores ran
+// it.
 func (ru *Runner) RunChunks(chunks [][]Unit, stop <-chan struct{}) []ChunkRun {
 	var units []Unit
 	for _, c := range chunks {
 		units = append(units, c...)
 	}
 	width := max(1, min(runtime.GOMAXPROCS(0), len(units)))
-	for len(ru.ks) < width {
-		ru.ks = append(ru.ks, nil)
-	}
 	tallies := make([]*Tally, len(units))
 	elapsed := make([]time.Duration, len(units))
+	events := make([]KernelEvents, len(units))
 	var mu sync.Mutex
 	claimed := 0
 	claim := func() (int, bool) {
@@ -168,22 +172,22 @@ func (ru *Runner) RunChunks(chunks [][]Unit, stop <-chan struct{}) []ChunkRun {
 		claimed++
 		return claimed - 1, true
 	}
-	work := func(w int) {
+	work := func() {
 		for i, ok := claim(); ok; i, ok = claim() {
 			start := time.Now()
-			tallies[i] = ru.runOn(w, units[i].Photons, units[i].Rand)
+			tallies[i], events[i] = runUnit(ru.cfg, units[i].Photons, *units[i].Rand)
 			elapsed[i] = time.Since(start)
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 1; w < width; w++ {
+	for range width - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work(w)
+			work()
 		}()
 	}
-	work(0)
+	work()
 	wg.Wait()
 
 	runs := make([]ChunkRun, 0, len(chunks))
@@ -200,27 +204,14 @@ func (ru *Runner) RunChunks(chunks [][]Unit, stop <-chan struct{}) []ChunkRun {
 				}
 			}
 		}
-		for _, d := range elapsed[at : at+len(done)] {
-			run.Elapsed += d
+		for i := at; i < at+len(done); i++ {
+			run.Elapsed += elapsed[i]
+			run.Events.Add(events[i])
 		}
 		runs = append(runs, run)
 		at += len(done)
 	}
 	return runs
-}
-
-// TakeEvents returns what the transport loops have counted since the last
-// call, summed over the runner's kernels, and starts the count afresh; a
-// worker drains it after each grant.
-func (ru *Runner) TakeEvents() KernelEvents {
-	var ev KernelEvents
-	for _, k := range ru.ks {
-		if k != nil {
-			ev.Add(k.events)
-			k.events = KernelEvents{}
-		}
-	}
-	return ev
 }
 
 // split shares n photons across the generators gens, the first n mod

@@ -44,7 +44,8 @@ func (u *unitWatch) Launch(r *rng.Rand) (vec.V, vec.V) {
 
 // serialChunk is RunChunks' definition for one chunk: RunWithRand per unit,
 // the one unit's tally as it is or the units merged in order into a fresh
-// tally; it also returns the units' event counts.
+// tally; it also returns the units' event counts summed, each counted by a
+// one-unit chunk of its own.
 func serialChunk(t *testing.T, cfg *mc.Config, units []mc.Unit) (*mc.Tally, mc.KernelEvents) {
 	t.Helper()
 	counter, err := mc.NewRunner(cfg)
@@ -52,13 +53,13 @@ func serialChunk(t *testing.T, cfg *mc.Config, units []mc.Unit) (*mc.Tally, mc.K
 		t.Fatal(err)
 	}
 	tallies := make([]*mc.Tally, len(units))
+	var events mc.KernelEvents
 	for i, u := range units {
 		if tallies[i], err = mc.RunWithRand(cfg, u.Photons, u.Rand); err != nil {
 			t.Fatal(err)
 		}
-		counter.Run(u.Photons, u.Rand)
+		events.Add(counter.RunChunks([][]mc.Unit{{u}}, nil)[0].Events)
 	}
-	events := counter.TakeEvents()
 	if len(tallies) == 1 {
 		return tallies[0], events
 	}
@@ -73,8 +74,8 @@ func serialChunk(t *testing.T, cfg *mc.Config, units []mc.Unit) (*mc.Tally, mc.K
 
 // TestRunChunksReturnsWholeChunkPrefix: with stop closed before each unit
 // boundary in turn, RunChunks returns exactly the chunks whose units all
-// ran — a prefix of them, byte-equal to the serial definition — on one, two
-// and four cores, and its kernels' events sum every unit that ran.
+// ran — a prefix of them, byte-equal to the serial definition, each with
+// its own units' events — on one, two and four cores.
 func TestRunChunksReturnsWholeChunkPrefix(t *testing.T) {
 	const seed = 23
 	for _, tc := range []struct {
@@ -147,7 +148,6 @@ func TestRunChunksReturnsWholeChunkPrefix(t *testing.T) {
 					if len(runs) != whole {
 						t.Fatalf("%d chunks returned after %d units ran, want the %d whole ones", len(runs), ran, whole)
 					}
-					var sum mc.KernelEvents
 					for c, run := range runs {
 						if !bytes.Equal(mc.AppendTally(nil, run.Tally), want[c]) {
 							t.Errorf("chunk %d differs from the in-order merge of its units", c)
@@ -155,15 +155,9 @@ func TestRunChunksReturnsWholeChunkPrefix(t *testing.T) {
 						if run.Elapsed <= 0 {
 							t.Errorf("chunk %d reports %v of kernel time", c, run.Elapsed)
 						}
-						sum.Add(events[c])
-					}
-					// Units of a chunk cut short ran too: count them on top.
-					if whole < len(chunks) && ran > firstOf[whole] {
-						_, ev := serialChunk(t, cfg, chunks[whole][:ran-firstOf[whole]])
-						sum.Add(ev)
-					}
-					if got := ru.TakeEvents(); got != sum {
-						t.Errorf("kernel events %+v, want the %d units' %+v", got, ran, sum)
+						if run.Events != events[c] || run.Events.Scatter == 0 {
+							t.Errorf("chunk %d counts events %+v, want its units' %+v", c, run.Events, events[c])
+						}
 					}
 				})
 			}
