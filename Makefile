@@ -7,7 +7,19 @@ GO ?= go
 VERSION ?= $(shell git describe --always --dirty 2>/dev/null || echo dev)
 LDFLAGS = -X repro/internal/obs.Version=$(VERSION)
 
-.PHONY: build test race short bench-check kernel-bench keys-bench submit-bench cover fmt vet loc gob-check fuzz-smoke obs-smoke crash-smoke shard-smoke
+.PHONY: build test race short bench-check kernel-bench kernel-pair keys-bench submit-bench cover fmt vet loc gob-check fuzz-smoke obs-smoke crash-smoke shard-smoke
+
+# MEDIAN is the one awk median every benchmark summary below shares: the
+# median of v[k, 1], …, v[k, c]. A key of several subscripts is joined with
+# SUBSEP, so median(k SUBSEP "t", c) reads v[k, "t", 1..c].
+MEDIAN = function median(k, c,   i, j, t, a) { for (i = 1; i <= c; i++) a[i] = v[k, i]; \
+	for (i = 1; i <= c; i++) for (j = i + 1; j <= c; j++) if (a[j] < a[i]) { t = a[i]; a[i] = a[j]; a[j] = t } \
+	return c % 2 ? a[(c + 1) / 2] : (a[c / 2] + a[c / 2 + 1]) / 2 }
+
+# KERNEL_CHUNKS selects the three chunk benchmarks kernel-bench and
+# kernel-pair time: one bulk-head chunk, layered and voxelised, and one
+# grid-results chunk.
+KERNEL_CHUNKS = ^BenchmarkVoxelTraversal$$/^(bulk-head-|grid-results-)
 
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
@@ -60,28 +72,38 @@ bench-check:
 # host, and about 1 when the grant's kernels write to a shared cache line.
 # CI runs all three once so they cannot rot.
 kernel-bench:
-	@$(GO) test -run '^$$' -bench '^BenchmarkVoxelTraversal$$/^(bulk-head-|grid-results-)' -benchtime 20x -count 6 . | awk ' \
+	@$(GO) test -run '^$$' -bench '$(KERNEL_CHUNKS)' -benchtime 20x -count 6 . | awk '$(MEDIAN) \
 		/ns\/photon/ { split($$1, name, "/"); sub(/-[0-9]+$$/, "", name[2]); k = name[2]; n[k]++; \
 			for (i = 2; i <= NF; i++) { if ($$i == "ns/photon") v[k, n[k]] = $$(i-1); if ($$i == "events/photon") e[k] = $$(i-1) } } \
-		function median(k,   i, j, t, a, c) { c = n[k]; for (i = 1; i <= c; i++) a[i] = v[k, i]; \
-			for (i = 1; i <= c; i++) for (j = i + 1; j <= c; j++) if (a[j] < a[i]) { t = a[i]; a[i] = a[j]; a[j] = t } \
-			return c % 2 ? a[(c + 1) / 2] : (a[c / 2] + a[c / 2 + 1]) / 2 } \
-		function show(label, k,   m) { m = median(k); \
+		function show(label, k,   m) { m = median(k, n[k]); \
 			printf "%s %.0f ns/photon  %.1f events/photon  %.0f ns/event\n", label, m, e[k], m / e[k] } \
 		END { if (!n["bulk-head-layered"] || !n["bulk-head-voxel"] || !n["grid-results-layered"] || \
 				!e["bulk-head-layered"] || !e["bulk-head-voxel"] || !e["grid-results-layered"]) { print "kernel-bench: benchmarks did not run"; exit 1 } \
 			show("layered", "bulk-head-layered"); show("voxel", "bulk-head-voxel"); \
-			printf "voxel/layered %.2f  (medians of %d)\n", median("bulk-head-voxel") / median("bulk-head-layered"), n["bulk-head-voxel"]; \
+			printf "voxel/layered %.2f  (medians of %d)\n", median("bulk-head-voxel", n["bulk-head-voxel"]) / \
+				median("bulk-head-layered", n["bulk-head-layered"]), n["bulk-head-voxel"]; \
 			show("grid-results layered", "grid-results-layered") }'
-	@$(GO) test -run '^$$' -bench '^BenchmarkWorkerGrant$$' -cpu 1,2 -count 6 ./internal/distsys | awk ' \
+	@$(GO) test -run '^$$' -bench '^BenchmarkWorkerGrant$$' -cpu 1,2 -count 6 ./internal/distsys | awk '$(MEDIAN) \
 		/ns\/op/ { p = 1; if (match($$1, /-[0-9]+$$/)) p = substr($$1, RSTART + 1); \
 			for (i = 2; i <= NF; i++) if ($$i == "ns/op") v[p, ++n[p]] = $$(i-1) } \
-		function median(k,   i, j, t, a, c) { c = n[k]; for (i = 1; i <= c; i++) a[i] = v[k, i]; \
-			for (i = 1; i <= c; i++) for (j = i + 1; j <= c; j++) if (a[j] < a[i]) { t = a[i]; a[i] = a[j]; a[j] = t } \
-			return c % 2 ? a[(c + 1) / 2] : (a[c / 2] + a[c / 2 + 1]) / 2 } \
 		END { if (!n[1] || !n[2]) { print "kernel-bench: BenchmarkWorkerGrant did not run"; exit 1 } \
-			one = median(1); two = median(2); \
+			one = median(1, n[1]); two = median(2, n[2]); \
 			printf "8x64-photon grant  1 core %.2f ms  2 cores %.2f ms  speed-up %.2f  (medians of %d)\n", one / 1e6, two / 1e6, one / two, n[2] }'
+
+# kernel-pair is the paired form of kernel-bench's three chunk
+# benchmarks, the check a kernel claim needs: one session's medians swing
+# by ±15 % on a 2-CPU host. It builds the root package's test binary of REF
+# (from git archive, in a temporary directory removed on exit) and of the
+# working tree, runs both PAIRS times (-benchtime 20x), alternating which
+# runs first, and prints for each chunk shape both medians of ns/photon,
+# the change's Δ, REF's IQR (Tukey's hinges), the pairs the change won and
+# a verdict: "gain" only when it won at least 9 of 10 pairs and its Δ
+# exceeds REF's IQR, "loss" the same the other way, else "within noise" —
+# or "unresolved" under 10 pairs. CI runs an A/A smoke of it: make
+# kernel-pair REF=HEAD PAIRS=1.
+PAIRS ?= 10
+kernel-pair:
+	@REF='$(REF)' PAIRS='$(PAIRS)' GO='$(GO)' BENCH='$(KERNEL_CHUNKS)' MEDIAN='$(MEDIAN)' ./scripts/kernel-pair.sh
 
 # keys-bench is the same loop for the submit path's key derivation: one
 # service.RoutingKeys per op — normalize, one canonical walk of the spec,
@@ -90,16 +112,14 @@ kernel-bench:
 # allocated per op. The voxel head is the one that matters: both HTTP tiers
 # pay it per voxel submission. CI runs the three once so they cannot rot.
 keys-bench:
-	@$(GO) test -run '^$$' -bench '^BenchmarkRoutingKeys$$' -count 6 ./internal/service | awk ' \
+	@$(GO) test -run '^$$' -bench '^BenchmarkRoutingKeys$$' -count 6 ./internal/service | awk '$(MEDIAN) \
 		/ns\/op/ { split($$1, name, "/"); sub(/-[0-9]+$$/, "", name[2]); k = name[2]; n[k]++; \
 			for (i = 2; i <= NF; i++) { if ($$i == "ns/op") v[k, "t", n[k]] = $$(i-1); if ($$i == "B/op") v[k, "b", n[k]] = $$(i-1) } } \
-		function median(k, m,   i, j, t, a, c) { c = n[k]; for (i = 1; i <= c; i++) a[i] = v[k, m, i]; \
-			for (i = 1; i <= c; i++) for (j = i + 1; j <= c; j++) if (a[j] < a[i]) { t = a[i]; a[i] = a[j]; a[j] = t } \
-			return c % 2 ? a[(c + 1) / 2] : (a[c / 2] + a[c / 2 + 1]) / 2 } \
+		function med(k, m) { return median(k SUBSEP m, n[k]) } \
 		END { if (!n["slab"] || !n["head"] || !n["voxel-head"]) { print "keys-bench: benchmarks did not run"; exit 1 } \
 			printf "slab %.1f us %.0f B/op  head %.1f us %.0f B/op  voxel-head %.2f ms %.0f B/op  (medians of %d)\n", \
-				median("slab", "t") / 1e3, median("slab", "b"), median("head", "t") / 1e3, median("head", "b"), \
-				median("voxel-head", "t") / 1e6, median("voxel-head", "b"), n["voxel-head"] }'
+				med("slab", "t") / 1e3, med("slab", "b"), med("head", "t") / 1e3, med("head", "b"), \
+				med("voxel-head", "t") / 1e6, med("voxel-head", "b"), n["voxel-head"] }'
 
 # submit-bench is the same loop for a voxel submission's way into a shard
 # and onto a worker: the benchmark's 120×120×80 head read as a client's JSON
@@ -110,16 +130,14 @@ keys-bench:
 # allocated per op. CI runs the five once so they cannot rot.
 submit-bench:
 	@{ $(GO) test -run '^$$' -bench '^BenchmarkSubmitVoxel$$' -count 6 ./internal/service; \
-	   $(GO) test -run '^$$' -bench '^BenchmarkSafeRadius$$/^head$$' -count 6 ./internal/voxel; } | awk ' \
+	   $(GO) test -run '^$$' -bench '^BenchmarkSafeRadius$$/^head$$' -count 6 ./internal/voxel; } | awk '$(MEDIAN) \
 		/ns\/op/ { split($$1, name, "/"); sub(/-[0-9]+$$/, "", name[2]); k = name[2]; n[k]++; \
 			for (i = 2; i <= NF; i++) { if ($$i == "ns/op") v[k, "t", n[k]] = $$(i-1); if ($$i == "B/op") v[k, "b", n[k]] = $$(i-1) } } \
-		function median(k, m,   i, j, t, a, c) { c = n[k]; for (i = 1; i <= c; i++) a[i] = v[k, m, i]; \
-			for (i = 1; i <= c; i++) for (j = i + 1; j <= c; j++) if (a[j] < a[i]) { t = a[i]; a[i] = a[j]; a[j] = t } \
-			return c % 2 ? a[(c + 1) / 2] : (a[c / 2] + a[c / 2 + 1]) / 2 } \
+		function med(k, m) { return median(k SUBSEP m, n[k]) } \
 		END { split("json-decode compact-decode accept-encode accept-decode head", want, " "); \
 			for (i = 1; i <= 5; i++) if (!n[want[i]]) { print "submit-bench: " want[i] " did not run"; exit 1 } \
 			for (i = 1; i <= 5; i++) printf "%s %.2f ms %.0f B/op  ", (want[i] == "head" ? "safe-radius" : want[i]), \
-				median(want[i], "t") / 1e6, median(want[i], "b"); \
+				med(want[i], "t") / 1e6, med(want[i], "b"); \
 			printf "(medians of %d)\n", n["head"] }'
 
 # obs-smoke boots a real mcqueue + mcworker pair, submits a job with curl
@@ -146,9 +164,10 @@ shard-smoke:
 
 # fuzz-smoke gives each outside-facing decoder ten seconds of
 # coverage-guided input on top of its committed corpus — the wire decoder
-# (seeded with v9 frames, batch-carrying task requests among them, the v8
-# and v7 frames as they were written and the retired gob frames of v6 and
-# before it must refuse), the HTTP submit
+# (seeded with v10 frames, batch-carrying task requests among them, the v9,
+# v8 and v7 frames as they were written, whose hellos decode to their
+# version alone, and the retired gob frames of v6 and before it must
+# refuse), the HTTP submit
 # decoder (seeded with
 # scripts/genjob bodies), the journal's accept and snapshot record decoders
 # (seeded with their own records of four job shapes), the compact tally

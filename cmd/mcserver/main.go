@@ -148,7 +148,7 @@ func main() {
 	fmt.Printf("\njob complete in %v (%d chunks, %d reassigned, %d duplicate results)\n",
 		res.Elapsed.Round(time.Millisecond), res.Chunks, res.Reassigned, res.Duplicates)
 	for _, w := range res.Workers {
-		fmt.Printf("  %-16s %5d chunks  (%.0f Mflop/s reported)\n", w.Name, w.Chunks, w.Mflops)
+		fmt.Printf("  %-16s %5d chunks\n", w.Name, w.Chunks)
 	}
 	fmt.Println()
 	cli.PrintTally(os.Stdout, res.Tally, cfg.Model)

@@ -49,7 +49,6 @@ func main() {
 	debugAddr := flag.String("debug-addr", "",
 		"HTTP listener for /metrics, /healthz, /readyz and /debug/pprof (empty: disabled)")
 	name := flag.String("name", hostnameDefault(), "worker name reported to the server")
-	mflops := flag.Float64("mflops", 0, "self-reported processing rate (informational)")
 	slowdown := flag.Float64("slowdown", 0,
 		"artificial slowdown factor: sleep this multiple of each grant's wall time after it (testing heterogeneous fleets)")
 	flushChunks := flag.Int("flush-chunks", 0,
@@ -89,7 +88,6 @@ func main() {
 
 	opts := distsys.WorkerOptions{
 		Name:        *name,
-		Mflops:      *mflops,
 		Slowdown:    *slowdown,
 		FlushChunks: *flushChunks,
 		Obs:         oreg,

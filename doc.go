@@ -71,10 +71,10 @@
 // replays the journal before /readyz flips: accepted jobs come back under
 // their original IDs, finished jobs answer their repeats again, and
 // anything reduced since the last snapshot is recomputed — chunk tallies
-// are pure functions of (seed, stream, fan) — so the resumed tally is
-// byte-identical to an uninterrupted run's. A journal written before the
-// three-kind schema is refused at startup with an error naming the
-// remedy, never half-replayed. -wal-fsync picks the durability/latency
+// are pure functions of (seed, stream, fan), a chunk's id being its
+// stream — so the resumed tally is byte-identical to an uninterrupted
+// run's. A journal written before the three-kind schema is refused at
+// startup with an error naming the remedy, never half-replayed. -wal-fsync picks the durability/latency
 // trade (always, interval, none), SIGTERM compacts the journal to one
 // accept + snapshot per job, and a fault-injection harness
 // (internal/fault, TestCrashChaosEndToEnd, make crash-smoke) proves the
@@ -122,7 +122,8 @@
 // same bytes whatever the core count — and hands that
 // batch back on its next task request — the only frame a result travels in
 // since protocol v6 — with tallies encoded by a sparse binary codec inside
-// a hand-written frame (protocol v9) and per-chunk acks preserving the
+// a hand-written frame (protocol v10: a grant names a chunk id, which is
+// the chunk's RNG stream, and its photons) and per-chunk acks preserving the
 // exactly-once reduction under timeout reassignment. The registry merges each decoded batch outside its
 // dispatch lock via a per-job reducer. See DESIGN.md's "Result plane"
 // section for the wire layout and invariants.

@@ -23,17 +23,23 @@ import (
 	"repro/internal/voxel"
 )
 
-// quickSpec returns a cheap simulation spec for cluster tests.
-// descriptor is the job descriptor a server sends for a job of spec.
-func descriptor(tb testing.TB, id uint64, spec *mc.Spec, seed uint64, streams, fan int) *protocol.Job {
+// descriptor is the job descriptor a server sends for a job of spec: its
+// submission bytes, a fixed count of the given chunks, or an open-ended
+// precision-targeted job when chunks is 0.
+func descriptor(tb testing.TB, spec *mc.Spec, seed uint64, chunks, fan int) []byte {
 	tb.Helper()
-	sub, err := service.AppendSubmission(nil, &service.JobSpec{Spec: spec, Seed: seed, Fan: fan})
+	js := service.JobSpec{Spec: spec, TotalPhotons: int64(chunks), ChunkPhotons: 1, Seed: seed, Fan: fan}
+	if chunks == 0 {
+		js.Target = &mc.Target{RelErr: 0.05}
+	}
+	sub, err := service.AppendSubmission(nil, &js)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return &protocol.Job{ID: id, Streams: streams, Submission: sub}
+	return sub
 }
 
+// quickSpec returns a cheap simulation spec for cluster tests.
 func quickSpec() *mc.Spec {
 	model := tissue.HomogeneousSlab("slab",
 		tissue.ScalpProps, 5)
@@ -289,11 +295,11 @@ func TestDuplicateResultIgnored(t *testing.T) {
 	askOne := &protocol.Message{Type: protocol.MsgTaskRequest, Request: &protocol.TaskRequest{Want: 1}}
 	send(askOne)
 	granted := recv().Assign
-	if granted.Job == nil {
+	if granted.Submission == nil {
 		t.Fatal("first assignment carried no job descriptor")
 	}
-	job, assign := *granted.Job, granted.Grants[0]
-	desc, err := service.DecodeSubmission(job.Submission)
+	assign := granted.Grants[0]
+	desc, err := service.DecodeSubmission(granted.Submission)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,11 +307,11 @@ func TestDuplicateResultIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tally, err := mc.RunStream(cfg, assign.Photons, desc.Seed, assign.Stream, job.Streams)
+	tally, err := mc.RunStream(cfg, assign.Photons, desc.Seed, assign.ChunkID, desc.NumChunks())
 	if err != nil {
 		t.Fatal(err)
 	}
-	result := oneChunkResult(job.ID, assign.ChunkID, tally)
+	result := oneChunkResult(granted.JobID, assign.ChunkID, tally)
 	send(result)
 	if ack := recv().BatchAck.Acks[0]; ack.Duplicate {
 		t.Fatal("first delivery flagged duplicate")
@@ -318,11 +324,11 @@ func TestDuplicateResultIgnored(t *testing.T) {
 	// Finish the job and check the duplicate did not double count.
 	send(askOne)
 	assign2 := recv().Assign.Grants[0]
-	tally2, err := mc.RunStream(cfg, assign2.Photons, desc.Seed, assign2.Stream, job.Streams)
+	tally2, err := mc.RunStream(cfg, assign2.Photons, desc.Seed, assign2.ChunkID, desc.NumChunks())
 	if err != nil {
 		t.Fatal(err)
 	}
-	send(oneChunkResult(job.ID, assign2.ChunkID, tally2))
+	send(oneChunkResult(granted.JobID, assign2.ChunkID, tally2))
 	recv() // ack
 
 	res, err := dm.Wait(30 * time.Second)
@@ -385,8 +391,8 @@ func TestForgedJobIDRejected(t *testing.T) {
 	recv() // welcome
 	send(&protocol.Message{Type: protocol.MsgTaskRequest, Request: &protocol.TaskRequest{Want: 1}})
 	granted := recv().Assign
-	job, assign := *granted.Job, granted.Grants[0]
-	desc, err := service.DecodeSubmission(job.Submission)
+	jobID, assign := granted.JobID, granted.Grants[0]
+	desc, err := service.DecodeSubmission(granted.Submission)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,23 +400,23 @@ func TestForgedJobIDRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tally, err := mc.RunStream(cfg, assign.Photons, desc.Seed, assign.Stream, job.Streams)
+	tally, err := mc.RunStream(cfg, assign.Photons, desc.Seed, assign.ChunkID, desc.NumChunks())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// A result with a forged JobID must be rejected, not reduced.
-	send(oneChunkResult(job.ID^0xdeadbeef, assign.ChunkID, tally))
+	send(oneChunkResult(jobID^0xdeadbeef, assign.ChunkID, tally))
 	if ack := recv().BatchAck.Acks[0]; !ack.Rejected {
 		t.Fatal("forged JobID not rejected")
 	}
 	// So must a result for a chunk this session was never assigned.
 	otherChunk := 1 - assign.ChunkID
-	otherTally, err := mc.RunStream(cfg, 100, desc.Seed, otherChunk, job.Streams)
+	otherTally, err := mc.RunStream(cfg, 100, desc.Seed, otherChunk, desc.NumChunks())
 	if err != nil {
 		t.Fatal(err)
 	}
-	send(oneChunkResult(job.ID, otherChunk, otherTally))
+	send(oneChunkResult(jobID, otherChunk, otherTally))
 	if ack := recv().BatchAck.Acks[0]; !ack.Rejected {
 		t.Fatal("result for unassigned chunk not rejected")
 	}
@@ -517,8 +523,7 @@ func TestTCPEndToEnd(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			_, err := WorkTCP(l.Addr().String(), WorkerOptions{
-				Name:   string(rune('a' + i)),
-				Mflops: 100,
+				Name: string(rune('a' + i)),
 			})
 			if err != nil {
 				select {
@@ -780,7 +785,7 @@ func TestSessionDescriptorCacheEvictsOldest(t *testing.T) {
 		}
 		i := index[m.Assign.JobID]
 		order = append(order, i)
-		if m.Assign.Job != nil {
+		if m.Assign.Submission != nil {
 			described[i]++
 		}
 	}

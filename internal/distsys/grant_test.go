@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"slices"
@@ -19,17 +20,21 @@ import (
 
 // handServer is the server end of one worker session driven by hand: it
 // welcomes the worker, then answers each task request with the grant the
-// caller names, acking whatever batch rode in.
+// caller names of job handJobID, acking whatever batch rode in.
 type handServer struct {
 	tb   testing.TB
 	pc   *protocol.Conn
-	job  *protocol.Job
-	sent bool // the job's descriptor has gone out
+	job  []byte // the job's descriptor
+	sent bool   // the job's descriptor has gone out
 }
 
+// handJobID is the id of a hand-driven session's job.
+const handJobID = 5
+
 // startHandSession runs Work(opts) over a net.Pipe against a hand-driven
-// server for job; the channel yields Work's error when the session ends.
-func startHandSession(tb testing.TB, job *protocol.Job, opts WorkerOptions) (*handServer, <-chan error) {
+// server for the job of descriptor job; the channel yields Work's error
+// when the session ends.
+func startHandSession(tb testing.TB, job []byte, opts WorkerOptions) (*handServer, <-chan error) {
 	tb.Helper()
 	server, client := net.Pipe()
 	done := make(chan error, 1)
@@ -70,9 +75,9 @@ func (s *handServer) exchange(grants []protocol.ChunkGrant) *protocol.BatchGroup
 	reply := &protocol.Message{Type: protocol.MsgNoWork, NoWork: &protocol.NoWork{Done: true}}
 	if len(grants) > 0 {
 		reply = &protocol.Message{Type: protocol.MsgTaskAssign,
-			Assign: &protocol.TaskAssign{JobID: s.job.ID, Grants: grants}}
+			Assign: &protocol.TaskAssign{JobID: handJobID, Grants: grants}}
 		if !s.sent {
-			reply.Assign.Job, s.sent = s.job, true
+			reply.Assign.Submission, s.sent = s.job, true
 		}
 	}
 	var group *protocol.BatchGroup
@@ -114,7 +119,7 @@ func TestGrantBatchIndependentOfGOMAXPROCS(t *testing.T) {
 	for _, order := range [][]int{{4}, {11, 0, 7, 2, 9, 5, 1, 10}, {3, 8, 6}} {
 		var grant []protocol.ChunkGrant
 		for _, s := range order {
-			grant = append(grant, protocol.ChunkGrant{ChunkID: s, Stream: s, Photons: int64(100 + 10*s)})
+			grant = append(grant, protocol.ChunkGrant{ChunkID: s, Photons: int64(100 + 10*s)})
 		}
 		grants = append(grants, grant)
 	}
@@ -124,12 +129,12 @@ func TestGrantBatchIndependentOfGOMAXPROCS(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, fan := range []int{1, 3} {
-		job := descriptor(t, 5, spec, seed, streams, fan)
+		job := descriptor(t, spec, seed, streams, fan)
 		var want [][]byte
 		for _, grant := range grants {
 			var merged *mc.Tally
 			for _, g := range grant {
-				chunk, err := mc.RunStreamFan(cfg, g.Photons, seed, g.Stream, streams, fan)
+				chunk, err := mc.RunStreamFan(cfg, g.Photons, seed, g.ChunkID, streams, fan)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -371,10 +376,10 @@ func TestInferredRateReadsWholeWorker(t *testing.T) {
 // take about half the time of one, and no scaling means the kernels write
 // to a shared cache line.
 func BenchmarkWorkerGrant(b *testing.B) {
-	job := descriptor(b, 1, quickSpec(), 7, 8, 0)
+	job := descriptor(b, quickSpec(), 7, 8, 0)
 	grant := make([]protocol.ChunkGrant, 8)
 	for i := range grant {
-		grant[i] = protocol.ChunkGrant{ChunkID: i, Stream: i, Photons: 64}
+		grant[i] = protocol.ChunkGrant{ChunkID: i, Photons: 64}
 	}
 	s, done := startHandSession(b, job, WorkerOptions{Name: "bench"})
 	s.exchange(grant) // the first grant builds the job and its kernels
@@ -434,13 +439,109 @@ func TestWorkerSurvivesBodilessReply(t *testing.T) {
 // generator per sub-stream.
 func TestWorkerRefusesWideFan(t *testing.T) {
 	reg := obs.NewRegistry()
-	job := descriptor(t, 5, quickSpec(), 7, 8, protocol.MaxFan+1)
+	job := descriptor(t, quickSpec(), 7, 8, protocol.MaxFan+1)
 	s, done := startHandSession(t, job, WorkerOptions{Name: "w", Obs: reg})
-	s.exchange([]protocol.ChunkGrant{{ChunkID: 0, Stream: 0, Photons: 10}})
+	s.exchange([]protocol.ChunkGrant{{ChunkID: 0, Photons: 10}})
 	if err := <-done; err == nil || !strings.Contains(err.Error(), "fan") {
 		t.Fatalf("Work returned %v, want a refusal of the fan", err)
 	}
 	if got := reg.Counter("worker_chunks_computed_total", "").Value(); got != 0 {
 		t.Fatalf("worker computed %d chunks of a refused job", got)
 	}
+}
+
+// TestWorkerRefusesDescriptorWithoutChunkSize: a fixed-count descriptor
+// whose chunk size is not positive has no chunk count to bound a chunk id
+// by, so it ends the session before the worker builds the job, not in a
+// division by zero.
+func TestWorkerRefusesDescriptorWithoutChunkSize(t *testing.T) {
+	job, err := service.AppendSubmission(nil, &service.JobSpec{Spec: quickSpec(), TotalPhotons: 8, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, done := startHandSession(t, job, WorkerOptions{Name: "w"})
+	s.exchange([]protocol.ChunkGrant{{ChunkID: 0, Photons: 10}})
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "no chunk size") {
+		t.Fatalf("Work returned %v, want a refusal of the descriptor", err)
+	}
+}
+
+// TestWorkerBoundsChunkByDescriptor: a chunk id is its stream, and a
+// fixed-count descriptor bounds it by the job's NumChunks. A worker handed
+// a chunk id at or past that bound ends the session before it computes
+// anything, and the server requeues the grant, which an honest session then
+// finishes; an open-ended descriptor accepts any id.
+func TestWorkerBoundsChunkByDescriptor(t *testing.T) {
+	t.Run("open-ended", func(t *testing.T) {
+		s, done := startHandSession(t, descriptor(t, quickSpec(), 7, 0, 0), WorkerOptions{Name: "w"})
+		far := []protocol.ChunkGrant{{ChunkID: 1000, Photons: 10}}
+		s.exchange(far)
+		if got := s.exchange(nil); got == nil || !slices.Equal(got.Chunks, chunkIDs(far)) {
+			t.Fatalf("open-ended job's chunk %d came back as %+v", far[0].ChunkID, got)
+		}
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("fixed-count", func(t *testing.T) {
+		reg := service.New(service.Options{})
+		out, err := reg.Submit(service.JobSpec{Spec: quickSpec(), TotalPhotons: 20, ChunkPhotons: 10, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A relay between the registry and the worker shifts every granted
+		// chunk id past the job's two chunks.
+		server, up := net.Pipe()
+		go reg.HandleConn(server)
+		down, client := net.Pipe()
+		go func() { io.Copy(up, down); up.Close() }()
+		go func() {
+			from, to := protocol.NewConn(up), protocol.NewConn(down)
+			defer down.Close()
+			for {
+				m, err := from.Recv()
+				if err != nil {
+					return
+				}
+				if m.Type == protocol.MsgTaskAssign {
+					for i := range m.Assign.Grants {
+						m.Assign.Grants[i].ChunkID += 2
+					}
+				}
+				if to.Send(m) != nil {
+					return
+				}
+			}
+		}()
+		oreg := obs.NewRegistry()
+		if _, err := Work(client, WorkerOptions{Name: "misled", Obs: oreg}); err == nil ||
+			!strings.Contains(err.Error(), "outside [0,2)") {
+			t.Fatalf("Work returned %v, want a refusal of a chunk past 2", err)
+		}
+		if got := oreg.Counter("worker_chunks_computed_total", "").Value(); got != 0 {
+			t.Fatalf("worker computed %d chunks past the job's bound", got)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			events, _ := out.Job.Events()
+			if slices.ContainsFunc(events, func(e obs.Event) bool { return e.Kind == obs.EvChunkReassigned }) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the refused grant was never requeued")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		server, client = net.Pipe()
+		go reg.HandleConn(server)
+		go Work(client, WorkerOptions{Name: "honest"})
+		res, err := out.Job.Wait(30 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Tally.Launched != 20 {
+			t.Fatalf("job finished with %d photons, want 20", res.Tally.Launched)
+		}
+	})
 }

@@ -14,20 +14,22 @@
 // the same machinery as a long-lived, many-job service.
 //
 // The worker's batch is its grant: a task request asks for up to a window
-// of chunks of one job, their streams — a fanned chunk's fan of RNG
+// of chunks of one job, each granted as its id — the chunk's RNG stream —
+// and its photons; their streams — a fanned chunk's fan of RNG
 // sub-streams — are computed one per core (mc.Runner.RunChunks) and
 // pre-reduced in grant order into one tally, and that ResultBatch (compact
 // codec) rides the next task request, whose reply carries each chunk's
 // accepted, duplicate or rejected verdict. A worker holds a runtime for each
-// job whose descriptor it keeps (the last protocol.MaxDescriptors): a
-// config and a stream cache, and no kernel scratch — each unit's kernel
+// job whose descriptor — the job's submission bytes — it keeps (the last
+// protocol.MaxDescriptors): a config, a stream cache and the job's chunk
+// count, which bounds a granted chunk id, and no kernel scratch — each unit's kernel
 // borrows its buffers from one pool shared by every job that runs there.
 //
 // A DataManager given a JournalDir survives its own death: the job's
 // accept record, reduced batches and tally snapshots are written ahead to
 // the service journal there, and a manager restarted on the same
-// directory replays it and continues the job. Because every chunk is tied
-// to its RNG stream, the resumed job produces exactly the tally the
+// directory replays it and continues the job. Because a chunk's id is its
+// RNG stream, the resumed job produces exactly the tally the
 // uninterrupted job would have.
 package distsys
 

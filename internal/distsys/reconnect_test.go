@@ -326,9 +326,14 @@ func TestRejectedHelloEndsWorkLoop(t *testing.T) {
 // rejectV6Hello sends a real server the Hello a v6 worker sends, gob-encoded
 // as that worker's envelope, and reads the answer as that worker does.
 func rejectV6Hello(t *testing.T) {
+	type Hello struct { // a v6 Hello, its rate among its fields
+		Version int
+		Name    string
+		Mflops  float64
+	}
 	type v6Message struct { // the v6 envelope's fields that matter here
 		Type  protocol.MsgType
-		Hello *protocol.Hello
+		Hello *Hello
 		Error *protocol.Error
 	}
 	dm, err := NewDataManager(JobOptions{Spec: quickSpec(), TotalPhotons: 100, ChunkPhotons: 100, Seed: 1})
@@ -353,7 +358,7 @@ func rejectV6Hello(t *testing.T) {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
 	// A v6 worker buffered its gob stream and wrote a frame in one go.
-	hello := &v6Message{Type: protocol.MsgHello, Hello: &protocol.Hello{Version: 6, Name: "stale", Mflops: 100}}
+	hello := &v6Message{Type: protocol.MsgHello, Hello: &Hello{Version: 6, Name: "stale", Mflops: 100}}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(hello); err != nil {
 		t.Fatal(err)

@@ -26,8 +26,6 @@ const DefaultFlushChunks = 8
 type WorkerOptions struct {
 	// Name identifies the worker to the server; generated if empty.
 	Name string
-	// Mflops is the self-reported processing rate (informational).
-	Mflops float64
 	// Slowdown stretches compute time by sleeping Slowdown×(the grant's
 	// wall time) after each grant, emulating a slower or non-dedicated
 	// machine.
@@ -147,29 +145,30 @@ type jobRuntime struct {
 	runner *mc.Runner
 	// grid is the job's voxel geometry (nil for a layered job), kept so a
 	// later job on an Equal grid can run on this one.
-	grid    *voxel.Grid
-	seed    uint64
-	streams int
-	fan     int
-	cache   *rng.StreamCache
+	grid *voxel.Grid
+	seed uint64
+	// chunks bounds a granted chunk id: the descriptor's NumChunks, zero
+	// for an open-ended (precision-targeted) job, whose chunk ids the
+	// server issues without a predetermined bound.
+	chunks int
+	fan    int
+	cache  *rng.StreamCache
 }
 
-// units turns a grant into one chunk of units per grant entry: one unit from
-// the job's StreamCache (one Jump per new stream instead of O(stream) per
-// chunk), or a fanned chunk's sub-streams (mc.FanUnits), derived from the
-// chunk's FanSeed in O(fan) regardless. A non-positive stream count marks an
-// open-ended (precision-targeted) job: the server issues chunk ids without a
-// predetermined bound, so only the lower bound is checked.
+// units turns a grant into one chunk of units per grant entry, each on the
+// chunk id's stream: one unit from the job's StreamCache (one Jump per new
+// stream instead of O(stream) per chunk), or a fanned chunk's sub-streams
+// (mc.FanUnits), derived from the chunk's FanSeed in O(fan) regardless.
 func (rt *jobRuntime) units(grants []protocol.ChunkGrant) ([][]mc.Unit, error) {
 	chunks := make([][]mc.Unit, len(grants))
 	for i, g := range grants {
-		if g.Stream < 0 || (rt.streams > 0 && g.Stream >= rt.streams) {
-			return nil, fmt.Errorf("distsys: stream %d outside [0,%d)", g.Stream, rt.streams)
+		if g.ChunkID < 0 || (rt.chunks > 0 && g.ChunkID >= rt.chunks) {
+			return nil, fmt.Errorf("distsys: chunk %d outside [0,%d)", g.ChunkID, rt.chunks)
 		}
 		if rt.fan > 1 {
-			chunks[i] = mc.FanUnits(g.Photons, rt.seed, g.Stream, rt.fan)
+			chunks[i] = mc.FanUnits(g.Photons, rt.seed, g.ChunkID, rt.fan)
 		} else {
-			chunks[i] = []mc.Unit{{Rand: rt.cache.Stream(g.Stream), Photons: g.Photons}}
+			chunks[i] = []mc.Unit{{Rand: rt.cache.Stream(g.ChunkID), Photons: g.Photons}}
 		}
 	}
 	return chunks, nil
@@ -247,7 +246,6 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 	if err := pc.Send(&protocol.Message{Type: protocol.MsgHello, Hello: &protocol.Hello{
 		Version: protocol.Version,
 		Name:    opts.Name,
-		Mflops:  opts.Mflops,
 		Build:   obs.Version,
 	}}); err != nil {
 		return nil, err
@@ -402,13 +400,16 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 			want = min(2*want, opts.FlushChunks)
 			a := msg.Assign
 			rt := jobs[a.JobID]
-			if a.Job == nil && rt == nil {
+			if a.Submission == nil && rt == nil {
 				return stats, fmt.Errorf("distsys: assigned unknown job %016x without descriptor", a.JobID)
 			}
-			if a.Job != nil {
-				desc, err := service.DecodeSubmission(a.Job.Submission)
+			if a.Submission != nil {
+				desc, err := service.DecodeSubmission(a.Submission)
 				if err == nil && desc.Spec == nil {
 					err = errors.New("no simulation spec")
+				}
+				if err == nil && desc.Target == nil && desc.ChunkPhotons <= 0 {
+					err = errors.New("no chunk size")
 				}
 				if err == nil && desc.Fan > protocol.MaxFan {
 					// Refused before a generator is allocated per sub-stream.
@@ -440,7 +441,7 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 				if err != nil {
 					return stats, fmt.Errorf("distsys: bad job spec: %w", err)
 				}
-				rt = &jobRuntime{runner: runner, grid: spec.Voxel, seed: desc.Seed, streams: a.Job.Streams,
+				rt = &jobRuntime{runner: runner, grid: spec.Voxel, seed: desc.Seed, chunks: desc.NumChunks(),
 					fan: desc.Fan, cache: rng.NewStreamCache(desc.Seed)}
 				if old, ok := held.Add(a.JobID); ok {
 					delete(jobs, old)

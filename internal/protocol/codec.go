@@ -12,20 +12,15 @@ import (
 // would spend ten bytes on — strings and byte slices a uvarint length and
 // the bytes, bool a 0/1 byte, and opt(X) a bool then X when it is true):
 //
-//	hello:        version · name · mflops · build (v9 on; an older hello ends at mflops)
+//	hello:        version · name · build (any other version: version, the rest unread)
 //	welcome:      version · server name
 //	task-request: want · opt(batch)
 //	  batch:      n · group*n
 //	  group:      job id · n · chunk*n · elapsed ns · tally · n · chunk secs*n
-//	task-assign:  job id · n · (chunk id · stream · photons)*n · opt(job) · opt(ack)
-//	  job:        id · streams · submission
+//	task-assign:  job id · n · (chunk id · photons)*n · opt(submission) · opt(ack)
 //	no-work:      done · opt(ack)
 //	error:        msg
 //	  ack:        n · (job id · chunk id · duplicate · rejected · reason)*n
-
-// buildSince is the first version whose Hello carries a build string. An
-// older Hello must still decode, to be answered with a version mismatch.
-const buildSince = 9
 
 // appendMessage appends m's payload, reading a nil body as its type's zero
 // body.
@@ -35,10 +30,6 @@ func appendMessage(b []byte, m *Message) []byte {
 		h := orZero(m.Hello)
 		b = binary.AppendVarint(b, int64(h.Version))
 		b = appendString(b, h.Name)
-		b = appendFloat(b, h.Mflops)
-		if h.Version < buildSince {
-			return b
-		}
 		return appendString(b, h.Build)
 	case MsgWelcome:
 		w := orZero(m.Welcome)
@@ -52,13 +43,10 @@ func appendMessage(b []byte, m *Message) []byte {
 		b = binary.AppendUvarint(b, uint64(len(a.Grants)))
 		for _, g := range a.Grants {
 			b = binary.AppendVarint(b, int64(g.ChunkID))
-			b = binary.AppendVarint(b, int64(g.Stream))
 			b = binary.AppendVarint(b, g.Photons)
 		}
-		if b = appendBool(b, a.Job != nil); a.Job != nil {
-			b = binary.LittleEndian.AppendUint64(b, a.Job.ID)
-			b = binary.AppendVarint(b, int64(a.Job.Streams))
-			b = appendBytes(b, a.Job.Submission)
+		if b = appendBool(b, a.Submission != nil); a.Submission != nil {
+			b = appendBytes(b, a.Submission)
 		}
 		return appendAcks(b, m.BatchAck)
 	case MsgNoWork:
@@ -236,16 +224,15 @@ func (d *decoder) string() string { return string(d.bytes()) }
 func decodeMessage(d *decoder, m *Message) {
 	switch m.Type {
 	case MsgHello:
-		h := &Hello{Version: d.int(), Name: d.string(), Mflops: d.float()}
-		if h.Version >= buildSince {
-			h.Build = d.string()
-		}
-		if len(h.Name) > MaxName || len(h.Build) > MaxName {
-			d.failf("hello carries a %d-byte worker name and a %d-byte build, max %d each",
-				len(h.Name), len(h.Build), MaxName)
-		}
-		if !measure(h.Mflops) {
-			d.failf("hello carries a negative or non-finite rate")
+		h := &Hello{Version: d.int()}
+		if h.Version != Version {
+			d.data = nil // another layout: refused by its version, not by its bytes
+		} else {
+			h.Name, h.Build = d.string(), d.string()
+			if len(h.Name) > MaxName || len(h.Build) > MaxName {
+				d.failf("hello carries a %d-byte worker name and a %d-byte build, max %d each",
+					len(h.Name), len(h.Build), MaxName)
+			}
 		}
 		m.Hello = h
 	case MsgWelcome:
@@ -256,10 +243,10 @@ func decodeMessage(d *decoder, m *Message) {
 		a := &TaskAssign{JobID: d.fixed()}
 		a.Grants = alloc[ChunkGrant](d.count(MaxGrantChunks, "task assign grants"))
 		for i := range a.Grants {
-			a.Grants[i] = ChunkGrant{ChunkID: d.int(), Stream: d.int(), Photons: int64(d.int())}
+			a.Grants[i] = ChunkGrant{ChunkID: d.int(), Photons: int64(d.int())}
 		}
 		if d.bool() {
-			a.Job = &Job{ID: d.fixed(), Streams: d.int(), Submission: d.bytes()}
+			a.Submission = d.bytes()
 		}
 		m.Assign, m.BatchAck = a, decodeAcks(d)
 	case MsgNoWork:

@@ -19,7 +19,7 @@ import (
 // sendDescriptor carries job's spec across a pipe the way the dispatcher
 // does — as its submission bytes on a TaskAssign — and decodes it the way a
 // worker does.
-func sendDescriptor(t *testing.T, job service.JobSpec, streams int) (*protocol.Job, service.JobSpec) {
+func sendDescriptor(t *testing.T, job service.JobSpec) service.JobSpec {
 	t.Helper()
 	a, b := net.Pipe()
 	c1, c2 := protocol.NewConn(a), protocol.NewConn(b)
@@ -30,24 +30,20 @@ func sendDescriptor(t *testing.T, job service.JobSpec, streams int) (*protocol.J
 		t.Fatal(err)
 	}
 	go c1.Send(&protocol.Message{Type: protocol.MsgTaskAssign, Assign: &protocol.TaskAssign{
-		JobID: 42, Grants: []protocol.ChunkGrant{{ChunkID: 3, Stream: 3, Photons: 500}},
-		Job: &protocol.Job{ID: 42, Streams: streams, Submission: sub},
+		JobID: 42, Grants: []protocol.ChunkGrant{{ChunkID: 3, Photons: 500}}, Submission: sub,
 	}})
 	m, err := c2.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Assign.Job == nil {
-		t.Fatal("piggybacked job descriptor lost")
-	}
-	if !bytes.Equal(m.Assign.Job.Submission, sub) {
+	if !bytes.Equal(m.Assign.Submission, sub) {
 		t.Fatal("submission bytes changed on the wire")
 	}
-	got, err := service.DecodeSubmission(m.Assign.Job.Submission)
+	got, err := service.DecodeSubmission(m.Assign.Submission)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m.Assign.Job, got
+	return got
 }
 
 func TestJobSpecRoundTrip(t *testing.T) {
@@ -58,9 +54,9 @@ func TestJobSpecRoundTrip(t *testing.T) {
 	spec.Boundary = mc.BoundaryDeterministic
 	spec.PathGrid = &mc.GridSpec{N: 50, Edge: 60}
 
-	job, desc := sendDescriptor(t, service.JobSpec{Spec: spec, Seed: 7, Fan: 4}, 100)
-	if job.ID != 42 || job.Streams != 100 || desc.Seed != 7 || desc.Fan != 4 {
-		t.Fatalf("job metadata lost: %+v %+v", job, desc)
+	desc := sendDescriptor(t, service.JobSpec{Spec: spec, TotalPhotons: 50_000, ChunkPhotons: 500, Seed: 7, Fan: 4})
+	if desc.NumChunks() != 100 || desc.Seed != 7 || desc.Fan != 4 {
+		t.Fatalf("job metadata lost: %d chunks, %+v", desc.NumChunks(), desc)
 	}
 	got := desc.Spec
 	if got.Boundary != mc.BoundaryDeterministic {
@@ -102,7 +98,7 @@ func TestVoxelJobSpecRoundTrip(t *testing.T) {
 		source.Spec{Kind: source.KindPencil},
 		detector.Spec{Kind: detector.KindAnnulus, RMin: 2, RMax: 10})
 
-	_, desc := sendDescriptor(t, service.JobSpec{Spec: spec, Seed: 3}, 10)
+	desc := sendDescriptor(t, service.JobSpec{Spec: spec, Seed: 3})
 	got := desc.Spec
 	if got.Voxel == nil {
 		t.Fatal("voxel grid lost")

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
 	"flag"
@@ -22,7 +23,7 @@ import (
 	"repro/internal/tissue"
 )
 
-// updateCorpus rewrites the committed v9 seeds under
+// updateCorpus rewrites the committed v10 seeds under
 // testdata/fuzz/FuzzDecodeMessage with the current wire encoding:
 //
 //	go test ./internal/protocol -run TestCommittedCorpus -update-corpus
@@ -121,12 +122,12 @@ func seedMessages(tb testing.TB) []*Message {
 	}
 	momCompact := mc.AppendTally(nil, momTally)
 	return []*Message{
-		{Type: MsgHello, Hello: &Hello{Version: Version, Name: "w0", Mflops: 42, Build: "v9-test"}},
+		{Type: MsgHello, Hello: &Hello{Version: Version, Name: "w0", Build: "v10-test"}},
 		{Type: MsgWelcome, Welcome: &Welcome{Version: Version, ServerName: "srv"}},
 		{Type: MsgTaskRequest, Request: &TaskRequest{Want: 1}},
 		{Type: MsgTaskAssign, Assign: &TaskAssign{
-			JobID: 9, Grants: []ChunkGrant{{ChunkID: 4, Stream: 4, Photons: 1000}, {ChunkID: 5, Stream: 5, Photons: 1000}},
-			Job: &Job{ID: 9, Streams: 8, Submission: submission(tb, spec)},
+			JobID: 9, Grants: []ChunkGrant{{ChunkID: 4, Photons: 1000}, {ChunkID: 5, Photons: 1000}},
+			Submission: submission(tb, spec),
 		}},
 		{Type: MsgNoWork, NoWork: &NoWork{Done: true}},
 		{Type: MsgError, Error: &Error{Msg: "boom"}},
@@ -148,11 +149,11 @@ func seedMessages(tb testing.TB) []*Message {
 			{JobID: 9, ChunkID: 5, Duplicate: true},
 			{JobID: 12, ChunkID: 0, Rejected: true, Reason: "stale"},
 		}}},
-		// Precision jobs: an open-ended descriptor (Streams 0) and its
-		// moments-carrying batch result.
+		// Precision jobs: an open-ended descriptor and its moments-carrying
+		// batch result.
 		{Type: MsgTaskAssign, Assign: &TaskAssign{
-			JobID: 21, Grants: []ChunkGrant{{ChunkID: 0, Stream: 0, Photons: 500}},
-			Job: &Job{ID: 21, Streams: 0, Submission: submission(tb, &precSpec)},
+			JobID: 21, Grants: []ChunkGrant{{ChunkID: 0, Photons: 500}},
+			Submission: submission(tb, &precSpec),
 		}, BatchAck: &BatchAck{Acks: []ResultAck{{JobID: 9, ChunkID: 7}}}},
 		flush(&ResultBatch{Groups: []BatchGroup{
 			{JobID: 21, Chunks: []int{0}, Elapsed: time.Second, TallyData: momCompact},
@@ -164,18 +165,29 @@ func seedMessages(tb testing.TB) []*Message {
 // writes.
 func rawFrame(t MsgType, payload ...byte) []byte {
 	frame := append([]byte{byte(t)}, payload...)
-	return append([]byte{byte(len(frame))}, frame...)
+	return append(binary.AppendUvarint(nil, uint64(len(frame))), frame...)
+}
+
+// oldHello is the Hello frame a v7, v8 or v9 worker wrote: version · name ·
+// rate, and from v9 on · build.
+func oldHello(version int, name string, mflops float64, build string) []byte {
+	b := appendFloat(appendString(binary.AppendVarint(nil, int64(version)), name), mflops)
+	if version >= 9 {
+		b = appendString(b, build)
+	}
+	return rawFrame(MsgHello, b...)
 }
 
 // FuzzDecodeMessage throws arbitrary bytes at the wire decoder: valid
 // frames (including batch-carrying requests), truncated and bodiless
-// frames, an oversized batch, a hello with a NaN rate or an old version
-// (a v8 hello has no build string) and the gob frames of retired protocol
-// versions. The decoder must never panic, and every message it does accept must satisfy the envelope
-// invariants Recv promises (a live type with its body, bounded grant,
-// batch, name and build sizes, no empty batch groups,
-// finite non-negative rates and times) and decode again, field for field,
-// from its own encoding.
+// frames, an oversized batch, the hellos of older versions (a v8 one with
+// no build string, a v9 one with a NaN rate) and the gob frames of retired
+// protocol versions. The decoder must never panic, and every message it
+// does accept must satisfy the envelope invariants Recv promises (a live
+// type with its body, bounded grant, batch, name and build sizes, a hello
+// of another version carrying its version alone, no empty batch groups,
+// finite non-negative times) and decode again, field for field, from its
+// own encoding.
 func FuzzDecodeMessage(f *testing.F) {
 	msgs := seedMessages(f)
 
@@ -189,7 +201,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	f.Add(all)
 	f.Add(all[:len(all)/3])
 	f.Add(all[:len(all)-1])
-	f.Add(encodeMessages(f, &Message{Type: MsgHello, Hello: &Hello{Version: 8, Name: "w8"}}))
+	f.Add(oldHello(8, "w8", 0, ""))
 	bigChunks := make([]int, MaxBatchChunks+1)
 	f.Add(encodeMessages(f, flush(&ResultBatch{
 		Groups: []BatchGroup{{JobID: 1, Chunks: bigChunks}}})))
@@ -200,7 +212,7 @@ func FuzzDecodeMessage(f *testing.F) {
 	for _, frame := range retiredFrames(f) {
 		f.Add(frame)
 	}
-	f.Add(encodeMessages(f, &Message{Type: MsgHello, Hello: &Hello{Version: Version, Mflops: math.NaN()}}))
+	f.Add(oldHello(9, "", math.NaN(), ""))
 	f.Add(rawFrame(MsgNoWork))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, byte(MsgHello)}) // a claim past MaxFrameBytes
 
@@ -229,7 +241,8 @@ func checkInvariants(t *testing.T, m *Message) {
 	t.Helper()
 	switch m.Type {
 	case MsgHello:
-		if m.Hello == nil || len(m.Hello.Name) > MaxName || len(m.Hello.Build) > MaxName || !measure(m.Hello.Mflops) {
+		if m.Hello == nil || len(m.Hello.Name) > MaxName || len(m.Hello.Build) > MaxName ||
+			m.Hello.Version != Version && *m.Hello != (Hello{Version: m.Hello.Version}) {
 			t.Fatalf("Recv accepted a hello it must refuse: %+v", m.Hello)
 		}
 	case MsgWelcome:
@@ -276,7 +289,7 @@ func checkInvariants(t *testing.T, m *Message) {
 	}
 }
 
-// corpusSeeds names the committed v9 corpus entries and their frames. They
+// corpusSeeds names the committed v10 corpus entries and their frames. They
 // overlap FuzzDecodeMessage's f.Add seeds on purpose: the committed files
 // make the interesting shapes available to `go test -fuzz` runs from a
 // clean cache (the CI smoke job) without re-running the seed builders.
@@ -284,30 +297,39 @@ func corpusSeeds(tb testing.TB) map[string][]byte {
 	msgs := seedMessages(tb)
 	all := encodeMessages(tb, msgs...)
 	return map[string][]byte{
-		"hello_v9":             encodeMessages(tb, msgs[0]),
-		"task_request_v9":      encodeMessages(tb, msgs[2]),
-		"assign_v9":            encodeMessages(tb, msgs[3]),
-		"conversation_v9":      all,
-		"truncated_v9":         all[:len(all)/3],
-		"result_batch_v9":      encodeMessages(tb, msgs[6]),
-		"piggyback_request_v9": encodeMessages(tb, msgs[7]),
-		"batch_ack_v9":         encodeMessages(tb, msgs[8]),
-		"precision_assign_v9":  encodeMessages(tb, msgs[9]),
-		"moments_batch_v9":     encodeMessages(tb, msgs[10]),
-		"empty_batch_group_v9": encodeMessages(tb, flush(&ResultBatch{Groups: []BatchGroup{{JobID: 1}}})),
-		"long_build_hello_v9": encodeMessages(tb, &Message{Type: MsgHello,
+		"hello_v10":             encodeMessages(tb, msgs[0]),
+		"task_request_v10":      encodeMessages(tb, msgs[2]),
+		"assign_v10":            encodeMessages(tb, msgs[3]),
+		"conversation_v10":      all,
+		"truncated_v10":         all[:len(all)/3],
+		"result_batch_v10":      encodeMessages(tb, msgs[6]),
+		"piggyback_request_v10": encodeMessages(tb, msgs[7]),
+		"batch_ack_v10":         encodeMessages(tb, msgs[8]),
+		"precision_assign_v10":  encodeMessages(tb, msgs[9]),
+		"moments_batch_v10":     encodeMessages(tb, msgs[10]),
+		"empty_batch_group_v10": encodeMessages(tb, flush(&ResultBatch{Groups: []BatchGroup{{JobID: 1}}})),
+		"long_build_hello_v10": encodeMessages(tb, &Message{Type: MsgHello,
 			Hello: &Hello{Version: Version, Build: strings.Repeat("x", MaxName+1)}}),
-		"nan_hello_v9": encodeMessages(tb, &Message{Type: MsgHello,
-			Hello: &Hello{Version: Version, Mflops: math.NaN()}}),
-		"v8_hello_v9":         encodeMessages(tb, &Message{Type: MsgHello, Hello: &Hello{Version: 8, Name: "w8"}}),
-		"bodiless_no_work_v9": rawFrame(MsgNoWork),
+		"v9_hello_v10":         oldHello(9, "w9", 42, "v9-test"),
+		"future_hello_v10":     rawFrame(MsgHello, 2*(Version+1), 0xff, 0xff),
+		"bodiless_no_work_v10": rawFrame(MsgNoWork),
 	}
 }
 
-// v8Corpus names the committed seeds protocol v8 wrote, and v7Corpus those
-// v7 wrote. They stay as they were written, inputs the decoder must
-// survive: a v8 task request may carry the worker report v9 dropped, and a
-// v7 one leads with the known-jobs list v8 dropped.
+// v9Corpus, v8Corpus and v7Corpus name the committed seeds protocol v9, v8
+// and v7 wrote. They stay as they were written, inputs the decoder must
+// survive: their hellos carry a rate (a NaN one among them) and decode to
+// be refused by version, a v9 grant carries a stream index and a v9
+// descriptor its job's id and stream count, a v8 task request may carry the
+// worker report v9 dropped, and a v7 one leads with the known-jobs list v8
+// dropped.
+var v9Corpus = []string{
+	"hello_v9", "task_request_v9", "assign_v9", "conversation_v9", "truncated_v9",
+	"result_batch_v9", "piggyback_request_v9", "batch_ack_v9", "precision_assign_v9",
+	"moments_batch_v9", "empty_batch_group_v9", "long_build_hello_v9", "nan_hello_v9",
+	"v8_hello_v9", "bodiless_no_work_v9",
+}
+
 var v8Corpus = []string{
 	"hello_v8", "task_request_v8", "assign_v8", "conversation_v8", "truncated_v8",
 	"result_batch_v8", "piggyback_request_v8", "batch_ack_v8", "precision_assign_v8",
@@ -332,8 +354,8 @@ var retiredCorpus = []string{
 }
 
 // TestCommittedCorpusCoversV3 keeps the committed seed corpus in sync with
-// the protocol: every named v9 seed must exist on disk (regenerate with
-// -update-corpus), every v8 and v7 seed must still be there, and every
+// the protocol: every named v10 seed must exist on disk (regenerate with
+// -update-corpus), every v9, v8 and v7 seed must still be there, and every
 // retired gob seed must still be there and be refused.
 func TestCommittedCorpusCoversV3(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeMessage")
@@ -351,7 +373,7 @@ func TestCommittedCorpusCoversV3(t *testing.T) {
 			t.Errorf("corpus seed %s missing (run with -update-corpus): %v", name, err)
 		}
 	}
-	for _, name := range slices.Concat(v8Corpus, v7Corpus) {
+	for _, name := range slices.Concat(v9Corpus, v8Corpus, v7Corpus) {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("kept corpus seed %s: %v", name, err)
 		}

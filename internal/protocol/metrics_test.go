@@ -21,7 +21,7 @@ func TestConnMetricsAccounting(t *testing.T) {
 	c2.SetMetrics(rm)
 
 	msgs := []*Message{
-		{Type: MsgHello, Hello: &Hello{Version: Version, Name: "w0", Mflops: 50}},
+		{Type: MsgHello, Hello: &Hello{Version: Version, Name: "w0", Build: "b0"}},
 		{Type: MsgTaskRequest, Request: &TaskRequest{Want: 1}},
 		{Type: MsgTaskRequest, Request: &TaskRequest{Want: 4}},
 		{Type: MsgNoWork, NoWork: &NoWork{Done: true}},

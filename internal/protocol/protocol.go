@@ -81,7 +81,19 @@ import (
 // the worker's build string rides its Hello, once per session. A Hello
 // older than v9 ends at its rate, so it still decodes, and is answered with
 // a version mismatch.
-const Version = 9
+//
+// Version 10 says each fact once. A grant is a chunk id and its photon
+// count: chunk id is the chunk's RNG stream, so there is no separate stream
+// index to disagree with it. A descriptor is the job's submission bytes
+// alone, riding the TaskAssign: the job's id is the assign's, and its chunk
+// bound is what the submission itself partitions into. A Hello is a
+// version, a name and a build string. The self-reported rate (the paper's
+// Table 2 Mflop/s) is gone: its comment promised scheduling heuristics, but
+// only GET /fleet, a log line and mcserver's summary ever echoed it, and
+// the server measures a session's speed itself. Recv reads a Hello's
+// version first and, for any version but this one, leaves the rest unread,
+// so every older layout — and any later one — decodes to be refused.
+const Version = 10
 
 // V6Refusal is what a server writes to a peer whose first frame is not a v7
 // Hello: the gob stream a v6 worker decodes as Message{Type: MsgError,
@@ -151,16 +163,13 @@ func (t MsgType) String() string {
 // every view of the fleet.
 const MaxName = 128
 
-// Hello introduces a worker.
+// Hello introduces a worker. A Hello of another Version decodes with its
+// version alone, to be refused by it.
 type Hello struct {
 	Version int
 	Name    string
-	// Mflops is the worker's self-reported processing rate (Table 2); the
-	// server records it for diagnostics and scheduling heuristics. Recv
-	// refuses one that is negative or not finite.
-	Mflops float64
 	// Build is the worker's build string (obs.Version), shown as the
-	// session's version on GET /fleet. A Hello older than v9 has none.
+	// session's version on GET /fleet.
 	Build string
 }
 
@@ -169,21 +178,6 @@ type Hello struct {
 type Welcome struct {
 	Version    int
 	ServerName string
-}
-
-// Job describes one complete simulation the fleet is computing.
-type Job struct {
-	ID uint64
-	// Streams is the total number of RNG streams (= number of chunks) of a
-	// fixed-count job. Zero means the job is open-ended — a
-	// precision-targeted job issues chunks (streams 0, 1, 2, …) until its
-	// Target is met, so workers must not bound the stream index.
-	Streams int
-	// Submission is the job's service.AppendSubmission bytes: its spec,
-	// seed and fan width (MaxFan at most) among them. A chunk tally is a
-	// pure function of (spec, seed, stream, fan), never of the worker's
-	// core count.
-	Submission []byte
 }
 
 // MaxDescriptors bounds the descriptors a session holds: a built Config
@@ -234,19 +228,21 @@ type TaskRequest struct {
 
 // TaskAssign hands one or more chunks of one job to a worker: at most as
 // many as the request's Want, all on one grant with one timeout clock on
-// the server. Job carries the full descriptor when the session does not
-// hold it (Descriptors).
+// the server. Submission is the job's descriptor, its
+// service.AppendSubmission bytes (its spec, seed and fan width among them),
+// when the session does not hold it (Descriptors), and nil when it does.
+// A chunk tally is a pure function of (spec, seed, chunk id, fan), never of
+// the worker's core count.
 type TaskAssign struct {
-	JobID  uint64
-	Job    *Job
-	Grants []ChunkGrant
+	JobID      uint64
+	Grants     []ChunkGrant
+	Submission []byte
 }
 
-// ChunkGrant is one chunk of a TaskAssign. Stream selects the chunk's
-// dedicated RNG stream so results are reproducible and order-independent.
+// ChunkGrant is one chunk of a TaskAssign. The chunk id selects the chunk's
+// dedicated RNG stream, so results are reproducible and order-independent.
 type ChunkGrant struct {
 	ChunkID int
-	Stream  int
 	Photons int64
 }
 
@@ -437,8 +433,8 @@ func (c *Conn) Send(m *Message) error {
 
 // Recv reads the next frame and decodes it: a length past MaxFrameBytes, a
 // missing, out-of-range or reserved type, a body cut short or followed by
-// trailing bytes, an oversized grant, batch or ack and a non-finite or
-// negative rate or time are protocol errors, not panics or unbounded
+// trailing bytes, an oversized grant, batch, ack, name or build and a
+// non-finite or negative time are protocol errors, not panics or unbounded
 // allocations further up the stack. An io.EOF between frames is returned
 // as is.
 func (c *Conn) Recv() (*Message, error) {
@@ -499,8 +495,8 @@ func uvarintLen(v uint64) int {
 	return binary.PutUvarint(b[:], v)
 }
 
-// measure reports whether v can be a rate or a duration: finite and not
-// negative. Recv refuses any other, which no JSON view could render.
+// measure reports whether v can be a duration: finite and not negative.
+// Recv refuses any other, which no JSON view could render.
 func measure(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // Close closes the underlying transport.

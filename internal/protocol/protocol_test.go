@@ -36,14 +36,14 @@ func TestHelloRoundTrip(t *testing.T) {
 
 	go func() {
 		c1.Send(&Message{Type: MsgHello, Hello: &Hello{
-			Version: Version, Name: "w1", Mflops: 209,
+			Version: Version, Name: "w1", Build: "b1",
 		}})
 	}()
 	m, err := c2.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Type != MsgHello || m.Hello.Name != "w1" || m.Hello.Mflops != 209 {
+	if m.Type != MsgHello || m.Hello.Name != "w1" || m.Hello.Build != "b1" {
 		t.Fatalf("round trip lost data: %+v", m)
 	}
 }
@@ -205,7 +205,7 @@ func TestTaskRequestPiggybackRoundTrip(t *testing.T) {
 	go func() {
 		c2.Send(&Message{Type: MsgTaskAssign,
 			Assign: &TaskAssign{JobID: 4, Grants: []ChunkGrant{
-				{ChunkID: 10, Stream: 10, Photons: 50}, {ChunkID: 11, Stream: 11, Photons: 50}}},
+				{ChunkID: 10, Photons: 50}, {ChunkID: 11, Photons: 50}}},
 			BatchAck: &BatchAck{Acks: []ResultAck{
 				{JobID: 4, ChunkID: 7},
 				{JobID: 4, ChunkID: 8, Duplicate: true},
@@ -267,7 +267,7 @@ func TestManyMessagesSequential(t *testing.T) {
 	go func() {
 		for i := 0; i < n; i++ {
 			c1.Send(&Message{Type: MsgTaskAssign, Assign: &TaskAssign{
-				Grants: []ChunkGrant{{ChunkID: i, Stream: i, Photons: int64(i * 10)}},
+				Grants: []ChunkGrant{{ChunkID: i, Photons: int64(i * 10)}},
 			}})
 		}
 	}()
@@ -308,25 +308,29 @@ func TestSeedMessagesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRecvRejectsBadHello: a hello's rate is finite and not negative, and
-// its name at most MaxName bytes, or the session never starts — the server
-// keeps both for the session's life, and a NaN rate made every JSON view
-// of the fleet unrenderable.
+// TestRecvRejectsBadHello: a hello's name is at most MaxName bytes, or the
+// session never starts — the server keeps it for the session's life. A
+// hello of another version is read no further than its version, whatever
+// follows it: the v9 one with a NaN rate that once made every JSON view of
+// the fleet unrenderable decodes to its version alone, to be refused by it.
 func TestRecvRejectsBadHello(t *testing.T) {
+	hello := func(h Hello) []byte { return encodeMessages(t, &Message{Type: MsgHello, Hello: &h}) }
 	for name, tc := range map[string]struct {
-		h  Hello
-		ok bool
+		frame []byte
+		want  *Hello // nil: refused
 	}{
-		"plain":         {Hello{Version: Version, Name: "w", Mflops: 209}, true},
-		"name-at-bound": {Hello{Version: Version, Name: strings.Repeat("x", MaxName)}, true},
-		"long-name":     {Hello{Version: Version, Name: strings.Repeat("x", MaxName+1)}, false},
-		"nan-rate":      {Hello{Version: Version, Mflops: math.NaN()}, false},
-		"inf-rate":      {Hello{Version: Version, Mflops: math.Inf(1)}, false},
-		"negative-rate": {Hello{Version: Version, Mflops: -1}, false},
+		"plain":         {hello(Hello{Version: Version, Name: "w"}), &Hello{Version: Version, Name: "w"}},
+		"name-at-bound": {hello(Hello{Version: Version, Name: strings.Repeat("x", MaxName)}), &Hello{Version: Version, Name: strings.Repeat("x", MaxName)}},
+		"long-name":     {hello(Hello{Version: Version, Name: strings.Repeat("x", MaxName+1)}), nil},
+		"v9-nan-rate":   {oldHello(9, "nan", math.NaN(), "b"), &Hello{Version: 9}},
+		"v9-long-name":  {oldHello(9, strings.Repeat("x", MaxName+1), 1, ""), &Hello{Version: 9}},
+		"v8-inf-rate":   {oldHello(8, "inf", math.Inf(1), ""), &Hello{Version: 8}},
 	} {
-		c := NewConn(readCloser{bytes.NewReader(encodeMessages(t, &Message{Type: MsgHello, Hello: &tc.h}))})
-		if _, err := c.Recv(); (err == nil) != tc.ok {
-			t.Errorf("%s: Recv returned %v, want accepted %v", name, err, tc.ok)
+		m, err := NewConn(readCloser{bytes.NewReader(tc.frame)}).Recv()
+		if (err == nil) != (tc.want != nil) {
+			t.Errorf("%s: Recv returned %v, want accepted %v", name, err, tc.want != nil)
+		} else if err == nil && *m.Hello != *tc.want {
+			t.Errorf("%s: decoded %+v, want %+v", name, *m.Hello, *tc.want)
 		}
 	}
 }

@@ -12,29 +12,33 @@ import (
 )
 
 // TestRecvRejectsOversizedBuild: a hostile peer must not make the server
-// retain an arbitrarily large build string per session. A Hello older than
-// v9 has no build string, and still decodes, to be refused by version.
+// retain an arbitrarily large build string per session. A hello of another
+// version decodes to its version alone, whatever its layout, to be refused
+// by version.
 func TestRecvRejectsOversizedBuild(t *testing.T) {
-	for name, tc := range map[string]struct {
-		h  Hello
-		ok bool
-	}{
-		"build-at-bound": {Hello{Version: Version, Build: strings.Repeat("x", MaxName)}, true},
-		"long-build":     {Hello{Version: Version, Build: strings.Repeat("x", MaxName+1)}, false},
-		"v8-no-build":    {Hello{Version: 8, Name: "w8"}, true},
-	} {
-		m, err := NewConn(readCloser{bytes.NewReader(encodeMessages(t, &Message{Type: MsgHello, Hello: &tc.h}))}).Recv()
-		if (err == nil) != tc.ok {
-			t.Errorf("%s: Recv returned %v, want accepted %v", name, err, tc.ok)
-		} else if err == nil && *m.Hello != tc.h {
-			t.Errorf("%s: decoded %+v, want %+v", name, *m.Hello, tc.h)
-		}
-	}
+	hello := func(h Hello) []byte { return encodeMessages(t, &Message{Type: MsgHello, Hello: &h}) }
 	// A v8 hello is the three fields a v8 worker sends: version (zigzag
-	// 8), name, a zero rate.
+	// 8), name, a zero rate; a v9 one adds the build string.
 	v8 := rawFrame(MsgHello, 16, 2, 'w', '8', 0, 0, 0, 0, 0, 0, 0, 0)
-	if got := encodeMessages(t, &Message{Type: MsgHello, Hello: &Hello{Version: 8, Name: "w8"}}); !bytes.Equal(got, v8) {
-		t.Fatalf("v8 hello encodes as %x, want %x", got, v8)
+	if got := oldHello(8, "w8", 0, ""); !bytes.Equal(got, v8) {
+		t.Fatalf("v8 hello built as %x, want %x", got, v8)
+	}
+	for name, tc := range map[string]struct {
+		frame []byte
+		want  *Hello // nil: refused
+	}{
+		"build-at-bound": {hello(Hello{Version: Version, Build: strings.Repeat("x", MaxName)}),
+			&Hello{Version: Version, Build: strings.Repeat("x", MaxName)}},
+		"long-build":    {hello(Hello{Version: Version, Build: strings.Repeat("x", MaxName+1)}), nil},
+		"v8-no-build":   {v8, &Hello{Version: 8}},
+		"v9-long-build": {oldHello(9, "w9", 0, strings.Repeat("x", MaxName+1)), &Hello{Version: 9}},
+	} {
+		m, err := NewConn(readCloser{bytes.NewReader(tc.frame)}).Recv()
+		if (err == nil) != (tc.want != nil) {
+			t.Errorf("%s: Recv returned %v, want accepted %v", name, err, tc.want != nil)
+		} else if err == nil && *m.Hello != *tc.want {
+			t.Errorf("%s: decoded %+v, want %+v", name, *m.Hello, *tc.want)
+		}
 	}
 }
 

@@ -21,7 +21,7 @@ func (r *Registry) nextAssignment(sess *session, req *protocol.TaskRequest) *pro
 	reply, desc := r.dispatch(sess, req, false)
 	if desc != nil {
 		var err error
-		if reply.Assign.Job.Submission, err = AppendSubmission(nil, desc); err != nil {
+		if reply.Assign.Submission, err = AppendSubmission(nil, desc); err != nil {
 			panic(err)
 		}
 	}
@@ -29,9 +29,9 @@ func (r *Registry) nextAssignment(sess *session, req *protocol.TaskRequest) *pro
 }
 
 // runGrant computes one granted chunk of a descriptor's job honestly.
-func runGrant(tb testing.TB, job *protocol.Job, g protocol.ChunkGrant) *mc.Tally {
+func runGrant(tb testing.TB, submission []byte, g protocol.ChunkGrant) *mc.Tally {
 	tb.Helper()
-	spec, err := DecodeSubmission(job.Submission)
+	spec, err := DecodeSubmission(submission)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func runGrant(tb testing.TB, job *protocol.Job, g protocol.ChunkGrant) *mc.Tally
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tally, err := mc.RunStreamFan(cfg, g.Photons, spec.Seed, g.Stream, job.Streams, spec.Fan)
+	tally, err := mc.RunStreamFan(cfg, g.Photons, spec.Seed, g.ChunkID, spec.NumChunks(), spec.Fan)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -56,14 +56,14 @@ type peer struct {
 	t    *testing.T
 	conn net.Conn
 	pc   *protocol.Conn
-	jobs map[uint64]*protocol.Job
+	jobs map[uint64][]byte // the descriptors the session was sent
 }
 
 func dialPeer(t *testing.T, reg *Registry, name string) *peer {
 	t.Helper()
 	server, client := net.Pipe()
 	go reg.HandleConn(server)
-	p := &peer{t: t, conn: client, pc: protocol.NewConn(client), jobs: map[uint64]*protocol.Job{}}
+	p := &peer{t: t, conn: client, pc: protocol.NewConn(client), jobs: map[uint64][]byte{}}
 	t.Cleanup(func() { client.Close() })
 	if err := p.pc.Send(&protocol.Message{Type: protocol.MsgHello,
 		Hello: &protocol.Hello{Version: protocol.Version, Name: name}}); err != nil {
@@ -99,8 +99,8 @@ func (p *peer) recv(within time.Duration) *protocol.Message {
 // compute runs one granted chunk of the assignment honestly.
 func (p *peer) compute(a *protocol.TaskAssign, g protocol.ChunkGrant) *protocol.ResultBatch {
 	p.t.Helper()
-	if a.Job != nil {
-		p.jobs[a.JobID] = a.Job
+	if a.Submission != nil {
+		p.jobs[a.JobID] = a.Submission
 	}
 	return oneChunkBatch(a.JobID, g.ChunkID, runGrant(p.t, p.jobs[a.JobID], g))
 }
@@ -377,7 +377,7 @@ func (w *chaosWorker) session(conn net.Conn) {
 	if _, err := pc.Recv(); err != nil {
 		return
 	}
-	jobs := map[uint64]*protocol.Job{} // the descriptors this session was sent
+	jobs := map[uint64][]byte{} // the descriptors this session was sent
 	for {
 		if pc.Send(&protocol.Message{Type: protocol.MsgTaskRequest, Request: want(1)}) != nil {
 			return
@@ -390,8 +390,8 @@ func (w *chaosWorker) session(conn net.Conn) {
 			continue // the park limit: ask again
 		}
 		a := grantOf(msg.Assign, 0)
-		if msg.Assign.Job != nil {
-			jobs[a.JobID] = msg.Assign.Job
+		if msg.Assign.Submission != nil {
+			jobs[a.JobID] = msg.Assign.Submission
 		}
 		job := jobs[a.JobID]
 		batch := &protocol.ResultBatch{Groups: []protocol.BatchGroup{{
@@ -405,7 +405,7 @@ func (w *chaosWorker) session(conn net.Conn) {
 			if fault == faultStall {
 				time.Sleep(w.stall)
 			}
-			spec, err := DecodeSubmission(job.Submission)
+			spec, err := DecodeSubmission(job)
 			if err != nil {
 				return
 			}
@@ -413,7 +413,7 @@ func (w *chaosWorker) session(conn net.Conn) {
 			if err != nil {
 				return
 			}
-			tally, err := mc.RunStreamFan(cfg, a.Photons, spec.Seed, a.Stream, job.Streams, spec.Fan)
+			tally, err := mc.RunStreamFan(cfg, a.Photons, spec.Seed, a.ChunkID, spec.NumChunks(), spec.Fan)
 			if err != nil {
 				return
 			}

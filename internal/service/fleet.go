@@ -20,7 +20,6 @@ import (
 type session struct {
 	id        uint64
 	name      string
-	mflops    float64
 	build     string // the worker's build string, from its Hello
 	remote    string // transport remote address ("" for in-memory pipes)
 	connected time.Time
@@ -128,7 +127,7 @@ func (r *Registry) HandleConn(rw io.ReadWriteCloser) error {
 		pc.Send(&protocol.Message{Type: protocol.MsgError,
 			Error: &protocol.Error{Msg: fmt.Sprintf("version mismatch: server %d, client %d",
 				protocol.Version, first.Hello.Version)}})
-		return fmt.Errorf("service: version mismatch from %q", first.Hello.Name)
+		return fmt.Errorf("service: version mismatch from a v%d worker", first.Hello.Version)
 	}
 	remote := ""
 	if nc, ok := rw.(net.Conn); ok {
@@ -169,7 +168,7 @@ func (r *Registry) HandleConn(rw io.ReadWriteCloser) error {
 		if desc != nil {
 			// Encoded here, off the registry lock: a voxel grid's labels are
 			// megabytes.
-			if reply.Assign.Job.Submission, err = AppendSubmission(nil, desc); err != nil {
+			if reply.Assign.Submission, err = AppendSubmission(nil, desc); err != nil {
 				return err
 			}
 		}
@@ -195,7 +194,6 @@ func (r *Registry) registerSession(h *protocol.Hello, remote string) *session {
 	sess := &session{
 		id:        r.nextSess,
 		name:      name,
-		mflops:    h.Mflops,
 		build:     h.Build,
 		remote:    remote,
 		connected: now,
@@ -207,7 +205,7 @@ func (r *Registry) registerSession(h *protocol.Hello, remote string) *session {
 		r.met.reconnects.Inc()
 	}
 	r.seenNames[name] = true
-	r.log.Info("worker connected", "worker", name, "mflops", h.Mflops)
+	r.log.Info("worker connected", "worker", name)
 	return sess
 }
 
@@ -418,7 +416,7 @@ func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply
 		if policy.charge {
 			r.sched.Charge(j.id, float64(photons))
 		}
-		return protocol.ChunkGrant{ChunkID: id, Stream: id, Photons: photons}
+		return protocol.ChunkGrant{ChunkID: id, Photons: photons}
 	}
 
 	if j.state == StateQueued {
@@ -429,7 +427,7 @@ func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply
 	}
 	if _, ok := j.workers[sess.name]; !ok {
 		j.workers[sess.name] = &WorkerInfo{
-			Name: sess.name, Mflops: sess.mflops, Connected: sess.connected,
+			Name: sess.name, Connected: sess.connected,
 		}
 	}
 
@@ -438,11 +436,6 @@ func (r *Registry) assignLocked(sess *session, req *protocol.TaskRequest) (reply
 		assign.Grants = append(assign.Grants, grantOne())
 	}
 	if !sess.described.Has(j.id) {
-		streams := len(j.chunks)
-		if j.openEnded() {
-			streams = 0 // open-ended: workers must not bound the stream index
-		}
-		assign.Job = &protocol.Job{ID: j.id, Streams: streams}
 		sess.described.Add(j.id)
 		// A copy: a coalesced duplicate may raise the job's priority or
 		// weight once the lock is released.
@@ -813,7 +806,6 @@ type SessionStatus struct {
 	ID                    uint64    `json:"id"`
 	Name                  string    `json:"name"`
 	Remote                string    `json:"remote,omitempty"`
-	Mflops                float64   `json:"mflops,omitempty"`
 	Connected             time.Time `json:"connectedSince"`
 	LastSeen              time.Time `json:"lastSeen"`
 	State                 string    `json:"state"` // "parked" awaiting work, else "computing"
@@ -836,7 +828,6 @@ func (r *Registry) Fleet() []SessionStatus {
 			ID:                    s.id,
 			Name:                  s.name,
 			Remote:                s.remote,
-			Mflops:                s.mflops,
 			Connected:             s.connected,
 			LastSeen:              s.lastSeen,
 			State:                 "computing",

@@ -239,7 +239,7 @@ func TestCommittedJournalCorpus(t *testing.T) {
 			}
 			// Two chunks reduced, whatever the job's own chunk count.
 			tally := localTallyFan(t, js.Spec, 2*js.ChunkPhotons, js.ChunkPhotons, js.Seed, js.Fan)
-			snap := encodeSnapshotRec(key, max(js.numChunks(), 2), []int{0, 1}, tally)
+			snap := encodeSnapshotRec(key, max(js.NumChunks(), 2), []int{0, 1}, tally)
 			for kind, data := range map[string][]byte{"accept": accept, "snapshot": snap, "submission": accept[len(key):]} {
 				body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
 				if err := os.WriteFile(seedPath(name, kind), []byte(body), 0o644); err != nil {

@@ -9,6 +9,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -347,8 +349,8 @@ func TestIngressBoundsFanAndChunks(t *testing.T) {
 		if (err == nil) != c.ok {
 			t.Fatalf("%s: normalize returned %v, want ok %v", name, err, c.ok)
 		}
-		if err == nil && c.js.Target == nil && c.js.numChunks() > maxJobChunks {
-			t.Fatalf("%s: %d chunks passed the bound", name, c.js.numChunks())
+		if err == nil && c.js.Target == nil && c.js.NumChunks() > maxJobChunks {
+			t.Fatalf("%s: %d chunks passed the bound", name, c.js.NumChunks())
 		}
 	}
 }
@@ -495,11 +497,21 @@ func TestHTTPPrecisionJob(t *testing.T) {
 	}
 }
 
-// TestNonFiniteHelloKeepsFleetDecodable: a worker whose Hello carries a
-// NaN rate must not take GET /fleet down with it — the session is refused
-// at the handshake, and the body still decodes, which is what a gateway's
-// fan-out and mctop read.
+// TestNonFiniteHelloKeepsFleetDecodable: a v9 worker whose Hello carries a
+// NaN rate — the committed fuzz seed, as that worker wrote it — must not take
+// GET /fleet down with it: the session is refused by its version, and the
+// body still decodes, which is what a gateway's fan-out and mctop read.
 func TestNonFiniteHelloKeepsFleetDecodable(t *testing.T) {
+	seed, err := os.ReadFile(filepath.Join("..", "protocol", "testdata", "fuzz", "FuzzDecodeMessage", "nan_hello_v9"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := strings.TrimSuffix(strings.TrimPrefix(strings.SplitN(string(seed), "\n", 2)[1], "[]byte("), ")\n")
+	frame, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	reg := New(Options{})
 	ts := httptest.NewServer(NewAPI(reg).Handler())
 	defer ts.Close()
@@ -507,10 +519,13 @@ func TestNonFiniteHelloKeepsFleetDecodable(t *testing.T) {
 	defer client.Close()
 	done := make(chan error, 1)
 	go func() { done <- reg.HandleConn(server) }()
-	go io.Copy(io.Discard, client) // the refusal
-	if err := protocol.NewConn(client).Send(&protocol.Message{Type: protocol.MsgHello,
-		Hello: &protocol.Hello{Version: protocol.Version, Name: "nan", Mflops: math.NaN()}}); err != nil {
+	go client.Write([]byte(frame))
+	reply, err := protocol.NewConn(client).Recv()
+	if err != nil {
 		t.Fatal(err)
+	}
+	if reply.Type != protocol.MsgError || !strings.Contains(reply.Error.Msg, "version mismatch") {
+		t.Fatalf("a v9 hello with a NaN rate answered %v %+v, want a version mismatch", reply.Type, reply.Error)
 	}
 	if err := <-done; err == nil {
 		t.Fatal("a hello with a NaN rate opened a session")

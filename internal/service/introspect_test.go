@@ -18,14 +18,14 @@ import (
 // Hello's build as the session's version next to its measured speed.
 func TestSpanJoinAndFleetProfile(t *testing.T) {
 	reg, ts := obsServer(t, Options{})
-	sess := reg.registerSession(&protocol.Hello{Name: "probe", Mflops: 120, Build: "test-build"}, "10.9.8.7:1234")
+	sess := reg.registerSession(&protocol.Hello{Name: "probe", Build: "test-build"}, "10.9.8.7:1234")
 	out, err := reg.Submit(JobSpec{Spec: slabSpec(5), TotalPhotons: 2, ChunkPhotons: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	j := out.Job
 
-	var job *protocol.Job
+	var job []byte // the descriptor, once sent
 	runChunk := func(req *protocol.TaskRequest, elapsed time.Duration, secs []float64) {
 		t.Helper()
 		msg := reg.nextAssignment(sess, req)
@@ -33,13 +33,13 @@ func TestSpanJoinAndFleetProfile(t *testing.T) {
 			t.Fatalf("expected an assignment, got %v", msg.Type)
 		}
 		a := grantOf(msg.Assign, 0)
-		if msg.Assign.Job != nil {
-			job = msg.Assign.Job
+		if msg.Assign.Submission != nil {
+			job = msg.Assign.Submission
 		}
 		if job == nil {
 			t.Fatal("assignment for a job whose spec was never sent")
 		}
-		tally := runGrant(t, job, protocol.ChunkGrant{ChunkID: a.ChunkID, Stream: a.Stream, Photons: a.Photons})
+		tally := runGrant(t, job, a.ChunkGrant)
 		acks := reg.reduceGroup(sess, &protocol.BatchGroup{JobID: a.JobID, Chunks: []int{a.ChunkID},
 			TallyData: mc.AppendTally(nil, tally), Elapsed: elapsed, ChunkSecs: secs}, &mc.Tally{})
 		if len(acks) != 1 || acks[0].Rejected {
@@ -77,7 +77,7 @@ func TestSpanJoinAndFleetProfile(t *testing.T) {
 		t.Fatalf("fleet has %d sessions, want 1", len(fleet))
 	}
 	w := fleet[0]
-	if w.Name != "probe" || w.Remote != "10.9.8.7:1234" || w.Mflops != 120 || w.Version != "test-build" {
+	if w.Name != "probe" || w.Remote != "10.9.8.7:1234" || w.Version != "test-build" {
 		t.Fatalf("session identity wrong: %+v", w)
 	}
 	if w.ChunksCompleted != 2 {
@@ -211,7 +211,7 @@ func TestSpansShareTheEventRing(t *testing.T) {
 	}
 	var order []int // chunks in completion order
 	for g := reg.nextChunk(sess); g != nil; g = reg.nextChunk(sess) {
-		tally, err := mc.RunStreamFan(cfg, g.Photons, j.spec.Seed, g.Stream, len(j.chunks), j.spec.Fan)
+		tally, err := mc.RunStreamFan(cfg, g.Photons, j.spec.Seed, g.ChunkID, len(j.chunks), j.spec.Fan)
 		if err != nil {
 			t.Fatal(err)
 		}

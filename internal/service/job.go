@@ -49,7 +49,6 @@ func (s JobState) String() string {
 // WorkerInfo summarises one worker's contribution to a job.
 type WorkerInfo struct {
 	Name      string
-	Mflops    float64
 	Chunks    int
 	Connected time.Time
 }
@@ -209,7 +208,7 @@ func newJob(reg *Registry, key Key, spec JobSpec) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := spec.numChunks()
+	n := spec.NumChunks()
 	j := &Job{
 		reg:       reg,
 		key:       key,

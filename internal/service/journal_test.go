@@ -93,11 +93,11 @@ func workChunks(rw net.Conn, n int) error {
 			a := grantOf(msg.Assign, 0)
 			r := jobs[a.JobID]
 			if r == nil {
-				job := msg.Assign.Job
+				job := msg.Assign.Submission
 				if job == nil {
 					return errors.New("assign without descriptor")
 				}
-				spec, err := DecodeSubmission(job.Submission)
+				spec, err := DecodeSubmission(job)
 				if err != nil {
 					return err
 				}
@@ -105,10 +105,10 @@ func workChunks(rw net.Conn, n int) error {
 				if err != nil {
 					return err
 				}
-				r = &rt{cfg: cfg, seed: spec.Seed, streams: job.Streams, fan: spec.Fan}
+				r = &rt{cfg: cfg, seed: spec.Seed, streams: spec.NumChunks(), fan: spec.Fan}
 				jobs[a.JobID] = r
 			}
-			tally, err := mc.RunStreamFan(r.cfg, a.Photons, r.seed, a.Stream, r.streams, r.fan)
+			tally, err := mc.RunStreamFan(r.cfg, a.Photons, r.seed, a.ChunkID, r.streams, r.fan)
 			if err != nil {
 				return err
 			}

@@ -275,9 +275,10 @@ func (s *JobSpec) Normalize(maxTargetPhotons int64) error {
 	return nil
 }
 
-// numChunks returns the chunk count a fixed-count spec partitions into
-// (zero for open-ended precision-targeted jobs).
-func (s *JobSpec) numChunks() int {
+// NumChunks returns the chunk count a fixed-count spec partitions into
+// (zero for open-ended precision-targeted jobs): a job's chunk table at the
+// server, and the bound a worker checks a granted chunk id against.
+func (s *JobSpec) NumChunks() int {
 	if s.Target != nil {
 		return 0
 	}

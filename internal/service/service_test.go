@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -174,10 +175,10 @@ func batchClient(rw net.Conn, name string, window int) (int, error) {
 			a := msg.Assign
 			r := jobs[a.JobID]
 			if r == nil {
-				if a.Job == nil {
+				if a.Submission == nil {
 					return accepted, errors.New("assign without descriptor")
 				}
-				spec, err := DecodeSubmission(a.Job.Submission)
+				spec, err := DecodeSubmission(a.Submission)
 				if err != nil {
 					return accepted, err
 				}
@@ -185,13 +186,13 @@ func batchClient(rw net.Conn, name string, window int) (int, error) {
 				if err != nil {
 					return accepted, err
 				}
-				r = &rt{cfg: cfg, seed: spec.Seed, streams: a.Job.Streams, fan: spec.Fan}
+				r = &rt{cfg: cfg, seed: spec.Seed, streams: spec.NumChunks(), fan: spec.Fan}
 				jobs[a.JobID] = r
 			}
 			group := protocol.BatchGroup{JobID: a.JobID}
 			var sum *mc.Tally
 			for _, g := range a.Grants {
-				tally, err := mc.RunStreamFan(r.cfg, g.Photons, r.seed, g.Stream, r.streams, r.fan)
+				tally, err := mc.RunStreamFan(r.cfg, g.Photons, r.seed, g.ChunkID, r.streams, r.fan)
 				if err != nil {
 					return accepted, err
 				}
@@ -655,7 +656,7 @@ func TestLateResultAfterReclaimDoesNotRecompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	chunkTally := func(a *oneGrant) *mc.Tally {
-		tt, err := mc.RunStream(cfg, a.Photons, 14, a.Stream, j.NumChunks())
+		tt, err := mc.RunStream(cfg, a.Photons, 14, a.ChunkID, j.NumChunks())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -737,7 +738,7 @@ func TestPartiallyStaleBatchRequeued(t *testing.T) {
 		t.Fatal(err)
 	}
 	chunkTally := func(a *oneGrant) *mc.Tally {
-		tt, err := mc.RunStream(cfg, a.Photons, 19, a.Stream, j.NumChunks())
+		tt, err := mc.RunStream(cfg, a.Photons, 19, a.ChunkID, j.NumChunks())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -915,7 +916,7 @@ func TestBatchGroupRepeatedChunkRejected(t *testing.T) {
 	reg.mu.Unlock()
 	a := reg.nextChunk(sess)
 
-	tt, err := mc.RunStream(cfg, a.Photons, 27, a.Stream, j.NumChunks())
+	tt, err := mc.RunStream(cfg, a.Photons, 27, a.ChunkID, j.NumChunks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -937,15 +938,31 @@ func TestBatchGroupRepeatedChunkRejected(t *testing.T) {
 	}
 }
 
+// oldHello is, as raw frame bytes, the Hello of a worker speaking an older
+// protocol: version · name · rate, and from v9 on · build. (v2 and v4 workers
+// spoke gob; their version numbers ride this layout here, and a gob Hello's
+// own refusal is distsys's TestRejectedHelloEndsWorkLoop/v6.)
+func oldHello(version int, name string, mflops float64, build string) []byte {
+	b := []byte{byte(protocol.MsgHello)}
+	b = binary.AppendVarint(b, int64(version))
+	b = append(binary.AppendUvarint(b, uint64(len(name))), name...)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(mflops))
+	if version >= 9 {
+		b = append(binary.AppendUvarint(b, uint64(len(build))), build...)
+	}
+	return append(binary.AppendUvarint(nil, uint64(len(b))), b...)
+}
+
 // TestOldWorkerRejectedGracefully pins the version gate: a worker speaking
 // an older protocol — v2, the v4 that still had single-result frames, the
-// v7 whose task requests listed the jobs it knew, or the v8 whose requests
-// could carry a telemetry report and whose Hello has no build string —
-// gets a clear error
-// message at the handshake and a closed session: no hang, no mid-session
-// failure on its first unknown frame.
+// v7 whose task requests listed the jobs it knew, the v8 whose requests
+// could carry a telemetry report and whose Hello has no build string, or
+// the v9 whose Hello carries a rate and whose grants a stream index — sends
+// the Hello bytes it always sent and gets a clear error message at the
+// handshake and a closed session: no hang, no mid-session failure on its
+// first unknown frame.
 func TestOldWorkerRejectedGracefully(t *testing.T) {
-	for _, version := range []int{2, 4, 7, 8} {
+	for _, version := range []int{2, 4, 7, 8, 9} {
 		reg := New(Options{})
 		server, client := net.Pipe()
 		done := make(chan error, 1)
@@ -953,10 +970,7 @@ func TestOldWorkerRejectedGracefully(t *testing.T) {
 
 		pc := protocol.NewConn(client)
 		defer pc.Close()
-		if err := pc.Send(&protocol.Message{Type: protocol.MsgHello,
-			Hello: &protocol.Hello{Version: version, Name: "legacy"}}); err != nil {
-			t.Fatal(err)
-		}
+		go client.Write(oldHello(version, "legacy", 100, "old-build"))
 		reply, err := pc.Recv()
 		if err != nil {
 			t.Fatal(err)

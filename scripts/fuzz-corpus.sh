@@ -3,9 +3,9 @@
 # and internal/mc.
 #
 # Two fuzz targets are not regenerated here. internal/protocol's
-# FuzzDecodeMessage keeps its v9 seeds current with
+# FuzzDecodeMessage keeps its v10 seeds current with
 # `go test ./internal/protocol -run TestCommittedCorpus -update-corpus`; its
-# v8 and v7 seeds and its gob seeds of v6 and before are never rewritten. internal/report's
+# v9, v8 and v7 seeds and its gob seeds of v6 and before are never rewritten. internal/report's
 # FuzzReadReport seeds itself in the test (f.Add): a tally file, a cut one
 # and a gob file of the first format.
 #
