@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -146,6 +147,65 @@ func goldenCases(t *testing.T) []struct {
 				PathHist: &mc.HistSpec{Min: 0, Max: 600, Bins: 60},
 				Radial:   &mc.HistSpec{Min: 0, Max: 60, Bins: 30},
 			}, 1000, 29)
+		}},
+		// The cases below reach the transport loops' exits no fixture above
+		// does: an absorption grid on the layered loop, unbounded flight
+		// through a non-interacting semi-infinite layer, the event budget on
+		// both loops and a non-interacting voxel medium.
+		{"layered_absgrid", func() (*mc.Tally, error) {
+			return mc.Run(&mc.Config{
+				Model:    head,
+				Detector: detector.Annulus{RMin: 10, RMax: 30},
+				AbsGrid:  &mc.GridSpec{N: 8, Edge: 40},
+			}, 1000, 31)
+		}},
+		{"layered_void", func() (*mc.Tally, error) {
+			// A void layer inside the stack and a void half-space under it:
+			// a packet that enters the half-space moving down flies forever
+			// and is retired into the absorption ledger.
+			void := optics.Properties{MuA: 0, MuS: 0, G: 0, N: 1.33}
+			return mc.Run(&mc.Config{
+				Model: &tissue.Model{
+					Name:   "void-stack",
+					NAbove: tissue.AmbientIndex,
+					NBelow: tissue.AmbientIndex,
+					Layers: []tissue.Layer{
+						{Name: "scalp", Props: tissue.ScalpProps, Thickness: 2},
+						{Name: "gap", Props: void, Thickness: 1},
+						{Name: "skull", Props: tissue.SkullProps, Thickness: 2},
+						{Name: "below", Props: void, Thickness: math.Inf(1)},
+					},
+				},
+				Detector: detector.Annulus{RMin: 1, RMax: 10},
+			}, 1500, 37)
+		}},
+		{"layered_maxevents", func() (*mc.Tally, error) {
+			return mc.Run(&mc.Config{
+				Model:     head,
+				Detector:  detector.Annulus{RMin: 10, RMax: 30},
+				MaxEvents: 40,
+			}, 1500, 41)
+		}},
+		{"voxel_maxevents", func() (*mc.Tally, error) {
+			return mc.Run(&mc.Config{
+				Geometry:  voxSlab(),
+				Detector:  detector.Annulus{RMin: 1, RMax: 4},
+				MaxEvents: 40,
+			}, 1500, 43)
+		}},
+		{"voxel_void", func() (*mc.Tally, error) {
+			g := voxSlab()
+			void, err := g.AddMedium("void", optics.Properties{MuA: 0, MuS: 0, G: 0, N: 1.33})
+			if err != nil {
+				return nil, err
+			}
+			if painted := g.PaintSphere(void, 0, 0, 2.5, 1.5); painted == 0 {
+				return nil, fmt.Errorf("sphere painted nothing")
+			}
+			return mc.Run(&mc.Config{
+				Geometry: g,
+				Detector: detector.Annulus{RMin: 1, RMax: 4},
+			}, 1200, 47)
 		}},
 	}
 }
