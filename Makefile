@@ -16,10 +16,10 @@ MEDIAN = function median(k, c,   i, j, t, a) { for (i = 1; i <= c; i++) a[i] = v
 	for (i = 1; i <= c; i++) for (j = i + 1; j <= c; j++) if (a[j] < a[i]) { t = a[i]; a[i] = a[j]; a[j] = t } \
 	return c % 2 ? a[(c + 1) / 2] : (a[c / 2] + a[c / 2 + 1]) / 2 }
 
-# KERNEL_CHUNKS selects the three chunk benchmarks kernel-bench and
-# kernel-pair time: one bulk-head chunk, layered and voxelised, and one
-# grid-results chunk.
-KERNEL_CHUNKS = ^BenchmarkVoxelTraversal$$/^(bulk-head-|grid-results-)
+# KERNEL_CHUNKS selects the four chunk benchmarks kernel-bench and
+# kernel-pair time: one bulk-head chunk, layered and voxelised, one
+# grid-results chunk and one tenant-mix slab chunk.
+KERNEL_CHUNKS = ^BenchmarkVoxelTraversal$$/^(bulk-head-|grid-results-|tenant-mix-)
 
 build:
 	$(GO) build -ldflags '$(LDFLAGS)' ./...
@@ -65,24 +65,26 @@ bench-check:
 # the median ns/photon of both with their ratio — DESIGN.md's
 # voxel-over-layered figure — and of the grid-results workload's chunk (the
 # layered head scoring a 50³ path grid), the kernel-bound workload a kernel
-# claim is paired on; beside each, the chunk's transport events (scatterings
-# plus boundary crossings) per photon and the ns per event they make. Then one worker grant of eight 64-photon slab
-# chunks (BenchmarkWorkerGrant) on one core and on two, six runs each, and
-# the median time of both with their ratio: about 2 on an idle two-core
-# host, and about 1 when the grant's kernels write to a shared cache line.
-# CI runs all three once so they cannot rot.
+# claim is paired on, and of tenant-mix's 64-photon slab chunk (the slab
+# path); beside each, the chunk's transport events (scatterings plus
+# boundary crossings) per photon and the ns per event they make. Then one
+# worker grant of eight 64-photon slab chunks (BenchmarkWorkerGrant) on one
+# core and on two, six runs each, and the median time of both with their
+# ratio: about 2 on an idle two-core host, and about 1 when the grant's
+# kernels write to a shared cache line. CI runs them all once so they
+# cannot rot.
 kernel-bench:
 	@$(GO) test -run '^$$' -bench '$(KERNEL_CHUNKS)' -benchtime 20x -count 6 . | awk '$(MEDIAN) \
 		/ns\/photon/ { split($$1, name, "/"); sub(/-[0-9]+$$/, "", name[2]); k = name[2]; n[k]++; \
 			for (i = 2; i <= NF; i++) { if ($$i == "ns/photon") v[k, n[k]] = $$(i-1); if ($$i == "events/photon") e[k] = $$(i-1) } } \
 		function show(label, k,   m) { m = median(k, n[k]); \
 			printf "%s %.0f ns/photon  %.1f events/photon  %.0f ns/event\n", label, m, e[k], m / e[k] } \
-		END { if (!n["bulk-head-layered"] || !n["bulk-head-voxel"] || !n["grid-results-layered"] || \
-				!e["bulk-head-layered"] || !e["bulk-head-voxel"] || !e["grid-results-layered"]) { print "kernel-bench: benchmarks did not run"; exit 1 } \
+		END { if (!n["bulk-head-layered"] || !n["bulk-head-voxel"] || !n["grid-results-layered"] || !n["tenant-mix-slab"] || \
+				!e["bulk-head-layered"] || !e["bulk-head-voxel"] || !e["grid-results-layered"] || !e["tenant-mix-slab"]) { print "kernel-bench: benchmarks did not run"; exit 1 } \
 			show("layered", "bulk-head-layered"); show("voxel", "bulk-head-voxel"); \
 			printf "voxel/layered %.2f  (medians of %d)\n", median("bulk-head-voxel", n["bulk-head-voxel"]) / \
 				median("bulk-head-layered", n["bulk-head-layered"]), n["bulk-head-voxel"]; \
-			show("grid-results layered", "grid-results-layered") }'
+			show("grid-results layered", "grid-results-layered"); show("tenant-mix slab", "tenant-mix-slab") }'
 	@$(GO) test -run '^$$' -bench '^BenchmarkWorkerGrant$$' -cpu 1,2 -count 6 ./internal/distsys | awk '$(MEDIAN) \
 		/ns\/op/ { p = 1; if (match($$1, /-[0-9]+$$/)) p = substr($$1, RSTART + 1); \
 			for (i = 2; i <= NF; i++) if ($$i == "ns/op") v[p, ++n[p]] = $$(i-1) } \
@@ -90,7 +92,7 @@ kernel-bench:
 			one = median(1, n[1]); two = median(2, n[2]); \
 			printf "8x64-photon grant  1 core %.2f ms  2 cores %.2f ms  speed-up %.2f  (medians of %d)\n", one / 1e6, two / 1e6, one / two, n[2] }'
 
-# kernel-pair is the paired form of kernel-bench's three chunk
+# kernel-pair is the paired form of kernel-bench's four chunk
 # benchmarks, the check a kernel claim needs: one session's medians swing
 # by ±15 % on a 2-CPU host. It builds the root package's test binary of REF
 # (from git archive, in a temporary directory removed on exit) and of the

@@ -445,6 +445,8 @@ func BenchmarkGatedDetection(b *testing.B) {
 // voxel-over-layered figure; neither may allocate per photon once warm.
 // grid-results-layered is the grid-results workload's chunk, which kernel-bench
 // prints too: the layered head scoring a 50³ path grid over a 60 mm cube.
+// tenant-mix-slab is the chunk of tenant-mix's longest jobs (the originals its
+// duplicates follow): 64 photons in the 5 mm scalp slab with a 1–4 mm annulus.
 // Each also reports the chunk's transport events (scatterings plus boundary
 // crossings) per photon, counted on one untimed run, so ns/photon reads as
 // ns/event.
@@ -466,9 +468,8 @@ func BenchmarkVoxelTraversal(b *testing.B) {
 	head := phomc.AdultHead()
 	head.Layers[len(head.Layers)-1].Thickness = 44
 	annulus := phomc.AnnulusDetector(10, 30)
-	chunk := func(cfg *phomc.Config) func(*testing.B) {
+	chunk := func(cfg *phomc.Config, photons int64) func(*testing.B) {
 		return func(b *testing.B) {
-			const photons = 230
 			runner, err := mc.NewRunner(cfg)
 			if err != nil {
 				b.Fatal(err)
@@ -481,18 +482,20 @@ func BenchmarkVoxelTraversal(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				runner.Run(photons, rng.New(7))
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*photons), "ns/photon")
-			b.ReportMetric(float64(ev.Scatter+ev.Crossing)/photons, "events/photon")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*photons), "ns/photon")
+			b.ReportMetric(float64(ev.Scatter+ev.Crossing)/float64(photons), "events/photon")
 		}
 	}
-	b.Run("bulk-head-layered", chunk(&phomc.Config{Model: head, Detector: annulus}))
+	b.Run("bulk-head-layered", chunk(&phomc.Config{Model: head, Detector: annulus}, 230))
 	b.Run("grid-results-layered", chunk(&phomc.Config{Model: head, Detector: annulus,
-		PathGrid: &mc.GridSpec{N: 50, Edge: 60}}))
+		PathGrid: &mc.GridSpec{N: 50, Edge: 60}}, 230))
 	g, err := voxel.FromModel(head, 120, 120, 80, 0.5, 0.5, 0.5)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("bulk-head-voxel", chunk(&phomc.Config{Geometry: g, Detector: annulus}))
+	b.Run("bulk-head-voxel", chunk(&phomc.Config{Geometry: g, Detector: annulus}, 230))
+	b.Run("tenant-mix-slab", chunk(&phomc.Config{Model: phomc.HomogeneousSlab("slab", tissue.ScalpProps, 5),
+		Detector: phomc.AnnulusDetector(1, 4)}, 64))
 }
 
 // BenchmarkVoxelHomogeneousFusion traces a label-homogeneous grid — the
