@@ -2,6 +2,7 @@ package mc
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/optics"
@@ -197,21 +198,59 @@ func (k *kernel) onePhoton() {
 	t.LayerReached[deepestRegion]++
 }
 
+// flightStop says why a transport loop left its scatter path, where the
+// flight's state is held in locals, and wrote the flight back to the
+// packet.
+type flightStop uint8
+
+const (
+	inFlight       flightStop = iota // still on the scatter path
+	stopCrossing                     // the packet reached a boundary
+	stopRoulette                     // the packet lost at roulette
+	stopUnbounded                    // an unbounded flight through a non-interacting region
+	stopBudget                       // the event budget ran out
+	stopVisitsFull                   // the visit buffer is full: grow it, and the flight goes on
+)
+
+// retire scores a packet whose flight ended other than at a boundary.
+func (k *kernel) retire(p *subPacket, stop flightStop) {
+	t := k.tally
+	if stop == stopRoulette {
+		t.RouletteLoss += p.weight
+		k.events.Roulette++
+		return
+	}
+	// An unbounded flight leaves the region of interest, and an exhausted
+	// event budget marks a pathological configuration: either way the
+	// packet goes into the absorption ledger, so the energy books stay
+	// closed.
+	t.AbsorbedWeight += p.weight
+	t.LayerAbsorbed[p.region] += p.weight
+}
+
 // trace follows one sub-packet to extinction through an arbitrary Geometry
 // and returns the deepest region index it visited. Reflected children
 // spawned in deterministic mode are pushed onto k.stack. Layered stacks use
 // the specialised traceLayered instead.
+//
+// Like traceLayered, the loop is register-resident: between boundary
+// crossings the packet's state, the generator's words and the region's
+// running absorption sums are locals, every draw and the spin compile
+// inline, and they are written back to p, k.rng and the tally only when
+// the flight leaves the scatter path or the ziggurat needs its slow path.
+// The geometry query takes the position and direction as arguments.
 func (k *kernel) trace(p *subPacket) (deepest int) {
 	t := k.tally
 	deepest = p.region
 
-	// Hoisted loop invariants, as in traceLayered: the compiler cannot
-	// prove these stable across the tally writes inside the loop.
+	// Loop invariants, hoisted: the compiler cannot prove them stable
+	// across the tally writes inside the loop.
 	geo := k.geo
 	maxEvents := k.cfg.MaxEvents
 	rouletteThreshold := k.cfg.RouletteThreshold
 	rouletteBoost := k.cfg.RouletteBoost
 	absGrid := t.AbsGrid
+	recordPaths := k.recordPaths
 
 	// clearLeft is what is left of the last clear radius the geometry reported
 	// (geom.Geometry.ToBoundary), spent as path length: while the sampled
@@ -223,105 +262,163 @@ func (k *kernel) trace(p *subPacket) (deepest int) {
 	clearLeft := 0.0
 
 	scat0 := p.scat
-	defer func() {
-		k.events.Scatter += uint64(p.scat - scat0)
-		k.putVisits(p.visits)
-		p.visits = nil
-	}()
+	events := 0
+	for {
+		// Load the flight into locals.
+		r := p.region
+		op := &k.opt[r]
+		x, y, z := p.pos.X, p.pos.Y, p.pos.Z
+		ux, uy, uz := p.dir.X, p.dir.Y, p.dir.Z
+		w, path, optPath, maxZ, scat := p.weight, p.path, p.optPath, p.maxZ, p.scat
+		visits := p.visits
+		st := k.rng.State()
+		absorbed, regionAbsorbed := t.AbsorbedWeight, t.LayerAbsorbed[r]
 
-	for events := 0; events < maxEvents; events++ {
-		op := &k.opt[p.region]
-
-		// Sample the free-path step; a non-interacting region (CSF-like
-		// void) propagates straight to its boundary.
-		s := math.Inf(1)
-		if op.Interacting {
-			s = k.rng.Step() * op.InvMuT
-		}
-
-		if s < clearLeft {
-			clearLeft -= s
-		} else {
-			// Distance to the next medium change along the current
-			// direction, searched only as far as the sampled step needs.
-			k.events.Query++
-			db, hit, c := geo.ToBoundary(p.pos, p.dir, p.region, s)
-
-			if s >= db {
-				// Hop to the boundary and resolve reflection/refraction.
-				// Resampling the remaining step in the next region is
-				// unbiased by the memorylessness of the exponential free
-				// path. Whatever happens there ends the clear ball.
-				clearLeft = 0
-				if math.IsInf(db, 1) {
-					// Unbounded flight in a non-interacting region: the
-					// photon leaves the region of interest; score it as
-					// lost to absorption to keep the energy books closed.
-					t.AbsorbedWeight += p.weight
-					t.LayerAbsorbed[p.region] += p.weight
-					return deepest
-				}
-				k.advance(p, db, op.N)
-				alive, entered := k.cross(p, &hit, op.N)
-				if !alive {
-					return deepest
-				}
-				if entered > deepest {
-					deepest = entered
-				}
-				continue
+		var stop flightStop
+		var hit geom.Hit
+		for {
+			if events >= maxEvents {
+				stop = stopBudget
+				break
 			}
-			clearLeft = c - s
-		}
+			if recordPaths && len(visits) == cap(visits) {
+				stop = stopVisitsFull
+				break
+			}
+			events++
 
-		// Hop.
-		k.advance(p, s, op.N)
+			// Sample the free-path step; a non-interacting region
+			// (CSF-like void) propagates straight to its boundary.
+			s := math.Inf(1)
+			if op.Interacting {
+				var u uint64
+				u, st = st.Next()
+				xi, ok := rng.StepFast(u)
+				if !ok {
+					k.rng.SetState(st)
+					xi = k.rng.StepTail(u)
+					st = k.rng.State()
+				}
+				s = xi * op.InvMuT
+			}
 
-		// Drop: deposit the absorbed fraction of the packet weight.
-		dw := p.weight * op.AbsFrac
-		p.weight -= dw
-		t.AbsorbedWeight += dw
-		t.LayerAbsorbed[p.region] += dw
-		if absGrid != nil {
-			absGrid.Add(p.pos.X, p.pos.Y, p.pos.Z, dw)
-		}
-		if k.recordPaths {
-			p.visits = append(p.visits, p.pos)
-		}
-
-		// Spin: sample the Henyey–Greenstein deflection.
-		cosPhi, sinPhi := k.rng.AzimuthUnit()
-		p.dir = vec.ScatterCS(p.dir, op.sampleHG(k.rng.Float64()), cosPhi, sinPhi)
-		p.scat++
-
-		// Survival roulette for low-weight packets.
-		if p.weight < rouletteThreshold {
-			if k.rng.Float64()*rouletteBoost < 1 {
-				t.RouletteGain += p.weight * (rouletteBoost - 1)
-				p.weight *= rouletteBoost
+			crossing := false
+			if s < clearLeft {
+				clearLeft -= s
 			} else {
-				t.RouletteLoss += p.weight
-				k.events.Roulette++
-				return deepest
+				// Distance to the next medium change along the current
+				// direction, searched only as far as the sampled step
+				// needs.
+				k.events.Query++
+				db, h, c := geo.ToBoundary(vec.V{X: x, Y: y, Z: z}, vec.V{X: ux, Y: uy, Z: uz}, r, s)
+				if s >= db {
+					// Hop to the boundary, then resolve reflection or
+					// refraction there. Resampling the remaining step in
+					// the next region is unbiased by the memorylessness
+					// of the exponential free path. Whatever happens
+					// there ends the clear ball.
+					clearLeft = 0
+					if math.IsInf(db, 1) {
+						// Unbounded flight in a non-interacting region.
+						stop = stopUnbounded
+						break
+					}
+					s, hit, crossing = db, h, true
+				} else {
+					clearLeft = c - s
+				}
+			}
+
+			// Hop.
+			x += ux * s
+			y += uy * s
+			z += uz * s
+			path += s
+			optPath += s * op.N
+			if z > maxZ {
+				maxZ = z
+			}
+			if crossing {
+				stop = stopCrossing
+				break
+			}
+
+			// Drop: deposit the absorbed fraction of the packet weight.
+			dw := w * op.AbsFrac
+			w -= dw
+			absorbed += dw
+			regionAbsorbed += dw
+			if absGrid != nil {
+				absGrid.Add(x, y, z, dw)
+			}
+			if recordPaths {
+				// The event began with room for one more site.
+				visits = visits[:len(visits)+1]
+				visits[len(visits)-1] = vec.V{X: x, Y: y, Z: z}
+			}
+
+			// Spin: sample the azimuth and the Henyey–Greenstein
+			// deflection, and rotate the direction.
+			var cosPhi, sinPhi float64
+			for {
+				var u uint64
+				var ok bool
+				u, st = st.Next()
+				if cosPhi, sinPhi, ok = rng.AzimuthTry(u); ok {
+					break
+				}
+			}
+			var u uint64
+			u, st = st.Next()
+			cosTheta := op.sampleHG(rng.Unit(u))
+			d := vec.V{X: ux, Y: uy, Z: uz}
+			if f, g, st2, ok := vec.ScatterFG(uz, cosTheta); ok {
+				d = vec.Rotate(d, f, g, cosTheta, cosPhi, sinPhi)
+			} else {
+				d = vec.ScatterEdge(d, st2, cosTheta, cosPhi, sinPhi)
+			}
+			ux, uy, uz = d.X, d.Y, d.Z
+			scat++
+
+			// Survival roulette for low-weight packets.
+			if w < rouletteThreshold {
+				u, st = st.Next()
+				if rng.Unit(u)*rouletteBoost >= 1 {
+					stop = stopRoulette
+					break
+				}
+				t.RouletteGain += w * (rouletteBoost - 1)
+				w *= rouletteBoost
 			}
 		}
-	}
 
-	// Event budget exhausted (pathological configuration): retire the
-	// packet into the absorption ledger so energy stays conserved.
-	t.AbsorbedWeight += p.weight
-	t.LayerAbsorbed[p.region] += p.weight
+		// Write the flight back.
+		p.pos = vec.V{X: x, Y: y, Z: z}
+		p.dir = vec.V{X: ux, Y: uy, Z: uz}
+		p.weight, p.path, p.optPath, p.maxZ, p.scat, p.visits = w, path, optPath, maxZ, scat, visits
+		k.rng.SetState(st)
+		t.AbsorbedWeight, t.LayerAbsorbed[r] = absorbed, regionAbsorbed
+
+		if stop == stopVisitsFull {
+			p.visits = slices.Grow(p.visits, len(p.visits)+1)
+			continue
+		}
+		if stop != stopCrossing {
+			k.retire(p, stop)
+			break
+		}
+		alive, entered := k.cross(p, &hit, op.N)
+		if !alive {
+			break
+		}
+		if entered > deepest {
+			deepest = entered
+		}
+	}
+	k.events.Scatter += uint64(p.scat - scat0)
+	k.putVisits(p.visits)
+	p.visits = nil
 	return deepest
-}
-
-// advance moves the packet a distance s through a medium of index n.
-func (k *kernel) advance(p *subPacket, s, n float64) {
-	p.pos = p.pos.Add(p.dir.Scale(s))
-	p.path += s
-	p.optPath += s * n
-	if p.pos.Z > p.maxZ {
-		p.maxZ = p.pos.Z
-	}
 }
 
 // cross resolves a packet sitting exactly on the boundary described by hit,

@@ -2,9 +2,11 @@ package mc
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/optics"
+	"repro/internal/rng"
 	"repro/internal/vec"
 )
 
@@ -15,118 +17,181 @@ import (
 // draws — no interface calls, no Hit construction, no vector algebra for
 // the axis-aligned reflect/refract. Physics is identical to the generic
 // path (TestLayeredFastPathMatchesGeneric gates it statistically).
+//
+// The loop is register-resident, as trace is: for the packet's flight
+// through one layer, its state, the generator's words and the layer's
+// running absorption sums are locals, every draw and the spin compile
+// inline, and they are written back to p, k.rng and the tally only when
+// the flight leaves the scatter path (a crossing or a retirement) or the
+// ziggurat needs its slow path. Every draw and every addition happens in
+// the same order with the same operands as in a loop working on p, so the
+// tallies are bit-identical to it.
 func (k *kernel) traceLayered(p *subPacket) (deepest int) {
 	t := k.tally
 	lay := k.lay
 	deepest = p.region
 
-	// Hoisted loop invariants: the compiler cannot prove these stable
+	// Loop invariants, hoisted: the compiler cannot prove them stable
 	// across the tally writes inside the loop.
 	maxEvents := k.cfg.MaxEvents
 	rouletteThreshold := k.cfg.RouletteThreshold
 	rouletteBoost := k.cfg.RouletteBoost
 	absGrid := t.AbsGrid
+	recordPaths := k.recordPaths
 
 	scat0 := p.scat
-	defer func() {
-		k.events.Scatter += uint64(p.scat - scat0)
-		k.putVisits(p.visits)
-		p.visits = nil
-	}()
-
-	for events := 0; events < maxEvents; events++ {
+	events := 0
+	for {
+		// Load the flight into locals.
 		r := p.region
 		op := &k.opt[r]
+		top, bot := lay.top[r], lay.bot[r]
+		up, down := &lay.up[r], &lay.down[r]
+		x, y, z := p.pos.X, p.pos.Y, p.pos.Z
+		ux, uy, uz := p.dir.X, p.dir.Y, p.dir.Z
+		w, path, optPath, maxZ, scat := p.weight, p.path, p.optPath, p.maxZ, p.scat
+		visits := p.visits
+		st := k.rng.State()
+		absorbed, layerAbsorbed := t.AbsorbedWeight, t.LayerAbsorbed[r]
 
-		// Sample the free-path step; a non-interacting layer propagates
-		// straight to its boundary.
-		s := math.Inf(1)
-		if op.Interacting {
-			s = k.rng.Step() * op.InvMuT
-		}
-
-		// Distance to the layer plane ahead: a single division.
-		uz := p.dir.Z
-		db := math.Inf(1)
+		var stop flightStop
 		var face *layerFace
-		if uz > 0 {
-			db = (lay.bot[r] - p.pos.Z) / uz
-			face = &lay.down[r]
-		} else if uz < 0 {
-			db = (lay.top[r] - p.pos.Z) / uz
-			face = &lay.up[r]
+		for {
+			if events >= maxEvents {
+				stop = stopBudget
+				break
+			}
+			if recordPaths && len(visits) == cap(visits) {
+				stop = stopVisitsFull
+				break
+			}
+			events++
+
+			// Sample the free-path step; a non-interacting layer
+			// propagates straight to its boundary.
+			s := math.Inf(1)
+			if op.Interacting {
+				var u uint64
+				u, st = st.Next()
+				xi, ok := rng.StepFast(u)
+				if !ok {
+					k.rng.SetState(st)
+					xi = k.rng.StepTail(u)
+					st = k.rng.State()
+				}
+				s = xi * op.InvMuT
+			}
+
+			// Distance to the layer plane ahead: a single division.
+			db := math.Inf(1)
+			if uz > 0 {
+				db = (bot - z) / uz
+				face = down
+			} else if uz < 0 {
+				db = (top - z) / uz
+				face = up
+			}
+			crossing := s >= db
+			if crossing {
+				if math.IsInf(db, 1) {
+					// Unbounded flight in a non-interacting
+					// semi-infinite layer.
+					stop = stopUnbounded
+					break
+				}
+				// Hop to the boundary, then resolve reflection or
+				// refraction there.
+				s = db
+			}
+
+			// Hop.
+			x += ux * s
+			y += uy * s
+			z += uz * s
+			path += s
+			optPath += s * op.N
+			if z > maxZ {
+				maxZ = z
+			}
+			if crossing {
+				stop = stopCrossing
+				break
+			}
+
+			// Drop: deposit the absorbed fraction of the packet weight.
+			dw := w * op.AbsFrac
+			w -= dw
+			absorbed += dw
+			layerAbsorbed += dw
+			if absGrid != nil {
+				absGrid.Add(x, y, z, dw)
+			}
+			if recordPaths {
+				// The event began with room for one more site.
+				visits = visits[:len(visits)+1]
+				visits[len(visits)-1] = vec.V{X: x, Y: y, Z: z}
+			}
+
+			// Spin: sample the azimuth and the Henyey–Greenstein
+			// deflection, and rotate the direction.
+			var cosPhi, sinPhi float64
+			for {
+				var u uint64
+				var ok bool
+				u, st = st.Next()
+				if cosPhi, sinPhi, ok = rng.AzimuthTry(u); ok {
+					break
+				}
+			}
+			var u uint64
+			u, st = st.Next()
+			cosTheta := op.sampleHG(rng.Unit(u))
+			d := vec.V{X: ux, Y: uy, Z: uz}
+			if f, g, st2, ok := vec.ScatterFG(uz, cosTheta); ok {
+				d = vec.Rotate(d, f, g, cosTheta, cosPhi, sinPhi)
+			} else {
+				d = vec.ScatterEdge(d, st2, cosTheta, cosPhi, sinPhi)
+			}
+			ux, uy, uz = d.X, d.Y, d.Z
+			scat++
+
+			// Survival roulette for low-weight packets.
+			if w < rouletteThreshold {
+				u, st = st.Next()
+				if rng.Unit(u)*rouletteBoost >= 1 {
+					stop = stopRoulette
+					break
+				}
+				t.RouletteGain += w * (rouletteBoost - 1)
+				w *= rouletteBoost
+			}
 		}
 
-		if s >= db {
-			if math.IsInf(db, 1) {
-				// Unbounded flight in a non-interacting semi-infinite
-				// layer: retire into the absorption ledger.
-				t.AbsorbedWeight += p.weight
-				t.LayerAbsorbed[r] += p.weight
-				return deepest
-			}
-			// Hop to the boundary and resolve reflection/refraction.
-			p.pos.X += p.dir.X * db
-			p.pos.Y += p.dir.Y * db
-			p.pos.Z += p.dir.Z * db
-			p.path += db
-			p.optPath += db * op.N
-			if p.pos.Z > p.maxZ {
-				p.maxZ = p.pos.Z
-			}
-			if !k.crossLayered(p, face, uz) {
-				return deepest
-			}
-			if p.region > deepest {
-				deepest = p.region
-			}
+		// Write the flight back.
+		p.pos = vec.V{X: x, Y: y, Z: z}
+		p.dir = vec.V{X: ux, Y: uy, Z: uz}
+		p.weight, p.path, p.optPath, p.maxZ, p.scat, p.visits = w, path, optPath, maxZ, scat, visits
+		k.rng.SetState(st)
+		t.AbsorbedWeight, t.LayerAbsorbed[r] = absorbed, layerAbsorbed
+
+		if stop == stopVisitsFull {
+			p.visits = slices.Grow(p.visits, len(p.visits)+1)
 			continue
 		}
-
-		// Hop.
-		p.pos.X += p.dir.X * s
-		p.pos.Y += p.dir.Y * s
-		p.pos.Z += p.dir.Z * s
-		p.path += s
-		p.optPath += s * op.N
-		if p.pos.Z > p.maxZ {
-			p.maxZ = p.pos.Z
+		if stop != stopCrossing {
+			k.retire(p, stop)
+			break
 		}
-
-		// Drop: deposit the absorbed fraction of the packet weight.
-		dw := p.weight * op.AbsFrac
-		p.weight -= dw
-		t.AbsorbedWeight += dw
-		t.LayerAbsorbed[r] += dw
-		if absGrid != nil {
-			absGrid.Add(p.pos.X, p.pos.Y, p.pos.Z, dw)
+		if !k.crossLayered(p, face, uz) {
+			break
 		}
-		if k.recordPaths {
-			p.visits = append(p.visits, p.pos)
-		}
-
-		// Spin: sample the Henyey–Greenstein deflection.
-		cosPhi, sinPhi := k.rng.AzimuthUnit()
-		p.dir = vec.ScatterCS(p.dir, op.sampleHG(k.rng.Float64()), cosPhi, sinPhi)
-		p.scat++
-
-		// Survival roulette for low-weight packets.
-		if p.weight < rouletteThreshold {
-			if k.rng.Float64()*rouletteBoost < 1 {
-				t.RouletteGain += p.weight * (rouletteBoost - 1)
-				p.weight *= rouletteBoost
-			} else {
-				t.RouletteLoss += p.weight
-				k.events.Roulette++
-				return deepest
-			}
+		if p.region > deepest {
+			deepest = p.region
 		}
 	}
-
-	// Event budget exhausted (pathological configuration): retire the
-	// packet into the absorption ledger so energy stays conserved.
-	t.AbsorbedWeight += p.weight
-	t.LayerAbsorbed[p.region] += p.weight
+	k.events.Scatter += uint64(p.scat - scat0)
+	k.putVisits(p.visits)
+	p.visits = nil
 	return deepest
 }
 

@@ -8,10 +8,12 @@
 // number of workers used.
 package rng
 
+import "math/bits"
+
 // Rand is a xoshiro256** generator. It is not safe for concurrent use;
 // create one stream per goroutine with NewStreams or Split.
 type Rand struct {
-	s [4]uint64
+	s State
 
 	// Box–Muller produces pairs; cache the spare value.
 	gaussReady bool
@@ -31,17 +33,14 @@ func splitmix64(state *uint64) uint64 {
 
 // New returns a generator deterministically seeded from seed.
 func New(seed uint64) *Rand {
-	r := &Rand{}
 	sm := seed
-	for i := range r.s {
-		r.s[i] = splitmix64(&sm)
-	}
+	s := State{splitmix64(&sm), splitmix64(&sm), splitmix64(&sm), splitmix64(&sm)}
 	// The all-zero state is invalid for xoshiro; splitmix64 cannot produce
 	// four consecutive zeros, but keep the guard for clarity.
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 0x9e3779b97f4a7c15
+	if s.s0|s.s1|s.s2|s.s3 == 0 {
+		s.s0 = 0x9e3779b97f4a7c15
 	}
-	return r
+	return &Rand{s: s}
 }
 
 // NewStreams returns n independent generators derived from a single master
@@ -96,7 +95,7 @@ func FanSeed(seed uint64, stream int) uint64 {
 // New(seed) jumped i times, so cached and uncached derivations are
 // bit-identical. Not safe for concurrent use.
 type StreamCache struct {
-	states [][4]uint64
+	states []State
 }
 
 // maxCachedStreamStates bounds the cache memory (32 B per stream); a
@@ -106,7 +105,7 @@ const maxCachedStreamStates = 1 << 16
 
 // NewStreamCache returns a cache over the master seed's stream sequence.
 func NewStreamCache(seed uint64) *StreamCache {
-	return &StreamCache{states: [][4]uint64{New(seed).s}}
+	return &StreamCache{states: []State{New(seed).s}}
 }
 
 // Stream returns a fresh generator positioned at stream i (the master
@@ -141,44 +140,68 @@ func FanStreams(seed uint64, stream, fan int) []*Rand {
 	return NewStreams(FanSeed(seed, stream), fan)
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
+// State is the generator's four state words held by value. A loop that
+// keeps it in a local steps it with Next, so its draws compile inline and
+// the words stay in registers; Rand.State and Rand.SetState move it in and
+// out of a Rand.
+type State struct{ s0, s1, s2, s3 uint64 }
+
+// Next is one xoshiro256** step: the next 64 uniformly distributed bits and
+// the advanced state. Rand.Uint64 is this step on the Rand's own state.
+func (s State) Next() (uint64, State) {
+	out := bits.RotateLeft64(s.s1*5, 7) * 9
+	t := s.s1 << 17
+	s.s2 ^= s.s0
+	s.s3 ^= s.s1
+	s.s1 ^= s.s2
+	s.s0 ^= s.s3
+	s.s2 ^= t
+	s.s3 = bits.RotateLeft64(s.s3, 45)
+	return out, s
+}
+
+// State returns the generator's state words.
+func (r *Rand) State() State { return r.s }
+
+// SetState positions the generator at s, as returned by State or Next.
+func (r *Rand) SetState(s State) { r.s = s }
 
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *Rand) Uint64() uint64 {
-	s := &r.s
-	result := rotl(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = rotl(s[3], 45)
-	return result
+	out, s := r.s.Next()
+	r.s = s
+	return out
 }
 
 // Jump advances the generator by 2^128 steps; 2^128 non-overlapping
 // subsequences of length 2^128 are available from one seed.
 func (r *Rand) Jump() {
 	jump := [4]uint64{0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa, 0x39abdc4529b1661c}
-	var s0, s1, s2, s3 uint64
+	var acc State
+	s := r.s
 	for _, j := range jump {
 		for b := 0; b < 64; b++ {
 			if j&(1<<uint(b)) != 0 {
-				s0 ^= r.s[0]
-				s1 ^= r.s[1]
-				s2 ^= r.s[2]
-				s3 ^= r.s[3]
+				acc.s0 ^= s.s0
+				acc.s1 ^= s.s1
+				acc.s2 ^= s.s2
+				acc.s3 ^= s.s3
 			}
-			r.Uint64()
+			_, s = s.Next()
 		}
 	}
-	r.s = [4]uint64{s0, s1, s2, s3}
+	r.s = acc
+}
+
+// Unit maps 64 random bits to a uniform value in [0, 1) with 53 bits of
+// precision; Float64 is Unit of the next draw.
+func Unit(u uint64) float64 {
+	return float64(u>>11) / (1 << 53)
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
 func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return Unit(r.Uint64())
 }
 
 // Float64Open returns a uniform value in (0, 1]; it never returns zero, so

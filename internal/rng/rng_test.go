@@ -342,7 +342,7 @@ func TestFanSeedOffMasterSequence(t *testing.T) {
 		master := New(seed)
 		for stream := 0; stream < 8; stream++ {
 			fs := FanSeed(seed, stream)
-			for w, s := range master.s {
+			for w, s := range [4]uint64{master.s.s0, master.s.s1, master.s.s2, master.s.s3} {
 				if fs == s {
 					t.Fatalf("FanSeed(%d,%d) equals master state word %d", seed, stream, w)
 				}
@@ -382,3 +382,4 @@ func TestStreamCacheMatchesJumpDerivation(t *testing.T) {
 		t.Fatal("cache handed out aliased generator state")
 	}
 }
+

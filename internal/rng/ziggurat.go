@@ -51,16 +51,34 @@ func init() {
 // Step returns a dimensionless exponential free-path sample (unit rate).
 // Dividing by the interaction coefficient µt yields a geometric step length.
 func (r *Rand) Step() float64 {
+	u := r.Uint64()
+	if x, ok := StepFast(u); ok {
+		return x
+	}
+	return r.StepTail(u)
+}
+
+// StepFast is Step's quick accept on its first draw u: the sample and
+// whether it is accepted without further draws (about 98.9 % of draws).
+// A loop that draws from a local State calls it inline and only hands a
+// rejected u to StepTail.
+func StepFast(u uint64) (x float64, ok bool) {
+	j := uint32(u >> 32) // strip position: 32 independent bits
+	i := u & 0xFF        // strip index: independent of the position bits
+	// Below zigKe the sample lies in the part of the strip that is
+	// entirely below the density.
+	return float64(j) * zigWe[i], j < zigKe[i]
+}
+
+// StepTail finishes a Step whose first draw u StepFast rejected, drawing
+// from r exactly as Step would have.
+func (r *Rand) StepTail(u uint64) float64 {
 	for {
-		u := r.Uint64()
-		j := uint32(u >> 32) // strip position: 32 independent bits
-		i := u & 0xFF        // strip index: independent of the position bits
-		x := float64(j) * zigWe[i]
-		if j < zigKe[i] {
-			// The sample lies in the part of the strip that is entirely
-			// below the density — the no-branch common case.
+		x, ok := StepFast(u)
+		if ok {
 			return x
 		}
+		i := u & 0xFF
 		if i == 0 {
 			// Bottom strip: the region beyond zigR is the analytic
 			// exponential tail.
@@ -69,6 +87,7 @@ func (r *Rand) Step() float64 {
 		if zigFe[i]+r.Float64()*(zigFe[i-1]-zigFe[i]) < math.Exp(-x) {
 			return x
 		}
+		u = r.Uint64()
 	}
 }
 
@@ -79,15 +98,23 @@ func (r *Rand) Step() float64 {
 // rational in u, v. One 64-bit draw provides both coordinates (32 bits
 // each — ample for an azimuth); the expected cost is 4/π draws.
 func (r *Rand) AzimuthUnit() (cosPhi, sinPhi float64) {
-	const scale = 1.0 / (1 << 31)
 	for {
-		bits := r.Uint64()
-		u := float64(int32(bits>>32)) * scale // [-1, 1)
-		v := float64(int32(bits)) * scale
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			inv := 1 / s
-			return (u*u - v*v) * inv, 2 * u * v * inv
+		if c, s, ok := AzimuthTry(r.Uint64()); ok {
+			return c, s
 		}
 	}
+}
+
+// AzimuthTry is one round of AzimuthUnit's rejection on the 64 bits of one
+// draw: the unit vector, and whether the draw was accepted.
+func AzimuthTry(bits uint64) (cosPhi, sinPhi float64, ok bool) {
+	const scale = 1.0 / (1 << 31)
+	u := float64(int32(bits>>32)) * scale // [-1, 1)
+	v := float64(int32(bits)) * scale
+	s := u*u + v*v
+	if s > 0 && s < 1 {
+		inv := 1 / s
+		return (u*u - v*v) * inv, 2 * u * v * inv, true
+	}
+	return 0, 0, false
 }

@@ -56,11 +56,51 @@ func Scatter(d V, cosTheta, phi float64) V {
 // (rng.AzimuthUnit). The rotation needs sinθ/√(1−uz²) and sinθ·√(1−uz²);
 // both come from a single square root of the product, so one event costs
 // one sqrt and one division.
+//
+// It is composed of pieces small enough to compile inline: the common
+// rotation is ScatterFG then Rotate, and the two degenerate cases are
+// ScatterEdge, out of line. A transport loop holding the direction in
+// locals calls the same pieces, so this function's tests test its
+// arithmetic.
 func ScatterCS(d V, cosTheta, cosPhi, sinPhi float64) V {
-	st2 := 1 - cosTheta*cosTheta // sin²θ
+	f, g, st2, ok := ScatterFG(d.Z, cosTheta)
+	if !ok {
+		return ScatterEdge(d, st2, cosTheta, cosPhi, sinPhi)
+	}
+	return Rotate(d, f, g, cosTheta, cosPhi, sinPhi)
+}
 
-	// Near-vertical propagation needs the degenerate branch to avoid the
-	// 1/√(1-uz²) singularity.
+// ScatterFG returns, for a direction with vertical component uz and the
+// polar cosine cosTheta, the common rotation's f = sinθ/√(1−uz²) and
+// g = sinθ·√(1−uz²), from one square root and one division, and sin²θ. It
+// reports ok = false in the cases the rotation cannot take, which
+// ScatterEdge resolves: near-vertical propagation (the 1/√(1−uz²)
+// singularity), and θ = 0 or π exactly.
+func ScatterFG(uz, cosTheta float64) (f, g, st2 float64, ok bool) {
+	st2 = 1 - cosTheta*cosTheta // sin²θ
+	if math.Abs(uz) > 0.99999 || st2 <= 0 {
+		return 0, 0, st2, false
+	}
+	dn2 := 1 - uz*uz         // denom² = 1−uz²
+	g = math.Sqrt(st2 * dn2) // sinθ·denom
+	return st2 / g, g, st2, true
+}
+
+// Rotate is the common rotation of d by the polar cosine cosTheta and the
+// azimuth (cosPhi, sinPhi), given ScatterFG's f and g.
+func Rotate(d V, f, g, cosTheta, cosPhi, sinPhi float64) V {
+	return V{
+		f*(d.X*d.Z*cosPhi-d.Y*sinPhi) + d.X*cosTheta,
+		f*(d.Y*d.Z*cosPhi+d.X*sinPhi) + d.Y*cosTheta,
+		-cosPhi*g + d.Z*cosTheta,
+	}
+}
+
+// ScatterEdge is ScatterCS in the cases ScatterFG refuses, given sin²θ. It is
+// kept out of line so that a loop inlining the common rotation stays small.
+//
+//go:noinline
+func ScatterEdge(d V, st2, cosTheta, cosPhi, sinPhi float64) V {
 	if math.Abs(d.Z) > 0.99999 {
 		sinTheta := math.Sqrt(st2)
 		sign := 1.0
@@ -73,17 +113,6 @@ func ScatterCS(d V, cosTheta, cosPhi, sinPhi float64) V {
 			sign * cosTheta,
 		}
 	}
-	if st2 <= 0 {
-		// θ = 0 or π exactly: pure forward/backward scattering.
-		return d.Scale(cosTheta)
-	}
-
-	dn2 := 1 - d.Z*d.Z        // denom² = 1−uz²
-	g := math.Sqrt(st2 * dn2) // sinθ·denom
-	f := st2 / g              // sinθ/denom
-	return V{
-		f*(d.X*d.Z*cosPhi-d.Y*sinPhi) + d.X*cosTheta,
-		f*(d.Y*d.Z*cosPhi+d.X*sinPhi) + d.Y*cosTheta,
-		-cosPhi*g + d.Z*cosTheta,
-	}
+	// θ = 0 or π exactly: pure forward/backward scattering.
+	return d.Scale(cosTheta)
 }
