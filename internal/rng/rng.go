@@ -96,11 +96,17 @@ func FanSeed(seed uint64, stream int) uint64 {
 // bit-identical. Not safe for concurrent use.
 type StreamCache struct {
 	states []State
+	// cursor is the last stream served beyond the cache, stream cursorAt
+	// (0: none yet), so that ascending streams past the cache cost one
+	// jump each instead of one per stream from the last cached state.
+	cursor   State
+	cursorAt int
+	jumps    int // jumps made, for tests
 }
 
 // maxCachedStreamStates bounds the cache memory (32 B per stream); a
-// pathological million-chunk job falls back to jumping from the last
-// cached state instead of growing without bound.
+// pathological million-chunk job falls back to jumping from the cursor or
+// the last cached state instead of growing without bound.
 const maxCachedStreamStates = 1 << 16
 
 // NewStreamCache returns a cache over the master seed's stream sequence.
@@ -115,18 +121,28 @@ func (c *StreamCache) Stream(i int) *Rand {
 		panic("rng: negative stream index")
 	}
 	for len(c.states) <= i && len(c.states) < maxCachedStreamStates {
-		r := &Rand{s: c.states[len(c.states)-1]}
-		r.Jump()
-		c.states = append(c.states, r.s)
+		c.states = append(c.states, c.jump(c.states[len(c.states)-1]))
 	}
 	if i < len(c.states) {
 		return &Rand{s: c.states[i]}
 	}
-	r := &Rand{s: c.states[len(c.states)-1]}
-	for j := len(c.states) - 1; j < i; j++ {
-		r.Jump()
+	from, s := len(c.states)-1, c.states[len(c.states)-1]
+	if c.cursorAt != 0 && c.cursorAt <= i {
+		from, s = c.cursorAt, c.cursor
 	}
-	return r
+	for ; from < i; from++ {
+		s = c.jump(s)
+	}
+	c.cursor, c.cursorAt = s, i
+	return &Rand{s: s}
+}
+
+// jump returns s jumped once.
+func (c *StreamCache) jump(s State) State {
+	c.jumps++
+	r := Rand{s: s}
+	r.Jump()
+	return r.s
 }
 
 // FanStreams returns fan jump-separated sub-streams for one chunk of a

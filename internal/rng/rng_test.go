@@ -383,3 +383,39 @@ func TestStreamCacheMatchesJumpDerivation(t *testing.T) {
 	}
 }
 
+// TestStreamCacheBeyondBound checks streams around and past the cache's
+// bound of maxCachedStreamStates: each equals the master jumped i times,
+// asked in mixed order, and ascending streams past the bound cost one jump
+// each (the cursor), not one per stream from the last cached state.
+func TestStreamCacheBeyondBound(t *testing.T) {
+	const seed = 5
+	const lo, hi = maxCachedStreamStates - 3, maxCachedStreamStates + 6
+	want := make(map[int]uint64)
+	r := New(seed)
+	for i := 0; i <= hi; i++ {
+		if i >= lo {
+			cp := *r
+			want[i] = cp.Uint64()
+		}
+		r.Jump()
+	}
+	c := NewStreamCache(seed)
+	for _, i := range []int{hi - 1, lo, hi, maxCachedStreamStates, maxCachedStreamStates - 1, hi - 3, hi - 2, hi, lo + 1, hi - 1} {
+		if got := c.Stream(i).Uint64(); got != want[i] {
+			t.Fatalf("stream %d first output %#x, want %#x", i, got, want[i])
+		}
+	}
+
+	c = NewStreamCache(seed)
+	c.Stream(maxCachedStreamStates - 1) // fills the cache
+	const k = 5
+	before := c.jumps
+	for i := maxCachedStreamStates; i < maxCachedStreamStates+k; i++ {
+		if got := c.Stream(i).Uint64(); got != want[i] {
+			t.Fatalf("stream %d first output %#x, want %#x", i, got, want[i])
+		}
+	}
+	if n := c.jumps - before; n != k {
+		t.Fatalf("%d ascending streams past the cache cost %d jumps, want %d", k, n, k)
+	}
+}
