@@ -323,6 +323,47 @@ func TestRejectedHelloEndsWorkLoop(t *testing.T) {
 	}
 }
 
+// TestOversizedNameEndsWorkLoop: a worker whose name the server's decoder
+// would refuse (over protocol.MaxName) fails with ErrHelloRejected, so
+// WorkLoop stops after one dial instead of redialling forever.
+func TestOversizedNameEndsWorkLoop(t *testing.T) {
+	dm, err := NewDataManager(JobOptions{Spec: quickSpec(), TotalPhotons: 100, ChunkPhotons: 100, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := strings.Repeat("w", 200)
+	dial := func() (io.ReadWriteCloser, error) {
+		server, client := net.Pipe()
+		go dm.HandleConn(server)
+		return client, nil
+	}
+	conn, _ := dial()
+	if _, err := Work(conn, WorkerOptions{Name: name}); !errors.Is(err, ErrHelloRejected) {
+		t.Fatalf("Work with a %d-byte name returned %v, want ErrHelloRejected", len(name), err)
+	}
+
+	var dials atomic.Int32
+	done := make(chan error, 1)
+	go func() {
+		_, err := WorkLoop(func() (io.ReadWriteCloser, error) {
+			dials.Add(1)
+			return dial()
+		}, WorkerOptions{Name: name}, LoopOptions{Reconnect: true, Base: time.Millisecond, Max: 5 * time.Millisecond})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrHelloRejected) {
+			t.Fatalf("WorkLoop returned %v, want ErrHelloRejected", err)
+		}
+		if n := dials.Load(); n != 1 {
+			t.Fatalf("WorkLoop dialled %d times, want 1", n)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("WorkLoop still redialling after %d dials", dials.Load())
+	}
+}
+
 // rejectV6Hello sends a real server the Hello a v6 worker sends, gob-encoded
 // as that worker's envelope, and reads the answer as that worker does.
 func rejectV6Hello(t *testing.T) {

@@ -133,8 +133,10 @@ type WorkerStats struct {
 var ErrInjectedFailure = errors.New("distsys: worker failed by injection")
 
 // ErrHelloRejected wraps the server's refusal of a session's Hello (a
-// protocol version mismatch): no redial can change the answer, so WorkLoop
-// returns it instead of reconnecting.
+// protocol version mismatch), or the worker's own refusal to send one the
+// server could not decode (a name or build over protocol.MaxName): no
+// redial can change the answer, so WorkLoop returns it instead of
+// reconnecting.
 var ErrHelloRejected = errors.New("distsys: server rejected hello")
 
 // jobRuntime caches one job's built config and its jump-state stream
@@ -243,6 +245,13 @@ func Work(rw io.ReadWriteCloser, opts WorkerOptions) (*WorkerStats, error) {
 	pc.SetMetrics(met.conn)
 	defer pc.Close()
 
+	// The server's decoder refuses a name or build over protocol.MaxName,
+	// and no redial can change that, so it is refused here as a refused
+	// Hello rather than sent.
+	if len(opts.Name) > protocol.MaxName || len(obs.Version) > protocol.MaxName {
+		return nil, fmt.Errorf("%w: worker name (%d bytes) or build (%d bytes) over %d bytes",
+			ErrHelloRejected, len(opts.Name), len(obs.Version), protocol.MaxName)
+	}
 	if err := pc.Send(&protocol.Message{Type: protocol.MsgHello, Hello: &protocol.Hello{
 		Version: protocol.Version,
 		Name:    opts.Name,
