@@ -7,7 +7,7 @@ GO ?= go
 VERSION ?= $(shell git describe --always --dirty 2>/dev/null || echo dev)
 LDFLAGS = -X repro/internal/obs.Version=$(VERSION)
 
-.PHONY: build test race short bench-check kernel-bench kernel-pair keys-bench submit-bench cover fmt vet loc gob-check fuzz-smoke obs-smoke crash-smoke shard-smoke
+.PHONY: build test race short bench-check kernel-bench kernel-pair keys-bench submit-bench cover fmt vet loc gob-check inline-check fuzz-smoke obs-smoke crash-smoke shard-smoke
 
 # MEDIAN is the one awk median every benchmark summary below shares: the
 # median of v[k, 1], …, v[k, c]. A key of several subscripts is joined with
@@ -223,3 +223,26 @@ gob-check:
 	if [ "$$got" != "$$want" ]; then \
 		echo "gob-check: non-test importers of encoding/gob are [ $$got ], want [ $$want ]"; exit 1; \
 	fi
+
+# inline-check pins what keeps the transport loops register-resident: each
+# piece on their scatter path — the generator step on its State, the
+# ziggurat's quick accept, one round of the azimuth's rejection, the bits to
+# a uniform, the state in and out of a Rand, the spin's f, g and rotation,
+# the Henyey–Greenstein cosine — compiles inline (-gcflags=-m reports "can
+# inline"), and both loops (trace in kernel.go, traceLayered in
+# kernel_layered.go) inline every one. A call left in the loop spills its
+# live state on every event — Go's calling convention keeps no register
+# across a call — so an edit that pushes a piece over the inliner's budget
+# would give back the loops' speed without a test noticing.
+INLINE_PIECES = rng.State.Next rng.StepFast rng.AzimuthTry rng.Unit rng.(*Rand).State rng.(*Rand).SetState \
+	vec.ScatterFG vec.Rotate mc.(*regionOpt).sampleHG
+inline-check:
+	@$(GO) build -gcflags=-m ./internal/rng ./internal/vec ./internal/mc 2>&1 | awk -v pieces='$(INLINE_PIECES)' ' \
+		/: can inline / { split($$1, f, "/"); can[f[2] "." $$4] = 1 } \
+		/: inlining call to / { split($$1, f, "/"); split(f[3], g, ":"); called[g[1], $$5] = 1 } \
+		END { n = split(pieces, p, " "); bad = 0; \
+			for (i = 1; i <= n; i++) { pkg = p[i]; sub(/\..*/, "", pkg); call = pkg == "mc" ? substr(p[i], 4) : p[i]; \
+				if (!can[p[i]]) { print "inline-check: " p[i] " is not inlinable"; bad = 1 } \
+				if (!called["kernel.go", call]) { print "inline-check: trace (internal/mc/kernel.go) does not inline " p[i]; bad = 1 } \
+				if (!called["kernel_layered.go", call]) { print "inline-check: traceLayered (internal/mc/kernel_layered.go) does not inline " p[i]; bad = 1 } } \
+			if (bad) exit 1; printf "inline-check: %d pieces inline into both transport loops\n", n }'
