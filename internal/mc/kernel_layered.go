@@ -22,8 +22,8 @@ import (
 // through one layer, its state, the generator's words and the layer's
 // running absorption sums are locals, every draw and the spin compile
 // inline, and they are written back to p, k.rng and the tally only when
-// the flight leaves the scatter path (a crossing or a retirement) or the
-// ziggurat needs its slow path. Every draw and every addition happens in
+// the flight leaves the scatter path (a flightStop: a crossing, a
+// retirement or a full visit buffer) or the ziggurat needs its slow path. Every draw and every addition happens in
 // the same order with the same operands as in a loop working on p, so the
 // tallies are bit-identical to it.
 func (k *kernel) traceLayered(p *subPacket) (deepest int) {
