@@ -3,7 +3,8 @@
 GO ?= go
 
 # VERSION is stamped into the binaries (and surfaced as the mc_build_info
-# metric and the worker's telemetry report) via -ldflags -X.
+# metric and as the build string a worker's Hello carries, /fleet's
+# "version") via -ldflags -X.
 VERSION ?= $(shell git describe --always --dirty 2>/dev/null || echo dev)
 LDFLAGS = -X repro/internal/obs.Version=$(VERSION)
 
@@ -101,8 +102,9 @@ kernel-bench:
 # the change's Δ, REF's IQR (Tukey's hinges), the pairs the change won and
 # a verdict: "gain" only when it won at least 9 of 10 pairs and its Δ
 # exceeds REF's IQR, "loss" the same the other way, else "within noise" —
-# or "unresolved" under 10 pairs. CI runs an A/A smoke of it: make
-# kernel-pair REF=HEAD PAIRS=1.
+# or "unresolved" under 10 pairs. A chunk shape only one side has a
+# benchmark for is named under the table, not paired. CI runs an A/A smoke
+# of it: make kernel-pair REF=HEAD PAIRS=1.
 PAIRS ?= 10
 kernel-pair:
 	@REF='$(REF)' PAIRS='$(PAIRS)' GO='$(GO)' BENCH='$(KERNEL_CHUNKS)' MEDIAN='$(MEDIAN)' ./scripts/kernel-pair.sh

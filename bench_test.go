@@ -232,9 +232,11 @@ func BenchmarkTallyMerge(b *testing.B) {
 	}
 }
 
-// BenchmarkProtocolResult measures envelope encode+decode of a realistic
-// chunk result (a one-chunk batch whose tally carries a 50³ grid) — the
-// per-chunk wire cost.
+// BenchmarkProtocolResult measures one realistic chunk result (a one-chunk
+// batch whose tally carries a 50³ grid) sent and received through a
+// protocol.Conn over an in-memory stream — the per-chunk wire cost: framing,
+// the payload encode and the wire.Reader decode Recv runs. Its bytes are
+// the frame's.
 func BenchmarkProtocolResult(b *testing.B) {
 	tally, err := phomc.Run(phomc.Fig4Config(50, 40), 2000, 1)
 	if err != nil {
@@ -244,22 +246,24 @@ func BenchmarkProtocolResult(b *testing.B) {
 		Batch: &protocol.ResultBatch{Groups: []protocol.BatchGroup{
 			{Chunks: []int{1}, TallyData: mc.AppendTally(nil, tally)}}}}}
 
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	dec := gob.NewDecoder(&buf)
+	var stream loopback
+	conn := protocol.NewConn(&stream)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := enc.Encode(msg); err != nil {
+		if err := conn.Send(msg); err != nil {
 			b.Fatal(err)
 		}
-		var out protocol.Message
-		if err := dec.Decode(&out); err != nil {
+		b.SetBytes(int64(stream.Len()))
+		if _, err := conn.Recv(); err != nil {
 			b.Fatal(err)
 		}
-		b.SetBytes(int64(buf.Len()))
-		buf.Reset()
 	}
 }
+
+// loopback is a stream that reads back what was written to it.
+type loopback struct{ bytes.Buffer }
+
+func (*loopback) Close() error { return nil }
 
 // codecBenchTally builds the wire-representative chunk tally (annulus
 // detection plus a mostly-zero 50³ detected-path grid) the tally-codec

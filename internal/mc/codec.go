@@ -1,12 +1,13 @@
 package mc
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/grid"
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
 // TallyCodecVersion is the wire version byte leading the compact encoding
@@ -23,9 +24,9 @@ const TallyCodecVersionMoments = 2
 
 // The compact codec is the hand-rolled binary tally format used on the
 // wire and in journal snapshots (AppendTally / DecodeTally): a version
-// byte, varint-coded integers, raw little-endian float64 bits, and
-// zero-run sparse coding for the slice payloads (per-region arrays,
-// scoring grids, histograms), which are mostly zero for a single chunk.
+// byte, internal/wire's varints and float bits, and zero-run sparse coding
+// for the slice payloads (per-region arrays, scoring grids, histograms),
+// which are mostly zero for a single chunk.
 // Encoding is exact — float64 bit patterns round-trip unchanged — so a
 // decoded chunk tally merges to bit-identical results.
 
@@ -55,32 +56,22 @@ func AppendTally(buf []byte, t *Tally) []byte {
 	}
 	buf = append(buf, version)
 	var flags uint64
-	if t.AbsGrid != nil {
-		flags |= tallyHasAbsGrid
+	for bit, present := range [...]bool{t.AbsGrid != nil, t.PathGrid != nil, t.PathHist != nil,
+		t.Radial != nil, t.Moments != nil} { // tallyHasAbsGrid … tallyHasMoments
+		if present {
+			flags |= 1 << bit
+		}
 	}
-	if t.PathGrid != nil {
-		flags |= tallyHasPathGrid
-	}
-	if t.PathHist != nil {
-		flags |= tallyHasPathHist
-	}
-	if t.Radial != nil {
-		flags |= tallyHasRadial
-	}
-	if t.Moments != nil {
-		flags |= tallyHasMoments
-	}
-	buf = binary.AppendUvarint(buf, flags)
-	buf = binary.AppendVarint(buf, t.Launched)
-	buf = appendF64(buf, t.SpecularWeight, t.DiffuseWeight, t.TransmitWeight,
+	buf = wire.AppendUvarint(buf, flags)
+	buf = wire.AppendVarint(buf, t.Launched)
+	buf = wire.AppendFloats(buf, t.SpecularWeight, t.DiffuseWeight, t.TransmitWeight,
 		t.AbsorbedWeight, t.LateralWeight, t.RouletteGain, t.RouletteLoss)
-	buf = binary.AppendVarint(buf, t.DetectedCount)
-	buf = appendF64(buf, t.DetectedWeight, t.GateRejected)
-	for _, r := range []*stats.Running{&t.PathStats, &t.OptPathStats, &t.DepthStats, &t.ScatterStats} {
-		buf = binary.AppendVarint(buf, r.N)
-		buf = appendF64(buf, r.SumW, r.SumWX, r.SumWX2, r.MinV, r.MaxV)
+	buf = wire.AppendVarint(buf, t.DetectedCount)
+	buf = wire.AppendFloats(buf, t.DetectedWeight, t.GateRejected)
+	for _, r := range [...]*stats.Running{&t.PathStats, &t.OptPathStats, &t.DepthStats, &t.ScatterStats} {
+		buf = appendRunning(buf, r)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(t.LayerAbsorbed)))
+	buf = wire.AppendUvarint(buf, uint64(len(t.LayerAbsorbed)))
 	buf = appendSparseF64(buf, t.LayerAbsorbed)
 	buf = appendSparseI64(buf, t.LayerReached)
 	buf = appendSparseF64(buf, t.LayerEnteredWeight)
@@ -96,11 +87,9 @@ func AppendTally(buf []byte, t *Tally) []byte {
 	if t.Radial != nil {
 		buf = appendHist(buf, t.Radial)
 	}
-	if t.Moments != nil {
-		for _, r := range [...]*stats.Running{
-			&t.Moments.Diffuse, &t.Moments.Transmit, &t.Moments.Absorbed, &t.Moments.Detected} {
-			buf = binary.AppendVarint(buf, r.N)
-			buf = appendF64(buf, r.SumW, r.SumWX, r.SumWX2, r.MinV, r.MaxV)
+	if m := t.Moments; m != nil {
+		for _, r := range [...]*stats.Running{&m.Diffuse, &m.Transmit, &m.Absorbed, &m.Detected} {
+			buf = appendRunning(buf, r)
 		}
 	}
 	return buf
@@ -118,117 +107,59 @@ func DecodeTally(data []byte) (*Tally, error) {
 // DecodeTallyInto decodes into t, reusing its slices and optional sections
 // when the shapes match — a long-lived reducer connection decodes thousands
 // of chunk results into one scratch tally with near-zero steady-state
-// allocation.
+// allocation. On an error t holds a partial decode.
 func DecodeTallyInto(t *Tally, data []byte) error {
-	d := tallyDecoder{data: data}
-	version, err := d.byte()
-	if err != nil {
-		return err
+	r := wire.NewReader(data)
+	version := r.Byte()
+	if r.Err() == nil && version != TallyCodecVersion && version != TallyCodecVersionMoments {
+		r.Failf("unsupported version %d (want %d or %d)", version, TallyCodecVersion, TallyCodecVersionMoments)
 	}
-	if version != TallyCodecVersion && version != TallyCodecVersionMoments {
-		return fmt.Errorf("mc: tally codec: unsupported version %d (want %d or %d)",
-			version, TallyCodecVersion, TallyCodecVersionMoments)
-	}
-	flags, err := d.uvarint()
-	if err != nil {
-		return err
-	}
+	flags := r.Uvarint()
 	if version < TallyCodecVersionMoments && flags&tallyHasMoments != 0 {
-		return fmt.Errorf("mc: tally codec: version %d frame carries moments", version)
+		r.Failf("version %d frame carries moments", version)
 	}
-	if t.Launched, err = d.varint(); err != nil {
-		return err
+	t.Launched = r.Varint()
+	t.SpecularWeight, t.DiffuseWeight, t.TransmitWeight = r.Float(), r.Float(), r.Float()
+	t.AbsorbedWeight, t.LateralWeight, t.RouletteGain, t.RouletteLoss = r.Float(), r.Float(), r.Float(), r.Float()
+	t.DetectedCount = r.Varint()
+	t.DetectedWeight, t.GateRejected = r.Float(), r.Float()
+	for _, s := range [...]*stats.Running{&t.PathStats, &t.OptPathStats, &t.DepthStats, &t.ScatterStats} {
+		readRunning(&r, s)
 	}
-	if err := d.f64(&t.SpecularWeight, &t.DiffuseWeight, &t.TransmitWeight,
-		&t.AbsorbedWeight, &t.LateralWeight, &t.RouletteGain, &t.RouletteLoss); err != nil {
-		return err
-	}
-	if t.DetectedCount, err = d.varint(); err != nil {
-		return err
-	}
-	if err := d.f64(&t.DetectedWeight, &t.GateRejected); err != nil {
-		return err
-	}
-	for _, r := range []*stats.Running{&t.PathStats, &t.OptPathStats, &t.DepthStats, &t.ScatterStats} {
-		if r.N, err = d.varint(); err != nil {
-			return err
-		}
-		if err := d.f64(&r.SumW, &r.SumWX, &r.SumWX2, &r.MinV, &r.MaxV); err != nil {
-			return err
-		}
-	}
-	regions, err := d.length(maxCodecRegions, "regions")
-	if err != nil {
-		return err
-	}
-	if t.LayerAbsorbed, err = d.sparseF64(t.LayerAbsorbed, regions); err != nil {
-		return err
-	}
-	t.LayerReached = resizeI64(t.LayerReached, regions)
-	if err := d.sparseI64(t.LayerReached); err != nil {
-		return err
-	}
-	if t.LayerEnteredWeight, err = d.sparseF64(t.LayerEnteredWeight, regions); err != nil {
-		return err
-	}
+	// The region count sizes the first slice only after its runs are seen
+	// to back it; the other two take that slice's length.
+	t.LayerAbsorbed = sparseF64(&r, t.LayerAbsorbed, r.Length(maxCodecRegions, "regions"))
+	regions := len(t.LayerAbsorbed)
+	t.LayerReached = slices.Grow(t.LayerReached[:0], regions)[:regions]
+	sparseI64(&r, t.LayerReached)
+	t.LayerEnteredWeight = sparseF64(&r, t.LayerEnteredWeight, regions)
 
-	if flags&tallyHasAbsGrid != 0 {
-		if t.AbsGrid, err = d.grid(t.AbsGrid); err != nil {
-			return err
-		}
+	t.AbsGrid = readGrid(&r, flags&tallyHasAbsGrid != 0, t.AbsGrid)
+	t.PathGrid = readGrid(&r, flags&tallyHasPathGrid != 0, t.PathGrid)
+	t.PathHist = readHist(&r, flags&tallyHasPathHist != 0, t.PathHist)
+	t.Radial = readHist(&r, flags&tallyHasRadial != 0, t.Radial)
+	if flags&tallyHasMoments == 0 {
+		t.Moments = nil
 	} else {
-		t.AbsGrid = nil
-	}
-	if flags&tallyHasPathGrid != 0 {
-		if t.PathGrid, err = d.grid(t.PathGrid); err != nil {
-			return err
-		}
-	} else {
-		t.PathGrid = nil
-	}
-	if flags&tallyHasPathHist != 0 {
-		if t.PathHist, err = d.hist(t.PathHist); err != nil {
-			return err
-		}
-	} else {
-		t.PathHist = nil
-	}
-	if flags&tallyHasRadial != 0 {
-		if t.Radial, err = d.hist(t.Radial); err != nil {
-			return err
-		}
-	} else {
-		t.Radial = nil
-	}
-	if flags&tallyHasMoments != 0 {
 		if t.Moments == nil {
 			t.Moments = &Moments{}
 		}
-		for _, r := range [...]*stats.Running{
-			&t.Moments.Diffuse, &t.Moments.Transmit, &t.Moments.Absorbed, &t.Moments.Detected} {
-			if r.N, err = d.varint(); err != nil {
-				return err
-			}
-			if err := d.f64(&r.SumW, &r.SumWX, &r.SumWX2, &r.MinV, &r.MaxV); err != nil {
-				return err
-			}
+		m := t.Moments
+		for _, s := range [...]*stats.Running{&m.Diffuse, &m.Transmit, &m.Absorbed, &m.Detected} {
+			readRunning(&r, s)
 		}
-	} else {
-		t.Moments = nil
 	}
-	if d.off != len(d.data) {
-		return fmt.Errorf("mc: tally codec: %d trailing bytes", len(d.data)-d.off)
+	if err := r.End(); err != nil {
+		return fmt.Errorf("mc: tally codec: %w", err)
 	}
 	return nil
 }
 
 // --- encode helpers ------------------------------------------------------
 
-func appendF64(buf []byte, vs ...float64) []byte {
-	for _, v := range vs {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	return buf
+func appendRunning(buf []byte, r *stats.Running) []byte {
+	buf = wire.AppendVarint(buf, r.N)
+	return wire.AppendFloats(buf, r.SumW, r.SumWX, r.SumWX2, r.MinV, r.MaxV)
 }
 
 // appendSparseF64 writes a slice of known length as alternating
@@ -238,10 +169,15 @@ func appendF64(buf []byte, vs ...float64) []byte {
 func appendSparseF64(buf []byte, vs []float64) []byte {
 	for i := 0; i < len(vs); {
 		z := i
+		// A grid's zero runs are long: step over them four cells at a time.
+		for i+4 <= len(vs) && math.Float64bits(vs[i])|math.Float64bits(vs[i+1])|
+			math.Float64bits(vs[i+2])|math.Float64bits(vs[i+3]) == 0 {
+			i += 4
+		}
 		for i < len(vs) && math.Float64bits(vs[i]) == 0 {
 			i++
 		}
-		buf = binary.AppendUvarint(buf, uint64(i-z))
+		buf = wire.AppendUvarint(buf, uint64(i-z))
 		if i == len(vs) {
 			break
 		}
@@ -249,8 +185,8 @@ func appendSparseF64(buf []byte, vs []float64) []byte {
 		for i < len(vs) && math.Float64bits(vs[i]) != 0 {
 			i++
 		}
-		buf = binary.AppendUvarint(buf, uint64(i-n))
-		buf = appendF64(buf, vs[n:i]...)
+		buf = wire.AppendUvarint(buf, uint64(i-n))
+		buf = wire.AppendFloats(buf, vs[n:i]...)
 	}
 	return buf
 }
@@ -261,7 +197,7 @@ func appendSparseI64(buf []byte, vs []int64) []byte {
 		for i < len(vs) && vs[i] == 0 {
 			i++
 		}
-		buf = binary.AppendUvarint(buf, uint64(i-z))
+		buf = wire.AppendUvarint(buf, uint64(i-z))
 		if i == len(vs) {
 			break
 		}
@@ -269,235 +205,128 @@ func appendSparseI64(buf []byte, vs []int64) []byte {
 		for i < len(vs) && vs[i] != 0 {
 			i++
 		}
-		buf = binary.AppendUvarint(buf, uint64(i-n))
+		buf = wire.AppendUvarint(buf, uint64(i-n))
 		for _, v := range vs[n:i] {
-			buf = binary.AppendVarint(buf, v)
+			buf = wire.AppendVarint(buf, v)
 		}
 	}
 	return buf
 }
 
 func appendGrid(buf []byte, g *grid.Grid3) []byte {
-	buf = binary.AppendUvarint(buf, uint64(g.Nx))
-	buf = binary.AppendUvarint(buf, uint64(g.Ny))
-	buf = binary.AppendUvarint(buf, uint64(g.Nz))
-	buf = appendF64(buf, g.Dx, g.Dy, g.Dz, g.X0, g.Y0)
+	buf = wire.AppendUvarint(buf, uint64(g.Nx))
+	buf = wire.AppendUvarint(buf, uint64(g.Ny))
+	buf = wire.AppendUvarint(buf, uint64(g.Nz))
+	buf = wire.AppendFloats(buf, g.Dx, g.Dy, g.Dz, g.X0, g.Y0)
 	return appendSparseF64(buf, g.Data)
 }
 
 func appendHist(buf []byte, h *stats.Histogram) []byte {
-	buf = appendF64(buf, h.Min, h.Max, h.Under, h.Over)
-	buf = binary.AppendUvarint(buf, uint64(len(h.Counts)))
+	buf = wire.AppendFloats(buf, h.Min, h.Max, h.Under, h.Over)
+	buf = wire.AppendUvarint(buf, uint64(len(h.Counts)))
 	return appendSparseF64(buf, h.Counts)
 }
 
 // --- decode helpers ------------------------------------------------------
 
-type tallyDecoder struct {
-	data []byte
-	off  int
-}
-
-func (d *tallyDecoder) byte() (byte, error) {
-	if d.off >= len(d.data) {
-		return 0, fmt.Errorf("mc: tally codec: truncated frame")
-	}
-	b := d.data[d.off]
-	d.off++
-	return b, nil
-}
-
-func (d *tallyDecoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.data[d.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("mc: tally codec: bad uvarint at offset %d", d.off)
-	}
-	d.off += n
-	return v, nil
-}
-
-func (d *tallyDecoder) varint() (int64, error) {
-	v, n := binary.Varint(d.data[d.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("mc: tally codec: bad varint at offset %d", d.off)
-	}
-	d.off += n
-	return v, nil
-}
-
-// length reads a uvarint bounded by max, guarding allocations.
-func (d *tallyDecoder) length(max uint64, what string) (int, error) {
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > max {
-		return 0, fmt.Errorf("mc: tally codec: %s length %d exceeds bound %d", what, v, max)
-	}
-	return int(v), nil
-}
-
-func (d *tallyDecoder) f64(dst ...*float64) error {
-	if d.off+8*len(dst) > len(d.data) {
-		return fmt.Errorf("mc: tally codec: truncated float block at offset %d", d.off)
-	}
-	for _, p := range dst {
-		*p = math.Float64frombits(binary.LittleEndian.Uint64(d.data[d.off:]))
-		d.off += 8
-	}
-	return nil
+func readRunning(r *wire.Reader, s *stats.Running) {
+	s.N = r.Varint()
+	s.SumW, s.SumWX, s.SumWX2, s.MinV, s.MaxV = r.Float(), r.Float(), r.Float(), r.Float(), r.Float()
 }
 
 // sparseF64 decodes an n-element sparse slice, into reuse when it has the
-// room. A fresh slice is allocated only after a dry run over the runs has
-// shown the payload backs the header's n: a short frame that merely claims
-// a 2^28-cell grid is refused having allocated nothing.
-func (d *tallyDecoder) sparseF64(reuse []float64, n int) ([]float64, error) {
+// room. A fresh slice is allocated only after a dry run over the runs, on a
+// copy of r, has shown the payload backs the header's n: a short frame that
+// merely claims a 2^24-cell grid is refused having allocated nothing.
+func sparseF64(r *wire.Reader, reuse []float64, n int) []float64 {
 	if cap(reuse) < n {
-		start := d.off
-		if err := d.sparseRunsF64(nil, n); err != nil {
-			return nil, err
+		dry := *r
+		if sparseRunsF64(&dry, nil, n); dry.Err() != nil {
+			*r = dry
+			return nil
 		}
-		d.off = start
 		reuse = make([]float64, n)
 	}
 	reuse = reuse[:n]
-	return reuse, d.sparseRunsF64(reuse, n)
+	sparseRunsF64(r, reuse, n)
+	return reuse
 }
 
 // sparseRunsF64 walks the (zero-run, value-run) pairs of an n-element
 // slice, storing into dst unless it is nil (the dry run).
-func (d *tallyDecoder) sparseRunsF64(dst []float64, n int) error {
-	rem := n
-	i := 0
-	for rem > 0 {
-		z, err := d.uvarint()
-		if err != nil {
-			return err
+func sparseRunsF64(r *wire.Reader, dst []float64, n int) {
+	for i := 0; i < n; {
+		z := r.Length(n-i, "zero run")
+		if dst != nil {
+			clear(dst[i : i+z])
 		}
-		if z > uint64(rem) {
-			return fmt.Errorf("mc: tally codec: zero run %d exceeds remaining %d", z, rem)
+		if i += z; i == n {
+			return
+		}
+		v := r.Length(n-i, "value run")
+		if v == 0 {
+			r.Failf("empty value run")
+			return
 		}
 		if dst != nil {
-			clear(dst[i : i+int(z)])
+			r.Floats(dst[i : i+v])
+		} else {
+			r.Next(8 * v)
 		}
-		i += int(z)
-		rem -= int(z)
-		if rem == 0 {
-			break
-		}
-		v, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		if v == 0 || v > uint64(rem) {
-			return fmt.Errorf("mc: tally codec: value run %d outside (0,%d]", v, rem)
-		}
-		if d.off+8*int(v) > len(d.data) {
-			return fmt.Errorf("mc: tally codec: truncated value run at offset %d", d.off)
-		}
-		if dst != nil {
-			for j := range dst[i : i+int(v)] {
-				dst[i+j] = math.Float64frombits(binary.LittleEndian.Uint64(d.data[d.off+8*j:]))
-			}
-		}
-		d.off += 8 * int(v)
-		i += int(v)
-		rem -= int(v)
+		i += v
 	}
-	return nil
 }
 
-func (d *tallyDecoder) sparseI64(dst []int64) error {
-	rem := len(dst)
-	i := 0
-	for rem > 0 {
-		z, err := d.uvarint()
-		if err != nil {
-			return err
+func sparseI64(r *wire.Reader, dst []int64) {
+	for i := 0; i < len(dst); {
+		z := r.Length(len(dst)-i, "zero run")
+		clear(dst[i : i+z])
+		if i += z; i == len(dst) {
+			return
 		}
-		if z > uint64(rem) {
-			return fmt.Errorf("mc: tally codec: zero run %d exceeds remaining %d", z, rem)
+		v := r.Length(len(dst)-i, "value run")
+		if v == 0 {
+			r.Failf("empty value run")
+			return
 		}
-		for j := 0; j < int(z); j++ {
-			dst[i] = 0
-			i++
+		for end := i + v; i < end; i++ {
+			dst[i] = r.Varint()
 		}
-		rem -= int(z)
-		if rem == 0 {
-			break
-		}
-		n, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		if n == 0 || n > uint64(rem) {
-			return fmt.Errorf("mc: tally codec: value run %d outside (0,%d]", n, rem)
-		}
-		for j := 0; j < int(n); j++ {
-			v, err := d.varint()
-			if err != nil {
-				return err
-			}
-			dst[i] = v
-			i++
-		}
-		rem -= int(n)
 	}
-	return nil
 }
 
-func (d *tallyDecoder) grid(reuse *grid.Grid3) (*grid.Grid3, error) {
-	nx, err := d.length(MaxGridN, "grid nx")
-	if err != nil {
-		return nil, err
+// readGrid reads a scoring grid when the frame has one, reusing reuse when
+// its edges match; with none it returns nil.
+func readGrid(r *wire.Reader, present bool, reuse *grid.Grid3) *grid.Grid3 {
+	if !present {
+		return nil
 	}
-	ny, err := d.length(MaxGridN, "grid ny")
-	if err != nil {
-		return nil, err
-	}
-	nz, err := d.length(MaxGridN, "grid nz")
-	if err != nil {
-		return nil, err
-	}
+	nx, ny, nz := r.Length(MaxGridN, "grid nx"), r.Length(MaxGridN, "grid ny"), r.Length(MaxGridN, "grid nz")
 	// Each edge is at most MaxGridN, so the cell count cannot overflow.
-	if nx <= 0 || ny <= 0 || nz <= 0 {
-		return nil, fmt.Errorf("mc: tally codec: grid %dx%dx%d out of bounds", nx, ny, nz)
+	if nx == 0 || ny == 0 || nz == 0 {
+		r.Failf("grid %dx%dx%d out of bounds", nx, ny, nz)
+		return nil
 	}
 	g := reuse
 	if g == nil || g.Nx != nx || g.Ny != ny || g.Nz != nz {
 		g = &grid.Grid3{Nx: nx, Ny: ny, Nz: nz}
 	}
-	if err := d.f64(&g.Dx, &g.Dy, &g.Dz, &g.X0, &g.Y0); err != nil {
-		return nil, err
-	}
-	if g.Data, err = d.sparseF64(g.Data, nx*ny*nz); err != nil {
-		return nil, err
-	}
-	return g, nil
+	g.Dx, g.Dy, g.Dz, g.X0, g.Y0 = r.Float(), r.Float(), r.Float(), r.Float(), r.Float()
+	g.Data = sparseF64(r, g.Data, nx*ny*nz)
+	return g
 }
 
-func (d *tallyDecoder) hist(reuse *stats.Histogram) (*stats.Histogram, error) {
+// readHist reads a histogram when the frame has one, reusing reuse; with
+// none it returns nil.
+func readHist(r *wire.Reader, present bool, reuse *stats.Histogram) *stats.Histogram {
+	if !present {
+		return nil
+	}
 	h := reuse
 	if h == nil {
 		h = &stats.Histogram{}
 	}
-	if err := d.f64(&h.Min, &h.Max, &h.Under, &h.Over); err != nil {
-		return nil, err
-	}
-	bins, err := d.length(MaxHistBins, "histogram bins")
-	if err != nil {
-		return nil, err
-	}
-	if h.Counts, err = d.sparseF64(h.Counts, bins); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-func resizeI64(s []int64, n int) []int64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]int64, n)
+	h.Min, h.Max, h.Under, h.Over = r.Float(), r.Float(), r.Float(), r.Float()
+	h.Counts = sparseF64(r, h.Counts, r.Length(MaxHistBins, "histogram bins"))
+	return h
 }

@@ -281,6 +281,44 @@ func TestMergeAtomicOnShapeError(t *testing.T) {
 	}
 }
 
+// TestMergeRefusesOneSidedSections pins that a grid or histogram present
+// in one tally only is refused, whichever side has it, and that the refusal
+// leaves the destination as it was. Adopting the other side's section let
+// a worker's tally add a grid its job never asked for to the job's result;
+// skipping it left the job's grid short of chunks whose scalars it counted.
+func TestMergeRefusesOneSidedSections(t *testing.T) {
+	run := func(add func(*mc.Config)) *mc.Tally {
+		cfg := &mc.Config{Model: tissue.AdultHead(), Detector: detector.Annulus{RMin: 10, RMax: 30}}
+		if add != nil {
+			add(cfg)
+		}
+		tally, err := mc.Run(cfg, 100, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tally
+	}
+	plain := run(nil)
+	for name, add := range map[string]func(*mc.Config){
+		"absorption grid":  func(c *mc.Config) { c.AbsGrid = &mc.GridSpec{N: 8, Edge: 20} },
+		"path grid":        func(c *mc.Config) { c.PathGrid = &mc.GridSpec{N: 8, Edge: 20} },
+		"path histogram":   func(c *mc.Config) { c.PathHist = &mc.HistSpec{Min: 0, Max: 500, Bins: 16} },
+		"radial histogram": func(c *mc.Config) { c.Radial = &mc.HistSpec{Min: 0, Max: 50, Bins: 16} },
+	} {
+		with := run(add)
+		for _, pair := range [][2]*mc.Tally{{plain, with}, {with, plain}} {
+			dst := pair[0].Clone()
+			before := tallyJSON(t, dst)
+			if err := dst.Merge(pair[1]); err == nil {
+				t.Errorf("%s on one side only: merge accepted", name)
+			}
+			if !bytes.Equal(before, tallyJSON(t, dst)) {
+				t.Errorf("%s on one side only: the refused merge mutated the destination", name)
+			}
+		}
+	}
+}
+
 // fanCfg returns a fresh config for the fan tests (RunStreamFan normalises
 // in place, so each call site builds its own).
 func fanCfg() *mc.Config {

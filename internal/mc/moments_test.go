@@ -33,8 +33,9 @@ func dyadicRunning(r *rand.Rand) stats.Running {
 
 // dyadicTally builds a random tally (fixed 4-region shape) whose every
 // field is a sum of dyadic rationals, including the moment accumulators
-// and optional histograms.
-func dyadicTally(r *rand.Rand) *mc.Tally {
+// and, with hist, a path histogram: tallies of one Config carry the same
+// sections, and only those merge.
+func dyadicTally(r *rand.Rand, hist bool) *mc.Tally {
 	t := &mc.Tally{
 		Launched:           int64(r.Intn(1000)),
 		SpecularWeight:     dyadic(r),
@@ -60,7 +61,7 @@ func dyadicTally(r *rand.Rand) *mc.Tally {
 		t.LayerReached[i] = int64(r.Intn(50))
 		t.LayerEnteredWeight[i] = dyadic(r)
 	}
-	if r.Intn(2) == 0 {
+	if hist {
 		t.PathHist = stats.NewHistogram(0, 16, 8)
 		for i := 0; i < 8; i++ {
 			t.PathHist.Add(float64(i)*2+0.5, dyadic(r))
@@ -95,7 +96,8 @@ func cloneViaJSON(t *testing.T, tally *mc.Tally) *mc.Tally {
 func TestQuickMergeAssociativeOrderInsensitive(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		a, b, c := dyadicTally(r), dyadicTally(r), dyadicTally(r)
+		hist := r.Intn(2) == 0
+		a, b, c := dyadicTally(r, hist), dyadicTally(r, hist), dyadicTally(r, hist)
 
 		left := cloneViaJSON(t, a)
 		if err := left.Merge(b); err != nil {

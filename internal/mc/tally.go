@@ -112,11 +112,12 @@ func NewTally(cfg *Config) *Tally {
 // double while the loops below read o's slices as they mutate t's, leaving
 // the tally internally inconsistent.
 //
-// Merge is atomic on error: every shape check (region counts, grid
-// geometry, histogram geometry) runs before the first field is mutated,
-// so a rejected merge leaves t untouched. The distributed reducer relies
-// on this — it requeues a rejected batch's chunks for recompute, which
-// would double-count if a failed Merge had already absorbed the scalars.
+// Merge is atomic on error: every shape check (region counts, which grids
+// and histograms are present, their geometry) runs before the first field
+// is mutated, so a rejected merge leaves t untouched. The distributed
+// reducer relies on this — it requeues a rejected batch's chunks for
+// recompute, which would double-count if a failed Merge had already
+// absorbed the scalars.
 func (t *Tally) Merge(o *Tally) error {
 	if t == o {
 		return fmt.Errorf("mc: tally cannot be merged into itself")
@@ -125,20 +126,16 @@ func (t *Tally) Merge(o *Tally) error {
 		return fmt.Errorf("mc: merging tallies with %d vs %d layers",
 			len(t.LayerAbsorbed), len(o.LayerAbsorbed))
 	}
-	if o.AbsGrid != nil && t.AbsGrid != nil && !t.AbsGrid.CompatibleWith(o.AbsGrid) {
+	if !sameGrid(t.AbsGrid, o.AbsGrid) {
 		return fmt.Errorf("mc: merging tallies with incompatible absorption grids")
 	}
-	if o.PathGrid != nil && t.PathGrid != nil && !t.PathGrid.CompatibleWith(o.PathGrid) {
+	if !sameGrid(t.PathGrid, o.PathGrid) {
 		return fmt.Errorf("mc: merging tallies with incompatible path grids")
 	}
-	if o.PathHist != nil && t.PathHist != nil &&
-		(o.PathHist.Min != t.PathHist.Min || o.PathHist.Max != t.PathHist.Max ||
-			len(o.PathHist.Counts) != len(t.PathHist.Counts)) {
+	if !sameHist(t.PathHist, o.PathHist) {
 		return fmt.Errorf("mc: merging tallies with incompatible path histograms")
 	}
-	if o.Radial != nil && t.Radial != nil &&
-		(o.Radial.Min != t.Radial.Min || o.Radial.Max != t.Radial.Max ||
-			len(o.Radial.Counts) != len(t.Radial.Counts)) {
+	if !sameHist(t.Radial, o.Radial) {
 		return fmt.Errorf("mc: merging tallies with incompatible radial histograms")
 	}
 	t.Launched += o.Launched
@@ -171,35 +168,37 @@ func (t *Tally) Merge(o *Tally) error {
 	for i := range o.LayerEnteredWeight {
 		t.LayerEnteredWeight[i] += o.LayerEnteredWeight[i]
 	}
-	if o.AbsGrid != nil {
-		if t.AbsGrid == nil {
-			t.AbsGrid = o.AbsGrid.Clone()
-		} else if err := t.AbsGrid.Merge(o.AbsGrid); err != nil {
-			return err
+	// The shape checks above leave these merges nothing to refuse.
+	for _, g := range [...][2]*grid.Grid3{{t.AbsGrid, o.AbsGrid}, {t.PathGrid, o.PathGrid}} {
+		if g[1] != nil {
+			_ = g[0].Merge(g[1])
 		}
 	}
-	if o.PathGrid != nil {
-		if t.PathGrid == nil {
-			t.PathGrid = o.PathGrid.Clone()
-		} else if err := t.PathGrid.Merge(o.PathGrid); err != nil {
-			return err
-		}
-	}
-	if o.PathHist != nil {
-		if t.PathHist == nil {
-			t.PathHist = o.PathHist.Clone()
-		} else if err := t.PathHist.Merge(o.PathHist); err != nil {
-			return err
-		}
-	}
-	if o.Radial != nil {
-		if t.Radial == nil {
-			t.Radial = o.Radial.Clone()
-		} else if err := t.Radial.Merge(o.Radial); err != nil {
-			return err
+	for _, h := range [...][2]*stats.Histogram{{t.PathHist, o.PathHist}, {t.Radial, o.Radial}} {
+		if h[1] != nil {
+			_ = h[0].Merge(h[1])
 		}
 	}
 	return nil
+}
+
+// sameGrid reports whether two tallies' optional grids merge: both absent,
+// or both present with one geometry. A grid on one side only is refused
+// rather than adopted or skipped: either tally comes from another Config,
+// and adopting one would let a result carry a grid its job never asked for.
+func sameGrid(a, b *grid.Grid3) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.CompatibleWith(b)
+}
+
+// sameHist is sameGrid for histograms.
+func sameHist(a, b *stats.Histogram) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.Min == b.Min && a.Max == b.Max && len(a.Counts) == len(b.Counts)
 }
 
 // Clone returns a deep copy of the tally: the copy shares no slice, grid,

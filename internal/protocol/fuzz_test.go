@@ -21,6 +21,7 @@ import (
 	"repro/internal/mc"
 	"repro/internal/source"
 	"repro/internal/tissue"
+	"repro/internal/wire"
 )
 
 // updateCorpus rewrites the committed v10 seeds under
@@ -171,9 +172,9 @@ func rawFrame(t MsgType, payload ...byte) []byte {
 // oldHello is the Hello frame a v7, v8 or v9 worker wrote: version · name ·
 // rate, and from v9 on · build.
 func oldHello(version int, name string, mflops float64, build string) []byte {
-	b := appendFloat(appendString(binary.AppendVarint(nil, int64(version)), name), mflops)
+	b := wire.AppendFloat(wire.AppendString(binary.AppendVarint(nil, int64(version)), name), mflops)
 	if version >= 9 {
-		b = appendString(b, build)
+		b = wire.AppendString(b, build)
 	}
 	return rawFrame(MsgHello, b...)
 }

@@ -6,13 +6,12 @@
 //
 // Since v7 one message is one frame, `uvarint n · type · payload`, in the
 // style of the journal's (internal/wal) but without its checksum, which TCP
-// already provides. A payload is uvarints, varints, fixed64 job ids and
-// floats and length-prefixed strings and byte slices in a fixed order per
-// type, so a frame of type T always carries T's body and a field is added
-// only by bumping Version. A job descriptor carries its spec as the bytes
-// the service journals for it (service.AppendSubmission), and a result its
-// tally as mc.AppendTally; Recv bounds every claimed count before it sizes
-// an allocation. A descriptor rides a TaskAssign only when the session
+// already provides. A payload is internal/wire's primitives in a fixed
+// order per type (codec.go), so a frame of type T always carries T's body
+// and a field is added only by bumping Version. A job descriptor carries
+// its spec as the bytes the service journals for it
+// (service.AppendSubmission), and a result its tally as mc.AppendTally;
+// Recv bounds every claimed count before it sizes an allocation. A descriptor rides a TaskAssign only when the session
 // does not hold it, by a rule both ends keep (Descriptors). A worker's
 // Hello names it and its build, once per session; after it a worker sends
 // only results and their compute times, and the server learns its speed
@@ -29,6 +28,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Version is the protocol version; mismatches are rejected at Hello time.
@@ -457,13 +457,10 @@ func (c *Conn) Recv() (*Message, error) {
 		c.met.recvFrames[m.Type].Inc()
 		c.met.recvBytes[m.Type].Add(uint64(len(frame)) + uint64(uvarintLen(n)))
 	}
-	d := decoder{data: frame[1:]}
-	decodeMessage(&d, m)
-	if d.err == nil && len(d.data) > 0 {
-		d.failf("%v frame has %d trailing bytes", m.Type, len(d.data))
-	}
-	if d.err != nil {
-		return nil, d.err
+	r := wire.NewReader(frame[1:])
+	decodeMessage(&r, m)
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("protocol: %v frame: %w", m.Type, err)
 	}
 	return m, nil
 }

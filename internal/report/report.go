@@ -8,31 +8,28 @@ package report
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
 
 	"repro/internal/canon"
 	"repro/internal/mc"
+	"repro/internal/wire"
 )
 
 // A tally file is a header and the tally in the compact codec:
 //
 //	magic · digest · spec · uvarint seed · varint streams · worker · mc.AppendTally
 //
-// where digest, spec (its JSON) and worker are a uvarint length and the
-// bytes. The magic guards against feeding arbitrary files into the merger;
+// in internal/wire's primitives: digest, spec (its JSON) and worker are a
+// uvarint length and the bytes. The magic guards against feeding arbitrary files into the merger;
 // gobMagic is the first format's, a gob File, which is refused by name.
 const (
 	magic    = "phomc-tally-v2"
 	gobMagic = "phomc-tally-v1"
 )
-
-var errTruncated = errors.New("report: truncated tally file")
 
 // File is the persisted form of one (partial) simulation result.
 type File struct {
@@ -81,19 +78,15 @@ func (f *File) Write(w io.Writer) error {
 		return fmt.Errorf("report: write: %w", err)
 	}
 	b := append([]byte(nil), magic...)
-	b = appendBytes(b, []byte(f.SpecDigest))
-	b = appendBytes(b, spec)
-	b = binary.AppendUvarint(b, f.Seed)
-	b = binary.AppendVarint(b, int64(f.Streams))
-	b = appendBytes(b, []byte(f.Worker))
+	b = wire.AppendString(b, f.SpecDigest)
+	b = wire.AppendBytes(b, spec)
+	b = wire.AppendUvarint(b, f.Seed)
+	b = wire.AppendVarint(b, int64(f.Streams))
+	b = wire.AppendString(b, f.Worker)
 	if _, err := w.Write(mc.AppendTally(b, f.Tally)); err != nil {
 		return fmt.Errorf("report: write: %w", err)
 	}
 	return nil
-}
-
-func appendBytes(b, p []byte) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(p))), p...)
 }
 
 // Read decodes a result file and validates its header.
@@ -109,34 +102,19 @@ func Read(r io.Reader) (*File, error) {
 		}
 		return nil, fmt.Errorf("report: not a tally file")
 	}
-	var f File
-	digest, rest, err := cutBytes(rest)
-	if err != nil {
-		return nil, err
-	}
-	spec, rest, err := cutBytes(rest)
-	if err != nil {
-		return nil, err
-	}
-	seed, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return nil, errTruncated
-	}
-	streams, m := binary.Varint(rest[n:])
-	if m <= 0 {
-		return nil, errTruncated
-	}
-	worker, rest, err := cutBytes(rest[n+m:])
-	if err != nil {
-		return nil, err
+	hdr := wire.NewReader(rest)
+	f := File{SpecDigest: hdr.Text()}
+	spec := hdr.Bytes()
+	f.Seed, f.Streams, f.Worker = hdr.Uvarint(), int(hdr.Varint()), hdr.Text()
+	if err := hdr.Err(); err != nil {
+		return nil, fmt.Errorf("report: tally file header: %w", err)
 	}
 	if err := json.Unmarshal(spec, &f.Spec); err != nil {
 		return nil, fmt.Errorf("report: spec: %w", err)
 	}
-	if f.Tally, err = mc.DecodeTally(rest); err != nil {
+	if f.Tally, err = mc.DecodeTally(hdr.Rest()); err != nil {
 		return nil, fmt.Errorf("report: %w", err)
 	}
-	f.SpecDigest, f.Seed, f.Streams, f.Worker = string(digest), seed, int(streams), string(worker)
 	want, err := Digest(&f.Spec)
 	if err != nil {
 		return nil, err
@@ -145,15 +123,6 @@ func Read(r io.Reader) (*File, error) {
 		return nil, fmt.Errorf("report: spec digest mismatch (corrupt file?)")
 	}
 	return &f, nil
-}
-
-// cutBytes splits a uvarint-length-prefixed byte string off data.
-func cutBytes(data []byte) (p, rest []byte, err error) {
-	n, k := binary.Uvarint(data)
-	if k <= 0 || n > uint64(len(data)-k) {
-		return nil, nil, errTruncated
-	}
-	return data[k : k+int(n)], data[k+int(n):], nil
 }
 
 // Save writes the file to path.

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -11,6 +10,7 @@ import (
 	"repro/internal/mc"
 	"repro/internal/obs"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // Journal is the registry's crash-durability plane: a thin schema layer
@@ -122,19 +122,30 @@ func (j *Journal) Close() error {
 // Flag bit 0 is retired: it marked final snapshots and nothing read it.
 const snapHasTally = 1 << 1
 
-var errBadRecord = errors.New("service: malformed journal record")
-
 func appendKeyRec(key Key) []byte {
 	return append([]byte(nil), key[:]...)
 }
 
-func decodeKeyRec(data []byte) (Key, error) {
+// readKey reads a record's leading content key and returns a reader on what
+// follows it.
+func readKey(data []byte) (Key, wire.Reader) {
 	var k Key
-	if len(data) < len(k) {
-		return k, errBadRecord
+	r := wire.NewReader(data)
+	copy(k[:], r.Next(len(k)))
+	return k, r
+}
+
+func decodeKeyRec(data []byte) (Key, error) {
+	key, r := readKey(data)
+	return key, recErr(&r)
+}
+
+// recErr returns a record reader's first failure, naming the journal.
+func recErr(r *wire.Reader) error {
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("service: malformed journal record: %w", err)
 	}
-	copy(k[:], data)
-	return k, nil
+	return nil
 }
 
 // encodeAcceptRec renders key[32] · AppendSubmission(spec). key[:] is a full
@@ -145,11 +156,11 @@ func encodeAcceptRec(key Key, spec *JobSpec) ([]byte, error) {
 }
 
 func decodeAcceptRec(data []byte) (Key, JobSpec, error) {
-	key, err := decodeKeyRec(data)
-	if err != nil {
+	key, r := readKey(data)
+	if err := recErr(&r); err != nil {
 		return key, JobSpec{}, err
 	}
-	spec, err := DecodeSubmission(data[len(key):])
+	spec, err := DecodeSubmission(r.Rest())
 	return key, spec, err
 }
 
@@ -161,10 +172,10 @@ func encodeSnapshotRec(key Key, nChunks int, completed []int, tally *mc.Tally) [
 		flags |= snapHasTally
 	}
 	buf = append(buf, flags)
-	buf = binary.AppendUvarint(buf, uint64(nChunks))
-	buf = binary.AppendUvarint(buf, uint64(len(completed)))
+	buf = wire.AppendUvarint(buf, uint64(nChunks))
+	buf = wire.AppendUvarint(buf, uint64(len(completed)))
 	for _, id := range completed {
-		buf = binary.AppendUvarint(buf, uint64(id))
+		buf = wire.AppendUvarint(buf, uint64(id))
 	}
 	if tally != nil {
 		buf = mc.AppendTally(buf, tally)
@@ -176,45 +187,21 @@ func encodeSnapshotRec(key Key, nChunks int, completed []int, tally *mc.Tally) [
 // the one of its key's accept record.
 func decodeSnapshotRec(data []byte) (Key, snapshot, error) {
 	var snap snapshot
-	key, err := decodeKeyRec(data)
-	if err != nil {
-		return key, snap, err
-	}
-	rest := data[len(key):]
-	if len(rest) < 1 {
-		return key, snap, errBadRecord
-	}
-	flags := rest[0]
-	rest = rest[1:]
-	uvarint := func() (uint64, bool) {
-		v, n := binary.Uvarint(rest)
-		if n <= 0 {
-			return 0, false
-		}
-		rest = rest[n:]
-		return v, true
-	}
-	nc, ok := uvarint()
-	if !ok || nc > 1<<31 {
-		return key, snap, errBadRecord
-	}
-	snap.NChunks = int(nc)
+	key, r := readKey(data)
+	flags := r.Byte()
+	snap.NChunks = r.Length(1<<31, "chunks")
 	// Every id takes at least one byte, so the bytes left bound the count
-	// before it sizes an allocation.
-	count, ok := uvarint()
-	if !ok || count > nc || count > uint64(len(rest)) {
-		return key, snap, errBadRecord
+	// before it sizes an allocation; and the count is at most NChunks, so
+	// there is an id to read only when NChunks-1 is one.
+	snap.Completed = make([]int, r.Count(snap.NChunks, "completed chunks"))
+	for i := range snap.Completed {
+		snap.Completed[i] = r.Length(snap.NChunks-1, "completed chunk id")
 	}
-	snap.Completed = make([]int, 0, count)
-	for range count {
-		id, ok := uvarint()
-		if !ok || id >= nc {
-			return key, snap, errBadRecord
-		}
-		snap.Completed = append(snap.Completed, int(id))
+	if err := recErr(&r); err != nil {
+		return key, snapshot{}, err
 	}
 	if flags&snapHasTally != 0 {
-		t, err := mc.DecodeTally(rest)
+		t, err := mc.DecodeTally(r.Rest())
 		if err != nil {
 			return key, snap, fmt.Errorf("service: snapshot tally: %w", err)
 		}

@@ -2,11 +2,12 @@ package service
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
+
+	"repro/internal/wire"
 )
 
 // SubmissionCompactType is the Content-Type of the POST /jobs a routing tier
@@ -45,10 +46,8 @@ func AppendSubmission(dst []byte, spec *JobSpec) ([]byte, error) {
 	if err != nil {
 		return dst, fmt.Errorf("service: compact submission: %w", err)
 	}
-	dst = slices.Grow(dst, 1+binary.MaxVarintLen64+len(header)+len(labels))
-	dst = append(dst, submissionCodecVersion)
-	dst = binary.AppendUvarint(dst, uint64(len(header)))
-	dst = append(dst, header...)
+	dst = slices.Grow(dst, 1+wire.MaxVarintLen+len(header)+len(labels))
+	dst = wire.AppendBytes(append(dst, submissionCodecVersion), header)
 	return append(dst, labels...), nil
 }
 
@@ -60,14 +59,13 @@ func AppendSubmission(dst []byte, spec *JobSpec) ([]byte, error) {
 func DecodeSubmission(data []byte) (JobSpec, error) {
 	header, labels := data, []byte(nil)
 	if len(data) == 0 || data[0] != '{' {
-		if len(data) == 0 || data[0] != submissionCodecVersion {
+		r := wire.NewReader(data)
+		if r.Byte() != submissionCodecVersion {
 			return JobSpec{}, errBadSubmission
 		}
-		n, w := binary.Uvarint(data[1:])
-		if w <= 0 || n > uint64(len(data)-1-w) {
-			return JobSpec{}, errBadSubmission
+		if header, labels = r.Bytes(), r.Rest(); r.Err() != nil {
+			return JobSpec{}, fmt.Errorf("%w: %w", errBadSubmission, r.Err())
 		}
-		header, labels = data[1+w:1+w+int(n)], data[1+w+int(n):]
 	}
 	var spec JobSpec
 	dec := json.NewDecoder(bytes.NewReader(header))

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/grid"
 	"repro/internal/mc"
 	"repro/internal/obs"
 	"repro/internal/protocol"
@@ -441,6 +442,42 @@ func TestChunkVerdictTimeline(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestUnrequestedGridIsUnmergeable holds the reducer to the job's own
+// sections: a group whose tally carries an 8³ absorption grid its job never
+// asked for is rejected as unmergeable and its chunk requeued, and the
+// job's tally gains no grid — neither in its result nor in the journal
+// snapshots encoded from it.
+func TestUnrequestedGridIsUnmergeable(t *testing.T) {
+	f := newVerdictFixture(t, false)
+	g := f.group(f.a)
+	extra, err := mc.DecodeTally(g.TallyData)
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra.AbsGrid = grid.NewCube(8, 20)
+	extra.AbsGrid.Data[0] = 1
+	g.TallyData = mc.AppendTally(nil, extra)
+
+	acks := f.reduce(g)
+	want := []protocol.ResultAck{f.rej(f.a, "unmergeable tally: %v", mc.NewTally(f.cfg).Merge(extra))}
+	if !slices.Equal(acks, want) {
+		t.Errorf("acks\n got %+v\nwant %+v", acks, want)
+	}
+	f.job.redMu.Lock()
+	adopted := f.job.tally.AbsGrid != nil
+	f.job.redMu.Unlock()
+	if adopted {
+		t.Error("the job's tally adopted the group's unrequested absorption grid")
+	}
+	f.reg.mu.Lock()
+	requeued := slices.Contains(f.job.pending, f.a)
+	f.reg.mu.Unlock()
+	if !requeued {
+		t.Errorf("chunk %d not back in pending", f.a)
+	}
+	checkChunkBooks(t, f.job)
 }
 
 // TestReclaimedChunkQueuedOnce covers a late result for a chunk a timeout

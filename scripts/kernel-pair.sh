@@ -21,6 +21,8 @@
 # and its median is lower by more than REF's IQR, "loss" the same the other
 # way, "within noise" otherwise, and "unresolved" under 10 pairs, where no
 # count of wins means anything (2 of 2 comes up one time in four by chance).
+# A chunk shape only one side has a benchmark for (one the change adds, or
+# one REF predates) is listed under the table as not paired.
 set -euo pipefail
 
 : "${REF:?usage: make kernel-pair REF=<commit> [PAIRS=10]}"
@@ -59,15 +61,25 @@ for ((p = 1; p <= PAIRS; p++)); do
 		run new "$p"; run ref "$p"
 	fi
 done | awk -v pairs="$PAIRS" -v ref="$REF" "$MEDIAN"'
-	{ x[$1, $3, $2] = $4; if (!($3 in seen)) { seen[$3] = 1; shapes[++ns] = $3 } }
+	{ x[$1, $3, $2] = $4; ran[$1, $3]++; if (!($3 in seen)) { seen[$3] = 1; shapes[++ns] = $3 } }
 	END {
-		if (!ns) { print "kernel-pair: no chunk benchmark ran"; exit 1 }
+		# A shape one side never ran (a benchmark the other side added or
+		# removed) is named, not paired; one that ran on both sides must
+		# have run in every pair.
+		for (q = 1; q <= ns; q++) {
+			k = shapes[q]
+			if (!ran["ref", k] || !ran["new", k]) { only[k] = ran["ref", k] ? ref : "the change"; continue }
+			for (p = 1; p <= pairs; p++)
+				if (!((("ref", k, p) in x) && (("new", k, p) in x))) { print "kernel-pair: " k " pair " p " did not run"; exit 1 }
+			both++
+		}
+		if (!both) { print "kernel-pair: no chunk benchmark ran on both sides"; exit 1 }
 		printf "%-22s %12s %12s %8s %10s %6s  %s\n", "chunk (ns/photon)", ref, "change", "Δ", "ref IQR", "wins", "verdict"
 		for (q = 1; q <= ns; q++) {
 			k = shapes[q]
+			if (k in only) continue
 			wins = 0
 			for (p = 1; p <= pairs; p++) {
-				if (!((("ref", k, p) in x) && (("new", k, p) in x))) { print "kernel-pair: " k " pair " p " did not run"; exit 1 }
 				v["ref" SUBSEP k, p] = x["ref", k, p]; v["new" SUBSEP k, p] = x["new", k, p]
 				if (x["new", k, p] < x["ref", k, p]) wins++
 			}
@@ -85,4 +97,5 @@ done | awk -v pairs="$PAIRS" -v ref="$REF" "$MEDIAN"'
 			if (pairs < 10) verdict = "unresolved (under 10 pairs)"
 			printf "%-22s %12.0f %12.0f %+7.1f%% %10.0f %3d/%-2d  %s\n", k, mr, mn, 100 * (mn - mr) / mr, iqr, wins, pairs, verdict
 		}
+		for (q = 1; q <= ns; q++) if (shapes[q] in only) printf "%-22s only %s ran it: not paired\n", shapes[q], only[shapes[q]]
 	}'
